@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-json bench-exec experiments examples clean
+.PHONY: all build test race check chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-compare bench-json bench-exec experiments examples clean
 
 all: build test
 
@@ -136,18 +136,32 @@ bench:
 	$(GO) test -bench=. -benchmem -timeout 45m ./...
 
 # CI kernel gate: a reduced-size kernel benchmark whose parity validation
-# must pass — recurrence-vs-exact (and, on AVX2 hosts, simd-vs-exact)
-# RMSE/max-abs inside the package gates and streaming bit-identical to
-# batch — and whose JSON record lands in artifacts/ for upload. The second
-# run times the simd kernel itself (falling back to recurrence off-AVX2),
-# so the dispatch path is exercised end to end. Exits non-zero on any gate
-# violation, so a kernel change that breaks the arithmetic contract fails
-# the build even when every unit test still passes.
+# must pass — the kernel under test against exact, RMSE/max-abs inside the
+# package gates, and streaming bit-identical to batch — and whose JSON
+# record lands in artifacts/ for upload. The first run gates the default
+# (the AVX2 assembly on hosts that have it), the second the forced scalar
+# path, so the arithmetic a non-AVX2 host would run is gated on AVX2
+# runners too. Exits non-zero on any gate violation, so a kernel change
+# that breaks the arithmetic contract fails the build even when every unit
+# test still passes.
 bench-smoke:
 	mkdir -p artifacts
 	$(GO) run ./cmd/fdkbench -smoke -kernel-json artifacts/bench_smoke.json
-	$(GO) run ./cmd/fdkbench -smoke -kernels simd -label bench-smoke-simd \
+	$(GO) run ./cmd/fdkbench -smoke -kernels scalar -label bench-smoke-scalar \
 		-kernel-json artifacts/bench_smoke.json
+
+# A perf PR's ledger row in one command: the repository benchmark
+# (BENCHMARK.json) at BASE — a git ref, extracted into a temporary tree —
+# and at the working tree, then the per-metric verdict table of
+# `bench -compare`, which exits non-zero on a regression beyond a bound.
+# BENCH_ARGS goes to both runs, e.g. BENCH_ARGS="--seconds 8 --trace 0".
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref> [BENCH_ARGS=...]"; exit 2; }
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) run ./bench $(BENCH_ARGS) --out "$$tmp/base-out"); \
+	$(GO) run ./bench $(BENCH_ARGS) --out "$$tmp/head-out"; \
+	$(GO) run ./bench -compare "$$tmp/base-out/results.json" "$$tmp/head-out/results.json"
 
 # Append a machine-readable hot-loop record (GUPS, ns/voxel-update,
 # filter rows/s, alloc stats, git commit) to BENCH_kernel.json.

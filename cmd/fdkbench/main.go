@@ -35,9 +35,9 @@ func main() {
 	execJSON := flag.String("exec-json", "", "run the scale-out executor benchmark and append the entry to this JSON file (skips -exp)")
 	label := flag.String("label", "", "label stamped into the -kernel-json / -exec-json entry")
 	reps := flag.Int("reps", 3, "repetitions per -kernel-json / -exec-json measurement (best-of)")
-	kernel := flag.String("kernels", "recurrence", "back-projection arithmetic for -kernel-json: recurrence, exact or simd (simd needs AVX2; silently falls back to recurrence otherwise)")
+	kernel := flag.String("kernels", "recurrence", "back-projection arithmetic for -kernel-json: recurrence (AVX2 assembly where the host has it, scalar Go elsewhere), scalar (force the scalar path) or exact")
 	ringLayout := flag.String("ring-layout", "interleaved", "streaming ring layout for -kernel-json: interleaved or proj-major")
-	parity := flag.Bool("parity", false, "validate the recurrence kernel — and, when the host has AVX2, the simd kernel — against the exact kernel (parity gates + streaming==batch identity); exit non-zero on violation")
+	parity := flag.Bool("parity", false, "validate the -kernels arithmetic against the exact kernel (parity gates + streaming==batch identity); exit non-zero on violation")
 	smoke := flag.Bool("smoke", false, "reduced-size -kernel-json run for CI: smaller scenario, 1 rep, parity on")
 	checkTrace := flag.String("check-trace", "", "validate a Chrome trace artifact (exit non-zero on violation) and exit")
 	requireFlows := flag.Bool("require-matched-flows", false, "with -check-trace, additionally require flow events to be present and fully matched (every recv arrow has its send)")

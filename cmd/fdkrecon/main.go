@@ -17,9 +17,11 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -72,7 +74,7 @@ func main() {
 		backoff    = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (with -journal)")
 		deadline   = flag.Duration("deadline", 0, "collective deadline: a lost peer surfaces as a typed error within this bound (0 waits for world teardown)")
 		kills      = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
-		kernelFl   = flag.String("kernels", "recurrence", "back-projection arithmetic: recurrence, exact (the PR-1 escape hatch) or simd (AVX2; silently falls back to recurrence elsewhere)")
+		kernelFl   = flag.String("kernels", "recurrence", "back-projection arithmetic: recurrence (AVX2 assembly where the host has it, scalar Go elsewhere), scalar (force the scalar path) or exact (the PR-1 arithmetic)")
 		layoutFl   = flag.String("ring-layout", "interleaved", "projection ring layout: interleaved or proj-major")
 		fusionFl   = flag.String("fusion", "auto", "filter-into-ring fusion: auto, on, off")
 		worldN     = flag.Int("world", 0, "spread the multi-rank run over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
@@ -112,30 +114,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var source projection.Source
-	var sysFromScenario *experiments.Scenario
-	if *inPath != "" {
-		src, err := storage.OpenStack(*inPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer src.Close()
-		source = src
-	}
-	sc, err := experiments.BuildScenario(*dsName, *div, *outN, *workers)
+	sys, source, err := resolveInput(*inPath, *dsName, *div, *outN, *workers, experiments.BuildScenario)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sysFromScenario = sc
-	sys := sysFromScenario.Sys
-	if source == nil {
-		source = sc.Source
-	} else {
-		nu, np, nv := source.Dims()
-		if nu != sys.NU || np != sys.NP || nv != sys.NV {
-			log.Fatalf("input %dx%dx%d does not match %s/%d geometry %dx%dx%d",
-				nu, np, nv, *dsName, *div, sys.NU, sys.NP, sys.NV)
-		}
+	if c, ok := source.(io.Closer); ok {
+		defer c.Close()
 	}
 
 	if *algo != "fdk" {
@@ -168,8 +152,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("ROI slices [%d,%d) reconstructed in %d slabs (H2D %.1f MiB)\n",
-			*zlo, *zlo+*znz, rep.Slabs, float64(rep.Ledger.H2DBytes)/(1<<20))
+		fmt.Printf("ROI slices [%d,%d) reconstructed in %d slabs (H2D %.1f MiB, kernel %s)\n",
+			*zlo, *zlo+*znz, rep.Slabs, float64(rep.Ledger.H2DBytes)/(1<<20), rep.Ledger.Arithmetic())
 		if err := vol.SaveRaw(*outPath); err != nil {
 			log.Fatal(err)
 		}
@@ -246,9 +230,10 @@ func main() {
 			log.Fatal(err)
 		}
 		finishPoll()
-		fmt.Printf("reconstructed %d slabs in %v (H2D %.1f MiB, D2H %.1f MiB)\n",
+		fmt.Printf("reconstructed %d slabs in %v (H2D %.1f MiB, D2H %.1f MiB, kernel %s)\n",
 			rep.Slabs, rep.Elapsed.Round(1e6),
-			float64(rep.Ledger.H2DBytes)/(1<<20), float64(rep.Ledger.D2HBytes)/(1<<20))
+			float64(rep.Ledger.H2DBytes)/(1<<20), float64(rep.Ledger.D2HBytes)/(1<<20),
+			rep.Ledger.Arithmetic())
 		if *timeline {
 			fmt.Print(tracer.RenderASCII([]string{"load", "filter", "backproject", "store"}, 100))
 		}
@@ -282,6 +267,15 @@ func main() {
 				"-devmem", strconv.FormatInt(*memMB, 10),
 				"-workers", strconv.Itoa(*workers),
 				"-deadline", copts.CollectiveDeadline.String(),
+			}
+			if *inPath != "" {
+				// Workers read the same projections, whatever directory
+				// they are started in.
+				abs, err := filepath.Abs(*inPath)
+				if err != nil {
+					log.Fatal(err)
+				}
+				forward = append(forward, "-in", abs)
 			}
 			if *journal != "" {
 				forward = append(forward, "-journal", *journal,
@@ -359,9 +353,9 @@ func main() {
 			sw.finish(*severSpec != "")
 		}
 		finishPoll()
-		fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB\n",
+		fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",
 			plan.Ranks(), *groups, *ranks, rep.Elapsed.Round(1e6),
-			float64(rep.TotalReduceBytes())/(1<<20))
+			float64(rep.TotalReduceBytes())/(1<<20), rep.Arithmetic())
 		fmt.Print(rep.String())
 	}
 
@@ -379,6 +373,37 @@ func main() {
 		printStats(sink.V.Summarize())
 	}
 	printGeometry(*dsName)
+}
+
+// resolveInput returns the run's geometry and projection source. With an
+// input container the geometry comes from the dataset registry alone
+// (experiments.ScaledSystem) and the projections from the file, whose
+// dimensions must match; only
+// without one is the dataset's phantom forward-projected, through
+// synthesise (experiments.BuildScenario).
+func resolveInput(inPath, dsName string, div, outN, workers int,
+	synthesise func(name string, div, outN, workers int) (*experiments.Scenario, error)) (*geometry.System, projection.Source, error) {
+	if inPath == "" {
+		sc, err := synthesise(dsName, div, outN, workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sc.Sys, sc.Source, nil
+	}
+	_, sys, err := experiments.ScaledSystem(dsName, div, outN)
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := storage.OpenStack(inPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	if nu, np, nv := src.Dims(); nu != sys.NU || np != sys.NP || nv != sys.NV {
+		src.Close()
+		return nil, nil, fmt.Errorf("input %dx%dx%d does not match %s/%d geometry %dx%dx%d",
+			nu, np, nv, dsName, div, sys.NU, sys.NP, sys.NV)
+	}
+	return sys, src, nil
 }
 
 // supervisedConfig carries the durable-mode knobs into runSupervised.

@@ -14,17 +14,20 @@
 //     literal transcription of Algorithm 1, bit-identical to the naive
 //     reference.
 //
-//   - KernelRecurrence (the default) restructures the same row into a
-//     linear-fractional recurrence: the homogeneous coordinates (u, v, w)
-//     are affine in the column index, so the three per-sample dot products
-//     are replaced by incremental lane additions re-anchored every
-//     reanchorPeriod columns to bound float32 drift, with one reciprocal
-//     per sample computed from the running values. The row is additionally
-//     clipped to its detector support (columns whose 2×2 footprint lies
-//     entirely outside the readable window contribute exactly +0 and are
-//     skipped), the interior runs 4-wide unrolled, and the (k, j, s) loops
+//   - KernelRecurrence (the zero value, so the default of every caller)
+//     restructures the same row into a linear-fractional recurrence: the
+//     homogeneous coordinates (u, v, w) are affine in the column index, so
+//     the three per-sample dot products are replaced by incremental lane
+//     additions re-anchored every reanchorPeriod columns to bound float32
+//     drift, with one reciprocal per sample computed from the running
+//     values. The row is additionally clipped to its detector support
+//     (columns whose 2×2 footprint lies entirely outside the readable
+//     window contribute exactly +0 and are skipped) and the (k, j, s) loops
 //     are blocked so a small window of detector rows stays cache-resident
-//     across a voxel sweep.
+//     across a voxel sweep. It runs at the widest width the host has:
+//     8 lanes in AVX2 assembly where cpufeat.AVX2 holds (see simd.go for
+//     that path's coordinate contract), two scalar lanes in Go elsewhere.
+//     KernelScalar forces the scalar path on any host.
 //
 // Whatever the kernel, the computed contribution of column i is a pure
 // function of (i, row constants) shared by the interior, border and
@@ -32,9 +35,11 @@
 // stays bit-identical to a monolithic batch reconstruction over the same
 // projections — the equivalence the paper validates against RTK with an
 // RMSE threshold, made exact here because we control both implementations.
-// Between the two kernels the results differ only by the recurrence's
-// bounded accumulation drift; that parity is tolerance-gated (see the
-// property tests and the kernel benchmark's parity gate).
+// The identity holds per dispatched arithmetic, hence per host: the AVX2
+// path's reciprocal starts from RCPPS, whose approximation is the CPU's
+// own. Between arithmetics the results differ only by bounded float32
+// drift; that parity is tolerance-gated (see the property tests and the
+// kernel benchmark's parity gate).
 package backproject
 
 import (
@@ -52,22 +57,22 @@ import (
 type Kernel int
 
 const (
-	// KernelRecurrence is the default cache-blocked, recurrence-driven
-	// kernel: incremental coordinate updates with periodic re-anchoring,
-	// detector-support clipping and a 4-wide unrolled interior.
+	// KernelRecurrence is the default: the cache-blocked recurrence
+	// restructuring (incremental coordinate updates with fixed-column
+	// re-anchoring, detector-support clipping) at the widest width this
+	// host has — the AVX2 fused-span assembly where cpufeat.AVX2 holds, the
+	// scalar two-lane Go path elsewhere. The ledger records which one a
+	// launch dispatched to.
 	KernelRecurrence Kernel = iota
 	// KernelExact keeps the PR-1 arithmetic: direct per-sample dot-product
 	// evaluation, bit-identical to the literal Algorithm 1 reference. It is
-	// the escape hatch (`kernels=exact`) and the baseline the recurrence
-	// kernel's parity gate measures against.
+	// the baseline the recurrence kernels' parity gate measures against.
 	KernelExact
-	// KernelSIMD is the recurrence restructuring executed 8-wide in AVX2
-	// assembly: vector lane recurrences with the same fixed-absolute-column
-	// re-anchoring, a Newton-refined hardware reciprocal instead of the
-	// divide, and gathered bilinear footprints (see simd.go for the
-	// contract). Hosts without usable AVX2 (or non-amd64 builds) silently
-	// fall back to KernelRecurrence, counted by kernel.simd_fallback.
-	KernelSIMD
+	// KernelScalar forces the scalar two-lane Go path of the recurrence
+	// restructuring whatever the host: what KernelRecurrence runs without
+	// AVX2. Parity tests use it, and it covers the non-AVX2 path on AVX2
+	// machines.
+	KernelScalar
 )
 
 // ParseKernel maps the CLI spelling to a Kernel.
@@ -75,20 +80,20 @@ func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "", "recurrence":
 		return KernelRecurrence, nil
+	case "scalar":
+		return KernelScalar, nil
 	case "exact":
 		return KernelExact, nil
-	case "simd":
-		return KernelSIMD, nil
 	}
-	return 0, fmt.Errorf("backproject: unknown kernel %q (recurrence, exact, simd)", s)
+	return 0, fmt.Errorf("backproject: unknown kernel %q (recurrence, scalar, exact)", s)
 }
 
 func (k Kernel) String() string {
 	switch k {
 	case KernelExact:
 		return "exact"
-	case KernelSIMD:
-		return "simd"
+	case KernelScalar:
+		return "scalar"
 	}
 	return "recurrence"
 }
@@ -109,8 +114,11 @@ type projAccess struct {
 	lo, hi  int   // global rows readable [lo, hi)
 	rowOff  []int // rowOff[v-lo] = storage offset of global row v
 	// rowIdx32 is rowOff narrowed to int32 for the AVX2 gather
-	// instructions; built lazily by prepareSIMD when KernelSIMD runs.
+	// instructions; built by prepareSIMD when a launch dispatches to them.
 	rowIdx32 []int32
+	// win is the readable window as the recurrence kernels' span
+	// decisions use it; accumulateSlab derives it once per launch.
+	win spanWindow
 }
 
 // buildRowTable fills rowOff and sStride for a hand-constructed access in
@@ -218,32 +226,47 @@ func clipSpan(lower, upper *float64, c, b float64, le bool) {
 	}
 }
 
-// interiorSpan returns the half-open column range [i0, i1) of a detector
-// row whose bilinear footprints are guaranteed fully resident, so the inner
-// loop may sample without border checks. The projected coordinates
-// x = (ax·i+xc)/z and y = (ay·i+yc)/z with z = az·i+zc are linear
-// fractional in i; as long as z stays positive across the row the residency
-// conditions multiply through into linear inequalities in i. The bounds are
-// solved in float64 with a half-pixel safety margin, which dwarfs both the
-// float32 evaluation error of the kernel's coordinate arithmetic and the
-// recurrence kernel's bounded drift, so every column inside the span
-// satisfies the exact float32 residency predicate. Rows where z could cross
-// zero get an empty span (fully border-handled).
-func (a *projAccess) interiorSpan(ax, xc, ay, yc, az, zc float64, nx int) (int, int) {
+// Boundaries of the readable window [0,nu) × [lo,hi) in detector pixels,
+// in the order every [4]float64 of the span solves uses: x low, x high,
+// y low, y high. The margin d = 0.5 px dwarfs both the float32 evaluation
+// error of the kernels' coordinate arithmetic and the recurrence kernels'
+// bounded drift.
+//
+// interiorBounds is where a sample's whole 2×2 footprint is resident with
+// the margin to spare: x ∈ [d, nu−1−d] keeps iu and iu+1 inside the
+// detector width, y ∈ [lo+d, hi−1−d] keeps iv and iv+1 inside the readable
+// rows. supportBounds is where a footprint can touch the window at all,
+// with the margin widening the kept range: outside x ∈ [−1−d, nu+d],
+// y ∈ [lo−1−d, hi+d] the bilinear value is exactly 0.
+func (a *projAccess) interiorBounds() [4]float64 {
 	const d = 0.5
-	if zc <= 0 || az*float64(nx-1)+zc <= 0 {
-		return 0, 0
-	}
+	return [4]float64{d, float64(a.nu-1) - d, float64(a.lo) + d, float64(a.hi-1) - d}
+}
+
+func (a *projAccess) supportBounds() [4]float64 {
+	const d = 0.5
+	return [4]float64{-1 - d, float64(a.nu) + d, float64(a.lo) - 1 - d, float64(a.hi) + d}
+}
+
+// clipCoefs returns the column coefficients of a row's four boundary
+// inequalities. The projected coordinates x = (ax·i+xc)/z and
+// y = (ay·i+yc)/z with z = az·i+zc are linear fractional in i; while z
+// stays positive, x ≥ B multiplies through to (ax − B·az)·i ≥ B·zc − xc.
+// The coefficients depend on the projection only, the right-hand sides on
+// the row, so a caller sweeping rows computes these once per projection.
+func clipCoefs(ax, ay, az float64, bound *[4]float64) [4]float64 {
+	return [4]float64{ax - bound[0]*az, ax - bound[1]*az, ay - bound[2]*az, ay - bound[3]*az}
+}
+
+// clipRow solves the four boundary inequalities of one row for the
+// half-open column range [i0, i1) ⊆ [0, nx) that satisfies them all, or
+// (0, 0) when none does. Requires z > 0 across the row.
+func clipRow(coef, bound *[4]float64, xc, yc, zc float64, nx int) (int, int) {
 	lower, upper := 0.0, float64(nx-1)
-	// x ≥ d and x ≤ nu−1−d keep iu and iu+1 inside the detector width;
-	// y ≥ lo+d and y ≤ hi−1−d keep iv and iv+1 inside the readable rows.
-	tu := float64(a.nu-1) - d
-	tl := float64(a.lo) + d
-	th := float64(a.hi-1) - d
-	clipSpan(&lower, &upper, ax-d*az, d*zc-xc, false)
-	clipSpan(&lower, &upper, ax-tu*az, tu*zc-xc, true)
-	clipSpan(&lower, &upper, ay-tl*az, tl*zc-yc, false)
-	clipSpan(&lower, &upper, ay-th*az, th*zc-yc, true)
+	clipSpan(&lower, &upper, coef[0], bound[0]*zc-xc, false)
+	clipSpan(&lower, &upper, coef[1], bound[1]*zc-xc, true)
+	clipSpan(&lower, &upper, coef[2], bound[2]*zc-yc, false)
+	clipSpan(&lower, &upper, coef[3], bound[3]*zc-yc, true)
 	i0 := int(math.Ceil(lower))
 	i1 := int(math.Floor(upper)) + 1
 	if i0 < 0 {
@@ -258,39 +281,19 @@ func (a *projAccess) interiorSpan(ax, xc, ay, yc, az, zc float64, nx int) (int, 
 	return i0, i1
 }
 
-// supportSpan returns the half-open column range [c0, c1) outside which
-// every sample's 2×2 footprint is guaranteed to lie entirely outside the
-// readable window — its bilinear value is exactly 0 and its accumulated
-// contribution exactly +0, so the kernel may skip those columns without
-// changing a single output bit. The keep conditions (x ≥ −1, x ≤ nu,
-// y ≥ lo−1, y ≤ hi) are solved like interiorSpan but with the half-pixel
-// margin *widening* the kept range, so the analytic clip never discards a
-// column the float32 arithmetic would sample; the caller additionally
-// verifies the clip boundary with the exact per-column predicate. Requires
-// z > 0 across the row (the caller checks, like interiorSpan).
-func (a *projAccess) supportSpan(ax, xc, ay, yc, az, zc float64, nx int) (int, int) {
-	const d = 0.5
-	lower, upper := 0.0, float64(nx-1)
-	tl := -1 - d
-	tu := float64(a.nu) + d
-	yl := float64(a.lo) - 1 - d
-	yh := float64(a.hi) + d
-	clipSpan(&lower, &upper, ax-tl*az, tl*zc-xc, false)
-	clipSpan(&lower, &upper, ax-tu*az, tu*zc-xc, true)
-	clipSpan(&lower, &upper, ay-yl*az, yl*zc-yc, false)
-	clipSpan(&lower, &upper, ay-yh*az, yh*zc-yc, true)
-	c0 := int(math.Ceil(lower))
-	c1 := int(math.Floor(upper)) + 1
-	if c0 < 0 {
-		c0 = 0
-	}
-	if c1 > nx {
-		c1 = nx
-	}
-	if c0 >= c1 {
+// interiorSpan returns the half-open column range [i0, i1) of a detector
+// row whose bilinear footprints are guaranteed fully resident, so the inner
+// loop may sample without border checks: clipRow over interiorBounds,
+// solved in float64, so every column inside the span satisfies the exact
+// float32 residency predicate. Rows where z could cross zero get an empty
+// span (fully border-handled).
+func (a *projAccess) interiorSpan(ax, xc, ay, yc, az, zc float64, nx int) (int, int) {
+	if zc <= 0 || az*float64(nx-1)+zc <= 0 {
 		return 0, 0
 	}
-	return c0, c1
+	bound := a.interiorBounds()
+	coef := clipCoefs(ax, ay, az, &bound)
+	return clipRow(&coef, &bound, xc, yc, zc, nx)
 }
 
 // interiorResident evaluates, with the exact kernel's float32 arithmetic,
@@ -315,9 +318,9 @@ func (a *projAccess) interiorResident(i int, ax, xc, ay, yc, az, zc float32) boo
 // device ledger/telemetry — never per sample.
 type kernelCounters struct {
 	interior, border, skipped, reanchors int64
-	// Vector-lane accounting of the simd kernel's interior columns:
+	// Vector-lane accounting of the AVX2 path's interior columns:
 	// complete 8-lane iterations vs columns executed under a partial lane
-	// mask (the masked tail). Zero under the other kernels.
+	// mask (the masked tail). Zero under the other arithmetics.
 	simdGroups, simdTail int64
 }
 
@@ -348,12 +351,16 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		dev.RecordKernel(0)
 		return nil
 	}
-	if kernel == KernelSIMD && (!simdAvailable() || !a.prepareSIMD()) {
-		// Silent degrade, never an error: the request stays valid on every
-		// host, and the fallback is visible through the ledger counter.
-		kernel = KernelRecurrence
-		dev.RecordSIMDFallback()
+	// Dispatch once per launch. The 8-lane path needs AVX2 and storage
+	// offsets that fit its 32-bit gather indices.
+	arith := device.ArithmeticScalar
+	switch {
+	case kernel == KernelExact:
+		arith = device.ArithmeticExact
+	case kernel != KernelScalar && simdAvailable() && a.prepareSIMD():
+		arith = device.ArithmeticAVX2
 	}
+	a.win = a.newSpanWindow()
 	workers := dev.WorkerCount()
 	if workers > slab.NZ {
 		workers = slab.NZ
@@ -364,10 +371,10 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if kernel == KernelExact {
+			if arith == device.ArithmeticExact {
 				a.accumulateSlicesExact(w, workers, mats, slab, &counters[w])
 			} else {
-				a.accumulateSlicesRec(w, workers, mats, slab, &counters[w], kernel == KernelSIMD)
+				a.accumulateSlicesRec(w, workers, mats, slab, &counters[w], arith == device.ArithmeticAVX2)
 			}
 		}(w)
 	}
@@ -377,6 +384,7 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		total.add(counters[w])
 	}
 	dev.RecordKernel(updates)
+	dev.RecordDispatch(arith)
 	dev.RecordKernelSamples(total.interior, total.border, total.skipped, total.reanchors)
 	if total.simdGroups != 0 || total.simdTail != 0 {
 		dev.RecordKernelVector(total.simdGroups, total.simdTail)

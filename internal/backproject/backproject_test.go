@@ -3,6 +3,7 @@ package backproject
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"distfdk/internal/device"
@@ -38,6 +39,48 @@ func randomStack(sys *geometry.System, seed int64) *projection.Stack {
 		st.Data[i] = float32(rng.NormFloat64())
 	}
 	return st
+}
+
+// forRecurrenceKernels runs f once under the default dispatch (the AVX2
+// assembly where the host has it) and once under the forced scalar path,
+// so the portable arithmetic stays covered on AVX2 runners.
+func forRecurrenceKernels(t *testing.T, f func(t *testing.T, kernel Kernel)) {
+	for _, kernel := range []Kernel{KernelRecurrence, KernelScalar} {
+		t.Run(kernel.String(), func(t *testing.T) { f(t, kernel) })
+	}
+}
+
+// The -kernels spellings: the default family, the forced scalar path and
+// the exact oracle. "simd" was replaced by the dispatch, not aliased to it.
+func TestParseKernel(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Kernel
+	}{
+		{"", KernelRecurrence},
+		{"recurrence", KernelRecurrence},
+		{"scalar", KernelScalar},
+		{"exact", KernelExact},
+	} {
+		got, err := ParseKernel(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseKernel(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+		if c.in != "" && got.String() != c.in {
+			t.Errorf("Kernel(%d).String() = %q, want %q", got, got.String(), c.in)
+		}
+	}
+	for _, in := range []string{"simd", "avx2", "auto", "Recurrence", "fast"} {
+		if _, err := ParseKernel(in); err == nil {
+			t.Errorf("ParseKernel(%q) accepted", in)
+		} else if !strings.Contains(err.Error(), "recurrence, scalar, exact") {
+			t.Errorf("ParseKernel(%q) error does not list the spellings: %v", in, err)
+		}
+	}
+	var zero Kernel
+	if zero != KernelRecurrence {
+		t.Error("the zero Kernel is not KernelRecurrence")
+	}
 }
 
 func TestFloor32(t *testing.T) {
@@ -172,8 +215,9 @@ func naive(sys *geometry.System, stack *projection.Stack, vol *volume.Volume) {
 
 // The exact Batch kernel must reproduce the literal Algorithm 1 reference
 // bit-for-bit: same float32 arithmetic, same per-voxel accumulation order.
-// The recurrence kernel is tolerance-gated against the same reference (its
-// re-anchored incremental coordinates differ by bounded float32 drift).
+// The recurrence kernels are tolerance-gated against the same reference
+// (their re-anchored incremental coordinates differ by bounded float32
+// drift).
 func TestBatchMatchesNaiveAlgorithm1(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV, sys.SigmaCOR = 1.25, -0.5, 0.3
@@ -199,11 +243,13 @@ func TestBatchMatchesNaiveAlgorithm1(t *testing.T) {
 		t.Fatalf("sample classification does not partition the updates: %+v", l)
 	}
 
-	rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := Batch(dev, stack, kernelMats(sys), rec); err != nil {
-		t.Fatal(err)
-	}
-	assertWithinParityGate(t, want, rec)
+	forRecurrenceKernels(t, func(t *testing.T, kernel Kernel) {
+		rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		if err := BatchKernel(dev, stack, kernelMats(sys), rec, kernel); err != nil {
+			t.Fatal(err)
+		}
+		assertWithinParityGate(t, want, rec)
+	})
 }
 
 // parity gate for recurrence-vs-exact comparisons: bounded float32 drift,
@@ -225,6 +271,10 @@ func assertWithinParityGate(t *testing.T, want, got *volume.Volume) {
 // reconstruction through the ring buffer must equal the monolithic batch
 // reconstruction bit-for-bit.
 func TestStreamingEqualsBatch(t *testing.T) {
+	forRecurrenceKernels(t, testStreamingEqualsBatch)
+}
+
+func testStreamingEqualsBatch(t *testing.T, kernel Kernel) {
 	sys := testSystem()
 	sys.SigmaV = 0.25
 	stack := randomStack(sys, 2)
@@ -232,7 +282,7 @@ func TestStreamingEqualsBatch(t *testing.T) {
 
 	batchDev := device.New("batch", 0, 2)
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := Batch(batchDev, stack, mats, want); err != nil {
+	if err := BatchKernel(batchDev, stack, mats, want, kernel); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,7 +311,7 @@ func TestStreamingEqualsBatch(t *testing.T) {
 			t.Fatalf("slab %d: %v", si, err)
 		}
 		slab, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-		if err := Streaming(dev, ring, mats, slab, need); err != nil {
+		if err := StreamingKernel(dev, ring, mats, slab, need, kernel); err != nil {
 			t.Fatalf("slab %d: %v", si, err)
 		}
 		if err := got.CopySlabFrom(slab); err != nil {

@@ -61,7 +61,7 @@ func TestZeroWidthInteriorSpan(t *testing.T) {
 
 	// End to end: a one-row detector forces the border path everywhere.
 	// The exact kernel must match the reference bit-for-bit; the
-	// recurrence kernel stays inside the parity gate on this all-border,
+	// recurrence kernels stay inside the parity gate on this all-border,
 	// heavily-clipped geometry.
 	sys := testSystem()
 	sys.NV = 1
@@ -77,19 +77,29 @@ func TestZeroWidthInteriorSpan(t *testing.T) {
 			t.Fatalf("voxel %d: border-only batch %g != naive %g", i, got.Data[i], want.Data[i])
 		}
 	}
-	rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := Batch(device.New("border-rec", 0, 2), stack, kernelMats(sys), rec); err != nil {
-		t.Fatal(err)
-	}
-	assertWithinParityGate(t, want, rec)
+	forRecurrenceKernels(t, func(t *testing.T, kernel Kernel) {
+		dev := device.New("border-rec", 0, 2)
+		rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		if err := BatchKernel(dev, stack, kernelMats(sys), rec, kernel); err != nil {
+			t.Fatal(err)
+		}
+		assertWithinParityGate(t, want, rec)
+		if l := dev.Snapshot(); l.InteriorSamples != 0 || l.BorderSamples == 0 {
+			t.Errorf("one-row detector: %d interior and %d border samples, want all border", l.InteriorSamples, l.BorderSamples)
+		}
+	})
 }
 
 // Heavily off-centre detectors clip the interior span asymmetrically; the
 // stitched border/interior/border row must stay bit-identical to the naive
-// per-sample reference under the exact kernel, the recurrence kernel must
-// stay inside the parity gate, and streaming must stay bit-identical to
-// batch under the (recurrence) default.
+// per-sample reference under the exact kernel, the recurrence kernels must
+// stay inside the parity gate while skipping the provably-zero columns
+// past the detector edge, and streaming must stay bit-identical to batch.
 func TestClippedSpanParity(t *testing.T) {
+	forRecurrenceKernels(t, testClippedSpanParity)
+}
+
+func testClippedSpanParity(t *testing.T, kernel Kernel) {
 	for _, sigma := range []struct{ u, v float64 }{{12, 0}, {0, 15}, {-20, 18}, {30, -25}} {
 		sys := testSystem()
 		sys.SigmaU, sys.SigmaV = sigma.u, sigma.v
@@ -107,11 +117,16 @@ func TestClippedSpanParity(t *testing.T) {
 				t.Fatalf("sigma %+v: voxel %d: batch %g != naive %g", sigma, i, exact.Data[i], want.Data[i])
 			}
 		}
+		batchDev := device.New("clip", 0, 3)
 		batch, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := Batch(device.New("clip", 0, 3), stack, mats, batch); err != nil {
+		if err := BatchKernel(batchDev, stack, mats, batch, kernel); err != nil {
 			t.Fatal(err)
 		}
 		assertWithinParityGate(t, want, batch)
+		if l := batchDev.Snapshot(); l.SkippedSamples == 0 || l.BorderSamples == 0 || l.InteriorSamples == 0 {
+			t.Errorf("sigma %+v: off-centre detector exercised interior %d, border %d, skipped %d samples; want all three",
+				sigma, l.InteriorSamples, l.BorderSamples, l.SkippedSamples)
+		}
 
 		dev := device.New("clip-stream", 0, 2)
 		ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
@@ -122,7 +137,7 @@ func TestClippedSpanParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		stream, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := Streaming(dev, ring, mats, stream, geometry.RowRange{Lo: 0, Hi: sys.NV}); err != nil {
+		if err := StreamingKernel(dev, ring, mats, stream, geometry.RowRange{Lo: 0, Hi: sys.NV}, kernel); err != nil {
 			t.Fatal(err)
 		}
 		ring.Close()

@@ -39,8 +39,8 @@ func benchKernelProfile(b *testing.B, kernel Kernel) {
 	}
 }
 
-func BenchmarkKernelProfileRec(b *testing.B)  { benchKernelProfile(b, KernelRecurrence) }
-func BenchmarkKernelProfileSIMD(b *testing.B) { benchKernelProfile(b, KernelSIMD) }
+func BenchmarkKernelProfile(b *testing.B)       { benchKernelProfile(b, KernelRecurrence) }
+func BenchmarkKernelProfileScalar(b *testing.B) { benchKernelProfile(b, KernelScalar) }
 
 func BenchmarkFusedInteriorSIMDSpans(b *testing.B) {
 	if !simdAvailable() {

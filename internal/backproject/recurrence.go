@@ -123,8 +123,7 @@ func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, yc, zc float32,
 		rz := 1 / w
 		x := (ax*fi + xc) * rz
 		y := (ay*fi + yc) * rz
-		const d = predicateSlack
-		if x >= d && x <= float32(a.nu-1)-d && y >= float32(a.lo)+d && y <= float32(a.hi-1)-d {
+		if b := &a.win.resident; x >= b[0] && x <= b[1] && y >= b[2] && y <= b[3] {
 			return true
 		}
 	}
@@ -172,8 +171,7 @@ func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, yc, zc float32, simd
 		}
 		x := (ax*fi + xc) * rz
 		y := (ay*fi + yc) * rz
-		const d = predicateSlack
-		if x <= -1-d || x >= float32(a.nu)+d || y <= float32(a.lo-1)-d || y >= float32(a.hi)+d {
+		if b := &a.win.zero; x <= b[0] || x >= b[1] || y <= b[2] || y >= b[3] {
 			return true
 		}
 	}
@@ -181,6 +179,61 @@ func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, yc, zc float32, simd
 		return a.zeroContribSIMD(i, ax, ay, az, xc, yc, zc)
 	}
 	return a.zeroContribRec(i, ax, ay, az, xc, yc, zc)
+}
+
+// spanWindow is the readable window [0,nu) × [lo,hi) in the forms a
+// launch's span decisions compare against. It depends on (nu, lo, hi) only,
+// so accumulateSlab derives it once instead of once per boundary test.
+type spanWindow struct {
+	// support and interior are supportBounds and interiorBounds; accept is
+	// the interior tightened past float64 product rounding for the
+	// fully-interior pre-accept.
+	support, interior, accept [4]float64
+	// resident and zero are the boundaries a direct float32 evaluation must
+	// clear by predicateSlack for the fast predicates to decide.
+	resident, zero [4]float32
+}
+
+func (a *projAccess) newSpanWindow() spanWindow {
+	const md = 0.5 + 1e-9
+	const d = predicateSlack
+	return spanWindow{
+		support:  a.supportBounds(),
+		interior: a.interiorBounds(),
+		accept:   [4]float64{md, float64(a.nu-1) - md, float64(a.lo) + md, float64(a.hi-1) - md},
+		resident: [4]float32{d, float32(a.nu-1) - d, float32(a.lo) + d, float32(a.hi-1) - d},
+		zero:     [4]float32{-1 - d, float32(a.nu) + d, float32(a.lo-1) - d, float32(a.hi) + d},
+	}
+}
+
+// projConsts is what the (row, projection) launches of one projection
+// share across the rows of a slab: the matrix, the float64 forms of its
+// column coefficients that the span solves work in, and the assembly
+// kernel's argument block with its per-projection fields filled. One is
+// built per worker and projection of a block, outside the (k, j) sweep.
+type projConsts struct {
+	s             int
+	m             geometry.Mat34x4
+	axd, ayd, azd float64
+	// axn, ayn, azn are the changes of u, v and w from column 0 to nx−1.
+	axn, ayn, azn float64
+	// support and interior are the clipCoefs of the window's two boundary
+	// sets.
+	support, interior [4]float64
+	args              simdRowArgs
+}
+
+func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int, simd bool) projConsts {
+	pc := projConsts{s: s, m: *m}
+	pc.axd, pc.ayd, pc.azd = float64(m.R0[0]), float64(m.R1[0]), float64(m.R2[0])
+	last := float64(nx - 1)
+	pc.axn, pc.ayn, pc.azn = pc.axd*last, pc.ayd*last, pc.azd*last
+	pc.support = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.support)
+	pc.interior = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.interior)
+	if simd {
+		a.initSpanArgs(&pc.args, s, m.R0[0], m.R1[0], m.R2[0])
+	}
+	return pc
 }
 
 // accumulateSlicesRec back-projects the k slices owned by worker w with the
@@ -191,10 +244,15 @@ func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, yc, zc float32, simd
 // and split into border strips around the fused interior.
 func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters, simd bool) {
 	nx := slab.NX
+	var pcs [projBlock]projConsts
 	for sb := 0; sb < a.np; sb += projBlock {
 		sEnd := sb + projBlock
 		if sEnd > a.np {
 			sEnd = a.np
+		}
+		block := pcs[:sEnd-sb]
+		for i := range block {
+			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx, simd)
 		}
 		for kt := w; kt < slab.NZ; kt += workers * zBlock {
 			kEnd := kt + workers*zBlock
@@ -206,13 +264,13 @@ func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4
 				for j := 0; j < slab.NY; j++ {
 					jf := float32(j)
 					out := slab.Data[(k*slab.NY+j)*nx : (k*slab.NY+j+1)*nx]
-					for s := sb; s < sEnd; s++ {
-						m := &mats[s]
-						ax, ay, az := m.R0[0], m.R1[0], m.R2[0]
+					for i := range block {
+						pc := &block[i]
+						m := &pc.m
 						xc := m.R0[1]*jf + m.R0[2]*kf + m.R0[3]
 						yc := m.R1[1]*jf + m.R1[2]*kf + m.R1[3]
 						zc := m.R2[1]*jf + m.R2[2]*kf + m.R2[3]
-						a.rowRec(out, s, ax, ay, az, xc, yc, zc, nx, ctr, simd)
+						a.rowRec(out, pc, xc, yc, zc, nx, ctr, simd)
 					}
 				}
 			}
@@ -220,108 +278,98 @@ func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4
 	}
 }
 
-// rowRec processes one (output row, projection) pair: solve the support and
-// interior spans analytically, verify their endpoints with the exact
-// predicates of the requested arithmetic (recurrence or simd), then walk
-// the supported columns through that arithmetic's fused interior and
-// guarded border paths.
-func (a *projAccess) rowRec(out []float32, s int, ax, ay, az, xc, yc, zc float32, nx int, ctr *kernelCounters, simd bool) {
-	axd, ayd, azd := float64(ax), float64(ay), float64(az)
+// rowSpans decides how one (output row, projection) pair is walked: the
+// supported columns [c0,c1), outside which every contribution is exactly
+// +0, and inside them the interior [i0,i1) whose footprints are fully
+// resident. Both are solved analytically and their endpoints verified with
+// the exact predicates of the requested arithmetic (recurrence or simd).
+// Every decision is a function of the row constants (pc, xc, yc, zc) and the
+// window alone, so any decomposition of a volume splits the same row the
+// same way. A row z may cross gets (0, 0, 0, nx): no skipping, no interior.
+func (a *projAccess) rowSpans(pc *projConsts, xc, yc, zc float32, nx int, simd bool) (c0, i0, i1, c1 int) {
 	xcd, ycd, zcd := float64(xc), float64(yc), float64(zc)
-	zOK := zcd > 0 && azd*float64(nx-1)+zcd > 0
-	var c0, i0, i1, c1 int
-	if zOK {
-		// Endpoint pre-reject: with w > 0 across the row, x(i) and y(i)
-		// are monotonic (linear-fractional, no pole), so the row's
-		// coordinate range is spanned by its endpoints. Both endpoints
-		// past the same supportSpan boundary means the support solve
-		// comes out empty — declare the row provably zero without
-		// running it. The boundaries are supportSpan's own, so the
-		// decision is identical to the full solve's and depends only on
-		// the row constants (any decomposition skips the same rows).
-		// Both w's are positive, so the ratio tests u/w < B multiply
-		// through to u < B·w — no divides on this always-taken path.
-		w0 := zcd
-		wn := azd*float64(nx-1) + zcd
-		ux0, uxn := xcd, axd*float64(nx-1)+xcd
-		uy0, uyn := ycd, ayd*float64(nx-1)+ycd
-		const pd = 0.5
-		xloB := -1 - pd
-		xhiB := float64(a.nu) + pd
-		yloB := float64(a.lo) - 1 - pd
-		yhiB := float64(a.hi) + pd
-		if (ux0 < xloB*w0 && uxn < xloB*wn) || (ux0 > xhiB*w0 && uxn > xhiB*wn) ||
-			(uy0 < yloB*w0 && uyn < yloB*wn) || (uy0 > yhiB*w0 && uyn > yhiB*wn) {
-			ctr.skipped += int64(nx)
-			return
-		}
-		// Fully-interior pre-accept, the mirror image of the pre-reject:
-		// both endpoints clearing every interiorSpan boundary by its
-		// half-pixel margin (padded past float64 product rounding) means
-		// the whole row is interior — the 0.5 margin dominates the
-		// kernels' float32 drift exactly as it does for the analytic
-		// solve, so [0,nx) is a sound interior span and the eight
-		// boundary divisions are skipped. Like the solve, the test is a
-		// pure function of the row constants: every decomposition
-		// accepts the same rows and splits them identically.
-		const md = 0.5 + 1e-9
-		ixl := md
-		ixh := float64(a.nu-1) - md
-		iyl := float64(a.lo) + md
-		iyh := float64(a.hi-1) - md
-		if ux0 > ixl*w0 && uxn > ixl*wn && ux0 < ixh*w0 && uxn < ixh*wn &&
-			uy0 > iyl*w0 && uyn > iyl*wn && uy0 < iyh*w0 && uyn < iyh*wn {
-			c0, c1 = 0, nx
-			i0, i1 = 0, nx
-		} else {
-			c0, c1 = a.supportSpan(axd, xcd, ayd, ycd, azd, zcd, nx)
-			i0, i1 = a.interiorSpan(axd, xcd, ayd, ycd, azd, zcd, nx)
-		}
-		// The analytic solve carries a half-pixel margin; the float32
-		// predicates pin the final boundaries so the fast paths stay
-		// sound even if the float64 clip were off by a column.
-		for i0 < i1 && !a.interiorResidentFast(i0, ax, ay, az, xc, yc, zc, simd) {
-			i0++
-		}
-		for i0 < i1 && !a.interiorResidentFast(i1-1, ax, ay, az, xc, yc, zc, simd) {
-			i1--
-		}
-		if c0 < c1 {
-			for c0 > 0 && !a.zeroContribFast(c0-1, ax, ay, az, xc, yc, zc, simd) {
-				c0--
-			}
-			for c1 < nx && !a.zeroContribFast(c1, ax, ay, az, xc, yc, zc, simd) {
-				c1++
-			}
-		}
-		// Support must contain the interior (it does analytically; keep
-		// it true defensively after the endpoint walks).
-		if i0 < i1 {
-			if c0 > i0 {
-				c0 = i0
-			}
-			if c1 < i1 {
-				c1 = i1
-			}
-		}
-	} else {
-		// z may cross zero: no skipping, no interior — evaluate every
-		// column through the border path with the recurrence values.
-		c0, c1 = 0, nx
-		i0, i1 = 0, 0
+	// Row-end values of w, u and v: with w > 0 across the row, x(i) and
+	// y(i) are monotonic (linear-fractional, no pole), so the row's
+	// coordinate range is spanned by its endpoints.
+	w0, wn := zcd, pc.azn+zcd
+	if !(w0 > 0 && wn > 0) {
+		return 0, 0, 0, nx
 	}
+	ux0, uxn := xcd, pc.axn+xcd
+	uy0, uyn := ycd, pc.ayn+ycd
+	// Endpoint pre-reject: both endpoints past the same support boundary
+	// means the support solve comes out empty — declare the row provably
+	// zero without running it. The boundaries are the solve's own, so the
+	// decision is identical to the full solve's. Both w's are positive, so
+	// the ratio tests u/w < B multiply through to u < B·w — no divides on
+	// this always-taken path.
+	if b := &a.win.support; (ux0 < b[0]*w0 && uxn < b[0]*wn) || (ux0 > b[1]*w0 && uxn > b[1]*wn) ||
+		(uy0 < b[2]*w0 && uyn < b[2]*wn) || (uy0 > b[3]*w0 && uyn > b[3]*wn) {
+		return 0, 0, 0, 0
+	}
+	// Fully-interior pre-accept, the mirror image of the pre-reject: both
+	// endpoints clearing every interior boundary by its half-pixel margin
+	// (padded past float64 product rounding) means the whole row is
+	// interior — the 0.5 margin dominates the kernels' float32 drift
+	// exactly as it does for the analytic solve, so [0,nx) is a sound
+	// interior span and the eight boundary divisions are skipped.
+	if b := &a.win.accept; ux0 > b[0]*w0 && uxn > b[0]*wn && ux0 < b[1]*w0 && uxn < b[1]*wn &&
+		uy0 > b[2]*w0 && uyn > b[2]*wn && uy0 < b[3]*w0 && uyn < b[3]*wn {
+		c0, c1 = 0, nx
+		i0, i1 = 0, nx
+	} else {
+		c0, c1 = clipRow(&pc.support, &a.win.support, xcd, ycd, zcd, nx)
+		i0, i1 = clipRow(&pc.interior, &a.win.interior, xcd, ycd, zcd, nx)
+	}
+	// The analytic solve carries a half-pixel margin; the float32
+	// predicates pin the final boundaries so the fast paths stay sound even
+	// if the float64 clip were off by a column.
+	ax, ay, az := pc.m.R0[0], pc.m.R1[0], pc.m.R2[0]
+	for i0 < i1 && !a.interiorResidentFast(i0, ax, ay, az, xc, yc, zc, simd) {
+		i0++
+	}
+	for i0 < i1 && !a.interiorResidentFast(i1-1, ax, ay, az, xc, yc, zc, simd) {
+		i1--
+	}
+	if c0 < c1 {
+		for c0 > 0 && !a.zeroContribFast(c0-1, ax, ay, az, xc, yc, zc, simd) {
+			c0--
+		}
+		for c1 < nx && !a.zeroContribFast(c1, ax, ay, az, xc, yc, zc, simd) {
+			c1++
+		}
+	}
+	// Support must contain the interior (it does analytically; keep it
+	// true defensively after the endpoint walks).
+	if i0 < i1 {
+		if c0 > i0 {
+			c0 = i0
+		}
+		if c1 < i1 {
+			c1 = i1
+		}
+	}
+	return c0, i0, i1, c1
+}
+
+// rowRec processes one (output row, projection) pair: rowSpans decides the
+// supported and interior columns, then the supported ones are walked
+// through the requested arithmetic's fused interior and guarded border
+// paths.
+func (a *projAccess) rowRec(out []float32, pc *projConsts, xc, yc, zc float32, nx int, ctr *kernelCounters, simd bool) {
+	c0, i0, i1, c1 := a.rowSpans(pc, xc, yc, zc, nx, simd)
 	ctr.interior += int64(i1 - i0)
 	ctr.border += int64((c1 - c0) - (i1 - i0))
 	ctr.skipped += int64(nx - (c1 - c0))
 	if c0 >= c1 {
 		return
 	}
-	// The hot loops live in their own functions on purpose: rowRec's
-	// span-solving locals plus the loop state of a fused gather exceed
-	// the register file, and keeping them in one frame makes the
-	// allocator spill lane values and loop counters to the stack on
-	// every iteration. Dedicated functions give each loop its own
-	// allocation with a small live set.
+	// The hot loops live in their own functions on purpose: the span
+	// decisions' locals plus the loop state of a fused gather exceed the
+	// register file, and keeping them in one frame makes the allocator
+	// spill lane values and loop counters to the stack on every iteration.
+	// Dedicated functions give each loop its own allocation with a small
+	// live set.
 	if simd {
 		// One assembly launch covers the whole supported span: 8-lane
 		// groups wholly inside [i0,i1) run the unguarded paired-gather
@@ -331,12 +379,15 @@ func (a *projAccess) rowRec(out []float32, s int, ax, ay, az, xc, yc, zc float32
 		if i0 >= i1 {
 			i0, i1 = c0, c0
 		}
-		ctr.reanchors += a.fusedSpanSIMD(out, s, c0, c1, i0, i1, ax, ay, az, xc, yc, zc)
+		launchSpan(&pc.args, out, c0, c1, i0, i1, xc, yc, zc)
+		ctr.reanchors += reanchorSegments(c0, c1)
 		fg, ts := simdLaneCounts(i0, i1)
 		ctr.simdGroups += fg
 		ctr.simdTail += ts
 		return
 	}
+	s := pc.s
+	ax, ay, az := pc.m.R0[0], pc.m.R1[0], pc.m.R2[0]
 	if i0 < i1 {
 		// Pair-aligned fully-interior core; the ≤1 unaligned column on
 		// each side joins the border ranges below (the guarded gather is
@@ -354,6 +405,14 @@ func (a *projAccess) rowRec(out []float32, s int, ax, ay, az, xc, yc, zc float32
 	} else {
 		ctr.reanchors += a.guardedCols(out, s, c0, c1, ax, ay, az, xc, yc, zc)
 	}
+}
+
+// reanchorSegments counts the anchor segments the non-empty column range
+// [c0,c1) touches: one re-anchor event each.
+func reanchorSegments(c0, c1 int) int64 {
+	b0 := c0 &^ (reanchorPeriod - 1)
+	b1 := (c1 - 1) &^ (reanchorPeriod - 1)
+	return int64((b1-b0)/reanchorPeriod) + 1
 }
 
 // fusedInterior back-projects the pair-aligned, fully-interior columns

@@ -92,7 +92,8 @@ func TestRecurrenceDriftProperty(t *testing.T) {
 
 // Zero-voxel slabs (an empty projection window's degenerate launch) must
 // count one kernel launch and zero updates without spawning workers over
-// the empty range — the ledger's sample-path split stays all-zero too.
+// the empty range — the ledger's sample-path split stays all-zero too, and
+// no arithmetic is recorded as dispatched.
 func TestZeroVoxelSlabLaunch(t *testing.T) {
 	sys := testSystem()
 	stack := randomStack(sys, 5)
@@ -111,12 +112,19 @@ func TestZeroVoxelSlabLaunch(t *testing.T) {
 	if l.InteriorSamples != 0 || l.BorderSamples != 0 || l.SkippedSamples != 0 || l.Reanchors != 0 {
 		t.Errorf("sample split non-zero on empty launch: %+v", l)
 	}
+	if got := l.Arithmetic(); got != "" {
+		t.Errorf("empty launch dispatched %q", got)
+	}
 }
 
 // The ring layouts only rearrange device memory; both present the same
 // RowBase/ProjStride addressing to the kernel, so streaming through a
 // proj-major ring must reproduce the row-interleaved volume bit for bit.
 func TestProjMajorStreamingBitIdentical(t *testing.T) {
+	forRecurrenceKernels(t, testProjMajorStreamingBitIdentical)
+}
+
+func testProjMajorStreamingBitIdentical(t *testing.T, kernel Kernel) {
 	sys := testSystem()
 	stack := randomStack(sys, 13)
 	mats := kernelMats(sys)
@@ -133,7 +141,7 @@ func TestProjMajorStreamingBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		v, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := Streaming(dev, ring, mats, v, rows); err != nil {
+		if err := StreamingKernel(dev, ring, mats, v, rows, kernel); err != nil {
 			t.Fatal(err)
 		}
 		ring.Close()

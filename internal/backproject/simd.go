@@ -5,8 +5,9 @@ import (
 	"unsafe"
 )
 
-// The simd kernel (KernelSIMD) is the recurrence kernel's arithmetic
-// restructured for 8-wide AVX2 execution: the three homogeneous coordinate
+// The AVX2 path — what KernelRecurrence dispatches to on hosts that have
+// it — is the recurrence kernel's arithmetic restructured for 8-wide
+// execution: the three homogeneous coordinate
 // lanes advance as whole vectors, the per-sample divide becomes a
 // hardware reciprocal approximation refined by one Newton–Raphson step,
 // and the 2×2 bilinear footprints load through gathers. Like the
@@ -101,7 +102,8 @@ func (a *projAccess) zeroContribSIMD(i int, ax, ay, az, xc, yc, zc float32) bool
 // window, out-of-window neighbours contributing exactly +0. A resident
 // column therefore computes bit-identically to the assembly fast body —
 // the guards only decide whether a load happens, never its value.
-// Returns the number of re-anchor segments, same formula as fusedSpanSIMD.
+// Returns the number of re-anchor segments, as rowRec counts them for the
+// assembly.
 func (a *projAccess) guardedColsSIMD(out []float32, s, g0, g1 int, ax, ay, az, xc, yc, zc float32) int64 {
 	if g0 >= g1 {
 		return 0
@@ -144,9 +146,7 @@ func (a *projAccess) guardedColsSIMD(out []float32, s, g0, g1 int, ax, ay, az, x
 		t2 := p10 + eu*(p11-p10)
 		out[i] += rz * rz * (t1 + ev*(t2-t1))
 	}
-	b0 := g0 &^ (reanchorPeriod - 1)
-	b1 := (g1 - 1) &^ (reanchorPeriod - 1)
-	return int64((b1-b0)/reanchorPeriod) + 1
+	return reanchorSegments(g0, g1)
 }
 
 // simdLaneCounts classifies the interior columns [f0,f1) by how the 8-wide
@@ -171,9 +171,9 @@ func simdLaneCounts(f0, f1 int) (full, tail int64) {
 
 // prepareSIMD builds the int32 row-offset table the gather instructions
 // index through (VPGATHERDD consumes 32-bit indices). It reports false —
-// caller falls back to the recurrence kernel — when any storage offset
-// could overflow an int32; at 4 bytes per sample that is a >8 GiB
-// projection buffer, far beyond this host-resident design.
+// the launch runs the scalar path — when any storage offset could overflow
+// an int32; at 4 bytes per sample that is a >8 GiB projection buffer, far
+// beyond this host-resident design.
 func (a *projAccess) prepareSIMD() bool {
 	if int64(len(a.data)) > math.MaxInt32 {
 		return false
@@ -187,9 +187,3 @@ func (a *projAccess) prepareSIMD() bool {
 	}
 	return true
 }
-
-// SIMDAvailable reports whether the AVX2 kernel can run on this host
-// (amd64 with usable AVX2). Callers that request KernelSIMD anyway get the
-// recurrence fallback plus a telemetry counter, never an error; this
-// predicate exists so benchmarks and tests can tell which path will run.
-func SIMDAvailable() bool { return simdAvailable() }

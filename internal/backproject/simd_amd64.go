@@ -8,7 +8,7 @@ import (
 	"distfdk/internal/cpufeat"
 )
 
-// simdAvailable gates KernelSIMD dispatch: the assembly needs AVX2 (and an
+// simdAvailable gates the dispatch to the assembly: it needs AVX2 (and an
 // OS that saves YMM state), probed once at startup.
 func simdAvailable() bool { return cpufeat.AVX2() }
 
@@ -55,34 +55,29 @@ func fusedSpanAVX2(a *simdRowArgs)
 //go:noescape
 func rcpNR(w float32) float32
 
-// fusedSpanSIMD wraps the assembly kernel with the projAccess addressing
-// (projection-s base, int32 row table) and returns the number of
-// re-anchor segments the covered span touches, mirroring fusedInterior's
-// counter contract. [f0,f1) must be the interior sub-span of [c0,c1)
-// (possibly empty: f0 == f1). prepareSIMD must have built rowIdx32 before
-// any call.
-func (a *projAccess) fusedSpanSIMD(out []float32, s, c0, c1, f0, f1 int, ax, ay, az, xc, yc, zc float32) int64 {
-	if c0 >= c1 {
-		return 0
-	}
-	// Field-by-field assignment: a composite literal here is built in a
-	// temporary and block-copied (runtime.duffcopy) because the address
-	// is taken — measurable at this call rate.
-	var args simdRowArgs
+// initSpanArgs fills the fields of the assembly kernel's argument block
+// that every row of projection s shares: the projAccess addressing
+// (projection-s base, int32 row table, window extents) and the column
+// coefficients. prepareSIMD must have built rowIdx32.
+func (a *projAccess) initSpanArgs(args *simdRowArgs, s int, ax, ay, az float32) {
 	args.data = unsafe.Pointer(unsafe.SliceData(a.data[s*a.sStride:]))
 	args.rows = unsafe.Pointer(unsafe.SliceData(a.rowIdx32))
+	args.lo = int32(a.lo)
+	args.nu = int32(a.nu)
+	args.nrows = int32(a.hi - a.lo)
+	args.ax, args.ay, args.az = ax, ay, az
+}
+
+// launchSpan runs the assembly kernel over the non-empty covered columns
+// [c0,c1) of one output row, through an argument block initSpanArgs
+// prepared for the projection. [f0,f1) must be the interior sub-span of
+// [c0,c1) (possibly empty: f0 == f1).
+func launchSpan(args *simdRowArgs, out []float32, c0, c1, f0, f1 int, xc, yc, zc float32) {
 	args.out = unsafe.Pointer(unsafe.SliceData(out))
 	args.c0 = int64(c0)
 	args.c1 = int64(c1)
 	args.f0 = int64(f0)
 	args.f1 = int64(f1)
-	args.lo = int32(a.lo)
-	args.nu = int32(a.nu)
-	args.nrows = int32(a.hi - a.lo)
-	args.ax, args.ay, args.az = ax, ay, az
 	args.xc, args.yc, args.zc = xc, yc, zc
-	fusedSpanAVX2(&args)
-	b0 := c0 &^ (reanchorPeriod - 1)
-	b1 := (c1 - 1) &^ (reanchorPeriod - 1)
-	return int64((b1-b0)/reanchorPeriod) + 1
+	fusedSpanAVX2(args)
 }

@@ -152,7 +152,7 @@ func TestSIMDLaneCounts(t *testing.T) {
 // rcpNR — that RCPSS and RCPPS lanes share one approximation on this
 // machine.
 func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
-	if !SIMDAvailable() {
+	if !simdAvailable() {
 		t.Skip("no usable AVX2")
 	}
 	rng := rand.New(rand.NewSource(41))
@@ -226,7 +226,7 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 // narrow readable row window so y clips too; the interior sub-span is
 // derived with the same predicate the kernel dispatch uses.
 func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
-	if !SIMDAvailable() {
+	if !simdAvailable() {
 		t.Skip("no usable AVX2")
 	}
 	rng := rand.New(rand.NewSource(53))
@@ -274,8 +274,8 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 		// narrow all-border and straddling cuts.
 		spans := [][4]int{
 			{0, nx, f0, f1},
-			{0, f0, f0, f0},  // pure left border
-			{f1, nx, f1, f1}, // pure right border
+			{0, f0, f0, f0},                       // pure left border
+			{f1, nx, f1, f1},                      // pure right border
 			{max(f0-1, 0), min(f1+1, nx), f0, f1}, // ≤1 border column each side
 			{f0 / 2, (f1 + nx) / 2, f0, f1},
 		}
@@ -310,108 +310,11 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 	}
 }
 
-// The simd kernel must be invariant under slab decomposition and ring
-// windowing, like the kernels before it: a streaming slab-by-slab
-// reconstruction equals the monolithic batch bit for bit. On hosts without
-// AVX2 both sides silently degrade to the recurrence kernel and the
-// property still holds (of the fallback).
-func TestSIMDStreamingEqualsBatch(t *testing.T) {
-	sys := testSystem()
-	sys.SigmaV = 0.25
-	stack := randomStack(sys, 21)
-	mats := kernelMats(sys)
-
-	batchDev := device.New("batch", 0, 2)
-	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(batchDev, stack, mats, want, KernelSIMD); err != nil {
-		t.Fatal(err)
-	}
-
-	const nb = 5
-	ranges := sys.SlabRows(nb)
-	h := 0
-	for _, r := range ranges {
-		if r.Len() > h {
-			h = r.Len()
-		}
-	}
-	dev := device.New("stream", 0, 2)
-	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ring.Close()
-
-	got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	prev := geometry.RowRange{}
-	for si, need := range ranges {
-		z0 := si * nb
-		nz := min(nb, sys.NZ-z0)
-		ring.Release(need.Lo)
-		if err := ring.LoadRows(stack, geometry.DifferentialRows(prev, need)); err != nil {
-			t.Fatalf("slab %d: %v", si, err)
-		}
-		slab, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-		if err := StreamingKernel(dev, ring, mats, slab, need, KernelSIMD); err != nil {
-			t.Fatalf("slab %d: %v", si, err)
-		}
-		if err := got.CopySlabFrom(slab); err != nil {
-			t.Fatal(err)
-		}
-		prev = need
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("voxel %d: simd streaming %g != simd batch %g", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-// Random slab partitions of the volume under KernelSIMD must reproduce the
-// monolithic result bit for bit — same property the recurrence kernel
-// holds, here additionally crossing 8-lane group boundaries at every
-// partition edge.
-func TestSIMDRandomSlabPartitionsEquivalent(t *testing.T) {
-	sys := testSystem()
-	stack := randomStack(sys, 23)
-	mats := kernelMats(sys)
-
-	dev := device.New("mono", 0, 2)
-	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(dev, stack, mats, want, KernelSIMD); err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(97))
-	for trial := 0; trial < 4; trial++ {
-		got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		z0 := 0
-		for z0 < sys.NZ {
-			nz := 1 + rng.Intn(sys.NZ-z0)
-			slab, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-			sdev := device.New("slab", 0, 1+rng.Intn(3))
-			if err := BatchKernel(sdev, stack, mats, slab, KernelSIMD); err != nil {
-				t.Fatal(err)
-			}
-			if err := got.CopySlabFrom(slab); err != nil {
-				t.Fatal(err)
-			}
-			z0 += nz
-		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("trial %d voxel %d: partitioned %g != monolithic %g",
-					trial, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// The simd kernel must land inside the same parity gate against the exact
-// kernel that the recurrence kernel is held to — its coordinate drift is
-// smaller, and the Newton-refined reciprocal adds only ~2⁻²² relative
-// error over the exact divide.
-func TestSIMDParityVsExact(t *testing.T) {
+// Both recurrence arithmetics must land inside the parity gate against
+// the exact kernel. The AVX2 path's coordinate drift is the smaller one,
+// and its Newton-refined reciprocal adds only ~2⁻²² relative error over the
+// exact divide.
+func TestRecurrenceParityVsExact(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV = 0.75, -0.25
 	stack := randomStack(sys, 29)
@@ -422,63 +325,109 @@ func TestSIMDParityVsExact(t *testing.T) {
 	if err := BatchKernel(dev, stack, mats, want, KernelExact); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(dev, stack, mats, got, KernelSIMD); err != nil {
-		t.Fatal(err)
-	}
-	assertWithinParityGate(t, want, got)
+	forRecurrenceKernels(t, func(t *testing.T, kernel Kernel) {
+		got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		if err := BatchKernel(dev, stack, mats, got, kernel); err != nil {
+			t.Fatal(err)
+		}
+		assertWithinParityGate(t, want, got)
+	})
 }
 
-// Requesting kernels=simd on a host without AVX2 must silently degrade to
-// the recurrence kernel — bit-identical output, no error — and make the
-// degradation observable through the ledger and the kernel.simd_fallback
-// telemetry counter. Forced via the cpufeat test override so it runs (and
-// means the same thing) on AVX2 hardware.
-func TestSIMDFallbackSilentDegrade(t *testing.T) {
-	sys := testSystem()
-	stack := randomStack(sys, 31)
-	mats := kernelMats(sys)
-
-	recDev := device.New("rec", 0, 2)
-	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(recDev, stack, mats, want, KernelRecurrence); err != nil {
-		t.Fatal(err)
-	}
-
-	restore := cpufeat.SetAVX2ForTest(false)
-	defer restore()
-	if SIMDAvailable() {
-		t.Fatal("SIMDAvailable true under forced-off override")
-	}
-	dev := device.New("fallback", 0, 2)
-	reg := telemetry.NewRegistry()
-	dev.SetTelemetry(reg)
-	got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(dev, stack, mats, got, KernelSIMD); err != nil {
-		t.Fatalf("simd request errored instead of degrading: %v", err)
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("voxel %d: fallback %g != recurrence %g", i, got.Data[i], want.Data[i])
+// emulateAVX2 back-projects every column of every row through
+// guardedColsSIMD, the scalar transcription of the assembly's arithmetic,
+// with none of the kernel's span logic: what the AVX2 path must produce,
+// since the columns it skips contribute exactly +0.
+func emulateAVX2(a *projAccess, mats []geometry.Mat34x4, vol *volume.Volume) {
+	for k := 0; k < vol.NZ; k++ {
+		kf := float32(vol.Z0 + k)
+		for j := 0; j < vol.NY; j++ {
+			jf := float32(j)
+			out := vol.Data[(k*vol.NY+j)*vol.NX : (k*vol.NY+j+1)*vol.NX]
+			for s := range mats {
+				m := &mats[s]
+				xc := m.R0[1]*jf + m.R0[2]*kf + m.R0[3]
+				yc := m.R1[1]*jf + m.R1[2]*kf + m.R1[3]
+				zc := m.R2[1]*jf + m.R2[2]*kf + m.R2[3]
+				a.guardedColsSIMD(out, s, 0, vol.NX, m.R0[0], m.R1[0], m.R2[0], xc, yc, zc)
+			}
 		}
 	}
-	l := dev.Snapshot()
-	if l.SIMDFallbacks < 1 {
-		t.Errorf("ledger SIMDFallbacks = %d, want ≥ 1", l.SIMDFallbacks)
+}
+
+// The zero Kernel is the fast run. On an AVX2 host it is the assembly path,
+// byte for byte what the scalar emulation of that arithmetic gives, and the
+// ledger and telemetry say avx2; with AVX2 masked off (as on any other
+// host) it is KernelScalar byte for byte, and they say scalar.
+func TestDefaultKernelDispatch(t *testing.T) {
+	sys := testSystem()
+	sys.SigmaU, sys.SigmaV = 9, -7 // clip both detector edges into the rows
+	stack := randomStack(sys, 31)
+	mats := kernelMats(sys)
+	run := func(name string, kernel Kernel) (*volume.Volume, device.Ledger, *telemetry.Registry) {
+		t.Helper()
+		dev := device.New(name, 0, 2)
+		reg := telemetry.NewRegistry()
+		dev.SetTelemetry(reg)
+		vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		if err := BatchKernel(dev, stack, mats, vol, kernel); err != nil {
+			t.Fatal(err)
+		}
+		return vol, dev.Snapshot(), reg
 	}
+	same := func(what string, want, got *volume.Volume) {
+		t.Helper()
+		for i := range want.Data {
+			if want.Data[i] != got.Data[i] {
+				t.Fatalf("%s: voxel %d: %g != %g", what, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	said := func(l device.Ledger, reg *telemetry.Registry, want device.Arithmetic) {
+		t.Helper()
+		if got := l.Arithmetic(); got != want.String() {
+			t.Errorf("ledger says %q ran, want %q", got, want)
+		}
+		if l.Dispatched[want] != l.KernelLaunches {
+			t.Errorf("%d of %d launches recorded as %s", l.Dispatched[want], l.KernelLaunches, want)
+		}
+		if v := reg.Counter("kernel.dispatch." + want.String()).Value(); v != l.KernelLaunches {
+			t.Errorf("telemetry kernel.dispatch.%s = %d, want %d", want, v, l.KernelLaunches)
+		}
+	}
+
+	var zero Kernel
+	scalar, sl, sreg := run("scalar", KernelScalar)
+	said(sl, sreg, device.ArithmeticScalar)
+	_, el, ereg := run("exact", KernelExact)
+	said(el, ereg, device.ArithmeticExact)
+
+	if simdAvailable() {
+		got, l, reg := run("default", zero)
+		said(l, reg, device.ArithmeticAVX2)
+		if l.SIMDFullGroups == 0 {
+			t.Error("AVX2 dispatch ran no full vector group")
+		}
+		a := stackAccess(stack)
+		want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		emulateAVX2(&a, mats, want)
+		same("default vs the emulated assembly arithmetic", want, got)
+	}
+
+	defer cpufeat.SetAVX2ForTest(false)()
+	got, l, reg := run("default-no-avx2", zero)
+	said(l, reg, device.ArithmeticScalar)
 	if l.SIMDFullGroups != 0 || l.SIMDTailSamples != 0 {
-		t.Errorf("fallback launch recorded vector-lane work: %+v", l)
+		t.Errorf("scalar launch recorded vector-lane work: %+v", l)
 	}
-	if v := reg.Counter("kernel.simd_fallback").Value(); v < 1 {
-		t.Errorf("telemetry kernel.simd_fallback = %d, want ≥ 1", v)
-	}
+	same("default without AVX2 vs KernelScalar", scalar, got)
 }
 
 // Vector-lane accounting must partition the interior samples exactly:
-// full·8 + tail == InteriorSamples after a simd reconstruction, and the
+// full·8 + tail == InteriorSamples after an AVX2 reconstruction, and the
 // telemetry counters mirror the ledger.
 func TestSIMDLedgerVectorAccounting(t *testing.T) {
-	if !SIMDAvailable() {
+	if !simdAvailable() {
 		t.Skip("no usable AVX2")
 	}
 	sys := testSystem()
@@ -488,7 +437,7 @@ func TestSIMDLedgerVectorAccounting(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	dev.SetTelemetry(reg)
 	vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(dev, stack, mats, vol, KernelSIMD); err != nil {
+	if err := Batch(dev, stack, mats, vol); err != nil {
 		t.Fatal(err)
 	}
 	l := dev.Snapshot()
@@ -497,9 +446,6 @@ func TestSIMDLedgerVectorAccounting(t *testing.T) {
 	}
 	if got := l.SIMDFullGroups*simdLanes + l.SIMDTailSamples; got != l.InteriorSamples {
 		t.Errorf("vector accounting %d does not partition interior samples %d", got, l.InteriorSamples)
-	}
-	if l.SIMDFallbacks != 0 {
-		t.Errorf("unexpected fallback on AVX2 host: %d", l.SIMDFallbacks)
 	}
 	if v := reg.Counter("kernel.simd_full_groups").Value(); v != l.SIMDFullGroups {
 		t.Errorf("telemetry full groups %d != ledger %d", v, l.SIMDFullGroups)

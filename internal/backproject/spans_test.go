@@ -1,0 +1,240 @@
+package backproject
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"distfdk/internal/geometry"
+)
+
+// fusedSpanSIMD launches the assembly kernel on one span the way rowRec
+// does, for tests that drive it directly: the per-projection half of the
+// argument block, then the per-row half. Returns the re-anchor count rowRec
+// books for the span.
+func (a *projAccess) fusedSpanSIMD(out []float32, s, c0, c1, f0, f1 int, ax, ay, az, xc, yc, zc float32) int64 {
+	if c0 >= c1 {
+		return 0
+	}
+	var args simdRowArgs
+	a.initSpanArgs(&args, s, ax, ay, az)
+	launchSpan(&args, out, c0, c1, f0, f1, xc, yc, zc)
+	return reanchorSegments(c0, c1)
+}
+
+// The functions below are the span decisions as rowRec made them before the
+// per-projection and per-launch constants were hoisted out of the row loop:
+// every boundary, coefficient and product recomputed from (a, row
+// constants) at the point of use. They are the oracle rowSpans is held to.
+
+func (a *projAccess) interiorSpanUnhoisted(ax, xc, ay, yc, az, zc float64, nx int) (int, int) {
+	const d = 0.5
+	if zc <= 0 || az*float64(nx-1)+zc <= 0 {
+		return 0, 0
+	}
+	lower, upper := 0.0, float64(nx-1)
+	tu := float64(a.nu-1) - d
+	tl := float64(a.lo) + d
+	th := float64(a.hi-1) - d
+	clipSpan(&lower, &upper, ax-d*az, d*zc-xc, false)
+	clipSpan(&lower, &upper, ax-tu*az, tu*zc-xc, true)
+	clipSpan(&lower, &upper, ay-tl*az, tl*zc-yc, false)
+	clipSpan(&lower, &upper, ay-th*az, th*zc-yc, true)
+	i0 := int(math.Ceil(lower))
+	i1 := int(math.Floor(upper)) + 1
+	if i0 < 0 {
+		i0 = 0
+	}
+	if i1 > nx {
+		i1 = nx
+	}
+	if i0 >= i1 {
+		return 0, 0
+	}
+	return i0, i1
+}
+
+func (a *projAccess) supportSpanUnhoisted(ax, xc, ay, yc, az, zc float64, nx int) (int, int) {
+	const d = 0.5
+	lower, upper := 0.0, float64(nx-1)
+	tl := -1 - d
+	tu := float64(a.nu) + d
+	yl := float64(a.lo) - 1 - d
+	yh := float64(a.hi) + d
+	clipSpan(&lower, &upper, ax-tl*az, tl*zc-xc, false)
+	clipSpan(&lower, &upper, ax-tu*az, tu*zc-xc, true)
+	clipSpan(&lower, &upper, ay-yl*az, yl*zc-yc, false)
+	clipSpan(&lower, &upper, ay-yh*az, yh*zc-yc, true)
+	c0 := int(math.Ceil(lower))
+	c1 := int(math.Floor(upper)) + 1
+	if c0 < 0 {
+		c0 = 0
+	}
+	if c1 > nx {
+		c1 = nx
+	}
+	if c0 >= c1 {
+		return 0, 0
+	}
+	return c0, c1
+}
+
+func (a *projAccess) interiorResidentFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32, simd bool) bool {
+	fi := float32(i)
+	w := az*fi + zc
+	if w > 0 {
+		rz := 1 / w
+		x := (ax*fi + xc) * rz
+		y := (ay*fi + yc) * rz
+		const d = predicateSlack
+		if x >= d && x <= float32(a.nu-1)-d && y >= float32(a.lo)+d && y <= float32(a.hi-1)-d {
+			return true
+		}
+	}
+	if simd {
+		return a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc)
+	}
+	return a.interiorResidentRec(i, ax, ay, az, xc, yc, zc)
+}
+
+func (a *projAccess) zeroContribFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32, simd bool) bool {
+	fi := float32(i)
+	w := az*fi + zc
+	if w > 0 {
+		rz := 1 / w
+		if !(rz*rz < 1e38) {
+			return false
+		}
+		x := (ax*fi + xc) * rz
+		y := (ay*fi + yc) * rz
+		const d = predicateSlack
+		if x <= -1-d || x >= float32(a.nu)+d || y <= float32(a.lo-1)-d || y >= float32(a.hi)+d {
+			return true
+		}
+	}
+	if simd {
+		return a.zeroContribSIMD(i, ax, ay, az, xc, yc, zc)
+	}
+	return a.zeroContribRec(i, ax, ay, az, xc, yc, zc)
+}
+
+func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int, simd bool) (c0, i0, i1, c1 int) {
+	axd, ayd, azd := float64(ax), float64(ay), float64(az)
+	xcd, ycd, zcd := float64(xc), float64(yc), float64(zc)
+	if !(zcd > 0 && azd*float64(nx-1)+zcd > 0) {
+		return 0, 0, 0, nx
+	}
+	w0 := zcd
+	wn := azd*float64(nx-1) + zcd
+	ux0, uxn := xcd, axd*float64(nx-1)+xcd
+	uy0, uyn := ycd, ayd*float64(nx-1)+ycd
+	const pd = 0.5
+	xloB := -1 - pd
+	xhiB := float64(a.nu) + pd
+	yloB := float64(a.lo) - 1 - pd
+	yhiB := float64(a.hi) + pd
+	if (ux0 < xloB*w0 && uxn < xloB*wn) || (ux0 > xhiB*w0 && uxn > xhiB*wn) ||
+		(uy0 < yloB*w0 && uyn < yloB*wn) || (uy0 > yhiB*w0 && uyn > yhiB*wn) {
+		return 0, 0, 0, 0
+	}
+	const md = 0.5 + 1e-9
+	ixl := md
+	ixh := float64(a.nu-1) - md
+	iyl := float64(a.lo) + md
+	iyh := float64(a.hi-1) - md
+	if ux0 > ixl*w0 && uxn > ixl*wn && ux0 < ixh*w0 && uxn < ixh*wn &&
+		uy0 > iyl*w0 && uyn > iyl*wn && uy0 < iyh*w0 && uyn < iyh*wn {
+		c0, c1 = 0, nx
+		i0, i1 = 0, nx
+	} else {
+		c0, c1 = a.supportSpanUnhoisted(axd, xcd, ayd, ycd, azd, zcd, nx)
+		i0, i1 = a.interiorSpanUnhoisted(axd, xcd, ayd, ycd, azd, zcd, nx)
+	}
+	for i0 < i1 && !a.interiorResidentFastUnhoisted(i0, ax, ay, az, xc, yc, zc, simd) {
+		i0++
+	}
+	for i0 < i1 && !a.interiorResidentFastUnhoisted(i1-1, ax, ay, az, xc, yc, zc, simd) {
+		i1--
+	}
+	if c0 < c1 {
+		for c0 > 0 && !a.zeroContribFastUnhoisted(c0-1, ax, ay, az, xc, yc, zc, simd) {
+			c0--
+		}
+		for c1 < nx && !a.zeroContribFastUnhoisted(c1, ax, ay, az, xc, yc, zc, simd) {
+			c1++
+		}
+	}
+	if i0 < i1 {
+		if c0 > i0 {
+			c0 = i0
+		}
+		if c1 < i1 {
+			c1 = i1
+		}
+	}
+	return c0, i0, i1, c1
+}
+
+// Hoisting constants out of the row loop must not move a single span
+// boundary: for random windows, projections and rows — interior, clipped at
+// either edge, past the detector, behind the source — rowSpans returns the
+// (c0, i0, i1, c1) of the unhoisted decisions, under both arithmetics, and
+// interiorSpan still equals its unhoisted form. The trial mix must reach
+// every branch, or the equality proves less than it says.
+func TestRowSpansMatchUnhoisted(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var rejected, accepted, solved, crossing int
+	for trial := 0; trial < 20000; trial++ {
+		a := projAccess{nu: 2 + rng.Intn(96), lo: rng.Intn(8)}
+		a.hi = a.lo + rng.Intn(60)
+		a.win = a.newSpanWindow()
+		nx := 1 + rng.Intn(128)
+		// Scale the row so that, at zc ≈ 1, the columns sweep a random
+		// stretch of detector around a random centre: some rows fit inside
+		// the window whole, some clip, some miss it.
+		zc := float32(0.5 + rng.Float64())
+		ax := float32(rng.NormFloat64()*0.6) * zc
+		ay := float32(rng.NormFloat64()*0.3) * zc
+		az := float32(rng.NormFloat64() * 0.002)
+		xc := float32(rng.NormFloat64()*float64(a.nu)*0.7+float64(a.nu)/2) * zc
+		yc := float32(rng.NormFloat64()*float64(a.hi-a.lo+2)*0.7+float64(a.lo+a.hi)/2) * zc
+		switch trial % 16 {
+		case 0:
+			zc = -zc // behind the source
+		case 1:
+			az = -zc / float32(nx) * 1.5 // w crosses zero inside the row
+		case 2, 3:
+			ax, ay, az = ax*0.05, ay*0.05, az*0.05 // short sweeps: whole-row accepts
+		}
+		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
+		for _, simd := range []bool{false, simdAvailable()} {
+			pc := a.newProjConsts(0, &m, nx, false)
+			c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, zc, nx, simd)
+			wc0, wi0, wi1, wc1 := a.rowSpansUnhoisted(ax, ay, az, xc, yc, zc, nx, simd)
+			if c0 != wc0 || i0 != wi0 || i1 != wi1 || c1 != wc1 {
+				t.Fatalf("trial %d simd=%v: hoisted (%d,%d,%d,%d) != unhoisted (%d,%d,%d,%d); window nu=%d rows=[%d,%d) nx=%d row (%g,%g,%g | %g,%g,%g)",
+					trial, simd, c0, i0, i1, c1, wc0, wi0, wi1, wc1, a.nu, a.lo, a.hi, nx, ax, ay, az, xc, yc, zc)
+			}
+			switch {
+			case c0 == 0 && c1 == nx && i0 == 0 && i1 == 0:
+				crossing++
+			case c0 == c1:
+				rejected++
+			case i0 == 0 && i1 == nx:
+				accepted++
+			default:
+				solved++
+			}
+		}
+		g0, g1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
+		w0, w1 := a.interiorSpanUnhoisted(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
+		if g0 != w0 || g1 != w1 {
+			t.Fatalf("trial %d: interiorSpan [%d,%d) != unhoisted [%d,%d)", trial, g0, g1, w0, w1)
+		}
+	}
+	for name, n := range map[string]int{"empty-support": rejected, "whole-row interior": accepted, "clipped": solved, "no-span": crossing} {
+		if n < 500 {
+			t.Errorf("only %d %s rows among the trials", n, name)
+		}
+	}
+}

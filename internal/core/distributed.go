@@ -33,8 +33,9 @@ type ClusterOptions struct {
 	// WorkersPerRank bounds each rank's kernel parallelism; defaults to
 	// 1 since ranks already run concurrently.
 	WorkersPerRank int
-	// Kernel selects the back-projection arithmetic (default
-	// KernelRecurrence; KernelExact retains the PR-1 per-sample form).
+	// Kernel selects the back-projection arithmetic. The zero value is the
+	// recurrence restructuring at the widest width the host has (see
+	// backproject.KernelRecurrence), as in ReconOptions.
 	Kernel backproject.Kernel
 	// RingLayout selects each rank's projection-ring memory layout
 	// (default row-interleaved).
@@ -149,6 +150,18 @@ func (r *ClusterReport) TotalH2DBytes() int64 {
 		total += l.H2DBytes
 	}
 	return total
+}
+
+// Arithmetic names the back-projection arithmetic the ranks' kernel
+// launches dispatched to (see device.Ledger.Arithmetic).
+func (r *ClusterReport) Arithmetic() string {
+	var sum device.Ledger
+	for _, l := range r.Ledgers {
+		for a, n := range l.Dispatched {
+			sum.Dispatched[a] += n
+		}
+	}
+	return sum.Arithmetic()
 }
 
 // RunDistributed executes the full distributed FBP framework in-process:
@@ -271,6 +284,13 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 			}
 		}()
 
+		// One slab buffer serves every batch of the rank. It can be reused
+		// because nothing downstream keeps it: the reductions copy a
+		// non-root's partial sums into arena scratch before sending, the
+		// root accumulates in place, and a SlabSink must be done with the
+		// slab when WriteSlab returns.
+		slabBuf := make([]float32, p.SlabBytes()/4)
+
 		prev := geometry.RowRange{}
 		reg.SetStatus("stage", "run")
 		defer reg.SetStatus("stage", "done")
@@ -355,10 +375,9 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 			}
 			prev = rows
 
-			slab, err := volume.NewSlab(p.Sys.NX, p.Sys.NY, nz, z0)
-			if err != nil {
-				return err
-			}
+			slab := &volume.Volume{NX: p.Sys.NX, NY: p.Sys.NY, NZ: nz, Z0: z0,
+				Data: slabBuf[:p.Sys.NX*p.Sys.NY*nz]}
+			clear(slab.Data)
 			endBP := reg.Span("backproject", c)
 			if err := backproject.StreamingKernel(dev, ring, mats, slab, rows, opts.Kernel); err != nil {
 				return fmt.Errorf("rank %d batch %d: %w", rank, c, err)

@@ -65,7 +65,7 @@ func (r *ClusterReport) String() string {
 	// kernel never executed — a high skip share means the GUPS number
 	// rides on clipping, not arithmetic.
 	var kTotal, kInterior, kBorder, kSkipped, kReanchors int64
-	var kSIMDFull, kSIMDTail, kSIMDFallback int64
+	var kSIMDFull, kSIMDTail int64
 	for i := range r.Ledgers {
 		kTotal += r.Ledgers[i].VoxelUpdates
 		kInterior += r.Ledgers[i].InteriorSamples
@@ -74,23 +74,18 @@ func (r *ClusterReport) String() string {
 		kReanchors += r.Ledgers[i].Reanchors
 		kSIMDFull += r.Ledgers[i].SIMDFullGroups
 		kSIMDTail += r.Ledgers[i].SIMDTailSamples
-		kSIMDFallback += r.Ledgers[i].SIMDFallbacks
 	}
 	if kTotal > 0 && kInterior+kBorder+kSkipped > 0 {
 		pct := func(n int64) float64 { return 100 * float64(n) / float64(kTotal) }
-		fmt.Fprintf(&b, "kernel: %.1f%% interior / %.1f%% border / %.1f%% skipped of %d updates, %d re-anchors\n",
-			pct(kInterior), pct(kBorder), pct(kSkipped), kTotal, kReanchors)
+		fmt.Fprintf(&b, "kernel [%s]: %.1f%% interior / %.1f%% border / %.1f%% skipped of %d updates, %d re-anchors\n",
+			r.Arithmetic(), pct(kInterior), pct(kBorder), pct(kSkipped), kTotal, kReanchors)
 	}
-	// Vector-lane efficiency of the simd kernel: interior columns executed
+	// Vector-lane efficiency of the AVX2 path: interior columns executed
 	// as whole 8-lane vectors vs under a partial lane mask. Only printed
-	// when the simd kernel actually ran; a fallback note when it was
-	// requested but degraded.
+	// when that path ran.
 	if vec := kSIMDFull*8 + kSIMDTail; vec > 0 {
-		fmt.Fprintf(&b, "kernel simd: %d full 8-lane groups, %d masked-tail samples (%.1f%% of interior vectorised)\n",
+		fmt.Fprintf(&b, "kernel avx2: %d full 8-lane groups, %d masked-tail samples (%.1f%% of interior vectorised)\n",
 			kSIMDFull, kSIMDTail, 100*float64(kSIMDFull*8)/float64(vec))
-	}
-	if kSIMDFallback > 0 {
-		fmt.Fprintf(&b, "kernel simd: %d launches fell back to the recurrence kernel\n", kSIMDFallback)
 	}
 	if r.Restarts > 0 || len(r.LostRanks) > 0 {
 		fmt.Fprintf(&b, "recovery: %d restarts, lost ranks %v, finished on %d ranks\n",

@@ -17,7 +17,9 @@ import (
 )
 
 // SlabSink receives finished sub-volumes from the store stage. Both the
-// in-memory VolumeSink and storage.SlabWriter satisfy it.
+// in-memory VolumeSink and storage.SlabWriter satisfy it. WriteSlab must
+// not keep the slab or its Data after it returns: the distributed driver
+// back-projects the next batch into the same buffer.
 type SlabSink interface {
 	WriteSlab(*volume.Volume) error
 }
@@ -100,8 +102,10 @@ type ReconOptions struct {
 	Window filter.Window
 	// FilterWorkers bounds the filtering parallelism (0 = GOMAXPROCS).
 	FilterWorkers int
-	// Kernel selects the back-projection arithmetic (default
-	// KernelRecurrence; KernelExact retains the PR-1 per-sample form).
+	// Kernel selects the back-projection arithmetic. The zero value is the
+	// recurrence restructuring at the widest width the host has (see
+	// backproject.KernelRecurrence): the AVX2 assembly, or the scalar Go
+	// path without AVX2. Report.Ledger records which one ran.
 	Kernel backproject.Kernel
 	// RingLayout selects the projection ring's memory layout (default
 	// row-interleaved).

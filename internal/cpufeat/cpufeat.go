@@ -1,8 +1,8 @@
-// Package cpufeat probes the CPU features the optional assembly kernels
-// need at runtime, so a binary built with the AVX2 back-projection path
-// still runs (and silently degrades to the portable kernels) on hardware
-// or operating systems that lack it. The probe runs once at init; the
-// result is immutable afterwards except through the test override.
+// Package cpufeat probes the CPU features the assembly kernels need at
+// runtime, so a binary built with the AVX2 back-projection path dispatches
+// to it where it can run and to the portable Go path on hardware or
+// operating systems that lack it. The probe runs once at init; the result
+// is immutable afterwards except through the test override.
 //
 // Only the features a kernel actually dispatches on are exposed —
 // currently usable AVX2, which requires the CPUID feature bit *and* the
@@ -24,7 +24,7 @@ var avx2 atomic.Bool
 func AVX2() bool { return avx2.Load() }
 
 // SetAVX2ForTest overrides the probe and returns a restore func. Tests use
-// it to force the fallback path on AVX2 hardware (or, on machines without
+// it to force the portable path on AVX2 hardware (or, on machines without
 // AVX2, to exercise error paths — the kernels themselves must never be
 // forced on, only off, since the override does not make the instructions
 // executable).

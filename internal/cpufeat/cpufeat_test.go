@@ -6,7 +6,7 @@ import (
 )
 
 // The override must force the flag and the restore func must put the
-// probed value back — the contract the kernel fallback tests rely on.
+// probed value back — the contract the kernel dispatch tests rely on.
 func TestSetAVX2ForTestRestores(t *testing.T) {
 	probed := AVX2()
 	restore := SetAVX2ForTest(false)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -55,10 +56,49 @@ type Ledger struct {
 	// accounting: complete 8-lane vector iterations vs interior columns
 	// executed under a partial lane mask (the masked scalar tail).
 	SIMDFullGroups, SIMDTailSamples int64
-	// SIMDFallbacks counts kernel launches that requested the simd kernel
-	// but silently degraded to the recurrence kernel (missing AVX2, or a
-	// projection buffer too large for 32-bit gather indices).
-	SIMDFallbacks int64
+	// Dispatched counts the kernel launches that ran each arithmetic: the
+	// record of which code path produced the volume. Launches over an empty
+	// slab dispatch nothing.
+	Dispatched [numArithmetics]int64
+}
+
+// Arithmetic names the code path a back-projection launch dispatched to.
+type Arithmetic int
+
+const (
+	// ArithmeticAVX2 is the recurrence restructuring in 8-lane AVX2 assembly.
+	ArithmeticAVX2 Arithmetic = iota
+	// ArithmeticScalar is the recurrence restructuring in two scalar Go lanes.
+	ArithmeticScalar
+	// ArithmeticExact is the literal Algorithm 1 arithmetic.
+	ArithmeticExact
+	numArithmetics
+)
+
+func (a Arithmetic) String() string {
+	switch a {
+	case ArithmeticAVX2:
+		return "avx2"
+	case ArithmeticScalar:
+		return "scalar"
+	case ArithmeticExact:
+		return "exact"
+	}
+	return fmt.Sprintf("arithmetic(%d)", int(a))
+}
+
+// Arithmetic names what the ledger's launches dispatched to: one name, or
+// several joined by "+" when they differed (a projection buffer past the
+// 32-bit gather range runs scalar beside AVX2 launches); empty when
+// no launch did work.
+func (l Ledger) Arithmetic() string {
+	var names []string
+	for a, n := range l.Dispatched {
+		if n > 0 {
+			names = append(names, Arithmetic(a).String())
+		}
+	}
+	return strings.Join(names, "+")
 }
 
 // Device models one accelerator.
@@ -92,7 +132,8 @@ type Device struct {
 
 	simdFullGroups  atomic.Int64
 	simdTailSamples atomic.Int64
-	simdFallbacks   atomic.Int64
+
+	dispatched [numArithmetics]atomic.Int64
 }
 
 // New returns a device with the given capacity (0 = unlimited) and worker
@@ -117,9 +158,10 @@ type ringTelemetry struct {
 	kernelSkipped  *telemetry.Counter // provably-zero samples clipped away
 	kernelReanchor *telemetry.Counter // recurrence re-anchor events
 
-	kernelSIMDFull     *telemetry.Counter // full 8-lane vector iterations
-	kernelSIMDTail     *telemetry.Counter // interior columns under a partial lane mask
-	kernelSIMDFallback *telemetry.Counter // simd launches degraded to recurrence
+	kernelSIMDFull *telemetry.Counter // full 8-lane vector iterations
+	kernelSIMDTail *telemetry.Counter // interior columns under a partial lane mask
+
+	kernelDispatch [numArithmetics]*telemetry.Counter // launches per arithmetic
 }
 
 // SetTelemetry points the device's projection-ring instrumentation at a
@@ -133,7 +175,7 @@ func (d *Device) SetTelemetry(reg *telemetry.Registry) {
 		d.tel = nil
 		return
 	}
-	d.tel = &ringTelemetry{
+	t := &ringTelemetry{
 		loadRows:    reg.Counter("device.ring.load_rows"),
 		loadOps:     reg.Counter("device.ring.load_ops"),
 		loadNs:      reg.Counter("device.ring.load_ns"),
@@ -146,10 +188,13 @@ func (d *Device) SetTelemetry(reg *telemetry.Registry) {
 		kernelSkipped:  reg.Counter("kernel.skipped_samples"),
 		kernelReanchor: reg.Counter("kernel.reanchors"),
 
-		kernelSIMDFull:     reg.Counter("kernel.simd_full_groups"),
-		kernelSIMDTail:     reg.Counter("kernel.simd_tail_samples"),
-		kernelSIMDFallback: reg.Counter("kernel.simd_fallback"),
+		kernelSIMDFull: reg.Counter("kernel.simd_full_groups"),
+		kernelSIMDTail: reg.Counter("kernel.simd_tail_samples"),
 	}
+	for a := range t.kernelDispatch {
+		t.kernelDispatch[a] = reg.Counter("kernel.dispatch." + Arithmetic(a).String())
+	}
+	d.tel = t
 }
 
 // WorkerCount returns the effective kernel execution width.
@@ -230,19 +275,17 @@ func (d *Device) RecordKernelVector(fullGroups, tailSamples int64) {
 	}
 }
 
-// RecordSIMDFallback accounts a kernel launch that requested the simd
-// kernel but ran the recurrence kernel instead — degradation is silent for
-// the caller and visible only here.
-func (d *Device) RecordSIMDFallback() {
-	d.simdFallbacks.Add(1)
+// RecordDispatch accounts which arithmetic one kernel launch ran.
+func (d *Device) RecordDispatch(a Arithmetic) {
+	d.dispatched[a].Add(1)
 	if t := d.tel; t != nil {
-		t.kernelSIMDFallback.Add(1)
+		t.kernelDispatch[a].Add(1)
 	}
 }
 
 // Snapshot returns the current ledger totals.
 func (d *Device) Snapshot() Ledger {
-	return Ledger{
+	l := Ledger{
 		H2DBytes:       d.h2dBytes.Load(),
 		D2HBytes:       d.d2hBytes.Load(),
 		H2DOps:         d.h2dOps.Load(),
@@ -257,8 +300,11 @@ func (d *Device) Snapshot() Ledger {
 
 		SIMDFullGroups:  d.simdFullGroups.Load(),
 		SIMDTailSamples: d.simdTailSamples.Load(),
-		SIMDFallbacks:   d.simdFallbacks.Load(),
 	}
+	for a := range l.Dispatched {
+		l.Dispatched[a] = d.dispatched[a].Load()
+	}
+	return l
 }
 
 // GUPS converts the ledger's voxel-update count into the paper's headline
@@ -283,7 +329,7 @@ func (l Ledger) NsPerUpdate(elapsed time.Duration) float64 {
 
 // Sub returns l − o field-wise, for per-phase accounting.
 func (l Ledger) Sub(o Ledger) Ledger {
-	return Ledger{
+	d := Ledger{
 		H2DBytes: l.H2DBytes - o.H2DBytes, D2HBytes: l.D2HBytes - o.D2HBytes,
 		H2DOps: l.H2DOps - o.H2DOps, D2HOps: l.D2HOps - o.D2HOps,
 		KernelLaunches: l.KernelLaunches - o.KernelLaunches,
@@ -296,8 +342,11 @@ func (l Ledger) Sub(o Ledger) Ledger {
 
 		SIMDFullGroups:  l.SIMDFullGroups - o.SIMDFullGroups,
 		SIMDTailSamples: l.SIMDTailSamples - o.SIMDTailSamples,
-		SIMDFallbacks:   l.SIMDFallbacks - o.SIMDFallbacks,
 	}
+	for a := range d.Dispatched {
+		d.Dispatched[a] = l.Dispatched[a] - o.Dispatched[a]
+	}
+	return d
 }
 
 // Presets matching the paper's evaluation hardware. Capacities are the

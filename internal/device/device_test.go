@@ -59,6 +59,32 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 }
 
+// The ledger names the arithmetic its launches dispatched to, and says so
+// when they were not all the same.
+func TestLedgerArithmetic(t *testing.T) {
+	d := New("test", 0, 2)
+	if got := d.Snapshot().Arithmetic(); got != "" {
+		t.Fatalf("idle device dispatched %q", got)
+	}
+	d.RecordDispatch(ArithmeticAVX2)
+	d.RecordDispatch(ArithmeticAVX2)
+	first := d.Snapshot()
+	if got := first.Arithmetic(); got != "avx2" || first.Dispatched[ArithmeticAVX2] != 2 {
+		t.Fatalf("after two AVX2 launches: %q, %v", got, first.Dispatched)
+	}
+	d.RecordDispatch(ArithmeticScalar)
+	l := d.Snapshot()
+	if got := l.Arithmetic(); got != "avx2+scalar" {
+		t.Fatalf("mixed launches named %q", got)
+	}
+	if got := l.Sub(first).Arithmetic(); got != "scalar" {
+		t.Fatalf("Sub keeps %q", got)
+	}
+	if got := ArithmeticExact.String(); got != "exact" {
+		t.Fatalf("ArithmeticExact is spelled %q", got)
+	}
+}
+
 // hostStack builds a full-detector stack with encoded values.
 func hostStack(nu, np, nv int) *projection.Stack {
 	s, _ := projection.NewStack(nu, np, nv)

@@ -87,15 +87,7 @@ type Scenario struct {
 // registry geometry shrunk by div, an outN³ output grid, and analytic
 // forward projections of the dataset's phantom.
 func BuildScenario(name string, div, outN, workers int) (*Scenario, error) {
-	ds, err := dataset.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	scaled, err := ds.Scaled(div)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := scaled.System(outN)
+	scaled, sys, err := ScaledSystem(name, div, outN)
 	if err != nil {
 		return nil, err
 	}
@@ -107,6 +99,25 @@ func BuildScenario(name string, div, outN, workers int) (*Scenario, error) {
 		DS: scaled, Sys: sys, Stack: stack,
 		Source: &projection.MemorySource{Full: stack},
 	}, nil
+}
+
+// ScaledSystem resolves a scenario's geometry alone — the registry entry
+// shrunk by div and its system with an outN³ output grid — for callers that
+// bring their own projections.
+func ScaledSystem(name string, div, outN int) (*dataset.Dataset, *geometry.System, error) {
+	ds, err := dataset.ByName(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	scaled, err := ds.Scaled(div)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys, err := scaled.System(outN)
+	if err != nil {
+		return nil, nil, err
+	}
+	return scaled, sys, nil
 }
 
 // BuildScenarioGeometryOnly returns the full-size dataset entry without

@@ -66,17 +66,15 @@ type PipelineBench struct {
 // the real filter + back-projection pipeline, so kernel arithmetic and
 // elastic back-projection width both show up in the wall time.
 type ReconBench struct {
-	Kernel    string  `json:"kernel"` // back-projection arithmetic
+	Kernel    string  `json:"kernel"` // dispatched back-projection arithmetic
 	BPWorkers int     `json:"bp_workers"`
 	Slabs     int     `json:"slabs"`
 	Updates   int64   `json:"updates"`
 	Seconds   float64 `json:"seconds"` // best-of-reps wall time
 	GUPS      float64 `json:"gups"`
-	// Speedup is GUPS relative to the recurrence BPWorkers=1 row.
+	// Speedup is GUPS relative to the first row (the default kernel at
+	// BPWorkers=1).
 	Speedup float64 `json:"speedup"`
-	// Fallback records that a simd request silently degraded to the
-	// recurrence kernel on this host (the GUPS then measures recurrence).
-	Fallback bool `json:"fallback,omitempty"`
 }
 
 // CollectiveBench is one reduction measurement.
@@ -138,8 +136,9 @@ func (o *ExecBenchOptions) fill() {
 }
 
 // RunExecBench measures elastic pipeline throughput (batches/s at 1, 2 and
-// 4 back-projection workers), real single-rank reconstructions (recurrence
-// vs simd at BPWorkers 1 and 4) and the collective reduction variants
+// 4 back-projection workers), real single-rank reconstructions (the default
+// kernel vs the forced scalar path at BPWorkers 1 and 4) and the collective
+// reduction variants
 // (GB/s and allocations per op, pooled vs unpooled).
 func RunExecBench(opts ExecBenchOptions) (*ExecBenchEntry, error) {
 	opts.fill()
@@ -166,7 +165,7 @@ func RunExecBench(opts ExecBenchOptions) (*ExecBenchEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, kernel := range []backproject.Kernel{backproject.KernelRecurrence, backproject.KernelSIMD} {
+	for _, kernel := range []backproject.Kernel{backproject.KernelRecurrence, backproject.KernelScalar} {
 		for _, w := range []int{1, 4} {
 			rb, err := benchRecon(sc, kernel, w, opts)
 			if err != nil {
@@ -265,13 +264,12 @@ func benchRecon(sc *Scenario, kernel backproject.Kernel, bpWorkers int, opts Exe
 		}
 	}
 	return &ReconBench{
-		Kernel:    kernel.String(),
+		Kernel:    bestLedger.Arithmetic(),
 		BPWorkers: bpWorkers,
 		Slabs:     slabs,
 		Updates:   bestLedger.VoxelUpdates,
 		Seconds:   best.Seconds(),
 		GUPS:      bestLedger.GUPS(best),
-		Fallback:  kernel == backproject.KernelSIMD && bestLedger.SIMDFallbacks > 0,
 	}, nil
 }
 
@@ -373,12 +371,8 @@ func (e *ExecBenchEntry) Summary() string {
 			pb.Workers, pb.BatchesPerSec, pb.Speedup)
 	}
 	for _, rb := range e.Recon {
-		note := ""
-		if rb.Fallback {
-			note = "  (fell back to recurrence)"
-		}
-		s += fmt.Sprintf("  recon [%s] bp-workers=%d  %6.4f GUPS  %.3fs  %.2fx%s\n",
-			rb.Kernel, rb.BPWorkers, rb.GUPS, rb.Seconds, rb.Speedup, note)
+		s += fmt.Sprintf("  recon [%s] bp-workers=%d  %6.4f GUPS  %.3fs  %.2fx\n",
+			rb.Kernel, rb.BPWorkers, rb.GUPS, rb.Seconds, rb.Speedup)
 	}
 	for _, cb := range e.Collectives {
 		mode := "unpooled"

@@ -29,14 +29,15 @@ type KernelBenchOptions struct {
 	// Reps is the number of timed repetitions; the best is recorded
 	// (default 3).
 	Reps int
-	// Kernel selects the back-projection arithmetic: "recurrence"
-	// (default) or "exact" (the PR-1 escape hatch, the "before" row of a
-	// before/after pair).
+	// Kernel selects the back-projection arithmetic by its -kernels
+	// spelling: "recurrence" (default: AVX2 assembly where the host has
+	// it, scalar Go elsewhere), "scalar" (force the scalar path) or
+	// "exact" (the PR-1 arithmetic, the oracle of the parity gate).
 	Kernel string
 	// RingLayout selects the streaming ring's memory layout:
 	// "interleaved" (default) or "proj-major".
 	RingLayout string
-	// Parity, when set, validates the recurrence kernel against the exact
+	// Parity, when set, validates the selected kernel against the exact
 	// kernel on the benchmark scenario (RMSE/max-abs inside the
 	// backproject parity gates, streaming bit-identical to batch) and
 	// records the result in the entry. A failed gate is an error: the
@@ -51,8 +52,11 @@ type KernelBenchOptions struct {
 
 // BackprojBench is one back-projection kernel measurement.
 type BackprojBench struct {
-	Kernel     string `json:"kernel"`     // "streaming" or "batch"
-	Arithmetic string `json:"arithmetic"` // "recurrence" or "exact"
+	Kernel string `json:"kernel"` // "streaming" or "batch"
+	// Arithmetic is what the launches dispatched to, from the device
+	// ledger: "avx2", "scalar" or "exact". Entries before the default
+	// dispatch recorded the requested kernel ("recurrence", "simd").
+	Arithmetic string `json:"arithmetic"`
 	Layout     string `json:"layout,omitempty"`
 	OutN       int    `json:"out_n"`
 	NP         int    `json:"np"`
@@ -64,11 +68,10 @@ type BackprojBench struct {
 	Border    int64 `json:"border_samples,omitempty"`
 	Skipped   int64 `json:"skipped_samples,omitempty"`
 	Reanchors int64 `json:"reanchors,omitempty"`
-	// Vector-lane split of the simd kernel's interior work: whole 8-lane
-	// groups vs masked-tail samples, plus silent recurrence fallbacks.
+	// Vector-lane split of the AVX2 path's interior work: whole 8-lane
+	// groups vs masked-tail samples.
 	SIMDFullGroups  int64   `json:"simd_full_groups,omitempty"`
 	SIMDTailSamples int64   `json:"simd_tail_samples,omitempty"`
-	SIMDFallbacks   int64   `json:"simd_fallbacks,omitempty"`
 	Seconds         float64 `json:"seconds"` // best-of-reps wall time
 	GUPS            float64 `json:"gups"`
 	NsPerUpdate     float64 `json:"ns_per_update"`
@@ -89,24 +92,25 @@ type FilterBench struct {
 	AllocObjectsRep uint64  `json:"alloc_objects_per_rep"`
 }
 
-// ParityReport records the recurrence-vs-exact validation attached to a
+// ParityReport records the fast-vs-exact validation attached to a
 // benchmark entry: the throughput number is only meaningful while the
 // fast kernel stays inside the arithmetic contract.
 type ParityReport struct {
-	// Arithmetic names the kernel under test ("recurrence" or "simd");
-	// empty in pre-PR-7 entries, which validated the recurrence kernel.
+	// Arithmetic names what the kernel under test dispatched to ("avx2" or
+	// "scalar"); older entries name the requested kernel, the oldest
+	// nothing.
 	Arithmetic string  `json:"arithmetic,omitempty"`
 	RMSE       float64 `json:"rmse"`
-	MaxAbs float64 `json:"max_abs"`
+	MaxAbs     float64 `json:"max_abs"`
 	// Scale is the exact volume's max magnitude; the package gates are
 	// stated for unit-scale data, so the effective gates below are the
 	// package constants times max(1, Scale).
 	Scale      float64 `json:"scale"`
 	GateRMSE   float64 `json:"gate_rmse"`
 	GateMaxAbs float64 `json:"gate_max_abs"`
-	// StreamingEqualsBatch is the decomposition identity under the
-	// recurrence kernel: slab-by-slab streaming bit-identical to one
-	// batch launch.
+	// StreamingEqualsBatch is the decomposition identity under the kernel
+	// being validated: slab-by-slab streaming bit-identical to one batch
+	// launch.
 	StreamingEqualsBatch bool `json:"streaming_equals_batch"`
 	Pass                 bool `json:"pass"`
 }
@@ -122,9 +126,10 @@ type KernelBenchEntry struct {
 	Backprojection []BackprojBench `json:"backprojection"`
 	Filtering      []FilterBench   `json:"filtering"`
 	Parity         *ParityReport   `json:"parity,omitempty"`
-	// ParitySIMD validates the simd kernel against exact on hosts where it
-	// is available. A separate field (not a re-typed Parity) so existing
-	// BENCH_kernel.json files keep unmarshalling.
+	// ParitySIMD is history: entries recorded while `-kernels simd` was a
+	// separate request carry its parity report here. Nothing writes it any
+	// more; it is read so that appending to the ledger keeps those entries
+	// whole.
 	ParitySIMD *ParityReport `json:"parity_simd,omitempty"`
 }
 
@@ -181,28 +186,14 @@ func RunKernelBench(opts KernelBenchOptions) (*KernelBenchEntry, error) {
 		entry.Backprojection = append(entry.Backprojection, *bp)
 	}
 	if opts.Parity {
-		pr, err := validateParity(sc, opts, backproject.KernelRecurrence)
+		pr, err := validateParity(sc, opts)
 		if err != nil {
 			return nil, err
 		}
 		entry.Parity = pr
 		if !pr.Pass {
-			return entry, fmt.Errorf("kernelbench: recurrence kernel outside parity gate: rmse %g (gate %g), maxabs %g (gate %g), streaming==batch %v",
-				pr.RMSE, pr.GateRMSE, pr.MaxAbs, pr.GateMaxAbs, pr.StreamingEqualsBatch)
-		}
-		// Gate the simd kernel too wherever the host can run it; on other
-		// hosts it would silently degrade to recurrence and the check would
-		// duplicate the one above.
-		if backproject.SIMDAvailable() {
-			ps, err := validateParity(sc, opts, backproject.KernelSIMD)
-			if err != nil {
-				return nil, err
-			}
-			entry.ParitySIMD = ps
-			if !ps.Pass {
-				return entry, fmt.Errorf("kernelbench: simd kernel outside parity gate: rmse %g (gate %g), maxabs %g (gate %g), streaming==batch %v",
-					ps.RMSE, ps.GateRMSE, ps.MaxAbs, ps.GateMaxAbs, ps.StreamingEqualsBatch)
-			}
+			return entry, fmt.Errorf("kernelbench: %s kernel outside parity gate: rmse %g (gate %g), maxabs %g (gate %g), streaming==batch %v",
+				pr.Arithmetic, pr.RMSE, pr.GateRMSE, pr.MaxAbs, pr.GateMaxAbs, pr.StreamingEqualsBatch)
 		}
 	}
 
@@ -292,7 +283,7 @@ func benchBackprojection(sc *Scenario, streaming bool, opts KernelBenchOptions) 
 	reps := uint64(opts.Reps)
 	bb := &BackprojBench{
 		Kernel:          name,
-		Arithmetic:      kernel.String(),
+		Arithmetic:      bestLedger.Arithmetic(),
 		OutN:            sys.NZ,
 		NP:              sys.NP,
 		Updates:         bestLedger.VoxelUpdates,
@@ -302,7 +293,6 @@ func benchBackprojection(sc *Scenario, streaming bool, opts KernelBenchOptions) 
 		Reanchors:       bestLedger.Reanchors,
 		SIMDFullGroups:  bestLedger.SIMDFullGroups,
 		SIMDTailSamples: bestLedger.SIMDTailSamples,
-		SIMDFallbacks:   bestLedger.SIMDFallbacks,
 		Seconds:         best.Seconds(),
 		GUPS:            bestLedger.GUPS(best),
 		NsPerUpdate:     bestLedger.NsPerUpdate(best),
@@ -316,12 +306,16 @@ func benchBackprojection(sc *Scenario, streaming bool, opts KernelBenchOptions) 
 }
 
 // validateParity reconstructs the benchmark scenario through the exact
-// kernel and through fast, and checks the fast result against the package
-// parity gates (scaled to the data's magnitude), plus the streaming ≡ batch
-// bit-identity the decomposition rests on.
-func validateParity(sc *Scenario, opts KernelBenchOptions, fast backproject.Kernel) (*ParityReport, error) {
+// kernel and through the selected one, and checks the latter against the
+// package parity gates (scaled to the data's magnitude), plus the
+// streaming ≡ batch bit-identity the decomposition rests on.
+func validateParity(sc *Scenario, opts KernelBenchOptions) (*ParityReport, error) {
 	sys := sc.Sys
 	mats := core.KernelMatrices(sys, 0, sys.NP)
+	fast, err := backproject.ParseKernel(opts.Kernel)
+	if err != nil {
+		return nil, err
+	}
 	layout, err := device.ParseRingLayout(opts.RingLayout)
 	if err != nil {
 		return nil, err
@@ -338,7 +332,8 @@ func validateParity(sc *Scenario, opts KernelBenchOptions, fast backproject.Kern
 	if err != nil {
 		return nil, err
 	}
-	if err := backproject.BatchKernel(device.New("parity-rec", 0, opts.Workers), sc.Stack, mats, rec, fast); err != nil {
+	recDev := device.New("parity-rec", 0, opts.Workers)
+	if err := backproject.BatchKernel(recDev, sc.Stack, mats, rec, fast); err != nil {
 		return nil, err
 	}
 
@@ -392,7 +387,7 @@ func validateParity(sc *Scenario, opts KernelBenchOptions, fast backproject.Kern
 	scale := math.Max(math.Abs(float64(lo)), math.Abs(float64(hi)))
 	gateScale := math.Max(scale, 1)
 	pr := &ParityReport{
-		Arithmetic:           fast.String(),
+		Arithmetic:           recDev.Snapshot().Arithmetic(),
 		RMSE:                 stats.RMSE,
 		MaxAbs:               stats.MaxAbs,
 		Scale:                scale,

@@ -19,7 +19,7 @@ func BenchmarkScenarioBatch(b *testing.B) {
 	}
 	sys := sc.Sys
 	mats := core.KernelMatrices(sys, 0, sys.NP)
-	for _, kernel := range []backproject.Kernel{backproject.KernelRecurrence, backproject.KernelSIMD} {
+	for _, kernel := range []backproject.Kernel{backproject.KernelRecurrence, backproject.KernelScalar} {
 		b.Run(kernel.String(), func(b *testing.B) {
 			dev := device.New("bench", 0, 1)
 			vol, err := volume.New(sys.NX, sys.NY, sys.NZ)

@@ -209,6 +209,9 @@ type SlabWriter struct {
 // volHeaderBytes matches volume.WriteRaw's 5-int32 header.
 const volHeaderBytes = 20
 
+// slabChunkBytes is the size of the buffer WriteSlab encodes through.
+const slabChunkBytes = 64 << 10
+
 // volMagic identifies the raw volume container.
 const volMagic = 0x46424b31 // "FBK1"
 
@@ -288,21 +291,26 @@ func (w *SlabWriter) WriteSlab(slab *volume.Volume) error {
 	if w.tel != nil {
 		t0 = time.Now()
 	}
-	buf := make([]byte, len(slab.Data)*4)
-	for i, x := range slab.Data {
-		bits := floatToBits(x)
-		buf[i*4] = byte(bits)
-		buf[i*4+1] = byte(bits >> 8)
-		buf[i*4+2] = byte(bits >> 16)
-		buf[i*4+3] = byte(bits >> 24)
-	}
+	// Encoded through one bounded buffer rather than a slab-sized one: the
+	// leader stores a slab per batch, and slab-sized garbage per batch is
+	// what its peak heap would otherwise be made of.
+	buf := make([]byte, 0, slabChunkBytes)
 	off := volHeaderBytes + int64(slab.Z0)*int64(w.nx)*int64(w.ny)*4
-	if _, err := w.f.WriteAt(buf, off); err != nil {
-		return fmt.Errorf("storage: write slab at z=%d: %w", slab.Z0, err)
+	for data := slab.Data; len(data) > 0; {
+		n := min(len(data), slabChunkBytes/4)
+		buf = buf[:0]
+		for _, x := range data[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, floatToBits(x))
+		}
+		if _, err := w.f.WriteAt(buf, off); err != nil {
+			return fmt.Errorf("storage: write slab at z=%d: %w", slab.Z0, err)
+		}
+		off += int64(len(buf))
+		data = data[n:]
 	}
 	if t := w.tel; t != nil {
 		t.writes.Inc()
-		t.writeBytes.Add(int64(len(buf)))
+		t.writeBytes.Add(slab.Bytes())
 		t.writeNs.Add(int64(time.Since(t0)))
 	}
 	w.mu.Lock()

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -211,6 +213,46 @@ func TestSlabWriterAssemblesVolume(t *testing.T) {
 				t.Fatalf("slab z0=%d sample %d = %g, want %g", z0, i, got.Data[z0*4*3+i], want)
 			}
 		}
+	}
+}
+
+// Slabs larger than WriteSlab's encode buffer, and not a multiple of it,
+// land byte for byte where volume.WriteRaw puts the same voxels.
+func TestSlabWriterMatchesWriteRaw(t *testing.T) {
+	const nx, ny, nz, nb = 61, 53, 14, 7
+	if nx*ny*nb*4 <= slabChunkBytes || nx*ny*nb*4%slabChunkBytes == 0 {
+		t.Fatalf("a %d-byte slab does not straddle the %d-byte chunk", nx*ny*nb*4, slabChunkBytes)
+	}
+	whole, _ := volume.New(nx, ny, nz)
+	rng := rand.New(rand.NewSource(3))
+	for i := range whole.Data {
+		whole.Data[i] = float32(rng.NormFloat64())
+	}
+	path := filepath.Join(t.TempDir(), "vol.fbk")
+	w, err := NewSlabWriter(path, nx, ny, nz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, z0 := range []int{nb, 0} {
+		slab, _ := volume.NewSlab(nx, ny, nb, z0)
+		copy(slab.Data, whole.Data[z0*nx*ny:])
+		if err := w.WriteSlab(slab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := whole.WriteRaw(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("slab-assembled file differs from volume.WriteRaw of the same voxels")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -13,26 +14,44 @@ import (
 // voxels in Z-major order.
 const rawMagic = 0x46424b31 // "FBK1"
 
+// rawChunkBytes is the size of the scratch buffer WriteRaw and ReadRaw move
+// voxels through: large enough that a file sees few system calls, small
+// enough to stay in cache, and independent of the volume's size.
+const rawChunkBytes = 64 << 10
+
 // WriteRaw serialises the volume to w in the repository's raw container
-// format.
+// format, encoding through one fixed-size buffer.
 func (v *Volume) WriteRaw(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []int32{rawMagic, int32(v.NX), int32(v.NY), int32(v.NZ), int32(v.Z0)}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
+	buf := make([]byte, 0, rawChunkBytes)
+	for _, h := range [...]int32{rawMagic, int32(v.NX), int32(v.NY), int32(v.NZ), int32(v.Z0)} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h))
+	}
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("volume: write header: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, v.Data); err != nil {
-		return fmt.Errorf("volume: write voxels: %w", err)
+	for data := v.Data; len(data) > 0; {
+		n := min(len(data), rawChunkBytes/4)
+		buf = buf[:0]
+		for _, x := range data[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+		}
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("volume: write voxels: %w", err)
+		}
+		data = data[n:]
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadRaw deserialises a volume written by WriteRaw.
 func ReadRaw(r io.Reader) (*Volume, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [5]int32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	buf := make([]byte, rawChunkBytes)
+	if _, err := io.ReadFull(r, buf[:20]); err != nil {
 		return nil, fmt.Errorf("volume: read header: %w", err)
+	}
+	var hdr [5]int32
+	for i := range hdr {
+		hdr[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	if hdr[0] != rawMagic {
 		return nil, fmt.Errorf("volume: bad magic %#x", hdr[0])
@@ -42,8 +61,15 @@ func ReadRaw(r io.Reader) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, v.Data); err != nil {
-		return nil, fmt.Errorf("volume: read voxels: %w", err)
+	for data := v.Data; len(data) > 0; {
+		n := min(len(data), rawChunkBytes/4)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return nil, fmt.Errorf("volume: read voxels: %w", err)
+		}
+		for i := range data[:n] {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		data = data[n:]
 	}
 	return v, nil
 }

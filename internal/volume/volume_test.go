@@ -2,6 +2,9 @@ package volume
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -166,8 +169,13 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// The volume spans more than one of WriteRaw's chunks and does not end on a
+// chunk boundary.
 func TestRawRoundTrip(t *testing.T) {
-	v, _ := NewSlab(5, 4, 3, 7)
+	v, _ := NewSlab(41, 37, 13, 7)
+	if 4*len(v.Data) <= rawChunkBytes || 4*len(v.Data)%rawChunkBytes == 0 {
+		t.Fatalf("%d voxels do not straddle a %d-byte chunk", len(v.Data), rawChunkBytes)
+	}
 	rng := rand.New(rand.NewSource(2))
 	for i := range v.Data {
 		v.Data[i] = float32(rng.NormFloat64())
@@ -176,6 +184,15 @@ func TestRawRoundTrip(t *testing.T) {
 	if err := v.WriteRaw(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// The format is what encoding/binary writes for the header and the
+	// voxel slice in one piece each.
+	var want bytes.Buffer
+	binary.Write(&want, binary.LittleEndian, []int32{rawMagic, 41, 37, 13, 7})
+	binary.Write(&want, binary.LittleEndian, v.Data)
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("chunked encoding differs from the one-piece encoding")
+	}
+	short := bytes.NewReader(buf.Bytes()[:buf.Len()-3])
 	got, err := ReadRaw(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +204,30 @@ func TestRawRoundTrip(t *testing.T) {
 		if got.Data[i] != v.Data[i] {
 			t.Fatalf("voxel %d: %g != %g", i, got.Data[i], v.Data[i])
 		}
+	}
+	if _, err := ReadRaw(short); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated volume: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// The container's bytes, spelled out: "1KBF" little-endian magic, three
+// dimensions, the Z origin, then IEEE-754 voxels, all little-endian.
+func TestRawGoldenBytes(t *testing.T) {
+	v, _ := NewSlab(2, 1, 1, 3)
+	v.Data[0], v.Data[1] = 1, -2.5
+	var buf bytes.Buffer
+	if err := v.WriteRaw(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		0x31, 0x4b, 0x42, 0x46, // magic 0x46424b31
+		2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, // NX, NY, NZ
+		3, 0, 0, 0, // Z0
+		0x00, 0x00, 0x80, 0x3f, // 1
+		0x00, 0x00, 0x20, 0xc0, // -2.5
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteRaw wrote % x, want % x", buf.Bytes(), want)
 	}
 }
 

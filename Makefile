@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-compare bench-json bench-exec experiments examples clean
+.PHONY: all build test race check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-compare bench-json bench-exec experiments examples clean
 
 all: build test
 
@@ -29,6 +29,14 @@ check:
 	$(MAKE) status-smoke
 	$(MAKE) chaos-recover
 	$(MAKE) transport-smoke
+
+# Parser fuzz smoke: 10 s of mutation per target on the two parsers of
+# untrusted wire bytes (go test -fuzz takes one target at a time). The
+# targets' seed corpora run in every plain `go test`; this is the part that
+# looks past them. A finding lands in testdata/fuzz/ as a regression seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mpi/nettrans/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/mpi/nettrans/
 
 # Telemetry artifact gate: a tiny distributed reconstruction with tracing
 # and metrics on, then the artifact validators. Catches any drift in the

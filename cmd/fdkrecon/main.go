@@ -181,7 +181,7 @@ func main() {
 		log.Fatal("-world/-worker require multi-rank mode (-groups/-ranks > 1)")
 	}
 	if *severSpec != "" && !nf.active() {
-		log.Fatal("-sever injects wire faults; it needs -world/-worker (the channel world has no wire)")
+		log.Fatal("-sever injects wire faults; it needs -world/-worker (the in-process world has no wire)")
 	}
 	// Durable mode streams slabs to disk through a SlabWriter instead of
 	// assembling them in memory, so the sink is only built without -journal.

@@ -79,14 +79,14 @@ type ClusterOptions struct {
 	// killed run, even one replanned onto a smaller world (see Supervise).
 	// The resumed volume is bit-identical to an uninterrupted one.
 	Checkpoint CheckpointLog
-	// Launch, when set, replaces the in-process mpi.RunWith world with a
-	// custom launcher — the multi-process socket transport wires
-	// nettrans.Node.Launcher here, so the same batch loop runs unchanged
-	// whether ranks are goroutines or live in other OS processes. The
-	// launcher must honour the mpi world contract: run fn once per rank it
-	// hosts (remote ranks run in their own processes), tear down on error
-	// with RankLostError attribution, and return the joined rank errors.
-	// Nil keeps the default single-process channel world.
+	// Launch runs the world: n ranks of fn. Nil = all ranks local
+	// (mpi.RunWith, the in-process transport). The multi-process socket
+	// world wires nettrans.Node.Launcher here — the same launcher
+	// (mpi.RunTransport) over another transport, so the batch loop runs
+	// unchanged wherever the ranks live. A launcher must honour the mpi
+	// world contract: run fn once per rank it hosts (remote ranks run in
+	// their own processes), tear down on error with RankLostError
+	// attribution, and return the joined rank errors.
 	Launch func(n int, opt mpi.Options, fn func(c *mpi.Comm) error) error
 	// Telemetry, when set, collects the run's metrics and spans: each rank
 	// reports its stage spans, ring traffic, collective latency and retry

@@ -24,9 +24,7 @@ func fmtBytes(n int64) string {
 
 // String renders the run summary the drivers print after a distributed
 // reconstruction: one line per rank (batches executed, bytes moved on both
-// communicators, retry activity when telemetry was on), the
-// unknown-payload total — non-zero means the byte counts undercount real
-// traffic and must be treated as a measurement error — and, when telemetry
+// communicators, retry activity when telemetry was on) and, when telemetry
 // was collected, the cross-rank skew of every counter (max−min exposes the
 // straggler).
 func (r *ClusterReport) String() string {
@@ -36,11 +34,9 @@ func (r *ClusterReport) String() string {
 	for _, s := range r.Telemetry {
 		counters[s.Rank] = s.Counters
 	}
-	var unknown int64
 	for i := range r.Ledgers {
 		sent := r.WorldStats[i].BytesSent + r.GroupStats[i].BytesSent
 		recv := r.WorldStats[i].BytesRecv + r.GroupStats[i].BytesRecv
-		unknown += r.WorldStats[i].UnknownPayloads + r.GroupStats[i].UnknownPayloads
 		fmt.Fprintf(&b, "rank %2d: batches %d", i, r.BatchesDone[i])
 		if r.BatchesSkipped != nil && r.BatchesSkipped[i] > 0 {
 			// Resumed run: these batches were already durable in the
@@ -91,11 +87,6 @@ func (r *ClusterReport) String() string {
 		fmt.Fprintf(&b, "recovery: %d restarts, lost ranks %v, finished on %d ranks\n",
 			r.Restarts, r.LostRanks, len(r.Ledgers))
 	}
-	fmt.Fprintf(&b, "unknown payloads: %d", unknown)
-	if unknown > 0 {
-		b.WriteString(" (byte counts undercount real traffic!)")
-	}
-	b.WriteByte('\n')
 	// Critical-path attribution: which rank × stage × class chain actually
 	// bounded the makespan — the "why is it slow" companion to the skew
 	// table's "who is slow".

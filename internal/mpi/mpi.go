@@ -1,6 +1,8 @@
-// Package mpi is an in-process message-passing runtime standing in for MPI
-// in the paper's distributed framework. Ranks are goroutines; communicators
-// carry typed point-to-point channels plus the collectives the paper uses:
+// Package mpi is a message-passing runtime standing in for MPI in the
+// paper's distributed framework. Ranks are goroutines; every message rides a
+// Transport — in-process channels when all ranks are local (RunWith),
+// sockets when they are spread over OS processes (package nettrans) — and
+// communicators carry the collectives the paper uses:
 // Barrier, Bcast, binomial-tree Reduce (and the hierarchical node-leader
 // variant of Section 4.4.2), Allreduce, Gather and CommSplit (the grouping
 // of Section 4.4.1). All collectives move and reduce real data, and every
@@ -19,16 +21,6 @@ import (
 	"distfdk/internal/telemetry"
 )
 
-// message is one point-to-point transfer. id is the world-global monotone
-// message id (0 when telemetry is off): the receiver copies it into its
-// flow record, which is what pairs the two sides of a transfer into one
-// causal edge without any extra wire traffic.
-type message struct {
-	tag  int
-	id   int64
-	data any
-}
-
 // Stats counts a rank's traffic on one communicator.
 type Stats struct {
 	BytesSent    int64
@@ -39,11 +31,6 @@ type Stats struct {
 	// its tree parent during ReduceChunked calls, so chunked-reduction
 	// experiments can report per-chunk traffic.
 	ReduceChunks int64
-	// UnknownPayloads counts messages whose payload type payloadBytes
-	// could not size. A non-zero value means BytesSent/BytesRecv
-	// undercount real traffic; traffic experiments must treat it as an
-	// error instead of silently reporting too-small volumes.
-	UnknownPayloads int64
 }
 
 // Comm is a communicator endpoint bound to one rank, analogous to an
@@ -53,9 +40,12 @@ type Stats struct {
 type Comm struct {
 	rank, size int
 	group      *group
-	stats      *Stats
+	stats      Stats
 	deadline   time.Duration
 	icept      Interceptor
+	// splitSeq counts this endpoint's Split calls: collective calls pair up
+	// by sequence number, and the number seeds the child communicator's id.
+	splitSeq int
 	// tm carries the rank's telemetry handles; Split-derived communicators
 	// inherit it, so one rank's traffic on every communicator lands in one
 	// registry (which is what lets the metrics artifact reconcile against
@@ -72,7 +62,6 @@ type commTelemetry struct {
 	// clock they are stamped on.
 	reg                  *telemetry.Registry
 	sendBytes, recvBytes *telemetry.Counter
-	unknownPayloads      *telemetry.Counter
 	sendNs, recvNs       *telemetry.Histogram
 	reduceChunks         *telemetry.Counter
 	reduceChunkNs        *telemetry.Histogram
@@ -92,48 +81,44 @@ func newCommTelemetry(reg *telemetry.Registry) *commTelemetry {
 		return nil
 	}
 	return &commTelemetry{
-		reg:             reg,
-		sendBytes:       reg.Counter("mpi.bytes_sent"),
-		recvBytes:       reg.Counter("mpi.bytes_recv"),
-		unknownPayloads: reg.Counter("mpi.unknown_payloads"),
-		sendNs:          reg.Histogram("mpi.send_ns"),
-		recvNs:          reg.Histogram("mpi.recv_ns"),
-		reduceChunks:    reg.Counter("mpi.reduce_chunks"),
-		reduceChunkNs:   reg.Histogram("mpi.reduce_chunk_ns"),
+		reg:           reg,
+		sendBytes:     reg.Counter("mpi.bytes_sent"),
+		recvBytes:     reg.Counter("mpi.bytes_recv"),
+		sendNs:        reg.Histogram("mpi.send_ns"),
+		recvNs:        reg.Histogram("mpi.recv_ns"),
+		reduceChunks:  reg.Counter("mpi.reduce_chunks"),
+		reduceChunkNs: reg.Histogram("mpi.reduce_chunk_ns"),
 	}
 }
 
-// group is the shared state of a communicator: the channel matrix, the
-// split-coordination state, and the world-wide teardown signal shared with
-// every communicator split from the same Run.
+// group is the immutable state the endpoints of one communicator share:
+// the transport every message rides, the communicator's id on it, the
+// world-wide teardown signal and the mapping back to world coordinates.
+// Ranks of one process share the world group; a Split gives each member
+// its own (identical) copy, since members may live in different processes.
 type group struct {
-	size  int
-	chans [][]chan message // chans[dst][src]
-	stats []*Stats
-	td    *teardown
-
-	// tr, when non-nil, carries every point-to-point message instead of
-	// the channel matrix — the group belongs to a transport-backed world
-	// (RunTransport) whose ranks may live in different OS processes. The
-	// default in-process world leaves it nil and keeps the channel fast
-	// path untouched.
 	tr Transport
-	// commID identifies this communicator on the transport wire (0 is the
+	td *teardown
+	// commID identifies this communicator on the transport (0 is the
 	// world; Split descendants derive deterministic non-zero ids).
 	commID int32
-
-	// regRanks maps communicator-local rank → world (registry) rank, so
-	// flow records from Split sub-communicators carry world coordinates
-	// and pair up with world-communicator records in one id space.
+	// regRanks maps communicator-local rank → world (registry) rank: the
+	// transport addresses world ranks, and flow records from Split
+	// sub-communicators pair up with world-communicator records in one id
+	// space.
 	regRanks []int
 	// msgID is the message-id source — the telemetry Run's counter when
 	// the world has telemetry (unique across supervised relaunches), a
 	// private one otherwise. Split descendants share the parent's.
 	msgID *atomic.Int64
+}
 
-	splitMu      sync.Mutex
-	splitPending map[int]*splitGather // keyed by split sequence number
-	splitSeq     []int                // per-rank split call count
+func newGroup(tr Transport, td *teardown, msgID *atomic.Int64, commID int32, regRanks []int) *group {
+	return &group{tr: tr, td: td, msgID: msgID, commID: commID, regRanks: regRanks}
+}
+
+func (g *group) comm(rank int) *Comm {
+	return &Comm{rank: rank, size: len(g.regRanks), group: g}
 }
 
 // teardown is the world-level abort signal: Run trips it when any rank's
@@ -183,7 +168,7 @@ func (t *teardown) lostRanks() []int {
 	return out
 }
 
-// Interceptor observes the point-to-point path before the channel
+// Interceptor observes the point-to-point path before the transport
 // operation runs. internal/fault implements it to inject message-layer
 // faults and stalls; a nil interceptor costs one pointer check per
 // operation. Returning a non-nil error aborts the operation before any
@@ -273,37 +258,6 @@ func collectLost(err error, set map[int]struct{}) {
 	}
 }
 
-type splitGather struct {
-	entries map[int][2]int // rank -> (color, key)
-	done    chan struct{}
-	result  map[int]*Comm // rank -> new comm
-}
-
-const chanBuffer = 8
-
-func newGroup(size int) *group {
-	g := &group{size: size, td: newTeardown(), splitPending: map[int]*splitGather{},
-		splitSeq: make([]int, size), msgID: new(atomic.Int64)}
-	g.regRanks = make([]int, size)
-	for r := range g.regRanks {
-		g.regRanks[r] = r
-	}
-	g.chans = make([][]chan message, size)
-	g.stats = make([]*Stats, size)
-	for d := 0; d < size; d++ {
-		g.chans[d] = make([]chan message, size)
-		for s := 0; s < size; s++ {
-			g.chans[d][s] = make(chan message, chanBuffer)
-		}
-		g.stats[d] = &Stats{}
-	}
-	return g
-}
-
-func (g *group) comm(rank int) *Comm {
-	return &Comm{rank: rank, size: g.size, group: g, stats: g.stats[rank]}
-}
-
 // Options configures a world launched by RunWith.
 type Options struct {
 	// Deadline bounds every blocking point-to-point operation — and hence
@@ -312,8 +266,11 @@ type Options struct {
 	// message within the deadline surfaces as ErrRankLost instead of a
 	// hang. 0 waits forever (the classic MPI behaviour).
 	Deadline time.Duration
-	// Interceptor, when non-nil, observes every send/recv before the
-	// channel operation (fault injection).
+	// Interceptor, when non-nil, observes every Send/Recv — the data path,
+	// collectives included — before the transport operation (fault
+	// injection). Split's formation exchange is world formation and is not
+	// shown to it, so "the Nth send of rank r" names the same message
+	// wherever the ranks live.
 	Interceptor Interceptor
 	// Telemetry, when non-nil, supplies each rank's registry: every
 	// point-to-point operation records its latency and bytes there
@@ -329,51 +286,27 @@ func Run(n int, fn func(c *Comm) error) error {
 	return RunWith(n, Options{}, fn)
 }
 
-// RunWith is Run with a configured world. Whatever the options, the world
-// tears down cleanly: the first rank whose function returns an error (or
-// panics) trips a world-wide teardown that wakes every rank blocked in a
-// point-to-point operation or Split with ErrRankLost, so one dead rank can
+// RunWith is Run with a configured world: the all-ranks-local case of
+// RunTransport, over the in-process transport. Whatever the options, the
+// world tears down cleanly: the first rank whose function returns an error
+// (or panics) trips a world-wide teardown that wakes every rank blocked in
+// a point-to-point operation or Split with ErrRankLost, so one dead rank can
 // never deadlock the rest — every rank returns and RunWith joins their
 // errors within a bounded number of in-flight operations.
 func RunWith(n int, opt Options, fn func(c *Comm) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", n)
 	}
-	if opt.Deadline < 0 {
-		return fmt.Errorf("mpi: negative deadline %v", opt.Deadline)
+	return RunTransport(TransportWorld{Size: n, Local: identity(n), Transport: newLocalTransport()}, opt, fn)
+}
+
+// identity returns the ranks 0..n-1.
+func identity(n int) []int {
+	ranks := make([]int, n)
+	for r := range ranks {
+		ranks[r] = r
 	}
-	g := newGroup(n)
-	g.msgID = opt.Telemetry.MsgIDCounter()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, p)
-				}
-				if errs[r] != nil {
-					// A rank failing for its own reasons is a culprit; one
-					// failing with ErrRankLost is an observer of somebody
-					// else's death and must not be blamed. Mark before
-					// tripping so peers woken by the signal see the name.
-					if !errors.Is(errs[r], ErrRankLost) {
-						g.td.markLost(r)
-					}
-					g.td.trip()
-				}
-			}()
-			c := g.comm(r)
-			c.deadline = opt.Deadline
-			c.icept = opt.Interceptor
-			c.tm = newCommTelemetry(opt.Telemetry.Rank(r))
-			errs[r] = fn(c)
-		}(r)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return ranks
 }
 
 // Rank returns this endpoint's rank in the communicator.
@@ -384,38 +317,7 @@ func (c *Comm) Size() int { return c.size }
 
 // Stats returns a copy of this rank's traffic counters on this
 // communicator.
-func (c *Comm) Stats() Stats { return *c.stats }
-
-// payloadBytes reports the wire size of a payload for the traffic
-// counters. The second result is false when the payload type is unknown —
-// the caller must record the miss (Stats.UnknownPayloads) so experiments
-// cannot silently undercount traffic.
-func payloadBytes(data any) (int64, bool) {
-	switch v := data.(type) {
-	case nil:
-		return 0, true
-	case []float32:
-		return int64(len(v)) * 4, true
-	case [][]float32:
-		var total int64
-		for _, row := range v {
-			total += int64(len(row)) * 4
-		}
-		return total, true
-	case []float64:
-		return int64(len(v)) * 8, true
-	case []byte:
-		return int64(len(v)), true
-	case []int:
-		return int64(len(v)) * 8, true
-	case int, int32, int64, float32, float64, bool:
-		return 8, true
-	case string:
-		return int64(len(v)), true
-	default:
-		return 0, false
-	}
-}
+func (c *Comm) Stats() Stats { return c.stats }
 
 // SetDeadline overrides this endpoint's point-to-point deadline (see
 // Options.Deadline); Split-derived communicators inherit it.
@@ -424,8 +326,11 @@ func (c *Comm) SetDeadline(d time.Duration) { c.deadline = d }
 // Send delivers data to rank dst with the given tag. Sends are buffered;
 // a full buffer blocks until the receiver drains it, like MPI_Send's
 // rendezvous mode. A blocked send wakes with ErrRankLost when the world
-// tears down or the endpoint's deadline expires.
-func (c *Comm) Send(dst, tag int, data any) error {
+// tears down or the endpoint's deadline expires. The slice belongs to the
+// receiver from here on: a local receiver gets this very slice, a remote
+// one a copy, so the caller must not reuse a slice a local receiver may
+// hold.
+func (c *Comm) Send(dst, tag int, data []float32) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("mpi: send to rank %d outside world of %d", dst, c.size)
 	}
@@ -443,36 +348,16 @@ func (c *Comm) Send(dst, tag int, data any) error {
 		t0 = time.Now()
 		msgID = c.group.msgID.Add(1)
 	}
-	if g := c.group; g.tr != nil {
-		err := g.tr.Send(g.commID, g.regRanks[c.rank], g.regRanks[dst],
-			Message{Tag: tag, ID: msgID, Data: data}, c.deadline, g.td.ch)
-		if err != nil {
-			return c.wrapTransportErr(err, dst, "send")
-		}
-	} else {
-		m := message{tag: tag, id: msgID, data: data}
-		ch := c.group.chans[dst][c.rank]
-		select {
-		case ch <- m: // fast path: buffer has room
-		default:
-			if err := c.sendSlow(ch, m, dst); err != nil {
-				return err
-			}
-		}
+	if err := c.send(dst, Message{Tag: tag, ID: msgID, Data: data}); err != nil {
+		return err
 	}
-	nb, known := payloadBytes(data)
+	nb := int64(len(data)) * 4
 	c.stats.BytesSent += nb
-	if !known {
-		c.stats.UnknownPayloads++
-	}
 	c.stats.MessagesSent++
 	// The telemetry mirror sits exactly beside the Stats update so the
 	// metrics artifact reconciles against summed per-communicator Stats.
 	if t := c.tm; t != nil {
 		t.sendBytes.Add(nb)
-		if !known {
-			t.unknownPayloads.Inc()
-		}
 		t.sendNs.ObserveSince(t0)
 		t.reg.RecordFlow(telemetry.FlowRecord{
 			MsgID: msgID, Kind: telemetry.FlowSend,
@@ -484,35 +369,12 @@ func (c *Comm) Send(dst, tag int, data any) error {
 	return nil
 }
 
-// sendSlow blocks on a full buffer, watching the teardown signal and the
-// deadline.
-func (c *Comm) sendSlow(ch chan<- message, m message, dst int) error {
-	var timeout <-chan time.Time
-	if c.deadline > 0 {
-		t := time.NewTimer(c.deadline)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case ch <- m:
-		return nil
-	case <-c.group.td.ch:
-		// The world is tearing down; one last non-blocking attempt keeps
-		// the common "receiver drained just before dying" case lossless.
-		select {
-		case ch <- m:
-			return nil
-		default:
-			return &RankLostError{Rank: c.rank, Peer: dst, Op: "send", Lost: c.group.td.lostRanks()}
-		}
-	case <-timeout:
-		select {
-		case ch <- m:
-			return nil
-		default:
-			return &RankLostError{Rank: c.rank, Peer: dst, Op: "send", Wait: c.deadline}
-		}
-	}
+// send hands one message to the transport: the whole of Split's formation
+// exchange, and the part of Send below the interceptor and the counters.
+func (c *Comm) send(dst int, m Message) error {
+	g := c.group
+	err := g.tr.Send(g.commID, g.regRanks[c.rank], g.regRanks[dst], m, c.deadline, g.td.ch)
+	return c.wrapTransportErr(err, dst, "send")
 }
 
 // Recv blocks for the next message from rank src and verifies its tag,
@@ -520,7 +382,7 @@ func (c *Comm) sendSlow(ch chan<- message, m message, dst int) error {
 // blocked receive wakes with ErrRankLost when the world tears down or the
 // endpoint's deadline expires — a dead or stalled peer surfaces as a typed
 // error, never a hang.
-func (c *Comm) Recv(src, tag int) (any, error) {
+func (c *Comm) Recv(src, tag int) ([]float32, error) {
 	if src < 0 || src >= c.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d outside world of %d", src, c.size)
 	}
@@ -536,90 +398,37 @@ func (c *Comm) Recv(src, tag int) (any, error) {
 	if c.tm != nil {
 		t0 = time.Now()
 	}
-	var m message
-	if g := c.group; g.tr != nil {
-		tm, err := g.tr.Recv(g.commID, g.regRanks[src], g.regRanks[c.rank], c.deadline, g.td.ch)
-		if err != nil {
-			return nil, c.wrapTransportErr(err, src, "recv")
-		}
-		m = message{tag: tm.Tag, id: tm.ID, data: tm.Data}
-	} else {
-		ch := c.group.chans[c.rank][src]
-		select {
-		case m = <-ch: // fast path: message already buffered
-		default:
-			var err error
-			if m, err = c.recvSlow(ch, src); err != nil {
-				return nil, err
-			}
-		}
+	m, err := c.recv(src, tag)
+	if err != nil {
+		return nil, err
 	}
-	if m.tag != tag {
-		return nil, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, src, m.tag)
-	}
-	nb, known := payloadBytes(m.data)
+	nb := int64(len(m.Data)) * 4
 	c.stats.BytesRecv += nb
-	if !known {
-		c.stats.UnknownPayloads++
-	}
 	c.stats.MessagesRecv++
 	if t := c.tm; t != nil {
 		t.recvBytes.Add(nb)
-		if !known {
-			t.unknownPayloads.Inc()
-		}
 		t.recvNs.ObserveSince(t0)
 		t.reg.RecordFlow(telemetry.FlowRecord{
-			MsgID: m.id, Kind: telemetry.FlowRecv,
+			MsgID: m.ID, Kind: telemetry.FlowRecv,
 			Src: c.group.regRanks[src], Dst: c.group.regRanks[c.rank],
 			Tag: tag, Bytes: nb,
 			Start: t.reg.SinceEpoch(t0), End: t.reg.SinceEpoch(time.Now()),
 		})
 	}
-	return m.data, nil
+	return m.Data, nil
 }
 
-// recvSlow blocks for a message, watching the teardown signal and the
-// deadline. On either firing it makes one final non-blocking attempt so a
-// message that raced in is still delivered rather than dropped.
-func (c *Comm) recvSlow(ch <-chan message, src int) (message, error) {
-	var timeout <-chan time.Time
-	if c.deadline > 0 {
-		t := time.NewTimer(c.deadline)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case m := <-ch:
-		return m, nil
-	case <-c.group.td.ch:
-		select {
-		case m := <-ch:
-			return m, nil
-		default:
-			return message{}, &RankLostError{Rank: c.rank, Peer: src, Op: "recv", Lost: c.group.td.lostRanks()}
-		}
-	case <-timeout:
-		select {
-		case m := <-ch:
-			return m, nil
-		default:
-			return message{}, &RankLostError{Rank: c.rank, Peer: src, Op: "recv", Wait: c.deadline}
-		}
-	}
-}
-
-// RecvFloat32 receives and type-asserts a []float32 payload.
-func (c *Comm) RecvFloat32(src, tag int) ([]float32, error) {
-	data, err := c.Recv(src, tag)
+// recv is send's counterpart: the next message from src, tag-checked.
+func (c *Comm) recv(src, tag int) (Message, error) {
+	g := c.group
+	m, err := g.tr.Recv(g.commID, g.regRanks[src], g.regRanks[c.rank], c.deadline, g.td.ch)
 	if err != nil {
-		return nil, err
+		return Message{}, c.wrapTransportErr(err, src, "recv")
 	}
-	v, ok := data.([]float32)
-	if !ok {
-		return nil, fmt.Errorf("mpi: rank %d expected []float32 from %d, got %T", c.rank, src, data)
+	if m.Tag != tag {
+		return Message{}, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, src, m.Tag)
 	}
-	return v, nil
+	return m, nil
 }
 
 const (
@@ -627,8 +436,7 @@ const (
 	tagBcast   = -2
 	tagReduce  = -3
 	tagGather  = -4
-	// tagSplit carries the wire-based Split collective on transport-backed
-	// worlds, where ranks cannot meet in a shared in-memory map.
+	// tagSplit carries Split's formation exchange.
 	tagSplit = -5
 )
 
@@ -663,7 +471,7 @@ func (c *Comm) Bcast(root int, buf []float32) error {
 	for ; mask < c.size; mask <<= 1 {
 		if rel&mask != 0 {
 			src := (c.rank - mask + c.size) % c.size
-			data, err := c.RecvFloat32(src, tagBcast)
+			data, err := c.Recv(src, tagBcast)
 			if err != nil {
 				return err
 			}
@@ -707,7 +515,7 @@ func (c *Comm) reduceSegment(rel int, acc []float32) error {
 		}
 		if rel+step < c.size {
 			src := (c.rank + step) % c.size
-			data, err := c.RecvFloat32(src, tagReduce)
+			data, err := c.Recv(src, tagReduce)
 			if err != nil {
 				return err
 			}
@@ -812,7 +620,7 @@ func (c *Comm) Gather(root int, buf []float32) ([][]float32, error) {
 		if src == root {
 			continue
 		}
-		data, err := c.RecvFloat32(src, tagGather)
+		data, err := c.Recv(src, tagGather)
 		if err != nil {
 			return nil, err
 		}
@@ -861,7 +669,7 @@ func (c *Comm) HierarchicalReduce(root int, buf []float32, ranksPerNode int) err
 			return c.Send(c.rank-step, tagReduce, acc)
 		}
 		if q+step < m {
-			data, err := c.RecvFloat32(c.rank+step, tagReduce)
+			data, err := c.Recv(c.rank+step, tagReduce)
 			if err != nil {
 				return err
 			}
@@ -886,7 +694,7 @@ func (c *Comm) HierarchicalReduce(root int, buf []float32, ranksPerNode int) err
 		}
 		if rel+step < nLeaders {
 			srcIdx := (myLeaderIdx + step) % nLeaders
-			data, err := c.RecvFloat32(srcIdx*ranksPerNode, tagReduce)
+			data, err := c.Recv(srcIdx*ranksPerNode, tagReduce)
 			if err != nil {
 				return err
 			}

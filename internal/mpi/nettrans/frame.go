@@ -83,18 +83,32 @@ type frame struct {
 	seq      uint64
 	ack      uint64
 	payload  []byte
+	// wire, when non-nil, is a buffer in wire layout with the payload
+	// already in place behind room for the length prefix and header
+	// (newWire): encoding such a frame stamps the header and the CRC around
+	// the payload instead of copying it. A data frame is built this way by
+	// its sender, and readFrame keeps the buffer it read into, so the hub's
+	// forward leg re-stamps a frame without copying it either.
+	wire []byte
 }
 
 // Wire layout: u32 body length | body | u32 CRC32-IEEE(body).
 // Body: u8 version | u8 kind | i32 comm | i32 src | i32 dst | i32 tag |
 // i64 msgID | u64 seq | u64 ack | payload. All little-endian.
 const (
-	frameVersion = 1
+	// frameVersion 2: the payload is one of the three kinds of payload.go.
+	// Version 1 (thirteen kinds, no length check on the payload) is refused
+	// with errVersion.
+	frameVersion = 2
 	headerBytes  = 1 + 1 + 4 + 4 + 4 + 4 + 8 + 8 + 8
+	payloadOff   = 4 + headerBytes
 	// maxFrameBytes bounds a body so a corrupted length prefix cannot
 	// drive an unbounded allocation. Slab-scale reductions stay far below
 	// this (a 1 GiB payload would be rejected at encode time too).
 	maxFrameBytes = 1 << 30
+	// readStep is the most readFrame allocates on the word of a length
+	// prefix alone; beyond it the buffer doubles as bytes actually arrive.
+	readStep = 64 << 10
 )
 
 // Typed codec errors. Torn tails (a frame cut anywhere before its last
@@ -107,32 +121,38 @@ var (
 	errBadHeader = errors.New("nettrans: truncated frame header")
 )
 
-// appendFrame encodes f into buf (appending) and returns the result.
-func appendFrame(buf []byte, f *frame) []byte {
-	bodyLen := headerBytes + len(f.payload)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen))
-	bodyStart := len(buf)
-	buf = append(buf, frameVersion, byte(f.kind))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.comm))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.src))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.dst))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.tag))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.msgID))
-	buf = binary.LittleEndian.AppendUint64(buf, f.seq)
-	buf = binary.LittleEndian.AppendUint64(buf, f.ack)
-	buf = append(buf, f.payload...)
-	crc := crc32.ChecksumIEEE(buf[bodyStart:])
-	return binary.LittleEndian.AppendUint32(buf, crc)
+// newWire returns a wire buffer with the length prefix and header reserved
+// and room for a payload of n bytes and the CRC; append the payload to it.
+func newWire(n int) []byte {
+	return make([]byte, payloadOff, payloadOff+n+4)
 }
 
-// encodeFrame encodes f into a fresh buffer.
+// encodeFrame returns f's wire form: around f.wire when the payload is
+// already in place there, around a copy of f.payload otherwise.
 func encodeFrame(f *frame) []byte {
-	return appendFrame(make([]byte, 0, 4+headerBytes+len(f.payload)+4), f)
+	buf := f.wire
+	if buf == nil {
+		buf = append(newWire(len(f.payload)), f.payload...)
+	}
+	body := buf[4:] // the offsets below are readFrame's
+	binary.LittleEndian.PutUint32(buf, uint32(len(body)))
+	body[0], body[1] = frameVersion, byte(f.kind)
+	binary.LittleEndian.PutUint32(body[2:], uint32(f.comm))
+	binary.LittleEndian.PutUint32(body[6:], uint32(f.src))
+	binary.LittleEndian.PutUint32(body[10:], uint32(f.dst))
+	binary.LittleEndian.PutUint32(body[14:], uint32(f.tag))
+	binary.LittleEndian.PutUint64(body[18:], uint64(f.msgID))
+	binary.LittleEndian.PutUint64(body[26:], f.seq)
+	binary.LittleEndian.PutUint64(body[34:], f.ack)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 }
 
-// readFrame decodes the next frame from r. io.EOF means a clean
-// between-frames cut; io.ErrUnexpectedEOF a torn tail; errCRC a body
-// whose checksum does not match (corruption in flight).
+// readFrame decodes the next frame from r, reading exactly its bytes.
+// io.EOF means a clean between-frames cut; io.ErrUnexpectedEOF a torn
+// tail; errCRC a body whose checksum does not match (corruption in
+// flight). The length prefix is four untrusted bytes: the buffer starts at
+// no more than readStep and doubles only as bytes arrive, so what a
+// connection can make this process allocate is bounded by what it sends.
 func readFrame(r io.Reader) (*frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -145,16 +165,23 @@ func readFrame(r io.Reader) (*frame, error) {
 	if bodyLen < headerBytes {
 		return nil, fmt.Errorf("%w: body %d bytes", errBadHeader, bodyLen)
 	}
-	buf := make([]byte, bodyLen+4) // body + trailing CRC
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	total := 4 + int(bodyLen) + 4 // prefix + body + trailing CRC
+	buf := append(make([]byte, 0, min(total, readStep)), lenBuf[:]...)
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(total, 2*cap(buf))), buf...)
 		}
-		return nil, err
+		n, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	body := buf[:bodyLen]
-	wantCRC := binary.LittleEndian.Uint32(buf[bodyLen:])
-	if crc32.ChecksumIEEE(body) != wantCRC {
+	body := buf[4 : total-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[total-4:]) {
 		return nil, errCRC
 	}
 	if body[0] != frameVersion {
@@ -169,9 +196,10 @@ func readFrame(r io.Reader) (*frame, error) {
 		msgID: int64(binary.LittleEndian.Uint64(body[18:])),
 		seq:   binary.LittleEndian.Uint64(body[26:]),
 		ack:   binary.LittleEndian.Uint64(body[34:]),
+		wire:  buf[:total-4],
 	}
 	if bodyLen > headerBytes {
-		f.payload = body[headerBytes:bodyLen:bodyLen]
+		f.payload = buf[payloadOff : total-4 : total-4]
 	}
 	return f, nil
 }

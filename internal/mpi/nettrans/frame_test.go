@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -15,10 +16,7 @@ func crc32ChecksumIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 func putU32(b []byte, v uint32)         { binary.LittleEndian.PutUint32(b, v) }
 
 func sampleFrame() *frame {
-	payload, err := encodePayload(nil, []float32{1.5, -2.25, float32(math.Pi)})
-	if err != nil {
-		panic(err)
-	}
+	payload := appendPayload(nil, []float32{1.5, -2.25, float32(math.Pi)}, nil)
 	return &frame{kind: kindData, comm: 7, src: 3, dst: 1, tag: -3,
 		msgID: 123456789, seq: 42, ack: 17, payload: payload}
 }
@@ -104,7 +102,7 @@ func TestFrameStreamDuplicateAndReorder(t *testing.T) {
 	f2.seq, f2.msgID = 43, 987
 	var stream []byte
 	for _, f := range []*frame{f2, f1, f1} { // reordered + duplicated
-		stream = appendFrame(stream, f)
+		stream = append(stream, encodeFrame(f)...)
 	}
 	r := bytes.NewReader(stream)
 	var seqs []uint64
@@ -147,92 +145,146 @@ func TestFrameRejectsOversizeAndBadVersion(t *testing.T) {
 	}
 }
 
-// TestPayloadRoundTrip checks every payload type the mpi layer can carry
-// survives the wire bit-exactly.
+// TestPayloadRoundTrip checks everything a message can carry survives the
+// wire bit-exactly, and that nothing else decodes.
 func TestPayloadRoundTrip(t *testing.T) {
-	cases := []any{
-		nil,
-		[]float32{},
-		[]float32{0, -0, 1.25, float32(math.NaN()), float32(math.Inf(1)), math.SmallestNonzeroFloat32},
-		[][]float32{{1, 2}, {}, {3}},
-		[]float64{math.Pi, -0.0, math.Inf(-1)},
-		[]byte{0, 1, 255},
-		[]int{-5, 0, 1 << 40},
-		int(-7), int32(9), int64(-1 << 50),
-		float32(2.5), float64(-3.75),
-		true, false,
-		"", "hello wire",
+	floats := []float32{0, float32(math.Copysign(0, -1)), 1.25, float32(math.NaN()),
+		math.Float32frombits(0x7fa00001), // a signalling NaN keeps its bits
+		float32(math.Inf(1)), math.SmallestNonzeroFloat32}
+	cases := []struct {
+		data []float32
+		ctl  []int
+	}{
+		{nil, nil},
+		{[]float32{}, nil},
+		{floats, nil},
+		{nil, []int{}},
+		{nil, []int{-5, 0, 1 << 40, math.MinInt64, math.MaxInt64}},
 	}
 	for _, in := range cases {
-		enc, err := encodePayload(nil, in)
-		if err != nil {
-			t.Fatalf("encode %T: %v", in, err)
+		enc := appendPayload(nil, in.data, in.ctl)
+		if len(enc) != payloadLen(in.data, in.ctl) {
+			t.Fatalf("payloadLen(%v, %v) = %d, encoded %d bytes", in.data, in.ctl, payloadLen(in.data, in.ctl), len(enc))
 		}
-		out, err := decodePayload(enc)
+		data, ctl, err := decodePayload(enc)
 		if err != nil {
-			t.Fatalf("decode %T: %v", in, err)
+			t.Fatalf("decode (%v, %v): %v", in.data, in.ctl, err)
 		}
-		if !payloadEqual(in, out) {
-			t.Fatalf("round trip %T: got %#v want %#v", in, out, in)
+		// Bit patterns are the wire contract, and nil stays distinct from
+		// empty: re-encoding is the NaN-safe, nil-safe comparison.
+		if !bytes.Equal(appendPayload(nil, data, ctl), enc) || !reflect.DeepEqual(ctl, in.ctl) || len(data) != len(in.data) {
+			t.Fatalf("round trip (%v, %v): got (%v, %v)", in.data, in.ctl, data, ctl)
+		}
+		// Truncated or padded payloads fail typed, never panic.
+		for cut := 0; cut < len(enc); cut++ {
+			if _, _, err := decodePayload(enc[:cut]); err == nil {
+				t.Fatalf("payload (%v, %v) truncated at %d decoded", in.data, in.ctl, cut)
+			}
+		}
+		for pad := 1; pad <= 8; pad++ {
+			if _, _, err := decodePayload(append(enc[:len(enc):len(enc)], make([]byte, pad)...)); err == nil {
+				t.Fatalf("payload (%v, %v) with %d trailing bytes decoded", in.data, in.ctl, pad)
+			}
 		}
 	}
-	// Unknown type must fail loudly.
-	if _, err := encodePayload(nil, struct{}{}); err == nil {
-		t.Fatal("encoding unknown type succeeded")
-	}
-	// Truncated payloads fail typed, never panic.
-	enc, _ := encodePayload(nil, []float32{1, 2, 3})
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodePayload(enc[:cut]); err == nil && cut < len(enc) {
-			t.Fatalf("truncated payload at %d decoded", cut)
-		}
+	if _, _, err := decodePayload([]byte{ptInts + 1, 0, 0, 0, 0}); err == nil {
+		t.Fatal("unknown payload kind decoded")
 	}
 	// A corrupted element count must not drive a huge allocation.
-	enc, _ = encodePayload(nil, []float32{1})
+	enc := appendPayload(nil, []float32{1}, nil)
 	putU32(enc[1:], 1<<31-1)
-	if _, err := decodePayload(enc); err == nil {
+	if _, _, err := decodePayload(enc); err == nil {
 		t.Fatal("oversized element count decoded")
 	}
 }
 
-// payloadEqual compares payloads with NaN-safe float equality (bit
-// patterns, which is the wire contract).
-func payloadEqual(a, b any) bool {
-	switch av := a.(type) {
-	case []float32:
-		bv, ok := b.([]float32)
-		if !ok || len(av) != len(bv) {
-			return false
+// allocatedBy reports the bytes fn allocates (its own goroutine's, plus
+// whatever the idle runtime adds: a few hundred bytes).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFrameAllocationTracksReceivedBytes: the length prefix is four
+// untrusted bytes. A prefix one short of the 1 GiB bound followed by EOF
+// must be a torn tail that cost O(readStep), not O(prefix), and a body
+// that does arrive must cost a small multiple of itself.
+func TestReadFrameAllocationTracksReceivedBytes(t *testing.T) {
+	hostile := []byte{0xff, 0xff, 0xff, 0x3f, frameVersion, byte(kindData)}
+	var err error
+	got := allocatedBy(func() { _, err = readFrame(bytes.NewReader(hostile)) })
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("oversize prefix then EOF: want ErrUnexpectedEOF, got %v", err)
+	}
+	if got > 4*readStep {
+		t.Fatalf("oversize prefix then EOF allocated %d bytes, want O(readStep = %d)", got, readStep)
+	}
+
+	big := encodeFrame(&frame{kind: kindData, seq: 1,
+		wire: appendPayload(newWire(5+4<<20), make([]float32, 1<<20), nil)})
+	var f *frame
+	got = allocatedBy(func() { f, err = readFrame(bytes.NewReader(big)) })
+	if err != nil || len(f.payload) != 5+4<<20 {
+		t.Fatalf("4 MiB frame: %v", err)
+	}
+	if got > 3*uint64(len(big)) {
+		t.Fatalf("4 MiB frame allocated %d bytes reading %d", got, len(big))
+	}
+	for cut := readStep - 8; cut < len(big); cut = cut*2 + 3 {
+		if _, err := readFrame(bytes.NewReader(big[:cut])); err != io.ErrUnexpectedEOF {
+			t.Fatalf("cut %d of a grown frame: want ErrUnexpectedEOF, got %v", cut, err)
 		}
-		for i := range av {
-			if math.Float32bits(av[i]) != math.Float32bits(bv[i]) {
-				return false
+	}
+}
+
+// TestFrameForwardReusesWire: the hub's forward leg re-stamps the buffer
+// readFrame filled — new link sequence number, same payload bytes in the
+// same memory.
+func TestFrameForwardReusesWire(t *testing.T) {
+	in := mustRead(t, encodeFrame(sampleFrame()))
+	fwd := &frame{kind: in.kind, comm: in.comm, src: in.src, dst: in.dst,
+		tag: in.tag, msgID: in.msgID, seq: 99, wire: in.wire}
+	enc := encodeFrame(fwd)
+	if &enc[0] != &in.wire[0] {
+		t.Fatal("forwarding copied the frame")
+	}
+	out := mustRead(t, enc)
+	if out.seq != 99 || out.ack != 0 || out.msgID != in.msgID || !bytes.Equal(out.payload, sampleFrame().payload) {
+		t.Fatalf("forwarded frame = %+v", out)
+	}
+}
+
+// BenchmarkFrameCodec is the frame codec's ledger row: one []float32 data
+// frame through the sender's encode (payload into the wire buffer, header,
+// CRC) and the receiver's decode (read, CRC, payload) — the per-message
+// work of a socket world minus the socket.
+func BenchmarkFrameCodec(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		elems int
+	}{{"36KiB", 96 * 96}, {"8MiB", 2 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			data := make([]float32, bc.elems)
+			for i := range data {
+				data[i] = float32(i) * 0.5
 			}
-		}
-		return true
-	case [][]float32:
-		bv, ok := b.([][]float32)
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if !payloadEqual(av[i], bv[i]) {
-				return false
+			b.SetBytes(int64(4 * bc.elems))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enc := encodeFrame(&frame{kind: kindData, seq: uint64(i + 1),
+					wire: appendPayload(newWire(payloadLen(data, nil)), data, nil)})
+				f, err := readFrame(bytes.NewReader(enc))
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, _, err := decodePayload(f.payload)
+				if err != nil || len(out) != len(data) {
+					b.Fatalf("decode: %v", err)
+				}
 			}
-		}
-		return true
-	case []float64:
-		bv, ok := b.([]float64)
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
-				return false
-			}
-		}
-		return true
-	default:
-		return reflect.DeepEqual(a, b)
+		})
 	}
 }

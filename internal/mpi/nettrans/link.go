@@ -490,7 +490,7 @@ func (l *link) dialOnce() bool {
 	myAck := l.recvSeq
 	l.mu.Unlock()
 	hello := encodeFrame(&frame{kind: kindHello, ack: myAck,
-		payload: mustEncodeInts(l.n.cfg.Proc)})
+		payload: encodeInts(l.n.cfg.Proc)})
 	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.WriteTimeout))
 	if _, err := conn.Write(hello); err != nil {
 		conn.Close()
@@ -514,21 +514,13 @@ func (l *link) dialOnce() bool {
 	return true
 }
 
-// mustEncodeInts encodes an []int control payload (cannot fail).
-func mustEncodeInts(vs ...int) []byte {
-	b, err := encodePayload(nil, vs)
-	if err != nil {
-		panic(err)
-	}
-	return b
+// encodeInts encodes an []int control payload.
+func encodeInts(vs ...int) []byte {
+	return appendPayload(nil, nil, vs)
 }
 
 // decodeInts decodes an []int control payload.
 func decodeInts(b []byte) ([]int, bool) {
-	v, err := decodePayload(b)
-	if err != nil {
-		return nil, false
-	}
-	out, ok := v.([]int)
-	return out, ok
+	_, ctl, err := decodePayload(b)
+	return ctl, err == nil && ctl != nil
 }

@@ -304,7 +304,7 @@ func (n *Node) handshake(conn net.Conn) {
 	reply := func(accept int, ack uint64) bool {
 		conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
 		_, werr := conn.Write(encodeFrame(&frame{kind: kindHelloAck, ack: ack,
-			payload: mustEncodeInts(accept)}))
+			payload: encodeInts(accept)}))
 		return werr == nil
 	}
 	if rejected {
@@ -348,7 +348,7 @@ func (n *Node) route(w *World, f *frame, origin bool) bool {
 // broadcastLost ships a loss report to every other live process (workers
 // tell the hub; the hub fans out, excluding the reporting proc).
 func (n *Node) broadcastLost(w *World, ranks []int, exclude int) {
-	payload := mustEncodeInts(append([]int{w.epoch}, ranks...)...)
+	payload := encodeInts(append([]int{w.epoch}, ranks...)...)
 	n.mu.Lock()
 	var targets []*link
 	if n.isHub() {
@@ -415,19 +415,19 @@ func (n *Node) handleFrame(from int, f *frame) {
 			return
 		}
 		if w.local[dst] {
-			data, err := decodePayload(f.payload)
+			data, ctl, err := decodePayload(f.payload)
 			if err != nil {
 				n.st.decodeErrors.Inc()
 				return
 			}
-			w.box(f.comm, f.src, f.dst).push(mpi.Message{Tag: int(f.tag), ID: f.msgID, Data: data})
+			w.box(f.comm, f.src, f.dst).push(mpi.Message{Tag: int(f.tag), ID: f.msgID, Data: data, Ctl: ctl})
 			return
 		}
 		if n.isHub() {
-			// Forward leg: re-framed onto the destination's link with a
-			// fresh link sequence number, payload untouched.
+			// Forward leg: re-stamped for the destination's link with a
+			// fresh link sequence number, payload untouched and uncopied.
 			fwd := &frame{kind: kindData, comm: f.comm, src: f.src, dst: f.dst,
-				tag: f.tag, msgID: f.msgID, payload: f.payload}
+				tag: f.tag, msgID: f.msgID, wire: f.wire}
 			if !n.route(w, fwd, false) {
 				n.st.staleDrops.Inc()
 			}
@@ -601,7 +601,7 @@ func (n *Node) formAsWorker(es *epochState, hash uint64, timeout time.Duration) 
 	l := n.links[0]
 	l.engage()
 	l.bump(l.redial)
-	join := mustEncodeInts(es.epoch, int(hash>>32), int(uint32(hash)))
+	join := encodeInts(es.epoch, int(hash>>32), int(uint32(hash)))
 	if !l.enqueue(&frame{kind: kindStart, payload: join}, false) {
 		return n.hubLostErr(es)
 	}
@@ -697,7 +697,7 @@ func (n *Node) formAsHub(es *epochState, hash uint64, timeout time.Duration) err
 		n.broadcastVerdict(e, &verdictRec{ok: false, lost: lost, dead: dead})
 		return &mpi.RankLostError{Rank: -1, Peer: -1, Op: "formation", Lost: lost}
 	}
-	start := mustEncodeInts(e)
+	start := encodeInts(e)
 	n.mu.Lock()
 	var targets []*link
 	for p, l := range n.links {
@@ -720,7 +720,7 @@ func (n *Node) broadcastVerdict(epoch int, v *verdictRec) {
 	}
 	ints := append([]int{epoch, okFlag, len(v.lost)}, v.lost...)
 	ints = append(ints, v.dead...)
-	payload := mustEncodeInts(ints...)
+	payload := encodeInts(ints...)
 	n.mu.Lock()
 	var targets []*link
 	for p, l := range n.links {
@@ -752,7 +752,7 @@ func (n *Node) finishEpoch(w *World, localErr error) ([]int, error) {
 		if ok {
 			okFlag = 1
 		}
-		payload := mustEncodeInts(append([]int{e, okFlag}, lost...)...)
+		payload := encodeInts(append([]int{e, okFlag}, lost...)...)
 		n.links[0].enqueue(&frame{kind: kindDone, payload: payload}, false)
 		n.waitCond(verdictTimeout, func() bool {
 			return n.verdicts[e] != nil || n.deadProcs[0] || n.closed

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func rankBuf(rank, n int) []float32 {
 }
 
 // TestFleetAllreduceMatchesChannels runs the same collective workload on
-// the in-process channel world and on a 3-proc TCP fleet and requires
+// the in-process world and on a 3-proc TCP fleet and requires
 // bit-identical per-rank results: the transport must not perturb the
 // reduction's summation order.
 func TestFleetAllreduceMatchesChannels(t *testing.T) {
@@ -60,7 +61,7 @@ func TestFleetAllreduceMatchesChannels(t *testing.T) {
 			if err := c.Send(next, 7, append([]float32(nil), buf[:8]...)); err != nil {
 				return err
 			}
-			got, err := c.RecvFloat32(prev, 7)
+			got, err := c.Recv(prev, 7)
 			if err != nil {
 				return err
 			}
@@ -71,7 +72,7 @@ func TestFleetAllreduceMatchesChannels(t *testing.T) {
 
 	var wantSink sync.Map
 	if err := mpi.Run(size, workload(&wantSink)); err != nil {
-		t.Fatalf("channel world: %v", err)
+		t.Fatalf("in-process world: %v", err)
 	}
 
 	fl := newTestFleet(t, 3, testConfig())
@@ -97,8 +98,104 @@ func TestFleetAllreduceMatchesChannels(t *testing.T) {
 		}
 		for i := range want {
 			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-				t.Fatalf("rank %d elem %d: %x over TCP vs %x over channels",
+				t.Fatalf("rank %d elem %d: %x over TCP vs %x in process",
 					r, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// opRecorder is an mpi.Interceptor that writes down what it is shown.
+type opRecorder struct {
+	mu  sync.Mutex
+	ops map[int][]string // rank -> "send→peer#tag" / "recv←peer#tag" in program order
+}
+
+func (o *opRecorder) note(rank int, op string) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.ops[rank] = append(o.ops[rank], op)
+	return nil
+}
+
+func (o *opRecorder) BeforeSend(rank, dst, tag int) error {
+	return o.note(rank, fmt.Sprintf("send→%d#%d", dst, tag))
+}
+
+func (o *opRecorder) BeforeRecv(rank, src, tag int) error {
+	return o.note(rank, fmt.Sprintf("recv←%d#%d", src, tag))
+}
+
+// TestInterceptorSequenceSameInBothWorlds: one fault schedule must mean
+// the same messages wherever the ranks live. The interceptor counts every
+// point-to-point operation it is shown, so it has to be shown the same
+// per-rank (op, peer, tag) sequence in process and over sockets — Split's
+// formation exchange included in neither.
+func TestInterceptorSequenceSameInBothWorlds(t *testing.T) {
+	const size = 4
+	// The interceptor is shown communicator-local ranks, so the two groups
+	// (and the world ranks 0 and 1) write under the same labels: the world
+	// phase comes first and the groups take turns, which keeps one writer
+	// per label at a time and the sequences deterministic.
+	program := func() func(c *mpi.Comm) error {
+		var groupDone [size / 2]sync.WaitGroup
+		for g := range groupDone {
+			groupDone[g].Add(2)
+		}
+		return func(c *mpi.Comm) error {
+			g := c.Rank() / 2
+			defer groupDone[g].Done()
+			group, err := c.Split(g, c.Rank())
+			if err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			switch c.Rank() {
+			case 3:
+				err = c.Send(0, 11, []float32{1})
+			case 0:
+				_, err = c.Recv(3, 11)
+			}
+			if err != nil {
+				return err
+			}
+			if g > 0 {
+				groupDone[g-1].Wait()
+			}
+			if err := group.ReduceChunked(0, rankBuf(c.Rank(), 24), 8); err != nil {
+				return err
+			}
+			pair, err := group.Split(0, group.Rank())
+			if err != nil {
+				return err
+			}
+			return pair.Allreduce(rankBuf(c.Rank(), 5))
+		}
+	}
+	inproc := &opRecorder{ops: map[int][]string{}}
+	if err := mpi.RunWith(size, mpi.Options{Interceptor: inproc}, program()); err != nil {
+		t.Fatalf("in-process world: %v", err)
+	}
+	socket := &opRecorder{ops: map[int][]string{}}
+	fl := newTestFleet(t, 2, testConfig())
+	assign, _ := AssignRanks(size, 2, []int{0, 1}, 2)
+	for p, err := range fl.Run(size, assign, mpi.Options{Interceptor: socket}, program()) {
+		if err != nil {
+			t.Fatalf("fleet proc %d: %v", p, err)
+		}
+	}
+	for r := 0; r < size; r++ {
+		if len(inproc.ops[r]) == 0 {
+			t.Fatalf("rank %d: the interceptor saw nothing", r)
+		}
+		if !reflect.DeepEqual(inproc.ops[r], socket.ops[r]) {
+			t.Errorf("rank %d:\n in process %v\n over sockets %v", r, inproc.ops[r], socket.ops[r])
+		}
+		for _, op := range inproc.ops[r] {
+			if strings.HasSuffix(op, "#-5") {
+				t.Errorf("rank %d: Split's formation exchange reached the interceptor: %v", r, inproc.ops[r])
 			}
 		}
 	}

@@ -4,248 +4,100 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Payload codec: the exact type set the in-process transport's
-// payloadBytes sizer knows, encoded losslessly (floats by bit pattern, so
-// a reduction over sockets is bit-identical to one over channels). The
-// first byte tags the Go type; everything is little-endian.
+// Payload codec, wire version 2: what an mpi.Message may carry — nothing, a
+// float32 slab segment, or control ints (Split's formation exchange and
+// this package's own control frames). All little-endian:
+//
+//	ptNil      | (nothing)
+//	ptFloat32s | u32 n | n × u32 IEEE-754 bit pattern
+//	ptInts     | u32 n | n × u64 two's complement
+//
+// Floats travel by bit pattern, so a reduction over sockets is
+// bit-identical to one in process. A payload's length must be exactly what
+// its kind and count imply: there is one encoding per value, and a count
+// larger than the bytes behind it is refused before anything is allocated.
 const (
 	ptNil uint8 = iota
-	ptFloat32Slice
-	ptFloat32Slice2D
-	ptFloat64Slice
-	ptBytes
-	ptIntSlice
-	ptInt
-	ptInt32
-	ptInt64
-	ptFloat32
-	ptFloat64
-	ptBool
-	ptString
+	ptFloat32s
+	ptInts
 )
 
-// encodePayload appends data's wire form to buf. Unknown payload types
-// are an error: silently dropping them would desynchronise the ranks.
-func encodePayload(buf []byte, data any) ([]byte, error) {
-	switch v := data.(type) {
-	case nil:
-		return append(buf, ptNil), nil
-	case []float32:
-		buf = append(buf, ptFloat32Slice)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		for _, x := range v {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-		}
-		return buf, nil
-	case [][]float32:
-		buf = append(buf, ptFloat32Slice2D)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		for _, row := range v {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(row)))
-			for _, x := range row {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-			}
-		}
-		return buf, nil
-	case []float64:
-		buf = append(buf, ptFloat64Slice)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		for _, x := range v {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		}
-		return buf, nil
-	case []byte:
-		buf = append(buf, ptBytes)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		return append(buf, v...), nil
-	case []int:
-		buf = append(buf, ptIntSlice)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		for _, x := range v {
+// payloadLen is the encoded size of a message payload.
+func payloadLen(data []float32, ctl []int) int {
+	switch {
+	case ctl != nil:
+		return 5 + 8*len(ctl)
+	case data != nil:
+		return 5 + 4*len(data)
+	}
+	return 1
+}
+
+// appendPayload encodes a message payload (ctl, else data, else nothing)
+// straight onto buf, which should have payloadLen bytes of room.
+func appendPayload(buf []byte, data []float32, ctl []int) []byte {
+	switch {
+	case ctl != nil:
+		buf = append(buf, ptInts)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ctl)))
+		for _, x := range ctl {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 		}
-		return buf, nil
-	case int:
-		return binary.LittleEndian.AppendUint64(append(buf, ptInt), uint64(v)), nil
-	case int32:
-		return binary.LittleEndian.AppendUint32(append(buf, ptInt32), uint32(v)), nil
-	case int64:
-		return binary.LittleEndian.AppendUint64(append(buf, ptInt64), uint64(v)), nil
-	case float32:
-		return binary.LittleEndian.AppendUint32(append(buf, ptFloat32), math.Float32bits(v)), nil
-	case float64:
-		return binary.LittleEndian.AppendUint64(append(buf, ptFloat64), math.Float64bits(v)), nil
-	case bool:
-		b := byte(0)
-		if v {
-			b = 1
+	case data != nil:
+		buf = append(buf, ptFloat32s)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
+		off := len(buf)
+		buf = slices.Grow(buf, 4*len(data))[:off+4*len(data)]
+		body := buf[off:]
+		for i, x := range data {
+			binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(x))
 		}
-		return append(buf, ptBool, b), nil
-	case string:
-		buf = append(buf, ptString)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		return append(buf, v...), nil
 	default:
-		return nil, fmt.Errorf("nettrans: cannot encode payload type %T", data)
+		buf = append(buf, ptNil)
 	}
+	return buf
 }
 
-// payloadReader walks an encoded payload with bounds checking.
-type payloadReader struct {
-	b   []byte
-	off int
-}
-
-func (r *payloadReader) u8() (uint8, error) {
-	if r.off+1 > len(r.b) {
-		return 0, fmt.Errorf("nettrans: payload truncated at byte %d", r.off)
+// decodePayload is appendPayload's inverse: an empty slice stays empty and
+// non-nil, so encode(decode(b)) == b for every b it accepts.
+func decodePayload(b []byte) (data []float32, ctl []int, err error) {
+	if len(b) == 0 {
+		return nil, nil, fmt.Errorf("nettrans: empty payload")
 	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *payloadReader) u32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("nettrans: payload truncated at byte %d", r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *payloadReader) u64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, fmt.Errorf("nettrans: payload truncated at byte %d", r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-// sliceLen validates a declared element count against the bytes left, so
-// a corrupted count cannot drive an oversized allocation.
-func (r *payloadReader) sliceLen(elemBytes int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if remaining := len(r.b) - r.off; int(n) > remaining/max(elemBytes, 1) {
-		return 0, fmt.Errorf("nettrans: payload declares %d elements with %d bytes left", n, remaining)
-	}
-	return int(n), nil
-}
-
-// decodePayload reconstructs the Go value an encodePayload produced.
-func decodePayload(b []byte) (any, error) {
-	r := &payloadReader{b: b}
-	tag, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	kind, width := b[0], 0
+	switch kind {
 	case ptNil:
-		return nil, nil
-	case ptFloat32Slice:
-		n, err := r.sliceLen(4)
-		if err != nil {
-			return nil, err
+		if len(b) != 1 {
+			return nil, nil, fmt.Errorf("nettrans: nil payload with %d trailing bytes", len(b)-1)
 		}
-		out := make([]float32, n)
-		for i := range out {
-			u, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = math.Float32frombits(u)
-		}
-		return out, nil
-	case ptFloat32Slice2D:
-		n, err := r.sliceLen(4)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]float32, n)
-		for i := range out {
-			m, err := r.sliceLen(4)
-			if err != nil {
-				return nil, err
-			}
-			row := make([]float32, m)
-			for j := range row {
-				u, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				row[j] = math.Float32frombits(u)
-			}
-			out[i] = row
-		}
-		return out, nil
-	case ptFloat64Slice:
-		n, err := r.sliceLen(8)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
-		for i := range out {
-			u, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = math.Float64frombits(u)
-		}
-		return out, nil
-	case ptBytes:
-		n, err := r.sliceLen(1)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, n)
-		copy(out, r.b[r.off:r.off+n])
-		return out, nil
-	case ptIntSlice:
-		n, err := r.sliceLen(8)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int, n)
-		for i := range out {
-			u, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = int(u)
-		}
-		return out, nil
-	case ptInt:
-		u, err := r.u64()
-		return int(u), err
-	case ptInt32:
-		u, err := r.u32()
-		return int32(u), err
-	case ptInt64:
-		u, err := r.u64()
-		return int64(u), err
-	case ptFloat32:
-		u, err := r.u32()
-		return math.Float32frombits(u), err
-	case ptFloat64:
-		u, err := r.u64()
-		return math.Float64frombits(u), err
-	case ptBool:
-		v, err := r.u8()
-		return v != 0, err
-	case ptString:
-		n, err := r.sliceLen(1)
-		if err != nil {
-			return nil, err
-		}
-		s := string(r.b[r.off : r.off+n])
-		return s, nil
+		return nil, nil, nil
+	case ptFloat32s:
+		width = 4
+	case ptInts:
+		width = 8
 	default:
-		return nil, fmt.Errorf("nettrans: unknown payload tag %d", tag)
+		return nil, nil, fmt.Errorf("nettrans: unknown payload kind %d", kind)
 	}
+	if len(b) < 5 {
+		return nil, nil, fmt.Errorf("nettrans: payload truncated at byte %d", len(b))
+	}
+	n, body := int(binary.LittleEndian.Uint32(b[1:])), b[5:]
+	if len(body)%width != 0 || len(body)/width != n {
+		return nil, nil, fmt.Errorf("nettrans: payload declares %d elements of %d bytes with %d bytes left", n, width, len(body))
+	}
+	if kind == ptInts {
+		ctl = make([]int, n)
+		for i := range ctl {
+			ctl[i] = int(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+		return nil, ctl, nil
+	}
+	data = make([]float32, n)
+	for i := range data {
+		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
+	}
+	return data, nil, nil
 }

@@ -82,9 +82,9 @@ type boxKey struct {
 
 // World is one epoch's view of the multi-process world: it implements
 // mpi.WorldTransport over the node's links. Local messages short-circuit
-// through in-memory inboxes (same reference-passing ownership semantics
-// as the channel matrix); remote ones ride data frames, via the hub when
-// neither endpoint is local to it.
+// through in-memory inboxes (passed by reference, as in the in-process
+// world); remote ones ride data frames, via the hub when neither endpoint
+// is local to it.
 type World struct {
 	n        *Node
 	epoch    int
@@ -147,20 +147,22 @@ func (w *World) box(comm, src, dst int32) *inbox {
 // Send implements mpi.Transport.
 func (w *World) Send(comm int32, src, dst int, m mpi.Message, deadline time.Duration, cancel <-chan struct{}) error {
 	if w.local[dst] {
-		// Same-process fast path: the decoded value moves by reference,
-		// preserving the channel world's ownership-transfer semantics.
+		// Same-process fast path: the slice moves by reference, as in the
+		// in-process world.
 		w.box(comm, int32(src), int32(dst)).push(m)
 		return nil
 	}
 	if lost := w.deadPeers(dst); lost != nil {
 		return &mpi.PeerLostError{Lost: lost}
 	}
-	payload, err := encodePayload(nil, m.Data)
-	if err != nil {
-		return err
+	n := payloadLen(m.Data, m.Ctl)
+	if headerBytes+n > maxFrameBytes {
+		return fmt.Errorf("%w: message body of %d bytes", errTooLarge, headerBytes+n)
 	}
+	// The one copy a remote send costs: the payload is encoded straight
+	// into the frame's wire buffer, before Send returns.
 	f := &frame{kind: kindData, comm: comm, src: int32(src), dst: int32(dst),
-		tag: int32(m.Tag), msgID: m.ID, payload: payload}
+		tag: int32(m.Tag), msgID: m.ID, wire: appendPayload(newWire(n), m.Data, m.Ctl)}
 	if !w.n.route(w, f, true) {
 		return &mpi.PeerLostError{Lost: w.procRanks(w.rankProc[dst])}
 	}

@@ -9,183 +9,81 @@ import (
 // MPI_Comm_split used in Section 4.4.1 to form the paper's rank groups
 // (color = rank/Nr there). Ranks passing the same color form a new
 // communicator whose rank order follows (key, parent rank). Every rank of
-// the parent must call Split collectively; calls are matched by sequence
-// number, so repeated splits are safe.
+// the parent must call Split collectively, having received whatever its
+// peers sent it before; calls are matched by sequence number, so repeated
+// splits are safe.
+//
+// Ranks may live in different OS processes, so they meet by message: rank 0
+// of the parent gathers every rank's (seq, color, key), computes the
+// partition, and replies to each member with (child id, new rank, the
+// child's world ranks). The child shares the parent's transport, teardown
+// and message-id space, so its traffic carries world coordinates. The
+// exchange is world formation, not data path: it bypasses the interceptor,
+// Stats and the flow records. A rank that dies before entering the
+// collective would leave the others waiting forever; the world teardown
+// (or the deadline) wakes them with a typed loss instead.
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	g := c.group
-	if g.tr != nil {
-		return c.splitWire(color, key)
-	}
+	seq := c.splitSeq
+	c.splitSeq++
 
-	g.splitMu.Lock()
-	seq := g.splitSeq[c.rank]
-	g.splitSeq[c.rank]++
-	gather, ok := g.splitPending[seq]
-	if !ok {
-		gather = &splitGather{
-			entries: map[int][2]int{},
-			done:    make(chan struct{}),
-			result:  map[int]*Comm{},
-		}
-		g.splitPending[seq] = gather
-	}
-	if _, dup := gather.entries[c.rank]; dup {
-		g.splitMu.Unlock()
-		return nil, fmt.Errorf("mpi: rank %d called Split twice in one collective", c.rank)
-	}
-	gather.entries[c.rank] = [2]int{color, key}
-	if len(gather.entries) == g.size {
-		buildSplit(g, gather)
-		delete(g.splitPending, seq)
-		close(gather.done)
-	}
-	g.splitMu.Unlock()
-
-	// A rank that dies before entering the collective would leave everyone
-	// else waiting forever; the world teardown wakes them with a typed
-	// loss instead.
-	select {
-	case <-gather.done:
-	case <-g.td.ch:
-		select {
-		case <-gather.done:
-		default:
-			return nil, &RankLostError{Rank: c.rank, Peer: -1, Op: "split", Lost: g.td.lostRanks()}
-		}
-	}
-	sub := gather.result[c.rank]
-	// The sub-communicator endpoint inherits this endpoint's settings.
-	sub.deadline = c.deadline
-	sub.icept = c.icept
-	sub.tm = c.tm
-	return sub, nil
-}
-
-// buildSplit materialises the sub-communicators once all ranks have
-// deposited their (color, key). Sub-groups share the parent's teardown
-// signal so a world-level abort wakes operations on every descendant
-// communicator.
-func buildSplit(parent *group, gather *splitGather) {
-	byColor := map[int][]int{} // color -> parent ranks
-	for rank, ck := range gather.entries {
-		byColor[ck[0]] = append(byColor[ck[0]], rank)
-	}
-	for color, ranks := range byColor {
-		sort.Slice(ranks, func(i, j int) bool {
-			ki := gather.entries[ranks[i]][1]
-			kj := gather.entries[ranks[j]][1]
-			if ki != kj {
-				return ki < kj
-			}
-			return ranks[i] < ranks[j]
-		})
-		sub := newGroup(len(ranks))
-		sub.td = parent.td
-		// Flow records must carry world coordinates and draw from the
-		// world's id space, whatever the communicator depth.
-		sub.msgID = parent.msgID
-		for newRank, parentRank := range ranks {
-			sub.regRanks[newRank] = parent.regRanks[parentRank]
-			gather.result[parentRank] = sub.comm(newRank)
-		}
-		_ = color
-	}
-}
-
-// splitWire is the Split collective for transport-backed worlds, where
-// ranks may live in different OS processes and cannot meet in a shared
-// map. Rank 0 of the parent communicator gathers every rank's (color,
-// key), computes the identical partition buildSplit would, and replies
-// with each member's new coordinates; the resulting sub-communicator
-// shares the parent's transport, teardown and message-id space, so its
-// traffic carries world coordinates exactly like an in-process split.
-func (c *Comm) splitWire(color, key int) (*Comm, error) {
-	g := c.group
-	g.splitMu.Lock()
-	seq := g.splitSeq[c.rank]
-	g.splitSeq[c.rank]++
-	g.splitMu.Unlock()
-
-	var id int32
-	var newRank int
-	var worldRanks []int
+	var reply []int // child id, new rank, world ranks of the child
 	if c.rank != 0 {
-		if err := c.Send(0, tagSplit, []int{seq, color, key}); err != nil {
+		if err := c.send(0, Message{Tag: tagSplit, Ctl: []int{seq, color, key}}); err != nil {
 			return nil, err
 		}
-		data, err := c.Recv(0, tagSplit)
+		m, err := c.recv(0, tagSplit)
 		if err != nil {
 			return nil, err
 		}
-		v, ok := data.([]int)
-		if !ok || len(v) < 3 {
-			return nil, fmt.Errorf("mpi: rank %d: malformed split reply %T", c.rank, data)
+		if reply = m.Ctl; len(reply) < 3 {
+			return nil, fmt.Errorf("mpi: rank %d: malformed split reply %v", c.rank, reply)
 		}
-		id, newRank, worldRanks = int32(v[0]), v[1], v[2:]
 	} else {
-		entries := map[int][2]int{0: {color, key}}
+		entries := make([][2]int, c.size) // parent rank -> (color, key)
+		entries[0] = [2]int{color, key}
+		byColor := map[int][]int{color: {0}} // color -> parent ranks
 		for src := 1; src < c.size; src++ {
-			data, err := c.Recv(src, tagSplit)
+			m, err := c.recv(src, tagSplit)
 			if err != nil {
 				return nil, err
 			}
-			v, ok := data.([]int)
-			if !ok || len(v) != 3 {
-				return nil, fmt.Errorf("mpi: split gather from rank %d malformed: %T", src, data)
+			v := m.Ctl
+			if len(v) != 3 {
+				return nil, fmt.Errorf("mpi: split gather from rank %d malformed: %v", src, v)
 			}
 			if v[0] != seq {
 				return nil, fmt.Errorf("mpi: split sequence mismatch: rank 0 at %d, rank %d at %d", seq, src, v[0])
 			}
 			entries[src] = [2]int{v[1], v[2]}
+			byColor[v[1]] = append(byColor[v[1]], src)
 		}
-		byColor := map[int][]int{}
-		for rank, ck := range entries {
-			byColor[ck[0]] = append(byColor[ck[0]], rank)
-		}
-		for col, ranks := range byColor {
-			sort.Slice(ranks, func(i, j int) bool {
-				ki, kj := entries[ranks[i]][1], entries[ranks[j]][1]
-				if ki != kj {
-					return ki < kj
-				}
-				return ranks[i] < ranks[j]
+		// Disjoint colors of one split may share an id harmlessly (their
+		// endpoint pairs never collide); overlapping membership only arises
+		// along one rank's split lineage, where the (parent id, seq) mix
+		// separates the generations.
+		id := int(deriveCommID(g.commID, seq))
+		for _, ranks := range byColor {
+			sort.SliceStable(ranks, func(i, j int) bool {
+				return entries[ranks[i]][1] < entries[ranks[j]][1]
 			})
-			// Disjoint colors of the same split may share an id harmlessly
-			// (their endpoint pairs never collide); overlapping membership
-			// only arises along one rank's split lineage, where the
-			// (parent id, seq) mix below separates the generations.
-			subID := deriveCommID(g.commID, seq)
 			world := make([]int, len(ranks))
 			for nr, pr := range ranks {
 				world[nr] = g.regRanks[pr]
 			}
 			for nr, pr := range ranks {
+				msg := append([]int{id, nr}, world...)
 				if pr == 0 {
-					id, newRank, worldRanks = subID, nr, world
-					continue
-				}
-				reply := append([]int{int(subID), nr}, world...)
-				if err := c.Send(pr, tagSplit, reply); err != nil {
+					reply = msg
+				} else if err := c.send(pr, Message{Tag: tagSplit, Ctl: msg}); err != nil {
 					return nil, err
 				}
 			}
-			_ = col
-		}
-		if worldRanks == nil {
-			// Rank 0 always belongs to some color group of its own call.
-			return nil, fmt.Errorf("mpi: split partition lost rank 0")
 		}
 	}
 
-	sg := &group{size: len(worldRanks), td: g.td, tr: g.tr, commID: id,
-		msgID: g.msgID, splitPending: map[int]*splitGather{},
-		splitSeq: make([]int, len(worldRanks)),
-		regRanks: append([]int(nil), worldRanks...)}
-	sg.stats = make([]*Stats, sg.size)
-	for r := range sg.stats {
-		sg.stats[r] = &Stats{}
-	}
-	sub := sg.comm(newRank)
+	sub := newGroup(g.tr, g.td, g.msgID, int32(reply[0]), reply[2:]).comm(reply[1])
+	// The sub-communicator endpoint inherits this endpoint's settings.
 	sub.deadline = c.deadline
 	sub.icept = c.icept
 	sub.tm = c.tm

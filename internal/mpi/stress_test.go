@@ -177,7 +177,7 @@ func TestAllPairsTraffic(t *testing.T) {
 				continue
 			}
 			for msg := 0; msg < 2; msg++ {
-				data, err := c.RecvFloat32(src, 100+msg)
+				data, err := c.Recv(src, 100+msg)
 				if err != nil {
 					return err
 				}

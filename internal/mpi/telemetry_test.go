@@ -58,29 +58,6 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 	}
 }
 
-// A custom payload type must mark the telemetry counter exactly like
-// Stats.UnknownPayloads, so the metrics artifact carries the same "byte
-// counts undercount" warning as the in-process stats.
-func TestTelemetryUnknownPayload(t *testing.T) {
-	type opaque struct{ x int }
-	run := telemetry.NewRun(2)
-	err := RunWith(2, Options{Telemetry: run}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 1, opaque{7})
-		}
-		_, err := c.Recv(0, 1)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		if got := run.Rank(r).Counter("mpi.unknown_payloads").Value(); got != 1 {
-			t.Errorf("rank %d: mpi.unknown_payloads = %d, want 1", r, got)
-		}
-	}
-}
-
 // A world launched without telemetry must keep handing out nil-telemetry
 // comms: the fast path stays one pointer check and records nothing.
 func TestTelemetryDisabled(t *testing.T) {

@@ -5,24 +5,26 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Message is one point-to-point transfer as seen by a Transport: the tag,
-// the world-global message id (0 when telemetry is off) and the payload.
-// It mirrors the private message struct so external transports (package
-// nettrans) can move the same data without reaching into this package.
+// Message is one point-to-point transfer: the tag, the world-global message
+// id (0 when telemetry is off; the receiver copies it into its flow record,
+// which pairs the two sides of a transfer into one causal edge without
+// extra traffic) and the payload. A message carries a float32 slab segment
+// in Data, or a few control ints in Ctl (Split's formation exchange is the
+// only user), or nothing (a Barrier step) — never both.
 type Message struct {
 	Tag  int
 	ID   int64
-	Data any
+	Data []float32
+	Ctl  []int
 }
 
-// Transport moves point-to-point messages between world ranks. The default
-// world launched by RunWith uses the in-process channel matrix directly and
-// never touches this interface; RunTransport worlds route every Send/Recv
-// through one, which is what lets ranks live in different OS processes.
+// Transport moves point-to-point messages between world ranks. Every
+// Send/Recv of every world goes through one: RunWith supplies the
+// in-process implementation below, package nettrans the socket one that
+// lets ranks live in different OS processes.
 //
 // comm identifies the communicator the message belongs to (0 is the world;
 // Split descendants derive deterministic ids), and src/dst are world ranks.
@@ -31,6 +33,10 @@ type Message struct {
 // ErrTransportCanceled respectively — the comm layer wraps those into
 // RankLostError with the operation's coordinates. A transport that has
 // declared peers dead returns a *PeerLostError naming them.
+//
+// Ownership: a sent slice belongs to the receiver. A transport may hand the
+// very slice to a local receiver or copy it onto a wire before Send
+// returns; it never reads it after Send returns.
 type Transport interface {
 	Send(comm int32, src, dst int, m Message, deadline time.Duration, cancel <-chan struct{}) error
 	Recv(comm int32, src, dst int, deadline time.Duration, cancel <-chan struct{}) (Message, error)
@@ -134,13 +140,13 @@ type TransportWorld struct {
 	MsgIDBase int64
 }
 
-// RunTransport launches fn on this process's ranks of a transport-backed
-// world and waits for them, the multi-process analogue of RunWith. The
-// world teardown contract is preserved across process boundaries: a local
-// rank failing marks itself as culprit and announces it through the
-// transport; the transport declaring remote ranks dead trips the local
-// teardown so blocked operations wake with the same typed RankLostError
-// attribution RunWith produces. After the local ranks return, the
+// RunTransport launches fn on this process's ranks of a world and waits for
+// them; it is the one rank launcher (RunWith is its all-ranks-local case).
+// The world teardown contract holds across process boundaries: a local rank
+// failing marks itself as culprit and announces it through the transport;
+// the transport declaring remote ranks dead trips the local teardown so
+// blocked operations wake with the same typed RankLostError attribution a
+// local death produces. After the local ranks return, the
 // transport's verdict exchange folds the world-agreed lost set into the
 // returned error, so LostRanks(err) computes the same set in every
 // process and supervisors shrink identically.
@@ -159,8 +165,7 @@ func RunTransport(w TransportWorld, opt Options, fn func(c *Comm) error) error {
 			return fmt.Errorf("mpi: local rank %d outside world of %d", r, w.Size)
 		}
 	}
-	g := newTransportGroup(w.Size, w.Transport)
-	g.msgID = opt.Telemetry.MsgIDCounter()
+	g := newGroup(w.Transport, newTeardown(), opt.Telemetry.MsgIDCounter(), 0, identity(w.Size))
 	if w.MsgIDBase > 0 {
 		// Lift, never lower: a shared counter already past the base (a
 		// previous attempt of the same run) keeps its monotonicity.
@@ -208,10 +213,13 @@ func RunTransport(w TransportWorld, opt Options, fn func(c *Comm) error) error {
 					errs[i] = fmt.Errorf("mpi: rank %d panicked: %v", r, p)
 				}
 				if errs[i] != nil {
+					// A rank failing for its own reasons is a culprit; one
+					// failing with ErrRankLost is an observer of somebody
+					// else's death and must not be blamed. Mark (and announce,
+					// so remote teardowns carry the name too) before tripping,
+					// so peers woken by the signal see the name.
 					if !errors.Is(errs[i], ErrRankLost) {
 						g.td.markLost(r)
-						// Announce the culprit before tripping locally so
-						// remote teardowns carry the name too.
 						w.Transport.LocalLost([]int{r})
 					}
 					g.td.trip()
@@ -256,26 +264,12 @@ func RunTransport(w TransportWorld, opt Options, fn func(c *Comm) error) error {
 	return localErr
 }
 
-// newTransportGroup builds the world communicator state for a
-// transport-backed world: no channel matrix, every message rides g.tr.
-func newTransportGroup(size int, tr Transport) *group {
-	g := &group{size: size, td: newTeardown(), splitPending: map[int]*splitGather{},
-		splitSeq: make([]int, size), msgID: new(atomic.Int64), tr: tr}
-	g.regRanks = make([]int, size)
-	g.stats = make([]*Stats, size)
-	for r := 0; r < size; r++ {
-		g.regRanks[r] = r
-		g.stats[r] = &Stats{}
-	}
-	return g
-}
-
-// LocalTransport is an in-process WorldTransport: per-(comm,src,dst)
-// buffered inboxes with the same capacity and blocking semantics as the
-// default channel matrix. It exists so the transport code path — including
-// the wire-based Split — can be exercised (and raced) without sockets, and
-// serves as the reference implementation of the Transport contract.
-type LocalTransport struct {
+// localTransport is the in-process WorldTransport, the world RunWith
+// launches: one buffered channel per (comm, src, dst), created on first
+// use. A message moves by reference — the receiver gets the sender's slice —
+// and a full channel blocks the sender (chanBuffer messages of
+// back-pressure, like MPI_Send's rendezvous mode).
+type localTransport struct {
 	mu    sync.Mutex
 	boxes map[localBoxKey]chan Message
 }
@@ -285,12 +279,18 @@ type localBoxKey struct {
 	src, dst int
 }
 
-// NewLocalTransport builds an empty in-process transport.
-func NewLocalTransport() *LocalTransport {
-	return &LocalTransport{boxes: map[localBoxKey]chan Message{}}
+// chanBuffer is how many messages a sender may run ahead of its receiver:
+// enough for a ReduceChunked leaf to post the next segments while its tree
+// parent still accumulates the current one (the pipelining that hides tree
+// latency), few enough that a receiver that stopped draining is noticed
+// within a handful of sends.
+const chanBuffer = 8
+
+func newLocalTransport() *localTransport {
+	return &localTransport{boxes: map[localBoxKey]chan Message{}}
 }
 
-func (t *LocalTransport) box(comm int32, src, dst int) chan Message {
+func (t *localTransport) box(comm int32, src, dst int) chan Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	k := localBoxKey{comm, src, dst}
@@ -302,11 +302,13 @@ func (t *LocalTransport) box(comm int32, src, dst int) chan Message {
 	return ch
 }
 
-// Send implements Transport.
-func (t *LocalTransport) Send(comm int32, src, dst int, m Message, deadline time.Duration, cancel <-chan struct{}) error {
+// Send implements Transport. When the deadline or the teardown fires on a
+// full buffer, one last non-blocking attempt keeps the common "receiver
+// drained just before dying" case lossless.
+func (t *localTransport) Send(comm int32, src, dst int, m Message, deadline time.Duration, cancel <-chan struct{}) error {
 	ch := t.box(comm, src, dst)
 	select {
-	case ch <- m:
+	case ch <- m: // fast path: buffer has room
 		return nil
 	default:
 	}
@@ -316,31 +318,28 @@ func (t *LocalTransport) Send(comm int32, src, dst int, m Message, deadline time
 		defer tm.Stop()
 		timeout = tm.C
 	}
+	err := ErrTransportCanceled
 	select {
 	case ch <- m:
 		return nil
 	case <-cancel:
-		select {
-		case ch <- m:
-			return nil
-		default:
-			return ErrTransportCanceled
-		}
 	case <-timeout:
-		select {
-		case ch <- m:
-			return nil
-		default:
-			return ErrTransportTimeout
-		}
+		err = ErrTransportTimeout
+	}
+	select {
+	case ch <- m:
+		return nil
+	default:
+		return err
 	}
 }
 
-// Recv implements Transport.
-func (t *LocalTransport) Recv(comm int32, src, dst int, deadline time.Duration, cancel <-chan struct{}) (Message, error) {
+// Recv implements Transport, with the same final attempt as Send so a
+// message that raced in is delivered rather than dropped.
+func (t *localTransport) Recv(comm int32, src, dst int, deadline time.Duration, cancel <-chan struct{}) (Message, error) {
 	ch := t.box(comm, src, dst)
 	select {
-	case m := <-ch:
+	case m := <-ch: // fast path: message already buffered
 		return m, nil
 	default:
 	}
@@ -350,33 +349,29 @@ func (t *LocalTransport) Recv(comm int32, src, dst int, deadline time.Duration, 
 		defer tm.Stop()
 		timeout = tm.C
 	}
+	err := ErrTransportCanceled
 	select {
 	case m := <-ch:
 		return m, nil
 	case <-cancel:
-		select {
-		case m := <-ch:
-			return m, nil
-		default:
-			return Message{}, ErrTransportCanceled
-		}
 	case <-timeout:
-		select {
-		case m := <-ch:
-			return m, nil
-		default:
-			return Message{}, ErrTransportTimeout
-		}
+		err = ErrTransportTimeout
+	}
+	select {
+	case m := <-ch:
+		return m, nil
+	default:
+		return Message{}, err
 	}
 }
 
 // PeerLost implements WorldTransport: an in-process world never loses
 // peers behind the comm layer's back.
-func (t *LocalTransport) PeerLost() <-chan []int { return nil }
+func (t *localTransport) PeerLost() <-chan []int { return nil }
 
 // LocalLost implements WorldTransport (no remote processes to notify).
-func (t *LocalTransport) LocalLost(ranks []int) {}
+func (t *localTransport) LocalLost(ranks []int) {}
 
 // Finish implements WorldTransport: with every rank local, the local
 // verdict is the world verdict.
-func (t *LocalTransport) Finish(localErr error) ([]int, error) { return nil, nil }
+func (t *localTransport) Finish(localErr error) ([]int, error) { return nil, nil }

@@ -3,70 +3,20 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
 
-// runLocalWorld launches an n-rank world over the LocalTransport with
-// every rank hosted in this process.
-func runLocalWorld(n int, opt Options, fn func(c *Comm) error) error {
-	local := make([]int, n)
-	for i := range local {
-		local[i] = i
-	}
-	return RunTransport(TransportWorld{Size: n, Local: local, Transport: NewLocalTransport()}, opt, fn)
-}
-
-// TestTransportCollectivesMatchChannels runs the same collective program
-// over the channel matrix and over the LocalTransport and requires
-// bit-identical float32 results — the zero-regression contract of the
-// Transport extraction.
-func TestTransportCollectivesMatchChannels(t *testing.T) {
-	const n, elems = 4, 257
-	program := func(c *Comm, out []float32) error {
-		buf := make([]float32, elems)
-		for i := range buf {
-			// Values with non-trivial low-order bits so summation order
-			// shows up in the result.
-			buf[i] = float32(math.Sin(float64(i*7+c.Rank()*13))) * 1e-3
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if err := c.Allreduce(buf); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			copy(out, buf)
-		}
-		return nil
-	}
-	want := make([]float32, elems)
-	if err := Run(n, func(c *Comm) error { return program(c, want) }); err != nil {
-		t.Fatalf("channel world: %v", err)
-	}
-	got := make([]float32, elems)
-	if err := runLocalWorld(n, Options{}, func(c *Comm) error { return program(c, got) }); err != nil {
-		t.Fatalf("transport world: %v", err)
-	}
-	for i := range want {
-		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-			t.Fatalf("elem %d: channel %x transport %x", i, math.Float32bits(want[i]), math.Float32bits(got[i]))
-		}
-	}
-}
-
-// TestTransportSplitWire exercises the wire-based Split: group formation,
-// rank order by (key, parent rank), nested splits, and that group traffic
-// stays isolated per communicator.
+// TestTransportSplitWire exercises Split's message exchange: group
+// formation, rank order by (key, parent rank), repeated splits, and that
+// group traffic stays isolated per communicator.
 func TestTransportSplitWire(t *testing.T) {
 	const n = 4
 	var mu sync.Mutex
 	sums := map[int]float32{}
-	err := runLocalWorld(n, Options{}, func(c *Comm) error {
+	err := RunWith(n, Options{}, func(c *Comm) error {
 		color := c.Rank() / 2
 		// Reverse key order inside each group: parent ranks (0,1) map to
 		// group ranks (1,0).
@@ -109,13 +59,13 @@ func TestTransportSplitWire(t *testing.T) {
 	}
 }
 
-// TestTransportTeardownAttributes checks the RunWith teardown contract
-// holds across the transport path: a failing rank is the culprit, blocked
+// TestTransportTeardownAttributes checks the teardown contract on the
+// transport's cancel path: a failing rank is the culprit, blocked
 // peers wake with a RankLostError naming it, and LostRanks on the joined
 // error yields exactly that rank.
 func TestTransportTeardownAttributes(t *testing.T) {
 	boom := errors.New("boom")
-	err := runLocalWorld(3, Options{}, func(c *Comm) error {
+	err := RunWith(3, Options{}, func(c *Comm) error {
 		if c.Rank() == 2 {
 			return boom
 		}
@@ -137,9 +87,9 @@ func TestTransportTeardownAttributes(t *testing.T) {
 	}
 }
 
-// stubWorldTransport wraps LocalTransport to script the lifecycle hooks.
+// stubWorldTransport wraps the in-process transport to script the lifecycle hooks.
 type stubWorldTransport struct {
-	*LocalTransport
+	*localTransport
 	lostCh     chan []int
 	verdict    []int
 	verdictErr error
@@ -166,7 +116,7 @@ func (s *stubWorldTransport) Finish(localErr error) ([]int, error) {
 // rank dead must wake blocked operations with that attribution, exactly
 // like a local failure would.
 func TestTransportPeerLossTripsTeardown(t *testing.T) {
-	tr := &stubWorldTransport{LocalTransport: NewLocalTransport(), lostCh: make(chan []int, 1)}
+	tr := &stubWorldTransport{localTransport: newLocalTransport(), lostCh: make(chan []int, 1)}
 	// World of 3 with only ranks 0 and 1 local; rank 2 "lives elsewhere"
 	// and dies without ever speaking.
 	done := make(chan error, 1)
@@ -196,7 +146,7 @@ func TestTransportPeerLossTripsTeardown(t *testing.T) {
 // every local rank finished clean — that is what keeps supervisors in
 // different processes shrinking identically.
 func TestTransportWorldVerdictFoldsLost(t *testing.T) {
-	tr := &stubWorldTransport{LocalTransport: NewLocalTransport(), verdict: []int{5, 5, 3}}
+	tr := &stubWorldTransport{localTransport: newLocalTransport(), verdict: []int{5, 5, 3}}
 	err := RunTransport(TransportWorld{Size: 8, Local: []int{0}, Transport: tr}, Options{},
 		func(c *Comm) error { return nil })
 	if err == nil {
@@ -210,7 +160,7 @@ func TestTransportWorldVerdictFoldsLost(t *testing.T) {
 // TestTransportLocalCulpritAnnounced: a local failure must be announced
 // through the transport (for remote teardown) before the world returns.
 func TestTransportLocalCulpritAnnounced(t *testing.T) {
-	tr := &stubWorldTransport{LocalTransport: NewLocalTransport()}
+	tr := &stubWorldTransport{localTransport: newLocalTransport()}
 	boom := errors.New("boom")
 	err := RunTransport(TransportWorld{Size: 4, Local: []int{0, 1}, Transport: tr}, Options{},
 		func(c *Comm) error {
@@ -256,7 +206,7 @@ func TestLostRanksDedupAcrossPaths(t *testing.T) {
 // surface the endpoint deadline as a RankLostError with Wait set and no
 // loss attribution (the peer may be slow, not dead).
 func TestTransportDeadline(t *testing.T) {
-	err := runLocalWorld(2, Options{Deadline: 20 * time.Millisecond}, func(c *Comm) error {
+	err := RunWith(2, Options{Deadline: 20 * time.Millisecond}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			_, err := c.Recv(0, 1)
 			return err

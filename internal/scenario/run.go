@@ -60,7 +60,7 @@ type RunMetrics struct {
 	CritCommFraction float64 `json:"critical_path_comm_fraction"`
 	CritWaitFraction float64 `json:"critical_path_wait_fraction"`
 	// Reconnects/Retransmits/CrcErrors are the socket transport's recovery
-	// counters (zero on a channel world): connection re-establishments
+	// counters (zero on an in-process world): connection re-establishments
 	// (both link ends count each sever), frames re-sent through replay,
 	// and frames rejected by the CRC check.
 	Reconnects  int64  `json:"reconnects,omitempty"`

@@ -65,7 +65,7 @@ type WorldConfig struct {
 	Ranks   int    `json:"ranks"`
 	Batches int    `json:"batches"`
 	// Transport selects how ranks talk: "chan" (default) keeps the
-	// in-process channel world; "tcp" or "unix" replays every arm over an
+	// in-process world; "tcp" or "unix" replays every arm over an
 	// in-process socket fleet (nettrans) — real kernel sockets, framing,
 	// heartbeats and reconnects — which is what makes wire-level fault
 	// rules (frame-drop, frame-corrupt, frame-dup, frame-delay, sever)
@@ -307,7 +307,7 @@ func crossValidate(path string, root *node, cfg *Config) error {
 				path, root.keyLn["faults"], f.Rank, w.Groups*w.Ranks)
 		}
 		if isWireOp(f.Op) && !w.SocketTransport() {
-			return fmt.Errorf("%s:%d: faults: op %q needs world.transport tcp or unix (a channel world has no wire)",
+			return fmt.Errorf("%s:%d: faults: op %q needs world.transport tcp or unix (an in-process world has no wire)",
 				path, root.keyLn["faults"], f.Op)
 		}
 	}

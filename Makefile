@@ -163,13 +163,16 @@ bench-smoke:
 # and at the working tree, then the per-metric verdict table of
 # `bench -compare`, which exits non-zero on a regression beyond a bound.
 # BENCH_ARGS goes to both runs, e.g. BENCH_ARGS="--seconds 8 --trace 0".
+# OUT=<dir> keeps both result directories ($(OUT)/base-out, $(OUT)/head-out)
+# instead of leaving them in the temporary tree that is removed on exit.
 bench-compare:
-	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref> [BENCH_ARGS=...]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref> [OUT=<dir>] [BENCH_ARGS=...]"; exit 2; }
 	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	out="$$tmp"; if test -n "$(OUT)"; then mkdir -p "$(OUT)"; out=$$(cd "$(OUT)" && pwd); fi; \
 	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
-	(cd "$$tmp/base" && $(GO) run ./bench $(BENCH_ARGS) --out "$$tmp/base-out"); \
-	$(GO) run ./bench $(BENCH_ARGS) --out "$$tmp/head-out"; \
-	$(GO) run ./bench -compare "$$tmp/base-out/results.json" "$$tmp/head-out/results.json"
+	(cd "$$tmp/base" && $(GO) run ./bench $(BENCH_ARGS) --out "$$out/base-out"); \
+	$(GO) run ./bench $(BENCH_ARGS) --out "$$out/head-out"; \
+	$(GO) run ./bench -compare "$$out/base-out/results.json" "$$out/head-out/results.json"
 
 # Append a machine-readable hot-loop record (GUPS, ns/voxel-update,
 # filter rows/s, alloc stats, git commit) to BENCH_kernel.json.

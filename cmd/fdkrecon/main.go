@@ -76,7 +76,6 @@ func main() {
 		kills      = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
 		kernelFl   = flag.String("kernels", "recurrence", "back-projection arithmetic: recurrence (AVX2 assembly where the host has it, scalar Go elsewhere), scalar (force the scalar path) or exact (the PR-1 arithmetic)")
 		layoutFl   = flag.String("ring-layout", "interleaved", "projection ring layout: interleaved or proj-major")
-		fusionFl   = flag.String("fusion", "auto", "filter-into-ring fusion: auto, on, off")
 		worldN     = flag.Int("world", 0, "spread the multi-rank run over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
 		transport  = flag.String("transport", "tcp", "socket transport of -world mode: tcp or unix")
 		severSpec  = flag.String("sever", "", "chaos: comma-separated rank@nth wire severs, e.g. 1@2 cuts the connection carrying rank 1's 2nd outgoing frame (-world mode; the link must reconnect and replay)")
@@ -106,10 +105,6 @@ func main() {
 		log.Fatal(err)
 	}
 	layout, err := device.ParseRingLayout(*layoutFl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fusion, err := core.ParseFusionMode(*fusionFl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,6 +143,7 @@ func main() {
 			Sys: sys, Source: source,
 			Device: device.New("roi", *memMB<<20, *workers),
 			Window: win, Z0: *zlo, NZ: *znz, Workers: *workers,
+			Kernel: kern, RingLayout: layout,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -224,7 +220,7 @@ func main() {
 			Plan: plan, Source: source,
 			Device: device.New("local", *memMB<<20, *workers),
 			Window: win, Sink: sink, Tracer: tracer, Telemetry: reg,
-			Kernel: kern, RingLayout: layout, Fusion: fusion,
+			Kernel: kern, RingLayout: layout,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -243,7 +239,7 @@ func main() {
 			Plan: plan, Source: source, Window: win,
 			DeviceMemBytes: *memMB << 20,
 			Telemetry:      run, CollectiveDeadline: *deadline,
-			Kernel: kern, RingLayout: layout, Fusion: fusion,
+			Kernel: kern, RingLayout: layout,
 		}
 		inj, err := buildChaosInjector(*kills, *severSpec)
 		if err != nil {
@@ -263,7 +259,7 @@ func main() {
 				"-groups", strconv.Itoa(*groups), "-ranks", strconv.Itoa(*ranks),
 				"-batches", strconv.Itoa(*batches),
 				"-window", *window, "-kernels", *kernelFl,
-				"-ring-layout", *layoutFl, "-fusion", *fusionFl,
+				"-ring-layout", *layoutFl,
 				"-devmem", strconv.FormatInt(*memMB, 10),
 				"-workers", strconv.Itoa(*workers),
 				"-deadline", copts.CollectiveDeadline.String(),

@@ -22,24 +22,3 @@ type CheckpointLog interface {
 	Done(z0 int) bool
 	Record(z0, batch int) error
 }
-
-// skipBatch flows through the pipeline in place of a payload when the
-// checkpoint log says the batch's slab is already durably stored: every
-// stage passes it along untouched, so skipped batches neither load rows,
-// mutate the ring, nor store — and crucially never advance the
-// differential-load or ring-residency cursors, which track executed
-// batches only.
-type skipBatch struct{}
-
-// syncer is what a sink must additionally implement for checkpointing to
-// be crash-safe: the slab bytes are forced to stable storage before the
-// journal entry that declares them done.
-type syncer interface{ Sync() error }
-
-// syncSink flushes the sink if it knows how.
-func syncSink(s SlabSink) error {
-	if sy, ok := s.(syncer); ok {
-		return sy.Sync()
-	}
-	return nil
-}

@@ -8,18 +8,16 @@ import (
 	"distfdk/internal/device"
 	"distfdk/internal/fault"
 	"distfdk/internal/filter"
-	"distfdk/internal/geometry"
 	"distfdk/internal/mpi"
 	"distfdk/internal/projection"
 	"distfdk/internal/telemetry"
-	"distfdk/internal/volume"
 )
 
 // ClusterOptions configures a distributed reconstruction across Ng groups
-// of Nr ranks (Figure 6). Every rank runs its own load → filter →
-// back-project loop over its projection window; the Nr partial slabs of
-// each batch meet in a segmented reduction on the group communicator and
-// the group leader stores the result.
+// of Nr ranks (Figure 6). Every rank runs the rank program (engine.go) over
+// its projection window; the Nr partial slabs of each batch meet in a
+// segmented reduction on the group communicator and the group leader stores
+// the result.
 type ClusterOptions struct {
 	Plan *Plan
 	// Source must be safe for concurrent partial loads (MemorySource and
@@ -40,24 +38,15 @@ type ClusterOptions struct {
 	// RingLayout selects each rank's projection-ring memory layout
 	// (default row-interleaved).
 	RingLayout device.RingLayout
-	// Fusion controls the filter→upload handoff. The per-rank batch loop
-	// is sequential, so FusionAuto (and FusionOn) fuse; FusionOff keeps
-	// the separate filter and upload passes.
-	Fusion FusionMode
 	// Hierarchical enables the node-leader reduction of Section 4.4.2
-	// with RanksPerNode ranks per node.
+	// with RanksPerNode ranks per node. The default is the slab reduction
+	// chunk-pipelined through the tree one XY plane (NX·NY elements) at a
+	// time, which overlaps tree latency with accumulation plane by plane.
+	// The hierarchical path assembles the same bytes only when RanksPerNode
+	// is a power of two dividing the group size (see
+	// mpi.HierarchicalReduce).
 	Hierarchical bool
 	RanksPerNode int
-	// ReduceChunk sets the segment size (in float32 elements) for the
-	// chunk-pipelined slab reduction: 0 picks one XY plane (NX·NY), which
-	// overlaps tree latency with accumulation plane by plane; a negative
-	// value disables chunking and uses the monolithic Reduce. Ignored when
-	// Hierarchical is set. Every ReduceChunk setting — chunked at any size
-	// or monolithic — produces bit-identical volumes, because the fused
-	// accumulate fixes the per-element summation order. The hierarchical
-	// path matches them only when RanksPerNode is a power of two dividing
-	// the group size (see mpi.HierarchicalReduce).
-	ReduceChunk int
 	// Output receives reduced slabs from group leaders (required).
 	Output SlabSink
 	// Retry, when set, retries transient load and store failures with
@@ -181,22 +170,16 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 	if opts.Hierarchical && opts.RanksPerNode <= 0 {
 		return nil, fmt.Errorf("core: hierarchical reduction needs RanksPerNode")
 	}
-	nu, np, nv := opts.Source.Dims()
-	if nu != p.Sys.NU || np != p.Sys.NP || nv != p.Sys.NV {
-		return nil, fmt.Errorf("core: source %dx%dx%d does not match system %dx%dx%d",
-			nu, np, nv, p.Sys.NU, p.Sys.NP, p.Sys.NV)
-	}
 	workers := opts.WorkersPerRank
 	if workers <= 0 {
 		workers = 1
 	}
 	report := &ClusterReport{
-		Ledgers:     make([]device.Ledger, p.Ranks()),
-		WorldStats:  make([]mpi.Stats, p.Ranks()),
-		GroupStats:  make([]mpi.Stats, p.Ranks()),
-		Completed:   make([]bool, p.Ranks()),
-		BatchesDone: make([]int, p.Ranks()),
-
+		Ledgers:        make([]device.Ledger, p.Ranks()),
+		WorldStats:     make([]mpi.Stats, p.Ranks()),
+		GroupStats:     make([]mpi.Stats, p.Ranks()),
+		Completed:      make([]bool, p.Ranks()),
+		BatchesDone:    make([]int, p.Ranks()),
 		BatchesSkipped: make([]int, p.Ranks()),
 	}
 	// The assignment below must stay behind the pointer check: a typed-nil
@@ -215,215 +198,73 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 		Interceptor: icept,
 		Telemetry:   opts.Telemetry,
 	}, func(world *mpi.Comm) error {
+		// The shell around the rank program: this rank's slice of the world
+		// (group, projection window, device, fault-wrapped I/O), the chaos
+		// hooks at the batch boundary, and its slots in the report.
 		rank := world.Rank()
 		g := p.GroupOf(rank)
-		r := p.RankInGroup(rank)
 		reg := opts.Telemetry.Rank(rank)
-		retry := opts.Retry.Instrumented(reg)
-		batches := reg.Counter("core.batches")
-		batchesSkipped := reg.Counter("core.batches_skipped")
-		// Live-introspection feeds: the current batch gauge and stage/phase
-		// status keys are what /statusz reports while the loop runs.
-		curBatch := reg.Gauge("core.current_batch")
-		src := opts.Source
-		if opts.FaultInjector != nil {
-			src = fault.Source(opts.Source, opts.FaultInjector, rank)
-		}
-		var sink SlabSink = opts.Output
-		if opts.FaultInjector != nil {
-			sink = fault.Sink(opts.Output, opts.FaultInjector, rank)
+		inj := opts.FaultInjector
+		src, sink := opts.Source, opts.Output
+		if inj != nil {
+			src = fault.Source(src, inj, rank)
+			sink = fault.Sink(sink, inj, rank)
 		}
 		group, err := world.Split(g, rank)
 		if err != nil {
 			return err
 		}
-		pLo, pHi := p.ProjWindow(r)
-		mats := KernelMatrices(p.Sys, pLo, pHi)
-		fdk, err := NewFilter(p.Sys, opts.Window)
-		if err != nil {
-			return err
+		if group.Rank() != 0 {
+			sink = nil // only the group leader stores
 		}
-		parker, err := NewParker(p.Sys)
-		if err != nil {
-			return err
-		}
+		pLo, pHi := p.ProjWindow(p.RankInGroup(rank))
 		dev := device.New(fmt.Sprintf("rank%d", rank), opts.DeviceMemBytes, workers)
-		dev.SetTelemetry(reg)
-		ring, err := device.NewProjRingLayout(dev, p.Sys.NU, pHi-pLo, p.RingDepth(g), opts.RingLayout)
-		if err != nil {
-			return err
-		}
-		defer ring.Close()
-		if err := dev.Alloc(p.SlabBytes()); err != nil {
-			return fmt.Errorf("rank %d slab buffer: %w", rank, err)
-		}
-		defer dev.Free(p.SlabBytes())
 
 		// Phase markers: when the injector carries a scenario phase
 		// schedule, each rank's trace shows one warmup/inject/recovery
 		// span per contiguous phase window — the inject window is then
 		// visible in the Chrome trace right next to the faults it scoped,
 		// and the SLO gate can align latencies to it.
-		var endPhase func()
+		endPhase := func() {}
+		defer func() { endPhase() }()
 		phase := ""
-		markPhase := func(c int) {
-			ph := opts.FaultInjector.PhaseOf(rank)
-			if ph == "" || ph == phase {
-				return
-			}
-			if endPhase != nil {
-				endPhase()
-			}
-			endPhase = reg.Span("phase."+ph, c)
-			phase = ph
-			reg.SetStatus("phase", ph)
-		}
-		defer func() {
-			if endPhase != nil {
-				endPhase()
-			}
-		}()
-
-		// One slab buffer serves every batch of the rank. It can be reused
-		// because nothing downstream keeps it: the reductions copy a
-		// non-root's partial sums into arena scratch before sending, the
-		// root accumulates in place, and a SlabSink must be done with the
-		// slab when WriteSlab returns.
-		slabBuf := make([]float32, p.SlabBytes()/4)
-
-		prev := geometry.RowRange{}
+		// Live-introspection feeds: the current batch gauge and stage/phase
+		// status keys are what /statusz reports while the program runs.
+		curBatch := reg.Gauge("core.current_batch")
 		reg.SetStatus("stage", "run")
 		defer reg.SetStatus("stage", "done")
-		for c := 0; c < p.BatchCount; c++ {
-			curBatch.Set(int64(c))
-			z0, nz := p.SlabZ(g, c)
-			if nz == 0 {
-				continue // consistent across the whole group
-			}
-			// The batch boundary is the rank-kill injection point of the
-			// chaos matrix: a scheduled kill surfaces here as a permanent
-			// fault.Error, aborting this rank so its peers observe the loss
-			// through world teardown.
-			if opts.FaultInjector != nil {
-				if kerr := opts.FaultInjector.BatchStart(rank, c); kerr != nil {
-					return fmt.Errorf("rank %d batch %d: %w", rank, c, kerr)
-				}
-				markPhase(c)
-			}
-			// A checkpointed batch is skipped by the whole group: Done(z0)
-			// reads the same pre-run journal state on every rank, and the
-			// leader only records a batch after its group has passed it, so
-			// the collectives below always pair up. The key is the slab's
-			// output identity z0, not (g, c) — a journal recorded by a
-			// larger world resumes cleanly after a shrink renumbers both.
-			// `prev` deliberately tracks executed batches only —
-			// DifferentialRows then reloads whatever a skipped batch would
-			// have left resident.
-			if opts.Checkpoint != nil && opts.Checkpoint.Done(z0) {
-				report.BatchesSkipped[rank]++
-				batchesSkipped.Inc()
-				continue
-			}
-			rows := p.SlabRows(g, c)
-			diff := geometry.DifferentialRows(prev, rows)
-			if !prev.IsEmpty() && rows.Lo >= prev.Hi {
-				ring.Reset()
-			} else {
-				ring.Release(rows.Lo)
-			}
-			if !diff.IsEmpty() {
-				var st *projection.Stack
-				endLoad := reg.Span("load", c)
-				lerr := retry.Do(func() error {
-					var e error
-					st, e = src.LoadRows(diff, pLo, pHi)
-					return e
-				})
-				endLoad()
-				if lerr != nil {
-					return fmt.Errorf("rank %d batch %d load: %w", rank, c, lerr)
-				}
-				if opts.Fusion != FusionOff {
-					// The rank loop is sequential, so the fused fill is
-					// always safe; the combined work lands in the filter
-					// span and the upload span records the (now empty)
-					// handoff.
-					endFilter := reg.Span("filter", c)
-					if err := fuseUpload(ring, st, fdk, parker, 1); err != nil {
-						return fmt.Errorf("rank %d batch %d filter: %w", rank, c, err)
-					}
-					endFilter()
-					endUpload := reg.Span("upload", c)
-					endUpload()
-				} else {
-					endFilter := reg.Span("filter", c)
-					if err := applyParker(parker, st); err != nil {
-						return fmt.Errorf("rank %d batch %d parker: %w", rank, c, err)
-					}
-					count := st.NV * st.NP
-					vOf := func(i int) int { return st.V0 + i/st.NP }
-					if err := fdk.FilterRows(st.Data, count, vOf, 1); err != nil {
-						return fmt.Errorf("rank %d batch %d filter: %w", rank, c, err)
-					}
-					endFilter()
-					endUpload := reg.Span("upload", c)
-					if err := ring.LoadRows(st, st.Rows()); err != nil {
-						return fmt.Errorf("rank %d batch %d: %w", rank, c, err)
-					}
-					endUpload()
-				}
-			}
-			prev = rows
 
-			slab := &volume.Volume{NX: p.Sys.NX, NY: p.Sys.NY, NZ: nz, Z0: z0,
-				Data: slabBuf[:p.Sys.NX*p.Sys.NY*nz]}
-			clear(slab.Data)
-			endBP := reg.Span("backproject", c)
-			if err := backproject.StreamingKernel(dev, ring, mats, slab, rows, opts.Kernel); err != nil {
-				return fmt.Errorf("rank %d batch %d: %w", rank, c, err)
-			}
-			endBP()
-			dev.RecordD2H(slab.Bytes())
-
-			// Segmented reduction: only within the group (Figure 3b),
-			// chunk-pipelined through the tree by default.
-			endReduce := reg.Span("reduce", c)
-			switch {
-			case opts.Hierarchical:
-				err = group.HierarchicalReduce(0, slab.Data, opts.RanksPerNode)
-			case opts.ReduceChunk >= 0:
-				chunk := opts.ReduceChunk
-				if chunk == 0 {
-					chunk = p.Sys.NX * p.Sys.NY
+		prog := &program{
+			ReconOptions: ReconOptions{
+				Source: src, Device: dev, Window: opts.Window, FilterWorkers: 1,
+				Kernel: opts.Kernel, RingLayout: opts.RingLayout,
+				Sink: sink, DisablePipeline: true,
+				Retry: opts.Retry, Checkpoint: opts.Checkpoint, Telemetry: reg,
+			},
+			sys: p.Sys, sched: p.schedule(g), pLo: pLo, pHi: pHi,
+			group: group, hierarchical: opts.Hierarchical, ranksPerNode: opts.RanksPerNode,
+			enter: func(c int) error {
+				curBatch.Set(int64(c))
+				// The batch boundary is the rank-kill injection point of the
+				// chaos matrix: a scheduled kill surfaces here as a permanent
+				// fault.Error, aborting this rank so its peers observe the
+				// loss through world teardown.
+				if err := inj.BatchStart(rank, c); err != nil {
+					return fmt.Errorf("batch %d: %w", c, err)
 				}
-				err = group.ReduceChunked(0, slab.Data, chunk)
-			default:
-				err = group.Reduce(0, slab.Data)
-			}
-			endReduce()
-			if err != nil {
-				return fmt.Errorf("rank %d batch %d reduce: %w", rank, c, err)
-			}
-			if group.Rank() == 0 {
-				endStore := reg.Span("store", c)
-				// Fixed slab offsets make a retried store idempotent.
-				if err := retry.Do(func() error { return sink.WriteSlab(slab) }); err != nil {
-					return fmt.Errorf("rank %d batch %d store: %w", rank, c, err)
+				if ph := inj.PhaseOf(rank); ph != "" && ph != phase {
+					endPhase()
+					endPhase = reg.Span("phase."+ph, c)
+					phase = ph
+					reg.SetStatus("phase", ph)
 				}
-				if opts.Checkpoint != nil {
-					// Data before journal: the slab must be durable before
-					// the entry that declares it done.
-					if err := syncSink(opts.Output); err != nil {
-						return fmt.Errorf("rank %d batch %d sync: %w", rank, c, err)
-					}
-					if err := opts.Checkpoint.Record(z0, c); err != nil {
-						return fmt.Errorf("rank %d batch %d checkpoint: %w", rank, c, err)
-					}
-				}
-				endStore()
-			}
-			report.BatchesDone[rank]++
-			batches.Inc()
+				return nil
+			},
+		}
+		err = prog.run()
+		report.BatchesDone[rank], report.BatchesSkipped[rank] = prog.done, prog.skipped
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", rank, err)
 		}
 		report.Ledgers[rank] = dev.Snapshot()
 		report.WorldStats[rank] = world.Stats()
@@ -435,10 +276,7 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 	// Snapshots are taken even on error so a chaos run's partial trace and
 	// metrics are still exportable.
 	report.Telemetry = opts.Telemetry.Snapshots()
-	if err != nil {
-		// Partial report: ledgers and stats are populated only for ranks
-		// that completed; BatchesDone still shows how far each rank got.
-		return report, err
-	}
-	return report, nil
+	// On error the report is partial: ledgers and stats are populated only
+	// for ranks that completed; BatchesDone still shows how far each got.
+	return report, err
 }

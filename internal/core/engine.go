@@ -1,0 +1,379 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"distfdk/internal/backproject"
+	"distfdk/internal/device"
+	"distfdk/internal/fault"
+	"distfdk/internal/filter"
+	"distfdk/internal/geometry"
+	"distfdk/internal/mpi"
+	"distfdk/internal/pipeline"
+	"distfdk/internal/projection"
+	"distfdk/internal/telemetry"
+	"distfdk/internal/volume"
+)
+
+// batch is one slab of a rank's schedule and the one value its stages hand
+// on: the first group of fields is the schedule (what a Plan supplies for a
+// group, what a Z window supplies for itself), the second is filled in as
+// the batch moves through the stages.
+type batch struct {
+	c      int               // ordinal: the span tag, the journal's debug field
+	z0, nz int               // output slices [z0, z0+nz), nz > 0
+	rows   geometry.RowRange // detector rows the slab needs (Algorithm 2)
+
+	skip  bool              // already durable in the checkpoint log
+	stack *projection.Stack // newly loaded rows; nil when all are resident
+	slab  *volume.Volume
+}
+
+// zSchedule cuts the slices [z0, z0+nz) into batches of nb slices.
+func zSchedule(sys *geometry.System, z0, nz, nb int) []batch {
+	var out []batch
+	for z := z0; z < z0+nz; z += nb {
+		n := min(nb, z0+nz-z)
+		out = append(out, batch{c: len(out), z0: z, nz: n, rows: sys.ComputeAB(z, z+n)})
+	}
+	return out
+}
+
+// ringDepth returns the ring depth (in detector rows) a schedule needs when
+// up to `window` consecutive batches stay resident together: the largest
+// union of any `window` consecutive row ranges.
+func ringDepth(sched []batch, window int) int {
+	h := 0
+	for c := range sched {
+		u := geometry.RowRange{}
+		for b := max(0, c-window+1); b <= c; b++ {
+			u = u.Union(sched[b].rows)
+		}
+		h = max(h, u.Len())
+	}
+	return h
+}
+
+// rowsMonotone reports whether consecutive non-empty row ranges always
+// overlap or abut upward (no ring Reset ever needed) — the regime in which
+// elastic back-projection's lagged release is valid.
+func rowsMonotone(sched []batch) bool {
+	prev := geometry.RowRange{}
+	for _, b := range sched {
+		if b.rows.IsEmpty() {
+			continue
+		}
+		if !prev.IsEmpty() && (b.rows.Lo >= prev.Hi || b.rows.Lo < prev.Lo) {
+			return false
+		}
+		prev = b.rows
+	}
+	return true
+}
+
+// program is the per-rank reconstruction program of Figure 6, written once:
+// load → filter → upload → back-project → reduce → store over a schedule of
+// slab batches. ReconstructSingle, ReconstructZWindow and every rank of
+// RunDistributed fill in the exported-option half and call run.
+//
+// Each piece of cross-batch state has exactly one owning stage, which is
+// what lets the pipelined executors run the stages on separate goroutines:
+//
+//	load         the differential-load cursor (loaded)
+//	filter       nothing — it works on the batch's own stack
+//	upload       every ring mutation and the residency cursor (resident)
+//	backproject  the slab buffer; it only reads the ring
+//	reduce       the group collective
+//	store        the sink and the checkpoint journal
+//
+// Both cursors advance on executed batches only, so a resumed run reloads
+// whatever a checkpointed batch would have left resident.
+type program struct {
+	// ReconOptions is what one device needs whichever shell it sits in; a
+	// distributed rank fills one in per rank. Plan is not read here (the
+	// shell hands over sched), a nil Sink means this rank does not store,
+	// DisablePipeline picks pipeline.RunSerial over pipeline.Run.
+	ReconOptions
+	sys      *geometry.System
+	sched    []batch
+	pLo, pHi int // this rank's global projection window
+	// group, when set, is reduced over after back-projection.
+	group        *mpi.Comm
+	hierarchical bool
+	ranksPerNode int
+	// enter is RunSerial's batch-boundary hook (the distributed shell's kill
+	// point and phase markers).
+	enter func(c int) error
+
+	retry  *fault.RetryPolicy // Retry, reporting into Telemetry
+	fdk    *filter.FDK
+	parker *filter.Parker
+	mats   []geometry.Mat34x4
+	ring   *device.ProjRing
+	// fused: the upload stage filters raw rows straight into their ring
+	// slots (fuseUpload) and the filter stage passes them through. Set
+	// exactly where the ring-owning stage is already sequential.
+	fused bool
+	// lag is how many batches behind the uploading one the ring release
+	// watermark trails (0 unless elastic).
+	lag int
+	// slabBuf is the serial executor's one reusable slab: nothing
+	// downstream keeps a slab (reductions copy a non-root's partial sums
+	// before sending, the root accumulates in place, a SlabSink must be done
+	// with it when WriteSlab returns) and the next batch starts only after
+	// this one left the last stage.
+	slabBuf          []float32
+	loaded, resident geometry.RowRange
+	last             string // name of the rank's last stage
+	done, skipped    int
+	elapsed          time.Duration // of the executor, setup excluded
+	batches, skips   *telemetry.Counter
+}
+
+// run executes the program. done and skipped are meaningful afterwards even
+// when it fails.
+func (e *program) run() error {
+	if nu, np, nv := e.Source.Dims(); nu != e.sys.NU || np != e.sys.NP || nv != e.sys.NV {
+		return fmt.Errorf("core: source %dx%dx%d does not match system %dx%dx%d",
+			nu, np, nv, e.sys.NU, e.sys.NP, e.sys.NV)
+	}
+	var err error
+	if e.fdk, err = NewFilter(e.sys, e.Window); err != nil {
+		return err
+	}
+	if e.parker, err = NewParker(e.sys); err != nil {
+		return err
+	}
+	e.mats = KernelMatrices(e.sys, e.pLo, e.pHi)
+
+	// Elastic back-projection needs a deeper ring (rows of every possibly
+	// in-flight batch stay resident) and a schedule that never resets the
+	// ring; otherwise the ring-owning stage stays sequential.
+	elastic := e.BPWorkers > 1 && !e.DisablePipeline && rowsMonotone(e.sched)
+	// The release lag is derived from the pipeline's completion guarantee,
+	// not an estimate of buffering: UpstreamCompletionLag proves that while
+	// the (sequential) upload stage processes batch c, every batch below
+	// c − lag has finished back-projecting — the connecting queue holds at
+	// most queueDepth batches the elastic stage has not taken, and dispatch
+	// credits keep any taken batch within InFlightBound of the in-order
+	// completion cursor. Any batch still reading the ring thus has index
+	// ≥ c − lag, and with monotone slab rows it only needs rows at or above
+	// batch (c−lag)'s start — exactly the watermark upload releases to, so a
+	// straggling batch can stall indefinitely without its rows being
+	// evicted. queueDepth is pinned here and installed on the pipeline below
+	// so the coupling cannot silently drift if the depth is ever tuned.
+	queueDepth := pipeline.DefaultQueueDepth
+	if elastic {
+		e.lag = pipeline.UpstreamCompletionLag(queueDepth, e.BPWorkers)
+	}
+	e.fused = e.DisablePipeline || elastic
+	e.ring, err = device.NewProjRingLayout(e.Device, e.sys.NU, e.pHi-e.pLo, ringDepth(e.sched, e.lag+1), e.RingLayout)
+	if err != nil {
+		return err
+	}
+	defer e.ring.Close()
+	// The device also holds one slab at a time.
+	slabVoxels := 0
+	for _, b := range e.sched {
+		slabVoxels = max(slabVoxels, e.sys.NX*e.sys.NY*b.nz)
+	}
+	if err := e.Device.Alloc(4 * int64(slabVoxels)); err != nil {
+		return fmt.Errorf("slab buffer: %w", err)
+	}
+	defer e.Device.Free(4 * int64(slabVoxels))
+	if e.DisablePipeline {
+		e.slabBuf = make([]float32, slabVoxels)
+	}
+	e.Device.SetTelemetry(e.Telemetry)
+	e.retry = e.Retry.Instrumented(e.Telemetry)
+	e.batches = e.Telemetry.Counter("core.batches")
+	e.skips = e.Telemetry.Counter("core.batches_skipped")
+
+	stages := []pipeline.Stage{e.stage("load", e.load), e.stage("filter", e.filter)}
+	if elastic || e.group != nil {
+		// Upload on its own: the elastic stage behind it only reads the ring
+		// and can run its batches concurrently, and a distributed rank's
+		// trace keeps its six stage names.
+		bp := e.stage("backproject", e.backproject)
+		if elastic {
+			bp.Workers = e.BPWorkers
+		}
+		stages = append(stages, e.stage("upload", e.upload), bp)
+	} else {
+		// The sequential ring-owning stage is the same two bodies at lag 0.
+		stages = append(stages, e.stage("backproject", func(b *batch) error {
+			if err := e.upload(b); err != nil && err != pipeline.Idle {
+				return err
+			}
+			return e.backproject(b)
+		}))
+	}
+	if e.group != nil {
+		stages = append(stages, e.stage("reduce", e.reduce))
+	}
+	if e.Sink != nil {
+		stages = append(stages, e.stage("store", e.store))
+	}
+	e.last = stages[len(stages)-1].Name
+
+	pl, err := pipeline.New(stages...)
+	if err != nil {
+		return err
+	}
+	pl.QueueDepth = queueDepth // lag and the ring depth were derived from it
+	pl.Telemetry = e.Telemetry
+	if pl.Tracer = e.Tracer; pl.Tracer == nil {
+		// Stage spans land in the run registry so the exported trace and
+		// the ASCII timeline share one span set.
+		pl.Tracer = pipeline.TracerFor(e.Telemetry)
+	}
+	start := time.Now()
+	if e.DisablePipeline {
+		err = pl.RunSerial(len(e.sched), e.enter)
+	} else {
+		err = pl.Run(len(e.sched))
+	}
+	e.elapsed = time.Since(start)
+	return err
+}
+
+// report runs the program on a caller-owned device and summarises it.
+func (e *program) report() (*ReconReport, error) {
+	before := e.Device.Snapshot()
+	if err := e.run(); err != nil {
+		return nil, err
+	}
+	return &ReconReport{Elapsed: e.elapsed, Ledger: e.Device.Snapshot().Sub(before), Slabs: e.done}, nil
+}
+
+// stage adapts a stage body to the pipeline. The batch is looked up in the
+// schedule rather than asserted out of the `any` payload; a checkpointed
+// batch is idle in every stage, so it neither loads rows, mutates the ring
+// nor stores — and never advances a cursor. A batch is executed once it has
+// left the rank's last stage.
+func (e *program) stage(name string, body func(*batch) error) pipeline.Stage {
+	return pipeline.Stage{Name: name, Fn: func(c int, _ any) (any, error) {
+		b := &e.sched[c]
+		if b.skip {
+			return nil, pipeline.Idle
+		}
+		err := body(b)
+		if err == nil && name == e.last {
+			e.done++
+			e.batches.Inc()
+		}
+		return b, err
+	}}
+}
+
+func (e *program) load(b *batch) error {
+	// The skip rule. The checkpoint key is the slab's output identity z0,
+	// not its (group, batch) coordinates, so journals interoperate across
+	// drivers and a journal recorded by a larger world resumes cleanly after
+	// a shrink renumbers both. A whole group skips together: Done(z0) reads
+	// the same pre-run journal state on every rank, and the leader records a
+	// batch only after its group has passed it, so collectives always pair.
+	if e.Checkpoint != nil && e.Checkpoint.Done(b.z0) {
+		b.skip = true
+		e.skipped++
+		e.skips.Inc()
+		return pipeline.Idle
+	}
+	diff := geometry.DifferentialRows(e.loaded, b.rows)
+	e.loaded = b.rows
+	if diff.IsEmpty() {
+		return pipeline.Idle
+	}
+	return e.retry.Do(func() error {
+		var err error
+		b.stack, err = e.Source.LoadRows(diff, e.pLo, e.pHi)
+		return err
+	})
+}
+
+func (e *program) filter(b *batch) error {
+	st := b.stack
+	if st == nil {
+		return pipeline.Idle
+	}
+	if e.fused {
+		return nil // the raw stack flows through; upload filters it into the ring
+	}
+	if err := applyParker(e.parker, st); err != nil {
+		return err
+	}
+	return e.fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, e.FilterWorkers)
+}
+
+// upload makes room in the ring and admits the batch's new rows. Rows are
+// released only below the start of batch c−lag — rows that, by the
+// pipeline's in-flight bound (see lag in run), no batch still
+// back-projecting can touch.
+func (e *program) upload(b *batch) error {
+	if e.lag == 0 && !e.resident.IsEmpty() && b.rows.Lo >= e.resident.Hi {
+		e.ring.Reset() // disjoint ranges: nothing to reuse
+	} else if rc := b.c - e.lag; rc >= 0 && !e.sched[rc].rows.IsEmpty() {
+		e.ring.Release(e.sched[rc].rows.Lo)
+	}
+	e.resident = b.rows
+	st := b.stack
+	if st == nil {
+		return pipeline.Idle // nothing to admit: bookkeeping only
+	}
+	b.stack = nil
+	if e.fused {
+		return fuseUpload(e.ring, st, e.fdk, e.parker, e.FilterWorkers)
+	}
+	return e.ring.LoadRows(st, st.Rows())
+}
+
+func (e *program) backproject(b *batch) error {
+	var err error
+	if e.slabBuf != nil {
+		b.slab = &volume.Volume{NX: e.sys.NX, NY: e.sys.NY, NZ: b.nz, Z0: b.z0,
+			Data: e.slabBuf[:e.sys.NX*e.sys.NY*b.nz]}
+		clear(b.slab.Data)
+	} else if b.slab, err = volume.NewSlab(e.sys.NX, e.sys.NY, b.nz, b.z0); err != nil {
+		return err
+	}
+	if err := backproject.StreamingKernel(e.Device, e.ring, e.mats, b.slab, b.rows, e.Kernel); err != nil {
+		return err
+	}
+	e.Device.RecordD2H(b.slab.Bytes())
+	return nil
+}
+
+// reduce is the segmented reduction: only within the group (Figure 3b),
+// chunk-pipelined through the tree one XY plane at a time unless the
+// node-leader variant of Section 4.4.2 was asked for.
+func (e *program) reduce(b *batch) error {
+	if e.hierarchical {
+		return e.group.HierarchicalReduce(0, b.slab.Data, e.ranksPerNode)
+	}
+	return e.group.ReduceChunked(0, b.slab.Data, e.sys.NX*e.sys.NY)
+}
+
+func (e *program) store(b *batch) error {
+	slab := b.slab
+	b.slab = nil
+	// Slab offsets are fixed, so a retried store is idempotent.
+	if err := e.retry.Do(func() error { return e.Sink.WriteSlab(slab) }); err != nil {
+		return err
+	}
+	if e.Checkpoint == nil {
+		return nil
+	}
+	// Data before journal: force the slab to stable storage, then record it
+	// done — never the other way round. Sync is what a sink must
+	// additionally implement for checkpointing to be crash-safe.
+	if sy, ok := e.Sink.(interface{ Sync() error }); ok {
+		if err := sy.Sync(); err != nil {
+			return fmt.Errorf("sync: %w", err)
+		}
+	}
+	if err := e.Checkpoint.Record(slab.Z0, b.c); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
+}

@@ -114,35 +114,36 @@ func TestRingDepthWindow(t *testing.T) {
 	}
 }
 
-// Every reduction configuration of RunDistributed — plain, chunked at any
-// chunk size, pooled or not — must assemble bit-identical volumes: the
-// executor work is pure plumbing.
+// Both reductions of RunDistributed — chunk-pipelined (the default) and
+// hierarchical — must assemble bit-identical volumes, pooled or not: the
+// executor work is pure plumbing. (Reduce ≡ ReduceChunked at any chunk size
+// is mpi's own TestReductionPathsBitIdentical.)
 func TestDistributedReduceVariantsBitIdentical(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
 
-	run := func(reduceChunk int, pooled bool) *volume.Volume {
+	run := func(hierarchical, pooled bool) *volume.Volume {
 		prevPool := mpi.SetBufferPooling(pooled)
 		defer mpi.SetBufferPooling(prevPool)
 		p, _ := NewPlan(sys, 2, 2, 4)
 		sink, _ := NewVolumeSink(sys)
 		if _, err := RunDistributed(ClusterOptions{
-			Plan: p, Source: src, Output: sink, ReduceChunk: reduceChunk,
+			Plan: p, Source: src, Output: sink, Hierarchical: hierarchical, RanksPerNode: 2,
 		}); err != nil {
-			t.Fatalf("chunk=%d pooled=%v: %v", reduceChunk, pooled, err)
+			t.Fatalf("hierarchical=%v pooled=%v: %v", hierarchical, pooled, err)
 		}
 		return sink.V
 	}
 
-	want := run(-1, false) // monolithic Reduce, allocate-per-step
-	for _, chunk := range []int{-1, 0, 1, 97, 1 << 20} {
+	want := run(false, false)
+	for _, hierarchical := range []bool{false, true} {
 		for _, pooled := range []bool{true, false} {
-			got := run(chunk, pooled)
+			got := run(hierarchical, pooled)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
-					t.Fatalf("chunk=%d pooled=%v: voxel %d differs from plain unpooled Reduce",
-						chunk, pooled, i)
+					t.Fatalf("hierarchical=%v pooled=%v: voxel %d differs from the chunked unpooled reduce",
+						hierarchical, pooled, i)
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"distfdk/internal/device"
@@ -9,71 +8,27 @@ import (
 	"distfdk/internal/projection"
 )
 
-// FusionMode selects whether the filter→back-project handoff is fused:
-// instead of weighting and ramp-filtering the loaded stack in place and
-// then copying it row by row into the projection ring, the fused path
-// filters each (row, projection) straight into its ring slot
-// (ProjRing.FillRows + FDK.FilterRowInto), eliminating the intermediate
-// host-stack write and the upload memcpy. The fused arithmetic is
-// bit-identical to the unfused sequence — FilterRowInto rounds the
-// redundancy product to float32 before the cosine weight exactly as
-// ApplyRow-then-FilterRow does — so the mode never changes the volume,
-// only the traffic.
-type FusionMode int
-
-const (
-	// FusionAuto fuses wherever the handoff is already sequential: the
-	// serial (DisablePipeline) driver, the elastic driver's dedicated
-	// upload stage, and the distributed per-rank batch loop. The
-	// non-elastic *pipelined* single-device path stays unfused: there the
-	// filter stage overlaps the previous batch's back-projection, and all
-	// ring mutation belongs to the back-project stage — fusing would
-	// serialise the filter work behind the kernel (and filtering from any
-	// other stage would race the kernel's ring reads).
-	FusionAuto FusionMode = iota
-	// FusionOn forces fusion in every driver path. Ring mutation still
-	// happens only in the stage that owns it, so this is race-free even
-	// on the non-elastic pipelined path — it just forfeits that path's
-	// filter/back-project overlap in exchange for the saved pass.
-	FusionOn
-	// FusionOff always takes the unfused ApplyRow → FilterRows →
-	// LoadRows sequence.
-	FusionOff
-)
-
-// ParseFusionMode maps the CLI spelling to a FusionMode.
-func ParseFusionMode(s string) (FusionMode, error) {
-	switch s {
-	case "", "auto":
-		return FusionAuto, nil
-	case "on":
-		return FusionOn, nil
-	case "off":
-		return FusionOff, nil
-	}
-	return 0, fmt.Errorf("core: unknown fusion mode %q (auto, on, off)", s)
-}
-
-func (m FusionMode) String() string {
-	switch m {
-	case FusionOn:
-		return "on"
-	case FusionOff:
-		return "off"
-	}
-	return "auto"
-}
-
-// fuseUpload admits st's rows to the ring, producing each slot by
-// filtering the raw stack row directly into it: Parker redundancy weights
-// (nil for a full scan) and the FDK cosine/ramp filter are applied by
-// FilterRowInto on the way. The (row, projection) fills run on `workers`
-// goroutines with pooled FFT scratch. st must hold *unfiltered* data; its
-// projection window must match the ring's.
+// fuseUpload is the fused filter→back-project handoff: instead of weighting
+// and ramp-filtering the loaded stack in place and then copying it row by
+// row into the projection ring, it admits st's rows to the ring by filtering
+// each raw (row, projection) straight into its slot (ProjRing.FillRows +
+// FDK.FilterRowInto, Parker weights — nil for a full scan — applied on the
+// way), eliminating the intermediate host-stack write and the upload memcpy.
+// The fused arithmetic is bit-identical to the unfused sequence —
+// FilterRowInto rounds the redundancy product to float32 before the cosine
+// weight exactly as ApplyRow-then-FilterRow does — so it never changes the
+// volume, only the traffic. The fills run on `workers` goroutines with
+// pooled FFT scratch. st must hold *unfiltered* data; its projection window
+// must match the ring's.
+//
+// The rank program fuses wherever the ring-owning stage is already
+// sequential: the serial executor and the elastic executor's dedicated
+// upload stage. The non-elastic pipelined path stays unfused: there the
+// filter stage overlaps the previous batch's back-projection, and all ring
+// mutation belongs to the back-project stage — fusing would serialise the
+// filter work behind the kernel (and filtering from any other stage would
+// race the kernel's ring reads).
 func fuseUpload(ring *device.ProjRing, st *projection.Stack, fdk *filter.FDK, pk *filter.Parker, workers int) error {
-	if st == nil {
-		return nil
-	}
 	pool := sync.Pool{New: func() any { return fdk.NewScratch() }}
 	return ring.FillRows(st.Rows(), workers, func(v, p int, dst []float32) error {
 		row, err := st.Row(v, p)

@@ -7,11 +7,13 @@ import (
 	"distfdk/internal/projection"
 )
 
-// Every fusion mode and driver shape must produce the same volume to the
-// last bit: FilterRowInto's rounding matches ApplyRow-then-FilterRow
-// exactly, and fusion only moves where the filtered row is written, never
-// what is written.
-func TestFusionBitIdentical(t *testing.T) {
+// The three executors of the rank program — serial (fused, one reusable
+// slab), pipelined (unfused, a slab per batch) and elastic (fused in the
+// upload stage, lagged ring release) — must produce the same volume to the
+// last bit under both ring layouts: FilterRowInto's rounding matches
+// ApplyRow-then-FilterRow exactly, and fusion only moves where the filtered
+// row is written, never what is written.
+func TestExecutorsBitIdentical(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
@@ -38,23 +40,19 @@ func TestFusionBitIdentical(t *testing.T) {
 		return sink.V.Data
 	}
 
-	ref := run("unfused", func(o *ReconOptions) { o.Fusion = FusionOff })
-	cases := map[string]func(*ReconOptions){
-		// Pipelined non-elastic: FusionAuto stays unfused, FusionOn fuses
-		// inside the back-project stage.
-		"auto-pipelined":  func(o *ReconOptions) {},
-		"on-pipelined":    func(o *ReconOptions) { o.Fusion = FusionOn },
-		"auto-serial":     func(o *ReconOptions) { o.DisablePipeline = true },
-		"off-serial":      func(o *ReconOptions) { o.DisablePipeline = true; o.Fusion = FusionOff },
-		"auto-elastic":    func(o *ReconOptions) { o.BPWorkers = 2 },
-		"off-elastic":     func(o *ReconOptions) { o.BPWorkers = 2; o.Fusion = FusionOff },
-		"fused-projmajor": func(o *ReconOptions) { o.Fusion = FusionOn; o.RingLayout = device.LayoutProjMajor },
+	ref := run("pipelined", func(o *ReconOptions) {})
+	executors := map[string]func(*ReconOptions){
+		"pipelined": func(o *ReconOptions) {},
+		"serial":    func(o *ReconOptions) { o.DisablePipeline = true },
+		"elastic":   func(o *ReconOptions) { o.BPWorkers = 2 },
 	}
-	for name, mutate := range cases {
-		got := run(name, mutate)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: voxel %d: %g != unfused %g", name, i, got[i], ref[i])
+	for name, executor := range executors {
+		for _, layout := range []device.RingLayout{device.LayoutRowInterleaved, device.LayoutProjMajor} {
+			got := run(name, func(o *ReconOptions) { executor(o); o.RingLayout = layout })
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s/%v: voxel %d: %g != pipelined %g", name, layout, i, got[i], ref[i])
+				}
 			}
 		}
 	}

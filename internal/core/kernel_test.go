@@ -13,9 +13,7 @@ import (
 // Zero-valued options mean the same kernel in every driver: the single,
 // distributed, ROI, tile and baseline drivers all dispatch to the widest
 // recurrence arithmetic this host has, and the bit-identity
-// contracts hold under it — single ≡ monolithic batch, and the 2-rank
-// distributed run gives the same bytes fused or unfused, chunked or not.
-// With AVX2 masked off the same options reproduce an explicit KernelScalar
+// contracts hold under it — single ≡ monolithic batch. With AVX2 masked off the same options reproduce an explicit KernelScalar
 // run byte for byte.
 func TestDefaultKernelEveryDriver(t *testing.T) {
 	sys := testSystem()
@@ -37,20 +35,18 @@ func TestDefaultKernelEveryDriver(t *testing.T) {
 		}
 		return sink.V.Data, rep.Ledger.Arithmetic()
 	}
-	distributed := func(mutate func(*ClusterOptions)) ([]float32, string) {
+	distributed := func() string {
 		t.Helper()
 		p, err := NewPlan(sys, 1, 2, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sink, _ := NewVolumeSink(sys)
-		opts := ClusterOptions{Plan: p, Source: src, Output: sink}
-		mutate(&opts)
-		rep, err := RunDistributed(opts)
+		rep, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sink.V.Data, rep.Arithmetic()
+		return rep.Arithmetic()
 	}
 	same := func(what string, want, got []float32) {
 		t.Helper()
@@ -74,14 +70,9 @@ func TestDefaultKernelEveryDriver(t *testing.T) {
 		t.Errorf("single driver ran %q, the default dispatch is %q", said, arith)
 	}
 
-	fused, said := distributed(func(*ClusterOptions) {})
-	if said != arith {
+	if said := distributed(); said != arith {
 		t.Errorf("distributed driver ran %q, the default dispatch is %q", said, arith)
 	}
-	unfused, _ := distributed(func(o *ClusterOptions) { o.Fusion = FusionOff })
-	same("2 ranks, unfused vs fused", fused, unfused)
-	mono, _ := distributed(func(o *ClusterOptions) { o.ReduceChunk = -1 })
-	same("2 ranks, monolithic vs chunked reduce", fused, mono)
 
 	_, roi, err := ReconstructZWindow(ZWindowOptions{
 		Sys: sys, Source: src, Device: device.New("roi", 0, 2), Z0: 4, NZ: 8,

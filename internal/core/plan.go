@@ -105,19 +105,19 @@ func (p *Plan) SlabRows(g, c int) geometry.RowRange {
 	return p.Sys.ComputeAB(z0, z0+nz)
 }
 
+// schedule returns group g's batches as the rank program runs them: the
+// cut SlabZ describes, without the empty batches that trail when NZ does not
+// divide evenly, so a batch's index is still its ordinal c.
+func (p *Plan) schedule(g int) []batch {
+	lo := g * p.slicesPerGroup
+	return zSchedule(p.Sys, lo, min(p.slicesPerGroup, p.Sys.NZ-lo), p.slicesPerBatch)
+}
+
 // RingDepth returns the projection-ring depth (in detector rows) a rank of
 // group g needs: the largest slab row extent of that group's batches. This
 // is the device-memory knob the paper controls via Nc — more batches mean
 // thinner slabs and a shallower ring.
-func (p *Plan) RingDepth(g int) int {
-	h := 0
-	for c := 0; c < p.BatchCount; c++ {
-		if l := p.SlabRows(g, c).Len(); l > h {
-			h = l
-		}
-	}
-	return h
-}
+func (p *Plan) RingDepth(g int) int { return ringDepth(p.schedule(g), 1) }
 
 // RingDepthWindow returns the ring depth (in detector rows) a rank of
 // group g needs when up to `window` consecutive batches must stay resident
@@ -126,20 +126,7 @@ func (p *Plan) RingDepth(g int) int {
 // in-flight batches readable while later batches load, so it sizes the
 // ring by this window instead of the single-batch RingDepth.
 func (p *Plan) RingDepthWindow(g, window int) int {
-	if window < 1 {
-		window = 1
-	}
-	h := 0
-	for c := 0; c < p.BatchCount; c++ {
-		u := geometry.RowRange{}
-		for b := max(0, c-window+1); b <= c; b++ {
-			u = u.Union(p.SlabRows(g, b))
-		}
-		if l := u.Len(); l > h {
-			h = l
-		}
-	}
-	return h
+	return ringDepth(p.schedule(g), max(window, 1))
 }
 
 // MaxRingDepth returns the ring depth sufficient for every group.

@@ -29,6 +29,10 @@ type ZWindowOptions struct {
 	SlabSlices int
 	// Workers bounds the filtering parallelism.
 	Workers int
+	// Kernel and RingLayout select the back-projection arithmetic and the
+	// ring's memory layout, as in ReconOptions.
+	Kernel     backproject.Kernel
+	RingLayout device.RingLayout
 }
 
 // ReconstructZWindow reconstructs only the requested slice window. The
@@ -49,76 +53,23 @@ func ReconstructZWindow(opts ZWindowOptions) (*volume.Volume, *ReconReport, erro
 	if nb <= 0 {
 		nb = max(opts.NZ/DefaultBatchCount, 1)
 	}
-	fdk, err := NewFilter(sys, opts.Window)
-	if err != nil {
-		return nil, nil, err
-	}
-	parker, err := NewParker(sys)
-	if err != nil {
-		return nil, nil, err
-	}
-	mats := KernelMatrices(sys, 0, sys.NP)
-
-	// Ring depth: the widest slab row range in the window.
-	depth := 0
-	for z := opts.Z0; z < opts.Z0+opts.NZ; z += nb {
-		end := min(z+nb, opts.Z0+opts.NZ)
-		if l := sys.ComputeAB(z, end).Len(); l > depth {
-			depth = l
-		}
-	}
-	ring, err := device.NewProjRing(opts.Device, sys.NU, sys.NP, depth)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ring.Close()
-
 	out, err := volume.NewSlab(sys.NX, sys.NY, opts.NZ, opts.Z0)
 	if err != nil {
 		return nil, nil, err
 	}
-	before := opts.Device.Snapshot()
-	rep := &ReconReport{}
-	prev := geometry.RowRange{}
-	for z := opts.Z0; z < opts.Z0+opts.NZ; z += nb {
-		end := min(z+nb, opts.Z0+opts.NZ)
-		rows := sys.ComputeAB(z, end)
-		diff := geometry.DifferentialRows(prev, rows)
-		if !prev.IsEmpty() && rows.Lo >= prev.Hi {
-			ring.Reset()
-		} else {
-			ring.Release(rows.Lo)
-		}
-		if !diff.IsEmpty() {
-			st, err := opts.Source.LoadRows(diff, 0, sys.NP)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := applyParker(parker, st); err != nil {
-				return nil, nil, err
-			}
-			count := st.NV * st.NP
-			if err := fdk.FilterRows(st.Data, count, func(i int) int { return st.V0 + i/st.NP }, opts.Workers); err != nil {
-				return nil, nil, err
-			}
-			if err := ring.LoadRows(st, st.Rows()); err != nil {
-				return nil, nil, err
-			}
-		}
-		prev = rows
-		slab, err := volume.NewSlab(sys.NX, sys.NY, end-z, z)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := backproject.Streaming(opts.Device, ring, mats, slab, rows); err != nil {
-			return nil, nil, err
-		}
-		opts.Device.RecordD2H(slab.Bytes())
-		if err := out.CopySlabFrom(slab); err != nil {
-			return nil, nil, err
-		}
-		rep.Slabs++
+	// The rank program over the window's own schedule instead of a Plan's,
+	// run serially, assembling into the window slab.
+	prog := &program{
+		ReconOptions: ReconOptions{
+			Source: opts.Source, Device: opts.Device, Window: opts.Window,
+			FilterWorkers: opts.Workers, Kernel: opts.Kernel, RingLayout: opts.RingLayout,
+			Sink: &VolumeSink{V: out}, DisablePipeline: true,
+		},
+		sys: sys, sched: zSchedule(sys, opts.Z0, opts.NZ, nb), pHi: sys.NP,
 	}
-	rep.Ledger = opts.Device.Snapshot().Sub(before)
+	rep, err := prog.report()
+	if err != nil {
+		return nil, nil, err
+	}
 	return out, rep, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"distfdk/internal/backproject"
 	"distfdk/internal/device"
 	"distfdk/internal/projection"
 )
@@ -85,6 +86,45 @@ func TestReconstructZWindowValidation(t *testing.T) {
 	for i, opts := range cases {
 		if _, _, err := ReconstructZWindow(opts); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// The window runs the same program as the full volume, so it honours the
+// same kernel selection: a KernelExact window equals the same slices of a
+// full KernelExact reconstruction byte for byte, and says so in its ledger.
+func TestReconstructZWindowHonoursKernel(t *testing.T) {
+	sys := testSystem()
+	st := sheppStack(t, sys)
+	src := &projection.MemorySource{Full: st}
+
+	plan, _ := NewPlan(sys, 1, 1, 4)
+	full, _ := NewVolumeSink(sys)
+	if _, err := ReconstructSingle(ReconOptions{
+		Plan: plan, Source: src, Device: device.New("full", 0, 2), Sink: full,
+		Kernel: backproject.KernelExact,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const z0, nz = 8, 8
+	for _, layout := range []device.RingLayout{device.LayoutRowInterleaved, device.LayoutProjMajor} {
+		roi, rep, err := ReconstructZWindow(ZWindowOptions{
+			Sys: sys, Source: src, Device: device.New("roi", 0, 2), Z0: z0, NZ: nz,
+			Kernel: backproject.KernelExact, RingLayout: layout,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if said := rep.Ledger.Arithmetic(); said != "exact" {
+			t.Errorf("%v: KernelExact window ran %q", layout, said)
+		}
+		for k := 0; k < nz; k++ {
+			got, want := roi.Slice(k), full.V.Slice(z0+k)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%v: slice %d voxel %d: %g != %g", layout, k, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

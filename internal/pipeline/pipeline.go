@@ -28,6 +28,13 @@ import (
 // returns the payload for the next stage.
 type StageFunc func(batch int, in any) (any, error)
 
+// Idle is what a StageFunc returns when it had no work for the batch (a
+// checkpointed slab, detector rows that are already resident): the input
+// payload passes on unchanged and no span is recorded, so a trace shows the
+// work that ran rather than the stage list. Like filepath.SkipDir it is a
+// signal to the executor and is never returned by Run or RunSerial.
+var Idle = errors.New("pipeline: stage idle")
+
 // Stage is one named step of the pipeline.
 type Stage struct {
 	Name string
@@ -200,6 +207,32 @@ func (p *Pipeline) Run(nBatches int) error {
 	return errors.Join(errs...)
 }
 
+// RunSerial pushes the same batches through the same stages one batch at a
+// time on the calling goroutine: batch b leaves the last stage before batch
+// b+1 enters the first, so no two stages ever run concurrently and Workers
+// is ignored. It is Run without the overlap — the paper's §4.2 ablation, and
+// the order a distributed rank runs its batches in. enter, when non-nil, is
+// called at each batch boundary before any stage (or span) of that batch; its
+// error ends the run unwrapped. A stage error ends the run at once.
+func (p *Pipeline) RunSerial(nBatches int, enter func(batch int) error) error {
+	for b := 0; b < nBatches; b++ {
+		if enter != nil {
+			if err := enter(b); err != nil {
+				return err
+			}
+		}
+		it := item{batch: b}
+		for _, stage := range p.stages {
+			payload, err := p.invoke(stage, it)
+			if err != nil {
+				return err
+			}
+			it.payload = payload
+		}
+	}
+	return nil
+}
+
 // runStage executes one stage until its input is exhausted. in is nil for
 // the first stage, which generates batches 0..nBatches−1 itself; out is
 // nil for the last stage.
@@ -365,13 +398,19 @@ func (p *Pipeline) runStage(si, nBatches int, in <-chan item, out chan<- item) e
 	return state.err
 }
 
-// invoke runs the stage function on one item under the tracer.
+// invoke runs the stage function on one item under the tracer. Every
+// executor calls stages through here, so the span is closed before the error
+// is looked at — a failing stage still leaves its span in the trace — and
+// every stage error names its stage and batch.
 func (p *Pipeline) invoke(stage Stage, it item) (any, error) {
 	var end func()
 	if p.Tracer != nil {
 		end = p.Tracer.Span(stage.Name, it.batch)
 	}
 	payload, err := stage.Fn(it.batch, it.payload)
+	if err == Idle {
+		return it.payload, nil // an unclosed span is never recorded
+	}
 	if end != nil {
 		end()
 	}

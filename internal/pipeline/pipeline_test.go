@@ -226,3 +226,86 @@ func TestTracerZeroTotalUtilization(t *testing.T) {
 		t.Fatalf("render corrupt:\n%s", out)
 	}
 }
+
+// RunSerial is Run without the overlap: same stages, same payload flow,
+// same spans and error wrapping, but batch b leaves the last stage before
+// batch b+1 enters the first, with the enter hook at each boundary.
+func TestRunSerialOrderHookAndErrors(t *testing.T) {
+	var trail []string
+	note := func(s string) StageFunc {
+		return func(b int, in any) (any, error) {
+			trail = append(trail, fmt.Sprintf("%s%d", s, b))
+			if s == "y" && b == 2 {
+				return nil, errors.New("boom")
+			}
+			return b, nil
+		}
+	}
+	p, err := New(Stage{Name: "x", Fn: note("x")}, Stage{Name: "y", Workers: 4, Fn: note("y")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Tracer = NewTracer()
+	enter := func(b int) error { trail = append(trail, fmt.Sprintf("enter%d", b)); return nil }
+	err = p.RunSerial(4, enter)
+	if err == nil || !strings.Contains(err.Error(), `stage "y" batch 2`) {
+		t.Fatalf("stage error not wrapped with stage and batch: %v", err)
+	}
+	if got, want := strings.Join(trail, " "), "enter0 x0 y0 enter1 x1 y1 enter2 x2 y2"; got != want {
+		t.Fatalf("serial order %q, want %q", got, want)
+	}
+	// The failing call's span is closed and recorded like any other.
+	if spans := p.Tracer.Spans(); len(spans) != 6 || spans[5].Stage != "y" || spans[5].Batch != 2 {
+		t.Fatalf("spans %+v, want 6 ending in the failing y/2", spans)
+	}
+
+	stop := errors.New("stop")
+	if err := p.RunSerial(4, func(b int) error { return stop }); err != stop {
+		t.Fatalf("enter's error must end the run unwrapped, got %v", err)
+	}
+}
+
+// An idle stage call records no span and hands its input on unchanged, in
+// both executors.
+func TestIdleStageRecordsNoSpan(t *testing.T) {
+	for _, serial := range []bool{true, false} {
+		var got []any
+		p, err := New(
+			Stage{Name: "a", Fn: func(b int, _ any) (any, error) { return b * 10, nil }},
+			Stage{Name: "b", Fn: func(b int, in any) (any, error) {
+				if b%2 == 1 {
+					return nil, Idle
+				}
+				return in.(int) + 1, nil
+			}},
+			Stage{Name: "c", Fn: func(_ int, in any) (any, error) { got = append(got, in); return nil, nil }},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Tracer = NewTracer()
+		if serial {
+			err = p.RunSerial(4, nil)
+		} else {
+			err = p.Run(4)
+		}
+		if err != nil {
+			t.Fatalf("serial=%v: Idle surfaced as an error: %v", serial, err)
+		}
+		if fmt.Sprint(got) != "[1 10 21 30]" {
+			t.Errorf("serial=%v: payloads %v, want [1 10 21 30]", serial, got)
+		}
+		n := 0
+		for _, sp := range p.Tracer.Spans() {
+			if sp.Stage == "b" {
+				n++
+				if sp.Batch%2 == 1 {
+					t.Errorf("serial=%v: idle call on batch %d recorded a span", serial, sp.Batch)
+				}
+			}
+		}
+		if n != 2 {
+			t.Errorf("serial=%v: stage b recorded %d spans, want 2", serial, n)
+		}
+	}
+}

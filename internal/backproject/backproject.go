@@ -116,6 +116,7 @@ type projAccess struct {
 	// rowIdx32 is rowOff narrowed to int32 for the AVX2 gather
 	// instructions; built by prepareSIMD when a launch dispatches to them.
 	rowIdx32 []int32
+	rowMax   int // largest rowOff entry
 	// win is the readable window as the recurrence kernels' span
 	// decisions use it; accumulateSlab derives it once per launch.
 	win spanWindow
@@ -260,13 +261,16 @@ func clipCoefs(ax, ay, az float64, bound *[4]float64) [4]float64 {
 
 // clipRow solves the four boundary inequalities of one row for the
 // half-open column range [i0, i1) ⊆ [0, nx) that satisfies them all, or
-// (0, 0) when none does. Requires z > 0 across the row.
-func clipRow(coef, bound *[4]float64, xc, yc, zc float64, nx int) (int, int) {
+// (0, 0) when none does. Requires z > 0 across the row. The two y
+// boundaries take their own row constant — ycLow is held to the lower one,
+// ycHigh to the upper — so that a k-tile's span solve can hold a different
+// end slice to each; a single row passes the same value twice.
+func clipRow(coef, bound *[4]float64, xc, ycLow, ycHigh, zc float64, nx int) (int, int) {
 	lower, upper := 0.0, float64(nx-1)
 	clipSpan(&lower, &upper, coef[0], bound[0]*zc-xc, false)
 	clipSpan(&lower, &upper, coef[1], bound[1]*zc-xc, true)
-	clipSpan(&lower, &upper, coef[2], bound[2]*zc-yc, false)
-	clipSpan(&lower, &upper, coef[3], bound[3]*zc-yc, true)
+	clipSpan(&lower, &upper, coef[2], bound[2]*zc-ycLow, false)
+	clipSpan(&lower, &upper, coef[3], bound[3]*zc-ycHigh, true)
 	i0 := int(math.Ceil(lower))
 	i1 := int(math.Floor(upper)) + 1
 	if i0 < 0 {
@@ -293,7 +297,7 @@ func (a *projAccess) interiorSpan(ax, xc, ay, yc, az, zc float64, nx int) (int, 
 	}
 	bound := a.interiorBounds()
 	coef := clipCoefs(ax, ay, az, &bound)
-	return clipRow(&coef, &bound, xc, yc, zc, nx)
+	return clipRow(&coef, &bound, xc, yc, yc, zc, nx)
 }
 
 // interiorResident evaluates, with the exact kernel's float32 arithmetic,

@@ -13,8 +13,8 @@ import (
 //
 //	u(i) = ax·i + xc,  v(i) = ay·i + yc,  w(i) = az·i + zc
 //
-// so instead of re-evaluating three multiply-adds per sample it steps four
-// running lanes by the exact float32 constants 4·ax, 4·ay, 4·az (a
+// so instead of re-evaluating three multiply-adds per sample it steps two
+// running lanes by the exact float32 constants 2·ax, 2·ay, 2·az (a
 // power-of-two scaling, so the step itself carries no rounding error).
 // Accumulated addition drift is bounded by re-anchoring every
 // reanchorPeriod columns: the lanes are recomputed from the direct
@@ -28,12 +28,13 @@ import (
 
 // reanchorPeriod is the recurrence re-anchor interval K: lanes are
 // recomputed from the direct affine expression at columns i ≡ 0 (mod K).
-// Must be a power of two and a multiple of the 4-wide unroll. At K = 16
-// the worst-case drift is ≤ 3 lane additions ≈ 3·ε·max|u| — orders of
-// magnitude below the half-pixel margin the span solver guarantees and the
+// Must be a power of two and a multiple of both walks' widths (two scalar
+// lanes, eight vector lanes). At K = 32 the worst-case drift is ≤ 15 lane
+// additions (≤ 3 on the 8-wide path) ≈ 15·ε·max|u| — orders of magnitude
+// below the half-pixel margin the span solver guarantees and the
 // quarter-pixel slack of the fast residency predicates — while the
 // catch-up loop that reproduces a lane value at an arbitrary column (span
-// starts, border probes) stays ≤ 3 iterations.
+// starts, border probes) stays ≤ 15 iterations.
 const reanchorPeriod = 32
 
 // predicateSlack is the margin (in detector pixels) by which the *direct*
@@ -67,16 +68,18 @@ const (
 // bit-identical for every block size.
 const projBlock = 16
 
-// zBlock tiles the k (slice) loop inside one worker's stride so the
-// detector rows a group of adjacent slices projects to stay hot while the
-// j sweep revisits them. Like projBlock it only reorders independent
+// zBlock is the greatest height of a k-tile: the adjacent slices that a
+// (row j, projection s) pair is back-projected into together, so the
+// span solve and everything else that does not depend on z is done once
+// for all of them, and the detector rows they project to stay hot while
+// the j sweep revisits them. Like projBlock it only reorders independent
 // output rows, never the per-voxel s order.
 const zBlock = 8
 
 // recCoords returns the recurrence-evaluated homogeneous coordinates at
 // absolute column i — bit-for-bit the values the lane walker holds when it
 // reaches i: anchor at b = i&^(K−1) offset by the lane index, then
-// (i−b)/4 exact-step additions. Border columns, residency predicates and
+// (i−b)/2 exact-step additions. Border columns, residency predicates and
 // the drift property test all evaluate through here so every consumer of
 // "the coordinate at column i" agrees to the last ulp.
 func recCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
@@ -95,69 +98,80 @@ func recCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
 	return u, v, w
 }
 
-// interiorResidentRec is interiorResident under the recurrence arithmetic:
-// it verifies with the exact float32 values the kernel will use that column
-// i's 2×2 footprint is fully resident.
-func (a *projAccess) interiorResidentRec(i int, ax, ay, az, xc, yc, zc float32) bool {
-	u, v, w := recCoords(i, ax, ay, az, xc, yc, zc)
-	rz := 1 / w
-	x := u * rz
-	y := v * rz
-	iu := int(floor32(x))
-	iv := int(floor32(y))
+// footprint returns the detector pixel (iu, iv) at the origin of column i's
+// 2×2 footprint and whether its weight rz² is finite, with the exact
+// float32 values the kernel computes for the column: the recurrence
+// arithmetic's (simd=false) or the 8-wide contract's (simd=true).
+func footprint(i int, ax, ay, az, xc, yc, zc float32, simd bool) (iu, iv int, finite bool) {
+	var u, v, w, rz float32
+	if simd {
+		u, v, w = simdCoords(i, ax, ay, az, xc, yc, zc)
+		rz = rcpNR(w)
+	} else {
+		u, v, w = recCoords(i, ax, ay, az, xc, yc, zc)
+		rz = 1 / w
+	}
+	return int(floor32(u * rz)), int(floor32(v * rz)), rz*rz < math.MaxFloat32
+}
+
+// resident reports whether the 2×2 footprint at (iu, iv) lies wholly inside
+// the readable window.
+func (a *projAccess) resident(iu, iv int) bool {
 	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
 }
 
-// interiorResidentFast decides residency for the recurrence and simd
-// kernels without the lane catch-up: a direct float32 evaluation clearing
-// every boundary by predicateSlack proves the kernel-arithmetic value is
-// resident too — the slack dominates both kernels' drift (the simd lane
-// drift of ≤ 3 step additions plus the refined reciprocal's 2⁻²² relative
-// error is even smaller than the recurrence's). On the rare
-// boundary-grazing column it falls back to the exact predicate of the
-// requested arithmetic.
-func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, yc, zc float32, simd bool) bool {
+// interiorResidentFast decides whether column i's footprint is resident in
+// every slice of a k-tile whose v constants lie in [ya, yb] (ya == yb for a
+// single row), without the lane catch-up: a direct float32 evaluation
+// clearing every boundary by predicateSlack proves the kernel-arithmetic
+// value is resident too — the slack dominates both kernels' drift (the simd
+// lane drift of ≤ 3 step additions plus the refined reciprocal's 2⁻²²
+// relative error is even smaller than the recurrence's). On the rare
+// boundary-grazing column it falls back to the footprint the requested
+// arithmetic computes in the tile's two end slices (an accepted column has
+// x, y ≥ 0, so the assembly's truncating conversion equals floor wherever
+// it is allowed to truncate). Those speak for the slices between them:
+// every float32 operation from the slice index to iv is monotone, so a
+// middle slice's iv lies between the ends', and the resident rows are an
+// interval.
+func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, ya, yb, zc float32, simd bool) bool {
 	fi := float32(i)
 	w := az*fi + zc
 	if w > 0 {
 		rz := 1 / w
 		x := (ax*fi + xc) * rz
-		y := (ay*fi + yc) * rz
-		if b := &a.win.resident; x >= b[0] && x <= b[1] && y >= b[2] && y <= b[3] {
+		v := ay * fi
+		if b := &a.win.resident; x >= b[0] && x <= b[1] && (v+ya)*rz >= b[2] && (v+yb)*rz <= b[3] {
 			return true
 		}
 	}
-	if simd {
-		return a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc)
+	if iu, iv, _ := footprint(i, ax, ay, az, xc, ya, zc, simd); !a.resident(iu, iv) {
+		return false
 	}
-	return a.interiorResidentRec(i, ax, ay, az, xc, yc, zc)
+	if ya == yb {
+		return true
+	}
+	iu, iv, _ := footprint(i, ax, ay, az, xc, yb, zc, simd)
+	return a.resident(iu, iv)
 }
 
-// zeroContribRec reports whether column i's contribution is provably
-// exactly +0 under the recurrence arithmetic: all four bilinear neighbours
-// lie outside the readable window (texture-border zeros) and the distance
-// weight rz² is finite, so rz²·0 = +0 and skipping the column leaves the
-// accumulator bit-identical (out[i] is never −0: it starts +0 and
-// round-to-nearest addition cannot produce −0 from a +0 running sum).
-func (a *projAccess) zeroContribRec(i int, ax, ay, az, xc, yc, zc float32) bool {
-	u, v, w := recCoords(i, ax, ay, az, xc, yc, zc)
-	rz := 1 / w
-	if !(rz*rz < math.MaxFloat32) {
-		return false // overflowing weight: evaluate rather than reason about Inf·0
-	}
-	x := u * rz
-	y := v * rz
-	iu := int(floor32(x))
-	iv := int(floor32(y))
-	return iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi
-}
-
-// zeroContribFast is the cheap form of the exact zero predicates: a direct
-// float32 evaluation past a zero boundary by predicateSlack proves the
-// kernel-arithmetic value (recurrence or simd, both drifting far less than
-// the slack) is past it too; boundary-grazing columns fall back to the
-// exact predicate of the requested arithmetic.
-func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, yc, zc float32, simd bool) bool {
+// zeroContribFast reports whether column i's contribution is provably
+// exactly +0 in every slice of a k-tile whose v constants lie in [ya, yb]:
+// all four bilinear neighbours lie outside the readable window
+// (texture-border zeros) and the distance weight rz² is finite, so
+// rz²·0 = +0 and skipping the column leaves the accumulator bit-identical
+// (out[i] is never −0: it starts +0 and round-to-nearest addition cannot
+// produce −0 from a +0 running sum). A direct float32 evaluation past a
+// zero boundary by predicateSlack proves the kernel-arithmetic value
+// (recurrence or simd, both drifting far less than the slack) is past it
+// too; boundary-grazing columns are decided by the footprint the requested
+// arithmetic computes, and an overflowing weight — rcpNR of a degenerate w
+// is infinite or NaN — is evaluated rather than reasoned about as Inf·0:
+// skipping always needs proof, evaluating is always safe. A column is zero
+// in the whole tile when x misses the window, or when the highest slice is
+// still below it, or the lowest already above it — the two ends may not
+// miss it on opposite sides, because the slices between them then cross it.
+func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, ya, yb, zc float32, simd bool) bool {
 	fi := float32(i)
 	w := az*fi + zc
 	if w > 0 {
@@ -170,15 +184,22 @@ func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, yc, zc float32, simd
 			return false // evaluating a column is always safe; skipping needs proof
 		}
 		x := (ax*fi + xc) * rz
-		y := (ay*fi + yc) * rz
-		if b := &a.win.zero; x <= b[0] || x >= b[1] || y <= b[2] || y >= b[3] {
+		v := ay * fi
+		if b := &a.win.zero; x <= b[0] || x >= b[1] || (v+yb)*rz <= b[2] || (v+ya)*rz >= b[3] {
 			return true
 		}
 	}
-	if simd {
-		return a.zeroContribSIMD(i, ax, ay, az, xc, yc, zc)
+	iu, iv, finite := footprint(i, ax, ay, az, xc, yb, zc, simd)
+	if !finite {
+		return false
 	}
-	return a.zeroContribRec(i, ax, ay, az, xc, yc, zc)
+	if iu < -1 || iu >= a.nu || iv < a.lo-1 {
+		return true
+	}
+	if ya != yb {
+		_, iv, _ = footprint(i, ax, ay, az, xc, ya, zc, simd)
+	}
+	return iv >= a.hi
 }
 
 // spanWindow is the readable window [0,nu) × [lo,hi) in the forms a
@@ -206,14 +227,21 @@ func (a *projAccess) newSpanWindow() spanWindow {
 	}
 }
 
-// projConsts is what the (row, projection) launches of one projection
-// share across the rows of a slab: the matrix, the float64 forms of its
-// column coefficients that the span solves work in, and the assembly
+// projConsts is what the (row, projection, k-tile) launches of one
+// projection share across the rows of a slab: the matrix, the float64 forms
+// of its column coefficients that the span solves work in, and the assembly
 // kernel's argument block with its per-projection fields filled. One is
 // built per worker and projection of a block, outside the (k, j) sweep.
 type projConsts struct {
-	s             int
-	m             geometry.Mat34x4
+	s int
+	m geometry.Mat34x4
+	// zInvariant is the launch-time proof that u and w do not depend on
+	// the slice: the matrix's z entries in the u and w rows are exactly
+	// zero, so a zero times a slice index (never negative) adds the same
+	// signed zero to xc and zc in every slice and only v moves with z.
+	// Every geometry this repository builds has it; a tilted detector does
+	// not, and its tiles are one slice high.
+	zInvariant    bool
 	axd, ayd, azd float64
 	// axn, ayn, azn are the changes of u, v and w from column 0 to nx−1.
 	axn, ayn, azn float64
@@ -224,7 +252,7 @@ type projConsts struct {
 }
 
 func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int, simd bool) projConsts {
-	pc := projConsts{s: s, m: *m}
+	pc := projConsts{s: s, m: *m, zInvariant: m.R0[2] == 0 && m.R2[2] == 0}
 	pc.axd, pc.ayd, pc.azd = float64(m.R0[0]), float64(m.R1[0]), float64(m.R2[0])
 	last := float64(nx - 1)
 	pc.axn, pc.ayn, pc.azn = pc.axd*last, pc.ayd*last, pc.azd*last
@@ -238,13 +266,23 @@ func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int, simd bool
 
 // accumulateSlicesRec back-projects the k slices owned by worker w with the
 // recurrence kernel (simd=false) or its 8-wide AVX2 restructuring
-// (simd=true). Loop order is s-block → k-tile → k → j → s, i.e. the
-// voxel sweep is repeated per small group of projections (cache blocking);
-// per (row, projection) the column loop is clipped to its detector support
-// and split into border strips around the fused interior.
+// (simd=true). Loop order is s-block → k-tile → j → s → k, i.e. the voxel
+// sweep is repeated per small group of projections (cache blocking) and a
+// (row, projection) pair visits the slices of its tile innermost, where
+// only v is new; per tile the column loop is clipped to its detector
+// support and split into border strips around the fused interior.
 func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters, simd bool) {
 	nx := slab.NX
+	stride := slab.NY * nx
+	// The slab is cut into tiles of adjacent slices — adjacent, so that a
+	// tile's sweep of v, which its spans must cover, is as short as its
+	// height allows — dealt to the workers in turn: the fewest tiles of at
+	// most zBlock slices that come to a whole number of rounds, at equal
+	// heights.
+	tiles := workers * ((slab.NZ + workers*zBlock - 1) / (workers * zBlock))
+	th := (slab.NZ + tiles - 1) / tiles
 	var pcs [projBlock]projConsts
+	var kfs [zBlock]float32
 	for sb := 0; sb < a.np; sb += projBlock {
 		sEnd := sb + projBlock
 		if sEnd > a.np {
@@ -254,40 +292,65 @@ func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4
 		for i := range block {
 			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx, simd)
 		}
-		for kt := w; kt < slab.NZ; kt += workers * zBlock {
-			kEnd := kt + workers*zBlock
-			if kEnd > slab.NZ {
-				kEnd = slab.NZ
+		for kt := w * th; kt < slab.NZ; kt += workers * th {
+			kf := kfs[:0]
+			for k := kt; k < slab.NZ && len(kf) < th; k++ {
+				kf = append(kf, float32(slab.Z0+k))
 			}
-			for k := kt; k < kEnd; k += workers {
-				kf := float32(slab.Z0 + k)
-				for j := 0; j < slab.NY; j++ {
-					jf := float32(j)
-					out := slab.Data[(k*slab.NY+j)*nx : (k*slab.NY+j+1)*nx]
-					for i := range block {
-						pc := &block[i]
-						m := &pc.m
-						xc := m.R0[1]*jf + m.R0[2]*kf + m.R0[3]
-						yc := m.R1[1]*jf + m.R1[2]*kf + m.R1[3]
-						zc := m.R2[1]*jf + m.R2[2]*kf + m.R2[3]
-						a.rowRec(out, pc, xc, yc, zc, nx, ctr, simd)
-					}
+			for j := 0; j < slab.NY; j++ {
+				rows := slab.Data[(kt*slab.NY+j)*nx:]
+				for i := range block {
+					a.tileRec(rows, stride, &block[i], float32(j), kf, nx, ctr, simd)
 				}
 			}
 		}
 	}
 }
 
-// rowSpans decides how one (output row, projection) pair is walked: the
-// supported columns [c0,c1), outside which every contribution is exactly
-// +0, and inside them the interior [i0,i1) whose footprints are fully
-// resident. Both are solved analytically and their endpoints verified with
-// the exact predicates of the requested arithmetic (recurrence or simd).
-// Every decision is a function of the row constants (pc, xc, yc, zc) and the
-// window alone, so any decomposition of a volume splits the same row the
-// same way. A row z may cross gets (0, 0, 0, nx): no skipping, no interior.
-func (a *projAccess) rowSpans(pc *projConsts, xc, yc, zc float32, nx int, simd bool) (c0, i0, i1, c1 int) {
-	xcd, ycd, zcd := float64(xc), float64(yc), float64(zc)
+// tileRec back-projects one projection into volume row jf of the slices kf
+// of a k-tile. The slices are cut into launches that share xc and zc: all
+// of them when the projection is zInvariant, one slice each otherwise —
+// the same code with tile height 1.
+func (a *projAccess) tileRec(rows []float32, stride int, pc *projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters, simd bool) {
+	m := &pc.m
+	var ycs [zBlock]float32
+	for t, k := range kf {
+		ycs[t] = m.R1[1]*jf + m.R1[2]*k + m.R1[3]
+	}
+	h := 1
+	if pc.zInvariant {
+		h = len(kf)
+	}
+	for t := 0; t < len(kf); t += h {
+		xc := m.R0[1]*jf + m.R0[2]*kf[t] + m.R0[3]
+		zc := m.R2[1]*jf + m.R2[2]*kf[t] + m.R2[3]
+		a.rowRec(rows[t*stride:], stride, pc, xc, zc, ycs[t:t+h], nx, ctr, simd)
+	}
+}
+
+// rowSpans decides how one (output row, projection) pair is walked in the
+// slices of a k-tile that share xc and zc and whose v constants lie between
+// ya and yb, those of the tile's two end slices (ya == yb: one slice): the
+// supported columns [c0,c1), outside which every contribution in every
+// slice is exactly +0, and inside them the interior [i0,i1) whose
+// footprints are fully resident in every slice. v, and with it y, is
+// monotone in the slice index at every column, so the tile's range of y is
+// spanned by its end slices: the interior is where the lowest slice clears
+// the window's lower edge and the highest its upper edge, the support where
+// the highest slice reaches the lower edge and the lowest the upper one. A
+// slice covers columns of the support it does not itself reach; the guarded
+// path adds exactly +0 there. Both spans are solved analytically and their
+// endpoints verified with the exact predicates of the requested arithmetic
+// (recurrence or simd). Every decision is a function of the row constants
+// (pc, xc, ya, yb, zc) and the window alone, so any decomposition of a volume
+// that cuts the same tiles splits the same row the same way. A row z may
+// cross gets (0, 0, 0, nx): no skipping, no interior.
+func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int, simd bool) (c0, i0, i1, c1 int) {
+	if ya > yb {
+		ya, yb = yb, ya
+	}
+	xcd, zcd := float64(xc), float64(zc)
+	yld, yhd := float64(ya), float64(yb)
 	// Row-end values of w, u and v: with w > 0 across the row, x(i) and
 	// y(i) are monotonic (linear-fractional, no pole), so the row's
 	// coordinate range is spanned by its endpoints.
@@ -296,7 +359,8 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, yc, zc float32, nx int, simd b
 		return 0, 0, 0, nx
 	}
 	ux0, uxn := xcd, pc.axn+xcd
-	uy0, uyn := ycd, pc.ayn+ycd
+	yl0, yln := yld, pc.ayn+yld
+	yh0, yhn := yhd, pc.ayn+yhd
 	// Endpoint pre-reject: both endpoints past the same support boundary
 	// means the support solve comes out empty — declare the row provably
 	// zero without running it. The boundaries are the solve's own, so the
@@ -304,7 +368,7 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, yc, zc float32, nx int, simd b
 	// the ratio tests u/w < B multiply through to u < B·w — no divides on
 	// this always-taken path.
 	if b := &a.win.support; (ux0 < b[0]*w0 && uxn < b[0]*wn) || (ux0 > b[1]*w0 && uxn > b[1]*wn) ||
-		(uy0 < b[2]*w0 && uyn < b[2]*wn) || (uy0 > b[3]*w0 && uyn > b[3]*wn) {
+		(yh0 < b[2]*w0 && yhn < b[2]*wn) || (yl0 > b[3]*w0 && yln > b[3]*wn) {
 		return 0, 0, 0, 0
 	}
 	// Fully-interior pre-accept, the mirror image of the pre-reject: both
@@ -314,28 +378,28 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, yc, zc float32, nx int, simd b
 	// exactly as it does for the analytic solve, so [0,nx) is a sound
 	// interior span and the eight boundary divisions are skipped.
 	if b := &a.win.accept; ux0 > b[0]*w0 && uxn > b[0]*wn && ux0 < b[1]*w0 && uxn < b[1]*wn &&
-		uy0 > b[2]*w0 && uyn > b[2]*wn && uy0 < b[3]*w0 && uyn < b[3]*wn {
+		yl0 > b[2]*w0 && yln > b[2]*wn && yh0 < b[3]*w0 && yhn < b[3]*wn {
 		c0, c1 = 0, nx
 		i0, i1 = 0, nx
 	} else {
-		c0, c1 = clipRow(&pc.support, &a.win.support, xcd, ycd, zcd, nx)
-		i0, i1 = clipRow(&pc.interior, &a.win.interior, xcd, ycd, zcd, nx)
+		c0, c1 = clipRow(&pc.support, &a.win.support, xcd, yhd, yld, zcd, nx)
+		i0, i1 = clipRow(&pc.interior, &a.win.interior, xcd, yld, yhd, zcd, nx)
 	}
 	// The analytic solve carries a half-pixel margin; the float32
 	// predicates pin the final boundaries so the fast paths stay sound even
 	// if the float64 clip were off by a column.
 	ax, ay, az := pc.m.R0[0], pc.m.R1[0], pc.m.R2[0]
-	for i0 < i1 && !a.interiorResidentFast(i0, ax, ay, az, xc, yc, zc, simd) {
+	for i0 < i1 && !a.interiorResidentFast(i0, ax, ay, az, xc, ya, yb, zc, simd) {
 		i0++
 	}
-	for i0 < i1 && !a.interiorResidentFast(i1-1, ax, ay, az, xc, yc, zc, simd) {
+	for i0 < i1 && !a.interiorResidentFast(i1-1, ax, ay, az, xc, ya, yb, zc, simd) {
 		i1--
 	}
 	if c0 < c1 {
-		for c0 > 0 && !a.zeroContribFast(c0-1, ax, ay, az, xc, yc, zc, simd) {
+		for c0 > 0 && !a.zeroContribFast(c0-1, ax, ay, az, xc, ya, yb, zc, simd) {
 			c0--
 		}
-		for c1 < nx && !a.zeroContribFast(c1, ax, ay, az, xc, yc, zc, simd) {
+		for c1 < nx && !a.zeroContribFast(c1, ax, ay, az, xc, ya, yb, zc, simd) {
 			c1++
 		}
 	}
@@ -352,17 +416,45 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, yc, zc float32, nx int, simd b
 	return c0, i0, i1, c1
 }
 
-// rowRec processes one (output row, projection) pair: rowSpans decides the
-// supported and interior columns, then the supported ones are walked
-// through the requested arithmetic's fused interior and guarded border
-// paths.
-func (a *projAccess) rowRec(out []float32, pc *projConsts, xc, yc, zc float32, nx int, ctr *kernelCounters, simd bool) {
-	c0, i0, i1, c1 := a.rowSpans(pc, xc, yc, zc, nx, simd)
-	ctr.interior += int64(i1 - i0)
-	ctr.border += int64((c1 - c0) - (i1 - i0))
-	ctr.skipped += int64(nx - (c1 - c0))
+// rowRec processes one (output row, projection) pair in the len(yc) slices
+// of a k-tile that share xc and zc: rows starts at the row in the first
+// slice, the row in each further slice lies stride floats on, and yc holds
+// the slices' v constants. rowSpans decides the supported and interior
+// columns once for the tile, then the supported ones are walked in every
+// slice through the requested arithmetic's fused interior and guarded
+// border paths.
+func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc float32, yc []float32, nx int, ctr *kernelCounters, simd bool) {
+	c0, i0, i1, c1 := a.rowSpans(pc, xc, yc[0], yc[len(yc)-1], zc, nx, simd)
+	h := int64(len(yc))
+	ctr.interior += h * int64(i1-i0)
+	ctr.border += h * int64((c1-c0)-(i1-i0))
+	ctr.skipped += h * int64(nx-(c1-c0))
 	if c0 >= c1 {
 		return
+	}
+	if simd {
+		// One assembly launch covers the whole supported span in every
+		// slice of the tile: 8-lane groups wholly inside [i0,i1) run the
+		// unguarded body, every other covered group runs the guarded
+		// texture-border body under a lane mask. Interior columns in
+		// partial groups are counted as scalar-tail samples.
+		if i0 >= i1 {
+			i0, i1 = c0, c0
+		}
+		launchSpan(&pc.args, rows, stride, c0, c1, i0, i1, xc, zc, yc)
+		ctr.reanchors += h * reanchorSegments(c0, c1)
+		fg, ts := simdLaneCounts(i0, i1)
+		ctr.simdGroups += h * fg
+		ctr.simdTail += h * ts
+		return
+	}
+	// Pair-aligned fully-interior core; the ≤1 unaligned column on each
+	// side joins the border ranges (the guarded gather is bit-identical on
+	// resident columns — the guards only decide whether a load happens,
+	// never its value).
+	f0, f1 := (i0+1)&^1, i1&^1
+	if f0 >= f1 {
+		f0, f1 = c0, c0
 	}
 	// The hot loops live in their own functions on purpose: the span
 	// decisions' locals plus the loop state of a fused gather exceed the
@@ -370,40 +462,15 @@ func (a *projAccess) rowRec(out []float32, pc *projConsts, xc, yc, zc float32, n
 	// spill lane values and loop counters to the stack on every iteration.
 	// Dedicated functions give each loop its own allocation with a small
 	// live set.
-	if simd {
-		// One assembly launch covers the whole supported span: 8-lane
-		// groups wholly inside [i0,i1) run the unguarded paired-gather
-		// body, every other covered group runs the guarded texture-border
-		// body under a lane mask. Interior columns in partial groups are
-		// counted as scalar-tail samples.
-		if i0 >= i1 {
-			i0, i1 = c0, c0
-		}
-		launchSpan(&pc.args, out, c0, c1, i0, i1, xc, yc, zc)
-		ctr.reanchors += reanchorSegments(c0, c1)
-		fg, ts := simdLaneCounts(i0, i1)
-		ctr.simdGroups += fg
-		ctr.simdTail += ts
-		return
-	}
 	s := pc.s
 	ax, ay, az := pc.m.R0[0], pc.m.R1[0], pc.m.R2[0]
-	if i0 < i1 {
-		// Pair-aligned fully-interior core; the ≤1 unaligned column on
-		// each side joins the border ranges below (the guarded gather is
-		// bit-identical on resident columns — the guards only decide
-		// whether a load happens, never its value).
-		f0 := (i0 + 1) &^ 1
-		f1 := i1 &^ 1
+	for t, ycT := range yc {
+		out := rows[t*stride : t*stride+nx]
 		if f0 < f1 {
-			ctr.reanchors += a.fusedInterior(out, s, f0, f1, ax, ay, az, xc, yc, zc)
-		} else {
-			f0, f1 = i0, i0
+			ctr.reanchors += a.fusedInterior(out, s, f0, f1, ax, ay, az, xc, ycT, zc)
 		}
-		ctr.reanchors += a.guardedCols(out, s, c0, f0, ax, ay, az, xc, yc, zc)
-		ctr.reanchors += a.guardedCols(out, s, f1, c1, ax, ay, az, xc, yc, zc)
-	} else {
-		ctr.reanchors += a.guardedCols(out, s, c0, c1, ax, ay, az, xc, yc, zc)
+		ctr.reanchors += a.guardedCols(out, s, c0, f0, ax, ay, az, xc, ycT, zc)
+		ctr.reanchors += a.guardedCols(out, s, f1, c1, ax, ay, az, xc, ycT, zc)
 	}
 }
 

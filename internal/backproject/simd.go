@@ -29,8 +29,9 @@ import (
 // simdCoords and rcpNR are the scalar transcription of that contract:
 // vector lanes are IEEE-754 scalars, Go's amd64 backend never fuses
 // multiply-adds, and RCPSS produces the same approximation as the
-// corresponding RCPPS lane, so the Go border path and predicates below
-// reproduce the assembly's values bit-for-bit on the same machine. The
+// corresponding RCPPS lane, so the Go border path below and the span
+// predicates (footprint) reproduce the assembly's values bit-for-bit on the
+// same machine. The
 // refined reciprocal's relative error is ≤ ~2⁻²² — below the exact
 // divide's half-ulp by only a factor of two — so the drift analysis
 // behind predicateSlack and the parity gates carries over unchanged (the
@@ -57,40 +58,6 @@ func simdCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
 		w += az8
 	}
 	return u, v, w
-}
-
-// interiorResidentSIMD is interiorResident under the simd arithmetic: it
-// verifies with the exact values the vector kernel will compute that column
-// i's 2×2 footprint is fully resident. A column accepted here has x, y ≥ 0,
-// so the assembly's truncating conversion equals floor for every column it
-// is allowed to touch.
-func (a *projAccess) interiorResidentSIMD(i int, ax, ay, az, xc, yc, zc float32) bool {
-	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
-	rz := rcpNR(w)
-	x := u * rz
-	y := v * rz
-	iu := int(floor32(x))
-	iv := int(floor32(y))
-	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
-}
-
-// zeroContribSIMD is zeroContribRec under the simd arithmetic: column i's
-// contribution is provably exactly +0 when all four bilinear neighbours lie
-// outside the readable window and the weight is finite. rcpNR(w) for
-// degenerate w (≤ 0, or rcp overflow) yields an infinite or NaN rz, which
-// fails the finiteness test and forces evaluation — skipping always needs
-// proof, evaluating is always safe.
-func (a *projAccess) zeroContribSIMD(i int, ax, ay, az, xc, yc, zc float32) bool {
-	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
-	rz := rcpNR(w)
-	if !(rz*rz < math.MaxFloat32) {
-		return false
-	}
-	x := u * rz
-	y := v * rz
-	iu := int(floor32(x))
-	iv := int(floor32(y))
-	return iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi
 }
 
 // guardedColsSIMD back-projects columns [g0,g1) through the texture-border
@@ -182,6 +149,7 @@ func (a *projAccess) prepareSIMD() bool {
 		idx := make([]int32, len(a.rowOff))
 		for i, r := range a.rowOff {
 			idx[i] = int32(r)
+			a.rowMax = max(a.rowMax, r)
 		}
 		a.rowIdx32 = idx
 	}

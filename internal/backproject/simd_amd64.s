@@ -1,38 +1,52 @@
 //go:build amd64
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // AVX2 implementation of the SIMD coordinate contract (see simd.go).
 //
-// One call covers a row's whole supported span [c0,c1): 8-column groups
-// wholly inside the interior sub-span [f0,f1) run the unguarded fast body
-// (paired 64-bit gathers), every other covered group runs the guarded body
-// (per-neighbour masked gathers with texture-border semantics). Both
-// bodies read the same lane registers, so a column computes the same value
-// whichever body its group lands in — the decomposition invariance the
-// kernel promises.
+// One call covers the supported span [c0,c1) of one volume row in the h
+// slices of a k-tile, for one projection whose u and w do not depend on z
+// (the caller proves that, or passes h = 1). Per 8-column group the
+// z-invariant work — reciprocal, x, iu, eu, rz², the contiguous-window
+// test — is done once; the slice loop inside recomputes only what v moves:
+// y, iv, ev, the detector-row offsets, the four sample loads and the
+// accumulate into the slice's row. Groups wholly inside the interior
+// sub-span [f0,f1) run the unguarded fast body, every other covered group
+// the guarded body (per-neighbour masked gathers with texture-border
+// semantics). Both bodies read the same lane values, so a column computes
+// the same value whichever body its group lands in — the decomposition
+// invariance the kernel promises.
 //
 // Register plan, held across the whole kernel:
-//   Y0/Y1/Y2  = u/v/w coordinate lanes (8 columns per vector)
-//   Y3/Y4/Y5  = per-group steps 8·ax / 8·ay / 8·az (power-of-two: exact)
+//   Y0, Y2    = u, w coordinate lanes (8 columns per vector)
+//   Y4        = per-group step 8·ay (8·ax and 8·az are stack operands)
 //   Y6        = 2.0 broadcast (Newton–Raphson constant)
-//   Y7        = active-lane mask (guarded groups; fast-body scratch)
-//   Y8..Y15   = scratch
-//   AX = args   DI = data   SI = rows   DX = out
-//   BX = c0     R9 = c1     CX = f0 (f1 compared from memory)
+//   per group: Y8 = rz, Y9 = eu, Y10 = rz², Y11 = iu,
+//              Y3 = window lane (fast), Y7 = active-lane mask (guarded)
+//   Y1, Y5, Y12..Y15 (and Y7 fast, Y3 guarded) = slice-loop scratch
+//   AX = args   DI = data   SI = rows   DX = out (row in the first slice)
 //   R8 = anchor b   R10 = group base   R11 = segment end
-//   R12 = segment start   R13 = scratch
+//   R12 = segment start   BX = row in the current slice
+//   R9 = 32·slice (offset into the v lanes)   CX = window base or −1
+//   R13, R14 = scratch
+//
+// The v lanes live on the stack, one vector per slice: slice k's lanes
+// start each segment at ay·float32(b+j) + yc[k] and step by 8·ay per group,
+// exactly the contract's per-row walk.
 //
 // Fast-body soundness: every lane of a fast group satisfies the interior
-// residency predicate under this exact arithmetic (rowRec verifies span
-// endpoints with interiorResidentSIMD; the analytic span's half-pixel
-// margin covers the in-between columns), so the unguarded loads stay in
-// bounds, the 8-byte pair loads cover data[idx] and data[idx+1] inside one
-// detector row, and the truncating float→int conversion equals floor
-// (x, y ≥ 0). Guarded-body soundness: loads happen only where the
-// neighbour masks prove them in range; masked-off lanes may compute
-// garbage (even NaN) — their gathers and the accumulate are
-// mask-suppressed, and lane arithmetic never mixes lanes.
+// residency predicate under this exact arithmetic in every slice of the
+// tile (rowSpans verifies the span endpoints in the tile's two end slices;
+// v is monotone in k and the analytic span's half-pixel margin covers the
+// in-between columns), so the unguarded loads stay in bounds, the 8-byte
+// pair loads cover data[idx] and data[idx+1] inside one detector row, and
+// the truncating float→int conversion equals floor (x, y ≥ 0).
+// Guarded-body soundness: loads happen only where the neighbour masks
+// prove them in range; masked-off lanes may compute garbage (even NaN) —
+// their gathers and the accumulate are mask-suppressed, and lane
+// arithmetic never mixes lanes. A covered lane whose footprint misses the
+// window in this slice adds exactly +0.
 
 // lane07: the int32 vector {0,1,...,7} for anchor init and range masks.
 DATA lane07<>+0(SB)/4, $0
@@ -51,6 +65,16 @@ GLOBL two32<>(SB), RODATA|NOPTR, $4
 DATA eight32<>+0(SB)/4, $0x41000000 // float32(8)
 GLOBL eight32<>(SB), RODATA|NOPTR, $4
 
+DATA seven32<>+0(SB)/4, $7
+GLOBL seven32<>(SB), RODATA|NOPTR, $4
+
+// notseven: any bit set under this mask puts a window lane outside [0,7].
+DATA notseven<>+0(SB)/8, $0xfffffff8fffffff8
+DATA notseven<>+8(SB)/8, $0xfffffff8fffffff8
+DATA notseven<>+16(SB)/8, $0xfffffff8fffffff8
+DATA notseven<>+24(SB)/8, $0xfffffff8fffffff8
+GLOBL notseven<>(SB), RODATA|NOPTR, $32
+
 // All-lanes int32 constants for the guarded body's range masks; memory
 // operands here save materializing them in registers per group.
 DATA minus1v<>+0(SB)/8, $0xffffffffffffffff
@@ -67,173 +91,259 @@ GLOBL minus2v<>(SB), RODATA|NOPTR, $32
 
 // Frame layout (offsets from the pseudo-SP):
 //   tmp-8(SP)     8B   GPR→vector broadcast staging
-//   mr0S-40(SP)  32B   guarded: row-0 readable mask
-//   mr1S-72(SP)  32B   guarded: row-1 readable mask
-//   mu0S-104(SP) 32B   guarded: column iu readable mask
-//   mu1S-136(SP) 32B   guarded: column iu+1 readable mask
+//   mr0S-40(SP)  32B   guarded: row-0 readable mask (per slice)
+//   mr1S-72(SP)  32B   guarded: row-1 readable mask (per slice)
+//   mu0S-104(SP) 32B   guarded: column iu readable mask (per group)
+//   mu1S-136(SP) 32B   guarded: column iu+1 readable mask (per group)
 //   axv-168(SP)  32B   broadcast row constants (segment re-anchor reads
-//   ayv-200(SP)  32B   them as memory operands — six fewer front-end ops
-//   azv-232(SP)  32B   per segment than re-broadcasting)
+//   ayv-200(SP)  32B   them as memory operands — fewer front-end ops per
+//   azv-232(SP)  32B   segment than re-broadcasting)
 //   xcv-264(SP)  32B
-//   ycv-296(SP)  32B
-//   zcv-328(SP)  32B
-//   fsS-336(SP)   8B   first 8-aligned group base inside [f0,f1)
-//   feGS-344(SP)  8B   first 8-aligned group base at/past f1−7
-//   feS-352(SP)   8B   fast-window end for the current segment
+//   zcv-296(SP)  32B
+//   ax8v-328(SP) 32B   per-group steps 8·ax, 8·az (power-of-two: exact)
+//   az8v-360(SP) 32B
+//   fsS-368(SP)   8B   first 8-aligned group base inside [f0,f1)
+//   feGS-376(SP)  8B   first 8-aligned group base at/past f1−7
+//   feS-384(SP)   8B   fast-window end for the current segment
+//   hbS-392(SP)   8B   32·h, the end of the v lanes
+//   vS-648(SP)  256B   v lanes, 32 B per slice
 //
 // The grid of group bases is 8-aligned (anchors are 32-aligned), so the
-// old per-group test "base ≥ f0 && base+8 ≤ f1" is exactly the window
+// per-group test "base ≥ f0 && base+8 ≤ f1" is exactly the window
 // "base ∈ [fs, feG)" with fs = (f0+7)&^7 and feG = f1&^7, and within a
 // segment the fast groups form one contiguous run [fs, min(feG, segend)).
 // That lets the hot path loop on a single compare instead of re-deciding
 // fast-vs-guarded every group.
 
-// func fusedSpanAVX2(a *simdRowArgs)
-TEXT ·fusedSpanAVX2(SB), NOSPLIT, $352-8
+// func fusedTileAVX2(a *simdRowArgs)
+TEXT ·fusedTileAVX2(SB), NOSPLIT, $648-8
 	MOVQ a+0(FP), AX
-	MOVQ 0(AX), DI  // data
-	MOVQ 8(AX), SI  // rows (int32 table)
-	MOVQ 16(AX), DX // out
-	MOVQ 24(AX), BX // c0
-	MOVQ 32(AX), R9 // c1
-	MOVQ 40(AX), CX // f0
+	MOVQ simdRowArgs_data(AX), DI
+	MOVQ simdRowArgs_rows(AX), SI // int32 table
+	MOVQ simdRowArgs_out(AX), DX
 
-	// Broadcast the six row constants once; build the step vectors 8·a
-	// (exact power-of-two scaling, matching the scalar twin's ax*8 to
-	// the bit) from the same broadcasts.
+	// Broadcast the row constants once; build the step vectors 8·a (exact
+	// power-of-two scaling, matching the scalar twin's ax*8 to the bit)
+	// from the same broadcasts.
 	VBROADCASTSS eight32<>(SB), Y8
-	VBROADCASTSS 68(AX), Y9
+	VBROADCASTSS simdRowArgs_ax(AX), Y9
 	VMOVUPS      Y9, axv-168(SP)
-	VMULPS       Y8, Y9, Y3
-	VBROADCASTSS 72(AX), Y9
+	VMULPS       Y8, Y9, Y9
+	VMOVUPS      Y9, ax8v-328(SP)
+	VBROADCASTSS simdRowArgs_ay(AX), Y9
 	VMOVUPS      Y9, ayv-200(SP)
 	VMULPS       Y8, Y9, Y4
-	VBROADCASTSS 76(AX), Y9
+	VBROADCASTSS simdRowArgs_az(AX), Y9
 	VMOVUPS      Y9, azv-232(SP)
-	VMULPS       Y8, Y9, Y5
-	VBROADCASTSS 80(AX), Y9
+	VMULPS       Y8, Y9, Y9
+	VMOVUPS      Y9, az8v-360(SP)
+	VBROADCASTSS simdRowArgs_xc(AX), Y9
 	VMOVUPS      Y9, xcv-264(SP)
-	VBROADCASTSS 84(AX), Y9
-	VMOVUPS      Y9, ycv-296(SP)
-	VBROADCASTSS 88(AX), Y9
-	VMOVUPS      Y9, zcv-328(SP)
+	VBROADCASTSS simdRowArgs_zc(AX), Y9
+	VMOVUPS      Y9, zcv-296(SP)
 	VBROADCASTSS two32<>(SB), Y6
 
 	// Fast-window bounds on the 8-aligned group grid.
-	LEAQ 7(CX), R13
+	MOVQ simdRowArgs_f0(AX), R13
+	ADDQ $7, R13
 	ANDQ $-8, R13
-	MOVQ R13, fsS-336(SP)
-	MOVQ 48(AX), R13
+	MOVQ R13, fsS-368(SP)
+	MOVQ simdRowArgs_f1(AX), R13
 	ANDQ $-8, R13
-	MOVQ R13, feGS-344(SP)
+	MOVQ R13, feGS-376(SP)
+	MOVQ simdRowArgs_h(AX), R13
+	SHLQ $5, R13
+	MOVQ R13, hbS-392(SP)
 
 	// First anchor: b = c0 &^ 31 (fixed absolute columns).
-	MOVQ BX, R8
+	MOVQ simdRowArgs_c0(AX), R8
 	ANDQ $-32, R8
 
 segment:
-	CMPQ R8, R9
+	CMPQ R8, simdRowArgs_c1(AX)
 	JGE  done
 
 	// R11 = segment end = min(b+32, c1); R12 = segment start = max(b, c0).
 	LEAQ 32(R8), R11
-	CMPQ R11, R9
+	CMPQ R11, simdRowArgs_c1(AX)
 	JLE  g1done
-	MOVQ R9, R11
+	MOVQ simdRowArgs_c1(AX), R11
 
 g1done:
 	MOVQ R8, R12
-	CMPQ R12, BX
+	CMPQ R12, simdRowArgs_c0(AX)
 	JGE  g0done
-	MOVQ BX, R12
+	MOVQ simdRowArgs_c0(AX), R12
 
 g0done:
 	// Clamp the fast window to this segment so the tight loop never runs
 	// through a re-anchor point.
-	MOVQ feGS-344(SP), R13
+	MOVQ feGS-376(SP), R13
 	CMPQ R13, R11
 	JLE  feok
 	MOVQ R11, R13
 
 feok:
-	MOVQ R13, feS-352(SP)
+	MOVQ R13, feS-384(SP)
 
 	// Anchor init: lane j holds op·float32(b+j) + oc — separate multiply
-	// and add, never fused, per the contract.
+	// and add, never fused, per the contract. The v lanes share the
+	// product and add each slice's own constant.
 	MOVL         R8, tmp-8(SP)
 	VPBROADCASTD tmp-8(SP), Y8
 	VPADDD       lane07<>(SB), Y8, Y8
 	VCVTDQ2PS    Y8, Y8
 	VMULPS       axv-168(SP), Y8, Y0
 	VADDPS       xcv-264(SP), Y0, Y0
-	VMULPS       ayv-200(SP), Y8, Y1
-	VADDPS       ycv-296(SP), Y1, Y1
 	VMULPS       azv-232(SP), Y8, Y2
-	VADDPS       zcv-328(SP), Y2, Y2
+	VADDPS       zcv-296(SP), Y2, Y2
+	VMULPS       ayv-200(SP), Y8, Y8
+	XORQ         R9, R9
+	XORQ         R13, R13
+
+vinit:
+	VBROADCASTSS simdRowArgs_yc(AX)(R13*1), Y9
+	VADDPS       Y9, Y8, Y9
+	VMOVUPS      Y9, vS-648(SP)(R9*1)
+	ADDQ         $4, R13
+	ADDQ         $32, R9
+	CMPQ         R9, hbS-392(SP)
+	JL           vinit
 
 	MOVQ R8, R10 // group base = b
 
 group:
 	CMPQ R10, R11
 	JGE  nextseg
-	CMPQ R10, fsS-336(SP)
+	CMPQ R10, fsS-368(SP)
 	JL   slow
-	CMPQ R10, feS-352(SP)
+	CMPQ R10, feS-384(SP)
 	JGE  slow
 
 	// ---------------- fast body: 8 interior columns -------------------
 	// Every group in [fs, fe) sits wholly inside the interior [f0,f1)
 	// and is automatically fully active (f0≥c0, f1≤c1).
 
-fastloop:
+fast:
 	// rz = rcp(w) refined by one Newton–Raphson step: rcp·(2 − w·rcp).
 	VRCPPS Y2, Y8
 	VMULPS Y2, Y8, Y9
 	VSUBPS Y9, Y6, Y9
 	VMULPS Y9, Y8, Y8 // rz
 
-	// x = u·rz, y = v·rz; integer parts by truncation (== floor: x,y ≥ 0).
-	VMULPS     Y0, Y8, Y9  // x
-	VMULPS     Y1, Y8, Y10 // y
-	VCVTTPS2DQ Y9, Y11     // iu
-	VCVTTPS2DQ Y10, Y12    // iv
+	// x = u·rz; integer part by truncation (== floor: x ≥ 0).
+	VMULPS     Y0, Y8, Y9   // x
+	VCVTTPS2DQ Y9, Y11      // iu
 	VCVTDQ2PS  Y11, Y13
-	VSUBPS     Y13, Y9, Y9 // eu = x − float32(iu)
-	VCVTDQ2PS  Y12, Y13
-	VSUBPS     Y13, Y10, Y10 // ev
-	VMULPS     Y8, Y8, Y8    // rz²
+	VSUBPS     Y13, Y9, Y9  // eu = x − float32(iu)
+	VMULPS     Y8, Y8, Y10  // rz²
+
+	// Contiguous-window test. When a slice's eight lanes share one
+	// detector row, the eight footprints sit inside two 9-float windows
+	// per edge starting at base = min(iu₀, iu₇), provided every lane's
+	// iu − base is in [0,7]: x is monotone along a row analytically, but
+	// float32 noise on a nearly constant x is not, so all eight lanes are
+	// tested, not the two ends. winMax keeps the windows' over-read inside
+	// the buffer. CX = base, or −1 when the group must gather.
+	VPBROADCASTD X11, Y13
+	VPBROADCASTD seven32<>(SB), Y14
+	VPERMD       Y11, Y14, Y14
+	VPMINSD      Y13, Y14, Y13         // base
+	VPSUBD       Y13, Y11, Y3          // window lane = iu − base
+	MOVQ         $-1, CX
+	VPTEST       notseven<>(SB), Y3
+	JNZ          fwin
+	VMOVD        X13, R13
+	CMPQ         R13, simdRowArgs_winMax(AX)
+	JG           fwin
+	MOVQ         R13, CX
+
+fwin:
+	LEAQ (DX)(R10*4), BX
+	XORQ R9, R9
+
+fslice:
+	// y = v·rz, then step this slice's v lanes to the next group.
+	VMULPS     vS-648(SP)(R9*1), Y8, Y12
+	VADDPS     vS-648(SP)(R9*1), Y4, Y13
+	VMOVUPS    Y13, vS-648(SP)(R9*1)
+	VCVTTPS2DQ Y12, Y13      // iv
+	VCVTDQ2PS  Y13, Y14
+	VSUBPS     Y14, Y12, Y12 // ev = y − float32(iv)
 
 	// Footprint rows. A group's eight detector rows are usually one and
 	// the same (the vertical coordinate drifts slowly along a volume
-	// row): broadcast-load the two adjacent table entries and skip the
-	// gathers. Lanes that disagree fall back to gathering per lane.
-	VPBROADCASTD 56(AX), Y13
-	VPSUBD       Y13, Y12, Y12 // ivr = iv − lo
-	VPBROADCASTD X12, Y13
-	VPCMPEQD     Y12, Y13, Y14
+	// row): then two scalar table loads give both edges' offsets. Lanes
+	// that disagree fall back to gathering per lane.
+	VPBROADCASTD X13, Y14
+	VPCMPEQD     Y13, Y14, Y14
 	VPMOVMSKB    Y14, R13
 	CMPL         R13, $-1
-	JNE          rowgather
-	MOVL         X12, R13              // ivr, identical in every lane
-	VPBROADCASTD (SI)(R13*4), Y14      // r0
-	VPBROADCASTD 4(SI)(R13*4), Y15     // r1
-	JMP          rowsdone
+	JNE          frowgather
+	VMOVD        X13, R13
+	SUBL         simdRowArgs_lo(AX), R13 // ivr, identical in every lane
+	TESTQ        CX, CX
+	JS           frowbcast
 
-rowgather:
+	// Two loads and two permutes per edge replace the pair gathers.
+	MOVL    (SI)(R13*4), R14
+	ADDQ    CX, R14
+	VPERMPS (DI)(R14*4), Y3, Y13  // p00
+	VPERMPS 4(DI)(R14*4), Y3, Y14 // p01
+	MOVL    4(SI)(R13*4), R14
+	ADDQ    CX, R14
+	VPERMPS (DI)(R14*4), Y3, Y15  // p10
+	VPERMPS 4(DI)(R14*4), Y3, Y5  // p11
+
+finterp:
+	// Full-width bilinear blend — the same operations per lane, in the
+	// same order, as the guarded body and the Go twins — and a plain
+	// unmasked accumulate: the group is fully active.
+	VSUBPS  Y13, Y14, Y14 // p01 − p00
+	VMULPS  Y9, Y14, Y14
+	VADDPS  Y14, Y13, Y13 // t1
+	VSUBPS  Y15, Y5, Y5   // p11 − p10
+	VMULPS  Y9, Y5, Y5
+	VADDPS  Y5, Y15, Y15  // t2
+	VSUBPS  Y13, Y15, Y15 // t2 − t1
+	VMULPS  Y12, Y15, Y15
+	VADDPS  Y15, Y13, Y13 // t1 + ev·(t2−t1)
+	VMULPS  Y10, Y13, Y13 // ·rz²
+	VADDPS  (BX), Y13, Y13
+	VMOVUPS Y13, (BX)
+	ADDQ    simdRowArgs_stride(AX), BX
+	ADDQ    $32, R9
+	CMPQ    R9, hbS-392(SP)
+	JL      fslice
+
+	VADDPS ax8v-328(SP), Y0, Y0
+	VADDPS az8v-360(SP), Y2, Y2
+	ADDQ   $8, R10
+	CMPQ   R10, feS-384(SP)
+	JL     fast
+	JMP    group
+
+frowgather:
 	// Each gather zeroes its mask register and merges into its
 	// destination, so masks are remade and destinations zeroed every
 	// time (the fresh destination also snaps the false loop-carried
 	// dependency gather merging would create).
-	VPCMPEQD   Y13, Y13, Y13
-	VPXOR      Y14, Y14, Y14
-	VPGATHERDD Y13, (SI)(Y12*4), Y14 // r0
-	VPCMPEQD   Y13, Y13, Y13
-	VPSUBD     Y13, Y12, Y12         // ivr + 1
-	VPCMPEQD   Y13, Y13, Y13
-	VPXOR      Y15, Y15, Y15
-	VPGATHERDD Y13, (SI)(Y12*4), Y15 // r1
+	VPBROADCASTD simdRowArgs_lo(AX), Y14
+	VPSUBD       Y14, Y13, Y13         // ivr = iv − lo
+	VPCMPEQD     Y1, Y1, Y1
+	VPXOR        Y14, Y14, Y14
+	VPGATHERDD   Y1, (SI)(Y13*4), Y14  // r0
+	VPCMPEQD     Y1, Y1, Y1
+	VPSUBD       Y1, Y13, Y13          // ivr + 1
+	VPXOR        Y15, Y15, Y15
+	VPGATHERDD   Y1, (SI)(Y13*4), Y15  // r1
+	JMP          frows
 
-rowsdone:
+frowbcast:
+	VPBROADCASTD (SI)(R13*4), Y14  // r0
+	VPBROADCASTD 4(SI)(R13*4), Y15 // r1
+
+frows:
 	VPADDD Y11, Y14, Y14 // idx00 per lane
 	VPADDD Y11, Y15, Y15 // idx10 per lane
 
@@ -242,83 +352,40 @@ rowsdone:
 	// p10/p11) — half the load-port traffic of four 32-bit gathers. Each
 	// VPGATHERDQ takes four lanes of 32-bit indices from an X register;
 	// the VPERMQ pre-swizzle makes those quartets lanes {0,1,4,5} and
-	// {2,3,6,7}, exactly the pairs VPUNPCKL/HDQ duplicate eu/ev/rz² into
-	// — and the two results then compress with a single in-lane shuffle.
+	// {2,3,6,7}, so that one in-lane shuffle per neighbour de-interleaves
+	// the four results into p00 p01 p10 p11 in column order (per 128-bit
+	// half: the even floats of both sources, or the odd ones).
 	VPERMQ $0xD8, Y14, Y14
 	VPERMQ $0xD8, Y15, Y15
 
-	VPCMPEQD   Y13, Y13, Y13
-	VPXOR      Y11, Y11, Y11
-	VPGATHERDQ Y13, (DI)(X14*4), Y11 // lanes 0,1,4,5: [p00|p01]
-	VPCMPEQD   Y13, Y13, Y13
-	VPXOR      Y12, Y12, Y12
-	VPGATHERDQ Y13, (DI)(X15*4), Y12 // lanes 0,1,4,5: [p10|p11]
+	VPCMPEQD   Y1, Y1, Y1
+	VPXOR      Y13, Y13, Y13
+	VPGATHERDQ Y1, (DI)(X14*4), Y13 // lanes 0,1,4,5: [p00|p01]
+	VPCMPEQD   Y1, Y1, Y1
+	VPXOR      Y5, Y5, Y5
+	VPGATHERDQ Y1, (DI)(X15*4), Y5  // lanes 0,1,4,5: [p10|p11]
 
 	VEXTRACTI128 $1, Y14, X14
 	VEXTRACTI128 $1, Y15, X15
-	VPCMPEQD     Y13, Y13, Y13
+	VPCMPEQD     Y1, Y1, Y1
 	VPXOR        Y7, Y7, Y7
-	VPGATHERDQ   Y13, (DI)(X14*4), Y7 // lanes 2,3,6,7: [p00|p01]
-	VPCMPEQD     Y13, Y13, Y13
+	VPGATHERDQ   Y1, (DI)(X14*4), Y7  // lanes 2,3,6,7: [p00|p01]
+	VPCMPEQD     Y1, Y1, Y1
 	VPXOR        Y14, Y14, Y14
-	VPGATHERDQ   Y13, (DI)(X15*4), Y14 // lanes 2,3,6,7: [p10|p11]
+	VPGATHERDQ   Y1, (DI)(X15*4), Y14 // lanes 2,3,6,7: [p10|p11]
 
-	// Pair-packed interpolation. Even slots hold the column values; odd
-	// slots compute harmless garbage the final compress discards. VPSRLQ
-	// parks each pair's high float (p·1) over its low (p·0), giving the
-	// edge difference with one subtract.
-	VPSRLQ     $32, Y11, Y15
-	VSUBPS     Y11, Y15, Y15 // p01 − p00
-	VPUNPCKLDQ Y9, Y9, Y13   // eu for lanes 0,1,4,5
-	VMULPS     Y13, Y15, Y15
-	VADDPS     Y15, Y11, Y11 // t1
-	VPSRLQ     $32, Y12, Y15
-	VSUBPS     Y12, Y15, Y15 // p11 − p10
-	VMULPS     Y13, Y15, Y15
-	VADDPS     Y15, Y12, Y12 // t2
-	VSUBPS     Y11, Y12, Y12 // t2 − t1
-	VPUNPCKLDQ Y10, Y10, Y13 // ev
-	VMULPS     Y13, Y12, Y12
-	VADDPS     Y12, Y11, Y11 // t1 + ev·(t2−t1)
-	VPUNPCKLDQ Y8, Y8, Y13   // rz²
-	VMULPS     Y13, Y11, Y11 // res, lanes 0,1,4,5 in even slots
-
-	VPSRLQ     $32, Y7, Y15
-	VSUBPS     Y7, Y15, Y15
-	VPUNPCKHDQ Y9, Y9, Y13 // eu for lanes 2,3,6,7
-	VMULPS     Y13, Y15, Y15
-	VADDPS     Y15, Y7, Y7 // t1
-	VPSRLQ     $32, Y14, Y15
-	VSUBPS     Y14, Y15, Y15
-	VMULPS     Y13, Y15, Y15
-	VADDPS     Y15, Y14, Y14 // t2
-	VSUBPS     Y7, Y14, Y14
-	VPUNPCKHDQ Y10, Y10, Y13
-	VMULPS     Y13, Y14, Y14
-	VADDPS     Y14, Y7, Y7
-	VPUNPCKHDQ Y8, Y8, Y13
-	VMULPS     Y13, Y7, Y7 // res, lanes 2,3,6,7 in even slots
-
-	// Compress the even slots back to column order and accumulate —
-	// plain unmasked load/add/store, the group is fully active.
-	VSHUFPS $0x88, Y7, Y11, Y13
-	VMOVUPS (DX)(R10*4), Y15
-	VADDPS  Y13, Y15, Y15
-	VMOVUPS Y15, (DX)(R10*4)
-	VADDPS  Y3, Y0, Y0
-	VADDPS  Y4, Y1, Y1
-	VADDPS  Y5, Y2, Y2
-	ADDQ    $8, R10
-	CMPQ    R10, feS-352(SP)
-	JL      fastloop
-	JMP     group
+	VSHUFPS $0x88, Y14, Y5, Y15 // p10
+	VSHUFPS $0xDD, Y14, Y5, Y5  // p11
+	VSHUFPS $0xDD, Y7, Y13, Y14 // p01
+	VSHUFPS $0x88, Y7, Y13, Y13 // p00
+	JMP     finterp
 
 slow:
 	// Groups wholly before the segment start only advance the lanes —
 	// each addition rounds, so skipping them would desync the contract.
 	LEAQ 8(R10), R13
 	CMPQ R13, R12
-	JLE  advance
+	JLE  advancev
 
 	// ---------------- guarded body: texture-border group --------------
 	// Active-lane mask: lane j live iff start ≤ gb+j < end:
@@ -342,45 +409,53 @@ slow:
 	VRCPPS     Y2, Y8
 	VMULPS     Y2, Y8, Y9
 	VSUBPS     Y9, Y6, Y9
-	VMULPS     Y9, Y8, Y8 // rz
-	VMULPS     Y0, Y8, Y9  // x
-	VMULPS     Y1, Y8, Y10 // y
-	VMULPS     Y8, Y8, Y8  // rz²
+	VMULPS     Y9, Y8, Y8   // rz
+	VMULPS     Y0, Y8, Y9   // x
+	VMULPS     Y8, Y8, Y10  // rz²
 	VROUNDPS   $1, Y9, Y11
-	VROUNDPS   $1, Y10, Y12
-	VSUBPS     Y11, Y9, Y9   // eu = x − floor(x)
-	VSUBPS     Y12, Y10, Y10 // ev
-	VCVTTPS2DQ Y11, Y11      // iu
-	VCVTTPS2DQ Y12, Y12      // iv
+	VSUBPS     Y11, Y9, Y9  // eu = x − floor(x)
+	VCVTTPS2DQ Y11, Y11     // iu
 
-	VPBROADCASTD 56(AX), Y13
-	VPSUBD       Y13, Y12, Y12 // ivr = iv − lo
-
-	// Neighbour masks, exactly replayGuarded's guards: a load happens
-	// iff its detector row ∈ [lo,hi) and its column ∈ [0,nu), tested in
-	// the shifted frame ivr ∈ [0,nrows). Each row mask folds in the
-	// active-lane mask so dead lanes never gather.
-	VPBROADCASTD 60(AX), Y15          // nu
+	// Column masks, exactly replayGuarded's guards: a neighbour loads iff
+	// its column ∈ [0,nu).
+	VPBROADCASTD simdRowArgs_nu(AX), Y15
 	VPCMPGTD     minus1v<>(SB), Y11, Y14 // iu ≥ 0
-	VPCMPGTD     Y11, Y15, Y13        // iu < nu
+	VPCMPGTD     Y11, Y15, Y13           // iu < nu
 	VPAND        Y13, Y14, Y14
 	VMOVDQU      Y14, mu0S-104(SP)
 	VPCMPEQD     Y13, Y13, Y13
-	VPADDD       Y13, Y15, Y15        // nu−1
-	VPCMPGTD     Y11, Y15, Y15        // iu+1 < nu
+	VPADDD       Y13, Y15, Y15           // nu−1
+	VPCMPGTD     Y11, Y15, Y15           // iu+1 < nu
 	VPCMPGTD     minus2v<>(SB), Y11, Y14 // iu+1 ≥ 0
 	VPAND        Y15, Y14, Y14
 	VMOVDQU      Y14, mu1S-136(SP)
-	VPBROADCASTD 64(AX), Y15          // nrows
-	VPCMPGTD     minus1v<>(SB), Y12, Y14 // ivr ≥ 0
-	VPCMPGTD     Y12, Y15, Y13        // ivr < nrows
-	VPAND        Y13, Y14, Y14
+
+	LEAQ (DX)(R10*4), BX
+	XORQ R9, R9
+
+sslice:
+	VMULPS     vS-648(SP)(R9*1), Y8, Y12 // y
+	VADDPS     vS-648(SP)(R9*1), Y4, Y13
+	VMOVUPS    Y13, vS-648(SP)(R9*1)
+	VROUNDPS   $1, Y12, Y13
+	VSUBPS     Y13, Y12, Y12             // ev = y − floor(y)
+	VCVTTPS2DQ Y13, Y13                  // iv
+	VPBROADCASTD simdRowArgs_lo(AX), Y14
+	VPSUBD       Y14, Y13, Y13           // ivr = iv − lo
+
+	// Row masks: a neighbour loads iff its detector row ∈ [lo,hi), tested
+	// in the shifted frame ivr ∈ [0,nrows). Each folds in the active-lane
+	// mask so dead lanes never gather.
+	VPBROADCASTD simdRowArgs_nrows(AX), Y15
+	VPCMPGTD     minus1v<>(SB), Y13, Y14 // ivr ≥ 0
+	VPCMPGTD     Y13, Y15, Y1            // ivr < nrows
+	VPAND        Y1, Y14, Y14
 	VPAND        Y7, Y14, Y14
 	VMOVDQU      Y14, mr0S-40(SP)
-	VPCMPEQD     Y13, Y13, Y13
-	VPADDD       Y13, Y15, Y15        // nrows−1
-	VPCMPGTD     Y12, Y15, Y15        // ivr+1 < nrows
-	VPCMPGTD     minus2v<>(SB), Y12, Y14 // ivr+1 ≥ 0
+	VPCMPEQD     Y1, Y1, Y1
+	VPADDD       Y1, Y15, Y15            // nrows−1
+	VPCMPGTD     Y13, Y15, Y15           // ivr+1 < nrows
+	VPCMPGTD     minus2v<>(SB), Y13, Y14 // ivr+1 ≥ 0
 	VPAND        Y15, Y14, Y14
 	VPAND        Y7, Y14, Y14
 	VMOVDQU      Y14, mr1S-72(SP)
@@ -388,59 +463,73 @@ slow:
 	// Row-offset gathers under the row masks; suppressed lanes keep the
 	// zeroed destination, and their data gathers are masked off too.
 	VPXOR      Y14, Y14, Y14
-	VMOVDQU    mr0S-40(SP), Y13
-	VPGATHERDD Y13, (SI)(Y12*4), Y14 // r0
-	VPCMPEQD   Y13, Y13, Y13
-	VPSUBD     Y13, Y12, Y12         // ivr + 1
+	VMOVDQU    mr0S-40(SP), Y1
+	VPGATHERDD Y1, (SI)(Y13*4), Y14 // r0
+	VPCMPEQD   Y1, Y1, Y1
+	VPSUBD     Y1, Y13, Y13         // ivr + 1
 	VPXOR      Y15, Y15, Y15
-	VMOVDQU    mr1S-72(SP), Y13
-	VPGATHERDD Y13, (SI)(Y12*4), Y15 // r1
-	VPADDD     Y11, Y14, Y14         // idx00
-	VPADDD     Y11, Y15, Y15         // idx10
+	VMOVDQU    mr1S-72(SP), Y1
+	VPGATHERDD Y1, (SI)(Y13*4), Y15 // r1
+	VPADDD     Y11, Y14, Y14        // idx00
+	VPADDD     Y11, Y15, Y15        // idx10
 
 	// Four guarded 32-bit gathers: mask(p_rc) = mrR AND muC; a neighbour
 	// outside the window contributes exactly +0, the texture border.
-	VMOVDQU    mr0S-40(SP), Y13
-	VPAND      mu0S-104(SP), Y13, Y13
-	VPXOR      Y11, Y11, Y11
-	VGATHERDPS Y13, (DI)(Y14*4), Y11 // p00
-	VPCMPEQD   Y13, Y13, Y13
-	VPSUBD     Y13, Y14, Y14         // idx00 + 1
-	VMOVDQU    mr0S-40(SP), Y13
-	VPAND      mu1S-136(SP), Y13, Y13
-	VPXOR      Y12, Y12, Y12
-	VGATHERDPS Y13, (DI)(Y14*4), Y12 // p01
-	VSUBPS     Y11, Y12, Y12
-	VMULPS     Y9, Y12, Y12
-	VADDPS     Y11, Y12, Y12         // t1
+	VMOVDQU    mr0S-40(SP), Y1
+	VPAND      mu0S-104(SP), Y1, Y1
+	VPXOR      Y13, Y13, Y13
+	VGATHERDPS Y1, (DI)(Y14*4), Y13 // p00
+	VPCMPEQD   Y1, Y1, Y1
+	VPSUBD     Y1, Y14, Y14         // idx00 + 1
+	VMOVDQU    mr0S-40(SP), Y1
+	VPAND      mu1S-136(SP), Y1, Y1
+	VPXOR      Y3, Y3, Y3
+	VGATHERDPS Y1, (DI)(Y14*4), Y3  // p01
+	VSUBPS     Y13, Y3, Y3
+	VMULPS     Y9, Y3, Y3
+	VADDPS     Y13, Y3, Y3          // t1
 
-	VMOVDQU    mr1S-72(SP), Y13
-	VPAND      mu0S-104(SP), Y13, Y13
-	VPXOR      Y11, Y11, Y11
-	VGATHERDPS Y13, (DI)(Y15*4), Y11 // p10
-	VPCMPEQD   Y13, Y13, Y13
-	VPSUBD     Y13, Y15, Y15         // idx10 + 1
-	VMOVDQU    mr1S-72(SP), Y13
-	VPAND      mu1S-136(SP), Y13, Y13
+	VMOVDQU    mr1S-72(SP), Y1
+	VPAND      mu0S-104(SP), Y1, Y1
+	VPXOR      Y13, Y13, Y13
+	VGATHERDPS Y1, (DI)(Y15*4), Y13 // p10
+	VPCMPEQD   Y1, Y1, Y1
+	VPSUBD     Y1, Y15, Y15         // idx10 + 1
+	VMOVDQU    mr1S-72(SP), Y1
+	VPAND      mu1S-136(SP), Y1, Y1
 	VPXOR      Y14, Y14, Y14
-	VGATHERDPS Y13, (DI)(Y15*4), Y14 // p11
-	VSUBPS     Y11, Y14, Y14
+	VGATHERDPS Y1, (DI)(Y15*4), Y14 // p11
+	VSUBPS     Y13, Y14, Y14
 	VMULPS     Y9, Y14, Y14
-	VADDPS     Y11, Y14, Y14         // t2
+	VADDPS     Y13, Y14, Y14        // t2
 
-	// out[gb..gb+8) += rz²·(t1 + ev·(t2 − t1)), masked load/add/store.
-	VSUBPS     Y12, Y14, Y14
+	// row[gb..gb+8) += rz²·(t1 + ev·(t2 − t1)), masked load/add/store.
+	VSUBPS     Y3, Y14, Y14
+	VMULPS     Y12, Y14, Y14
+	VADDPS     Y3, Y14, Y14
 	VMULPS     Y10, Y14, Y14
-	VADDPS     Y12, Y14, Y14
-	VMULPS     Y8, Y14, Y14
-	VMASKMOVPS (DX)(R10*4), Y7, Y13
+	VMASKMOVPS (BX), Y7, Y13
 	VADDPS     Y14, Y13, Y13
-	VMASKMOVPS Y13, Y7, (DX)(R10*4)
+	VMASKMOVPS Y13, Y7, (BX)
+	ADDQ       simdRowArgs_stride(AX), BX
+	ADDQ       $32, R9
+	CMPQ       R9, hbS-392(SP)
+	JL         sslice
+	JMP        advance
+
+advancev:
+	XORQ R9, R9
+
+vstep:
+	VADDPS  vS-648(SP)(R9*1), Y4, Y13
+	VMOVUPS Y13, vS-648(SP)(R9*1)
+	ADDQ    $32, R9
+	CMPQ    R9, hbS-392(SP)
+	JL      vstep
 
 advance:
-	VADDPS Y3, Y0, Y0
-	VADDPS Y4, Y1, Y1
-	VADDPS Y5, Y2, Y2
+	VADDPS ax8v-328(SP), Y0, Y0
+	VADDPS az8v-360(SP), Y2, Y2
 	ADDQ   $8, R10
 	JMP    group
 

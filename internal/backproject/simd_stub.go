@@ -20,6 +20,6 @@ type simdRowArgs struct{}
 
 func (a *projAccess) initSpanArgs(*simdRowArgs, int, float32, float32, float32) {}
 
-func launchSpan(*simdRowArgs, []float32, int, int, int, int, float32, float32, float32) {
+func launchSpan(*simdRowArgs, []float32, int, int, int, int, int, float32, float32, []float32) {
 	panic("backproject: simd kernel dispatched without simdAvailable")
 }

@@ -18,7 +18,7 @@ func (a *projAccess) fusedSpanSIMD(out []float32, s, c0, c1, f0, f1 int, ax, ay,
 	}
 	var args simdRowArgs
 	a.initSpanArgs(&args, s, ax, ay, az)
-	launchSpan(&args, out, c0, c1, f0, f1, xc, yc, zc)
+	launchSpan(&args, out, 0, c0, c1, f0, f1, xc, zc, []float32{yc})
 	return reanchorSegments(c0, c1)
 }
 
@@ -26,6 +26,47 @@ func (a *projAccess) fusedSpanSIMD(out []float32, s, c0, c1, f0, f1 int, ax, ay,
 // per-projection and per-launch constants were hoisted out of the row loop:
 // every boundary, coefficient and product recomputed from (a, row
 // constants) at the point of use. They are the oracle rowSpans is held to.
+
+// The four exact predicates, spelled out per arithmetic and without the
+// shared footprint helper, as the span walks called them before k-tiles.
+
+func (a *projAccess) interiorResidentRec(i int, ax, ay, az, xc, yc, zc float32) bool {
+	u, v, w := recCoords(i, ax, ay, az, xc, yc, zc)
+	rz := 1 / w
+	iu := int(floor32(u * rz))
+	iv := int(floor32(v * rz))
+	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
+}
+
+func (a *projAccess) zeroContribRec(i int, ax, ay, az, xc, yc, zc float32) bool {
+	u, v, w := recCoords(i, ax, ay, az, xc, yc, zc)
+	rz := 1 / w
+	if !(rz*rz < math.MaxFloat32) {
+		return false
+	}
+	iu := int(floor32(u * rz))
+	iv := int(floor32(v * rz))
+	return iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi
+}
+
+func (a *projAccess) interiorResidentSIMD(i int, ax, ay, az, xc, yc, zc float32) bool {
+	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
+	rz := rcpNR(w)
+	iu := int(floor32(u * rz))
+	iv := int(floor32(v * rz))
+	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
+}
+
+func (a *projAccess) zeroContribSIMD(i int, ax, ay, az, xc, yc, zc float32) bool {
+	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
+	rz := rcpNR(w)
+	if !(rz*rz < math.MaxFloat32) {
+		return false
+	}
+	iu := int(floor32(u * rz))
+	iv := int(floor32(v * rz))
+	return iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi
+}
 
 func (a *projAccess) interiorSpanUnhoisted(ax, xc, ay, yc, az, zc float64, nx int) (int, int) {
 	const d = 0.5
@@ -209,7 +250,7 @@ func TestRowSpansMatchUnhoisted(t *testing.T) {
 		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
 		for _, simd := range []bool{false, simdAvailable()} {
 			pc := a.newProjConsts(0, &m, nx, false)
-			c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, zc, nx, simd)
+			c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, yc, zc, nx, simd)
 			wc0, wi0, wi1, wc1 := a.rowSpansUnhoisted(ax, ay, az, xc, yc, zc, nx, simd)
 			if c0 != wc0 || i0 != wi0 || i1 != wi1 || c1 != wc1 {
 				t.Fatalf("trial %d simd=%v: hoisted (%d,%d,%d,%d) != unhoisted (%d,%d,%d,%d); window nu=%d rows=[%d,%d) nx=%d row (%g,%g,%g | %g,%g,%g)",

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"distfdk/internal/device"
 	"distfdk/internal/filter"
 	"distfdk/internal/projection"
@@ -17,9 +15,9 @@ import (
 // The fused arithmetic is bit-identical to the unfused sequence —
 // FilterRowInto rounds the redundancy product to float32 before the cosine
 // weight exactly as ApplyRow-then-FilterRow does — so it never changes the
-// volume, only the traffic. The fills run on `workers` goroutines with
-// pooled FFT scratch. st must hold *unfiltered* data; its projection window
-// must match the ring's.
+// volume, only the traffic. The fills run on `workers` goroutines, each row
+// on a workspace from the filter's pool. st must hold *unfiltered* data; its
+// projection window must match the ring's.
 //
 // The rank program fuses wherever the ring-owning stage is already
 // sequential: the serial executor and the elastic executor's dedicated
@@ -29,7 +27,6 @@ import (
 // filter work behind the kernel (and filtering from any other stage would
 // race the kernel's ring reads).
 func fuseUpload(ring *device.ProjRing, st *projection.Stack, fdk *filter.FDK, pk *filter.Parker, workers int) error {
-	pool := sync.Pool{New: func() any { return fdk.NewScratch() }}
 	return ring.FillRows(st.Rows(), workers, func(v, p int, dst []float32) error {
 		row, err := st.Row(v, p)
 		if err != nil {
@@ -41,8 +38,6 @@ func fuseUpload(ring *device.ProjRing, st *projection.Stack, fdk *filter.FDK, pk
 				return err
 			}
 		}
-		s := pool.Get().(*filter.Scratch)
-		defer pool.Put(s)
-		return fdk.FilterRowInto(dst, row, v, pw, s)
+		return fdk.FilterRowInto(dst, row, v, pw, nil)
 	})
 }

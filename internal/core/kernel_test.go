@@ -14,7 +14,10 @@ import (
 // distributed, ROI, tile and baseline drivers all dispatch to the widest
 // recurrence arithmetic this host has, and the bit-identity
 // contracts hold under it — single ≡ monolithic batch. With AVX2 masked off the same options reproduce an explicit KernelScalar
-// run byte for byte.
+// run byte for byte — and since masking AVX2 also moves the row filter from
+// its vector passes to its Go passes while the KernelScalar reference was
+// filtered with AVX2 on, that equality is the filter's whole-volume
+// AVX2 ≡ portable check too.
 func TestDefaultKernelEveryDriver(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)

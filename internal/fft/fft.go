@@ -1,8 +1,10 @@
 // Package fft provides the fast Fourier transform primitives used by the
 // filtering stage of the FBP pipeline (Equation 2 of the paper). The paper
-// performs row filtering with Intel IPP on the host CPU; this package is the
-// stdlib-only substitute: an iterative radix-2 Cooley–Tukey transform plus a
-// real-input convolution helper sized for ramp filtering.
+// performs row filtering with Intel IPP's vectorised real transforms on the
+// host CPU; this package is the stdlib-only substitute: RealPlan, the pruned,
+// permutation-free real-input transform every detector row goes through
+// (AVX2 butterflies where the host has them), and Plan, the plain radix-2
+// complex transform that builds the filter's frequency response at set-up.
 package fft
 
 import (
@@ -112,101 +114,6 @@ func (p *Plan) transform(re, im []float64, inverse bool) error {
 			re[i] *= inv
 			im[i] *= inv
 		}
-	}
-	return nil
-}
-
-// Convolver performs repeated linear convolution of real signals of length
-// signalLen with a fixed real kernel, via frequency-domain multiplication.
-// It is the workhorse of detector-row ramp filtering: one Convolver is built
-// per (row length, filter) pair and reused across all rows and projections.
-// Both the signal and the kernel are real, so the transforms run through a
-// RealPlan: half the butterfly work of the complex path per row.
-type Convolver struct {
-	plan      *RealPlan
-	kre, kim  []float64 // kernel half-spectrum, bins 0..n/2
-	signalLen int
-}
-
-// NewConvolver builds a convolver for signals of length signalLen and the
-// given kernel. The FFT size is the next power of two >= signalLen +
-// len(kernel) − 1, which makes the circular convolution linear.
-func NewConvolver(signalLen int, kernel []float64) (*Convolver, error) {
-	if signalLen <= 0 {
-		return nil, fmt.Errorf("fft: signal length %d must be positive", signalLen)
-	}
-	if len(kernel) == 0 {
-		return nil, fmt.Errorf("fft: empty kernel")
-	}
-	n := NextPow2(signalLen + len(kernel) - 1)
-	if n < 2 {
-		n = 2 // RealPlan needs an even length; padding stays linear
-	}
-	plan, err := NewRealPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	c := &Convolver{plan: plan, signalLen: signalLen}
-	x := make([]float64, n)
-	copy(x, kernel)
-	c.kre = make([]float64, plan.SpectrumLen())
-	c.kim = make([]float64, plan.SpectrumLen())
-	if err := plan.Forward(x, c.kre, c.kim); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// FFTSize returns the internal transform length.
-func (c *Convolver) FFTSize() int { return c.plan.n }
-
-// Scratch holds per-goroutine workspace for Convolve so concurrent row
-// filtering does not allocate per call.
-type Scratch struct {
-	x      []float64 // real samples, length n
-	re, im []float64 // half-spectrum, length n/2+1
-}
-
-// NewScratch allocates workspace matching the convolver's FFT size.
-func (c *Convolver) NewScratch() *Scratch {
-	m := c.plan.SpectrumLen()
-	return &Scratch{
-		x:  make([]float64, c.plan.n),
-		re: make([]float64, m),
-		im: make([]float64, m),
-	}
-}
-
-// Convolve computes the linear convolution of signal with the kernel and
-// writes the central signalLen samples (aligned so output index i
-// corresponds to Σ_j signal[j]·kernel[center+i−j], with center =
-// len(kernel)/2) into dst. signal and dst must have length signalLen; they
-// may alias.
-func (c *Convolver) Convolve(dst, signal []float32, center int, s *Scratch) error {
-	if len(signal) != c.signalLen || len(dst) != c.signalLen {
-		return fmt.Errorf("fft: signal/dst length %d/%d, want %d", len(signal), len(dst), c.signalLen)
-	}
-	for i := 0; i < c.signalLen; i++ {
-		s.x[i] = float64(signal[i])
-	}
-	for i := c.signalLen; i < c.plan.n; i++ {
-		s.x[i] = 0
-	}
-	if err := c.plan.Forward(s.x, s.re, s.im); err != nil {
-		return err
-	}
-	// Bins 0 and n/2 have exactly zero imaginary parts on both sides, so
-	// the product spectrum keeps the Hermitian form Inverse expects.
-	for k := range s.re {
-		r := s.re[k]*c.kre[k] - s.im[k]*c.kim[k]
-		m := s.re[k]*c.kim[k] + s.im[k]*c.kre[k]
-		s.re[k], s.im[k] = r, m
-	}
-	if err := c.plan.Inverse(s.re, s.im, s.x); err != nil {
-		return err
-	}
-	for i := 0; i < c.signalLen; i++ {
-		dst[i] = float32(s.x[i+center])
 	}
 	return nil
 }

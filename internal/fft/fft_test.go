@@ -180,114 +180,6 @@ func TestParseval(t *testing.T) {
 	}
 }
 
-// naiveConvolve computes the direct convolution reference for the aligned
-// output used by Convolver.Convolve.
-func naiveConvolve(signal []float32, kernel []float64, center int) []float32 {
-	out := make([]float32, len(signal))
-	for i := range out {
-		var acc float64
-		for j := range signal {
-			k := center + i - j
-			if k >= 0 && k < len(kernel) {
-				acc += float64(signal[j]) * kernel[k]
-			}
-		}
-		out[i] = float32(acc)
-	}
-	return out
-}
-
-func TestConvolverMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct{ sig, ker int }{{16, 5}, {33, 9}, {100, 31}, {7, 7}} {
-		signal := make([]float32, tc.sig)
-		kernel := make([]float64, tc.ker)
-		for i := range signal {
-			signal[i] = float32(rng.NormFloat64())
-		}
-		for i := range kernel {
-			kernel[i] = rng.NormFloat64()
-		}
-		center := tc.ker / 2
-		want := naiveConvolve(signal, kernel, center)
-		c, err := NewConvolver(tc.sig, kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float32, tc.sig)
-		if err := c.Convolve(got, signal, center, c.NewScratch()); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Abs(float64(got[i]-want[i])) > 1e-4 {
-				t.Fatalf("sig=%d ker=%d: sample %d = %g, want %g", tc.sig, tc.ker, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestConvolverInPlace(t *testing.T) {
-	signal := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	kernel := []float64{0.25, 0.5, 0.25}
-	want := naiveConvolve(signal, kernel, 1)
-	c, err := NewConvolver(len(signal), kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Convolve(signal, signal, 1, c.NewScratch()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range signal {
-		if math.Abs(float64(signal[i]-want[i])) > 1e-5 {
-			t.Fatalf("in-place sample %d = %g, want %g", i, signal[i], want[i])
-		}
-	}
-}
-
-func TestConvolverRejectsBadInputs(t *testing.T) {
-	if _, err := NewConvolver(0, []float64{1}); err == nil {
-		t.Error("expected error for zero signal length")
-	}
-	if _, err := NewConvolver(8, nil); err == nil {
-		t.Error("expected error for empty kernel")
-	}
-	c, _ := NewConvolver(8, []float64{1, 2, 3})
-	if err := c.Convolve(make([]float32, 8), make([]float32, 4), 1, c.NewScratch()); err == nil {
-		t.Error("expected error for wrong signal length")
-	}
-	if err := c.Convolve(make([]float32, 4), make([]float32, 8), 1, c.NewScratch()); err == nil {
-		t.Error("expected error for wrong dst length")
-	}
-}
-
-// Convolving with a unit impulse centred in the kernel must return the
-// signal unchanged.
-func TestConvolveIdentityProperty(t *testing.T) {
-	kernel := []float64{0, 0, 1, 0, 0}
-	c, _ := NewConvolver(32, kernel)
-	s := c.NewScratch()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		signal := make([]float32, 32)
-		for i := range signal {
-			signal[i] = float32(rng.NormFloat64())
-		}
-		out := make([]float32, 32)
-		if c.Convolve(out, signal, 2, s) != nil {
-			return false
-		}
-		for i := range out {
-			if math.Abs(float64(out[i]-signal[i])) > 1e-5 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkForward1024(b *testing.B) {
 	p, _ := NewPlan(1024)
 	re := make([]float64, 1024)
@@ -298,20 +190,5 @@ func BenchmarkForward1024(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = p.Forward(re, im)
-	}
-}
-
-func BenchmarkConvolveRow2048(b *testing.B) {
-	kernel := make([]float64, 2048)
-	for i := range kernel {
-		kernel[i] = 1 / float64(1+i*i)
-	}
-	c, _ := NewConvolver(2048, kernel)
-	s := c.NewScratch()
-	row := make([]float32, 2048)
-	b.SetBytes(2048 * 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = c.Convolve(row, row, 1024, s)
 	}
 }

@@ -13,13 +13,16 @@ import (
 // detector row is multiplied point-wise by the cosine (distance) weight
 // Dsd/√(D(u,v)²+Dsd²) and then convolved with the one-dimensional ramp
 // filter. One FDK value is built per acquisition geometry and is safe for
-// concurrent use by many goroutines (each supplies its own Scratch).
+// concurrent use by many goroutines: each supplies its own Scratch or
+// borrows one from the filter's pool. A filtered row's bytes depend on that
+// row, its v and its redundancy weights only — never on which rows it is
+// filtered next to, or by which worker.
 type FDK struct {
 	nu, nv  int
-	plan    *fft.RealPlan
-	resp    []float64 // real frequency response of the windowed ramp
-	weights []float32 // nv×nu cosine weights, row-major
+	plan    *fft.RealPlan // carries the windowed ramp's response
+	weights []float32     // nv×nu cosine weights, row-major
 	window  Window
+	scratch sync.Pool // of *Scratch
 }
 
 // Config carries the geometry slice that filtering needs. Scale folds the
@@ -63,19 +66,21 @@ func NewFDK(cfg Config) (*FDK, error) {
 	if rampPitch < 0 {
 		return nil, fmt.Errorf("filter: ramp pitch %g must be positive", rampPitch)
 	}
-	n := fft.NextPow2(2 * cfg.NU)
+	// Zero-padding to n ≥ 2·NU makes the circular convolution linear (rows
+	// of four samples or fewer are padded further, to the shortest plan);
+	// the detector rows are real and the response symmetric (resp[k] ==
+	// resp[n−k]), so the plan takes the independent bins 0..n/2 only.
+	n := max(fft.NextPow2(2*cfg.NU), fft.MinRealSize)
 	resp, err := rampResponse(n, rampPitch, cfg.Window, scale)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := fft.NewRealPlan(n)
+	plan, err := fft.NewRealPlan(n, resp[:n/2+1])
 	if err != nil {
 		return nil, err
 	}
-	// The detector rows are real, so filtering runs through the real-input
-	// transform: the response is symmetric (resp[k] == resp[n−k]), and only
-	// the independent half-spectrum bins 0..n/2 are ever touched.
-	f := &FDK{nu: cfg.NU, nv: cfg.NV, plan: plan, resp: resp[:plan.SpectrumLen()], window: cfg.Window}
+	f := &FDK{nu: cfg.NU, nv: cfg.NV, plan: plan, window: cfg.Window}
+	f.scratch.New = func() any { return f.NewScratch() }
 	f.weights = make([]float32, cfg.NV*cfg.NU)
 	cu := (float64(cfg.NU)-1)/2 + cfg.SigmaU
 	cv := (float64(cfg.NV)-1)/2 + cfg.SigmaV
@@ -102,20 +107,17 @@ func (f *FDK) Window() Window { return f.window }
 // FFTSize returns the transform length used for row filtering.
 func (f *FDK) FFTSize() int { return f.plan.Size() }
 
-// Scratch is the per-goroutine workspace for row filtering.
+// Scratch is the per-goroutine workspace for row filtering: the row's
+// even and odd samples as the real and imaginary parts of one complex
+// sequence of FFTSize/2 points.
 type Scratch struct {
-	x      []float64 // real samples, FFT-size long
-	re, im []float64 // half-spectrum bins 0..n/2
+	zr, zi []float64
 }
 
 // NewScratch allocates a workspace sized for this filter.
 func (f *FDK) NewScratch() *Scratch {
-	m := f.plan.SpectrumLen()
-	return &Scratch{
-		x:  make([]float64, f.plan.Size()),
-		re: make([]float64, m),
-		im: make([]float64, m),
-	}
+	m := f.plan.WorkLen()
+	return &Scratch{zr: make([]float64, m), zi: make([]float64, m)}
 }
 
 // FilterRow filters one detector row in place. v is the physical detector
@@ -133,7 +135,8 @@ func (f *FDK) FilterRow(row []float32, v int, s *Scratch) error {
 // unfused ApplyRow-then-FilterRow sequence — the redundancy product rounds
 // to float32 before the cosine weight multiplies it, exactly as when the
 // stack is weighted in place — so fused and unfused reconstructions match
-// to the last ulp. dst and src may alias.
+// to the last ulp. dst and src may alias. A nil s borrows a workspace from
+// the filter's pool for the call.
 func (f *FDK) FilterRowInto(dst, src []float32, v int, pw []float32, s *Scratch) error {
 	if len(src) != f.nu {
 		return fmt.Errorf("filter: row length %d, want %d", len(src), f.nu)
@@ -147,43 +150,25 @@ func (f *FDK) FilterRowInto(dst, src []float32, v int, pw []float32, s *Scratch)
 	if pw != nil && len(pw) != f.nu {
 		return fmt.Errorf("filter: weight length %d, want %d", len(pw), f.nu)
 	}
+	if s == nil {
+		s = f.scratch.Get().(*Scratch)
+		defer f.scratch.Put(s)
+	}
 	w := f.weights[v*f.nu : (v+1)*f.nu]
-	n := f.plan.Size()
-	if pw != nil {
-		for u := 0; u < f.nu; u++ {
-			// Two float32 roundings, matching ApplyRow + FilterRow.
-			s.x[u] = float64(src[u] * pw[u] * w[u])
-		}
-	} else {
-		for u := 0; u < f.nu; u++ {
-			s.x[u] = float64(src[u] * w[u])
-		}
-	}
-	for u := f.nu; u < n; u++ {
-		s.x[u] = 0
-	}
-	if err := f.plan.Forward(s.x, s.re, s.im); err != nil {
+	// Every sample is packed before dst, which may be src, is written.
+	live := pack(s.zr, s.zi, src, pw, w)
+	if err := f.plan.Convolve(s.zr, s.zi, live); err != nil {
 		return err
 	}
-	// Real symmetric response: scaling the half-spectrum is equivalent to
-	// scaling every bin of the full transform.
-	for k := range s.re {
-		s.re[k] *= f.resp[k]
-		s.im[k] *= f.resp[k]
-	}
-	if err := f.plan.Inverse(s.re, s.im, s.x); err != nil {
-		return err
-	}
-	for u := 0; u < f.nu; u++ {
-		dst[u] = float32(s.x[u])
-	}
+	unpack(dst, s.zr, s.zi)
 	return nil
 }
 
 // FilterRows filters count contiguous rows stored back to back in data,
 // where row i of the buffer corresponds to physical detector row
-// vOf(i). Rows are distributed across workers goroutines (0 means
-// GOMAXPROCS), mirroring the paper's OpenMP-parallel filtering thread.
+// vOf(i). Each of workers goroutines (0 means GOMAXPROCS) takes one
+// contiguous block of rows, mirroring the paper's OpenMP-parallel filtering
+// thread.
 func (f *FDK) FilterRows(data []float32, count int, vOf func(i int) int, workers int) error {
 	if len(data) != count*f.nu {
 		return fmt.Errorf("filter: buffer holds %d values, want %d rows × %d", len(data), count, f.nu)
@@ -194,14 +179,18 @@ func (f *FDK) FilterRows(data []float32, count int, vOf func(i int) int, workers
 	if workers > count {
 		workers = count
 	}
-	if workers <= 1 {
-		s := f.NewScratch()
-		for i := 0; i < count; i++ {
+	block := func(lo, hi int) error {
+		s := f.scratch.Get().(*Scratch)
+		defer f.scratch.Put(s)
+		for i := lo; i < hi; i++ {
 			if err := f.FilterRow(data[i*f.nu:(i+1)*f.nu], vOf(i), s); err != nil {
 				return err
 			}
 		}
 		return nil
+	}
+	if workers <= 1 {
+		return block(0, count)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -209,13 +198,7 @@ func (f *FDK) FilterRows(data []float32, count int, vOf func(i int) int, workers
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			s := f.NewScratch()
-			for i := wk; i < count; i += workers {
-				if err := f.FilterRow(data[i*f.nu:(i+1)*f.nu], vOf(i), s); err != nil {
-					errs[wk] = err
-					return
-				}
-			}
+			errs[wk] = block(wk*count/workers, (wk+1)*count/workers)
 		}(wk)
 	}
 	wg.Wait()

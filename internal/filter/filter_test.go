@@ -3,6 +3,7 @@ package filter
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -338,19 +339,33 @@ func TestBeerValidation(t *testing.T) {
 	}
 }
 
+// One row through FilterRow at the paper's detector width and at the
+// repository benchmark's (83 samples): the per-core rate behind
+// filter.rows_per_s.p1, and it must not allocate.
 func BenchmarkFilterRow2048(b *testing.B) {
-	f, err := NewFDK(Config{NU: 2048, NV: 64, DU: 0.2, DV: 0.2, DSD: 672.5, Window: RamLak, Scale: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := f.NewScratch()
-	row := make([]float32, 2048)
-	for i := range row {
-		row[i] = float32(i % 13)
-	}
-	b.SetBytes(2048 * 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = f.FilterRow(row, 32, s)
+	for _, nu := range []int{2048, 83} {
+		b.Run(strconv.Itoa(nu), func(b *testing.B) {
+			f, err := NewFDK(Config{NU: nu, NV: 64, DU: 0.2, DV: 0.2, DSD: 672.5, Window: RamLak, Scale: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := f.NewScratch()
+			row := make([]float32, nu)
+			for i := range row {
+				row[i] = float32(i % 13)
+			}
+			out := make([]float32, nu)
+			b.SetBytes(int64(nu) * 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.FilterRowInto(out, row, 32, nil, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = f.FilterRowInto(out, row, 32, nil, s) }); allocs != 0 {
+				b.Fatalf("FilterRowInto allocates %.0f times per row", allocs)
+			}
+		})
 	}
 }

@@ -2,5 +2,4 @@ package storage
 
 import "math"
 
-func bitsToFloat(bits uint32) float32 { return math.Float32frombits(bits) }
-func floatToBits(x float32) uint32    { return math.Float32bits(x) }
+func floatToBits(x float32) uint32 { return math.Float32bits(x) }

@@ -10,10 +10,11 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"sync"
 	"time"
+	"unsafe"
 
 	"distfdk/internal/geometry"
 	"distfdk/internal/projection"
@@ -96,12 +97,14 @@ func filepathDir(path string) string {
 	return path[:i]
 }
 
+// hostLittleEndian: this host stores a float32 in the container's byte order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // FileSource serves partial projection loads from a WriteStack container.
 // It implements projection.Source and is safe for concurrent use.
 type FileSource struct {
 	f          *os.File
 	nu, np, nv int
-	mu         sync.Mutex
 }
 
 var _ projection.Source = (*FileSource)(nil)
@@ -160,26 +163,28 @@ func (s *FileSource) LoadRows(rows geometry.RowRange, pLo, pHi int) (*projection
 		NU: s.nu, NP: np, NV: rows.Len(), V0: rows.Lo, P0: pLo,
 		Data: make([]float32, s.nu*np*rows.Len()),
 	}
-	buf := make([]byte, s.nu*np*4)
-	for v := rows.Lo; v < rows.Hi; v++ {
+	// The file's (v, p, u) order is the stack's, so samples are read
+	// straight into the stack and decoded where they lie — which on a
+	// little-endian host, whose float32s already are the container's
+	// bytes, is nothing to do.
+	step := rows.Len() // detector rows per read
+	if np < s.np {
+		step = 1
+	}
+	for v := rows.Lo; v < rows.Hi; v += step {
 		off := int64(projHeaderBytes) + (int64(v)*int64(s.np)+int64(pLo))*int64(s.nu)*4
-		s.mu.Lock()
-		_, err := s.f.ReadAt(buf, off)
-		s.mu.Unlock()
-		if err != nil && err != io.EOF {
+		dst := out.Data[(v-rows.Lo)*np*s.nu : (v-rows.Lo+step)*np*s.nu]
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)*4)
+		if _, err := s.f.ReadAt(raw, off); err != nil {
 			return nil, fmt.Errorf("storage: read row %d: %w", v, err)
 		}
-		dst := out.Data[(v-rows.Lo)*np*s.nu : (v-rows.Lo+1)*np*s.nu]
-		for i := range dst {
-			dst[i] = float32FromBits(buf[i*4 : i*4+4])
+		if !hostLittleEndian {
+			for i := range dst {
+				dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+			}
 		}
 	}
 	return out, nil
-}
-
-func float32FromBits(b []byte) float32 {
-	bits := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return bitsToFloat(bits)
 }
 
 // SlabWriter assembles reduced sub-volumes into one raw volume file

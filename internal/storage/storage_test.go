@@ -69,25 +69,32 @@ func TestFileSourceMatchesMemorySource(t *testing.T) {
 		pLo, pHi int
 	}{
 		{geometry.RowRange{Lo: 0, Hi: 16}, 0, 8},
+		{geometry.RowRange{Lo: 3, Hi: 9}, 0, 8}, // full window: one read for the six rows
 		{geometry.RowRange{Lo: 3, Hi: 9}, 2, 6},
 		{geometry.RowRange{Lo: 15, Hi: 16}, 7, 8},
 		{geometry.RowRange{Lo: 5, Hi: 6}, 0, 1},
 	}
-	for _, tc := range cases {
-		a, err := fileSrc.LoadRows(tc.rows, tc.pLo, tc.pHi)
-		if err != nil {
-			t.Fatalf("file %v: %v", tc, err)
-		}
-		b, err := memSrc.LoadRows(tc.rows, tc.pLo, tc.pHi)
-		if err != nil {
-			t.Fatalf("mem %v: %v", tc, err)
-		}
-		if a.V0 != b.V0 || a.P0 != b.P0 || a.NV != b.NV || a.NP != b.NP {
-			t.Fatalf("dims differ: %+v vs %+v", a, b)
-		}
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("case %v sample %d: file %g != mem %g", tc, i, a.Data[i], b.Data[i])
+	// The second round runs the decode a big-endian host needs: on this
+	// host it must rewrite every sample with itself.
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range []bool{hostLittleEndian, false} {
+		hostLittleEndian = le
+		for _, tc := range cases {
+			a, err := fileSrc.LoadRows(tc.rows, tc.pLo, tc.pHi)
+			if err != nil {
+				t.Fatalf("file %v: %v", tc, err)
+			}
+			b, err := memSrc.LoadRows(tc.rows, tc.pLo, tc.pHi)
+			if err != nil {
+				t.Fatalf("mem %v: %v", tc, err)
+			}
+			if a.V0 != b.V0 || a.P0 != b.P0 || a.NV != b.NV || a.NP != b.NP {
+				t.Fatalf("dims differ: %+v vs %+v", a, b)
+			}
+			for i := range a.Data {
+				if a.Data[i] != b.Data[i] {
+					t.Fatalf("case %v sample %d: file %g != mem %g", tc, i, a.Data[i], b.Data[i])
+				}
 			}
 		}
 	}
@@ -163,6 +170,33 @@ func TestStackFileErrors(t *testing.T) {
 	}
 	if _, err := src.LoadRows(geometry.RowRange{Lo: 0, Hi: 2}, 1, 1); err == nil {
 		t.Error("expected projection window error")
+	}
+}
+
+// A container that shrinks after OpenStack checked its size must fail the
+// load, on the single-read path and the per-row path alike, not hand back
+// rows that were never read.
+func TestFileSourceShortRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "proj.fbp")
+	if err := WriteStack(path, makeStack(4, 4, 8, 6)); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenStack(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if err := os.Truncate(path, projHeaderBytes+4*4*4*6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.LoadRows(geometry.RowRange{Lo: 0, Hi: 6}, 0, 4); err != nil {
+		t.Fatalf("rows still in the file: %v", err)
+	}
+	if _, err := src.LoadRows(geometry.RowRange{Lo: 4, Hi: 8}, 0, 4); err == nil {
+		t.Error("full-window load past the truncation succeeded")
+	}
+	if _, err := src.LoadRows(geometry.RowRange{Lo: 4, Hi: 8}, 1, 3); err == nil {
+		t.Error("sub-window load past the truncation succeeded")
 	}
 }
 
@@ -273,5 +307,30 @@ func TestSlabWriterErrors(t *testing.T) {
 	deep, _ := volume.NewSlab(4, 4, 4, 6)
 	if err := w.WriteSlab(deep); err == nil {
 		t.Error("expected window error")
+	}
+}
+
+// The load stage's read: the repository benchmark's stack (83 × 88 × 55
+// float32, 1.5 MiB) out of the page cache, a batch's share of the rows per
+// call over the full projection window.
+func BenchmarkFileSourceLoadRows(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "proj.fbp")
+	if err := WriteStack(path, makeStack(83, 88, 55, 1)); err != nil {
+		b.Fatal(err)
+	}
+	src, err := OpenStack(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	b.SetBytes(83 * 88 * 55 * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < 55; lo += 7 {
+			if _, err := src.LoadRows(geometry.RowRange{Lo: lo, Hi: min(lo+7, 55)}, 0, 88); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

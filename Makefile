@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-compare bench-json bench-exec experiments examples clean
+.PHONY: all build test race check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
 
 all: build test
 
@@ -24,19 +24,23 @@ race:
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) run ./cmd/fdkbench -check-bench BENCH_kernel.json,BENCH_exec.json
 	$(MAKE) trace-smoke
 	$(MAKE) status-smoke
 	$(MAKE) chaos-recover
 	$(MAKE) transport-smoke
 
-# Parser fuzz smoke: 10 s of mutation per target on the two parsers of
-# untrusted wire bytes (go test -fuzz takes one target at a time). The
-# targets' seed corpora run in every plain `go test`; this is the part that
-# looks past them. A finding lands in testdata/fuzz/ as a regression seed.
+# Parser fuzz smoke: 10 s of mutation per target on the parsers of bytes
+# this process did not write — wire frames and payloads, projection stacks,
+# raw volumes, the checkpoint journal (go test -fuzz takes one target at a
+# time). The targets' seed corpora run in every plain `go test`; this is the
+# part that looks past them. A finding lands in testdata/fuzz/ as a
+# regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mpi/nettrans/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/mpi/nettrans/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenStack$$' -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRaw$$' -fuzztime 10s ./internal/volume/
 
 # Telemetry artifact gate: a tiny distributed reconstruction with tracing
 # and metrics on, then the artifact validators. Catches any drift in the
@@ -140,23 +144,11 @@ slo-gate:
 	$(GO) run ./cmd/slogate -scenarios scenarios -out artifacts/slo
 	$(GO) run ./cmd/slogate -check artifacts/slo/analysis.json
 
+# Every testing.B micro-benchmark in the tree (after the tests), for
+# profiling while working on a layer. Performance is recorded and compared
+# by `make bench-compare`.
 bench:
 	$(GO) test -bench=. -benchmem -timeout 45m ./...
-
-# CI kernel gate: a reduced-size kernel benchmark whose parity validation
-# must pass — the kernel under test against exact, RMSE/max-abs inside the
-# package gates, and streaming bit-identical to batch — and whose JSON
-# record lands in artifacts/ for upload. The first run gates the default
-# (the AVX2 assembly on hosts that have it), the second the forced scalar
-# path, so the arithmetic a non-AVX2 host would run is gated on AVX2
-# runners too. Exits non-zero on any gate violation, so a kernel change
-# that breaks the arithmetic contract fails the build even when every unit
-# test still passes.
-bench-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/fdkbench -smoke -kernel-json artifacts/bench_smoke.json
-	$(GO) run ./cmd/fdkbench -smoke -kernels scalar -label bench-smoke-scalar \
-		-kernel-json artifacts/bench_smoke.json
 
 # A perf PR's ledger row in one command: the repository benchmark
 # (BENCHMARK.json) at BASE — a git ref, extracted into a temporary tree —
@@ -173,17 +165,6 @@ bench-compare:
 	(cd "$$tmp/base" && $(GO) run ./bench $(BENCH_ARGS) --out "$$out/base-out"); \
 	$(GO) run ./bench $(BENCH_ARGS) --out "$$out/head-out"; \
 	$(GO) run ./bench -compare "$$out/base-out/results.json" "$$out/head-out/results.json"
-
-# Append a machine-readable hot-loop record (GUPS, ns/voxel-update,
-# filter rows/s, alloc stats, git commit) to BENCH_kernel.json.
-bench-json:
-	$(GO) run ./cmd/fdkbench -kernel-json BENCH_kernel.json -label "$(BENCH_LABEL)"
-
-# Append a scale-out executor record (pipeline batches/s vs bp-worker
-# count, reduction GB/s and allocs/op pooled vs unpooled) to
-# BENCH_exec.json.
-bench-exec:
-	$(GO) run ./cmd/fdkbench -exec-json BENCH_exec.json -label "$(BENCH_LABEL)"
 
 # Regenerate every table/figure of the paper's evaluation into artifacts/.
 experiments:

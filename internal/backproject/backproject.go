@@ -38,8 +38,8 @@
 // The identity holds per dispatched arithmetic, hence per host: the AVX2
 // path's reciprocal starts from RCPPS, whose approximation is the CPU's
 // own. Between arithmetics the results differ only by bounded float32
-// drift; that parity is tolerance-gated (see the property tests and the
-// kernel benchmark's parity gate).
+// drift; that parity is tolerance-gated (see the property tests and
+// experiments.TestKernelParity).
 package backproject
 
 import (

@@ -53,8 +53,8 @@ const predicateSlack = 0.25
 // coordinate magnitudes; white-noise projections (the worst case — O(1)
 // bilinear gradient per pixel) turn that into ~2e-5 RMSE per unit of data
 // scale. The gates sit 2–3× above every measured geometry while remaining
-// three orders of magnitude below physical signal. The kernel benchmark
-// and the property tests both enforce them.
+// three orders of magnitude below physical signal. The property tests and
+// experiments.TestKernelParity both enforce them.
 const (
 	ParityGateRMSE   = 5e-5
 	ParityGateMaxAbs = 5e-4

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"distfdk/internal/device"
-	"distfdk/internal/geometry"
 	"distfdk/internal/volume"
 )
 
@@ -114,42 +113,5 @@ func TestZeroVoxelSlabLaunch(t *testing.T) {
 	}
 	if got := l.Arithmetic(); got != "" {
 		t.Errorf("empty launch dispatched %q", got)
-	}
-}
-
-// The ring layouts only rearrange device memory; both present the same
-// RowBase/ProjStride addressing to the kernel, so streaming through a
-// proj-major ring must reproduce the row-interleaved volume bit for bit.
-func TestProjMajorStreamingBitIdentical(t *testing.T) {
-	forRecurrenceKernels(t, testProjMajorStreamingBitIdentical)
-}
-
-func testProjMajorStreamingBitIdentical(t *testing.T, kernel Kernel) {
-	sys := testSystem()
-	stack := randomStack(sys, 13)
-	mats := kernelMats(sys)
-	rows := geometry.RowRange{Lo: 0, Hi: sys.NV}
-
-	vols := make([]*volume.Volume, 2)
-	for li, layout := range []device.RingLayout{device.LayoutRowInterleaved, device.LayoutProjMajor} {
-		dev := device.New("layout", 0, 2)
-		ring, err := device.NewProjRingLayout(dev, sys.NU, sys.NP, sys.NV, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ring.LoadRows(stack, rows); err != nil {
-			t.Fatal(err)
-		}
-		v, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := StreamingKernel(dev, ring, mats, v, rows, kernel); err != nil {
-			t.Fatal(err)
-		}
-		ring.Close()
-		vols[li] = v
-	}
-	for i := range vols[0].Data {
-		if vols[0].Data[i] != vols[1].Data[i] {
-			t.Fatalf("voxel %d: proj-major %g != interleaved %g", i, vols[1].Data[i], vols[0].Data[i])
-		}
 	}
 }

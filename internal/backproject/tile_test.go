@@ -41,8 +41,8 @@ func TestShippedGeometriesAreZInvariant(t *testing.T) {
 // whatever the centre offsets, wherever the readable window clips (a
 // random run of detector rows, often short of what the slab projects to
 // and often ending at the detector's first or last row), through a ring
-// that wraps, in both ring layouts, for slab heights that are no multiple
-// of zBlock and 1–3 workers. A tilted matrix, whose u and w move with z,
+// that wraps, for slab heights that are no multiple of zBlock and 1–3
+// workers. A tilted matrix, whose u and w move with z,
 // must come out the same too: its tiles are one slice high. On an AVX2
 // host the default kernel is additionally held to the per-column emulation
 // of its arithmetic, which knows nothing of spans, tiles or windows of
@@ -94,12 +94,8 @@ func testTileLaunchMatchesPerRow(t *testing.T, kernel Kernel) {
 		if rows.Lo%depth+rows.Len() > depth {
 			wrapped++
 		}
-		layout := device.LayoutRowInterleaved
-		if trial%2 == 1 {
-			layout = device.LayoutProjMajor
-		}
 		dev := device.New("tile", 0, 1+trial%3)
-		ring, err := device.NewProjRingLayout(dev, sys.NU, sys.NP, depth, layout)
+		ring, err := device.NewProjRing(dev, sys.NU, sys.NP, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,8 +140,8 @@ func testTileLaunchMatchesPerRow(t *testing.T, kernel Kernel) {
 		for name, want := range refs {
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
-					t.Fatalf("trial %d (nz %d at %d, rows %v of %v, depth %d, %s, %d workers, tilt %v): voxel %d: tile launch %g != %s %g",
-						trial, nz, z0, rows, need, depth, layout, 1+trial%3, tilt, i, got.Data[i], name, want.Data[i])
+					t.Fatalf("trial %d (nz %d at %d, rows %v of %v, depth %d, %d workers, tilt %v): voxel %d: tile launch %g != %s %g",
+						trial, nz, z0, rows, need, depth, 1+trial%3, tilt, i, got.Data[i], name, want.Data[i])
 				}
 			}
 		}

@@ -35,9 +35,6 @@ type ClusterOptions struct {
 	// recurrence restructuring at the widest width the host has (see
 	// backproject.KernelRecurrence), as in ReconOptions.
 	Kernel backproject.Kernel
-	// RingLayout selects each rank's projection-ring memory layout
-	// (default row-interleaved).
-	RingLayout device.RingLayout
 	// Hierarchical enables the node-leader reduction of Section 4.4.2
 	// with RanksPerNode ranks per node. The default is the slab reduction
 	// chunk-pipelined through the tree one XY plane (NX·NY elements) at a
@@ -237,8 +234,7 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 		prog := &program{
 			ReconOptions: ReconOptions{
 				Source: src, Device: dev, Window: opts.Window, FilterWorkers: 1,
-				Kernel: opts.Kernel, RingLayout: opts.RingLayout,
-				Sink: sink, DisablePipeline: true,
+				Kernel: opts.Kernel, Sink: sink, DisablePipeline: true,
 				Retry: opts.Retry, Checkpoint: opts.Checkpoint, Telemetry: reg,
 			},
 			sys: p.Sys, sched: p.schedule(g), pLo: pLo, pHi: pHi,

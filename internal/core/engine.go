@@ -168,7 +168,7 @@ func (e *program) run() error {
 		e.lag = pipeline.UpstreamCompletionLag(queueDepth, e.BPWorkers)
 	}
 	e.fused = e.DisablePipeline || elastic
-	e.ring, err = device.NewProjRingLayout(e.Device, e.sys.NU, e.pHi-e.pLo, ringDepth(e.sched, e.lag+1), e.RingLayout)
+	e.ring, err = device.NewProjRing(e.Device, e.sys.NU, e.pHi-e.pLo, ringDepth(e.sched, e.lag+1))
 	if err != nil {
 		return err
 	}

@@ -10,9 +10,9 @@ import (
 // The three executors of the rank program — serial (fused, one reusable
 // slab), pipelined (unfused, a slab per batch) and elastic (fused in the
 // upload stage, lagged ring release) — must produce the same volume to the
-// last bit under both ring layouts: FilterRowInto's rounding matches
-// ApplyRow-then-FilterRow exactly, and fusion only moves where the filtered
-// row is written, never what is written.
+// last bit: FilterRowInto's rounding matches ApplyRow-then-FilterRow
+// exactly, and fusion only moves where the filtered row is written, never
+// what is written.
 func TestExecutorsBitIdentical(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
@@ -47,12 +47,10 @@ func TestExecutorsBitIdentical(t *testing.T) {
 		"elastic":   func(o *ReconOptions) { o.BPWorkers = 2 },
 	}
 	for name, executor := range executors {
-		for _, layout := range []device.RingLayout{device.LayoutRowInterleaved, device.LayoutProjMajor} {
-			got := run(name, func(o *ReconOptions) { executor(o); o.RingLayout = layout })
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("%s/%v: voxel %d: %g != pipelined %g", name, layout, i, got[i], ref[i])
-				}
+		got := run(name, executor)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("%s: voxel %d: %g != pipelined %g", name, i, got[i], ref[i])
 			}
 		}
 	}

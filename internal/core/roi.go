@@ -29,10 +29,8 @@ type ZWindowOptions struct {
 	SlabSlices int
 	// Workers bounds the filtering parallelism.
 	Workers int
-	// Kernel and RingLayout select the back-projection arithmetic and the
-	// ring's memory layout, as in ReconOptions.
-	Kernel     backproject.Kernel
-	RingLayout device.RingLayout
+	// Kernel selects the back-projection arithmetic, as in ReconOptions.
+	Kernel backproject.Kernel
 }
 
 // ReconstructZWindow reconstructs only the requested slice window. The
@@ -62,7 +60,7 @@ func ReconstructZWindow(opts ZWindowOptions) (*volume.Volume, *ReconReport, erro
 	prog := &program{
 		ReconOptions: ReconOptions{
 			Source: opts.Source, Device: opts.Device, Window: opts.Window,
-			FilterWorkers: opts.Workers, Kernel: opts.Kernel, RingLayout: opts.RingLayout,
+			FilterWorkers: opts.Workers, Kernel: opts.Kernel,
 			Sink: &VolumeSink{V: out}, DisablePipeline: true,
 		},
 		sys: sys, sched: zSchedule(sys, opts.Z0, opts.NZ, nb), pHi: sys.NP,

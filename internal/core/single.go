@@ -107,9 +107,6 @@ type ReconOptions struct {
 	// backproject.KernelRecurrence): the AVX2 assembly, or the scalar Go
 	// path without AVX2. Report.Ledger records which one ran.
 	Kernel backproject.Kernel
-	// RingLayout selects the projection ring's memory layout (default
-	// row-interleaved).
-	RingLayout device.RingLayout
 	// Sink receives finished slabs (required).
 	Sink SlabSink
 	// BPWorkers sets the worker count of the back-projection stage.

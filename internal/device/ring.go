@@ -9,42 +9,6 @@ import (
 	"distfdk/internal/projection"
 )
 
-// RingLayout selects how the ring's (row, projection, column) samples are
-// arranged in device memory. Both layouts address a sample as
-// RowBase(v) + p·ProjStride() + u, so the kernels are layout-agnostic.
-type RingLayout int
-
-const (
-	// LayoutRowInterleaved is Listing 1's devPixel order: slot-major with
-	// the NP projections of one detector row adjacent —
-	// data[((v%H)·NP+p)·NU+u]. Uploads of one row are a single contiguous
-	// copy; kernel reads of one projection hop NP·NU between rows.
-	LayoutRowInterleaved RingLayout = iota
-	// LayoutProjMajor stores each projection's rows contiguously —
-	// data[(p·H+(v%H))·NU+u] — so a kernel sweeping adjacent detector rows
-	// of one projection (the s-blocked interior loop) reads unit-stride
-	// streams at the cost of NP separate copies per uploaded row.
-	LayoutProjMajor
-)
-
-// ParseRingLayout maps the CLI spelling to a RingLayout.
-func ParseRingLayout(s string) (RingLayout, error) {
-	switch s {
-	case "", "interleaved":
-		return LayoutRowInterleaved, nil
-	case "proj-major":
-		return LayoutProjMajor, nil
-	}
-	return 0, fmt.Errorf("device: unknown ring layout %q (interleaved, proj-major)", s)
-}
-
-func (l RingLayout) String() string {
-	if l == LayoutProjMajor {
-		return "proj-major"
-	}
-	return "interleaved"
-}
-
 // ProjRing is the device-resident projection row store of Algorithm 3: a
 // 3-D buffer of H detector rows × NP projections × NU columns addressed
 // modulo H in the row dimension (`Z = z % dimZ` in Listing 1's devPixel).
@@ -55,11 +19,15 @@ func (l RingLayout) String() string {
 // host↔device link exactly once per reconstruction — the property that
 // distinguishes the paper from batch-decomposition frameworks that re-ship
 // projections for every sub-volume.
+//
+// Storage is Listing 1's devPixel order, data[((v%H)·NP+p)·NU+u]: the NP
+// projections of one detector row are adjacent, so a row uploads as one
+// contiguous copy. Kernels address samples only through RowBase and
+// ProjStride, so another arrangement is a change inside this package.
 type ProjRing struct {
 	dev    *Device
 	NU, NP int
 	H      int // ring depth in rows
-	Layout RingLayout
 
 	data []float32
 
@@ -71,14 +39,9 @@ type ProjRing struct {
 	valid geometry.RowRange // global rows currently resident
 }
 
-// NewProjRing allocates a ring of depth h rows on the device in the
-// default row-interleaved layout, charging its memory budget.
+// NewProjRing allocates a ring of depth h rows on the device, charging its
+// memory budget.
 func NewProjRing(dev *Device, nu, np, h int) (*ProjRing, error) {
-	return NewProjRingLayout(dev, nu, np, h, LayoutRowInterleaved)
-}
-
-// NewProjRingLayout is NewProjRing with an explicit memory layout.
-func NewProjRingLayout(dev *Device, nu, np, h int, layout RingLayout) (*ProjRing, error) {
 	if nu <= 0 || np <= 0 || h <= 0 {
 		return nil, fmt.Errorf("device: ring dimensions %dx%dx%d must be positive", nu, np, h)
 	}
@@ -86,7 +49,7 @@ func NewProjRingLayout(dev *Device, nu, np, h int, layout RingLayout) (*ProjRing
 	if err := dev.Alloc(bytes); err != nil {
 		return nil, fmt.Errorf("device: projection ring of %d rows (%d bytes): %w", h, bytes, err)
 	}
-	return &ProjRing{dev: dev, NU: nu, NP: np, H: h, Layout: layout, data: make([]float32, int(bytes/4))}, nil
+	return &ProjRing{dev: dev, NU: nu, NP: np, H: h, data: make([]float32, int(bytes/4))}, nil
 }
 
 // Close releases the ring's device memory.
@@ -103,22 +66,11 @@ func (r *ProjRing) Bytes() int64 { return int64(r.NU) * int64(r.NP) * int64(r.H)
 // RowBase returns the storage offset of global row v (projection 0); the
 // sample (v, p, u) lives at RowBase(v) + p·ProjStride() + u. Callers must
 // have verified residency for v.
-func (r *ProjRing) RowBase(v int) int {
-	slot := v % r.H
-	if r.Layout == LayoutProjMajor {
-		return slot * r.NU
-	}
-	return slot * r.NP * r.NU
-}
+func (r *ProjRing) RowBase(v int) int { return (v % r.H) * r.NP * r.NU }
 
 // ProjStride returns the storage distance between consecutive projections
 // of one detector row.
-func (r *ProjRing) ProjStride() int {
-	if r.Layout == LayoutProjMajor {
-		return r.H * r.NU
-	}
-	return r.NU
-}
+func (r *ProjRing) ProjStride() int { return r.NU }
 
 // rowSlice returns the writable storage of (global row v, projection p).
 func (r *ProjRing) rowSlice(v, p int) []float32 {
@@ -219,20 +171,11 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 	if r.dev.tel != nil {
 		t0 = time.Now()
 	}
-	if r.Layout == LayoutRowInterleaved {
-		for v := rows.Lo; v < rows.Hi; v++ {
-			slot := v % r.H
-			dst := r.data[slot*r.NP*r.NU : (slot+1)*r.NP*r.NU]
-			srcOff := (v - src.V0) * src.NP * src.NU
-			copy(dst, src.Data[srcOff:srcOff+len(dst)])
-		}
-	} else {
-		for v := rows.Lo; v < rows.Hi; v++ {
-			srcOff := (v - src.V0) * src.NP * src.NU
-			for p := 0; p < r.NP; p++ {
-				copy(r.rowSlice(v, p), src.Data[srcOff+p*src.NU:srcOff+(p+1)*src.NU])
-			}
-		}
+	for v := rows.Lo; v < rows.Hi; v++ {
+		base := r.RowBase(v)
+		dst := r.data[base : base+r.NP*r.NU]
+		srcOff := (v - src.V0) * src.NP * src.NU
+		copy(dst, src.Data[srcOff:srcOff+len(dst)])
 	}
 	if t := r.dev.tel; t != nil {
 		t.loadNs.Add(int64(time.Since(t0)))
@@ -345,6 +288,6 @@ func (r *ProjRing) Row(v, p int) ([]float32, error) {
 
 // RawData exposes the ring storage for the kernel inner loop, which indexes
 // it as data[RowBase(v)+p·ProjStride()+u] — the devPixel addressing of
-// Listing 1, generalised over the two layouts. Callers must have verified
-// residency via Valid() for the row range they touch.
+// Listing 1. Callers must have verified residency via Valid() for the row
+// range they touch.
 func (r *ProjRing) RawData() []float32 { return r.data }

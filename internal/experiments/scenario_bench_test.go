@@ -9,9 +9,9 @@ import (
 	"distfdk/internal/volume"
 )
 
-// BenchmarkScenarioBatch back-projects the kernelbench scenario (tomo_00030
-// div 8, 64³ output) through each kernel arithmetic — the same workload the
-// BENCH_kernel.json GUPS figures come from, runnable under pprof.
+// BenchmarkScenarioBatch back-projects the tomo_00030 div 8 → 64³ scenario
+// through each kernel arithmetic in one batch launch — the kernel alone on
+// a real geometry, runnable under pprof.
 func BenchmarkScenarioBatch(b *testing.B) {
 	sc, err := BuildScenario("tomo_00030", 8, 64, 1)
 	if err != nil {

@@ -45,8 +45,9 @@ func BufferPoolStats() PoolStats {
 
 // SetBufferPooling enables or disables the collective buffer arena and
 // returns the previous setting. Disabling reverts the collectives to
-// allocate-per-step behaviour; it exists so benchmarks and bit-identity
-// tests can compare the pooled and unpooled paths in one process.
+// allocate-per-step behaviour. No production code calls it: it exists so
+// the bit-identity and stress tests can hold the pooled collectives to the
+// unpooled reference in one process.
 func SetBufferPooling(enabled bool) bool {
 	return !poolOff.Swap(!enabled)
 }

@@ -25,6 +25,11 @@ const journalMagic = "distfdk-journal"
 // belong to a different reconstruction plan than the one trying to resume.
 var ErrPlanMismatch = errors.New("storage: journal belongs to a different plan")
 
+// ErrJournalHeader is matched (errors.Is) when a journal's first line is not
+// a header this version reads: a legacy v1 journal, another format version,
+// or no journal at all. Nothing after such a line is interpreted.
+var ErrJournalHeader = errors.New("storage: unreadable journal header")
+
 // PlanMismatchError reports a resume attempt against a journal stamped with
 // a different plan fingerprint. Resuming anyway would skip slabs whose
 // geometry does not line up with the new plan's, silently corrupting the
@@ -171,12 +176,12 @@ func (j *Journal) replay() error {
 	var fp string
 	if _, perr := fmt.Sscanf(strings.TrimSpace(header), journalMagic+" %d %s", &ver, &fp); perr != nil {
 		if strings.HasPrefix(header, "slab ") {
-			return fmt.Errorf("storage: journal %s: legacy v1 journal (no plan fingerprint); delete it and the partial output, then restart", j.path)
+			return fmt.Errorf("%w: journal %s: legacy v1 journal (no plan fingerprint); delete it and the partial output, then restart", ErrJournalHeader, j.path)
 		}
-		return fmt.Errorf("storage: journal %s: bad header %q", j.path, strings.TrimSpace(header))
+		return fmt.Errorf("%w: journal %s: bad header %q", ErrJournalHeader, j.path, strings.TrimSpace(header))
 	}
 	if ver != journalVersion {
-		return fmt.Errorf("storage: journal %s: unsupported version %d (want %d)", j.path, ver, journalVersion)
+		return fmt.Errorf("%w: journal %s: unsupported version %d (want %d)", ErrJournalHeader, j.path, ver, journalVersion)
 	}
 	if fp != j.fingerprint {
 		return &PlanMismatchError{Path: j.path, JournalPlan: fp, RunPlan: j.fingerprint}

@@ -9,8 +9,10 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sync"
 	"time"
@@ -109,6 +111,11 @@ type FileSource struct {
 
 var _ projection.Source = (*FileSource)(nil)
 
+// ErrBadStack is matched (errors.Is) by every OpenStack rejection of a
+// file's content: wrong magic, a non-positive dimension, or dimensions the
+// file's size contradicts.
+var ErrBadStack = errors.New("storage: not a valid projection stack")
+
 // OpenStack opens a projection container for partial reads.
 func OpenStack(path string) (*FileSource, error) {
 	f, err := os.Open(path)
@@ -122,22 +129,28 @@ func OpenStack(path string) (*FileSource, error) {
 	}
 	if hdr[0] != projMagic {
 		f.Close()
-		return nil, fmt.Errorf("storage: bad projection magic %#x", hdr[0])
+		return nil, fmt.Errorf("%w: bad projection magic %#x", ErrBadStack, hdr[0])
 	}
 	nu, np, nv := int(hdr[1]), int(hdr[2]), int(hdr[3])
 	if nu <= 0 || np <= 0 || nv <= 0 {
 		f.Close()
-		return nil, fmt.Errorf("storage: header claims non-positive dims %dx%dx%d", nu, np, nv)
+		return nil, fmt.Errorf("%w: header claims non-positive dims %dx%dx%d", ErrBadStack, nu, np, nv)
 	}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	want := int64(projHeaderBytes) + int64(nu)*int64(np)*int64(nv)*4
-	if info.Size() != want {
+	// The header is untrusted and its three 31-bit factors times four wrap
+	// an int64 (2²⁰ × 2²¹ × 2²¹ × 4 = 2⁶⁴ reads as 0, the payload of a bare
+	// header), so the product is taken at full width. Only dimensions the
+	// file really holds get past here, which is what lets LoadRows size its
+	// buffers from them.
+	hi, want := bits.Mul64(uint64(nu)*uint64(np), 4*uint64(nv))
+	if hi != 0 || want != uint64(info.Size()-projHeaderBytes) {
 		f.Close()
-		return nil, fmt.Errorf("storage: file is %d bytes, header implies %d (truncated or corrupt stack)", info.Size(), want)
+		return nil, fmt.Errorf("%w: file is %d bytes, header claims %dx%dx%d samples (truncated or corrupt stack)",
+			ErrBadStack, info.Size(), nu, np, nv)
 	}
 	return &FileSource{f: f, nu: nu, np: np, nv: nv}, nil
 }

@@ -3,11 +3,16 @@ package volume
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 )
+
+// rawHeaderBytes is the five int32 words in front of the voxels.
+const rawHeaderBytes = 20
 
 // rawMagic identifies the simple little-endian volume container written by
 // WriteRaw: magic, three int32 dimensions, int32 Z origin, then float32
@@ -43,10 +48,24 @@ func (v *Volume) WriteRaw(w io.Writer) error {
 	return nil
 }
 
-// ReadRaw deserialises a volume written by WriteRaw.
-func ReadRaw(r io.Reader) (*Volume, error) {
+// ErrBadHeader is matched (errors.Is) when the 20 header bytes of a raw
+// container cannot be a volume's: wrong magic, a non-positive dimension, a
+// negative origin, a voxel count no slice can hold, or (LoadRaw) a count
+// the file's size contradicts.
+var ErrBadHeader = errors.New("volume: bad raw volume header")
+
+// ReadRaw deserialises a volume written by WriteRaw. The header is twenty
+// untrusted bytes: the voxel storage starts at no more than one chunk and
+// doubles only as voxel bytes arrive, so what an input can make this
+// process allocate is bounded by what it sends.
+func ReadRaw(r io.Reader) (*Volume, error) { return readRaw(r, -1) }
+
+// readRaw is ReadRaw for a source of unknown length (size < 0) or of a known
+// one, which the header must then account for to the byte and whose voxels
+// are allocated once.
+func readRaw(r io.Reader, size int64) (*Volume, error) {
 	buf := make([]byte, rawChunkBytes)
-	if _, err := io.ReadFull(r, buf[:20]); err != nil {
+	if _, err := io.ReadFull(r, buf[:rawHeaderBytes]); err != nil {
 		return nil, fmt.Errorf("volume: read header: %w", err)
 	}
 	var hdr [5]int32
@@ -54,24 +73,41 @@ func ReadRaw(r io.Reader) (*Volume, error) {
 		hdr[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	if hdr[0] != rawMagic {
-		return nil, fmt.Errorf("volume: bad magic %#x", hdr[0])
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadHeader, hdr[0])
 	}
 	nx, ny, nz, z0 := int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[4])
-	v, err := NewSlab(nx, ny, nz, z0)
-	if err != nil {
-		return nil, err
+	if nx <= 0 || ny <= 0 || nz <= 0 || z0 < 0 {
+		return nil, fmt.Errorf("%w: dimensions %dx%dx%d at slice %d", ErrBadHeader, nx, ny, nz, z0)
 	}
-	for data := v.Data; len(data) > 0; {
-		n := min(len(data), rawChunkBytes/4)
+	// Three 31-bit factors times four wrap an int64; take the product at
+	// full width.
+	hi, payload := bits.Mul64(uint64(nx)*uint64(ny), 4*uint64(nz))
+	if hi != 0 || payload > math.MaxInt-rawHeaderBytes {
+		return nil, fmt.Errorf("%w: %dx%dx%d voxels do not fit in memory", ErrBadHeader, nx, ny, nz)
+	}
+	voxels := int(payload / 4)
+	first := min(voxels, rawChunkBytes/4)
+	if size >= 0 {
+		if want := rawHeaderBytes + int64(payload); size != want {
+			return nil, fmt.Errorf("%w: file is %d bytes, %dx%dx%d voxels imply %d", ErrBadHeader, size, nx, ny, nz, want)
+		}
+		first = voxels
+	}
+	data := make([]float32, 0, first)
+	for len(data) < voxels {
+		n := min(voxels-len(data), rawChunkBytes/4)
 		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
 			return nil, fmt.Errorf("volume: read voxels: %w", err)
 		}
-		for i := range data[:n] {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		if len(data)+n > cap(data) {
+			data = append(make([]float32, 0, min(voxels, 2*cap(data))), data...)
 		}
-		data = data[n:]
+		data = data[:len(data)+n]
+		for i, tail := 0, data[len(data)-n:]; i < n; i++ {
+			tail[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
 	}
-	return v, nil
+	return &Volume{NX: nx, NY: ny, NZ: nz, Z0: z0, Data: data}, nil
 }
 
 // SaveRaw writes the volume to the named file.
@@ -87,14 +123,19 @@ func (v *Volume) SaveRaw(path string) error {
 	return f.Close()
 }
 
-// LoadRaw reads a volume from the named file.
+// LoadRaw reads a volume from the named file, whose size must be exactly
+// what its header implies.
 func LoadRaw(path string) (*Volume, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadRaw(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readRaw(f, info.Size())
 }
 
 // WritePGM renders the k-th XY slice as an 8-bit binary PGM image,

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
+.PHONY: all build test race check doc-check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
 
 all: build test
 
@@ -21,7 +21,7 @@ race:
 # Full static + race-detector gate: the worker-pool kernel and pipeline
 # stages must stay race-clean everywhere, not just the curated race list.
 # The trace smoke-run keeps the telemetry artifacts loadable end to end.
-check:
+check: doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) trace-smoke
@@ -29,10 +29,20 @@ check:
 	$(MAKE) chaos-recover
 	$(MAKE) transport-smoke
 
+# Documentation gate: every Test*/Benchmark*/Fuzz* identifier DESIGN.md or
+# README.md names must be a function in some _test.go file, so the docs
+# cannot go on citing a test a PR deleted or renamed.
+doc-check:
+	@stale=0; \
+	for n in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | sort -u); do \
+		grep -rqE "^func $$n\(" --include='*_test.go' . || \
+			{ echo "doc-check: DESIGN.md/README.md name $$n, which no _test.go file defines"; stale=1; }; \
+	done; exit $$stale
+
 # Parser fuzz smoke: 10 s of mutation per target on the parsers of bytes
 # this process did not write — wire frames and payloads, projection stacks,
-# raw volumes, the checkpoint journal (go test -fuzz takes one target at a
-# time). The targets' seed corpora run in every plain `go test`; this is the
+# raw volumes, the checkpoint journal, the hand-written scenario files (go
+# test -fuzz takes one target at a time). The targets' seed corpora run in every plain `go test`; this is the
 # part that looks past them. A finding lands in testdata/fuzz/ as a
 # regression seed.
 fuzz-smoke:
@@ -41,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenStack$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRaw$$' -fuzztime 10s ./internal/volume/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime 10s ./internal/scenario/
 
 # Telemetry artifact gate: a tiny distributed reconstruction with tracing
 # and metrics on, then the artifact validators. Catches any drift in the

@@ -35,7 +35,6 @@ import (
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
 	"distfdk/internal/iterative"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
 	"distfdk/internal/storage"
 	"distfdk/internal/telemetry"
@@ -207,14 +206,13 @@ func main() {
 
 	if plan.Ranks() == 1 {
 		reg := run.Rank(0)
-		tracer := pipeline.TracerFor(reg)
-		if reg == nil {
-			tracer = pipeline.NewTracer()
+		if reg == nil && *timeline {
+			reg = telemetry.NewRegistry() // the timeline is drawn from its spans
 		}
 		rep, err := core.ReconstructSingle(core.ReconOptions{
 			Plan: plan, Source: source,
 			Device: device.New("local", *memMB<<20, *workers),
-			Window: win, Sink: sink, Tracer: tracer, Telemetry: reg,
+			Window: win, Sink: sink, Telemetry: reg,
 			Kernel: kern,
 		})
 		if err != nil {
@@ -226,7 +224,7 @@ func main() {
 			float64(rep.Ledger.H2DBytes)/(1<<20), float64(rep.Ledger.D2HBytes)/(1<<20),
 			rep.Ledger.Arithmetic())
 		if *timeline {
-			fmt.Print(tracer.RenderASCII([]string{"load", "filter", "backproject", "store"}, 100))
+			fmt.Print(telemetry.RenderGantt(reg.Spans(), []string{"load", "filter", "backproject", "store"}, 100))
 		}
 		writeTelemetry(*traceOut, *metrics, run.Snapshots())
 	} else {

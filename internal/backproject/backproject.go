@@ -104,8 +104,9 @@ func (k Kernel) String() string {
 // kernels share their sampling code: the sample (v, s, u) lives at
 // rowOff[v−lo] + s·sStride + u. rowOff caches the storage offset of every
 // readable row, hoisting the modular (ring) or affine (stack) slot
-// arithmetic out of the per-sample path; sStride abstracts over the ring's
-// two layouts (row-interleaved vs projection-major).
+// arithmetic out of the per-sample path; sStride is the store's own
+// projection stride (ProjRing.ProjStride, or NU for a stack), so another
+// ring arrangement is a change inside internal/device.
 type projAccess struct {
 	data    []float32
 	nu, np  int

@@ -8,7 +8,6 @@ import (
 	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
 	"distfdk/internal/geometry"
-	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
 )
 
@@ -357,23 +356,21 @@ func emulateAVX2(a *projAccess, mats []geometry.Mat34x4, vol *volume.Volume) {
 
 // The zero Kernel is the fast run. On an AVX2 host it is the assembly path,
 // byte for byte what the scalar emulation of that arithmetic gives, and the
-// ledger and telemetry say avx2; with AVX2 masked off (as on any other
-// host) it is KernelScalar byte for byte, and they say scalar.
+// ledger says avx2; with AVX2 masked off (as on any other host) it is
+// KernelScalar byte for byte, and the ledger says scalar.
 func TestDefaultKernelDispatch(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV = 9, -7 // clip both detector edges into the rows
 	stack := randomStack(sys, 31)
 	mats := kernelMats(sys)
-	run := func(name string, kernel Kernel) (*volume.Volume, device.Ledger, *telemetry.Registry) {
+	run := func(name string, kernel Kernel) (*volume.Volume, device.Ledger) {
 		t.Helper()
 		dev := device.New(name, 0, 2)
-		reg := telemetry.NewRegistry()
-		dev.SetTelemetry(reg)
 		vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 		if err := BatchKernel(dev, stack, mats, vol, kernel); err != nil {
 			t.Fatal(err)
 		}
-		return vol, dev.Snapshot(), reg
+		return vol, dev.Snapshot()
 	}
 	same := func(what string, want, got *volume.Volume) {
 		t.Helper()
@@ -383,7 +380,7 @@ func TestDefaultKernelDispatch(t *testing.T) {
 			}
 		}
 	}
-	said := func(l device.Ledger, reg *telemetry.Registry, want device.Arithmetic) {
+	said := func(l device.Ledger, want device.Arithmetic) {
 		t.Helper()
 		if got := l.Arithmetic(); got != want.String() {
 			t.Errorf("ledger says %q ran, want %q", got, want)
@@ -391,20 +388,17 @@ func TestDefaultKernelDispatch(t *testing.T) {
 		if l.Dispatched[want] != l.KernelLaunches {
 			t.Errorf("%d of %d launches recorded as %s", l.Dispatched[want], l.KernelLaunches, want)
 		}
-		if v := reg.Counter("kernel.dispatch." + want.String()).Value(); v != l.KernelLaunches {
-			t.Errorf("telemetry kernel.dispatch.%s = %d, want %d", want, v, l.KernelLaunches)
-		}
 	}
 
 	var zero Kernel
-	scalar, sl, sreg := run("scalar", KernelScalar)
-	said(sl, sreg, device.ArithmeticScalar)
-	_, el, ereg := run("exact", KernelExact)
-	said(el, ereg, device.ArithmeticExact)
+	scalar, sl := run("scalar", KernelScalar)
+	said(sl, device.ArithmeticScalar)
+	_, el := run("exact", KernelExact)
+	said(el, device.ArithmeticExact)
 
 	if simdAvailable() {
-		got, l, reg := run("default", zero)
-		said(l, reg, device.ArithmeticAVX2)
+		got, l := run("default", zero)
+		said(l, device.ArithmeticAVX2)
 		if l.SIMDFullGroups == 0 {
 			t.Error("AVX2 dispatch ran no full vector group")
 		}
@@ -415,8 +409,8 @@ func TestDefaultKernelDispatch(t *testing.T) {
 	}
 
 	defer cpufeat.SetAVX2ForTest(false)()
-	got, l, reg := run("default-no-avx2", zero)
-	said(l, reg, device.ArithmeticScalar)
+	got, l := run("default-no-avx2", zero)
+	said(l, device.ArithmeticScalar)
 	if l.SIMDFullGroups != 0 || l.SIMDTailSamples != 0 {
 		t.Errorf("scalar launch recorded vector-lane work: %+v", l)
 	}
@@ -424,8 +418,7 @@ func TestDefaultKernelDispatch(t *testing.T) {
 }
 
 // Vector-lane accounting must partition the interior samples exactly:
-// full·8 + tail == InteriorSamples after an AVX2 reconstruction, and the
-// telemetry counters mirror the ledger.
+// full·8 + tail == InteriorSamples after an AVX2 reconstruction.
 func TestSIMDLedgerVectorAccounting(t *testing.T) {
 	if !simdAvailable() {
 		t.Skip("no usable AVX2")
@@ -434,8 +427,6 @@ func TestSIMDLedgerVectorAccounting(t *testing.T) {
 	stack := randomStack(sys, 37)
 	mats := kernelMats(sys)
 	dev := device.New("vec", 0, 2)
-	reg := telemetry.NewRegistry()
-	dev.SetTelemetry(reg)
 	vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 	if err := Batch(dev, stack, mats, vol); err != nil {
 		t.Fatal(err)
@@ -446,11 +437,5 @@ func TestSIMDLedgerVectorAccounting(t *testing.T) {
 	}
 	if got := l.SIMDFullGroups*simdLanes + l.SIMDTailSamples; got != l.InteriorSamples {
 		t.Errorf("vector accounting %d does not partition interior samples %d", got, l.InteriorSamples)
-	}
-	if v := reg.Counter("kernel.simd_full_groups").Value(); v != l.SIMDFullGroups {
-		t.Errorf("telemetry full groups %d != ledger %d", v, l.SIMDFullGroups)
-	}
-	if v := reg.Counter("kernel.simd_tail_samples").Value(); v != l.SIMDTailSamples {
-		t.Errorf("telemetry tail samples %d != ledger %d", v, l.SIMDTailSamples)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,6 +179,41 @@ func TestChaosMatrixPermanent(t *testing.T) {
 			}
 			if completed == p.Ranks() {
 				t.Fatal("report claims all ranks completed despite the error")
+			}
+			// The partial report is the only account of what happened before
+			// the teardown, in which every rank may leave with an error: a
+			// rank that got through a batch shows its work and traffic,
+			// completed or not.
+			for r := range rep.Completed {
+				if rep.BatchesDone[r] == 0 {
+					continue
+				}
+				if rep.Ledgers[r].VoxelUpdates == 0 || rep.Ledgers[r].H2DBytes == 0 {
+					t.Errorf("rank %d executed %d batches (completed=%v) but its ledger is empty: %+v",
+						r, rep.BatchesDone[r], rep.Completed[r], rep.Ledgers[r])
+				}
+				if gs := rep.GroupStats[r]; gs.BytesSent+gs.BytesRecv == 0 {
+					t.Errorf("rank %d executed %d batches (completed=%v) but its group stats are empty",
+						r, rep.BatchesDone[r], rep.Completed[r])
+				}
+			}
+			if tc.name == "leader-store-dead" {
+				// Rank 1 reduces straight into the dead leader: it finished
+				// the batches the leader stored or died on, and can never
+				// finish the rest (12 more chunks against a buffer of 8).
+				if rep.Completed[1] || rep.BatchesDone[1] == 0 {
+					t.Fatalf("rank 1: completed=%v after %d batches, want a torn-down survivor with work done",
+						rep.Completed[1], rep.BatchesDone[1])
+				}
+				if rep.GroupStats[1].BytesSent == 0 || rep.Ledgers[1].VoxelUpdates == 0 {
+					t.Errorf("survivor rank 1 moved %d B and made %d updates according to the partial report",
+						rep.GroupStats[1].BytesSent, rep.Ledgers[1].VoxelUpdates)
+				}
+				for _, line := range strings.Split(rep.String(), "\n") {
+					if strings.HasPrefix(line, "rank  1:") && (strings.Contains(line, "sent 0 B") || !strings.Contains(line, "[incomplete]")) {
+						t.Errorf("summary line for the survivor: %q, want its traffic and [incomplete]", line)
+					}
+				}
 			}
 		})
 	}

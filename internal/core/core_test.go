@@ -10,8 +10,8 @@ import (
 	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
 	"distfdk/internal/phantom"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
+	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
 )
 
@@ -201,10 +201,9 @@ func TestReconstructSinglePipelineMatchesSerial(t *testing.T) {
 	run := func(disable bool) *volume.Volume {
 		p, _ := NewPlan(sys, 1, 1, 4)
 		sink, _ := NewVolumeSink(sys)
-		tracer := pipeline.NewTracer()
 		_, err := ReconstructSingle(ReconOptions{
 			Plan: p, Source: src, Device: device.New("t", 0, 2),
-			Sink: sink, Tracer: tracer, DisablePipeline: disable,
+			Sink: sink, Telemetry: telemetry.NewRegistry(), DisablePipeline: disable,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -93,15 +93,16 @@ type ClusterReport struct {
 	WorldStats []mpi.Stats
 	GroupStats []mpi.Stats
 	// Completed marks ranks whose full batch loop finished. When
-	// RunDistributed returns an error the partial report still carries
-	// the survivors' ledgers and stats; a rank's other slots are only
-	// meaningful where Completed is true.
+	// RunDistributed returns an error the partial report still carries what
+	// every local rank had counted when it left — the culprit's and the
+	// torn-down survivors' alike — and Completed tells them apart from
+	// ranks that finished.
 	Completed []bool
 	// BatchesDone counts the batches each rank executed; BatchesSkipped
 	// counts the checkpointed batches each rank skipped on resume. The two
-	// are disjoint, so BatchesDone always reconciles with the per-rank
-	// `core.batches` telemetry counter and BatchesSkipped with
-	// `core.batches_skipped`, resumed run or not.
+	// are disjoint. They are this run's share of the per-rank `core.batches`
+	// and `core.batches_skipped` telemetry counters, which keep counting
+	// over the attempts of a supervised run.
 	BatchesDone    []int
 	BatchesSkipped []int
 	// Restarts and LostRanks are filled in by Supervise when the run was
@@ -257,14 +258,19 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 				return nil
 			},
 		}
-		err = prog.run()
-		report.BatchesDone[rank], report.BatchesSkipped[rank] = prog.done, prog.skipped
-		if err != nil {
+		// What the rank observed goes into the report however it leaves: in
+		// a teardown every rank returns an error (the culprit its own, the
+		// others ErrRankLost), and the partial report is the only account
+		// of the work and traffic that happened before it.
+		defer func() {
+			report.BatchesDone[rank], report.BatchesSkipped[rank] = int(prog.done.Value()), int(prog.skipped.Value())
+			report.Ledgers[rank] = dev.Snapshot()
+			report.WorldStats[rank] = world.Stats()
+			report.GroupStats[rank] = group.Stats()
+		}()
+		if err := prog.run(); err != nil {
 			return fmt.Errorf("rank %d: %w", rank, err)
 		}
-		report.Ledgers[rank] = dev.Snapshot()
-		report.WorldStats[rank] = world.Stats()
-		report.GroupStats[rank] = group.Stats()
 		report.Completed[rank] = true
 		return nil
 	})
@@ -272,7 +278,7 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 	// Snapshots are taken even on error so a chaos run's partial trace and
 	// metrics are still exportable.
 	report.Telemetry = opts.Telemetry.Snapshots()
-	// On error the report is partial: ledgers and stats are populated only
-	// for ranks that completed; BatchesDone still shows how far each got.
+	// On error the report is partial: each rank's slots show how far it got,
+	// Completed which ranks finished.
 	return report, err
 }

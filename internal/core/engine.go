@@ -125,10 +125,12 @@ type program struct {
 	// this one left the last stage.
 	slabBuf          []float32
 	loaded, resident geometry.RowRange
-	last             string // name of the rank's last stage
-	done, skipped    int
+	last             string        // name of the rank's last stage
 	elapsed          time.Duration // of the executor, setup excluded
-	batches, skips   *telemetry.Counter
+	// done and skipped count this run's executed and checkpointed batches;
+	// their parents are the registry's core.batches{,_skipped}, which total
+	// them over the attempts of a supervised run.
+	done, skipped telemetry.Counter
 }
 
 // run executes the program. done and skipped are meaningful afterwards even
@@ -187,8 +189,8 @@ func (e *program) run() error {
 	}
 	e.Device.SetTelemetry(e.Telemetry)
 	e.retry = e.Retry.Instrumented(e.Telemetry)
-	e.batches = e.Telemetry.Counter("core.batches")
-	e.skips = e.Telemetry.Counter("core.batches_skipped")
+	e.done.SetParent(e.Telemetry.Counter("core.batches"))
+	e.skipped.SetParent(e.Telemetry.Counter("core.batches_skipped"))
 
 	stages := []pipeline.Stage{e.stage("load", e.load), e.stage("filter", e.filter)}
 	if elastic || e.group != nil {
@@ -223,11 +225,6 @@ func (e *program) run() error {
 	}
 	pl.QueueDepth = queueDepth // lag and the ring depth were derived from it
 	pl.Telemetry = e.Telemetry
-	if pl.Tracer = e.Tracer; pl.Tracer == nil {
-		// Stage spans land in the run registry so the exported trace and
-		// the ASCII timeline share one span set.
-		pl.Tracer = pipeline.TracerFor(e.Telemetry)
-	}
 	start := time.Now()
 	if e.DisablePipeline {
 		err = pl.RunSerial(len(e.sched), e.enter)
@@ -244,7 +241,7 @@ func (e *program) report() (*ReconReport, error) {
 	if err := e.run(); err != nil {
 		return nil, err
 	}
-	return &ReconReport{Elapsed: e.elapsed, Ledger: e.Device.Snapshot().Sub(before), Slabs: e.done}, nil
+	return &ReconReport{Elapsed: e.elapsed, Ledger: e.Device.Snapshot().Sub(before), Slabs: int(e.done.Value())}, nil
 }
 
 // stage adapts a stage body to the pipeline. The batch is looked up in the
@@ -260,8 +257,7 @@ func (e *program) stage(name string, body func(*batch) error) pipeline.Stage {
 		}
 		err := body(b)
 		if err == nil && name == e.last {
-			e.done++
-			e.batches.Inc()
+			e.done.Inc()
 		}
 		return b, err
 	}}
@@ -276,8 +272,7 @@ func (e *program) load(b *batch) error {
 	// batch only after its group has passed it, so collectives always pair.
 	if e.Checkpoint != nil && e.Checkpoint.Done(b.z0) {
 		b.skip = true
-		e.skipped++
-		e.skips.Inc()
+		e.skipped.Inc()
 		return pipeline.Idle
 	}
 	diff := geometry.DifferentialRows(e.loaded, b.rows)

@@ -40,8 +40,7 @@ func (r *ClusterReport) String() string {
 		fmt.Fprintf(&b, "rank %2d: batches %d", i, r.BatchesDone[i])
 		if r.BatchesSkipped != nil && r.BatchesSkipped[i] > 0 {
 			// Resumed run: these batches were already durable in the
-			// journal, so BatchesDone stays reconciled with the
-			// core.batches counter while the skips are accounted here.
+			// journal; they are not executed batches and are shown apart.
 			fmt.Fprintf(&b, " (+%d skipped)", r.BatchesSkipped[i])
 		}
 		fmt.Fprintf(&b, ", sent %s, recv %s", fmtBytes(sent), fmtBytes(recv))

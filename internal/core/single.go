@@ -10,7 +10,6 @@ import (
 	"distfdk/internal/fault"
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
 	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
@@ -119,8 +118,6 @@ type ReconOptions struct {
 	// sequential stage when the slab schedule needs a ring reset (disjoint
 	// row ranges) or the pipeline is disabled.
 	BPWorkers int
-	// Tracer, when set, records the Figure 10-style pipeline timeline.
-	Tracer *pipeline.Tracer
 	// DisablePipeline runs the stages serially (for ablation only).
 	DisablePipeline bool
 	// Retry, when set, retries transient load and store failures with
@@ -133,11 +130,10 @@ type ReconOptions struct {
 	// batch. The resumed volume is bit-identical to an uninterrupted one.
 	Checkpoint CheckpointLog
 	// Telemetry, when set, collects the run's metrics and spans: pipeline
-	// stage spans and credit waits, ring traffic, and retry activity all
-	// report into this registry. When Tracer is nil a tracer backed by
-	// this registry is installed so the stage timeline and the exported
-	// trace share one span set. Nil keeps every instrumented path at a
-	// single pointer check.
+	// stage spans and credit waits, device and kernel counts, and retry
+	// activity all report into this registry; telemetry.RenderGantt draws
+	// the Figure 10-style timeline from its spans. Nil keeps every
+	// instrumented path at a single pointer check.
 	Telemetry *telemetry.Registry
 }
 

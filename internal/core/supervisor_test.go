@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"distfdk/internal/fault"
+	"distfdk/internal/geometry"
 	"distfdk/internal/projection"
 	"distfdk/internal/storage"
 	"distfdk/internal/telemetry"
@@ -427,5 +428,96 @@ func TestClusterReportSkippedBatches(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "skipped") {
 		t.Fatalf("String() must surface skipped batches:\n%s", rep)
+	}
+}
+
+// One bookkeeper, two readings. The registry outlives the attempts of a
+// supervised run and every device, communicator and rank program an attempt
+// builds adds to it, so the metrics artifact alone states the whole run's
+// H2D bytes, launches and voxel updates — while each attempt's own devices
+// start at zero, so the final ClusterReport counts the final attempt only.
+// Nr = 1 makes both attempts deterministic: no rank ever waits on another,
+// so in attempt 0 rank 0 finishes its two batches, rank 1 finishes one and is
+// killed at its second, and attempt 1 (one rank, four batches) skips the
+// three journaled slabs and executes the fourth.
+func TestSupervisedRunArtifactTotalsBothAttempts(t *testing.T) {
+	sys := testSystem()
+	src := &projection.MemorySource{Full: sheppStack(t, sys)}
+	p, err := NewPlan(sys, 2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := fault.NewInjector(5)
+	in.ScheduleKill(1, 1)
+	sink, err := NewVolumeSink(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "vol.journal")
+	run := telemetry.NewRun(p.Ranks())
+	rep, err := Supervise(SuperviseOptions{
+		Cluster: ClusterOptions{
+			Plan: p, Source: src, Output: sink, FaultInjector: in,
+			CollectiveDeadline: 5 * time.Second, Telemetry: run,
+		},
+		OpenCheckpoint: func(fp string) (CheckpointLog, error) { return storage.OpenJournal(journal, fp) },
+		MaxRestarts:    1,
+		RestartBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("supervised run did not recover: %v\n%s", err, rep)
+	}
+	if rep.Restarts != 1 || rep.Plan.Ranks() != 1 || rep.Plan.BatchCount != 4 {
+		t.Fatalf("want one restart onto 1 rank × 4 batches, got %s", rep)
+	}
+
+	// What a rank's device counts over a run of consecutive batches of one
+	// schedule, from the plan alone.
+	type work struct{ h2d, launches, updates int64 }
+	expect := func(batches []batch) (w work) {
+		loaded := geometry.RowRange{}
+		for _, b := range batches {
+			w.h2d += 4 * int64(sys.NU) * int64(sys.NP) * int64(geometry.DifferentialRows(loaded, b.rows).Len())
+			loaded = b.rows
+			w.launches++
+			w.updates += int64(sys.NX) * int64(sys.NY) * int64(b.nz) * int64(sys.NP)
+		}
+		return w
+	}
+	add := func(a, b work) work { return work{a.h2d + b.h2d, a.launches + b.launches, a.updates + b.updates} }
+	first := add(expect(p.schedule(0)), expect(p.schedule(1)[:1]))
+	final := expect(rep.Plan.schedule(0)[3:])
+
+	var led work
+	for _, l := range rep.Final.Ledgers {
+		led = add(led, work{l.H2DBytes, l.KernelLaunches, l.VoxelUpdates})
+	}
+	if led != final {
+		t.Errorf("final attempt's ledgers total %+v, want that attempt's one batch alone %+v", led, final)
+	}
+	if rep.Final.BatchesDone[0] != 1 || rep.Final.BatchesSkipped[0] != 3 {
+		t.Errorf("final attempt executed %d and skipped %d batches, want 1 and 3",
+			rep.Final.BatchesDone[0], rep.Final.BatchesSkipped[0])
+	}
+
+	var artifact bytes.Buffer
+	if err := telemetry.WriteMetricsJSON(&artifact, rep.Final.Telemetry); err != nil {
+		t.Fatal(err)
+	}
+	mrep, err := telemetry.ValidateMetricsJSON(artifact.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got work
+	var batches int64
+	for _, rm := range mrep.Ranks {
+		got = add(got, work{rm.Counters["device.h2d_bytes"], rm.Counters["kernel.launches"], rm.Counters["kernel.voxel_updates"]})
+		batches += rm.Counters["core.batches"]
+	}
+	if want := add(first, final); got != want {
+		t.Errorf("metrics artifact totals %+v, want both attempts' %+v (attempt 0 %+v + attempt 1 %+v)", got, want, first, final)
+	}
+	if batches != 4 {
+		t.Errorf("core.batches totals %d over the artifact, want the run's 4 executed batches", batches)
 	}
 }

@@ -8,17 +8,15 @@ import (
 
 	"distfdk/internal/device"
 	"distfdk/internal/fault"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
 	"distfdk/internal/telemetry"
 )
 
 // TestChaosTelemetryReconcile is the cross-layer closing of the loop: a
 // distributed chaos run (transient faults + stragglers) with telemetry on
-// must produce counters that reconcile exactly with the independently
-// collected ClusterReport stats, retry/backoff evidence in the spans, and
+// must produce retry/backoff evidence in the counters and spans, and
 // trace/metrics artifacts that pass their validators with every rank
-// represented.
+// represented and carry the report's totals.
 func TestChaosTelemetryReconcile(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
@@ -65,17 +63,6 @@ func TestChaosTelemetryReconcile(t *testing.T) {
 		s, ok := snapByRank[r]
 		if !ok {
 			t.Fatalf("rank %d missing from telemetry", r)
-		}
-		// Counters must reconcile exactly with the independently kept
-		// mpi.Stats and BatchesDone — same operations, same placement.
-		if want := rep.WorldStats[r].BytesSent + rep.GroupStats[r].BytesSent; s.Counters["mpi.bytes_sent"] != want {
-			t.Errorf("rank %d: mpi.bytes_sent = %d, want world+group = %d", r, s.Counters["mpi.bytes_sent"], want)
-		}
-		if want := rep.WorldStats[r].BytesRecv + rep.GroupStats[r].BytesRecv; s.Counters["mpi.bytes_recv"] != want {
-			t.Errorf("rank %d: mpi.bytes_recv = %d, want world+group = %d", r, s.Counters["mpi.bytes_recv"], want)
-		}
-		if want := int64(rep.BatchesDone[r]); s.Counters["core.batches"] != want {
-			t.Errorf("rank %d: core.batches = %d, want %d", r, s.Counters["core.batches"], want)
 		}
 		totalRetries += s.Counters["fault.retries"]
 		for _, sp := range s.Spans {
@@ -150,9 +137,9 @@ func TestChaosTelemetryReconcile(t *testing.T) {
 	}
 }
 
-// Single-device runs share the wiring: stage spans, ring counters and the
-// tracer all report into one registry, and the elastic credit-wait
-// counters appear when telemetry is on.
+// Single-device runs share the wiring: stage spans and ring counters report
+// into one registry, and the elastic credit-wait counters appear when
+// telemetry is on.
 func TestSingleTelemetry(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
@@ -186,10 +173,8 @@ func TestSingleTelemetry(t *testing.T) {
 			t.Errorf("stage %q recorded no spans (have %v)", want, stages)
 		}
 	}
-	// The auto-installed tracer and the registry share one span set.
-	tr := pipeline.TracerFor(reg)
-	if tr.Total() <= 0 {
-		t.Error("tracer sees no wall-clock window")
+	if telemetry.ComputeSpanStats(s.Spans).Total <= 0 {
+		t.Error("the stage spans cover no wall-clock window")
 	}
 }
 

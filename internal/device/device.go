@@ -26,9 +26,10 @@ import (
 // reject large volumes (Table 5's ✗ entries).
 var ErrOutOfMemory = errors.New("device: out of device memory")
 
-// Ledger counts the traffic and work a device has performed. All fields are
-// byte/operation totals since construction; Ledger values are retrieved by
-// copy and may be diffed across phases.
+// Ledger is the traffic and work a device has performed: a value view read
+// off the device's counters (Snapshot). All fields are byte/operation totals
+// since the device's construction; Ledger values are retrieved by copy and
+// may be diffed across phases.
 type Ledger struct {
 	// H2DBytes and D2HBytes are host→device / device→host transfer
 	// volumes.
@@ -113,27 +114,29 @@ type Device struct {
 
 	allocated atomic.Int64
 
-	// tel holds the projection-ring telemetry handles (see SetTelemetry).
-	// The pointer is installed before the device is shared with workers
-	// and read-only afterwards; nil costs one check per ring operation.
-	tel *ringTelemetry
+	// The counters below are the only store of what the device did: each
+	// Record* call adds to them once, Snapshot reads the Ledger off them,
+	// and SetTelemetry makes a registry's counters their parents, so the
+	// run's artifacts total the same adds over every device the registry is
+	// given.
+	h2dBytes, d2hBytes           telemetry.Counter
+	h2dOps, d2hOps               telemetry.Counter
+	kernelLaunches, voxelUpdates telemetry.Counter
 
-	h2dBytes       atomic.Int64
-	d2hBytes       atomic.Int64
-	h2dOps         atomic.Int64
-	d2hOps         atomic.Int64
-	kernelLaunches atomic.Int64
-	voxelUpdates   atomic.Int64
+	interiorSamples, borderSamples, skippedSamples telemetry.Counter
+	reanchors                                      telemetry.Counter
+	simdFullGroups, simdTailSamples                telemetry.Counter
+	dispatched                                     [numArithmetics]telemetry.Counter
 
-	interiorSamples atomic.Int64
-	borderSamples   atomic.Int64
-	skippedSamples  atomic.Int64
-	reanchors       atomic.Int64
-
-	simdFullGroups  atomic.Int64
-	simdTailSamples atomic.Int64
-
-	dispatched [numArithmetics]atomic.Int64
+	// The projection ring's own numbers have no Ledger field, so the device
+	// keeps no view of them: these are the registry's handles themselves,
+	// nil (inert) until SetTelemetry.
+	ringLoadRows    *telemetry.Counter // detector rows copied host→device
+	ringLoadOps     *telemetry.Counter // discrete copies (a wrap-around load is 2)
+	ringLoadNs      *telemetry.Counter // time spent in ring copies
+	ringEvictedRows *telemetry.Counter // rows dropped by Release/Reset
+	ringResets      *telemetry.Counter // full ring resets (disjoint schedules)
+	ringResident    *telemetry.Gauge   // rows resident after the last mutation
 }
 
 // New returns a device with the given capacity (0 = unlimited) and worker
@@ -142,59 +145,40 @@ func New(name string, memBytes int64, workers int) *Device {
 	return &Device{Name: name, MemBytes: memBytes, Workers: workers}
 }
 
-// ringTelemetry caches the counter handles the projection ring reports
-// into, resolved once at SetTelemetry so ring operations never touch the
-// registry's name map.
-type ringTelemetry struct {
-	loadRows    *telemetry.Counter // detector rows copied host→device
-	loadOps     *telemetry.Counter // discrete copies (a wrap-around load is 2)
-	loadNs      *telemetry.Counter // time spent in ring copies
-	evictedRows *telemetry.Counter // rows dropped by Release/Reset
-	resets      *telemetry.Counter // full ring resets (disjoint schedules)
-	resident    *telemetry.Gauge   // rows resident after the last mutation
-
-	kernelInterior *telemetry.Counter // samples through the interior fast path
-	kernelBorder   *telemetry.Counter // samples through the border path
-	kernelSkipped  *telemetry.Counter // provably-zero samples clipped away
-	kernelReanchor *telemetry.Counter // recurrence re-anchor events
-
-	kernelSIMDFull *telemetry.Counter // full 8-lane vector iterations
-	kernelSIMDTail *telemetry.Counter // interior columns under a partial lane mask
-
-	kernelDispatch [numArithmetics]*telemetry.Counter // launches per arithmetic
-}
-
-// SetTelemetry points the device's projection-ring instrumentation at a
-// registry. Call before the device is shared across goroutines (the
-// drivers do it right after New); a nil registry — or never calling this —
-// keeps the instrumentation inert at one pointer check per ring
-// operation. Granularity is per batch-level ring operation, never per
-// sample.
+// SetTelemetry makes reg's counters the parents of the device's: from here
+// on every count the device takes also lands in the registry, under the
+// names below. The device's own view (Snapshot) is not touched — it keeps
+// counting from the device's construction — and the registry sees nothing
+// counted before the call. A nil registry detaches. Call before the device
+// is shared across goroutines (the rank program does it before its stages
+// start). Granularity is per launch and per batch-level ring operation,
+// never per sample.
 func (d *Device) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		d.tel = nil
-		return
+	for name, c := range map[string]*telemetry.Counter{
+		"device.h2d_bytes":         &d.h2dBytes,
+		"device.d2h_bytes":         &d.d2hBytes,
+		"device.h2d_ops":           &d.h2dOps,
+		"device.d2h_ops":           &d.d2hOps,
+		"kernel.launches":          &d.kernelLaunches,
+		"kernel.voxel_updates":     &d.voxelUpdates,
+		"kernel.interior_samples":  &d.interiorSamples,
+		"kernel.border_samples":    &d.borderSamples,
+		"kernel.skipped_samples":   &d.skippedSamples,
+		"kernel.reanchors":         &d.reanchors,
+		"kernel.simd_full_groups":  &d.simdFullGroups,
+		"kernel.simd_tail_samples": &d.simdTailSamples,
+	} {
+		c.SetParent(reg.Counter(name))
 	}
-	t := &ringTelemetry{
-		loadRows:    reg.Counter("device.ring.load_rows"),
-		loadOps:     reg.Counter("device.ring.load_ops"),
-		loadNs:      reg.Counter("device.ring.load_ns"),
-		evictedRows: reg.Counter("device.ring.evicted_rows"),
-		resets:      reg.Counter("device.ring.resets"),
-		resident:    reg.Gauge("device.ring.resident_rows"),
-
-		kernelInterior: reg.Counter("kernel.interior_samples"),
-		kernelBorder:   reg.Counter("kernel.border_samples"),
-		kernelSkipped:  reg.Counter("kernel.skipped_samples"),
-		kernelReanchor: reg.Counter("kernel.reanchors"),
-
-		kernelSIMDFull: reg.Counter("kernel.simd_full_groups"),
-		kernelSIMDTail: reg.Counter("kernel.simd_tail_samples"),
+	for a := range d.dispatched {
+		d.dispatched[a].SetParent(reg.Counter("kernel.dispatch." + Arithmetic(a).String()))
 	}
-	for a := range t.kernelDispatch {
-		t.kernelDispatch[a] = reg.Counter("kernel.dispatch." + Arithmetic(a).String())
-	}
-	d.tel = t
+	d.ringLoadRows = reg.Counter("device.ring.load_rows")
+	d.ringLoadOps = reg.Counter("device.ring.load_ops")
+	d.ringLoadNs = reg.Counter("device.ring.load_ns")
+	d.ringEvictedRows = reg.Counter("device.ring.evicted_rows")
+	d.ringResets = reg.Counter("device.ring.resets")
+	d.ringResident = reg.Gauge("device.ring.resident_rows")
 }
 
 // WorkerCount returns the effective kernel execution width.
@@ -236,13 +220,13 @@ func (d *Device) RecordH2D(n int64, ops int64) {
 // RecordD2H accounts a device→host transfer of n bytes.
 func (d *Device) RecordD2H(n int64) {
 	d.d2hBytes.Add(n)
-	d.d2hOps.Add(1)
+	d.d2hOps.Inc()
 }
 
 // RecordKernel accounts a kernel launch performing updates voxel×projection
 // accumulations.
 func (d *Device) RecordKernel(updates int64) {
-	d.kernelLaunches.Add(1)
+	d.kernelLaunches.Inc()
 	d.voxelUpdates.Add(updates)
 }
 
@@ -255,12 +239,6 @@ func (d *Device) RecordKernelSamples(interior, border, skipped, reanchors int64)
 	d.borderSamples.Add(border)
 	d.skippedSamples.Add(skipped)
 	d.reanchors.Add(reanchors)
-	if t := d.tel; t != nil {
-		t.kernelInterior.Add(interior)
-		t.kernelBorder.Add(border)
-		t.kernelSkipped.Add(skipped)
-		t.kernelReanchor.Add(reanchors)
-	}
 }
 
 // RecordKernelVector accounts one simd-kernel launch's vector-lane
@@ -269,40 +247,31 @@ func (d *Device) RecordKernelSamples(interior, border, skipped, reanchors int64)
 func (d *Device) RecordKernelVector(fullGroups, tailSamples int64) {
 	d.simdFullGroups.Add(fullGroups)
 	d.simdTailSamples.Add(tailSamples)
-	if t := d.tel; t != nil {
-		t.kernelSIMDFull.Add(fullGroups)
-		t.kernelSIMDTail.Add(tailSamples)
-	}
 }
 
 // RecordDispatch accounts which arithmetic one kernel launch ran.
-func (d *Device) RecordDispatch(a Arithmetic) {
-	d.dispatched[a].Add(1)
-	if t := d.tel; t != nil {
-		t.kernelDispatch[a].Add(1)
-	}
-}
+func (d *Device) RecordDispatch(a Arithmetic) { d.dispatched[a].Inc() }
 
-// Snapshot returns the current ledger totals.
+// Snapshot returns the current ledger totals: the device's counters, read.
 func (d *Device) Snapshot() Ledger {
 	l := Ledger{
-		H2DBytes:       d.h2dBytes.Load(),
-		D2HBytes:       d.d2hBytes.Load(),
-		H2DOps:         d.h2dOps.Load(),
-		D2HOps:         d.d2hOps.Load(),
-		KernelLaunches: d.kernelLaunches.Load(),
-		VoxelUpdates:   d.voxelUpdates.Load(),
+		H2DBytes:       d.h2dBytes.Value(),
+		D2HBytes:       d.d2hBytes.Value(),
+		H2DOps:         d.h2dOps.Value(),
+		D2HOps:         d.d2hOps.Value(),
+		KernelLaunches: d.kernelLaunches.Value(),
+		VoxelUpdates:   d.voxelUpdates.Value(),
 
-		InteriorSamples: d.interiorSamples.Load(),
-		BorderSamples:   d.borderSamples.Load(),
-		SkippedSamples:  d.skippedSamples.Load(),
-		Reanchors:       d.reanchors.Load(),
+		InteriorSamples: d.interiorSamples.Value(),
+		BorderSamples:   d.borderSamples.Value(),
+		SkippedSamples:  d.skippedSamples.Value(),
+		Reanchors:       d.reanchors.Value(),
 
-		SIMDFullGroups:  d.simdFullGroups.Load(),
-		SIMDTailSamples: d.simdTailSamples.Load(),
+		SIMDFullGroups:  d.simdFullGroups.Value(),
+		SIMDTailSamples: d.simdTailSamples.Value(),
 	}
 	for a := range l.Dispatched {
-		l.Dispatched[a] = d.dispatched[a].Load()
+		l.Dispatched[a] = d.dispatched[a].Value()
 	}
 	return l
 }
@@ -316,15 +285,6 @@ func (l Ledger) GUPS(elapsed time.Duration) float64 {
 		return 0
 	}
 	return float64(l.VoxelUpdates) / 1e9 / s
-}
-
-// NsPerUpdate is the inverse view of GUPS: nanoseconds of wall time per
-// voxel×projection update. It returns 0 when no updates were recorded.
-func (l Ledger) NsPerUpdate(elapsed time.Duration) float64 {
-	if l.VoxelUpdates <= 0 {
-		return 0
-	}
-	return float64(elapsed.Nanoseconds()) / float64(l.VoxelUpdates)
 }
 
 // Sub returns l − o field-wise, for per-phase accounting.

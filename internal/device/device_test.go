@@ -6,6 +6,7 @@ import (
 
 	"distfdk/internal/geometry"
 	"distfdk/internal/projection"
+	"distfdk/internal/telemetry"
 )
 
 func TestAllocFreeBudget(t *testing.T) {
@@ -61,6 +62,81 @@ func TestLedgerAccounting(t *testing.T) {
 
 // The ledger names the arithmetic its launches dispatched to, and says so
 // when they were not all the same.
+// The ledger is a view of the device's counters and the registry is what
+// they add to: every ledger field and ring number reaches the registry under
+// its name, linking resets nothing, and a second device handed the same
+// registry (the next attempt of a supervised run) starts its own view at
+// zero while the registry keeps the total.
+func TestSetTelemetryLinksEveryCounter(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	work := func(d *Device) {
+		d.RecordH2D(100, 2)
+		d.RecordD2H(30)
+		d.RecordKernel(7)
+		d.RecordKernelSamples(4, 2, 1, 3)
+		d.RecordKernelVector(5, 6)
+		d.RecordDispatch(ArithmeticScalar)
+		ring, err := NewProjRing(d, 4, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ring.Close()
+		if err := ring.LoadRows(hostStack(4, 2, 6), geometry.RowRange{Lo: 0, Hi: 2}); err != nil {
+			t.Fatal(err)
+		}
+		ring.Release(1)
+		ring.Reset()
+	}
+	first := New("first", 0, 1)
+	first.RecordH2D(1000, 1) // before the link: the device's alone
+	first.SetTelemetry(reg)
+	work(first)
+	if l := first.Snapshot(); l.H2DBytes != 1000+100+2*4*2*4 || l.H2DOps != 4 {
+		t.Fatalf("linking disturbed the device's own view: %+v", l)
+	}
+	second := New("second", 0, 1)
+	second.SetTelemetry(reg)
+	work(second)
+
+	l := second.Snapshot()
+	want := map[string]int64{
+		"device.h2d_bytes":         l.H2DBytes,
+		"device.d2h_bytes":         l.D2HBytes,
+		"device.h2d_ops":           l.H2DOps,
+		"device.d2h_ops":           l.D2HOps,
+		"kernel.launches":          l.KernelLaunches,
+		"kernel.voxel_updates":     l.VoxelUpdates,
+		"kernel.interior_samples":  l.InteriorSamples,
+		"kernel.border_samples":    l.BorderSamples,
+		"kernel.skipped_samples":   l.SkippedSamples,
+		"kernel.reanchors":         l.Reanchors,
+		"kernel.simd_full_groups":  l.SIMDFullGroups,
+		"kernel.simd_tail_samples": l.SIMDTailSamples,
+		"kernel.dispatch.scalar":   l.Dispatched[ArithmeticScalar],
+		"device.ring.load_rows":    2,
+		"device.ring.load_ops":     1,
+		"device.ring.evicted_rows": 2,
+		"device.ring.resets":       1,
+	}
+	got := reg.Snapshot().Counters
+	for name, one := range want {
+		if one == 0 {
+			t.Errorf("%s: the work left the second device's view at zero", name)
+		}
+		if got[name] != 2*one {
+			t.Errorf("%s = %d in the registry, want %d from each of two devices", name, got[name], one)
+		}
+	}
+	for _, name := range []string{"kernel.dispatch.avx2", "kernel.dispatch.exact", "device.ring.load_ns"} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s missing from the registry", name)
+		}
+	}
+	if l.H2DBytes != 100+2*4*2*4 {
+		t.Errorf("second device's H2DBytes = %d: its view did not start at zero", l.H2DBytes)
+	}
+}
+
 func TestLedgerArithmetic(t *testing.T) {
 	d := New("test", 0, 2)
 	if got := d.Snapshot().Arithmetic(); got != "" {

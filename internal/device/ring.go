@@ -91,11 +91,9 @@ func (r *ProjRing) Valid() geometry.RowRange {
 func (r *ProjRing) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t := r.dev.tel; t != nil {
-		t.evictedRows.Add(int64(r.valid.Len()))
-		t.resets.Inc()
-		t.resident.Set(0)
-	}
+	r.dev.ringEvictedRows.Add(int64(r.valid.Len()))
+	r.dev.ringResets.Inc()
+	r.dev.ringResident.Set(0)
 	r.valid = geometry.RowRange{}
 }
 
@@ -108,10 +106,8 @@ func (r *ProjRing) Release(upTo int) {
 	defer r.mu.Unlock()
 	if upTo > r.valid.Lo {
 		newLo := min(upTo, r.valid.Hi)
-		if t := r.dev.tel; t != nil {
-			t.evictedRows.Add(int64(newLo - r.valid.Lo))
-			t.resident.Set(int64(r.valid.Hi - newLo))
-		}
+		r.dev.ringEvictedRows.Add(int64(newLo - r.valid.Lo))
+		r.dev.ringResident.Set(int64(r.valid.Hi - newLo))
 		r.valid.Lo = newLo
 	}
 }
@@ -134,6 +130,24 @@ func (r *ProjRing) admitRows(rows geometry.RowRange) (geometry.RowRange, error) 
 		return newValid, fmt.Errorf("device: load %v overlaps resident rows %v", rows, r.valid)
 	}
 	return newValid, nil
+}
+
+// admitted accounts one finished load of rows, begun at t0, and makes
+// newValid the resident range. Callers hold mu.
+func (r *ProjRing) admitted(rows, newValid geometry.RowRange, t0 time.Time) {
+	// Contiguous global rows map to at most two contiguous slot spans (the
+	// split copy of Algorithm 3).
+	ops := int64(1)
+	if (rows.Lo%r.H)+rows.Len() > r.H {
+		ops = 2
+	}
+	d := r.dev
+	d.ringLoadNs.Add(int64(time.Since(t0)))
+	d.ringLoadRows.Add(int64(rows.Len()))
+	d.ringLoadOps.Add(ops)
+	d.ringResident.Set(int64(newValid.Len()))
+	d.RecordH2D(int64(r.NU)*int64(r.NP)*4*int64(rows.Len()), ops)
+	r.valid = newValid
 }
 
 // LoadRows copies the global detector rows `rows` from the host stack into
@@ -159,32 +173,15 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 		return err
 	}
 
-	rowBytes := int64(r.NU) * int64(r.NP) * 4
-	ops := int64(1)
-	// Copy row by row through the modular mapping; contiguous global
-	// rows map to at most two contiguous slot spans (the split copy of
-	// Algorithm 3), which we detect for the ledger.
-	if (rows.Lo%r.H)+rows.Len() > r.H {
-		ops = 2
-	}
-	var t0 time.Time
-	if r.dev.tel != nil {
-		t0 = time.Now()
-	}
+	// Copy row by row through the modular mapping.
+	t0 := time.Now()
 	for v := rows.Lo; v < rows.Hi; v++ {
 		base := r.RowBase(v)
 		dst := r.data[base : base+r.NP*r.NU]
 		srcOff := (v - src.V0) * src.NP * src.NU
 		copy(dst, src.Data[srcOff:srcOff+len(dst)])
 	}
-	if t := r.dev.tel; t != nil {
-		t.loadNs.Add(int64(time.Since(t0)))
-		t.loadRows.Add(int64(rows.Len()))
-		t.loadOps.Add(ops)
-		t.resident.Set(int64(newValid.Len()))
-	}
-	r.dev.RecordH2D(rowBytes*int64(rows.Len()), ops)
-	r.valid = newValid
+	r.admitted(rows, newValid, t0)
 	return r.checkInvariant()
 }
 
@@ -209,15 +206,7 @@ func (r *ProjRing) FillRows(rows geometry.RowRange, workers int, fill func(v, p 
 		return err
 	}
 
-	rowBytes := int64(r.NU) * int64(r.NP) * 4
-	ops := int64(1)
-	if (rows.Lo%r.H)+rows.Len() > r.H {
-		ops = 2
-	}
-	var t0 time.Time
-	if r.dev.tel != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	tasks := rows.Len() * r.NP
 	if workers > tasks {
 		workers = tasks
@@ -254,14 +243,7 @@ func (r *ProjRing) FillRows(rows geometry.RowRange, workers int, fill func(v, p 
 			}
 		}
 	}
-	if t := r.dev.tel; t != nil {
-		t.loadNs.Add(int64(time.Since(t0)))
-		t.loadRows.Add(int64(rows.Len()))
-		t.loadOps.Add(ops)
-		t.resident.Set(int64(newValid.Len()))
-	}
-	r.dev.RecordH2D(rowBytes*int64(rows.Len()), ops)
-	r.valid = newValid
+	r.admitted(rows, newValid, t0)
 	return r.checkInvariant()
 }
 

@@ -11,7 +11,7 @@ import (
 	"distfdk/internal/dessim"
 	"distfdk/internal/device"
 	"distfdk/internal/perfmodel"
-	"distfdk/internal/pipeline"
+	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
 )
 
@@ -76,14 +76,14 @@ func Fig10(outDir string, workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracer := pipeline.NewTracer()
+	reg := telemetry.NewRegistry()
 	if _, err := core.ReconstructSingle(core.ReconOptions{
 		Plan: plan, Source: sc.Source, Device: device.New("fig10a", 0, workers),
-		Sink: sink, Tracer: tracer,
+		Sink: sink, Telemetry: reg,
 	}); err != nil {
 		return nil, err
 	}
-	realChart := tracer.RenderASCII([]string{"load", "filter", "backproject", "store"}, 100)
+	realChart := telemetry.RenderGantt(reg.Spans(), []string{"load", "filter", "backproject", "store"}, 100)
 
 	// (b) Paper-scale simulation: bumblebee → 4096³ on 128 devices.
 	ds, err := dataset.ByName("bumblebee")
@@ -119,11 +119,11 @@ func Fig10(outDir string, workers int) (*Table, error) {
 
 	t := &Table{Title: "Figure 10 — end-to-end pipeline timelines", Header: []string{"artifact", "value"}}
 	t.AddRow("timeline file", path)
-	t.AddRow("real run total", fmtSeconds(tracer.Total().Seconds()))
-	busy := tracer.BusyByStage()
-	serial := busy["load"] + busy["filter"] + busy["backproject"] + busy["store"]
+	st := telemetry.ComputeSpanStats(reg.Spans())
+	t.AddRow("real run total", fmtSeconds(st.Total.Seconds()))
+	serial := st.Busy["load"] + st.Busy["filter"] + st.Busy["backproject"] + st.Busy["store"]
 	t.AddRow("real overlap factor", fmt.Sprintf("%.2fx (serial %s / wall %s)",
-		serial.Seconds()/tracer.Total().Seconds(), fmtSeconds(serial.Seconds()), fmtSeconds(tracer.Total().Seconds())))
+		serial.Seconds()/st.Total.Seconds(), fmtSeconds(serial.Seconds()), fmtSeconds(st.Total.Seconds())))
 	t.AddRow("simulated 128-GPU runtime", fmtSeconds(sim.Runtime))
 	t.AddNote("paper's Figure 10b reports ~23.3 s for bumblebee 4096³ on 128 GPUs including I/O")
 	return t, nil

@@ -10,8 +10,8 @@ import (
 	"distfdk/internal/dataset"
 	"distfdk/internal/device"
 	"distfdk/internal/perfmodel"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
+	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
 )
 
@@ -52,15 +52,15 @@ func Table5Real(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tracer := pipeline.NewTracer()
+		reg := telemetry.NewRegistry()
 		rep, err := core.ReconstructSingle(core.ReconOptions{
-			Plan: plan, Source: scN.Source, Device: dev, Sink: sink, Tracer: tracer,
+			Plan: plan, Source: scN.Source, Device: dev, Sink: sink, Telemetry: reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table5: ours at %d³: %w", n, err)
 		}
-		busy := tracer.BusyByStage()
-		oursGUPS := gupsFromLedger(rep.Ledger, busy["backproject"])
+		busy := telemetry.ComputeSpanStats(reg.Spans()).Busy
+		oursGUPS := rep.Ledger.GUPS(busy["backproject"])
 
 		rtkGUPS, rtkStatus := runRTKBaseline(scN, budget, workers)
 		t.AddRow(fmt.Sprintf("%d³ (%s)", n, fmtBytes(4*int64(n)*int64(n)*int64(n))),
@@ -110,14 +110,7 @@ func runRTKBaseline(sc *Scenario, budget int64, workers int) (gups, status strin
 		return "—", "error"
 	}
 	elapsed := time.Since(start)
-	return fmt.Sprintf("%.3f", gupsFromLedger(dev.Snapshot(), elapsed)), "ok"
-}
-
-func gupsFromLedger(l device.Ledger, busy time.Duration) float64 {
-	if busy <= 0 {
-		return 0
-	}
-	return float64(l.VoxelUpdates) / busy.Seconds() / 1e9
+	return fmt.Sprintf("%.3f", dev.Snapshot().GUPS(elapsed)), "ok"
 }
 
 // Table5Modeled evaluates the paper-size Table 5 rows (512³ → 4096³ on

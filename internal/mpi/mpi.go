@@ -21,7 +21,8 @@ import (
 	"distfdk/internal/telemetry"
 )
 
-// Stats counts a rank's traffic on one communicator.
+// Stats is a rank's traffic on one communicator: a value view read off the
+// endpoint's counters (Comm.Stats).
 type Stats struct {
 	BytesSent    int64
 	BytesRecv    int64
@@ -40,40 +41,38 @@ type Stats struct {
 type Comm struct {
 	rank, size int
 	group      *group
-	stats      Stats
-	deadline   time.Duration
-	icept      Interceptor
+	// The endpoint's traffic counters: the only store of what it moved.
+	// Send, Recv and ReduceChunked add to them once; Stats reads them; and
+	// under telemetry the byte and chunk counters have the rank registry's
+	// as parents (see setTelemetry), so the registry totals the rank's
+	// traffic over every communicator while each endpoint starts at zero.
+	// Message counts stay the endpoint's alone: the registry already has
+	// them as the observation counts of mpi.send_ns / mpi.recv_ns.
+	bytesSent, bytesRecv telemetry.Counter
+	msgsSent, msgsRecv   telemetry.Counter
+	reduceChunks         telemetry.Counter
+	deadline             time.Duration
+	icept                Interceptor
 	// splitSeq counts this endpoint's Split calls: collective calls pair up
 	// by sequence number, and the number seeds the child communicator's id.
 	splitSeq int
 	// tm carries the rank's telemetry handles; Split-derived communicators
 	// inherit it, so one rank's traffic on every communicator lands in one
-	// registry (which is what lets the metrics artifact reconcile against
-	// the sum of world and group Stats). Nil costs one check per operation.
+	// registry. Nil costs one check per operation.
 	tm *commTelemetry
 }
 
-// commTelemetry caches the counter/histogram handles one rank reports
-// point-to-point and collective activity into, resolved once per rank in
-// RunWith so the per-message path never touches the registry's name map.
+// commTelemetry caches the handles one rank reports point-to-point and
+// collective activity into, resolved once per rank in RunTransport so the
+// per-message path never touches the registry's name map.
 type commTelemetry struct {
 	// reg is kept for the operations that need more than a pre-resolved
 	// handle: flow records (variable per-message payload) and the epoch
 	// clock they are stamped on.
-	reg                  *telemetry.Registry
-	sendBytes, recvBytes *telemetry.Counter
-	sendNs, recvNs       *telemetry.Histogram
-	reduceChunks         *telemetry.Counter
-	reduceChunkNs        *telemetry.Histogram
-}
-
-// chunkForwarded counts one pipelined reduction segment forwarded to the
-// tree parent. Nil-safe so the ReduceChunked loop stays branch-light.
-func (t *commTelemetry) chunkForwarded() {
-	if t == nil {
-		return
-	}
-	t.reduceChunks.Inc()
+	reg *telemetry.Registry
+	// The parents of every endpoint's byte and chunk counters on this rank.
+	sendBytes, recvBytes, reduceChunks *telemetry.Counter
+	sendNs, recvNs, reduceChunkNs      *telemetry.Histogram
 }
 
 func newCommTelemetry(reg *telemetry.Registry) *commTelemetry {
@@ -88,6 +87,16 @@ func newCommTelemetry(reg *telemetry.Registry) *commTelemetry {
 		recvNs:        reg.Histogram("mpi.recv_ns"),
 		reduceChunks:  reg.Counter("mpi.reduce_chunks"),
 		reduceChunkNs: reg.Histogram("mpi.reduce_chunk_ns"),
+	}
+}
+
+// setTelemetry gives a fresh endpoint its rank's handles (nil for none):
+// the world endpoint from RunTransport, a Split child from its parent.
+func (c *Comm) setTelemetry(t *commTelemetry) {
+	if c.tm = t; t != nil {
+		c.bytesSent.SetParent(t.sendBytes)
+		c.bytesRecv.SetParent(t.recvBytes)
+		c.reduceChunks.SetParent(t.reduceChunks)
 	}
 }
 
@@ -315,9 +324,14 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return c.size }
 
-// Stats returns a copy of this rank's traffic counters on this
-// communicator.
-func (c *Comm) Stats() Stats { return c.stats }
+// Stats returns this rank's traffic on this communicator so far.
+func (c *Comm) Stats() Stats {
+	return Stats{
+		BytesSent: c.bytesSent.Value(), BytesRecv: c.bytesRecv.Value(),
+		MessagesSent: c.msgsSent.Value(), MessagesRecv: c.msgsRecv.Value(),
+		ReduceChunks: c.reduceChunks.Value(),
+	}
+}
 
 // SetDeadline overrides this endpoint's point-to-point deadline (see
 // Options.Deadline); Split-derived communicators inherit it.
@@ -352,12 +366,9 @@ func (c *Comm) Send(dst, tag int, data []float32) error {
 		return err
 	}
 	nb := int64(len(data)) * 4
-	c.stats.BytesSent += nb
-	c.stats.MessagesSent++
-	// The telemetry mirror sits exactly beside the Stats update so the
-	// metrics artifact reconciles against summed per-communicator Stats.
+	c.bytesSent.Add(nb)
+	c.msgsSent.Inc()
 	if t := c.tm; t != nil {
-		t.sendBytes.Add(nb)
 		t.sendNs.ObserveSince(t0)
 		t.reg.RecordFlow(telemetry.FlowRecord{
 			MsgID: msgID, Kind: telemetry.FlowSend,
@@ -403,10 +414,9 @@ func (c *Comm) Recv(src, tag int) ([]float32, error) {
 		return nil, err
 	}
 	nb := int64(len(m.Data)) * 4
-	c.stats.BytesRecv += nb
-	c.stats.MessagesRecv++
+	c.bytesRecv.Add(nb)
+	c.msgsRecv.Inc()
 	if t := c.tm; t != nil {
-		t.recvBytes.Add(nb)
 		t.recvNs.ObserveSince(t0)
 		t.reg.RecordFlow(telemetry.FlowRecord{
 			MsgID: m.ID, Kind: telemetry.FlowRecv,
@@ -580,8 +590,7 @@ func (c *Comm) ReduceChunked(root int, buf []float32, chunk int) error {
 		if rel != 0 {
 			acc = getScratch(len(seg))
 			copy(acc, seg)
-			c.stats.ReduceChunks++
-			c.tm.chunkForwarded()
+			c.reduceChunks.Inc()
 		}
 		var t0 time.Time
 		if c.tm != nil {

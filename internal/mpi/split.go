@@ -86,7 +86,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	// The sub-communicator endpoint inherits this endpoint's settings.
 	sub.deadline = c.deadline
 	sub.icept = c.icept
-	sub.tm = c.tm
+	sub.setTelemetry(c.tm)
 	return sub, nil
 }
 

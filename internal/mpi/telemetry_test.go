@@ -6,10 +6,9 @@ import (
 	"distfdk/internal/telemetry"
 )
 
-// The telemetry mirror sits beside the Stats updates and the handles are
-// inherited through Split, so one rank's counter must equal the sum of its
-// per-communicator Stats — the reconciliation the metrics artifact relies
-// on.
+// The latency histograms are observed beside the message counters and the
+// handles are inherited through Split, so one rank's observation counts must
+// equal the messages of its world and group Stats together.
 func TestTelemetryReconcilesWithStats(t *testing.T) {
 	const n = 4
 	run := telemetry.NewRun(n)
@@ -39,15 +38,6 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 			continue
 		}
 		r := s.Rank
-		if want := worldStats[r].BytesSent + groupStats[r].BytesSent; s.Counters["mpi.bytes_sent"] != want {
-			t.Errorf("rank %d: mpi.bytes_sent = %d, want world+group = %d", r, s.Counters["mpi.bytes_sent"], want)
-		}
-		if want := worldStats[r].BytesRecv + groupStats[r].BytesRecv; s.Counters["mpi.bytes_recv"] != want {
-			t.Errorf("rank %d: mpi.bytes_recv = %d, want world+group = %d", r, s.Counters["mpi.bytes_recv"], want)
-		}
-		if want := worldStats[r].ReduceChunks + groupStats[r].ReduceChunks; s.Counters["mpi.reduce_chunks"] != want {
-			t.Errorf("rank %d: mpi.reduce_chunks = %d, want %d", r, s.Counters["mpi.reduce_chunks"], want)
-		}
 		// Every counted message carries one latency observation.
 		if want := worldStats[r].MessagesSent + groupStats[r].MessagesSent; s.Histograms["mpi.send_ns"].Count != want {
 			t.Errorf("rank %d: send_ns observations = %d, want %d messages", r, s.Histograms["mpi.send_ns"].Count, want)
@@ -55,6 +45,58 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 		if want := worldStats[r].MessagesRecv + groupStats[r].MessagesRecv; s.Histograms["mpi.recv_ns"].Count != want {
 			t.Errorf("rank %d: recv_ns observations = %d, want %d messages", r, s.Histograms["mpi.recv_ns"].Count, want)
 		}
+	}
+}
+
+// Each endpoint's Stats is its own view and the rank registry is what they
+// all add to: a Split child starts at zero whatever its parent has moved,
+// and what it then moves lands in the parent's registry counters too.
+func TestSplitChildCountsFromZeroIntoRankRegistry(t *testing.T) {
+	const n = 2
+	run := telemetry.NewRun(n)
+	err := RunWith(n, Options{Telemetry: run}, func(c *Comm) error {
+		buf := []float32{1, 2, 3, 4}
+		if err := c.Allreduce(buf); err != nil {
+			return err
+		}
+		world := c.Stats()
+		if world.BytesSent == 0 || world.BytesRecv == 0 {
+			t.Errorf("rank %d: world allreduce moved nothing: %+v", c.Rank(), world)
+		}
+		group, err := c.Split(0, c.Rank())
+		if err != nil {
+			return err
+		}
+		if got := group.Stats(); got != (Stats{}) {
+			t.Errorf("rank %d: fresh Split child already counts %+v", c.Rank(), got)
+		}
+		if c.Stats() != world {
+			t.Errorf("rank %d: Split's formation exchange counted as traffic: %+v -> %+v", c.Rank(), world, c.Stats())
+		}
+		reg := run.Rank(c.Rank())
+		before := reg.Counter("mpi.bytes_sent").Value() + reg.Counter("mpi.bytes_recv").Value()
+		if err := group.ReduceChunked(0, buf, 3); err != nil {
+			return err
+		}
+		gs := group.Stats()
+		if gs.BytesSent+gs.BytesRecv == 0 {
+			t.Errorf("rank %d: group reduce moved nothing", c.Rank())
+		}
+		after := reg.Counter("mpi.bytes_sent").Value() + reg.Counter("mpi.bytes_recv").Value()
+		if after-before != gs.BytesSent+gs.BytesRecv {
+			t.Errorf("rank %d: registry grew by %d over the group reduce, the group endpoint counted %d",
+				c.Rank(), after-before, gs.BytesSent+gs.BytesRecv)
+		}
+		if got := reg.Counter("mpi.reduce_chunks").Value(); got != gs.ReduceChunks {
+			t.Errorf("rank %d: mpi.reduce_chunks = %d, the only chunked reduce forwarded %d", c.Rank(), got, gs.ReduceChunks)
+		}
+		if c.Stats() != world {
+			t.Errorf("rank %d: group traffic leaked into the world endpoint's view", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

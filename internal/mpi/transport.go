@@ -228,7 +228,7 @@ func RunTransport(w TransportWorld, opt Options, fn func(c *Comm) error) error {
 			c := g.comm(r)
 			c.deadline = opt.Deadline
 			c.icept = opt.Interceptor
-			c.tm = newCommTelemetry(opt.Telemetry.Rank(r))
+			c.setTelemetry(newCommTelemetry(opt.Telemetry.Rank(r)))
 			errs[i] = fn(c)
 		}(i, r)
 	}

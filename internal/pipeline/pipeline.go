@@ -9,8 +9,10 @@
 // is bounded: dispatch credits stop an elastic stage from accepting a
 // batch until every batch more than InFlightBound positions before it
 // has been emitted in order, so one straggling batch can never buffer
-// the rest of the run in memory. A Tracer records per-stage spans and
-// renders the Figure 10-style timeline that demonstrates the overlap.
+// the rest of the run in memory. Every stage invocation is recorded as a
+// span in the pipeline's telemetry registry, from which
+// telemetry.RenderGantt draws the Figure 10-style timeline that
+// demonstrates the overlap.
 package pipeline
 
 import (
@@ -63,14 +65,11 @@ type Pipeline struct {
 	// raise it before Run. Run rejects non-positive values instead of
 	// silently substituting a default.
 	QueueDepth int
-	// Tracer, when non-nil, records spans for every (stage, batch).
-	Tracer *Tracer
-	// Telemetry, when non-nil, receives the executor's own metrics —
-	// per-stage dispatch counts and elastic credit-wait time (the time a
-	// stage's dispatcher spent blocked on the in-flight bound, i.e. on its
-	// own reorder buffer draining). Stage spans go through Tracer; this
-	// registry is for the machinery around them. Nil costs one pointer
-	// check per elastic batch.
+	// Telemetry, when non-nil, receives a span for every (stage, batch) that
+	// did work and the executor's own metrics — per-stage dispatch counts
+	// and elastic credit-wait time (the time a stage's dispatcher spent
+	// blocked on the in-flight bound, i.e. on its own reorder buffer
+	// draining). Nil costs one pointer check per invocation.
 	Telemetry *telemetry.Registry
 }
 
@@ -398,128 +397,19 @@ func (p *Pipeline) runStage(si, nBatches int, in <-chan item, out chan<- item) e
 	return state.err
 }
 
-// invoke runs the stage function on one item under the tracer. Every
-// executor calls stages through here, so the span is closed before the error
-// is looked at — a failing stage still leaves its span in the trace — and
+// invoke runs the stage function on one item inside a span. Every executor
+// calls stages through here, so the span is closed before the error is
+// looked at — a failing stage still leaves its span in the trace — and
 // every stage error names its stage and batch.
 func (p *Pipeline) invoke(stage Stage, it item) (any, error) {
-	var end func()
-	if p.Tracer != nil {
-		end = p.Tracer.Span(stage.Name, it.batch)
-	}
+	end := p.Telemetry.Span(stage.Name, it.batch)
 	payload, err := stage.Fn(it.batch, it.payload)
 	if err == Idle {
 		return it.payload, nil // an unclosed span is never recorded
 	}
-	if end != nil {
-		end()
-	}
+	end()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stage %q batch %d: %w", stage.Name, it.batch, err)
 	}
 	return payload, nil
-}
-
-// Span is one traced execution of a stage on a batch. Start/End are
-// relative to the tracer's first span, not the underlying registry epoch,
-// so a Tracer's view of time always begins at its first recorded work.
-type Span struct {
-	Stage      string
-	Batch      int
-	Start, End time.Duration // relative to the tracer's first span
-}
-
-// Tracer is the pipeline's historical span API, now a thin shim over a
-// telemetry.Registry: spans it records land in the registry (alongside
-// whatever other layers report there) and every accessor is derived from
-// the registry's span store. Code that only wants the Figure 10 timeline
-// keeps calling NewTracer/Span/RenderASCII unchanged; code that wants the
-// full telemetry picture hands the pipeline a shared registry via
-// TracerFor.
-//
-// Time accounting: Total is WALL CLOCK — the window from the first span's
-// start to the last span's end — while BusyByStage SUMS span durations
-// per stage. The two coincide only for a serial, gap-free schedule: a
-// pipelined run has every stage's busy time well below Total (that gap is
-// Idle), and an elastic stage's busy time can exceed Total (overlapping
-// workers). Idle and Utilization quantify the distinction; the exporters
-// (telemetry.RenderGantt, the metrics artifact) build on the same stats.
-type Tracer struct {
-	reg *telemetry.Registry
-}
-
-// NewTracer returns a tracer over a fresh private registry.
-func NewTracer() *Tracer { return &Tracer{reg: telemetry.NewRegistry()} }
-
-// TracerFor returns a tracer recording into reg, so pipeline stage spans
-// share a timeline (and an artifact) with every other layer reporting to
-// the same registry. A nil reg yields an inert tracer whose spans are
-// dropped.
-func TracerFor(reg *telemetry.Registry) *Tracer { return &Tracer{reg: reg} }
-
-// Registry exposes the backing registry (nil for an inert tracer).
-func (t *Tracer) Registry() *telemetry.Registry { return t.reg }
-
-// Span opens a span; the returned function closes it.
-func (t *Tracer) Span(stage string, batch int) func() {
-	return t.reg.Span(stage, batch)
-}
-
-// Spans returns a copy of the recorded spans, normalised so the first
-// span starts at 0 (the historical Tracer timebase).
-func (t *Tracer) Spans() []Span {
-	raw := t.reg.Spans()
-	if len(raw) == 0 {
-		return nil
-	}
-	st := telemetry.ComputeSpanStats(raw)
-	out := make([]Span, len(raw))
-	for i, s := range raw {
-		out[i] = Span{Stage: s.Name, Batch: s.Batch, Start: s.Start - st.First, End: s.End - st.First}
-	}
-	return out
-}
-
-// Total returns the wall-clock window of the trace: the end of the last
-// span measured from the start of the first. NOTE this is elapsed time,
-// not work — compare BusyByStage.
-func (t *Tracer) Total() time.Duration {
-	return telemetry.ComputeSpanStats(t.reg.Spans()).Total
-}
-
-// BusyByStage returns the summed span duration per stage name — work
-// time, which overlapping stages accumulate in parallel, so the values
-// neither sum to Total nor stay below it in general.
-func (t *Tracer) BusyByStage() map[string]time.Duration {
-	return telemetry.ComputeSpanStats(t.reg.Spans()).Busy
-}
-
-// Idle returns Total − busy per stage (clamped at zero): the wall-clock
-// time each stage spent waiting on its neighbours rather than working.
-func (t *Tracer) Idle() map[string]time.Duration {
-	st := telemetry.ComputeSpanStats(t.reg.Spans())
-	out := make(map[string]time.Duration, len(st.Busy))
-	for stage := range st.Busy {
-		out[stage] = st.Idle(stage)
-	}
-	return out
-}
-
-// Utilization returns busy/Total per stage. A well-overlapped pipeline
-// drives its bottleneck stage toward 1; an elastic stage with N busy
-// workers approaches N.
-func (t *Tracer) Utilization() map[string]float64 {
-	st := telemetry.ComputeSpanStats(t.reg.Spans())
-	out := make(map[string]float64, len(st.Busy))
-	for stage := range st.Busy {
-		out[stage] = st.Utilization(stage)
-	}
-	return out
-}
-
-// RenderASCII draws the Figure 10-style Gantt chart via
-// telemetry.RenderGantt: one row per stage in stageOrder, each batch
-// drawn with its index modulo 10, with per-stage utilization appended.
-func (t *Tracer) RenderASCII(stageOrder []string, width int) string {
-	return telemetry.RenderGantt(t.reg.Spans(), stageOrder, width)
 }

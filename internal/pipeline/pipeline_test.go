@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"distfdk/internal/telemetry"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -106,9 +108,9 @@ func TestStagesOverlap(t *testing.T) {
 			return nil, nil
 		}}
 	}
-	tr := NewTracer()
+	reg := telemetry.NewRegistry()
 	p, _ := New(mk("load"), mk("filter"), mk("bp"), mk("mpi"), mk("store"))
-	p.Tracer = tr
+	p.Telemetry = reg
 	start := time.Now()
 	if err := p.Run(6); err != nil {
 		t.Fatal(err)
@@ -117,10 +119,10 @@ func TestStagesOverlap(t *testing.T) {
 	if serial := 30 * d; elapsed > serial*3/4 {
 		t.Fatalf("pipeline took %v, want well under serial %v", elapsed, serial)
 	}
-	if got := len(tr.Spans()); got != 30 {
+	if got := len(reg.Spans()); got != 30 {
 		t.Fatalf("traced %d spans, want 30", got)
 	}
-	busy := tr.BusyByStage()
+	busy := telemetry.ComputeSpanStats(reg.Spans()).Busy
 	for _, stage := range []string{"load", "filter", "bp", "mpi", "store"} {
 		if busy[stage] < 6*d*8/10 {
 			t.Fatalf("stage %s busy %v, want ≈ %v", stage, busy[stage], 6*d)
@@ -162,71 +164,6 @@ func TestQueueDepthBoundsBuffering(t *testing.T) {
 	}
 }
 
-func TestTracerSpans(t *testing.T) {
-	tr := NewTracer()
-	end := tr.Span("x", 3)
-	time.Sleep(2 * time.Millisecond)
-	end()
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %v", spans)
-	}
-	s := spans[0]
-	if s.Stage != "x" || s.Batch != 3 || s.End <= s.Start {
-		t.Fatalf("bad span %+v", s)
-	}
-	if tr.Total() != s.End {
-		t.Fatalf("Total %v, want %v", tr.Total(), s.End)
-	}
-}
-
-func TestRenderASCII(t *testing.T) {
-	tr := NewTracer()
-	for b := 0; b < 2; b++ {
-		end := tr.Span("load", b)
-		time.Sleep(time.Millisecond)
-		end()
-		end = tr.Span("store", b)
-		time.Sleep(time.Millisecond)
-		end()
-	}
-	out := tr.RenderASCII([]string{"load", "store"}, 40)
-	if !strings.Contains(out, "load") || !strings.Contains(out, "store") {
-		t.Fatalf("missing stage rows:\n%s", out)
-	}
-	if !strings.Contains(out, "0") || !strings.Contains(out, "1") {
-		t.Fatalf("missing batch marks:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header+2 rows, got %d:\n%s", len(lines), out)
-	}
-	empty := NewTracer()
-	if got := empty.RenderASCII([]string{"a"}, 40); got != "(no spans)\n" {
-		t.Fatalf("empty tracer rendered %q", got)
-	}
-}
-
-// A tracer whose only spans are instantaneous has a zero wall-clock
-// window; utilization and the rendered Gantt must stay finite instead of
-// dividing by the zero total.
-func TestTracerZeroTotalUtilization(t *testing.T) {
-	tr := NewTracer()
-	end := tr.Span("load", 0)
-	end() // closes immediately: Start == End at clock resolution is possible,
-	// so pin the degenerate case explicitly through the telemetry layer too.
-	u := tr.Utilization()
-	for stage, v := range u {
-		if v != v || v < 0 { // NaN check without importing math
-			t.Fatalf("Utilization[%s] = %v", stage, v)
-		}
-	}
-	out := tr.RenderASCII([]string{"load"}, 20)
-	if strings.Contains(out, "NaN") || strings.Contains(out, "%!") {
-		t.Fatalf("render corrupt:\n%s", out)
-	}
-}
-
 // RunSerial is Run without the overlap: same stages, same payload flow,
 // same spans and error wrapping, but batch b leaves the last stage before
 // batch b+1 enters the first, with the enter hook at each boundary.
@@ -245,7 +182,8 @@ func TestRunSerialOrderHookAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Tracer = NewTracer()
+	reg := telemetry.NewRegistry()
+	p.Telemetry = reg
 	enter := func(b int) error { trail = append(trail, fmt.Sprintf("enter%d", b)); return nil }
 	err = p.RunSerial(4, enter)
 	if err == nil || !strings.Contains(err.Error(), `stage "y" batch 2`) {
@@ -255,7 +193,7 @@ func TestRunSerialOrderHookAndErrors(t *testing.T) {
 		t.Fatalf("serial order %q, want %q", got, want)
 	}
 	// The failing call's span is closed and recorded like any other.
-	if spans := p.Tracer.Spans(); len(spans) != 6 || spans[5].Stage != "y" || spans[5].Batch != 2 {
+	if spans := reg.Spans(); len(spans) != 6 || spans[5].Name != "y" || spans[5].Batch != 2 {
 		t.Fatalf("spans %+v, want 6 ending in the failing y/2", spans)
 	}
 
@@ -283,7 +221,8 @@ func TestIdleStageRecordsNoSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Tracer = NewTracer()
+		reg := telemetry.NewRegistry()
+		p.Telemetry = reg
 		if serial {
 			err = p.RunSerial(4, nil)
 		} else {
@@ -296,8 +235,8 @@ func TestIdleStageRecordsNoSpan(t *testing.T) {
 			t.Errorf("serial=%v: payloads %v, want [1 10 21 30]", serial, got)
 		}
 		n := 0
-		for _, sp := range p.Tracer.Spans() {
-			if sp.Stage == "b" {
+		for _, sp := range reg.Spans() {
+			if sp.Name == "b" {
 				n++
 				if sp.Batch%2 == 1 {
 					t.Errorf("serial=%v: idle call on batch %d recorded a span", serial, sp.Batch)

@@ -6,7 +6,7 @@
 // with paired fault-free arms. cmd/slogate drives the replay and turns the
 // gate verdicts into a CI release wall: a perf or robustness regression
 // fails the build with the breached gate named, instead of being eyeballed
-// out of BENCH_*.json appends.
+// out of a benchmark table.
 package scenario
 
 import (
@@ -285,7 +285,7 @@ func validName(s string) bool {
 func crossValidate(path string, root *node, cfg *Config) error {
 	w := cfg.World
 	if w.Groups*w.Ranks < 1 {
-		return fmt.Errorf("%s: world needs at least one rank", path)
+		return fmt.Errorf("%s:%d: world: needs at least one rank", path, root.keyLn["world"])
 	}
 	if cfg.Phases.Warmup >= w.Batches {
 		return fmt.Errorf("%s:%d: phases.warmup: %d warmup batches consume the whole run (batches: %d)",
@@ -312,7 +312,7 @@ func crossValidate(path string, root *node, cfg *Config) error {
 		}
 	}
 	if len(cfg.Gates) == 0 {
-		return fmt.Errorf("%s: scenario declares no gates (nothing to assert)", path)
+		return fmt.Errorf("%s:%d: gates: scenario declares no gates (nothing to assert)", path, root.line)
 	}
 	return nil
 }

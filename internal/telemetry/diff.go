@@ -1,10 +1,8 @@
 // Snapshot harvesting helpers: the stable read-side API the SLO gate
 // (internal/scenario, cmd/slogate) extracts its per-run metrics through.
-// Snapshots are plain data, so diffing and aggregation live here rather
-// than on the live registry — a harvester never perturbs the run it reads.
+// Snapshots are plain data, so aggregation lives here rather than on the
+// live registry — a harvester never perturbs the run it reads.
 package telemetry
-
-import "sort"
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed values
 // from the bucket counts, interpolating linearly inside the bucket the
@@ -47,58 +45,6 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return float64(h.Bounds[len(h.Bounds)-1])
 }
 
-// Diff returns the change from prev to s: counter and histogram values are
-// subtracted metric by metric (metrics absent from prev diff against
-// zero), gauges keep s's last-value-wins reading, and spans are the suffix
-// recorded after prev. Negative deltas are clamped to zero — a metric can
-// only shrink when prev belongs to a different run, and a harvest window
-// should read as empty, not negative, in that case.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	d := Snapshot{Rank: s.Rank}
-	if len(s.Counters) > 0 {
-		d.Counters = make(map[string]int64, len(s.Counters))
-		for name, v := range s.Counters {
-			d.Counters[name] = max(v-prev.Counters[name], 0)
-		}
-	}
-	if len(s.Gauges) > 0 {
-		d.Gauges = make(map[string]int64, len(s.Gauges))
-		for name, v := range s.Gauges {
-			d.Gauges[name] = v
-		}
-	}
-	if len(s.Histograms) > 0 {
-		d.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-		for name, h := range s.Histograms {
-			d.Histograms[name] = h.diff(prev.Histograms[name])
-		}
-	}
-	if n := len(prev.Spans); n <= len(s.Spans) {
-		d.Spans = append([]Span(nil), s.Spans[n:]...)
-	}
-	return d
-}
-
-// diff subtracts prev's buckets from h's. A prev with mismatched bounds
-// (different registration, or zero-valued) diffs against zero.
-func (h HistogramSnapshot) diff(prev HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{
-		Bounds: append([]int64(nil), h.Bounds...),
-		Counts: append([]int64(nil), h.Counts...),
-		Sum:    h.Sum,
-		Count:  h.Count,
-	}
-	if len(prev.Counts) != len(h.Counts) || len(prev.Bounds) != len(h.Bounds) {
-		return d
-	}
-	for i := range d.Counts {
-		d.Counts[i] = max(d.Counts[i]-prev.Counts[i], 0)
-	}
-	d.Sum = max(d.Sum-prev.Sum, 0)
-	d.Count = max(d.Count-prev.Count, 0)
-	return d
-}
-
 // CounterTotal sums the named counter across every snapshot, the shared
 // registry's included — the run-wide total a gate compares against.
 func CounterTotal(snaps []Snapshot, name string) int64 {
@@ -139,20 +85,4 @@ func MergeHistograms(snaps []Snapshot, name string) (merged HistogramSnapshot, o
 		merged.Count += h.Count
 	}
 	return merged, ok
-}
-
-// SpanDurations collects the wall-clock duration (in nanoseconds) of every
-// span with the given name across snapshots, sorted ascending — the raw
-// material for latency quantiles over span-shaped metrics.
-func SpanDurations(snaps []Snapshot, name string) []float64 {
-	var out []float64
-	for _, s := range snaps {
-		for _, sp := range s.Spans {
-			if sp.Name == name {
-				out = append(out, float64(sp.End-sp.Start))
-			}
-		}
-	}
-	sort.Float64s(out)
-	return out
 }

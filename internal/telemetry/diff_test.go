@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestHistogramQuantile(t *testing.T) {
 	h := HistogramSnapshot{
@@ -28,47 +25,6 @@ func TestHistogramQuantile(t *testing.T) {
 	over := HistogramSnapshot{Bounds: []int64{10}, Counts: []int64{0, 3}, Count: 3}
 	if q := over.Quantile(0.5); q != 10 {
 		t.Errorf("overflow Quantile = %g, want last bound 10", q)
-	}
-}
-
-func TestSnapshotDiff(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("ops")
-	g := reg.Gauge("depth")
-	h := reg.HistogramWith("lat", []int64{100})
-	c.Add(3)
-	g.Set(7)
-	h.Observe(50)
-	end := reg.Span("work", 0)
-	end()
-	before := reg.Snapshot()
-
-	c.Add(2)
-	g.Set(9)
-	h.Observe(500)
-	end2 := reg.Span("work", 1)
-	end2()
-	after := reg.Snapshot()
-
-	d := after.Diff(before)
-	if d.Counters["ops"] != 2 {
-		t.Errorf("counter delta = %d, want 2", d.Counters["ops"])
-	}
-	if d.Gauges["depth"] != 9 {
-		t.Errorf("gauge = %d, want last-value 9", d.Gauges["depth"])
-	}
-	dh := d.Histograms["lat"]
-	if dh.Count != 1 || dh.Counts[1] != 1 || dh.Counts[0] != 0 {
-		t.Errorf("histogram delta = %+v, want one overflow observation", dh)
-	}
-	if len(d.Spans) != 1 || d.Spans[0].Batch != 1 {
-		t.Errorf("span suffix = %v, want the batch-1 span only", d.Spans)
-	}
-	// Diffing against a snapshot from a different (longer) run clamps to
-	// empty rather than going negative.
-	zero := before.Diff(after)
-	if zero.Counters["ops"] != 0 || len(zero.Spans) != 0 {
-		t.Errorf("reversed diff = %+v, want clamped empty", zero)
 	}
 }
 
@@ -99,44 +55,6 @@ func TestHistogramQuantileDegenerateShapes(t *testing.T) {
 	}
 }
 
-// Diff across mismatched metric sets: metrics only in prev vanish,
-// metrics only in s pass through whole, and a histogram whose bounds
-// changed between snapshots (re-registered run) diffs against zero
-// instead of subtracting incompatible buckets.
-func TestSnapshotDiffMismatchedSets(t *testing.T) {
-	prev := Snapshot{
-		Counters: map[string]int64{"gone": 9},
-		Gauges:   map[string]int64{"stale": 4},
-		Histograms: map[string]HistogramSnapshot{
-			"lat": {Bounds: []int64{100}, Counts: []int64{2, 0}, Sum: 50, Count: 2},
-		},
-	}
-	s := Snapshot{
-		Counters: map[string]int64{"fresh": 3},
-		Histograms: map[string]HistogramSnapshot{
-			"lat": {Bounds: []int64{10, 100}, Counts: []int64{1, 1, 0}, Sum: 60, Count: 2},
-		},
-	}
-	d := s.Diff(prev)
-	if d.Counters["fresh"] != 3 {
-		t.Errorf("counter absent from prev = %d, want whole value 3", d.Counters["fresh"])
-	}
-	if _, ok := d.Counters["gone"]; ok {
-		t.Error("counter only in prev leaked into the diff")
-	}
-	if _, ok := d.Gauges["stale"]; ok {
-		t.Error("gauge only in prev leaked into the diff")
-	}
-	dh := d.Histograms["lat"]
-	if dh.Count != 2 || dh.Sum != 60 || len(dh.Counts) != 3 {
-		t.Errorf("bounds-mismatched histogram diff = %+v, want s unchanged", dh)
-	}
-	// Both sides empty stays empty without allocating maps.
-	if d := (Snapshot{}).Diff(Snapshot{}); d.Counters != nil || d.Histograms != nil {
-		t.Errorf("empty diff allocated maps: %+v", d)
-	}
-}
-
 func TestCounterTotalAndMerge(t *testing.T) {
 	snaps := []Snapshot{
 		{Rank: 0, Counters: map[string]int64{"core.batches": 4},
@@ -159,19 +77,5 @@ func TestCounterTotalAndMerge(t *testing.T) {
 	}
 	if _, ok := MergeHistograms(snaps, "absent"); ok {
 		t.Error("MergeHistograms(absent) reported ok")
-	}
-}
-
-func TestSpanDurations(t *testing.T) {
-	snaps := []Snapshot{
-		{Spans: []Span{
-			{Name: "backproject", Start: 0, End: 30 * time.Nanosecond},
-			{Name: "load", Start: 0, End: 5 * time.Nanosecond},
-		}},
-		{Spans: []Span{{Name: "backproject", Start: 10, End: 20}}},
-	}
-	ds := SpanDurations(snaps, "backproject")
-	if len(ds) != 2 || ds[0] != 10 || ds[1] != 30 {
-		t.Errorf("SpanDurations = %v, want sorted [10 30]", ds)
 	}
 }

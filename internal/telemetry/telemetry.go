@@ -27,16 +27,36 @@ import (
 
 // Counter is a monotonically increasing metric (bytes sent, retries, rows
 // loaded). The zero value is ready to use; a nil Counter ignores updates.
+//
+// A counter may have a parent: every Add then lands in both, by the one
+// call. That is how an owner's private view of a number (one device's
+// ledger, one communicator's Stats, one attempt's batch count) and the
+// registry's run-wide total are the same event counted once — the owner
+// holds the child, which starts at zero with its owner, and the registry
+// holds the parent, which accumulates over every child it is ever given.
+// Without a parent a counter stands alone, which is what a run without
+// telemetry gets.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter
 }
 
-// Add increments the counter by n. Nil-safe no-op.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
+// SetParent makes every later Add on c also add to p; nil detaches. It
+// moves no counts: c keeps its value and p sees only what is added from
+// here on. Set it before c is shared across goroutines — Add reads the
+// link unsynchronised. Nil-safe no-op.
+func (c *Counter) SetParent(p *Counter) {
+	if c != nil {
+		c.parent = p
 	}
-	c.v.Add(n)
+}
+
+// Add increments the counter, and its parent if it has one, by n. Nil-safe
+// no-op.
+func (c *Counter) Add(n int64) {
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
+	}
 }
 
 // Inc adds one.
@@ -387,14 +407,6 @@ type HistogramSnapshot struct {
 	Counts []int64 `json:"counts"`
 	Sum    int64   `json:"sum"`
 	Count  int64   `json:"count"`
-}
-
-// Mean returns the average observed value (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
 }
 
 // Snapshot is one registry's exported state: plain data, safe to marshal,

@@ -130,6 +130,88 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 }
 
+// The parent link is what makes an owner's view and the registry's total one
+// count: a child adds to both by one call, two children of one parent start
+// at zero each while the parent accumulates over both, linking moves no
+// counts, and nil on either side of the link is inert.
+func TestCounterParent(t *testing.T) {
+	reg := NewRegistry()
+	parent := reg.Counter("device.h2d_bytes")
+
+	var first, second Counter
+	first.Add(5) // before the link: the owner's alone
+	first.SetParent(parent)
+	first.Add(7)
+	first.Inc()
+	if first.Value() != 13 || parent.Value() != 8 {
+		t.Fatalf("after linking: child %d parent %d, want 13 and 8", first.Value(), parent.Value())
+	}
+	second.SetParent(parent) // a later attempt's owner
+	second.Add(2)
+	if second.Value() != 2 || first.Value() != 13 || parent.Value() != 10 {
+		t.Fatalf("second child %d first %d parent %d, want 2, 13, 10", second.Value(), first.Value(), parent.Value())
+	}
+	if got := reg.Snapshot().Counters["device.h2d_bytes"]; got != 10 {
+		t.Fatalf("snapshot carries %d, want the parent's 10", got)
+	}
+
+	// A nil parent — what a nil registry hands out — is a standalone counter.
+	var off *Registry
+	var alone Counter
+	alone.SetParent(off.Counter("x"))
+	alone.Add(3)
+	if alone.Value() != 3 {
+		t.Fatalf("standalone counter = %d, want 3", alone.Value())
+	}
+	// Detaching stops the flow without touching either value.
+	first.SetParent(nil)
+	first.Add(1)
+	if first.Value() != 14 || parent.Value() != 10 {
+		t.Fatalf("after detaching: child %d parent %d, want 14 and 10", first.Value(), parent.Value())
+	}
+	// A nil child ignores the link like every other operation.
+	var none *Counter
+	none.SetParent(parent)
+	none.Add(9)
+	if none.Value() != 0 || parent.Value() != 10 {
+		t.Fatalf("nil child leaked into its parent: %d", parent.Value())
+	}
+	if n := testing.AllocsPerRun(100, func() { second.Add(1) }); n != 0 {
+		t.Fatalf("a linked Add allocates %v/run, want 0", n)
+	}
+}
+
+// Children of one parent are added to from different goroutines (the ranks'
+// devices under one shared registry counter, the workers of one device):
+// every count must arrive in both, and the race detector audits the path.
+func TestCounterParentConcurrent(t *testing.T) {
+	var parent Counter
+	const owners, adders, iters = 4, 4, 500
+	children := make([]Counter, owners)
+	var wg sync.WaitGroup
+	for i := range children {
+		children[i].SetParent(&parent)
+		for a := 0; a < adders; a++ {
+			wg.Add(1)
+			go func(c *Counter) {
+				defer wg.Done()
+				for k := 0; k < iters; k++ {
+					c.Add(2)
+				}
+			}(&children[i])
+		}
+	}
+	wg.Wait()
+	for i := range children {
+		if got := children[i].Value(); got != 2*adders*iters {
+			t.Errorf("child %d = %d, want %d", i, got, 2*adders*iters)
+		}
+	}
+	if got := parent.Value(); got != 2*owners*adders*iters {
+		t.Errorf("parent = %d, want %d", got, 2*owners*adders*iters)
+	}
+}
+
 func TestRunSharedEpoch(t *testing.T) {
 	run := NewRun(3)
 	if run.Ranks() != 3 {

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check doc-check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
+.PHONY: all build test race check doc-check fuse-lint fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
 
 all: build test
 
@@ -21,7 +21,7 @@ race:
 # Full static + race-detector gate: the worker-pool kernel and pipeline
 # stages must stay race-clean everywhere, not just the curated race list.
 # The trace smoke-run keeps the telemetry artifacts loadable end to end.
-check: doc-check
+check: doc-check fuse-lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) trace-smoke
@@ -38,6 +38,36 @@ doc-check:
 		grep -rqE "^func $$n\(" --include='*_test.go' . || \
 			{ echo "doc-check: DESIGN.md/README.md name $$n, which no _test.go file defines"; stale=1; }; \
 	done; exit $$stale
+
+# Arithmetic-contract gate: the Go functions that compute what the assembly
+# computes (the back-projection coordinate contract of
+# internal/backproject/simd.go, the row FFT's Go passes) must not be compiled
+# to fused multiply-adds on a target that has them, or their bytes would
+# depend on the architecture. The Go specification makes float32(a*b) /
+# float64(a*b) round, which is how the sources prevent it; this cross-compiles
+# them for arm64 (the toolchain alone, nothing downloaded) and fails, naming
+# the function, if an FMADD/FMSUB/FNMADD/FNMSUB appears inside one of
+# FUSE_LINT_FUNCS or if one of them is missing from the listing. The exact
+# oracle, the float64 span solves and the slack-cleared direct evaluations of
+# the fast predicates are not in the list: none of them decides a byte.
+FUSE_LINT_FUNCS = \
+	backproject.laneAt backproject.simdCoords backproject.footprint \
+	backproject.(*projAccess).tileRec backproject.(*projAccess).fusedTileGo \
+	backproject.(*projAccess).fastLane backproject.(*projAccess).guardedCols \
+	fft.twiddleGo fft.untwiddleGo fft.difStagesGo fft.ditStagesGo \
+	fft.difRadix4Go fft.ditRadix4Go fft.pairBlock fft.(*RealPlan).pairs
+
+fuse-lint:
+	@GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/backproject ./internal/fft 2>&1 | \
+	awk -v want='$(FUSE_LINT_FUNCS)' ' \
+		BEGIN { n = split(want, w, " "); for (i = 1; i <= n; i++) contract["distfdk/internal/" w[i]] = 1 } \
+		/ STEXT / { fn = $$1; if (fn in contract) seen[fn] = 1 } \
+		/F(N?)M(ADD|SUB)[SD]/ { if (fn in contract) { bad[fn]++ } } \
+		END { \
+			for (f in contract) if (!(f in seen)) { print "fuse-lint: " f " is not in the arm64 listing (renamed? update FUSE_LINT_FUNCS)"; fail = 1 } \
+			for (f in bad) { print "fuse-lint: " bad[f] " fused multiply-add(s) in " f " on arm64: write the product as float32(a*b) or float64(a*b)"; fail = 1 } \
+			exit fail \
+		}'
 
 # Parser fuzz smoke: 10 s of mutation per target on the parsers of bytes
 # this process did not write — wire frames and payloads, projection stacks,

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"distfdk/internal/cpufeat"
 	"distfdk/internal/experiments"
 	"distfdk/internal/filter"
 	"distfdk/internal/forward"
@@ -22,8 +25,16 @@ import (
 // work from `go test` without building the command first.
 const runMainEnv = "FDKRECON_TEST_RUN_MAIN"
 
+// noAVX2Env additionally masks AVX2 off in that process and, inherited, in
+// its -world workers: the run of a host without it. Only this test binary
+// reads it; the command has no switch for the Go spellings.
+const noAVX2Env = "FDKRECON_TEST_NO_AVX2"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(runMainEnv) != "" {
+		if os.Getenv(noAVX2Env) != "" {
+			cpufeat.SetAVX2ForTest(false)
+		}
 		main()
 		return
 	}
@@ -31,8 +42,13 @@ func TestMain(m *testing.M) {
 }
 
 // fdkrecon runs the command line in a child process started in dir and
-// returns its output.
+// returns its output. env adds to the child's environment.
 func fdkrecon(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	return fdkreconEnv(t, dir, nil, args...)
+}
+
+func fdkreconEnv(t *testing.T, dir string, env []string, args ...string) string {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -40,7 +56,7 @@ func fdkrecon(t *testing.T, dir string, args ...string) string {
 	}
 	cmd := exec.Command(exe, args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd.Env = append(append(os.Environ(), runMainEnv+"=1"), env...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("fdkrecon %s: %v\n%s", strings.Join(args, " "), err, out)
@@ -143,5 +159,80 @@ func TestWorldForwardsInput(t *testing.T) {
 	}
 	if bytes.Equal(inproc, read("synth.fbk")) {
 		t.Error("noisy input reconstructs to the noiseless phantom's bytes: the comparison proves nothing")
+	}
+}
+
+// The four command lines of the repository benchmark, at its -smoke sizing,
+// do not depend on the host: with AVX2 masked off — in the coordinator and,
+// under -world, in its workers — each writes the volume of the default run
+// byte for byte and counts what it counted, kernel.dispatch.* aside: the
+// fast kernel and the row filter each have one arithmetic and spellings of
+// it, and the kernel's counters are read off its span decisions.
+func TestBenchmarkRunsDoNotDependOnAVX2(t *testing.T) {
+	dir := t.TempDir()
+	noisyInput(t, filepath.Join(dir, "in.fbp"))
+	ranks := []string{"-groups", "1", "-ranks", "2"}
+	for _, w := range []struct {
+		name string
+		n    string
+		args []string
+	}{
+		{"single-kernel", "32", nil},
+		{"single-filter", "16", nil},
+		{"ranks-inproc", "32", ranks},
+		{"ranks-world", "32", append(ranks[:len(ranks):len(ranks)], "-world", "2")},
+	} {
+		// The kernel counters of every rank the artifact reports.
+		run := func(tag string, env []string) ([]byte, []map[string]int64) {
+			t.Helper()
+			vol, metrics := filepath.Join(dir, w.name+tag+".fbk"), filepath.Join(dir, w.name+tag+".json")
+			args := append([]string{"-in", "in.fbp", "-dataset", "tomo_00030", "-div", "16", "-n", w.n,
+				"-o", vol, "-metrics-json", metrics}, w.args...)
+			if w.args != nil {
+				args = append(args, "-journal", filepath.Join(dir, w.name+tag+".journal"))
+			}
+			out := fdkreconEnv(t, dir, env, args...)
+			if env != nil && (strings.Contains(out, "kernel avx2") || strings.Contains(out, "kernel [avx2") || !strings.Contains(out, "scalar")) {
+				t.Errorf("%s without AVX2: the summary does not name the Go spelling alone:\n%s", w.name, out)
+			}
+			b, err := os.ReadFile(vol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var artifact struct {
+				Ranks []struct {
+					Counters map[string]int64 `json:"counters"`
+				} `json:"ranks"`
+			}
+			if err := json.Unmarshal(raw, &artifact); err != nil {
+				t.Fatal(err)
+			}
+			var kernel []map[string]int64
+			for _, r := range artifact.Ranks {
+				k := map[string]int64{}
+				for name, v := range r.Counters {
+					if strings.HasPrefix(name, "kernel.") && !strings.HasPrefix(name, "kernel.dispatch.") {
+						k[name] = v
+					}
+				}
+				kernel = append(kernel, k)
+			}
+			return b, kernel
+		}
+		vol, counters := run("", nil)
+		maskedVol, maskedCounters := run("-noavx2", []string{noAVX2Env + "=1"})
+		if !bytes.Equal(vol, maskedVol) {
+			t.Errorf("%s: the volume depends on AVX2", w.name)
+		}
+		if len(counters) == 0 || len(counters[0]) < 6 || counters[0]["kernel.simd_full_groups"] == 0 {
+			t.Errorf("%s: the artifact's kernel counters are missing or idle: %v", w.name, counters)
+		}
+		if !reflect.DeepEqual(counters, maskedCounters) {
+			t.Errorf("%s: kernel counters depend on AVX2:\ndefault %v\nmasked  %v", w.name, counters, maskedCounters)
+		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"distfdk/internal/backproject"
 	"distfdk/internal/core"
 	"distfdk/internal/dataset"
 	"distfdk/internal/device"
@@ -73,7 +72,6 @@ func main() {
 		backoff    = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (with -journal)")
 		deadline   = flag.Duration("deadline", 0, "collective deadline: a lost peer surfaces as a typed error within this bound (0 waits for world teardown)")
 		kills      = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
-		kernelFl   = flag.String("kernels", "recurrence", "back-projection arithmetic: recurrence (AVX2 assembly where the host has it, scalar Go elsewhere), scalar (force the scalar path) or exact (the PR-1 arithmetic)")
 		worldN     = flag.Int("world", 0, "spread the multi-rank run over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
 		transport  = flag.String("transport", "tcp", "socket transport of -world mode: tcp or unix")
 		severSpec  = flag.String("sever", "", "chaos: comma-separated rank@nth wire severs, e.g. 1@2 cuts the connection carrying rank 1's 2nd outgoing frame (-world mode; the link must reconnect and replay)")
@@ -95,10 +93,6 @@ func main() {
 	}
 
 	win, err := filter.ParseWindow(*window)
-	if err != nil {
-		log.Fatal(err)
-	}
-	kern, err := backproject.ParseKernel(*kernelFl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,7 +131,6 @@ func main() {
 			Sys: sys, Source: source,
 			Device: device.New("roi", *memMB<<20, *workers),
 			Window: win, Z0: *zlo, NZ: *znz, Workers: *workers,
-			Kernel: kern,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -213,7 +206,6 @@ func main() {
 			Plan: plan, Source: source,
 			Device: device.New("local", *memMB<<20, *workers),
 			Window: win, Sink: sink, Telemetry: reg,
-			Kernel: kern,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -232,7 +224,6 @@ func main() {
 			Plan: plan, Source: source, Window: win,
 			DeviceMemBytes: *memMB << 20,
 			Telemetry:      run, CollectiveDeadline: *deadline,
-			Kernel: kern,
 		}
 		inj, err := buildChaosInjector(*kills, *severSpec)
 		if err != nil {
@@ -251,7 +242,7 @@ func main() {
 				"-dataset", *dsName, "-div", strconv.Itoa(*div), "-n", strconv.Itoa(*outN),
 				"-groups", strconv.Itoa(*groups), "-ranks", strconv.Itoa(*ranks),
 				"-batches", strconv.Itoa(*batches),
-				"-window", *window, "-kernels", *kernelFl,
+				"-window", *window,
 				"-devmem", strconv.FormatInt(*memMB, 10),
 				"-workers", strconv.Itoa(*workers),
 				"-deadline", copts.CollectiveDeadline.String(),

@@ -4,42 +4,40 @@
 // (Np) axes from a ring-buffered device store, plus the conventional
 // batch kernel (RTK-style, Algorithm 1) used as the paper's baseline.
 //
-// Two kernel arithmetics are available (see Kernel):
+// Two kernels are available (see Kernel):
 //
-//   - KernelExact is the PR-1 interior-span kernel: per detector row the
-//     i-loop is split into a precomputed interior span where the whole 2×2
-//     bilinear footprint is guaranteed resident (branch-free inlined loads
-//     through a precomputed row-offset table) with the branchy subPixel
-//     border path only on the clipped edges. Its float32 arithmetic is a
-//     literal transcription of Algorithm 1, bit-identical to the naive
-//     reference.
+//   - KernelRecurrence (the zero value, so the default of every caller) is
+//     the fast kernel. The homogeneous coordinates (u, v, w) of an output
+//     row are affine in the column index, so the three per-sample dot
+//     products are replaced by incremental lane additions, eight columns
+//     at a time, re-anchored every reanchorPeriod columns to bound float32
+//     drift. The row is clipped to its detector support (columns whose 2×2
+//     footprint lies entirely outside the readable window contribute
+//     exactly +0 and are skipped), the (k, j, s) loops are blocked so a
+//     small window of detector rows stays cache-resident across a voxel
+//     sweep, and a (row, projection) pair visits the slices of a k-tile
+//     innermost, where one exact reciprocal per column serves them all. It
+//     has one arithmetic (the coordinate contract in simd.go) and two
+//     spellings of it, AVX2 assembly and Go, chosen per launch from what
+//     the host can run; the bytes do not depend on the choice.
 //
-//   - KernelRecurrence (the zero value, so the default of every caller)
-//     restructures the same row into a linear-fractional recurrence: the
-//     homogeneous coordinates (u, v, w) are affine in the column index, so
-//     the three per-sample dot products are replaced by incremental lane
-//     additions re-anchored every reanchorPeriod columns to bound float32
-//     drift, with one reciprocal per sample computed from the running
-//     values. The row is additionally clipped to its detector support
-//     (columns whose 2×2 footprint lies entirely outside the readable
-//     window contribute exactly +0 and are skipped) and the (k, j, s) loops
-//     are blocked so a small window of detector rows stays cache-resident
-//     across a voxel sweep. It runs at the widest width the host has:
-//     8 lanes in AVX2 assembly where cpufeat.AVX2 holds (see simd.go for
-//     that path's coordinate contract), two scalar lanes in Go elsewhere.
-//     KernelScalar forces the scalar path on any host.
+//   - KernelExact is the oracle: per detector row the i-loop is split into
+//     a precomputed interior span where the whole 2×2 bilinear footprint
+//     is guaranteed resident (branch-free inlined loads through a
+//     precomputed row-offset table) with the branchy subPixel border path
+//     only on the clipped edges. Its float32 arithmetic is a literal
+//     transcription of Algorithm 1, bit-identical to the naive reference,
+//     and the parity gates measure the fast kernel against it. No driver
+//     or command line selects it.
 //
-// Whatever the kernel, the computed contribution of column i is a pure
-// function of (i, row constants) shared by the interior, border and
-// residency-predicate paths, so a slab-decomposed streaming reconstruction
-// stays bit-identical to a monolithic batch reconstruction over the same
-// projections — the equivalence the paper validates against RTK with an
-// RMSE threshold, made exact here because we control both implementations.
-// The identity holds per dispatched arithmetic, hence per host: the AVX2
-// path's reciprocal starts from RCPPS, whose approximation is the CPU's
-// own. Between arithmetics the results differ only by bounded float32
-// drift; that parity is tolerance-gated (see the property tests and
-// experiments.TestKernelParity).
+// The computed contribution of column i is a pure function of (i, row
+// constants) shared by the unguarded, guarded and residency-predicate
+// paths, so a slab-decomposed streaming reconstruction stays bit-identical
+// to a monolithic batch reconstruction over the same projections — the
+// equivalence the paper validates against RTK with an RMSE threshold, made
+// exact here because we control both implementations. Between the two
+// kernels the results differ only by bounded float32 drift; that parity is
+// tolerance-gated (see the property tests and experiments.TestKernelParity).
 package backproject
 
 import (
@@ -59,41 +57,19 @@ type Kernel int
 const (
 	// KernelRecurrence is the default: the cache-blocked recurrence
 	// restructuring (incremental coordinate updates with fixed-column
-	// re-anchoring, detector-support clipping) at the widest width this
-	// host has — the AVX2 fused-span assembly where cpufeat.AVX2 holds, the
-	// scalar two-lane Go path elsewhere. The ledger records which one a
-	// launch dispatched to.
+	// re-anchoring, detector-support clipping, k-tiles) under the coordinate
+	// contract of simd.go. The ledger records which spelling a launch
+	// dispatched to.
 	KernelRecurrence Kernel = iota
-	// KernelExact keeps the PR-1 arithmetic: direct per-sample dot-product
-	// evaluation, bit-identical to the literal Algorithm 1 reference. It is
-	// the baseline the recurrence kernels' parity gate measures against.
+	// KernelExact is direct per-sample dot-product evaluation, bit-identical
+	// to the literal Algorithm 1 reference: the oracle the fast kernel's
+	// parity gate measures against.
 	KernelExact
-	// KernelScalar forces the scalar two-lane Go path of the recurrence
-	// restructuring whatever the host: what KernelRecurrence runs without
-	// AVX2. Parity tests use it, and it covers the non-AVX2 path on AVX2
-	// machines.
-	KernelScalar
 )
 
-// ParseKernel maps the CLI spelling to a Kernel.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "recurrence":
-		return KernelRecurrence, nil
-	case "scalar":
-		return KernelScalar, nil
-	case "exact":
-		return KernelExact, nil
-	}
-	return 0, fmt.Errorf("backproject: unknown kernel %q (recurrence, scalar, exact)", s)
-}
-
 func (k Kernel) String() string {
-	switch k {
-	case KernelExact:
+	if k == KernelExact {
 		return "exact"
-	case KernelScalar:
-		return "scalar"
 	}
 	return "recurrence"
 }
@@ -118,8 +94,11 @@ type projAccess struct {
 	// instructions; built by prepareSIMD when a launch dispatches to them.
 	rowIdx32 []int32
 	rowMax   int // largest rowOff entry
-	// win is the readable window as the recurrence kernels' span
-	// decisions use it; accumulateSlab derives it once per launch.
+	// asm says the launch runs the assembly spelling of the fast kernel,
+	// not the Go one; accumulateSlab decides it once per launch.
+	asm bool
+	// win is the readable window as the fast kernel's span decisions use
+	// it; accumulateSlab derives it once per launch.
 	win spanWindow
 }
 
@@ -323,9 +302,9 @@ func (a *projAccess) interiorResident(i int, ax, xc, ay, yc, az, zc float32) boo
 // device ledger/telemetry — never per sample.
 type kernelCounters struct {
 	interior, border, skipped, reanchors int64
-	// Vector-lane accounting of the AVX2 path's interior columns:
-	// complete 8-lane iterations vs columns executed under a partial lane
-	// mask (the masked tail). Zero under the other arithmetics.
+	// Lane accounting of the fast kernel's interior columns: complete
+	// 8-lane groups vs columns executed under a partial lane mask (the
+	// masked tail). Zero under the exact kernel.
 	simdGroups, simdTail int64
 }
 
@@ -356,15 +335,16 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		dev.RecordKernel(0)
 		return nil
 	}
-	// Dispatch once per launch. The 8-lane path needs AVX2 and storage
-	// offsets that fit its 32-bit gather indices.
+	// Dispatch once per launch. The assembly spelling needs AVX2 and
+	// storage offsets that fit its 32-bit gather indices.
 	arith := device.ArithmeticScalar
 	switch {
 	case kernel == KernelExact:
 		arith = device.ArithmeticExact
-	case kernel != KernelScalar && simdAvailable() && a.prepareSIMD():
+	case simdAvailable() && a.prepareSIMD():
 		arith = device.ArithmeticAVX2
 	}
+	a.asm = arith == device.ArithmeticAVX2
 	a.win = a.newSpanWindow()
 	workers := dev.WorkerCount()
 	if workers > slab.NZ {
@@ -379,7 +359,7 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 			if arith == device.ArithmeticExact {
 				a.accumulateSlicesExact(w, workers, mats, slab, &counters[w])
 			} else {
-				a.accumulateSlicesRec(w, workers, mats, slab, &counters[w], arith == device.ArithmeticAVX2)
+				a.accumulateSlicesRec(w, workers, mats, slab, &counters[w])
 			}
 		}(w)
 	}

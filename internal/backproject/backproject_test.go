@@ -3,9 +3,9 @@ package backproject
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
+	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
 	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
@@ -42,44 +42,22 @@ func randomStack(sys *geometry.System, seed int64) *projection.Stack {
 }
 
 // forRecurrenceKernels runs f once under the default dispatch (the AVX2
-// assembly where the host has it) and once under the forced scalar path,
-// so the portable arithmetic stays covered on AVX2 runners.
-func forRecurrenceKernels(t *testing.T, f func(t *testing.T, kernel Kernel)) {
-	for _, kernel := range []Kernel{KernelRecurrence, KernelScalar} {
-		t.Run(kernel.String(), func(t *testing.T) { f(t, kernel) })
-	}
+// assembly where the host has it) and once with AVX2 masked off, so the Go
+// spelling of the fast kernel stays covered on AVX2 runners. The subtests
+// carry the names the ledger gives the two dispatches on such a host.
+func forRecurrenceKernels(t *testing.T, f func(t *testing.T)) {
+	t.Run(KernelRecurrence.String(), f)
+	t.Run(device.ArithmeticScalar.String(), func(t *testing.T) {
+		defer cpufeat.SetAVX2ForTest(false)()
+		f(t)
+	})
 }
 
-// The -kernels spellings: the default family, the forced scalar path and
-// the exact oracle. "simd" was replaced by the dispatch, not aliased to it.
-func TestParseKernel(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Kernel
-	}{
-		{"", KernelRecurrence},
-		{"recurrence", KernelRecurrence},
-		{"scalar", KernelScalar},
-		{"exact", KernelExact},
-	} {
-		got, err := ParseKernel(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if c.in != "" && got.String() != c.in {
-			t.Errorf("Kernel(%d).String() = %q, want %q", got, got.String(), c.in)
-		}
-	}
-	for _, in := range []string{"simd", "avx2", "auto", "Recurrence", "fast"} {
-		if _, err := ParseKernel(in); err == nil {
-			t.Errorf("ParseKernel(%q) accepted", in)
-		} else if !strings.Contains(err.Error(), "recurrence, scalar, exact") {
-			t.Errorf("ParseKernel(%q) error does not list the spellings: %v", in, err)
-		}
-	}
+// Zero-valued options everywhere mean the fast kernel.
+func TestZeroKernelIsRecurrence(t *testing.T) {
 	var zero Kernel
-	if zero != KernelRecurrence {
-		t.Error("the zero Kernel is not KernelRecurrence")
+	if zero != KernelRecurrence || zero.String() != "recurrence" || KernelExact.String() != "exact" {
+		t.Errorf("the zero Kernel is %v (KernelRecurrence %d, KernelExact %v)", zero, KernelRecurrence, KernelExact)
 	}
 }
 
@@ -243,9 +221,9 @@ func TestBatchMatchesNaiveAlgorithm1(t *testing.T) {
 		t.Fatalf("sample classification does not partition the updates: %+v", l)
 	}
 
-	forRecurrenceKernels(t, func(t *testing.T, kernel Kernel) {
+	forRecurrenceKernels(t, func(t *testing.T) {
 		rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := BatchKernel(dev, stack, kernelMats(sys), rec, kernel); err != nil {
+		if err := Batch(dev, stack, kernelMats(sys), rec); err != nil {
 			t.Fatal(err)
 		}
 		assertWithinParityGate(t, want, rec)
@@ -274,7 +252,7 @@ func TestStreamingEqualsBatch(t *testing.T) {
 	forRecurrenceKernels(t, testStreamingEqualsBatch)
 }
 
-func testStreamingEqualsBatch(t *testing.T, kernel Kernel) {
+func testStreamingEqualsBatch(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaV = 0.25
 	stack := randomStack(sys, 2)
@@ -282,7 +260,7 @@ func testStreamingEqualsBatch(t *testing.T, kernel Kernel) {
 
 	batchDev := device.New("batch", 0, 2)
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(batchDev, stack, mats, want, kernel); err != nil {
+	if err := Batch(batchDev, stack, mats, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -311,7 +289,7 @@ func testStreamingEqualsBatch(t *testing.T, kernel Kernel) {
 			t.Fatalf("slab %d: %v", si, err)
 		}
 		slab, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-		if err := StreamingKernel(dev, ring, mats, slab, need, kernel); err != nil {
+		if err := Streaming(dev, ring, mats, slab, need); err != nil {
 			t.Fatalf("slab %d: %v", si, err)
 		}
 		if err := got.CopySlabFrom(slab); err != nil {

@@ -6,46 +6,15 @@ import (
 	"testing"
 )
 
-// BenchmarkFusedInterior isolates the unguarded gather/accumulate loop on a
-// long all-interior row, giving the per-sample floor the full kernel builds
-// on.
-func BenchmarkFusedInterior(b *testing.B) {
+// benchRow is the long all-interior row the kernel benchmarks time: a
+// nearly-centered geometry where x sweeps most of the detector width, y
+// drifts slowly and z is positive and nearly flat. It returns the access,
+// the row's interior span in h slices (v's constant stepping by a tenth of
+// a detector row per slice) and a launch of a sub-span of it into them
+// through the spelling a.asm names.
+func benchRow(b *testing.B, h int) (a *projAccess, f0, f1 int, launch func(c0, c1 int)) {
 	const nu, nv, nx = 256, 256, 4096
-	a := projAccess{nu: nu, np: 1, h: 0, lo: 0, hi: nv}
-	a.sStride = nu
-	a.data = make([]float32, nu*nv)
-	rng := rand.New(rand.NewSource(1))
-	for i := range a.data {
-		a.data[i] = rng.Float32()
-	}
-	a.buildRowTable()
-	out := make([]float32, nx)
-	// A nearly-centered geometry: x sweeps most of the detector width,
-	// y drifts slowly, z positive and nearly flat.
-	ax, xc := float32(0.05), float32(8)
-	ay, yc := float32(0.004), float32(40)
-	az, zc := float32(0.00001), float32(1.02)
-	f0, f1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
-	f0 = (f0 + 1) &^ 1
-	f1 = f1 &^ 1
-	if f1-f0 < nx/2 {
-		b.Fatalf("span too small: [%d,%d)", f0, f1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.fusedInterior(out, 0, f0, f1, ax, ay, az, xc, yc, zc)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(f1-f0), "ns/sample")
-}
-
-// BenchmarkFusedInteriorSIMD times the AVX2 8-lane kernel on the same row
-// shape, the apples-to-apples twin of BenchmarkFusedInterior.
-func BenchmarkFusedInteriorSIMD(b *testing.B) {
-	if !simdAvailable() {
-		b.Skip("no AVX2 on this host")
-	}
-	const nu, nv, nx = 256, 256, 4096
-	a := projAccess{nu: nu, np: 1, h: 0, lo: 0, hi: nv}
+	a = &projAccess{nu: nu, np: 1, h: 0, lo: 0, hi: nv}
 	a.sStride = nu
 	a.data = make([]float32, nu*nv)
 	rng := rand.New(rand.NewSource(1))
@@ -54,19 +23,54 @@ func BenchmarkFusedInteriorSIMD(b *testing.B) {
 	}
 	a.buildRowTable()
 	if !a.prepareSIMD() {
-		b.Fatal("prepareSIMD failed")
+		b.Fatal("prepareSIMD refused a small buffer")
 	}
-	out := make([]float32, nx)
 	ax, xc := float32(0.05), float32(8)
 	ay, yc := float32(0.004), float32(40)
 	az, zc := float32(0.00001), float32(1.02)
-	f0, f1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
+	f0, f1 = a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc+0.1*float32(h-1)), float64(az), float64(zc), nx)
 	if f1-f0 < nx/2 {
 		b.Fatalf("span too small: [%d,%d)", f0, f1)
 	}
+	out := make([]float32, h*nx)
+	ycs := make([]float32, h)
+	for k := range ycs {
+		ycs[k] = yc + 0.1*float32(k)
+	}
+	var args simdRowArgs
+	a.initSpanArgs(&args, 0, ax, ay, az)
+	return a, f0, f1, func(c0, c1 int) { a.launchSpan(&args, out, nx, c0, c1, c0, c1, xc, zc, ycs) }
+}
+
+// BenchmarkFusedInterior isolates the Go spelling's unguarded body — what a
+// launch that cannot run the assembly falls back to — on a long
+// all-interior row: in one slice, which is how a tilted (not zInvariant)
+// matrix is walked, and in a k-tile of zBlock slices, which is how every
+// shipped geometry is.
+func BenchmarkFusedInterior(b *testing.B) {
+	for _, h := range []int{1, zBlock} {
+		b.Run(fmt.Sprintf("h%d", h), func(b *testing.B) {
+			_, f0, f1, launch := benchRow(b, h)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				launch(f0, f1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64((f1-f0)*h), "ns/sample")
+		})
+	}
+}
+
+// BenchmarkFusedInteriorSIMD times the assembly spelling on the same row in
+// one slice, the apples-to-apples twin of BenchmarkFusedInterior/h1.
+func BenchmarkFusedInteriorSIMD(b *testing.B) {
+	if !simdAvailable() {
+		b.Skip("no AVX2 on this host")
+	}
+	a, f0, f1, launch := benchRow(b, 1)
+	a.asm = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.fusedSpanSIMD(out, 0, f0, f1, f0, f1, ax, ay, az, xc, yc, zc)
+		launch(f0, f1)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(f1-f0), "ns/sample")
 }
@@ -78,23 +82,8 @@ func BenchmarkFusedInteriorSIMDSpans(b *testing.B) {
 	if !simdAvailable() {
 		b.Skip("no AVX2 on this host")
 	}
-	const nu, nv, nx = 256, 256, 4096
-	a := projAccess{nu: nu, np: 1, h: 0, lo: 0, hi: nv}
-	a.sStride = nu
-	a.data = make([]float32, nu*nv)
-	rng := rand.New(rand.NewSource(1))
-	for i := range a.data {
-		a.data[i] = rng.Float32()
-	}
-	a.buildRowTable()
-	if !a.prepareSIMD() {
-		b.Fatal("prepareSIMD failed")
-	}
-	out := make([]float32, nx)
-	ax, xc := float32(0.05), float32(8)
-	ay, yc := float32(0.004), float32(40)
-	az, zc := float32(0.00001), float32(1.02)
-	f0, f1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
+	a, f0, f1, launch := benchRow(b, 1)
+	a.asm = true
 	for _, span := range []int{38, 64, 128, 512, f1 - f0 - 3} {
 		b.Run(fmt.Sprintf("span%d", span), func(b *testing.B) {
 			s0 := f0 + 3
@@ -103,7 +92,7 @@ func BenchmarkFusedInteriorSIMDSpans(b *testing.B) {
 				b.Fatal("span too long")
 			}
 			for i := 0; i < b.N; i++ {
-				a.fusedSpanSIMD(out, 0, s0, s1, s0, s1, ax, ay, az, xc, yc, zc)
+				launch(s0, s1)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(span), "ns/sample")
 		})

@@ -60,8 +60,8 @@ func TestZeroWidthInteriorSpan(t *testing.T) {
 	}
 
 	// End to end: a one-row detector forces the border path everywhere.
-	// The exact kernel must match the reference bit-for-bit; the
-	// recurrence kernels stay inside the parity gate on this all-border,
+	// The exact kernel must match the reference bit-for-bit; the fast
+	// kernel stays inside the parity gate on this all-border,
 	// heavily-clipped geometry.
 	sys := testSystem()
 	sys.NV = 1
@@ -77,10 +77,10 @@ func TestZeroWidthInteriorSpan(t *testing.T) {
 			t.Fatalf("voxel %d: border-only batch %g != naive %g", i, got.Data[i], want.Data[i])
 		}
 	}
-	forRecurrenceKernels(t, func(t *testing.T, kernel Kernel) {
+	forRecurrenceKernels(t, func(t *testing.T) {
 		dev := device.New("border-rec", 0, 2)
 		rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := BatchKernel(dev, stack, kernelMats(sys), rec, kernel); err != nil {
+		if err := Batch(dev, stack, kernelMats(sys), rec); err != nil {
 			t.Fatal(err)
 		}
 		assertWithinParityGate(t, want, rec)
@@ -92,14 +92,14 @@ func TestZeroWidthInteriorSpan(t *testing.T) {
 
 // Heavily off-centre detectors clip the interior span asymmetrically; the
 // stitched border/interior/border row must stay bit-identical to the naive
-// per-sample reference under the exact kernel, the recurrence kernels must
+// per-sample reference under the exact kernel, the fast kernel must
 // stay inside the parity gate while skipping the provably-zero columns
 // past the detector edge, and streaming must stay bit-identical to batch.
 func TestClippedSpanParity(t *testing.T) {
 	forRecurrenceKernels(t, testClippedSpanParity)
 }
 
-func testClippedSpanParity(t *testing.T, kernel Kernel) {
+func testClippedSpanParity(t *testing.T) {
 	for _, sigma := range []struct{ u, v float64 }{{12, 0}, {0, 15}, {-20, 18}, {30, -25}} {
 		sys := testSystem()
 		sys.SigmaU, sys.SigmaV = sigma.u, sigma.v
@@ -119,7 +119,7 @@ func testClippedSpanParity(t *testing.T, kernel Kernel) {
 		}
 		batchDev := device.New("clip", 0, 3)
 		batch, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := BatchKernel(batchDev, stack, mats, batch, kernel); err != nil {
+		if err := Batch(batchDev, stack, mats, batch); err != nil {
 			t.Fatal(err)
 		}
 		assertWithinParityGate(t, want, batch)
@@ -137,7 +137,7 @@ func testClippedSpanParity(t *testing.T, kernel Kernel) {
 			t.Fatal(err)
 		}
 		stream, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := StreamingKernel(dev, ring, mats, stream, geometry.RowRange{Lo: 0, Hi: sys.NV}, kernel); err != nil {
+		if err := Streaming(dev, ring, mats, stream, geometry.RowRange{Lo: 0, Hi: sys.NV}); err != nil {
 			t.Fatal(err)
 		}
 		ring.Close()

@@ -87,7 +87,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	forRecurrenceKernels(t, testWorkerCountInvariance)
 }
 
-func testWorkerCountInvariance(t *testing.T, kernel Kernel) {
+func testWorkerCountInvariance(t *testing.T) {
 	sys := testSystem()
 	stack := randomStack(sys, 13)
 	mats := kernelMats(sys)
@@ -95,7 +95,7 @@ func testWorkerCountInvariance(t *testing.T, kernel Kernel) {
 	for _, workers := range []int{1, 2, 5, 16} {
 		dev := device.New("w", 0, workers)
 		vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := BatchKernel(dev, stack, mats, vol, kernel); err != nil {
+		if err := Batch(dev, stack, mats, vol); err != nil {
 			t.Fatal(err)
 		}
 		if ref == nil {
@@ -145,18 +145,17 @@ func TestBackprojectionSignBehaviour(t *testing.T) {
 }
 
 // Randomised slab schedules: any partition of Z into slabs reconstructs
-// the identical volume through the ring. Under the AVX2 dispatch every
-// partition edge additionally crosses 8-lane group boundaries.
+// the identical volume through the ring.
 func TestRandomSlabPartitionsEquivalent(t *testing.T) {
 	forRecurrenceKernels(t, testRandomSlabPartitionsEquivalent)
 }
 
-func testRandomSlabPartitionsEquivalent(t *testing.T, kernel Kernel) {
+func testRandomSlabPartitionsEquivalent(t *testing.T) {
 	sys := testSystem()
 	stack := randomStack(sys, 16)
 	mats := kernelMats(sys)
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(device.New("ref", 0, 2), stack, mats, want, kernel); err != nil {
+	if err := Batch(device.New("ref", 0, 2), stack, mats, want); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -199,7 +198,7 @@ func testRandomSlabPartitionsEquivalent(t *testing.T, kernel Kernel) {
 			}
 			prev = rows
 			slab, _ := volume.NewSlab(sys.NX, sys.NY, nz, z)
-			if err := StreamingKernel(dev, ring, mats, slab, rows, kernel); err != nil {
+			if err := Streaming(dev, ring, mats, slab, rows); err != nil {
 				t.Fatal(err)
 			}
 			if err := got.CopySlabFrom(slab); err != nil {

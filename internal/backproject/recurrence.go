@@ -2,7 +2,6 @@ package backproject
 
 import (
 	"math"
-	"unsafe"
 
 	"distfdk/internal/geometry"
 	"distfdk/internal/volume"
@@ -13,28 +12,27 @@ import (
 //
 //	u(i) = ax·i + xc,  v(i) = ay·i + yc,  w(i) = az·i + zc
 //
-// so instead of re-evaluating three multiply-adds per sample it steps two
-// running lanes by the exact float32 constants 2·ax, 2·ay, 2·az (a
+// so instead of re-evaluating three multiply-adds per sample it steps eight
+// running lanes by the exact float32 constants 8·ax, 8·ay, 8·az (a
 // power-of-two scaling, so the step itself carries no rounding error).
 // Accumulated addition drift is bounded by re-anchoring every
 // reanchorPeriod columns: the lanes are recomputed from the direct
 // expression at fixed absolute columns i ≡ 0 (mod reanchorPeriod). Anchors
 // at *absolute* positions — never at span or slab boundaries — make the
-// recurrence value at column i a pure function of (i, row constants):
-// whatever decomposition, worker count or blocking produced the row, every
-// path (interior fast path, border path, residency predicate, support
-// probe) sees identical float32 coordinates, which is what keeps
-// streaming ≡ batch ≡ resume bit-identical under this kernel.
+// lane value at column i a pure function of (i, row constants): whatever
+// decomposition, worker count or blocking produced the row, every path
+// (unguarded body, guarded body, residency predicate, support probe) sees
+// identical float32 coordinates, which is what keeps streaming ≡ batch ≡
+// resume bit-identical under this kernel. simd.go states the contract and
+// holds its Go spelling, fusedTileGo; simd_amd64.s holds the other,
+// fusedTileAVX2.
 
-// reanchorPeriod is the recurrence re-anchor interval K: lanes are
-// recomputed from the direct affine expression at columns i ≡ 0 (mod K).
-// Must be a power of two and a multiple of both walks' widths (two scalar
-// lanes, eight vector lanes). At K = 32 the worst-case drift is ≤ 15 lane
-// additions (≤ 3 on the 8-wide path) ≈ 15·ε·max|u| — orders of magnitude
-// below the half-pixel margin the span solver guarantees and the
-// quarter-pixel slack of the fast residency predicates — while the
-// catch-up loop that reproduces a lane value at an arbitrary column (span
-// starts, border probes) stays ≤ 15 iterations.
+// reanchorPeriod is the re-anchor interval K: lanes are recomputed from the
+// direct affine expression at columns i ≡ 0 (mod K). Must be a power of two
+// and a multiple of the walk's eight lanes. At K = 32 the worst-case drift
+// is ≤ 3 lane additions ≈ 3·ε·max|u| — orders of magnitude below the
+// half-pixel margin the span solver guarantees and the quarter-pixel slack
+// of the fast residency predicates.
 const reanchorPeriod = 32
 
 // predicateSlack is the margin (in detector pixels) by which the *direct*
@@ -76,41 +74,13 @@ const projBlock = 16
 // output rows, never the per-voxel s order.
 const zBlock = 8
 
-// recCoords returns the recurrence-evaluated homogeneous coordinates at
-// absolute column i — bit-for-bit the values the lane walker holds when it
-// reaches i: anchor at b = i&^(K−1) offset by the lane index, then
-// (i−b)/2 exact-step additions. Border columns, residency predicates and
-// the drift property test all evaluate through here so every consumer of
-// "the coordinate at column i" agrees to the last ulp.
-func recCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
-	b := i &^ (reanchorPeriod - 1)
-	l := b | (i & 1)
-	fl := float32(l)
-	u = ax*fl + xc
-	v = ay*fl + yc
-	w = az*fl + zc
-	ax2, ay2, az2 := ax*2, ay*2, az*2
-	for t := (i - b) >> 1; t > 0; t-- {
-		u += ax2
-		v += ay2
-		w += az2
-	}
-	return u, v, w
-}
-
 // footprint returns the detector pixel (iu, iv) at the origin of column i's
 // 2×2 footprint and whether its weight rz² is finite, with the exact
-// float32 values the kernel computes for the column: the recurrence
-// arithmetic's (simd=false) or the 8-wide contract's (simd=true).
-func footprint(i int, ax, ay, az, xc, yc, zc float32, simd bool) (iu, iv int, finite bool) {
-	var u, v, w, rz float32
-	if simd {
-		u, v, w = simdCoords(i, ax, ay, az, xc, yc, zc)
-		rz = rcpNR(w)
-	} else {
-		u, v, w = recCoords(i, ax, ay, az, xc, yc, zc)
-		rz = 1 / w
-	}
+// float32 values the kernel computes for the column under the coordinate
+// contract of simd.go.
+func footprint(i int, ax, ay, az, xc, yc, zc float32) (iu, iv int, finite bool) {
+	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
+	rz := 1 / w
 	return int(floor32(u * rz)), int(floor32(v * rz)), rz*rz < math.MaxFloat32
 }
 
@@ -123,18 +93,16 @@ func (a *projAccess) resident(iu, iv int) bool {
 // interiorResidentFast decides whether column i's footprint is resident in
 // every slice of a k-tile whose v constants lie in [ya, yb] (ya == yb for a
 // single row), without the lane catch-up: a direct float32 evaluation
-// clearing every boundary by predicateSlack proves the kernel-arithmetic
-// value is resident too — the slack dominates both kernels' drift (the simd
-// lane drift of ≤ 3 step additions plus the refined reciprocal's 2⁻²²
-// relative error is even smaller than the recurrence's). On the rare
-// boundary-grazing column it falls back to the footprint the requested
-// arithmetic computes in the tile's two end slices (an accepted column has
-// x, y ≥ 0, so the assembly's truncating conversion equals floor wherever
-// it is allowed to truncate). Those speak for the slices between them:
-// every float32 operation from the slice index to iv is monotone, so a
-// middle slice's iv lies between the ends', and the resident rows are an
+// clearing every boundary by predicateSlack proves the kernel's value is
+// resident too — the slack dominates the lane drift of ≤ 3 step additions.
+// On the rare boundary-grazing column it falls back to the footprint the
+// kernel computes in the tile's two end slices (an accepted column has
+// x, y ≥ 0, so the unguarded body's truncating conversion equals floor
+// wherever it is allowed to truncate). Those speak for the slices between
+// them: every float32 operation from the slice index to iv is monotone, so
+// a middle slice's iv lies between the ends', and the resident rows are an
 // interval.
-func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, ya, yb, zc float32, simd bool) bool {
+func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
 	fi := float32(i)
 	w := az*fi + zc
 	if w > 0 {
@@ -145,13 +113,13 @@ func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, ya, yb, zc floa
 			return true
 		}
 	}
-	if iu, iv, _ := footprint(i, ax, ay, az, xc, ya, zc, simd); !a.resident(iu, iv) {
+	if iu, iv, _ := footprint(i, ax, ay, az, xc, ya, zc); !a.resident(iu, iv) {
 		return false
 	}
 	if ya == yb {
 		return true
 	}
-	iu, iv, _ := footprint(i, ax, ay, az, xc, yb, zc, simd)
+	iu, iv, _ := footprint(i, ax, ay, az, xc, yb, zc)
 	return a.resident(iu, iv)
 }
 
@@ -162,16 +130,16 @@ func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, ya, yb, zc floa
 // rz²·0 = +0 and skipping the column leaves the accumulator bit-identical
 // (out[i] is never −0: it starts +0 and round-to-nearest addition cannot
 // produce −0 from a +0 running sum). A direct float32 evaluation past a
-// zero boundary by predicateSlack proves the kernel-arithmetic value
-// (recurrence or simd, both drifting far less than the slack) is past it
-// too; boundary-grazing columns are decided by the footprint the requested
-// arithmetic computes, and an overflowing weight — rcpNR of a degenerate w
-// is infinite or NaN — is evaluated rather than reasoned about as Inf·0:
-// skipping always needs proof, evaluating is always safe. A column is zero
-// in the whole tile when x misses the window, or when the highest slice is
-// still below it, or the lowest already above it — the two ends may not
-// miss it on opposite sides, because the slices between them then cross it.
-func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, ya, yb, zc float32, simd bool) bool {
+// zero boundary by predicateSlack proves the kernel's value (drifting far
+// less than the slack) is past it too; boundary-grazing columns are decided
+// by the footprint the kernel computes, and an overflowing weight — the
+// reciprocal of a degenerate w is infinite or NaN — is evaluated rather
+// than reasoned about as Inf·0: skipping always needs proof, evaluating is
+// always safe. A column is zero in the whole tile when x misses the window,
+// or when the highest slice is still below it, or the lowest already above
+// it — the two ends may not miss it on opposite sides, because the slices
+// between them then cross it.
+func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
 	fi := float32(i)
 	w := az*fi + zc
 	if w > 0 {
@@ -189,7 +157,7 @@ func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, ya, yb, zc float32, 
 			return true
 		}
 	}
-	iu, iv, finite := footprint(i, ax, ay, az, xc, yb, zc, simd)
+	iu, iv, finite := footprint(i, ax, ay, az, xc, yb, zc)
 	if !finite {
 		return false
 	}
@@ -197,7 +165,7 @@ func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, ya, yb, zc float32, 
 		return true
 	}
 	if ya != yb {
-		_, iv, _ = footprint(i, ax, ay, az, xc, ya, zc, simd)
+		_, iv, _ = footprint(i, ax, ay, az, xc, ya, zc)
 	}
 	return iv >= a.hi
 }
@@ -229,11 +197,10 @@ func (a *projAccess) newSpanWindow() spanWindow {
 
 // projConsts is what the (row, projection, k-tile) launches of one
 // projection share across the rows of a slab: the matrix, the float64 forms
-// of its column coefficients that the span solves work in, and the assembly
-// kernel's argument block with its per-projection fields filled. One is
+// of its column coefficients that the span solves work in, and the launch
+// argument block with its per-projection fields filled. One is
 // built per worker and projection of a block, outside the (k, j) sweep.
 type projConsts struct {
-	s int
 	m geometry.Mat34x4
 	// zInvariant is the launch-time proof that u and w do not depend on
 	// the slice: the matrix's z entries in the u and w rows are exactly
@@ -251,27 +218,24 @@ type projConsts struct {
 	args              simdRowArgs
 }
 
-func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int, simd bool) projConsts {
-	pc := projConsts{s: s, m: *m, zInvariant: m.R0[2] == 0 && m.R2[2] == 0}
+func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int) projConsts {
+	pc := projConsts{m: *m, zInvariant: m.R0[2] == 0 && m.R2[2] == 0}
 	pc.axd, pc.ayd, pc.azd = float64(m.R0[0]), float64(m.R1[0]), float64(m.R2[0])
 	last := float64(nx - 1)
 	pc.axn, pc.ayn, pc.azn = pc.axd*last, pc.ayd*last, pc.azd*last
 	pc.support = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.support)
 	pc.interior = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.interior)
-	if simd {
-		a.initSpanArgs(&pc.args, s, m.R0[0], m.R1[0], m.R2[0])
-	}
+	a.initSpanArgs(&pc.args, s, m.R0[0], m.R1[0], m.R2[0])
 	return pc
 }
 
 // accumulateSlicesRec back-projects the k slices owned by worker w with the
-// recurrence kernel (simd=false) or its 8-wide AVX2 restructuring
-// (simd=true). Loop order is s-block → k-tile → j → s → k, i.e. the voxel
-// sweep is repeated per small group of projections (cache blocking) and a
-// (row, projection) pair visits the slices of its tile innermost, where
-// only v is new; per tile the column loop is clipped to its detector
-// support and split into border strips around the fused interior.
-func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters, simd bool) {
+// recurrence kernel. Loop order is s-block → k-tile → j → s → k, i.e. the
+// voxel sweep is repeated per small group of projections (cache blocking)
+// and a (row, projection) pair visits the slices of its tile innermost,
+// where only v is new; per tile the column loop is clipped to its detector
+// support and split into guarded groups around the unguarded interior.
+func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters) {
 	nx := slab.NX
 	stride := slab.NY * nx
 	// The slab is cut into tiles of adjacent slices — adjacent, so that a
@@ -290,7 +254,7 @@ func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4
 		}
 		block := pcs[:sEnd-sb]
 		for i := range block {
-			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx, simd)
+			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx)
 		}
 		for kt := w * th; kt < slab.NZ; kt += workers * th {
 			kf := kfs[:0]
@@ -300,7 +264,7 @@ func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4
 			for j := 0; j < slab.NY; j++ {
 				rows := slab.Data[(kt*slab.NY+j)*nx:]
 				for i := range block {
-					a.tileRec(rows, stride, &block[i], float32(j), kf, nx, ctr, simd)
+					a.tileRec(rows, stride, &block[i], float32(j), kf, nx, ctr)
 				}
 			}
 		}
@@ -310,21 +274,22 @@ func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4
 // tileRec back-projects one projection into volume row jf of the slices kf
 // of a k-tile. The slices are cut into launches that share xc and zc: all
 // of them when the projection is zInvariant, one slice each otherwise —
-// the same code with tile height 1.
-func (a *projAccess) tileRec(rows []float32, stride int, pc *projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters, simd bool) {
+// the same code with tile height 1. The row constants are part of the
+// coordinate contract: each product is rounded before it is added.
+func (a *projAccess) tileRec(rows []float32, stride int, pc *projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters) {
 	m := &pc.m
 	var ycs [zBlock]float32
 	for t, k := range kf {
-		ycs[t] = m.R1[1]*jf + m.R1[2]*k + m.R1[3]
+		ycs[t] = float32(m.R1[1]*jf) + float32(m.R1[2]*k) + m.R1[3]
 	}
 	h := 1
 	if pc.zInvariant {
 		h = len(kf)
 	}
 	for t := 0; t < len(kf); t += h {
-		xc := m.R0[1]*jf + m.R0[2]*kf[t] + m.R0[3]
-		zc := m.R2[1]*jf + m.R2[2]*kf[t] + m.R2[3]
-		a.rowRec(rows[t*stride:], stride, pc, xc, zc, ycs[t:t+h], nx, ctr, simd)
+		xc := float32(m.R0[1]*jf) + float32(m.R0[2]*kf[t]) + m.R0[3]
+		zc := float32(m.R2[1]*jf) + float32(m.R2[2]*kf[t]) + m.R2[3]
+		a.rowRec(rows[t*stride:], stride, pc, xc, zc, ycs[t:t+h], nx, ctr)
 	}
 }
 
@@ -340,12 +305,11 @@ func (a *projAccess) tileRec(rows []float32, stride int, pc *projConsts, jf floa
 // the highest slice reaches the lower edge and the lowest the upper one. A
 // slice covers columns of the support it does not itself reach; the guarded
 // path adds exactly +0 there. Both spans are solved analytically and their
-// endpoints verified with the exact predicates of the requested arithmetic
-// (recurrence or simd). Every decision is a function of the row constants
+// endpoints verified with the kernel's own float32 arithmetic. Every decision is a function of the row constants
 // (pc, xc, ya, yb, zc) and the window alone, so any decomposition of a volume
 // that cuts the same tiles splits the same row the same way. A row z may
 // cross gets (0, 0, 0, nx): no skipping, no interior.
-func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int, simd bool) (c0, i0, i1, c1 int) {
+func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int) (c0, i0, i1, c1 int) {
 	if ya > yb {
 		ya, yb = yb, ya
 	}
@@ -389,17 +353,17 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int, si
 	// predicates pin the final boundaries so the fast paths stay sound even
 	// if the float64 clip were off by a column.
 	ax, ay, az := pc.m.R0[0], pc.m.R1[0], pc.m.R2[0]
-	for i0 < i1 && !a.interiorResidentFast(i0, ax, ay, az, xc, ya, yb, zc, simd) {
+	for i0 < i1 && !a.interiorResidentFast(i0, ax, ay, az, xc, ya, yb, zc) {
 		i0++
 	}
-	for i0 < i1 && !a.interiorResidentFast(i1-1, ax, ay, az, xc, ya, yb, zc, simd) {
+	for i0 < i1 && !a.interiorResidentFast(i1-1, ax, ay, az, xc, ya, yb, zc) {
 		i1--
 	}
 	if c0 < c1 {
-		for c0 > 0 && !a.zeroContribFast(c0-1, ax, ay, az, xc, ya, yb, zc, simd) {
+		for c0 > 0 && !a.zeroContribFast(c0-1, ax, ay, az, xc, ya, yb, zc) {
 			c0--
 		}
-		for c1 < nx && !a.zeroContribFast(c1, ax, ay, az, xc, ya, yb, zc, simd) {
+		for c1 < nx && !a.zeroContribFast(c1, ax, ay, az, xc, ya, yb, zc) {
 			c1++
 		}
 	}
@@ -420,11 +384,14 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int, si
 // of a k-tile that share xc and zc: rows starts at the row in the first
 // slice, the row in each further slice lies stride floats on, and yc holds
 // the slices' v constants. rowSpans decides the supported and interior
-// columns once for the tile, then the supported ones are walked in every
-// slice through the requested arithmetic's fused interior and guarded
-// border paths.
-func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc float32, yc []float32, nx int, ctr *kernelCounters, simd bool) {
-	c0, i0, i1, c1 := a.rowSpans(pc, xc, yc[0], yc[len(yc)-1], zc, nx, simd)
+// columns once for the tile, then one launch covers the whole supported
+// span in every slice: 8-lane groups wholly inside [i0,i1) run the
+// unguarded body, every other covered group runs the guarded texture-border
+// body under a lane mask. The counters are read off the spans, so they do
+// not depend on which spelling the launch dispatched to; interior columns
+// in partial groups are counted as tail samples.
+func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc float32, yc []float32, nx int, ctr *kernelCounters) {
+	c0, i0, i1, c1 := a.rowSpans(pc, xc, yc[0], yc[len(yc)-1], zc, nx)
 	h := int64(len(yc))
 	ctr.interior += h * int64(i1-i0)
 	ctr.border += h * int64((c1-c0)-(i1-i0))
@@ -432,46 +399,14 @@ func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc f
 	if c0 >= c1 {
 		return
 	}
-	if simd {
-		// One assembly launch covers the whole supported span in every
-		// slice of the tile: 8-lane groups wholly inside [i0,i1) run the
-		// unguarded body, every other covered group runs the guarded
-		// texture-border body under a lane mask. Interior columns in
-		// partial groups are counted as scalar-tail samples.
-		if i0 >= i1 {
-			i0, i1 = c0, c0
-		}
-		launchSpan(&pc.args, rows, stride, c0, c1, i0, i1, xc, zc, yc)
-		ctr.reanchors += h * reanchorSegments(c0, c1)
-		fg, ts := simdLaneCounts(i0, i1)
-		ctr.simdGroups += h * fg
-		ctr.simdTail += h * ts
-		return
+	ctr.reanchors += h * reanchorSegments(c0, c1)
+	fg, ts := simdLaneCounts(i0, i1)
+	ctr.simdGroups += h * fg
+	ctr.simdTail += h * ts
+	if i0 >= i1 {
+		i0, i1 = c0, c0
 	}
-	// Pair-aligned fully-interior core; the ≤1 unaligned column on each
-	// side joins the border ranges (the guarded gather is bit-identical on
-	// resident columns — the guards only decide whether a load happens,
-	// never its value).
-	f0, f1 := (i0+1)&^1, i1&^1
-	if f0 >= f1 {
-		f0, f1 = c0, c0
-	}
-	// The hot loops live in their own functions on purpose: the span
-	// decisions' locals plus the loop state of a fused gather exceed the
-	// register file, and keeping them in one frame makes the allocator
-	// spill lane values and loop counters to the stack on every iteration.
-	// Dedicated functions give each loop its own allocation with a small
-	// live set.
-	s := pc.s
-	ax, ay, az := pc.m.R0[0], pc.m.R1[0], pc.m.R2[0]
-	for t, ycT := range yc {
-		out := rows[t*stride : t*stride+nx]
-		if f0 < f1 {
-			ctr.reanchors += a.fusedInterior(out, s, f0, f1, ax, ay, az, xc, ycT, zc)
-		}
-		ctr.reanchors += a.guardedCols(out, s, c0, f0, ax, ay, az, xc, ycT, zc)
-		ctr.reanchors += a.guardedCols(out, s, f1, c1, ax, ay, az, xc, ycT, zc)
-	}
+	a.launchSpan(&pc.args, rows, stride, c0, c1, i0, i1, xc, zc, yc)
 }
 
 // reanchorSegments counts the anchor segments the non-empty column range
@@ -480,210 +415,4 @@ func reanchorSegments(c0, c1 int) int64 {
 	b0 := c0 &^ (reanchorPeriod - 1)
 	b1 := (c1 - 1) &^ (reanchorPeriod - 1)
 	return int64((b1-b0)/reanchorPeriod) + 1
-}
-
-// fusedInterior back-projects the pair-aligned, fully-interior columns
-// [f0,f1): one pass per anchor-aligned segment of K columns, with divides,
-// unguarded 2×2 gathers and accumulates fused — one store per sample. The
-// two lanes start from a direct evaluation at each anchor and advance by
-// the exact power-of-two-scaled steps, bit-for-bit what recCoords defines,
-// so the coordinate at column i stays a pure function of i regardless of
-// decomposition or blocking. Two lanes, not four: the six lane values plus
-// the step constants and blend temporaries are what fits the sixteen
-// vector registers without per-group spills.
-func (a *projAccess) fusedInterior(out []float32, s, f0, f1 int, ax, ay, az, xc, yc, zc float32) int64 {
-	data := a.data[s*a.sStride:]
-	rowOff := a.rowOff
-	lo := a.lo
-	// The gather runs on raw pointers: interiorSpan plus the float32
-	// residency walks in rowRec prove iu ∈ [0, nu−2] and iv ∈ [lo, hi−2]
-	// for every column handed to this function (TestInteriorSpanSound
-	// fuzzes that proof), so the bounds checks the compiler cannot see
-	// past — three slice constructions and a table load per sample —
-	// are discharged analytically instead of per element.
-	dp := unsafe.Pointer(unsafe.SliceData(data))
-	rp := unsafe.Pointer(unsafe.SliceData(rowOff))
-	op := unsafe.Pointer(unsafe.SliceData(out))
-	ax2, ay2, az2 := ax*2, ay*2, az*2
-	segs := int64(0)
-	for b := f0 &^ (reanchorPeriod - 1); b < f1; b += reanchorPeriod {
-		seg1 := b + reanchorPeriod
-		if seg1 > f1 {
-			seg1 = f1
-		}
-		segs++
-		fb0 := float32(b)
-		u0, v0, w0 := ax*fb0+xc, ay*fb0+yc, az*fb0+zc
-		fb1 := float32(b + 1)
-		u1, v1, w1 := ax*fb1+xc, ay*fb1+yc, az*fb1+zc
-		// Pairs before f0 only advance the lanes — each addition
-		// rounds, so skipping them would change the values — keeping
-		// the working loop below free of range tests.
-		base := b
-		for ; base < f0; base += 2 {
-			u0 += ax2
-			v0 += ay2
-			w0 += az2
-			u1 += ax2
-			v1 += ay2
-			w1 += az2
-		}
-		for ; base < seg1; base += 2 {
-			{
-				rz0 := 1 / w0
-				rz1 := 1 / w1
-				o := (*[2]float32)(unsafe.Add(op, uintptr(base)*4))
-
-				x := u0 * rz0
-				y := v0 * rz0
-				iu := int(x)
-				iv := int(y)
-				eu := x - float32(iu)
-				ev := y - float32(iv)
-				r0 := unsafe.Add(dp, uintptr(*(*int)(unsafe.Add(rp, uintptr(iv-lo)*8))+iu)*4)
-				r1 := unsafe.Add(dp, uintptr(*(*int)(unsafe.Add(rp, uintptr(iv-lo+1)*8))+iu)*4)
-				p00 := *(*float32)(r0)
-				p01 := *(*float32)(unsafe.Add(r0, 4))
-				p10 := *(*float32)(r1)
-				p11 := *(*float32)(unsafe.Add(r1, 4))
-				t1 := p00 + eu*(p01-p00)
-				t2 := p10 + eu*(p11-p10)
-				o[0] += rz0 * rz0 * (t1 + ev*(t2-t1))
-
-				x = u1 * rz1
-				y = v1 * rz1
-				iu = int(x)
-				iv = int(y)
-				eu = x - float32(iu)
-				ev = y - float32(iv)
-				r0 = unsafe.Add(dp, uintptr(*(*int)(unsafe.Add(rp, uintptr(iv-lo)*8))+iu)*4)
-				r1 = unsafe.Add(dp, uintptr(*(*int)(unsafe.Add(rp, uintptr(iv-lo+1)*8))+iu)*4)
-				p00 = *(*float32)(r0)
-				p01 = *(*float32)(unsafe.Add(r0, 4))
-				p10 = *(*float32)(r1)
-				p11 = *(*float32)(unsafe.Add(r1, 4))
-				t1 = p00 + eu*(p01-p00)
-				t2 = p10 + eu*(p11-p10)
-				o[1] += rz1 * rz1 * (t1 + ev*(t2-t1))
-			}
-			u0 += ax2
-			v0 += ay2
-			w0 += az2
-			u1 += ax2
-			v1 += ay2
-			w1 += az2
-		}
-	}
-	return segs
-}
-
-// guardedCols back-projects columns [g0,g1) through the texture-border
-// gather: every neighbour access is guarded against the readable window,
-// exactly the exact kernel's border semantics. Coordinates come from the
-// same per-segment lane walk as the fused path (pass 1 parks x, y and the
-// weight rz² in small stack arrays so the replay loop's live set stays
-// tiny), so a resident column computes bit-identically to fusedInterior.
-// floor32, not int truncation, because border coordinates may be negative.
-// Returns the number of re-anchor events.
-func (a *projAccess) guardedCols(out []float32, s, g0, g1 int, ax, ay, az, xc, yc, zc float32) int64 {
-	if g0 >= g1 {
-		return 0
-	}
-	ax2, ay2, az2 := ax*2, ay*2, az*2
-	var xs, ys, w2s [reanchorPeriod]float32
-	segs := int64(0)
-	for b := g0 &^ (reanchorPeriod - 1); b < g1; b += reanchorPeriod {
-		seg0 := b
-		if seg0 < g0 {
-			seg0 = g0
-		}
-		seg1 := b + reanchorPeriod
-		if seg1 > g1 {
-			seg1 = g1
-		}
-		segs++
-		fb0 := float32(b)
-		u0, v0, w0 := ax*fb0+xc, ay*fb0+yc, az*fb0+zc
-		fb1 := float32(b + 1)
-		u1, v1, w1 := ax*fb1+xc, ay*fb1+yc, az*fb1+zc
-		base := b
-		for ; base+2 <= seg0; base += 2 {
-			u0 += ax2
-			v0 += ay2
-			w0 += az2
-			u1 += ax2
-			v1 += ay2
-			w1 += az2
-		}
-		for ; base < seg1; base += 2 {
-			q := (base - b) & (reanchorPeriod - 2)
-			rz0 := 1 / w0
-			rz1 := 1 / w1
-			xs[q] = u0 * rz0
-			ys[q] = v0 * rz0
-			w2s[q] = rz0 * rz0
-			xs[q+1] = u1 * rz1
-			ys[q+1] = v1 * rz1
-			w2s[q+1] = rz1 * rz1
-			u0 += ax2
-			v0 += ay2
-			w0 += az2
-			u1 += ax2
-			v1 += ay2
-			w1 += az2
-		}
-		a.replayGuarded(out, s, b, seg0, seg1, &xs, &ys, &w2s)
-	}
-	return segs
-}
-
-// replayGuarded applies the guarded 2×2 gather to columns [seg0,seg1) of
-// one anchor segment, reading the precomputed coordinates and weights from
-// the q = i−b slots of the stack arrays: the texture-border semantics —
-// every neighbour access guarded against the readable window, exactly the
-// exact kernel's border behaviour — that guardedColsSIMD and the assembly
-// span kernel's guarded body replicate arithmetic-for-arithmetic. floor32,
-// not int truncation, because border coordinates may be negative.
-func (a *projAccess) replayGuarded(out []float32, s, b, seg0, seg1 int, xs, ys, w2s *[reanchorPeriod]float32) {
-	data := a.data[s*a.sStride:]
-	lo := a.lo
-	hi := a.hi
-	nuRow := a.nu
-	// The guards below establish exactly the bounds the compiler would
-	// re-check on every slice access (iv ∈ [lo,hi) before the row-table
-	// load, iu ∈ [0,nu) before each pixel load), so the loads themselves
-	// run on raw pointers.
-	dp := unsafe.Pointer(unsafe.SliceData(data))
-	rp := unsafe.Pointer(unsafe.SliceData(a.rowOff))
-	for i := seg0; i < seg1; i++ {
-		q := (i - b) & (reanchorPeriod - 1)
-		x := xs[q]
-		y := ys[q]
-		iu := int(floor32(x))
-		iv := int(floor32(y))
-		eu := x - float32(iu)
-		ev := y - float32(iv)
-		var p00, p01, p10, p11 float32
-		if iv >= lo && iv < hi {
-			r := *(*int)(unsafe.Add(rp, uintptr(iv-lo)*8))
-			if iu >= 0 && iu < nuRow {
-				p00 = *(*float32)(unsafe.Add(dp, uintptr(r+iu)*4))
-			}
-			if iu+1 >= 0 && iu+1 < nuRow {
-				p01 = *(*float32)(unsafe.Add(dp, uintptr(r+iu+1)*4))
-			}
-		}
-		if iv+1 >= lo && iv+1 < hi {
-			r := *(*int)(unsafe.Add(rp, uintptr(iv+1-lo)*8))
-			if iu >= 0 && iu < nuRow {
-				p10 = *(*float32)(unsafe.Add(dp, uintptr(r+iu)*4))
-			}
-			if iu+1 >= 0 && iu+1 < nuRow {
-				p11 = *(*float32)(unsafe.Add(dp, uintptr(r+iu+1)*4))
-			}
-		}
-		t1 := p00 + eu*(p01-p00)
-		t2 := p10 + eu*(p11-p10)
-		out[i] += w2s[q] * (t1 + ev*(t2-t1))
-	}
 }

@@ -8,7 +8,7 @@
 // One call covers the supported span [c0,c1) of one volume row in the h
 // slices of a k-tile, for one projection whose u and w do not depend on z
 // (the caller proves that, or passes h = 1). Per 8-column group the
-// z-invariant work — reciprocal, x, iu, eu, rz², the contiguous-window
+// z-invariant work — the divide, x, iu, eu, rz², the contiguous-window
 // test — is done once; the slice loop inside recomputes only what v moves:
 // y, iv, ev, the detector-row offsets, the four sample loads and the
 // accumulate into the slice's row. Groups wholly inside the interior
@@ -21,7 +21,7 @@
 // Register plan, held across the whole kernel:
 //   Y0, Y2    = u, w coordinate lanes (8 columns per vector)
 //   Y4        = per-group step 8·ay (8·ax and 8·az are stack operands)
-//   Y6        = 2.0 broadcast (Newton–Raphson constant)
+//   Y6        = 1.0 broadcast (the dividend of rz = 1/w)
 //   per group: Y8 = rz, Y9 = eu, Y10 = rz², Y11 = iu,
 //              Y3 = window lane (fast), Y7 = active-lane mask (guarded)
 //   Y1, Y5, Y12..Y15 (and Y7 fast, Y3 guarded) = slice-loop scratch
@@ -59,8 +59,8 @@ DATA lane07<>+24(SB)/4, $6
 DATA lane07<>+28(SB)/4, $7
 GLOBL lane07<>(SB), RODATA|NOPTR, $32
 
-DATA two32<>+0(SB)/4, $0x40000000 // float32(2)
-GLOBL two32<>(SB), RODATA|NOPTR, $4
+DATA one32<>+0(SB)/4, $0x3f800000 // float32(1)
+GLOBL one32<>(SB), RODATA|NOPTR, $4
 
 DATA eight32<>+0(SB)/4, $0x41000000 // float32(8)
 GLOBL eight32<>(SB), RODATA|NOPTR, $4
@@ -123,7 +123,7 @@ TEXT ·fusedTileAVX2(SB), NOSPLIT, $648-8
 	MOVQ simdRowArgs_out(AX), DX
 
 	// Broadcast the row constants once; build the step vectors 8·a (exact
-	// power-of-two scaling, matching the scalar twin's ax*8 to the bit)
+	// power-of-two scaling, matching the Go spelling's ax*8 to the bit)
 	// from the same broadcasts.
 	VBROADCASTSS eight32<>(SB), Y8
 	VBROADCASTSS simdRowArgs_ax(AX), Y9
@@ -141,7 +141,7 @@ TEXT ·fusedTileAVX2(SB), NOSPLIT, $648-8
 	VMOVUPS      Y9, xcv-264(SP)
 	VBROADCASTSS simdRowArgs_zc(AX), Y9
 	VMOVUPS      Y9, zcv-296(SP)
-	VBROADCASTSS two32<>(SB), Y6
+	VBROADCASTSS one32<>(SB), Y6
 
 	// Fast-window bounds on the 8-aligned group grid.
 	MOVQ simdRowArgs_f0(AX), R13
@@ -225,11 +225,8 @@ group:
 	// and is automatically fully active (f0≥c0, f1≤c1).
 
 fast:
-	// rz = rcp(w) refined by one Newton–Raphson step: rcp·(2 − w·rcp).
-	VRCPPS Y2, Y8
-	VMULPS Y2, Y8, Y9
-	VSUBPS Y9, Y6, Y9
-	VMULPS Y9, Y8, Y8 // rz
+	// rz = 1/w, the exact divide: once per group, whatever the tile height.
+	VDIVPS Y2, Y6, Y8
 
 	// x = u·rz; integer part by truncation (== floor: x ≥ 0).
 	VMULPS     Y0, Y8, Y9   // x
@@ -297,7 +294,7 @@ fslice:
 
 finterp:
 	// Full-width bilinear blend — the same operations per lane, in the
-	// same order, as the guarded body and the Go twins — and a plain
+	// same order, as the guarded body and the Go spelling — and a plain
 	// unmasked accumulate: the group is fully active.
 	VSUBPS  Y13, Y14, Y14 // p01 − p00
 	VMULPS  Y9, Y14, Y14
@@ -406,17 +403,14 @@ slow:
 
 	// Same contract arithmetic as the fast body, with floor instead of
 	// truncation — border x, y may be negative.
-	VRCPPS     Y2, Y8
-	VMULPS     Y2, Y8, Y9
-	VSUBPS     Y9, Y6, Y9
-	VMULPS     Y9, Y8, Y8   // rz
+	VDIVPS     Y2, Y6, Y8   // rz
 	VMULPS     Y0, Y8, Y9   // x
 	VMULPS     Y8, Y8, Y10  // rz²
 	VROUNDPS   $1, Y9, Y11
 	VSUBPS     Y11, Y9, Y9  // eu = x − floor(x)
 	VCVTTPS2DQ Y11, Y11     // iu
 
-	// Column masks, exactly replayGuarded's guards: a neighbour loads iff
+	// Column masks, exactly guardedGroupGo's guards: a neighbour loads iff
 	// its column ∈ [0,nu).
 	VPBROADCASTD simdRowArgs_nu(AX), Y15
 	VPCMPGTD     minus1v<>(SB), Y11, Y14 // iu ≥ 0
@@ -539,19 +533,4 @@ nextseg:
 
 done:
 	VZEROUPPER
-	RET
-
-// func rcpNR(w float32) float32
-//
-// Scalar twin of the vector reciprocal: RCPSS yields the identical lane
-// approximation to RCPPS, and the Newton step repeats the vector
-// sequence operation for operation.
-TEXT ·rcpNR(SB), NOSPLIT, $0-12
-	VMOVSS w+0(FP), X0
-	VRCPSS X0, X0, X1
-	VMOVSS two32<>(SB), X2
-	VMULSS X1, X0, X3 // w·rcp
-	VSUBSS X3, X2, X3 // 2 − w·rcp
-	VMULSS X3, X1, X1 // rcp·(2 − w·rcp)
-	VMOVSS X1, ret+8(FP)
 	RET

@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-// The fast body's window loads — two loads and two permutes per footprint
+// The assembly's window loads — two loads and two permutes per footprint
 // edge — must give what its gathers give, which is what the per-column
-// emulation gives, on tiles of every height, and each of the conditions
-// that sends a group or a slice back to the gathers must hold somewhere
-// among the trials: a group spanning more than the eight columns a window
-// holds (coarse voxels), a slice whose eight lanes straddle detector rows,
-// and a window that would end past the projection buffer, next to the last
-// one that does not. alloc provides the sample buffer, so that a variant of
-// this test can put an unreadable page right behind it. (In this file
-// because it reads the argument block's winMax, which only amd64 has.)
+// definition and the Go spelling give, on tiles of every height, and each
+// of the conditions that sends a group or a slice back to the gathers must
+// hold somewhere among the trials: a group spanning more than the eight
+// columns a window holds (coarse voxels), a slice whose eight lanes straddle
+// detector rows, and a window that would end past the projection buffer,
+// next to the last one that does not. alloc provides the sample buffer, so
+// that a variant of this test can put an unreadable page right behind it.
+// (In this file because its subject is the assembly.)
 func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
 	if !simdAvailable() {
 		t.Skip("no usable AVX2")
@@ -81,7 +81,7 @@ func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
 			for g := 0; g < nx; g += simdLanes {
 				var iu, iv [simdLanes]int
 				for l := range iu {
-					iu[l], iv[l], _ = footprint(g+l, ax, ay, az, xc, y, zc, true)
+					iu[l], iv[l], _ = footprint(g+l, ax, ay, az, xc, y, zc)
 				}
 				base := min(iu[0], iu[simdLanes-1])
 				oneRow, oneWindow := true, true
@@ -103,15 +103,17 @@ func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
 				}
 			}
 		}
-		got := make([]float32, h*nx)
 		want := make([]float32, h*nx)
-		launchSpan(&args, got, nx, 0, nx, 0, nx, xc, zc, yc)
 		for k, y := range yc {
-			a.guardedColsSIMD(want[k*nx:(k+1)*nx], 0, 0, nx, ax, ay, az, xc, y, zc)
+			a.perColumn(want[k*nx:(k+1)*nx], 0, 0, nx, ax, ay, az, xc, y, zc)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: slice %d column %d: asm %g != emulation %g", trial, i/nx, i%nx, got[i], want[i])
+		for name, sub := range a.spellings() {
+			got := make([]float32, h*nx)
+			sub.launchSpan(&args, got, nx, 0, nx, 0, nx, xc, zc, yc)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: slice %d column %d: %s %g != per-column definition %g", trial, i/nx, i%nx, name, got[i], want[i])
+				}
 			}
 		}
 	}

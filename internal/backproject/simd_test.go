@@ -11,10 +11,9 @@ import (
 	"distfdk/internal/volume"
 )
 
-// The simd contract's drift property, mirroring TestRecurrenceDriftProperty
-// for the 8-wide lane structure: the value lane i&7 holds when its group
-// reaches column i must be simdCoords(i, …) to the last bit, for any span
-// the kernel walks — the walker below reproduces the kernel's exact
+// The coordinate contract's drift property: the value lane i&7 holds when
+// its group reaches column i must be simdCoords(i, …) to the last bit, for
+// any span the kernel walks — the walker below reproduces the kernel's exact
 // structure (anchor eval at b..b+7, whole-vector advances of 8·a per group,
 // including advances through groups the span never samples). Spans of width
 // 1..31 are exercised explicitly: they are the masked-tail cases, and their
@@ -48,9 +47,9 @@ func TestSIMDDriftProperty(t *testing.T) {
 			var u, v, w [simdLanes]float32
 			for j := 0; j < simdLanes; j++ {
 				l := float32(b + j)
-				u[j] = ax*l + xc
-				v[j] = ay*l + yc
-				w[j] = az*l + zc
+				u[j] = float32(ax*l) + xc
+				v[j] = float32(ay*l) + yc
+				w[j] = float32(az*l) + zc
 			}
 			seg1 := b + reanchorPeriod
 			if seg1 > c1 {
@@ -76,9 +75,8 @@ func TestSIMDDriftProperty(t *testing.T) {
 		}
 
 		// Drift bound: at most 3 step additions before a re-anchor, so the
-		// simd value stays within a small multiple of float32 epsilon of
-		// the exact float64 affine value — under the recurrence kernel's
-		// own bound, and far under predicateSlack.
+		// lane value stays within a small multiple of float32 epsilon of
+		// the exact float64 affine value — far under predicateSlack.
 		for _, i := range []int{c0, (c0 + c1) / 2, c1 - 1} {
 			su, sv, sw := simdCoords(i, ax, ay, az, xc, yc, zc)
 			fi := float64(i)
@@ -139,21 +137,68 @@ func TestSIMDLaneCounts(t *testing.T) {
 	}
 }
 
-// The assembly span kernel and the Go scalar reference (guardedColsSIMD)
-// must produce bit-identical accumulations on resident columns — the
-// guards only decide whether a load happens, never its value. This is the
-// bit-identity the decomposition invariance rests on: a column can be
-// classified interior in one slab/window decomposition and border in
-// another, and both paths must agree to the last bit. Exercises the whole
-// asm surface: anchor re-init, masked head/tail groups (all sub-span
-// widths, including 1..31), paired and guarded gathers, the
-// Newton-refined reciprocal, and — by bit-equality with the Go-side
-// rcpNR — that RCPSS and RCPPS lanes share one approximation on this
-// machine.
-func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
-	if !simdAvailable() {
-		t.Skip("no usable AVX2")
+// perColumn back-projects columns [g0,g1) of one row by the coordinate
+// contract's per-column definition, the reference both spellings of the
+// fast kernel are held to: simdCoords evaluates each column's lane values
+// directly (the contract makes them a pure function of the column index),
+// the reciprocal is the float32 divide, and every neighbour of the 2×2
+// sample is tested against the readable window, out-of-window neighbours
+// contributing exactly +0. It knows nothing of groups, spans, tiles or
+// bodies.
+func (a *projAccess) perColumn(out []float32, s, g0, g1 int, ax, ay, az, xc, yc, zc float32) {
+	data := a.data[s*a.sStride:]
+	get := func(iv, iu int) float32 {
+		if iv < a.lo || iv >= a.hi || iu < 0 || iu >= a.nu {
+			return 0
+		}
+		return data[a.rowOff[iv-a.lo]+iu]
 	}
+	for i := g0; i < g1; i++ {
+		u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
+		rz := 1 / w
+		x := float32(u * rz)
+		y := float32(v * rz)
+		iu := int(floor32(x))
+		iv := int(floor32(y))
+		eu := x - float32(iu)
+		ev := y - float32(iv)
+		p00, p01, p10, p11 := get(iv, iu), get(iv, iu+1), get(iv+1, iu), get(iv+1, iu+1)
+		t1 := p00 + float32(eu*(p01-p00))
+		t2 := p10 + float32(eu*(p11-p10))
+		out[i] += float32(rz * rz * (t1 + float32(ev*(t2-t1))))
+	}
+}
+
+// perColumnReference back-projects every column of every row through
+// perColumn, with none of the kernel's span logic: what the fast kernel
+// must produce, since the columns it skips contribute exactly +0.
+func (a *projAccess) perColumnReference(mats []geometry.Mat34x4, vol *volume.Volume) {
+	for k := 0; k < vol.NZ; k++ {
+		kf := float32(vol.Z0 + k)
+		for j := 0; j < vol.NY; j++ {
+			jf := float32(j)
+			out := vol.Data[(k*vol.NY+j)*vol.NX : (k*vol.NY+j+1)*vol.NX]
+			for s := range mats {
+				m := &mats[s]
+				xc := float32(m.R0[1]*jf) + float32(m.R0[2]*kf) + m.R0[3]
+				yc := float32(m.R1[1]*jf) + float32(m.R1[2]*kf) + m.R1[3]
+				zc := float32(m.R2[1]*jf) + float32(m.R2[2]*kf) + m.R2[3]
+				a.perColumn(out, s, 0, vol.NX, m.R0[0], m.R1[0], m.R2[0], xc, yc, zc)
+			}
+		}
+	}
+}
+
+// Both spellings of a span launch — the assembly where the host runs it, and
+// the Go one — must produce the per-column definition's accumulations bit
+// for bit on resident columns: the guards only decide whether a load
+// happens, never its value. This is the bit-identity the decomposition
+// invariance rests on: a column can be classified interior in one
+// slab/window decomposition and border in another, and both bodies must
+// agree to the last bit. Exercises the whole surface of each: anchor
+// re-init, masked head/tail groups (all sub-span widths, including 1..31),
+// paired and guarded loads, and the divide.
+func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const nx = 160
 	for trial := 0; trial < 60; trial++ {
@@ -175,9 +220,8 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 		xc := float32(2+rng.Float64()*3) * zc
 		ay := float32(1.05+rng.Float64()*0.05) * zc
 		yc := float32(2+rng.Float64()*3) * zc
-		// Verify every column resident under the simd arithmetic; this
-		// also mirrors the predicate soundness the kernel dispatch relies
-		// on.
+		// Verify every column resident under the kernel's arithmetic; this
+		// also mirrors the predicate soundness the unguarded body relies on.
 		for i := 0; i < nx; i++ {
 			if !a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc) {
 				t.Fatalf("trial %d: column %d not resident under test geometry", trial, i)
@@ -189,45 +233,30 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 			spans = append(spans, [2]int{s0, s0 + k})
 		}
 		for _, sp := range spans {
-			asmOut := make([]float32, nx)
-			emuOut := make([]float32, nx)
-			segsAsm := a.fusedSpanSIMD(asmOut, 0, sp[0], sp[1], sp[0], sp[1], ax, ay, az, xc, yc, zc)
-			segsEmu := a.guardedColsSIMD(emuOut, 0, sp[0], sp[1], ax, ay, az, xc, yc, zc)
-			if segsAsm != segsEmu {
-				t.Fatalf("trial %d span %v: segment counts differ (asm %d, emu %d)",
-					trial, sp, segsAsm, segsEmu)
-			}
-			for i := range asmOut {
-				if asmOut[i] != emuOut[i] {
-					t.Fatalf("trial %d span %v col %d: asm %g != emulation %g",
-						trial, sp, i, asmOut[i], emuOut[i])
-				}
-			}
-			for i := 0; i < sp[0]; i++ {
-				if asmOut[i] != 0 {
-					t.Fatalf("trial %d span %v: asm wrote before span at col %d", trial, sp, i)
-				}
-			}
-			for i := sp[1]; i < nx; i++ {
-				if asmOut[i] != 0 {
-					t.Fatalf("trial %d span %v: asm wrote past span at col %d", trial, sp, i)
+			want := make([]float32, nx)
+			a.perColumn(want, 0, sp[0], sp[1], ax, ay, az, xc, yc, zc)
+			for name, sub := range a.spellings() {
+				got := make([]float32, nx)
+				sub.launchRow(got, 0, sp[0], sp[1], sp[0], sp[1], ax, ay, az, xc, yc, zc)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d span %v col %d: %s %g != per-column definition %g (zero outside the span)",
+							trial, sp, i, name, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// The assembly guarded body (the texture-border groups of the span
-// kernel) must match the Go reference on spans whose edges genuinely
-// clip: footprints partially or fully outside the detector window, where
-// the per-neighbour gather masks — not residency — decide each load. The
-// geometry sweeps x across and past both detector edges and pins a
-// narrow readable row window so y clips too; the interior sub-span is
-// derived with the same predicate the kernel dispatch uses.
+// The guarded body of each spelling (the texture-border groups of a span
+// launch) must match the per-column definition on spans whose edges
+// genuinely clip: footprints partially or fully outside the detector
+// window, where the per-neighbour guards — not residency — decide each
+// load. The geometry sweeps x across and past both detector edges and pins
+// a narrow readable row window so y clips too; the interior sub-span is
+// derived with the same predicate the span walks use.
 func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
-	if !simdAvailable() {
-		t.Skip("no usable AVX2")
-	}
 	rng := rand.New(rand.NewSource(53))
 	const nx = 192
 	for trial := 0; trial < 60; trial++ {
@@ -249,8 +278,8 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 		xc := float32(-8+rng.Float64()*4) * zc
 		ay := float32(0.4+rng.Float64()*0.1) * zc
 		yc := float32(rng.Float64()*8) * zc
-		// Interior sub-span under the simd predicate, exactly what rowRec
-		// would hand the kernel after its residency walks.
+		// Interior sub-span under the kernel's predicate, exactly what
+		// rowRec would hand a launch after its residency walks.
 		f0, f1 := 0, nx
 		for f0 < f1 && !a.interiorResidentSIMD(f0, ax, ay, az, xc, yc, zc) {
 			f0++
@@ -291,28 +320,24 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 			if sp[0] >= sp[1] {
 				continue
 			}
-			asmOut := make([]float32, nx)
-			refOut := make([]float32, nx)
-			segsAsm := a.fusedSpanSIMD(asmOut, 0, sp[0], sp[1], sp[2], sp[3], ax, ay, az, xc, yc, zc)
-			segsRef := a.guardedColsSIMD(refOut, 0, sp[0], sp[1], ax, ay, az, xc, yc, zc)
-			if segsAsm != segsRef {
-				t.Fatalf("trial %d span %v: segment counts differ (asm %d, ref %d)",
-					trial, sp, segsAsm, segsRef)
-			}
-			for i := range asmOut {
-				if asmOut[i] != refOut[i] {
-					t.Fatalf("trial %d span %v col %d: asm %g != reference %g",
-						trial, sp, i, asmOut[i], refOut[i])
+			want := make([]float32, nx)
+			a.perColumn(want, 0, sp[0], sp[1], ax, ay, az, xc, yc, zc)
+			for name, sub := range a.spellings() {
+				got := make([]float32, nx)
+				sub.launchRow(got, 0, sp[0], sp[1], sp[2], sp[3], ax, ay, az, xc, yc, zc)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d span %v col %d: %s %g != per-column definition %g",
+							trial, sp, i, name, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// Both recurrence arithmetics must land inside the parity gate against
-// the exact kernel. The AVX2 path's coordinate drift is the smaller one,
-// and its Newton-refined reciprocal adds only ~2⁻²² relative error over the
-// exact divide.
+// Both spellings of the fast kernel must land inside the parity gate against
+// the exact kernel: the lane drift is ≤ 3 step additions before a re-anchor.
 func TestRecurrenceParityVsExact(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV = 0.75, -0.25
@@ -324,40 +349,21 @@ func TestRecurrenceParityVsExact(t *testing.T) {
 	if err := BatchKernel(dev, stack, mats, want, KernelExact); err != nil {
 		t.Fatal(err)
 	}
-	forRecurrenceKernels(t, func(t *testing.T, kernel Kernel) {
+	forRecurrenceKernels(t, func(t *testing.T) {
 		got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := BatchKernel(dev, stack, mats, got, kernel); err != nil {
+		if err := Batch(dev, stack, mats, got); err != nil {
 			t.Fatal(err)
 		}
 		assertWithinParityGate(t, want, got)
 	})
 }
 
-// emulateAVX2 back-projects every column of every row through
-// guardedColsSIMD, the scalar transcription of the assembly's arithmetic,
-// with none of the kernel's span logic: what the AVX2 path must produce,
-// since the columns it skips contribute exactly +0.
-func emulateAVX2(a *projAccess, mats []geometry.Mat34x4, vol *volume.Volume) {
-	for k := 0; k < vol.NZ; k++ {
-		kf := float32(vol.Z0 + k)
-		for j := 0; j < vol.NY; j++ {
-			jf := float32(j)
-			out := vol.Data[(k*vol.NY+j)*vol.NX : (k*vol.NY+j+1)*vol.NX]
-			for s := range mats {
-				m := &mats[s]
-				xc := m.R0[1]*jf + m.R0[2]*kf + m.R0[3]
-				yc := m.R1[1]*jf + m.R1[2]*kf + m.R1[3]
-				zc := m.R2[1]*jf + m.R2[2]*kf + m.R2[3]
-				a.guardedColsSIMD(out, s, 0, vol.NX, m.R0[0], m.R1[0], m.R2[0], xc, yc, zc)
-			}
-		}
-	}
-}
-
-// The zero Kernel is the fast run. On an AVX2 host it is the assembly path,
-// byte for byte what the scalar emulation of that arithmetic gives, and the
-// ledger says avx2; with AVX2 masked off (as on any other host) it is
-// KernelScalar byte for byte, and the ledger says scalar.
+// The zero Kernel is the fast run, and what it computes does not depend on
+// the host: on an AVX2 host it is the assembly spelling and the ledger says
+// avx2, with AVX2 masked off (as on any other host) the Go spelling and the
+// ledger says scalar — and the two runs agree byte for byte, with the
+// per-column definition of their arithmetic, and counter for counter except
+// in which spelling was dispatched.
 func TestDefaultKernelDispatch(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV = 9, -7 // clip both detector edges into the rows
@@ -372,14 +378,6 @@ func TestDefaultKernelDispatch(t *testing.T) {
 		}
 		return vol, dev.Snapshot()
 	}
-	same := func(what string, want, got *volume.Volume) {
-		t.Helper()
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("%s: voxel %d: %g != %g", what, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
 	said := func(l device.Ledger, want device.Arithmetic) {
 		t.Helper()
 		if got := l.Arithmetic(); got != want.String() {
@@ -390,39 +388,44 @@ func TestDefaultKernelDispatch(t *testing.T) {
 		}
 	}
 
-	var zero Kernel
-	scalar, sl := run("scalar", KernelScalar)
-	said(sl, device.ArithmeticScalar)
 	_, el := run("exact", KernelExact)
 	said(el, device.ArithmeticExact)
 
+	host := device.ArithmeticScalar
 	if simdAvailable() {
-		got, l := run("default", zero)
-		said(l, device.ArithmeticAVX2)
-		if l.SIMDFullGroups == 0 {
-			t.Error("AVX2 dispatch ran no full vector group")
+		host = device.ArithmeticAVX2
+	}
+	got, l := run("default", KernelRecurrence)
+	said(l, host)
+	if l.SIMDFullGroups == 0 {
+		t.Error("the fast kernel ran no full 8-lane group")
+	}
+	a := stackAccess(stack)
+	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+	a.perColumnReference(mats, want)
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("default vs the per-column definition: voxel %d: %g != %g", i, got.Data[i], want.Data[i])
 		}
-		a := stackAccess(stack)
-		want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		emulateAVX2(&a, mats, want)
-		same("default vs the emulated assembly arithmetic", want, got)
 	}
 
 	defer cpufeat.SetAVX2ForTest(false)()
-	got, l := run("default-no-avx2", zero)
-	said(l, device.ArithmeticScalar)
-	if l.SIMDFullGroups != 0 || l.SIMDTailSamples != 0 {
-		t.Errorf("scalar launch recorded vector-lane work: %+v", l)
+	masked, ml := run("default-no-avx2", KernelRecurrence)
+	said(ml, device.ArithmeticScalar)
+	for i := range got.Data {
+		if got.Data[i] != masked.Data[i] {
+			t.Fatalf("default without AVX2 vs default: voxel %d: %g != %g", i, masked.Data[i], got.Data[i])
+		}
 	}
-	same("default without AVX2 vs KernelScalar", scalar, got)
+	l.Dispatched, ml.Dispatched = [len(l.Dispatched)]int64{}, [len(l.Dispatched)]int64{}
+	if l != ml {
+		t.Errorf("counters depend on the dispatch:\ndefault %+v\nmasked  %+v", l, ml)
+	}
 }
 
-// Vector-lane accounting must partition the interior samples exactly:
-// full·8 + tail == InteriorSamples after an AVX2 reconstruction.
+// Lane accounting must partition the interior samples exactly:
+// full·8 + tail == InteriorSamples after a reconstruction.
 func TestSIMDLedgerVectorAccounting(t *testing.T) {
-	if !simdAvailable() {
-		t.Skip("no usable AVX2")
-	}
 	sys := testSystem()
 	stack := randomStack(sys, 37)
 	mats := kernelMats(sys)
@@ -433,7 +436,7 @@ func TestSIMDLedgerVectorAccounting(t *testing.T) {
 	}
 	l := dev.Snapshot()
 	if l.SIMDFullGroups == 0 {
-		t.Error("no full vector groups recorded on an AVX2 host")
+		t.Error("no full 8-lane groups recorded")
 	}
 	if got := l.SIMDFullGroups*simdLanes + l.SIMDTailSamples; got != l.InteriorSamples {
 		t.Errorf("vector accounting %d does not partition interior samples %d", got, l.InteriorSamples)

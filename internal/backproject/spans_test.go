@@ -8,18 +8,27 @@ import (
 	"distfdk/internal/geometry"
 )
 
-// fusedSpanSIMD launches the assembly kernel on one span the way rowRec
-// does, for tests that drive it directly: the per-projection half of the
-// argument block, then the per-row half. Returns the re-anchor count rowRec
-// books for the span.
-func (a *projAccess) fusedSpanSIMD(out []float32, s, c0, c1, f0, f1 int, ax, ay, az, xc, yc, zc float32) int64 {
-	if c0 >= c1 {
-		return 0
+// spellings returns the access once per spelling of the fast kernel this
+// host can run, keyed by name, for tests that launch spans directly:
+// prepareSIMD must have accepted the buffer.
+func (a projAccess) spellings() map[string]*projAccess {
+	goSpelling := a
+	goSpelling.asm = false
+	out := map[string]*projAccess{"the Go spelling": &goSpelling}
+	if simdAvailable() {
+		asm := a
+		asm.asm = true
+		out["the assembly"] = &asm
 	}
+	return out
+}
+
+// launchRow launches one span of one row in one slice the way rowRec does:
+// the per-projection half of the argument block, then the per-row half.
+func (a *projAccess) launchRow(out []float32, s, c0, c1, f0, f1 int, ax, ay, az, xc, yc, zc float32) {
 	var args simdRowArgs
 	a.initSpanArgs(&args, s, ax, ay, az)
-	launchSpan(&args, out, 0, c0, c1, f0, f1, xc, zc, []float32{yc})
-	return reanchorSegments(c0, c1)
+	a.launchSpan(&args, out, 0, c0, c1, f0, f1, xc, zc, []float32{yc})
 }
 
 // The functions below are the span decisions as rowRec made them before the
@@ -27,31 +36,12 @@ func (a *projAccess) fusedSpanSIMD(out []float32, s, c0, c1, f0, f1 int, ax, ay,
 // every boundary, coefficient and product recomputed from (a, row
 // constants) at the point of use. They are the oracle rowSpans is held to.
 
-// The four exact predicates, spelled out per arithmetic and without the
-// shared footprint helper, as the span walks called them before k-tiles.
-
-func (a *projAccess) interiorResidentRec(i int, ax, ay, az, xc, yc, zc float32) bool {
-	u, v, w := recCoords(i, ax, ay, az, xc, yc, zc)
-	rz := 1 / w
-	iu := int(floor32(u * rz))
-	iv := int(floor32(v * rz))
-	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
-}
-
-func (a *projAccess) zeroContribRec(i int, ax, ay, az, xc, yc, zc float32) bool {
-	u, v, w := recCoords(i, ax, ay, az, xc, yc, zc)
-	rz := 1 / w
-	if !(rz*rz < math.MaxFloat32) {
-		return false
-	}
-	iu := int(floor32(u * rz))
-	iv := int(floor32(v * rz))
-	return iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi
-}
+// The two exact predicates, spelled out without the shared footprint
+// helper, as the span walks called them before k-tiles.
 
 func (a *projAccess) interiorResidentSIMD(i int, ax, ay, az, xc, yc, zc float32) bool {
 	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
-	rz := rcpNR(w)
+	rz := 1 / w
 	iu := int(floor32(u * rz))
 	iv := int(floor32(v * rz))
 	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
@@ -59,7 +49,7 @@ func (a *projAccess) interiorResidentSIMD(i int, ax, ay, az, xc, yc, zc float32)
 
 func (a *projAccess) zeroContribSIMD(i int, ax, ay, az, xc, yc, zc float32) bool {
 	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
-	rz := rcpNR(w)
+	rz := 1 / w
 	if !(rz*rz < math.MaxFloat32) {
 		return false
 	}
@@ -120,7 +110,7 @@ func (a *projAccess) supportSpanUnhoisted(ax, xc, ay, yc, az, zc float64, nx int
 	return c0, c1
 }
 
-func (a *projAccess) interiorResidentFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32, simd bool) bool {
+func (a *projAccess) interiorResidentFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32) bool {
 	fi := float32(i)
 	w := az*fi + zc
 	if w > 0 {
@@ -132,13 +122,10 @@ func (a *projAccess) interiorResidentFastUnhoisted(i int, ax, ay, az, xc, yc, zc
 			return true
 		}
 	}
-	if simd {
-		return a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc)
-	}
-	return a.interiorResidentRec(i, ax, ay, az, xc, yc, zc)
+	return a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc)
 }
 
-func (a *projAccess) zeroContribFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32, simd bool) bool {
+func (a *projAccess) zeroContribFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32) bool {
 	fi := float32(i)
 	w := az*fi + zc
 	if w > 0 {
@@ -153,13 +140,10 @@ func (a *projAccess) zeroContribFastUnhoisted(i int, ax, ay, az, xc, yc, zc floa
 			return true
 		}
 	}
-	if simd {
-		return a.zeroContribSIMD(i, ax, ay, az, xc, yc, zc)
-	}
-	return a.zeroContribRec(i, ax, ay, az, xc, yc, zc)
+	return a.zeroContribSIMD(i, ax, ay, az, xc, yc, zc)
 }
 
-func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int, simd bool) (c0, i0, i1, c1 int) {
+func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int) (c0, i0, i1, c1 int) {
 	axd, ayd, azd := float64(ax), float64(ay), float64(az)
 	xcd, ycd, zcd := float64(xc), float64(yc), float64(zc)
 	if !(zcd > 0 && azd*float64(nx-1)+zcd > 0) {
@@ -191,17 +175,17 @@ func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int, s
 		c0, c1 = a.supportSpanUnhoisted(axd, xcd, ayd, ycd, azd, zcd, nx)
 		i0, i1 = a.interiorSpanUnhoisted(axd, xcd, ayd, ycd, azd, zcd, nx)
 	}
-	for i0 < i1 && !a.interiorResidentFastUnhoisted(i0, ax, ay, az, xc, yc, zc, simd) {
+	for i0 < i1 && !a.interiorResidentFastUnhoisted(i0, ax, ay, az, xc, yc, zc) {
 		i0++
 	}
-	for i0 < i1 && !a.interiorResidentFastUnhoisted(i1-1, ax, ay, az, xc, yc, zc, simd) {
+	for i0 < i1 && !a.interiorResidentFastUnhoisted(i1-1, ax, ay, az, xc, yc, zc) {
 		i1--
 	}
 	if c0 < c1 {
-		for c0 > 0 && !a.zeroContribFastUnhoisted(c0-1, ax, ay, az, xc, yc, zc, simd) {
+		for c0 > 0 && !a.zeroContribFastUnhoisted(c0-1, ax, ay, az, xc, yc, zc) {
 			c0--
 		}
-		for c1 < nx && !a.zeroContribFastUnhoisted(c1, ax, ay, az, xc, yc, zc, simd) {
+		for c1 < nx && !a.zeroContribFastUnhoisted(c1, ax, ay, az, xc, yc, zc) {
 			c1++
 		}
 	}
@@ -219,8 +203,7 @@ func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int, s
 // Hoisting constants out of the row loop must not move a single span
 // boundary: for random windows, projections and rows — interior, clipped at
 // either edge, past the detector, behind the source — rowSpans returns the
-// (c0, i0, i1, c1) of the unhoisted decisions, under both arithmetics, and
-// interiorSpan still equals its unhoisted form. The trial mix must reach
+// (c0, i0, i1, c1) of the unhoisted decisions, and interiorSpan still equals its unhoisted form. The trial mix must reach
 // every branch, or the equality proves less than it says.
 func TestRowSpansMatchUnhoisted(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -248,24 +231,22 @@ func TestRowSpansMatchUnhoisted(t *testing.T) {
 			ax, ay, az = ax*0.05, ay*0.05, az*0.05 // short sweeps: whole-row accepts
 		}
 		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
-		for _, simd := range []bool{false, simdAvailable()} {
-			pc := a.newProjConsts(0, &m, nx, false)
-			c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, yc, zc, nx, simd)
-			wc0, wi0, wi1, wc1 := a.rowSpansUnhoisted(ax, ay, az, xc, yc, zc, nx, simd)
-			if c0 != wc0 || i0 != wi0 || i1 != wi1 || c1 != wc1 {
-				t.Fatalf("trial %d simd=%v: hoisted (%d,%d,%d,%d) != unhoisted (%d,%d,%d,%d); window nu=%d rows=[%d,%d) nx=%d row (%g,%g,%g | %g,%g,%g)",
-					trial, simd, c0, i0, i1, c1, wc0, wi0, wi1, wc1, a.nu, a.lo, a.hi, nx, ax, ay, az, xc, yc, zc)
-			}
-			switch {
-			case c0 == 0 && c1 == nx && i0 == 0 && i1 == 0:
-				crossing++
-			case c0 == c1:
-				rejected++
-			case i0 == 0 && i1 == nx:
-				accepted++
-			default:
-				solved++
-			}
+		pc := a.newProjConsts(0, &m, nx)
+		c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, yc, zc, nx)
+		wc0, wi0, wi1, wc1 := a.rowSpansUnhoisted(ax, ay, az, xc, yc, zc, nx)
+		if c0 != wc0 || i0 != wi0 || i1 != wi1 || c1 != wc1 {
+			t.Fatalf("trial %d: hoisted (%d,%d,%d,%d) != unhoisted (%d,%d,%d,%d); window nu=%d rows=[%d,%d) nx=%d row (%g,%g,%g | %g,%g,%g)",
+				trial, c0, i0, i1, c1, wc0, wi0, wi1, wc1, a.nu, a.lo, a.hi, nx, ax, ay, az, xc, yc, zc)
+		}
+		switch {
+		case c0 == 0 && c1 == nx && i0 == 0 && i1 == 0:
+			crossing++
+		case c0 == c1:
+			rejected++
+		case i0 == 0 && i1 == nx:
+			accepted++
+		default:
+			solved++
 		}
 		g0, g1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
 		w0, w1 := a.interiorSpanUnhoisted(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)

@@ -25,11 +25,11 @@ func TestShippedGeometriesAreZInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, m := range kernelMats(sys) {
-			if pc := a.newProjConsts(s, &m, sys.NX, false); !pc.zInvariant {
+			if pc := a.newProjConsts(s, &m, sys.NX); !pc.zInvariant {
 				t.Fatalf("%s projection %d: u or w depends on z (R0[2]=%g, R2[2]=%g)", ds.Name, s, m.R0[2], m.R2[2])
 			}
 			m.R2[2] = 1e-4
-			if pc := a.newProjConsts(s, &m, sys.NX, false); pc.zInvariant {
+			if pc := a.newProjConsts(s, &m, sys.NX); pc.zInvariant {
 				t.Fatalf("%s projection %d: tilted matrix passed as z-invariant", ds.Name, s)
 			}
 		}
@@ -43,15 +43,16 @@ func TestShippedGeometriesAreZInvariant(t *testing.T) {
 // and often ending at the detector's first or last row), through a ring
 // that wraps, for slab heights that are no multiple of zBlock and 1–3
 // workers. A tilted matrix, whose u and w move with z,
-// must come out the same too: its tiles are one slice high. On an AVX2
-// host the default kernel is additionally held to the per-column emulation
-// of its arithmetic, which knows nothing of spans, tiles or windows of
-// samples. The ledger's sample classes must keep partitioning the updates.
+// must come out the same too: its tiles are one slice high. Both spellings
+// are additionally held to the per-column definition of their arithmetic,
+// which knows nothing of spans, tiles or windows of samples — and so to
+// each other. The ledger's sample classes must keep partitioning the
+// updates.
 func TestTileLaunchMatchesPerRow(t *testing.T) {
 	forRecurrenceKernels(t, testTileLaunchMatchesPerRow)
 }
 
-func testTileLaunchMatchesPerRow(t *testing.T, kernel Kernel) {
+func testTileLaunchMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
 	var tilted, wrapped, clippedLo, clippedHi int
 	for trial := 0; trial < 40; trial++ {
@@ -104,7 +105,7 @@ func testTileLaunchMatchesPerRow(t *testing.T, kernel Kernel) {
 		}
 
 		got, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-		if err := StreamingKernel(dev, ring, mats, got, geometry.RowRange{}, kernel); err != nil {
+		if err := Streaming(dev, ring, mats, got, geometry.RowRange{}); err != nil {
 			t.Fatal(err)
 		}
 		l := dev.Snapshot()
@@ -112,30 +113,25 @@ func testTileLaunchMatchesPerRow(t *testing.T, kernel Kernel) {
 			t.Fatalf("trial %d: interior %d + border %d + skipped %d = %d, want the %d updates",
 				trial, l.InteriorSamples, l.BorderSamples, l.SkippedSamples, sum, updates)
 		}
-		if l.Arithmetic() == device.ArithmeticAVX2.String() {
-			if v := l.SIMDFullGroups*simdLanes + l.SIMDTailSamples; v != l.InteriorSamples {
-				t.Fatalf("trial %d: vector accounting %d does not partition the %d interior samples", trial, v, l.InteriorSamples)
-			}
+		if v := l.SIMDFullGroups*simdLanes + l.SIMDTailSamples; v != l.InteriorSamples {
+			t.Fatalf("trial %d: lane accounting %d does not partition the %d interior samples", trial, v, l.InteriorSamples)
 		}
 
 		perRow, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
 		one := device.New("row", 0, 1)
 		for k := 0; k < nz; k++ {
 			slice, _ := volume.NewSlab(sys.NX, sys.NY, 1, z0+k)
-			if err := StreamingKernel(one, ring, mats, slice, geometry.RowRange{}, kernel); err != nil {
+			if err := Streaming(one, ring, mats, slice, geometry.RowRange{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := perRow.CopySlabFrom(slice); err != nil {
 				t.Fatal(err)
 			}
 		}
-		refs := map[string]*volume.Volume{"one launch per row": perRow}
-		if l.Arithmetic() == device.ArithmeticAVX2.String() {
-			a := ringAccess(ring)
-			emu, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-			emulateAVX2(&a, mats, emu)
-			refs["the per-column emulation"] = emu
-		}
+		a := ringAccess(ring)
+		perColumn, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
+		a.perColumnReference(mats, perColumn)
+		refs := map[string]*volume.Volume{"one launch per row": perRow, "the per-column definition": perColumn}
 		ring.Close()
 		for name, want := range refs {
 			for i := range want.Data {
@@ -155,8 +151,8 @@ func testTileLaunchMatchesPerRow(t *testing.T, kernel Kernel) {
 
 // rowSpans over a k-tile must be sound for every slice whose v constant
 // lies between the end slices': each column of the interior resident, each
-// column outside the support provably zero, under the exact predicates of
-// both arithmetics. The trial mix is TestRowSpansMatchUnhoisted's, with the
+// column outside the support provably zero, under the kernel's own
+// arithmetic. The trial mix is TestRowSpansMatchUnhoisted's, with the
 // tile's sweep of v running from nothing to well past the window's height —
 // where the end slices miss the window on opposite sides and only the
 // slices between them see it.
@@ -186,41 +182,39 @@ func TestTileSpansSound(t *testing.T) {
 		}
 		yc[slices-1] = yb
 		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
-		for _, simd := range []bool{false, simdAvailable()} {
-			pc := a.newProjConsts(0, &m, nx, false)
-			c0, i0, i1, c1 := a.rowSpans(&pc, xc, ya, yb, zc, nx, simd)
-			if c0 == 0 && c1 == nx && i0 == i1 {
-				continue // z may cross: everything covered, nothing interior
+		pc := a.newProjConsts(0, &m, nx)
+		c0, i0, i1, c1 := a.rowSpans(&pc, xc, ya, yb, zc, nx)
+		if c0 == 0 && c1 == nx && i0 == i1 {
+			continue // z may cross: everything covered, nothing interior
+		}
+		if _, _, _, e1 := a.rowSpans(&pc, xc, ya, ya, zc, nx); e1 == 0 && c0 < c1 {
+			if _, _, _, e1 := a.rowSpans(&pc, xc, yb, yb, zc, nx); e1 == 0 {
+				straddling++
 			}
-			if _, _, _, e1 := a.rowSpans(&pc, xc, ya, ya, zc, nx, simd); e1 == 0 && c0 < c1 {
-				if _, _, _, e1 := a.rowSpans(&pc, xc, yb, yb, zc, nx, simd); e1 == 0 {
-					straddling++
-				}
+		}
+		for i := 0; i < nx; i++ {
+			in, covered := i >= i0 && i < i1, i >= c0 && i < c1
+			if in && !covered {
+				t.Fatalf("trial %d: interior [%d,%d) outside support [%d,%d)", trial, i0, i1, c0, c1)
 			}
-			for i := 0; i < nx; i++ {
-				in, covered := i >= i0 && i < i1, i >= c0 && i < c1
-				if in && !covered {
-					t.Fatalf("trial %d: interior [%d,%d) outside support [%d,%d)", trial, i0, i1, c0, c1)
-				}
-				allResident, allZero := true, true
-				for _, y := range yc {
-					iu, iv, finite := footprint(i, ax, ay, az, xc, y, zc, simd)
-					allResident = allResident && a.resident(iu, iv)
-					allZero = allZero && finite && (iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi)
-				}
-				// The spans, and the predicates their endpoint walks trust.
-				claimsResident := in || a.interiorResidentFast(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc, simd)
-				claimsZero := !covered || a.zeroContribFast(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc, simd)
-				if claimsResident {
-					interior++
-				}
-				if claimsZero {
-					outside++
-				}
-				if claimsResident && !allResident || claimsZero && !allZero {
-					t.Fatalf("trial %d simd=%v: column %d (interior [%d,%d), support [%d,%d)) claimed resident=%v zero=%v, is resident=%v zero=%v in the slices of tile %g..%g; window nu=%d rows=[%d,%d)",
-						trial, simd, i, i0, i1, c0, c1, claimsResident, claimsZero, allResident, allZero, ya, yb, a.nu, a.lo, a.hi)
-				}
+			allResident, allZero := true, true
+			for _, y := range yc {
+				iu, iv, finite := footprint(i, ax, ay, az, xc, y, zc)
+				allResident = allResident && a.resident(iu, iv)
+				allZero = allZero && finite && (iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi)
+			}
+			// The spans, and the predicates their endpoint walks trust.
+			claimsResident := in || a.interiorResidentFast(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc)
+			claimsZero := !covered || a.zeroContribFast(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc)
+			if claimsResident {
+				interior++
+			}
+			if claimsZero {
+				outside++
+			}
+			if claimsResident && !allResident || claimsZero && !allZero {
+				t.Fatalf("trial %d: column %d (interior [%d,%d), support [%d,%d)) claimed resident=%v zero=%v, is resident=%v zero=%v in the slices of tile %g..%g; window nu=%d rows=[%d,%d)",
+					trial, i, i0, i1, c0, c1, claimsResident, claimsZero, allResident, allZero, ya, yb, a.nu, a.lo, a.hi)
 			}
 		}
 	}

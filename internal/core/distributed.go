@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"distfdk/internal/backproject"
 	"distfdk/internal/device"
 	"distfdk/internal/fault"
 	"distfdk/internal/filter"
@@ -31,10 +30,6 @@ type ClusterOptions struct {
 	// WorkersPerRank bounds each rank's kernel parallelism; defaults to
 	// 1 since ranks already run concurrently.
 	WorkersPerRank int
-	// Kernel selects the back-projection arithmetic. The zero value is the
-	// recurrence restructuring at the widest width the host has (see
-	// backproject.KernelRecurrence), as in ReconOptions.
-	Kernel backproject.Kernel
 	// Hierarchical enables the node-leader reduction of Section 4.4.2
 	// with RanksPerNode ranks per node. The default is the slab reduction
 	// chunk-pipelined through the tree one XY plane (NX·NY elements) at a
@@ -235,7 +230,7 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 		prog := &program{
 			ReconOptions: ReconOptions{
 				Source: src, Device: dev, Window: opts.Window, FilterWorkers: 1,
-				Kernel: opts.Kernel, Sink: sink, DisablePipeline: true,
+				Sink: sink, DisablePipeline: true,
 				Retry: opts.Retry, Checkpoint: opts.Checkpoint, Telemetry: reg,
 			},
 			sys: p.Sys, sched: p.schedule(g), pLo: pLo, pHi: pHi,

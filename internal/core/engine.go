@@ -332,7 +332,7 @@ func (e *program) backproject(b *batch) error {
 	} else if b.slab, err = volume.NewSlab(e.sys.NX, e.sys.NY, b.nz, b.z0); err != nil {
 		return err
 	}
-	if err := backproject.StreamingKernel(e.Device, e.ring, e.mats, b.slab, b.rows, e.Kernel); err != nil {
+	if err := backproject.Streaming(e.Device, e.ring, e.mats, b.slab, b.rows); err != nil {
 		return err
 	}
 	e.Device.RecordD2H(b.slab.Bytes())

@@ -75,11 +75,11 @@ func (r *ClusterReport) String() string {
 		fmt.Fprintf(&b, "kernel [%s]: %.1f%% interior / %.1f%% border / %.1f%% skipped of %d updates, %d re-anchors\n",
 			r.Arithmetic(), pct(kInterior), pct(kBorder), pct(kSkipped), kTotal, kReanchors)
 	}
-	// Vector-lane efficiency of the AVX2 path: interior columns executed
-	// as whole 8-lane vectors vs under a partial lane mask. Only printed
-	// when that path ran.
+	// Lane efficiency of the fast kernel: interior columns executed as
+	// whole 8-lane groups vs under a partial lane mask. Only printed when
+	// it ran.
 	if vec := kSIMDFull*8 + kSIMDTail; vec > 0 {
-		fmt.Fprintf(&b, "kernel avx2: %d full 8-lane groups, %d masked-tail samples (%.1f%% of interior vectorised)\n",
+		fmt.Fprintf(&b, "kernel lanes: %d full 8-lane groups, %d masked-tail samples (%.1f%% of interior in full groups)\n",
 			kSIMDFull, kSIMDTail, 100*float64(kSIMDFull*8)/float64(vec))
 	}
 	if r.Restarts > 0 || len(r.LostRanks) > 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"distfdk/internal/backproject"
 	"distfdk/internal/device"
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
@@ -29,8 +28,6 @@ type ZWindowOptions struct {
 	SlabSlices int
 	// Workers bounds the filtering parallelism.
 	Workers int
-	// Kernel selects the back-projection arithmetic, as in ReconOptions.
-	Kernel backproject.Kernel
 }
 
 // ReconstructZWindow reconstructs only the requested slice window. The
@@ -60,8 +57,8 @@ func ReconstructZWindow(opts ZWindowOptions) (*volume.Volume, *ReconReport, erro
 	prog := &program{
 		ReconOptions: ReconOptions{
 			Source: opts.Source, Device: opts.Device, Window: opts.Window,
-			FilterWorkers: opts.Workers, Kernel: opts.Kernel,
-			Sink: &VolumeSink{V: out}, DisablePipeline: true,
+			FilterWorkers: opts.Workers,
+			Sink:          &VolumeSink{V: out}, DisablePipeline: true,
 		},
 		sys: sys, sched: zSchedule(sys, opts.Z0, opts.NZ, nb), pHi: sys.NP,
 	}

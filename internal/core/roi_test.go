@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"distfdk/internal/backproject"
 	"distfdk/internal/device"
 	"distfdk/internal/projection"
 )
@@ -86,43 +85,6 @@ func TestReconstructZWindowValidation(t *testing.T) {
 	for i, opts := range cases {
 		if _, _, err := ReconstructZWindow(opts); err == nil {
 			t.Errorf("case %d: expected error", i)
-		}
-	}
-}
-
-// The window runs the same program as the full volume, so it honours the
-// same kernel selection: a KernelExact window equals the same slices of a
-// full KernelExact reconstruction byte for byte, and says so in its ledger.
-func TestReconstructZWindowHonoursKernel(t *testing.T) {
-	sys := testSystem()
-	st := sheppStack(t, sys)
-	src := &projection.MemorySource{Full: st}
-
-	plan, _ := NewPlan(sys, 1, 1, 4)
-	full, _ := NewVolumeSink(sys)
-	if _, err := ReconstructSingle(ReconOptions{
-		Plan: plan, Source: src, Device: device.New("full", 0, 2), Sink: full,
-		Kernel: backproject.KernelExact,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const z0, nz = 8, 8
-	roi, rep, err := ReconstructZWindow(ZWindowOptions{
-		Sys: sys, Source: src, Device: device.New("roi", 0, 2), Z0: z0, NZ: nz,
-		Kernel: backproject.KernelExact,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if said := rep.Ledger.Arithmetic(); said != "exact" {
-		t.Errorf("KernelExact window ran %q", said)
-	}
-	for k := 0; k < nz; k++ {
-		got, want := roi.Slice(k), full.V.Slice(z0+k)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("slice %d voxel %d: %g != %g", k, i, got[i], want[i])
-			}
 		}
 	}
 }

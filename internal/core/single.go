@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"distfdk/internal/backproject"
 	"distfdk/internal/device"
 	"distfdk/internal/fault"
 	"distfdk/internal/filter"
@@ -101,11 +100,6 @@ type ReconOptions struct {
 	Window filter.Window
 	// FilterWorkers bounds the filtering parallelism (0 = GOMAXPROCS).
 	FilterWorkers int
-	// Kernel selects the back-projection arithmetic. The zero value is the
-	// recurrence restructuring at the widest width the host has (see
-	// backproject.KernelRecurrence): the AVX2 assembly, or the scalar Go
-	// path without AVX2. Report.Ledger records which one ran.
-	Kernel backproject.Kernel
 	// Sink receives finished slabs (required).
 	Sink SlabSink
 	// BPWorkers sets the worker count of the back-projection stage.

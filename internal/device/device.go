@@ -53,23 +53,27 @@ type Ledger struct {
 	// Reanchors counts recurrence re-anchor events (coordinate lanes
 	// recomputed from the direct expression to bound float32 drift).
 	Reanchors int64
-	// SIMDFullGroups and SIMDTailSamples are the simd kernel's vector-lane
-	// accounting: complete 8-lane vector iterations vs interior columns
-	// executed under a partial lane mask (the masked scalar tail).
+	// SIMDFullGroups and SIMDTailSamples are the fast kernel's lane
+	// accounting: complete 8-lane groups vs interior columns executed under
+	// a partial lane mask (the masked tail). Like every number above they
+	// are read off the kernel's span decisions, not off the code that ran,
+	// so they do not depend on which spelling a launch dispatched to.
 	SIMDFullGroups, SIMDTailSamples int64
-	// Dispatched counts the kernel launches that ran each arithmetic: the
-	// record of which code path produced the volume. Launches over an empty
-	// slab dispatch nothing.
+	// Dispatched counts the kernel launches that ran each code path: the
+	// record of which one produced the volume, and the only kernel number
+	// that depends on the host. Launches over an empty slab dispatch
+	// nothing.
 	Dispatched [numArithmetics]int64
 }
 
 // Arithmetic names the code path a back-projection launch dispatched to.
+// The first two are spellings of one arithmetic and produce the same bytes.
 type Arithmetic int
 
 const (
-	// ArithmeticAVX2 is the recurrence restructuring in 8-lane AVX2 assembly.
+	// ArithmeticAVX2 is the fast kernel spelled in 8-lane AVX2 assembly.
 	ArithmeticAVX2 Arithmetic = iota
-	// ArithmeticScalar is the recurrence restructuring in two scalar Go lanes.
+	// ArithmeticScalar is the fast kernel spelled in Go, lane by lane.
 	ArithmeticScalar
 	// ArithmeticExact is the literal Algorithm 1 arithmetic.
 	ArithmeticExact
@@ -90,7 +94,7 @@ func (a Arithmetic) String() string {
 
 // Arithmetic names what the ledger's launches dispatched to: one name, or
 // several joined by "+" when they differed (a projection buffer past the
-// 32-bit gather range runs scalar beside AVX2 launches); empty when
+// 32-bit gather range runs the Go spelling beside AVX2 launches); empty when
 // no launch did work.
 func (l Ledger) Arithmetic() string {
 	var names []string

@@ -5,22 +5,34 @@ import (
 
 	"distfdk/internal/backproject"
 	"distfdk/internal/core"
+	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
 	"distfdk/internal/volume"
 )
 
-// BenchmarkScenarioBatch back-projects the tomo_00030 div 8 → 64³ scenario
-// through each kernel arithmetic in one batch launch — the kernel alone on
-// a real geometry, runnable under pprof.
+// BenchmarkScenarioBatch back-projects the tomo_00030 div 8 → 96³ scenario
+// (the benchmark's single-kernel problem) in one batch launch through each
+// spelling of the fast kernel — the host's dispatch, and the Go spelling a
+// launch falls back to, which no command line selects — the kernel alone
+// on a real geometry, runnable under pprof.
 func BenchmarkScenarioBatch(b *testing.B) {
-	sc, err := BuildScenario("tomo_00030", 8, 64, 1)
+	sc, err := BuildScenario("tomo_00030", 8, 96, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sys := sc.Sys
 	mats := core.KernelMatrices(sys, 0, sys.NP)
-	for _, kernel := range []backproject.Kernel{backproject.KernelRecurrence, backproject.KernelScalar} {
-		b.Run(kernel.String(), func(b *testing.B) {
+	spellings := []bool{false}
+	if cpufeat.AVX2() {
+		spellings = []bool{true, false}
+	}
+	for _, avx2 := range spellings {
+		name := device.ArithmeticScalar.String()
+		if avx2 {
+			name = device.ArithmeticAVX2.String()
+		}
+		b.Run(name, func(b *testing.B) {
+			defer cpufeat.SetAVX2ForTest(avx2)()
 			dev := device.New("bench", 0, 1)
 			vol, err := volume.New(sys.NX, sys.NY, sys.NZ)
 			if err != nil {
@@ -30,7 +42,7 @@ func BenchmarkScenarioBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				vol.Zero()
-				if err := backproject.BatchKernel(dev, sc.Stack, mats, vol, kernel); err != nil {
+				if err := backproject.Batch(dev, sc.Stack, mats, vol); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,8 +30,11 @@ const MinRealSize = 16
 // loop and, on amd64, as an AVX2 routine working four points of the row at a
 // time (stages_amd64.s); the two perform the same operations in the same
 // order, so which one runs — decided per host, by cpufeat.AVX2 — never
-// changes a bit. A RealPlan is safe for concurrent use once built; callers
-// supply the workspace.
+// changes a bit. The Go loops write every product that feeds an add or a
+// subtract as float64(a*b): the conversion rounds, so a target with a fused
+// multiply-add (arm64) computes what amd64 computes (make fuse-lint checks
+// the compiled loops). A RealPlan is safe for concurrent use once built;
+// callers supply the workspace.
 type RealPlan struct {
 	n, m int
 	// Twiddles exp(−2πij/2h), j < h, of the m-point transform's stage of
@@ -188,8 +191,8 @@ func (p *RealPlan) forward(k *passes, zr, zi []float64, live int) {
 func (p *RealPlan) pairs(k *passes, zr, zi []float64) {
 	a, g := p.pa[0], p.pg[0]
 	r0, i0 := zr[0], zi[0]
-	zr[0] = a*r0 + g*i0
-	zi[0] = a*i0 + g*r0
+	zr[0] = float64(a*r0) + float64(g*i0)
+	zi[0] = float64(a*i0) + float64(g*r0)
 	zr[1] *= p.pb[0]
 	zi[1] *= p.pb[0]
 	pairBlock(zr, zi, p.pa, p.pb, p.pg, 2)
@@ -209,15 +212,15 @@ func (p *RealPlan) inverse(k *passes, zr, zi []float64, live int) {
 
 func twiddleGo(ar, ai, br, bi, cos, sin []float64) {
 	for j := range ar {
-		br[j] = ar[j]*cos[j] - ai[j]*sin[j]
-		bi[j] = ar[j]*sin[j] + ai[j]*cos[j]
+		br[j] = float64(ar[j]*cos[j]) - float64(ai[j]*sin[j])
+		bi[j] = float64(ar[j]*sin[j]) + float64(ai[j]*cos[j])
 	}
 }
 
 func untwiddleGo(ar, ai, br, bi, cos, sin []float64) {
 	for j := range ar {
-		ar[j] += br[j]*cos[j] + bi[j]*sin[j]
-		ai[j] += bi[j]*cos[j] - br[j]*sin[j]
+		ar[j] += float64(br[j]*cos[j]) + float64(bi[j]*sin[j])
+		ai[j] += float64(bi[j]*cos[j]) - float64(br[j]*sin[j])
 	}
 }
 
@@ -232,8 +235,8 @@ func difStagesGo(zr, zi, cos, sin []float64) {
 				tr, ti := ar[j]-br[j], ai[j]-bi[j]
 				ar[j] += br[j]
 				ai[j] += bi[j]
-				br[j] = tr*c[j] - ti*s[j]
-				bi[j] = tr*s[j] + ti*c[j]
+				br[j] = float64(tr*c[j]) - float64(ti*s[j])
+				bi[j] = float64(tr*s[j]) + float64(ti*c[j])
 			}
 		}
 	}
@@ -247,8 +250,8 @@ func ditStagesGo(zr, zi, cos, sin []float64) {
 			ar, ai := zr[base:base+h], zi[base:base+h]
 			br, bi := zr[base+h:base+2*h], zi[base+h:base+2*h]
 			for j := range c {
-				tr := br[j]*c[j] + bi[j]*s[j]
-				ti := bi[j]*c[j] - br[j]*s[j]
+				tr := float64(br[j]*c[j]) + float64(bi[j]*s[j])
+				ti := float64(bi[j]*c[j]) - float64(br[j]*s[j])
 				br[j] = ar[j] - tr
 				bi[j] = ai[j] - ti
 				ar[j] += tr
@@ -301,9 +304,9 @@ func pairBlock(zr, zi, pa, pb, pg []float64, b int) {
 	for j := range pa {
 		q := len(ur) - 1 - j
 		ar, ai, cr, ci := lr[j], li[j], ur[q], ui[q]
-		lr[j] = pa[j]*ar + pg[j]*ci
-		li[j] = pa[j]*ai + pg[j]*cr
-		ur[q] = pb[j]*cr + pg[j]*ai
-		ui[q] = pb[j]*ci + pg[j]*ar
+		lr[j] = float64(pa[j]*ar) + float64(pg[j]*ci)
+		li[j] = float64(pa[j]*ai) + float64(pg[j]*cr)
+		ur[q] = float64(pb[j]*cr) + float64(pg[j]*ai)
+		ui[q] = float64(pb[j]*ci) + float64(pg[j]*ar)
 	}
 }

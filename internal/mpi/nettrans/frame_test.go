@@ -8,8 +8,9 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
+
+	"distfdk/internal/alloctest"
 )
 
 func crc32ChecksumIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
@@ -198,16 +199,6 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// allocatedBy reports the bytes fn allocates (its own goroutine's, plus
-// whatever the idle runtime adds: a few hundred bytes).
-func allocatedBy(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 // TestReadFrameAllocationTracksReceivedBytes: the length prefix is four
 // untrusted bytes. A prefix one short of the 1 GiB bound followed by EOF
 // must be a torn tail that cost O(readStep), not O(prefix), and a body
@@ -215,7 +206,7 @@ func allocatedBy(fn func()) uint64 {
 func TestReadFrameAllocationTracksReceivedBytes(t *testing.T) {
 	hostile := []byte{0xff, 0xff, 0xff, 0x3f, frameVersion, byte(kindData)}
 	var err error
-	got := allocatedBy(func() { _, err = readFrame(bytes.NewReader(hostile)) })
+	got := alloctest.AllocatedBy(func() { _, err = readFrame(bytes.NewReader(hostile)) })
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("oversize prefix then EOF: want ErrUnexpectedEOF, got %v", err)
 	}
@@ -226,7 +217,7 @@ func TestReadFrameAllocationTracksReceivedBytes(t *testing.T) {
 	big := encodeFrame(&frame{kind: kindData, seq: 1,
 		wire: appendPayload(newWire(5+4<<20), make([]float32, 1<<20), nil)})
 	var f *frame
-	got = allocatedBy(func() { f, err = readFrame(bytes.NewReader(big)) })
+	got = alloctest.AllocatedBy(func() { f, err = readFrame(bytes.NewReader(big)) })
 	if err != nil || len(f.payload) != 5+4<<20 {
 		t.Fatalf("4 MiB frame: %v", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"distfdk/internal/alloctest"
 )
 
 // The fuzz targets' invariant, for both parsers of untrusted bytes: a typed
@@ -64,7 +66,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var fr *frame
 		var err error
-		if got := allocatedBy(func() { fr, err = readFrame(bytes.NewReader(b)) }); got > allocBound(len(b)) {
+		if got := alloctest.AllocatedBy(func() { fr, err = readFrame(bytes.NewReader(b)) }); got > allocBound(len(b)) {
 			t.Fatalf("%d input bytes allocated %d", len(b), got)
 		}
 		if err != nil {
@@ -104,7 +106,7 @@ func FuzzDecodePayload(f *testing.F) {
 		var data []float32
 		var ctl []int
 		var err error
-		if got := allocatedBy(func() { data, ctl, err = decodePayload(b) }); got > allocBound(len(b)) {
+		if got := alloctest.AllocatedBy(func() { data, ctl, err = decodePayload(b) }); got > allocBound(len(b)) {
 			t.Fatalf("%d input bytes allocated %d", len(b), got)
 		}
 		if err != nil {

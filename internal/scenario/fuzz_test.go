@@ -4,9 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
+
+	"distfdk/internal/alloctest"
 )
 
 // The scenario files are the one input of this repository that people write
@@ -21,14 +22,6 @@ import (
 // located matches the loader's contract for an error: path:line: message.
 // An empty file has no line to name.
 var located = regexp.MustCompile(`^fuzz\.yaml:[1-9][0-9]*: .`)
-
-func allocatedBy(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
 
 func FuzzParseScenario(f *testing.F) {
 	shipped, err := filepath.Glob("../../scenarios/*.yaml")
@@ -63,7 +56,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cfg *Config
 		var err error
-		got := allocatedBy(func() { cfg, err = Parse("fuzz.yaml", data) })
+		got := alloctest.AllocatedBy(func() { cfg, err = Parse("fuzz.yaml", data) })
 		// A line of a few bytes costs a node and its key maps: some 20–60 bytes
 		// allocated per input byte on the shipped scenarios and on the densest
 		// degenerate ones ("a:\n" or "- a\n" repeated).

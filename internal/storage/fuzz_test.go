@@ -9,10 +9,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
+	"distfdk/internal/alloctest"
 	"distfdk/internal/geometry"
 )
 
@@ -21,14 +21,6 @@ import (
 // panic, a hang, or an allocation beyond a small multiple of the input.
 // Their seeds run in every `go test`; `make fuzz-smoke` mutates from them
 // for 10 s per target.
-
-func allocatedBy(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
 
 // stackFile returns a container's bytes: the header words, then samples.
 func stackFile(nu, np, nv uint32, samples ...float32) []byte {
@@ -87,7 +79,7 @@ func FuzzOpenStack(f *testing.F) {
 		var src *FileSource
 		var data []float32
 		var err error
-		got := allocatedBy(func() {
+		got := alloctest.AllocatedBy(func() {
 			if src, err = OpenStack(path); err != nil {
 				return
 			}
@@ -165,7 +157,7 @@ func FuzzJournal(f *testing.F) {
 		}
 		var j *Journal
 		var err error
-		got := allocatedBy(func() { j, err = OpenJournal(path, fp) })
+		got := alloctest.AllocatedBy(func() { j, err = OpenJournal(path, fp) })
 		// Linear in the input: the lines are held once or twice over, and
 		// each costs a parse, a re-rendered record and perhaps a log line.
 		if bound := uint64(8*len(b) + 1024*(bytes.Count(b, []byte{'\n'})+1) + 64<<10); got > bound {

@@ -8,17 +8,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-)
 
-func allocatedBy(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
+	"distfdk/internal/alloctest"
+)
 
 // rawFile returns a container's bytes: the header words, then voxels.
 func rawFile(nx, ny, nz, z0 uint32, voxels ...float32) []byte {
@@ -43,14 +36,14 @@ func TestRawHeaderDoesNotSizeAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var err error
-		got := allocatedBy(func() { _, err = LoadRaw(path) })
+		got := alloctest.AllocatedBy(func() { _, err = LoadRaw(path) })
 		if !errors.Is(err, ErrBadHeader) {
 			t.Errorf("LoadRaw of a bare %d³ header: want ErrBadHeader, got %v", n, err)
 		}
 		if got > 4*rawChunkBytes {
 			t.Errorf("LoadRaw of a bare %d³ header allocated %d bytes", n, got)
 		}
-		got = allocatedBy(func() { _, err = ReadRaw(bytes.NewReader(hostile)) })
+		got = alloctest.AllocatedBy(func() { _, err = ReadRaw(bytes.NewReader(hostile)) })
 		if !errors.Is(err, ErrBadHeader) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 			t.Errorf("ReadRaw of a bare %d³ header: %v", n, err)
 		}
@@ -78,7 +71,7 @@ func FuzzReadRaw(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var v *Volume
 		var err error
-		if got := allocatedBy(func() { v, err = ReadRaw(bytes.NewReader(b)) }); got > uint64(8*len(b)+4*rawChunkBytes) {
+		if got := alloctest.AllocatedBy(func() { v, err = ReadRaw(bytes.NewReader(b)) }); got > uint64(8*len(b)+4*rawChunkBytes) {
 			t.Fatalf("%d input bytes allocated %d", len(b), got)
 		}
 		if err != nil {

@@ -30,13 +30,18 @@ check: doc-check fuse-lint
 	$(MAKE) transport-smoke
 
 # Documentation gate: every Test*/Benchmark*/Fuzz* identifier DESIGN.md or
-# README.md names must be a function in some _test.go file, so the docs
-# cannot go on citing a test a PR deleted or renamed.
+# README.md names must be a function in some _test.go file, and every
+# scenarios/<name>.yaml path those two or EXPERIMENTS.md cite must be a
+# file, so the docs cannot go on citing a test or a scenario a PR deleted
+# or renamed.
 doc-check:
 	@stale=0; \
 	for n in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | sort -u); do \
 		grep -rqE "^func $$n\(" --include='*_test.go' . || \
 			{ echo "doc-check: DESIGN.md/README.md name $$n, which no _test.go file defines"; stale=1; }; \
+	done; \
+	for f in $$(grep -ohE '\bscenarios/[a-z0-9-]+\.ya?ml' DESIGN.md EXPERIMENTS.md README.md | sort -u); do \
+		test -f "$$f" || { echo "doc-check: the docs cite $$f, which does not exist"; stale=1; }; \
 	done; exit $$stale
 
 # Arithmetic-contract gate: the Go functions that compute what the assembly
@@ -151,8 +156,10 @@ chaos-recover:
 # once as a 4-process loopback TCP world (coordinator + 3 re-exec'd
 # workers over internal/mpi/nettrans) with a wire sever at rank 1's 2nd
 # frame and a rank-1 kill at batch 1. The sever must be absorbed by the
-# link's reconnect + replay (fdkrecon itself asserts transport.reconnects
-# >= 1 when -sever is given), the kill must shrink-and-resume through the
+# link's reconnect + replay (fdkrecon itself asserts that every -sever
+# rule cut a connection: transport.severs, counted where the cut is made
+# and reported by the workers, equals the number of -sever entries, with
+# at least as many reconnects at the hub), the kill must shrink-and-resume through the
 # journal across OS processes, and the recovered volume must be
 # byte-identical to the fault-free in-process one. The metrics artifact
 # (with the transport.* counters under the shared rank) is validated and
@@ -177,10 +184,14 @@ transport-smoke:
 	cmp artifacts/transport_ref.fbk artifacts/transport_world.fbk
 	rm -f artifacts/fdkrecon.bin artifacts/transport_ref.fbk artifacts/transport_world.fbk
 
-# Robustness release wall: replay every scenario under scenarios/ (paired
-# fault-free vs injected arms, robust medians, SLO gates) and fail the
-# build on any breach. The analysis artifacts land in artifacts/slo/ and
-# the JSON is immediately re-validated, so CI uploads a checked artifact.
+# Robustness release wall: replay every scenario under scenarios/ — one
+# fault-free reference run, then the file's seeded injected runs — and fail
+# the build when any injected run ends other than the file expects,
+# reconstructs other bytes than the reference, or breaches an event-count
+# gate (`go test ./internal/scenario -run TestCommittedScenarios` is the
+# same replay in tier-1; nothing here is timed). The analysis artifacts
+# land in artifacts/slo/ and the JSON is immediately re-validated, so CI
+# uploads a checked artifact.
 slo-gate:
 	$(GO) run ./cmd/slogate -scenarios scenarios -out artifacts/slo
 	$(GO) run ./cmd/slogate -check artifacts/slo/analysis.json

@@ -50,6 +50,15 @@ func fdkrecon(t *testing.T, dir string, args ...string) string {
 
 func fdkreconEnv(t *testing.T, dir string, env []string, args ...string) string {
 	t.Helper()
+	out, err := fdkreconCmd(t, dir, env, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("fdkrecon %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return string(out)
+}
+
+func fdkreconCmd(t *testing.T, dir string, env []string, args ...string) *exec.Cmd {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +66,7 @@ func fdkreconEnv(t *testing.T, dir string, env []string, args ...string) string 
 	cmd := exec.Command(exe, args...)
 	cmd.Dir = dir
 	cmd.Env = append(append(os.Environ(), runMainEnv+"=1"), env...)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("fdkrecon %s: %v\n%s", strings.Join(args, " "), err, out)
-	}
-	return string(out)
+	return cmd
 }
 
 // noisyInput writes the seeded noisy projections of tomo_00030 at div 16.
@@ -159,6 +164,23 @@ func TestWorldForwardsInput(t *testing.T) {
 	}
 	if bytes.Equal(inproc, read("synth.fbk")) {
 		t.Error("noisy input reconstructs to the noiseless phantom's bytes: the comparison proves nothing")
+	}
+}
+
+// A -sever rule must be seen to cut a connection, in whichever process
+// hosts its rank (rank 1 lives in a worker, rank 0 in the coordinator); a
+// rule that never fires fails the run even though the volume was written —
+// a reconnect, real or spurious, is not accepted in its place.
+func TestWorldSeverMustBeObserved(t *testing.T) {
+	dir := t.TempDir()
+	common := []string{"-div", "16", "-n", "32", "-batches", "4", "-groups", "2", "-ranks", "2",
+		"-world", "3", "-o", filepath.Join(dir, "w.fbk")}
+	fdkrecon(t, dir, append(common, "-sever", "1@2,0@2")...)
+	for _, inert := range []string{"9@2", "1@2,1@100000"} {
+		out, err := fdkreconCmd(t, dir, nil, append(common, "-sever", inert)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-sever rules cut a connection") {
+			t.Errorf("-sever %s (a rule that cannot fire): err %v\n%s", inert, err, out)
+		}
 	}
 }
 

@@ -275,6 +275,7 @@ func main() {
 		}
 		if nf.worker {
 			runFollower(copts, *journal, restartBudget(*restarts), *backoff)
+			sw.reportSevers()
 			sw.close()
 			return
 		}
@@ -291,7 +292,7 @@ func main() {
 			if sw != nil {
 				// Workers follow the same supervision decisions; all of them
 				// must land on the same recovered world and exit cleanly.
-				sw.finish(*severSpec != "")
+				sw.finish(len(splitSpec(*severSpec)))
 			}
 			finishPoll()
 			// The SlabWriter already promoted the volume; voxels are only
@@ -329,7 +330,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if sw != nil {
-			sw.finish(*severSpec != "")
+			sw.finish(len(splitSpec(*severSpec)))
 		}
 		finishPoll()
 		fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",

@@ -67,6 +67,11 @@ type socketWorld struct {
 	reg     *telemetry.Registry
 	workers []*exec.Cmd
 	sockDir string
+	// severs is the read end of the pipe every worker inherits as fd 3 and
+	// reports its transport.severs count on (reportSevers): a cut is
+	// counted in the process that makes it, and a worker's registry dies
+	// with the worker.
+	severs *os.File
 }
 
 // startSocketWorld builds this process's endpoint. The coordinator
@@ -121,6 +126,13 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 		sw.close()
 		return nil, err
 	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		sw.close()
+		return nil, err
+	}
+	defer w.Close() // the workers hold the write end from here on
+	sw.severs = r
 	for p := 1; p < nf.world; p++ {
 		args := []string{
 			"-worker", "-proc", strconv.Itoa(p), "-procs", strconv.Itoa(nf.world),
@@ -130,6 +142,7 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 		cmd := exec.Command(exe, args...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
+		cmd.ExtraFiles = []*os.File{w}
 		if err := cmd.Start(); err != nil {
 			sw.kill()
 			sw.close()
@@ -140,17 +153,44 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 	return sw, nil
 }
 
-// finish waits for every worker to exit cleanly and, when a sever was
-// injected, asserts the wire actually exercised the reconnect path —
-// the smoke contract: chaos that silently failed to fire is a failure.
-func (sw *socketWorld) finish(expectReconnect bool) {
+// reportSevers is a worker's last act: its count of cuts made, one line on
+// the inherited pipe. A -worker started by hand has no such pipe, and its
+// fd 3 is whatever the runtime opened first: leave that alone.
+func (sw *socketWorld) reportSevers() {
+	f := os.NewFile(3, "severs")
+	if st, err := f.Stat(); err != nil || st.Mode()&os.ModeNamedPipe == 0 {
+		return
+	}
+	fmt.Fprintln(f, sw.reg.Snapshot().Counters["transport.severs"])
+	f.Close()
+}
+
+// finish waits for every worker to exit cleanly and asserts the smoke
+// contract — chaos that silently failed to fire is a failure: every one
+// of the wantSevers -sever rules cut a connection, counted where the cut
+// was made (here or in a worker), and each cut was repaired by a
+// reconnect this hub took part in. A reconnect alone proves nothing; a
+// spurious one would satisfy it with the fault layer inert.
+func (sw *socketWorld) finish(wantSevers int) {
 	for i, cmd := range sw.workers {
 		if err := cmd.Wait(); err != nil {
 			log.Fatalf("worker proc %d: %v", i+1, err)
 		}
 	}
-	if expectReconnect && sw.reg.Snapshot().Counters["transport.reconnects"] < 1 {
-		log.Fatal("injected sever never forced a reconnect (wire fault layer inert?)")
+	counters := sw.reg.Snapshot().Counters
+	severs := counters["transport.severs"]
+	for {
+		var n int64
+		if _, err := fmt.Fscan(sw.severs, &n); err != nil {
+			break // EOF: every worker has exited
+		}
+		severs += n
+	}
+	if severs != int64(wantSevers) {
+		log.Fatalf("%d of %d -sever rules cut a connection (wire fault layer inert, or a rule names a rank or frame this world never has)", severs, wantSevers)
+	}
+	if got := counters["transport.reconnects"]; got < severs {
+		log.Fatalf("%d severs but only %d reconnects at the hub", severs, got)
 	}
 	if n := len(sw.workers); n > 0 {
 		fmt.Printf("socket world: %d worker processes exited cleanly\n", n)
@@ -175,6 +215,9 @@ func (sw *socketWorld) close() {
 }
 
 func (sw *socketWorld) cleanup() {
+	if sw.severs != nil {
+		sw.severs.Close()
+	}
 	if sw.sockDir != "" {
 		os.RemoveAll(sw.sockDir)
 	}

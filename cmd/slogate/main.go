@@ -1,19 +1,20 @@
 // Command slogate is the robustness release wall: it replays the fault
 // scenarios under scenarios/ — each a declarative YAML description of a
-// world shape, a fault schedule and the SLOs the framework must hold
-// under it — and exits non-zero when any gate breaches.
+// world shape, a fault schedule and what must hold under it — and exits
+// non-zero when any verdict breaches.
 //
 //	slogate                          # replay scenarios/, write artifacts/slo/
-//	slogate -only kill -runs 5       # subset, more replays per arm
+//	slogate -only kill -runs 5       # subset, more seeded injected runs
 //	slogate -list                    # show scenarios and their gates
 //	slogate -check artifacts/slo/analysis.json   # validate an artifact
 //
-// Every scenario runs as two paired arms on the same synthetic world:
-// a fault-free baseline and the injected schedule, each replayed -runs
-// times. Gate metrics are IQR-trimmed medians (ratios compare the two
-// arms' medians), so a single scheduler hiccup does not flip a verdict.
-// The analysis lands in -out as analysis.json (schema distfdk-slo/1,
-// machine-checked by -check in CI) and analysis.md (human-readable).
+// Every scenario runs once fault-free (the reference) and then -runs
+// times under its seeded schedule, on one synthetic world. Three kinds of
+// verdict, each evaluated on every injected run: the outcome is the one the
+// scenario expects; when that is success, the volume is the reference's,
+// byte for byte; every gated event count is inside its bounds. Nothing is
+// timed. The analysis lands in -out as analysis.json (schema
+// distfdk-slo/2, machine-checked by -check in CI) and analysis.md.
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 	log.SetPrefix("slogate: ")
 	dir := flag.String("scenarios", "scenarios", "directory of scenario *.yaml files")
 	out := flag.String("out", filepath.Join("artifacts", "slo"), "directory for analysis.json / analysis.md")
-	runs := flag.Int("runs", 0, "override every scenario's runs-per-arm (0 keeps each file's setting)")
+	runs := flag.Int("runs", 0, "override every scenario's injected-run count (0 keeps each file's setting)")
 	only := flag.String("only", "", "replay only scenarios whose name contains this substring")
 	list := flag.Bool("list", false, "list scenarios and their gates, then exit")
 	check := flag.String("check", "", "validate an analysis.json artifact and exit")

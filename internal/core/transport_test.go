@@ -52,7 +52,8 @@ func TestTransportReconstructionBitIdentical(t *testing.T) {
 	}
 	want := float32Bytes(ref.V.Data)
 
-	fl := transportFleet(t, nettrans.Config{})
+	reg := telemetry.NewRegistry()
+	fl := transportFleet(t, nettrans.Config{Telemetry: reg})
 	sink, _ := NewVolumeSink(sys)
 	var wg sync.WaitGroup
 	errs := make([]error, len(fl.Nodes))
@@ -82,6 +83,12 @@ func TestTransportReconstructionBitIdentical(t *testing.T) {
 	}
 	if got := float32Bytes(sink.V.Data); !bytes.Equal(got, want) {
 		t.Fatal("TCP-transport volume is not bit-identical to the channel world")
+	}
+	// A clean wire stays up: no cut, and no reconnect to mistake for one.
+	snap := reg.Snapshot().Counters
+	if snap["transport.reconnects"] != 0 || snap["transport.severs"] != 0 {
+		t.Fatalf("fault-free fleet reconstruction: %d reconnects, %d severs, want 0 and 0",
+			snap["transport.reconnects"], snap["transport.severs"])
 	}
 }
 
@@ -170,9 +177,10 @@ func TestTransportSupervisedRecoveryBitIdentical(t *testing.T) {
 	if reports[0].Plan.Ranks() >= p.Ranks() {
 		t.Fatalf("world did not shrink: %s", reports[0].Plan)
 	}
-	// The sever actually exercised the reconnect path.
-	if reg.Snapshot().Counters["transport.reconnects"] < 1 {
-		t.Fatal("injected sever never forced a reconnect")
+	// The sever was made — counted at the cut, once — and repaired.
+	if snap := reg.Snapshot().Counters; snap["transport.severs"] != 1 || snap["transport.reconnects"] < 1 {
+		t.Fatalf("injected sever: %d cuts, %d reconnects, want 1 and >= 1",
+			snap["transport.severs"], snap["transport.reconnects"])
 	}
 	// Only the coordinator recorded supervise telemetry (followers are
 	// silent), so restarts count once.

@@ -45,7 +45,12 @@ type link struct {
 
 	nextSeq   uint64 // last assigned outgoing sequence number
 	pending   []*wireItem
-	nextWrite int // pending[:nextWrite] written on the current conn
+	nextWrite int // pending[:nextWrite] taken by the writer for the current conn
+	// sentSeq is the highest sequence number whose turn on the current
+	// conn is over (written, or withheld by an injected drop); 0 right
+	// after attach. It is the cursor a heartbeat advertises: frames that
+	// are assigned but still queued behind the writer are not missing.
+	sentSeq uint64
 
 	recvSeq  uint64 // highest contiguous incoming seq delivered
 	lastRecv time.Time
@@ -158,6 +163,7 @@ func (l *link) attach(conn net.Conn, peerAck uint64) {
 	gen := l.gen
 	l.down = false
 	l.nextWrite = 0 // replay every surviving pending frame
+	l.sentSeq = 0
 	l.lastRecv = time.Now()
 	if l.everUp {
 		l.n.st.reconnects.Inc()
@@ -182,13 +188,6 @@ func (l *link) connBroken(gen int) {
 	l.downSince = time.Now()
 	l.mu.Unlock()
 	l.bump(l.redial)
-}
-
-// curConn returns the live connection and its generation (nil when down).
-func (l *link) curConn() (net.Conn, int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn, l.gen
 }
 
 // rawWrite writes pre-encoded bytes on conn under the write mutex with
@@ -231,73 +230,85 @@ func (l *link) writeLoop() {
 				return
 			}
 		}
-		if item.enc == nil {
-			item.enc = encodeFrame(item.f)
-		}
-		retransmit := item.writes > 0
-		item.writes++
-		if retransmit {
-			l.n.st.retransmits.Inc()
-		}
-
-		if inj := l.n.cfg.Injector; inj != nil && item.chaos {
-			rank := int(item.f.src)
-			inj.Hit(fault.OpFrameDelay, rank) // stalls when a delay rule matches
-			if inj.Hit(fault.OpSever, rank) != nil {
-				// Close before writing: the frame stays pending and rides
-				// the post-reconnect replay.
-				l.connBroken(gen)
-				continue
+		if l.put(conn, gen, item) {
+			l.mu.Lock()
+			if gen == l.gen {
+				l.sentSeq = item.f.seq
 			}
-			if inj.Hit(fault.OpFrameDrop, rank) != nil {
-				// Never hits the socket; the peer detects the sequence gap
-				// (next frame or heartbeat cursor) and forces a
-				// reconnect-replay.
-				l.n.st.framesSent.Inc()
-				continue
-			}
-			if inj.Hit(fault.OpFrameCorrupt, rank) != nil {
-				mut := append([]byte(nil), item.enc...)
-				mut[len(mut)-1] ^= 0x40 // inside the CRC trailer
-				l.rawWrite(conn, gen, mut)
-				l.n.st.framesSent.Inc()
-				continue // peer CRC-fails, reconnects, replay delivers it
-			}
-			if inj.Hit(fault.OpFrameDup, rank) != nil {
-				if l.rawWrite(conn, gen, item.enc) {
-					l.rawWrite(conn, gen, item.enc)
-					l.n.st.framesSent.Add(2)
-				}
-				continue
-			}
-		}
-		if l.rawWrite(conn, gen, item.enc) {
-			l.n.st.framesSent.Inc()
+			l.mu.Unlock()
 		}
 	}
 }
 
-// sendUnreliable writes a sequence-less frame (hello/heartbeat/ack)
-// directly, outside the replay buffer.
-func (l *link) sendUnreliable(f *frame) {
-	conn, gen := l.curConn()
-	if conn == nil {
-		return
+// put gives one pending frame its turn on conn, through the wire fault
+// layer when this process originated it. It reports whether that turn is
+// over; false means a sever rule cut the connection before the write.
+func (l *link) put(conn net.Conn, gen int, item *wireItem) bool {
+	if item.enc == nil {
+		item.enc = encodeFrame(item.f)
 	}
-	if l.rawWrite(conn, gen, encodeFrame(f)) {
+	retransmit := item.writes > 0
+	item.writes++
+	if retransmit {
+		l.n.st.retransmits.Inc()
+	}
+
+	if inj := l.n.cfg.Injector; inj != nil && item.chaos {
+		rank := int(item.f.src)
+		inj.Hit(fault.OpFrameDelay, rank) // stalls when a delay rule matches
+		if inj.Hit(fault.OpSever, rank) != nil {
+			// Close before writing: the frame stays pending and rides
+			// the post-reconnect replay. Counted here, where the cut is
+			// made: a reconnect elsewhere is not evidence of this one.
+			l.n.st.severs.Inc()
+			l.connBroken(gen)
+			return false
+		}
+		if inj.Hit(fault.OpFrameDrop, rank) != nil {
+			// Never hits the socket; the peer detects the sequence gap
+			// (next frame or heartbeat cursor) and forces a
+			// reconnect-replay.
+			l.n.st.framesSent.Inc()
+			return true
+		}
+		if inj.Hit(fault.OpFrameCorrupt, rank) != nil {
+			mut := append([]byte(nil), item.enc...)
+			mut[len(mut)-1] ^= 0x40 // inside the CRC trailer
+			l.rawWrite(conn, gen, mut)
+			l.n.st.framesSent.Inc()
+			return true // peer CRC-fails, reconnects, replay delivers it
+		}
+		if inj.Hit(fault.OpFrameDup, rank) != nil {
+			if l.rawWrite(conn, gen, item.enc) {
+				l.rawWrite(conn, gen, item.enc)
+				l.n.st.framesSent.Add(2)
+			}
+			return true
+		}
+	}
+	if l.rawWrite(conn, gen, item.enc) {
 		l.n.st.framesSent.Inc()
 	}
+	return true
 }
 
-// heartbeat emits the periodic liveness probe: the ack field carries the
-// cumulative receive cursor, the seq field advertises the send cursor so
-// a peer can detect silently dropped tails without waiting for more data.
+// heartbeat writes the liveness probe directly, outside the replay
+// buffer: the ack field carries the cumulative receive cursor (the reader
+// also sends one early as a bare ack), the seq field advertises the send
+// cursor so a peer can detect silently dropped tails without waiting for
+// more data. The send cursor is what has had its turn on the connection
+// the probe is written to, not what has been assigned: a heartbeat
+// overtakes the frames still queued behind the writer, and advertising
+// those made the peer see a gap on a clean wire and cycle the connection
+// (the fault-free reconnect flicker).
 func (l *link) heartbeat() {
 	l.mu.Lock()
-	ack := l.recvSeq
-	sent := l.nextSeq
+	conn, gen := l.conn, l.gen
+	f := &frame{kind: kindHeartbeat, seq: l.sentSeq, ack: l.recvSeq}
 	l.mu.Unlock()
-	l.sendUnreliable(&frame{kind: kindHeartbeat, seq: sent, ack: ack})
+	if conn != nil && l.rawWrite(conn, gen, encodeFrame(f)) {
+		l.n.st.framesSent.Inc()
+	}
 }
 
 func (l *link) heartbeatLoop() {
@@ -431,11 +442,10 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			if needAck {
 				l.sinceAck = 0
 			}
-			ack := l.recvSeq
 			l.mu.Unlock()
 			l.n.handleFrame(l.proc, f)
 			if needAck {
-				l.sendUnreliable(&frame{kind: kindHeartbeat, seq: 0, ack: ack})
+				l.heartbeat()
 			}
 		default: // gap: an earlier frame never arrived
 			l.mu.Unlock()

@@ -43,8 +43,8 @@ type Config struct {
 	// machinery.
 	Injector *fault.Injector
 	// Telemetry, when non-nil, receives the transport.* counters
-	// (frames, retransmits, reconnects, heartbeat misses, CRC errors,
-	// duplicate frames). Use the run's shared registry.
+	// (frames, retransmits, reconnects, severs, heartbeat misses, CRC
+	// errors, duplicate frames). Use the run's shared registry.
 	Telemetry *telemetry.Registry
 	// MsgIDBase partitions the telemetry message-id space between
 	// processes that each own a telemetry Run (e.g. (proc)<<44), so flow
@@ -81,6 +81,7 @@ func (c *Config) fill() {
 type stats struct {
 	framesSent, framesRecv   *telemetry.Counter
 	retransmits, reconnects  *telemetry.Counter
+	severs                   *telemetry.Counter
 	heartbeatMisses          *telemetry.Counter
 	dupFrames, crcErrors     *telemetry.Counter
 	staleDrops, decodeErrors *telemetry.Counter
@@ -92,6 +93,7 @@ func newStats(reg *telemetry.Registry) *stats {
 		framesRecv:      reg.Counter("transport.frames_recv"),
 		retransmits:     reg.Counter("transport.retransmits"),
 		reconnects:      reg.Counter("transport.reconnects"),
+		severs:          reg.Counter("transport.severs"),
 		heartbeatMisses: reg.Counter("transport.heartbeat_misses"),
 		dupFrames:       reg.Counter("transport.dup_frames"),
 		crcErrors:       reg.Counter("transport.crc_errors"),

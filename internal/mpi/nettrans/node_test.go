@@ -44,7 +44,9 @@ func rankBuf(rank, n int) []float32 {
 // TestFleetAllreduceMatchesChannels runs the same collective workload on
 // the in-process world and on a 3-proc TCP fleet and requires
 // bit-identical per-rank results: the transport must not perturb the
-// reduction's summation order.
+// reduction's summation order. Nothing was injected, so the links end the
+// run never having been cut or re-established: a reconnect on a clean
+// loopback wire is a defect, not jitter.
 func TestFleetAllreduceMatchesChannels(t *testing.T) {
 	const size, elems = 4, 257
 	workload := func(sink *sync.Map) func(c *mpi.Comm) error {
@@ -75,7 +77,9 @@ func TestFleetAllreduceMatchesChannels(t *testing.T) {
 		t.Fatalf("in-process world: %v", err)
 	}
 
-	fl := newTestFleet(t, 3, testConfig())
+	cfg := testConfig()
+	cfg.Telemetry = telemetry.NewRegistry()
+	fl := newTestFleet(t, 3, cfg)
 	assign, err := AssignRanks(size, 2, []int{0, 1, 2}, 3)
 	if err != nil {
 		t.Fatalf("AssignRanks: %v", err)
@@ -101,6 +105,12 @@ func TestFleetAllreduceMatchesChannels(t *testing.T) {
 				t.Fatalf("rank %d elem %d: %x over TCP vs %x in process",
 					r, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 			}
+		}
+	}
+	snap := cfg.Telemetry.Snapshot().Counters
+	for _, name := range []string{"transport.reconnects", "transport.severs", "transport.retransmits", "transport.crc_errors"} {
+		if snap[name] != 0 {
+			t.Errorf("fault-free fleet run ended with %s = %d, want 0", name, snap[name])
 		}
 	}
 }
@@ -292,6 +302,10 @@ func TestFleetWireChaosRecovers(t *testing.T) {
 		if snap[want] < 1 {
 			t.Fatalf("%s = %d, want >= 1 (snapshot: %v)", want, snap[want], snap)
 		}
+	}
+	// The one sever rule is counted where it cut, once.
+	if snap["transport.severs"] != 1 {
+		t.Fatalf("transport.severs = %d, want 1", snap["transport.severs"])
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // or half-edited file. The fuzz target's invariant: a *Config that passes
 // its own cross-validation and compiles into an injector and a retry policy,
 // or an error that says where — never a panic, a hang, or an allocation
-// beyond a small multiple of the input. The seeds (the nine shipped
-// scenarios and the ways an editor breaks them) run in every `go test`;
+// beyond a small multiple of the input. The seeds (the shipped scenarios,
+// the ways an editor breaks them, and what the format no longer takes — a
+// deleted metric, a duration or fractional bound) run in every `go test`;
 // `make fuzz-smoke` mutates from them for 10 s.
 
 // located matches the loader's contract for an error: path:line: message.
@@ -47,11 +48,16 @@ func FuzzParseScenario(f *testing.F) {
 		swap("batches: 4", "batches: 4611686018427387904"), swap("rank: 3", "rank: 18446744073709551615"),
 		swap("count: 3", "count: 9223372036854775807"), swap("groups: 2", "groups: 3037000500\n  ranks: 3037000500"),
 		swap("deadline: 5s", "deadline: -5s"), swap("delay: 2ms", "delay: -2ms"), swap("base_delay: 1ms", "base_delay: -1ms"), // negative durations
-		swap("restart_backoff: 1ms", "restart_backoff: -1h"), swap("max: 5s", "max: -5s"),
+		swap("restart_backoff: 1ms", "restart_backoff: -1h"),
+		swap("max: 40", "max: 5s"), swap("max: 40", "max: -5s"), swap("max: 40", "max: 0.98"), swap("max: 40", "max: -1"), // bounds are counts
+		swap("max: 40", "min: 0"), swap("min: 1\n    max: 1", "min: 2\n    max: 1"), swap("max: 40", "max: 9223372036854775808"),
 		swap("deadline: 5s", "deadline: 2562047h48m"), swap("world:", "world: {groups: 2}"), swap("gates:", "gates: []"),
 		swap("name: demo-scenario", "name: \"unterminated"), swap("rank: any", "rank: -1"), "- a\n- b\n", "name:\n  - x\n",
 	} {
 		f.Add([]byte(s))
+	}
+	for _, name := range deletedMetrics(f) {
+		f.Add([]byte(swap("metric: retries", "metric: "+name)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cfg *Config

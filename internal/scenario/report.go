@@ -3,17 +3,15 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 )
 
 // AnalysisSchema versions the analysis.json layout for downstream
 // consumers (CI validation, dashboards).
-const AnalysisSchema = "distfdk-slo/1"
+const AnalysisSchema = "distfdk-slo/2"
 
-// Analysis is the slogate artifact: every scenario's robust metrics and
-// gate verdicts, plus the overall pass bit that decides the exit code.
+// Analysis is the slogate artifact: every scenario's runs and gate
+// verdicts, plus the overall pass bit that decides the exit code.
 type Analysis struct {
 	Schema    string           `json:"schema"`
 	Timestamp string           `json:"timestamp,omitempty"`
@@ -21,37 +19,33 @@ type Analysis struct {
 	Pass      bool             `json:"pass"`
 }
 
-// ScenarioResult aggregates one scenario's paired-arm replay.
+// ScenarioResult is one scenario's replay: the fault-free reference run,
+// the seeded injected runs, and the verdicts over them.
 type ScenarioResult struct {
-	Name        string `json:"name"`
-	Description string `json:"description,omitempty"`
-	Seed        int64  `json:"seed"`
-	Runs        int    `json:"runs"`
-	Expect      string `json:"expect"`
-	// Metrics holds the robust (IQR-trimmed median) aggregates keyed by
-	// catalog name; durations are nanoseconds.
-	Metrics map[string]float64 `json:"metrics"`
-	// Baseline and Injected are the per-run harvests of the two arms;
-	// Dark holds the telemetry-off runs backing overhead_ratio (absent
-	// unless a gate asked for it).
-	Baseline []RunMetrics `json:"baseline"`
-	Injected []RunMetrics `json:"injected"`
-	Dark     []RunMetrics `json:"dark,omitempty"`
-	Gates    []GateResult `json:"gates"`
-	Pass     bool         `json:"pass"`
+	Name        string       `json:"name"`
+	Description string       `json:"description,omitempty"`
+	Seed        int64        `json:"seed"`
+	Runs        int          `json:"runs"`
+	Expect      string       `json:"expect"`
+	Reference   RunMetrics   `json:"reference"`
+	Injected    []RunMetrics `json:"injected"`
+	Gates       []GateResult `json:"gates"`
+	Pass        bool         `json:"pass"`
 	// Error is set when the scenario could not be replayed at all (the
 	// world failed to build); such a scenario always fails.
 	Error string `json:"error,omitempty"`
 }
 
-// GateResult is one evaluated assertion.
+// GateResult is one evaluated assertion. Values holds the gated count of
+// every injected run, in run order (absent on the implicit outcome and
+// volume verdicts, which say what they saw in Detail).
 type GateResult struct {
-	Metric string   `json:"metric"`
-	Value  float64  `json:"value"`
-	Min    *float64 `json:"min,omitempty"`
-	Max    *float64 `json:"max,omitempty"`
-	Pass   bool     `json:"pass"`
-	Detail string   `json:"detail,omitempty"`
+	Metric string  `json:"metric"`
+	Values []int64 `json:"values,omitempty"`
+	Min    *int64  `json:"min,omitempty"`
+	Max    *int64  `json:"max,omitempty"`
+	Pass   bool    `json:"pass"`
+	Detail string  `json:"detail,omitempty"`
 }
 
 // NewAnalysis assembles the artifact and computes the overall verdict.
@@ -95,69 +89,30 @@ func (a *Analysis) Markdown() string {
 			fmt.Fprintf(&b, "scenario failed to run: %s\n\n", s.Error)
 			continue
 		}
-		fmt.Fprintf(&b, "seed %d · %d runs per arm · expect `%s`\n\n", s.Seed, s.Runs, s.Expect)
-		b.WriteString("| gate | value | bound | verdict |\n|---|---|---|---|\n")
+		fmt.Fprintf(&b, "seed %d · 1 reference + %d injected runs · expect `%s`\n\n", s.Seed, s.Runs, s.Expect)
+		b.WriteString("| gate | per injected run | bound | verdict |\n|---|---|---|---|\n")
 		for _, g := range s.Gates {
-			gm := "pass"
+			// The implicit verdicts (no Values) say what held in Detail.
+			values, bound, verdict := "—", g.Detail, "pass"
 			if !g.Pass {
-				gm = "**FAIL** — " + g.Detail
+				bound, verdict = "—", "**FAIL** — "+g.Detail
 			}
-			fmt.Fprintf(&b, "| %s | %s | %s | %s |\n",
-				g.Metric, fmtMetric(g.Metric, g.Value), fmtBounds(g), gm)
+			if g.Values != nil {
+				values = strings.Trim(fmt.Sprint(g.Values), "[]")
+				bound = fmt.Sprintf("[%s, %s]", fmtBound(g.Min), fmtBound(g.Max))
+			}
+			fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", g.Metric, values, bound, verdict)
 		}
 		b.WriteString("\n")
-		if keys := metricKeys(s.Metrics); len(keys) > 0 {
-			b.WriteString("<details><summary>all metrics</summary>\n\n")
-			b.WriteString("| metric | value |\n|---|---|\n")
-			for _, k := range keys {
-				fmt.Fprintf(&b, "| %s | %s |\n", k, fmtMetric(k, s.Metrics[k]))
-			}
-			b.WriteString("\n</details>\n\n")
-		}
 	}
 	return b.String()
 }
 
-func metricKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func fmtBound(p *int64) string {
+	if p == nil {
+		return "·"
 	}
-	sort.Strings(keys)
-	return keys
-}
-
-// durationMetric reports whether a metric's unit is nanoseconds.
-func durationMetric(name string) bool {
-	switch name {
-	case "p50_batch_latency", "p95_batch_latency", "p95_reduce_latency",
-		"recovery_time", "backoff_total", "wall_time":
-		return true
-	}
-	return false
-}
-
-func fmtMetric(name string, v float64) string {
-	if name == "outcome" {
-		return "—"
-	}
-	if durationMetric(name) {
-		return time.Duration(v).Round(time.Microsecond).String()
-	}
-	return fmt.Sprintf("%.4g", v)
-}
-
-func fmtBounds(g GateResult) string {
-	if g.Metric == "outcome" {
-		return g.Detail
-	}
-	f := func(p *float64) string {
-		if p == nil {
-			return "·"
-		}
-		return fmtMetric(g.Metric, *p)
-	}
-	return fmt.Sprintf("[%s, %s]", f(g.Min), f(g.Max))
+	return fmt.Sprint(*p)
 }
 
 // ValidateAnalysisJSON checks an analysis artifact: schema tag, at least
@@ -165,14 +120,21 @@ func fmtBounds(g GateResult) string {
 // overall pass bits. CI runs this against the uploaded artifact so a
 // silently-truncated or hand-edited file cannot masquerade as a verdict.
 func ValidateAnalysisJSON(data []byte) (*Analysis, error) {
+	// The tag first: another layout's fields are not this one's typos.
+	var tag struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &tag); err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	if tag.Schema != AnalysisSchema {
+		return nil, fmt.Errorf("analysis: schema %q, want %q", tag.Schema, AnalysisSchema)
+	}
 	var a Analysis
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&a); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	if a.Schema != AnalysisSchema {
-		return nil, fmt.Errorf("analysis: schema %q, want %q", a.Schema, AnalysisSchema)
 	}
 	if len(a.Scenarios) == 0 {
 		return nil, fmt.Errorf("analysis: no scenarios")

@@ -1,12 +1,13 @@
 // Package scenario is the declarative chaos layer of the framework: fault
 // scenarios written in YAML — a world shape, a warmup/inject/recovery
-// phase schedule, fault rules on the load/store/send/recv edges, scheduled
-// rank kills, and per-scenario SLO gates — compiled into fault.Injector
-// configurations and replayed through core.RunDistributed/core.Supervise
-// with paired fault-free arms. cmd/slogate drives the replay and turns the
-// gate verdicts into a CI release wall: a perf or robustness regression
-// fails the build with the breached gate named, instead of being eyeballed
-// out of a benchmark table.
+// phase schedule, fault rules on the load/store/send/recv edges and on the
+// socket wire, scheduled rank kills, and per-scenario event-count gates —
+// compiled into fault.Injector configurations and replayed through
+// core.RunDistributed/core.Supervise beside one fault-free reference run.
+// Every injected run must end the way the scenario expects, reconstruct the
+// reference's bytes when that way is success, and hold every count gate;
+// cmd/slogate turns those verdicts into a CI release wall. It measures no
+// time: performance is bench/'s to record.
 package scenario
 
 import (
@@ -32,7 +33,8 @@ type Config struct {
 	// Seed+run so repeated runs decorrelate delays while staying
 	// reproducible.
 	Seed int64 `json:"seed"`
-	// Runs is how many times each arm is replayed (default 3).
+	// Runs is how many seeded injected runs follow the one fault-free
+	// reference run (default 3).
 	Runs  int         `json:"runs"`
 	World WorldConfig `json:"world"`
 	// Phases cuts the batch axis into warmup/inject/recovery windows.
@@ -65,7 +67,7 @@ type WorldConfig struct {
 	Ranks   int    `json:"ranks"`
 	Batches int    `json:"batches"`
 	// Transport selects how ranks talk: "chan" (default) keeps the
-	// in-process world; "tcp" or "unix" replays every arm over an
+	// in-process world; "tcp" or "unix" replays every run over an
 	// in-process socket fleet (nettrans) — real kernel sockets, framing,
 	// heartbeats and reconnects — which is what makes wire-level fault
 	// rules (frame-drop, frame-corrupt, frame-dup, frame-delay, sever)
@@ -120,13 +122,13 @@ type SuperviseConfig struct {
 	RestartBackoff time.Duration `json:"restart_backoff,omitempty"`
 }
 
-// Gate is one release assertion over an aggregated metric: the scenario
-// breaches when the metric's robust aggregate falls below Min or above
-// Max. Duration-valued metrics are in nanoseconds.
+// Gate is one release assertion over an event count: the scenario
+// breaches when the count of any single injected run falls below Min or
+// above Max.
 type Gate struct {
-	Metric string   `json:"metric"`
-	Min    *float64 `json:"min,omitempty"`
-	Max    *float64 `json:"max,omitempty"`
+	Metric string `json:"metric"`
+	Min    *int64 `json:"min,omitempty"`
+	Max    *int64 `json:"max,omitempty"`
 }
 
 // Outcome names for Config.Expect and RunMetrics.Outcome.
@@ -138,30 +140,18 @@ const (
 	OutcomeError         = "error"
 )
 
-// Metrics gates may reference, with their aggregation semantics. Values
-// are medians over the scenario's runs after IQR outlier drop; *_ratio
-// metrics are ratios of the two arms' medians. Duration metrics are in
-// nanoseconds (write gate bounds as durations: "250ms").
+// Metrics gates may reference: event counts of one injected run, each
+// seeded or a plain tally, none a measured time.
 var metricCatalog = map[string]string{
-	"batches_per_sec":             "injected-arm throughput (executed batches per second)",
-	"baseline_batches_per_sec":    "fault-free-arm throughput",
-	"throughput_ratio":            "injected ÷ baseline throughput medians",
-	"p50_batch_latency":           "injected-arm median per-batch wall time (ns)",
-	"p95_batch_latency":           "injected-arm p95 per-batch wall time (ns)",
-	"p95_reduce_latency":          "injected-arm p95 reduce-chunk latency (ns)",
-	"recovery_time":               "worst kill→first-post-restart-batch interval (ns)",
-	"retries":                     "total retry re-attempts across ranks",
-	"backoff_total":               "total backoff sleep (ns)",
-	"faults_injected":             "faults (errors and delays) the schedule fired",
-	"restarts":                    "supervised world relaunches",
-	"lost_ranks":                  "ranks declared dead across attempts",
-	"overhead_ratio":              "telemetry-on ÷ telemetry-off fault-free wall-time medians",
-	"wall_time":                   "injected-arm wall time (ns)",
-	"critical_path_comm_fraction": "injected-arm share of the critical path spent in communication (reduce + mpi transfers), 0..1",
-	"critical_path_wait_fraction": "injected-arm share of the critical path spent idle (credit waits, blocked peers), 0..1",
-	"reconnects":                  "socket-transport connection re-establishments (both link ends count)",
-	"retransmits":                 "socket-transport frames re-sent through replay after a sever, drop or corruption",
-	"crc_errors":                  "socket-transport frames rejected by the CRC check",
+	"faults_injected": "faults (errors and delays) the schedule fired",
+	"retries":         "total retry re-attempts across ranks",
+	"backoff_total":   "total backoff the retry policy computed from its seed (ns)",
+	"restarts":        "supervised world relaunches",
+	"lost_ranks":      "ranks declared dead across attempts",
+	"severs":          "socket-transport connections cut by a fired sever rule",
+	"reconnects":      "socket-transport connection re-establishments (both link ends count)",
+	"retransmits":     "socket-transport frames re-sent through replay after a sever, drop or corruption",
+	"crc_errors":      "socket-transport frames rejected by the CRC check",
 }
 
 // MetricHelp returns the catalog line for a metric name.
@@ -464,18 +454,19 @@ func (d *dec) optDuration(n *node, key string, def time.Duration) time.Duration 
 	return v
 }
 
-// bound parses a gate bound: a duration ("250ms" → ns) or a plain number.
-func (d *dec) bound(c *node, line int, field string) float64 {
-	if !c.quoted {
-		if v, err := strconv.ParseFloat(c.scalar, 64); err == nil {
-			return v
-		}
-		if v, err := time.ParseDuration(c.scalar); err == nil {
-			return float64(v)
-		}
+// count parses a gate bound. Every gateable metric is an event count, so a
+// bound is a plain non-negative integer.
+func (d *dec) count(n *node, key, field string) *int64 {
+	c, line, ok := d.scalarOf(n, key, field)
+	if !ok {
+		return nil
 	}
-	d.fail(line, field, "want a number or duration, got %q", c.scalar)
-	return 0
+	v, err := strconv.ParseInt(c.scalar, 10, 64)
+	if err != nil || c.quoted || v < 0 {
+		d.fail(line, field, "want a non-negative integer count, got %q", c.scalar)
+		return nil
+	}
+	return &v
 }
 
 func (d *dec) decodeWorld(root *node, cfg *Config) {
@@ -746,19 +737,20 @@ func (d *dec) decodeGates(root *node, cfg *Config) {
 				"unknown metric %q (known: %s)", gate.Metric, strings.Join(MetricNames(), ", "))
 			return
 		}
-		if c, line, ok := d.scalarOf(item, "min", field+".min"); ok {
-			v := d.bound(c, line, field+".min")
-			gate.Min = &v
-		}
-		if c, line, ok := d.scalarOf(item, "max", field+".max"); ok {
-			v := d.bound(c, line, field+".max")
-			gate.Max = &v
-		}
+		gate.Min = d.count(item, "min", field+".min")
+		gate.Max = d.count(item, "max", field+".max")
 		if d.err != nil {
 			return
 		}
-		if gate.Min == nil && gate.Max == nil {
+		switch {
+		case gate.Min == nil && gate.Max == nil:
 			d.fail(item.line, field, "gate needs min, max or both")
+			return
+		case gate.Max == nil && *gate.Min == 0:
+			d.fail(item.keyLn["min"], field, "min 0 alone cannot fail (a count is never negative)")
+			return
+		case gate.Min != nil && gate.Max != nil && *gate.Min > *gate.Max:
+			d.fail(item.keyLn["min"], field, "min %d above max %d: no count passes", *gate.Min, *gate.Max)
 			return
 		}
 		cfg.Gates = append(cfg.Gates, gate)

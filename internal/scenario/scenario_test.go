@@ -47,9 +47,22 @@ gates:
   - metric: restarts
     min: 1
     max: 1
-  - metric: recovery_time
-    max: 5s
+  - metric: retries
+    max: 40
 `
+
+// deletedMetrics reads testdata/deleted-metrics.txt: the measured-time and
+// ratio metrics the catalog held until the wall stopped timing anything. A
+// scenario file that still names one is refused where it names it, like any
+// unknown metric.
+func deletedMetrics(t testing.TB) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "deleted-metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Fields(string(data))
+}
 
 func TestParseValidScenario(t *testing.T) {
 	cfg, err := Parse("demo.yaml", []byte(validDoc))
@@ -87,9 +100,8 @@ func TestParseValidScenario(t *testing.T) {
 	if len(cfg.Gates) != 2 || cfg.Gates[0].Metric != "restarts" {
 		t.Fatalf("gates = %+v", cfg.Gates)
 	}
-	// Duration-typed gate bound lands in nanoseconds.
-	if *cfg.Gates[1].Max != float64(5*time.Second) {
-		t.Errorf("recovery_time max = %g", *cfg.Gates[1].Max)
+	if g := cfg.Gates[1]; g.Min != nil || *g.Max != 40 {
+		t.Errorf("retries gate = %+v", g)
 	}
 	if !cfg.Supervised() {
 		t.Error("kill schedule must imply supervision")
@@ -137,17 +149,30 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"bad count", edit(t, "count: every", "count: 0"), `want "every" or a positive count`},
 		{"bad expect", edit(t, "expect: success", "expect: explodes"), "unknown outcome"},
 		{"unknown metric", edit(t, "metric: restarts", "metric: vibes"), `unknown metric "vibes"`},
-		{"bound gibberish", edit(t, "max: 5s", "max: loose"), "want a number or duration"},
+		{"bound gibberish", edit(t, "max: 40", "max: loose"), "want a non-negative integer count"},
+		{"duration bound", edit(t, "max: 40", "max: 5s"), `want a non-negative integer count, got "5s"`},
+		{"fractional bound", edit(t, "max: 40", "max: 0.98"), "want a non-negative integer count"},
+		{"negative bound", edit(t, "max: 40", "max: -1"), "want a non-negative integer count"},
+		{"quoted bound", edit(t, "max: 40", `max: "40"`), "want a non-negative integer count"},
+		{"vacuous gate", edit(t, "max: 40", "min: 0"), "min 0 alone cannot fail"},
+		{"empty range", edit(t, "min: 1\n    max: 1", "min: 2\n    max: 1"), "min 2 above max 1"},
 		{"kill rank range", edit(t, "rank: 3\n    batch: 1", "rank: 9\n    batch: 1"), "rank 9 out of range"},
 		{"kill batch range", edit(t, "batch: 1", "batch: 99"), "batch 99 out of range"},
 		{"warmup swallows run", edit(t, "warmup: 1", "warmup: 4"), "consume the whole run"},
-		{"missing world", []byte("name: x\ngates:\n  - metric: retries\n    min: 0\n"), "world: required section missing"},
+		{"missing world", []byte("name: x\ngates:\n  - metric: retries\n    max: 0\n"), "world: required section missing"},
 		{"missing name", []byte("world:\n  groups: 1\n  ranks: 1\n  batches: 1\n"), "name: required key missing"},
 		{"bad transport", edit(t, "  batches: 4", "  batches: 4\n  transport: carrier-pigeon"), `unknown transport "carrier-pigeon"`},
 		{"socket without procs", edit(t, "  batches: 4", "  batches: 4\n  transport: tcp"), "at least 2 processes"},
 		{"one-proc socket world", edit(t, "  batches: 4", "  batches: 4\n  transport: unix\n  procs: 1"), "at least 2 processes"},
 		{"procs on channel world", edit(t, "  batches: 4", "  batches: 4\n  procs: 3"), "only meaningful with transport"},
 		{"wire op on channel world", edit(t, "op: recv", "op: sever"), "needs world.transport tcp or unix"},
+	}
+	for _, name := range deletedMetrics(t) {
+		cases = append(cases, struct {
+			name string
+			doc  []byte
+			want string
+		}{"deleted metric " + name, edit(t, "metric: retries", "metric: "+name), `unknown metric "` + name + `"`})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -76,7 +76,7 @@ func main() {
 		ringRows := plan.RingDepth(0)
 		fmt.Printf("streaming, Nc=%2d: ok in %v — ring %d rows (%s) + slab %s; H2D %s (each row exactly once)\n",
 			nc, rep.Elapsed.Round(1e6), ringRows,
-			mib(int64(sys.NU)*int64(sys.NP)*int64(ringRows)*4),
+			mib(device.Layout{NU: sys.NU, NP: sys.NP, H: ringRows}.Bytes()),
 			mib(plan.SlabBytes()), mib(rep.Ledger.H2DBytes))
 	}
 	fmt.Println("the same mechanism generates the paper's 4096³ (256 GB) volume on a 16 GB V100")

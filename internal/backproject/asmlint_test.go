@@ -14,9 +14,10 @@ import (
 // this kernel's whole reconstruction five times slower, and a routine that
 // returns with dirty upper halves does the same to the SSE code the Go
 // compiler emits after it. In every assembly file of the module, inside any
-// TEXT block that touches a Y register, every instruction with an X or Y
-// operand must therefore be VEX-encoded — its mnemonic starts with V — and
-// every RET must follow a VZEROUPPER.
+// TEXT block that touches a Y register — and in any macro that does, since a
+// macro's instructions land in the block that expands it — every instruction
+// with an X or Y operand must therefore be VEX-encoded — its mnemonic starts
+// with V — and every RET must follow a VZEROUPPER.
 func TestAssemblyUsesVEXInsideYMMBlocks(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -64,10 +65,11 @@ func lintAssembly(t *testing.T, name, path string) bool {
 	var block string
 	for n, raw := range strings.Split(string(src), "\n") {
 		text, _, _ := strings.Cut(raw, "//")
+		text = strings.TrimRight(text, "\\; \t") // a macro body's separator and continuation
 		fields := strings.Fields(text)
 		switch {
 		case len(fields) == 0:
-		case fields[0] == "TEXT":
+		case fields[0] == "TEXT" || fields[0] == "#define" && len(fields) > 1:
 			block = fields[1]
 		case block != "" && !strings.HasSuffix(fields[0], ":"):
 			blocks[block] = append(blocks[block], line{n + 1, strings.TrimSpace(text)})

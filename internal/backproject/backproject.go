@@ -77,23 +77,23 @@ func (k Kernel) String() string {
 // projAccess provides the kernel's view of projection storage. It unifies
 // the ring-buffered device store (slot = v mod H, Listing 1's devPixel) and
 // a linear stack (slot = v − V0) behind one addressing rule so the two
-// kernels share their sampling code: the sample (v, s, u) lives at
-// rowOff[v−lo] + s·sStride + u. rowOff caches the storage offset of every
-// readable row, hoisting the modular (ring) or affine (stack) slot
-// arithmetic out of the per-sample path; sStride is the store's own
-// projection stride (ProjRing.ProjStride, or NU for a stack), so another
-// ring arrangement is a change inside internal/device.
+// kernels share their sampling code: both are a device.Layout, and the
+// sample (v, s, u) lives at rowOff[v−lo+2] + s·sStride + u. rowOff caches
+// the storage offset of every readable row, hoisting the slot arithmetic
+// out of the per-sample path, between two entries on either side that name
+// the layout's zero slot: what the rows just outside [lo,hi) read as. With
+// the layout's zero apron around every run of samples, the texture border
+// of Listing 1 is data: rows lo−2..hi+1 and columns −2..nu+1 are loadable,
+// and are +0 wherever the window ends.
 type projAccess struct {
 	data    []float32
 	nu, np  int
-	h       int   // ring depth for buildRowTable (0 = linear stack order)
 	sStride int   // storage distance between projections of one row
 	lo, hi  int   // global rows readable [lo, hi)
-	rowOff  []int // rowOff[v-lo] = storage offset of global row v
+	rowOff  []int // rowOff[v-lo+2] = storage offset of global row v
 	// rowIdx32 is rowOff narrowed to int32 for the AVX2 gather
 	// instructions; built by prepareSIMD when a launch dispatches to them.
 	rowIdx32 []int32
-	rowMax   int // largest rowOff entry
 	// asm says the launch runs the assembly spelling of the fast kernel,
 	// not the Go one; accumulateSlab decides it once per launch.
 	asm bool
@@ -102,43 +102,34 @@ type projAccess struct {
 	win spanWindow
 }
 
-// buildRowTable fills rowOff and sStride for a hand-constructed access in
-// the default row-interleaved order: ring addressing (slot = v mod h) when
-// h > 0, linear stack order otherwise. The production constructors below
-// derive the table from the ring/stack directly; this exists for tests
-// that assemble a projAccess literal.
-func (a *projAccess) buildRowTable() {
-	if a.sStride == 0 {
-		a.sStride = a.nu
+// layoutAccess addresses the rows [lo,hi) of a store laid out by l, whose
+// slot 0 holds global row v0 (0 for a ring: its slots are v mod H).
+func layoutAccess(l device.Layout, data []float32, lo, hi, v0 int) projAccess {
+	a := projAccess{data: data, nu: l.NU, np: l.NP, sStride: l.ProjStride(), lo: lo, hi: hi}
+	a.rowOff = make([]int, hi-lo+4)
+	for i := range a.rowOff {
+		a.rowOff[i] = l.ZeroBase()
 	}
-	a.rowOff = make([]int, a.hi-a.lo)
-	for v := a.lo; v < a.hi; v++ {
-		if a.h > 0 {
-			a.rowOff[v-a.lo] = (v % a.h) * a.np * a.nu
-		} else {
-			a.rowOff[v-a.lo] = (v - a.lo) * a.np * a.nu
-		}
+	for v := lo; v < hi; v++ {
+		a.rowOff[v-lo+2] = l.RowBase(v - v0)
 	}
+	return a
 }
 
 func ringAccess(r *device.ProjRing) projAccess {
 	valid := r.Valid()
-	a := projAccess{data: r.RawData(), nu: r.NU, np: r.NP, lo: valid.Lo, hi: valid.Hi}
-	a.sStride = r.ProjStride()
-	a.rowOff = make([]int, a.hi-a.lo)
-	for v := a.lo; v < a.hi; v++ {
-		a.rowOff[v-a.lo] = r.RowBase(v)
-	}
-	return a
+	return layoutAccess(r.Layout, r.RawData(), valid.Lo, valid.Hi, 0)
 }
 
+// stackAccess re-lays the stack into the layout the ring stores, once per
+// launch: host memory, like the stack itself, so no device budget moves.
 func stackAccess(s *projection.Stack) projAccess {
-	a := projAccess{data: s.Data, nu: s.NU, np: s.NP, sStride: s.NU, lo: s.V0, hi: s.V0 + s.NV}
-	a.rowOff = make([]int, a.hi-a.lo)
-	for v := a.lo; v < a.hi; v++ {
-		a.rowOff[v-a.lo] = (v - s.V0) * s.NP * s.NU
+	l := device.Layout{NU: s.NU, NP: s.NP, H: s.NV}
+	data := make([]float32, l.Len())
+	for v := 0; v < s.NV; v++ {
+		l.Store(data, v, s.Data[v*s.NP*s.NU:])
 	}
-	return a
+	return layoutAccess(l, data, s.V0, s.V0+s.NV, s.V0)
 }
 
 // subPixel is the bilinear interpolation of Algorithm 1 / Listing 1's
@@ -154,8 +145,8 @@ func (a *projAccess) subPixel(x, y float32, s int) float32 {
 
 	if iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi {
 		// Fast path: the whole 2×2 footprint is resident.
-		r0 := a.rowOff[iv-a.lo] + s*a.sStride + iu
-		r1 := a.rowOff[iv+1-a.lo] + s*a.sStride + iu
+		r0 := a.rowOff[iv-a.lo+2] + s*a.sStride + iu
+		r1 := a.rowOff[iv-a.lo+3] + s*a.sStride + iu
 		t1 := a.data[r0]*(1-eu) + a.data[r0+1]*eu
 		t2 := a.data[r1]*(1-eu) + a.data[r1+1]*eu
 		return t1*(1-ev) + t2*ev
@@ -165,7 +156,7 @@ func (a *projAccess) subPixel(x, y float32, s int) float32 {
 		if u < 0 || u >= a.nu || v < a.lo || v >= a.hi {
 			return 0
 		}
-		return a.data[a.rowOff[v-a.lo]+s*a.sStride+u]
+		return a.data[a.rowOff[v-a.lo+2]+s*a.sStride+u]
 	}
 	t1 := get(iv, iu)*(1-eu) + get(iv, iu+1)*eu
 	t2 := get(iv+1, iu)*(1-eu) + get(iv+1, iu+1)*eu
@@ -386,7 +377,7 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 // arithmetic.
 func (a *projAccess) accumulateSlicesExact(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters) {
 	data := a.data
-	rowOff := a.rowOff
+	rowOff := a.rowOff[2:]
 	lo := a.lo
 	nx := slab.NX
 	for k := w; k < slab.NZ; k += workers {

@@ -138,8 +138,8 @@ func TestSubPixelBorderIsZero(t *testing.T) {
 		t.Fatalf("half-out sample = %g, want 2.5", got)
 	}
 	// Row range below lo is not readable even if slots exist.
-	b := projAccess{data: []float32{5, 5, 5, 5}, nu: 2, np: 1, h: 2, lo: 1, hi: 2}
-	b.buildRowTable()
+	b := projAccess{data: []float32{5, 5, 5, 5}, nu: 2, np: 1, lo: 1, hi: 2}
+	b.layRows(2, nil)
 	if got := b.subPixel(0, 0, 0); math.Abs(float64(got)-2.5) > 1e-6 {
 		// row 0 invalid (0), row 1 valid (5); ev=0 → t1 weight 1 → 0?
 		// y=0 ⇒ iv=0 invalid, iv+1=1 valid but ev=0 ⇒ contribution 0.

@@ -14,8 +14,7 @@ import (
 // through the spelling a.asm names.
 func benchRow(b *testing.B, h int) (a *projAccess, f0, f1 int, launch func(c0, c1 int)) {
 	const nu, nv, nx = 256, 256, 4096
-	a = &projAccess{nu: nu, np: 1, h: 0, lo: 0, hi: nv}
-	a.sStride = nu
+	a = &projAccess{nu: nu, np: 1, lo: 0, hi: nv}
 	a.data = make([]float32, nu*nv)
 	rng := rand.New(rand.NewSource(1))
 	for i := range a.data {

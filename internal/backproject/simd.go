@@ -66,7 +66,7 @@ func simdCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
 // (go_asm.h).
 type simdRowArgs struct {
 	data   unsafe.Pointer // base of projection s's samples
-	rows   unsafe.Pointer // int32 row-offset table (rowIdx32), the assembly's
+	rows   unsafe.Pointer // int32 row table (rowIdx32: entry iv−lo2 is row iv), the assembly's
 	out    unsafe.Pointer // the output row in the tile's first slice
 	stride int64          // bytes from the row in one slice of the tile to the next
 	h      int64          // slices in the tile, 1..zBlock
@@ -74,10 +74,9 @@ type simdRowArgs struct {
 	c1     int64          // last covered column (exclusive)
 	f0     int64          // first interior column (inclusive)
 	f1     int64          // last interior column (exclusive)
-	winMax int64          // largest window base whose 9-float read stays inside the buffer
-	lo     int32          // first readable global detector row
+	lo2    int32          // lo − 2: the global row of the row table's first entry
+	hi     int32          // first global detector row past the readable ones
 	nu     int32          // detector columns per row
-	nrows  int32          // readable detector rows (hi − lo)
 	ax     float32
 	ay     float32
 	az     float32
@@ -93,10 +92,7 @@ type simdRowArgs struct {
 func (a *projAccess) initSpanArgs(args *simdRowArgs, s int, ax, ay, az float32) {
 	args.data = unsafe.Pointer(unsafe.SliceData(a.data[s*a.sStride:]))
 	args.rows = unsafe.Pointer(unsafe.SliceData(a.rowIdx32))
-	args.lo = int32(a.lo)
-	args.nu = int32(a.nu)
-	args.nrows = int32(a.hi - a.lo)
-	args.winMax = int64(len(a.data) - s*a.sStride - a.rowMax - 9)
+	args.lo2, args.hi, args.nu = int32(a.lo-2), int32(a.hi), int32(a.nu)
 	args.ax, args.ay, args.az = ax, ay, az
 }
 
@@ -161,7 +157,7 @@ func (a *projAccess) fusedTileGo(args *simdRowArgs) {
 // x, y ≥ 0 there, so truncation is floor.
 func (a *projAccess) fastLane(args *simdRowArgs, j, g0, g1 int) {
 	dp := args.data
-	rp := unsafe.Pointer(unsafe.SliceData(a.rowOff))
+	rp := unsafe.Pointer(unsafe.SliceData(a.rowOff[2:]))
 	lo := a.lo
 	h := int(args.h)
 	stride := args.stride
@@ -214,50 +210,34 @@ func (a *projAccess) fastLane(args *simdRowArgs, j, g0, g1 int) {
 
 // guardedCols runs the guarded body on columns [g0,g1): the coordinates of
 // the contract's per-column definition — u and w, and what follows from
-// them, once per column, v per slice — and every neighbour access tested
-// against the readable window, a neighbour outside it contributing exactly
-// +0: the exact kernel's texture-border semantics. A resident column
-// computes what fastLane computes: the guards only decide whether a load
-// happens, never its value. floor32, not truncation, because border
-// coordinates may be negative.
+// them, once per column, v per slice — with floor32, not truncation, because
+// border coordinates may be negative, and eu and ev taken from that floor.
+// Then the footprint's origin is clamped to columns [−2, nu] and rows
+// [lo−2, hi], where the store holds the texture border as data (the apron
+// and the row table's zero-slot entries): a neighbour outside the readable
+// window loads exactly +0, a footprint beyond the clamp would have loaded
+// four of them and still does, and a conversion of a NaN or a huge floor,
+// whatever integer the host makes of it, lands inside the store. A resident
+// column is untouched by the clamp and computes what fastLane computes.
 func (a *projAccess) guardedCols(args *simdRowArgs, g0, g1 int) {
 	rowOff, lo, hi, nu := a.rowOff, a.lo, a.hi, a.nu
-	// The guards establish exactly the bounds a slice access would re-check
-	// (iv ∈ [lo,hi) before the row-table load, iu ∈ [0,nu) before each
-	// sample load), so the sample loads run on the block's raw pointer.
-	at := func(r, iu int) float32 { return *(*float32)(unsafe.Add(args.data, (r+iu)*4)) }
 	for i := g0; i < g1; i++ {
 		rz := 1 / laneAt(i, args.az, args.zc)
 		x := float32(laneAt(i, args.ax, args.xc) * rz)
 		fx := floor32(x)
-		iu := int(fx)
 		eu := x - fx
+		iu := min(max(int(fx), -2), nu)
 		rz2 := rz * rz
 		op := unsafe.Add(args.out, i*4)
 		for _, yc := range args.yc[:args.h] {
 			y := float32(laneAt(i, args.ay, yc) * rz)
 			fy := floor32(y)
-			iv := int(fy)
 			ev := y - fy
-			var p00, p01, p10, p11 float32
-			if iv >= lo && iv < hi {
-				r := rowOff[iv-lo]
-				if iu >= 0 && iu < nu {
-					p00 = at(r, iu)
-				}
-				if iu+1 >= 0 && iu+1 < nu {
-					p01 = at(r, iu+1)
-				}
-			}
-			if iv+1 >= lo && iv+1 < hi {
-				r := rowOff[iv+1-lo]
-				if iu >= 0 && iu < nu {
-					p10 = at(r, iu)
-				}
-				if iu+1 >= 0 && iu+1 < nu {
-					p11 = at(r, iu+1)
-				}
-			}
+			ivr := min(max(int(fy), lo-2), hi) - lo
+			r0 := unsafe.Add(args.data, (rowOff[ivr+2]+iu)*4)
+			r1 := unsafe.Add(args.data, (rowOff[ivr+3]+iu)*4)
+			p00, p01 := *(*float32)(r0), *(*float32)(unsafe.Add(r0, 4))
+			p10, p11 := *(*float32)(r1), *(*float32)(unsafe.Add(r1, 4))
 			t1 := p00 + float32(eu*(p01-p00))
 			t2 := p10 + float32(eu*(p11-p10))
 			*(*float32)(op) += float32(rz2 * (t1 + float32(ev*(t2-t1))))
@@ -285,22 +265,20 @@ func simdLaneCounts(f0, f1 int) (full, tail int64) {
 	return int64(hi-lo) / simdLanes, int64((f1 - f0) - (hi - lo))
 }
 
-// prepareSIMD builds the int32 row-offset table the gather instructions
-// index through (VPGATHERDD consumes 32-bit indices). It reports false —
-// the launch runs the Go spelling — when any storage offset could overflow
-// an int32; at 4 bytes per sample that is a >8 GiB projection buffer, far
-// beyond this host-resident design.
+// prepareSIMD builds the int32 row table the assembly indexes through (its
+// gathers consume 32-bit indices). It reports false — the launch runs the Go
+// spelling — when any storage offset could overflow an int32; at 4 bytes per
+// sample that is a >8 GiB projection buffer, far beyond this host-resident
+// design.
 func (a *projAccess) prepareSIMD() bool {
 	if int64(len(a.data)) > math.MaxInt32 {
 		return false
 	}
 	if a.rowIdx32 == nil {
-		idx := make([]int32, len(a.rowOff))
+		a.rowIdx32 = make([]int32, len(a.rowOff))
 		for i, r := range a.rowOff {
-			idx[i] = int32(r)
-			a.rowMax = max(a.rowMax, r)
+			a.rowIdx32[i] = int32(r)
 		}
-		a.rowIdx32 = idx
 	}
 	return true
 }

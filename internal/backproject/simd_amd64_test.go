@@ -6,110 +6,152 @@ import (
 )
 
 // The assembly's window loads — two loads and two permutes per footprint
-// edge — must give what its gathers give, which is what the per-column
-// definition and the Go spelling give, on tiles of every height, and each
-// of the conditions that sends a group or a slice back to the gathers must
-// hold somewhere among the trials: a group spanning more than the eight
-// columns a window holds (coarse voxels), a slice whose eight lanes straddle
-// detector rows, and a window that would end past the projection buffer,
-// next to the last one that does not. alloc provides the sample buffer, so
-// that a variant of this test can put an unreadable page right behind it.
-// (In this file because its subject is the assembly.)
+// edge, for one detector row or, blended per lane, for two adjacent ones —
+// must give what its gathers give, which is what the per-column definition
+// and the Go spelling give, on tiles of every height and in both bodies,
+// and each way a group's samples can be fetched must be taken somewhere
+// among the trials: the counts below decide a group's fetch from the
+// per-column footprints exactly as SAMPLE does from its lanes. The guarded
+// body's windows must be seen to start inside a row's left apron, to end in
+// its right one, and to read the zero slot as their second or third row.
+// alloc (nil: make) provides the store's buffer, of exactly the floats the
+// layout declares readable, so that a variant of this test can put an
+// unreadable page right behind it. (In this file because its subject is the assembly.)
 func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
 	if !simdAvailable() {
 		t.Skip("no usable AVX2")
 	}
 	rng := rand.New(rand.NewSource(67))
 	const nx = 160
-	var windows, lastWindow, coarse, straddling, pastEnd int
-	for trial := 0; trial < 80; trial++ {
-		a := projAccess{nu: 240, np: 1, lo: 0, hi: 60}
-		a.data = alloc(a.nu * (a.hi - a.lo))
+	counts := map[string]int{}
+	for trial := 0; trial < 84; trial++ {
+		a := projAccess{nu: 240, np: 1, lo: 4, hi: 64}
+		a.data = make([]float32, a.nu*(a.hi-a.lo))
 		for i := range a.data {
 			a.data[i] = float32(rng.NormFloat64())
 		}
-		a.buildRowTable()
+		a.layRows(0, alloc)
 		if !a.prepareSIMD() {
 			t.Fatal("prepareSIMD refused a small buffer")
 		}
-		// Columns [0,nx) land inside the detector; w ≈ 1 ± 0.1, so the
-		// reciprocal varies lane to lane. x climbs 0.8 px per column (a
-		// group spans 5.6 px: one window) or 1.2 (8.4 px: none); y is
-		// almost level, or climbs 0.2 px per column and changes row inside
-		// most groups. Every fourth trial ends in the detector's last
-		// columns of its last two rows, the end of the buffer.
+		// w ≈ 1 ± 0.1, so the reciprocal varies lane to lane. x climbs 0.8
+		// px per column (a group spans 5.6 px: one window) or 1.2 (8.4 px:
+		// none); y is almost level, or climbs 0.2 px per column and changes
+		// row inside most groups, or 0.3 and crosses three. Kinds 0–3 keep
+		// every column inside the detector (the fast body); 4–6 sweep x
+		// over the detector's left or right edge while the slices step y
+		// over the window's first or last row, or y climbs out past the
+		// last row: the guarded body, down to the zero slot's right apron —
+		// the last floats of the store.
 		az := float32((rng.Float64() - 0.5) * 0.001)
 		zc := float32(1 + rng.Float64()*0.2)
 		pitch, climb := 0.8, 0.004
-		switch trial % 4 {
+		x0, y0, dy := 2+rng.Float64()*3, float64(a.lo)+1+rng.Float64()*3, 0.3+rng.Float64()
+		switch trial % 7 {
 		case 1:
 			pitch = 1.2
 		case 2:
 			climb = 0.2
+		case 3:
+			climb, dy = 0.3, 0.3+0.2*rng.Float64()
+		case 4:
+			x0, y0, dy = -8+rng.Float64(), float64(a.lo)-1.6, 0.45
+		case 5:
+			x0, y0, dy = float64(a.nu)-120+rng.Float64(), float64(a.hi)-1.8, 0.45
+		case 6:
+			climb = 0.2
+			x0, y0, dy = float64(a.nu)-110+rng.Float64(), float64(a.hi)-20, 0.3
 		}
 		ax := float32(pitch+rng.Float64()*0.01) * zc
-		xc := float32(2+rng.Float64()*3) * zc
+		xc := float32(x0) * zc
 		ay := float32(climb) * zc
-		yc0 := float32(3+rng.Float64()*3) * zc
-		dyc := float32(0.3+rng.Float64()) * zc
-		h := 1 + trial%zBlock
-		if trial%4 == 3 {
-			// The last column's footprint is the detector's last two
-			// columns; the group's first lands 5.6 to 6.9 px before it, so
-			// the window starts on, or one or two past, the last float it
-			// may start on.
-			az, ay = 0, 0
-			ax = float32([]float64{0.8, 0.9, 0.99}[trial/4%3]) * zc
-			xc = (float32(a.nu)-1.05-0.9*rng.Float32())*zc - ax*(nx-1)
-			yc0 = (float32(a.hi) - 1.9) * zc
-			dyc = 0.01 * zc
-		}
-		yc := make([]float32, h)
+		yc := make([]float32, 1+trial%zBlock)
 		for k := range yc {
-			yc[k] = yc0 + dyc*float32(k)
+			yc[k] = float32(y0+dy*float64(k)) * zc
+		}
+		// The interior sub-span as rowRec derives it: resident in every slice.
+		residentAt := func(i int) bool {
+			for _, y := range yc {
+				if !a.interiorResidentSIMD(i, ax, ay, az, xc, y, zc) {
+					return false
+				}
+			}
+			return true
+		}
+		f0, f1 := 0, nx
+		for f0 < f1 && !residentAt(f0) {
+			f0++
+		}
+		for f0 < f1 && !residentAt(f1-1) {
+			f1--
+		}
+		for i := f0; i < f1; i++ {
+			if !residentAt(i) {
+				t.Fatalf("trial %d: interior span [%d,%d) not contiguous at %d", trial, f0, f1, i)
+			}
+		}
+		if trial%7 < 4 && (f0 != 0 || f1 != nx) {
+			t.Fatalf("trial %d: interior [%d,%d) under an all-interior test geometry", trial, f0, f1)
+		}
+		if f0 >= f1 {
+			f0, f1 = 0, 0
 		}
 		for _, y := range yc {
-			for i := 0; i < nx; i++ {
-				if !a.interiorResidentSIMD(i, ax, ay, az, xc, y, zc) {
-					t.Fatalf("trial %d: column %d not resident at yc %g under test geometry", trial, i, y)
+			for g := 0; g < nx; g += simdLanes {
+				body := "fast"
+				var iu, iv [simdLanes]int
+				for l := range iu {
+					iu[l], iv[l], _ = footprint(g+l, ax, ay, az, xc, y, zc)
+				}
+				if g < (f0+simdLanes-1)&^(simdLanes-1) || g+simdLanes > f1&^(simdLanes-1) {
+					body = "guarded"
+					for l := range iu {
+						iu[l], iv[l] = min(max(iu[l], -2), a.nu), min(max(iv[l], a.lo-2), a.hi)
+					}
+				}
+				base, row := min(iu[0], iu[simdLanes-1]), min(iv[0], iv[simdLanes-1])
+				rows, oneWindow := 1, true
+				for l := range iu {
+					oneWindow = oneWindow && iu[l] >= base && iu[l] < base+simdLanes
+					switch {
+					case iv[l] != iv[0] && (iv[l] < row || iv[l] > row+1):
+						rows = 3
+					case iv[l] != iv[0] && rows < 3:
+						rows = 2
+					}
+				}
+				switch {
+				case rows == 3 || rows == 2 && !oneWindow:
+					counts["row-gathering"]++
+					continue
+				case !oneWindow:
+					counts["wider-than-a-window"]++
+					continue
+				case rows == 2:
+					counts[body+" two-row blend"]++
+				default:
+					counts["one-row window"]++
+				}
+				if base < 0 {
+					counts["left-apron window"]++
+				}
+				if base+simdLanes >= a.nu {
+					counts["right-apron window"]++
+				}
+				if row < a.lo || row+rows >= a.hi {
+					counts["zero-slot row"]++
 				}
 			}
 		}
 		var args simdRowArgs
 		a.initSpanArgs(&args, 0, ax, ay, az)
-		for _, y := range yc {
-			for g := 0; g < nx; g += simdLanes {
-				var iu, iv [simdLanes]int
-				for l := range iu {
-					iu[l], iv[l], _ = footprint(g+l, ax, ay, az, xc, y, zc)
-				}
-				base := min(iu[0], iu[simdLanes-1])
-				oneRow, oneWindow := true, true
-				for l := range iu {
-					oneRow = oneRow && iv[l] == iv[0]
-					oneWindow = oneWindow && iu[l] >= base && iu[l] < base+simdLanes
-				}
-				switch {
-				case !oneWindow:
-					coarse++
-				case !oneRow:
-					straddling++
-				case int64(base) > args.winMax:
-					pastEnd++
-				case int64(base) == args.winMax:
-					lastWindow++
-				default:
-					windows++
-				}
-			}
-		}
-		want := make([]float32, h*nx)
+		want := make([]float32, len(yc)*nx)
 		for k, y := range yc {
 			a.perColumn(want[k*nx:(k+1)*nx], 0, 0, nx, ax, ay, az, xc, y, zc)
 		}
 		for name, sub := range a.spellings() {
-			got := make([]float32, h*nx)
-			sub.launchSpan(&args, got, nx, 0, nx, 0, nx, xc, zc, yc)
+			got := make([]float32, len(yc)*nx)
+			sub.launchSpan(&args, got, nx, 0, nx, f0, f1, xc, zc, yc)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d: slice %d column %d: %s %g != per-column definition %g", trial, i/nx, i%nx, name, got[i], want[i])
@@ -117,13 +159,14 @@ func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
 			}
 		}
 	}
-	for name, n := range map[string]int{"one-window": windows, "wider-than-a-window": coarse, "row-straddling": straddling, "past-the-buffer": pastEnd, "last-window": lastWindow} {
-		if n < 20 {
-			t.Errorf("only %d %s groups among the trials", n, name)
+	for _, name := range []string{"one-row window", "fast two-row blend", "guarded two-row blend", "row-gathering", "wider-than-a-window",
+		"left-apron window", "right-apron window", "zero-slot row"} {
+		if counts[name] < 20 {
+			t.Errorf("only %d %s groups among the trials", counts[name], name)
 		}
 	}
 }
 
 func TestSIMDWindowLoadsMatchGathers(t *testing.T) {
-	testSIMDWindowLoads(t, func(n int) []float32 { return make([]float32, n) })
+	testSIMDWindowLoads(t, nil)
 }

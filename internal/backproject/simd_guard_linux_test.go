@@ -8,11 +8,13 @@ import (
 	"unsafe"
 )
 
-// The window loads read nine floats where a gather reads two, and must not
-// read past the projection buffer to do it: the same trials as
-// TestSIMDWindowLoadsMatchGathers, with every sample buffer ending where an
-// unreadable page begins, so that one float too far is a fault and not a
-// silent read.
+// The window loads read nine floats where a gather reads two, up to seven
+// of them past a row's right apron, and must not read past the store to do
+// it: the same trials as TestSIMDWindowLoadsMatchGathers — whose guarded
+// groups reach the last column of the last row and, past it, the zero slot
+// that ends the store — with an unreadable page directly behind the last
+// float device.Layout declares readable, so that one float too far is a
+// fault and not a silent read.
 func TestSIMDWindowLoadsStayInsideBuffer(t *testing.T) {
 	page := syscall.Getpagesize()
 	testSIMDWindowLoads(t, func(n int) []float32 {

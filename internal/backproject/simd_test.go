@@ -151,7 +151,7 @@ func (a *projAccess) perColumn(out []float32, s, g0, g1 int, ax, ay, az, xc, yc,
 		if iv < a.lo || iv >= a.hi || iu < 0 || iu >= a.nu {
 			return 0
 		}
-		return data[a.rowOff[iv-a.lo]+iu]
+		return data[a.rowOff[iv-a.lo+2]+iu]
 	}
 	for i := g0; i < g1; i++ {
 		u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
@@ -252,14 +252,21 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 // The guarded body of each spelling (the texture-border groups of a span
 // launch) must match the per-column definition on spans whose edges
 // genuinely clip: footprints partially or fully outside the detector
-// window, where the per-neighbour guards — not residency — decide each
-// load. The geometry sweeps x across and past both detector edges and pins
-// a narrow readable row window so y clips too; the interior sub-span is
-// derived with the same predicate the span walks use.
+// window, where the clamp into the store's zero apron — not residency —
+// decides what each neighbour loads. The geometry sweeps x across and past
+// both detector edges and pins a narrow readable row window so y clips too;
+// the interior sub-span is derived with the same predicate the span walks
+// use. Every third trial is instead a row rowSpans hands the guarded body
+// whole because w may cross zero: coordinates of either sign and any size,
+// a column where w is exactly 0 (rz infinite, x and y infinite or NaN, a
+// floor no integer holds), and spans cut so that the wild columns are the
+// dead lanes of a partial group — which load like any other lane, and so
+// must clamp into the store like any other. Compared bit for bit: NaN for
+// NaN.
 func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const nx = 192
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 90; trial++ {
 		a := projAccess{nu: 96, np: 1, lo: 5, hi: 90}
 		a.data = make([]float32, a.nu*(a.hi-a.lo))
 		for i := range a.data {
@@ -278,43 +285,62 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 		xc := float32(-8+rng.Float64()*4) * zc
 		ay := float32(0.4+rng.Float64()*0.1) * zc
 		yc := float32(rng.Float64()*8) * zc
-		// Interior sub-span under the kernel's predicate, exactly what
-		// rowRec would hand a launch after its residency walks.
-		f0, f1 := 0, nx
-		for f0 < f1 && !a.interiorResidentSIMD(f0, ax, ay, az, xc, yc, zc) {
-			f0++
-		}
-		for f0 < f1 && !a.interiorResidentSIMD(f1-1, ax, ay, az, xc, yc, zc) {
-			f1--
-		}
-		if f0 >= f1 {
-			t.Fatalf("trial %d: no interior columns under test geometry", trial)
-		}
-		if f0 == 0 && f1 == nx {
-			t.Fatalf("trial %d: no border columns under test geometry", trial)
-		}
-		for i := f0; i < f1; i++ {
-			if !a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc) {
-				t.Fatalf("trial %d: interior span not contiguous at %d", trial, i)
+		var spans [][4]int
+		if trial%3 == 2 {
+			// w = (k − i)/4 exactly, zero at column k; every other such
+			// trial u is zero there too: 0·Inf. No interior.
+			k := 8 + rng.Intn(nx-16)
+			az, zc = -0.25, 0.25*float32(k)
+			ax, xc = float32(rng.NormFloat64()), float32(rng.NormFloat64()*20)
+			ay, yc = float32(rng.NormFloat64()), float32(rng.NormFloat64()*20)
+			if trial%2 == 0 {
+				ax, xc = 0.5, -0.5*float32(k)
 			}
-		}
-		// Covered spans with genuine border strips on both sides, plus
-		// narrow all-border and straddling cuts.
-		spans := [][4]int{
-			{0, nx, f0, f1},
-			{0, f0, f0, f0},                       // pure left border
-			{f1, nx, f1, f1},                      // pure right border
-			{max(f0-1, 0), min(f1+1, nx), f0, f1}, // ≤1 border column each side
-			{f0 / 2, (f1 + nx) / 2, f0, f1},
-		}
-		for k := 0; k < 8; k++ {
-			s0 := rng.Intn(nx - 1)
-			s1 := s0 + 1 + rng.Intn(nx-s0)
-			g0, g1 := max(s0, f0), min(s1, f1)
-			if g0 >= g1 {
-				g0, g1 = s0, s0
+			if u, _, w := simdCoords(k, ax, ay, az, xc, yc, zc); w != 0 || (trial%2 == 0) != (u == 0) {
+				t.Fatalf("trial %d: column %d has u %g, w %g under test geometry", trial, k, u, w)
 			}
-			spans = append(spans, [4]int{s0, s1, g0, g1})
+			for _, sp := range [][2]int{{0, nx}, {k, k + 1}, {k + 1, nx}, {0, k}, {k - 3, k}, {k + 1, k + 4}, {k - 7, k + 9}} {
+				spans = append(spans, [4]int{sp[0], sp[1], sp[0], sp[0]})
+			}
+		} else {
+			// Interior sub-span under the kernel's predicate, exactly what
+			// rowRec would hand a launch after its residency walks.
+			f0, f1 := 0, nx
+			for f0 < f1 && !a.interiorResidentSIMD(f0, ax, ay, az, xc, yc, zc) {
+				f0++
+			}
+			for f0 < f1 && !a.interiorResidentSIMD(f1-1, ax, ay, az, xc, yc, zc) {
+				f1--
+			}
+			if f0 >= f1 {
+				t.Fatalf("trial %d: no interior columns under test geometry", trial)
+			}
+			if f0 == 0 && f1 == nx {
+				t.Fatalf("trial %d: no border columns under test geometry", trial)
+			}
+			for i := f0; i < f1; i++ {
+				if !a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc) {
+					t.Fatalf("trial %d: interior span not contiguous at %d", trial, i)
+				}
+			}
+			// Covered spans with genuine border strips on both sides, plus
+			// narrow all-border and straddling cuts.
+			spans = [][4]int{
+				{0, nx, f0, f1},
+				{0, f0, f0, f0},                       // pure left border
+				{f1, nx, f1, f1},                      // pure right border
+				{max(f0-1, 0), min(f1+1, nx), f0, f1}, // ≤1 border column each side
+				{f0 / 2, (f1 + nx) / 2, f0, f1},
+			}
+			for k := 0; k < 8; k++ {
+				s0 := rng.Intn(nx - 1)
+				s1 := s0 + 1 + rng.Intn(nx-s0)
+				g0, g1 := max(s0, f0), min(s1, f1)
+				if g0 >= g1 {
+					g0, g1 = s0, s0
+				}
+				spans = append(spans, [4]int{s0, s1, g0, g1})
+			}
 		}
 		for _, sp := range spans {
 			if sp[0] >= sp[1] {
@@ -326,7 +352,7 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 				got := make([]float32, nx)
 				sub.launchRow(got, 0, sp[0], sp[1], sp[2], sp[3], ax, ay, az, xc, yc, zc)
 				for i := range got {
-					if got[i] != want[i] {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("trial %d span %v col %d: %s %g != per-column definition %g",
 							trial, sp, i, name, got[i], want[i])
 					}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"distfdk/internal/device"
 	"distfdk/internal/geometry"
 )
 
@@ -21,6 +22,29 @@ func (a projAccess) spellings() map[string]*projAccess {
 		out["the assembly"] = &asm
 	}
 	return out
+}
+
+// buildRowTable re-lays a hand-constructed access's dense samples (a.data:
+// rows lo..hi−1 in stack order, np projections of nu columns each) the way
+// every store the kernels read is laid out.
+func (a *projAccess) buildRowTable() { a.layRows(0, nil) }
+
+// layRows is buildRowTable into a buffer alloc provides (nil: make), of
+// exactly the floats the layout declares readable; h > 0 makes the dense
+// samples h ring slots, row v in slot v mod h.
+func (a *projAccess) layRows(h int, alloc func(n int) []float32) {
+	l, v0 := device.Layout{NU: a.nu, NP: a.np, H: h}, 0
+	if h == 0 {
+		l.H, v0 = a.hi-a.lo, a.lo
+	}
+	data := make([]float32, l.Len())
+	if alloc != nil {
+		data = alloc(l.Len())
+	}
+	for slot := 0; slot < l.H; slot++ {
+		l.Store(data, slot, a.data[slot*a.np*a.nu:])
+	}
+	*a = layoutAccess(l, data, a.lo, a.hi, v0)
 }
 
 // launchRow launches one span of one row in one slice the way rowRec does:

@@ -284,23 +284,31 @@ func TestRingRejectsScheduleBugs(t *testing.T) {
 	}
 }
 
+// The ring's budget is its allocation: h+1 slots (the last is the zero slot)
+// of np runs of nu+2 floats (two apron floats per run), two more to close
+// the last apron and eight of slack.
 func TestRingChargesDeviceMemory(t *testing.T) {
 	d := New("small", 1000, 1)
 	if _, err := NewProjRing(d, 10, 10, 10); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("expected OOM for 4000-byte ring on 1000-byte device, got %v", err)
+		t.Fatalf("expected OOM for a 5320-byte ring on 1000-byte device, got %v", err)
 	}
-	r, err := NewProjRing(d, 5, 5, 2) // 200 bytes
+	const want = ((2+1)*5*(5+2) + 2 + 8) * 4 // 460 bytes for 200 of samples
+	r, err := NewProjRing(d, 5, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Allocated() != 200 {
-		t.Fatalf("allocated %d, want 200", d.Allocated())
+	if got := int64(len(r.RawData())) * 4; d.Allocated() != want || r.Bytes() != want || got != want {
+		t.Fatalf("charged %d, Bytes() %d, holds %d bytes; want %d each", d.Allocated(), r.Bytes(), got, want)
 	}
 	r.Close()
 	if d.Allocated() != 0 {
 		t.Fatalf("Close did not free memory: %d", d.Allocated())
 	}
 	r.Close() // idempotent
+	tight := New("tight", want-1, 1)
+	if _, err := NewProjRing(tight, 5, 5, 2); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("a budget one byte short of the allocation admitted the ring: %v", err)
+	}
 }
 
 func TestNewProjRingValidation(t *testing.T) {

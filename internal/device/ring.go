@@ -20,14 +20,12 @@ import (
 // distinguishes the paper from batch-decomposition frameworks that re-ship
 // projections for every sub-volume.
 //
-// Storage is Listing 1's devPixel order, data[((v%H)·NP+p)·NU+u]: the NP
-// projections of one detector row are adjacent, so a row uploads as one
-// contiguous copy. Kernels address samples only through RowBase and
-// ProjStride, so another arrangement is a change inside this package.
+// Storage is a Layout: Listing 1's devPixel order with the texture border
+// stored as data. Kernels address samples only through RowBase, ProjStride
+// and ZeroBase, so another arrangement is a change inside this package.
 type ProjRing struct {
-	dev    *Device
-	NU, NP int
-	H      int // ring depth in rows
+	dev *Device
+	Layout
 
 	data []float32
 
@@ -39,43 +37,71 @@ type ProjRing struct {
 	valid geometry.RowRange // global rows currently resident
 }
 
+// Layout is the addressing of a row store of H slots × NP projections × NU
+// columns in devPixel order — the NP projections of one detector row are
+// adjacent — that holds the CUDA texture border as data: every run of NU
+// samples lies at stride NU+2, so that two zero floats precede and follow it
+// (neighbours share them), one further slot is never written (the zero slot:
+// what a row outside the resident range reads as), and 8 floats of slack
+// follow the last apron. A kernel may therefore read columns [−2, NU+2) of
+// any slot and the 9-float window starting at any of them without a guard.
+type Layout struct {
+	NU, NP int
+	H      int // slots: the ring depth in rows
+}
+
+// ProjStride returns the storage distance between consecutive projections
+// of one detector row.
+func (l Layout) ProjStride() int { return l.NU + 2 }
+
+// RowBase returns the storage offset of global row v (projection 0); the
+// sample (v, p, u) lives at RowBase(v) + p·ProjStride() + u. Callers must
+// have verified residency for v.
+func (l Layout) RowBase(v int) int { return (v%l.H)*l.NP*(l.NU+2) + 2 }
+
+// ZeroBase is the RowBase of the zero slot.
+func (l Layout) ZeroBase() int { return l.H*l.NP*(l.NU+2) + 2 }
+
+// Len returns the floats a store of this layout occupies: apron, zero slot
+// and slack included. Bytes is its device-memory footprint.
+func (l Layout) Len() int     { return (l.H+1)*l.NP*(l.NU+2) + 2 + 8 }
+func (l Layout) Bytes() int64 { return int64(l.Len()) * 4 }
+
+// Store copies the NP·NU samples of global row v, projection-major, to
+// their place in data.
+func (l Layout) Store(data []float32, v int, src []float32) {
+	for p, base := 0, l.RowBase(v); p < l.NP; p, base = p+1, base+l.NU+2 {
+		copy(data[base:base+l.NU], src[p*l.NU:])
+	}
+}
+
 // NewProjRing allocates a ring of depth h rows on the device, charging its
-// memory budget.
+// memory budget what the layout occupies.
 func NewProjRing(dev *Device, nu, np, h int) (*ProjRing, error) {
 	if nu <= 0 || np <= 0 || h <= 0 {
 		return nil, fmt.Errorf("device: ring dimensions %dx%dx%d must be positive", nu, np, h)
 	}
-	bytes := int64(nu) * int64(np) * int64(h) * 4
-	if err := dev.Alloc(bytes); err != nil {
-		return nil, fmt.Errorf("device: projection ring of %d rows (%d bytes): %w", h, bytes, err)
+	r := &ProjRing{dev: dev, Layout: Layout{NU: nu, NP: np, H: h}}
+	if err := dev.Alloc(r.Bytes()); err != nil {
+		return nil, fmt.Errorf("device: projection ring of %d rows (%d bytes): %w", h, r.Bytes(), err)
 	}
-	return &ProjRing{dev: dev, NU: nu, NP: np, H: h, data: make([]float32, int(bytes/4))}, nil
+	r.data = make([]float32, r.Len())
+	return r, nil
 }
 
 // Close releases the ring's device memory.
 func (r *ProjRing) Close() {
 	if r.data != nil {
-		r.dev.Free(int64(len(r.data)) * 4)
+		r.dev.Free(r.Bytes())
 		r.data = nil
 	}
 }
 
-// Bytes returns the ring's device-memory footprint.
-func (r *ProjRing) Bytes() int64 { return int64(r.NU) * int64(r.NP) * int64(r.H) * 4 }
-
-// RowBase returns the storage offset of global row v (projection 0); the
-// sample (v, p, u) lives at RowBase(v) + p·ProjStride() + u. Callers must
-// have verified residency for v.
-func (r *ProjRing) RowBase(v int) int { return (v % r.H) * r.NP * r.NU }
-
-// ProjStride returns the storage distance between consecutive projections
-// of one detector row.
-func (r *ProjRing) ProjStride() int { return r.NU }
-
-// rowSlice returns the writable storage of (global row v, projection p).
+// rowSlice returns the writable storage of (global row v, projection p),
+// capped so that no append reaches the apron.
 func (r *ProjRing) rowSlice(v, p int) []float32 {
 	off := r.RowBase(v) + p*r.ProjStride()
-	return r.data[off : off+r.NU]
+	return r.data[off : off+r.NU : off+r.NU]
 }
 
 // Valid returns the global row range currently resident.
@@ -176,10 +202,7 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 	// Copy row by row through the modular mapping.
 	t0 := time.Now()
 	for v := rows.Lo; v < rows.Hi; v++ {
-		base := r.RowBase(v)
-		dst := r.data[base : base+r.NP*r.NU]
-		srcOff := (v - src.V0) * src.NP * src.NU
-		copy(dst, src.Data[srcOff:srcOff+len(dst)])
+		r.Store(r.data, v, src.Data[(v-src.V0)*src.NP*src.NU:])
 	}
 	r.admitted(rows, newValid, t0)
 	return r.checkInvariant()

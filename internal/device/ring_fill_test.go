@@ -2,6 +2,9 @@ package device
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"distfdk/internal/geometry"
@@ -83,5 +86,73 @@ func TestFillRowsErrorLeavesRangeUnchanged(t *testing.T) {
 	}
 	if !r.Valid().IsEmpty() {
 		t.Fatalf("resident range %v after failed fill, want empty", r.Valid())
+	}
+}
+
+// The texture border is data, so it must stay data: after a wrapping
+// LoadRows sequence and after a parallel FillRows over the same schedule —
+// Release between the loads, Reset at the end — every apron float, the
+// whole zero slot and the slack of RawData() are +0, each resident row is
+// still exactly its NU samples, and no fill can reach past them.
+func TestRingApronStaysZero(t *testing.T) {
+	const nu, np, nv, h = 5, 3, 24, 8
+	host := hostStack(nu, np, nv)
+	for _, workers := range []int{0, 4} {
+		d := New("apron", 0, 1)
+		r, err := NewProjRing(d, nu, np, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := make([]bool, len(r.RawData()))
+		for slot := 0; slot < h; slot++ {
+			for p := 0; p < np; p++ {
+				for u := 0; u < nu; u++ {
+					sample[r.RowBase(slot)+p*r.ProjStride()+u] = true
+				}
+			}
+		}
+		check := func(when string) {
+			t.Helper()
+			for i, x := range r.RawData() {
+				if !sample[i] && math.Float32bits(x) != 0 {
+					t.Fatalf("workers %d, %s: float %d of the store is %g (bits %#x), not a sample and not +0", workers, when, i, x, math.Float32bits(x))
+				}
+			}
+		}
+		check("fresh")
+		for _, rows := range []geometry.RowRange{{Lo: 0, Hi: 6}, {Lo: 4, Hi: 10}, {Lo: 7, Hi: 14}, {Lo: 12, Hi: 19}} {
+			r.Release(rows.Lo)
+			dr := geometry.DifferentialRows(r.Valid(), rows)
+			if workers == 0 {
+				err = r.LoadRows(host, dr)
+			} else {
+				err = r.FillRows(dr, workers, func(v, p int, dst []float32) error {
+					if len(dst) != nu || cap(dst) != nu {
+						t.Errorf("fill of row %d, projection %d got len %d cap %d, want %d", v, p, len(dst), cap(dst), nu)
+					}
+					row, err := host.Row(v, p)
+					copy(dst, row)
+					return err
+				})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("after rows %v", dr))
+			for v := rows.Lo; v < rows.Hi; v++ {
+				for p := 0; p < np; p++ {
+					got, err := r.Row(v, p)
+					want, _ := host.Row(v, p)
+					if err != nil || len(got) != nu || !slices.Equal(got, want) {
+						t.Fatalf("workers %d: row %d projection %d = %v (%v), want %v", workers, v, p, got, err, want)
+					}
+				}
+			}
+		}
+		r.Release(15)
+		check("after Release")
+		r.Reset()
+		check("after Reset")
+		r.Close()
 	}
 }

@@ -151,7 +151,7 @@ func AblationRingDepth(workers int) (*Table, error) {
 			return nil, err
 		}
 		depth := plan.RingDepth(0)
-		ringBytes := int64(sys.NU) * int64(sys.NP) * int64(depth) * 4
+		ringBytes := device.Layout{NU: sys.NU, NP: sys.NP, H: depth}.Bytes()
 		total := ringBytes + plan.SlabBytes()
 		t.AddRow(fmt.Sprint(nc), fmt.Sprint(plan.SlicesPerBatch()), fmt.Sprint(depth),
 			fmtBytes(ringBytes), fmtBytes(total),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"distfdk/internal/core"
+	"distfdk/internal/device"
 	"distfdk/internal/mpi"
 )
 
@@ -43,7 +44,7 @@ func Table2(workers int) (*Table, error) {
 	}
 	// Minimum device-resident input: one ring of the deepest slab rows
 	// for the rank's Np share — O(Nu) per row, not O(Nu×Nv).
-	ringBytes := int64(sc.Sys.NU) * int64(sc.Sys.NP/2) * int64(plan.MaxRingDepth()) * 4
+	ringBytes := device.Layout{NU: sc.Sys.NU, NP: sc.Sys.NP / 2, H: plan.MaxRingDepth()}.Bytes()
 	t.AddRow("this work (2D split, segmented reduce)",
 		"Nv and Np", fmtBytes(ours.TotalH2DBytes()), fmtBytes(ours.TotalReduceBytes()),
 		fmt.Sprintf("%.1f", avgMsgs(ours.GroupStats)), fmtBytes(ringBytes), "yes")

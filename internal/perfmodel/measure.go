@@ -73,9 +73,19 @@ func Measure(tmpDir string, workers int) (Params, error) {
 	if err != nil {
 		return p, err
 	}
+	// Through a resident ring, as the rank program launches it: Batch would
+	// add a host-side re-lay of the stack that no streaming run pays.
 	dev := device.New("probe", 0, workers)
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+	if err != nil {
+		return p, err
+	}
+	defer ring.Close()
+	if err := ring.LoadRows(stack, stack.Rows()); err != nil {
+		return p, err
+	}
 	start = time.Now()
-	if err := backproject.Batch(dev, stack, mats, vol); err != nil {
+	if err := backproject.Streaming(dev, ring, mats, vol, stack.Rows()); err != nil {
 		return p, err
 	}
 	p.THBP = float64(int64(vol.Voxels())*int64(sys.NP)) / secondsSince(start)

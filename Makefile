@@ -46,24 +46,29 @@ doc-check:
 
 # Arithmetic-contract gate: the Go functions that compute what the assembly
 # computes (the back-projection coordinate contract of
-# internal/backproject/simd.go, the row FFT's Go passes) must not be compiled
-# to fused multiply-adds on a target that has them, or their bytes would
-# depend on the architecture. The Go specification makes float32(a*b) /
-# float64(a*b) round, which is how the sources prevent it; this cross-compiles
-# them for arm64 (the toolchain alone, nothing downloaded) and fails, naming
+# internal/backproject/simd.go, the row FFT's Go passes), and the test oracle
+# the back-projection is held to byte for byte, must not be compiled to fused
+# multiply-adds on a target that has them, or their bytes would depend on the
+# architecture. The Go specification makes float32(a*b) / float64(a*b) round,
+# which is how the sources prevent it; this cross-compiles them for arm64
+# (the toolchain alone, nothing downloaded) — the back-projection as its test
+# build, whose listing holds the package and its oracle — and fails, naming
 # the function, if an FMADD/FMSUB/FNMADD/FNMSUB appears inside one of
-# FUSE_LINT_FUNCS or if one of them is missing from the listing. The exact
-# oracle, the float64 span solves and the slack-cleared direct evaluations of
-# the fast predicates are not in the list: none of them decides a byte.
+# FUSE_LINT_FUNCS or if one of them is missing from the listing. The float64
+# span solves and the tests' input generators are not in the list: none of
+# them decides a byte.
 FUSE_LINT_FUNCS = \
 	backproject.laneAt backproject.simdCoords backproject.footprint \
 	backproject.(*projAccess).tileRec backproject.(*projAccess).fusedTileGo \
-	backproject.(*projAccess).fastLane backproject.(*projAccess).guardedCols \
+	backproject.(*projAccess).fastCols backproject.(*projAccess).guardedCols \
+	backproject.(*projAccess).subPixel backproject.(*projAccess).perColumn \
+	backproject.projAccess.reference \
 	fft.twiddleGo fft.untwiddleGo fft.difStagesGo fft.ditStagesGo \
 	fft.difRadix4Go fft.ditRadix4Go fft.pairBlock fft.(*RealPlan).pairs
 
 fuse-lint:
-	@GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/backproject ./internal/fft 2>&1 | \
+	@{ GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/backproject && \
+		GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/fft; } 2>&1 | \
 	awk -v want='$(FUSE_LINT_FUNCS)' ' \
 		BEGIN { n = split(want, w, " "); for (i = 1; i <= n; i++) contract["distfdk/internal/" w[i]] = 1 } \
 		/ STEXT / { fn = $$1; if (fn in contract) seen[fn] = 1 } \

@@ -2,42 +2,31 @@
 // streaming cone-beam back-projection kernel of Listing 1, which consumes
 // sub-projections decomposed along both the detector-row (Nv) and angle
 // (Np) axes from a ring-buffered device store, plus the conventional
-// batch kernel (RTK-style, Algorithm 1) used as the paper's baseline.
+// batch entry point (RTK-style, Algorithm 1) used as the paper's baseline.
 //
-// Two kernels are available (see Kernel):
+// There is one kernel. It evaluates the homogeneous coordinates (u, v, w)
+// of Algorithm 1 directly at every column of an output row, eight columns
+// at a time. The row is clipped to its detector support (columns whose 2×2
+// footprint lies entirely outside the readable window contribute exactly +0
+// and are skipped), the (k, j, s) loops are blocked so a small window of
+// detector rows stays cache-resident across a voxel sweep, and a
+// (row, projection) pair visits the slices of a k-tile innermost, where
+// u, w, one exact reciprocal and everything else that does not depend on z
+// is computed once per column for all of them. It has one arithmetic (the
+// coordinate contract in simd.go) and two spellings of it, AVX2 assembly
+// and Go, chosen per launch from what the host can run; the bytes do not
+// depend on the choice.
 //
-//   - KernelRecurrence (the zero value, so the default of every caller) is
-//     the fast kernel. The homogeneous coordinates (u, v, w) of an output
-//     row are affine in the column index, so the three per-sample dot
-//     products are replaced by incremental lane additions, eight columns
-//     at a time, re-anchored every reanchorPeriod columns to bound float32
-//     drift. The row is clipped to its detector support (columns whose 2×2
-//     footprint lies entirely outside the readable window contribute
-//     exactly +0 and are skipped), the (k, j, s) loops are blocked so a
-//     small window of detector rows stays cache-resident across a voxel
-//     sweep, and a (row, projection) pair visits the slices of a k-tile
-//     innermost, where one exact reciprocal per column serves them all. It
-//     has one arithmetic (the coordinate contract in simd.go) and two
-//     spellings of it, AVX2 assembly and Go, chosen per launch from what
-//     the host can run; the bytes do not depend on the choice.
-//
-//   - KernelExact is the oracle: per detector row the i-loop is split into
-//     a precomputed interior span where the whole 2×2 bilinear footprint
-//     is guaranteed resident (branch-free inlined loads through a
-//     precomputed row-offset table) with the branchy subPixel border path
-//     only on the clipped edges. Its float32 arithmetic is a literal
-//     transcription of Algorithm 1, bit-identical to the naive reference,
-//     and the parity gates measure the fast kernel against it. No driver
-//     or command line selects it.
-//
-// The computed contribution of column i is a pure function of (i, row
-// constants) shared by the unguarded, guarded and residency-predicate
-// paths, so a slab-decomposed streaming reconstruction stays bit-identical
-// to a monolithic batch reconstruction over the same projections — the
-// equivalence the paper validates against RTK with an RMSE threshold, made
-// exact here because we control both implementations. Between the two
-// kernels the results differ only by bounded float32 drift; that parity is
-// tolerance-gated (see the property tests and experiments.TestKernelParity).
+// It has one oracle, a test function: Algorithm 1 evaluated voxel by voxel
+// under the same contract, each of the four bilinear neighbours tested
+// against the readable window, with none of the kernel's spans, tiles,
+// groups or bodies. Every spelling, body, tile and decomposition must match
+// it byte for byte. The computed contribution of column i is a function of
+// (i, row constants) alone, shared by the unguarded, guarded and
+// span-predicate paths, so a slab-decomposed streaming reconstruction is
+// bit-identical to a monolithic batch reconstruction over the same
+// projections — the equivalence the paper validates against RTK with an
+// RMSE threshold, made exact here because we control both implementations.
 package backproject
 
 import (
@@ -51,40 +40,25 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Kernel selects the inner-loop arithmetic of the back-projection kernels.
+// Kernel is the type of StreamingKernel's last argument. There is one
+// kernel; the type is kept only because the frozen bench/replay.go spells it.
 type Kernel int
 
-const (
-	// KernelRecurrence is the default: the cache-blocked recurrence
-	// restructuring (incremental coordinate updates with fixed-column
-	// re-anchoring, detector-support clipping, k-tiles) under the coordinate
-	// contract of simd.go. The ledger records which spelling a launch
-	// dispatched to.
-	KernelRecurrence Kernel = iota
-	// KernelExact is direct per-sample dot-product evaluation, bit-identical
-	// to the literal Algorithm 1 reference: the oracle the fast kernel's
-	// parity gate measures against.
-	KernelExact
-)
-
-func (k Kernel) String() string {
-	if k == KernelExact {
-		return "exact"
-	}
-	return "recurrence"
-}
+// KernelRecurrence is the one Kernel value, kept only because the frozen
+// bench/replay.go spells it. The name predates direct coordinate
+// evaluation: the kernel walks no recurrence.
+const KernelRecurrence Kernel = 0
 
 // projAccess provides the kernel's view of projection storage. It unifies
 // the ring-buffered device store (slot = v mod H, Listing 1's devPixel) and
-// a linear stack (slot = v − V0) behind one addressing rule so the two
-// kernels share their sampling code: both are a device.Layout, and the
-// sample (v, s, u) lives at rowOff[v−lo+2] + s·sStride + u. rowOff caches
-// the storage offset of every readable row, hoisting the slot arithmetic
-// out of the per-sample path, between two entries on either side that name
-// the layout's zero slot: what the rows just outside [lo,hi) read as. With
-// the layout's zero apron around every run of samples, the texture border
-// of Listing 1 is data: rows lo−2..hi+1 and columns −2..nu+1 are loadable,
-// and are +0 wherever the window ends.
+// a linear stack (slot = v − V0) behind one addressing rule: both are a
+// device.Layout, and the sample (v, s, u) lives at rowOff[v−lo+2] +
+// s·sStride + u. rowOff caches the storage offset of every readable row,
+// hoisting the slot arithmetic out of the per-sample path, between two
+// entries on either side that name the layout's zero slot: what the rows
+// just outside [lo,hi) read as. With the layout's zero apron around every
+// run of samples, the texture border of Listing 1 is data: rows lo−2..hi+1
+// and columns −2..nu+1 are loadable, and are +0 wherever the window ends.
 type projAccess struct {
 	data    []float32
 	nu, np  int
@@ -94,11 +68,11 @@ type projAccess struct {
 	// rowIdx32 is rowOff narrowed to int32 for the AVX2 gather
 	// instructions; built by prepareSIMD when a launch dispatches to them.
 	rowIdx32 []int32
-	// asm says the launch runs the assembly spelling of the fast kernel,
-	// not the Go one; accumulateSlab decides it once per launch.
+	// asm says the launch runs the assembly spelling of the kernel, not
+	// the Go one; accumulateSlab decides it once per launch.
 	asm bool
-	// win is the readable window as the fast kernel's span decisions use
-	// it; accumulateSlab derives it once per launch.
+	// win is the readable window as the kernel's span decisions use it;
+	// accumulateSlab derives it once per launch.
 	win spanWindow
 }
 
@@ -130,37 +104,6 @@ func stackAccess(s *projection.Stack) projAccess {
 		l.Store(data, v, s.Data[v*s.NP*s.NU:])
 	}
 	return layoutAccess(l, data, s.V0, s.V0+s.NV, s.V0)
-}
-
-// subPixel is the bilinear interpolation of Algorithm 1 / Listing 1's
-// devSubPixel: it fetches the four neighbours of (x, y) in projection s and
-// blends them with the sub-pixel fractions. Samples outside the readable
-// row range or the detector width contribute zero, which is the CUDA
-// texture border behaviour the original kernel relies on.
-func (a *projAccess) subPixel(x, y float32, s int) float32 {
-	iu := int(floor32(x))
-	iv := int(floor32(y))
-	eu := x - float32(iu)
-	ev := y - float32(iv)
-
-	if iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi {
-		// Fast path: the whole 2×2 footprint is resident.
-		r0 := a.rowOff[iv-a.lo+2] + s*a.sStride + iu
-		r1 := a.rowOff[iv-a.lo+3] + s*a.sStride + iu
-		t1 := a.data[r0]*(1-eu) + a.data[r0+1]*eu
-		t2 := a.data[r1]*(1-eu) + a.data[r1+1]*eu
-		return t1*(1-ev) + t2*ev
-	}
-	// Border path: gather each neighbour individually.
-	get := func(v, u int) float32 {
-		if u < 0 || u >= a.nu || v < a.lo || v >= a.hi {
-			return 0
-		}
-		return a.data[a.rowOff[v-a.lo+2]+s*a.sStride+u]
-	}
-	t1 := get(iv, iu)*(1-eu) + get(iv, iu+1)*eu
-	t2 := get(iv+1, iu)*(1-eu) + get(iv+1, iu+1)*eu
-	return t1*(1-ev) + t2*ev
 }
 
 // floor32 returns ⌊x⌋ as a float32. The fast path rounds through int32 and
@@ -200,9 +143,8 @@ func clipSpan(lower, upper *float64, c, b float64, le bool) {
 
 // Boundaries of the readable window [0,nu) × [lo,hi) in detector pixels,
 // in the order every [4]float64 of the span solves uses: x low, x high,
-// y low, y high. The margin d = 0.5 px dwarfs both the float32 evaluation
-// error of the kernels' coordinate arithmetic and the recurrence kernels'
-// bounded drift.
+// y low, y high. The margin d = 0.5 px dwarfs the float32 evaluation error
+// of the kernel's coordinate arithmetic.
 //
 // interiorBounds is where a sample's whole 2×2 footprint is resident with
 // the margin to spare: x ∈ [d, nu−1−d] keeps iu and iu+1 inside the
@@ -256,46 +198,15 @@ func clipRow(coef, bound *[4]float64, xc, ycLow, ycHigh, zc float64, nx int) (in
 	return i0, i1
 }
 
-// interiorSpan returns the half-open column range [i0, i1) of a detector
-// row whose bilinear footprints are guaranteed fully resident, so the inner
-// loop may sample without border checks: clipRow over interiorBounds,
-// solved in float64, so every column inside the span satisfies the exact
-// float32 residency predicate. Rows where z could cross zero get an empty
-// span (fully border-handled).
-func (a *projAccess) interiorSpan(ax, xc, ay, yc, az, zc float64, nx int) (int, int) {
-	if zc <= 0 || az*float64(nx-1)+zc <= 0 {
-		return 0, 0
-	}
-	bound := a.interiorBounds()
-	coef := clipCoefs(ax, ay, az, &bound)
-	return clipRow(&coef, &bound, xc, yc, yc, zc, nx)
-}
-
-// interiorResident evaluates, with the exact kernel's float32 arithmetic,
-// whether column i's 2×2 footprint is fully resident — the same predicate
-// subPixel's fast path tests. The exact kernel verifies the analytic span's
-// endpoints with it, making the branch-free interior loop sound even if the
-// float64 span solve were off by a sample.
-func (a *projAccess) interiorResident(i int, ax, xc, ay, yc, az, zc float32) bool {
-	fi := float32(i)
-	rz := 1 / (az*fi + zc)
-	x := (ax*fi + xc) * rz
-	y := (ay*fi + yc) * rz
-	iu := int(floor32(x))
-	iv := int(floor32(y))
-	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
-}
-
 // kernelCounters accumulates one worker's sample classification: interior
-// (branch-free fast path), border (subPixel with partial footprints),
-// skipped (provably zero contribution, never evaluated) and recurrence
-// re-anchor events. They are summed per launch and reported through the
-// device ledger/telemetry — never per sample.
+// (footprint resident in every slice), border (the rest of the evaluated
+// columns) and skipped (provably zero contribution, never evaluated). They
+// are summed per launch and reported through the device ledger/telemetry —
+// never per sample.
 type kernelCounters struct {
-	interior, border, skipped, reanchors int64
-	// Lane accounting of the fast kernel's interior columns: complete
-	// 8-lane groups vs columns executed under a partial lane mask (the
-	// masked tail). Zero under the exact kernel.
+	interior, border, skipped int64
+	// Lane accounting of the interior columns: complete 8-lane groups vs
+	// columns executed under a partial lane mask (the masked tail).
 	simdGroups, simdTail int64
 }
 
@@ -303,7 +214,6 @@ func (c *kernelCounters) add(o kernelCounters) {
 	c.interior += o.interior
 	c.border += o.border
 	c.skipped += o.skipped
-	c.reanchors += o.reanchors
 	c.simdGroups += o.simdGroups
 	c.simdTail += o.simdTail
 }
@@ -315,7 +225,7 @@ func (c *kernelCounters) add(o kernelCounters) {
 // slices so no synchronisation is needed on the output, and each worker's
 // per-voxel accumulation order is ascending in s whatever the kernel's
 // blocking, so the result is independent of the worker count.
-func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, slab *volume.Volume, kernel Kernel) error {
+func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, slab *volume.Volume) error {
 	if len(mats) != a.np {
 		return fmt.Errorf("backproject: %d matrices for %d projections", len(mats), a.np)
 	}
@@ -329,10 +239,7 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 	// Dispatch once per launch. The assembly spelling needs AVX2 and
 	// storage offsets that fit its 32-bit gather indices.
 	arith := device.ArithmeticScalar
-	switch {
-	case kernel == KernelExact:
-		arith = device.ArithmeticExact
-	case simdAvailable() && a.prepareSIMD():
+	if simdAvailable() && a.prepareSIMD() {
 		arith = device.ArithmeticAVX2
 	}
 	a.asm = arith == device.ArithmeticAVX2
@@ -347,11 +254,7 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if arith == device.ArithmeticExact {
-				a.accumulateSlicesExact(w, workers, mats, slab, &counters[w])
-			} else {
-				a.accumulateSlicesRec(w, workers, mats, slab, &counters[w])
-			}
+			a.accumulateSlices(w, workers, mats, slab, &counters[w])
 		}(w)
 	}
 	wg.Wait()
@@ -361,130 +264,50 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 	}
 	dev.RecordKernel(updates)
 	dev.RecordDispatch(arith)
-	dev.RecordKernelSamples(total.interior, total.border, total.skipped, total.reanchors)
-	if total.simdGroups != 0 || total.simdTail != 0 {
-		dev.RecordKernelVector(total.simdGroups, total.simdTail)
-	}
+	dev.RecordKernelSamples(total.interior, total.border, total.skipped)
+	dev.RecordKernelVector(total.simdGroups, total.simdTail)
 	return nil
-}
-
-// accumulateSlicesExact back-projects the k slices owned by worker w with
-// the PR-1 arithmetic. Per detector row (fixed j, k, s) the i-loop runs in
-// three pieces: a clipped left border through subPixel, the branch-free
-// interior span, and a clipped right border. The three float32 dot products
-// of Equation 8 are reduced to one multiply-add each by hoisting their
-// per-row-constant terms; the row-offset table replaces per-sample slot
-// arithmetic.
-func (a *projAccess) accumulateSlicesExact(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters) {
-	data := a.data
-	rowOff := a.rowOff[2:]
-	lo := a.lo
-	nx := slab.NX
-	for k := w; k < slab.NZ; k += workers {
-		kf := float32(slab.Z0 + k) // K = k + offset_volume_z
-		for j := 0; j < slab.NY; j++ {
-			jf := float32(j)
-			out := slab.Data[(k*slab.NY+j)*slab.NX : (k*slab.NY+j+1)*slab.NX]
-			for s := 0; s < a.np; s++ {
-				m := &mats[s]
-				// Equation 8 with the j- and k-terms of each dot
-				// product folded into one per-row constant; the same
-				// left-to-right float32 evaluation on every path keeps
-				// decomposed and monolithic runs bit-identical.
-				ax, ay, az := m.R0[0], m.R1[0], m.R2[0]
-				xc := m.R0[1]*jf + m.R0[2]*kf + m.R0[3]
-				yc := m.R1[1]*jf + m.R1[2]*kf + m.R1[3]
-				zc := m.R2[1]*jf + m.R2[2]*kf + m.R2[3]
-				i0, i1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
-				for i0 < i1 && !a.interiorResident(i0, ax, xc, ay, yc, az, zc) {
-					i0++
-				}
-				for i0 < i1 && !a.interiorResident(i1-1, ax, xc, ay, yc, az, zc) {
-					i1--
-				}
-				sBase := s * a.sStride
-				// One reciprocal replaces the three per-sample divides
-				// (x/z, y/z, 1/z²); every path — border, interior,
-				// residency predicate, and the test reference — shares
-				// the same rounding.
-				for i := 0; i < i0; i++ {
-					fi := float32(i)
-					rz := 1 / (az*fi + zc)
-					x := (ax*fi + xc) * rz
-					y := (ay*fi + yc) * rz
-					out[i] += rz * rz * a.subPixel(x, y, s)
-				}
-				for i := i0; i < i1; i++ {
-					fi := float32(i)
-					rz := 1 / (az*fi + zc)
-					x := (ax*fi + xc) * rz
-					y := (ay*fi + yc) * rz
-					// Residency is guaranteed, so x, y ≥ 0 and plain
-					// truncation is floor — same values subPixel's fast
-					// path would compute, minus its branches.
-					iu := int(x)
-					iv := int(y)
-					eu := x - float32(iu)
-					ev := y - float32(iv)
-					r0 := rowOff[iv-lo] + sBase + iu
-					r1 := rowOff[iv+1-lo] + sBase + iu
-					t1 := data[r0]*(1-eu) + data[r0+1]*eu
-					t2 := data[r1]*(1-eu) + data[r1+1]*eu
-					out[i] += rz * rz * (t1*(1-ev) + t2*ev)
-				}
-				for i := i1; i < nx; i++ {
-					fi := float32(i)
-					rz := 1 / (az*fi + zc)
-					x := (ax*fi + xc) * rz
-					y := (ay*fi + yc) * rz
-					out[i] += rz * rz * a.subPixel(x, y, s)
-				}
-				ctr.interior += int64(i1 - i0)
-				ctr.border += int64(nx - (i1 - i0))
-			}
-		}
-	}
 }
 
 // Streaming is the paper's kernel: it back-projects the ring-resident
 // sub-projections (all np angles of the rank's share, detector rows limited
-// to the slab's ComputeAB range) into the slab with the default kernel.
-// required is the row range the slab needs (Equation 4); the call fails
-// fast if the ring does not hold it, catching slab-schedule bugs instead of
-// silently reconstructing from missing data.
+// to the slab's ComputeAB range) into the slab. required is the row range
+// the slab needs (Equation 4); the call fails fast if the ring does not hold
+// it, catching slab-schedule bugs instead of silently reconstructing from
+// missing data.
 func Streaming(dev *device.Device, ring *device.ProjRing, mats []geometry.Mat34x4, slab *volume.Volume, required geometry.RowRange) error {
-	return StreamingKernel(dev, ring, mats, slab, required, KernelRecurrence)
-}
-
-// StreamingKernel is Streaming with an explicit kernel selection.
-func StreamingKernel(dev *device.Device, ring *device.ProjRing, mats []geometry.Mat34x4, slab *volume.Volume, required geometry.RowRange, kernel Kernel) error {
 	if !required.IsEmpty() {
 		valid := ring.Valid()
 		if required.Lo < valid.Lo || required.Hi > valid.Hi {
 			return fmt.Errorf("backproject: slab needs rows %v but ring holds %v", required, valid)
 		}
 	}
-	return accumulateSlab(dev, ringAccess(ring), mats, slab, kernel)
+	return accumulateSlab(dev, ringAccess(ring), mats, slab)
+}
+
+// StreamingKernel is Streaming; its Kernel argument selects nothing. It is
+// kept only because the frozen bench/replay.go spells it.
+func StreamingKernel(dev *device.Device, ring *device.ProjRing, mats []geometry.Mat34x4, slab *volume.Volume, required geometry.RowRange, _ Kernel) error {
+	return Streaming(dev, ring, mats, slab, required)
 }
 
 // Batch is the conventional voxel-driven kernel of Algorithm 1 as shipped
 // by RTK: the projections (full detector height) live contiguously in
-// device memory and the whole target volume is updated in one launch,
-// with the default kernel. It is the reference for the kernel-parity
-// comparison (Table 5's GUPS columns) and the building block of the
-// batch-decomposition baseline.
+// device memory and the whole target volume is updated in one launch. It is
+// the reference for the kernel-parity comparison (Table 5's GUPS columns)
+// and the building block of the batch-decomposition baseline.
 func Batch(dev *device.Device, stack *projection.Stack, mats []geometry.Mat34x4, vol *volume.Volume) error {
-	return BatchKernel(dev, stack, mats, vol, KernelRecurrence)
-}
-
-// BatchKernel is Batch with an explicit kernel selection.
-func BatchKernel(dev *device.Device, stack *projection.Stack, mats []geometry.Mat34x4, vol *volume.Volume, kernel Kernel) error {
-	return accumulateSlab(dev, stackAccess(stack), mats, vol, kernel)
+	return accumulateSlab(dev, stackAccess(stack), mats, vol)
 }
 
 // FLOPPerUpdate is the floating-point work of one voxel×projection update
-// in the restructured kernel above, used by the roofline analysis
-// (Figure 12): one multiply-add per hoisted dot product with the shared
-// reciprocal folded in (8), the distance weight (2), and the bilinear blend
-// (10).
+// as Algorithm 1 states it, used by the roofline analysis (Figure 12): the
+// three coordinates, a multiply and an add each (6), the reciprocal and the
+// two projected coordinates (3), the distance weight and its product with
+// the sample (2), and the contract's bilinear blend — t1 = p00 + eu·(p01−p00),
+// t2 likewise, t1 + ev·(t2−t1), a subtract, a multiply and an add each (9).
+// The fractional parts and the accumulate are not counted, and a k-tile
+// computes the z-invariant part once per column for all its slices, so the
+// kernel retires fewer per update than a tile of one slice; the value is
+// kept because the benchmark's roofline rows read it.
 const FLOPPerUpdate = 20

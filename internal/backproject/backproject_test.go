@@ -42,23 +42,44 @@ func randomStack(sys *geometry.System, seed int64) *projection.Stack {
 }
 
 // forRecurrenceKernels runs f once under the default dispatch (the AVX2
-// assembly where the host has it) and once with AVX2 masked off, so the Go
-// spelling of the fast kernel stays covered on AVX2 runners. The subtests
-// carry the names the ledger gives the two dispatches on such a host.
+// assembly where the host has it), as subtest "recurrence", and once with
+// AVX2 masked off, as subtest "scalar", so the Go spelling of the kernel
+// stays covered on AVX2 runners.
 func forRecurrenceKernels(t *testing.T, f func(t *testing.T)) {
-	t.Run(KernelRecurrence.String(), f)
+	t.Run("recurrence", f)
 	t.Run(device.ArithmeticScalar.String(), func(t *testing.T) {
 		defer cpufeat.SetAVX2ForTest(false)()
 		f(t)
 	})
 }
 
-// Zero-valued options everywhere mean the fast kernel.
+// The frozen bench/replay.go launches through StreamingKernel with
+// KernelRecurrence, the zero Kernel: that must be Streaming, byte for byte.
 func TestZeroKernelIsRecurrence(t *testing.T) {
 	var zero Kernel
-	if zero != KernelRecurrence || zero.String() != "recurrence" || KernelExact.String() != "exact" {
-		t.Errorf("the zero Kernel is %v (KernelRecurrence %d, KernelExact %v)", zero, KernelRecurrence, KernelExact)
+	if zero != KernelRecurrence {
+		t.Fatalf("the zero Kernel is %d, KernelRecurrence %d", zero, KernelRecurrence)
 	}
+	sys := testSystem()
+	stack := randomStack(sys, 8)
+	dev := device.New("zero", 0, 2)
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Close()
+	if err := ring.LoadRows(stack, stack.Rows()); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+	got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+	if err := Streaming(dev, ring, kernelMats(sys), want, stack.Rows()); err != nil {
+		t.Fatal(err)
+	}
+	if err := StreamingKernel(dev, ring, kernelMats(sys), got, stack.Rows(), zero); err != nil {
+		t.Fatal(err)
+	}
+	assertSameVolume(t, "Streaming", want, got)
 }
 
 func TestFloor32(t *testing.T) {
@@ -149,99 +170,41 @@ func TestSubPixelBorderIsZero(t *testing.T) {
 	}
 }
 
-// naive is a literal float32 transcription of Algorithm 1 (s outermost,
-// per-voxel 1/z²-weighted bilinear accumulation) used as the reference. The
-// j- and k-terms of Equation 8's dot products are folded into per-row
-// constants exactly like the production kernel, so the comparison is
-// bit-for-bit.
-func naive(sys *geometry.System, stack *projection.Stack, vol *volume.Volume) {
-	mats := kernelMats(sys)
-	for s := 0; s < sys.NP; s++ {
-		m := mats[s]
-		for k := 0; k < vol.NZ; k++ {
-			fk := float32(vol.Z0 + k)
-			for j := 0; j < vol.NY; j++ {
-				fj := float32(j)
-				xc := m.R0[1]*fj + m.R0[2]*fk + m.R0[3]
-				yc := m.R1[1]*fj + m.R1[2]*fk + m.R1[3]
-				zc := m.R2[1]*fj + m.R2[2]*fk + m.R2[3]
-				for i := 0; i < vol.NX; i++ {
-					fi := float32(i)
-					rz := 1 / (m.R2[0]*fi + zc)
-					x := (m.R0[0]*fi + xc) * rz
-					y := (m.R1[0]*fi + yc) * rz
-					iu := int(math.Floor(float64(x)))
-					iv := int(math.Floor(float64(y)))
-					eu := x - float32(iu)
-					ev := y - float32(iv)
-					get := func(v, u int) float32 {
-						if u < 0 || u >= sys.NU || v < 0 || v >= sys.NV {
-							return 0
-						}
-						return stack.At(v, s, u)
-					}
-					t1 := get(iv, iu)*(1-eu) + get(iv, iu+1)*eu
-					t2 := get(iv+1, iu)*(1-eu) + get(iv+1, iu+1)*eu
-					val := t1*(1-ev) + t2*ev
-					acc := vol.At(i, j, k) + rz*rz*val
-					vol.Set(i, j, k, acc)
-				}
-			}
-		}
-	}
-}
-
-// The exact Batch kernel must reproduce the literal Algorithm 1 reference
-// bit-for-bit: same float32 arithmetic, same per-voxel accumulation order.
-// The recurrence kernels are tolerance-gated against the same reference
-// (their re-anchored incremental coordinates differ by bounded float32
-// drift).
+// The kernel must reproduce the literal Algorithm 1 reference — the oracle —
+// bit for bit under both dispatches, and count one launch whose sample
+// classes partition its updates.
 func TestBatchMatchesNaiveAlgorithm1(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV, sys.SigmaCOR = 1.25, -0.5, 0.3
 	stack := randomStack(sys, 1)
-	dev := device.New("test", 0, 3)
-
+	mats := kernelMats(sys)
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	naive(sys, stack, want)
-
-	got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(dev, stack, kernelMats(sys), got, KernelExact); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("voxel %d: batch %g != naive %g", i, got.Data[i], want.Data[i])
-		}
-	}
-	if l := dev.Snapshot(); l.KernelLaunches != 1 || l.VoxelUpdates != int64(got.Voxels())*int64(sys.NP) {
-		t.Fatalf("kernel ledger wrong: %+v", l)
-	}
-	if l := dev.Snapshot(); l.InteriorSamples+l.BorderSamples+l.SkippedSamples != l.VoxelUpdates {
-		t.Fatalf("sample classification does not partition the updates: %+v", l)
-	}
+	denseAccess(stack).reference(mats, want)
 
 	forRecurrenceKernels(t, func(t *testing.T) {
-		rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := Batch(dev, stack, kernelMats(sys), rec); err != nil {
+		dev := device.New("test", 0, 3)
+		got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		if err := Batch(dev, stack, mats, got); err != nil {
 			t.Fatal(err)
 		}
-		assertWithinParityGate(t, want, rec)
+		assertSameVolume(t, "the oracle", want, got)
+		l := dev.Snapshot()
+		if l.KernelLaunches != 1 || l.VoxelUpdates != int64(got.Voxels())*int64(sys.NP) {
+			t.Fatalf("kernel ledger wrong: %+v", l)
+		}
+		if l.InteriorSamples+l.BorderSamples+l.SkippedSamples != l.VoxelUpdates {
+			t.Fatalf("sample classification does not partition the updates: %+v", l)
+		}
 	})
 }
 
-// parity gate for recurrence-vs-exact comparisons: bounded float32 drift,
-// far below any physical signal but non-zero. Shared with the benchmark's
-// parity validation via ParityGateRMSE/ParityGateMaxAbs.
-func assertWithinParityGate(t *testing.T, want, got *volume.Volume) {
+// assertSameVolume fails unless got holds want's bytes, voxel for voxel.
+func assertSameVolume(t *testing.T, name string, want, got *volume.Volume) {
 	t.Helper()
-	stats, err := volume.Compare(want, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RMSE > ParityGateRMSE || stats.MaxAbs > ParityGateMaxAbs {
-		t.Fatalf("recurrence kernel outside parity gate: %+v (gate rmse %g maxabs %g)",
-			stats, ParityGateRMSE, ParityGateMaxAbs)
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("voxel %d: kernel %g != %s %g", i, got.Data[i], name, want.Data[i])
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"distfdk/internal/geometry"
 )
 
 // benchRow is the long all-interior row the kernel benchmarks time: a
@@ -24,21 +26,20 @@ func benchRow(b *testing.B, h int) (a *projAccess, f0, f1 int, launch func(c0, c
 	if !a.prepareSIMD() {
 		b.Fatal("prepareSIMD refused a small buffer")
 	}
-	ax, xc := float32(0.05), float32(8)
-	ay, yc := float32(0.004), float32(40)
-	az, zc := float32(0.00001), float32(1.02)
-	f0, f1 = a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc+0.1*float32(h-1)), float64(az), float64(zc), nx)
-	if f1-f0 < nx/2 {
-		b.Fatalf("span too small: [%d,%d)", f0, f1)
-	}
-	out := make([]float32, h*nx)
+	a.win = a.newSpanWindow()
+	m := geometry.Mat34x4{R0: [4]float32{0.05}, R1: [4]float32{0.004}, R2: [4]float32{0.00001}}
+	xc, yc, zc := float32(8), float32(40), float32(1.02)
 	ycs := make([]float32, h)
 	for k := range ycs {
 		ycs[k] = yc + 0.1*float32(k)
 	}
-	var args simdRowArgs
-	a.initSpanArgs(&args, 0, ax, ay, az)
-	return a, f0, f1, func(c0, c1 int) { a.launchSpan(&args, out, nx, c0, c1, c0, c1, xc, zc, ycs) }
+	pc := a.newProjConsts(0, &m, nx)
+	_, f0, f1, _ = a.rowSpans(&pc, xc, ycs[0], ycs[h-1], zc, nx)
+	if f1-f0 < nx/2 {
+		b.Fatalf("span too small: [%d,%d)", f0, f1)
+	}
+	out := make([]float32, h*nx)
+	return a, f0, f1, func(c0, c1 int) { a.launchSpan(&pc.args, out, nx, c0, c1, c0, c1, xc, zc, ycs) }
 }
 
 // BenchmarkFusedInterior isolates the Go spelling's unguarded body — what a

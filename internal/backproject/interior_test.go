@@ -1,6 +1,7 @@
 package backproject
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,9 +10,11 @@ import (
 	"distfdk/internal/volume"
 )
 
-// The interior span must be sound: every column it reports must satisfy the
-// exact float32 residency predicate the fast loop relies on, across random
-// row geometries (including degenerate ones with clipped or empty windows).
+// The spans rowSpans solves for one row must be sound: every column of the
+// interior resident and every column outside the support provably zero,
+// under the footprint the kernel computes, across random row geometries
+// (including degenerate ones with clipped or empty windows, and rows behind
+// the source, which must get no interior and no skipped column).
 func TestInteriorSpanSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 5000; trial++ {
@@ -20,6 +23,7 @@ func TestInteriorSpanSound(t *testing.T) {
 			lo: rng.Intn(8),
 		}
 		a.hi = a.lo + rng.Intn(40)
+		a.win = a.newSpanWindow()
 		nx := 1 + rng.Intn(96)
 		ax := float32(rng.NormFloat64())
 		ay := float32(rng.NormFloat64())
@@ -28,62 +32,57 @@ func TestInteriorSpanSound(t *testing.T) {
 		yc := float32(rng.NormFloat64() * float64(a.hi+2))
 		zc := float32(0.2 + rng.Float64()*2)
 		if trial%7 == 0 {
-			zc = -zc // rows behind the source must yield an empty span
+			zc = -zc
 		}
-		i0, i1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
-		if i0 == i1 {
-			continue
+		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
+		pc := a.newProjConsts(0, &m, nx)
+		c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, yc, zc, nx)
+		if zc < 0 && (c0 != 0 || c1 != nx || i0 != i1) {
+			t.Fatalf("trial %d: a row behind the source got support [%d,%d), interior [%d,%d)", trial, c0, c1, i0, i1)
 		}
-		if i0 < 0 || i1 > nx {
-			t.Fatalf("trial %d: span [%d,%d) outside row [0,%d)", trial, i0, i1, nx)
-		}
-		for i := i0; i < i1; i++ {
-			if !a.interiorResident(i, ax, xc, ay, yc, az, zc) {
-				t.Fatalf("trial %d: span [%d,%d) includes non-resident column %d (nu=%d rows=[%d,%d))",
+		for i := 0; i < nx; i++ {
+			iu, iv, finite := footprint(i, ax, ay, az, xc, yc, zc)
+			if i >= i0 && i < i1 && !a.resident(iu, iv) {
+				t.Fatalf("trial %d: interior [%d,%d) includes non-resident column %d (nu=%d rows=[%d,%d))",
 					trial, i0, i1, i, a.nu, a.lo, a.hi)
+			}
+			if (i < c0 || i >= c1) && !(finite && (iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi)) {
+				t.Fatalf("trial %d: support [%d,%d) skips column %d, which can contribute", trial, c0, c1, i)
 			}
 		}
 	}
 }
 
 // A readable window under two rows can never host a full 2×2 footprint: the
-// span must be empty and the kernel must take the border path for every
-// sample, still matching the naive reference bit-for-bit.
+// interior must be empty and the kernel must take the guarded body for every
+// sample, still matching the oracle bit for bit.
 func TestZeroWidthInteriorSpan(t *testing.T) {
-	a := projAccess{nu: 16, lo: 3, hi: 4}
-	if i0, i1 := a.interiorSpan(1, 0, 0, 3.2, 0, 1, 64); i0 != i1 {
-		t.Fatalf("one-row window produced non-empty span [%d,%d)", i0, i1)
-	}
-	a = projAccess{nu: 16, lo: 5, hi: 5}
-	if i0, i1 := a.interiorSpan(1, 0, 0, 5, 0, 1, 64); i0 != i1 {
-		t.Fatalf("empty window produced non-empty span [%d,%d)", i0, i1)
+	row := geometry.Mat34x4{R0: [4]float32{1}}
+	for _, c := range []struct {
+		a  projAccess
+		yc float32
+	}{{projAccess{nu: 16, lo: 3, hi: 4}, 3.2}, {projAccess{nu: 16, lo: 5, hi: 5}, 5}} {
+		a := c.a
+		a.win = a.newSpanWindow()
+		pc := a.newProjConsts(0, &row, 64)
+		if _, i0, i1, _ := a.rowSpans(&pc, 0, c.yc, c.yc, 1, 64); i0 != i1 {
+			t.Fatalf("window rows [%d,%d) produced interior [%d,%d)", a.lo, a.hi, i0, i1)
+		}
 	}
 
-	// End to end: a one-row detector forces the border path everywhere.
-	// The exact kernel must match the reference bit-for-bit; the fast
-	// kernel stays inside the parity gate on this all-border,
-	// heavily-clipped geometry.
+	// End to end: a one-row detector forces the guarded body everywhere.
 	sys := testSystem()
 	sys.NV = 1
 	stack := randomStack(sys, 31)
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	naive(sys, stack, want)
-	got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(device.New("border", 0, 2), stack, kernelMats(sys), got, KernelExact); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("voxel %d: border-only batch %g != naive %g", i, got.Data[i], want.Data[i])
-		}
-	}
+	denseAccess(stack).reference(kernelMats(sys), want)
 	forRecurrenceKernels(t, func(t *testing.T) {
 		dev := device.New("border-rec", 0, 2)
 		rec, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 		if err := Batch(dev, stack, kernelMats(sys), rec); err != nil {
 			t.Fatal(err)
 		}
-		assertWithinParityGate(t, want, rec)
+		assertSameVolume(t, "the oracle", want, rec)
 		if l := dev.Snapshot(); l.InteriorSamples != 0 || l.BorderSamples == 0 {
 			t.Errorf("one-row detector: %d interior and %d border samples, want all border", l.InteriorSamples, l.BorderSamples)
 		}
@@ -91,10 +90,9 @@ func TestZeroWidthInteriorSpan(t *testing.T) {
 }
 
 // Heavily off-centre detectors clip the interior span asymmetrically; the
-// stitched border/interior/border row must stay bit-identical to the naive
-// per-sample reference under the exact kernel, the fast kernel must
-// stay inside the parity gate while skipping the provably-zero columns
-// past the detector edge, and streaming must stay bit-identical to batch.
+// stitched border/interior/border row must stay bit-identical to the oracle
+// while skipping the provably-zero columns past the detector edge, and
+// streaming must stay bit-identical to batch.
 func TestClippedSpanParity(t *testing.T) {
 	forRecurrenceKernels(t, testClippedSpanParity)
 }
@@ -107,22 +105,13 @@ func testClippedSpanParity(t *testing.T) {
 		mats := kernelMats(sys)
 
 		want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		naive(sys, stack, want)
-		exact, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := BatchKernel(device.New("clip-exact", 0, 3), stack, mats, exact, KernelExact); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if want.Data[i] != exact.Data[i] {
-				t.Fatalf("sigma %+v: voxel %d: batch %g != naive %g", sigma, i, exact.Data[i], want.Data[i])
-			}
-		}
+		denseAccess(stack).reference(mats, want)
 		batchDev := device.New("clip", 0, 3)
 		batch, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 		if err := Batch(batchDev, stack, mats, batch); err != nil {
 			t.Fatal(err)
 		}
-		assertWithinParityGate(t, want, batch)
+		assertSameVolume(t, fmt.Sprintf("the oracle (sigma %+v)", sigma), want, batch)
 		if l := batchDev.Snapshot(); l.SkippedSamples == 0 || l.BorderSamples == 0 || l.InteriorSamples == 0 {
 			t.Errorf("sigma %+v: off-centre detector exercised interior %d, border %d, skipped %d samples; want all three",
 				sigma, l.InteriorSamples, l.BorderSamples, l.SkippedSamples)

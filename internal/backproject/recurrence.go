@@ -7,56 +7,21 @@ import (
 	"distfdk/internal/volume"
 )
 
-// The recurrence kernel exploits that the homogeneous detector coordinates
-// of one output row are affine in the column index i:
+// The kernel's walk: the slices of a slab cut into k-tiles, a
+// (row, projection) pair back-projected into every slice of its tile in one
+// launch, and the spans that decide which columns a launch covers and which
+// of them run unguarded. The homogeneous detector coordinates of one output
+// row are affine in the column index i,
 //
 //	u(i) = ax·i + xc,  v(i) = ay·i + yc,  w(i) = az·i + zc
 //
-// so instead of re-evaluating three multiply-adds per sample it steps eight
-// running lanes by the exact float32 constants 8·ax, 8·ay, 8·az (a
-// power-of-two scaling, so the step itself carries no rounding error).
-// Accumulated addition drift is bounded by re-anchoring every
-// reanchorPeriod columns: the lanes are recomputed from the direct
-// expression at fixed absolute columns i ≡ 0 (mod reanchorPeriod). Anchors
-// at *absolute* positions — never at span or slab boundaries — make the
-// lane value at column i a pure function of (i, row constants): whatever
-// decomposition, worker count or blocking produced the row, every path
-// (unguarded body, guarded body, residency predicate, support probe) sees
-// identical float32 coordinates, which is what keeps streaming ≡ batch ≡
-// resume bit-identical under this kernel. simd.go states the contract and
-// holds its Go spelling, fusedTileGo; simd_amd64.s holds the other,
-// fusedTileAVX2.
-
-// reanchorPeriod is the re-anchor interval K: lanes are recomputed from the
-// direct affine expression at columns i ≡ 0 (mod K). Must be a power of two
-// and a multiple of the walk's eight lanes. At K = 32 the worst-case drift
-// is ≤ 3 lane additions ≈ 3·ε·max|u| — orders of magnitude below the
-// half-pixel margin the span solver guarantees and the quarter-pixel slack
-// of the fast residency predicates.
-const reanchorPeriod = 32
-
-// predicateSlack is the margin (in detector pixels) by which the *direct*
-// float32 evaluation must clear a residency/zero boundary for the fast
-// predicates below to decide without consulting the recurrence arithmetic.
-// It dominates the sum of the direct evaluation's rounding and the
-// recurrence drift (both ≤ ~1e-3 px at detector-scale coordinates), so a
-// slack-clearing direct value proves the recurrence value is on the same
-// side of the boundary.
-const predicateSlack = 0.25
-
-// ParityGateRMSE and ParityGateMaxAbs bound the volume difference between
-// the recurrence and exact kernels on identical inputs, for data of unit
-// scale. The recurrence's coordinate drift before a re-anchor is ≤ ~18
-// additions' rounding ≈ 1e-6·|u| ≈ 5e-5 detector pixels at test-geometry
-// coordinate magnitudes; white-noise projections (the worst case — O(1)
-// bilinear gradient per pixel) turn that into ~2e-5 RMSE per unit of data
-// scale. The gates sit 2–3× above every measured geometry while remaining
-// three orders of magnitude below physical signal. The property tests and
-// experiments.TestKernelParity both enforce them.
-const (
-	ParityGateRMSE   = 5e-5
-	ParityGateMaxAbs = 5e-4
-)
+// and the kernel evaluates them directly at every column (simd.go states
+// the contract and holds its Go spelling, fusedTileGo; simd_amd64.s holds
+// the other, fusedTileAVX2), so the value at column i is a function of
+// (i, row constants) alone: whatever decomposition, worker count or blocking
+// produced the row, every path (unguarded body, guarded body, span
+// predicate) sees identical float32 coordinates, which is what keeps
+// streaming ≡ batch ≡ resume bit-identical.
 
 // projBlock is the s-blocking factor: the (k, j) voxel sweep is repeated
 // per block of projBlock projections so the detector-row window those
@@ -90,29 +55,15 @@ func (a *projAccess) resident(iu, iv int) bool {
 	return iu >= 0 && iu+1 < a.nu && iv >= a.lo && iv+1 < a.hi
 }
 
-// interiorResidentFast decides whether column i's footprint is resident in
+// interiorResident decides whether column i's footprint is resident in
 // every slice of a k-tile whose v constants lie in [ya, yb] (ya == yb for a
-// single row), without the lane catch-up: a direct float32 evaluation
-// clearing every boundary by predicateSlack proves the kernel's value is
-// resident too — the slack dominates the lane drift of ≤ 3 step additions.
-// On the rare boundary-grazing column it falls back to the footprint the
-// kernel computes in the tile's two end slices (an accepted column has
-// x, y ≥ 0, so the unguarded body's truncating conversion equals floor
-// wherever it is allowed to truncate). Those speak for the slices between
-// them: every float32 operation from the slice index to iv is monotone, so
-// a middle slice's iv lies between the ends', and the resident rows are an
-// interval.
-func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
-	fi := float32(i)
-	w := az*fi + zc
-	if w > 0 {
-		rz := 1 / w
-		x := (ax*fi + xc) * rz
-		v := ay * fi
-		if b := &a.win.resident; x >= b[0] && x <= b[1] && (v+ya)*rz >= b[2] && (v+yb)*rz <= b[3] {
-			return true
-		}
-	}
+// single row), from the footprint the kernel computes in the tile's two end
+// slices (an accepted column has x, y ≥ 0, so the unguarded body's
+// truncating conversion equals floor wherever it is allowed to truncate).
+// Those speak for the slices between them: every float32 operation from the
+// slice index to iv is monotone, so a middle slice's iv lies between the
+// ends', and the resident rows are an interval.
+func (a *projAccess) interiorResident(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
 	if iu, iv, _ := footprint(i, ax, ay, az, xc, ya, zc); !a.resident(iu, iv) {
 		return false
 	}
@@ -123,40 +74,19 @@ func (a *projAccess) interiorResidentFast(i int, ax, ay, az, xc, ya, yb, zc floa
 	return a.resident(iu, iv)
 }
 
-// zeroContribFast reports whether column i's contribution is provably
-// exactly +0 in every slice of a k-tile whose v constants lie in [ya, yb]:
-// all four bilinear neighbours lie outside the readable window
-// (texture-border zeros) and the distance weight rz² is finite, so
-// rz²·0 = +0 and skipping the column leaves the accumulator bit-identical
-// (out[i] is never −0: it starts +0 and round-to-nearest addition cannot
-// produce −0 from a +0 running sum). A direct float32 evaluation past a
-// zero boundary by predicateSlack proves the kernel's value (drifting far
-// less than the slack) is past it too; boundary-grazing columns are decided
-// by the footprint the kernel computes, and an overflowing weight — the
-// reciprocal of a degenerate w is infinite or NaN — is evaluated rather
-// than reasoned about as Inf·0: skipping always needs proof, evaluating is
-// always safe. A column is zero in the whole tile when x misses the window,
-// or when the highest slice is still below it, or the lowest already above
-// it — the two ends may not miss it on opposite sides, because the slices
-// between them then cross it.
-func (a *projAccess) zeroContribFast(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
-	fi := float32(i)
-	w := az*fi + zc
-	if w > 0 {
-		rz := 1 / w
-		// Generous headroom below MaxFloat32: the kernel rz² differs from
-		// this direct one by a relative drift ~1e-7, so requiring the
-		// direct weight comfortably finite proves the kernel weight
-		// finite too.
-		if !(rz*rz < 1e38) {
-			return false // evaluating a column is always safe; skipping needs proof
-		}
-		x := (ax*fi + xc) * rz
-		v := ay * fi
-		if b := &a.win.zero; x <= b[0] || x >= b[1] || (v+yb)*rz <= b[2] || (v+ya)*rz >= b[3] {
-			return true
-		}
-	}
+// zeroContrib reports whether column i's contribution is provably exactly
+// +0 in every slice of a k-tile whose v constants lie in [ya, yb]: all four
+// bilinear neighbours lie outside the readable window (texture-border
+// zeros) and the distance weight rz² is finite, so rz²·0 = +0 and skipping
+// the column leaves the accumulator bit-identical (out[i] is never −0: it
+// starts +0 and round-to-nearest addition cannot produce −0 from a +0
+// running sum). An overflowing weight — the reciprocal of a degenerate w is
+// infinite or NaN — is evaluated rather than reasoned about as Inf·0:
+// skipping always needs proof, evaluating is always safe. A column is zero
+// in the whole tile when x misses the window, or when the highest slice is
+// still below it, or the lowest already above it — the two ends may not
+// miss it on opposite sides, because the slices between them then cross it.
+func (a *projAccess) zeroContrib(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
 	iu, iv, finite := footprint(i, ax, ay, az, xc, yb, zc)
 	if !finite {
 		return false
@@ -178,20 +108,14 @@ type spanWindow struct {
 	// the interior tightened past float64 product rounding for the
 	// fully-interior pre-accept.
 	support, interior, accept [4]float64
-	// resident and zero are the boundaries a direct float32 evaluation must
-	// clear by predicateSlack for the fast predicates to decide.
-	resident, zero [4]float32
 }
 
 func (a *projAccess) newSpanWindow() spanWindow {
 	const md = 0.5 + 1e-9
-	const d = predicateSlack
 	return spanWindow{
 		support:  a.supportBounds(),
 		interior: a.interiorBounds(),
 		accept:   [4]float64{md, float64(a.nu-1) - md, float64(a.lo) + md, float64(a.hi-1) - md},
-		resident: [4]float32{d, float32(a.nu-1) - d, float32(a.lo) + d, float32(a.hi-1) - d},
-		zero:     [4]float32{-1 - d, float32(a.nu) + d, float32(a.lo-1) - d, float32(a.hi) + d},
 	}
 }
 
@@ -229,13 +153,12 @@ func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int) projConst
 	return pc
 }
 
-// accumulateSlicesRec back-projects the k slices owned by worker w with the
-// recurrence kernel. Loop order is s-block → k-tile → j → s → k, i.e. the
+// accumulateSlices back-projects the k slices owned by worker w. Loop order is s-block → k-tile → j → s → k, i.e. the
 // voxel sweep is repeated per small group of projections (cache blocking)
 // and a (row, projection) pair visits the slices of its tile innermost,
 // where only v is new; per tile the column loop is clipped to its detector
 // support and split into guarded groups around the unguarded interior.
-func (a *projAccess) accumulateSlicesRec(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters) {
+func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters) {
 	nx := slab.NX
 	stride := slab.NY * nx
 	// The slab is cut into tiles of adjacent slices — adjacent, so that a
@@ -338,7 +261,7 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int) (c
 	// Fully-interior pre-accept, the mirror image of the pre-reject: both
 	// endpoints clearing every interior boundary by its half-pixel margin
 	// (padded past float64 product rounding) means the whole row is
-	// interior — the 0.5 margin dominates the kernels' float32 drift
+	// interior — the 0.5 margin dominates the kernel's float32 rounding
 	// exactly as it does for the analytic solve, so [0,nx) is a sound
 	// interior span and the eight boundary divisions are skipped.
 	if b := &a.win.accept; ux0 > b[0]*w0 && uxn > b[0]*wn && ux0 < b[1]*w0 && uxn < b[1]*wn &&
@@ -353,17 +276,17 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int) (c
 	// predicates pin the final boundaries so the fast paths stay sound even
 	// if the float64 clip were off by a column.
 	ax, ay, az := pc.m.R0[0], pc.m.R1[0], pc.m.R2[0]
-	for i0 < i1 && !a.interiorResidentFast(i0, ax, ay, az, xc, ya, yb, zc) {
+	for i0 < i1 && !a.interiorResident(i0, ax, ay, az, xc, ya, yb, zc) {
 		i0++
 	}
-	for i0 < i1 && !a.interiorResidentFast(i1-1, ax, ay, az, xc, ya, yb, zc) {
+	for i0 < i1 && !a.interiorResident(i1-1, ax, ay, az, xc, ya, yb, zc) {
 		i1--
 	}
 	if c0 < c1 {
-		for c0 > 0 && !a.zeroContribFast(c0-1, ax, ay, az, xc, ya, yb, zc) {
+		for c0 > 0 && !a.zeroContrib(c0-1, ax, ay, az, xc, ya, yb, zc) {
 			c0--
 		}
-		for c1 < nx && !a.zeroContribFast(c1, ax, ay, az, xc, ya, yb, zc) {
+		for c1 < nx && !a.zeroContrib(c1, ax, ay, az, xc, ya, yb, zc) {
 			c1++
 		}
 	}
@@ -399,7 +322,6 @@ func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc f
 	if c0 >= c1 {
 		return
 	}
-	ctr.reanchors += h * reanchorSegments(c0, c1)
 	fg, ts := simdLaneCounts(i0, i1)
 	ctr.simdGroups += h * fg
 	ctr.simdTail += h * ts
@@ -407,12 +329,4 @@ func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc f
 		i0, i1 = c0, c0
 	}
 	a.launchSpan(&pc.args, rows, stride, c0, c1, i0, i1, xc, zc, yc)
-}
-
-// reanchorSegments counts the anchor segments the non-empty column range
-// [c0,c1) touches: one re-anchor event each.
-func reanchorSegments(c0, c1 int) int64 {
-	b0 := c0 &^ (reanchorPeriod - 1)
-	b1 := (c1 - 1) &^ (reanchorPeriod - 1)
-	return int64((b1-b0)/reanchorPeriod) + 1
 }

@@ -16,7 +16,7 @@ func TestZeroVoxelSlabLaunch(t *testing.T) {
 	stack := randomStack(sys, 5)
 	dev := device.New("empty", 0, 4)
 	slab := &volume.Volume{NX: sys.NX, NY: sys.NY, NZ: 0}
-	if err := BatchKernel(dev, stack, kernelMats(sys), slab, KernelRecurrence); err != nil {
+	if err := Batch(dev, stack, kernelMats(sys), slab); err != nil {
 		t.Fatal(err)
 	}
 	l := dev.Snapshot()
@@ -26,7 +26,7 @@ func TestZeroVoxelSlabLaunch(t *testing.T) {
 	if l.VoxelUpdates != 0 {
 		t.Errorf("VoxelUpdates = %d, want 0", l.VoxelUpdates)
 	}
-	if l.InteriorSamples != 0 || l.BorderSamples != 0 || l.SkippedSamples != 0 || l.Reanchors != 0 {
+	if l.InteriorSamples != 0 || l.BorderSamples != 0 || l.SkippedSamples != 0 {
 		t.Errorf("sample split non-zero on empty launch: %+v", l)
 	}
 	if got := l.Arithmetic(); got != "" {

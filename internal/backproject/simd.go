@@ -5,21 +5,16 @@ import (
 	"unsafe"
 )
 
-// The fast kernel walks a volume row eight columns at a time: the three
-// homogeneous coordinate lanes advance as whole vectors, one exact
+// The kernel walks a volume row eight columns at a time: the three
+// homogeneous coordinates are evaluated directly at every column, one exact
 // reciprocal per column serves every slice of a k-tile, and the 2×2
-// bilinear footprints are fetched per lane. It re-anchors at fixed
-// *absolute* columns b = i&^31, which makes the coordinate at column i a
-// pure function of (i, row constants) — the property that keeps every
+// bilinear footprints are fetched per lane. The coordinate at column i is a
+// function of (i, row constants) alone — the property that keeps every
 // slab/window decomposition of the same reconstruction bit-identical.
 //
 // The coordinate contract (the value every consumer must agree on):
 //
-//	anchor  b  = i &^ (reanchorPeriod−1)
-//	lane    j  = i & 7                       (8 lanes per group)
-//	init       = op·float32(b+j) + oc        (product rounded, then added)
-//	advance    = + op·8 per 8-column group   (power-of-two step: exact)
-//	value(i)   = init + ((i−b)>>3) step additions
+//	value(i)   = op·float32(i) + oc          (product rounded, then added)
 //	rz         = 1 / w                       (the IEEE-754 float32 divide)
 //	x, y       = u·rz, v·rz;  weight = rz·rz
 //	sample     = p00 + eu·(p01−p00) blended by ev, each product rounded
@@ -28,33 +23,24 @@ import (
 // Every operation is a correctly rounded IEEE-754 float32 operation and no
 // product is fused into the add or subtract it feeds, so the contract has
 // one value on every host. It is spelled twice: fusedTileAVX2
-// (simd_amd64.s) steps the eight lanes together in vectors, fusedTileGo
-// below walks the same lanes one at a time, and writes a product that feeds
-// an add or a subtract as float32(a*b) — the conversion the Go
-// specification defines as preventing fusion on targets that have a fused
-// multiply-add (make fuse-lint checks the compiled code). accumulateSlab
-// picks the assembly where the host has AVX2 and the storage offsets fit
-// its 32-bit gather indices, the Go spelling otherwise; the bytes and the
-// counters do not depend on the choice. laneAt and simdCoords are the
-// contract's per-column definition, which the span predicates (footprint)
-// and the guarded columns evaluate and the tests hold both spellings to.
+// (simd_amd64.s) evaluates eight columns together in vectors, fusedTileGo
+// below one column at a time, and writes a product that feeds an add or a
+// subtract as float32(a*b) — the conversion the Go specification defines as
+// preventing fusion on targets that have a fused multiply-add (make
+// fuse-lint checks the compiled code). accumulateSlab picks the assembly
+// where the host has AVX2 and the storage offsets fit its 32-bit gather
+// indices, the Go spelling otherwise; the bytes and the counters do not
+// depend on the choice. laneAt and simdCoords are the contract's coordinates
+// at one column, which the span predicates (footprint) and the guarded
+// columns evaluate. float32(i) is exact, and the assembly's column vector
+// stepped by 8.0 equals it, while i < 2²⁴ — far past any volume's width.
 
 // simdLanes is the width of the kernel's column groups: 8 float32 lanes.
 const simdLanes = 8
 
-// laneAt returns the contract's value at absolute column i of the
-// coordinate lane op·i + oc — bit-for-bit what lane i&7 of either spelling
-// holds when its group reaches i: direct evaluation at the anchor offset by
-// the lane index, then (i−b)/8 exact-step additions.
-func laneAt(i int, op, oc float32) float32 {
-	b := i &^ (reanchorPeriod - 1)
-	c := float32(op*float32(b|i&(simdLanes-1))) + oc
-	step := float32(op * simdLanes)
-	for t := (i - b) >> 3; t > 0; t-- {
-		c += step
-	}
-	return c
-}
+// laneAt returns the contract's value at column i of the coordinate
+// op·i + oc.
+func laneAt(i int, op, oc float32) float32 { return float32(op*float32(i)) + oc }
 
 // simdCoords returns the contract's homogeneous coordinates at column i.
 func simdCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
@@ -120,12 +106,11 @@ func (a *projAccess) launchSpan(args *simdRowArgs, rows []float32, stride int, c
 	}
 }
 
-// fusedTileGo is fusedTileAVX2 in Go. Where the assembly holds eight lanes
-// in a vector and steps them together, this walks one lane at a time down
-// the row (the lanes never mix, so the order is free; blocking the walk so
-// that the rows stay in the first-level cache between lanes measured no
-// different on a 4096-column row in eight slices). It reads the samples
-// through the int row table, so no buffer is too large for it.
+// fusedTileGo is fusedTileAVX2 in Go: where the assembly evaluates eight
+// columns in a vector, this walks them one at a time (the columns never mix,
+// so the order is free). The groups the assembly runs through its unguarded
+// body are the columns fastCols takes. It reads the samples through the int
+// row table, so no buffer is too large for it.
 func (a *projAccess) fusedTileGo(args *simdRowArgs) {
 	c0, c1 := int(args.c0), int(args.c1)
 	g0, g1 := (int(args.f0)+simdLanes-1)&^(simdLanes-1), int(args.f1)&^(simdLanes-1)
@@ -133,84 +118,56 @@ func (a *projAccess) fusedTileGo(args *simdRowArgs) {
 		g0, g1 = c0, c0
 	}
 	a.guardedCols(args, c0, g0)
-	for j := 0; j < simdLanes; j++ {
-		a.fastLane(args, j, g0, g1)
-	}
+	a.fastCols(args, g0, g1)
 	a.guardedCols(args, g1, c1)
 }
 
-// fastLane runs the unguarded body on lane j's column of every group in
-// [g0,g1), both multiples of 8. Per anchor segment the lane starts from the
-// direct expression and steps through every group, sampled or not (each
-// addition rounds, so skipping one would change the values after it): u and
-// w in registers, v for the segment's four groups in every slice up front,
-// so that the sampling loop carries no dependency through memory. Per column
-// the z-invariant rz, x, iu, eu and rz² are computed once and the slice loop
-// runs inside. A function of its own, reading the row constants from the
-// argument block where it needs them, so that this loop nest and nothing
-// else gets the registers.
+// fastCols runs the unguarded body on columns [g0,g1). Per column the
+// z-invariant u, w, rz, x, iu, eu, rz² and ay·i are computed once and the
+// slice loop runs inside. A function of its own, with the row constants in
+// locals, so that this loop nest and nothing else gets the registers.
 //
 // The loads run on raw pointers: rowSpans proved iu ∈ [0, nu−2] and
 // iv ∈ [lo, hi−2] in every slice for every column handed to this function
 // (TestTileSpansSound fuzzes that proof), so the bounds checks the compiler
 // cannot see past are discharged analytically instead of per element.
 // x, y ≥ 0 there, so truncation is floor.
-func (a *projAccess) fastLane(args *simdRowArgs, j, g0, g1 int) {
+func (a *projAccess) fastCols(args *simdRowArgs, g0, g1 int) {
 	dp := args.data
 	rp := unsafe.Pointer(unsafe.SliceData(a.rowOff[2:]))
 	lo := a.lo
-	h := int(args.h)
 	stride := args.stride
-	ax8, ay8, az8 := float32(args.ax*simdLanes), float32(args.ay*simdLanes), float32(args.az*simdLanes)
-	var vs [reanchorPeriod / simdLanes][zBlock]float32
-	for b := g0 &^ (reanchorPeriod - 1); b < g1; b += reanchorPeriod {
-		fl := float32(b + j)
-		u := float32(args.ax*fl) + args.xc
-		w := float32(args.az*fl) + args.zc
-		vl := float32(args.ay * fl)
-		for k, yc := range args.yc[:h] {
-			v := vl + yc
-			for g := range vs {
-				vs[g][k] = v
-				v += ay8
-			}
-		}
-		// g0, g1 and the group bases are multiples of 8, so the lane's
-		// column b+j+8g lies in [g0,g1) exactly when its group does.
-		g := 0
-		for col, end := b+j, min(b+reanchorPeriod, g1); col < end; col += simdLanes {
-			if col >= g0 {
-				rz := 1 / w
-				x := float32(u * rz)
-				iu := int(x)
-				eu := x - float32(iu)
-				rz2 := rz * rz
-				op := unsafe.Add(args.out, col*4)
-				dpu := unsafe.Add(dp, iu*4)
-				for _, v := range vs[g][:h] {
-					y := float32(v * rz)
-					iv := int(y)
-					ev := y - float32(iv)
-					r0 := unsafe.Add(dpu, *(*int)(unsafe.Add(rp, (iv-lo)*8))*4)
-					r1 := unsafe.Add(dpu, *(*int)(unsafe.Add(rp, (iv-lo+1)*8))*4)
-					p00, p01 := *(*float32)(r0), *(*float32)(unsafe.Add(r0, 4))
-					p10, p11 := *(*float32)(r1), *(*float32)(unsafe.Add(r1, 4))
-					t1 := p00 + float32(eu*(p01-p00))
-					t2 := p10 + float32(eu*(p11-p10))
-					*(*float32)(op) += float32(rz2 * (t1 + float32(ev*(t2-t1))))
-					op = unsafe.Add(op, stride)
-				}
-			}
-			g++
-			u += ax8
-			w += az8
+	yc := args.yc[:args.h]
+	ax, ay, az, xc, zc := args.ax, args.ay, args.az, args.xc, args.zc
+	for col := g0; col < g1; col++ {
+		fi := float32(col)
+		rz := 1 / (float32(az*fi) + zc)
+		x := float32((float32(ax*fi) + xc) * rz)
+		iu := int(x)
+		eu := x - float32(iu)
+		rz2 := rz * rz
+		ayi := float32(ay * fi)
+		op := unsafe.Add(args.out, col*4)
+		dpu := unsafe.Add(dp, iu*4)
+		for _, c := range yc {
+			y := float32((ayi + c) * rz)
+			iv := int(y)
+			ev := y - float32(iv)
+			r0 := unsafe.Add(dpu, *(*int)(unsafe.Add(rp, (iv-lo)*8))*4)
+			r1 := unsafe.Add(dpu, *(*int)(unsafe.Add(rp, (iv-lo+1)*8))*4)
+			p00, p01 := *(*float32)(r0), *(*float32)(unsafe.Add(r0, 4))
+			p10, p11 := *(*float32)(r1), *(*float32)(unsafe.Add(r1, 4))
+			t1 := p00 + float32(eu*(p01-p00))
+			t2 := p10 + float32(eu*(p11-p10))
+			*(*float32)(op) += float32(rz2 * (t1 + float32(ev*(t2-t1))))
+			op = unsafe.Add(op, stride)
 		}
 	}
 }
 
-// guardedCols runs the guarded body on columns [g0,g1): the coordinates of
-// the contract's per-column definition — u and w, and what follows from
-// them, once per column, v per slice — with floor32, not truncation, because
+// guardedCols runs the guarded body on columns [g0,g1): the contract's
+// coordinates — u and w, and what follows from them, once per column, v per
+// slice — with floor32, not truncation, because
 // border coordinates may be negative, and eu and ev taken from that floor.
 // Then the footprint's origin is clamped to columns [−2, nu] and rows
 // [lo−2, hi], where the store holds the texture border as data (the apron
@@ -218,7 +175,7 @@ func (a *projAccess) fastLane(args *simdRowArgs, j, g0, g1 int) {
 // window loads exactly +0, a footprint beyond the clamp would have loaded
 // four of them and still does, and a conversion of a NaN or a huge floor,
 // whatever integer the host makes of it, lands inside the store. A resident
-// column is untouched by the clamp and computes what fastLane computes.
+// column is untouched by the clamp and computes what fastCols computes.
 func (a *projAccess) guardedCols(args *simdRowArgs, g0, g1 int) {
 	rowOff, lo, hi, nu := a.rowOff, a.lo, a.hi, a.nu
 	for i := g0; i < g1; i++ {

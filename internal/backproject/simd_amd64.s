@@ -8,33 +8,35 @@
 // One call covers the supported span [c0,c1) of one volume row in the h
 // slices of a k-tile, for one projection whose u and w do not depend on z
 // (the caller proves that, or passes h = 1). Per 8-column group the
-// z-invariant work — the divide, x, iu, eu, rz², the contiguous-window
-// test — is done once; the slice loop inside recomputes only what v moves:
-// y, iv, ev, the four sample loads (SAMPLE) and the accumulate into the
-// slice's row. Groups wholly inside the interior sub-span [f0,f1) run the
-// unguarded fast body, every other covered group the guarded body: floor
-// instead of truncation, the footprint's origin clamped into the store's
-// zero apron (device.Layout: the texture border is data) and a lane mask on
-// the accumulate. Both bodies read the same lane values and fetch through
+// z-invariant work — the coordinates u, w and ay·i at the group's columns,
+// the divide, x, iu, eu, rz², the contiguous-window test — is done once; the
+// slice loop inside recomputes only what v moves: v, y, iv, ev, the four
+// sample loads (SAMPLE) and the accumulate into the slice's row. Groups
+// wholly inside the interior sub-span [f0,f1) run the unguarded fast body,
+// every other covered group the guarded body: floor instead of truncation,
+// the footprint's origin clamped into the store's zero apron (device.Layout:
+// the texture border is data) and a lane mask on the accumulate. Both
+// bodies read the same coordinates and fetch through
 // the one SAMPLE, so a column computes the same value whichever body its
 // group lands in — the decomposition invariance the kernel promises.
 //
 // Register plan, held across the whole kernel:
-//   Y0, Y2    = u, w coordinate lanes (8 columns per vector)
-//   Y4        = per-group step 8·ay (8·ax and 8·az are stack operands)
+//   Y0        = the group's columns float32(gb+j), stepped by 8.0 per group
+//               (an exact add while the columns stay below 2²⁴)
+//   Y4        = the group's w, evaluated one group ahead
 //   Y6        = 1.0 broadcast (the dividend of rz = 1/w)
-//   per group: Y8 = rz, Y9 = eu, Y10 = rz², Y11 = iu+2, Y3 = window lane
+//   per group: Y2 = ay·column, Y8 = rz, Y9 = eu, Y10 = rz², Y11 = iu+2,
+//              Y3 = window lane
 //   Y1, Y5, Y7, Y12..Y15 = slice-loop scratch
 //   AX = args   DI = data − 2 floats (iu+2 indexes it)   SI = rows
-//   DX = out (row in the first slice)
-//   R8 = anchor b   R10 = group base   R11 = segment end
-//   R12 = segment start   BX = row in the current slice
-//   R9 = 32·slice (offset into the v lanes)   CX = window base or −1
-//   R13, R14 = scratch
+//   DX = out (row in the first slice)   R10 = group base
+//   R8, R11 = fast groups' first base and end   R12 = 4·h, the end of yc
+//   BX = row in the current slice   R9 = 4·slice (offset into yc)
+//   CX = window base or −1   R13, R14 = scratch
 //
-// The v lanes live on the stack, one vector per slice: slice k's lanes
-// start each segment at ay·float32(b+j) + yc[k] and step by 8·ay per group,
-// exactly the contract's per-row walk.
+// The coordinates are the contract's direct evaluation op·float32(i) + oc
+// at every column, a VMULPS then a VADDPS (never fused): u and w per group,
+// and per slice v = ay·i + yc[k], the product shared by the tile's slices.
 //
 // Fast-body soundness: every lane of a fast group satisfies the interior
 // residency predicate under this exact arithmetic in every slice of the
@@ -54,7 +56,7 @@
 // arithmetic never mixes lanes. Both bodies' 9-float windows may run up to 7
 // floats past a row's right apron: the layout's slack keeps that readable.
 
-// lane07: the int32 vector {0,1,...,7} for anchor init and range masks.
+// lane07: the int32 vector {0,1,...,7} for the first columns and lane masks.
 DATA lane07<>+0(SB)/4, $0
 DATA lane07<>+4(SB)/4, $1
 DATA lane07<>+8(SB)/4, $2
@@ -68,7 +70,7 @@ GLOBL lane07<>(SB), RODATA|NOPTR, $32
 DATA one32<>+0(SB)/4, $0x3f800000 // float32(1)
 GLOBL one32<>(SB), RODATA|NOPTR, $4
 
-DATA eight32<>+0(SB)/4, $0x41000000 // float32(8)
+DATA eight32<>+0(SB)/4, $0x41000000 // float32(8): the column step
 GLOBL eight32<>(SB), RODATA|NOPTR, $4
 
 DATA seven32<>+0(SB)/4, $7
@@ -95,25 +97,32 @@ GLOBL minus2v<>(SB), RODATA|NOPTR, $32
 //   lo2v-72(SP)  32B   broadcast lo−2: the row table's first entry
 //   nuv-104(SP)  32B   broadcast clamp bounds of the guarded body
 //   hiv-136(SP)  32B
-//   axv-168(SP)  32B   broadcast row constants (segment re-anchor reads
-//   ayv-200(SP)  32B   them as memory operands — fewer front-end ops per
-//   azv-232(SP)  32B   segment than re-broadcasting)
+//   axv-168(SP)  32B   broadcast column coefficients and row constants,
+//   ayv-200(SP)  32B   the coordinates' memory operands
+//   azv-232(SP)  32B
 //   xcv-264(SP)  32B
 //   zcv-296(SP)  32B
-//   ax8v-328(SP) 32B   per-group steps 8·ax, 8·az (power-of-two: exact)
-//   az8v-360(SP) 32B
-//   fsS-368(SP)   8B   first 8-aligned group base inside [f0,f1)
-//   feGS-376(SP)  8B   first 8-aligned group base at/past f1−7
-//   feS-384(SP)   8B   fast-window end for the current segment
-//   hbS-392(SP)   8B   32·h, the end of the v lanes
-//   vS-648(SP)  256B   v lanes, 32 B per slice
+//   eightv-328(SP) 32B   broadcast 8.0, the column step
 //
-// The grid of group bases is 8-aligned (anchors are 32-aligned), so the
-// per-group test "base ≥ f0 && base+8 ≤ f1" is exactly the window
-// "base ∈ [fs, feG)" with fs = (f0+7)&^7 and feG = f1&^7, and within a
-// segment the fast groups form one contiguous run [fs, min(feG, segend)).
-// That lets the hot path loop on a single compare instead of re-deciding
-// fast-vs-guarded every group.
+// The grid of group bases is 8-aligned, so the per-group test
+// "base ≥ f0 && base+8 ≤ f1" is exactly "base ∈ [fs, fe)" with
+// fs = (f0+7)&^7 and fe = f1&^7: the fast groups are one contiguous run.
+
+// COORDS evaluates the contract's coordinates at the group's eight columns
+// Y0 — op·i + oc, a VMULPS then a VADDPS, never fused — and what follows
+// from them whichever body runs the group, then steps Y0 to the next group
+// and evaluates its w into Y4 there, so that the next group's divide need
+// not wait for it. Out: Y2 = ay·i, Y8 = rz, Y9 = x, Y10 = rz².
+#define COORDS \
+	VDIVPS Y4, Y6, Y8;             \ // rz = 1/w, the exact divide
+	VMULPS axv-168(SP), Y0, Y9;    \
+	VADDPS xcv-264(SP), Y9, Y9;    \ // u
+	VMULPS ayv-200(SP), Y0, Y2;    \ // ay·i
+	VADDPS eightv-328(SP), Y0, Y0; \ // the next group's columns
+	VMULPS azv-232(SP), Y0, Y4;    \
+	VADDPS zcv-296(SP), Y4, Y4;    \ // its w
+	VMULPS Y9, Y8, Y9;             \ // x = u·rz
+	VMULPS Y8, Y8, Y10               // rz²
 
 // WINDOW is the contiguous-window test, once per group. When a slice's
 // eight lanes share one detector row, the eight footprints sit inside two
@@ -256,28 +265,20 @@ pairs: \
 	JMP          blend
 
 // func fusedTileAVX2(a *simdRowArgs)
-TEXT ·fusedTileAVX2(SB), NOSPLIT, $648-8
+TEXT ·fusedTileAVX2(SB), NOSPLIT, $328-8
 	MOVQ a+0(FP), AX
 	MOVQ simdRowArgs_data(AX), DI
 	SUBQ $8, DI                   // iu+2 indexes the samples
 	MOVQ simdRowArgs_rows(AX), SI // int32 table: entry iv−(lo−2) is row iv
 	MOVQ simdRowArgs_out(AX), DX
 
-	// Broadcast the row constants once; build the step vectors 8·a (exact
-	// power-of-two scaling, matching the Go spelling's ax*8 to the bit)
-	// from the same broadcasts.
-	VBROADCASTSS eight32<>(SB), Y8
+	// Broadcast the column coefficients and row constants once.
 	VBROADCASTSS simdRowArgs_ax(AX), Y9
 	VMOVUPS      Y9, axv-168(SP)
-	VMULPS       Y8, Y9, Y9
-	VMOVUPS      Y9, ax8v-328(SP)
 	VBROADCASTSS simdRowArgs_ay(AX), Y9
 	VMOVUPS      Y9, ayv-200(SP)
-	VMULPS       Y8, Y9, Y4
 	VBROADCASTSS simdRowArgs_az(AX), Y9
 	VMOVUPS      Y9, azv-232(SP)
-	VMULPS       Y8, Y9, Y9
-	VMOVUPS      Y9, az8v-360(SP)
 	VBROADCASTSS simdRowArgs_xc(AX), Y9
 	VMOVUPS      Y9, xcv-264(SP)
 	VBROADCASTSS simdRowArgs_zc(AX), Y9
@@ -288,162 +289,97 @@ TEXT ·fusedTileAVX2(SB), NOSPLIT, $648-8
 	VMOVDQU      Y9, nuv-104(SP)
 	VPBROADCASTD simdRowArgs_hi(AX), Y9
 	VMOVDQU      Y9, hiv-136(SP)
+	VBROADCASTSS eight32<>(SB), Y9
+	VMOVUPS      Y9, eightv-328(SP)
 	VBROADCASTSS one32<>(SB), Y6
 
-	// Fast-window bounds on the 8-aligned group grid.
-	MOVQ simdRowArgs_f0(AX), R13
-	ADDQ $7, R13
-	ANDQ $-8, R13
-	MOVQ R13, fsS-368(SP)
-	MOVQ simdRowArgs_f1(AX), R13
-	ANDQ $-8, R13
-	MOVQ R13, feGS-376(SP)
-	MOVQ simdRowArgs_h(AX), R13
-	SHLQ $5, R13
-	MOVQ R13, hbS-392(SP)
+	// The fast groups on the 8-aligned group grid, and the end of yc.
+	MOVQ simdRowArgs_f0(AX), R8
+	ADDQ $7, R8
+	ANDQ $-8, R8
+	MOVQ simdRowArgs_f1(AX), R11
+	ANDQ $-8, R11
+	MOVQ simdRowArgs_h(AX), R12
+	SHLQ $2, R12
 
-	// First anchor: b = c0 &^ 31 (fixed absolute columns).
-	MOVQ simdRowArgs_c0(AX), R8
-	ANDQ $-32, R8
-
-segment:
-	CMPQ R8, simdRowArgs_c1(AX)
-	JGE  done
-
-	// R11 = segment end = min(b+32, c1); R12 = segment start = max(b, c0).
-	LEAQ 32(R8), R11
-	CMPQ R11, simdRowArgs_c1(AX)
-	JLE  g1done
-	MOVQ simdRowArgs_c1(AX), R11
-
-g1done:
-	MOVQ R8, R12
-	CMPQ R12, simdRowArgs_c0(AX)
-	JGE  g0done
-	MOVQ simdRowArgs_c0(AX), R12
-
-g0done:
-	// Clamp the fast window to this segment so the tight loop never runs
-	// through a re-anchor point.
-	MOVQ feGS-376(SP), R13
-	CMPQ R13, R11
-	JLE  feok
-	MOVQ R11, R13
-
-feok:
-	MOVQ R13, feS-384(SP)
-
-	// Anchor init: lane j holds op·float32(b+j) + oc — separate multiply
-	// and add, never fused, per the contract. The v lanes share the
-	// product and add each slice's own constant.
-	MOVL         R8, tmp-8(SP)
-	VPBROADCASTD tmp-8(SP), Y8
-	VPADDD       lane07<>(SB), Y8, Y8
-	VCVTDQ2PS    Y8, Y8
-	VMULPS       axv-168(SP), Y8, Y0
-	VADDPS       xcv-264(SP), Y0, Y0
-	VMULPS       azv-232(SP), Y8, Y2
-	VADDPS       zcv-296(SP), Y2, Y2
-	VMULPS       ayv-200(SP), Y8, Y8
-	XORQ         R9, R9
-	XORQ         R13, R13
-
-vinit:
-	VBROADCASTSS simdRowArgs_yc(AX)(R13*1), Y9
-	VADDPS       Y9, Y8, Y9
-	VMOVUPS      Y9, vS-648(SP)(R9*1)
-	ADDQ         $4, R13
-	ADDQ         $32, R9
-	CMPQ         R9, hbS-392(SP)
-	JL           vinit
-
-	MOVQ R8, R10 // group base = b
+	// The first group holds c0; its columns as floats, and its w.
+	MOVQ         simdRowArgs_c0(AX), R10
+	ANDQ         $-8, R10
+	MOVL         R10, tmp-8(SP)
+	VPBROADCASTD tmp-8(SP), Y0
+	VPADDD       lane07<>(SB), Y0, Y0
+	VCVTDQ2PS    Y0, Y0
+	VMULPS       azv-232(SP), Y0, Y4
+	VADDPS       zcv-296(SP), Y4, Y4
 
 group:
-	CMPQ R10, R11
-	JGE  nextseg
-	CMPQ R10, fsS-368(SP)
+	CMPQ R10, simdRowArgs_c1(AX)
+	JGE  done
+	CMPQ R10, R8
 	JL   slow
-	CMPQ R10, feS-384(SP)
+	CMPQ R10, R11
 	JGE  slow
 
+fast:
+	COORDS
 	// ---------------- fast body: 8 interior columns -------------------
 	// Every group in [fs, fe) sits wholly inside the interior [f0,f1)
 	// and is automatically fully active (f0≥c0, f1≤c1).
-
-fast:
-	// rz = 1/w, the exact divide: once per group, whatever the tile height.
-	VDIVPS Y2, Y6, Y8
-
-	// x = u·rz; integer part by truncation (== floor: x ≥ 0).
-	VMULPS     Y0, Y8, Y9             // x
-	VCVTTPS2DQ Y9, Y11                // iu
+	// Integer part by truncation (== floor: x ≥ 0).
+	VCVTTPS2DQ Y9, Y11                 // iu
 	VCVTDQ2PS  Y11, Y13
-	VSUBPS     Y13, Y9, Y9            // eu = x − float32(iu)
-	VMULPS     Y8, Y8, Y10            // rz²
+	VSUBPS     Y13, Y9, Y9             // eu = x − float32(iu)
 	VPSUBD     minus2v<>(SB), Y11, Y11 // iu+2
 	WINDOW(fwin)
 	LEAQ       (DX)(R10*4), BX
 	XORQ       R9, R9
 
 fslice:
-	// y = v·rz, then step this slice's v lanes to the next group.
-	VMULPS     vS-648(SP)(R9*1), Y8, Y12
-	VADDPS     vS-648(SP)(R9*1), Y4, Y13
-	VMOVUPS    Y13, vS-648(SP)(R9*1)
-	VCVTTPS2DQ Y12, Y13      // iv
-	VCVTDQ2PS  Y13, Y14
-	VSUBPS     Y14, Y12, Y12 // ev = y − float32(iv)
+	VBROADCASTSS simdRowArgs_yc(AX)(R9*1), Y12
+	VADDPS       Y12, Y2, Y12 // v = ay·i + yc[k]
+	VMULPS       Y12, Y8, Y12 // y = v·rz
+	VCVTTPS2DQ   Y12, Y13     // iv
+	VCVTDQ2PS    Y13, Y14
+	VSUBPS       Y14, Y12, Y12 // ev = y − float32(iv)
 	SAMPLE(frows2, fbcast, fblend)
 
 	// A plain unmasked accumulate: the group is fully active.
 	VADDPS  (BX), Y13, Y13
 	VMOVUPS Y13, (BX)
 	ADDQ    simdRowArgs_stride(AX), BX
-	ADDQ    $32, R9
-	CMPQ    R9, hbS-392(SP)
+	ADDQ    $4, R9
+	CMPQ    R9, R12
 	JL      fslice
 
-	VADDPS ax8v-328(SP), Y0, Y0
-	VADDPS az8v-360(SP), Y2, Y2
-	ADDQ   $8, R10
-	CMPQ   R10, feS-384(SP)
-	JL     fast
-	JMP    group
+	ADDQ $8, R10
+	CMPQ R10, R11
+	JL   fast
+	JMP  group
 
 	SAMPLE_COLD(frows2, fbcast, fgather, fpairs, fblend)
 
 slow:
-	// Groups wholly before the segment start only advance the lanes —
-	// each addition rounds, so skipping them would desync the contract.
-	LEAQ 8(R10), R13
-	CMPQ R13, R12
-	JLE  advancev
-
 	// ---------------- guarded body: texture-border group --------------
-	// Active-lane mask: lane j live iff start ≤ gb+j < end:
-	// (lane07 > start−gb−1) AND (end−gb > lane07).
-	MOVQ         R12, R13
+	COORDS
+	// Active-lane mask: lane j live iff c0 ≤ gb+j < c1:
+	// (lane07 > c0−gb−1) AND (c1−gb > lane07).
+	MOVQ         simdRowArgs_c0(AX), R13
 	SUBQ         R10, R13
 	DECQ         R13
 	MOVL         R13, tmp-8(SP)
-	VPBROADCASTD tmp-8(SP), Y8
-	VMOVDQU      lane07<>(SB), Y9
-	VPCMPGTD     Y8, Y9, Y7
-	MOVQ         R11, R13
+	VPBROADCASTD tmp-8(SP), Y1
+	VMOVDQU      lane07<>(SB), Y3
+	VPCMPGTD     Y1, Y3, Y7
+	MOVQ         simdRowArgs_c1(AX), R13
 	SUBQ         R10, R13
 	MOVL         R13, tmp-8(SP)
-	VPBROADCASTD tmp-8(SP), Y10
-	VPCMPGTD     Y9, Y10, Y11
-	VPAND        Y11, Y7, Y7
+	VPBROADCASTD tmp-8(SP), Y1
+	VPCMPGTD     Y3, Y1, Y1
+	VPAND        Y1, Y7, Y7
 	VMOVDQU      Y7, maskS-40(SP)
 
-	// Same contract arithmetic as the fast body, with floor instead of
-	// truncation — border x, y may be negative — then iu clamped to the
-	// apron, [−2, nu], and biased like the fast body's.
-	VDIVPS     Y2, Y6, Y8               // rz
-	VMULPS     Y0, Y8, Y9               // x
-	VMULPS     Y8, Y8, Y10              // rz²
+	// Floor instead of truncation — border x, y may be negative — then iu
+	// clamped to the apron, [−2, nu], and biased like the fast body's.
 	VROUNDPS   $1, Y9, Y11
 	VSUBPS     Y11, Y9, Y9              // eu = x − floor(x)
 	VCVTTPS2DQ Y11, Y11                 // iu
@@ -455,14 +391,14 @@ slow:
 	XORQ       R9, R9
 
 sslice:
-	VMULPS     vS-648(SP)(R9*1), Y8, Y12 // y
-	VADDPS     vS-648(SP)(R9*1), Y4, Y13
-	VMOVUPS    Y13, vS-648(SP)(R9*1)
-	VROUNDPS   $1, Y12, Y13
-	VSUBPS     Y13, Y12, Y12             // ev = y − floor(y)
-	VCVTTPS2DQ Y13, Y13                  // iv, clamped to [lo−2, hi]: the row
-	VPMAXSD    lo2v-72(SP), Y13, Y13     // table's zero-slot entries
-	VPMINSD    hiv-136(SP), Y13, Y13
+	VBROADCASTSS simdRowArgs_yc(AX)(R9*1), Y12
+	VADDPS       Y12, Y2, Y12          // v = ay·i + yc[k]
+	VMULPS       Y12, Y8, Y12          // y
+	VROUNDPS     $1, Y12, Y13
+	VSUBPS       Y13, Y12, Y12         // ev = y − floor(y)
+	VCVTTPS2DQ   Y13, Y13              // iv, clamped to [lo−2, hi]: the row
+	VPMAXSD      lo2v-72(SP), Y13, Y13 // table's zero-slot entries
+	VPMINSD      hiv-136(SP), Y13, Y13
 	SAMPLE(srows2, sbcast, sblend)
 
 	// row[gb..gb+8) += the sample, masked load/add/store.
@@ -471,32 +407,13 @@ sslice:
 	VADDPS     Y13, Y14, Y14
 	VMASKMOVPS Y14, Y7, (BX)
 	ADDQ       simdRowArgs_stride(AX), BX
-	ADDQ       $32, R9
-	CMPQ       R9, hbS-392(SP)
+	ADDQ       $4, R9
+	CMPQ       R9, R12
 	JL         sslice
-	JMP        advance
+	ADDQ       $8, R10
+	JMP        group
 
 	SAMPLE_COLD(srows2, sbcast, sgather, spairs, sblend)
-
-advancev:
-	XORQ R9, R9
-
-vstep:
-	VADDPS  vS-648(SP)(R9*1), Y4, Y13
-	VMOVUPS Y13, vS-648(SP)(R9*1)
-	ADDQ    $32, R9
-	CMPQ    R9, hbS-392(SP)
-	JL      vstep
-
-advance:
-	VADDPS ax8v-328(SP), Y0, Y0
-	VADDPS az8v-360(SP), Y2, Y2
-	ADDQ   $8, R10
-	JMP    group
-
-nextseg:
-	ADDQ $32, R8
-	JMP  segment
 
 done:
 	VZEROUPPER

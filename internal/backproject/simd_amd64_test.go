@@ -7,7 +7,7 @@ import (
 
 // The assembly's window loads — two loads and two permutes per footprint
 // edge, for one detector row or, blended per lane, for two adjacent ones —
-// must give what its gathers give, which is what the per-column definition
+// must give what its gathers give, which is what the oracle
 // and the Go spelling give, on tiles of every height and in both bodies,
 // and each way a group's samples can be fetched must be taken somewhere
 // among the trials: the counts below decide a group's fetch from the
@@ -154,7 +154,7 @@ func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
 			sub.launchSpan(&args, got, nx, 0, nx, f0, f1, xc, zc, yc)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d: slice %d column %d: %s %g != per-column definition %g", trial, i/nx, i%nx, name, got[i], want[i])
+					t.Fatalf("trial %d: slice %d column %d: %s %g != the oracle %g", trial, i/nx, i%nx, name, got[i], want[i])
 				}
 			}
 		}

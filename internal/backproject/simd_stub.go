@@ -3,7 +3,7 @@
 package backproject
 
 // The vector spelling is amd64-only: elsewhere accumulateSlab dispatches
-// every recurrence launch to fusedTileGo.
+// every launch to fusedTileGo.
 func simdAvailable() bool { return false }
 
 func fusedTileAVX2(*simdRowArgs) {

@@ -7,93 +7,8 @@ import (
 
 	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
-	"distfdk/internal/geometry"
 	"distfdk/internal/volume"
 )
-
-// The coordinate contract's drift property: the value lane i&7 holds when
-// its group reaches column i must be simdCoords(i, …) to the last bit, for
-// any span the kernel walks — the walker below reproduces the kernel's exact
-// structure (anchor eval at b..b+7, whole-vector advances of 8·a per group,
-// including advances through groups the span never samples). Spans of width
-// 1..31 are exercised explicitly: they are the masked-tail cases, and their
-// anchor catch-up may straddle 8-lane group boundaries. Pure Go — runs on
-// every architecture.
-func TestSIMDDriftProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for trial := 0; trial < 2000; trial++ {
-		ax := float32(rng.NormFloat64() * 0.3)
-		ay := float32(rng.NormFloat64() * 0.3)
-		az := float32(rng.NormFloat64() * 0.01)
-		xc := float32(rng.NormFloat64() * 50)
-		yc := float32(rng.NormFloat64() * 50)
-		zc := float32(0.1 + rng.Float64()*3)
-		nx := 1 + rng.Intn(4*reanchorPeriod)
-		c0 := rng.Intn(nx)
-		var c1 int
-		if trial%2 == 0 {
-			// Narrow spans: width 1..31, the masked-tail regime.
-			c1 = c0 + 1 + rng.Intn(reanchorPeriod-1)
-			if c1 > nx {
-				c1 = nx
-			}
-		} else {
-			c1 = c0 + 1 + rng.Intn(nx-c0)
-		}
-
-		// Kernel-shaped 8-lane walk over [c0, c1).
-		ax8, ay8, az8 := ax*simdLanes, ay*simdLanes, az*simdLanes
-		for b := c0 &^ (reanchorPeriod - 1); b < c1; b += reanchorPeriod {
-			var u, v, w [simdLanes]float32
-			for j := 0; j < simdLanes; j++ {
-				l := float32(b + j)
-				u[j] = float32(ax*l) + xc
-				v[j] = float32(ay*l) + yc
-				w[j] = float32(az*l) + zc
-			}
-			seg1 := b + reanchorPeriod
-			if seg1 > c1 {
-				seg1 = c1
-			}
-			for gb := b; gb < seg1; gb += simdLanes {
-				for j := 0; j < simdLanes; j++ {
-					i := gb + j
-					if i >= c0 && i < seg1 {
-						su, sv, sw := simdCoords(i, ax, ay, az, xc, yc, zc)
-						if su != u[j] || sv != v[j] || sw != w[j] {
-							t.Fatalf("trial %d: lane %d at col %d holds (%g,%g,%g), simdCoords says (%g,%g,%g)",
-								trial, j, i, u[j], v[j], w[j], su, sv, sw)
-						}
-					}
-				}
-				for j := 0; j < simdLanes; j++ {
-					u[j] += ax8
-					v[j] += ay8
-					w[j] += az8
-				}
-			}
-		}
-
-		// Drift bound: at most 3 step additions before a re-anchor, so the
-		// lane value stays within a small multiple of float32 epsilon of
-		// the exact float64 affine value — far under predicateSlack.
-		for _, i := range []int{c0, (c0 + c1) / 2, c1 - 1} {
-			su, sv, sw := simdCoords(i, ax, ay, az, xc, yc, zc)
-			fi := float64(i)
-			for _, pair := range [][2]float64{
-				{float64(su), float64(ax)*fi + float64(xc)},
-				{float64(sv), float64(ay)*fi + float64(yc)},
-				{float64(sw), float64(az)*fi + float64(zc)},
-			} {
-				scale := math.Max(math.Abs(pair[1]), 1)
-				if diff := math.Abs(pair[0] - pair[1]); diff > 1e-5*scale {
-					t.Fatalf("trial %d col %d: drift %g beyond bound (simd %g, exact %g)",
-						trial, i, diff, pair[0], pair[1])
-				}
-			}
-		}
-	}
-}
 
 // simdLaneCounts must classify every interior column exactly once:
 // full·8 + tail == span width, with groups aligned to absolute 8-column
@@ -113,7 +28,7 @@ func TestSIMDLaneCounts(t *testing.T) {
 		{8, 40, 4, 0},  // aligned either side
 		{5, 11, 0, 6},  // straddles one boundary, no full group
 		{0, 33, 4, 1},  // 4 full groups + 1 tail column
-		{31, 33, 0, 2}, // straddles a re-anchor boundary
+		{31, 33, 0, 2}, // straddles a group boundary
 	}
 	for _, c := range cases {
 		full, tail := simdLaneCounts(c.f0, c.f1)
@@ -137,67 +52,15 @@ func TestSIMDLaneCounts(t *testing.T) {
 	}
 }
 
-// perColumn back-projects columns [g0,g1) of one row by the coordinate
-// contract's per-column definition, the reference both spellings of the
-// fast kernel are held to: simdCoords evaluates each column's lane values
-// directly (the contract makes them a pure function of the column index),
-// the reciprocal is the float32 divide, and every neighbour of the 2×2
-// sample is tested against the readable window, out-of-window neighbours
-// contributing exactly +0. It knows nothing of groups, spans, tiles or
-// bodies.
-func (a *projAccess) perColumn(out []float32, s, g0, g1 int, ax, ay, az, xc, yc, zc float32) {
-	data := a.data[s*a.sStride:]
-	get := func(iv, iu int) float32 {
-		if iv < a.lo || iv >= a.hi || iu < 0 || iu >= a.nu {
-			return 0
-		}
-		return data[a.rowOff[iv-a.lo+2]+iu]
-	}
-	for i := g0; i < g1; i++ {
-		u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
-		rz := 1 / w
-		x := float32(u * rz)
-		y := float32(v * rz)
-		iu := int(floor32(x))
-		iv := int(floor32(y))
-		eu := x - float32(iu)
-		ev := y - float32(iv)
-		p00, p01, p10, p11 := get(iv, iu), get(iv, iu+1), get(iv+1, iu), get(iv+1, iu+1)
-		t1 := p00 + float32(eu*(p01-p00))
-		t2 := p10 + float32(eu*(p11-p10))
-		out[i] += float32(rz * rz * (t1 + float32(ev*(t2-t1))))
-	}
-}
-
-// perColumnReference back-projects every column of every row through
-// perColumn, with none of the kernel's span logic: what the fast kernel
-// must produce, since the columns it skips contribute exactly +0.
-func (a *projAccess) perColumnReference(mats []geometry.Mat34x4, vol *volume.Volume) {
-	for k := 0; k < vol.NZ; k++ {
-		kf := float32(vol.Z0 + k)
-		for j := 0; j < vol.NY; j++ {
-			jf := float32(j)
-			out := vol.Data[(k*vol.NY+j)*vol.NX : (k*vol.NY+j+1)*vol.NX]
-			for s := range mats {
-				m := &mats[s]
-				xc := float32(m.R0[1]*jf) + float32(m.R0[2]*kf) + m.R0[3]
-				yc := float32(m.R1[1]*jf) + float32(m.R1[2]*kf) + m.R1[3]
-				zc := float32(m.R2[1]*jf) + float32(m.R2[2]*kf) + m.R2[3]
-				a.perColumn(out, s, 0, vol.NX, m.R0[0], m.R1[0], m.R2[0], xc, yc, zc)
-			}
-		}
-	}
-}
-
 // Both spellings of a span launch — the assembly where the host runs it, and
-// the Go one — must produce the per-column definition's accumulations bit
-// for bit on resident columns: the guards only decide whether a load
-// happens, never its value. This is the bit-identity the decomposition
-// invariance rests on: a column can be classified interior in one
-// slab/window decomposition and border in another, and both bodies must
-// agree to the last bit. Exercises the whole surface of each: anchor
-// re-init, masked head/tail groups (all sub-span widths, including 1..31),
-// paired and guarded loads, and the divide.
+// the Go one — must produce the oracle's accumulations bit for bit on
+// resident columns: the guards only decide whether a load happens, never
+// its value. This is the bit-identity the decomposition invariance rests
+// on: a column can be classified interior in one slab/window decomposition
+// and border in another, and both bodies must agree to the last bit.
+// Exercises the whole surface of each: masked head/tail groups (all
+// sub-span widths, including 1..31), paired and guarded loads, and the
+// divide.
 func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const nx = 160
@@ -240,7 +103,7 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 				sub.launchRow(got, 0, sp[0], sp[1], sp[0], sp[1], ax, ay, az, xc, yc, zc)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("trial %d span %v col %d: %s %g != per-column definition %g (zero outside the span)",
+						t.Fatalf("trial %d span %v col %d: %s %g != the oracle %g (zero outside the span)",
 							trial, sp, i, name, got[i], want[i])
 					}
 				}
@@ -250,7 +113,7 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 }
 
 // The guarded body of each spelling (the texture-border groups of a span
-// launch) must match the per-column definition on spans whose edges
+// launch) must match the oracle on spans whose edges
 // genuinely clip: footprints partially or fully outside the detector
 // window, where the clamp into the store's zero apron — not residency —
 // decides what each neighbour loads. The geometry sweeps x across and past
@@ -353,7 +216,7 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 				sub.launchRow(got, 0, sp[0], sp[1], sp[2], sp[3], ax, ay, az, xc, yc, zc)
 				for i := range got {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("trial %d span %v col %d: %s %g != per-column definition %g",
+						t.Fatalf("trial %d span %v col %d: %s %g != the oracle %g",
 							trial, sp, i, name, got[i], want[i])
 					}
 				}
@@ -362,87 +225,66 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 	}
 }
 
-// Both spellings of the fast kernel must land inside the parity gate against
-// the exact kernel: the lane drift is ≤ 3 step additions before a re-anchor.
+// Both spellings of the kernel must reproduce the oracle — the exact
+// per-voxel evaluation — byte for byte.
 func TestRecurrenceParityVsExact(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV = 0.75, -0.25
 	stack := randomStack(sys, 29)
 	mats := kernelMats(sys)
-	dev := device.New("parity", 0, 2)
-
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := BatchKernel(dev, stack, mats, want, KernelExact); err != nil {
-		t.Fatal(err)
-	}
+	denseAccess(stack).reference(mats, want)
 	forRecurrenceKernels(t, func(t *testing.T) {
 		got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := Batch(dev, stack, mats, got); err != nil {
+		if err := Batch(device.New("parity", 0, 2), stack, mats, got); err != nil {
 			t.Fatal(err)
 		}
-		assertWithinParityGate(t, want, got)
+		assertSameVolume(t, "the oracle", want, got)
 	})
 }
 
-// The zero Kernel is the fast run, and what it computes does not depend on
-// the host: on an AVX2 host it is the assembly spelling and the ledger says
-// avx2, with AVX2 masked off (as on any other host) the Go spelling and the
-// ledger says scalar — and the two runs agree byte for byte, with the
-// per-column definition of their arithmetic, and counter for counter except
-// in which spelling was dispatched.
+// What the kernel computes does not depend on the host: on an AVX2 host it
+// is the assembly spelling and the ledger says avx2, with AVX2 masked off
+// (as on any other host) the Go spelling and the ledger says scalar — and
+// the two runs agree byte for byte, with the oracle, and counter for counter
+// except in which spelling was dispatched.
 func TestDefaultKernelDispatch(t *testing.T) {
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV = 9, -7 // clip both detector edges into the rows
 	stack := randomStack(sys, 31)
 	mats := kernelMats(sys)
-	run := func(name string, kernel Kernel) (*volume.Volume, device.Ledger) {
+	run := func(name string, want device.Arithmetic) (*volume.Volume, device.Ledger) {
 		t.Helper()
 		dev := device.New(name, 0, 2)
 		vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := BatchKernel(dev, stack, mats, vol, kernel); err != nil {
+		if err := Batch(dev, stack, mats, vol); err != nil {
 			t.Fatal(err)
 		}
-		return vol, dev.Snapshot()
-	}
-	said := func(l device.Ledger, want device.Arithmetic) {
-		t.Helper()
+		l := dev.Snapshot()
 		if got := l.Arithmetic(); got != want.String() {
 			t.Errorf("ledger says %q ran, want %q", got, want)
 		}
 		if l.Dispatched[want] != l.KernelLaunches {
 			t.Errorf("%d of %d launches recorded as %s", l.Dispatched[want], l.KernelLaunches, want)
 		}
+		return vol, l
 	}
-
-	_, el := run("exact", KernelExact)
-	said(el, device.ArithmeticExact)
 
 	host := device.ArithmeticScalar
 	if simdAvailable() {
 		host = device.ArithmeticAVX2
 	}
-	got, l := run("default", KernelRecurrence)
-	said(l, host)
+	got, l := run("default", host)
 	if l.SIMDFullGroups == 0 {
-		t.Error("the fast kernel ran no full 8-lane group")
+		t.Error("the kernel ran no full 8-lane group")
 	}
-	a := stackAccess(stack)
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	a.perColumnReference(mats, want)
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("default vs the per-column definition: voxel %d: %g != %g", i, got.Data[i], want.Data[i])
-		}
-	}
+	denseAccess(stack).reference(mats, want)
+	assertSameVolume(t, "the oracle", want, got)
 
 	defer cpufeat.SetAVX2ForTest(false)()
-	masked, ml := run("default-no-avx2", KernelRecurrence)
-	said(ml, device.ArithmeticScalar)
-	for i := range got.Data {
-		if got.Data[i] != masked.Data[i] {
-			t.Fatalf("default without AVX2 vs default: voxel %d: %g != %g", i, masked.Data[i], got.Data[i])
-		}
-	}
+	masked, ml := run("default-no-avx2", device.ArithmeticScalar)
+	assertSameVolume(t, "the default run", got, masked)
 	l.Dispatched, ml.Dispatched = [len(l.Dispatched)]int64{}, [len(l.Dispatched)]int64{}
 	if l != ml {
 		t.Errorf("counters depend on the dispatch:\ndefault %+v\nmasked  %+v", l, ml)

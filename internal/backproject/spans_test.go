@@ -9,7 +9,7 @@ import (
 	"distfdk/internal/geometry"
 )
 
-// spellings returns the access once per spelling of the fast kernel this
+// spellings returns the access once per spelling of the kernel this
 // host can run, keyed by name, for tests that launch spans directly:
 // prepareSIMD must have accepted the buffer.
 func (a projAccess) spellings() map[string]*projAccess {
@@ -134,39 +134,6 @@ func (a *projAccess) supportSpanUnhoisted(ax, xc, ay, yc, az, zc float64, nx int
 	return c0, c1
 }
 
-func (a *projAccess) interiorResidentFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32) bool {
-	fi := float32(i)
-	w := az*fi + zc
-	if w > 0 {
-		rz := 1 / w
-		x := (ax*fi + xc) * rz
-		y := (ay*fi + yc) * rz
-		const d = predicateSlack
-		if x >= d && x <= float32(a.nu-1)-d && y >= float32(a.lo)+d && y <= float32(a.hi-1)-d {
-			return true
-		}
-	}
-	return a.interiorResidentSIMD(i, ax, ay, az, xc, yc, zc)
-}
-
-func (a *projAccess) zeroContribFastUnhoisted(i int, ax, ay, az, xc, yc, zc float32) bool {
-	fi := float32(i)
-	w := az*fi + zc
-	if w > 0 {
-		rz := 1 / w
-		if !(rz*rz < 1e38) {
-			return false
-		}
-		x := (ax*fi + xc) * rz
-		y := (ay*fi + yc) * rz
-		const d = predicateSlack
-		if x <= -1-d || x >= float32(a.nu)+d || y <= float32(a.lo-1)-d || y >= float32(a.hi)+d {
-			return true
-		}
-	}
-	return a.zeroContribSIMD(i, ax, ay, az, xc, yc, zc)
-}
-
 func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int) (c0, i0, i1, c1 int) {
 	axd, ayd, azd := float64(ax), float64(ay), float64(az)
 	xcd, ycd, zcd := float64(xc), float64(yc), float64(zc)
@@ -199,17 +166,17 @@ func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int) (
 		c0, c1 = a.supportSpanUnhoisted(axd, xcd, ayd, ycd, azd, zcd, nx)
 		i0, i1 = a.interiorSpanUnhoisted(axd, xcd, ayd, ycd, azd, zcd, nx)
 	}
-	for i0 < i1 && !a.interiorResidentFastUnhoisted(i0, ax, ay, az, xc, yc, zc) {
+	for i0 < i1 && !a.interiorResidentSIMD(i0, ax, ay, az, xc, yc, zc) {
 		i0++
 	}
-	for i0 < i1 && !a.interiorResidentFastUnhoisted(i1-1, ax, ay, az, xc, yc, zc) {
+	for i0 < i1 && !a.interiorResidentSIMD(i1-1, ax, ay, az, xc, yc, zc) {
 		i1--
 	}
 	if c0 < c1 {
-		for c0 > 0 && !a.zeroContribFastUnhoisted(c0-1, ax, ay, az, xc, yc, zc) {
+		for c0 > 0 && !a.zeroContribSIMD(c0-1, ax, ay, az, xc, yc, zc) {
 			c0--
 		}
-		for c1 < nx && !a.zeroContribFastUnhoisted(c1, ax, ay, az, xc, yc, zc) {
+		for c1 < nx && !a.zeroContribSIMD(c1, ax, ay, az, xc, yc, zc) {
 			c1++
 		}
 	}
@@ -227,7 +194,7 @@ func (a *projAccess) rowSpansUnhoisted(ax, ay, az, xc, yc, zc float32, nx int) (
 // Hoisting constants out of the row loop must not move a single span
 // boundary: for random windows, projections and rows — interior, clipped at
 // either edge, past the detector, behind the source — rowSpans returns the
-// (c0, i0, i1, c1) of the unhoisted decisions, and interiorSpan still equals its unhoisted form. The trial mix must reach
+// (c0, i0, i1, c1) of the unhoisted decisions. The trial mix must reach
 // every branch, or the equality proves less than it says.
 func TestRowSpansMatchUnhoisted(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -271,11 +238,6 @@ func TestRowSpansMatchUnhoisted(t *testing.T) {
 			accepted++
 		default:
 			solved++
-		}
-		g0, g1 := a.interiorSpan(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
-		w0, w1 := a.interiorSpanUnhoisted(float64(ax), float64(xc), float64(ay), float64(yc), float64(az), float64(zc), nx)
-		if g0 != w0 || g1 != w1 {
-			t.Fatalf("trial %d: interiorSpan [%d,%d) != unhoisted [%d,%d)", trial, g0, g1, w0, w1)
 		}
 	}
 	for name, n := range map[string]int{"empty-support": rejected, "whole-row interior": accepted, "clipped": solved, "no-span": crossing} {

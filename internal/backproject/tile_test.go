@@ -44,9 +44,8 @@ func TestShippedGeometriesAreZInvariant(t *testing.T) {
 // that wraps, for slab heights that are no multiple of zBlock and 1–3
 // workers. A tilted matrix, whose u and w move with z,
 // must come out the same too: its tiles are one slice high. Both spellings
-// are additionally held to the per-column definition of their arithmetic,
-// which knows nothing of spans, tiles or windows of samples — and so to
-// each other. The ledger's sample classes must keep partitioning the
+// are additionally held to the oracle, which knows nothing of spans, tiles
+// or windows of samples — and so to each other. The ledger's sample classes must keep partitioning the
 // updates.
 func TestTileLaunchMatchesPerRow(t *testing.T) {
 	forRecurrenceKernels(t, testTileLaunchMatchesPerRow)
@@ -128,10 +127,9 @@ func testTileLaunchMatchesPerRow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		a := ringAccess(ring)
-		perColumn, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-		a.perColumnReference(mats, perColumn)
-		refs := map[string]*volume.Volume{"one launch per row": perRow, "the per-column definition": perColumn}
+		oracle, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
+		ringAccess(ring).reference(mats, oracle)
+		refs := map[string]*volume.Volume{"one launch per row": perRow, "the oracle": oracle}
 		ring.Close()
 		for name, want := range refs {
 			for i := range want.Data {
@@ -204,8 +202,8 @@ func TestTileSpansSound(t *testing.T) {
 				allZero = allZero && finite && (iu < -1 || iu >= a.nu || iv < a.lo-1 || iv >= a.hi)
 			}
 			// The spans, and the predicates their endpoint walks trust.
-			claimsResident := in || a.interiorResidentFast(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc)
-			claimsZero := !covered || a.zeroContribFast(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc)
+			claimsResident := in || a.interiorResident(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc)
+			claimsZero := !covered || a.zeroContrib(i, ax, ay, az, xc, min(ya, yb), max(ya, yb), zc)
 			if claimsResident {
 				interior++
 			}

@@ -55,25 +55,24 @@ func (r *ClusterReport) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	// Kernel efficiency: how the updates split across the recurrence
-	// kernel's three paths. Skipped samples are provably-zero work the
+	// Kernel efficiency: how the updates split across the kernel's three
+	// paths. Skipped samples are provably-zero work the
 	// kernel never executed — a high skip share means the GUPS number
 	// rides on clipping, not arithmetic.
-	var kTotal, kInterior, kBorder, kSkipped, kReanchors int64
+	var kTotal, kInterior, kBorder, kSkipped int64
 	var kSIMDFull, kSIMDTail int64
 	for i := range r.Ledgers {
 		kTotal += r.Ledgers[i].VoxelUpdates
 		kInterior += r.Ledgers[i].InteriorSamples
 		kBorder += r.Ledgers[i].BorderSamples
 		kSkipped += r.Ledgers[i].SkippedSamples
-		kReanchors += r.Ledgers[i].Reanchors
 		kSIMDFull += r.Ledgers[i].SIMDFullGroups
 		kSIMDTail += r.Ledgers[i].SIMDTailSamples
 	}
 	if kTotal > 0 && kInterior+kBorder+kSkipped > 0 {
 		pct := func(n int64) float64 { return 100 * float64(n) / float64(kTotal) }
-		fmt.Fprintf(&b, "kernel [%s]: %.1f%% interior / %.1f%% border / %.1f%% skipped of %d updates, %d re-anchors\n",
-			r.Arithmetic(), pct(kInterior), pct(kBorder), pct(kSkipped), kTotal, kReanchors)
+		fmt.Fprintf(&b, "kernel [%s]: %.1f%% interior / %.1f%% border / %.1f%% skipped of %d updates\n",
+			r.Arithmetic(), pct(kInterior), pct(kBorder), pct(kSkipped), kTotal)
 	}
 	// Lane efficiency of the fast kernel: interior columns executed as
 	// whole 8-lane groups vs under a partial lane mask. Only printed when

@@ -112,7 +112,10 @@ type ReconOptions struct {
 	// sequential stage when the slab schedule needs a ring reset (disjoint
 	// row ranges) or the pipeline is disabled.
 	BPWorkers int
-	// DisablePipeline runs the stages serially (for ablation only).
+	// DisablePipeline selects the serial executor (pipeline.RunSerial):
+	// the stages run one batch at a time on the calling goroutine. Every
+	// RunDistributed rank and ReconstructZWindow set it; the volume is the
+	// same either way.
 	DisablePipeline bool
 	// Retry, when set, retries transient load and store failures with
 	// capped exponential backoff; permanent failures abort immediately.

@@ -48,11 +48,8 @@ type Ledger struct {
 	// InteriorSamples and BorderSamples split the *evaluated* samples by
 	// kernel path (branch-free interior fast path vs branchy border
 	// path); SkippedSamples counts updates clipped away as provably zero.
-	// Their sum equals VoxelUpdates for the kernels that report them.
+	// Their sum equals VoxelUpdates.
 	InteriorSamples, BorderSamples, SkippedSamples int64
-	// Reanchors counts recurrence re-anchor events (coordinate lanes
-	// recomputed from the direct expression to bound float32 drift).
-	Reanchors int64
 	// SIMDFullGroups and SIMDTailSamples are the fast kernel's lane
 	// accounting: complete 8-lane groups vs interior columns executed under
 	// a partial lane mask (the masked tail). Like every number above they
@@ -66,17 +63,15 @@ type Ledger struct {
 	Dispatched [numArithmetics]int64
 }
 
-// Arithmetic names the code path a back-projection launch dispatched to.
-// The first two are spellings of one arithmetic and produce the same bytes.
+// Arithmetic names the code path a back-projection launch dispatched to:
+// two spellings of one arithmetic, which produce the same bytes.
 type Arithmetic int
 
 const (
-	// ArithmeticAVX2 is the fast kernel spelled in 8-lane AVX2 assembly.
+	// ArithmeticAVX2 is the kernel spelled in 8-lane AVX2 assembly.
 	ArithmeticAVX2 Arithmetic = iota
-	// ArithmeticScalar is the fast kernel spelled in Go, lane by lane.
+	// ArithmeticScalar is the kernel spelled in Go, lane by lane.
 	ArithmeticScalar
-	// ArithmeticExact is the literal Algorithm 1 arithmetic.
-	ArithmeticExact
 	numArithmetics
 )
 
@@ -86,8 +81,6 @@ func (a Arithmetic) String() string {
 		return "avx2"
 	case ArithmeticScalar:
 		return "scalar"
-	case ArithmeticExact:
-		return "exact"
 	}
 	return fmt.Sprintf("arithmetic(%d)", int(a))
 }
@@ -128,7 +121,6 @@ type Device struct {
 	kernelLaunches, voxelUpdates telemetry.Counter
 
 	interiorSamples, borderSamples, skippedSamples telemetry.Counter
-	reanchors                                      telemetry.Counter
 	simdFullGroups, simdTailSamples                telemetry.Counter
 	dispatched                                     [numArithmetics]telemetry.Counter
 
@@ -168,7 +160,6 @@ func (d *Device) SetTelemetry(reg *telemetry.Registry) {
 		"kernel.interior_samples":  &d.interiorSamples,
 		"kernel.border_samples":    &d.borderSamples,
 		"kernel.skipped_samples":   &d.skippedSamples,
-		"kernel.reanchors":         &d.reanchors,
 		"kernel.simd_full_groups":  &d.simdFullGroups,
 		"kernel.simd_tail_samples": &d.simdTailSamples,
 	} {
@@ -235,14 +226,13 @@ func (d *Device) RecordKernel(updates int64) {
 }
 
 // RecordKernelSamples accounts one launch's sample-path classification:
-// interior fast-path samples, border-path samples, samples skipped as
-// provably zero, and recurrence re-anchor events. Called once per launch
-// with worker-aggregated totals — never per sample.
-func (d *Device) RecordKernelSamples(interior, border, skipped, reanchors int64) {
+// interior fast-path samples, border-path samples and samples skipped as
+// provably zero. Called once per launch with worker-aggregated totals —
+// never per sample.
+func (d *Device) RecordKernelSamples(interior, border, skipped int64) {
 	d.interiorSamples.Add(interior)
 	d.borderSamples.Add(border)
 	d.skippedSamples.Add(skipped)
-	d.reanchors.Add(reanchors)
 }
 
 // RecordKernelVector accounts one simd-kernel launch's vector-lane
@@ -269,7 +259,6 @@ func (d *Device) Snapshot() Ledger {
 		InteriorSamples: d.interiorSamples.Value(),
 		BorderSamples:   d.borderSamples.Value(),
 		SkippedSamples:  d.skippedSamples.Value(),
-		Reanchors:       d.reanchors.Value(),
 
 		SIMDFullGroups:  d.simdFullGroups.Value(),
 		SIMDTailSamples: d.simdTailSamples.Value(),
@@ -302,7 +291,6 @@ func (l Ledger) Sub(o Ledger) Ledger {
 		InteriorSamples: l.InteriorSamples - o.InteriorSamples,
 		BorderSamples:   l.BorderSamples - o.BorderSamples,
 		SkippedSamples:  l.SkippedSamples - o.SkippedSamples,
-		Reanchors:       l.Reanchors - o.Reanchors,
 
 		SIMDFullGroups:  l.SIMDFullGroups - o.SIMDFullGroups,
 		SIMDTailSamples: l.SIMDTailSamples - o.SIMDTailSamples,

@@ -73,7 +73,7 @@ func TestSetTelemetryLinksEveryCounter(t *testing.T) {
 		d.RecordH2D(100, 2)
 		d.RecordD2H(30)
 		d.RecordKernel(7)
-		d.RecordKernelSamples(4, 2, 1, 3)
+		d.RecordKernelSamples(4, 2, 1)
 		d.RecordKernelVector(5, 6)
 		d.RecordDispatch(ArithmeticScalar)
 		ring, err := NewProjRing(d, 4, 2, 3)
@@ -109,7 +109,6 @@ func TestSetTelemetryLinksEveryCounter(t *testing.T) {
 		"kernel.interior_samples":  l.InteriorSamples,
 		"kernel.border_samples":    l.BorderSamples,
 		"kernel.skipped_samples":   l.SkippedSamples,
-		"kernel.reanchors":         l.Reanchors,
 		"kernel.simd_full_groups":  l.SIMDFullGroups,
 		"kernel.simd_tail_samples": l.SIMDTailSamples,
 		"kernel.dispatch.scalar":   l.Dispatched[ArithmeticScalar],
@@ -127,7 +126,7 @@ func TestSetTelemetryLinksEveryCounter(t *testing.T) {
 			t.Errorf("%s = %d in the registry, want %d from each of two devices", name, got[name], one)
 		}
 	}
-	for _, name := range []string{"kernel.dispatch.avx2", "kernel.dispatch.exact", "device.ring.load_ns"} {
+	for _, name := range []string{"kernel.dispatch.avx2", "device.ring.load_ns"} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("%s missing from the registry", name)
 		}
@@ -156,8 +155,8 @@ func TestLedgerArithmetic(t *testing.T) {
 	if got := l.Sub(first).Arithmetic(); got != "scalar" {
 		t.Fatalf("Sub keeps %q", got)
 	}
-	if got := ArithmeticExact.String(); got != "exact" {
-		t.Fatalf("ArithmeticExact is spelled %q", got)
+	if got := numArithmetics.String(); got != "arithmetic(2)" {
+		t.Fatalf("an unknown Arithmetic is spelled %q", got)
 	}
 }
 

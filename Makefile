@@ -18,8 +18,9 @@ test:
 race:
 	$(GO) test -race ./internal/mpi/ ./internal/pipeline/ ./internal/storage/ ./internal/iterative/
 
-# Full static + race-detector gate: the worker-pool kernel and pipeline
-# stages must stay race-clean everywhere, not just the curated race list.
+# Full static + race-detector gate: the kernel's and the filter's worker
+# goroutines and the pipelined executor's stage goroutines must stay
+# race-clean everywhere, not just the curated race list.
 # The trace smoke-run keeps the telemetry artifacts loadable end to end.
 check: doc-check fuse-lint
 	$(GO) vet ./...
@@ -30,15 +31,22 @@ check: doc-check fuse-lint
 	$(MAKE) transport-smoke
 
 # Documentation gate: every Test*/Benchmark*/Fuzz* identifier DESIGN.md or
-# README.md names must be a function in some _test.go file, and every
-# scenarios/<name>.yaml path those two or EXPERIMENTS.md cite must be a
-# file, so the docs cannot go on citing a test or a scenario a PR deleted
-# or renamed.
+# README.md names must be a function in some _test.go file, every
+# |-alternative of every -run '...' selector in this Makefile (anchors
+# stripped; '^$$' selects nothing on purpose) must be a prefix of a Test
+# function in some _test.go file, and every scenarios/<name>.yaml path
+# DESIGN.md, README.md or EXPERIMENTS.md cites must be a file — so neither
+# the docs nor a make target can go on citing a test or a scenario a PR
+# deleted or renamed (go test -run matches a stale name to nothing, silently).
 doc-check:
 	@stale=0; \
 	for n in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | sort -u); do \
 		grep -rqE "^func $$n\(" --include='*_test.go' . || \
 			{ echo "doc-check: DESIGN.md/README.md name $$n, which no _test.go file defines"; stale=1; }; \
+	done; \
+	for n in $$(grep -oE -- "-run '[A-Za-z0-9_|^$$]+'" Makefile | cut -d"'" -f2 | tr '|' '\n' | sed -E 's/^\^//; s/\$$+$$//' | sort -u); do \
+		grep -rqE "^func $$n" --include='*_test.go' . || \
+			{ echo "doc-check: a Makefile -run selector names $$n, which prefixes no Test function in a _test.go file"; stale=1; }; \
 	done; \
 	for f in $$(grep -ohE '\bscenarios/[a-z0-9-]+\.ya?ml' DESIGN.md EXPERIMENTS.md README.md | sort -u); do \
 		test -f "$$f" || { echo "doc-check: the docs cite $$f, which does not exist"; stale=1; }; \
@@ -125,12 +133,13 @@ status-smoke:
 # Fault-tolerance gate: the seeded chaos matrix (transient recovery must be
 # bit-identical, permanent faults must surface typed and bounded with zero
 # leaked goroutines — the goroutine-settle check is part of the matrix),
-# kill-and-resume, the deadline/teardown suite and the journal/atomic-write
-# storage tests, all under the race detector. -count=1 defeats the test
+# kill-and-resume, the deadline/teardown suite, the pipeline's drain on a
+# stage failure and the journal/atomic-write storage tests, all under the
+# race detector. -count=1 defeats the test
 # cache so the schedules actually re-run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestElasticError|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter' \
+		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter' \
 		./internal/core/ ./internal/mpi/ ./internal/fault/ ./internal/storage/ ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/fault/
 

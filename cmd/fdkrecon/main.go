@@ -130,7 +130,7 @@ func main() {
 		vol, rep, err := core.ReconstructZWindow(core.ZWindowOptions{
 			Sys: sys, Source: source,
 			Device: device.New("roi", *memMB<<20, *workers),
-			Window: win, Z0: *zlo, NZ: *znz, Workers: *workers,
+			Window: win, Z0: *zlo, NZ: *znz,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -27,8 +27,9 @@ type ClusterOptions struct {
 	// DeviceMemBytes caps each rank's simulated device memory (0 =
 	// unlimited).
 	DeviceMemBytes int64
-	// WorkersPerRank bounds each rank's kernel parallelism; defaults to
-	// 1 since ranks already run concurrently.
+	// WorkersPerRank is each rank's device width, the parallelism of its
+	// filter and its kernel; defaults to 1 since ranks already run
+	// concurrently.
 	WorkersPerRank int
 	// Hierarchical enables the node-leader reduction of Section 4.4.2
 	// with RanksPerNode ranks per node. The default is the slab reduction
@@ -229,7 +230,7 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 
 		prog := &program{
 			ReconOptions: ReconOptions{
-				Source: src, Device: dev, Window: opts.Window, FilterWorkers: 1,
+				Source: src, Device: dev, Window: opts.Window,
 				Sink: sink, DisablePipeline: true,
 				Retry: opts.Retry, Checkpoint: opts.Checkpoint, Telemetry: reg,
 			},

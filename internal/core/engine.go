@@ -40,36 +40,15 @@ func zSchedule(sys *geometry.System, z0, nz, nb int) []batch {
 	return out
 }
 
-// ringDepth returns the ring depth (in detector rows) a schedule needs when
-// up to `window` consecutive batches stay resident together: the largest
-// union of any `window` consecutive row ranges.
-func ringDepth(sched []batch, window int) int {
+// ringDepth returns the ring depth (in detector rows) a schedule needs: the
+// largest row range of any one batch, since upload releases every row below
+// a batch's start before it admits the batch's rows.
+func ringDepth(sched []batch) int {
 	h := 0
-	for c := range sched {
-		u := geometry.RowRange{}
-		for b := max(0, c-window+1); b <= c; b++ {
-			u = u.Union(sched[b].rows)
-		}
-		h = max(h, u.Len())
+	for _, b := range sched {
+		h = max(h, b.rows.Len())
 	}
 	return h
-}
-
-// rowsMonotone reports whether consecutive non-empty row ranges always
-// overlap or abut upward (no ring Reset ever needed) — the regime in which
-// elastic back-projection's lagged release is valid.
-func rowsMonotone(sched []batch) bool {
-	prev := geometry.RowRange{}
-	for _, b := range sched {
-		if b.rows.IsEmpty() {
-			continue
-		}
-		if !prev.IsEmpty() && (b.rows.Lo >= prev.Hi || b.rows.Lo < prev.Lo) {
-			return false
-		}
-		prev = b.rows
-	}
-	return true
 }
 
 // program is the per-rank reconstruction program of Figure 6, written once:
@@ -78,7 +57,7 @@ func rowsMonotone(sched []batch) bool {
 // RunDistributed fill in the exported-option half and call run.
 //
 // Each piece of cross-batch state has exactly one owning stage, which is
-// what lets the pipelined executors run the stages on separate goroutines:
+// what lets the pipelined executor run the stages on separate goroutines:
 //
 //	load         the differential-load cursor (loaded)
 //	filter       nothing — it works on the batch's own stack
@@ -87,13 +66,22 @@ func rowsMonotone(sched []batch) bool {
 //	reduce       the group collective
 //	store        the sink and the checkpoint journal
 //
+// The ring itself is unsynchronised, so its writer and its reader must share
+// a goroutine: under pipeline.Run the upload and backproject bodies are one
+// stage, and a distributed rank, which keeps them apart so its trace names
+// six stages, runs under pipeline.RunSerial. An executor that gives upload a
+// goroutine of its own must first give the ring a synchronisation.
+//
 // Both cursors advance on executed batches only, so a resumed run reloads
 // whatever a checkpointed batch would have left resident.
 type program struct {
 	// ReconOptions is what one device needs whichever shell it sits in; a
 	// distributed rank fills one in per rank. Plan is not read here (the
 	// shell hands over sched), a nil Sink means this rank does not store,
-	// DisablePipeline picks pipeline.RunSerial over pipeline.Run.
+	// DisablePipeline picks pipeline.RunSerial over pipeline.Run, and with
+	// it whether upload filters raw rows straight into their ring slots
+	// (fuseUpload; the filter stage then passes them through) — where the
+	// ring-owning stage does not overlap the filter anyway.
 	ReconOptions
 	sys      *geometry.System
 	sched    []batch
@@ -111,13 +99,6 @@ type program struct {
 	parker *filter.Parker
 	mats   []geometry.Mat34x4
 	ring   *device.ProjRing
-	// fused: the upload stage filters raw rows straight into their ring
-	// slots (fuseUpload) and the filter stage passes them through. Set
-	// exactly where the ring-owning stage is already sequential.
-	fused bool
-	// lag is how many batches behind the uploading one the ring release
-	// watermark trails (0 unless elastic).
-	lag int
 	// slabBuf is the serial executor's one reusable slab: nothing
 	// downstream keeps a slab (reductions copy a non-root's partial sums
 	// before sending, the root accumulates in place, a SlabSink must be done
@@ -148,29 +129,7 @@ func (e *program) run() error {
 		return err
 	}
 	e.mats = KernelMatrices(e.sys, e.pLo, e.pHi)
-
-	// Elastic back-projection needs a deeper ring (rows of every possibly
-	// in-flight batch stay resident) and a schedule that never resets the
-	// ring; otherwise the ring-owning stage stays sequential.
-	elastic := e.BPWorkers > 1 && !e.DisablePipeline && rowsMonotone(e.sched)
-	// The release lag is derived from the pipeline's completion guarantee,
-	// not an estimate of buffering: UpstreamCompletionLag proves that while
-	// the (sequential) upload stage processes batch c, every batch below
-	// c − lag has finished back-projecting — the connecting queue holds at
-	// most queueDepth batches the elastic stage has not taken, and dispatch
-	// credits keep any taken batch within InFlightBound of the in-order
-	// completion cursor. Any batch still reading the ring thus has index
-	// ≥ c − lag, and with monotone slab rows it only needs rows at or above
-	// batch (c−lag)'s start — exactly the watermark upload releases to, so a
-	// straggling batch can stall indefinitely without its rows being
-	// evicted. queueDepth is pinned here and installed on the pipeline below
-	// so the coupling cannot silently drift if the depth is ever tuned.
-	queueDepth := pipeline.DefaultQueueDepth
-	if elastic {
-		e.lag = pipeline.UpstreamCompletionLag(queueDepth, e.BPWorkers)
-	}
-	e.fused = e.DisablePipeline || elastic
-	e.ring, err = device.NewProjRing(e.Device, e.sys.NU, e.pHi-e.pLo, ringDepth(e.sched, e.lag+1))
+	e.ring, err = device.NewProjRing(e.Device, e.sys.NU, e.pHi-e.pLo, ringDepth(e.sched))
 	if err != nil {
 		return err
 	}
@@ -193,17 +152,12 @@ func (e *program) run() error {
 	e.skipped.SetParent(e.Telemetry.Counter("core.batches_skipped"))
 
 	stages := []pipeline.Stage{e.stage("load", e.load), e.stage("filter", e.filter)}
-	if elastic || e.group != nil {
-		// Upload on its own: the elastic stage behind it only reads the ring
-		// and can run its batches concurrently, and a distributed rank's
-		// trace keeps its six stage names.
-		bp := e.stage("backproject", e.backproject)
-		if elastic {
-			bp.Workers = e.BPWorkers
-		}
-		stages = append(stages, e.stage("upload", e.upload), bp)
+	if e.group != nil {
+		// A distributed rank's trace keeps its six stage names; it runs
+		// serially, so the ring still has one goroutine (see program).
+		stages = append(stages, e.stage("upload", e.upload), e.stage("backproject", e.backproject))
 	} else {
-		// The sequential ring-owning stage is the same two bodies at lag 0.
+		// The ring-owning stage: upload, then back-project, on one goroutine.
 		stages = append(stages, e.stage("backproject", func(b *batch) error {
 			if err := e.upload(b); err != nil && err != pipeline.Idle {
 				return err
@@ -223,7 +177,6 @@ func (e *program) run() error {
 	if err != nil {
 		return err
 	}
-	pl.QueueDepth = queueDepth // lag and the ring depth were derived from it
 	pl.Telemetry = e.Telemetry
 	start := time.Now()
 	if e.DisablePipeline {
@@ -292,24 +245,23 @@ func (e *program) filter(b *batch) error {
 	if st == nil {
 		return pipeline.Idle
 	}
-	if e.fused {
+	if e.DisablePipeline {
 		return nil // the raw stack flows through; upload filters it into the ring
 	}
 	if err := applyParker(e.parker, st); err != nil {
 		return err
 	}
-	return e.fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, e.FilterWorkers)
+	return e.fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, e.Device.WorkerCount())
 }
 
-// upload makes room in the ring and admits the batch's new rows. Rows are
-// released only below the start of batch c−lag — rows that, by the
-// pipeline's in-flight bound (see lag in run), no batch still
-// back-projecting can touch.
+// upload makes room in the ring and admits the batch's new rows. The
+// previous batch has been back-projected, so every row below this batch's
+// start can go.
 func (e *program) upload(b *batch) error {
-	if e.lag == 0 && !e.resident.IsEmpty() && b.rows.Lo >= e.resident.Hi {
+	if !e.resident.IsEmpty() && b.rows.Lo >= e.resident.Hi {
 		e.ring.Reset() // disjoint ranges: nothing to reuse
-	} else if rc := b.c - e.lag; rc >= 0 && !e.sched[rc].rows.IsEmpty() {
-		e.ring.Release(e.sched[rc].rows.Lo)
+	} else if !b.rows.IsEmpty() {
+		e.ring.Release(b.rows.Lo)
 	}
 	e.resident = b.rows
 	st := b.stack
@@ -317,8 +269,8 @@ func (e *program) upload(b *batch) error {
 		return pipeline.Idle // nothing to admit: bookkeeping only
 	}
 	b.stack = nil
-	if e.fused {
-		return fuseUpload(e.ring, st, e.fdk, e.parker, e.FilterWorkers)
+	if e.DisablePipeline {
+		return fuseUpload(e.ring, st, e.fdk, e.parker)
 	}
 	return e.ring.LoadRows(st, st.Rows())
 }

@@ -15,19 +15,18 @@ import (
 // The fused arithmetic is bit-identical to the unfused sequence —
 // FilterRowInto rounds the redundancy product to float32 before the cosine
 // weight exactly as ApplyRow-then-FilterRow does — so it never changes the
-// volume, only the traffic. The fills run on `workers` goroutines, each row
-// on a workspace from the filter's pool. st must hold *unfiltered* data; its
-// projection window must match the ring's.
+// volume, only the traffic. The fills run on the ring device's WorkerCount
+// goroutines, each row on a workspace from the filter's pool. st must hold
+// *unfiltered* data; its projection window must match the ring's.
 //
-// The rank program fuses wherever the ring-owning stage is already
-// sequential: the serial executor and the elastic executor's dedicated
-// upload stage. The non-elastic pipelined path stays unfused: there the
-// filter stage overlaps the previous batch's back-projection, and all ring
-// mutation belongs to the back-project stage — fusing would serialise the
-// filter work behind the kernel (and filtering from any other stage would
-// race the kernel's ring reads).
-func fuseUpload(ring *device.ProjRing, st *projection.Stack, fdk *filter.FDK, pk *filter.Parker, workers int) error {
-	return ring.FillRows(st.Rows(), workers, func(v, p int, dst []float32) error {
+// The rank program fuses under the serial executor, where the filter never
+// overlaps anything. The pipelined executor stays unfused: there the filter
+// stage overlaps the previous batch's back-projection, and all ring mutation
+// belongs to the back-project stage — fusing would serialise the filter work
+// behind the kernel (and filtering from any other stage would race the
+// kernel's ring reads).
+func fuseUpload(ring *device.ProjRing, st *projection.Stack, fdk *filter.FDK, pk *filter.Parker) error {
+	return ring.FillRows(st.Rows(), func(v, p int, dst []float32) error {
 		row, err := st.Row(v, p)
 		if err != nil {
 			return err

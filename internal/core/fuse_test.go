@@ -7,12 +7,12 @@ import (
 	"distfdk/internal/projection"
 )
 
-// The three executors of the rank program — serial (fused, one reusable
-// slab), pipelined (unfused, a slab per batch) and elastic (fused in the
-// upload stage, lagged ring release) — must produce the same volume to the
-// last bit: FilterRowInto's rounding matches ApplyRow-then-FilterRow
-// exactly, and fusion only moves where the filtered row is written, never
-// what is written.
+// The two executors of the rank program — serial (fused, one reusable
+// slab) and pipelined (unfused, a slab per batch) — must produce the same
+// volume to the last bit at every device width: FilterRowInto's rounding
+// matches ApplyRow-then-FilterRow exactly, fusion only moves where the
+// filtered row is written, never what is written, and the width only cuts
+// the filter's rows and the kernel's tiles among goroutines.
 func TestExecutorsBitIdentical(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
@@ -22,35 +22,28 @@ func TestExecutorsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(name string, mutate func(*ReconOptions)) []float32 {
-		t.Helper()
-		sink, err := NewVolumeSink(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := ReconOptions{
-			Plan: p, Source: src,
-			Device: device.New(name, 0, 2),
-			Sink:   sink,
-		}
-		mutate(&opts)
-		if _, err := ReconstructSingle(opts); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return sink.V.Data
-	}
-
-	ref := run("pipelined", func(o *ReconOptions) {})
-	executors := map[string]func(*ReconOptions){
-		"pipelined": func(o *ReconOptions) {},
-		"serial":    func(o *ReconOptions) { o.DisablePipeline = true },
-		"elastic":   func(o *ReconOptions) { o.BPWorkers = 2 },
-	}
-	for name, executor := range executors {
-		got := run(name, executor)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: voxel %d: %g != pipelined %g", name, i, got[i], ref[i])
+	var ref []float32
+	for _, workers := range []int{1, 3} {
+		for _, serial := range []bool{false, true} {
+			sink, err := NewVolumeSink(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReconstructSingle(ReconOptions{
+				Plan: p, Source: src, Device: device.New("exec", 0, workers),
+				Sink: sink, DisablePipeline: serial,
+			}); err != nil {
+				t.Fatalf("workers=%d serial=%v: %v", workers, serial, err)
+			}
+			if ref == nil {
+				ref = sink.V.Data
+				continue
+			}
+			for i := range ref {
+				if sink.V.Data[i] != ref[i] {
+					t.Fatalf("workers=%d serial=%v: voxel %d: %g != pipelined width 1 %g",
+						workers, serial, i, sink.V.Data[i], ref[i])
+				}
 			}
 		}
 	}

@@ -117,17 +117,7 @@ func (p *Plan) schedule(g int) []batch {
 // group g needs: the largest slab row extent of that group's batches. This
 // is the device-memory knob the paper controls via Nc — more batches mean
 // thinner slabs and a shallower ring.
-func (p *Plan) RingDepth(g int) int { return ringDepth(p.schedule(g), 1) }
-
-// RingDepthWindow returns the ring depth (in detector rows) a rank of
-// group g needs when up to `window` consecutive batches must stay resident
-// simultaneously: the largest union of any `window` consecutive batches'
-// row ranges. Elastic back-projection (ReconOptions.BPWorkers > 1) keeps
-// in-flight batches readable while later batches load, so it sizes the
-// ring by this window instead of the single-batch RingDepth.
-func (p *Plan) RingDepthWindow(g, window int) int {
-	return ringDepth(p.schedule(g), max(window, 1))
-}
+func (p *Plan) RingDepth(g int) int { return ringDepth(p.schedule(g)) }
 
 // MaxRingDepth returns the ring depth sufficient for every group.
 func (p *Plan) MaxRingDepth() int {

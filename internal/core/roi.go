@@ -26,8 +26,6 @@ type ZWindowOptions struct {
 	// SlabSlices bounds the streaming slab height (0 picks NZ/8,
 	// minimum 1).
 	SlabSlices int
-	// Workers bounds the filtering parallelism.
-	Workers int
 }
 
 // ReconstructZWindow reconstructs only the requested slice window. The
@@ -57,8 +55,7 @@ func ReconstructZWindow(opts ZWindowOptions) (*volume.Volume, *ReconReport, erro
 	prog := &program{
 		ReconOptions: ReconOptions{
 			Source: opts.Source, Device: opts.Device, Window: opts.Window,
-			FilterWorkers: opts.Workers,
-			Sink:          &VolumeSink{V: out}, DisablePipeline: true,
+			Sink: &VolumeSink{V: out}, DisablePipeline: true,
 		},
 		sys: sys, sched: zSchedule(sys, opts.Z0, opts.NZ, nb), pHi: sys.NP,
 	}

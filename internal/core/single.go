@@ -94,24 +94,13 @@ type ReconOptions struct {
 	Plan *Plan
 	// Source supplies the (unfiltered) projection data.
 	Source projection.Source
-	// Device executes the kernel and enforces the memory budget.
+	// Device executes the kernel and enforces the memory budget; its
+	// WorkerCount is the width of the filter and of the kernel.
 	Device *device.Device
 	// Window selects the ramp apodisation (default Ram-Lak).
 	Window filter.Window
-	// FilterWorkers bounds the filtering parallelism (0 = GOMAXPROCS).
-	FilterWorkers int
 	// Sink receives finished slabs (required).
 	Sink SlabSink
-	// BPWorkers sets the worker count of the back-projection stage.
-	// Values > 1 make the stage elastic: batches back-project concurrently
-	// behind a reorder buffer, with ring uploads split into a dedicated
-	// sequential stage that releases rows only once the pipeline's
-	// in-flight bound proves no concurrent batch can still read them (the
-	// ring is sized deeper to match). The
-	// reconstruction is bit-identical to BPWorkers=1. Falls back to the
-	// sequential stage when the slab schedule needs a ring reset (disjoint
-	// row ranges) or the pipeline is disabled.
-	BPWorkers int
 	// DisablePipeline selects the serial executor (pipeline.RunSerial):
 	// the stages run one batch at a time on the calling goroutine. Every
 	// RunDistributed rank and ReconstructZWindow set it; the volume is the
@@ -127,10 +116,10 @@ type ReconOptions struct {
 	// batch. The resumed volume is bit-identical to an uninterrupted one.
 	Checkpoint CheckpointLog
 	// Telemetry, when set, collects the run's metrics and spans: pipeline
-	// stage spans and credit waits, device and kernel counts, and retry
-	// activity all report into this registry; telemetry.RenderGantt draws
-	// the Figure 10-style timeline from its spans. Nil keeps every
-	// instrumented path at a single pointer check.
+	// stage spans, device and kernel counts, and retry activity all report
+	// into this registry; telemetry.RenderGantt draws the Figure 10-style
+	// timeline from its spans. Nil keeps every instrumented path at a single
+	// pointer check.
 	Telemetry *telemetry.Registry
 }
 

@@ -105,8 +105,8 @@ type Device struct {
 	Name string
 	// MemBytes is the device memory capacity; 0 means unlimited.
 	MemBytes int64
-	// Workers is the kernel execution width (goroutines); 0 means
-	// GOMAXPROCS.
+	// Workers is the execution width (goroutines) of the kernel and of the
+	// filter that feeds it; 0 means GOMAXPROCS.
 	Workers int
 
 	allocated atomic.Int64
@@ -176,7 +176,8 @@ func (d *Device) SetTelemetry(reg *telemetry.Registry) {
 	d.ringResident = reg.Gauge("device.ring.resident_rows")
 }
 
-// WorkerCount returns the effective kernel execution width.
+// WorkerCount returns the effective execution width: the one parallelism a
+// rank program has.
 func (d *Device) WorkerCount() int {
 	if d.Workers > 0 {
 		return d.Workers

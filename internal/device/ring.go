@@ -29,11 +29,8 @@ type ProjRing struct {
 
 	data []float32
 
-	// mu guards valid so elastic back-projection workers can read the
-	// resident range while the (single) upload stage extends it. The row
-	// data itself is unguarded: the upload schedule guarantees writers
-	// touch only slots of released rows, which no reader holds.
-	mu    sync.RWMutex
+	// valid is unguarded: a ring is mutated and read by one goroutine at a
+	// time (the rank program's ring-owning stage), never concurrently.
 	valid geometry.RowRange // global rows currently resident
 }
 
@@ -105,18 +102,12 @@ func (r *ProjRing) rowSlice(v, p int) []float32 {
 }
 
 // Valid returns the global row range currently resident.
-func (r *ProjRing) Valid() geometry.RowRange {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.valid
-}
+func (r *ProjRing) Valid() geometry.RowRange { return r.valid }
 
 // Reset discards all resident rows. The slab driver uses it when
 // consecutive slabs need disjoint row ranges (possible for very thin
 // detectors), where there is no overlap to preserve.
 func (r *ProjRing) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.dev.ringEvictedRows.Add(int64(r.valid.Len()))
 	r.dev.ringResets.Inc()
 	r.dev.ringResident.Set(0)
@@ -125,11 +116,8 @@ func (r *ProjRing) Reset() {
 
 // Release drops resident rows below upTo, making their slots reusable. It
 // is called when advancing to the next slab, whose required range starts at
-// upTo (= a_{i+1}); the elastic driver instead passes a lagged watermark so
-// rows stay resident until every in-flight batch is past them.
+// upTo (= a_{i+1}), once the previous slab has been back-projected.
 func (r *ProjRing) Release(upTo int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if upTo > r.valid.Lo {
 		newLo := min(upTo, r.valid.Hi)
 		r.dev.ringEvictedRows.Add(int64(newLo - r.valid.Lo))
@@ -140,8 +128,7 @@ func (r *ProjRing) Release(upTo int) {
 
 // admitRows validates that loading `rows` respects the ring discipline:
 // contiguous upward extension, no eviction of un-Released rows, and the
-// resident range fitting the depth. Callers hold mu. Returns the new valid
-// range.
+// resident range fitting the depth. Returns the new valid range.
 func (r *ProjRing) admitRows(rows geometry.RowRange) (geometry.RowRange, error) {
 	newValid := r.valid.Union(rows)
 	if !r.valid.IsEmpty() && rows.Lo > r.valid.Hi {
@@ -159,7 +146,7 @@ func (r *ProjRing) admitRows(rows geometry.RowRange) (geometry.RowRange, error) 
 }
 
 // admitted accounts one finished load of rows, begun at t0, and makes
-// newValid the resident range. Callers hold mu.
+// newValid the resident range.
 func (r *ProjRing) admitted(rows, newValid geometry.RowRange, t0 time.Time) {
 	// Contiguous global rows map to at most two contiguous slot spans (the
 	// split copy of Algorithm 3).
@@ -192,8 +179,6 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 	if rows.Lo < src.V0 || rows.Hi > src.V0+src.NV {
 		return fmt.Errorf("device: rows %v not present in host stack %v", rows, src.Rows())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	newValid, err := r.admitRows(rows)
 	if err != nil {
 		return err
@@ -213,17 +198,14 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 // fill(v, p, dst) must write the NU samples of projection p, global
 // detector row v, into dst. This is the fused filter→upload path — the
 // filtered row lands directly in its ring slot, skipping the intermediate
-// host-stack pass. The (v, p) fills are distributed over `workers`
-// goroutines (0 or 1 = sequential); the ledger charges the same H2D
-// traffic as a LoadRows of the range, since the same bytes cross the
-// simulated link. On any fill error the resident range is left unchanged
+// host-stack pass. The (v, p) fills are distributed over the device's
+// WorkerCount goroutines; the ledger charges the same H2D traffic as a
+// LoadRows of the range, since the same bytes cross the simulated link. On any fill error the resident range is left unchanged
 // (the slots written so far hold undefined data but remain un-admitted).
-func (r *ProjRing) FillRows(rows geometry.RowRange, workers int, fill func(v, p int, dst []float32) error) error {
+func (r *ProjRing) FillRows(rows geometry.RowRange, fill func(v, p int, dst []float32) error) error {
 	if rows.IsEmpty() {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	newValid, err := r.admitRows(rows)
 	if err != nil {
 		return err
@@ -231,9 +213,7 @@ func (r *ProjRing) FillRows(rows geometry.RowRange, workers int, fill func(v, p 
 
 	t0 := time.Now()
 	tasks := rows.Len() * r.NP
-	if workers > tasks {
-		workers = tasks
-	}
+	workers := min(r.dev.WorkerCount(), tasks)
 	if workers <= 1 {
 		for v := rows.Lo; v < rows.Hi; v++ {
 			for p := 0; p < r.NP; p++ {

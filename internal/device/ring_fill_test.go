@@ -22,7 +22,7 @@ func TestFillRowsMatchesLoadRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		df := New("fill", 0, 1)
+		df := New("fill", 0, workers)
 		rf, err := NewProjRing(df, nu, np, h)
 		if err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestFillRowsMatchesLoadRows(t *testing.T) {
 			if err := rl.LoadRows(host, dr); err != nil {
 				t.Fatal(err)
 			}
-			if err := rf.FillRows(dr, workers, fill); err != nil {
+			if err := rf.FillRows(dr, fill); err != nil {
 				t.Fatal(err)
 			}
 			if rl.Valid() != rf.Valid() {
@@ -76,7 +76,7 @@ func TestFillRowsErrorLeavesRangeUnchanged(t *testing.T) {
 	}
 	defer r.Close()
 	boom := errors.New("boom")
-	if err := r.FillRows(geometry.RowRange{Lo: 0, Hi: 4}, 1, func(v, p int, dst []float32) error {
+	if err := r.FillRows(geometry.RowRange{Lo: 0, Hi: 4}, func(v, p int, dst []float32) error {
 		if v == 2 {
 			return boom
 		}
@@ -98,7 +98,7 @@ func TestRingApronStaysZero(t *testing.T) {
 	const nu, np, nv, h = 5, 3, 24, 8
 	host := hostStack(nu, np, nv)
 	for _, workers := range []int{0, 4} {
-		d := New("apron", 0, 1)
+		d := New("apron", 0, max(workers, 1))
 		r, err := NewProjRing(d, nu, np, h)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestRingApronStaysZero(t *testing.T) {
 			if workers == 0 {
 				err = r.LoadRows(host, dr)
 			} else {
-				err = r.FillRows(dr, workers, func(v, p int, dst []float32) error {
+				err = r.FillRows(dr, func(v, p int, dst []float32) error {
 					if len(dst) != nu || cap(dst) != nu {
 						t.Errorf("fill of row %d, projection %d got len %d cap %d, want %d", v, p, len(dst), cap(dst), nu)
 					}

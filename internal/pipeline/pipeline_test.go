@@ -131,8 +131,9 @@ func TestStagesOverlap(t *testing.T) {
 }
 
 func TestQueueDepthBoundsBuffering(t *testing.T) {
-	// With depth 1, a slow consumer throttles the producer: at no time
-	// can the producer be more than (depth + in-flight) batches ahead.
+	// A slow consumer throttles the producer: when the producer finishes a
+	// batch, the batches it made that the consumer has not finished are at
+	// most that one, queueDepth in the queue and one in the consumer's hands.
 	var mu sync.Mutex
 	produced, consumed := 0, 0
 	maxLead := 0
@@ -155,12 +156,39 @@ func TestQueueDepthBoundsBuffering(t *testing.T) {
 			return nil, nil
 		}},
 	)
-	p.QueueDepth = 1
 	if err := p.Run(20); err != nil {
 		t.Fatal(err)
 	}
-	if maxLead > 4 {
-		t.Fatalf("producer ran %d batches ahead despite depth 1", maxLead)
+	if bound := queueDepth + 2; maxLead > bound {
+		t.Fatalf("producer ran %d batches ahead, bound is %d at depth %d", maxLead, bound, queueDepth)
+	}
+}
+
+// A failure stops the work upstream of it: a store that fails at batch 1 of
+// 1 000 must not let the first stage go on producing batches nothing will
+// store. When the last stage fails, the first stage can have been invoked on
+// at most the 2 batches the last stage took, the 2·queueDepth waiting in the
+// two queues, and one batch in the hands of each of the two upstream stages:
+// 2 + 2·queueDepth + 2 invocations. The failing stage's error is returned.
+func TestFailedStageStopsUpstream(t *testing.T) {
+	const nBatches = 1000
+	first := 0 // written by the first stage's goroutine, read after Run
+	p, _ := New(
+		Stage{Name: "load", Fn: func(b int, _ any) (any, error) { first++; return b, nil }},
+		Stage{Name: "filter", Fn: func(_ int, in any) (any, error) { return in, nil }},
+		Stage{Name: "store", Fn: func(b int, _ any) (any, error) {
+			if b == 1 {
+				return nil, errors.New("disk full")
+			}
+			return nil, nil
+		}},
+	)
+	err := p.Run(nBatches)
+	if err == nil || !strings.Contains(err.Error(), `stage "store" batch 1: disk full`) {
+		t.Fatalf("want the store error, got %v", err)
+	}
+	if bound := 2 + 2*queueDepth + 2; first > bound {
+		t.Fatalf("first stage ran %d of %d batches after the store failed at batch 1; bound %d", first, nBatches, bound)
 	}
 }
 
@@ -178,7 +206,7 @@ func TestRunSerialOrderHookAndErrors(t *testing.T) {
 			return b, nil
 		}
 	}
-	p, err := New(Stage{Name: "x", Fn: note("x")}, Stage{Name: "y", Workers: 4, Fn: note("y")})
+	p, err := New(Stage{Name: "x", Fn: note("x")}, Stage{Name: "y", Fn: note("y")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,8 @@ type CriticalPath struct {
 	// Shares is the per-(rank, stage, class) breakdown, largest first.
 	Shares []CritShare `json:"shares"`
 	// CommFraction is ByClass[comm]/Makespan; WaitFraction is
-	// ByClass[wait]/Makespan (gaps: elastic credit waits, blocked peers).
+	// ByClass[wait]/Makespan (gaps: a stage waiting on its queue, blocked
+	// peers).
 	CommFraction float64 `json:"comm_fraction"`
 	WaitFraction float64 `json:"wait_fraction"`
 }
@@ -142,8 +143,8 @@ func ComputeCriticalPath(snaps []Snapshot) *CriticalPath {
 		sort.Slice(rc, func(i, j int) bool { return rc[i].End < rc[j].End })
 	}
 	// Among spans starting before t, the walk wants the one reaching
-	// furthest: overlapping spans (elastic workers) make "latest start" not
-	// necessarily "latest end". Prefix argmax over End makes that O(log n)
+	// furthest: overlapping spans (the pipelined executor's stages run
+	// concurrently) make "latest start" not necessarily "latest end". Prefix argmax over End makes that O(log n)
 	// per query.
 	farthestTo := map[int][]int{}
 	for r, sp := range spansByRank {
@@ -210,7 +211,7 @@ func ComputeCriticalPath(snaps []Snapshot) *CriticalPath {
 			break
 		}
 		if sp.End < t {
-			// Gap after the rank's previous activity: credit/blocked wait.
+			// Gap after the rank's previous activity: queue/blocked wait.
 			lo := max(sp.End, start)
 			step(rank, "idle", ClassWait, -1, lo, t)
 			t = lo

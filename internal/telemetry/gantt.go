@@ -9,8 +9,9 @@ import (
 // SpanStats summarises a span set: the wall-clock window it covers and
 // the per-track busy time. The two measure different things — Total is
 // last-end minus first-start (wall clock), Busy sums span durations per
-// name and can exceed Total when spans overlap (elastic workers) — which
-// is exactly the distinction the utilization helpers quantify.
+// name and can exceed Total when spans of one name overlap (a set that
+// merges several ranks' spans) — which is exactly the distinction the
+// utilization helpers quantify.
 type SpanStats struct {
 	// First is the earliest span start, the origin the Gantt normalises to.
 	First time.Duration
@@ -44,8 +45,8 @@ func ComputeSpanStats(spans []Span) SpanStats {
 }
 
 // Idle returns Total − Busy[name], clamped at zero: the wall-clock time
-// the named track spent waiting rather than working. For an elastic track
-// whose Busy exceeds Total (overlapping workers) idle time is zero.
+// the named track spent waiting rather than working. For a track whose Busy
+// exceeds Total (overlapping spans of one name) idle time is zero.
 func (st SpanStats) Idle(name string) time.Duration {
 	idle := st.Total - st.Busy[name]
 	if idle < 0 {
@@ -54,8 +55,8 @@ func (st SpanStats) Idle(name string) time.Duration {
 	return idle
 }
 
-// Utilization returns Busy[name]/Total (0 when the window is empty). An
-// elastic track can exceed 1: N workers busy concurrently approach N.
+// Utilization returns Busy[name]/Total (0 when the window is empty). A
+// track whose spans overlap can exceed 1: N concurrent spans approach N.
 func (st SpanStats) Utilization(name string) float64 {
 	if st.Total <= 0 {
 		return 0

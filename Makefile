@@ -139,8 +139,8 @@ status-smoke:
 # cache so the schedules actually re-run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter' \
-		./internal/core/ ./internal/mpi/ ./internal/fault/ ./internal/storage/ ./internal/pipeline/
+		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers' \
+		./internal/core/ ./internal/mpi/ ./internal/mpi/nettrans/ ./internal/fault/ ./internal/storage/ ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/fault/
 
 # Recovery gate: the supervised shrink-and-resume suite under the race
@@ -196,7 +196,13 @@ transport-smoke:
 		-o artifacts/transport_world.fbk
 	$(GO) run ./cmd/fdkbench -check-metrics artifacts/transport_metrics.json
 	cmp artifacts/transport_ref.fbk artifacts/transport_world.fbk
-	rm -f artifacts/fdkrecon.bin artifacts/transport_ref.fbk artifacts/transport_world.fbk
+	# The fault-free world again on one P and one CPU, the schedule the
+	# benchmark runs: the same bytes, and no link cycled or frame resent.
+	GOMAXPROCS=1 taskset -c 0 artifacts/fdkrecon.bin -div 16 -n 32 -batches 4 -groups 2 -ranks 2 \
+		-world 2 -metrics-json artifacts/transport_onep.json -o artifacts/transport_onep.fbk
+	cmp artifacts/transport_ref.fbk artifacts/transport_onep.fbk
+	! grep -E '"transport\.(reconnects|retransmits)": *[1-9]' artifacts/transport_onep.json
+	rm -f artifacts/fdkrecon.bin artifacts/transport_ref.fbk artifacts/transport_world.fbk artifacts/transport_onep.fbk
 
 # Robustness release wall: replay every scenario under scenarios/ — one
 # fault-free reference run, then the file's seeded injected runs — and fail

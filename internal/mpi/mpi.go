@@ -340,10 +340,11 @@ func (c *Comm) SetDeadline(d time.Duration) { c.deadline = d }
 // Send delivers data to rank dst with the given tag. Sends are buffered;
 // a full buffer blocks until the receiver drains it, like MPI_Send's
 // rendezvous mode. A blocked send wakes with ErrRankLost when the world
-// tears down or the endpoint's deadline expires. The slice belongs to the
-// receiver from here on: a local receiver gets this very slice, a remote
-// one a copy, so the caller must not reuse a slice a local receiver may
-// hold.
+// tears down or the endpoint's deadline expires. The caller gives the
+// slice up: a local receiver gets this very slice; a remote send keeps it
+// as the frame body until the peer acknowledges the frame, then returns it
+// to the arena (see PutScratch). Either way the caller must not touch it
+// again.
 func (c *Comm) Send(dst, tag int, data []float32) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("mpi: send to rank %d outside world of %d", dst, c.size)
@@ -489,7 +490,7 @@ func (c *Comm) Bcast(root int, buf []float32) error {
 				return fmt.Errorf("mpi: bcast buffer length %d, expected %d", len(data), len(buf))
 			}
 			copy(buf, data)
-			putScratch(data)
+			PutScratch(data)
 			break
 		}
 	}
@@ -498,7 +499,7 @@ func (c *Comm) Bcast(root int, buf []float32) error {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < c.size {
 			dst := (c.rank + mask) % c.size
-			out := getScratch(len(buf))
+			out := GetScratch(len(buf))
 			copy(out, buf)
 			if err := c.Send(dst, tagBcast, out); err != nil {
 				return err
@@ -535,7 +536,7 @@ func (c *Comm) reduceSegment(rel int, acc []float32) error {
 			for i, x := range data {
 				acc[i] += x
 			}
-			putScratch(data)
+			PutScratch(data)
 		}
 	}
 	return nil
@@ -554,7 +555,7 @@ func (c *Comm) Reduce(root int, buf []float32) error {
 	// theirs.
 	acc := buf
 	if rel != 0 {
-		acc = getScratch(len(buf))
+		acc = GetScratch(len(buf))
 		copy(acc, buf)
 	}
 	return c.reduceSegment(rel, acc)
@@ -588,7 +589,7 @@ func (c *Comm) ReduceChunked(root int, buf []float32, chunk int) error {
 		seg := buf[lo:hi]
 		acc := seg
 		if rel != 0 {
-			acc = getScratch(len(seg))
+			acc = GetScratch(len(seg))
 			copy(acc, seg)
 			c.reduceChunks.Inc()
 		}
@@ -621,7 +622,9 @@ func (c *Comm) Gather(root int, buf []float32) ([][]float32, error) {
 		return nil, fmt.Errorf("mpi: gather root %d outside world of %d", root, c.size)
 	}
 	if c.rank != root {
-		return nil, c.Send(root, tagGather, append([]float32(nil), buf...))
+		out := GetScratch(len(buf))
+		copy(out, buf)
+		return nil, c.Send(root, tagGather, out)
 	}
 	out := make([][]float32, c.size)
 	out[root] = append([]float32(nil), buf...)
@@ -667,7 +670,7 @@ func (c *Comm) HierarchicalReduce(root int, buf []float32, ranksPerNode int) err
 
 	acc := buf
 	if c.rank != root {
-		acc = getScratch(len(buf))
+		acc = GetScratch(len(buf))
 		copy(acc, buf)
 	}
 	// Intra-node binomial tree rooted at the leader: only ranks of the
@@ -688,7 +691,7 @@ func (c *Comm) HierarchicalReduce(root int, buf []float32, ranksPerNode int) err
 			for i, x := range data {
 				acc[i] += x
 			}
-			putScratch(data)
+			PutScratch(data)
 		}
 	}
 	// Only leaders (q == 0) reach the inter-leader binomial tree.
@@ -713,7 +716,7 @@ func (c *Comm) HierarchicalReduce(root int, buf []float32, ranksPerNode int) err
 			for i, x := range data {
 				acc[i] += x
 			}
-			putScratch(data)
+			PutScratch(data)
 		}
 	}
 	return nil

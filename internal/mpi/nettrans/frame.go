@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"distfdk/internal/mpi"
 )
 
 // frameKind enumerates the wire frame types.
@@ -47,28 +49,6 @@ const (
 	kindVerdict
 )
 
-func (k frameKind) String() string {
-	switch k {
-	case kindData:
-		return "data"
-	case kindHello:
-		return "hello"
-	case kindHelloAck:
-		return "helloack"
-	case kindStart:
-		return "start"
-	case kindHeartbeat:
-		return "heartbeat"
-	case kindLost:
-		return "lost"
-	case kindDone:
-		return "done"
-	case kindVerdict:
-		return "verdict"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
 // frame is one wire unit. Data frames fill comm/src/dst/tag/msgID;
 // control frames use the payload (and the ack piggyback all frames
 // carry). seq is non-zero only on reliable kinds (data, lost, done,
@@ -83,13 +63,21 @@ type frame struct {
 	seq      uint64
 	ack      uint64
 	payload  []byte
-	// wire, when non-nil, is a buffer in wire layout with the payload
-	// already in place behind room for the length prefix and header
-	// (newWire): encoding such a frame stamps the header and the CRC around
-	// the payload instead of copying it. A data frame is built this way by
-	// its sender, and readFrame keeps the buffer it read into, so the hub's
-	// forward leg re-stamps a frame without copying it either.
+	// data is a sent frame's float32 body: the sender's slice, written in
+	// place and returned to the arena when the ack releases the frame.
+	data []float32
+	// wire, when non-nil, holds the frame in wire layout with the payload in
+	// place (newWire, or readFrame's buffer, which the hub's forward leg
+	// re-stamps): encoding stamps header and CRC around it without a copy.
 	wire []byte
+	// buf is the arena buffer readFrame read the frame into, until the
+	// frame hands it on (message) or gives it back (release).
+	buf []float32
+	// parts is the frame's sealed wire form, one writev (unused parts are
+	// empty); head and crc back a data frame's first and last part.
+	parts [3][]byte
+	head  [payloadOff + 5]byte
+	crc   [4]byte
 }
 
 // Wire layout: u32 body length | body | u32 CRC32-IEEE(body).
@@ -107,9 +95,16 @@ const (
 	// this (a 1 GiB payload would be rejected at encode time too).
 	maxFrameBytes = 1 << 30
 	// readStep is the most readFrame allocates on the word of a length
-	// prefix alone; beyond it the buffer doubles as bytes actually arrive.
+	// prefix alone; beyond it the buffer grows as bytes actually arrive.
 	readStep = 64 << 10
+	// frameWords is what a frame adds, in float32s, to a float payload in
+	// readFrame's buffer: the lead byte, prefix, header, payload kind and
+	// count, and the CRC.
+	frameWords = (1 + payloadOff + 5 + 4) / 4
 )
+
+// The arena's headroom holds a frame beside its payload's class.
+var _ [mpi.ScratchHeadroom - frameWords]struct{}
 
 // Typed codec errors. Torn tails (a frame cut anywhere before its last
 // CRC byte) surface as io.ErrUnexpectedEOF from readFrame; a clean cut
@@ -127,15 +122,11 @@ func newWire(n int) []byte {
 	return make([]byte, payloadOff, payloadOff+n+4)
 }
 
-// encodeFrame returns f's wire form: around f.wire when the payload is
-// already in place there, around a copy of f.payload otherwise.
-func encodeFrame(f *frame) []byte {
-	buf := f.wire
-	if buf == nil {
-		buf = append(newWire(len(f.payload)), f.payload...)
-	}
-	body := buf[4:] // the offsets below are readFrame's
-	binary.LittleEndian.PutUint32(buf, uint32(len(body)))
+// putHeader writes the length prefix and header of f, whose payload is n
+// bytes, into b[:payloadOff]; the offsets are readFrame's.
+func putHeader(b []byte, f *frame, n int) {
+	body := b[4:]
+	binary.LittleEndian.PutUint32(b, uint32(headerBytes+n))
 	body[0], body[1] = frameVersion, byte(f.kind)
 	binary.LittleEndian.PutUint32(body[2:], uint32(f.comm))
 	binary.LittleEndian.PutUint32(body[6:], uint32(f.src))
@@ -144,21 +135,72 @@ func encodeFrame(f *frame) []byte {
 	binary.LittleEndian.PutUint64(body[18:], uint64(f.msgID))
 	binary.LittleEndian.PutUint64(body[26:], f.seq)
 	binary.LittleEndian.PutUint64(body[34:], f.ack)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 }
 
-// readFrame decodes the next frame from r, reading exactly its bytes.
-// io.EOF means a clean between-frames cut; io.ErrUnexpectedEOF a torn
-// tail; errCRC a body whose checksum does not match (corruption in
-// flight). The length prefix is four untrusted bytes: the buffer starts at
-// no more than readStep and doubles only as bytes arrive, so what a
-// connection can make this process allocate is bounded by what it sends.
+// encodeFrame returns f's wire form: around f.wire when the payload is
+// already in place there, around a copy of f.payload otherwise.
+func encodeFrame(f *frame) []byte {
+	buf := f.wire
+	if buf == nil {
+		buf = append(newWire(len(f.payload)), f.payload...)
+	}
+	putHeader(buf, f, len(buf)-payloadOff)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
+}
+
+// seal fixes f's wire form at its first write, so a replay resends the
+// same bytes. A data frame with a float32 body is three parts — header and
+// payload prefix, the sender's floats in place, the CRC over both — and
+// any other frame is encodeFrame's one buffer.
+func (f *frame) seal() [][]byte {
+	if f.parts[0] != nil {
+		return f.parts[:]
+	}
+	if f.data == nil {
+		f.parts[0] = encodeFrame(f)
+		return f.parts[:]
+	}
+	body := asBytes(f.data)
+	putHeader(f.head[:], f, 5+len(body))
+	f.head[payloadOff] = ptFloat32s
+	binary.LittleEndian.PutUint32(f.head[payloadOff+1:], uint32(len(f.data)))
+	crc := crc32.Update(crc32.ChecksumIEEE(f.head[4:]), crc32.IEEETable, body)
+	binary.LittleEndian.PutUint32(f.crc[:], crc)
+	f.parts = [3][]byte{f.head[:], body, f.crc[:]}
+	return f.parts[:]
+}
+
+// release returns the arena buffers f holds: a sent body once the peer
+// acknowledged it, a read buffer nothing took.
+func (f *frame) release() {
+	mpi.PutScratch(f.data)
+	mpi.PutScratch(f.buf)
+	f.data, f.buf = nil, nil
+}
+
+// frameBuf borrows an arena buffer, len == cap, for n frame bytes placed
+// one byte in: that puts a float32 payload on a 4-byte boundary
+// (frameWords-1 elements in), and the payload's class holds the rest of the
+// frame in its headroom.
+func frameBuf(n int) []float32 {
+	s := mpi.GetScratch(max((n+4)/4-frameWords, 1))
+	return s[:cap(s)]
+}
+
+// readFrame decodes the next frame from r, reading exactly its bytes, into
+// an arena buffer the frame carries as buf. io.EOF means a clean
+// between-frames cut; io.ErrUnexpectedEOF a torn tail; errCRC a body whose
+// checksum does not match (corruption in flight). The length prefix is four
+// untrusted bytes: the buffer starts at no more than readStep and grows
+// fourfold only when the bytes that arrived fill it, so what a connection
+// can make this process allocate is bounded by what it sends.
 func readFrame(r io.Reader) (*frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	f := new(frame)
+	lenBuf := f.crc[:] // the prefix's landing place, until the buffer exists
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		return nil, err // io.EOF (clean) or io.ErrUnexpectedEOF (torn)
 	}
-	bodyLen := binary.LittleEndian.Uint32(lenBuf[:])
+	bodyLen := binary.LittleEndian.Uint32(lenBuf)
 	if bodyLen > maxFrameBytes {
 		return nil, fmt.Errorf("%w: body %d bytes", errTooLarge, bodyLen)
 	}
@@ -166,13 +208,20 @@ func readFrame(r io.Reader) (*frame, error) {
 		return nil, fmt.Errorf("%w: body %d bytes", errBadHeader, bodyLen)
 	}
 	total := 4 + int(bodyLen) + 4 // prefix + body + trailing CRC
-	buf := append(make([]byte, 0, min(total, readStep)), lenBuf[:]...)
-	for len(buf) < total {
-		if len(buf) == cap(buf) {
-			buf = append(make([]byte, 0, min(total, 2*cap(buf))), buf...)
+	step := readStep
+	fb := frameBuf(min(total, step))
+	buf := asBytes(fb)[1:]
+	got := copy(buf, lenBuf)
+	for got < total {
+		if got == len(buf) {
+			step *= 4
+			grown := frameBuf(min(total, step))
+			copy(asBytes(grown)[1:], buf)
+			mpi.PutScratch(fb)
+			fb, buf = grown, asBytes(grown)[1:]
 		}
-		n, err := io.ReadFull(r, buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
+		n, err := io.ReadFull(r, buf[got:min(total, len(buf))])
+		got += n
 		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
@@ -187,7 +236,7 @@ func readFrame(r io.Reader) (*frame, error) {
 	if body[0] != frameVersion {
 		return nil, fmt.Errorf("%w: %d", errVersion, body[0])
 	}
-	f := &frame{
+	*f = frame{
 		kind:  frameKind(body[1]),
 		comm:  int32(binary.LittleEndian.Uint32(body[2:])),
 		src:   int32(binary.LittleEndian.Uint32(body[6:])),
@@ -197,6 +246,7 @@ func readFrame(r io.Reader) (*frame, error) {
 		seq:   binary.LittleEndian.Uint64(body[26:]),
 		ack:   binary.LittleEndian.Uint64(body[34:]),
 		wire:  buf[:total-4],
+		buf:   fb,
 	}
 	if bodyLen > headerBytes {
 		f.payload = buf[payloadOff : total-4 : total-4]

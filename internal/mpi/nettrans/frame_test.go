@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"distfdk/internal/alloctest"
+	"distfdk/internal/mpi"
 )
 
 func crc32ChecksumIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
@@ -167,7 +168,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		if len(enc) != payloadLen(in.data, in.ctl) {
 			t.Fatalf("payloadLen(%v, %v) = %d, encoded %d bytes", in.data, in.ctl, payloadLen(in.data, in.ctl), len(enc))
 		}
-		data, ctl, err := decodePayload(enc)
+		data, ctl, err := decodePayload(floatAligned(enc))
 		if err != nil {
 			t.Fatalf("decode (%v, %v): %v", in.data, in.ctl, err)
 		}
@@ -248,10 +249,26 @@ func TestFrameForwardReusesWire(t *testing.T) {
 	}
 }
 
+// roundTrip sends data as a data frame through w (the sealed parts, as the
+// link writes them) and reads it back, delivering the message.
+func roundTrip(w *bytes.Buffer, data []float32) (mpi.Message, error) {
+	w.Reset()
+	f := &frame{kind: kindData, seq: 1, data: data}
+	for _, p := range f.seal() {
+		w.Write(p)
+	}
+	got, err := readFrame(w)
+	if err != nil {
+		return mpi.Message{}, err
+	}
+	return got.message()
+}
+
 // BenchmarkFrameCodec is the frame codec's ledger row: one []float32 data
-// frame through the sender's encode (payload into the wire buffer, header,
-// CRC) and the receiver's decode (read, CRC, payload) — the per-message
-// work of a socket world minus the socket.
+// frame through the sender's path (header and CRC sealed around the
+// sender's floats, written as one writev would) and the receiver's (read
+// into an arena buffer, CRC, delivered in place and returned to the arena)
+// — the per-message work of a socket world minus the socket.
 func BenchmarkFrameCodec(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -262,19 +279,15 @@ func BenchmarkFrameCodec(b *testing.B) {
 			for i := range data {
 				data[i] = float32(i) * 0.5
 			}
+			var w bytes.Buffer
 			b.SetBytes(int64(4 * bc.elems))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				enc := encodeFrame(&frame{kind: kindData, seq: uint64(i + 1),
-					wire: appendPayload(newWire(payloadLen(data, nil)), data, nil)})
-				f, err := readFrame(bytes.NewReader(enc))
-				if err != nil {
-					b.Fatal(err)
+				m, err := roundTrip(&w, data)
+				if err != nil || len(m.Data) != len(data) {
+					b.Fatalf("round trip: %v", err)
 				}
-				out, _, err := decodePayload(f.payload)
-				if err != nil || len(out) != len(data) {
-					b.Fatalf("decode: %v", err)
-				}
+				mpi.PutScratch(m.Data)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"distfdk/internal/alloctest"
 )
@@ -14,10 +15,42 @@ import (
 // beyond a small multiple of the input. Their seeds run in every `go test`;
 // `make fuzz-smoke` mutates from them for 10 s per target.
 
-// allocBound is what parsing n input bytes may allocate: every buffer is
-// at most twice the bytes that arrived, plus the first readStep taken on
-// the length prefix's word, plus the values decoded from them.
+// allocBound is what parsing n input bytes may allocate: the buffers grown
+// as bytes arrived, at most a few times those bytes, plus the first
+// readStep taken on the length prefix's word, plus the values decoded.
 func allocBound(n int) uint64 { return uint64(8*n + 4*readStep) }
+
+// chunkReader hands out its bytes first in a chunk of lead bytes, then in
+// chunks of four: reads that end at every phase of the reader's 4-byte
+// words.
+type chunkReader struct {
+	b    []byte
+	lead int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), len(c.b), 4)
+	if c.lead > 0 {
+		n = min(len(p), len(c.b), c.lead)
+		c.lead = 0
+	}
+	copy(p, c.b[:n])
+	c.b = c.b[n:]
+	return n, nil
+}
+
+// sameRead reports whether two readFrame outcomes are one: the same error,
+// or frames equal field for field with the same payload bytes.
+func sameRead(a *frame, aErr error, b *frame, bErr error) bool {
+	if aErr != nil || bErr != nil {
+		return errors.Is(bErr, aErr) || aErr != nil && bErr != nil && aErr.Error() == bErr.Error()
+	}
+	return a.kind == b.kind && a.comm == b.comm && a.src == b.src && a.dst == b.dst && a.tag == b.tag &&
+		a.msgID == b.msgID && a.seq == b.seq && a.ack == b.ack && bytes.Equal(a.payload, b.payload)
+}
 
 // frameSeeds returns valid frames of every kind and the ways the wire
 // breaks them.
@@ -69,6 +102,16 @@ func FuzzReadFrame(f *testing.F) {
 		if got := alloctest.AllocatedBy(func() { fr, err = readFrame(bytes.NewReader(b)) }); got > allocBound(len(b)) {
 			t.Fatalf("%d input bytes allocated %d", len(b), got)
 		}
+		// However the bytes arrive, the frame is the same.
+		readers := []io.Reader{iotest.OneByteReader(bytes.NewReader(b))}
+		for lead := 1; lead <= 4; lead++ {
+			readers = append(readers, &chunkReader{b: b, lead: lead})
+		}
+		for i, r := range readers {
+			if got, gotErr := readFrame(r); !sameRead(fr, err, got, gotErr) {
+				t.Fatalf("reader %d: read %+v, %v; in one piece %+v, %v", i, got, gotErr, fr, err)
+			}
+		}
 		if err != nil {
 			if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, errCRC) &&
 				!errors.Is(err, errVersion) && !errors.Is(err, errTooLarge) && !errors.Is(err, errBadHeader) {
@@ -99,6 +142,9 @@ func FuzzDecodePayload(f *testing.F) {
 		floats[:len(floats)-1], floats[:len(floats)-4], ints[:len(ints)-3], // count larger than the bytes left
 		append(floats[:len(floats):len(floats)], 7), append(ints[:len(ints):len(ints)], 1, 2, 3, 4), // odd byte tails
 		{ptFloat32s, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}, {ptInts, 0xff, 0xff, 0xff, 0xff}, // huge counts
+		{ptFloat32s, 1, 0, 0, 0, 1, 2, 3}, {ptFloat32s, 1, 0, 0, 0, 1, 2, 3, 4, 5}, // odd-length float bodies
+		{ptFloat32s, 2, 0, 0, 0, 1, 2, 3, 4}, {ptFloat32s, 0, 0, 0, 0, 1, 2, 3, 4}, // counts off the bytes by one
+		{ptFloat32s, 1, 0, 0, 0}, {ptInts, 1, 0, 0, 0, 1, 2, 3, 4}, // a count with no or too few bytes behind it
 	} {
 		f.Add(s)
 	}
@@ -106,6 +152,7 @@ func FuzzDecodePayload(f *testing.F) {
 		var data []float32
 		var ctl []int
 		var err error
+		b = floatAligned(b)
 		if got := alloctest.AllocatedBy(func() { data, ctl, err = decodePayload(b) }); got > allocBound(len(b)) {
 			t.Fatalf("%d input bytes allocated %d", len(b), got)
 		}
@@ -119,4 +166,10 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("re-encoded payload differs:\n got %x\nwant %x", enc, b)
 		}
 	})
+}
+
+// floatAligned copies a payload to where readFrame puts one: its float body
+// (after the kind and count) on a 4-byte boundary.
+func floatAligned(b []byte) []byte {
+	return append(asBytes(make([]float32, len(b)/4+2))[3:3], b...)
 }

@@ -2,25 +2,26 @@ package nettrans
 
 import (
 	"bufio"
-	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"distfdk/internal/fault"
 )
 
-// wireItem is one reliable frame queued on a link: the frame, its cached
-// encoding (built on first write, reused verbatim on replay) and how many
-// times it has been written (for the retransmit counter). chaos marks
-// frames originated by this process's ranks — only those pass the wire
-// fault layer, so injected schedules count occurrences in program send
-// order regardless of how many hops a frame takes.
+// wireItem is one reliable frame queued on a link: the frame (sealed on
+// first write, resent verbatim on replay) and its write count (for the
+// retransmit counter). chaos marks frames originated by this process's
+// ranks — only those pass the wire fault layer, so injected schedules
+// count occurrences in program send order however many hops a frame takes.
+// An ack covering the frame the writer holds (writing) sets acked; the
+// writer then releases it.
 type wireItem struct {
-	f      *frame
-	enc    []byte
-	writes int
-	chaos  bool
+	f              *frame
+	writes         int
+	chaos          bool
+	writing, acked bool
 }
 
 // link is one reliable, reconnectable stream between this process and a
@@ -57,6 +58,10 @@ type link struct {
 	sinceAck int // reliable frames delivered since the last ack we sent
 
 	wmu sync.Mutex // serialises raw conn writes (writer, heartbeats, acks)
+	vec [3][]byte  // backs out, under wmu
+	out net.Buffers
+
+	turn *sync.Cond // on mu: sentSeq moved, or the connection went away
 
 	notify   chan struct{} // writer wake-up
 	redial   chan struct{} // connector wake-up (worker links)
@@ -70,12 +75,14 @@ type link struct {
 const ackEvery = 64
 
 func newLink(n *Node, proc int) *link {
-	return &link{n: n, proc: proc,
+	l := &link{n: n, proc: proc,
 		notify:  make(chan struct{}, 1),
 		redial:  make(chan struct{}, 1),
 		stopped: make(chan struct{}),
 		down:    true,
 	}
+	l.turn = sync.NewCond(&l.mu)
+	return l
 }
 
 func (l *link) bump(ch chan struct{}) {
@@ -99,7 +106,6 @@ func (l *link) engage() {
 	l.mu.Unlock()
 	go l.writeLoop()
 	go l.monitorLoop()
-	go l.heartbeatLoop()
 	if !l.n.isHub() {
 		go l.dialLoop()
 		l.bump(l.redial)
@@ -113,6 +119,7 @@ func (l *link) stop() {
 		l.conn.Close()
 		l.conn = nil
 	}
+	l.turn.Broadcast()
 	l.mu.Unlock()
 }
 
@@ -132,12 +139,27 @@ func (l *link) enqueue(f *frame, chaos bool) bool {
 	return true
 }
 
-// handleAck prunes frames the peer has durably received.
+// awaitTurn blocks until the writer has had its turn on the frame numbered
+// seq, or until there is no connection to put it on (the replay will).
+func (l *link) awaitTurn(seq uint64) {
+	l.mu.Lock()
+	for l.sentSeq < seq && l.conn != nil && !l.dead {
+		l.turn.Wait()
+	}
+	l.mu.Unlock()
+}
+
+// handleAck prunes frames the peer has durably received and returns their
+// buffers to the arena — the frame the writer holds once it is done.
 func (l *link) handleAck(ack uint64) {
 	l.mu.Lock()
 	drop := 0
-	for drop < len(l.pending) && l.pending[drop].f.seq <= ack {
-		drop++
+	for ; drop < len(l.pending) && l.pending[drop].f.seq <= ack; drop++ {
+		if it := l.pending[drop]; it.writing {
+			it.acked = true
+		} else {
+			it.f.release()
+		}
 	}
 	if drop > 0 {
 		l.pending = append([]*wireItem(nil), l.pending[drop:]...)
@@ -186,17 +208,19 @@ func (l *link) connBroken(gen int) {
 	l.conn = nil
 	l.down = true
 	l.downSince = time.Now()
+	l.turn.Broadcast()
 	l.mu.Unlock()
 	l.bump(l.redial)
 }
 
-// rawWrite writes pre-encoded bytes on conn under the write mutex with
-// the configured write deadline; on failure the generation's connection
-// is torn down.
-func (l *link) rawWrite(conn net.Conn, gen int, b []byte) bool {
+// rawWrite writes a frame's parts on conn as one writev, under the write
+// mutex with the configured write deadline; on failure the generation's
+// connection is torn down.
+func (l *link) rawWrite(conn net.Conn, gen int, parts ...[]byte) bool {
 	l.wmu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.WriteTimeout))
-	_, err := conn.Write(b)
+	l.out = append(l.vec[:0], parts...)
+	_, err := l.out.WriteTo(conn)
 	l.wmu.Unlock()
 	if err != nil {
 		l.connBroken(gen)
@@ -219,6 +243,7 @@ func (l *link) writeLoop() {
 		var item *wireItem
 		if conn != nil && l.nextWrite < len(l.pending) {
 			item = l.pending[l.nextWrite]
+			item.writing = true
 			l.nextWrite++
 		}
 		l.mu.Unlock()
@@ -230,13 +255,16 @@ func (l *link) writeLoop() {
 				return
 			}
 		}
-		if l.put(conn, gen, item) {
-			l.mu.Lock()
-			if gen == l.gen {
-				l.sentSeq = item.f.seq
-			}
-			l.mu.Unlock()
+		turned := l.put(conn, gen, item)
+		l.mu.Lock()
+		if turned && gen == l.gen {
+			l.sentSeq = item.f.seq
 		}
+		if item.writing = false; item.acked {
+			item.f.release()
+		}
+		l.turn.Broadcast()
+		l.mu.Unlock()
 	}
 }
 
@@ -244,9 +272,7 @@ func (l *link) writeLoop() {
 // layer when this process originated it. It reports whether that turn is
 // over; false means a sever rule cut the connection before the write.
 func (l *link) put(conn net.Conn, gen int, item *wireItem) bool {
-	if item.enc == nil {
-		item.enc = encodeFrame(item.f)
-	}
+	parts := item.f.seal()
 	retransmit := item.writes > 0
 	item.writes++
 	if retransmit {
@@ -272,35 +298,33 @@ func (l *link) put(conn net.Conn, gen int, item *wireItem) bool {
 			return true
 		}
 		if inj.Hit(fault.OpFrameCorrupt, rank) != nil {
-			mut := append([]byte(nil), item.enc...)
+			mut := slices.Concat(parts...)
 			mut[len(mut)-1] ^= 0x40 // inside the CRC trailer
 			l.rawWrite(conn, gen, mut)
 			l.n.st.framesSent.Inc()
 			return true // peer CRC-fails, reconnects, replay delivers it
 		}
 		if inj.Hit(fault.OpFrameDup, rank) != nil {
-			if l.rawWrite(conn, gen, item.enc) {
-				l.rawWrite(conn, gen, item.enc)
+			if l.rawWrite(conn, gen, parts...) {
+				l.rawWrite(conn, gen, parts...)
 				l.n.st.framesSent.Add(2)
 			}
 			return true
 		}
 	}
-	if l.rawWrite(conn, gen, item.enc) {
+	if l.rawWrite(conn, gen, parts...) {
 		l.n.st.framesSent.Inc()
 	}
 	return true
 }
 
 // heartbeat writes the liveness probe directly, outside the replay
-// buffer: the ack field carries the cumulative receive cursor (the reader
-// also sends one early as a bare ack), the seq field advertises the send
-// cursor so a peer can detect silently dropped tails without waiting for
-// more data. The send cursor is what has had its turn on the connection
-// the probe is written to, not what has been assigned: a heartbeat
-// overtakes the frames still queued behind the writer, and advertising
-// those made the peer see a gap on a clean wire and cycle the connection
-// (the fault-free reconnect flicker).
+// buffer: ack carries the cumulative receive cursor (the reader also sends
+// one early as a bare ack), seq the send cursor, so a peer detects a
+// silently dropped tail without waiting for more data. The send cursor is
+// what has had its turn on this connection, not what has been assigned:
+// advertising frames still queued behind the writer showed the peer a gap
+// on a clean wire (the fault-free reconnect flicker).
 func (l *link) heartbeat() {
 	l.mu.Lock()
 	conn, gen := l.conn, l.gen
@@ -311,22 +335,10 @@ func (l *link) heartbeat() {
 	}
 }
 
-func (l *link) heartbeatLoop() {
-	t := time.NewTicker(l.n.cfg.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.heartbeat()
-		case <-l.stopped:
-			return
-		}
-	}
-}
-
-// monitorLoop is the failure detector: a connected-but-silent peer gets
-// its connection cycled (forcing the reconnect path to probe it), and a
-// peer unreachable past DeathAfter is declared dead.
+// monitorLoop sends the heartbeat and is the failure detector: a
+// connected-but-silent peer gets its connection cycled (forcing the
+// reconnect path to probe it), and a peer unreachable past DeathAfter is
+// declared dead.
 func (l *link) monitorLoop() {
 	t := time.NewTicker(l.n.cfg.Heartbeat)
 	defer t.Stop()
@@ -336,6 +348,7 @@ func (l *link) monitorLoop() {
 			return
 		case <-t.C:
 		}
+		l.heartbeat()
 		l.mu.Lock()
 		if l.dead {
 			l.mu.Unlock()
@@ -379,6 +392,7 @@ func (l *link) declareDead() {
 		l.conn.Close()
 		l.conn = nil
 	}
+	l.turn.Broadcast()
 	l.mu.Unlock()
 	l.bump(l.notify)
 	l.n.peerDead(l.proc)
@@ -401,9 +415,6 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			if err == errCRC {
 				l.n.st.crcErrors.Inc()
 			}
-			if err != io.EOF {
-				_ = err
-			}
 			l.connBroken(gen)
 			return
 		}
@@ -415,6 +426,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			l.handleAck(f.ack)
 		}
 		if f.seq == 0 || f.kind == kindHeartbeat {
+			f.release()
 			// Heartbeats advertise the peer's send cursor in seq: a cursor
 			// past what we've seen means the tail was dropped — force the
 			// replay path instead of waiting for traffic.
@@ -434,6 +446,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 		case f.seq <= l.recvSeq:
 			l.mu.Unlock()
 			l.n.st.dupFrames.Inc()
+			f.release()
 			continue
 		case f.seq == l.recvSeq+1:
 			l.recvSeq++
@@ -444,6 +457,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			}
 			l.mu.Unlock()
 			l.n.handleFrame(l.proc, f)
+			f.release()
 			if needAck {
 				l.heartbeat()
 			}
@@ -511,11 +525,10 @@ func (l *link) dialOnce() bool {
 	// reads, so the connection hands the next byte to the read loop.
 	reply, err := readFrame(conn)
 	conn.SetReadDeadline(time.Time{})
-	if err != nil || reply.kind != kindHelloAck {
-		conn.Close()
-		return false
+	var accept []int
+	if err == nil && reply.kind == kindHelloAck {
+		accept, _ = decodeInts(reply.payload)
 	}
-	accept, _ := decodeInts(reply.payload)
 	if len(accept) < 1 || accept[0] != 1 {
 		conn.Close()
 		return false

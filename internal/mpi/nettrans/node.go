@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,17 +62,14 @@ func (c *Config) fill() {
 	if c.Procs <= 0 {
 		c.Procs = 1
 	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 100 * time.Millisecond
-	}
-	if c.DeathAfter <= 0 {
-		c.DeathAfter = 3 * time.Second
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = 20 * time.Millisecond
-	}
-	if c.MaxDialBackoff <= 0 {
-		c.MaxDialBackoff = time.Second
+	for _, d := range []struct {
+		v   *time.Duration
+		def time.Duration
+	}{{&c.Heartbeat, 100 * time.Millisecond}, {&c.DeathAfter, 3 * time.Second},
+		{&c.DialBackoff, 20 * time.Millisecond}, {&c.MaxDialBackoff, time.Second}} {
+		if *d.v <= 0 {
+			*d.v = d.def
+		}
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = c.DeathAfter
@@ -102,12 +100,9 @@ func newStats(reg *telemetry.Registry) *stats {
 	}
 }
 
-type doneRec struct {
-	ok   bool
-	lost []int
-}
-
-type verdictRec struct {
+// outcome is one process's end-of-attempt report (done) or the hub's
+// world verdict, which also names the procs it found dead.
+type outcome struct {
 	ok   bool
 	lost []int
 	dead []int
@@ -143,8 +138,8 @@ type Node struct {
 	// the epoch when Run reaches it.
 	joins    map[int]map[int]uint64 // epoch -> proc -> assignment hash
 	starts   map[int]bool           // epoch -> hub's start received (worker)
-	dones    map[int]map[int]*doneRec
-	verdicts map[int]*verdictRec
+	dones    map[int]map[int]*outcome
+	verdicts map[int]*outcome
 }
 
 // NewNode builds this process's endpoint. The hub starts listening
@@ -160,8 +155,8 @@ func NewNode(cfg Config) (*Node, error) {
 		links:     map[int]*link{},
 		joins:     map[int]map[int]uint64{},
 		starts:    map[int]bool{},
-		dones:     map[int]map[int]*doneRec{},
-		verdicts:  map[int]*verdictRec{},
+		dones:     map[int]map[int]*outcome{},
+		verdicts:  map[int]*outcome{},
 	}
 	if n.isHub() {
 		ln, err := net.Listen(cfg.Network, cfg.Addr)
@@ -289,38 +284,31 @@ func (n *Node) handshake(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(n.cfg.WriteTimeout))
 	f, err := readFrame(conn)
 	conn.SetReadDeadline(time.Time{})
-	if err != nil || f.kind != kindHello {
-		conn.Close()
-		return
+	var ints []int
+	if err == nil && f.kind == kindHello {
+		ints, _ = decodeInts(f.payload)
 	}
-	ints, ok := decodeInts(f.payload)
-	if !ok || len(ints) < 1 {
+	if len(ints) < 1 {
 		conn.Close()
 		return
 	}
 	proc := ints[0]
 	n.mu.Lock()
 	l := n.links[proc]
+	// A dead proc stays dead: its epoch state diverged the moment the
+	// world shrank without it.
 	rejected := l == nil || n.deadProcs[proc] || n.closed
 	n.mu.Unlock()
-	reply := func(accept int, ack uint64) bool {
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
-		_, werr := conn.Write(encodeFrame(&frame{kind: kindHelloAck, ack: ack,
-			payload: encodeInts(accept)}))
-		return werr == nil
+	accept, ack := 0, uint64(0)
+	if !rejected {
+		l.engage()
+		l.mu.Lock()
+		accept, ack = 1, l.recvSeq
+		l.mu.Unlock()
 	}
-	if rejected {
-		// A dead proc stays dead: its epoch state diverged the moment the
-		// world shrank without it.
-		reply(0, 0)
-		conn.Close()
-		return
-	}
-	l.engage()
-	l.mu.Lock()
-	ack := l.recvSeq
-	l.mu.Unlock()
-	if !reply(1, ack) {
+	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	_, werr := conn.Write(encodeFrame(&frame{kind: kindHelloAck, ack: ack, payload: encodeInts(accept)}))
+	if rejected || werr != nil {
 		conn.Close()
 		return
 	}
@@ -347,25 +335,27 @@ func (n *Node) route(w *World, f *frame, origin bool) bool {
 	return l.enqueue(f, origin && f.kind == kindData)
 }
 
+// broadcast queues one control frame on the link to every live process but
+// exclude and returns the frames, numbered.
+func (n *Node) broadcast(kind frameKind, payload []byte, exclude int) map[*link]*frame {
+	n.mu.Lock()
+	out := map[*link]*frame{}
+	for p, l := range n.links {
+		if p != exclude && !n.deadProcs[p] {
+			out[l] = &frame{kind: kind, payload: payload}
+		}
+	}
+	n.mu.Unlock()
+	for l, f := range out {
+		l.enqueue(f, false)
+	}
+	return out
+}
+
 // broadcastLost ships a loss report to every other live process (workers
 // tell the hub; the hub fans out, excluding the reporting proc).
 func (n *Node) broadcastLost(w *World, ranks []int, exclude int) {
-	payload := encodeInts(append([]int{w.epoch}, ranks...)...)
-	n.mu.Lock()
-	var targets []*link
-	if n.isHub() {
-		for p, l := range n.links {
-			if p != exclude && !n.deadProcs[p] {
-				targets = append(targets, l)
-			}
-		}
-	} else if exclude != 0 {
-		targets = append(targets, n.links[0])
-	}
-	n.mu.Unlock()
-	for _, l := range targets {
-		l.enqueue(&frame{kind: kindLost, payload: payload}, false)
-	}
+	n.broadcast(kindLost, encodeInts(append([]int{w.epoch}, ranks...)...), exclude)
 }
 
 // peerDead reacts to a link's death verdict: the proc is excluded from
@@ -384,16 +374,9 @@ func (n *Node) peerDead(proc int) {
 	if es == nil || es.world == nil {
 		return
 	}
-	var lost []int
-	if n.isHub() || proc != 0 {
-		lost = append(lost, es.assign[proc]...)
-	} else {
-		// The hub died: every rank not hosted here is unreachable.
-		for r, p := range es.world.rankProc {
-			if p != n.cfg.Proc {
-				lost = append(lost, r)
-			}
-		}
+	lost := es.assign[proc]
+	if !n.isHub() && proc == 0 {
+		lost = es.world.procRanks(-1) // the hub died: the rest is unreachable
 	}
 	fresh := es.world.noteLost(lost, true)
 	if n.isHub() && len(fresh) > 0 {
@@ -404,8 +387,7 @@ func (n *Node) peerDead(proc int) {
 // handleFrame dispatches one delivered reliable frame from peer proc.
 // It runs on the link reader goroutine and must never block.
 func (n *Node) handleFrame(from int, f *frame) {
-	switch f.kind {
-	case kindData:
+	if f.kind == kindData {
 		w := n.curWorld()
 		if w == nil {
 			n.st.staleDrops.Inc()
@@ -417,95 +399,71 @@ func (n *Node) handleFrame(from int, f *frame) {
 			return
 		}
 		if w.local[dst] {
-			data, ctl, err := decodePayload(f.payload)
+			m, err := f.message()
 			if err != nil {
 				n.st.decodeErrors.Inc()
 				return
 			}
-			w.box(f.comm, f.src, f.dst).push(mpi.Message{Tag: int(f.tag), ID: f.msgID, Data: data, Ctl: ctl})
+			w.box(f.comm, f.src, f.dst).push(m)
 			return
 		}
 		if n.isHub() {
 			// Forward leg: re-stamped for the destination's link with a
-			// fresh link sequence number, payload untouched and uncopied.
+			// fresh link sequence number, payload untouched and uncopied;
+			// the read buffer goes with it and back to the arena on its ack.
 			fwd := &frame{kind: kindData, comm: f.comm, src: f.src, dst: f.dst,
-				tag: f.tag, msgID: f.msgID, wire: f.wire}
+				tag: f.tag, msgID: f.msgID, wire: f.wire, buf: f.buf}
+			f.buf = nil
 			if !n.route(w, fwd, false) {
 				n.st.staleDrops.Inc()
 			}
 			return
 		}
 		n.st.staleDrops.Inc()
-	case kindLost:
-		ints, ok := decodeInts(f.payload)
-		if !ok || len(ints) < 2 {
-			return
-		}
-		epoch, ranks := ints[0], ints[1:]
+		return
+	}
+	// Control frames: control ints, the epoch first.
+	ints, ok := decodeInts(f.payload)
+	if !ok || len(ints) < 1 {
+		return
+	}
+	epoch := ints[0]
+	if f.kind == kindLost {
 		w := n.curWorld()
 		if w == nil || w.epoch != epoch {
 			n.st.staleDrops.Inc()
-			return
-		}
-		fresh := w.noteLost(ranks, true)
-		if n.isHub() && len(fresh) > 0 {
+		} else if fresh := w.noteLost(ints[1:], true); n.isHub() && len(fresh) > 0 {
 			n.broadcastLost(w, fresh, from)
 		}
-	case kindStart:
-		ints, ok := decodeInts(f.payload)
-		if !ok || len(ints) < 1 {
-			return
+		return
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch {
+	case f.kind == kindStart && n.isHub():
+		var hash uint64
+		if len(ints) >= 3 {
+			hash = uint64(ints[1])<<32 | uint64(uint32(ints[2]))
 		}
-		epoch := ints[0]
-		n.mu.Lock()
-		if n.isHub() {
-			var hash uint64
-			if len(ints) >= 3 {
-				hash = uint64(ints[1])<<32 | uint64(uint32(ints[2]))
-			}
-			if n.joins[epoch] == nil {
-				n.joins[epoch] = map[int]uint64{}
-			}
-			n.joins[epoch][from] = hash
-		} else {
-			n.starts[epoch] = true
+		if n.joins[epoch] == nil {
+			n.joins[epoch] = map[int]uint64{}
 		}
-		n.bumpLocked()
-		n.mu.Unlock()
-	case kindDone:
-		ints, ok := decodeInts(f.payload)
-		if !ok || len(ints) < 2 {
-			return
-		}
-		epoch := ints[0]
-		rec := &doneRec{ok: ints[1] == 1, lost: append([]int(nil), ints[2:]...)}
-		n.mu.Lock()
+		n.joins[epoch][from] = hash
+	case f.kind == kindStart:
+		n.starts[epoch] = true
+	case f.kind == kindDone && len(ints) >= 2:
 		if n.dones[epoch] == nil {
-			n.dones[epoch] = map[int]*doneRec{}
+			n.dones[epoch] = map[int]*outcome{}
 		}
-		n.dones[epoch][from] = rec
-		n.bumpLocked()
-		n.mu.Unlock()
-	case kindVerdict:
-		ints, ok := decodeInts(f.payload)
-		if !ok || len(ints) < 3 {
-			return
-		}
-		epoch, okFlag, nLost := ints[0], ints[1], ints[2]
-		if len(ints) < 3+nLost {
-			return
-		}
-		rec := &verdictRec{ok: okFlag == 1,
-			lost: append([]int(nil), ints[3:3+nLost]...),
-			dead: append([]int(nil), ints[3+nLost:]...)}
-		n.mu.Lock()
-		n.verdicts[epoch] = rec
-		for _, p := range rec.dead {
+		n.dones[epoch][from] = &outcome{ok: ints[1] == 1, lost: ints[2:]}
+	case f.kind == kindVerdict && len(ints) >= 3 && ints[2] >= 0 && len(ints) >= 3+ints[2]:
+		v := &outcome{ok: ints[1] == 1, lost: ints[3 : 3+ints[2]], dead: ints[3+ints[2]:]}
+		n.verdicts[epoch] = v
+		for _, p := range v.dead {
 			n.deadProcs[p] = true
 		}
-		n.bumpLocked()
-		n.mu.Unlock()
 	}
+	n.bumpLocked()
 }
 
 // assignHash fingerprints (size, assignment) so formation catches
@@ -553,15 +511,11 @@ func (n *Node) Run(size int, assign [][]int, opt mpi.Options, fn func(c *mpi.Com
 		n.mu.Lock()
 		n.cur = nil
 		// Prune control buffers from settled epochs.
-		for _, m := range []func(int){
-			func(k int) { delete(n.joins, k) },
-			func(k int) { delete(n.starts, k) },
-			func(k int) { delete(n.dones, k) },
-			func(k int) { delete(n.verdicts, k) },
-		} {
-			for k := e - 4; k <= e-2; k++ {
-				m(k)
-			}
+		for k := e - 4; k <= e-2; k++ {
+			delete(n.joins, k)
+			delete(n.starts, k)
+			delete(n.dones, k)
+			delete(n.verdicts, k)
 		}
 		n.bumpLocked()
 		n.mu.Unlock()
@@ -635,15 +589,8 @@ func (n *Node) formAsWorker(es *epochState, hash uint64, timeout time.Duration) 
 // hubLostErr attributes every non-local rank as lost (the hub is the
 // routing spine; without it the rest of the world is unreachable).
 func (n *Node) hubLostErr(es *epochState) error {
-	var lost []int
-	for p, ranks := range es.assign {
-		if p != n.cfg.Proc {
-			lost = append(lost, ranks...)
-		}
-	}
-	sort.Ints(lost)
 	return fmt.Errorf("nettrans: hub unreachable: %w",
-		&mpi.RankLostError{Rank: -1, Peer: 0, Op: "formation", Lost: lost})
+		&mpi.RankLostError{Rank: -1, Peer: 0, Op: "formation", Lost: es.world.procRanks(-1)})
 }
 
 // formAsHub waits for every live process to join the epoch with a
@@ -694,45 +641,28 @@ func (n *Node) formAsHub(es *epochState, hash uint64, timeout time.Duration) err
 		sort.Ints(lost)
 		n.mu.Lock()
 		dead := append([]int(nil), missing...)
-		n.verdicts[e] = &verdictRec{ok: false, lost: lost, dead: dead}
+		n.verdicts[e] = &outcome{ok: false, lost: lost, dead: dead}
 		n.mu.Unlock()
-		n.broadcastVerdict(e, &verdictRec{ok: false, lost: lost, dead: dead})
+		n.broadcastVerdict(e, &outcome{ok: false, lost: lost, dead: dead})
 		return &mpi.RankLostError{Rank: -1, Peer: -1, Op: "formation", Lost: lost}
 	}
-	start := encodeInts(e)
-	n.mu.Lock()
-	var targets []*link
-	for p, l := range n.links {
-		if !n.deadProcs[p] {
-			targets = append(targets, l)
-		}
-	}
-	n.mu.Unlock()
-	for _, l := range targets {
-		l.enqueue(&frame{kind: kindStart, payload: start}, false)
-	}
+	n.broadcast(kindStart, encodeInts(e), -1)
 	return nil
 }
 
-// broadcastVerdict ships the epoch outcome to every live worker.
-func (n *Node) broadcastVerdict(epoch int, v *verdictRec) {
+// broadcastVerdict ships the epoch outcome to every live worker and
+// returns once each link's writer has had its turn on it: the hub's caller
+// may block next (a coordinator reaping its workers does), and a verdict
+// still queued behind a blocked process holds every worker up.
+func (n *Node) broadcastVerdict(epoch int, v *outcome) {
 	okFlag := 0
 	if v.ok {
 		okFlag = 1
 	}
 	ints := append([]int{epoch, okFlag, len(v.lost)}, v.lost...)
 	ints = append(ints, v.dead...)
-	payload := encodeInts(ints...)
-	n.mu.Lock()
-	var targets []*link
-	for p, l := range n.links {
-		if !n.deadProcs[p] {
-			targets = append(targets, l)
-		}
-	}
-	n.mu.Unlock()
-	for _, l := range targets {
-		l.enqueue(&frame{kind: kindVerdict, payload: payload}, false)
+	for l, f := range n.broadcast(kindVerdict, encodeInts(ints...), -1) {
+		l.awaitTurn(f.seq)
 	}
 }
 
@@ -746,7 +676,7 @@ func (n *Node) finishEpoch(w *World, localErr error) ([]int, error) {
 	lost := append(mpi.LostRanks(localErr), w.knownLost()...)
 	sort.Ints(lost)
 	ok := localErr == nil
-	rec := &doneRec{ok: ok, lost: lost}
+	rec := &outcome{ok: ok, lost: lost}
 	verdictTimeout := 4*n.cfg.DeathAfter + time.Second
 
 	if !n.isHub() {
@@ -765,14 +695,8 @@ func (n *Node) finishEpoch(w *World, localErr error) ([]int, error) {
 		if v == nil {
 			// No verdict means the hub is gone (or unreachable past the
 			// timeout): everything not hosted here is unaccounted for.
-			var hubLost []int
-			for r, p := range w.rankProc {
-				if p != n.cfg.Proc {
-					hubLost = append(hubLost, r)
-				}
-			}
 			return nil, fmt.Errorf("nettrans: proc %d: no verdict for epoch %d: %w",
-				n.cfg.Proc, e, &mpi.RankLostError{Rank: -1, Peer: 0, Op: "verdict", Lost: hubLost})
+				n.cfg.Proc, e, &mpi.RankLostError{Rank: -1, Peer: 0, Op: "verdict", Lost: w.procRanks(-1)})
 		}
 		if v.ok {
 			return nil, nil
@@ -783,7 +707,7 @@ func (n *Node) finishEpoch(w *World, localErr error) ([]int, error) {
 	// Hub: collect everyone's outcome, fold in silent deaths, decide.
 	n.mu.Lock()
 	if n.dones[e] == nil {
-		n.dones[e] = map[int]*doneRec{}
+		n.dones[e] = map[int]*outcome{}
 	}
 	n.dones[e][0] = rec
 	n.mu.Unlock()
@@ -807,34 +731,24 @@ func (n *Node) finishEpoch(w *World, localErr error) ([]int, error) {
 		n.links[p].declareDead() // marks deadProcs via peerDead
 	}
 	n.mu.Lock()
-	set := map[int]struct{}{}
 	allOK := rec.ok
+	var union, deadNow []int
 	for _, d := range n.dones[e] {
-		if !d.ok {
-			allOK = false
-		}
-		for _, r := range d.lost {
-			set[r] = struct{}{}
-		}
+		allOK = allOK && d.ok
+		union = append(union, d.lost...)
 	}
-	var deadNow []int
 	for p := 1; p < n.cfg.Procs; p++ {
 		if n.deadProcs[p] {
 			if _, reported := n.dones[e][p]; !reported {
 				// Died without a word this epoch: its ranks are lost.
-				for _, r := range w.procRanks(p) {
-					set[r] = struct{}{}
-				}
+				union = append(union, w.procRanks(p)...)
 			}
 			deadNow = append(deadNow, p)
 		}
 	}
-	var union []int
-	for r := range set {
-		union = append(union, r)
-	}
-	sort.Ints(union)
-	v := &verdictRec{ok: allOK && len(union) == 0, lost: union, dead: deadNow}
+	slices.Sort(union)
+	union = slices.Compact(union)
+	v := &outcome{ok: allOK && len(union) == 0, lost: union, dead: deadNow}
 	n.verdicts[e] = v
 	n.mu.Unlock()
 	n.broadcastVerdict(e, v)

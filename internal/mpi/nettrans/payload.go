@@ -3,8 +3,9 @@ package nettrans
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"slices"
+	"unsafe"
+
+	"distfdk/internal/mpi"
 )
 
 // Payload codec, wire version 2: what an mpi.Message may carry — nothing, a
@@ -16,9 +17,12 @@ import (
 //	ptInts     | u32 n | n × u64 two's complement
 //
 // Floats travel by bit pattern, so a reduction over sockets is
-// bit-identical to one in process. A payload's length must be exactly what
-// its kind and count imply: there is one encoding per value, and a count
-// larger than the bytes behind it is refused before anything is allocated.
+// bit-identical to one in process. On a little-endian target (the only kind
+// this package builds for, see bigendian.go) a float body's wire bytes are
+// its memory, so floats are written from and read into place. A payload's
+// length must be exactly what its kind and count imply: there is one
+// encoding per value, and a count larger than the bytes behind it is
+// refused before anything is allocated.
 const (
 	ptNil uint8 = iota
 	ptFloat32s
@@ -49,12 +53,7 @@ func appendPayload(buf []byte, data []float32, ctl []int) []byte {
 	case data != nil:
 		buf = append(buf, ptFloat32s)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
-		off := len(buf)
-		buf = slices.Grow(buf, 4*len(data))[:off+4*len(data)]
-		body := buf[off:]
-		for i, x := range data {
-			binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(x))
-		}
+		buf = append(buf, asBytes(data)...)
 	default:
 		buf = append(buf, ptNil)
 	}
@@ -62,7 +61,8 @@ func appendPayload(buf []byte, data []float32, ctl []int) []byte {
 }
 
 // decodePayload is appendPayload's inverse: an empty slice stays empty and
-// non-nil, so encode(decode(b)) == b for every b it accepts.
+// non-nil, so encode(decode(b)) == b for every b it accepts. A float body is
+// returned in place, as a view of b.
 func decodePayload(b []byte) (data []float32, ctl []int, err error) {
 	if len(b) == 0 {
 		return nil, nil, fmt.Errorf("nettrans: empty payload")
@@ -88,16 +88,39 @@ func decodePayload(b []byte) (data []float32, ctl []int, err error) {
 	if len(body)%width != 0 || len(body)/width != n {
 		return nil, nil, fmt.Errorf("nettrans: payload declares %d elements of %d bytes with %d bytes left", n, width, len(body))
 	}
-	if kind == ptInts {
-		ctl = make([]int, n)
-		for i := range ctl {
-			ctl[i] = int(binary.LittleEndian.Uint64(body[8*i:]))
-		}
-		return nil, ctl, nil
+	if kind == ptFloat32s {
+		return asFloats(body), nil, nil
 	}
-	data = make([]float32, n)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
+	ctl = make([]int, n)
+	for i := range ctl {
+		ctl[i] = int(binary.LittleEndian.Uint64(body[8*i:]))
 	}
-	return data, nil, nil
+	return nil, ctl, nil
+}
+
+// message is the mpi.Message a delivered data frame carries. Its floats
+// slide to the front of the frame's arena buffer, which becomes Data: from
+// there the receiver returns it to the class it came from, however often
+// it is reused (a 36 KiB slide costs a sixth of its CRC).
+func (f *frame) message() (mpi.Message, error) {
+	data, ctl, err := decodePayload(f.payload)
+	if err != nil {
+		return mpi.Message{}, err
+	}
+	if data != nil {
+		data = f.buf[:copy(f.buf, data)]
+		f.buf = nil
+	}
+	return mpi.Message{Tag: int(f.tag), ID: f.msgID, Data: data, Ctl: ctl}, nil
+}
+
+// asBytes is s's memory as bytes.
+func asBytes(s []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
+}
+
+// asFloats is b's memory as float32s (non-nil when b is); b's length is a
+// multiple of 4, and b starts on a 4-byte boundary where readFrame put it.
+func asFloats(b []byte) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
 }

@@ -23,6 +23,10 @@ func (b *inbox) push(m mpi.Message) {
 	b.mu.Lock()
 	b.q = append(b.q, m)
 	b.mu.Unlock()
+	b.signal()
+}
+
+func (b *inbox) signal() {
 	select {
 	case b.sig <- struct{}{}:
 	default:
@@ -39,40 +43,30 @@ func (b *inbox) pop(deadline time.Duration, cancel <-chan struct{}) (mpi.Message
 		defer t.Stop()
 		timeout = t.C
 	}
+	var failErr error
 	for {
 		b.mu.Lock()
 		if len(b.q) > 0 {
 			m := b.q[0]
 			b.q = b.q[1:]
 			if len(b.q) > 0 {
-				select {
-				case b.sig <- struct{}{}:
-				default:
-				}
+				b.signal()
 			}
 			b.mu.Unlock()
 			return m, nil
 		}
 		b.mu.Unlock()
+		if failErr != nil {
+			return mpi.Message{}, failErr
+		}
 		select {
 		case <-b.sig:
 		case <-cancel:
-			return b.take(mpi.ErrTransportCanceled)
+			failErr = mpi.ErrTransportCanceled
 		case <-timeout:
-			return b.take(mpi.ErrTransportTimeout)
+			failErr = mpi.ErrTransportTimeout
 		}
 	}
-}
-
-func (b *inbox) take(failErr error) (mpi.Message, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.q) > 0 {
-		m := b.q[0]
-		b.q = b.q[1:]
-		return m, nil
-	}
-	return mpi.Message{}, failErr
 }
 
 type boxKey struct {
@@ -159,10 +153,13 @@ func (w *World) Send(comm int32, src, dst int, m mpi.Message, deadline time.Dura
 	if headerBytes+n > maxFrameBytes {
 		return fmt.Errorf("%w: message body of %d bytes", errTooLarge, headerBytes+n)
 	}
-	// The one copy a remote send costs: the payload is encoded straight
-	// into the frame's wire buffer, before Send returns.
+	// No copy: a float32 body goes on the wire from the caller's slice,
+	// which the link returns to the arena when the peer acks the frame.
 	f := &frame{kind: kindData, comm: comm, src: int32(src), dst: int32(dst),
-		tag: int32(m.Tag), msgID: m.ID, wire: appendPayload(newWire(n), m.Data, m.Ctl)}
+		tag: int32(m.Tag), msgID: m.ID, data: m.Data}
+	if m.Data == nil {
+		f.wire = appendPayload(newWire(n), nil, m.Ctl)
+	}
 	if !w.n.route(w, f, true) {
 		return &mpi.PeerLostError{Lost: w.procRanks(w.rankProc[dst])}
 	}
@@ -190,11 +187,12 @@ func (w *World) deadPeers(dst int) []int {
 	return nil
 }
 
-// procRanks lists this world's ranks hosted by proc p.
+// procRanks lists this world's ranks hosted by proc p, ascending; p == -1
+// lists those hosted by every other process than this one.
 func (w *World) procRanks(p int) []int {
 	var out []int
 	for r, rp := range w.rankProc {
-		if rp == p {
+		if rp == p || p == -1 && rp != w.n.cfg.Proc {
 			out = append(out, r)
 		}
 	}

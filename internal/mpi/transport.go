@@ -34,9 +34,11 @@ type Message struct {
 // RankLostError with the operation's coordinates. A transport that has
 // declared peers dead returns a *PeerLostError naming them.
 //
-// Ownership: a sent slice belongs to the receiver. A transport may hand the
-// very slice to a local receiver or copy it onto a wire before Send
-// returns; it never reads it after Send returns.
+// Ownership: a sent slice belongs to the transport until the receiver has
+// it — a local receiver at once, a remote one when its acknowledgement
+// releases the frame, and the socket transport then returns the slice to
+// the arena. A received slice belongs to the receiver, who returns it to
+// the arena when it is arena scratch.
 type Transport interface {
 	Send(comm int32, src, dst int, m Message, deadline time.Duration, cancel <-chan struct{}) error
 	Recv(comm int32, src, dst int, deadline time.Duration, cancel <-chan struct{}) (Message, error)

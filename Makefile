@@ -134,12 +134,13 @@ status-smoke:
 # bit-identical, permanent faults must surface typed and bounded with zero
 # leaked goroutines — the goroutine-settle check is part of the matrix),
 # kill-and-resume, the deadline/teardown suite, the pipeline's drain on a
-# stage failure and the journal/atomic-write storage tests, all under the
-# race detector. -count=1 defeats the test
-# cache so the schedules actually re-run.
+# stage failure (a failed batch hands its slab back, so a pipelined rank
+# returns instead of waiting for it) and the journal/atomic-write storage
+# tests, all under the race detector. -count=1 defeats the test cache so
+# the schedules actually re-run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers' \
+		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestPipelinedFailure|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers' \
 		./internal/core/ ./internal/mpi/ ./internal/mpi/nettrans/ ./internal/fault/ ./internal/storage/ ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/fault/
 

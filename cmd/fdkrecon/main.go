@@ -158,7 +158,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *journal != "" && plan.Ranks() == 1 {
-		log.Fatal("-journal requires multi-rank mode (-groups/-ranks > 1); a single-rank run writes its volume directly")
+		log.Fatal("-journal requires multi-rank mode (-groups/-ranks > 1): a single-rank run streams to -o, but only a multi-rank run resumes")
 	}
 	if nf.active() && plan.Ranks() == 1 {
 		log.Fatal("-world/-worker require multi-rank mode (-groups/-ranks > 1)")
@@ -166,17 +166,6 @@ func main() {
 	if *severSpec != "" && !nf.active() {
 		log.Fatal("-sever injects wire faults; it needs -world/-worker (the in-process world has no wire)")
 	}
-	// Durable mode streams slabs to disk through a SlabWriter instead of
-	// assembling them in memory, so the sink is only built without -journal.
-	// Worker processes never assemble a volume at all.
-	var sink *core.VolumeSink
-	if *journal == "" && !nf.worker {
-		sink, err = core.NewVolumeSink(sys)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	// Telemetry is collected whenever any consumer of it was requested;
 	// otherwise every instrumented path stays at a single pointer check.
 	var run *telemetry.Run
@@ -202,14 +191,15 @@ func main() {
 		if reg == nil && *timeline {
 			reg = telemetry.NewRegistry() // the timeline is drawn from its spans
 		}
-		rep, err := core.ReconstructSingle(core.ReconOptions{
-			Plan: plan, Source: source,
-			Device: device.New("local", *memMB<<20, *workers),
-			Window: win, Sink: sink, Telemetry: reg,
+		var rep *core.ReconReport
+		streamVolume(*outPath, sys, run, func(w core.SlabSink) (err error) {
+			rep, err = core.ReconstructSingle(core.ReconOptions{
+				Plan: plan, Source: source,
+				Device: device.New("local", *memMB<<20, *workers),
+				Window: win, Sink: w, Telemetry: reg,
+			})
+			return err
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 		finishPoll()
 		fmt.Printf("reconstructed %d slabs in %v (H2D %.1f MiB, D2H %.1f MiB, kernel %s)\n",
 			rep.Slabs, rep.Elapsed.Round(1e6),
@@ -289,70 +279,73 @@ func main() {
 				traceOut: *traceOut,
 				metrics:  *metrics,
 			})
-			if sw != nil {
-				// Workers follow the same supervision decisions; all of them
-				// must land on the same recovered world and exit cleanly.
-				sw.finish(len(splitSpec(*severSpec)))
-			}
-			finishPoll()
-			// The SlabWriter already promoted the volume; voxels are only
-			// loaded back when the post-run views need them.
-			if *slice != "" || *stats {
-				vol, err := volume.LoadRaw(*outPath)
+		} else {
+			streamVolume(*outPath, sys, run, func(w core.SlabSink) error {
+				copts.Output = w
+				rep, err := core.RunDistributed(copts)
+				if rep != nil {
+					// Artifacts are written even when the run failed: a partial
+					// trace is exactly what diagnoses the failure.
+					writeTelemetry(*traceOut, *metrics, rep.Telemetry)
+				}
 				if err != nil {
-					log.Fatal(err)
-				}
-				if *slice != "" {
-					if err := vol.SavePGM(*slice, sys.NZ/2, 0, 0); err != nil {
-						log.Fatal(err)
+					if sw != nil {
+						sw.kill()
 					}
-					fmt.Printf("central slice written to %s\n", *slice)
+					return err
 				}
-				if *stats {
-					printStats(vol.Summarize())
-				}
-			}
-			printGeometry(*dsName)
-			return
-		}
-
-		copts.Output = sink
-		rep, err := core.RunDistributed(copts)
-		if rep != nil {
-			// Artifacts are written even when the run failed: a partial
-			// trace is exactly what diagnoses the failure.
-			writeTelemetry(*traceOut, *metrics, rep.Telemetry)
-		}
-		if err != nil {
-			if sw != nil {
-				sw.kill()
-			}
-			log.Fatal(err)
+				fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",
+					plan.Ranks(), *groups, *ranks, rep.Elapsed.Round(1e6),
+					float64(rep.TotalReduceBytes())/(1<<20), rep.Arithmetic())
+				fmt.Print(rep.String())
+				return nil
+			})
 		}
 		if sw != nil {
+			// Workers follow the same decisions, supervision included; all
+			// of them must exit cleanly.
 			sw.finish(len(splitSpec(*severSpec)))
 		}
 		finishPoll()
-		fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",
-			plan.Ranks(), *groups, *ranks, rep.Elapsed.Round(1e6),
-			float64(rep.TotalReduceBytes())/(1<<20), rep.Arithmetic())
-		fmt.Print(rep.String())
 	}
 
-	if err := sink.V.SaveRaw(*outPath); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("volume %dx%dx%d written to %s\n", sys.NX, sys.NY, sys.NZ, *outPath)
-	if *slice != "" {
-		if err := sink.V.SavePGM(*slice, sys.NZ/2, 0, 0); err != nil {
+	// The volume is on disk; voxels are only loaded back when the post-run
+	// views need them.
+	if *slice != "" || *stats {
+		vol, err := volume.LoadRaw(*outPath)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("central slice written to %s\n", *slice)
-	}
-	if *stats {
-		printStats(sink.V.Summarize())
+		if *slice != "" {
+			if err := vol.SavePGM(*slice, sys.NZ/2, 0, 0); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("central slice written to %s\n", *slice)
+		}
+		if *stats {
+			printStats(vol.Summarize())
+		}
 	}
 	printGeometry(*dsName)
+}
+
+// streamVolume runs one reconstruction into a SlabWriter on path and
+// promotes the volume when the run succeeds. A failed run removes the
+// partial file, so whatever path held before is left as it was.
+func streamVolume(path string, sys *geometry.System, run *telemetry.Run, reconstruct func(core.SlabSink) error) {
+	w, err := storage.NewSlabWriter(path, sys.NX, sys.NY, sys.NZ)
+	if err != nil {
+		log.Fatal(err)
+	}
+	w.SetTelemetry(run.Shared())
+	if err = reconstruct(w); err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		w.Abort()
+		log.Fatal(err)
+	}
 }
 
 // resolveInput returns the run's geometry and projection source. With an
@@ -454,7 +447,6 @@ func runSupervised(copts core.ClusterOptions, sys *geometry.System, run *telemet
 		log.Fatal(err)
 	}
 	os.Remove(cfg.journal)
-	fmt.Printf("volume %dx%dx%d written to %s\n", sys.NX, sys.NY, sys.NZ, cfg.outPath)
 }
 
 // printGeometry prints the dataset's descriptive line when its name is

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+)
+
+// peakEnv makes the test binary a launcher: it runs its command line as
+// fdkrecon in a child and prints the child's ru_maxrss in KiB. A child of
+// the test process itself would report the test process's peak when that
+// is the larger: Linux starts a vfork'd child's maxrss at its parent's
+// high-water mark. The launcher is small, so its child's figure is the
+// child's own.
+const peakEnv = "FDKRECON_TEST_PEAK"
+
+func init() {
+	if os.Getenv(peakEnv) == "" {
+		return
+	}
+	os.Unsetenv(peakEnv)
+	exe, err := os.Executable()
+	if err == nil {
+		cmd := exec.Command(exe, os.Args[1:]...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		cmd.Stderr = os.Stderr
+		if err = cmd.Run(); err == nil {
+			fmt.Println(cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss)
+			os.Exit(0)
+		}
+	}
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// A single-rank run streams its volume to -o, so its peak resident set
+// follows the ring and the one slab, not n³: two problems over one input
+// whose volumes differ 8× (64³ is 1 MiB, 128³ is 8 MiB) peak within half
+// the larger volume of each other. Thin slabs (-batches 32) keep the one
+// slab's share of the difference small, the race detector's shadow of it
+// included.
+func TestPeakRSSDoesNotTrackVolume(t *testing.T) {
+	dir := t.TempDir()
+	noisyInput(t, filepath.Join(dir, "in.fbp"))
+	peak := func(n string) int64 {
+		t.Helper()
+		out := fdkreconEnv(t, dir, []string{peakEnv + "=1"}, "-in", "in.fbp", "-dataset", "tomo_00030",
+			"-div", "16", "-n", n, "-batches", "32", "-o", "v"+n+".fbk")
+		kib, err := strconv.ParseInt(strings.TrimSpace(out), 10, 64)
+		if err != nil {
+			t.Fatalf("-n %s: launcher printed %q", n, out)
+		}
+		if kib == 0 {
+			t.Skip("this kernel reports no ru_maxrss")
+		}
+		return kib << 10
+	}
+	small, large := peak("64"), peak("128")
+	t.Logf("peak RSS %.1f MiB at 64³, %.1f MiB at 128³", float64(small)/(1<<20), float64(large)/(1<<20))
+	if d := large - small; d >= 128*128*128*4/2 || -d >= 128*128*128*4/2 {
+		t.Error("the peaks differ by half the 128³ volume or more: the run holds its volume")
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,9 +13,12 @@ import (
 
 	"distfdk/internal/device"
 	"distfdk/internal/fault"
+	"distfdk/internal/geometry"
 	"distfdk/internal/mpi"
 	"distfdk/internal/projection"
 	"distfdk/internal/storage"
+	"distfdk/internal/telemetry"
+	"distfdk/internal/volume"
 )
 
 // nonEmptyBatches counts the (group, batch) pairs a plan actually stores.
@@ -448,5 +452,98 @@ func TestReconstructSingleRetryAndResume(t *testing.T) {
 	want, _ := os.ReadFile(refPath)
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed single-device volume is not byte-identical to the uninterrupted run")
+	}
+}
+
+// shortSource serves every load but the one that ends at row hi, which
+// comes back a row short: the ring then lacks a row the slab needs, and the
+// back-projection of that batch fails.
+type shortSource struct {
+	projection.Source
+	hi int
+}
+
+func (s shortSource) LoadRows(rows geometry.RowRange, pLo, pHi int) (*projection.Stack, error) {
+	st, err := s.Source.LoadRows(rows, pLo, pHi)
+	if err == nil && rows.Hi == s.hi {
+		st.NV--
+		st.Data = st.Data[:st.NV*st.NP*st.NU]
+	}
+	return st, err
+}
+
+// failingSink stores slabs until the one at z0 == at, which it refuses.
+type failingSink struct{ at int }
+
+func (s failingSink) WriteSlab(slab *volume.Volume) error {
+	if slab.Z0 == s.at {
+		return errors.New("disk full")
+	}
+	return nil
+}
+
+// Under pipeline.Run the kernel of a batch waits for the slab the batch
+// before hands back as it leaves the rank. A batch that fails must hand it
+// back too: a store that fails at batch 1, and a back-projection that fails
+// at batch 2, of 64 one-slice batches each end the run promptly with their
+// error and leave no goroutine behind. No batch past the failure runs its
+// kernel: the slab comes back marked failed.
+func TestPipelinedFailureHandsBackSlab(t *testing.T) {
+	sys := &geometry.System{
+		DSO: 250, DSD: 350,
+		NU: 16, NV: 200, DU: 0.5, DV: 0.25,
+		NP: 8,
+		NX: 8, NY: 8, NZ: 64, DX: 0.5, DY: 0.5, DZ: 0.5,
+	}
+	full := &projection.Stack{NU: sys.NU, NP: sys.NP, NV: sys.NV, Data: make([]float32, sys.NU*sys.NP*sys.NV)}
+	for i := range full.Data {
+		full.Data[i] = 1
+	}
+	p, err := NewPlan(sys, 1, 1, sys.NZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		stage string // the stage that fails
+		batch int
+		src   projection.Source
+		sink  SlabSink
+	}{
+		{"store", 1, &projection.MemorySource{Full: full}, failingSink{at: 1}},
+		{"backproject", 2, shortSource{&projection.MemorySource{Full: full}, sys.ComputeAB(2, 3).Hi}, failingSink{at: -1}},
+	} {
+		t.Run(tc.stage, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			done := make(chan error, 1)
+			go func() {
+				_, err := ReconstructSingle(ReconOptions{Plan: p, Source: tc.src, Device: device.New("hang", 0, 2),
+					Sink: tc.sink, Telemetry: reg})
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the pipelined run did not return after a failure: a slab was not handed back")
+			}
+			if want := fmt.Sprintf("stage %q batch %d", tc.stage, tc.batch); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %v, want one from %s", err, want)
+			}
+			kernels := 0
+			for _, s := range reg.Spans() {
+				if s.Name == "backproject" {
+					kernels++
+				}
+			}
+			if kernels > tc.batch+1 {
+				t.Errorf("%d kernel invocations for a failure at batch %d: a batch past it back-projected", kernels, tc.batch)
+			}
+		})
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), base)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"distfdk/internal/backproject"
@@ -27,7 +28,7 @@ type batch struct {
 
 	skip  bool              // already durable in the checkpoint log
 	stack *projection.Stack // newly loaded rows; nil when all are resident
-	slab  *volume.Volume
+	slab  *volume.Volume    // the program's slab buffer, from backproject until the batch leaves
 }
 
 // zSchedule cuts the slices [z0, z0+nz) into batches of nb slices.
@@ -62,9 +63,14 @@ func ringDepth(sched []batch) int {
 //	load         the differential-load cursor (loaded)
 //	filter       nothing — it works on the batch's own stack
 //	upload       every ring mutation and the residency cursor (resident)
-//	backproject  the slab buffer; it only reads the ring
+//	backproject  takes the slab buffer; it only reads the ring
 //	reduce       the group collective
 //	store        the sink and the checkpoint journal
+//
+// The rank has one slab buffer, whichever executor runs it. A batch holds it
+// from back-projection until it leaves the rank — through the last stage, or
+// at the stage where it failed — so under pipeline.Run the kernel of batch
+// c+1 starts once batch c is stored.
 //
 // The ring itself is unsynchronised, so its writer and its reader must share
 // a goroutine: under pipeline.Run the upload and backproject bodies are one
@@ -99,12 +105,15 @@ type program struct {
 	parker *filter.Parker
 	mats   []geometry.Mat34x4
 	ring   *device.ProjRing
-	// slabBuf is the serial executor's one reusable slab: nothing
+	// slab holds the rank's one slab buffer while no batch does. Nothing
 	// downstream keeps a slab (reductions copy a non-root's partial sums
 	// before sending, the root accumulates in place, a SlabSink must be done
-	// with it when WriteSlab returns) and the next batch starts only after
-	// this one left the last stage.
-	slabBuf          []float32
+	// with it when WriteSlab returns), so a batch hands it back as it leaves.
+	slab chan []float32
+	// failed is set by a batch that fails while holding the slab, before it
+	// hands the slab back: a back-projection that takes it afterwards gives
+	// it back unused rather than run a batch nothing downstream will take.
+	failed           atomic.Bool
 	loaded, resident geometry.RowRange
 	last             string        // name of the rank's last stage
 	elapsed          time.Duration // of the executor, setup excluded
@@ -134,7 +143,7 @@ func (e *program) run() error {
 		return err
 	}
 	defer e.ring.Close()
-	// The device also holds one slab at a time.
+	// The device also holds the rank's one slab.
 	slabVoxels := 0
 	for _, b := range e.sched {
 		slabVoxels = max(slabVoxels, e.sys.NX*e.sys.NY*b.nz)
@@ -143,9 +152,8 @@ func (e *program) run() error {
 		return fmt.Errorf("slab buffer: %w", err)
 	}
 	defer e.Device.Free(4 * int64(slabVoxels))
-	if e.DisablePipeline {
-		e.slabBuf = make([]float32, slabVoxels)
-	}
+	e.slab = make(chan []float32, 1)
+	e.slab <- make([]float32, slabVoxels)
 	e.Device.SetTelemetry(e.Telemetry)
 	e.retry = e.Retry.Instrumented(e.Telemetry)
 	e.done.SetParent(e.Telemetry.Counter("core.batches"))
@@ -201,7 +209,8 @@ func (e *program) report() (*ReconReport, error) {
 // schedule rather than asserted out of the `any` payload; a checkpointed
 // batch is idle in every stage, so it neither loads rows, mutates the ring
 // nor stores — and never advances a cursor. A batch is executed once it has
-// left the rank's last stage.
+// left the rank's last stage; it hands the slab back there, or at the stage
+// that failed it.
 func (e *program) stage(name string, body func(*batch) error) pipeline.Stage {
 	return pipeline.Stage{Name: name, Fn: func(c int, _ any) (any, error) {
 		b := &e.sched[c]
@@ -209,6 +218,13 @@ func (e *program) stage(name string, body func(*batch) error) pipeline.Stage {
 			return nil, pipeline.Idle
 		}
 		err := body(b)
+		if b.slab != nil && (err != nil || name == e.last) {
+			if err != nil {
+				e.failed.Store(true)
+			}
+			e.slab <- b.slab.Data[:cap(b.slab.Data)]
+			b.slab = nil
+		}
 		if err == nil && name == e.last {
 			e.done.Inc()
 		}
@@ -276,14 +292,13 @@ func (e *program) upload(b *batch) error {
 }
 
 func (e *program) backproject(b *batch) error {
-	var err error
-	if e.slabBuf != nil {
-		b.slab = &volume.Volume{NX: e.sys.NX, NY: e.sys.NY, NZ: b.nz, Z0: b.z0,
-			Data: e.slabBuf[:e.sys.NX*e.sys.NY*b.nz]}
-		clear(b.slab.Data)
-	} else if b.slab, err = volume.NewSlab(e.sys.NX, e.sys.NY, b.nz, b.z0); err != nil {
-		return err
+	buf := <-e.slab // the previous batch has left the rank
+	if e.failed.Load() {
+		e.slab <- buf
+		return pipeline.Idle
 	}
+	b.slab = &volume.Volume{NX: e.sys.NX, NY: e.sys.NY, NZ: b.nz, Z0: b.z0, Data: buf[:e.sys.NX*e.sys.NY*b.nz]}
+	clear(b.slab.Data)
 	if err := backproject.Streaming(e.Device, e.ring, e.mats, b.slab, b.rows); err != nil {
 		return err
 	}
@@ -302,10 +317,8 @@ func (e *program) reduce(b *batch) error {
 }
 
 func (e *program) store(b *batch) error {
-	slab := b.slab
-	b.slab = nil
 	// Slab offsets are fixed, so a retried store is idempotent.
-	if err := e.retry.Do(func() error { return e.Sink.WriteSlab(slab) }); err != nil {
+	if err := e.retry.Do(func() error { return e.Sink.WriteSlab(b.slab) }); err != nil {
 		return err
 	}
 	if e.Checkpoint == nil {
@@ -319,7 +332,7 @@ func (e *program) store(b *batch) error {
 			return fmt.Errorf("sync: %w", err)
 		}
 	}
-	if err := e.Checkpoint.Record(slab.Z0, b.c); err != nil {
+	if err := e.Checkpoint.Record(b.z0, b.c); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

@@ -83,39 +83,62 @@ func (s *aliasSink) WriteSlab(slab *volume.Volume) error {
 	return s.VolumeSink.WriteSlab(slab)
 }
 
-// A rank back-projects every batch into one slab buffer, zeroed per batch:
-// the leader's sink sees the same storage each time, uneven last batch
-// included, and the assembled volume is the one per-batch allocation gave.
+// A rank back-projects every batch into one slab buffer, zeroed per batch,
+// whichever executor runs it: the sink sees the same storage each time,
+// uneven last batch included, and the assembled volume is the one-rank
+// distributed run's byte for byte.
 func TestDistributedReusesSlabBuffer(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
 
-	p, err := NewPlan(sys, 1, 2, 5) // 24 slices in 5 batches: the last is short
+	// 24 slices in 5 batches: four of 5 slices, the last of 4.
+	oneBuffer := func(t *testing.T, sink *aliasSink) {
+		t.Helper()
+		if len(sink.bufs) != 1 {
+			t.Errorf("slabs stored from %d buffers, want 1", len(sink.bufs))
+		}
+		for _, n := range sink.bufs {
+			if n != 5 {
+				t.Errorf("%d slabs stored from the buffer, want all 5", n)
+			}
+		}
+	}
+	newSink := func() *aliasSink {
+		vs, _ := NewVolumeSink(sys)
+		return &aliasSink{VolumeSink: VolumeSink{V: vs.V}, bufs: map[*float32]int{}}
+	}
+
+	// The serial executor, at a group leader.
+	p, err := NewPlan(sys, 1, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, _ := NewVolumeSink(sys)
-	sink := &aliasSink{VolumeSink: VolumeSink{V: vs.V}, bufs: map[*float32]int{}}
-	if _, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink}); err != nil {
+	dist := newSink()
+	if _, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: dist}); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.bufs) != 1 {
-		t.Errorf("the leader stored slabs from %d buffers, want 1", len(sink.bufs))
+	oneBuffer(t, dist)
+
+	// The pipelined executor: the store stage hands the buffer back to the
+	// kernel of the next batch.
+	p1, _ := NewPlan(sys, 1, 1, 5)
+	single := newSink()
+	if _, err := ReconstructSingle(ReconOptions{Plan: p1, Source: src, Device: device.New("single", 0, 2), Sink: single}); err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range sink.bufs {
-		if n < 2 {
-			t.Errorf("%d slabs stored: the plan did not exercise reuse", n)
+	oneBuffer(t, single)
+	twin, _ := NewVolumeSink(sys)
+	if _, err := RunDistributed(ClusterOptions{Plan: p1, Source: src, Output: twin}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range twin.V.Data {
+		if single.V.Data[i] != twin.V.Data[i] {
+			t.Fatalf("voxel %d: pipelined single run %g, one-rank distributed run %g", i, single.V.Data[i], twin.V.Data[i])
 		}
 	}
-	// Same plan through the single driver, which allocates per batch.
-	p1, _ := NewPlan(sys, 1, 1, 5)
-	ref, _ := NewVolumeSink(sys)
-	if _, err := ReconstructSingle(ReconOptions{Plan: p1, Source: src, Device: device.New("ref", 0, 1), Sink: ref}); err != nil {
-		t.Fatal(err)
-	}
-	stats, _ := volume.Compare(ref.V, sink.V)
+	stats, _ := volume.Compare(single.V, dist.V)
 	if stats.RMSE > 1e-5 { // float32 reduction reassociation only
-		t.Fatalf("reused-buffer volume differs from the single driver's: %+v", stats)
+		t.Fatalf("two-rank volume differs from the single driver's: %+v", stats)
 	}
 }

@@ -386,3 +386,11 @@ func (w *SlabWriter) ClosePartial() error {
 	}
 	return w.f.Close()
 }
+
+// Abort closes the partial file and removes it, leaving the final path as
+// it was. A run that keeps no journal cannot resume, so it gives up its
+// slabs when it fails.
+func (w *SlabWriter) Abort() error {
+	w.f.Close()
+	return os.Remove(w.path + PartialSuffix)
+}

@@ -310,6 +310,32 @@ func TestSlabWriterErrors(t *testing.T) {
 	}
 }
 
+// Abort gives up a run's slabs: the partial file goes and a volume already
+// at the final path stays as it was.
+func TestSlabWriterAbort(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.fbk")
+	if err := os.WriteFile(path, []byte("an earlier volume"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewSlabWriter(path, 4, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab, _ := volume.NewSlab(4, 4, 4, 0)
+	if err := w.WriteSlab(slab); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + PartialSuffix); !os.IsNotExist(err) {
+		t.Errorf("the partial file survived Abort: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "an earlier volume" {
+		t.Errorf("Abort touched the final path: %q, %v", got, err)
+	}
+}
+
 // The load stage's read: the repository benchmark's stack (83 × 88 × 55
 // float32, 1.5 MiB) out of the page cache, a batch's share of the rows per
 // call over the full projection window.

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check doc-check fuse-lint fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
+.PHONY: all build test check doc-check fuse-lint fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
 
 all: build test
 
@@ -14,14 +14,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Concurrency-sensitive packages under the race detector.
-race:
-	$(GO) test -race ./internal/mpi/ ./internal/pipeline/ ./internal/storage/ ./internal/iterative/
-
 # Full static + race-detector gate: the kernel's and the filter's worker
 # goroutines and the pipelined executor's stage goroutines must stay
-# race-clean everywhere, not just the curated race list.
-# The trace smoke-run keeps the telemetry artifacts loadable end to end.
+# race-clean everywhere. The trace smoke-run keeps the telemetry artifacts
+# loadable end to end.
 check: doc-check fuse-lint
 	$(GO) vet ./...
 	$(GO) test -race ./...

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -84,11 +85,10 @@ func main() {
 
 	nf := netFlags{world: *worldN, worker: *workerFl, proc: *procFl,
 		procs: *procsFl, transport: *transport, connect: *connectFl}
-	if err := nf.validate(); err != nil {
-		log.Fatal(err)
-	}
-
-	if err := validateRunFlags(*restarts, *backoff, *deadline); err != nil {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := errors.Join(nf.validate(), refuseUnread(*algo, *zlo, *groups**ranks, set),
+		validateRunFlags(*restarts, *backoff, *deadline)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -107,22 +107,13 @@ func main() {
 
 	if *algo != "fdk" {
 		vol, err := runIterative(*algo, sys, source, *iters, *workers)
+		if err == nil {
+			err = vol.SaveRaw(*outPath)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := vol.SaveRaw(*outPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("volume %s written to %s\n", vol.ShapeString(), *outPath)
-		if *slice != "" {
-			if err := vol.SavePGM(*slice, sys.NZ/2, 0, 0); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("central slice written to %s\n", *slice)
-		}
-		if *stats {
-			printStats(vol.Summarize())
-		}
+		finish(vol.ShapeString(), *outPath, *slice, *stats)
 		return
 	}
 
@@ -132,36 +123,21 @@ func main() {
 			Device: device.New("roi", *memMB<<20, *workers),
 			Window: win, Z0: *zlo, NZ: *znz,
 		})
+		if err == nil {
+			err = vol.SaveRaw(*outPath)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("ROI slices [%d,%d) reconstructed in %d slabs (H2D %.1f MiB, kernel %s)\n",
 			*zlo, *zlo+*znz, rep.Slabs, float64(rep.Ledger.H2DBytes)/(1<<20), rep.Ledger.Arithmetic())
-		if err := vol.SaveRaw(*outPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("ROI volume %s written to %s\n", vol.ShapeString(), *outPath)
-		if *slice != "" {
-			if err := vol.SavePGM(*slice, vol.NZ/2, 0, 0); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("central ROI slice written to %s\n", *slice)
-		}
-		if *stats {
-			printStats(vol.Summarize())
-		}
+		finish(vol.ShapeString(), *outPath, *slice, *stats)
 		return
 	}
 
 	plan, err := core.NewPlan(sys, *groups, *ranks, *batches)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *journal != "" && plan.Ranks() == 1 {
-		log.Fatal("-journal requires multi-rank mode (-groups/-ranks > 1): a single-rank run streams to -o, but only a multi-rank run resumes")
-	}
-	if nf.active() && plan.Ranks() == 1 {
-		log.Fatal("-world/-worker require multi-rank mode (-groups/-ranks > 1)")
 	}
 	if *severSpec != "" && !nf.active() {
 		log.Fatal("-sever injects wire faults; it needs -world/-worker (the in-process world has no wire)")
@@ -309,25 +285,32 @@ func main() {
 		finishPoll()
 	}
 
-	fmt.Printf("volume %dx%dx%d written to %s\n", sys.NX, sys.NY, sys.NZ, *outPath)
-	// The volume is on disk; voxels are only loaded back when the post-run
-	// views need them.
-	if *slice != "" || *stats {
-		vol, err := volume.LoadRaw(*outPath)
-		if err != nil {
+	finish(fmt.Sprintf("%dx%dx%d", sys.NX, sys.NY, sys.NZ), *outPath, *slice, *stats)
+	if ds, err := dataset.ByName(*dsName); err == nil {
+		fmt.Printf("geometry: %s (magnification %.2f)\n", ds.Description, ds.Magnification())
+	}
+}
+
+// finish is every mode's tail: -o is written, and the post-run views load it
+// back, so voxels are only read again when -slice or -stats needs them.
+func finish(shape, path, slice string, stats bool) {
+	fmt.Printf("volume %s written to %s\n", shape, path)
+	if slice == "" && !stats {
+		return
+	}
+	vol, err := volume.LoadRaw(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if slice != "" {
+		if err := vol.SavePGM(slice, vol.NZ/2, 0, 0); err != nil {
 			log.Fatal(err)
 		}
-		if *slice != "" {
-			if err := vol.SavePGM(*slice, sys.NZ/2, 0, 0); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("central slice written to %s\n", *slice)
-		}
-		if *stats {
-			printStats(vol.Summarize())
-		}
+		fmt.Printf("central slice written to %s\n", slice)
 	}
-	printGeometry(*dsName)
+	if stats {
+		printStats(vol.Summarize())
+	}
 }
 
 // streamVolume runs one reconstruction into a SlabWriter on path and
@@ -449,15 +432,6 @@ func runSupervised(copts core.ClusterOptions, sys *geometry.System, run *telemet
 	os.Remove(cfg.journal)
 }
 
-// printGeometry prints the dataset's descriptive line when its name is
-// registered.
-func printGeometry(dsName string) {
-	ds, err := dataset.ByName(dsName)
-	if err == nil {
-		fmt.Printf("geometry: %s (magnification %.2f)\n", ds.Description, ds.Magnification())
-	}
-}
-
 // runIterative reconstructs with one of the iterative algorithms. The
 // stack must be fully loadable (iterative methods need all angles every
 // pass).
@@ -472,35 +446,22 @@ func runIterative(algo string, sys *geometry.System, source projection.Source, i
 			fmt.Printf("  %s pass %2d: relative residual %.4f\n", algo, it, rel)
 			return true
 		}}
-	switch algo {
-	case "sirt":
-		res, err := iterative.Reconstruct(sys, full, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Volume, nil
-	case "ossart":
+	if algo == "ossart" || algo == "osem" {
 		opts.Subsets = 4
-		res, err := iterative.Reconstruct(sys, full, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Volume, nil
-	case "mlem":
-		res, err := iterative.ReconstructMLEM(sys, full, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Volume, nil
-	case "osem":
-		opts.Subsets = 4
-		res, err := iterative.ReconstructMLEM(sys, full, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Volume, nil
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (fdk, sirt, ossart, mlem, osem)", algo)
+	var res *iterative.Result
+	switch algo {
+	case "sirt", "ossart":
+		res, err = iterative.Reconstruct(sys, full, opts)
+	case "mlem", "osem":
+		res, err = iterative.ReconstructMLEM(sys, full, opts)
+	default:
+		return nil, fmt.Errorf("unknown algorithm %q (fdk, sirt, ossart, mlem, osem)", algo)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res.Volume, nil
 }
 
 var publishTelemetry sync.Once

@@ -3,6 +3,9 @@ package main
 import (
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,6 +50,63 @@ func TestValidateRunFlags(t *testing.T) {
 				t.Fatalf("flagged -%s, want -%s (%v)", fe.Flag, tc.wantFlag, err)
 			}
 		})
+	}
+}
+
+// A flag the chosen mode never reads is refused, naming the flag and the
+// mode; the command lines the benchmark, the make targets and a -world
+// coordinator's workers run are accepted. Set flags arrive in flag.Visit's
+// order, lexicographic.
+func TestRefuseUnread(t *testing.T) {
+	for _, tc := range []struct {
+		algo       string
+		zlo, ranks int
+		set        string
+		flag, mode string // the refused flag and its mode; "" accepts
+	}{
+		{"fdk", -1, 1, "", "", ""},
+		{"fdk", -1, 1, "dataset div in metrics-json n o trace-out", "", ""},
+		{"fdk", -1, 2, "dataset div groups in journal n o ranks world", "", ""},
+		{"fdk", -1, 4, "batches connect dataset deadline devmem div groups in journal kill max-restarts n proc procs ranks restart-backoff sever transport window worker workers", "", ""},
+		{"fdk", 20, 1, "div n o slice stats zlo znz", "", ""},
+		{"sirt", -1, 1, "algo div iters n o stats", "", ""},
+		{"fdk", 10, 4, "div groups in journal n o world zlo znz", "groups", "-zlo"},
+		{"fdk", 10, 1, "div in journal n o zlo znz", "journal", "-zlo"},
+		{"sirt", -1, 2, "algo div n ranks", "ranks", "-algo"},
+		{"sirt", -1, 1, "algo window", "window", "-algo"},
+		{"fdk", -1, 2, "groups ranks timeline", "timeline", "multi-rank"},
+		{"fdk", -1, 1, "journal", "journal", "single-rank"},
+		{"fdk", -1, 1, "kill", "kill", "single-rank"},
+		{"fdk", -1, 1, "world", "world", "single-rank"},
+		{"fdk", -1, 2, "iters ranks", "iters", "multi-rank"},
+	} {
+		err := refuseUnread(tc.algo, tc.zlo, tc.ranks, strings.Fields(tc.set))
+		if tc.flag == "" {
+			if err != nil {
+				t.Errorf("-algo %s -zlo %d, %d ranks, flags %q: refused: %v", tc.algo, tc.zlo, tc.ranks, tc.set, err)
+			}
+			continue
+		}
+		var fe *FlagError
+		if !errors.As(err, &fe) || fe.Flag != tc.flag || !strings.Contains(fe.Reason, tc.mode+" mode") {
+			t.Errorf("-algo %s -zlo %d, %d ranks, flags %q: %v, want -%s refused in %s mode", tc.algo, tc.zlo, tc.ranks, tc.set, err, tc.flag, tc.mode)
+		}
+	}
+}
+
+// The refusal is the command's: an ROI run given multi-rank flags exits
+// non-zero before it reads its input, and writes neither -o nor -journal.
+func TestUnreadFlagFailsTheRun(t *testing.T) {
+	dir := t.TempDir()
+	out, err := fdkreconCmd(t, dir, nil, "-div", "16", "-n", "32", "-zlo", "10", "-znz", "4",
+		"-groups", "2", "-world", "2", "-journal", "j", "-o", "roi.fbk").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-groups: not read in -zlo mode") {
+		t.Fatalf("err %v, want -groups refused:\n%s", err, out)
+	}
+	for _, name := range []string{"roi.fbk", "j"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("the refused run left %s behind: %v", name, err)
+		}
 	}
 }
 
@@ -114,7 +174,7 @@ func TestNetFlagsValidate(t *testing.T) {
 	bad := []netFlags{
 		{world: 4, worker: true, proc: 1, procs: 4, transport: "tcp", connect: "x"},
 		{world: 4, transport: "carrier-pigeon"},
-		{worker: true, transport: "tcp"},                            // no connect/proc/procs
+		{worker: true, transport: "tcp"},                                  // no connect/proc/procs
 		{worker: true, proc: 0, procs: 4, transport: "tcp", connect: "x"}, // proc 0 is the coordinator
 		{worker: true, proc: 4, procs: 4, transport: "tcp", connect: "x"}, // proc out of range
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -15,6 +17,39 @@ type FlagError struct {
 
 func (e *FlagError) Error() string {
 	return fmt.Sprintf("-%s: %s", e.Flag, e.Reason)
+}
+
+// modeReads names the flags each mode reads on top of the input, the
+// output and its views, the width and -algo, which every mode reads.
+var modeReads = map[string]string{
+	"-algo":       "iters",
+	"-zlo":        "window zlo znz devmem",
+	"single-rank": "window zlo groups ranks batches devmem timeline trace-out metrics-json pprof status-poll",
+	"multi-rank": "window zlo groups ranks batches devmem trace-out metrics-json pprof status-poll " +
+		"journal max-restarts restart-backoff deadline kill world transport sever worker proc procs connect",
+}
+
+// refuseUnread picks the run's mode — -algo other than fdk, else -zlo ≥ 0,
+// else single- or multi-rank by the world's size — and refuses the first
+// explicitly set flag that mode would ignore: a flag that changes nothing
+// is a mistake at the CLI surface, not a no-op.
+func refuseUnread(algo string, zlo, ranks int, set []string) error {
+	mode := "multi-rank"
+	switch {
+	case algo != "fdk":
+		mode = "-algo"
+	case zlo >= 0:
+		mode = "-zlo"
+	case ranks == 1:
+		mode = "single-rank"
+	}
+	reads := strings.Fields("dataset div n in o slice stats workers algo " + modeReads[mode])
+	for _, name := range set {
+		if !slices.Contains(reads, name) {
+			return &FlagError{Flag: name, Reason: fmt.Sprintf("not read in %s mode", mode)}
+		}
+	}
+	return nil
 }
 
 // validateRunFlags rejects the flag corner cases that would otherwise be

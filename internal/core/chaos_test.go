@@ -487,7 +487,9 @@ func (s failingSink) WriteSlab(slab *volume.Volume) error {
 // back too: a store that fails at batch 1, and a back-projection that fails
 // at batch 2, of 64 one-slice batches each end the run promptly with their
 // error and leave no goroutine behind. No batch past the failure runs its
-// kernel: the slab comes back marked failed.
+// kernel: the slab comes back marked failed. ReconstructZWindow runs the
+// same program pipelined, so a load that fails in the middle of its window
+// ends it as promptly.
 func TestPipelinedFailureHandsBackSlab(t *testing.T) {
 	sys := &geometry.System{
 		DSO: 250, DSD: 350,
@@ -503,6 +505,20 @@ func TestPipelinedFailureHandsBackSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// returns runs one reconstruction and hands back its error, failing the
+	// test if it does not return.
+	returns := func(t *testing.T, run func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("the pipelined run did not return after a failure: a slab was not handed back")
+			return nil
+		}
+	}
 	base := runtime.NumGoroutine()
 	for _, tc := range []struct {
 		stage string // the stage that fails
@@ -515,18 +531,11 @@ func TestPipelinedFailureHandsBackSlab(t *testing.T) {
 	} {
 		t.Run(tc.stage, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			done := make(chan error, 1)
-			go func() {
+			err := returns(t, func() error {
 				_, err := ReconstructSingle(ReconOptions{Plan: p, Source: tc.src, Device: device.New("hang", 0, 2),
 					Sink: tc.sink, Telemetry: reg})
-				done <- err
-			}()
-			var err error
-			select {
-			case err = <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("the pipelined run did not return after a failure: a slab was not handed back")
-			}
+				return err
+			})
 			if want := fmt.Sprintf("stage %q batch %d", tc.stage, tc.batch); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %v, want one from %s", err, want)
 			}
@@ -541,6 +550,17 @@ func TestPipelinedFailureHandsBackSlab(t *testing.T) {
 			}
 		})
 	}
+	t.Run("roi-load", func(t *testing.T) {
+		in := fault.NewInjector(7, fault.Rule{Op: fault.OpLoad, Rank: 0, Nth: 4, Count: fault.Every, Class: fault.Permanent})
+		err := returns(t, func() error {
+			_, _, err := ReconstructZWindow(ZWindowOptions{Sys: sys, Source: fault.Source(&projection.MemorySource{Full: full}, in, 0),
+				Device: device.New("hang", 0, 2), Z0: 8, NZ: 48, SlabSlices: 1})
+			return err
+		})
+		if !errors.Is(err, fault.ErrInjected) || !strings.Contains(err.Error(), `stage "load"`) {
+			t.Fatalf("error %v, want the injected load fault", err)
+		}
+	})
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), base)

@@ -11,7 +11,6 @@ import (
 	"distfdk/internal/geometry"
 	"distfdk/internal/phantom"
 	"distfdk/internal/projection"
-	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
 )
 
@@ -190,31 +189,6 @@ func TestReconstructSingleMatchesMonolithic(t *testing.T) {
 	// link exactly once.
 	if rep.Ledger.H2DBytes != 4*p.InputElements(0) {
 		t.Fatalf("H2D %d bytes, want %d", rep.Ledger.H2DBytes, 4*p.InputElements(0))
-	}
-}
-
-func TestReconstructSinglePipelineMatchesSerial(t *testing.T) {
-	sys := testSystem()
-	st := sheppStack(t, sys)
-	src := &projection.MemorySource{Full: st}
-
-	run := func(disable bool) *volume.Volume {
-		p, _ := NewPlan(sys, 1, 1, 4)
-		sink, _ := NewVolumeSink(sys)
-		_, err := ReconstructSingle(ReconOptions{
-			Plan: p, Source: src, Device: device.New("t", 0, 2),
-			Sink: sink, Telemetry: telemetry.NewRegistry(), DisablePipeline: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sink.V
-	}
-	a, b := run(false), run(true)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("voxel %d differs between pipelined and serial", i)
-		}
 	}
 }
 

@@ -231,8 +231,7 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 		prog := &program{
 			ReconOptions: ReconOptions{
 				Source: src, Device: dev, Window: opts.Window,
-				Sink: sink, DisablePipeline: true,
-				Retry: opts.Retry, Checkpoint: opts.Checkpoint, Telemetry: reg,
+				Sink: sink, Retry: opts.Retry, Checkpoint: opts.Checkpoint, Telemetry: reg,
 			},
 			sys: p.Sys, sched: p.schedule(g), pLo: pLo, pHi: pHi,
 			group: group, hierarchical: opts.Hierarchical, ranksPerNode: opts.RanksPerNode,

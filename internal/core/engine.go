@@ -42,8 +42,8 @@ func zSchedule(sys *geometry.System, z0, nz, nb int) []batch {
 }
 
 // ringDepth returns the ring depth (in detector rows) a schedule needs: the
-// largest row range of any one batch, since upload releases every row below
-// a batch's start before it admits the batch's rows.
+// largest row range of any one batch, since backproject releases every row
+// below a batch's start before it admits the batch's rows.
 func ringDepth(sched []batch) int {
 	h := 0
 	for _, b := range sched {
@@ -53,17 +53,21 @@ func ringDepth(sched []batch) int {
 }
 
 // program is the per-rank reconstruction program of Figure 6, written once:
-// load → filter → upload → back-project → reduce → store over a schedule of
-// slab batches. ReconstructSingle, ReconstructZWindow and every rank of
-// RunDistributed fill in the exported-option half and call run.
+// load → filter → back-project → reduce → store over a schedule of slab
+// batches. ReconstructSingle, ReconstructZWindow and every rank of
+// RunDistributed fill in the exported-option half and call run, and every
+// one of them builds the same stage list: reduce where there is a group,
+// store where there is a sink.
 //
 // Each piece of cross-batch state has exactly one owning stage, which is
 // what lets the pipelined executor run the stages on separate goroutines:
 //
 //	load         the differential-load cursor (loaded)
-//	filter       nothing — it works on the batch's own stack
-//	upload       every ring mutation and the residency cursor (resident)
-//	backproject  takes the slab buffer; it only reads the ring
+//	filter       nothing — it filters the batch's own host stack
+//	backproject  every ring mutation and the residency cursor (resident),
+//	             then the kernel, which reads the ring; the ring is
+//	             unsynchronised, so its writer and its reader share this
+//	             stage's goroutine
 //	reduce       the group collective
 //	store        the sink and the checkpoint journal
 //
@@ -72,27 +76,27 @@ func ringDepth(sched []batch) int {
 // at the stage where it failed — so under pipeline.Run the kernel of batch
 // c+1 starts once batch c is stored.
 //
-// The ring itself is unsynchronised, so its writer and its reader must share
-// a goroutine: under pipeline.Run the upload and backproject bodies are one
-// stage, and a distributed rank, which keeps them apart so its trace names
-// six stages, runs under pipeline.RunSerial. An executor that gives upload a
-// goroutine of its own must first give the ring a synchronisation.
+// The executor follows from the shell: a program without a group runs
+// pipeline.Run, a distributed rank pipeline.RunSerial with enter at every
+// batch boundary. A rank's fault phase is a pure function of the highest
+// batch boundary it has reached (fault/phase.go); under pipeline.Run its
+// load stage would reach the next boundary while its reduce stage still
+// receives for the batch before, those receives would see the later phase,
+// and a scenario that gates on faults injected in its inject phase could
+// count none. So ranks keep to lockstep until the phase follows the batch.
 //
 // Both cursors advance on executed batches only, so a resumed run reloads
 // whatever a checkpointed batch would have left resident.
 type program struct {
 	// ReconOptions is what one device needs whichever shell it sits in; a
 	// distributed rank fills one in per rank. Plan is not read here (the
-	// shell hands over sched), a nil Sink means this rank does not store,
-	// DisablePipeline picks pipeline.RunSerial over pipeline.Run, and with
-	// it whether upload filters raw rows straight into their ring slots
-	// (fuseUpload; the filter stage then passes them through) — where the
-	// ring-owning stage does not overlap the filter anyway.
+	// shell hands over sched) and a nil Sink means this rank does not store.
 	ReconOptions
 	sys      *geometry.System
 	sched    []batch
 	pLo, pHi int // this rank's global projection window
-	// group, when set, is reduced over after back-projection.
+	// group, when set, is reduced over after back-projection, and the
+	// program runs serially.
 	group        *mpi.Comm
 	hierarchical bool
 	ranksPerNode int
@@ -159,20 +163,7 @@ func (e *program) run() error {
 	e.done.SetParent(e.Telemetry.Counter("core.batches"))
 	e.skipped.SetParent(e.Telemetry.Counter("core.batches_skipped"))
 
-	stages := []pipeline.Stage{e.stage("load", e.load), e.stage("filter", e.filter)}
-	if e.group != nil {
-		// A distributed rank's trace keeps its six stage names; it runs
-		// serially, so the ring still has one goroutine (see program).
-		stages = append(stages, e.stage("upload", e.upload), e.stage("backproject", e.backproject))
-	} else {
-		// The ring-owning stage: upload, then back-project, on one goroutine.
-		stages = append(stages, e.stage("backproject", func(b *batch) error {
-			if err := e.upload(b); err != nil && err != pipeline.Idle {
-				return err
-			}
-			return e.backproject(b)
-		}))
-	}
+	stages := []pipeline.Stage{e.stage("load", e.load), e.stage("filter", e.filter), e.stage("backproject", e.backproject)}
 	if e.group != nil {
 		stages = append(stages, e.stage("reduce", e.reduce))
 	}
@@ -187,7 +178,7 @@ func (e *program) run() error {
 	}
 	pl.Telemetry = e.Telemetry
 	start := time.Now()
-	if e.DisablePipeline {
+	if e.group != nil {
 		err = pl.RunSerial(len(e.sched), e.enter)
 	} else {
 		err = pl.Run(len(e.sched))
@@ -261,37 +252,28 @@ func (e *program) filter(b *batch) error {
 	if st == nil {
 		return pipeline.Idle
 	}
-	if e.DisablePipeline {
-		return nil // the raw stack flows through; upload filters it into the ring
-	}
 	if err := applyParker(e.parker, st); err != nil {
 		return err
 	}
 	return e.fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, e.Device.WorkerCount())
 }
 
-// upload makes room in the ring and admits the batch's new rows. The
-// previous batch has been back-projected, so every row below this batch's
-// start can go.
-func (e *program) upload(b *batch) error {
+// backproject makes room in the ring and admits the batch's filtered rows
+// (the previous batch has been back-projected, so every row below this
+// batch's start can go), then back-projects the batch into the rank's slab.
+func (e *program) backproject(b *batch) error {
 	if !e.resident.IsEmpty() && b.rows.Lo >= e.resident.Hi {
 		e.ring.Reset() // disjoint ranges: nothing to reuse
 	} else if !b.rows.IsEmpty() {
 		e.ring.Release(b.rows.Lo)
 	}
 	e.resident = b.rows
-	st := b.stack
-	if st == nil {
-		return pipeline.Idle // nothing to admit: bookkeeping only
+	if st := b.stack; st != nil {
+		b.stack = nil
+		if err := e.ring.LoadRows(st, st.Rows()); err != nil {
+			return err
+		}
 	}
-	b.stack = nil
-	if e.DisablePipeline {
-		return fuseUpload(e.ring, st, e.fdk, e.parker)
-	}
-	return e.ring.LoadRows(st, st.Rows())
-}
-
-func (e *program) backproject(b *batch) error {
 	buf := <-e.slab // the previous batch has left the rank
 	if e.failed.Load() {
 		e.slab <- buf

@@ -138,8 +138,23 @@ func TestFailingStageLeavesItsSpan(t *testing.T) {
 	}
 }
 
+// spanNames returns the sorted set of span names a snapshot recorded.
+func spanNames(spans []telemetry.Span) string {
+	seen := map[string]bool{}
+	for _, sp := range spans {
+		seen[sp.Name] = true
+	}
+	var out []string
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return fmt.Sprint(out)
+}
+
 // The serial and pipelined executors call the same stages through one
-// invoke: a serial single-device run records the same stage names, and a
+// invoke. The serial one runs a world's ranks, so its arm is a one-rank
+// world: it records the pipelined run's stage names plus reduce, and a
 // failing stage's error names stage and batch in both.
 func TestSerialRunHasSpansAndStageErrors(t *testing.T) {
 	sys := testSystem()
@@ -148,43 +163,106 @@ func TestSerialRunHasSpansAndStageErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := func(serial bool) string {
-		reg := telemetry.NewRegistry()
+	run := func(serial bool, src projection.Source, inj *fault.Injector) (string, error) {
 		sink, _ := NewVolumeSink(sys)
-		if _, err := ReconstructSingle(ReconOptions{
-			Plan: p, Source: src, Device: device.New("spans", 0, 1), Sink: sink,
-			DisablePipeline: serial, Telemetry: reg,
-		}); err != nil {
-			t.Fatal(err)
+		if serial {
+			rep, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink, FaultInjector: inj, Telemetry: telemetry.NewRun(1)})
+			return spanNames(rep.Telemetry[0].Spans), err
 		}
-		seen := map[string]bool{}
-		for _, sp := range reg.Spans() {
-			seen[sp.Name] = true
+		reg := telemetry.NewRegistry()
+		if inj != nil {
+			src = fault.Source(src, inj, 0)
 		}
-		var out []string
-		for n := range seen {
-			out = append(out, n)
-		}
-		sort.Strings(out)
-		return fmt.Sprint(out)
+		_, err := ReconstructSingle(ReconOptions{Plan: p, Source: src, Device: device.New("spans", 0, 1), Sink: sink, Telemetry: reg})
+		return spanNames(reg.Spans()), err
 	}
-	if serial, pipelined := names(true), names(false); serial != pipelined || serial != "[backproject filter load store]" {
-		t.Errorf("serial run recorded stages %s, pipelined %s, want [backproject filter load store] in both", serial, pipelined)
+	serial, err := run(true, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipelined, err := run(false, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial != "[backproject filter load reduce store]" || pipelined != "[backproject filter load store]" {
+		t.Errorf("serial run recorded stages %s, want [backproject filter load reduce store]; pipelined %s, want [backproject filter load store]", serial, pipelined)
 	}
 
 	for _, serial := range []bool{true, false} {
 		in := fault.NewInjector(7,
 			fault.Rule{Op: fault.OpLoad, Rank: 0, Nth: 2, Count: fault.Every, Class: fault.Permanent})
-		sink, _ := NewVolumeSink(sys)
-		_, err := ReconstructSingle(ReconOptions{
-			Plan: p, Source: fault.Source(src, in, 0), Device: device.New("errs", 0, 1), Sink: sink,
-			DisablePipeline: serial,
-		})
+		_, err := run(serial, src, in)
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("serial=%v: run did not abort on the injected load fault: %v", serial, err)
 		}
 		if want := `stage "load" batch 1`; !strings.Contains(err.Error(), want) {
 			t.Errorf("serial=%v: error %q does not name %s", serial, err, want)
+		}
+	}
+}
+
+// Every rank program builds one stage list: in a 2×2 world each group
+// leader records exactly load, filter, backproject, reduce and store, and
+// every other rank the same without store — no rank has a stage of its own.
+func TestRankStageList(t *testing.T) {
+	sys := testSystem()
+	p, err := NewPlan(sys, 2, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, _ := NewVolumeSink(sys)
+	rep, err := RunDistributed(ClusterOptions{
+		Plan: p, Source: &projection.MemorySource{Full: sheppStack(t, sys)}, Output: sink, Telemetry: telemetry.NewRun(p.Ranks()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := map[string]int{}
+	for _, s := range rep.Telemetry[:p.Ranks()] {
+		lists[spanNames(s.Spans)]++
+	}
+	want := map[string]int{
+		"[backproject filter load reduce store]": p.NGroups,
+		"[backproject filter load reduce]":       p.Ranks() - p.NGroups,
+	}
+	if fmt.Sprint(lists) != fmt.Sprint(want) {
+		t.Errorf("the ranks' stage lists are %v, want %v", lists, want)
+	}
+}
+
+// The two executors of the rank program — pipelined (ReconstructSingle) and
+// serial (a one-rank RunDistributed) — produce the same volume to the last
+// bit at every device width: the width only cuts the filter's rows and the
+// kernel's tiles among goroutines, the executor only when a stage runs.
+func TestExecutorsBitIdentical(t *testing.T) {
+	sys := testSystem()
+	src := &projection.MemorySource{Full: sheppStack(t, sys)}
+	p, err := NewPlan(sys, 1, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []float32
+	for _, workers := range []int{1, 3} {
+		for _, serial := range []bool{false, true} {
+			sink, _ := NewVolumeSink(sys)
+			if serial {
+				_, err = RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink, WorkersPerRank: workers})
+			} else {
+				_, err = ReconstructSingle(ReconOptions{Plan: p, Source: src, Device: device.New("exec", 0, workers), Sink: sink})
+			}
+			if err != nil {
+				t.Fatalf("workers=%d serial=%v: %v", workers, serial, err)
+			}
+			if ref == nil {
+				ref = sink.V.Data
+				continue
+			}
+			for i := range ref {
+				if sink.V.Data[i] != ref[i] {
+					t.Fatalf("workers=%d serial=%v: voxel %d: %g != pipelined width 1 %g",
+						workers, serial, i, sink.V.Data[i], ref[i])
+				}
+			}
 		}
 	}
 }

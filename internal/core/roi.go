@@ -51,11 +51,11 @@ func ReconstructZWindow(opts ZWindowOptions) (*volume.Volume, *ReconReport, erro
 		return nil, nil, err
 	}
 	// The rank program over the window's own schedule instead of a Plan's,
-	// run serially, assembling into the window slab.
+	// assembling into the window slab.
 	prog := &program{
 		ReconOptions: ReconOptions{
 			Source: opts.Source, Device: opts.Device, Window: opts.Window,
-			Sink: &VolumeSink{V: out}, DisablePipeline: true,
+			Sink: &VolumeSink{V: out},
 		},
 		sys: sys, sched: zSchedule(sys, opts.Z0, opts.NZ, nb), pHi: sys.NP,
 	}

@@ -102,11 +102,6 @@ type ReconOptions struct {
 	Window filter.Window
 	// Sink receives finished slabs (required).
 	Sink SlabSink
-	// DisablePipeline selects the serial executor (pipeline.RunSerial):
-	// the stages run one batch at a time on the calling goroutine. Every
-	// RunDistributed rank and ReconstructZWindow set it; the volume is the
-	// same either way.
-	DisablePipeline bool
 	// Retry, when set, retries transient load and store failures with
 	// capped exponential backoff; permanent failures abort immediately.
 	// Nil means a single attempt.

@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"distfdk/internal/geometry"
@@ -94,13 +93,6 @@ func (r *ProjRing) Close() {
 	}
 }
 
-// rowSlice returns the writable storage of (global row v, projection p),
-// capped so that no append reaches the apron.
-func (r *ProjRing) rowSlice(v, p int) []float32 {
-	off := r.RowBase(v) + p*r.ProjStride()
-	return r.data[off : off+r.NU : off+r.NU]
-}
-
 // Valid returns the global row range currently resident.
 func (r *ProjRing) Valid() geometry.RowRange { return r.valid }
 
@@ -126,43 +118,6 @@ func (r *ProjRing) Release(upTo int) {
 	}
 }
 
-// admitRows validates that loading `rows` respects the ring discipline:
-// contiguous upward extension, no eviction of un-Released rows, and the
-// resident range fitting the depth. Returns the new valid range.
-func (r *ProjRing) admitRows(rows geometry.RowRange) (geometry.RowRange, error) {
-	newValid := r.valid.Union(rows)
-	if !r.valid.IsEmpty() && rows.Lo > r.valid.Hi {
-		return newValid, fmt.Errorf("device: load %v leaves a gap after resident %v", rows, r.valid)
-	}
-	if newValid.Len() > r.H {
-		return newValid, fmt.Errorf("device: resident range %v (%d rows) exceeds ring depth %d", newValid, newValid.Len(), r.H)
-	}
-	// Overwriting rows that are still valid (not Released) is an
-	// eviction bug.
-	if !r.valid.IsEmpty() && rows.Lo < r.valid.Hi {
-		return newValid, fmt.Errorf("device: load %v overlaps resident rows %v", rows, r.valid)
-	}
-	return newValid, nil
-}
-
-// admitted accounts one finished load of rows, begun at t0, and makes
-// newValid the resident range.
-func (r *ProjRing) admitted(rows, newValid geometry.RowRange, t0 time.Time) {
-	// Contiguous global rows map to at most two contiguous slot spans (the
-	// split copy of Algorithm 3).
-	ops := int64(1)
-	if (rows.Lo%r.H)+rows.Len() > r.H {
-		ops = 2
-	}
-	d := r.dev
-	d.ringLoadNs.Add(int64(time.Since(t0)))
-	d.ringLoadRows.Add(int64(rows.Len()))
-	d.ringLoadOps.Add(ops)
-	d.ringResident.Set(int64(newValid.Len()))
-	d.RecordH2D(int64(r.NU)*int64(r.NP)*4*int64(rows.Len()), ops)
-	r.valid = newValid
-}
-
 // LoadRows copies the global detector rows `rows` from the host stack into
 // the ring (the host→device Memcpy3D of Algorithm 3). The stack must
 // contain the rows and share the ring's NU/NP extents. Loads must extend
@@ -179,9 +134,17 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 	if rows.Lo < src.V0 || rows.Hi > src.V0+src.NV {
 		return fmt.Errorf("device: rows %v not present in host stack %v", rows, src.Rows())
 	}
-	newValid, err := r.admitRows(rows)
-	if err != nil {
-		return err
+	newValid := r.valid.Union(rows)
+	if !r.valid.IsEmpty() && rows.Lo > r.valid.Hi {
+		return fmt.Errorf("device: load %v leaves a gap after resident %v", rows, r.valid)
+	}
+	if newValid.Len() > r.H {
+		return fmt.Errorf("device: resident range %v (%d rows) exceeds ring depth %d", newValid, newValid.Len(), r.H)
+	}
+	// Overwriting rows that are still valid (not Released) is an
+	// eviction bug.
+	if !r.valid.IsEmpty() && rows.Lo < r.valid.Hi {
+		return fmt.Errorf("device: load %v overlaps resident rows %v", rows, r.valid)
 	}
 
 	// Copy row by row through the modular mapping.
@@ -189,64 +152,19 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 	for v := rows.Lo; v < rows.Hi; v++ {
 		r.Store(r.data, v, src.Data[(v-src.V0)*src.NP*src.NU:])
 	}
-	r.admitted(rows, newValid, t0)
-	return r.checkInvariant()
-}
-
-// FillRows extends the resident range exactly like LoadRows but produces
-// the row data in place instead of copying it from a host stack:
-// fill(v, p, dst) must write the NU samples of projection p, global
-// detector row v, into dst. This is the fused filter→upload path — the
-// filtered row lands directly in its ring slot, skipping the intermediate
-// host-stack pass. The (v, p) fills are distributed over the device's
-// WorkerCount goroutines; the ledger charges the same H2D traffic as a
-// LoadRows of the range, since the same bytes cross the simulated link. On any fill error the resident range is left unchanged
-// (the slots written so far hold undefined data but remain un-admitted).
-func (r *ProjRing) FillRows(rows geometry.RowRange, fill func(v, p int, dst []float32) error) error {
-	if rows.IsEmpty() {
-		return nil
+	// Contiguous global rows map to at most two contiguous slot spans (the
+	// split copy of Algorithm 3).
+	ops := int64(1)
+	if (rows.Lo%r.H)+rows.Len() > r.H {
+		ops = 2
 	}
-	newValid, err := r.admitRows(rows)
-	if err != nil {
-		return err
-	}
-
-	t0 := time.Now()
-	tasks := rows.Len() * r.NP
-	workers := min(r.dev.WorkerCount(), tasks)
-	if workers <= 1 {
-		for v := rows.Lo; v < rows.Hi; v++ {
-			for p := 0; p < r.NP; p++ {
-				if err := fill(v, p, r.rowSlice(v, p)); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				for t := wk; t < tasks; t += workers {
-					v := rows.Lo + t/r.NP
-					p := t % r.NP
-					if err := fill(v, p, r.rowSlice(v, p)); err != nil {
-						errs[wk] = err
-						return
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-	r.admitted(rows, newValid, t0)
+	d := r.dev
+	d.ringLoadNs.Add(int64(time.Since(t0)))
+	d.ringLoadRows.Add(int64(rows.Len()))
+	d.ringLoadOps.Add(ops)
+	d.ringResident.Set(int64(newValid.Len()))
+	d.RecordH2D(int64(r.NU)*int64(r.NP)*4*int64(rows.Len()), ops)
+	r.valid = newValid
 	return r.checkInvariant()
 }
 
@@ -258,9 +176,10 @@ func (r *ProjRing) checkInvariant() error {
 	return nil
 }
 
-// Row returns the resident row v of projection p as a slice view, erroring
-// if the row is not resident. The back-projection kernel uses RawData for
-// its inner loop; Row exists for verification and tests.
+// Row returns the resident row v of projection p as a slice view, capped so
+// that no append reaches the apron, erroring if the row is not resident.
+// The back-projection kernel uses RawData for its inner loop; Row exists for
+// verification and tests.
 func (r *ProjRing) Row(v, p int) ([]float32, error) {
 	if valid := r.Valid(); !valid.Contains(v) {
 		return nil, fmt.Errorf("device: row %d not resident (valid %v)", v, valid)
@@ -268,7 +187,8 @@ func (r *ProjRing) Row(v, p int) ([]float32, error) {
 	if p < 0 || p >= r.NP {
 		return nil, fmt.Errorf("device: projection %d outside [0,%d)", p, r.NP)
 	}
-	return r.rowSlice(v, p), nil
+	off := r.RowBase(v) + p*r.ProjStride()
+	return r.data[off : off+r.NU : off+r.NU], nil
 }
 
 // RawData exposes the ring storage for the kernel inner loop, which indexes

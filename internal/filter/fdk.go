@@ -15,8 +15,8 @@ import (
 // filter. One FDK value is built per acquisition geometry and is safe for
 // concurrent use by many goroutines: each supplies its own Scratch or
 // borrows one from the filter's pool. A filtered row's bytes depend on that
-// row, its v and its redundancy weights only — never on which rows it is
-// filtered next to, or by which worker.
+// row and its v only — never on which rows it is filtered next to, or by
+// which worker.
 type FDK struct {
 	nu, nv  int
 	plan    *fft.RealPlan // carries the windowed ramp's response
@@ -122,45 +122,26 @@ func (f *FDK) NewScratch() *Scratch {
 
 // FilterRow filters one detector row in place. v is the physical detector
 // row index of the data (used to look up the cosine weight); it must lie in
-// [0, NV).
+// [0, NV). A short scan's redundancy weights are applied to the row
+// beforehand (Parker.ApplyRow). A nil s borrows a workspace from the
+// filter's pool for the call.
 func (f *FDK) FilterRow(row []float32, v int, s *Scratch) error {
-	return f.FilterRowInto(row, row, v, nil, s)
-}
-
-// FilterRowInto filters the detector row src of physical row index v into
-// dst, optionally folding in the per-column redundancy weights pw (nil for
-// a full scan). This is the fused filter→upload primitive: dst may be a
-// device-ring slot, so the filtered row lands in device memory without an
-// intermediate host-stack pass. The arithmetic is bit-identical to the
-// unfused ApplyRow-then-FilterRow sequence — the redundancy product rounds
-// to float32 before the cosine weight multiplies it, exactly as when the
-// stack is weighted in place — so fused and unfused reconstructions match
-// to the last ulp. dst and src may alias. A nil s borrows a workspace from
-// the filter's pool for the call.
-func (f *FDK) FilterRowInto(dst, src []float32, v int, pw []float32, s *Scratch) error {
-	if len(src) != f.nu {
-		return fmt.Errorf("filter: row length %d, want %d", len(src), f.nu)
-	}
-	if len(dst) != f.nu {
-		return fmt.Errorf("filter: dst length %d, want %d", len(dst), f.nu)
+	if len(row) != f.nu {
+		return fmt.Errorf("filter: row length %d, want %d", len(row), f.nu)
 	}
 	if v < 0 || v >= f.nv {
 		return fmt.Errorf("filter: row index %d outside detector [0,%d)", v, f.nv)
-	}
-	if pw != nil && len(pw) != f.nu {
-		return fmt.Errorf("filter: weight length %d, want %d", len(pw), f.nu)
 	}
 	if s == nil {
 		s = f.scratch.Get().(*Scratch)
 		defer f.scratch.Put(s)
 	}
-	w := f.weights[v*f.nu : (v+1)*f.nu]
-	// Every sample is packed before dst, which may be src, is written.
-	live := pack(s.zr, s.zi, src, pw, w)
+	// Every sample is packed before the row is written.
+	live := pack(s.zr, s.zi, row, f.weights[v*f.nu:(v+1)*f.nu])
 	if err := f.plan.Convolve(s.zr, s.zi, live); err != nil {
 		return err
 	}
-	unpack(dst, s.zr, s.zi)
+	unpack(row, s.zr, s.zi)
 	return nil
 }
 

@@ -89,7 +89,7 @@ func (p *oraclePlan) Inverse(re, im []float64, x []float64) error {
 	return nil
 }
 
-// oracleFilter is the row arithmetic FilterRowInto had on that transform:
+// oracleFilter is the row arithmetic FilterRow had on that transform:
 // x holds the weighted row (already rounded to float32) zero-padded to the
 // response's length; it returns the filtered samples before their rounding
 // to float32.

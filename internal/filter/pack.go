@@ -2,26 +2,19 @@ package filter
 
 // pack writes the weighted row into the transform's workspace and returns
 // the number of complex points it fills: sample 2j becomes the real and
-// sample 2j+1 the imaginary part of point j, each the float32 product
-// src·pw·w (src·w for a nil pw) widened to float64 — two float32 roundings,
-// matching ApplyRow + FilterRow; an odd row's last imaginary part is zero.
-// The whole groups of eight samples go through the vector routine where the
-// host has one, the rest (everything, elsewhere) through the loop below; the
-// two compute a sample the same way.
-func pack(zr, zi []float64, src, pw, w []float32) int {
+// sample 2j+1 the imaginary part of point j, each the float32 product src·w
+// widened to float64; an odd row's last imaginary part is zero. The whole
+// groups of eight samples go through the vector routine where the host has
+// one, the rest (everything, elsewhere) through the loop below; the two
+// compute a sample the same way.
+func pack(zr, zi []float64, src, w []float32) int {
 	nu := len(src)
-	sample := func(u int) float64 {
-		if pw != nil {
-			return float64(src[u] * pw[u] * w[u])
-		}
-		return float64(src[u] * w[u])
-	}
-	u := packGroups(zr, zi, src, pw, w)
+	u := packGroups(zr, zi, src, w)
 	for ; u+1 < nu; u += 2 {
-		zr[u/2], zi[u/2] = sample(u), sample(u+1)
+		zr[u/2], zi[u/2] = float64(src[u]*w[u]), float64(src[u+1]*w[u+1])
 	}
 	if u < nu {
-		zr[u/2], zi[u/2] = sample(u), 0
+		zr[u/2], zi[u/2] = float64(src[u]*w[u]), 0
 	}
 	return (nu + 1) / 2
 }

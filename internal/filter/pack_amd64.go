@@ -7,16 +7,12 @@ import "distfdk/internal/cpufeat"
 // packGroups packs the row's whole groups of eight samples with AVX2 where
 // the host has it, dispatched as the back-projection kernel is, and returns
 // how many samples that was (0 without AVX2).
-func packGroups(zr, zi []float64, src, pw, w []float32) int {
+func packGroups(zr, zi []float64, src, w []float32) int {
 	n := len(src) &^ 7
 	if n == 0 || !cpufeat.AVX2() {
 		return 0
 	}
-	var pw0 *float32
-	if pw != nil {
-		pw0 = &pw[0]
-	}
-	packAVX2(&zr[0], &zi[0], &src[0], pw0, &w[0], n)
+	packAVX2(&zr[0], &zi[0], &src[0], &w[0], n)
 	return n
 }
 
@@ -30,11 +26,11 @@ func unpackGroups(dst []float32, zr, zi []float64) int {
 	return n
 }
 
-// packAVX2 packs n samples, n a positive multiple of 8, into n/2 points; pw
-// may be nil. Implemented in pack_amd64.s; requires AVX2.
+// packAVX2 packs n samples, n a positive multiple of 8, into n/2 points.
+// Implemented in pack_amd64.s; requires AVX2.
 //
 //go:noescape
-func packAVX2(zr, zi *float64, src, pw, w *float32, n int)
+func packAVX2(zr, zi *float64, src, w *float32, n int)
 
 // unpackAVX2 rounds n/2 points into n samples, n a positive multiple of 8.
 // Implemented in pack_amd64.s; requires AVX2.

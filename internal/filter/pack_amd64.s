@@ -8,24 +8,18 @@
 // bits whichever packs it. Only whole groups are taken: nothing beyond the n
 // samples or the n/2 points is read or written.
 
-// func packAVX2(zr, zi *float64, src, pw, w *float32, n int)
-TEXT ·packAVX2(SB), NOSPLIT, $0-48
+// func packAVX2(zr, zi *float64, src, w *float32, n int)
+TEXT ·packAVX2(SB), NOSPLIT, $0-40
 	MOVQ zr+0(FP), SI
 	MOVQ zi+8(FP), DI
 	MOVQ src+16(FP), R8
-	MOVQ pw+24(FP), R9
-	MOVQ w+32(FP), R10
-	MOVQ n+40(FP), CX
+	MOVQ w+24(FP), R10
+	MOVQ n+32(FP), CX
 	XORQ AX, AX             // sample
 	XORQ BX, BX             // point
 
 packLoop:
-	VMOVUPS (R8)(AX*4), Y0
-	TESTQ   R9, R9
-	JZ      packWeight
-	VMULPS  (R9)(AX*4), Y0, Y0  // src·pw, rounded, first
-
-packWeight:
+	VMOVUPS      (R8)(AX*4), Y0
 	VMULPS       (R10)(AX*4), Y0, Y0
 	VPERMILPS    $0xD8, Y0, Y0  // x0 x2 x1 x3 | x4 x6 x5 x7
 	VPERMPD      $0xD8, Y0, Y0  // x0 x2 x4 x6 | x1 x3 x5 x7

@@ -86,17 +86,6 @@ func parkerWeight(b, gamma, gammaM float64) float64 {
 // Weight returns the weight of projection p, column u.
 func (pk *Parker) Weight(p, u int) float32 { return pk.weights[p*pk.nu+u] }
 
-// RowWeights returns the NU-long weight row of projection p, for callers
-// that fold the redundancy weighting into a fused filter pass (see
-// FDK.FilterRowInto). The slice aliases the Parker table; treat it as
-// read-only.
-func (pk *Parker) RowWeights(p int) ([]float32, error) {
-	if p < 0 || p >= pk.np {
-		return nil, fmt.Errorf("filter: parker projection %d outside [0,%d)", p, pk.np)
-	}
-	return pk.weights[p*pk.nu : (p+1)*pk.nu], nil
-}
-
 // ApplyRow weights one detector row of projection p in place.
 func (pk *Parker) ApplyRow(row []float32, p int) error {
 	if len(row) != pk.nu {

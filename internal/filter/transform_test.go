@@ -28,13 +28,14 @@ func randomRow(rng *rand.Rand, nu int) []float32 {
 	return row
 }
 
-// redundancyWeights stands in for a Parker row: weights in [0, 1].
-func redundancyWeights(rng *rand.Rand, nu int) []float32 {
-	pw := make([]float32, nu)
-	for i := range pw {
-		pw[i] = rng.Float32()
+// filtered returns a filtered copy of src, which is left as it was.
+func filtered(t *testing.T, f *FDK, src []float32, v int, s *Scratch) []float32 {
+	t.Helper()
+	row := append([]float32(nil), src...)
+	if err := f.FilterRow(row, v, s); err != nil {
+		t.Fatal(err)
 	}
-	return pw
+	return row
 }
 
 func sameBits(t *testing.T, what string, want, got []float32) {
@@ -49,7 +50,7 @@ func sameBits(t *testing.T, what string, want, got []float32) {
 
 // The AVX2 butterflies and the Go stages are one arithmetic: with the vector
 // path masked off every filtered row keeps its bits — every width, every
-// window, with and without redundancy weights, into a fresh dst and in place.
+// window.
 func TestAVX2RowsMatchPortableRows(t *testing.T) {
 	if !cpufeat.AVX2() {
 		t.Skip("host has no usable AVX2")
@@ -62,37 +63,20 @@ func TestAVX2RowsMatchPortableRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := f.NewScratch()
-			for _, pw := range [][]float32{nil, redundancyWeights(rng, nu)} {
-				src := randomRow(rng, nu)
-				filter := func(inPlace bool) []float32 {
-					dst := make([]float32, nu)
-					if inPlace {
-						copy(dst, src)
-						if err := f.FilterRowInto(dst, dst, 3, pw, s); err != nil {
-							t.Fatal(err)
-						}
-					} else if err := f.FilterRowInto(dst, src, 3, pw, s); err != nil {
-						t.Fatal(err)
-					}
-					return dst
-				}
-				vector, vectorInPlace := filter(false), filter(true)
-				restore := cpufeat.SetAVX2ForTest(false)
-				portable, portableInPlace := filter(false), filter(true)
-				restore()
-				what := fmt.Sprintf("nu=%d %v parker=%v", nu, win, pw != nil)
-				sameBits(t, what+": AVX2 vs portable", portable, vector)
-				sameBits(t, what+": AVX2 in place vs portable", portable, vectorInPlace)
-				sameBits(t, what+": portable in place vs portable", portable, portableInPlace)
-			}
+			src := randomRow(rng, nu)
+			vector := filtered(t, f, src, 3, s)
+			restore := cpufeat.SetAVX2ForTest(false)
+			portable := filtered(t, f, src, 3, s)
+			restore()
+			sameBits(t, fmt.Sprintf("nu=%d %v: AVX2 vs portable", nu, win), portable, vector)
 		}
 	}
 }
 
-// A filtered row's bytes depend on the row, its v and its weights only:
-// alone on a fresh workspace, on a workspace another row left dirty, on a
-// pooled one, and inside FilterRows at one to three workers among different
-// neighbours at a different position, it comes out the same.
+// A filtered row's bytes depend on the row and its v only: alone on a fresh
+// workspace, on a workspace another row left dirty, on a pooled one, and
+// inside FilterRows at one to three workers among different neighbours at a
+// different position, it comes out the same.
 func TestFilteredRowIsIndependentOfNeighbours(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, nu := range []int{9, 64, 83} {
@@ -102,24 +86,14 @@ func TestFilteredRowIsIndependentOfNeighbours(t *testing.T) {
 		}
 		const v = 2
 		row := randomRow(rng, nu)
-		want := append([]float32(nil), row...)
-		if err := f.FilterRow(want, v, f.NewScratch()); err != nil {
-			t.Fatal(err)
-		}
+		want := filtered(t, f, row, v, f.NewScratch())
 
 		dirty := f.NewScratch()
 		if err := f.FilterRow(randomRow(rng, nu), 0, dirty); err != nil {
 			t.Fatal(err)
 		}
-		got := make([]float32, nu)
-		if err := f.FilterRowInto(got, row, v, nil, dirty); err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, fmt.Sprintf("nu=%d: dirty workspace", nu), want, got)
-		if err := f.FilterRowInto(got, row, v, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, fmt.Sprintf("nu=%d: pooled workspace", nu), want, got)
+		sameBits(t, fmt.Sprintf("nu=%d: dirty workspace", nu), want, filtered(t, f, row, v, dirty))
+		sameBits(t, fmt.Sprintf("nu=%d: pooled workspace", nu), want, filtered(t, f, row, v, nil))
 
 		for workers := 1; workers <= 3; workers++ {
 			for _, at := range []int{0, 3, 6} {
@@ -169,20 +143,15 @@ func TestFilterRowAccuracy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pw := redundancyWeights(rng, nu)
 			src := randomRow(rng, nu)
 			const v = 1
-			got := make([]float32, nu)
-			if err := f.FilterRowInto(got, src, v, pw, nil); err != nil {
-				t.Fatal(err)
-			}
+			got := filtered(t, f, src, v, nil)
 
-			// The weighted row, rounded to float32 twice as the filter
-			// rounds it.
+			// The weighted row, rounded to float32 as the filter rounds it.
 			n := f.FFTSize()
 			x := make([]float64, n)
 			for u := 0; u < nu; u++ {
-				x[u] = float64(src[u] * pw[u] * f.weights[v*nu+u])
+				x[u] = float64(src[u] * f.weights[v*nu+u])
 			}
 			resp, err := rampResponse(n, cfg.RampPitch, win, cfg.Scale)
 			if err != nil {
@@ -253,9 +222,8 @@ func flanked(t *testing.T, n int) (mid []float32, intact func(what string)) {
 	}
 }
 
-// dst is a ring slot whose neighbours other goroutines are filling, src a
-// row of a stack others read: not a byte beside either may change, for odd
-// and even widths.
+// The row is one of a stack's rows whose neighbours other goroutines are
+// filtering: not a byte beside it may change, for odd and even widths.
 func TestFilterRowWritesOnlyItsRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, nu := range transformWidths {
@@ -263,23 +231,16 @@ func TestFilterRowWritesOnlyItsRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, srcIntact := flanked(t, nu)
-		copy(src, randomRow(rng, nu))
-		before := append([]float32(nil), src...)
-		dst, dstIntact := flanked(t, nu)
-		if err := f.FilterRowInto(dst, src, 0, redundancyWeights(rng, nu), nil); err != nil {
+		row, intact := flanked(t, nu)
+		copy(row, randomRow(rng, nu))
+		before := append([]float32(nil), row...)
+		if err := f.FilterRow(row, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		what := fmt.Sprintf("nu=%d", nu)
-		srcIntact(what + " src")
-		dstIntact(what + " dst")
-		sameBits(t, what+": src itself", before, src)
-		if err := f.FilterRowInto(src, src, 0, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		srcIntact(what + " in place")
-		if nu > 1 && math.Float32bits(src[0]) == math.Float32bits(before[0]) {
-			t.Fatalf("%s: in-place filtering left the row unfiltered", what)
+		intact(what)
+		if nu > 1 && math.Float32bits(row[0]) == math.Float32bits(before[0]) {
+			t.Fatalf("%s: filtering left the row unfiltered", what)
 		}
 	}
 }

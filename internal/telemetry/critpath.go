@@ -29,7 +29,7 @@ const (
 
 // critClassOf maps a span name to its attribution class: the reduce stage
 // and mpi carrier tracks are communication, backoff sleeps are the retry
-// machinery, everything else (load/filter/upload/backproject/store and
+// machinery, everything else (load/filter/backproject/store and
 // any future stage) is compute.
 func critClassOf(name string) string {
 	switch {

@@ -53,14 +53,19 @@ doc-check:
 # internal/backproject/simd.go, the row FFT's Go passes), and the test oracle
 # the back-projection is held to byte for byte, must not be compiled to fused
 # multiply-adds on a target that has them, or their bytes would depend on the
-# architecture. The Go specification makes float32(a*b) / float64(a*b) round,
-# which is how the sources prevent it; this cross-compiles them for arm64
-# (the toolchain alone, nothing downloaded) — the back-projection as its test
-# build, whose listing holds the package and its oracle — and fails, naming
-# the function, if an FMADD/FMSUB/FNMADD/FNMSUB appears inside one of
+# architecture. The same holds for the synthetic inputs: the analytic
+# projector and the Poisson noise (internal/forward), the voxeliser that
+# scores a reconstruction (internal/phantom) and their test oracles. The Go specification makes
+# float32(a*b) / float64(a*b) round, which is how the sources prevent it;
+# this cross-compiles them for arm64 (the toolchain alone, nothing
+# downloaded) — the back-projection, the projector and the voxeliser as their
+# test builds, whose listings hold the package and its oracle — and fails,
+# naming the function, if an FMADD/FMSUB/FNMADD/FNMSUB appears inside one of
 # FUSE_LINT_FUNCS or if one of them is missing from the listing. The float64
-# span solves and the tests' input generators are not in the list: none of
-# them decides a byte.
+# span solves, the tests' input generators, the numeric volume projector
+# (forward.march, forward.trilinear) and phantom.Foam's placement are not in
+# the list: none of them decides a byte of the benchmark's inputs or its
+# reference.
 FUSE_LINT_FUNCS = \
 	backproject.laneAt backproject.simdCoords backproject.footprint \
 	backproject.(*projAccess).tileRec backproject.(*projAccess).fusedTileGo \
@@ -68,10 +73,19 @@ FUSE_LINT_FUNCS = \
 	backproject.(*projAccess).subPixel backproject.(*projAccess).perColumn \
 	backproject.projAccess.reference \
 	fft.twiddleGo fft.untwiddleGo fft.difStagesGo fft.ditStagesGo \
-	fft.difRadix4Go fft.ditRadix4Go fft.pairBlock fft.(*RealPlan).pairs
+	fft.difRadix4Go fft.ditRadix4Go fft.pairBlock fft.(*RealPlan).pairs \
+	forward.vec3.dot forward.newRayFrame forward.(*rayFrame).pixel \
+	forward.(*rayFrame).shadow forward.newChordFrame forward.(*chordFrame).chord \
+	forward.projectAngle forward.AddPoissonNoise forward.poisson \
+	forward.sourcePos forward.pixelPos forward.ellipsoidChord forward.projectOracle \
+	phantom.(*Ellipsoid).Contains phantom.(*prepared).zTerm phantom.(*prepared).row \
+	phantom.(*prepared).inside phantom.(*Phantom).Voxelize phantom.subSamples \
+	phantom.containsOracle phantom.densityOracle phantom.voxelizeOracle
 
 fuse-lint:
 	@{ GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/backproject && \
+		GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/forward && \
+		GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/phantom && \
 		GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/fft; } 2>&1 | \
 	awk -v want='$(FUSE_LINT_FUNCS)' ' \
 		BEGIN { n = split(want, w, " "); for (i = 1; i <= n; i++) contract["distfdk/internal/" w[i]] = 1 } \

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"distfdk/internal/cpufeat"
+	"distfdk/internal/dataset"
 	"distfdk/internal/experiments"
 	"distfdk/internal/filter"
 	"distfdk/internal/forward"
@@ -130,6 +131,44 @@ func TestResolveInput(t *testing.T) {
 	})
 	if err != nil || calls != 1 || *sys != *want.Sys || src == nil {
 		t.Errorf("no -in: %d syntheses, sys %+v, src %v, err %v", calls, sys, src, err)
+	}
+}
+
+// A run without -in synthesises its projections (experiments.BuildScenario)
+// and must reconstruct the bytes of a run that reads them from the
+// container phantomgen writes for the same dataset and divisor — here
+// synthesised on another worker count than the CLI's.
+func TestSynthesisMatchesPhantomgenContainer(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := dataset.Tomo00030().Scaled(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := ds.System(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// phantomgen -dataset tomo_00030 -div 8 -n 32 -workers 3 -o in.fbp
+	stack, err := forward.Project(sys, ds.Phantom(), ds.FOV/2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteStack(filepath.Join(dir, "in.fbp"), stack); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-dataset", "tomo_00030", "-div", "8", "-n", "32"}
+	fdkrecon(t, dir, append(common, "-in", "in.fbp", "-o", filepath.Join(dir, "file.fbk"))...)
+	fdkrecon(t, dir, append(common, "-o", filepath.Join(dir, "synth.fbk"))...)
+	file, err := os.ReadFile(filepath.Join(dir, "file.fbk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := os.ReadFile(filepath.Join(dir, "synth.fbk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, synth) {
+		t.Error("the synthesising run's volume differs from the run over phantomgen's container")
 	}
 }
 

@@ -70,7 +70,13 @@ func (b *Beer) Apply(data []float32) error {
 // Counts performs the inverse mapping, turning a line integral P back into
 // an expected photon count λ = λ_dark + (λ_blank − λ_dark)·exp(−P). The
 // forward projector uses it to synthesise realistic raw detector frames.
+// It reads the scalar levels only. The product is rounded before the add
+// (float64(a*b)), so no host contracts the two into a fused multiply-add.
 func (b *Beer) Counts(p float64) float64 {
 	dark, blank := b.Dark, b.Blank
-	return dark + (blank-dark)*math.Exp(-p)
+	if p == 0 {
+		// exp(−0) = 1: a ray that misses the object costs no Exp.
+		return dark + (blank - dark)
+	}
+	return dark + float64((blank-dark)*math.Exp(-p))
 }

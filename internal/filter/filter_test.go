@@ -294,6 +294,12 @@ func TestBeerRoundTrip(t *testing.T) {
 			t.Fatalf("round trip of %g gave %g", p, data[0])
 		}
 	}
+	// A zero line integral skips the Exp: exp(−0) = 1 exactly.
+	for _, z := range []float64{0, math.Copysign(0, -1)} {
+		if got, want := b.Counts(z), b.Dark+float64((b.Blank-b.Dark)*math.Exp(-z)); got != want {
+			t.Fatalf("Counts(%g) = %g, the Exp spelling gives %g", z, got, want)
+		}
+	}
 }
 
 func TestBeerClampsNonPhysicalCounts(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"distfdk/internal/dataset"
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
 	"distfdk/internal/phantom"
@@ -241,13 +242,22 @@ func TestToCountsRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkProjectSheppLogan synthesises the repository benchmark's
+// single-kernel input (tomo_00030 ÷8, 96³ grid) on one worker, as its
+// set-up does.
 func BenchmarkProjectSheppLogan(b *testing.B) {
-	sys := testSystem()
-	sys.NP = 8
-	ph := phantom.SheppLogan()
+	ds, err := dataset.Tomo00030().Scaled(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := ds.System(96)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ph := ds.Phantom()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Project(sys, ph, scale, 0); err != nil {
+		if _, err := Project(sys, ph, ds.FOV/2, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,8 +13,13 @@ import (
 // recovered from a Poisson-distributed photon count: P → λ = Beer⁻¹(P) →
 // k ~ Poisson(λ) → P' = Beer(k). This is the physical noise model of X-ray
 // detection; lower λ_blank means fewer photons and noisier projections.
-// The generator is seeded, so noisy datasets are reproducible.
+// The generator is seeded, so noisy datasets are reproducible. The forward
+// map Beer.Counts reads only the scalar levels, so a Beer carrying per-pixel
+// frames is refused: Beer.Apply would invert it through another calibration.
 func AddPoissonNoise(stack *projection.Stack, beer *filter.Beer, seed int64) error {
+	if beer.DarkFrame != nil || beer.BlankFrame != nil {
+		return fmt.Errorf("forward: noise is simulated with scalar dark/blank levels, not per-pixel frames")
+	}
 	if beer.Blank <= beer.Dark {
 		return fmt.Errorf("forward: blank level %g must exceed dark %g", beer.Blank, beer.Dark)
 	}
@@ -36,7 +41,7 @@ func poisson(rng *rand.Rand, lambda float64) float64 {
 		return 0
 	}
 	if lambda > 50 {
-		k := math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64())
+		k := math.Round(lambda + float64(math.Sqrt(lambda)*rng.NormFloat64()))
 		if k < 0 {
 			k = 0
 		}

@@ -97,3 +97,35 @@ func TestAddPoissonNoise(t *testing.T) {
 		t.Fatal("expected blank<=dark error")
 	}
 }
+
+// Beer.Counts, the forward map, reads only the scalar levels while
+// Beer.Apply inverts through the per-pixel frames: noise simulated with a
+// Beer that carries frames would mix two calibrations, so it is refused and
+// the stack is left alone.
+func TestAddPoissonNoiseRefusesCalibrationFrames(t *testing.T) {
+	sys := testSystem()
+	sys.NP = 2
+	st, err := Project(sys, phantom.UniformSphere(0.4, 1), scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := append([]float32(nil), st.Data...)
+	// Frames Beer.Apply accepts for this stack.
+	frame := make([]float32, len(clean))
+	for i := range frame {
+		frame[i] = 2e4
+	}
+	for name, beer := range map[string]*filter.Beer{
+		"dark frame":  {Blank: 1e5, DarkFrame: make([]float32, len(clean))},
+		"blank frame": {Blank: 1e5, BlankFrame: frame},
+	} {
+		if err := AddPoissonNoise(st, beer, 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		for i := range clean {
+			if st.Data[i] != clean[i] {
+				t.Fatalf("%s: sample %d changed to %g from %g", name, i, st.Data[i], clean[i])
+			}
+		}
+	}
+}

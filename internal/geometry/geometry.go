@@ -186,10 +186,13 @@ func (s *System) maxObjectRadius() float64 {
 	return math.Hypot(hx, hy)
 }
 
-// VoxelWorld returns the world-space position of voxel (i,j,k) in mm.
+// VoxelWorld returns the world-space position of voxel (i,j,k) in mm. A
+// halving compiles to a product by 0.5, so each is rounded (float64(…))
+// before it feeds a subtract: phantom.Voxelize, which places its samples
+// here, must not depend on a host's fused multiply-adds.
 func (s *System) VoxelWorld(i, j, k int) (x, y, z float64) {
-	x = (float64(i) - (float64(s.NX)-1)/2) * s.DX
-	y = (float64(j) - (float64(s.NY)-1)/2) * s.DY
-	z = (float64(k) - (float64(s.NZ)-1)/2) * s.DZ
+	x = (float64(i) - float64((float64(s.NX)-1)/2)) * s.DX
+	y = (float64(j) - float64((float64(s.NY)-1)/2)) * s.DY
+	z = (float64(k) - float64((float64(s.NZ)-1)/2)) * s.DZ
 	return
 }

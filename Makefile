@@ -143,14 +143,16 @@ status-smoke:
 # Fault-tolerance gate: the seeded chaos matrix (transient recovery must be
 # bit-identical, permanent faults must surface typed and bounded with zero
 # leaked goroutines — the goroutine-settle check is part of the matrix),
-# kill-and-resume, the deadline/teardown suite, the pipeline's drain on a
-# stage failure (a failed batch hands its slab back, so a pipelined rank
-# returns instead of waiting for it) and the journal/atomic-write storage
-# tests, all under the race detector. -count=1 defeats the test cache so
+# kill-and-resume, the deadline/teardown suite, the send window in both
+# worlds (a full window blocks to the deadline, a pop's credit frees a slot
+# and releases the frames, forged credits free nothing), the pipeline's
+# drain on a stage failure (a failed batch hands its slab back, so a
+# pipelined rank returns instead of waiting for it) and the
+# journal/atomic-write storage tests, all under the race detector. -count=1 defeats the test cache so
 # the schedules actually re-run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestPipelinedFailure|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers' \
+		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestPipelinedFailure|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers|TestSendWindowReleasesPromptly|TestForgedCreditsCannotWidenWindow' \
 		./internal/core/ ./internal/mpi/ ./internal/mpi/nettrans/ ./internal/fault/ ./internal/storage/ ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/fault/
 

@@ -167,31 +167,6 @@ func TestInterceptorObservesAndInjects(t *testing.T) {
 	}
 }
 
-// A blocked Send (peer's buffer full, peer dead) must also respect the
-// deadline instead of hanging.
-func TestSendDeadlineOnFullBuffer(t *testing.T) {
-	const deadline = 50 * time.Millisecond
-	err := RunWith(2, Options{Deadline: deadline}, func(c *Comm) error {
-		if c.Rank() == 1 {
-			return nil // never receives
-		}
-		for i := 0; ; i++ {
-			if err := c.Send(1, 1, []float32{0}); err != nil {
-				if i < chanBuffer {
-					return fmt.Errorf("send %d failed before the buffer filled: %w", i, err)
-				}
-				if !errors.Is(err, ErrRankLost) {
-					return fmt.Errorf("blocked send got %v, want ErrRankLost", err)
-				}
-				return nil
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // After any teardown, the world's goroutines are gone: mpi.Run leaks
 // nothing even when ranks die at random points.
 func TestTeardownLeavesNoGoroutines(t *testing.T) {

@@ -337,10 +337,11 @@ func (c *Comm) Stats() Stats {
 // Options.Deadline); Split-derived communicators inherit it.
 func (c *Comm) SetDeadline(d time.Duration) { c.deadline = d }
 
-// Send delivers data to rank dst with the given tag. Sends are buffered;
-// a full buffer blocks until the receiver drains it, like MPI_Send's
-// rendezvous mode. A blocked send wakes with ErrRankLost when the world
-// tears down or the endpoint's deadline expires. The caller gives the
+// Send delivers data to rank dst with the given tag. Sends are buffered,
+// SendWindow messages per communicator and peer in every world; a full
+// buffer blocks until the receiver drains it, like MPI_Send's rendezvous
+// mode. A blocked send wakes with ErrRankLost when the world tears down or
+// the endpoint's deadline expires. The caller gives the
 // slice up: a local receiver gets this very slice; a remote send keeps it
 // as the frame body until the peer acknowledges the frame, then returns it
 // to the arena (see PutScratch). Either way the caller must not touch it

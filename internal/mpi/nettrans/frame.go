@@ -47,13 +47,19 @@ const (
 	kindDone
 	// kindVerdict broadcasts the hub's world-agreed outcome for the epoch.
 	kindVerdict
+	// kindCredit returns one send credit: rank src received a message of
+	// rank dst on comm, so dst may send one more to src. It is routed by
+	// rank like data; its tag carries the epoch and it has no payload.
+	kindCredit
 )
 
-// frame is one wire unit. Data frames fill comm/src/dst/tag/msgID;
-// control frames use the payload (and the ack piggyback all frames
-// carry). seq is non-zero only on reliable kinds (data, lost, done,
-// verdict, start) — those are buffered for replay until acked;
-// handshake and heartbeat frames ride outside the sequence space.
+// frame is one wire unit. Data frames fill comm/src/dst/tag/msgID, credit
+// frames comm/src/dst/tag; control frames use the payload. seq is non-zero
+// only on reliable kinds (data, credit, lost, done, verdict, start) —
+// those are buffered for replay until acked; handshake and heartbeat
+// frames ride outside the sequence space. ack is the sender's cumulative
+// receive cursor on heartbeats, handshakes and credits (a credit's is
+// stamped when it is queued); the other reliable kinds carry 0.
 type frame struct {
 	kind     frameKind
 	comm     int32

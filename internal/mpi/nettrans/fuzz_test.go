@@ -57,13 +57,13 @@ func sameRead(a *frame, aErr error, b *frame, bErr error) bool {
 func frameSeeds() [][]byte {
 	floats := appendPayload(nil, []float32{1.5, -2.25, 3}, nil)
 	var seeds [][]byte
-	for k := kindData; k <= kindVerdict; k++ {
+	for k := kindData; k <= kindCredit; k++ {
 		f := &frame{kind: k, comm: 7, src: 3, dst: 1, tag: -3, msgID: 1 << 40, seq: 42, ack: 17,
 			payload: encodeInts(1, int(k), -9)}
 		if k == kindData {
 			f.payload = floats
 		}
-		if k == kindHeartbeat {
+		if k == kindHeartbeat || k == kindCredit {
 			f.payload = nil
 		}
 		seeds = append(seeds, encodeFrame(f))

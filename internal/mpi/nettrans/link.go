@@ -123,8 +123,11 @@ func (l *link) stop() {
 	l.mu.Unlock()
 }
 
-// enqueue queues a reliable frame, assigning its sequence number. Returns
-// false when the peer is already declared dead.
+// enqueue queues a reliable frame, assigning its sequence number. A credit
+// also carries the receive cursor: the frames of the message whose receipt
+// it reports are delivered, so the peer may release them now rather than
+// at the next heartbeat or ackEvery. Returns false when the peer is
+// already declared dead.
 func (l *link) enqueue(f *frame, chaos bool) bool {
 	l.mu.Lock()
 	if l.dead {
@@ -133,6 +136,9 @@ func (l *link) enqueue(f *frame, chaos bool) bool {
 	}
 	l.nextSeq++
 	f.seq = l.nextSeq
+	if f.kind == kindCredit {
+		f.ack = l.recvSeq
+	}
 	l.pending = append(l.pending, &wireItem{f: f, chaos: chaos})
 	l.mu.Unlock()
 	l.bump(l.notify)

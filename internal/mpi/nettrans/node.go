@@ -387,18 +387,19 @@ func (n *Node) peerDead(proc int) {
 // handleFrame dispatches one delivered reliable frame from peer proc.
 // It runs on the link reader goroutine and must never block.
 func (n *Node) handleFrame(from int, f *frame) {
-	if f.kind == kindData {
+	if f.kind == kindData || f.kind == kindCredit {
 		w := n.curWorld()
-		if w == nil {
-			n.st.staleDrops.Inc()
-			return
-		}
-		dst := int(f.dst)
-		if dst < 0 || dst >= w.size {
+		src, dst := int(f.src), int(f.dst)
+		if w == nil || src < 0 || src >= w.size || dst < 0 || dst >= w.size ||
+			f.kind == kindCredit && int(f.tag) != w.epoch {
 			n.st.staleDrops.Inc()
 			return
 		}
 		if w.local[dst] {
+			if f.kind == kindCredit {
+				w.box(f.comm, f.dst, f.src).credit()
+				return
+			}
 			m, err := f.message()
 			if err != nil {
 				n.st.decodeErrors.Inc()
@@ -411,7 +412,7 @@ func (n *Node) handleFrame(from int, f *frame) {
 			// Forward leg: re-stamped for the destination's link with a
 			// fresh link sequence number, payload untouched and uncopied;
 			// the read buffer goes with it and back to the arena on its ack.
-			fwd := &frame{kind: kindData, comm: f.comm, src: f.src, dst: f.dst,
+			fwd := &frame{kind: f.kind, comm: f.comm, src: f.src, dst: f.dst,
 				tag: f.tag, msgID: f.msgID, wire: f.wire, buf: f.buf}
 			f.buf = nil
 			if !n.route(w, fwd, false) {

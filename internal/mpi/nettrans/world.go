@@ -8,16 +8,24 @@ import (
 	"distfdk/internal/mpi"
 )
 
-// inbox is an unbounded per-(comm,src,dst) message queue. Unbounded is
-// deliberate: the link reader must never block on delivery, or a slow
-// consumer would stall acks and heartbeats and fake a peer death.
+// inbox is one (comm, src, dst) channel of the world: in the process
+// hosting dst, the queue the link reader delivers into; in the process
+// hosting src, the send window. The queue is a slice so the reader never
+// blocks on delivery (a stalled reader would stall acks and heartbeats and
+// fake a peer death); it is bounded all the same, because src holds at
+// most mpi.SendWindow messages in flight and dst returns a credit for each
+// message it pops.
 type inbox struct {
 	mu  sync.Mutex
 	q   []mpi.Message
 	sig chan struct{} // capacity 1: set when q may be non-empty
+	// inflight holds a token per message src sent and dst has not popped.
+	inflight chan struct{}
 }
 
-func newInbox() *inbox { return &inbox{sig: make(chan struct{}, 1)} }
+func newInbox() *inbox {
+	return &inbox{sig: make(chan struct{}, 1), inflight: make(chan struct{}, mpi.SendWindow)}
+}
 
 func (b *inbox) push(m mpi.Message) {
 	b.mu.Lock()
@@ -69,6 +77,46 @@ func (b *inbox) pop(deadline time.Duration, cancel <-chan struct{}) (mpi.Message
 	}
 }
 
+// take claims a slot of the send window, honouring the transport
+// deadline/cancel contract as pop does.
+func (b *inbox) take(deadline time.Duration, cancel <-chan struct{}) error {
+	select {
+	case b.inflight <- struct{}{}:
+		return nil
+	default:
+	}
+	var timeout <-chan time.Time
+	if deadline > 0 {
+		t := time.NewTimer(deadline)
+		defer t.Stop()
+		timeout = t.C
+	}
+	err := mpi.ErrTransportCanceled
+	select {
+	case b.inflight <- struct{}{}:
+		return nil
+	case <-cancel:
+	case <-timeout:
+		err = mpi.ErrTransportTimeout
+	}
+	select {
+	case b.inflight <- struct{}{}:
+		return nil
+	default:
+		return err
+	}
+}
+
+// credit frees a slot of the send window. It never blocks, and a credit
+// with no message in flight (forged, or from a confused peer) frees
+// nothing, so the window never exceeds mpi.SendWindow.
+func (b *inbox) credit() {
+	select {
+	case <-b.inflight:
+	default:
+	}
+}
+
 type boxKey struct {
 	comm     int32
 	src, dst int32
@@ -78,7 +126,8 @@ type boxKey struct {
 // mpi.WorldTransport over the node's links. Local messages short-circuit
 // through in-memory inboxes (passed by reference, as in the in-process
 // world); remote ones ride data frames, via the hub when neither endpoint
-// is local to it.
+// is local to it. Either way a send takes a slot of its (comm, src, dst)
+// window and the receive that pops the message gives it back.
 type World struct {
 	n        *Node
 	epoch    int
@@ -138,12 +187,18 @@ func (w *World) box(comm, src, dst int32) *inbox {
 	return b
 }
 
-// Send implements mpi.Transport.
+// Send implements mpi.Transport. It first takes a slot of the (comm, src,
+// dst) window, blocking while mpi.SendWindow messages are in flight, as the
+// in-process world's buffered channel does.
 func (w *World) Send(comm int32, src, dst int, m mpi.Message, deadline time.Duration, cancel <-chan struct{}) error {
+	b := w.box(comm, int32(src), int32(dst))
 	if w.local[dst] {
 		// Same-process fast path: the slice moves by reference, as in the
 		// in-process world.
-		w.box(comm, int32(src), int32(dst)).push(m)
+		if err := b.take(deadline, cancel); err != nil {
+			return err
+		}
+		b.push(m)
 		return nil
 	}
 	if lost := w.deadPeers(dst); lost != nil {
@@ -152,6 +207,9 @@ func (w *World) Send(comm int32, src, dst int, m mpi.Message, deadline time.Dura
 	n := payloadLen(m.Data, m.Ctl)
 	if headerBytes+n > maxFrameBytes {
 		return fmt.Errorf("%w: message body of %d bytes", errTooLarge, headerBytes+n)
+	}
+	if err := b.take(deadline, cancel); err != nil {
+		return err
 	}
 	// No copy: a float32 body goes on the wire from the caller's slice,
 	// which the link returns to the arena when the peer acks the frame.
@@ -166,9 +224,23 @@ func (w *World) Send(comm int32, src, dst int, m mpi.Message, deadline time.Dura
 	return nil
 }
 
-// Recv implements mpi.Transport.
+// Recv implements mpi.Transport. Popping a message returns its sender's
+// credit: in place when the sender is local, else in a credit frame to the
+// sender's process, whose ack releases the frames the message rode in.
 func (w *World) Recv(comm int32, src, dst int, deadline time.Duration, cancel <-chan struct{}) (mpi.Message, error) {
-	return w.box(comm, int32(src), int32(dst)).pop(deadline, cancel)
+	b := w.box(comm, int32(src), int32(dst))
+	m, err := b.pop(deadline, cancel)
+	if err != nil {
+		return m, err
+	}
+	if w.local[src] {
+		b.credit()
+	} else {
+		// A dead path needs no credit: its sender is lost with it.
+		w.n.route(w, &frame{kind: kindCredit, comm: comm, src: int32(dst), dst: int32(src),
+			tag: int32(w.epoch)}, true)
+	}
+	return m, nil
 }
 
 // deadPeers returns the loss attribution when dst (or the path to it) is

@@ -32,7 +32,8 @@ type Message struct {
 // channel (closed on world teardown), returning ErrTransportTimeout /
 // ErrTransportCanceled respectively — the comm layer wraps those into
 // RankLostError with the operation's coordinates. A transport that has
-// declared peers dead returns a *PeerLostError naming them.
+// declared peers dead returns a *PeerLostError naming them. A Send blocks
+// while SendWindow messages of its (comm, src, dst) are not yet received.
 //
 // Ownership: a sent slice belongs to the transport until the receiver has
 // it — a local receiver at once, a remote one when its acknowledgement
@@ -269,7 +270,7 @@ func RunTransport(w TransportWorld, opt Options, fn func(c *Comm) error) error {
 // localTransport is the in-process WorldTransport, the world RunWith
 // launches: one buffered channel per (comm, src, dst), created on first
 // use. A message moves by reference — the receiver gets the sender's slice —
-// and a full channel blocks the sender (chanBuffer messages of
+// and a full channel blocks the sender (SendWindow messages of
 // back-pressure, like MPI_Send's rendezvous mode).
 type localTransport struct {
 	mu    sync.Mutex
@@ -281,12 +282,14 @@ type localBoxKey struct {
 	src, dst int
 }
 
-// chanBuffer is how many messages a sender may run ahead of its receiver:
-// enough for a ReduceChunked leaf to post the next segments while its tree
-// parent still accumulates the current one (the pipelining that hides tree
-// latency), few enough that a receiver that stopped draining is noticed
-// within a handful of sends.
-const chanBuffer = 8
+// SendWindow is how many messages a sender may run ahead of its receiver,
+// per (comm, src, dst), in every Transport: enough for a ReduceChunked leaf
+// to post the next segments while its tree parent still accumulates the
+// current one (the pipelining that hides tree latency), few enough that a
+// receiver that stopped draining is noticed within a handful of sends, and
+// that what a sender holds in flight is bounded by the window, not by the
+// length of the stream.
+const SendWindow = 8
 
 func newLocalTransport() *localTransport {
 	return &localTransport{boxes: map[localBoxKey]chan Message{}}
@@ -298,7 +301,7 @@ func (t *localTransport) box(comm int32, src, dst int) chan Message {
 	k := localBoxKey{comm, src, dst}
 	ch, ok := t.boxes[k]
 	if !ok {
-		ch = make(chan Message, chanBuffer)
+		ch = make(chan Message, SendWindow)
 		t.boxes[k] = ch
 	}
 	return ch

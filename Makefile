@@ -62,10 +62,13 @@ doc-check:
 # test builds, whose listings hold the package and its oracle — and fails,
 # naming the function, if an FMADD/FMSUB/FNMADD/FNMSUB appears inside one of
 # FUSE_LINT_FUNCS or if one of them is missing from the listing. The float64
-# span solves, the tests' input generators, the numeric volume projector
-# (forward.march, forward.trilinear) and phantom.Foam's placement are not in
-# the list: none of them decides a byte of the benchmark's inputs or its
-# reference.
+# span solves (the kernel's rowSpans and clipRow, the voxeliser's sub-row
+# solve phantom.(*slabTerm).span and phantom.indexRange), the tests' input
+# generators, the numeric volume projector (forward.march, forward.trilinear)
+# and phantom.Foam's placement are not in the list: none of them decides a
+# byte of the benchmark's inputs or its reference. A span solve only decides
+# where the exact arithmetic need not run, with a margin that its doc comment
+# states.
 FUSE_LINT_FUNCS = \
 	backproject.laneAt backproject.simdCoords backproject.footprint \
 	backproject.(*projAccess).tileRec backproject.(*projAccess).fusedTileGo \

@@ -60,7 +60,9 @@ func main() {
 	}
 	kind := "line integrals"
 	if *counts {
-		forward.ToCounts(stack, scaled.Beer())
+		if err := forward.ToCounts(stack, scaled.Beer()); err != nil {
+			log.Fatal(err)
+		}
 		kind = "photon counts"
 	}
 	if *sinogram != "" {

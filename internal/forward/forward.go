@@ -49,6 +49,7 @@ type rayFrame struct {
 
 func newRayFrame(sys *geometry.System, phi float64) rayFrame {
 	sin, cos := math.Sincos(phi)
+	cu, cv := principalPoint(sys)
 	return rayFrame{
 		sys: sys, sin: sin, cos: cos,
 		// The source is the centre of projection of the gantry transform:
@@ -57,11 +58,35 @@ func newRayFrame(sys *geometry.System, phi float64) rayFrame {
 			x: float64(-cos*sys.SigmaCOR) - float64(sin*sys.DSO),
 			y: float64(sin*sys.SigmaCOR) - float64(cos*sys.DSO),
 		},
-		// A halving compiles to a product by 0.5.
-		cu: float64((float64(sys.NU)-1)/2) + sys.SigmaU,
-		cv: float64((float64(sys.NV)-1)/2) + sys.SigmaV,
-		d:  sys.DSD - sys.DSO,
+		cu: cu, cv: cv,
+		d: sys.DSD - sys.DSO,
 	}
+}
+
+// principalPoint returns the detector's corrected principal point in
+// (fractional) columns and rows.
+func principalPoint(sys *geometry.System) (cu, cv float64) {
+	// A halving compiles to a product by 0.5.
+	return float64((float64(sys.NU)-1)/2) + sys.SigmaU, float64((float64(sys.NV)-1)/2) + sys.SigmaV
+}
+
+// planeNorms holds √(Dsd² + s²) for every detector column (u) and row (v),
+// where s is its offset from the principal point: the norm of the normal of
+// the plane through the source and that column or row, which shadow divides
+// a distance by. It depends on the geometry alone, so Project tabulates it
+// once.
+type planeNorms struct{ u, v []float64 }
+
+func newPlaneNorms(sys *geometry.System) *planeNorms {
+	cu, cv := principalPoint(sys)
+	axis := func(n int, centre, pitch float64) []float64 {
+		norms := make([]float64, n)
+		for i := range norms {
+			norms[i] = math.Hypot(sys.DSD, (float64(i)-centre)*pitch)
+		}
+		return norms
+	}
+	return &planeNorms{u: axis(sys.NU, cu, sys.DU), v: axis(sys.NV, cv, sys.DV)}
 }
 
 // pixel returns the world-space position of detector pixel (u, v): the
@@ -79,8 +104,9 @@ func (f *rayFrame) pixel(u, v float64) vec3 {
 // shadow returns the detector columns [u0, u1] and rows [v0, v1] whose rays
 // can come within r of world point c (empty ranges have u1 < u0). Every ray
 // of column u lies in one plane through the source, every ray of row v in
-// another; a ray in a plane farther than r from c stays farther than r.
-func (f *rayFrame) shadow(c vec3, r float64) (u0, u1, v0, v1 int) {
+// another; a ray in a plane farther than r from c stays farther than r. pn
+// is the geometry's planeNorms.
+func (f *rayFrame) shadow(c vec3, r float64, pn *planeNorms) (u0, u1, v0, v1 int) {
 	sys := f.sys
 	// c relative to the source in the gantry frame: along the detector's
 	// u axis (t), along the central ray (w), and z.
@@ -89,18 +115,18 @@ func (f *rayFrame) shadow(c vec3, r float64) (u0, u1, v0, v1 int) {
 	// A pixel at offset s from the principal point along one detector
 	// axis sees c in a plane whose distance from c is |Dsd·cc − s·cw| /
 	// √(Dsd² + s²), where cc is c's coordinate along that axis.
-	span := func(n int, centre, pitch, cc float64) (lo, hi int) {
-		lo, hi = n, -1
-		for i := 0; i < n; i++ {
+	span := func(norms []float64, centre, pitch, cc float64) (lo, hi int) {
+		lo, hi = len(norms), -1
+		for i, norm := range norms {
 			s := (float64(i) - centre) * pitch
-			if math.Abs(float64(sys.DSD*cc)-float64(s*cw)) <= r*math.Hypot(sys.DSD, s) {
+			if math.Abs(float64(sys.DSD*cc)-float64(s*cw)) <= r*norm {
 				lo, hi = min(lo, i), i
 			}
 		}
 		return lo, hi
 	}
-	u0, u1 = span(sys.NU, f.cu, sys.DU, ct)
-	v0, v1 = span(sys.NV, f.cv, sys.DV, c.z)
+	u0, u1 = span(pn.u, f.cu, sys.DU, ct)
+	v0, v1 = span(pn.v, f.cv, sys.DV, c.z)
 	return u0, u1, v0, v1
 }
 
@@ -118,7 +144,7 @@ type chordFrame struct {
 	u0, u1, v0, v1 int
 }
 
-func newChordFrame(e *phantom.Ellipsoid, scale float64, f *rayFrame) chordFrame {
+func newChordFrame(e *phantom.Ellipsoid, scale float64, f *rayFrame, pn *planeNorms) chordFrame {
 	sin, cos := math.Sincos(-e.Phi)
 	// Translate to the ellipsoid frame and rotate about Z by −Phi.
 	centre := vec3{float64(e.CX * scale), float64(e.CY * scale), float64(e.CZ * scale)}
@@ -136,7 +162,7 @@ func newChordFrame(e *phantom.Ellipsoid, scale float64, f *rayFrame) chordFrame 
 	// outside the rectangle computes a chord of 0.
 	slack := 1e-6 + float64(1e-12*(cf.C+1))
 	r := max(a, b, c) * (1 + slack)
-	cf.u0, cf.u1, cf.v0, cf.v1 = f.shadow(centre, r)
+	cf.u0, cf.u1, cf.v0, cf.v1 = f.shadow(centre, r, pn)
 	return cf
 }
 
@@ -172,6 +198,7 @@ func Project(sys *geometry.System, ph *phantom.Phantom, scale float64, workers i
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	pn := newPlaneNorms(sys)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -180,7 +207,7 @@ func Project(sys *geometry.System, ph *phantom.Phantom, scale float64, workers i
 			chords := make([]chordFrame, len(ph.Ellipsoids))
 			rowChords := make([]*chordFrame, 0, len(chords))
 			for p := w; p < sys.NP; p += workers {
-				projectAngle(sys, stack, p, ph, scale, chords, rowChords)
+				projectAngle(sys, stack, p, ph, scale, pn, chords, rowChords)
 			}
 		}(w)
 	}
@@ -189,14 +216,15 @@ func Project(sys *geometry.System, ph *phantom.Phantom, scale float64, workers i
 }
 
 // projectAngle fills projection p of stack with the phantom's line
-// integrals; chords and rowChords are scratch of one entry per ellipsoid.
+// integrals; pn is the geometry's planeNorms, chords and rowChords are
+// scratch of one entry per ellipsoid.
 // Each pixel sums the chords of the ellipsoids its ray meets in phantom
 // order, from zero, whichever ellipsoids the shadow rectangles leave out.
 func projectAngle(sys *geometry.System, stack *projection.Stack, p int, ph *phantom.Phantom, scale float64,
-	chords []chordFrame, rowChords []*chordFrame) {
+	pn *planeNorms, chords []chordFrame, rowChords []*chordFrame) {
 	f := newRayFrame(sys, sys.Angle(p))
 	for i := range chords {
-		chords[i] = newChordFrame(&ph.Ellipsoids[i], scale, &f)
+		chords[i] = newChordFrame(&ph.Ellipsoids[i], scale, &f, pn)
 	}
 	for v := 0; v < sys.NV; v++ {
 		row, _ := stack.Row(v, p)
@@ -375,9 +403,15 @@ func trilinear(sys *geometry.System, vol *volume.Volume, pt vec3) float64 {
 
 // ToCounts converts a stack of line integrals to raw photon counts in place
 // using the inverse Beer–Lambert map, so preprocessing (Equation 1) can be
-// tested against synthetic acquisitions.
-func ToCounts(stack *projection.Stack, beer *filter.Beer) {
+// tested against synthetic acquisitions. Beer.Counts reads only the scalar
+// levels, so a Beer carrying per-pixel frames is refused and the stack left
+// alone: Beer.Apply would invert the counts through another calibration.
+func ToCounts(stack *projection.Stack, beer *filter.Beer) error {
+	if beer.DarkFrame != nil || beer.BlankFrame != nil {
+		return fmt.Errorf("forward: counts are synthesised with scalar dark/blank levels, not per-pixel frames")
+	}
 	for i, p := range stack.Data {
 		stack.Data[i] = float32(beer.Counts(float64(p)))
 	}
+	return nil
 }

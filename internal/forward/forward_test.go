@@ -227,7 +227,9 @@ func TestToCountsRoundTrip(t *testing.T) {
 	}
 	want := append([]float32(nil), stack.Data...)
 	beer := &filter.Beer{Dark: 50, Blank: 65536}
-	ToCounts(stack, beer)
+	if err := ToCounts(stack, beer); err != nil {
+		t.Fatal(err)
+	}
 	// Counts must differ from integrals and invert back through Apply.
 	if stack.Data[0] == want[0] {
 		t.Fatal("ToCounts did not transform data")

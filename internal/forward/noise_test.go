@@ -7,6 +7,7 @@ import (
 
 	"distfdk/internal/filter"
 	"distfdk/internal/phantom"
+	"distfdk/internal/projection"
 )
 
 func TestPoissonSamplerMoments(t *testing.T) {
@@ -103,6 +104,21 @@ func TestAddPoissonNoise(t *testing.T) {
 // Beer that carries frames would mix two calibrations, so it is refused and
 // the stack is left alone.
 func TestAddPoissonNoiseRefusesCalibrationFrames(t *testing.T) {
+	refusesCalibrationFrames(t, func(st *projection.Stack, beer *filter.Beer) error {
+		return AddPoissonNoise(st, beer, 1)
+	})
+}
+
+// Counts synthesised from the scalar levels would be preprocessed through
+// the frames: ToCounts refuses a Beer that carries them too.
+func TestToCountsRefusesCalibrationFrames(t *testing.T) {
+	refusesCalibrationFrames(t, ToCounts)
+}
+
+// refusesCalibrationFrames fails the test unless convert returns an error
+// for a Beer carrying a dark or a blank frame and leaves the stack alone.
+func refusesCalibrationFrames(t *testing.T, convert func(*projection.Stack, *filter.Beer) error) {
+	t.Helper()
 	sys := testSystem()
 	sys.NP = 2
 	st, err := Project(sys, phantom.UniformSphere(0.4, 1), scale, 1)
@@ -119,7 +135,7 @@ func TestAddPoissonNoiseRefusesCalibrationFrames(t *testing.T) {
 		"dark frame":  {Blank: 1e5, DarkFrame: make([]float32, len(clean))},
 		"blank frame": {Blank: 1e5, BlankFrame: frame},
 	} {
-		if err := AddPoissonNoise(st, beer, 1); err == nil {
+		if err := convert(st, beer); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		for i := range clean {

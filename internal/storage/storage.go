@@ -53,7 +53,7 @@ func WriteStack(path string, s *projection.Stack) error {
 	if err := binary.Write(f, binary.LittleEndian, hdr); err != nil {
 		return cleanup(fmt.Errorf("storage: write header: %w", err))
 	}
-	if err := binary.Write(f, binary.LittleEndian, s.Data); err != nil {
+	if err := writeFloats(f, s.Data, projHeaderBytes); err != nil {
 		return cleanup(fmt.Errorf("storage: write samples: %w", err))
 	}
 	if err := f.Sync(); err != nil {
@@ -227,8 +227,30 @@ type SlabWriter struct {
 // volHeaderBytes matches volume.WriteRaw's 5-int32 header.
 const volHeaderBytes = 20
 
-// slabChunkBytes is the size of the buffer WriteSlab encodes through.
+// slabChunkBytes is the size of the buffer writeFloats encodes through.
 const slabChunkBytes = 64 << 10
+
+// writeFloats writes data little-endian into f from offset off. It encodes
+// through one bounded buffer rather than a data-sized one: the leader stores
+// a slab per batch, and slab-sized garbage per batch is what its peak heap
+// would otherwise be made of; a projection stack would be one more copy of
+// the input.
+func writeFloats(f *os.File, data []float32, off int64) error {
+	buf := make([]byte, 0, slabChunkBytes)
+	for len(data) > 0 {
+		n := min(len(data), slabChunkBytes/4)
+		buf = buf[:0]
+		for _, x := range data[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, floatToBits(x))
+		}
+		if _, err := f.WriteAt(buf, off); err != nil {
+			return err
+		}
+		off += int64(len(buf))
+		data = data[n:]
+	}
+	return nil
+}
 
 // volMagic identifies the raw volume container.
 const volMagic = 0x46424b31 // "FBK1"
@@ -309,22 +331,9 @@ func (w *SlabWriter) WriteSlab(slab *volume.Volume) error {
 	if w.tel != nil {
 		t0 = time.Now()
 	}
-	// Encoded through one bounded buffer rather than a slab-sized one: the
-	// leader stores a slab per batch, and slab-sized garbage per batch is
-	// what its peak heap would otherwise be made of.
-	buf := make([]byte, 0, slabChunkBytes)
 	off := volHeaderBytes + int64(slab.Z0)*int64(w.nx)*int64(w.ny)*4
-	for data := slab.Data; len(data) > 0; {
-		n := min(len(data), slabChunkBytes/4)
-		buf = buf[:0]
-		for _, x := range data[:n] {
-			buf = binary.LittleEndian.AppendUint32(buf, floatToBits(x))
-		}
-		if _, err := w.f.WriteAt(buf, off); err != nil {
-			return fmt.Errorf("storage: write slab at z=%d: %w", slab.Z0, err)
-		}
-		off += int64(len(buf))
-		data = data[n:]
+	if err := writeFloats(w.f, slab.Data, off); err != nil {
+		return fmt.Errorf("storage: write slab at z=%d: %w", slab.Z0, err)
 	}
 	if t := w.tel; t != nil {
 		t.writes.Inc()

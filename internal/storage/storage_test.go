@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -45,6 +46,30 @@ func TestStackFileRoundTrip(t *testing.T) {
 	for i := range full.Data {
 		if got.Data[i] != full.Data[i] {
 			t.Fatalf("sample %d: %g != %g", i, got.Data[i], full.Data[i])
+		}
+	}
+}
+
+// WriteStack encodes through one bounded buffer; stacks below, at and above
+// its size, and of odd sample counts, must be the bytes of a header
+// and the samples written by binary.Write.
+func TestWriteStackMatchesBinaryWrite(t *testing.T) {
+	for i, dims := range [][3]int{{7, 5, 3}, {64, 16, 16}, {61, 9, 31}, {128, 33, 9}} {
+		nu, np, nv := dims[0], dims[1], dims[2]
+		st := makeStack(nu, np, nv, int64(i))
+		path := filepath.Join(t.TempDir(), "proj.fbp")
+		if err := WriteStack(path, st); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		binary.Write(&want, binary.LittleEndian, []int32{projMagic, int32(nu), int32(np), int32(nv)})
+		binary.Write(&want, binary.LittleEndian, st.Data)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%dx%dx%d (%d bytes of samples): the file differs from binary.Write's", nu, np, nv, 4*len(st.Data))
 		}
 	}
 }

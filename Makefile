@@ -29,8 +29,10 @@ check: doc-check fuse-lint
 # Documentation gate: every Test*/Benchmark*/Fuzz* identifier DESIGN.md or
 # README.md names must be a function in some _test.go file, every
 # |-alternative of every -run '...' selector in this Makefile (anchors
-# stripped; '^$$' selects nothing on purpose) must be a prefix of a Test
-# function in some _test.go file, and every scenarios/<name>.yaml path
+# stripped; '^$$' selects nothing on purpose) and every Test*/Benchmark*/
+# Fuzz* identifier the verify skill (.claude/skills/verify/SKILL.md, which
+# quotes -run selectors) names must be a prefix of a function in some
+# _test.go file, and every scenarios/<name>.yaml path
 # DESIGN.md, README.md or EXPERIMENTS.md cites must be a file — so neither
 # the docs nor a make target can go on citing a test or a scenario a PR
 # deleted or renamed (go test -run matches a stale name to nothing, silently).
@@ -43,6 +45,10 @@ doc-check:
 	for n in $$(grep -oE -- "-run '[A-Za-z0-9_|^$$]+'" Makefile | cut -d"'" -f2 | tr '|' '\n' | sed -E 's/^\^//; s/\$$+$$//' | sort -u); do \
 		grep -rqE "^func $$n" --include='*_test.go' . || \
 			{ echo "doc-check: a Makefile -run selector names $$n, which prefixes no Test function in a _test.go file"; stale=1; }; \
+	done; \
+	for n in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' .claude/skills/verify/SKILL.md | sort -u); do \
+		grep -rqE "^func $$n" --include='*_test.go' . || \
+			{ echo "doc-check: .claude/skills/verify/SKILL.md names $$n, which prefixes no function in a _test.go file"; stale=1; }; \
 	done; \
 	for f in $$(grep -ohE '\bscenarios/[a-z0-9-]+\.ya?ml' DESIGN.md EXPERIMENTS.md README.md | sort -u); do \
 		test -f "$$f" || { echo "doc-check: the docs cite $$f, which does not exist"; stale=1; }; \

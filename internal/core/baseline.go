@@ -128,8 +128,9 @@ func RunBatchBaseline(opts BaselineOptions) (*ClusterReport, error) {
 			dev.RecordD2H(slab.Bytes())
 			dev.Free(stackBytes + chunkBytes)
 
-			// One global collective across all ranks.
-			if err := world.Reduce(0, slab.Data); err != nil {
+			// One global collective across all ranks, one message per
+			// tree edge.
+			if err := world.ReduceChunked(0, slab.Data, len(slab.Data)); err != nil {
 				return fmt.Errorf("rank %d chunk %d reduce: %w", rank, c, err)
 			}
 			if rank == 0 {

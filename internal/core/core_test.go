@@ -323,12 +323,24 @@ func TestRunBatchBaselineMatchesAndIsRedundant(t *testing.T) {
 	if stats.RMSE > 1e-5 {
 		t.Fatalf("baseline RMSE %g", stats.RMSE)
 	}
-	// The baseline re-ships its projection share once per chunk.
+	// Table 2's baseline columns. The baseline re-ships its projection
+	// share once per chunk (H2D total), and each chunk is one global
+	// reduce: every rank but the root sends its chunk once (msgs/rank), so
+	// the reduce moves (ranks−1)·Vol (reduce total).
 	shareBytes := int64(sys.NU) * int64(sys.NP/ranks) * int64(sys.NV) * 4
-	if got := rep.Ledgers[0].H2DBytes; got != chunks*shareBytes+rep.Ledgers[0].D2HBytes*0 {
-		if got != int64(chunks)*shareBytes {
-			t.Fatalf("baseline rank 0 H2D %d, want %d (chunk-redundant)", got, int64(chunks)*shareBytes)
-		}
+	if got := rep.Ledgers[0].H2DBytes; got != chunks*shareBytes {
+		t.Fatalf("baseline rank 0 H2D %d, want %d (chunk-redundant)", got, chunks*shareBytes)
+	}
+	var msgs int64
+	for _, s := range rep.WorldStats {
+		msgs += s.MessagesSent
+	}
+	if msgs != chunks*(ranks-1) {
+		t.Fatalf("baseline sent %d messages, want chunks·(ranks−1) = %d", msgs, chunks*(ranks-1))
+	}
+	volBytes := 4 * int64(sys.NX) * int64(sys.NY) * int64(sys.NZ)
+	if got := rep.TotalReduceBytes(); got != (ranks-1)*volBytes {
+		t.Fatalf("baseline reduce bytes %d, want (ranks−1)·Vol = %d", got, (ranks-1)*volBytes)
 	}
 
 	// Our decomposition at the same world size ships strictly less.

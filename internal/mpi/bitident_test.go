@@ -40,23 +40,24 @@ func runReduction(t *testing.T, n, root, elems int, reduce func(c *Comm, buf []f
 }
 
 // The reconstruction must stay deterministic regardless of which reduction
-// path assembles the slabs: Reduce, every chunking of ReduceChunked, and
-// HierarchicalReduce (power-of-two ranksPerNode dividing the world size)
-// share one fixed per-element summation order and must agree bit for bit.
+// path assembles the slabs: the flat one-chunk ReduceChunked, every other
+// chunking of it, and HierarchicalReduce (power-of-two ranksPerNode dividing
+// the world size) share one fixed per-element summation order and must
+// agree bit for bit.
 func TestReductionPathsBitIdentical(t *testing.T) {
 	const elems = 257 // odd length: chunk boundaries land mid-buffer
 	for _, n := range []int{4, 8} {
 		for _, root := range []int{0, n / 2} {
 			want := runReduction(t, n, root, elems, func(c *Comm, buf []float32) error {
-				return c.Reduce(root, buf)
+				return c.ReduceChunked(root, buf, elems)
 			})
-			for _, chunk := range []int{1, 7, 64, elems, elems + 100} {
+			for _, chunk := range []int{1, 7, 64, elems + 100} {
 				got := runReduction(t, n, root, elems, func(c *Comm, buf []float32) error {
 					return c.ReduceChunked(root, buf, chunk)
 				})
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("n=%d root=%d chunk=%d: elem %d: ReduceChunked %x != Reduce %x",
+						t.Fatalf("n=%d root=%d chunk=%d: elem %d: ReduceChunked %x != flat %x",
 							n, root, chunk, i, got[i], want[i])
 					}
 				}
@@ -70,7 +71,7 @@ func TestReductionPathsBitIdentical(t *testing.T) {
 				})
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("n=%d root=%d rpn=%d: elem %d: HierarchicalReduce %x != Reduce %x",
+						t.Fatalf("n=%d root=%d rpn=%d: elem %d: HierarchicalReduce %x != flat %x",
 							n, root, rpn, i, got[i], want[i])
 					}
 				}
@@ -89,14 +90,23 @@ func TestPooledReductionsMatchUnpooled(t *testing.T) {
 		return runReduction(t, n, root, elems, reduce)
 	}
 	variants := map[string]func(c *Comm, buf []float32) error{
-		"reduce":  func(c *Comm, buf []float32) error { return c.Reduce(root, buf) },
+		"flat":    func(c *Comm, buf []float32) error { return c.ReduceChunked(root, buf, elems) },
 		"chunked": func(c *Comm, buf []float32) error { return c.ReduceChunked(root, buf, 32) },
 		"hier":    func(c *Comm, buf []float32) error { return c.HierarchicalReduce(root, buf, 4) },
-		"bcast+reduce": func(c *Comm, buf []float32) error {
-			if err := c.Bcast(3, append([]float32(nil), buf...)); err != nil {
+		// A ring pass of arena scratch ahead of the reduce: the buffers
+		// the transport hands back must not leak into the sum.
+		"ring+reduce": func(c *Comm, buf []float32) error {
+			out := GetScratch(len(buf))
+			copy(out, buf)
+			if err := c.Send((c.Rank()+1)%n, 9, out); err != nil {
 				return err
 			}
-			return c.Reduce(root, buf)
+			in, err := c.Recv((c.Rank()+n-1)%n, 9)
+			if err != nil {
+				return err
+			}
+			PutScratch(in)
+			return c.ReduceChunked(root, buf, len(buf))
 		},
 	}
 	for name, fn := range variants {
@@ -109,8 +119,7 @@ func TestPooledReductionsMatchUnpooled(t *testing.T) {
 	}
 }
 
-// Non-root buffers must stay untouched by the chunked and hierarchical
-// variants, same as Reduce.
+// Non-root buffers must stay untouched by a chunked reduction.
 func TestChunkedReduceLeavesNonRootBuffers(t *testing.T) {
 	const n, elems = 6, 41
 	err := Run(n, func(c *Comm) error {
@@ -188,7 +197,7 @@ func TestBufferArenaReuse(t *testing.T) {
 	const n, elems = 8, 4096
 	reduceOnce := func() {
 		err := Run(n, func(c *Comm) error {
-			return c.Reduce(0, rankData(c.Rank(), elems))
+			return c.ReduceChunked(0, rankData(c.Rank(), elems), elems)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -45,7 +45,7 @@ func TestWorldTeardownWakesBlockedCollectives(t *testing.T) {
 				return boom // dies before entering the collective
 			}
 			buf := make([]float32, 64)
-			return c.Reduce(0, buf) // would deadlock without teardown
+			return c.ReduceChunked(0, buf, len(buf)) // would deadlock without teardown
 		})
 	}()
 	select {
@@ -177,10 +177,10 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 				return fmt.Errorf("rank %d dies (seed %d)", c.Rank(), seed)
 			}
 			buf := make([]float32, 32)
-			if err := c.Bcast(0, buf); err != nil {
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-			return c.Reduce(0, buf)
+			return c.ReduceChunked(0, buf, 8)
 		})
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -2,12 +2,14 @@
 // paper's distributed framework. Ranks are goroutines; every message rides a
 // Transport — in-process channels when all ranks are local (RunWith),
 // sockets when they are spread over OS processes (package nettrans) — and
-// communicators carry the collectives the paper uses:
-// Barrier, Bcast, binomial-tree Reduce (and the hierarchical node-leader
-// variant of Section 4.4.2), Allreduce, Gather and CommSplit (the grouping
-// of Section 4.4.1). All collectives move and reduce real data, and every
-// rank keeps byte/message counters so communication-volume experiments
-// (Table 2's complexity column) measure actual traffic.
+// communicators carry the collectives the reconstruction runs: Barrier, the
+// segmented binomial-tree reduction (ReduceChunked), its hierarchical
+// node-leader variant of Section 4.4.2 (HierarchicalReduce) and CommSplit
+// (the grouping of Section 4.4.1). Both reductions run one binomial-tree
+// loop, so their per-element summation order is shared. All collectives
+// move and reduce real data, and every rank keeps byte/message counters so
+// communication-volume experiments (Table 2's complexity column) measure
+// actual traffic.
 package mpi
 
 import (
@@ -445,9 +447,7 @@ func (c *Comm) recv(src, tag int) (Message, error) {
 
 const (
 	tagBarrier = -1
-	tagBcast   = -2
 	tagReduce  = -3
-	tagGather  = -4
 	// tagSplit carries Split's formation exchange.
 	tagSplit = -5
 )
@@ -468,66 +468,24 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// Bcast distributes root's buffer to every rank over a binomial tree. All
-// ranks pass a buffer of identical length; non-root buffers are
-// overwritten.
-func (c *Comm) Bcast(root int, buf []float32) error {
-	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpi: bcast root %d outside world of %d", root, c.size)
-	}
-	rel := (c.rank - root + c.size) % c.size
-	// Receive phase: find the step at which this rank gets the data. The
-	// incoming buffer is the sender's arena scratch; copy it out and
-	// return it.
-	mask := 1
-	for ; mask < c.size; mask <<= 1 {
-		if rel&mask != 0 {
-			src := (c.rank - mask + c.size) % c.size
-			data, err := c.Recv(src, tagBcast)
-			if err != nil {
-				return err
-			}
-			if len(data) != len(buf) {
-				return fmt.Errorf("mpi: bcast buffer length %d, expected %d", len(data), len(buf))
-			}
-			copy(buf, data)
-			PutScratch(data)
-			break
+// reduceSegment runs one binomial-tree reduction over acc on a tree of size
+// positions numbered relative to its root: pos is this rank's position and
+// rankOf maps a position to the communicator rank that holds it. This is
+// the fused receive+accumulate loop of every reduction — the flat tree and
+// HierarchicalReduce's intra-node and inter-leader trees — so their
+// per-element summation order is one and the same. One scratch slice (acc)
+// lives across all rounds; each received buffer is a tree child's scratch,
+// accumulated in place and returned to the arena. A position other than 0
+// sends acc to its tree parent exactly once, as its last step, so acc must
+// then be arena scratch whose ownership transfers on send; at position 0 it
+// is the caller's output buffer.
+func (c *Comm) reduceSegment(pos, size int, rankOf func(pos int) int, acc []float32) error {
+	for step := 1; step < size; step <<= 1 {
+		if pos&step != 0 {
+			return c.Send(rankOf(pos-step), tagReduce, acc)
 		}
-	}
-	// Forward phase: relay to the sub-tree below this rank. Each relay
-	// borrows a scratch buffer whose ownership transfers to the child.
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < c.size {
-			dst := (c.rank + mask) % c.size
-			out := GetScratch(len(buf))
-			copy(out, buf)
-			if err := c.Send(dst, tagBcast, out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// reduceSegment runs one binomial-tree reduction over acc: rel is this
-// rank's position relative to the root. This is the fused
-// receive+accumulate path every reduction variant shares — one scratch
-// slice (acc) lives across all rounds; each received buffer is a tree
-// partner's scratch, accumulated in place and returned to the arena. For
-// rel != 0, acc must be arena scratch whose ownership transfers to the
-// tree parent on send; for rel == 0 it is the caller's output buffer.
-// Because all variants funnel through this one routine, their per-element
-// summation order is fixed and their results bit-identical.
-func (c *Comm) reduceSegment(rel int, acc []float32) error {
-	for step := 1; step < c.size; step <<= 1 {
-		if rel&step != 0 {
-			dst := (c.rank - step + c.size) % c.size
-			return c.Send(dst, tagReduce, acc)
-		}
-		if rel+step < c.size {
-			src := (c.rank + step) % c.size
-			data, err := c.Recv(src, tagReduce)
+		if pos+step < size {
+			data, err := c.Recv(rankOf(pos+step), tagReduce)
 			if err != nil {
 				return err
 			}
@@ -543,35 +501,20 @@ func (c *Comm) reduceSegment(rel int, acc []float32) error {
 	return nil
 }
 
-// Reduce sums every rank's buf element-wise into root's buf over a binomial
-// tree (O(log N) rounds — the communication bound of Table 2's last row).
-// Non-root buffers are left unmodified. This is the segmented MPI_Reduce of
-// the paper when called on a group communicator created by Split.
-func (c *Comm) Reduce(root int, buf []float32) error {
-	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpi: reduce root %d outside world of %d", root, c.size)
-	}
-	rel := (c.rank - root + c.size) % c.size
-	// Accumulate into a private arena buffer so non-root callers keep
-	// theirs.
-	acc := buf
-	if rel != 0 {
-		acc = GetScratch(len(buf))
-		copy(acc, buf)
-	}
-	return c.reduceSegment(rel, acc)
-}
-
-// ReduceChunked is Reduce with the buffer split into ⌈len/chunk⌉ segments
-// that are pipelined through the binomial tree: because sends are
-// buffered, a leaf posts segment c and immediately starts segment c+1
-// while its parent is still accumulating segment c — round k of segment c
-// overlaps round k−1 of segment c+1, hiding tree latency behind
-// accumulation exactly like the paper's segmented reduction hides
-// communication behind compute. Per-element summation order is identical
-// to Reduce, so the result is bit-identical; segment traffic is counted
-// per chunk in Stats (BytesSent/MessagesSent per segment message,
-// ReduceChunks for forwarded segments).
+// ReduceChunked sums every rank's buf element-wise into root's buf over a
+// binomial tree (O(log N) rounds — the communication bound of Table 2's
+// last row); non-root buffers are left unmodified. Called on a group
+// communicator created by Split, it is the paper's segmented MPI_Reduce.
+// The buffer is split into ⌈len/chunk⌉ segments that are pipelined through
+// the tree: because sends are buffered, a leaf posts segment c and
+// immediately starts segment c+1 while its parent is still accumulating
+// segment c — round k of segment c overlaps round k−1 of segment c+1,
+// hiding tree latency behind accumulation exactly like the paper's
+// segmented reduction hides communication behind compute. The chunking
+// leaves the per-element summation order alone, so every chunk size gives
+// the same bits; chunk = len(buf) sends one message per tree edge. Segment
+// traffic is counted per chunk in Stats (BytesSent/MessagesSent per
+// segment message, ReduceChunks for forwarded segments).
 func (c *Comm) ReduceChunked(root int, buf []float32, chunk int) error {
 	if root < 0 || root >= c.size {
 		return fmt.Errorf("mpi: reduce root %d outside world of %d", root, c.size)
@@ -580,6 +523,7 @@ func (c *Comm) ReduceChunked(root int, buf []float32, chunk int) error {
 		return fmt.Errorf("mpi: chunk size %d must be positive", chunk)
 	}
 	rel := (c.rank - root + c.size) % c.size
+	rankOf := func(pos int) int { return (pos + root) % c.size }
 	nChunks := 1
 	if len(buf) > 0 {
 		nChunks = (len(buf) + chunk - 1) / chunk
@@ -598,7 +542,7 @@ func (c *Comm) ReduceChunked(root int, buf []float32, chunk int) error {
 		if c.tm != nil {
 			t0 = time.Now()
 		}
-		if err := c.reduceSegment(rel, acc); err != nil {
+		if err := c.reduceSegment(rel, c.size, rankOf, acc); err != nil {
 			return err
 		}
 		if t := c.tm; t != nil {
@@ -608,56 +552,24 @@ func (c *Comm) ReduceChunked(root int, buf []float32, chunk int) error {
 	return nil
 }
 
-// Allreduce sums every rank's buffer into all ranks (Reduce to 0 + Bcast).
-func (c *Comm) Allreduce(buf []float32) error {
-	if err := c.Reduce(0, buf); err != nil {
-		return err
-	}
-	return c.Bcast(0, buf)
-}
-
-// Gather collects every rank's buffer at root; the result at root is
-// indexed by rank, nil elsewhere.
-func (c *Comm) Gather(root int, buf []float32) ([][]float32, error) {
-	if root < 0 || root >= c.size {
-		return nil, fmt.Errorf("mpi: gather root %d outside world of %d", root, c.size)
-	}
-	if c.rank != root {
-		out := GetScratch(len(buf))
-		copy(out, buf)
-		return nil, c.Send(root, tagGather, out)
-	}
-	out := make([][]float32, c.size)
-	out[root] = append([]float32(nil), buf...)
-	for src := 0; src < c.size; src++ {
-		if src == root {
-			continue
-		}
-		data, err := c.Recv(src, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = data
-	}
-	return out, nil
-}
-
 // HierarchicalReduce performs the paper's two-level reduction
 // (Section 4.4.2): ranks on the same "node" (consecutive groups of
 // ranksPerNode) first reduce to their node leader over an intra-node
 // binomial tree, then the leaders reduce to root over a binomial tree on
 // leader indices. root must be a node leader. The result lands in root's
-// buf; other buffers are unmodified. Scratch buffers come from the arena
-// and received partials are accumulated and recycled in place, exactly
-// like Reduce.
+// buf; other buffers are unmodified. Both trees run ReduceChunked's loop
+// over one arena scratch buffer.
 //
 // Both levels being binomial makes the combine grouping identical to the
-// flat Reduce tree whenever ranksPerNode is a power of two that divides
-// the communicator size (the deployment shape of Section 4.4.2), so in
-// that regime the float32 result is bit-identical to Reduce, not merely
+// flat tree whenever ranksPerNode is a power of two that divides the
+// communicator size (the deployment shape of Section 4.4.2), so in that
+// regime the float32 result is bit-identical to ReduceChunked, not merely
 // close. For other shapes the sum is still exact for exactly-representable
 // inputs but may round differently.
 func (c *Comm) HierarchicalReduce(root int, buf []float32, ranksPerNode int) error {
+	if root < 0 || root >= c.size {
+		return fmt.Errorf("mpi: reduce root %d outside world of %d", root, c.size)
+	}
 	if ranksPerNode <= 0 {
 		return fmt.Errorf("mpi: ranksPerNode %d must be positive", ranksPerNode)
 	}
@@ -665,60 +577,23 @@ func (c *Comm) HierarchicalReduce(root int, buf []float32, ranksPerNode int) err
 		return fmt.Errorf("mpi: hierarchical root %d is not a node leader (rpn=%d)", root, ranksPerNode)
 	}
 	leader := c.rank / ranksPerNode * ranksPerNode
-	nodeEnd := min(leader+ranksPerNode, c.size)
-	m := nodeEnd - leader // this node's member count
-	q := c.rank - leader  // offset within the node
-
 	acc := buf
 	if c.rank != root {
 		acc = GetScratch(len(buf))
 		copy(acc, buf)
 	}
-	// Intra-node binomial tree rooted at the leader: only ranks of the
-	// same node exchange messages, preserving the two-level communication
-	// pattern (these are the "cheap" intra-node links).
-	for step := 1; step < m; step <<= 1 {
-		if q&step != 0 {
-			return c.Send(c.rank-step, tagReduce, acc)
-		}
-		if q+step < m {
-			data, err := c.Recv(c.rank+step, tagReduce)
-			if err != nil {
-				return err
-			}
-			if len(data) != len(acc) {
-				return fmt.Errorf("mpi: hierarchical buffer length %d, expected %d", len(data), len(acc))
-			}
-			for i, x := range data {
-				acc[i] += x
-			}
-			PutScratch(data)
-		}
+	// Intra-node tree rooted at the leader: only ranks of the same node
+	// exchange messages, preserving the two-level communication pattern
+	// (these are the "cheap" intra-node links). A member that is not the
+	// leader has handed its partial on when the tree returns.
+	q := c.rank - leader
+	nodeRank := func(pos int) int { return leader + pos }
+	if err := c.reduceSegment(q, min(ranksPerNode, c.size-leader), nodeRank, acc); err != nil || q != 0 {
+		return err
 	}
-	// Only leaders (q == 0) reach the inter-leader binomial tree.
+	// Only leaders reach the inter-leader tree.
 	nLeaders := (c.size + ranksPerNode - 1) / ranksPerNode
-	myLeaderIdx := leader / ranksPerNode
-	rootLeaderIdx := root / ranksPerNode
-	rel := (myLeaderIdx - rootLeaderIdx + nLeaders) % nLeaders
-	for step := 1; step < nLeaders; step <<= 1 {
-		if rel&step != 0 {
-			dstIdx := (myLeaderIdx - step + nLeaders) % nLeaders
-			return c.Send(dstIdx*ranksPerNode, tagReduce, acc)
-		}
-		if rel+step < nLeaders {
-			srcIdx := (myLeaderIdx + step) % nLeaders
-			data, err := c.Recv(srcIdx*ranksPerNode, tagReduce)
-			if err != nil {
-				return err
-			}
-			if len(data) != len(acc) {
-				return fmt.Errorf("mpi: hierarchical buffer length %d, expected %d", len(data), len(acc))
-			}
-			for i, x := range data {
-				acc[i] += x
-			}
-			PutScratch(data)
-		}
-	}
-	return nil
+	rootIdx := root / ranksPerNode
+	leaderRank := func(pos int) int { return (pos + rootIdx) % nLeaders * ranksPerNode }
+	return c.reduceSegment((leader/ranksPerNode-rootIdx+nLeaders)%nLeaders, nLeaders, leaderRank, acc)
 }

@@ -155,40 +155,6 @@ func TestBarrierSynchronises(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8} {
-		for root := 0; root < n; root += 2 {
-			err := Run(n, func(c *Comm) error {
-				buf := make([]float32, 4)
-				if c.Rank() == root {
-					copy(buf, []float32{1, 2, 3, 4})
-				}
-				if err := c.Bcast(root, buf); err != nil {
-					return err
-				}
-				for i, want := range []float32{1, 2, 3, 4} {
-					if buf[i] != want {
-						return fmt.Errorf("rank %d buf %v", c.Rank(), buf)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("n=%d root=%d: %v", n, root, err)
-			}
-		}
-	}
-	if err := Run(2, func(c *Comm) error {
-		err := c.Bcast(9, make([]float32, 1))
-		if err == nil {
-			return errors.New("expected root range error")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReduceSumsExactly(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 6, 8, 13} {
 		for _, root := range []int{0, n - 1} {
@@ -196,7 +162,7 @@ func TestReduceSumsExactly(t *testing.T) {
 				// Integer-valued contributions: float32 sums are exact.
 				buf := []float32{float32(c.Rank() + 1), float32(2 * (c.Rank() + 1))}
 				orig := append([]float32(nil), buf...)
-				if err := c.Reduce(root, buf); err != nil {
+				if err := c.ReduceChunked(root, buf, len(buf)); err != nil {
 					return err
 				}
 				total := float32(n * (n + 1) / 2)
@@ -213,48 +179,6 @@ func TestReduceSumsExactly(t *testing.T) {
 				t.Fatalf("n=%d root=%d: %v", n, root, err)
 			}
 		}
-	}
-}
-
-func TestAllreduce(t *testing.T) {
-	const n = 6
-	err := Run(n, func(c *Comm) error {
-		buf := []float32{float32(c.Rank())}
-		if err := c.Allreduce(buf); err != nil {
-			return err
-		}
-		if want := float32(n * (n - 1) / 2); buf[0] != want {
-			return fmt.Errorf("rank %d allreduce %g, want %g", c.Rank(), buf[0], want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	const n, root = 5, 2
-	err := Run(n, func(c *Comm) error {
-		out, err := c.Gather(root, []float32{float32(c.Rank() * 10)})
-		if err != nil {
-			return err
-		}
-		if c.Rank() != root {
-			if out != nil {
-				return errors.New("non-root gather should return nil")
-			}
-			return nil
-		}
-		for r := 0; r < n; r++ {
-			if len(out[r]) != 1 || out[r][0] != float32(r*10) {
-				return fmt.Errorf("gather[%d] = %v", r, out[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -277,15 +201,17 @@ func TestHierarchicalReduceMatchesFlat(t *testing.T) {
 			t.Fatalf("n=%d rpn=%d: %v", tc.n, tc.rpn, err)
 		}
 	}
-	// Root must be a node leader.
-	if err := Run(4, func(c *Comm) error {
-		err := c.HierarchicalReduce(1, []float32{1}, 2)
-		if err == nil {
-			return errors.New("expected non-leader root error")
+	// Root must be a node leader inside the communicator: 4 and −2 are
+	// multiples of ranksPerNode, but no rank holds them.
+	for _, root := range []int{1, 4, -2} {
+		if err := Run(4, func(c *Comm) error {
+			if err := c.HierarchicalReduce(root, []float32{1}, 2); err == nil {
+				return fmt.Errorf("rank %d accepted root %d", c.Rank(), root)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -306,7 +232,7 @@ func TestSplitSegmentedReduce(t *testing.T) {
 			return fmt.Errorf("group rank %d, want %d", group.Rank(), want)
 		}
 		buf := []float32{float32(c.Rank())}
-		if err := group.Reduce(0, buf); err != nil {
+		if err := group.ReduceChunked(0, buf, len(buf)); err != nil {
 			return err
 		}
 		if group.Rank() == 0 {
@@ -374,7 +300,7 @@ func TestReduceProperty(t *testing.T) {
 		ok := true
 		err := Run(n, func(c *Comm) error {
 			buf := []float32{float32(c.Rank() * c.Rank())}
-			if err := c.Reduce(0, buf); err != nil {
+			if err := c.ReduceChunked(0, buf, len(buf)); err != nil {
 				return err
 			}
 			if c.Rank() == 0 {
@@ -401,7 +327,7 @@ func TestReduceMessageCounts(t *testing.T) {
 	const n = 8
 	err := Run(n, func(c *Comm) error {
 		buf := make([]float32, 256)
-		if err := c.Reduce(0, buf); err != nil {
+		if err := c.ReduceChunked(0, buf, len(buf)); err != nil {
 			return err
 		}
 		st := c.Stats()
@@ -422,7 +348,7 @@ func BenchmarkReduce8x64k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		err := Run(8, func(c *Comm) error {
 			buf := make([]float32, 65536)
-			return c.Reduce(0, buf)
+			return c.ReduceChunked(0, buf, len(buf))
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -41,21 +41,22 @@ func rankBuf(rank, n int) []float32 {
 	return buf
 }
 
-// TestFleetAllreduceMatchesChannels runs the same collective workload on
-// the in-process world and on a 3-proc TCP fleet and requires
-// bit-identical per-rank results: the transport must not perturb the
-// reduction's summation order. Nothing was injected, so the links end the
-// run never having been cut or re-established: a reconnect on a clean
-// loopback wire is a defect, not jitter.
-func TestFleetAllreduceMatchesChannels(t *testing.T) {
+// TestFleetReduceMatchesChannels runs the same collective workload on the
+// in-process world and on a 3-proc TCP fleet and requires bit-identical
+// per-rank results: the transport must not perturb the reduction's
+// summation order. Nothing was injected, so the links end the run never
+// having been cut or re-established: a reconnect on a clean loopback wire
+// is a defect, not jitter.
+func TestFleetReduceMatchesChannels(t *testing.T) {
 	const size, elems = 4, 257
 	workload := func(sink *sync.Map) func(c *mpi.Comm) error {
 		return func(c *mpi.Comm) error {
 			if err := c.Barrier(); err != nil {
 				return err
 			}
+			// The sum lands on a worker process, in segments.
 			buf := rankBuf(c.Rank(), elems)
-			if err := c.Allreduce(buf); err != nil {
+			if err := c.ReduceChunked(size-1, buf, 64); err != nil {
 				return err
 			}
 			// A point-to-point ring pass on top, to cover Send/Recv framing.
@@ -181,7 +182,7 @@ func TestInterceptorSequenceSameInBothWorlds(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return pair.Allreduce(rankBuf(c.Rank(), 5))
+			return pair.ReduceChunked(0, rankBuf(c.Rank(), 5), 5)
 		}
 	}
 	inproc := &opRecorder{ops: map[int][]string{}}
@@ -224,7 +225,7 @@ func TestFleetSplitOverWire(t *testing.T) {
 			return err
 		}
 		buf := []float32{float32(c.Rank() + 1)}
-		if err := sub.Allreduce(buf); err != nil {
+		if err := sub.ReduceChunked(0, buf, 1); err != nil {
 			return err
 		}
 		sums.Store(c.Rank(), buf[0])
@@ -235,7 +236,8 @@ func TestFleetSplitOverWire(t *testing.T) {
 			t.Fatalf("proc %d: %v", p, err)
 		}
 	}
-	want := map[int]float32{0: 3, 1: 3, 2: 7, 3: 7} // 1+2 and 3+4
+	// The group roots hold 1+2 and 3+4; the other members keep their own.
+	want := map[int]float32{0: 3, 1: 2, 2: 7, 3: 4}
 	for r, w := range want {
 		g, ok := sums.Load(r)
 		if !ok || g.(float32) != w {
@@ -246,9 +248,9 @@ func TestFleetSplitOverWire(t *testing.T) {
 
 // TestFleetWireChaosRecovers injects every wire fault class — sever,
 // drop, corrupt, duplicate — under one seeded schedule and requires the
-// run to complete with correct results, recovered entirely by the link's
-// CRC/sequence/replay machinery, with the transport counters proving each
-// path actually fired.
+// run to complete with the in-process world's results bit for bit,
+// recovered entirely by the link's CRC/sequence/replay machinery, with the
+// transport counters proving each path actually fired.
 func TestFleetWireChaosRecovers(t *testing.T) {
 	const size, rounds = 4, 30
 	reg := telemetry.NewRegistry()
@@ -264,33 +266,40 @@ func TestFleetWireChaosRecovers(t *testing.T) {
 	fl := newTestFleet(t, 3, cfg)
 	assign, _ := AssignRanks(size, 2, []int{0, 1, 2}, 3)
 
-	var mu sync.Mutex
-	sums := map[int][]float32{}
-	errs := fl.Run(size, assign, mpi.Options{}, func(c *mpi.Comm) error {
-		total := make([]float32, 64)
-		for round := 0; round < rounds; round++ {
-			buf := rankBuf(c.Rank()*31+round, len(total))
-			if err := c.Allreduce(buf); err != nil {
-				return fmt.Errorf("round %d: %w", round, err)
+	// The root rotates, so every rank's frames cross the wire; each rank
+	// totals the sums it was root of.
+	program := func(sums *sync.Map) func(c *mpi.Comm) error {
+		return func(c *mpi.Comm) error {
+			total := make([]float32, 64)
+			for round := 0; round < rounds; round++ {
+				buf := rankBuf(c.Rank()*31+round, len(total))
+				if err := c.ReduceChunked(round%size, buf, len(buf)); err != nil {
+					return fmt.Errorf("round %d: %w", round, err)
+				}
+				if c.Rank() == round%size {
+					for i := range total {
+						total[i] += buf[i]
+					}
+				}
 			}
-			for i := range total {
-				total[i] += buf[i]
-			}
+			sums.Store(c.Rank(), total)
+			return nil
 		}
-		mu.Lock()
-		sums[c.Rank()] = total
-		mu.Unlock()
-		return nil
-	})
-	for p, err := range errs {
+	}
+	var want, got sync.Map
+	if err := mpi.Run(size, program(&want)); err != nil {
+		t.Fatalf("in-process world: %v", err)
+	}
+	for p, err := range fl.Run(size, assign, mpi.Options{}, program(&got)) {
 		if err != nil {
 			t.Fatalf("proc %d under wire chaos: %v", p, err)
 		}
 	}
-	// All ranks agree on the reduced totals.
-	for r := 1; r < size; r++ {
-		if !reflect.DeepEqual(sums[r], sums[0]) {
-			t.Fatalf("rank %d diverged from rank 0 under chaos", r)
+	for r := 0; r < size; r++ {
+		w, _ := want.Load(r)
+		g, _ := got.Load(r)
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("rank %d under chaos diverged from the in-process world", r)
 		}
 	}
 	if inj.Fired() < 4 {
@@ -329,8 +338,7 @@ func TestFleetPartitionAttributesRanks(t *testing.T) {
 	}
 	errs := fl.Run(size, assign, mpi.Options{}, func(c *mpi.Comm) error {
 		for round := 0; ; round++ {
-			buf := []float32{float32(c.Rank())}
-			if err := c.Allreduce(buf); err != nil {
+			if err := c.ReduceChunked(0, []float32{float32(c.Rank())}, 1); err != nil {
 				return err
 			}
 			if round == 2 {

@@ -26,7 +26,7 @@ func TestVerdictOnWireBeforeHubReturns(t *testing.T) {
 	const size = 3
 	fl := newTestFleet(t, size, testConfig())
 	assign, _ := AssignRanks(size, size, []int{0, 1, 2}, size)
-	fn := func(c *mpi.Comm) error { return c.Reduce(0, rankBuf(c.Rank(), 64)) }
+	fn := func(c *mpi.Comm) error { return c.ReduceChunked(0, rankBuf(c.Rank(), 64), 64) }
 	workers := make(chan error, size-1)
 	for _, n := range fl.Nodes[1:] {
 		go func(n *Node) { workers <- n.Run(size, assign, mpi.Options{}, fn) }(n)

@@ -7,12 +7,12 @@ import (
 )
 
 // The buffer arena: size-classed sync.Pools of []float32 scratch buffers
-// used by the collectives' tree steps. A collective send borrows a buffer,
-// fills it and transfers ownership through the channel; the receiving rank
-// accumulates (or copies) out of it and returns it to the arena. Without
-// the arena every tree step of Bcast/Reduce/Gather allocated and copied a
-// fresh full-size buffer (`append([]float32(nil), buf...)`), which at
-// slab scale means gigabytes of garbage per reduction.
+// used by the reduction tree's steps. A non-root rank borrows a buffer for
+// its partial sum, accumulates its children's partials into it and
+// transfers ownership to its tree parent on send; the parent accumulates
+// out of it and returns it to the arena. Without the arena every tree step
+// would allocate a fresh full-size buffer, which at slab scale means
+// gigabytes of garbage per reduction.
 //
 // Class k holds buffers of capacity 1<<k + ScratchHeadroom; a get for n
 // elements draws from the class of the rounded-up power of two, so any
@@ -58,11 +58,11 @@ func BufferPoolStats() PoolStats {
 	}
 }
 
-// SetBufferPooling enables or disables the collective buffer arena and
-// returns the previous setting. Disabling reverts the collectives to
-// allocate-per-step behaviour. No production code calls it: it exists so
-// the bit-identity and stress tests can hold the pooled collectives to the
-// unpooled reference in one process.
+// SetBufferPooling enables or disables the buffer arena and returns the
+// previous setting. Disabling reverts the reductions to allocate-per-step
+// behaviour. No production code calls it: it exists so the bit-identity and
+// stress tests can hold the pooled reductions to the unpooled reference in
+// one process.
 func SetBufferPooling(enabled bool) bool {
 	return !poolOff.Swap(!enabled)
 }
@@ -91,8 +91,8 @@ func GetScratch(n int) []float32 {
 }
 
 // PutScratch returns a borrowed buffer to the arena. Only buffers whose
-// ownership the caller holds exclusively may be returned: the collectives
-// return the buffers their tree partners sent them, the socket transport
+// ownership the caller holds exclusively may be returned: the reductions
+// return the buffers their tree children sent them, the socket transport
 // a sent buffer once the peer acknowledged it. A slice the arena did not
 // make (its capacity is not a class size plus ScratchHeadroom) is left to
 // the garbage collector, so a caller's own slice never enters a class.

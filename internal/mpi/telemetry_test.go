@@ -20,7 +20,7 @@ func TestTelemetryReconcilesWithStats(t *testing.T) {
 			return err
 		}
 		buf := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-		if err := c.Allreduce(buf); err != nil { // world traffic
+		if err := c.ReduceChunked(0, buf, len(buf)); err != nil { // world traffic
 			return err
 		}
 		if err := group.ReduceChunked(0, buf, 3); err != nil { // group traffic
@@ -56,12 +56,16 @@ func TestSplitChildCountsFromZeroIntoRankRegistry(t *testing.T) {
 	run := telemetry.NewRun(n)
 	err := RunWith(n, Options{Telemetry: run}, func(c *Comm) error {
 		buf := []float32{1, 2, 3, 4}
-		if err := c.Allreduce(buf); err != nil {
+		// World traffic both ways on every rank: a pairwise exchange.
+		if err := c.Send(1-c.Rank(), 1, []float32{1, 2, 3, 4}); err != nil {
+			return err
+		}
+		if _, err := c.Recv(1-c.Rank(), 1); err != nil {
 			return err
 		}
 		world := c.Stats()
 		if world.BytesSent == 0 || world.BytesRecv == 0 {
-			t.Errorf("rank %d: world allreduce moved nothing: %+v", c.Rank(), world)
+			t.Errorf("rank %d: world exchange moved nothing: %+v", c.Rank(), world)
 		}
 		group, err := c.Split(0, c.Rank())
 		if err != nil {

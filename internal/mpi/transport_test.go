@@ -32,7 +32,7 @@ func TestTransportSplitWire(t *testing.T) {
 			return fmt.Errorf("rank %d: group rank %d, want %d", c.Rank(), g.Rank(), wantRank)
 		}
 		buf := []float32{float32(c.Rank() + 1)}
-		if err := g.Reduce(0, buf); err != nil {
+		if err := g.ReduceChunked(0, buf, len(buf)); err != nil {
 			return err
 		}
 		if g.Rank() == 0 {

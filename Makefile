@@ -32,10 +32,12 @@ check: doc-check fuse-lint
 # stripped; '^$$' selects nothing on purpose) and every Test*/Benchmark*/
 # Fuzz* identifier the verify skill (.claude/skills/verify/SKILL.md, which
 # quotes -run selectors) names must be a prefix of a function in some
-# _test.go file, and every scenarios/<name>.yaml path
-# DESIGN.md, README.md or EXPERIMENTS.md cites must be a file — so neither
-# the docs nor a make target can go on citing a test or a scenario a PR
-# deleted or renamed (go test -run matches a stale name to nothing, silently).
+# _test.go file, every scenarios/<name>.yaml path
+# DESIGN.md, README.md or EXPERIMENTS.md cites must be a file, and every
+# `-exp <id>` those three or the verify skill cite must be `all` or a key of
+# internal/experiments/registry.go — so neither the docs nor a make target
+# can go on citing a test, a scenario or an experiment a PR deleted or
+# renamed (go test -run matches a stale name to nothing, silently).
 doc-check:
 	@stale=0; \
 	for n in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | sort -u); do \
@@ -52,6 +54,10 @@ doc-check:
 	done; \
 	for f in $$(grep -ohE '\bscenarios/[a-z0-9-]+\.ya?ml' DESIGN.md EXPERIMENTS.md README.md | sort -u); do \
 		test -f "$$f" || { echo "doc-check: the docs cite $$f, which does not exist"; stale=1; }; \
+	done; \
+	ids=" all $$(sed -nE 's/^[[:space:]]+"([a-z0-9]+)":[[:space:]]+func.*/\1/p' internal/experiments/registry.go | tr '\n' ' ')"; \
+	for id in $$(grep -ohE -- '-exp [a-z0-9]+' DESIGN.md EXPERIMENTS.md README.md .claude/skills/verify/SKILL.md | cut -d' ' -f2 | sort -u); do \
+		case "$$ids" in *" $$id "*) ;; *) echo "doc-check: the docs cite -exp $$id, which internal/experiments/registry.go does not register"; stale=1;; esac; \
 	done; exit $$stale
 
 # Arithmetic-contract gate: the Go functions that compute what the assembly

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -324,9 +325,9 @@ func TestRunBatchBaselineMatchesAndIsRedundant(t *testing.T) {
 		t.Fatalf("baseline RMSE %g", stats.RMSE)
 	}
 	// Table 2's baseline columns. The baseline re-ships its projection
-	// share once per chunk (H2D total), and each chunk is one global
-	// reduce: every rank but the root sends its chunk once (msgs/rank), so
-	// the reduce moves (ranks−1)·Vol (reduce total).
+	// share once per chunk (H2D total); each chunk is reduced over the whole
+	// world one XY plane at a time, so every rank but the root sends once
+	// per plane (msgs/rank) and the reduce moves (ranks−1)·Vol (reduce total).
 	shareBytes := int64(sys.NU) * int64(sys.NP/ranks) * int64(sys.NV) * 4
 	if got := rep.Ledgers[0].H2DBytes; got != chunks*shareBytes {
 		t.Fatalf("baseline rank 0 H2D %d, want %d (chunk-redundant)", got, chunks*shareBytes)
@@ -335,16 +336,36 @@ func TestRunBatchBaselineMatchesAndIsRedundant(t *testing.T) {
 	for _, s := range rep.WorldStats {
 		msgs += s.MessagesSent
 	}
-	if msgs != chunks*(ranks-1) {
-		t.Fatalf("baseline sent %d messages, want chunks·(ranks−1) = %d", msgs, chunks*(ranks-1))
+	if want := int64((ranks - 1) * sys.NZ); msgs != want {
+		t.Fatalf("baseline sent %d messages, want (ranks−1)·NZ = %d", msgs, want)
 	}
 	volBytes := 4 * int64(sys.NX) * int64(sys.NY) * int64(sys.NZ)
 	if got := rep.TotalReduceBytes(); got != (ranks-1)*volBytes {
 		t.Fatalf("baseline reduce bytes %d, want (ranks−1)·Vol = %d", got, (ranks-1)*volBytes)
 	}
 
-	// Our decomposition at the same world size ships strictly less.
-	p, _ := NewPlan(sys, 2, 2, chunks)
+	// One group of all ranks has the baseline's projection windows and its
+	// reduction tree, so it reconstructs the same bytes — from each row
+	// shipped once.
+	p, _ := NewPlan(sys, 1, ranks, chunks)
+	oneSink, _ := NewVolumeSink(sys)
+	oneRep, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: oneSink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range oneSink.V.Data {
+		if sink.V.Data[i] != x {
+			t.Fatalf("voxel %d: baseline %g != one-group decomposition %g", i, sink.V.Data[i], x)
+		}
+	}
+	if oneRep.TotalH2DBytes() >= rep.TotalH2DBytes() {
+		t.Fatalf("expected one-group decomposition H2D (%d) < baseline (%d)",
+			oneRep.TotalH2DBytes(), rep.TotalH2DBytes())
+	}
+
+	// Our decomposition at the same world size in two groups also reduces
+	// strictly less.
+	p, _ = NewPlan(sys, 2, 2, chunks)
 	ourSink, _ := NewVolumeSink(sys)
 	ourRep, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: ourSink})
 	if err != nil {
@@ -364,22 +385,34 @@ func TestRunBatchBaselineRespectsDeviceMemory(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
-	sink, _ := NewVolumeSink(sys)
-	shareBytes := int64(sys.NU) * int64(sys.NP) * int64(sys.NV) * 4
+	// The device holds a full-height ring of the share, as the ring lays it
+	// out, and one chunk of the volume.
+	ringBytes := device.Layout{NU: sys.NU, NP: sys.NP, H: sys.NV}.Bytes()
 	volBytes := 4 * int64(sys.NX) * int64(sys.NY) * int64(sys.NZ)
 	// Device that cannot hold share+volume: single-chunk baseline fails
 	// (Table 5's ✗), chunked baseline succeeds.
-	budget := shareBytes + volBytes/2
+	budget := ringBytes + volBytes/2
+	sink, _ := NewVolumeSink(sys)
 	_, err := RunBatchBaseline(BaselineOptions{
 		Sys: sys, Ranks: 1, ChunkCount: 1, Source: src, Output: sink, DeviceMemBytes: budget,
 	})
-	if err == nil {
-		t.Fatal("expected out-of-memory failure for monolithic baseline")
+	if !errors.Is(err, device.ErrOutOfMemory) {
+		t.Fatalf("monolithic baseline under %d B: got %v, want ErrOutOfMemory", budget, err)
 	}
+	chunked, _ := NewVolumeSink(sys)
 	if _, err := RunBatchBaseline(BaselineOptions{
-		Sys: sys, Ranks: 1, ChunkCount: 4, Source: src, Output: sink, DeviceMemBytes: budget,
+		Sys: sys, Ranks: 1, ChunkCount: 4, Source: src, Output: chunked, DeviceMemBytes: budget,
 	}); err != nil {
 		t.Fatalf("chunked baseline should fit: %v", err)
+	}
+	mono, _ := NewVolumeSink(sys)
+	if _, err := RunBatchBaseline(BaselineOptions{Sys: sys, Ranks: 1, ChunkCount: 1, Source: src, Output: mono}); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range mono.V.Data {
+		if chunked.V.Data[i] != x {
+			t.Fatalf("voxel %d: chunked baseline %g != monolithic %g", i, chunked.V.Data[i], x)
+		}
 	}
 }
 

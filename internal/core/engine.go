@@ -54,10 +54,10 @@ func ringDepth(sched []batch) int {
 
 // program is the per-rank reconstruction program of Figure 6, written once:
 // load → filter → back-project → reduce → store over a schedule of slab
-// batches. ReconstructSingle, ReconstructZWindow and every rank of
-// RunDistributed fill in the exported-option half and call run, and every
-// one of them builds the same stage list: reduce where there is a group,
-// store where there is a sink.
+// batches. ReconstructSingle, ReconstructZWindow, every rank of
+// RunDistributed and every chunk of a RunBatchBaseline rank fill in the
+// exported-option half and call run, and every one of them builds the same
+// stage list: reduce where there is a group, store where there is a sink.
 //
 // Each piece of cross-batch state has exactly one owning stage, which is
 // what lets the pipelined executor run the stages on separate goroutines:

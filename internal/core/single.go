@@ -17,8 +17,9 @@ import (
 // SlabSink receives finished sub-volumes from the store stage. Both the
 // in-memory VolumeSink and storage.SlabWriter satisfy it. WriteSlab must
 // not keep the slab or its Data after it returns: every rank program —
-// ReconstructSingle's, ReconstructZWindow's and each RunDistributed rank's —
-// back-projects its next batch into the same buffer.
+// ReconstructSingle's, ReconstructZWindow's, each RunDistributed rank's and
+// each RunBatchBaseline chunk's — back-projects its next batch into the same
+// buffer.
 type SlabSink interface {
 	WriteSlab(*volume.Volume) error
 }

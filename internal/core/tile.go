@@ -26,8 +26,6 @@ type XYTileOptions struct {
 	I0, NI int
 	J0, NJ int
 	K0, NK int
-	// Workers bounds the filtering parallelism.
-	Workers int
 }
 
 // TileReport describes what the tile actually consumed.
@@ -82,7 +80,7 @@ func ReconstructXYTile(opts XYTileOptions) (*volume.Volume, *TileReport, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, opts.Workers); err != nil {
+	if err := fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, opts.Device.WorkerCount()); err != nil {
 		return nil, nil, err
 	}
 	cropped, err := st.ExtractColumns(cols.Lo, cols.Hi)

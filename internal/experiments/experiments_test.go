@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -152,6 +153,33 @@ func TestTable2Measured(t *testing.T) {
 	}
 	if len(tb.Rows) != 3 {
 		t.Fatalf("Table 2 has %d rows, want 3 schemes", len(tb.Rows))
+	}
+	// Rows: this work, the volume-resident baseline, the 4-chunk baseline.
+	// Columns 2–4: H2D total, reduce total, msgs/rank.
+	col := func(r, c int) float64 {
+		t.Helper()
+		f := strings.Fields(tb.Rows[r][c])
+		x, err := strconv.ParseFloat(f[0], 64)
+		if err != nil {
+			t.Fatalf("row %d column %d: %v", r, c, err)
+		}
+		if len(f) > 1 {
+			x *= map[string]float64{"B": 1, "KiB": 1 << 10, "MiB": 1 << 20}[f[1]]
+		}
+		return x
+	}
+	// The printed figures carry three significant digits.
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 0.01*want }
+	if h1, h4 := col(1, 2), col(2, 2); !near(h4, 4*h1) {
+		t.Errorf("4-chunk baseline H2D %.0f B, want 4× the volume-resident %.0f B", h4, h1)
+	}
+	for r := 1; r <= 2; r++ {
+		if ours, base := col(0, 3), col(r, 3); !near(base, 3*ours) {
+			t.Errorf("row %d reduce %.0f B, want 3× this work's %.0f B", r, base, ours)
+		}
+		if ours, base := col(0, 4), col(r, 4); ours >= base {
+			t.Errorf("this work sends %.1f msgs/rank, not fewer than row %d's %.1f", ours, r, base)
+		}
 	}
 }
 

@@ -53,48 +53,38 @@ func Fig12(workers int) (*Table, error) {
 	return t, nil
 }
 
-// timeKernel measures one full back-projection (kernel time only, filtered
-// input prepared beforehand) for either kernel variant.
+// timeKernel measures one full back-projection, kernel time only: the input
+// is in a full-height ring before the clock starts. The streaming variant
+// launches once per slab of the paper's schedule, RTK-style once in all.
 func timeKernel(sc *Scenario, streaming bool, workers int) (time.Duration, error) {
 	sys := sc.Sys
 	mats := core.KernelMatrices(sys, 0, sys.NP)
 	dev := device.New("fig12", 0, workers)
-	if streaming {
-		plan, err := core.NewPlan(sys, 1, 1, core.DefaultBatchCount)
-		if err != nil {
-			return 0, err
-		}
-		ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
-		if err != nil {
-			return 0, err
-		}
-		defer ring.Close()
-		if err := ring.LoadRows(sc.Stack, sc.Stack.Rows()); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for c := 0; c < plan.BatchCount; c++ {
-			z0, nz := plan.SlabZ(0, c)
-			if nz == 0 {
-				continue
-			}
-			slab, err := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-			if err != nil {
-				return 0, err
-			}
-			if err := backproject.Streaming(dev, ring, mats, slab, plan.SlabRows(0, c)); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	vol, err := volume.New(sys.NX, sys.NY, sys.NZ)
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
 	if err != nil {
 		return 0, err
 	}
-	start := time.Now()
-	if err := backproject.Batch(dev, sc.Stack, mats, vol); err != nil {
+	defer ring.Close()
+	if err := ring.LoadRows(sc.Stack, sc.Stack.Rows()); err != nil {
 		return 0, err
+	}
+	nb := sys.NZ
+	if streaming {
+		nb = (sys.NZ + core.DefaultBatchCount - 1) / core.DefaultBatchCount
+	}
+	var slabs []*volume.Volume
+	for z0 := 0; z0 < sys.NZ; z0 += nb {
+		slab, err := volume.NewSlab(sys.NX, sys.NY, min(nb, sys.NZ-z0), z0)
+		if err != nil {
+			return 0, err
+		}
+		slabs = append(slabs, slab)
+	}
+	start := time.Now()
+	for _, s := range slabs {
+		if err := backproject.Streaming(dev, ring, mats, s, sys.ComputeAB(s.Z0, s.Z0+s.NZ)); err != nil {
+			return 0, err
+		}
 	}
 	return time.Since(start), nil
 }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"distfdk/internal/core"
 	"distfdk/internal/device"
 	"distfdk/internal/mpi"
+	"distfdk/internal/volume"
 )
 
 // Table2 reproduces the substance of the paper's Table 2 by measurement
@@ -57,7 +59,7 @@ func Table2(workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	shareBytes := int64(sc.Sys.NU) * int64(sc.Sys.NV) * int64(sc.Sys.NP/ranks) * 4
+	shareBytes := device.Layout{NU: sc.Sys.NU, NP: sc.Sys.NP / ranks, H: sc.Sys.NV}.Bytes()
 	volBytes := int64(sc.Sys.NX) * int64(sc.Sys.NY) * int64(sc.Sys.NZ) * 4
 	t.AddRow("batch split, volume resident (iFDK-like)",
 		"Np only", fmtBytes(base1.TotalH2DBytes()), fmtBytes(base1.TotalReduceBytes()),
@@ -76,7 +78,13 @@ func Table2(workers int) (*Table, error) {
 		"Np only", fmtBytes(base4.TotalH2DBytes()), fmtBytes(base4.TotalReduceBytes()),
 		fmt.Sprintf("%.1f", avgMsgs(base4.WorldStats)), fmtBytes(shareBytes), "redundant reloads")
 
-	t.AddNote("all three schemes reconstruct the same volume (verified by the test suite)")
+	if !slices.Equal(sink2.V.Data, sink3.V.Data) {
+		return nil, fmt.Errorf("table2: the two batch baselines reconstruct different volumes")
+	}
+	if st, err := volume.Compare(sink2.V, sink.V); err != nil || st.RMSE > 1e-5 {
+		return nil, fmt.Errorf("table2: this work's volume is not the baselines' (RMSE %g, %v)", st.RMSE, err)
+	}
+	t.AddNote("all three schemes reconstruct the same volume: the baselines byte for byte, this work within 1e-5 RMSE")
 	t.AddNote("segmented reduce moves (Nr−1)·Vol = %s vs the global reduce's (N−1)·Vol = %s",
 		fmtBytes(ours.TotalReduceBytes()), fmtBytes(base1.TotalReduceBytes()))
 	t.AddNote("2-D split ships each projection byte once: %s vs %s for 4-chunk batch splitting",

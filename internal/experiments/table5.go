@@ -27,10 +27,10 @@ func Table5Real(workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Device budget: the projection stack plus a 64³ volume fits, 96³
-	// does not — mirroring V100's 16 GB against a 32 GB 2048³ volume.
+	// Device budget: the full-height ring plus a 64³ volume fits, 96³ does
+	// not — mirroring V100's 16 GB against a 32 GB 2048³ volume.
 	stackBytes := sc.Stack.Bytes()
-	budget := stackBytes + 4*int64(64*64*64) + 4096
+	budget := device.Layout{NU: sc.Sys.NU, NP: sc.Sys.NP, H: sc.Sys.NV}.Bytes() + 4*int64(64*64*64) + 4096
 
 	t := &Table{
 		Title: fmt.Sprintf("Table 5 (real, scaled) — out-of-core on one simulated device (%s, input %s, budget %s)",
@@ -76,19 +76,25 @@ func Table5Real(workers int) (*Table, error) {
 	return t, nil
 }
 
-// runRTKBaseline reconstructs with the conventional batch kernel under the
-// same device budget, returning its kernel GUPS or ✗.
+// runRTKBaseline reconstructs with the conventional scheme under the same
+// device budget — every projection row and the whole volume resident, one
+// launch — returning its kernel GUPS or ✗.
 func runRTKBaseline(sc *Scenario, budget int64, workers int) (gups, status string) {
 	sys := sc.Sys
 	dev := device.New("rtk", budget, workers)
 	volBytes := 4 * int64(sys.NX) * int64(sys.NY) * int64(sys.NZ)
-	if err := dev.Alloc(sc.Stack.Bytes() + volBytes); err != nil {
-		if errors.Is(err, device.ErrOutOfMemory) {
-			return "—", "✗ (OOM)"
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+	if err == nil {
+		defer ring.Close()
+		if err = dev.Alloc(volBytes); err == nil {
+			defer dev.Free(volBytes)
 		}
+	}
+	if errors.Is(err, device.ErrOutOfMemory) {
+		return "—", "✗ (OOM)"
+	} else if err != nil {
 		return "—", "error"
 	}
-	defer dev.Free(sc.Stack.Bytes() + volBytes)
 	// Copy + filter like the RTK flow (filter on device is emulated by
 	// filtering before upload; kernel time is what GUPS measures).
 	st := &projection.Stack{NU: sc.Stack.NU, NP: sc.Stack.NP, NV: sc.Stack.NV,
@@ -100,13 +106,15 @@ func runRTKBaseline(sc *Scenario, budget int64, workers int) (gups, status strin
 	if err := fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return i / st.NP }, workers); err != nil {
 		return "—", "error"
 	}
-	dev.RecordH2D(st.Bytes(), 1)
+	if err := ring.LoadRows(st, st.Rows()); err != nil {
+		return "—", "error"
+	}
 	vol, err := volume.New(sys.NX, sys.NY, sys.NZ)
 	if err != nil {
 		return "—", "error"
 	}
 	start := time.Now()
-	if err := backproject.Batch(dev, st, core.KernelMatrices(sys, 0, sys.NP), vol); err != nil {
+	if err := backproject.Streaming(dev, ring, core.KernelMatrices(sys, 0, sys.NP), vol, st.Rows()); err != nil {
 		return "—", "error"
 	}
 	elapsed := time.Since(start)

@@ -53,7 +53,6 @@ func Tiles(workers int) (*Table, error) {
 				tile, rep, err := core.ReconstructXYTile(core.XYTileOptions{
 					Sys: sys, Source: sc.Source, Device: device.New("tile", 0, workers),
 					I0: ti * hx, NI: hx, J0: tj * hy, NJ: hy, K0: tk * hz, NK: hz,
-					Workers: workers,
 				})
 				if err != nil {
 					return nil, err

@@ -1,8 +1,9 @@
 // Package backproject implements the paper's primary contribution: the
 // streaming cone-beam back-projection kernel of Listing 1, which consumes
 // sub-projections decomposed along both the detector-row (Nv) and angle
-// (Np) axes from a ring-buffered device store, plus the conventional
-// batch entry point (RTK-style, Algorithm 1) used as the paper's baseline.
+// (Np) axes from a ring-buffered device store. Every launch reads a ring:
+// the batch reconstruction of Algorithm 1 (RTK-style, the paper's
+// baseline) is one launch over a ring as tall as the detector.
 //
 // There is one kernel. It evaluates the homogeneous coordinates (u, v, w)
 // of Algorithm 1 directly at every column of an output row, eight columns
@@ -36,7 +37,6 @@ import (
 
 	"distfdk/internal/device"
 	"distfdk/internal/geometry"
-	"distfdk/internal/projection"
 	"distfdk/internal/volume"
 )
 
@@ -49,16 +49,16 @@ type Kernel int
 // evaluation: the kernel walks no recurrence.
 const KernelRecurrence Kernel = 0
 
-// projAccess provides the kernel's view of projection storage. It unifies
-// the ring-buffered device store (slot = v mod H, Listing 1's devPixel) and
-// a linear stack (slot = v − V0) behind one addressing rule: both are a
-// device.Layout, and the sample (v, s, u) lives at rowOff[v−lo+2] +
-// s·sStride + u. rowOff caches the storage offset of every readable row,
-// hoisting the slot arithmetic out of the per-sample path, between two
-// entries on either side that name the layout's zero slot: what the rows
-// just outside [lo,hi) read as. With the layout's zero apron around every
-// run of samples, the texture border of Listing 1 is data: rows lo−2..hi+1
-// and columns −2..nu+1 are loadable, and are +0 wherever the window ends.
+// projAccess provides the kernel's view of projection storage: the
+// ring-buffered device store, a device.Layout whose row v lives in slot
+// v mod H (Listing 1's devPixel), so that the sample (v, s, u) lives at
+// rowOff[v−lo+2] + s·sStride + u. rowOff caches the storage offset of every
+// readable row, hoisting the slot arithmetic out of the per-sample path,
+// between two entries on either side that name the layout's zero slot: what
+// the rows just outside [lo,hi) read as. With the layout's zero apron around
+// every run of samples, the texture border of Listing 1 is data: rows
+// lo−2..hi+1 and columns −2..nu+1 are loadable, and are +0 wherever the
+// window ends.
 type projAccess struct {
 	data    []float32
 	nu, np  int
@@ -76,34 +76,22 @@ type projAccess struct {
 	win spanWindow
 }
 
-// layoutAccess addresses the rows [lo,hi) of a store laid out by l, whose
-// slot 0 holds global row v0 (0 for a ring: its slots are v mod H).
-func layoutAccess(l device.Layout, data []float32, lo, hi, v0 int) projAccess {
+// layoutAccess addresses the rows [lo,hi) of a store laid out by l.
+func layoutAccess(l device.Layout, data []float32, lo, hi int) projAccess {
 	a := projAccess{data: data, nu: l.NU, np: l.NP, sStride: l.ProjStride(), lo: lo, hi: hi}
 	a.rowOff = make([]int, hi-lo+4)
 	for i := range a.rowOff {
 		a.rowOff[i] = l.ZeroBase()
 	}
 	for v := lo; v < hi; v++ {
-		a.rowOff[v-lo+2] = l.RowBase(v - v0)
+		a.rowOff[v-lo+2] = l.RowBase(v)
 	}
 	return a
 }
 
 func ringAccess(r *device.ProjRing) projAccess {
 	valid := r.Valid()
-	return layoutAccess(r.Layout, r.RawData(), valid.Lo, valid.Hi, 0)
-}
-
-// stackAccess re-lays the stack into the layout the ring stores, once per
-// launch: host memory, like the stack itself, so no device budget moves.
-func stackAccess(s *projection.Stack) projAccess {
-	l := device.Layout{NU: s.NU, NP: s.NP, H: s.NV}
-	data := make([]float32, l.Len())
-	for v := 0; v < s.NV; v++ {
-		l.Store(data, v, s.Data[v*s.NP*s.NU:])
-	}
-	return layoutAccess(l, data, s.V0, s.V0+s.NV, s.V0)
+	return layoutAccess(r.Layout, r.RawData(), valid.Lo, valid.Hi)
 }
 
 // floor32 returns ⌊x⌋ as a float32. The fast path rounds through int32 and
@@ -289,15 +277,6 @@ func Streaming(dev *device.Device, ring *device.ProjRing, mats []geometry.Mat34x
 // kept only because the frozen bench/replay.go spells it.
 func StreamingKernel(dev *device.Device, ring *device.ProjRing, mats []geometry.Mat34x4, slab *volume.Volume, required geometry.RowRange, _ Kernel) error {
 	return Streaming(dev, ring, mats, slab, required)
-}
-
-// Batch is the conventional voxel-driven kernel of Algorithm 1 as shipped
-// by RTK: the projections (full detector height) live contiguously in
-// device memory and the whole target volume is updated in one launch. It is
-// the reference for the kernel-parity comparison (Table 5's GUPS columns)
-// and the building block of the batch-decomposition baseline.
-func Batch(dev *device.Device, stack *projection.Stack, mats []geometry.Mat34x4, vol *volume.Volume) error {
-	return accumulateSlab(dev, stackAccess(stack), mats, vol)
 }
 
 // FLOPPerUpdate is the floating-point work of one voxel×projection update

@@ -389,18 +389,30 @@ func abs(x int) int {
 	return x
 }
 
+// BenchmarkBatchKernel times one launch over the whole volume from a ring
+// as tall as the detector, loaded before the clock starts: the kernel, not
+// the upload.
 func BenchmarkBatchKernel(b *testing.B) {
 	sys := testSystem()
 	stack := randomStack(sys, 6)
 	mats := kernelMats(sys)
 	dev := device.New("bench", 0, 0)
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ring.Close()
+	if err := ring.LoadRows(stack, stack.Rows()); err != nil {
+		b.Fatal(err)
+	}
 	vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 	updates := int64(vol.Voxels()) * int64(sys.NP)
 	b.SetBytes(updates * 4)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vol.Zero()
-		if err := Batch(dev, stack, mats, vol); err != nil {
+		if err := Streaming(dev, ring, mats, vol, stack.Rows()); err != nil {
 			b.Fatal(err)
 		}
 	}

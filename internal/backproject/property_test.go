@@ -12,12 +12,13 @@ import (
 )
 
 // subPixel through the ring store must agree exactly with subPixel through
-// a linear stack holding the same rows, for arbitrary resident windows and
-// sample positions — the addressing equivalence the streaming kernel rests
-// on.
-func TestRingAndStackSamplingAgree(t *testing.T) {
+// the oracle's dense addressing of a stack holding the same rows, for
+// arbitrary resident windows and sample positions — the addressing the
+// streaming kernel rests on, checked against one that shares no Layout.
+func TestRingSamplingMatchesDenseStack(t *testing.T) {
 	sys := testSystem()
 	stack := randomStack(sys, 9)
+	nonzero := 0
 	f := func(loRaw, lenRaw uint8, xRaw, yRaw int16, sRaw uint8) bool {
 		h := 8
 		lo := int(loRaw) % (sys.NV - h)
@@ -36,16 +37,23 @@ func TestRingAndStackSamplingAgree(t *testing.T) {
 			return false
 		}
 		ra := ringAccess(ring)
-		sa := stackAccess(sub)
-		x := float32(xRaw) / 256 * float32(sys.NU)
-		y := float32(lo) + float32(yRaw)/1024*float32(rows.Len()+4) // hover near the window
+		sa := denseAccess(sub)
+		// Every sample lies within two pixels of the resident window.
+		x := float32(sys.NU)/2 + float32(xRaw)/32768*float32(sys.NU/2+2)
+		y := float32(rows.Lo+rows.Hi)/2 + float32(yRaw)/32768*float32(rows.Len()/2+2)
 		s := int(sRaw) % sys.NP
 		got := ra.subPixel(x, y, s)
 		want := sa.subPixel(x, y, s)
+		if want != 0 {
+			nonzero++
+		}
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+	if nonzero < 100 {
+		t.Fatalf("only %d of 400 samples read a resident row", nonzero)
 	}
 }
 

@@ -30,21 +30,21 @@ func (a projAccess) spellings() map[string]*projAccess {
 func (a *projAccess) buildRowTable() { a.layRows(0, nil) }
 
 // layRows is buildRowTable into a buffer alloc provides (nil: make), of
-// exactly the floats the layout declares readable; h > 0 makes the dense
-// samples h ring slots, row v in slot v mod h.
+// exactly the floats the layout declares readable, row v in slot v mod H;
+// h > 0 makes the dense samples the contents of slots 0..h−1.
 func (a *projAccess) layRows(h int, alloc func(n int) []float32) {
-	l, v0 := device.Layout{NU: a.nu, NP: a.np, H: h}, 0
+	l, first := device.Layout{NU: a.nu, NP: a.np, H: h}, 0
 	if h == 0 {
-		l.H, v0 = a.hi-a.lo, a.lo
+		l.H, first = a.hi-a.lo, a.lo
 	}
 	data := make([]float32, l.Len())
 	if alloc != nil {
 		data = alloc(l.Len())
 	}
-	for slot := 0; slot < l.H; slot++ {
-		l.Store(data, slot, a.data[slot*a.np*a.nu:])
+	for i := 0; i < l.H; i++ {
+		l.Store(data, first+i, a.data[i*a.np*a.nu:])
 	}
-	*a = layoutAccess(l, data, a.lo, a.hi, v0)
+	*a = layoutAccess(l, data, a.lo, a.hi)
 }
 
 // launchRow launches one span of one row in one slice the way rowRec does:

@@ -35,8 +35,8 @@ func sheppStack(t testing.TB, sys *geometry.System) *projection.Stack {
 	return st
 }
 
-// reference reconstructs monolithically: filter every row, then one Batch
-// kernel call over the full volume.
+// reference reconstructs monolithically: filter every row, then one kernel
+// launch over the full volume.
 func reference(t testing.TB, sys *geometry.System, st *projection.Stack, w filter.Window) *volume.Volume {
 	t.Helper()
 	st = &projection.Stack{NU: st.NU, NP: st.NP, NV: st.NV, Data: append([]float32(nil), st.Data...)}
@@ -49,11 +49,25 @@ func reference(t testing.TB, sys *geometry.System, st *projection.Stack, w filte
 		t.Fatal(err)
 	}
 	vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	dev := device.New("ref", 0, 2)
-	if err := backproject.Batch(dev, st, KernelMatrices(sys, 0, sys.NP), vol); err != nil {
+	backprojectAll(t, device.New("ref", 0, 2), sys, st, vol)
+	return vol
+}
+
+// backprojectAll back-projects every row and projection of st into vol in
+// one launch, from a ring as tall as the detector.
+func backprojectAll(t testing.TB, dev *device.Device, sys *geometry.System, st *projection.Stack, vol *volume.Volume) {
+	t.Helper()
+	ring, err := device.NewProjRing(dev, st.NU, st.NP, st.NV)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return vol
+	defer ring.Close()
+	if err := ring.LoadRows(st, st.Rows()); err != nil {
+		t.Fatal(err)
+	}
+	if err := backproject.Streaming(dev, ring, KernelMatrices(sys, 0, sys.NP), vol, st.Rows()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewPlanValidation(t *testing.T) {

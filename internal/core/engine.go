@@ -248,14 +248,22 @@ func (e *program) load(b *batch) error {
 }
 
 func (e *program) filter(b *batch) error {
-	st := b.stack
-	if st == nil {
+	if b.stack == nil {
 		return pipeline.Idle
 	}
-	if err := applyParker(e.parker, st); err != nil {
-		return err
+	return filterStack(e.fdk, e.parker, b.stack, e.Device.WorkerCount())
+}
+
+// filterStack weights a freshly loaded stack's rows by their global
+// projection index (a nil Parker is a full scan: no weights) and filters
+// them on workers: the host half of every load, before LoadRows.
+func filterStack(fdk *filter.FDK, pk *filter.Parker, st *projection.Stack, workers int) error {
+	if pk != nil {
+		if err := pk.ApplyRows(st.Data, st.NV*st.NP, func(i int) int { return st.P0 + i%st.NP }); err != nil {
+			return err
+		}
 	}
-	return e.fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, e.Device.WorkerCount())
+	return fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, workers)
 }
 
 // backproject makes room in the ring and admits the batch's filtered rows

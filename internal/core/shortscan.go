@@ -3,7 +3,6 @@ package core
 import (
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
-	"distfdk/internal/projection"
 )
 
 // NewParker builds the short-scan redundancy weights for a system, or
@@ -19,14 +18,4 @@ func NewParker(sys *geometry.System) (*filter.Parker, error) {
 		angles[p] = sys.Angle(p)
 	}
 	return filter.NewParker(sys.NU, sys.DU, sys.DSD, sys.SigmaU, angles, sys.AngleStep()*float64(sys.NP))
-}
-
-// applyParker weights a freshly loaded stack's rows by their global
-// projection index. A nil Parker is a no-op (full scan).
-func applyParker(pk *filter.Parker, st *projection.Stack) error {
-	if pk == nil || st == nil {
-		return nil
-	}
-	count := st.NV * st.NP
-	return pk.ApplyRows(st.Data, count, func(i int) int { return st.P0 + i%st.NP })
 }

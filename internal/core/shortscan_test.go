@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"distfdk/internal/backproject"
 	"distfdk/internal/device"
 	"distfdk/internal/forward"
 	"distfdk/internal/phantom"
@@ -39,9 +38,6 @@ func TestNewParkerNilForFullScan(t *testing.T) {
 	pk, err := NewParker(testSystem())
 	if err != nil || pk != nil {
 		t.Fatalf("full scan should yield nil Parker, got %v, %v", pk, err)
-	}
-	if err := applyParker(nil, nil); err != nil {
-		t.Fatalf("nil parker apply: %v", err)
 	}
 }
 
@@ -130,7 +126,7 @@ func TestShortScanWithoutParkerIsWorse(t *testing.T) {
 	}
 
 	// Unweighted: bypass the driver's Parker application by filtering a
-	// copy manually and back-projecting with the Batch kernel.
+	// copy manually and back-projecting it in one launch.
 	unweighted, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 	raw := &projection.Stack{NU: st.NU, NP: st.NP, NV: st.NV, Data: append([]float32(nil), st.Data...)}
 	fdk, err := NewFilter(sys, 0)
@@ -140,10 +136,7 @@ func TestShortScanWithoutParkerIsWorse(t *testing.T) {
 	if err := fdk.FilterRows(raw.Data, raw.NV*raw.NP, func(i int) int { return i / raw.NP }, 2); err != nil {
 		t.Fatal(err)
 	}
-	dev := device.New("uw", 0, 2)
-	if err := backproject.Batch(dev, raw, KernelMatrices(sys, 0, sys.NP), unweighted); err != nil {
-		t.Fatal(err)
-	}
+	backprojectAll(t, device.New("uw", 0, 2), sys, raw, unweighted)
 
 	wStats, _ := volume.Compare(truth, weighted.V)
 	uStats, _ := volume.Compare(truth, unweighted)

@@ -70,9 +70,6 @@ func ReconstructXYTile(opts XYTileOptions) (*volume.Volume, *TileReport, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := applyParker(parker, st); err != nil {
-		return nil, nil, err
-	}
 	// Filter on full-width rows (the ramp is a full-row convolution; the
 	// column crop applies after filtering, exactly as the row crop
 	// applies after the 2-D filter of Equation 2).
@@ -80,22 +77,24 @@ func ReconstructXYTile(opts XYTileOptions) (*volume.Volume, *TileReport, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := fdk.FilterRows(st.Data, st.NV*st.NP, func(i int) int { return st.V0 + i/st.NP }, opts.Device.WorkerCount()); err != nil {
+	if err := filterStack(fdk, parker, st, opts.Device.WorkerCount()); err != nil {
 		return nil, nil, err
 	}
 	cropped, err := st.ExtractColumns(cols.Lo, cols.Hi)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := opts.Device.Alloc(cropped.Bytes()); err != nil {
+	ring, err := device.NewProjRing(opts.Device, cropped.NU, cropped.NP, rows.Len())
+	if err != nil {
 		return nil, nil, err
 	}
-	defer opts.Device.Free(cropped.Bytes())
-	opts.Device.RecordH2D(cropped.Bytes(), 1)
+	defer ring.Close()
+	if err := ring.LoadRows(cropped, rows); err != nil {
+		return nil, nil, err
+	}
 
-	// Shift the matrices to the cropped detector and the tile-local
-	// voxel origin. (Row shifting is unnecessary: the stack carries V0
-	// and the kernel's access layer resolves global rows.)
+	// Shift the matrices to the cropped detector and the tile-local voxel
+	// origin. The rows need no shift: the ring holds global rows.
 	mats := make([]geometry.Mat34x4, sys.NP)
 	for p := range mats {
 		m := sys.Matrix(sys.Angle(p)).
@@ -107,7 +106,7 @@ func ReconstructXYTile(opts XYTileOptions) (*volume.Volume, *TileReport, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := backproject.Batch(opts.Device, cropped, mats, tile); err != nil {
+	if err := backproject.Streaming(opts.Device, ring, mats, tile, rows); err != nil {
 		return nil, nil, err
 	}
 	opts.Device.RecordD2H(tile.Bytes())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"distfdk/internal/device"
@@ -97,5 +98,37 @@ func TestReconstructXYTileValidation(t *testing.T) {
 		Sys: sys, Source: src, Device: tiny, NI: 4, NJ: 4, NK: 4,
 	}); err == nil {
 		t.Error("expected out-of-memory error")
+	}
+}
+
+// The tile uploads through a ring of its rows' height: the device holds the
+// ring's Layout.Bytes() while the tile runs (apron included: one byte less
+// is out of memory), the H2D is the cropped rows once, in 2 ops when the
+// load wraps, and nothing stays allocated afterwards.
+func TestReconstructXYTileChargesItsRing(t *testing.T) {
+	sys := testSystem()
+	src := &projection.MemorySource{Full: sheppStack(t, sys)}
+	for _, tc := range []struct{ i0, ni, k0, nk int }{{0, 6, 0, 8}, {8, 8, 6, 10}} {
+		rows := sys.ComputeAB(tc.k0, tc.k0+tc.nk)
+		cols := sys.TileColumns(tc.i0, tc.i0+tc.ni, tc.i0, tc.i0+tc.ni)
+		budget := device.Layout{NU: cols.Len(), NP: sys.NP, H: rows.Len()}.Bytes()
+		opts := XYTileOptions{Sys: sys, Source: src, I0: tc.i0, NI: tc.ni, J0: tc.i0, NJ: tc.ni, K0: tc.k0, NK: tc.nk}
+		opts.Device = device.New("short", budget-1, 1)
+		if _, _, err := ReconstructXYTile(opts); !errors.Is(err, device.ErrOutOfMemory) {
+			t.Fatalf("tile %+v on %d B: %v, want out of memory", tc, budget-1, err)
+		}
+		opts.Device = device.New("exact", budget, 1)
+		_, rep, err := ReconstructXYTile(opts)
+		if err != nil {
+			t.Fatalf("tile %+v on %d B: %v", tc, budget, err)
+		}
+		ops := int64(1)
+		if rows.Lo%rows.Len() != 0 {
+			ops = 2
+		}
+		if l := opts.Device.Snapshot(); l.H2DBytes != rep.InputBytes || l.H2DOps != ops || opts.Device.Allocated() != 0 {
+			t.Fatalf("tile %+v (rows %v): H2D %d B in %d ops, %d B left allocated; want %d B in %d ops, 0",
+				tc, rows, l.H2DBytes, l.H2DOps, opts.Device.Allocated(), rep.InputBytes, ops)
+		}
 	}
 }

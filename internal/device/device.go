@@ -207,8 +207,9 @@ func (d *Device) Free(n int64) {
 // Allocated returns the currently reserved bytes.
 func (d *Device) Allocated() int64 { return d.allocated.Load() }
 
-// RecordH2D accounts a host→device transfer of n bytes in ops operations.
-func (d *Device) RecordH2D(n int64, ops int64) {
+// recordH2D accounts a host→device transfer of n bytes in ops operations.
+// The ring is its one caller: every upload a kernel reads is a LoadRows.
+func (d *Device) recordH2D(n int64, ops int64) {
 	d.h2dBytes.Add(n)
 	d.h2dOps.Add(ops)
 }

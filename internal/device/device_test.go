@@ -41,8 +41,8 @@ func TestUnlimitedDevice(t *testing.T) {
 
 func TestLedgerAccounting(t *testing.T) {
 	d := New("test", 0, 2)
-	d.RecordH2D(100, 1)
-	d.RecordH2D(50, 2)
+	d.recordH2D(100, 1)
+	d.recordH2D(50, 2)
 	d.RecordD2H(30)
 	d.RecordKernel(7)
 	d.RecordKernel(5)
@@ -70,7 +70,7 @@ func TestLedgerAccounting(t *testing.T) {
 func TestSetTelemetryLinksEveryCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	work := func(d *Device) {
-		d.RecordH2D(100, 2)
+		d.recordH2D(100, 2)
 		d.RecordD2H(30)
 		d.RecordKernel(7)
 		d.RecordKernelSamples(4, 2, 1)
@@ -88,7 +88,7 @@ func TestSetTelemetryLinksEveryCounter(t *testing.T) {
 		ring.Reset()
 	}
 	first := New("first", 0, 1)
-	first.RecordH2D(1000, 1) // before the link: the device's alone
+	first.recordH2D(1000, 1) // before the link: the device's alone
 	first.SetTelemetry(reg)
 	work(first)
 	if l := first.Snapshot(); l.H2DBytes != 1000+100+2*4*2*4 || l.H2DOps != 4 {

@@ -163,7 +163,7 @@ func (r *ProjRing) LoadRows(src *projection.Stack, rows geometry.RowRange) error
 	d.ringLoadRows.Add(int64(rows.Len()))
 	d.ringLoadOps.Add(ops)
 	d.ringResident.Set(int64(newValid.Len()))
-	d.RecordH2D(int64(r.NU)*int64(r.NP)*4*int64(rows.Len()), ops)
+	d.recordH2D(int64(r.NU)*int64(r.NP)*4*int64(rows.Len()), ops)
 	r.valid = newValid
 	return r.checkInvariant()
 }

@@ -14,7 +14,8 @@ import (
 // (the benchmark's single-kernel problem) in one batch launch through each
 // spelling of the fast kernel — the host's dispatch, and the Go spelling a
 // launch falls back to, which no command line selects — the kernel alone
-// on a real geometry, runnable under pprof.
+// on a real geometry, runnable under pprof. The launch reads a ring as tall
+// as the detector, loaded before the clock starts.
 func BenchmarkScenarioBatch(b *testing.B) {
 	sc, err := BuildScenario("tomo_00030", 8, 96, 1)
 	if err != nil {
@@ -34,15 +35,24 @@ func BenchmarkScenarioBatch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			defer cpufeat.SetAVX2ForTest(avx2)()
 			dev := device.New("bench", 0, 1)
+			ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ring.Close()
+			if err := ring.LoadRows(sc.Stack, sc.Stack.Rows()); err != nil {
+				b.Fatal(err)
+			}
 			vol, err := volume.New(sys.NX, sys.NY, sys.NZ)
 			if err != nil {
 				b.Fatal(err)
 			}
 			updates := int64(vol.Voxels()) * int64(sys.NP)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				vol.Zero()
-				if err := backproject.Batch(dev, sc.Stack, mats, vol); err != nil {
+				if err := backproject.Streaming(dev, ring, mats, vol, sc.Stack.Rows()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -261,35 +261,44 @@ func ProjectVolume(sys *geometry.System, vol *volume.Volume, step float64, worke
 	for i := range all {
 		all[i] = i
 	}
-	return ProjectVolumeSubset(sys, vol, step, workers, all)
+	stack, err := projection.NewStack(sys.NU, sys.NP, sys.NV)
+	if err != nil {
+		return nil, err
+	}
+	if err := ProjectVolumeSubset(sys, vol, step, workers, all, stack); err != nil {
+		return nil, err
+	}
+	return stack, nil
 }
 
 // ProjectVolumeSubset integrates the volume along the rays of the listed
-// projection indices only; the returned stack holds len(ps) projections in
-// list order. Ordered-subset iterative methods use it to evaluate A_s·x
-// for one angular subset at a time.
-func ProjectVolumeSubset(sys *geometry.System, vol *volume.Volume, step float64, workers int, ps []int) (*projection.Stack, error) {
+// projection indices only, into stack, which the caller owns and which must
+// hold len(ps) projections of the whole detector: projection idx of stack is
+// ps[idx]. Every sample is overwritten. Ordered-subset iterative methods use
+// it to evaluate A_s·x for one angular subset at a time, into one stack per
+// subset for the whole solve.
+func ProjectVolumeSubset(sys *geometry.System, vol *volume.Volume, step float64, workers int, ps []int, stack *projection.Stack) error {
 	if err := sys.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if vol.NX != sys.NX || vol.NY != sys.NY || vol.NZ != sys.NZ {
-		return nil, fmt.Errorf("forward: volume %s does not match system grid %dx%dx%d",
+		return fmt.Errorf("forward: volume %s does not match system grid %dx%dx%d",
 			vol.ShapeString(), sys.NX, sys.NY, sys.NZ)
 	}
 	if len(ps) == 0 {
-		return nil, fmt.Errorf("forward: empty projection subset")
+		return fmt.Errorf("forward: empty projection subset")
 	}
 	for _, p := range ps {
 		if p < 0 || p >= sys.NP {
-			return nil, fmt.Errorf("forward: projection %d outside [0,%d)", p, sys.NP)
+			return fmt.Errorf("forward: projection %d outside [0,%d)", p, sys.NP)
 		}
+	}
+	if stack.NU != sys.NU || stack.NP != len(ps) || stack.NV != sys.NV || stack.V0 != 0 {
+		return fmt.Errorf("forward: stack %dx%dx%d@%d cannot hold %d projections of %dx%d",
+			stack.NU, stack.NP, stack.NV, stack.V0, len(ps), sys.NU, sys.NV)
 	}
 	if step <= 0 {
 		step = math.Min(sys.DX, math.Min(sys.DY, sys.DZ)) / 2
-	}
-	stack, err := projection.NewStack(sys.NU, len(ps), sys.NV)
-	if err != nil {
-		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -311,7 +320,7 @@ func ProjectVolumeSubset(sys *geometry.System, vol *volume.Volume, step float64,
 		}(w)
 	}
 	wg.Wait()
-	return stack, nil
+	return nil
 }
 
 // march integrates the volume along the ray from src to px by the midpoint

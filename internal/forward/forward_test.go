@@ -8,6 +8,7 @@ import (
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
 	"distfdk/internal/phantom"
+	"distfdk/internal/projection"
 )
 
 func testSystem() *geometry.System {
@@ -194,6 +195,10 @@ func TestProjectValidation(t *testing.T) {
 	mismatch.NX = 16
 	if _, err := ProjectVolume(&mismatch, vol, 0, 1); err == nil {
 		t.Error("expected grid mismatch error")
+	}
+	short, _ := projection.NewStack(sys.NU, 1, sys.NV)
+	if err := ProjectVolumeSubset(sys, vol, 0, 1, []int{0, 1}, short); err == nil {
+		t.Error("expected a stack too small for the subset to be refused")
 	}
 }
 

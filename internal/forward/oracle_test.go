@@ -12,7 +12,7 @@ import (
 // The projector's oracle: the per-point spelling of the ray geometry, which
 // evaluates the gantry trig for every pixel and the ellipsoid's trig, frame
 // and quadratic for every (ray, ellipsoid) pair. Project and
-// ProjectVolumeSubset must return its bytes.
+// ProjectVolumeSubset must produce its bytes.
 
 // sourcePos returns the world-space X-ray source position at angle phi,
 // honouring the rotation-centre offset σcor.
@@ -222,8 +222,11 @@ func TestProjectVolumeMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := []int{sys.NP - 1, 0, 2}
-		got, err := ProjectVolumeSubset(&sys, vol, 0, 2, ps)
+		got, err := projection.NewStack(sys.NU, len(ps), sys.NV)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ProjectVolumeSubset(&sys, vol, 0, 2, ps, got); err != nil {
 			t.Fatal(err)
 		}
 		step := math.Min(sys.DX, math.Min(sys.DY, sys.DZ)) / 2

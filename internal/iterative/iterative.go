@@ -62,18 +62,65 @@ type Result struct {
 	Iterations int
 }
 
-// subset holds the precomputed operators' fixtures for one angle subset.
+// subset holds one angle subset's fixtures for the whole solve.
 type subset struct {
 	ps      []int              // global projection indices
 	mats    []geometry.Mat34x4 // kernel matrices in ps order
 	meas    *projection.Stack  // measured data for these angles
 	rowNorm []float32          // R = A_s·1, clamped
 	colNorm []float32          // C_s = A_sᵀ·1, clamped
+	// proj holds A_s·x, then what the update back-projects; ring is the
+	// full-height store the kernel reads it from.
+	proj *projection.Stack
+	ring *device.ProjRing
+}
+
+// method is what tells one algorithm from another on the sub-iteration loop
+// they share: what a sample back-projects and how a voxel takes its update.
+type method struct {
+	// multiplicative marks an update that scales the image (EM): it needs
+	// nonnegative data and a positive start image, starts from ones
+	// without Options.Initial, and reconstructs all-zero data to zero.
+	multiplicative bool
+	// back maps a sample's measured value b, its forward projection ax and
+	// its row norm rn to what is back-projected.
+	back func(b, ax, rn float32) float32
+	// update returns voxel x updated by its back-projection z and its
+	// column norm c.
+	update func(x, z, c float32) float32
 }
 
 // Reconstruct runs SIRT (Subsets == 1) or OS-SART over the measured
 // projection stack, which must be a full-origin stack matching sys.
 func Reconstruct(sys *geometry.System, measured *projection.Stack, opts Options) (*Result, error) {
+	lambda := opts.Relaxation
+	if lambda == 0 {
+		lambda = 1
+	}
+	if lambda <= 0 || lambda >= 2 {
+		return nil, fmt.Errorf("iterative: relaxation %g outside (0,2)", lambda)
+	}
+	lam := float32(lambda)
+	return solve(sys, measured, opts, method{
+		// r = b_s − A_s x, back-projected as r ⊘ R.
+		back: func(b, ax, rn float32) float32 { return (b - ax) / rn },
+		// x += λ · z ⊘ C
+		update: func(x, z, c float32) float32 {
+			x += lam * z / c
+			if opts.NonNegative && x < 0 {
+				x = 0
+			}
+			return x
+		},
+	})
+}
+
+// solve is the sub-iteration loop of every algorithm in the package: per
+// subset, the forward projection A_s·x, the samples m.back makes of it, their
+// back-projection z = A_sᵀ(·) from the subset's ring, and m.update of every
+// voxel. It owns one device, one z volume, and per subset one stack and one
+// ring, so a sub-iteration allocates no volume and no stack.
+func solve(sys *geometry.System, measured *projection.Stack, opts Options, m method) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,71 +131,74 @@ func Reconstruct(sys *geometry.System, measured *projection.Stack, opts Options)
 	if opts.Iterations <= 0 {
 		return nil, fmt.Errorf("iterative: Iterations=%d must be positive", opts.Iterations)
 	}
-	lambda := opts.Relaxation
-	if lambda == 0 {
-		lambda = 1
-	}
-	if lambda <= 0 || lambda >= 2 {
-		return nil, fmt.Errorf("iterative: relaxation %g outside (0,2)", lambda)
-	}
-	nsub := opts.Subsets
-	if nsub <= 0 {
-		nsub = 1
-	}
+	nsub := max(opts.Subsets, 1)
 	if nsub > sys.NP {
 		return nil, fmt.Errorf("iterative: %d subsets exceed NP=%d", nsub, sys.NP)
 	}
-
-	subs, err := buildSubsets(sys, measured, nsub, opts)
-	if err != nil {
-		return nil, err
-	}
-
 	x, err := volume.New(sys.NX, sys.NY, sys.NZ)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Initial != nil {
-		if !opts.Initial.SameShape(x) {
-			return nil, fmt.Errorf("iterative: initial volume %s does not match grid", opts.Initial.ShapeString())
-		}
-		copy(x.Data, opts.Initial.Data)
+	if opts.Initial != nil && !opts.Initial.SameShape(x) {
+		return nil, fmt.Errorf("iterative: initial volume %s does not match grid", opts.Initial.ShapeString())
 	}
-
+	if m.multiplicative {
+		for i, b := range measured.Data {
+			if b < 0 {
+				return nil, fmt.Errorf("iterative: MLEM needs nonnegative data; sample %d = %g", i, b)
+			}
+		}
+		x.Fill(1)
+	}
+	if opts.Initial != nil {
+		for i, v := range opts.Initial.Data {
+			if m.multiplicative && v <= 0 {
+				return nil, fmt.Errorf("iterative: MLEM initial image must be positive (voxel %d = %g)", i, v)
+			}
+			x.Data[i] = v
+		}
+	}
+	res := &Result{Volume: x}
 	bNorm := l2(measured.Data)
 	if bNorm == 0 {
-		return &Result{Volume: x, Iterations: 0}, nil
+		if m.multiplicative {
+			x.Zero()
+		}
+		return res, nil
 	}
 
 	dev := device.New("iterative", 0, opts.Workers)
-	res := &Result{Volume: x}
+	subs, err := buildSubsets(dev, sys, measured, nsub, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for _, s := range subs {
+			s.ring.Close()
+		}
+	}()
+	z, err := volume.New(sys.NX, sys.NY, sys.NZ)
+	if err != nil {
+		return nil, err
+	}
 	for it := 0; it < opts.Iterations; it++ {
 		var sumSq float64
 		for _, s := range subs {
-			// r = b_s − A_s x
-			proj, err := forward.ProjectVolumeSubset(sys, x, opts.Step, opts.Workers, s.ps)
-			if err != nil {
+			if err := forward.ProjectVolumeSubset(sys, x, opts.Step, opts.Workers, s.ps, s.proj); err != nil {
 				return nil, err
 			}
-			for i := range proj.Data {
-				r := s.meas.Data[i] - proj.Data[i]
+			for i, ax := range s.proj.Data {
+				b := s.meas.Data[i]
+				r := b - ax
 				sumSq += float64(r) * float64(r)
-				proj.Data[i] = r / s.rowNorm[i]
+				s.proj.Data[i] = m.back(b, ax, s.rowNorm[i])
 			}
-			// z = A_sᵀ (r ⊘ R)
-			z, err := volume.New(sys.NX, sys.NY, sys.NZ)
-			if err != nil {
+			z.Zero()
+			if err := backprojectInto(dev, s, z); err != nil {
 				return nil, err
 			}
-			if err := backproject.Batch(dev, proj, s.mats, z); err != nil {
-				return nil, err
-			}
-			// x += λ · z ⊘ C
 			for i := range x.Data {
-				x.Data[i] += float32(lambda) * z.Data[i] / s.colNorm[i]
-				if opts.NonNegative && x.Data[i] < 0 {
-					x.Data[i] = 0
-				}
+				x.Data[i] = m.update(x.Data[i], z.Data[i], s.colNorm[i])
 			}
 		}
 		rel := math.Sqrt(sumSq) / bNorm
@@ -161,16 +211,25 @@ func Reconstruct(sys *geometry.System, measured *projection.Stack, opts Options)
 	return res, nil
 }
 
+// backprojectInto loads the subset's stack into its ring and adds
+// A_sᵀ·proj to vol.
+func backprojectInto(dev *device.Device, s subset, vol *volume.Volume) error {
+	s.ring.Reset()
+	if err := s.ring.LoadRows(s.proj, s.proj.Rows()); err != nil {
+		return err
+	}
+	return backproject.Streaming(dev, s.ring, s.mats, vol, s.proj.Rows())
+}
+
 // buildSubsets precomputes the interleaved angle subsets with their
-// matrices, measured slices and normalisations.
-func buildSubsets(sys *geometry.System, measured *projection.Stack, nsub int, opts Options) ([]subset, error) {
+// matrices, measured slices, stacks, rings and normalisations.
+func buildSubsets(dev *device.Device, sys *geometry.System, measured *projection.Stack, nsub int, opts Options) ([]subset, error) {
 	const normFloor = 1e-6
 	ones, err := volume.New(sys.NX, sys.NY, sys.NZ)
 	if err != nil {
 		return nil, err
 	}
 	ones.Fill(1)
-	onesDev := device.New("iterative-norm", 0, opts.Workers)
 
 	subs := make([]subset, nsub)
 	for si := 0; si < nsub; si++ {
@@ -181,8 +240,7 @@ func buildSubsets(sys *geometry.System, measured *projection.Stack, nsub int, op
 		}
 		// Measured data for the subset, in the same (v, idx, u) layout
 		// the forward operator produces.
-		meas, err := projection.NewStack(sys.NU, len(s.ps), sys.NV)
-		if err != nil {
+		if s.meas, err = projection.NewStack(sys.NU, len(s.ps), sys.NV); err != nil {
 			return nil, err
 		}
 		for v := 0; v < sys.NV; v++ {
@@ -191,14 +249,16 @@ func buildSubsets(sys *geometry.System, measured *projection.Stack, nsub int, op
 				if err != nil {
 					return nil, err
 				}
-				dst, _ := meas.Row(v, idx)
+				dst, _ := s.meas.Row(v, idx)
 				copy(dst, src)
 			}
 		}
-		s.meas = meas
 		// R = A_s·1: ray intersection lengths with the volume.
-		rproj, err := forward.ProjectVolumeSubset(sys, ones, opts.Step, opts.Workers, s.ps)
+		rproj, err := projection.NewStack(sys.NU, len(s.ps), sys.NV)
 		if err != nil {
+			return nil, err
+		}
+		if err := forward.ProjectVolumeSubset(sys, ones, opts.Step, opts.Workers, s.ps, rproj); err != nil {
 			return nil, err
 		}
 		s.rowNorm = rproj.Data
@@ -207,19 +267,22 @@ func buildSubsets(sys *geometry.System, measured *projection.Stack, nsub int, op
 				s.rowNorm[i] = normFloor
 			}
 		}
-		// C = A_sᵀ·1: voxel sensitivities under the transpose surrogate.
-		onesStack, err := projection.NewStack(sys.NU, len(s.ps), sys.NV)
-		if err != nil {
+		// C = A_sᵀ·1: voxel sensitivities under the transpose surrogate,
+		// the first launch from the subset's ring.
+		if s.proj, err = projection.NewStack(sys.NU, len(s.ps), sys.NV); err != nil {
 			return nil, err
 		}
-		for i := range onesStack.Data {
-			onesStack.Data[i] = 1
+		for i := range s.proj.Data {
+			s.proj.Data[i] = 1
+		}
+		if s.ring, err = device.NewProjRing(dev, sys.NU, len(s.ps), sys.NV); err != nil {
+			return nil, err
 		}
 		col, err := volume.New(sys.NX, sys.NY, sys.NZ)
 		if err != nil {
 			return nil, err
 		}
-		if err := backproject.Batch(onesDev, onesStack, s.mats, col); err != nil {
+		if err := backprojectInto(dev, s, col); err != nil {
 			return nil, err
 		}
 		s.colNorm = col.Data

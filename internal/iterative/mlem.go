@@ -1,15 +1,8 @@
 package iterative
 
 import (
-	"fmt"
-	"math"
-
-	"distfdk/internal/backproject"
-	"distfdk/internal/device"
-	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
 	"distfdk/internal/projection"
-	"distfdk/internal/volume"
 )
 
 // ReconstructMLEM runs the maximum-likelihood EM algorithm (Shepp–Vardi),
@@ -22,91 +15,17 @@ import (
 // Options.NonNegative is implied; measured data must be nonnegative.
 // Options.Relaxation is ignored (EM has no step size).
 func ReconstructMLEM(sys *geometry.System, measured *projection.Stack, opts Options) (*Result, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if measured.NU != sys.NU || measured.NP != sys.NP || measured.NV != sys.NV || measured.V0 != 0 || measured.P0 != 0 {
-		return nil, fmt.Errorf("iterative: stack does not match system")
-	}
-	if opts.Iterations <= 0 {
-		return nil, fmt.Errorf("iterative: Iterations=%d must be positive", opts.Iterations)
-	}
-	for i, b := range measured.Data {
-		if b < 0 {
-			return nil, fmt.Errorf("iterative: MLEM needs nonnegative data; sample %d = %g", i, b)
-		}
-	}
-	nsub := opts.Subsets
-	if nsub <= 0 {
-		nsub = 1
-	}
-	if nsub > sys.NP {
-		return nil, fmt.Errorf("iterative: %d subsets exceed NP=%d", nsub, sys.NP)
-	}
-	subs, err := buildSubsets(sys, measured, nsub, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	x, err := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Initial != nil {
-		if !opts.Initial.SameShape(x) {
-			return nil, fmt.Errorf("iterative: initial volume mismatch")
-		}
-		for i, v := range opts.Initial.Data {
-			if v <= 0 {
-				return nil, fmt.Errorf("iterative: MLEM initial image must be positive (voxel %d = %g)", i, v)
-			}
-			x.Data[i] = v
-		}
-	} else {
-		x.Fill(1)
-	}
-
-	bNorm := l2(measured.Data)
-	res := &Result{Volume: x}
-	if bNorm == 0 {
-		x.Zero()
-		return res, nil
-	}
 	const eps = 1e-8
-	dev := device.New("mlem", 0, opts.Workers)
-	for it := 0; it < opts.Iterations; it++ {
-		var sumSq float64
-		for _, s := range subs {
-			proj, err := forward.ProjectVolumeSubset(sys, x, opts.Step, opts.Workers, s.ps)
-			if err != nil {
-				return nil, err
+	return solve(sys, measured, opts, method{
+		multiplicative: true,
+		// b_s ⊘ (A_s x), the projection floored at eps.
+		back: func(b, ax, _ float32) float32 {
+			if ax < eps {
+				ax = eps
 			}
-			for i := range proj.Data {
-				r := s.meas.Data[i] - proj.Data[i]
-				sumSq += float64(r) * float64(r)
-				denom := proj.Data[i]
-				if denom < eps {
-					denom = eps
-				}
-				proj.Data[i] = s.meas.Data[i] / denom
-			}
-			z, err := volume.New(sys.NX, sys.NY, sys.NZ)
-			if err != nil {
-				return nil, err
-			}
-			if err := backproject.Batch(dev, proj, s.mats, z); err != nil {
-				return nil, err
-			}
-			for i := range x.Data {
-				x.Data[i] *= z.Data[i] / s.colNorm[i]
-			}
-		}
-		rel := math.Sqrt(sumSq) / bNorm
-		res.Residuals = append(res.Residuals, rel)
-		res.Iterations = it + 1
-		if opts.Callback != nil && !opts.Callback(it, rel) {
-			break
-		}
-	}
-	return res, nil
+			return b / ax
+		},
+		// x ·= z ⊘ C
+		update: func(x, z, c float32) float32 { return x * (z / c) },
+	})
 }

@@ -2,6 +2,7 @@ package iterative
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"distfdk/internal/phantom"
@@ -26,6 +27,17 @@ func TestMLEMValidation(t *testing.T) {
 	}
 	if _, err := ReconstructMLEM(sys, st, Options{Iterations: 1, Subsets: 1000}); err == nil {
 		t.Error("expected subsets error")
+	}
+	// Shape errors name both shapes, as SIRT's do; a wrong shape is
+	// reported before the content of the stack or the image.
+	bad, _ := projection.NewStack(8, sys.NP, sys.NV)
+	bad.Data[0] = -1
+	if _, err := ReconstructMLEM(sys, bad, Options{Iterations: 1}); err == nil || !strings.Contains(err.Error(), "stack 8x16x30@0,0 does not match system 36x16x30") {
+		t.Errorf("mismatched stack: %v", err)
+	}
+	wrong, _ := volume.New(4, 4, 4)
+	if _, err := ReconstructMLEM(sys, st, Options{Iterations: 1, Initial: wrong}); err == nil || !strings.Contains(err.Error(), wrong.ShapeString()) {
+		t.Errorf("mismatched initial volume: %v", err)
 	}
 	zero, _ := projection.NewStack(sys.NU, sys.NP, sys.NV)
 	res, err := ReconstructMLEM(sys, zero, Options{Iterations: 2})

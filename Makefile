@@ -82,7 +82,7 @@ doc-check:
 # where the exact arithmetic need not run, with a margin that its doc comment
 # states.
 FUSE_LINT_FUNCS = \
-	backproject.laneAt backproject.simdCoords backproject.footprint \
+	backproject.laneAt backproject.simdCoords backproject.footprint backproject.tileFootprint \
 	backproject.(*projAccess).tileRec backproject.(*projAccess).fusedTileGo \
 	backproject.(*projAccess).fastCols backproject.(*projAccess).guardedCols \
 	backproject.(*projAccess).subPixel backproject.(*projAccess).perColumn \

@@ -88,7 +88,7 @@ func main() {
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	if err := errors.Join(nf.validate(), refuseUnread(*algo, *zlo, *groups**ranks, set),
-		validateRunFlags(*restarts, *backoff, *deadline)); err != nil {
+		validateRunFlags(*batches, *memMB, *workers, *restarts, *backoff, *deadline)); err != nil {
 		log.Fatal(err)
 	}
 

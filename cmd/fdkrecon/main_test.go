@@ -16,29 +16,35 @@ import (
 
 func TestValidateRunFlags(t *testing.T) {
 	// The flag defaults must validate — otherwise every invocation dies.
-	if err := validateRunFlags(core.DefaultMaxRestarts, core.DefaultRestartBackoff, 0); err != nil {
+	if err := validateRunFlags(core.DefaultBatchCount, 0, 1, core.DefaultMaxRestarts, core.DefaultRestartBackoff, 0); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
-	if err := validateRunFlags(0, time.Second, 30*time.Second); err != nil {
+	if err := validateRunFlags(1, 0, 1, 0, time.Second, 30*time.Second); err != nil {
 		t.Fatalf("explicit zero budget rejected: %v", err)
 	}
 
 	cases := []struct {
 		name     string
+		batches  int
+		devmem   int64
+		workers  int
 		restarts int
 		backoff  time.Duration
 		deadline time.Duration
 		wantFlag string
 	}{
-		{"negative budget", -1, time.Second, 0, "max-restarts"},
-		{"very negative budget", -99, time.Second, 0, "max-restarts"},
-		{"zero backoff", 3, 0, 0, "restart-backoff"},
-		{"negative backoff", 3, -time.Millisecond, 0, "restart-backoff"},
-		{"negative deadline", 3, time.Second, -time.Second, "deadline"},
+		{"negative batches", -3, 0, 1, 3, time.Second, 0, "batches"},
+		{"negative devmem", 8, -5, 1, 3, time.Second, 0, "devmem"},
+		{"negative workers", 8, 0, -2, 3, time.Second, 0, "workers"},
+		{"negative budget", 8, 0, 1, -1, time.Second, 0, "max-restarts"},
+		{"very negative budget", 8, 0, 1, -99, time.Second, 0, "max-restarts"},
+		{"zero backoff", 8, 0, 1, 3, 0, 0, "restart-backoff"},
+		{"negative backoff", 8, 0, 1, 3, -time.Millisecond, 0, "restart-backoff"},
+		{"negative deadline", 8, 0, 1, 3, time.Second, -time.Second, "deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateRunFlags(tc.restarts, tc.backoff, tc.deadline)
+			err := validateRunFlags(tc.batches, tc.devmem, tc.workers, tc.restarts, tc.backoff, tc.deadline)
 			if err == nil {
 				t.Fatal("invalid flags accepted")
 			}

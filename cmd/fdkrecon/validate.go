@@ -53,15 +53,29 @@ func refuseUnread(algo string, zlo, ranks int, set []string) error {
 }
 
 // validateRunFlags rejects the flag corner cases that would otherwise be
-// silently reinterpreted deep inside core: a negative restart budget
-// means "no restarts" to core.Supervise, a non-positive backoff silently
-// becomes the default, and a negative deadline would arm collectives
-// with an already-expired timer. All three are almost certainly typos at
-// the CLI surface, so they fail loudly here instead.
+// silently reinterpreted deep inside core: a batch count below one, a
+// negative device memory budget (which would run unlimited) and a worker
+// count below one (which would run GOMAXPROCS workers); a negative restart
+// budget means "no restarts" to core.Supervise, a non-positive backoff
+// silently becomes the default, and a negative deadline would arm
+// collectives with an already-expired timer. All of them are almost
+// certainly typos at the CLI surface, so they fail loudly here instead.
 //
-// -deadline 0 stays legal: it is the documented "wait for world
-// teardown" mode, not a degenerate timeout.
-func validateRunFlags(maxRestarts int, restartBackoff, deadline time.Duration) error {
+// -devmem 0 and -deadline 0 stay legal: they are the documented
+// "unlimited" and "wait for world teardown" modes, not degenerate values.
+func validateRunFlags(batches int, devmemMiB int64, workers, maxRestarts int, restartBackoff, deadline time.Duration) error {
+	if batches < 1 {
+		return &FlagError{Flag: "batches",
+			Reason: fmt.Sprintf("batch count must be at least 1 (got %d)", batches)}
+	}
+	if devmemMiB < 0 {
+		return &FlagError{Flag: "devmem",
+			Reason: fmt.Sprintf("device memory budget must not be negative (got %d); use 0 for unlimited", devmemMiB)}
+	}
+	if workers < 1 {
+		return &FlagError{Flag: "workers",
+			Reason: fmt.Sprintf("worker count must be at least 1 (got %d)", workers)}
+	}
 	if maxRestarts < 0 {
 		return &FlagError{Flag: "max-restarts",
 			Reason: fmt.Sprintf("restart budget must not be negative (got %d); use 0 to run with no restarts", maxRestarts)}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"distfdk/internal/dataset"
+	"distfdk/internal/device"
 	"distfdk/internal/geometry"
 )
 
@@ -95,6 +97,77 @@ func BenchmarkFusedInteriorSIMDSpans(b *testing.B) {
 				launch(s0, s1)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(span), "ns/sample")
+		})
+	}
+}
+
+// BenchmarkRowLaunch times what one (row, projection) pair costs a k-tile:
+// the row constants, rowSpans and one launch of the assembly, as
+// accumulateSlices makes them for one worker. The row is the middle row of
+// the middle slab of the benchmark's single-kernel shape (tomo_00030 at
+// -div 8, 96³, 12-slice slabs) and of its single-filter shape (24³, 3-slice
+// slabs), over a ring holding the slab's detector rows of random samples;
+// the projection steps through all of them from one launch to the next.
+// ns/update divides by the tile's voxels, nx·h.
+func BenchmarkRowLaunch(b *testing.B) {
+	if !simdAvailable() {
+		b.Skip("no AVX2 on this host")
+	}
+	for _, shape := range []struct {
+		name string
+		n    int
+	}{{"single-kernel", 96}, {"single-filter", 24}} {
+		b.Run(shape.name, func(b *testing.B) {
+			ds, err := dataset.ByName("tomo_00030")
+			if err != nil {
+				b.Fatal(err)
+			}
+			scaled, err := ds.Scaled(8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := scaled.System(shape.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nz := shape.n / 8
+			z0 := nz * 4
+			rows := sys.ComputeAB(z0, z0+nz)
+			dev := device.New("bench", 0, 1)
+			ring, err := device.NewProjRing(dev, sys.NU, sys.NP, rows.Len())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ring.Close()
+			if err := ring.LoadRows(randomStack(sys, 5), rows); err != nil {
+				b.Fatal(err)
+			}
+			a := ringAccess(ring)
+			if !a.prepareSIMD() {
+				b.Fatal("prepareSIMD refused the ring")
+			}
+			a.asm, a.win = true, a.newSpanWindow()
+			mats := kernelMats(sys)
+			pcs := make([]projConsts, len(mats))
+			for s := range mats {
+				pcs[s] = a.newProjConsts(s, &mats[s], sys.NX)
+			}
+			h := tileHeight(nz, 1)
+			kf := make([]float32, h)
+			for k := range kf {
+				kf[k] = float32(z0 + k)
+			}
+			out := make([]float32, h*sys.NX*sys.NY)
+			var ctr kernelCounters
+			j := sys.NY / 2
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.tileRec(out[j*sys.NX:], sys.NX*sys.NY, &pcs[i%len(pcs)], float32(j), kf, sys.NX, &ctr)
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns, "ns/launch")
+			b.ReportMetric(ns/float64(sys.NX*h), "ns/update")
+			b.ReportMetric(float64(h), "slices")
 		})
 	}
 }

@@ -153,7 +153,9 @@ func TestBackprojectionSignBehaviour(t *testing.T) {
 }
 
 // Randomised slab schedules: any partition of Z into slabs reconstructs
-// the identical volume through the ring.
+// the oracle's volume through the ring. Two fixed schedules on one worker
+// follow the random ones: a first slab exactly zBlock slices high (one
+// tall tile) and one a slice taller (two tiles).
 func TestRandomSlabPartitionsEquivalent(t *testing.T) {
 	forRecurrenceKernels(t, testRandomSlabPartitionsEquivalent)
 }
@@ -163,10 +165,13 @@ func testRandomSlabPartitionsEquivalent(t *testing.T) {
 	stack := randomStack(sys, 16)
 	mats := kernelMats(sys)
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	if err := Batch(device.New("ref", 0, 2), stack, mats, want); err != nil {
-		t.Fatal(err)
-	}
+	denseAccess(stack).reference(mats, want)
 	rng := rand.New(rand.NewSource(99))
+	type schedule struct {
+		cuts    []int
+		workers int
+	}
+	var schedules []schedule
 	for trial := 0; trial < 5; trial++ {
 		// Random slab heights between 1 and 9.
 		var cuts []int
@@ -178,15 +183,21 @@ func testRandomSlabPartitionsEquivalent(t *testing.T) {
 			cuts = append(cuts, nz)
 			z += nz
 		}
+		schedules = append(schedules, schedule{cuts, 2})
+	}
+	for _, h := range []int{zBlock, zBlock + 1} {
+		schedules = append(schedules, schedule{[]int{h, sys.NZ - h}, 1})
+	}
+	for trial, sc := range schedules {
 		depth := 0
 		z := 0
-		for _, nz := range cuts {
+		for _, nz := range sc.cuts {
 			if l := sys.ComputeAB(z, z+nz).Len(); l > depth {
 				depth = l
 			}
 			z += nz
 		}
-		dev := device.New("trial", 0, 2)
+		dev := device.New("trial", 0, sc.workers)
 		ring, err := device.NewProjRing(dev, sys.NU, sys.NP, depth)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +205,7 @@ func testRandomSlabPartitionsEquivalent(t *testing.T) {
 		got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 		prev := geometry.RowRange{}
 		z = 0
-		for _, nz := range cuts {
+		for _, nz := range sc.cuts {
 			rows := sys.ComputeAB(z, z+nz)
 			if !prev.IsEmpty() && rows.Lo >= prev.Hi {
 				ring.Reset()
@@ -216,8 +227,8 @@ func testRandomSlabPartitionsEquivalent(t *testing.T) {
 		}
 		ring.Close()
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("trial %d (cuts %v): voxel %d differs", trial, cuts, i)
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("trial %d (cuts %v, %d workers): voxel %d differs from the oracle", trial, sc.cuts, sc.workers, i)
 			}
 		}
 	}

@@ -36,17 +36,24 @@ const projBlock = 16
 // span solve and everything else that does not depend on z is done once
 // for all of them, and the detector rows they project to stay hot while
 // the j sweep revisits them. Like projBlock it only reorders independent
-// output rows, never the per-voxel s order.
-const zBlock = 8
+// output rows, never the per-voxel s order. At 16 a worker's share of
+// every slab the benchmark runs is one tile — a 12-slice slab on one
+// worker is one launch per (row, projection) pair, not two — and a taller
+// slab is cut into tiles of at most 16; EXPERIMENTS.md has the sweep.
+const zBlock = 16
 
-// footprint returns the detector pixel (iu, iv) at the origin of column i's
-// 2×2 footprint and whether its weight rz² is finite, with the exact
-// float32 values the kernel computes for the column under the coordinate
-// contract of simd.go.
-func footprint(i int, ax, ay, az, xc, yc, zc float32) (iu, iv int, finite bool) {
-	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
-	rz := 1 / w
-	return int(floor32(u * rz)), int(floor32(v * rz)), rz*rz < math.MaxFloat32
+// tileFootprint returns the origin of column i's 2×2 footprint in a k-tile's
+// two end slices, whose v constants are ya and yb — the detector column iu,
+// which u and w make the same in every slice, and the rows iva and ivb — and
+// whether the weight rz² is finite, with the exact float32 values the kernel
+// computes for the column under the coordinate contract of simd.go. One
+// reciprocal, one x and one floor(x) serve both ends.
+func tileFootprint(i int, ax, ay, az, xc, ya, yb, zc float32) (iu, iva, ivb int, finite bool) {
+	rz := 1 / laneAt(i, az, zc)
+	iu = int(floor32(laneAt(i, ax, xc) * rz))
+	iva = int(floor32(laneAt(i, ay, ya) * rz))
+	ivb = int(floor32(laneAt(i, ay, yb) * rz))
+	return iu, iva, ivb, rz*rz < math.MaxFloat32
 }
 
 // resident reports whether the 2×2 footprint at (iu, iv) lies wholly inside
@@ -64,14 +71,8 @@ func (a *projAccess) resident(iu, iv int) bool {
 // slice index to iv is monotone, so a middle slice's iv lies between the
 // ends', and the resident rows are an interval.
 func (a *projAccess) interiorResident(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
-	if iu, iv, _ := footprint(i, ax, ay, az, xc, ya, zc); !a.resident(iu, iv) {
-		return false
-	}
-	if ya == yb {
-		return true
-	}
-	iu, iv, _ := footprint(i, ax, ay, az, xc, yb, zc)
-	return a.resident(iu, iv)
+	iu, iva, ivb, _ := tileFootprint(i, ax, ay, az, xc, ya, yb, zc)
+	return a.resident(iu, iva) && a.resident(iu, ivb)
 }
 
 // zeroContrib reports whether column i's contribution is provably exactly
@@ -87,17 +88,11 @@ func (a *projAccess) interiorResident(i int, ax, ay, az, xc, ya, yb, zc float32)
 // still below it, or the lowest already above it — the two ends may not
 // miss it on opposite sides, because the slices between them then cross it.
 func (a *projAccess) zeroContrib(i int, ax, ay, az, xc, ya, yb, zc float32) bool {
-	iu, iv, finite := footprint(i, ax, ay, az, xc, yb, zc)
+	iu, iva, ivb, finite := tileFootprint(i, ax, ay, az, xc, ya, yb, zc)
 	if !finite {
 		return false
 	}
-	if iu < -1 || iu >= a.nu || iv < a.lo-1 {
-		return true
-	}
-	if ya != yb {
-		_, iv, _ = footprint(i, ax, ay, az, xc, ya, zc)
-	}
-	return iv >= a.hi
+	return iu < -1 || iu >= a.nu || ivb < a.lo-1 || iva >= a.hi
 }
 
 // spanWindow is the readable window [0,nu) × [lo,hi) in the forms a
@@ -153,6 +148,18 @@ func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int) projConst
 	return pc
 }
 
+// tileHeight is the height of the k-tiles a slab of nz slices is cut into
+// for workers workers. The tiles are adjacent slices — adjacent, so that a
+// tile's sweep of v, which its spans must cover, is as short as its height
+// allows — dealt to the workers in turn: the fewest tiles of at most zBlock
+// slices that come to a whole number of rounds, at equal heights (the last
+// may be lower). A slab of at most zBlock slices per worker is one tile per
+// worker.
+func tileHeight(nz, workers int) int {
+	tiles := workers * ((nz + workers*zBlock - 1) / (workers * zBlock))
+	return (nz + tiles - 1) / tiles
+}
+
 // accumulateSlices back-projects the k slices owned by worker w. Loop order is s-block → k-tile → j → s → k, i.e. the
 // voxel sweep is repeated per small group of projections (cache blocking)
 // and a (row, projection) pair visits the slices of its tile innermost,
@@ -161,13 +168,7 @@ func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int) projConst
 func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters) {
 	nx := slab.NX
 	stride := slab.NY * nx
-	// The slab is cut into tiles of adjacent slices — adjacent, so that a
-	// tile's sweep of v, which its spans must cover, is as short as its
-	// height allows — dealt to the workers in turn: the fewest tiles of at
-	// most zBlock slices that come to a whole number of rounds, at equal
-	// heights.
-	tiles := workers * ((slab.NZ + workers*zBlock - 1) / (workers * zBlock))
-	th := (slab.NZ + tiles - 1) / tiles
+	th := tileHeight(slab.NZ, workers)
 	var pcs [projBlock]projConsts
 	var kfs [zBlock]float32
 	for sb := 0; sb < a.np; sb += projBlock {

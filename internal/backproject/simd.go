@@ -30,10 +30,10 @@ import (
 // fuse-lint checks the compiled code). accumulateSlab picks the assembly
 // where the host has AVX2 and the storage offsets fit its 32-bit gather
 // indices, the Go spelling otherwise; the bytes and the counters do not
-// depend on the choice. laneAt and simdCoords are the contract's coordinates
-// at one column, which the span predicates (footprint) and the guarded
-// columns evaluate. float32(i) is exact, and the assembly's column vector
-// stepped by 8.0 equals it, while i < 2²⁴ — far past any volume's width.
+// depend on the choice. laneAt is the contract's value at one column, which
+// the span checks (tileFootprint) and the guarded columns evaluate.
+// float32(i) is exact, and the assembly's column vector stepped by 8.0
+// equals it, while i < 2²⁴ — far past any volume's width.
 
 // simdLanes is the width of the kernel's column groups: 8 float32 lanes.
 const simdLanes = 8
@@ -41,11 +41,6 @@ const simdLanes = 8
 // laneAt returns the contract's value at column i of the coordinate
 // op·i + oc.
 func laneAt(i int, op, oc float32) float32 { return float32(op*float32(i)) + oc }
-
-// simdCoords returns the contract's homogeneous coordinates at column i.
-func simdCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
-	return laneAt(i, ax, xc), laneAt(i, ay, yc), laneAt(i, az, zc)
-}
 
 // simdRowArgs carries one (row, projection, k-tile) launch into either
 // spelling of the kernel; the assembly addresses the fields by name

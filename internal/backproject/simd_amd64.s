@@ -6,19 +6,20 @@
 // AVX2 implementation of the SIMD coordinate contract (see simd.go).
 //
 // One call covers the supported span [c0,c1) of one volume row in the h
-// slices of a k-tile, for one projection whose u and w do not depend on z
-// (the caller proves that, or passes h = 1). Per 8-column group the
-// z-invariant work — the coordinates u, w and ay·i at the group's columns,
-// the divide, x, iu, eu, rz², the contiguous-window test — is done once; the
-// slice loop inside recomputes only what v moves: v, y, iv, ev, the four
-// sample loads (SAMPLE) and the accumulate into the slice's row. Groups
-// wholly inside the interior sub-span [f0,f1) run the unguarded fast body,
-// every other covered group the guarded body: floor instead of truncation,
-// the footprint's origin clamped into the store's zero apron (device.Layout:
-// the texture border is data) and a lane mask on the accumulate. Both
-// bodies read the same coordinates and fetch through
-// the one SAMPLE, so a column computes the same value whichever body its
-// group lands in — the decomposition invariance the kernel promises.
+// slices of a k-tile, 1 ≤ h ≤ zBlock (16), for one projection whose u and w
+// do not depend on z (the caller proves that, or passes h = 1). Per 8-column
+// group the z-invariant work — the coordinates u, w and ay·i at the group's
+// columns, the divide, x, iu, eu, rz², the contiguous-window test — is done
+// once; the slice loop inside recomputes only what v moves: v, y, iv, ev,
+// the four sample loads (SAMPLE) and the accumulate into the slice's row.
+// Groups wholly inside the interior sub-span [f0,f1) run the unguarded fast
+// body, every other covered group the guarded body: floor instead of
+// truncation, the footprint's origin clamped into the store's zero apron
+// (device.Layout: the texture border is data) and a lane mask on the
+// accumulate, all eight lanes live or not. Both bodies read the same
+// coordinates and fetch through the one SAMPLE, so a column computes the
+// same value whichever body its group lands in — the decomposition
+// invariance the kernel promises.
 //
 // Register plan, held across the whole kernel:
 //   Y0        = the group's columns float32(gb+j), stepped by 8.0 per group

@@ -7,6 +7,7 @@ import (
 
 	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
+	"distfdk/internal/geometry"
 	"distfdk/internal/volume"
 )
 
@@ -105,6 +106,53 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("trial %d span %v col %d: %s %g != the oracle %g (zero outside the span)",
 							trial, sp, i, name, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A guarded group that the covered span [c0,c1) only partly holds must
+// write its covered columns and no other, so an unmasked store may serve
+// only a group whose eight lanes are all covered. The columns outside the
+// span hold −0, which adding even +0 turns into +0, and the span starts and
+// ends mid-group inside the detector's shadow, in a tile of three slices,
+// with an interior run of fast groups between the guarded ends and without
+// one. Both spellings must leave the −0 columns bit for bit.
+func TestGuardedPartialGroupWritesOnlySpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const nx, h = 64, 3
+	a := projAccess{nu: 96, np: 1, lo: 0, hi: 96}
+	a.data = make([]float32, a.nu*(a.hi-a.lo))
+	for i := range a.data {
+		a.data[i] = 1 + rng.Float32()
+	}
+	a.buildRowTable()
+	if !a.prepareSIMD() {
+		t.Fatal("prepareSIMD refused a small buffer")
+	}
+	// x ≈ 4 + 1.2·i and y ≈ 20 + 0.3·i (+2 per slice): every column of the
+	// row is resident in every slice.
+	ax, ay, az, xc, zc := float32(1.2), float32(0.3), float32(0), float32(4), float32(1)
+	yc := []float32{20, 22, 24}
+	m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
+	negZero := math.Float32frombits(1 << 31)
+	for _, sp := range [][4]int{{3, 61, 3, 3}, {11, 29, 11, 11}, {5, 59, 5, 59}, {13, 14, 13, 13}} {
+		c0, c1, f0, f1 := sp[0], sp[1], sp[2], sp[3]
+		for name, sub := range a.spellings() {
+			out := make([]float32, h*nx)
+			for i := range out {
+				out[i] = negZero
+			}
+			pc := sub.newProjConsts(0, &m, nx)
+			sub.launchSpan(&pc.args, out, nx, c0, c1, f0, f1, xc, zc, yc)
+			for k := 0; k < h; k++ {
+				for i := 0; i < nx; i++ {
+					v := out[k*nx+i]
+					if covered := i >= c0 && i < c1; covered == (math.Float32bits(v) == 1<<31) {
+						t.Fatalf("%s, span [%d,%d) interior [%d,%d): slice %d column %d holds %g (covered %v)",
+							name, c0, c1, f0, f1, k, i, v, covered)
 					}
 				}
 			}

@@ -55,6 +55,21 @@ func (a *projAccess) launchRow(out []float32, s, c0, c1, f0, f1 int, ax, ay, az,
 	a.launchSpan(&args, out, 0, c0, c1, f0, f1, xc, zc, []float32{yc})
 }
 
+// simdCoords returns the contract's homogeneous coordinates at column i.
+func simdCoords(i int, ax, ay, az, xc, yc, zc float32) (u, v, w float32) {
+	return laneAt(i, ax, xc), laneAt(i, ay, yc), laneAt(i, az, zc)
+}
+
+// footprint is tileFootprint in one slice, spelled on its own so that the
+// tests judge the span checks with arithmetic they do not share: the pixel
+// (iu, iv) at the origin of column i's 2×2 footprint and whether its weight
+// rz² is finite, as the kernel computes them under the coordinate contract.
+func footprint(i int, ax, ay, az, xc, yc, zc float32) (iu, iv int, finite bool) {
+	u, v, w := simdCoords(i, ax, ay, az, xc, yc, zc)
+	rz := 1 / w
+	return int(floor32(u * rz)), int(floor32(v * rz)), rz*rz < math.MaxFloat32
+}
+
 // The functions below are the span decisions as rowRec made them before the
 // per-projection and per-launch constants were hoisted out of the row loop:
 // every boundary, coefficient and product recomputed from (a, row

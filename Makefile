@@ -176,7 +176,9 @@ chaos:
 # single-rank loss at every batch boundary), then an end-to-end recovery
 # drill of the CLI — rank 1 killed at batch 1, world replanned onto the
 # survivors, volume promoted — whose trace and metrics artifacts are
-# validated and kept in artifacts/ for the CI run to upload.
+# validated and kept in artifacts/ for the CI run to upload. The same drill
+# on a Z window (slices [8, 24)) must recover the bytes of the window's
+# uninterrupted run.
 chaos-recover:
 	$(GO) test -race -count=1 \
 		-run 'TestSupervise|TestShrinkPlan|TestClusterReportSkippedBatches|TestTeardownAttributes|TestDeadlineExpiryCarriesNoAttribution|TestLostRanks|TestScheduleKill|TestBatchStartNilInjector|TestJournal' \
@@ -193,6 +195,15 @@ chaos-recover:
 		-check-trace artifacts/recover_trace.json \
 		-check-metrics artifacts/recover_metrics.json
 	rm -f artifacts/recover_drill.fbk
+	rm -f artifacts/recover_roi.fbk artifacts/recover_roi.fbk.partial artifacts/recover_roi.journal artifacts/recover_roi_ref.fbk
+	$(GO) run ./cmd/fdkrecon -div 16 -n 32 -zlo 8 -znz 16 -groups 2 -ranks 2 -batches 4 \
+		-o artifacts/recover_roi_ref.fbk
+	$(GO) run ./cmd/fdkrecon -div 16 -n 32 -zlo 8 -znz 16 -groups 2 -ranks 2 -batches 4 \
+		-o artifacts/recover_roi.fbk \
+		-journal artifacts/recover_roi.journal \
+		-max-restarts 2 -restart-backoff 50ms -kill 1@1
+	cmp artifacts/recover_roi_ref.fbk artifacts/recover_roi.fbk
+	rm -f artifacts/recover_roi.fbk artifacts/recover_roi_ref.fbk
 
 # Real-transport gate: the same reconstruction twice — once in-process,
 # once as a 4-process loopback TCP world (coordinator + 3 re-exec'd

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,7 +175,9 @@ func TestSynthesisMatchesPhantomgenContainer(t *testing.T) {
 
 // A -world run reconstructs the file it was given: the coordinator forwards
 // -in to its workers, so a noisy input gives the bytes of the in-process
-// run of the same flags, and the summary names the arithmetic that ran.
+// run of the same flags, and the summary names the arithmetic that ran. It
+// forwards the Z window too: formation checks only the rank assignment, so
+// a worker that ran the whole volume would go unnoticed but for the bytes.
 func TestWorldForwardsInput(t *testing.T) {
 	dir := t.TempDir()
 	noisyInput(t, filepath.Join(dir, "in.fbp"))
@@ -187,6 +190,9 @@ func TestWorldForwardsInput(t *testing.T) {
 		t.Errorf("summary does not name the arithmetic:\n%s", out)
 	}
 	fdkrecon(t, dir, append(common, "-world", "2", "-o", filepath.Join(dir, "world.fbk"))...)
+	window := []string{"-zlo", "8", "-znz", "16"}
+	fdkrecon(t, dir, slices.Concat(common, window, []string{"-o", filepath.Join(dir, "inproc-window.fbk")})...)
+	fdkrecon(t, dir, slices.Concat(common, window, []string{"-world", "2", "-o", filepath.Join(dir, "world-window.fbk")})...)
 	fdkrecon(t, dir, "-dataset", "tomo_00030", "-div", "16", "-n", "32", "-groups", "1", "-ranks", "2",
 		"-o", filepath.Join(dir, "synth.fbk"))
 
@@ -200,6 +206,9 @@ func TestWorldForwardsInput(t *testing.T) {
 	inproc := read("inproc.fbk")
 	if !bytes.Equal(inproc, read("world.fbk")) {
 		t.Error("-world 2 volume differs from the in-process run of the same noisy input")
+	}
+	if !bytes.Equal(read("inproc-window.fbk"), read("world-window.fbk")) {
+		t.Error("-zlo -world 2 volume differs from the in-process run of the same window")
 	}
 	if bytes.Equal(inproc, read("synth.fbk")) {
 		t.Error("noisy input reconstructs to the noiseless phantom's bytes: the comparison proves nothing")

@@ -11,6 +11,11 @@
 // over N OS processes wired through loopback sockets (see world.go):
 //
 //	fdkrecon -div 16 -n 32 -groups 2 -ranks 2 -world 4 -journal vol.journal -o vol.fbk
+//
+// -zlo/-znz restrict any of these runs to a window of slices, the plan's
+// output; -o then holds only the window, its first slice in the header:
+//
+//	fdkrecon -div 16 -n 32 -zlo 20 -znz 8 -groups 2 -ranks 2 -o roi.fbk
 package main
 
 import (
@@ -59,8 +64,8 @@ func main() {
 		memMB      = flag.Int64("devmem", 0, "device memory budget in MiB (0 = unlimited)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "CPU parallelism")
 		timeline   = flag.Bool("timeline", false, "print the pipeline timeline (single-rank mode)")
-		zlo        = flag.Int("zlo", -1, "first slice of a Z-window (ROI) reconstruction; -1 = full volume")
-		znz        = flag.Int("znz", 0, "slice count of the Z-window (with -zlo)")
+		zlo        = flag.Int("zlo", -1, "first slice of the plan's Z window (ROI), in every FDK mode; -1 = full volume")
+		znz        = flag.Int("znz", 0, "slice count of the Z window (with -zlo)")
 		stats      = flag.Bool("stats", false, "print volume statistics")
 		algo       = flag.String("algo", "fdk", "reconstruction algorithm: fdk, sirt, ossart, mlem, osem")
 		iters      = flag.Int("iters", 10, "iterations for the iterative algorithms")
@@ -106,36 +111,24 @@ func main() {
 	}
 
 	if *algo != "fdk" {
-		vol, err := runIterative(*algo, sys, source, *iters, *workers)
-		if err == nil {
-			err = vol.SaveRaw(*outPath)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		finish(vol.ShapeString(), *outPath, *slice, *stats)
-		return
-	}
-
-	if *zlo >= 0 {
-		vol, rep, err := core.ReconstructZWindow(core.ZWindowOptions{
-			Sys: sys, Source: source,
-			Device: device.New("roi", *memMB<<20, *workers),
-			Window: win, Z0: *zlo, NZ: *znz,
+		out := volume.Header{NX: sys.NX, NY: sys.NY, NZ: sys.NZ}
+		streamVolume(*outPath, out, nil, func(w core.SlabSink) error {
+			vol, err := runIterative(*algo, sys, source, *iters, *workers)
+			if err != nil {
+				return err
+			}
+			return w.WriteSlab(vol)
 		})
-		if err == nil {
-			err = vol.SaveRaw(*outPath)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("ROI slices [%d,%d) reconstructed in %d slabs (H2D %.1f MiB, kernel %s)\n",
-			*zlo, *zlo+*znz, rep.Slabs, float64(rep.Ledger.H2DBytes)/(1<<20), rep.Ledger.Arithmetic())
-		finish(vol.ShapeString(), *outPath, *slice, *stats)
+		finish(out, *outPath, *slice, *stats)
 		return
 	}
 
-	plan, err := core.NewPlan(sys, *groups, *ranks, *batches)
+	// -zlo selects the plan's window: the slices [zlo, zlo+znz).
+	z0, nz := 0, sys.NZ
+	if *zlo >= 0 {
+		z0, nz = *zlo, *znz
+	}
+	plan, err := core.NewWindowPlan(sys, *groups, *ranks, *batches, z0, nz)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -168,7 +161,7 @@ func main() {
 			reg = telemetry.NewRegistry() // the timeline is drawn from its spans
 		}
 		var rep *core.ReconReport
-		streamVolume(*outPath, sys, run, func(w core.SlabSink) (err error) {
+		streamVolume(*outPath, plan.Output(), run, func(w core.SlabSink) (err error) {
 			rep, err = core.ReconstructSingle(core.ReconOptions{
 				Plan: plan, Source: source,
 				Device: device.New("local", *memMB<<20, *workers),
@@ -213,6 +206,11 @@ func main() {
 				"-workers", strconv.Itoa(*workers),
 				"-deadline", copts.CollectiveDeadline.String(),
 			}
+			if *zlo >= 0 {
+				// Formation checks the rank assignment only: a worker must
+				// be told the window, or it runs another one.
+				forward = append(forward, "-zlo", strconv.Itoa(*zlo), "-znz", strconv.Itoa(*znz))
+			}
 			if *inPath != "" {
 				// Workers read the same projections, whatever directory
 				// they are started in.
@@ -247,7 +245,7 @@ func main() {
 		}
 
 		if *journal != "" {
-			runSupervised(copts, sys, run, supervisedConfig{
+			runSupervised(copts, run, supervisedConfig{
 				journal:  *journal,
 				outPath:  *outPath,
 				restarts: restartBudget(*restarts),
@@ -256,7 +254,7 @@ func main() {
 				metrics:  *metrics,
 			})
 		} else {
-			streamVolume(*outPath, sys, run, func(w core.SlabSink) error {
+			streamVolume(*outPath, plan.Output(), run, func(w core.SlabSink) error {
 				copts.Output = w
 				rep, err := core.RunDistributed(copts)
 				if rep != nil {
@@ -285,7 +283,7 @@ func main() {
 		finishPoll()
 	}
 
-	finish(fmt.Sprintf("%dx%dx%d", sys.NX, sys.NY, sys.NZ), *outPath, *slice, *stats)
+	finish(plan.Output(), *outPath, *slice, *stats)
 	if ds, err := dataset.ByName(*dsName); err == nil {
 		fmt.Printf("geometry: %s (magnification %.2f)\n", ds.Description, ds.Magnification())
 	}
@@ -293,8 +291,8 @@ func main() {
 
 // finish is every mode's tail: -o is written, and the post-run views load it
 // back, so voxels are only read again when -slice or -stats needs them.
-func finish(shape, path, slice string, stats bool) {
-	fmt.Printf("volume %s written to %s\n", shape, path)
+func finish(out volume.Header, path, slice string, stats bool) {
+	fmt.Printf("volume %v written to %s\n", out, path)
 	if slice == "" && !stats {
 		return
 	}
@@ -313,11 +311,11 @@ func finish(shape, path, slice string, stats bool) {
 	}
 }
 
-// streamVolume runs one reconstruction into a SlabWriter on path and
-// promotes the volume when the run succeeds. A failed run removes the
-// partial file, so whatever path held before is left as it was.
-func streamVolume(path string, sys *geometry.System, run *telemetry.Run, reconstruct func(core.SlabSink) error) {
-	w, err := storage.NewSlabWriter(path, sys.NX, sys.NY, sys.NZ)
+// streamVolume runs one reconstruction of the volume out into a SlabWriter
+// on path and promotes the volume when the run succeeds. A failed run removes
+// the partial file, so whatever path held before is left as it was.
+func streamVolume(path string, out volume.Header, run *telemetry.Run, reconstruct func(core.SlabSink) error) {
+	w, err := storage.CreateSlabWriter(path, out)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -378,11 +376,12 @@ type supervisedConfig struct {
 // the world in-process through rank loss. A failed run keeps the partial
 // volume and the journal so rerunning the same command resumes where it
 // stopped; a successful one promotes the volume and removes the journal.
-func runSupervised(copts core.ClusterOptions, sys *geometry.System, run *telemetry.Run, cfg supervisedConfig) {
+func runSupervised(copts core.ClusterOptions, run *telemetry.Run, cfg supervisedConfig) {
 	var w *storage.SlabWriter
 	var err error
+	out := copts.Plan.Output()
 	if _, serr := os.Stat(cfg.outPath + storage.PartialSuffix); serr == nil {
-		w, err = storage.ResumeSlabWriter(cfg.outPath, sys.NX, sys.NY, sys.NZ)
+		w, err = storage.ResumeSlabWriter(cfg.outPath, out)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -394,7 +393,7 @@ func runSupervised(copts core.ClusterOptions, sys *geometry.System, run *telemet
 		if rerr := os.Remove(cfg.journal); rerr == nil {
 			log.Printf("removed stale journal %s (no partial volume to resume)", cfg.journal)
 		}
-		w, err = storage.NewSlabWriter(cfg.outPath, sys.NX, sys.NY, sys.NZ)
+		w, err = storage.CreateSlabWriter(cfg.outPath, out)
 		if err != nil {
 			log.Fatal(err)
 		}

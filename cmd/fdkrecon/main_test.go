@@ -75,9 +75,14 @@ func TestRefuseUnread(t *testing.T) {
 		{"fdk", -1, 2, "dataset div groups in journal n o ranks world", "", ""},
 		{"fdk", -1, 4, "batches connect dataset deadline devmem div groups in journal kill max-restarts n proc procs ranks restart-backoff sever transport window worker workers", "", ""},
 		{"fdk", 20, 1, "div n o slice stats zlo znz", "", ""},
+		{"fdk", 20, 1, "batches devmem div n o timeline zlo znz", "", ""},
 		{"sirt", -1, 1, "algo div iters n o stats", "", ""},
-		{"fdk", 10, 4, "div groups in journal n o world zlo znz", "groups", "-zlo"},
-		{"fdk", 10, 1, "div in journal n o zlo znz", "journal", "-zlo"},
+		{"fdk", 10, 4, "div groups in journal n o world zlo znz", "", ""},
+		{"fdk", 10, 4, "batches connect deadline div groups journal n proc procs ranks worker zlo znz", "", ""},
+		{"fdk", 10, 1, "div in journal n o zlo znz", "journal", "single-rank"},
+		{"fdk", -1, 1, "div n o znz", "znz", "without -zlo"},
+		{"fdk", -1, 4, "div groups n o ranks znz", "znz", "without -zlo"},
+		{"sirt", 10, 1, "algo div n zlo znz", "zlo", "-algo"},
 		{"sirt", -1, 2, "algo div n ranks", "ranks", "-algo"},
 		{"sirt", -1, 1, "algo window", "window", "-algo"},
 		{"fdk", -1, 2, "groups ranks timeline", "timeline", "multi-rank"},
@@ -94,22 +99,23 @@ func TestRefuseUnread(t *testing.T) {
 			continue
 		}
 		var fe *FlagError
-		if !errors.As(err, &fe) || fe.Flag != tc.flag || !strings.Contains(fe.Reason, tc.mode+" mode") {
+		if !errors.As(err, &fe) || fe.Flag != tc.flag || !strings.Contains(fe.Reason, tc.mode) {
 			t.Errorf("-algo %s -zlo %d, %d ranks, flags %q: %v, want -%s refused in %s mode", tc.algo, tc.zlo, tc.ranks, tc.set, err, tc.flag, tc.mode)
 		}
 	}
 }
 
-// The refusal is the command's: an ROI run given multi-rank flags exits
-// non-zero before it reads its input, and writes neither -o nor -journal.
+// The refusal is the command's: an iterative run given multi-rank flags
+// exits non-zero before it reads its input, and writes neither -o nor
+// -journal.
 func TestUnreadFlagFailsTheRun(t *testing.T) {
 	dir := t.TempDir()
-	out, err := fdkreconCmd(t, dir, nil, "-div", "16", "-n", "32", "-zlo", "10", "-znz", "4",
-		"-groups", "2", "-world", "2", "-journal", "j", "-o", "roi.fbk").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "-groups: not read in -zlo mode") {
+	out, err := fdkreconCmd(t, dir, nil, "-div", "16", "-n", "32", "-algo", "sirt",
+		"-groups", "2", "-world", "2", "-journal", "j", "-o", "sirt.fbk").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-groups: not read in -algo mode") {
 		t.Fatalf("err %v, want -groups refused:\n%s", err, out)
 	}
-	for _, name := range []string{"roi.fbk", "j"} {
+	for _, name := range []string{"sirt.fbk", "j"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("the refused run left %s behind: %v", name, err)
 		}

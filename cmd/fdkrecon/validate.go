@@ -23,23 +23,20 @@ func (e *FlagError) Error() string {
 // output and its views, the width and -algo, which every mode reads.
 var modeReads = map[string]string{
 	"-algo":       "iters",
-	"-zlo":        "window zlo znz devmem",
-	"single-rank": "window zlo groups ranks batches devmem timeline trace-out metrics-json pprof status-poll",
-	"multi-rank": "window zlo groups ranks batches devmem trace-out metrics-json pprof status-poll " +
+	"single-rank": "window zlo znz groups ranks batches devmem timeline trace-out metrics-json pprof status-poll",
+	"multi-rank": "window zlo znz groups ranks batches devmem trace-out metrics-json pprof status-poll " +
 		"journal max-restarts restart-backoff deadline kill world transport sever worker proc procs connect",
 }
 
-// refuseUnread picks the run's mode — -algo other than fdk, else -zlo ≥ 0,
-// else single- or multi-rank by the world's size — and refuses the first
-// explicitly set flag that mode would ignore: a flag that changes nothing
-// is a mistake at the CLI surface, not a no-op.
+// refuseUnread picks the run's mode — -algo other than fdk, else single- or
+// multi-rank by the world's size — and refuses the first explicitly set flag
+// that mode would ignore: a flag that changes nothing is a mistake at the CLI
+// surface, not a no-op. -znz is read only with a window, so it needs -zlo.
 func refuseUnread(algo string, zlo, ranks int, set []string) error {
 	mode := "multi-rank"
 	switch {
 	case algo != "fdk":
 		mode = "-algo"
-	case zlo >= 0:
-		mode = "-zlo"
 	case ranks == 1:
 		mode = "single-rank"
 	}
@@ -47,6 +44,9 @@ func refuseUnread(algo string, zlo, ranks int, set []string) error {
 	for _, name := range set {
 		if !slices.Contains(reads, name) {
 			return &FlagError{Flag: name, Reason: fmt.Sprintf("not read in %s mode", mode)}
+		}
+		if name == "znz" && zlo < 0 {
+			return &FlagError{Flag: name, Reason: "not read without -zlo"}
 		}
 	}
 	return nil

@@ -315,7 +315,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	if j2.Len() != recorded {
 		t.Fatalf("journal lost entries across reopen: %d vs %d", j2.Len(), recorded)
 	}
-	w2, err := storage.ResumeSlabWriter(outPath, sys.NX, sys.NY, sys.NZ)
+	w2, err := storage.ResumeSlabWriter(outPath, p.Output())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestReconstructSingleRetryAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := storage.ResumeSlabWriter(outPath, sys.NX, sys.NY, sys.NZ)
+	w2, err := storage.ResumeSlabWriter(outPath, p.Output())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,9 +487,9 @@ func (s failingSink) WriteSlab(slab *volume.Volume) error {
 // back too: a store that fails at batch 1, and a back-projection that fails
 // at batch 2, of 64 one-slice batches each end the run promptly with their
 // error and leave no goroutine behind. No batch past the failure runs its
-// kernel: the slab comes back marked failed. ReconstructZWindow runs the
-// same program pipelined, so a load that fails in the middle of its window
-// ends it as promptly.
+// kernel: the slab comes back marked failed. A windowed plan runs the same
+// program, so a load that fails in the middle of its window ends it as
+// promptly.
 func TestPipelinedFailureHandsBackSlab(t *testing.T) {
 	sys := &geometry.System{
 		DSO: 250, DSD: 350,
@@ -552,9 +552,13 @@ func TestPipelinedFailureHandsBackSlab(t *testing.T) {
 	}
 	t.Run("roi-load", func(t *testing.T) {
 		in := fault.NewInjector(7, fault.Rule{Op: fault.OpLoad, Rank: 0, Nth: 4, Count: fault.Every, Class: fault.Permanent})
-		err := returns(t, func() error {
-			_, _, err := ReconstructZWindow(ZWindowOptions{Sys: sys, Source: fault.Source(&projection.MemorySource{Full: full}, in, 0),
-				Device: device.New("hang", 0, 2), Z0: 8, NZ: 48, SlabSlices: 1})
+		win, err := NewWindowPlan(sys, 1, 1, 48, 8, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = returns(t, func() error {
+			_, err := ReconstructSingle(ReconOptions{Plan: win, Source: fault.Source(&projection.MemorySource{Full: full}, in, 0),
+				Device: device.New("hang", 0, 2), Sink: failingSink{at: -1}})
 			return err
 		})
 		if !errors.Is(err, fault.ErrInjected) || !strings.Contains(err.Error(), `stage "load"`) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -101,14 +102,21 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 }
 
-// Slabs must partition [0, NZ) exactly: disjoint, ordered, complete.
+// Slabs must partition the plan's window [z0, z0+nz) exactly: disjoint,
+// ordered, complete, and nothing outside it.
 func TestPlanSlabsPartitionVolume(t *testing.T) {
-	for _, cfg := range []struct{ ng, nc, nz int }{{1, 8, 24}, {2, 4, 24}, {3, 3, 25}, {4, 8, 23}} {
+	for _, cfg := range []struct{ ng, nc, nz, z0, wnz int }{
+		{1, 8, 24, 0, 24}, {2, 4, 24, 0, 24}, {3, 3, 25, 0, 25}, {4, 8, 23, 0, 23},
+		{2, 3, 24, 5, 13}, {3, 2, 25, 1, 3}, {1, 8, 24, 23, 1},
+	} {
 		sys := testSystem()
 		sys.NZ = cfg.nz
-		p, err := NewPlan(sys, cfg.ng, 1, cfg.nc)
+		p, err := NewWindowPlan(sys, cfg.ng, 1, cfg.nc, cfg.z0, cfg.wnz)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if h := p.Output(); h.Z0 != cfg.z0 || h.NZ != cfg.wnz || h.NX != sys.NX || h.NY != sys.NY {
+			t.Fatalf("cfg %v: output %v", cfg, h)
 		}
 		covered := make([]int, sys.NZ)
 		for g := 0; g < cfg.ng; g++ {
@@ -128,7 +136,7 @@ func TestPlanSlabsPartitionVolume(t *testing.T) {
 			}
 		}
 		for z, n := range covered {
-			if n != 1 {
+			if in := z >= cfg.z0 && z < cfg.z0+cfg.wnz; in && n != 1 || !in && n != 0 {
 				t.Fatalf("cfg %v: slice %d covered %d times", cfg, z, n)
 			}
 		}
@@ -257,37 +265,62 @@ func TestReconstructSingleOptionValidation(t *testing.T) {
 	}
 }
 
+// RunDistributed reconstructs every plan shape to the monolithic volume: to
+// the bit where a group has one rank, so no reduction reassociates a sum, and
+// within float32 reassociation otherwise. A windowed plan gives the bytes of
+// the same slices of the whole-volume run with as many ranks per group. On
+// the short detector no row sees the volume's four end slices at either end,
+// so twelve groups of two slices leave four ranks without a single detector
+// row, and the window [17, 24) ends in two such batches: they store zero
+// slabs, as the monolithic launch computes them.
 func TestRunDistributedMatchesSingle(t *testing.T) {
-	sys := testSystem()
-	st := sheppStack(t, sys)
-	src := &projection.MemorySource{Full: st}
-	want := reference(t, sys, st, filter.RamLak)
+	short := testSystem()
+	short.NV = 20
+	for _, sys := range []*geometry.System{testSystem(), short} {
+		st := sheppStack(t, sys)
+		src := &projection.MemorySource{Full: st}
+		want := reference(t, sys, st, filter.RamLak)
+		full := map[int]*volume.Volume{} // whole-volume runs by Nr
 
-	for _, cfg := range []struct{ ng, nr int }{{1, 4}, {2, 2}, {4, 1}, {2, 4}} {
-		p, err := NewPlan(sys, cfg.ng, cfg.nr, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink, _ := NewVolumeSink(sys)
-		rep, err := RunDistributed(ClusterOptions{
-			Plan: p, Source: src, Output: sink,
-		})
-		if err != nil {
-			t.Fatalf("cfg %v: %v", cfg, err)
-		}
-		stats, _ := volume.Compare(want, sink.V)
-		// float32 tree-reduction reassociation only.
-		if stats.RMSE > 1e-5 {
-			t.Fatalf("cfg %v: RMSE %g vs monolithic", cfg, stats.RMSE)
-		}
-		// Segmented reduction: each group's binomial trees move
-		// (Nr−1)·(group volume) = (Nr−1)·Vol/Ng bytes; across the Ng
-		// groups the total is (Nr−1)·Vol — independent of Ng, whereas
-		// a global reduce would move (Ng·Nr−1)·Vol.
-		volBytes := 4 * int64(sys.NX) * int64(sys.NY) * int64(sys.NZ)
-		wantReduce := int64(cfg.nr-1) * volBytes
-		if got := rep.TotalReduceBytes(); got != wantReduce {
-			t.Fatalf("cfg %v: reduce bytes %d, want %d", cfg, got, wantReduce)
+		for _, cfg := range []struct{ ng, nr, z0, nz int }{
+			{1, 4, 0, 24}, {2, 2, 0, 24}, {4, 1, 0, 24}, {2, 4, 0, 24}, {12, 1, 0, 24},
+			{2, 2, 5, 14}, {2, 2, 8, 16}, {1, 1, 17, 7},
+		} {
+			p, err := NewWindowPlan(sys, cfg.ng, cfg.nr, 4, cfg.z0, cfg.nz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := windowSink(t, p)
+			rep, err := RunDistributed(ClusterOptions{
+				Plan: p, Source: src, Output: sink,
+			})
+			if err != nil {
+				t.Fatalf("NV=%d cfg %v: %v", sys.NV, cfg, err)
+			}
+			got := sink.V
+			ref, _ := want.SubVolume(0, 0, cfg.z0, sys.NX, sys.NY, cfg.nz)
+			exact := cfg.nr == 1
+			if cfg.nz == sys.NZ {
+				full[cfg.nr] = got
+			} else if v := full[cfg.nr]; v != nil {
+				ref, _ = v.SubVolume(0, 0, cfg.z0, sys.NX, sys.NY, cfg.nz)
+				exact = true
+			}
+			if exact && !bytes.Equal(float32Bytes(got.Data), float32Bytes(ref.Data)) {
+				t.Fatalf("NV=%d cfg %v: bytes differ", sys.NV, cfg)
+			}
+			// float32 tree-reduction reassociation only.
+			if stats, _ := volume.Compare(ref, got); stats.RMSE > 1e-5 {
+				t.Fatalf("NV=%d cfg %v: RMSE %g", sys.NV, cfg, stats.RMSE)
+			}
+			// Segmented reduction: each group's binomial trees move
+			// (Nr−1)·(group volume) = (Nr−1)·Vol/Ng bytes; across the Ng
+			// groups the total is (Nr−1)·Vol — independent of Ng, whereas
+			// a global reduce would move (Ng·Nr−1)·Vol.
+			wantReduce := int64(cfg.nr-1) * got.Bytes()
+			if got := rep.TotalReduceBytes(); got != wantReduce {
+				t.Fatalf("NV=%d cfg %v: reduce bytes %d, want %d", sys.NV, cfg, got, wantReduce)
+			}
 		}
 	}
 }

@@ -19,12 +19,11 @@ import (
 
 // batch is one slab of a rank's schedule and the one value its stages hand
 // on: the first group of fields is the schedule (what a Plan supplies for a
-// group, what a Z window supplies for itself), the second is filled in as
-// the batch moves through the stages.
+// group), the second is filled in as the batch moves through the stages.
 type batch struct {
 	c      int               // ordinal: the span tag, the journal's debug field
 	z0, nz int               // output slices [z0, z0+nz), nz > 0
-	rows   geometry.RowRange // detector rows the slab needs (Algorithm 2)
+	rows   geometry.RowRange // detector rows the slab needs (Algorithm 2); empty when none sees it
 
 	skip  bool              // already durable in the checkpoint log
 	stack *projection.Stack // newly loaded rows; nil when all are resident
@@ -54,10 +53,10 @@ func ringDepth(sched []batch) int {
 
 // program is the per-rank reconstruction program of Figure 6, written once:
 // load → filter → back-project → reduce → store over a schedule of slab
-// batches. ReconstructSingle, ReconstructZWindow, every rank of
-// RunDistributed and every chunk of a RunBatchBaseline rank fill in the
-// exported-option half and call run, and every one of them builds the same
-// stage list: reduce where there is a group, store where there is a sink.
+// batches. ReconstructSingle, every rank of RunDistributed and every chunk
+// of a RunBatchBaseline rank fill in the exported-option half and call run,
+// and every one of them builds the same stage list: reduce where there is a
+// group, store where there is a sink.
 //
 // Each piece of cross-batch state has exactly one owning stage, which is
 // what lets the pipelined executor run the stages on separate goroutines:
@@ -142,11 +141,13 @@ func (e *program) run() error {
 		return err
 	}
 	e.mats = KernelMatrices(e.sys, e.pLo, e.pHi)
-	e.ring, err = device.NewProjRing(e.Device, e.sys.NU, e.pHi-e.pLo, ringDepth(e.sched))
-	if err != nil {
-		return err
+	// A schedule no detector row sees needs no ring: its slabs are zero.
+	if h := ringDepth(e.sched); h > 0 {
+		if e.ring, err = device.NewProjRing(e.Device, e.sys.NU, e.pHi-e.pLo, h); err != nil {
+			return err
+		}
+		defer e.ring.Close()
 	}
-	defer e.ring.Close()
 	// The device also holds the rank's one slab.
 	slabVoxels := 0
 	for _, b := range e.sched {
@@ -269,13 +270,16 @@ func filterStack(fdk *filter.FDK, pk *filter.Parker, st *projection.Stack, worke
 // backproject makes room in the ring and admits the batch's filtered rows
 // (the previous batch has been back-projected, so every row below this
 // batch's start can go), then back-projects the batch into the rank's slab.
+// A batch no detector row sees leaves the ring alone and its slab zero.
 func (e *program) backproject(b *batch) error {
-	if !e.resident.IsEmpty() && b.rows.Lo >= e.resident.Hi {
-		e.ring.Reset() // disjoint ranges: nothing to reuse
-	} else if !b.rows.IsEmpty() {
-		e.ring.Release(b.rows.Lo)
+	if !b.rows.IsEmpty() {
+		if !e.resident.IsEmpty() && b.rows.Lo >= e.resident.Hi {
+			e.ring.Reset() // disjoint ranges: nothing to reuse
+		} else {
+			e.ring.Release(b.rows.Lo)
+		}
+		e.resident = b.rows
 	}
-	e.resident = b.rows
 	if st := b.stack; st != nil {
 		b.stack = nil
 		if err := e.ring.LoadRows(st, st.Rows()); err != nil {
@@ -289,8 +293,10 @@ func (e *program) backproject(b *batch) error {
 	}
 	b.slab = &volume.Volume{NX: e.sys.NX, NY: e.sys.NY, NZ: b.nz, Z0: b.z0, Data: buf[:e.sys.NX*e.sys.NY*b.nz]}
 	clear(b.slab.Data)
-	if err := backproject.Streaming(e.Device, e.ring, e.mats, b.slab, b.rows); err != nil {
-		return err
+	if !b.rows.IsEmpty() {
+		if err := backproject.Streaming(e.Device, e.ring, e.mats, b.slab, b.rows); err != nil {
+			return err
+		}
 	}
 	e.Device.RecordD2H(b.slab.Bytes())
 	return nil

@@ -269,12 +269,15 @@ func TestExecutorsBitIdentical(t *testing.T) {
 
 // The program's schedule for a group is the cut SlabZ/SlabRows describe —
 // the one SlabLayout and the journal fingerprint are built from — minus the
-// trailing empty batches, for even and uneven plans alike.
+// trailing empty batches, for even and uneven plans and windows alike.
 func TestPlanScheduleMatchesSlabZ(t *testing.T) {
-	for _, shape := range []struct{ nz, ng, nc int }{{24, 1, 4}, {24, 2, 5}, {23, 3, 4}, {5, 4, 2}, {17, 2, 8}} {
+	for _, shape := range []struct{ nz, ng, nc, z0, wnz int }{
+		{24, 1, 4, 0, 24}, {24, 2, 5, 0, 24}, {23, 3, 4, 0, 23}, {5, 4, 2, 0, 5}, {17, 2, 8, 0, 17},
+		{24, 2, 3, 7, 9}, {24, 4, 2, 19, 5}, {17, 1, 8, 3, 1},
+	} {
 		sys := testSystem()
 		sys.NZ = shape.nz
-		p, err := NewPlan(sys, shape.ng, 1, shape.nc)
+		p, err := NewWindowPlan(sys, shape.ng, 1, shape.nc, shape.z0, shape.wnz)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,8 @@ import (
 
 // The fast kernel has one arithmetic and the row filter has one, so what a
 // driver computes does not depend on the host: every driver — single,
-// distributed, ROI, tile, baseline — run with AVX2 masked off (as on any
-// other host) reproduces its default run byte for byte and counter for
+// distributed, a Z window, tile, baseline — run with AVX2 masked off (as on
+// any other host) reproduces its default run byte for byte and counter for
 // counter, except for the count of which spelling was dispatched: the
 // assembly where the host has AVX2, else the Go one. Masking AVX2 also moves
 // the row filter from its vector passes to its Go passes, so the equality
@@ -56,12 +56,17 @@ func TestDefaultKernelEveryDriver(t *testing.T) {
 			}
 			return run{sink.V.Data, rep.Ledgers}
 		}},
-		{"ROI", func() run {
-			vol, rep, err := ReconstructZWindow(ZWindowOptions{Sys: sys, Source: src, Device: device.New("roi", 0, 2), Z0: 4, NZ: 8})
+		{"window", func() run {
+			p, err := NewWindowPlan(sys, 1, 1, 8, 4, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return run{vol.Data, []device.Ledger{rep.Ledger}}
+			sink := windowSink(t, p)
+			rep, err := ReconstructSingle(ReconOptions{Plan: p, Source: src, Device: device.New("window", 0, 2), Sink: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{sink.V.Data, []device.Ledger{rep.Ledger}}
 		}},
 		{"tile", func() run {
 			dev := device.New("tile", 0, 2)

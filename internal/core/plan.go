@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 
 	"distfdk/internal/geometry"
+	"distfdk/internal/volume"
 )
 
 // Plan captures how a reconstruction is decomposed. Following Table 3:
@@ -17,6 +18,11 @@ import (
 // produces Ns = Nz/Ng output slices in Nc batches of Nb = Ns/Nc slices;
 // within a group, each rank back-projects Np/Nr projections of every batch
 // and the Nr partial slabs meet in a segmented reduction.
+//
+// The Nz slices a plan decomposes are its output window [z0, z0+nz) of the
+// volume: the whole volume for NewPlan, any slab of it for NewWindowPlan. Because every
+// batch reads only its ComputeAB detector rows (Algorithm 2), a window costs
+// its share of the input — the preview workflow of §6.3.
 type Plan struct {
 	Sys *geometry.System
 	// NGroups is Ng, the number of rank groups.
@@ -27,6 +33,7 @@ type Plan struct {
 	BatchCount int
 
 	// derived
+	z0, nz         int // the output window [z0, z0+nz)
 	slicesPerGroup int // Ns (ceil)
 	slicesPerBatch int // Nb (ceil)
 }
@@ -34,10 +41,21 @@ type Plan struct {
 // DefaultBatchCount is the Nc the paper uses throughout its evaluation.
 const DefaultBatchCount = 8
 
-// NewPlan validates and derives a decomposition plan.
+// NewPlan validates and derives a decomposition plan of the whole volume.
 func NewPlan(sys *geometry.System, nGroups, nRanksPerGroup, batchCount int) (*Plan, error) {
+	return NewWindowPlan(sys, nGroups, nRanksPerGroup, batchCount, 0, sys.NZ)
+}
+
+// NewWindowPlan validates and derives a plan that reconstructs only the
+// slices [z0, z0+nz) of the volume. Its slabs are the window's: they carry
+// global slice indices, and their voxels equal the same slices of a
+// whole-volume run.
+func NewWindowPlan(sys *geometry.System, nGroups, nRanksPerGroup, batchCount, z0, nz int) (*Plan, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
+	}
+	if z0 < 0 || nz <= 0 || z0+nz > sys.NZ {
+		return nil, fmt.Errorf("core: Z window [%d,%d) outside [0,%d)", z0, z0+nz, sys.NZ)
 	}
 	if nGroups <= 0 || nRanksPerGroup <= 0 {
 		return nil, fmt.Errorf("core: Ng=%d, Nr=%d must be positive", nGroups, nRanksPerGroup)
@@ -48,11 +66,11 @@ func NewPlan(sys *geometry.System, nGroups, nRanksPerGroup, batchCount int) (*Pl
 	if sys.NP%nRanksPerGroup != 0 {
 		return nil, fmt.Errorf("core: NP=%d not divisible by Nr=%d", sys.NP, nRanksPerGroup)
 	}
-	if nGroups > sys.NZ {
-		return nil, fmt.Errorf("core: Ng=%d exceeds NZ=%d slices", nGroups, sys.NZ)
+	if nGroups > nz {
+		return nil, fmt.Errorf("core: Ng=%d exceeds the window's %d slices", nGroups, nz)
 	}
-	p := &Plan{Sys: sys, NGroups: nGroups, NRanksPerGroup: nRanksPerGroup, BatchCount: batchCount}
-	p.slicesPerGroup = ceilDiv(sys.NZ, nGroups)
+	p := &Plan{Sys: sys, NGroups: nGroups, NRanksPerGroup: nRanksPerGroup, BatchCount: batchCount, z0: z0, nz: nz}
+	p.slicesPerGroup = ceilDiv(nz, nGroups)
 	p.slicesPerBatch = ceilDiv(p.slicesPerGroup, batchCount)
 	return p, nil
 }
@@ -61,9 +79,6 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Ranks returns the world size Ngpus = Ng·Nr (Equations 9 and 11).
 func (p *Plan) Ranks() int { return p.NGroups * p.NRanksPerGroup }
-
-// SlicesPerGroup returns Ns (Equation 10, rounded up for uneven NZ).
-func (p *Plan) SlicesPerGroup() int { return p.slicesPerGroup }
 
 // SlicesPerBatch returns Nb (Equation 12 inverted: Nb = Ns/Nc).
 func (p *Plan) SlicesPerBatch() int { return p.slicesPerBatch }
@@ -82,11 +97,19 @@ func (p *Plan) ProjWindow(r int) (int, int) {
 	return r * share, (r + 1) * share
 }
 
-// SlabZ returns the Z window [z0, z0+nz) of batch c in group g; nz may be
-// zero for trailing batches when NZ does not divide evenly.
+// Output returns the shape of the volume the plan reconstructs — its window's
+// slices of NX×NY voxels, the first at global slice z0 — which is the header
+// of its output file.
+func (p *Plan) Output() volume.Header {
+	return volume.Header{NX: p.Sys.NX, NY: p.Sys.NY, NZ: p.nz, Z0: p.z0}
+}
+
+// SlabZ returns the Z window [z0, z0+nz) of batch c in group g, in global
+// slices; nz may be zero for trailing batches when the window's slices do
+// not divide evenly.
 func (p *Plan) SlabZ(g, c int) (z0, nz int) {
-	groupLo := g * p.slicesPerGroup
-	groupHi := min(groupLo+p.slicesPerGroup, p.Sys.NZ)
+	groupLo := p.z0 + g*p.slicesPerGroup
+	groupHi := min(groupLo+p.slicesPerGroup, p.z0+p.nz)
 	z0 = groupLo + c*p.slicesPerBatch
 	if z0 >= groupHi {
 		return groupHi, 0
@@ -106,11 +129,11 @@ func (p *Plan) SlabRows(g, c int) geometry.RowRange {
 }
 
 // schedule returns group g's batches as the rank program runs them: the
-// cut SlabZ describes, without the empty batches that trail when NZ does not
-// divide evenly, so a batch's index is still its ordinal c.
+// cut SlabZ describes, without the empty batches that trail when the window
+// does not divide evenly, so a batch's index is still its ordinal c.
 func (p *Plan) schedule(g int) []batch {
-	lo := g * p.slicesPerGroup
-	return zSchedule(p.Sys, lo, min(p.slicesPerGroup, p.Sys.NZ-lo), p.slicesPerBatch)
+	lo := p.z0 + g*p.slicesPerGroup
+	return zSchedule(p.Sys, lo, min(p.slicesPerGroup, p.z0+p.nz-lo), p.slicesPerBatch)
 }
 
 // RingDepth returns the projection-ring depth (in detector rows) a rank of
@@ -175,9 +198,10 @@ func (p *Plan) SlabLayout() [][2]int {
 // be resumable: the full acquisition/volume geometry (any parameter change
 // alters voxel values, so mixing journaled slabs across geometries would
 // silently corrupt the output) and the slab layout (which names the bytes
-// each record covers). It deliberately excludes (Ng, Nr, Nc): a shrunk
-// re-plan that preserves the layout yields the same fingerprint and may
-// resume the journal — the basis of supervised shrink-and-resume.
+// each record covers, and with them the plan's window). It deliberately
+// excludes (Ng, Nr, Nc): a shrunk re-plan that preserves the layout yields
+// the same fingerprint and may resume the journal — the basis of supervised
+// shrink-and-resume.
 //
 // The token is space-free (storage.OpenJournal requires that) and carries
 // a human-readable volume-shape prefix ahead of the hash.
@@ -193,7 +217,7 @@ func (p *Plan) Fingerprint() string {
 }
 
 func (p *Plan) String() string {
-	return fmt.Sprintf("plan{Ng=%d Nr=%d Nc=%d Nb=%d ranks=%d vol=%dx%dx%d np=%d}",
+	return fmt.Sprintf("plan{Ng=%d Nr=%d Nc=%d Nb=%d ranks=%d vol=%dx%dx%d z=[%d,%d) np=%d}",
 		p.NGroups, p.NRanksPerGroup, p.BatchCount, p.slicesPerBatch,
-		p.Ranks(), p.Sys.NX, p.Sys.NY, p.Sys.NZ, p.Sys.NP)
+		p.Ranks(), p.Sys.NX, p.Sys.NY, p.Sys.NZ, p.z0, p.z0+p.nz, p.Sys.NP)
 }

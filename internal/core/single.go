@@ -17,9 +17,9 @@ import (
 // SlabSink receives finished sub-volumes from the store stage. Both the
 // in-memory VolumeSink and storage.SlabWriter satisfy it. WriteSlab must
 // not keep the slab or its Data after it returns: every rank program —
-// ReconstructSingle's, ReconstructZWindow's, each RunDistributed rank's and
-// each RunBatchBaseline chunk's — back-projects its next batch into the same
-// buffer.
+// ReconstructSingle's, each RunDistributed rank's and each RunBatchBaseline
+// chunk's — back-projects its next batch into the same buffer. A slab's Z0
+// is a global slice index, whatever the plan's window.
 type SlabSink interface {
 	WriteSlab(*volume.Volume) error
 }
@@ -92,7 +92,8 @@ func KernelMatrices(sys *geometry.System, pLo, pHi int) []geometry.Mat34x4 {
 // ReconOptions configures a single-device out-of-core reconstruction.
 type ReconOptions struct {
 	// Plan must describe a single rank (Ng=1, Nr=1); BatchCount controls
-	// the slab granularity and hence the device-memory footprint.
+	// the slab granularity and hence the device-memory footprint, and its
+	// window (NewWindowPlan) the slices reconstructed.
 	Plan *Plan
 	// Source supplies the (unfiltered) projection data.
 	Source projection.Source

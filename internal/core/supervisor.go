@@ -84,7 +84,7 @@ func (e *RestartBudgetError) Is(target error) bool { return target == ErrRestart
 //     rounding. Shrinks therefore remove whole groups, never group
 //     members.
 //  2. The slab layout is pinned. The candidate (Ng', Nc') must cut the
-//     volume into exactly the original (z0, nz) slabs — checked via
+//     plan's window into exactly the original (z0, nz) slabs — checked via
 //     Fingerprint — so journal records keep naming the same bytes and
 //     each executed batch equals its fault-free counterpart.
 //
@@ -100,9 +100,9 @@ func ShrinkPlan(p *Plan, survivors int) (*Plan, error) {
 	for ng := survivors / nr; ng >= 1; ng-- {
 		// Keep the original batch height: groups that cover more slices
 		// run more batches of the same Nb, preserving the slab grid.
-		spg := ceilDiv(p.Sys.NZ, ng)
+		spg := ceilDiv(p.nz, ng)
 		nc := ceilDiv(spg, p.slicesPerBatch)
-		cand, err := NewPlan(p.Sys, ng, nr, nc)
+		cand, err := NewWindowPlan(p.Sys, ng, nr, nc, p.z0, p.nz)
 		if err != nil {
 			continue
 		}

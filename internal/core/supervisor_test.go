@@ -30,42 +30,54 @@ func float32Bytes(data []float32) []byte {
 
 // ShrinkPlan's contract: Nr and the slab layout are pinned, the largest
 // qualifying group count wins, and an impossible shrink is the typed
-// ErrWorldTooSmall.
+// ErrWorldTooSmall — for the whole volume and for a window, which the shrunk
+// plan keeps. The layout names the window, so two windows have two
+// fingerprints.
 func TestShrinkPlanPreservesLayoutAndNr(t *testing.T) {
 	sys := testSystem()
-	p, err := NewPlan(sys, 2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fingerprints := map[string]string{}
+	for _, win := range []struct{ z0, nz int }{{0, sys.NZ}, {6, 12}, {7, 12}} {
+		p, err := NewWindowPlan(sys, 2, 2, 2, win.z0, win.nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, ok := fingerprints[p.Fingerprint()]; ok {
+			t.Fatalf("window %v has the fingerprint of window %s", win, other)
+		}
+		fingerprints[p.Fingerprint()] = fmt.Sprint(win)
 
-	// Losing one of four ranks: only a whole group can go.
-	q, err := ShrinkPlan(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.NGroups != 1 || q.NRanksPerGroup != 2 {
-		t.Fatalf("shrink 4→3 gave %s, want Ng=1 Nr=2", q)
-	}
-	if q.Fingerprint() != p.Fingerprint() {
-		t.Fatalf("shrink changed the fingerprint:\n  %s\n  %s", p.Fingerprint(), q.Fingerprint())
-	}
-	if fmt.Sprint(q.SlabLayout()) != fmt.Sprint(p.SlabLayout()) {
-		t.Fatalf("shrink changed the slab layout:\n  %v\n  %v", p.SlabLayout(), q.SlabLayout())
-	}
+		// Losing one of four ranks: only a whole group can go.
+		q, err := ShrinkPlan(p, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.NGroups != 1 || q.NRanksPerGroup != 2 {
+			t.Fatalf("window %v: shrink 4→3 gave %s, want Ng=1 Nr=2", win, q)
+		}
+		if q.Output() != p.Output() {
+			t.Fatalf("window %v: shrink moved the output from %v to %v", win, p.Output(), q.Output())
+		}
+		if q.Fingerprint() != p.Fingerprint() {
+			t.Fatalf("window %v: shrink changed the fingerprint:\n  %s\n  %s", win, p.Fingerprint(), q.Fingerprint())
+		}
+		if fmt.Sprint(q.SlabLayout()) != fmt.Sprint(p.SlabLayout()) {
+			t.Fatalf("window %v: shrink changed the slab layout:\n  %v\n  %v", win, p.SlabLayout(), q.SlabLayout())
+		}
 
-	// Enough survivors: the plan is returned unchanged.
-	if same, err := ShrinkPlan(p, 4); err != nil || same != p {
-		t.Fatalf("ShrinkPlan(4) = %v, %v; want the original plan", same, err)
-	}
+		// Enough survivors: the plan is returned unchanged.
+		if same, err := ShrinkPlan(p, 4); err != nil || same != p {
+			t.Fatalf("window %v: ShrinkPlan(4) = %v, %v; want the original plan", win, same, err)
+		}
 
-	// Fewer survivors than one group: typed refusal.
-	_, err = ShrinkPlan(p, 1)
-	if err == nil || !errors.Is(err, ErrWorldTooSmall) {
-		t.Fatalf("ShrinkPlan(1) = %v, want ErrWorldTooSmall", err)
-	}
-	var se *ShrinkError
-	if !errors.As(err, &se) || se.Survivors != 1 || se.NRanksPerGroup != 2 {
-		t.Fatalf("ShrinkError coordinates wrong: %+v", se)
+		// Fewer survivors than one group: typed refusal.
+		_, err = ShrinkPlan(p, 1)
+		if err == nil || !errors.Is(err, ErrWorldTooSmall) {
+			t.Fatalf("window %v: ShrinkPlan(1) = %v, want ErrWorldTooSmall", win, err)
+		}
+		var se *ShrinkError
+		if !errors.As(err, &se) || se.Survivors != 1 || se.NRanksPerGroup != 2 {
+			t.Fatalf("window %v: ShrinkError coordinates wrong: %+v", win, se)
+		}
 	}
 }
 

@@ -335,10 +335,6 @@ func (c *Comm) Stats() Stats {
 	}
 }
 
-// SetDeadline overrides this endpoint's point-to-point deadline (see
-// Options.Deadline); Split-derived communicators inherit it.
-func (c *Comm) SetDeadline(d time.Duration) { c.deadline = d }
-
 // Send delivers data to rank dst with the given tag. Sends are buffered,
 // SendWindow messages per communicator and peer in every world; a full
 // buffer blocks until the receiver drains it, like MPI_Send's rendezvous

@@ -308,36 +308,29 @@ func TestStitchErrors(t *testing.T) {
 	}
 }
 
-func TestFromImagesToImageRoundTrip(t *testing.T) {
+// ToImage hands back projection p of a stack as one NV×NU image.
+func TestToImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	images := make([]*Image, 3)
-	for p := range images {
-		images[p], _ = NewImage(4, 5)
-		for i := range images[p].Data {
-			images[p].Data[i] = float32(rng.NormFloat64())
-		}
-	}
-	st, err := FromImages(images)
+	st, err := NewStack(4, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range images {
+	for i := range st.Data {
+		st.Data[i] = float32(rng.NormFloat64())
+	}
+	for p := 0; p < st.NP; p++ {
 		back, err := st.ToImage(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range back.Data {
-			if back.Data[i] != images[p].Data[i] {
-				t.Fatalf("projection %d sample %d corrupted", p, i)
+		for v := 0; v < st.NV; v++ {
+			row, _ := st.Row(v, p)
+			for u, x := range row {
+				if back.At(u, v) != x {
+					t.Fatalf("projection %d sample (%d,%d) corrupted", p, u, v)
+				}
 			}
 		}
-	}
-	if _, err := FromImages(nil); err == nil {
-		t.Error("expected empty-input error")
-	}
-	bad, _ := NewImage(3, 5)
-	if _, err := FromImages([]*Image{images[0], bad}); err == nil {
-		t.Error("expected size mismatch error")
 	}
 	if _, err := st.ToImage(99); err == nil {
 		t.Error("expected projection index error")

@@ -63,31 +63,6 @@ func StitchPair(left, right *Image, overlap int) (*Image, error) {
 	return out, nil
 }
 
-// FromImages interleaves per-projection images (all NV×NU, acquisition
-// order) into a kernel-layout Stack at origin.
-func FromImages(images []*Image) (*Stack, error) {
-	if len(images) == 0 {
-		return nil, fmt.Errorf("projection: no images")
-	}
-	nu, nv := images[0].NU, images[0].NV
-	for i, im := range images {
-		if im.NU != nu || im.NV != nv {
-			return nil, fmt.Errorf("projection: image %d is %dx%d, want %dx%d", i, im.NU, im.NV, nu, nv)
-		}
-	}
-	st, err := NewStack(nu, len(images), nv)
-	if err != nil {
-		return nil, err
-	}
-	for p, im := range images {
-		for v := 0; v < nv; v++ {
-			row, _ := st.Row(v, p)
-			copy(row, im.Data[v*nu:(v+1)*nu])
-		}
-	}
-	return st, nil
-}
-
 // ToImage extracts local projection p of the stack as a standalone image
 // covering the stack's rows.
 func (s *Stack) ToImage(p int) (*Image, error) {

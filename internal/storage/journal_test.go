@@ -345,10 +345,13 @@ func TestOpenStackRejectsCorruptHeader(t *testing.T) {
 
 // The slab writer's crash-consistency contract: no final file until
 // Close, ClosePartial keeps the partial, ResumeSlabWriter picks it up and
-// the finished volume matches an uninterrupted run byte for byte.
+// the finished volume matches an uninterrupted run byte for byte. The
+// writer holds a window: slabs arrive at global slices and land past its
+// origin, and a resume must name the same window.
 func TestSlabWriterPartialAndResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vol.fbk")
+	win := volume.Header{NX: 4, NY: 3, NZ: 12, Z0: 20}
 
 	writeSlab := func(w *SlabWriter, z0 int) {
 		t.Helper()
@@ -361,12 +364,12 @@ func TestSlabWriterPartialAndResume(t *testing.T) {
 		}
 	}
 
-	w, err := NewSlabWriter(path, 4, 3, 12)
+	w, err := CreateSlabWriter(path, win)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeSlab(w, 0)
-	writeSlab(w, 8)
+	writeSlab(w, 20)
+	writeSlab(w, 28)
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("final path exists before Close: %v", err)
 	}
@@ -380,16 +383,19 @@ func TestSlabWriterPartialAndResume(t *testing.T) {
 		t.Fatalf("partial file missing: %v", err)
 	}
 
-	// Resume with wrong dims must refuse.
-	if _, err := ResumeSlabWriter(path, 4, 3, 10); err == nil {
-		t.Fatal("expected dim-mismatch error on resume")
+	// Resume into another window must refuse: other dimensions, another
+	// origin.
+	for _, other := range []volume.Header{{NX: 4, NY: 3, NZ: 10, Z0: 20}, {NX: 4, NY: 3, NZ: 12}} {
+		if _, err := ResumeSlabWriter(path, other); err == nil {
+			t.Fatalf("resume of the %v partial as %v succeeded", win, other)
+		}
 	}
 
-	w2, err := ResumeSlabWriter(path, 4, 3, 12)
+	w2, err := ResumeSlabWriter(path, win)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeSlab(w2, 4)
+	writeSlab(w2, 24)
 	if err := w2.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,13 +410,42 @@ func TestSlabWriterPartialAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, z0 := range []int{0, 4, 8} {
+	if got.Header() != win {
+		t.Fatalf("promoted volume is %v, want %v", got.Header(), win)
+	}
+	for _, z0 := range []int{20, 24, 28} {
 		for i := 0; i < 4*3*4; i++ {
 			want := float32(z0*1000 + i)
-			if got.Data[z0*4*3+i] != want {
-				t.Fatalf("slab z0=%d sample %d = %g, want %g", z0, i, got.Data[z0*4*3+i], want)
+			if got.Data[(z0-win.Z0)*4*3+i] != want {
+				t.Fatalf("slab z0=%d sample %d = %g, want %g", z0, i, got.Data[(z0-win.Z0)*4*3+i], want)
 			}
 		}
+	}
+}
+
+// A partial whose header or size is not a volume's is refused with
+// volume.ReadHeader's typed error, before any slab is written into it.
+func TestResumeSlabWriterChecksHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.fbk")
+	win := volume.Header{NX: 4, NY: 4, NZ: 4, Z0: 2}
+	w, err := CreateSlabWriter(path, win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ClosePartial(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path+PartialSuffix, win.FileBytes()-4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeSlabWriter(path, win); !errors.Is(err, volume.ErrBadHeader) {
+		t.Errorf("resume of a truncated partial: %v, want volume.ErrBadHeader", err)
+	}
+	if err := os.WriteFile(path+PartialSuffix, make([]byte, win.FileBytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeSlabWriter(path, win); !errors.Is(err, volume.ErrBadHeader) {
+		t.Errorf("resume of a partial without magic: %v, want volume.ErrBadHeader", err)
 	}
 }
 
@@ -418,7 +453,7 @@ func TestSlabWriterPartialAndResume(t *testing.T) {
 // empty volume.
 func TestResumeSlabWriterMissingPartial(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := ResumeSlabWriter(filepath.Join(dir, "vol.fbk"), 4, 4, 4); err == nil {
+	if _, err := ResumeSlabWriter(filepath.Join(dir, "vol.fbk"), volume.Header{NX: 4, NY: 4, NZ: 4}); err == nil {
 		t.Fatal("expected missing-partial error")
 	}
 }

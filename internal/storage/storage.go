@@ -213,19 +213,16 @@ func (s *FileSource) LoadRows(rows geometry.RowRange, pLo, pHi int) (*projection
 // restart redoes only the missing slabs. Slab writes land at fixed
 // offsets, which makes retried and replayed stores idempotent.
 type SlabWriter struct {
-	f          *os.File
-	path       string // final destination; f writes to path+".partial"
-	nx, ny, nz int
-	mu         sync.Mutex
-	written    int
+	f       *os.File
+	path    string        // final destination; f writes to path+".partial"
+	hdr     volume.Header // the window the file holds: slices [Z0, Z0+NZ)
+	mu      sync.Mutex
+	written int
 
 	// tel holds the I/O telemetry handles (see SetTelemetry); installed
 	// before the writer is shared, read-only afterwards.
 	tel *slabTelemetry
 }
-
-// volHeaderBytes matches volume.WriteRaw's 5-int32 header.
-const volHeaderBytes = 20
 
 // slabChunkBytes is the size of the buffer writeFloats encodes through.
 const slabChunkBytes = 64 << 10
@@ -252,86 +249,78 @@ func writeFloats(f *os.File, data []float32, off int64) error {
 	return nil
 }
 
-// volMagic identifies the raw volume container.
-const volMagic = 0x46424b31 // "FBK1"
-
 // PartialSuffix is appended to a SlabWriter's destination path while the
 // volume is being assembled.
 const PartialSuffix = ".partial"
 
-// NewSlabWriter creates (truncates) the partial output file and sizes it
-// for the full volume. The final path is only written by Close.
+// NewSlabWriter is CreateSlabWriter for a whole NX×NY×NZ volume: the window
+// that starts at slice 0.
 func NewSlabWriter(path string, nx, ny, nz int) (*SlabWriter, error) {
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		return nil, fmt.Errorf("storage: volume %dx%dx%d must be positive", nx, ny, nz)
+	return CreateSlabWriter(path, volume.Header{NX: nx, NY: ny, NZ: nz})
+}
+
+// CreateSlabWriter creates (truncates) the partial output file of the window
+// h — h.NZ slices of h.NX×h.NY voxels, the first of them global slice h.Z0 —
+// and sizes it for the window. The final path is only written by Close.
+func CreateSlabWriter(path string, h volume.Header) (*SlabWriter, error) {
+	if err := h.Validate(); err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	f, err := os.Create(path + PartialSuffix)
 	if err != nil {
 		return nil, err
 	}
-	hdr := []int32{volMagic, int32(nx), int32(ny), int32(nz), 0}
-	if err := binary.Write(f, binary.LittleEndian, hdr); err != nil {
+	if _, err := f.Write(h.Append(nil)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Truncate(volHeaderBytes + int64(nx)*int64(ny)*int64(nz)*4); err != nil {
+	if err := f.Truncate(h.FileBytes()); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &SlabWriter{f: f, path: path, nx: nx, ny: ny, nz: nz}, nil
+	return &SlabWriter{f: f, path: path, hdr: h}, nil
 }
 
-// ResumeSlabWriter reopens the partial file a killed run left behind,
-// validating that its header and size match the requested volume so a
-// resume cannot silently continue into a file from a different plan.
-func ResumeSlabWriter(path string, nx, ny, nz int) (*SlabWriter, error) {
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		return nil, fmt.Errorf("storage: volume %dx%dx%d must be positive", nx, ny, nz)
-	}
+// ResumeSlabWriter reopens the partial file a killed run left behind. Its
+// header must pass volume.ReadHeader's checks, its size included, and name
+// the window h, so a resume cannot silently continue into a file from a
+// different plan.
+func ResumeSlabWriter(path string, h volume.Header) (*SlabWriter, error) {
 	f, err := os.OpenFile(path+PartialSuffix, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
-	}
-	var hdr [5]int32
-	if err := binary.Read(f, binary.LittleEndian, &hdr); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: resume %s: read header: %w", path, err)
-	}
-	if hdr[0] != volMagic {
-		f.Close()
-		return nil, fmt.Errorf("storage: resume %s: bad volume magic %#x", path, hdr[0])
-	}
-	if int(hdr[1]) != nx || int(hdr[2]) != ny || int(hdr[3]) != nz {
-		f.Close()
-		return nil, fmt.Errorf("storage: resume %s: partial is %dx%dx%d, want %dx%dx%d",
-			path, hdr[1], hdr[2], hdr[3], nx, ny, nz)
 	}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	want := volHeaderBytes + int64(nx)*int64(ny)*int64(nz)*4
-	if info.Size() != want {
-		f.Close()
-		return nil, fmt.Errorf("storage: resume %s: partial is %d bytes, want %d", path, info.Size(), want)
+	got, err := volume.ReadHeader(f, info.Size())
+	if err == nil && got != h {
+		err = fmt.Errorf("partial is %v, want %v", got, h)
 	}
-	return &SlabWriter{f: f, path: path, nx: nx, ny: ny, nz: nz}, nil
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: resume %s: %w", path, err)
+	}
+	return &SlabWriter{f: f, path: path, hdr: h}, nil
 }
 
-// WriteSlab stores a sub-volume at its Z0 window.
+// WriteSlab stores a sub-volume at its Z0, which is a global slice index:
+// the slab lands (Z0 − window origin) slices past the header.
 func (w *SlabWriter) WriteSlab(slab *volume.Volume) error {
-	if slab.NX != w.nx || slab.NY != w.ny {
-		return fmt.Errorf("storage: slab XY %dx%d does not match volume %dx%d", slab.NX, slab.NY, w.nx, w.ny)
+	h := w.hdr
+	if slab.NX != h.NX || slab.NY != h.NY {
+		return fmt.Errorf("storage: slab XY %dx%d does not match volume %dx%d", slab.NX, slab.NY, h.NX, h.NY)
 	}
-	if slab.Z0 < 0 || slab.Z0+slab.NZ > w.nz {
-		return fmt.Errorf("storage: slab window [%d,%d) outside [0,%d)", slab.Z0, slab.Z0+slab.NZ, w.nz)
+	if slab.Z0 < h.Z0 || slab.Z0+slab.NZ > h.Z0+h.NZ {
+		return fmt.Errorf("storage: slab window [%d,%d) outside [%d,%d)", slab.Z0, slab.Z0+slab.NZ, h.Z0, h.Z0+h.NZ)
 	}
 	var t0 time.Time
 	if w.tel != nil {
 		t0 = time.Now()
 	}
-	off := volHeaderBytes + int64(slab.Z0)*int64(w.nx)*int64(w.ny)*4
+	off := volume.HeaderBytes + int64(slab.Z0-h.Z0)*int64(h.NX)*int64(h.NY)*4
 	if err := writeFloats(w.f, slab.Data, off); err != nil {
 		return fmt.Errorf("storage: write slab at z=%d: %w", slab.Z0, err)
 	}

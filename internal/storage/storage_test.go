@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -332,6 +333,21 @@ func TestSlabWriterErrors(t *testing.T) {
 	deep, _ := volume.NewSlab(4, 4, 4, 6)
 	if err := w.WriteSlab(deep); err == nil {
 		t.Error("expected window error")
+	}
+	for _, h := range []volume.Header{{NX: 4, NY: 4, NZ: 8, Z0: -1}, {NX: 4, NY: 4, NZ: 1 << 31}} {
+		if _, err := CreateSlabWriter(filepath.Join(dir, "v3"), h); !errors.Is(err, volume.ErrBadHeader) {
+			t.Errorf("a writer for %v: %v, want volume.ErrBadHeader", h, err)
+		}
+	}
+	win, err := CreateSlabWriter(filepath.Join(dir, "v4"), volume.Header{NX: 4, NY: 4, NZ: 8, Z0: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer win.Close()
+	for _, z0 := range []int{9, 17} { // one slice below the window, one past it
+		if err := win.WriteSlab(&volume.Volume{NX: 4, NY: 4, NZ: 2, Z0: z0, Data: make([]float32, 32)}); err == nil {
+			t.Errorf("slab at z %d: expected window error", z0)
+		}
 	}
 }
 

@@ -11,12 +11,13 @@ import (
 	"os"
 )
 
-// rawHeaderBytes is the five int32 words in front of the voxels.
-const rawHeaderBytes = 20
+// HeaderBytes is the size of a raw container's header: five int32 words in
+// front of the voxels.
+const HeaderBytes = 20
 
 // rawMagic identifies the simple little-endian volume container written by
-// WriteRaw: magic, three int32 dimensions, int32 Z origin, then float32
-// voxels in Z-major order.
+// WriteRaw and storage.SlabWriter: magic, three int32 dimensions, int32 Z
+// origin, then float32 voxels in Z-major order.
 const rawMagic = 0x46424b31 // "FBK1"
 
 // rawChunkBytes is the size of the scratch buffer WriteRaw and ReadRaw move
@@ -24,13 +25,47 @@ const rawMagic = 0x46424b31 // "FBK1"
 // enough to stay in cache, and independent of the volume's size.
 const rawChunkBytes = 64 << 10
 
+// Header is what a raw container's header says: the volume's dimensions and
+// the global index Z0 of its first slice.
+type Header struct{ NX, NY, NZ, Z0 int }
+
+// Header returns the header WriteRaw writes for v.
+func (v *Volume) Header() Header { return Header{NX: v.NX, NY: v.NY, NZ: v.NZ, Z0: v.Z0} }
+
+func (h Header) String() string { return fmt.Sprintf("%dx%dx%d@z%d", h.NX, h.NY, h.NZ, h.Z0) }
+
+// FileBytes returns the size of a container with this header: the header and
+// NX·NY·NZ float32 voxels.
+func (h Header) FileBytes() int64 { return HeaderBytes + 4*int64(h.NX)*int64(h.NY)*int64(h.NZ) }
+
+// Append appends the header's bytes to buf.
+func (h Header) Append(buf []byte) []byte {
+	for _, w := range [...]int32{rawMagic, int32(h.NX), int32(h.NY), int32(h.NZ), int32(h.Z0)} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
+	}
+	return buf
+}
+
+// Validate refuses a header no volume can have: a non-positive dimension, a
+// negative origin, a value its int32 word cannot hold, or a voxel count no
+// slice can hold.
+func (h Header) Validate() error {
+	if h.NX <= 0 || h.NY <= 0 || h.NZ <= 0 || h.Z0 < 0 || max(h.NX, h.NY, h.NZ, h.Z0) > math.MaxInt32 {
+		return fmt.Errorf("%w: dimensions %dx%dx%d at slice %d", ErrBadHeader, h.NX, h.NY, h.NZ, h.Z0)
+	}
+	// Three 31-bit factors times four wrap an int64; take the product at
+	// full width.
+	hi, payload := bits.Mul64(uint64(h.NX)*uint64(h.NY), 4*uint64(h.NZ))
+	if hi != 0 || payload > math.MaxInt-HeaderBytes {
+		return fmt.Errorf("%w: %dx%dx%d voxels do not fit in memory", ErrBadHeader, h.NX, h.NY, h.NZ)
+	}
+	return nil
+}
+
 // WriteRaw serialises the volume to w in the repository's raw container
 // format, encoding through one fixed-size buffer.
 func (v *Volume) WriteRaw(w io.Writer) error {
-	buf := make([]byte, 0, rawChunkBytes)
-	for _, h := range [...]int32{rawMagic, int32(v.NX), int32(v.NY), int32(v.NZ), int32(v.Z0)} {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(h))
-	}
+	buf := v.Header().Append(make([]byte, 0, rawChunkBytes))
 	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("volume: write header: %w", err)
 	}
@@ -50,9 +85,35 @@ func (v *Volume) WriteRaw(w io.Writer) error {
 
 // ErrBadHeader is matched (errors.Is) when the 20 header bytes of a raw
 // container cannot be a volume's: wrong magic, a non-positive dimension, a
-// negative origin, a voxel count no slice can hold, or (LoadRaw) a count
-// the file's size contradicts.
+// negative origin, a voxel count no slice can hold, or a count the file's
+// size contradicts.
 var ErrBadHeader = errors.New("volume: bad raw volume header")
+
+// ReadHeader reads a container's header from r and checks it. The bytes are
+// untrusted: the magic and Validate must pass, and a source of known length
+// (size ≥ 0; size < 0 is unknown) must hold exactly the voxels the header
+// implies.
+func ReadHeader(r io.Reader, size int64) (Header, error) {
+	var b [HeaderBytes]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return Header{}, fmt.Errorf("volume: read header: %w", err)
+	}
+	var w [5]int32
+	for i := range w {
+		w[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	if w[0] != rawMagic {
+		return Header{}, fmt.Errorf("%w: bad magic %#x", ErrBadHeader, w[0])
+	}
+	h := Header{NX: int(w[1]), NY: int(w[2]), NZ: int(w[3]), Z0: int(w[4])}
+	if err := h.Validate(); err != nil {
+		return Header{}, err
+	}
+	if size >= 0 && size != h.FileBytes() {
+		return Header{}, fmt.Errorf("%w: file is %d bytes, %dx%dx%d voxels imply %d", ErrBadHeader, size, h.NX, h.NY, h.NZ, h.FileBytes())
+	}
+	return h, nil
+}
 
 // ReadRaw deserialises a volume written by WriteRaw. The header is twenty
 // untrusted bytes: the voxel storage starts at no more than one chunk and
@@ -64,35 +125,16 @@ func ReadRaw(r io.Reader) (*Volume, error) { return readRaw(r, -1) }
 // one, which the header must then account for to the byte and whose voxels
 // are allocated once.
 func readRaw(r io.Reader, size int64) (*Volume, error) {
-	buf := make([]byte, rawChunkBytes)
-	if _, err := io.ReadFull(r, buf[:rawHeaderBytes]); err != nil {
-		return nil, fmt.Errorf("volume: read header: %w", err)
+	h, err := ReadHeader(r, size)
+	if err != nil {
+		return nil, err
 	}
-	var hdr [5]int32
-	for i := range hdr {
-		hdr[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	if hdr[0] != rawMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadHeader, hdr[0])
-	}
-	nx, ny, nz, z0 := int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[4])
-	if nx <= 0 || ny <= 0 || nz <= 0 || z0 < 0 {
-		return nil, fmt.Errorf("%w: dimensions %dx%dx%d at slice %d", ErrBadHeader, nx, ny, nz, z0)
-	}
-	// Three 31-bit factors times four wrap an int64; take the product at
-	// full width.
-	hi, payload := bits.Mul64(uint64(nx)*uint64(ny), 4*uint64(nz))
-	if hi != 0 || payload > math.MaxInt-rawHeaderBytes {
-		return nil, fmt.Errorf("%w: %dx%dx%d voxels do not fit in memory", ErrBadHeader, nx, ny, nz)
-	}
-	voxels := int(payload / 4)
+	voxels := h.NX * h.NY * h.NZ
 	first := min(voxels, rawChunkBytes/4)
 	if size >= 0 {
-		if want := rawHeaderBytes + int64(payload); size != want {
-			return nil, fmt.Errorf("%w: file is %d bytes, %dx%dx%d voxels imply %d", ErrBadHeader, size, nx, ny, nz, want)
-		}
 		first = voxels
 	}
+	buf := make([]byte, rawChunkBytes)
 	data := make([]float32, 0, first)
 	for len(data) < voxels {
 		n := min(voxels-len(data), rawChunkBytes/4)
@@ -107,7 +149,7 @@ func readRaw(r io.Reader, size int64) (*Volume, error) {
 			tail[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 		}
 	}
-	return &Volume{NX: nx, NY: ny, NZ: nz, Z0: z0, Data: data}, nil
+	return &Volume{NX: h.NX, NY: h.NY, NZ: h.NZ, Z0: h.Z0, Data: data}, nil
 }
 
 // SaveRaw writes the volume to the named file.

@@ -5,39 +5,6 @@ import (
 	"math"
 )
 
-// Downsample2 returns a half-resolution volume: each output voxel is the
-// mean of its 2×2×2 input block (odd trailing samples are averaged over
-// the smaller remaining block). Preview reconstructions use it to compare
-// against directly reconstructed half-resolution volumes.
-func (v *Volume) Downsample2() *Volume {
-	nx := (v.NX + 1) / 2
-	ny := (v.NY + 1) / 2
-	nz := (v.NZ + 1) / 2
-	out := &Volume{NX: nx, NY: ny, NZ: nz, Z0: v.Z0 / 2, Data: make([]float32, nx*ny*nz)}
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				var sum float64
-				var n int
-				for dk := 0; dk < 2; dk++ {
-					for dj := 0; dj < 2; dj++ {
-						for di := 0; di < 2; di++ {
-							si, sj, sk := 2*i+di, 2*j+dj, 2*k+dk
-							if si >= v.NX || sj >= v.NY || sk >= v.NZ {
-								continue
-							}
-							sum += float64(v.At(si, sj, sk))
-							n++
-						}
-					}
-				}
-				out.Set(i, j, k, float32(sum/float64(n)))
-			}
-		}
-	}
-	return out
-}
-
 // SubVolume returns a copy of the axis-aligned region of interest with
 // local origin (x0,y0,z0) and extents (nx,ny,nz). The result's Z0 carries
 // the global slice position.

@@ -2,60 +2,8 @@ package volume
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestDownsample2(t *testing.T) {
-	v, _ := New(4, 4, 2)
-	for i := range v.Data {
-		v.Data[i] = float32(i)
-	}
-	d := v.Downsample2()
-	if d.NX != 2 || d.NY != 2 || d.NZ != 1 {
-		t.Fatalf("downsampled dims %s", d.ShapeString())
-	}
-	// Block (0,0,0): voxels 0,1,4,5 and 16,17,20,21 → mean 10.5.
-	if got := d.At(0, 0, 0); math.Abs(float64(got)-10.5) > 1e-6 {
-		t.Fatalf("block mean = %g, want 10.5", got)
-	}
-	// Odd extents: trailing blocks average what remains.
-	odd, _ := New(3, 3, 3)
-	odd.Fill(2)
-	od := odd.Downsample2()
-	if od.NX != 2 || od.NZ != 2 {
-		t.Fatalf("odd downsample dims %s", od.ShapeString())
-	}
-	for _, x := range od.Data {
-		if x != 2 {
-			t.Fatalf("constant volume downsampled to %g", x)
-		}
-	}
-}
-
-// Property: downsampling preserves the mean of constant-extended volumes
-// with even dimensions.
-func TestDownsample2PreservesMean(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v, _ := New(6, 4, 8)
-		var sum float64
-		for i := range v.Data {
-			v.Data[i] = float32(rng.NormFloat64())
-			sum += float64(v.Data[i])
-		}
-		d := v.Downsample2()
-		var dsum float64
-		for _, x := range d.Data {
-			dsum += float64(x)
-		}
-		return math.Abs(sum/float64(v.Voxels())-dsum/float64(d.Voxels())) < 1e-5
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSubVolume(t *testing.T) {
 	v, _ := NewSlab(5, 4, 6, 10)

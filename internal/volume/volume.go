@@ -96,9 +96,7 @@ func (v *Volume) SameShape(o *Volume) bool {
 }
 
 // ShapeString renders the dimensions for error messages.
-func (v *Volume) ShapeString() string {
-	return fmt.Sprintf("%dx%dx%d@z%d", v.NX, v.NY, v.NZ, v.Z0)
-}
+func (v *Volume) ShapeString() string { return v.Header().String() }
 
 // CopySlabFrom copies a slab (whose Z0/NZ window must lie inside v) into the
 // corresponding slices of v. It is the final assembly step that the store

@@ -178,7 +178,10 @@ chaos:
 # survivors, volume promoted — whose trace and metrics artifacts are
 # validated and kept in artifacts/ for the CI run to upload. The same drill
 # on a Z window (slices [8, 24)) must recover the bytes of the window's
-# uninterrupted run.
+# uninterrupted run. Last, give-up-then-resume: with a budget of 0 the kill
+# fails the run, which must exit non-zero and keep volume.partial and the
+# journal; the same command without -kill must resume them, remove the
+# journal and promote the bytes of an uninterrupted run.
 chaos-recover:
 	$(GO) test -race -count=1 \
 		-run 'TestSupervise|TestShrinkPlan|TestClusterReportSkippedBatches|TestTeardownAttributes|TestDeadlineExpiryCarriesNoAttribution|TestLostRanks|TestScheduleKill|TestBatchStartNilInjector|TestJournal' \
@@ -204,6 +207,20 @@ chaos-recover:
 		-max-restarts 2 -restart-backoff 50ms -kill 1@1
 	cmp artifacts/recover_roi_ref.fbk artifacts/recover_roi.fbk
 	rm -f artifacts/recover_roi.fbk artifacts/recover_roi_ref.fbk
+	rm -f artifacts/recover_giveup.fbk artifacts/recover_giveup.fbk.partial artifacts/recover_giveup.journal artifacts/recover_giveup_ref.fbk
+	$(GO) run ./cmd/fdkrecon -div 16 -n 32 -groups 2 -ranks 2 -batches 4 \
+		-o artifacts/recover_giveup_ref.fbk
+	! $(GO) run ./cmd/fdkrecon -div 16 -n 32 -groups 2 -ranks 2 -batches 4 \
+		-o artifacts/recover_giveup.fbk \
+		-journal artifacts/recover_giveup.journal -max-restarts 0 -kill 1@1
+	test -f artifacts/recover_giveup.fbk.partial
+	test -f artifacts/recover_giveup.journal
+	$(GO) run ./cmd/fdkrecon -div 16 -n 32 -groups 2 -ranks 2 -batches 4 \
+		-o artifacts/recover_giveup.fbk \
+		-journal artifacts/recover_giveup.journal -max-restarts 0
+	test ! -e artifacts/recover_giveup.journal
+	cmp artifacts/recover_giveup_ref.fbk artifacts/recover_giveup.fbk
+	rm -f artifacts/recover_giveup.fbk artifacts/recover_giveup_ref.fbk
 
 # Real-transport gate: the same reconstruction twice — once in-process,
 # once as a 4-process loopback TCP world (coordinator + 3 re-exec'd

@@ -73,9 +73,9 @@ func main() {
 		metrics    = flag.String("metrics-json", "", "write the run's metrics JSON artifact")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof, Prometheus /metrics and /statusz on this address (e.g. localhost:6060)")
 		statusPoll = flag.Duration("status-poll", 0, "with -pprof: poll the live /metrics and /statusz endpoints at this interval during the run and fail unless they validate (smoke test)")
-		journal    = flag.String("journal", "", "checkpoint journal path (multi-rank mode): durable slab output with crash resume and supervised shrink-and-resume through rank loss")
-		restarts   = flag.Int("max-restarts", core.DefaultMaxRestarts, "restart budget of the supervised run (with -journal)")
-		backoff    = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (with -journal)")
+		journal    = flag.String("journal", "", "checkpoint journal path (multi-rank mode): durable slab output with crash resume and supervised shrink-and-resume through rank loss; without it the first lost rank fails the run")
+		restarts   = flag.Int("max-restarts", core.DefaultMaxRestarts, "restart budget of the supervised run, 0 = one attempt (needs -journal)")
+		backoff    = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (needs -journal)")
 		deadline   = flag.Duration("deadline", 0, "collective deadline: a lost peer surfaces as a typed error within this bound (0 waits for world teardown)")
 		kills      = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
 		worldN     = flag.Int("world", 0, "spread the multi-rank run over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
@@ -112,7 +112,7 @@ func main() {
 
 	if *algo != "fdk" {
 		out := volume.Header{NX: sys.NX, NY: sys.NY, NZ: sys.NZ}
-		streamVolume(*outPath, out, nil, func(w core.SlabSink) error {
+		streamVolume(*outPath, out, nil, "", func(w core.SlabSink) error {
 			vol, err := runIterative(*algo, sys, source, *iters, *workers)
 			if err != nil {
 				return err
@@ -161,7 +161,7 @@ func main() {
 			reg = telemetry.NewRegistry() // the timeline is drawn from its spans
 		}
 		var rep *core.ReconReport
-		streamVolume(*outPath, plan.Output(), run, func(w core.SlabSink) (err error) {
+		streamVolume(*outPath, plan.Output(), run, "", func(w core.SlabSink) (err error) {
 			rep, err = core.ReconstructSingle(core.ReconOptions{
 				Plan: plan, Source: source,
 				Device: device.New("local", *memMB<<20, *workers),
@@ -237,44 +237,34 @@ func main() {
 			}
 			copts.Launch = sw.node.Launcher(plan.NRanksPerGroup)
 		}
+		// -journal makes the run durable and restartable: the journal is
+		// reopened every attempt, and the budget is -max-restarts. Without
+		// it the budget is 0, and the first lost rank fails the run.
+		sup := core.SuperviseOptions{Cluster: copts, RestartBackoff: *backoff, Follower: nf.worker}
+		if *journal != "" {
+			sup.MaxRestarts = *restarts
+			sup.OpenCheckpoint = func(fp string) (core.CheckpointLog, error) {
+				j, err := storage.OpenJournal(*journal, fp)
+				if err != nil {
+					return nil, err
+				}
+				j.SetTelemetry(run.Shared())
+				return j, nil
+			}
+		}
 		if nf.worker {
-			runFollower(copts, *journal, restartBudget(*restarts), *backoff)
+			// Group leaders live on the coordinator, so no slab reaches a
+			// worker's sink.
+			if err := superviseWorld(sup, core.DiscardSink{}, sw, *traceOut, *metrics); err != nil {
+				log.Fatalf("worker: %v", err)
+			}
 			sw.reportSevers()
 			sw.close()
 			return
 		}
-
-		if *journal != "" {
-			runSupervised(copts, run, supervisedConfig{
-				journal:  *journal,
-				outPath:  *outPath,
-				restarts: restartBudget(*restarts),
-				backoff:  *backoff,
-				traceOut: *traceOut,
-				metrics:  *metrics,
-			})
-		} else {
-			streamVolume(*outPath, plan.Output(), run, func(w core.SlabSink) error {
-				copts.Output = w
-				rep, err := core.RunDistributed(copts)
-				if rep != nil {
-					// Artifacts are written even when the run failed: a partial
-					// trace is exactly what diagnoses the failure.
-					writeTelemetry(*traceOut, *metrics, rep.Telemetry)
-				}
-				if err != nil {
-					if sw != nil {
-						sw.kill()
-					}
-					return err
-				}
-				fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",
-					plan.Ranks(), *groups, *ranks, rep.Elapsed.Round(1e6),
-					float64(rep.TotalReduceBytes())/(1<<20), rep.Arithmetic())
-				fmt.Print(rep.String())
-				return nil
-			})
-		}
+		streamVolume(*outPath, plan.Output(), run, *journal, func(w core.SlabSink) error {
+			return superviseWorld(sup, w, sw, *traceOut, *metrics)
+		})
 		if sw != nil {
 			// Workers follow the same decisions, supervision included; all
 			// of them must exit cleanly.
@@ -312,10 +302,14 @@ func finish(out volume.Header, path, slice string, stats bool) {
 }
 
 // streamVolume runs one reconstruction of the volume out into a SlabWriter
-// on path and promotes the volume when the run succeeds. A failed run removes
-// the partial file, so whatever path held before is left as it was.
-func streamVolume(path string, out volume.Header, run *telemetry.Run, reconstruct func(core.SlabSink) error) {
-	w, err := storage.CreateSlabWriter(path, out)
+// on path and promotes the volume when the run succeeds. Without a journal,
+// a failed run removes the partial file, so whatever path held before is
+// left as it was. With one, the writer resumes the partial file a failed run
+// kept — or, finding none, starts afresh and removes the journal, whose
+// slabs no longer exist — and a failed run keeps both for the rerun to
+// resume; success removes the journal.
+func streamVolume(path string, out volume.Header, run *telemetry.Run, journal string, reconstruct func(core.SlabSink) error) {
+	w, err := openSlabWriter(path, out, journal)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -323,10 +317,61 @@ func streamVolume(path string, out volume.Header, run *telemetry.Run, reconstruc
 	if err = reconstruct(w); err == nil {
 		err = w.Close()
 	}
-	if err != nil {
+	switch {
+	case err == nil:
+		if journal != "" {
+			os.Remove(journal)
+		}
+	case journal != "":
+		w.ClosePartial()
+		log.Fatalf("%v\npartial volume and journal kept; rerun the same command to resume", err)
+	default:
 		w.Abort()
 		log.Fatal(err)
 	}
+}
+
+// openSlabWriter is streamVolume's writer: a resumed partial file when a
+// journaled run left one, else a fresh one.
+func openSlabWriter(path string, out volume.Header, journal string) (*storage.SlabWriter, error) {
+	if journal == "" {
+		return storage.CreateSlabWriter(path, out)
+	}
+	if _, err := os.Stat(path + storage.PartialSuffix); err == nil {
+		fmt.Printf("resuming %s%s: journaled slabs will be skipped\n", path, storage.PartialSuffix)
+		return storage.ResumeSlabWriter(path, out)
+	}
+	if err := os.Remove(journal); err == nil {
+		log.Printf("removed stale journal %s (no partial volume to resume)", journal)
+	}
+	return storage.CreateSlabWriter(path, out)
+}
+
+// superviseWorld is the multi-rank driver, the coordinator's and a
+// worker's alike: one core.Supervise of the world into out. Telemetry
+// artifacts are written even when the run fails — a partial trace of the
+// attempts is exactly what diagnoses the failure — and a failing
+// coordinator kills its workers. Only the coordinator prints the run.
+func superviseWorld(sup core.SuperviseOptions, out core.SlabSink, sw *socketWorld, traceOut, metrics string) error {
+	sup.Cluster.Output = out
+	rep, err := core.Supervise(sup)
+	if rep != nil && rep.Final != nil {
+		writeTelemetry(traceOut, metrics, rep.Final.Telemetry)
+	}
+	if err != nil {
+		if sw != nil {
+			sw.kill()
+		}
+		return err
+	}
+	if !sup.Follower {
+		p := rep.Plan
+		fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",
+			p.Ranks(), p.NGroups, p.NRanksPerGroup, rep.Final.Elapsed.Round(1e6),
+			float64(rep.Final.TotalReduceBytes())/(1<<20), rep.Final.Arithmetic())
+		fmt.Print(rep.String(), rep.Final.String())
+	}
+	return nil
 }
 
 // resolveInput returns the run's geometry and projection source. With an
@@ -358,77 +403,6 @@ func resolveInput(inPath, dsName string, div, outN, workers int,
 			nu, np, nv, dsName, div, sys.NU, sys.NP, sys.NV)
 	}
 	return sys, src, nil
-}
-
-// supervisedConfig carries the durable-mode knobs into runSupervised.
-type supervisedConfig struct {
-	journal  string
-	outPath  string
-	restarts int
-	backoff  time.Duration
-	traceOut string
-	metrics  string
-}
-
-// runSupervised runs the distributed reconstruction in durable mode: slabs
-// stream into outPath+".partial" through the crash-consistent SlabWriter,
-// every stored slab is journaled, and core.Supervise replans and relaunches
-// the world in-process through rank loss. A failed run keeps the partial
-// volume and the journal so rerunning the same command resumes where it
-// stopped; a successful one promotes the volume and removes the journal.
-func runSupervised(copts core.ClusterOptions, run *telemetry.Run, cfg supervisedConfig) {
-	var w *storage.SlabWriter
-	var err error
-	out := copts.Plan.Output()
-	if _, serr := os.Stat(cfg.outPath + storage.PartialSuffix); serr == nil {
-		w, err = storage.ResumeSlabWriter(cfg.outPath, out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("resuming %s%s: journaled slabs will be skipped\n",
-			cfg.outPath, storage.PartialSuffix)
-	} else {
-		// A journal with no partial volume describes slabs that no longer
-		// exist on disk; a fresh run must not skip them.
-		if rerr := os.Remove(cfg.journal); rerr == nil {
-			log.Printf("removed stale journal %s (no partial volume to resume)", cfg.journal)
-		}
-		w, err = storage.CreateSlabWriter(cfg.outPath, out)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	w.SetTelemetry(run.Shared())
-	copts.Output = w
-
-	sup, err := core.Supervise(core.SuperviseOptions{
-		Cluster: copts,
-		OpenCheckpoint: func(fp string) (core.CheckpointLog, error) {
-			j, jerr := storage.OpenJournal(cfg.journal, fp)
-			if jerr != nil {
-				return nil, jerr
-			}
-			j.SetTelemetry(run.Shared())
-			return j, nil
-		},
-		MaxRestarts:    cfg.restarts,
-		RestartBackoff: cfg.backoff,
-	})
-	if sup != nil && sup.Final != nil {
-		// Artifacts are written even when the run failed: a partial trace
-		// of the recovery attempts is exactly what diagnoses the failure.
-		writeTelemetry(cfg.traceOut, cfg.metrics, sup.Final.Telemetry)
-	}
-	if err != nil {
-		w.ClosePartial()
-		log.Fatalf("%v\npartial volume and journal kept; rerun the same command to resume", err)
-	}
-	fmt.Print(sup.String())
-	fmt.Print(sup.Final.String())
-	if err := w.Close(); err != nil {
-		log.Fatal(err)
-	}
-	os.Remove(cfg.journal)
 }
 
 // runIterative reconstructs with one of the iterative algorithms. The

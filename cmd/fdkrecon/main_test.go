@@ -90,6 +90,10 @@ func TestRefuseUnread(t *testing.T) {
 		{"fdk", -1, 1, "kill", "kill", "single-rank"},
 		{"fdk", -1, 1, "world", "world", "single-rank"},
 		{"fdk", -1, 2, "iters ranks", "iters", "multi-rank"},
+		{"fdk", -1, 4, "div groups kill max-restarts n ranks", "max-restarts", "without -journal"},
+		{"fdk", -1, 4, "groups ranks restart-backoff world", "restart-backoff", "without -journal"},
+		{"fdk", 10, 4, "batches connect deadline div groups max-restarts n proc procs ranks worker zlo znz", "max-restarts", "without -journal"},
+		{"fdk", -1, 1, "max-restarts", "max-restarts", "single-rank"},
 	} {
 		err := refuseUnread(tc.algo, tc.zlo, tc.ranks, strings.Fields(tc.set))
 		if tc.flag == "" {
@@ -119,17 +123,6 @@ func TestUnreadFlagFailsTheRun(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("the refused run left %s behind: %v", name, err)
 		}
-	}
-}
-
-// An explicit `-max-restarts 0` must reach core as "no restarts", not as
-// core's 0-means-default sentinel.
-func TestRestartBudgetTranslation(t *testing.T) {
-	if got := restartBudget(0); got >= 0 {
-		t.Errorf("restartBudget(0) = %d, want negative (no restarts)", got)
-	}
-	if got := restartBudget(3); got != 3 {
-		t.Errorf("restartBudget(3) = %d", got)
 	}
 }
 

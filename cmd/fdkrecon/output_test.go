@@ -13,11 +13,14 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Every -o streams through a SlabWriter — a whole volume, a Z window, an
-// iterative volume: a run that succeeds promotes the file, whose header is
-// the run's output, and its -slice is the central slice of that file; a run
-// that fails part way leaves an existing -o byte for byte as it was and no
-// partial file behind.
+// Every -o streams through a SlabWriter — a whole volume, a Z window, a
+// multi-rank world, an iterative volume: a run that succeeds promotes the
+// file, whose header is the run's output, and its -slice is the central
+// slice of that file; a run that fails part way leaves an existing -o byte
+// for byte as it was. Without -journal it leaves no partial file behind;
+// with one (and a budget of 0, so a lost rank fails it) it keeps the partial
+// file and the journal, and the same command without the kill resumes them
+// into the uninterrupted run's bytes.
 func TestOutputIsPromotedOrUntouched(t *testing.T) {
 	dir := t.TempDir()
 	noisyInput(t, filepath.Join(dir, "in.fbp"))
@@ -29,6 +32,7 @@ func TestOutputIsPromotedOrUntouched(t *testing.T) {
 	}{
 		{"full", nil, volume.Header{NX: 32, NY: 32, NZ: 32}},
 		{"window", []string{"-zlo", "20", "-znz", "8"}, volume.Header{NX: 32, NY: 32, NZ: 8, Z0: 20}},
+		{"ranks", []string{"-groups", "2", "-ranks", "2"}, volume.Header{NX: 32, NY: 32, NZ: 32}},
 		{"sirt", []string{"-algo", "sirt", "-iters", "2"}, volume.Header{NX: 32, NY: 32, NZ: 32}},
 	} {
 		out := filepath.Join(dir, mode.name+".fbk")
@@ -53,62 +57,99 @@ func TestOutputIsPromotedOrUntouched(t *testing.T) {
 		}
 	}
 
+	ranks := slices.Concat(input, []string{"-n", "32", "-groups", "2", "-ranks", "2", "-o", filepath.Join(dir, "ranks.fbk")})
+	journal := filepath.Join(dir, "ranks.journal")
 	for _, mode := range []struct {
-		name string
-		args []string
-	}{{"full", nil}, {"window", []string{"-zlo", "16", "-znz", "96"}}} {
-		// A second run into the same -o loses its input once it has stored
-		// a slab: the input is cut back to its header, so a later batch's
-		// load reads past the end of the file.
-		out := filepath.Join(dir, mode.name+".fbk")
+		name, out string
+		args      []string // the failing run's flags, but for its input when cut
+		cut       bool     // fail by cutting the input; else by killing rank 1 at batch 1
+		journal   string
+	}{
+		{"full", "full.fbk", nil, true, ""},
+		{"window", "window.fbk", []string{"-zlo", "16", "-znz", "96"}, true, ""},
+		{"ranks", "ranks.fbk", ranks, false, ""},
+		{"journaled", "ranks.fbk", slices.Concat(ranks, []string{"-journal", journal, "-max-restarts", "0"}), false, journal},
+	} {
+		out := filepath.Join(dir, mode.out)
 		before, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := filepath.Join(dir, "cut.fbp")
-		noisyInput(t, in)
-		cmd := fdkreconCmd(t, dir, []string{"GOMAXPROCS=1"}, slices.Concat([]string{"-in", in, "-dataset", "tomo_00030", "-div", "16",
-			"-n", "128", "-batches", "32", "-o", out}, mode.args)...)
-		var output bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &output, &output
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		exited := make(chan error, 1)
-		go func() { exited <- cmd.Wait() }()
 		partial := out + storage.PartialSuffix
-		buf := make([]byte, 20+24*128*128*4) // the header and the first 6 (full) or 8 (window) of 32 slabs
-		var runErr error
-	cut:
-		for {
-			select {
-			case runErr = <-exited:
-				t.Fatalf("%s: the run ended (%v) before it stored a slab to cut the input under:\n%s", mode.name, runErr, output.Bytes())
-			default:
-			}
-			// A stored slab is the first non-zero byte of the sparse file.
-			f, err := os.Open(partial)
-			if err == nil {
-				n, _ := f.ReadAt(buf, 0)
-				f.Close()
-				if n > 20 && len(bytes.Trim(buf[20:n], "\x00")) > 0 {
-					if err := os.Truncate(in, 16); err != nil {
-						t.Fatal(err)
-					}
-					break cut
-				}
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		if runErr = <-exited; runErr == nil || !strings.Contains(output.String(), "read row") {
-			t.Fatalf("%s: the run with its input cut: err %v, want a failed load:\n%s", mode.name, runErr, output.Bytes())
+		if mode.cut {
+			failWithCutInput(t, dir, out, mode.name, mode.args)
+		} else if output, err := fdkreconCmd(t, dir, nil, slices.Concat(mode.args, []string{"-kill", "1@1"})...).CombinedOutput(); err == nil || !strings.Contains(string(output), "rank-kill") {
+			t.Fatalf("%s: the run losing rank 1: err %v, want a failed run:\n%s", mode.name, err, output)
 		}
 		after, err := os.ReadFile(out)
 		if err != nil || !bytes.Equal(after, before) {
 			t.Errorf("%s: the failed run changed the existing -o (err %v)", mode.name, err)
 		}
-		if _, err := os.Stat(partial); !os.IsNotExist(err) {
-			t.Errorf("%s: the failed run left its partial file: %v", mode.name, err)
+		if mode.journal == "" {
+			if _, err := os.Stat(partial); !os.IsNotExist(err) {
+				t.Errorf("%s: the failed run left its partial file: %v", mode.name, err)
+			}
+			continue
 		}
+		for _, kept := range []string{partial, mode.journal} {
+			if _, err := os.Stat(kept); err != nil {
+				t.Fatalf("%s: the failed run did not keep %s: %v", mode.name, kept, err)
+			}
+		}
+		// The same command without the kill resumes, and -o is again the
+		// uninterrupted run's volume.
+		fdkrecon(t, dir, mode.args...)
+		if after, err := os.ReadFile(out); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: the resumed run did not promote the uninterrupted bytes (err %v)", mode.name, err)
+		}
+		for _, gone := range []string{partial, mode.journal} {
+			if _, err := os.Stat(gone); !os.IsNotExist(err) {
+				t.Errorf("%s: the resumed run left %s: %v", mode.name, gone, err)
+			}
+		}
+	}
+}
+
+// failWithCutInput runs a second, larger reconstruction with args into out
+// and cuts its input back to the header once it has stored a slab, so a
+// later batch's load reads past the end of the file.
+func failWithCutInput(t *testing.T, dir, out, mode string, args []string) {
+	t.Helper()
+	in := filepath.Join(dir, "cut.fbp")
+	noisyInput(t, in)
+	cmd := fdkreconCmd(t, dir, []string{"GOMAXPROCS=1"}, slices.Concat([]string{"-in", in, "-dataset", "tomo_00030", "-div", "16",
+		"-n", "128", "-batches", "32", "-o", out}, args)...)
+	var output bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &output, &output
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	partial := out + storage.PartialSuffix
+	buf := make([]byte, 20+24*128*128*4) // the header and the first 6 (full) or 8 (window) of 32 slabs
+	var runErr error
+	for {
+		select {
+		case runErr = <-exited:
+			t.Fatalf("%s: the run ended (%v) before it stored a slab to cut the input under:\n%s", mode, runErr, output.Bytes())
+		default:
+		}
+		// A stored slab is the first non-zero byte of the sparse file.
+		f, err := os.Open(partial)
+		if err == nil {
+			n, _ := f.ReadAt(buf, 0)
+			f.Close()
+			if n > 20 && len(bytes.Trim(buf[20:n], "\x00")) > 0 {
+				if err := os.Truncate(in, 16); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	if runErr = <-exited; runErr == nil || !strings.Contains(output.String(), "read row") {
+		t.Fatalf("%s: the run with its input cut: err %v, want a failed load:\n%s", mode, runErr, output.Bytes())
 	}
 }

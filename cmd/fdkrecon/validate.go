@@ -31,7 +31,9 @@ var modeReads = map[string]string{
 // refuseUnread picks the run's mode — -algo other than fdk, else single- or
 // multi-rank by the world's size — and refuses the first explicitly set flag
 // that mode would ignore: a flag that changes nothing is a mistake at the CLI
-// surface, not a no-op. -znz is read only with a window, so it needs -zlo.
+// surface, not a no-op. -znz is read only with a window, so it needs -zlo;
+// only a journaled run restarts, so -max-restarts and -restart-backoff need
+// -journal.
 func refuseUnread(algo string, zlo, ranks int, set []string) error {
 	mode := "multi-rank"
 	switch {
@@ -48,6 +50,9 @@ func refuseUnread(algo string, zlo, ranks int, set []string) error {
 		if name == "znz" && zlo < 0 {
 			return &FlagError{Flag: name, Reason: "not read without -zlo"}
 		}
+		if (name == "max-restarts" || name == "restart-backoff") && !slices.Contains(set, "journal") {
+			return &FlagError{Flag: name, Reason: "not read without -journal"}
+		}
 	}
 	return nil
 }
@@ -56,9 +61,9 @@ func refuseUnread(algo string, zlo, ranks int, set []string) error {
 // silently reinterpreted deep inside core: a batch count below one, a
 // negative device memory budget (which would run unlimited) and a worker
 // count below one (which would run GOMAXPROCS workers); a negative restart
-// budget means "no restarts" to core.Supervise, a non-positive backoff
-// silently becomes the default, and a negative deadline would arm
-// collectives with an already-expired timer. All of them are almost
+// budget is refused by core.Supervise only once the world is built, a
+// non-positive backoff silently becomes the default, and a negative deadline
+// would arm collectives with an already-expired timer. All of them are almost
 // certainly typos at the CLI surface, so they fail loudly here instead.
 //
 // -devmem 0 and -deadline 0 stay legal: they are the documented
@@ -89,15 +94,4 @@ func validateRunFlags(batches int, devmemMiB int64, workers, maxRestarts int, re
 			Reason: fmt.Sprintf("deadline must not be negative (got %v); use 0 to wait for world teardown", deadline)}
 	}
 	return nil
-}
-
-// restartBudget translates the CLI flag to core.Supervise's convention.
-// At the CLI, `-max-restarts 0` reads as "do not restart" — but core
-// treats 0 as "use the default budget" and negatives as "no restarts",
-// so a literal pass-through would silently turn an explicit 0 into 3.
-func restartBudget(flagValue int) int {
-	if flagValue == 0 {
-		return -1
-	}
-	return flagValue
 }

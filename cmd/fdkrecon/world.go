@@ -22,10 +22,8 @@ import (
 	"strings"
 	"time"
 
-	"distfdk/internal/core"
 	"distfdk/internal/fault"
 	"distfdk/internal/mpi/nettrans"
-	"distfdk/internal/storage"
 	"distfdk/internal/telemetry"
 )
 
@@ -220,35 +218,6 @@ func (sw *socketWorld) cleanup() {
 	}
 	if sw.sockDir != "" {
 		os.RemoveAll(sw.sockDir)
-	}
-}
-
-// runFollower is a worker process's reconstruction driver: the same plan
-// and batch loop as the coordinator, but slab output is discarded (group
-// leaders live on proc 0, so no slab ever reaches a worker's sink) and
-// supervise telemetry is suppressed so shared counters are not
-// double-counted across processes. In journal mode the worker reopens
-// the coordinator's journal each attempt — records are appended durably
-// before any verdict is exchanged, so a post-restart reopen always sees
-// every completed slab.
-func runFollower(copts core.ClusterOptions, journal string, maxRestarts int, backoff time.Duration) {
-	copts.Output = core.DiscardSink{}
-	if journal == "" {
-		if _, err := core.RunDistributed(copts); err != nil {
-			log.Fatalf("worker: %v", err)
-		}
-		return
-	}
-	if _, err := core.Supervise(core.SuperviseOptions{
-		Cluster: copts,
-		OpenCheckpoint: func(fp string) (core.CheckpointLog, error) {
-			return storage.OpenJournal(journal, fp)
-		},
-		MaxRestarts:    maxRestarts,
-		RestartBackoff: backoff,
-		Follower:       true,
-	}); err != nil {
-		log.Fatalf("worker: %v", err)
 	}
 }
 

@@ -58,8 +58,9 @@ type ClusterOptions struct {
 	// Checkpoint, when set, journals each output slab (keyed by its first
 	// slice z0) after the group leader has durably stored it, and skips
 	// slabs the log already records — pass a reopened journal to resume a
-	// killed run, even one replanned onto a smaller world (see Supervise).
-	// The resumed volume is bit-identical to an uninterrupted one.
+	// killed run, even one replanned onto a smaller world. The resumed
+	// volume is bit-identical to an uninterrupted one. Supervise sets it
+	// per attempt from SuperviseOptions.OpenCheckpoint; leave it nil there.
 	Checkpoint CheckpointLog
 	// Launch runs the world: n ranks of fn. Nil = all ranks local
 	// (mpi.RunWith, the in-process transport). The multi-process socket
@@ -101,13 +102,6 @@ type ClusterReport struct {
 	// over the attempts of a supervised run.
 	BatchesDone    []int
 	BatchesSkipped []int
-	// Restarts and LostRanks are filled in by Supervise when the run was
-	// the final attempt of a supervised shrink-and-resume: how many times
-	// the world was relaunched, and which world ranks (numbered in the
-	// attempt that lost them) were declared dead along the way. Zero and
-	// empty for an unsupervised run.
-	Restarts  int
-	LostRanks []int
 	// Telemetry holds each registry's final snapshot (ranks in order, the
 	// shared registry last) when ClusterOptions.Telemetry was set — the
 	// input to telemetry.WriteChromeTrace / WriteMetricsJSON and the skew

@@ -81,10 +81,6 @@ func (r *ClusterReport) String() string {
 		fmt.Fprintf(&b, "kernel lanes: %d full 8-lane groups, %d masked-tail samples (%.1f%% of interior in full groups)\n",
 			kSIMDFull, kSIMDTail, 100*float64(kSIMDFull*8)/float64(vec))
 	}
-	if r.Restarts > 0 || len(r.LostRanks) > 0 {
-		fmt.Fprintf(&b, "recovery: %d restarts, lost ranks %v, finished on %d ranks\n",
-			r.Restarts, r.LostRanks, len(r.Ledgers))
-	}
 	// Critical-path attribution: which rank × stage × class chain actually
 	// bounded the makespan — the "why is it slow" companion to the skew
 	// table's "who is slow".

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"distfdk/internal/fault"
@@ -23,10 +24,11 @@ import (
 // re-plan that changes the slab layout or the per-batch reduction
 // grouping, the recovered volume is bit-identical to a fault-free run.
 
-// Supervisor defaults: a handful of restarts with sub-second backoff. The
-// backoff exists to let an external condition (a flaky filesystem, a
-// saturated host) clear, not to paper over deterministic bugs — hence the
-// small budget.
+// Supervisor defaults for callers that want them: a handful of restarts
+// with sub-second backoff, doubled per restart up to the cap. The backoff
+// exists to let an external condition (a flaky filesystem, a saturated
+// host) clear, not to paper over deterministic bugs — hence the small
+// budget.
 const (
 	DefaultMaxRestarts       = 3
 	DefaultRestartBackoff    = 250 * time.Millisecond
@@ -60,7 +62,7 @@ func (e *ShrinkError) Error() string {
 func (e *ShrinkError) Is(target error) bool { return target == ErrWorldTooSmall }
 
 // RestartBudgetError wraps the last attempt's failure when the supervisor
-// runs out of restarts.
+// runs out of restarts after spending at least one.
 type RestartBudgetError struct {
 	Restarts int
 	Err      error // the attempt failure that exceeded the budget
@@ -129,20 +131,21 @@ type SuperviseOptions struct {
 	//	}
 	//
 	// The indirection keeps core free of I/O imports while letting the
-	// supervisor reopen the journal after every world rebuild. Mutually
-	// exclusive with Cluster.Checkpoint, which (when set instead) is
-	// reused across attempts without reopening — fine for in-memory logs.
-	// With neither set, attempts restart from batch zero and recovery is
-	// correct but does all the work again.
+	// supervisor reopen the journal after every world rebuild; an
+	// in-memory log can simply be returned every time. It is the only way
+	// a journal reaches a supervised run: Cluster.Checkpoint must be nil.
+	// Unset, attempts restart from batch zero and recovery is correct but
+	// does all the work again.
 	OpenCheckpoint func(fingerprint string) (CheckpointLog, error)
 	// MaxRestarts bounds how many times the world is relaunched after a
-	// recoverable failure; 0 means DefaultMaxRestarts, negative means no
-	// restarts (a single supervised attempt).
+	// recoverable failure, literally: 0 runs exactly one attempt and
+	// returns its error unchanged. Negative is refused. Callers that want
+	// the default pass DefaultMaxRestarts.
 	MaxRestarts int
 	// RestartBackoff is the delay before the first relaunch, doubled per
-	// restart up to MaxRestartBackoff. Zeros mean the defaults.
-	RestartBackoff    time.Duration
-	MaxRestartBackoff time.Duration
+	// restart up to DefaultRestartBackoffCap; 0 means
+	// DefaultRestartBackoff.
+	RestartBackoff time.Duration
 	// Follower marks this supervisor as a non-coordinator process of a
 	// multi-process world (Cluster.Launch set). Followers make the same
 	// attempt/shrink decisions — the transport's verdict protocol hands
@@ -171,8 +174,7 @@ type SuperviseAttempt struct {
 // attempt's ClusterReport, and the recovery totals.
 type SuperviseReport struct {
 	// Final is the last attempt's report (partial if that attempt
-	// failed); Plan is the plan it ran with. Final.Restarts and
-	// Final.LostRanks are filled in from this report.
+	// failed); Plan is the plan it ran with.
 	Final *ClusterReport
 	Plan  *Plan
 	// Attempts lists every world launch in order.
@@ -208,29 +210,14 @@ func (r *SuperviseReport) String() string {
 // on it (Nr=1: no group collective to observe the death) — the kill error
 // itself is then the only witness.
 func attemptLostRanks(err error) []int {
-	set := map[int]struct{}{}
-	for _, r := range mpi.LostRanks(err) {
-		set[r] = struct{}{}
-	}
+	lost := mpi.LostRanks(err)
 	walkErrTree(err, func(e error) {
 		if fe, ok := e.(*fault.Error); ok && fe.Op == fault.OpKill {
-			set[fe.Rank] = struct{}{}
+			lost = append(lost, fe.Rank)
 		}
 	})
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	// Insertion order is map order; sort for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(lost)
+	return slices.Compact(lost)
 }
 
 // walkErrTree visits every node of err's tree, following both single and
@@ -259,13 +246,14 @@ func recoverable(err error, lost []int) bool {
 	return len(lost) > 0 || errors.Is(err, mpi.ErrRankLost) || fault.IsTransient(err)
 }
 
-// restartBackoff doubles base per restart, capped.
-func restartBackoff(base, cap time.Duration, restart int) time.Duration {
+// restartBackoff doubles base per restart, capped at
+// DefaultRestartBackoffCap.
+func restartBackoff(base time.Duration, restart int) time.Duration {
 	d := base
-	for i := 1; i < restart && d < cap; i++ {
+	for i := 1; i < restart && d < DefaultRestartBackoffCap; i++ {
 		d *= 2
 	}
-	return min(d, cap)
+	return min(d, DefaultRestartBackoffCap)
 }
 
 // Supervise runs a distributed reconstruction to completion across rank
@@ -273,46 +261,38 @@ func restartBackoff(base, cap time.Duration, restart int) time.Duration {
 // on a lost rank (or a transiently-classified failure), the supervisor
 // re-plans over the survivors via ShrinkPlan, reopens the checkpoint
 // journal, and relaunches in-process — under MaxRestarts with doubling
-// backoff. With a journal wired in (OpenCheckpoint), a relaunch skips
-// every slab already durable and the final volume is bit-identical to a
-// fault-free run; the chaos kill-matrix test pins exactly that guarantee
-// for every (rank, batch) single-kill schedule.
+// backoff. A budget of 0 is exactly one RunDistributed attempt. With a
+// journal wired in (OpenCheckpoint), a relaunch skips every slab already
+// durable and the final volume is bit-identical to a fault-free run; the
+// chaos kill-matrix test pins exactly that guarantee for every (rank,
+// batch) single-kill schedule.
 //
-// Recovery is reported three ways: the returned SuperviseReport (one
-// entry per attempt), the final ClusterReport's Restarts/LostRanks fields
-// (and String() recovery line), and — when Cluster.Telemetry is set — the
-// shared registry's supervise.restarts counter, supervise.lost_ranks and
+// Recovery is reported two ways: the returned SuperviseReport (one entry
+// per attempt) and — when Cluster.Telemetry is set — the shared
+// registry's supervise.restarts counter, supervise.lost_ranks and
 // supervise.world_ranks gauges, plus one supervise.attempt span per
 // launch (batch = attempt index).
 //
 // The report is returned non-nil even on failure, alongside a typed
-// error: *RestartBudgetError (ErrRestartBudget) when the budget is spent,
-// *ShrinkError (ErrWorldTooSmall) joined to the attempt failure when the
-// survivors cannot host the plan, storage's ErrPlanMismatch when the
+// error: *RestartBudgetError (ErrRestartBudget) when the budget is spent
+// after at least one restart, *ShrinkError (ErrWorldTooSmall) joined to
+// the attempt failure when the survivors cannot host the plan, storage's ErrPlanMismatch when the
 // journal belongs to a different plan, or the attempt error itself when
-// it is not recoverable.
+// it is not recoverable or the budget is 0.
 func Supervise(opts SuperviseOptions) (*SuperviseReport, error) {
 	c := opts.Cluster
 	if c.Plan == nil || c.Source == nil || c.Output == nil {
 		return nil, fmt.Errorf("core: Supervise requires Cluster.Plan, Source and Output")
 	}
-	if c.Checkpoint != nil && opts.OpenCheckpoint != nil {
-		return nil, fmt.Errorf("core: set Cluster.Checkpoint or OpenCheckpoint, not both")
+	if c.Checkpoint != nil {
+		return nil, fmt.Errorf("core: Supervise takes its journal through OpenCheckpoint, not Cluster.Checkpoint")
 	}
-	maxRestarts := opts.MaxRestarts
-	switch {
-	case maxRestarts == 0:
-		maxRestarts = DefaultMaxRestarts
-	case maxRestarts < 0:
-		maxRestarts = 0
+	if opts.MaxRestarts < 0 {
+		return nil, fmt.Errorf("core: negative restart budget %d", opts.MaxRestarts)
 	}
 	base := opts.RestartBackoff
 	if base <= 0 {
 		base = DefaultRestartBackoff
-	}
-	backoffCap := opts.MaxRestartBackoff
-	if backoffCap <= 0 {
-		backoffCap = DefaultRestartBackoffCap
 	}
 	var shared *telemetry.Registry
 	if !opts.Follower {
@@ -339,7 +319,7 @@ func Supervise(opts SuperviseOptions) (*SuperviseReport, error) {
 		t0 := time.Now()
 		crep, err := RunDistributed(run)
 		endAttempt()
-		if cl, ok := run.Checkpoint.(io.Closer); ok && opts.OpenCheckpoint != nil {
+		if cl, ok := run.Checkpoint.(io.Closer); ok {
 			if cerr := cl.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("core: supervise attempt %d: close checkpoint: %w", attempt, cerr)
 			}
@@ -354,17 +334,15 @@ func Supervise(opts SuperviseOptions) (*SuperviseReport, error) {
 		})
 		rep.Plan = plan
 		if crep != nil {
-			crep.Restarts = rep.Restarts
-			crep.LostRanks = append([]int(nil), rep.Lost...)
 			rep.Final = crep
 		}
-		if err == nil {
-			return rep, nil
-		}
-		if !recoverable(err, lost) {
+		if err == nil || !recoverable(err, lost) {
 			return rep, err
 		}
-		if rep.Restarts >= maxRestarts {
+		if rep.Restarts >= opts.MaxRestarts {
+			if rep.Restarts == 0 {
+				return rep, err
+			}
 			return rep, &RestartBudgetError{Restarts: rep.Restarts, Err: err}
 		}
 		shrinkBy := len(lost)
@@ -388,6 +366,6 @@ func Supervise(opts SuperviseOptions) (*SuperviseReport, error) {
 		}
 		rep.Restarts++
 		restarts.Inc()
-		time.Sleep(restartBackoff(base, backoffCap, rep.Restarts))
+		time.Sleep(restartBackoff(base, rep.Restarts))
 	}
 }

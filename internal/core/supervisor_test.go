@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"distfdk/internal/fault"
 	"distfdk/internal/geometry"
+	"distfdk/internal/mpi"
 	"distfdk/internal/projection"
 	"distfdk/internal/storage"
 	"distfdk/internal/telemetry"
@@ -143,11 +145,12 @@ func TestSupervisedKillMatrixBitIdentical(t *testing.T) {
 				if rep.Plan.Ranks() >= p.Ranks() {
 					t.Fatalf("world did not shrink: finished on %s", rep.Plan)
 				}
-				if rep.Final == nil || rep.Final.Restarts != rep.Restarts {
-					t.Fatalf("final ClusterReport missing recovery fields: %+v", rep.Final)
+				if rep.Final == nil || rep.Attempts[0].Err == nil || !slices.Contains(rep.Attempts[0].Lost, rank) ||
+					!slices.Contains(rep.Lost, rank) || rep.TotalLost < 1 {
+					t.Fatalf("the report does not record rank %d's loss: %s", rank, rep)
 				}
-				if !strings.Contains(rep.Final.String(), "recovery:") {
-					t.Fatal("ClusterReport.String() must surface the recovery line")
+				if !strings.Contains(rep.String(), fmt.Sprintf("%d restarts", rep.Restarts)) {
+					t.Fatalf("SuperviseReport.String() must surface the restarts:\n%s", rep)
 				}
 				if got := float32Bytes(sink.V.Data); !bytes.Equal(got, want) {
 					t.Fatal("recovered volume is not bit-identical to the fault-free run")
@@ -261,45 +264,88 @@ func TestSuperviseWorldTooSmall(t *testing.T) {
 	}
 }
 
-// A failure that recurs on every attempt exhausts the budget and surfaces
-// the typed ErrRestartBudget wrapping the last attempt's error.
+// The restart budget is literal. A failure that recurs on every attempt
+// exhausts a budget of 1 and surfaces the typed ErrRestartBudget wrapping
+// the last attempt's error; a budget of 0 is one attempt whose error comes
+// back unchanged; a negative budget is refused before anything runs.
 func TestSuperviseRestartBudget(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
-	p, err := NewPlan(sys, 4, 1, 2)
+	solo, err := NewPlan(sys, 4, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := NewPlan(sys, 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every rank 0 load fails transiently, on every attempt, with no retry
 	// policy to absorb it: recoverable each time (so the supervisor does
-	// relaunch) but never fixed. With Nr=1 no peer blocks on the failing
-	// rank, so there is no loss to attribute and no world shrink — just a
-	// budget burning down.
-	in := fault.NewInjector(13,
-		fault.Rule{Op: fault.OpLoad, Rank: 0, Nth: 1, Count: fault.Every, Class: fault.Transient})
-	sink, err := NewVolumeSink(sys)
-	if err != nil {
-		t.Fatal(err)
+	// relaunch) but never fixed. With Nr=1 (solo) no peer blocks on the
+	// failing rank, so there is no loss to attribute and no world shrink —
+	// just a budget burning down.
+	everyLoad := func() *fault.Injector {
+		return fault.NewInjector(13,
+			fault.Rule{Op: fault.OpLoad, Rank: 0, Nth: 1, Count: fault.Every, Class: fault.Transient})
 	}
-	rep, err := Supervise(SuperviseOptions{
-		Cluster: ClusterOptions{
-			Plan: p, Source: src, Output: sink,
-			FaultInjector:      in,
-			CollectiveDeadline: 5 * time.Second,
-		},
-		MaxRestarts:    1,
-		RestartBackoff: time.Millisecond,
-	})
-	if err == nil || !errors.Is(err, ErrRestartBudget) {
-		t.Fatalf("err = %v, want ErrRestartBudget", err)
+	// A rank killed at its first batch, which its group peer (pairs: Nr=2)
+	// observes as a lost rank: recoverable by a shrink the budget may or
+	// may not allow.
+	kill := func() *fault.Injector {
+		in := fault.NewInjector(13)
+		in.ScheduleKill(1, 0)
+		return in
 	}
-	var be *RestartBudgetError
-	if !errors.As(err, &be) || be.Restarts != 1 {
-		t.Fatalf("budget error wrong: %+v", be)
-	}
-	if rep.Restarts != 1 || len(rep.Attempts) != 2 {
-		t.Fatalf("attempt accounting wrong: %s", rep)
+	for _, tc := range []struct {
+		name     string
+		plan     *Plan
+		budget   int
+		in       func() *fault.Injector
+		attempts int
+		want     error // errors.Is target; nil wants a refusal with no report
+		notWant  error
+	}{
+		{"budget 1 spent", solo, 1, everyLoad, 2, ErrRestartBudget, nil},
+		{"budget 0 transient", solo, 0, everyLoad, 1, fault.ErrInjected, ErrRestartBudget},
+		{"budget 0 rank lost", pairs, 0, kill, 1, mpi.ErrRankLost, ErrRestartBudget},
+		{"negative budget", pairs, -1, kill, 0, nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink, err := NewVolumeSink(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Supervise(SuperviseOptions{
+				Cluster: ClusterOptions{
+					Plan: tc.plan, Source: src, Output: sink,
+					FaultInjector:      tc.in(),
+					CollectiveDeadline: 5 * time.Second,
+				},
+				MaxRestarts:    tc.budget,
+				RestartBackoff: time.Millisecond,
+			})
+			if tc.want == nil {
+				if err == nil || rep != nil {
+					t.Fatalf("budget %d: report %v, err %v; want a refusal", tc.budget, rep, err)
+				}
+				return
+			}
+			if !errors.Is(err, tc.want) || (tc.notWant != nil && errors.Is(err, tc.notWant)) {
+				t.Fatalf("err = %v, want %v and not %v", err, tc.want, tc.notWant)
+			}
+			if len(rep.Attempts) != tc.attempts || rep.Restarts != tc.attempts-1 {
+				t.Fatalf("want %d attempts: %s", tc.attempts, rep)
+			}
+			var be *RestartBudgetError
+			if errors.As(err, &be) {
+				if be.Restarts != rep.Restarts {
+					t.Fatalf("budget error names %d restarts, the report %d", be.Restarts, rep.Restarts)
+				}
+			} else if err != rep.Attempts[0].Err {
+				t.Fatalf("budget 0 changed the attempt's error: %v, attempt %v", err, rep.Attempts[0].Err)
+			}
+		})
 	}
 }
 

@@ -119,20 +119,12 @@ func replay(cfg *Config, w *world, runIdx int, inject bool) RunMetrics {
 		Telemetry:          run,
 	}
 
+	sup := cfg.superviseOptions(opts)
 	var rep *core.SuperviseReport
-	switch {
-	case cfg.World.SocketTransport():
-		rep, err = runSocketWorld(cfg, w, opts)
-	case cfg.Supervised():
-		opts.Checkpoint = newMemJournal()
-		sup := core.SuperviseOptions{Cluster: opts}
-		if cfg.Supervise != nil {
-			sup.MaxRestarts = cfg.Supervise.MaxRestarts
-			sup.RestartBackoff = cfg.Supervise.RestartBackoff
-		}
+	if cfg.World.SocketTransport() {
+		rep, err = runSocketWorld(cfg, w, sup)
+	} else {
 		rep, err = core.Supervise(sup)
-	default:
-		_, err = core.RunDistributed(opts)
 	}
 
 	m.Outcome = classify(err)
@@ -162,6 +154,27 @@ func replay(cfg *Config, w *world, runIdx int, inject bool) RunMetrics {
 	return m
 }
 
+// superviseOptions wraps a replay's world in its supervision. A supervised
+// scenario (a supervise: section or a kill schedule) gets its own budget —
+// core.DefaultMaxRestarts when only kills imply it — and a fresh in-memory
+// journal that every attempt, on every process, resumes from. Any other
+// scenario's budget is 0: one attempt, whose failure (rank-lost included)
+// is the run's outcome.
+func (cfg *Config) superviseOptions(opts core.ClusterOptions) core.SuperviseOptions {
+	sup := core.SuperviseOptions{Cluster: opts}
+	if !cfg.Supervised() {
+		return sup
+	}
+	sup.MaxRestarts = core.DefaultMaxRestarts
+	if cfg.Supervise != nil {
+		sup.MaxRestarts = cfg.Supervise.MaxRestarts
+		sup.RestartBackoff = cfg.Supervise.RestartBackoff
+	}
+	journal := newMemJournal()
+	sup.OpenCheckpoint = func(string) (core.CheckpointLog, error) { return journal, nil }
+	return sup
+}
+
 // runSocketWorld replays one run over an in-process socket fleet: one
 // nettrans.Node per declared process wired through real kernel sockets,
 // the coordinator (proc 0) owning the volume sink and the supervise
@@ -170,17 +183,17 @@ func replay(cfg *Config, w *world, runIdx int, inject bool) RunMetrics {
 // doubles as the wire chaos schedule (nettrans fires frame-drop /
 // frame-corrupt / frame-dup / frame-delay / sever rules below the frame
 // codec) and as the in-pipeline schedule (load/store rules, kills).
-func runSocketWorld(cfg *Config, w *world, opts core.ClusterOptions) (*core.SuperviseReport, error) {
+func runSocketWorld(cfg *Config, w *world, sup core.SuperviseOptions) (*core.SuperviseReport, error) {
 	ncfg := nettrans.Config{
 		Network: cfg.World.Transport,
 		// CI-scale liveness: fast heartbeats so an injected death is
 		// detected well inside the collective deadline.
 		Heartbeat:  25 * time.Millisecond,
 		DeathAfter: 2 * time.Second,
-		Injector:   opts.FaultInjector,
+		Injector:   sup.Cluster.FaultInjector,
 		// Transport counters land in the run's shared registry, so the
 		// harvest reads them from the same snapshots as everything else.
-		Telemetry: opts.Telemetry.Shared(),
+		Telemetry: sup.Cluster.Telemetry.Shared(),
 	}
 	if cfg.World.Transport == "unix" {
 		dir, err := os.MkdirTemp("", "distfdk-scenario-*")
@@ -196,31 +209,21 @@ func runSocketWorld(cfg *Config, w *world, opts core.ClusterOptions) (*core.Supe
 	}
 	defer fl.Close()
 
-	journal := newMemJournal()
 	errs := make([]error, len(fl.Nodes))
 	reps := make([]*core.SuperviseReport, len(fl.Nodes))
 	var wg sync.WaitGroup
 	for i, n := range fl.Nodes {
-		o := opts
-		o.Launch = n.Launcher(w.plan.NRanksPerGroup)
-		if i != 0 {
-			o.Output = core.DiscardSink{}
+		s := sup
+		s.Cluster.Launch = n.Launcher(w.plan.NRanksPerGroup)
+		s.Follower = i != 0
+		if s.Follower {
+			s.Cluster.Output = core.DiscardSink{}
 		}
 		wg.Add(1)
-		go func(i int, o core.ClusterOptions) {
+		go func(i int, s core.SuperviseOptions) {
 			defer wg.Done()
-			if cfg.Supervised() {
-				o.Checkpoint = journal
-				sup := core.SuperviseOptions{Cluster: o, Follower: i != 0}
-				if cfg.Supervise != nil {
-					sup.MaxRestarts = cfg.Supervise.MaxRestarts
-					sup.RestartBackoff = cfg.Supervise.RestartBackoff
-				}
-				reps[i], errs[i] = core.Supervise(sup)
-			} else {
-				_, errs[i] = core.RunDistributed(o)
-			}
-		}(i, o)
+			reps[i], errs[i] = core.Supervise(s)
+		}(i, s)
 	}
 	wg.Wait()
 	// The coordinator's verdict is the run's verdict (its error is typed

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -141,32 +142,53 @@ gates:
 	wantAtRest(t, res.Reference)
 }
 
+// A killed rank is survived within the budget: one restart, one lost rank,
+// the fault-free volume. A budget of 0 is literal: no restart, no shrink,
+// and the loss is the run's outcome.
 func TestExecuteKillRecovery(t *testing.T) {
-	cfg := mustParse(t, `name: kill
+	for _, tc := range []struct {
+		budget   int
+		expect   string
+		restarts int64
+	}{
+		{2, OutcomeSuccess, 1},
+		{0, OutcomeRankLost, 0},
+	} {
+		cfg := mustParse(t, fmt.Sprintf(`name: kill
 runs: 2
 `+testWorld+`kills:
   - rank: 3
     batch: 1
 supervise:
-  max_restarts: 2
+  max_restarts: %d
   restart_backoff: 1ms
+expect: %s
 gates:
   - metric: restarts
-    min: 1
-    max: 1
+    min: %[3]d
+    max: %[3]d
   - metric: lost_ranks
-    min: 1
-    max: 1
-`)
-	res, err := Execute(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
+    min: %[3]d
+    max: %[3]d
+`, tc.budget, tc.expect, tc.restarts))
+		res, err := Execute(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Pass {
+			t.Fatalf("max_restarts %d: kill scenario failed: %+v", tc.budget, res.Gates)
+		}
+		for _, r := range res.Injected {
+			if r.Outcome != tc.expect || r.Counts["restarts"] != tc.restarts {
+				t.Fatalf("max_restarts %d: run %d reads %s with %d restarts, want %s with %d",
+					tc.budget, r.Run, r.Outcome, r.Counts["restarts"], tc.expect, tc.restarts)
+			}
+		}
+		if tc.expect == OutcomeSuccess {
+			// The shrunk world resumed into the fault-free volume.
+			wantOneVolume(t, res)
+		}
 	}
-	if !res.Pass {
-		t.Fatalf("kill scenario failed: %+v", res.Gates)
-	}
-	// The shrunk world resumed into the fault-free volume.
-	wantOneVolume(t, res)
 }
 
 // TestExecuteTightenedGateFails is the wall's own smoke test: take a

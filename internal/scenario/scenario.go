@@ -3,7 +3,7 @@
 // phase schedule, fault rules on the load/store/send/recv edges and on the
 // socket wire, scheduled rank kills, and per-scenario event-count gates —
 // compiled into fault.Injector configurations and replayed through
-// core.RunDistributed/core.Supervise beside one fault-free reference run.
+// core.Supervise beside one fault-free reference run.
 // Every injected run must end the way the scenario expects, reconstruct the
 // reference's bytes when that way is success, and hold every count gate;
 // cmd/slogate turns those verdicts into a CI release wall. It measures no
@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"distfdk/internal/core"
 	"distfdk/internal/fault"
 )
 
@@ -116,7 +117,9 @@ type RetryConfig struct {
 	MaxDelay    time.Duration `json:"max_delay,omitempty"`
 }
 
-// SuperviseConfig bounds the shrink-and-resume supervisor.
+// SuperviseConfig bounds the shrink-and-resume supervisor. MaxRestarts is
+// core.SuperviseOptions.MaxRestarts: literal, 0 is one attempt, absent is
+// core.DefaultMaxRestarts.
 type SuperviseConfig struct {
 	MaxRestarts    int           `json:"max_restarts"`
 	RestartBackoff time.Duration `json:"restart_backoff,omitempty"`
@@ -355,7 +358,9 @@ func (c *Config) RetryPolicy() *fault.RetryPolicy {
 	}
 }
 
-// Supervised reports whether the scenario runs under core.Supervise.
+// Supervised reports whether the scenario may restart its world: it has a
+// supervise: section or a kill schedule. Every scenario runs under
+// core.Supervise; an unsupervised one has a budget of 0 and no journal.
 func (c *Config) Supervised() bool {
 	return c.Supervise != nil || len(c.Kills) > 0
 }
@@ -704,8 +709,12 @@ func (d *dec) decodeSupervise(root *node, cfg *Config) {
 	}
 	d.allowKeys(s, "supervise", "max_restarts", "restart_backoff")
 	cfg.Supervise = &SuperviseConfig{
-		MaxRestarts:    d.optInt(s, "max_restarts", 0),
+		MaxRestarts:    d.optInt(s, "max_restarts", core.DefaultMaxRestarts),
 		RestartBackoff: d.optDuration(s, "restart_backoff", 0),
+	}
+	if cfg.Supervise.MaxRestarts < 0 {
+		d.fail(s.keyLn["max_restarts"], "supervise.max_restarts",
+			"want a non-negative restart budget, got %d", cfg.Supervise.MaxRestarts)
 	}
 }
 

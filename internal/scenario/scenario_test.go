@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"distfdk/internal/core"
 	"distfdk/internal/fault"
 )
 
@@ -97,6 +98,12 @@ func TestParseValidScenario(t *testing.T) {
 	if cfg.Supervise.MaxRestarts != 2 || cfg.Deadline != 5*time.Second {
 		t.Errorf("supervise/deadline = %+v %v", cfg.Supervise, cfg.Deadline)
 	}
+	// An absent budget is the default one, not 0 (which is one attempt).
+	if dflt, err := Parse("demo.yaml", edit(t, "  max_restarts: 2\n", "")); err != nil {
+		t.Error(err)
+	} else if dflt.Supervise.MaxRestarts != core.DefaultMaxRestarts {
+		t.Errorf("absent max_restarts decodes to %d, want %d", dflt.Supervise.MaxRestarts, core.DefaultMaxRestarts)
+	}
 	if len(cfg.Gates) != 2 || cfg.Gates[0].Metric != "restarts" {
 		t.Fatalf("gates = %+v", cfg.Gates)
 	}
@@ -156,6 +163,7 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"quoted bound", edit(t, "max: 40", `max: "40"`), "want a non-negative integer count"},
 		{"vacuous gate", edit(t, "max: 40", "min: 0"), "min 0 alone cannot fail"},
 		{"empty range", edit(t, "min: 1\n    max: 1", "min: 2\n    max: 1"), "min 2 above max 1"},
+		{"negative budget", edit(t, "max_restarts: 2", "max_restarts: -1"), "supervise.max_restarts: want a non-negative restart budget"},
 		{"kill rank range", edit(t, "rank: 3\n    batch: 1", "rank: 9\n    batch: 1"), "rank 9 out of range"},
 		{"kill batch range", edit(t, "batch: 1", "batch: 99"), "batch 99 out of range"},
 		{"warmup swallows run", edit(t, "warmup: 1", "warmup: 4"), "consume the whole run"},

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check doc-check fuse-lint fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare experiments examples clean
+.PHONY: all build test check doc-check fuse-lint fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare bench-pairs experiments examples clean
 
 all: build test
 
@@ -80,7 +80,8 @@ doc-check:
 # and phantom.Foam's placement are not in the list: none of them decides a
 # byte of the benchmark's inputs or its reference. A span solve only decides
 # where the exact arithmetic need not run, with a margin that its doc comment
-# states.
+# states. Last, the same rule for the assembly spellings: a test scans every
+# .s file of the module for an FMA3 mnemonic.
 FUSE_LINT_FUNCS = \
 	backproject.laneAt backproject.simdCoords backproject.footprint backproject.tileFootprint \
 	backproject.(*projAccess).tileRec backproject.(*projAccess).fusedTileGo \
@@ -111,6 +112,7 @@ fuse-lint:
 			for (f in bad) { print "fuse-lint: " bad[f] " fused multiply-add(s) in " f " on arm64: write the product as float32(a*b) or float64(a*b)"; fail = 1 } \
 			exit fail \
 		}'
+	$(GO) test ./internal/backproject -run '^TestAssemblyHasNoFusedMultiplyAdd$$'
 
 # Parser fuzz smoke: 10 s of mutation per target on the parsers of bytes
 # this process did not write — wire frames and payloads, projection stacks,
@@ -293,6 +295,35 @@ bench-compare:
 	(cd "$$tmp/base" && $(GO) run ./bench $(BENCH_ARGS) --out "$$out/base-out"); \
 	$(GO) run ./bench $(BENCH_ARGS) --out "$$out/head-out"; \
 	$(GO) run ./bench -compare "$$out/base-out/results.json" "$$out/head-out/results.json"
+
+# A claimed gain's evidence in one command: PAIRS pairs of single-workload
+# benchmark invocations, BASE (a git ref, extracted into a temporary tree as
+# bench-compare does) against the working tree (its tracked and unignored
+# files copied into another, so that both arms build alike outside a git
+# checkout), back to back, the arm that goes first swapped from pair to
+# pair. Each invocation's last line (the driver's JSON) is appended to
+# $(OUT)/base.jsonl or $(OUT)/head.jsonl — both emptied first — and
+# `fdkbench -pairs` prints per metric each arm's median and quartiles and
+# in how many pairs the head read lower. SEED is the benchmark's --seed (its
+# default when unset); BENCH_ARGS goes to every invocation, e.g.
+# BENCH_ARGS="--seconds 8".
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<git ref> WORKLOAD=<workload> [PAIRS=10] [SEED=<s>] [OUT=<dir>] [BENCH_ARGS=...]"; exit 2; }
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	out="$(or $(OUT),artifacts/bench-pairs/$(WORKLOAD))"; mkdir -p "$$out"; out=$$(cd "$$out" && pwd); \
+	: > "$$out/base.jsonl"; : > "$$out/head.jsonl"; \
+	mkdir "$$tmp/base" "$$tmp/head"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	git ls-files -co --exclude-standard | tar -cf - -T - | tar -x -C "$$tmp/head"; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for arm in $$order; do \
+			(cd "$$tmp/$$arm" && $(GO) run ./bench --workload $(WORKLOAD) $(if $(SEED),--seed $(SEED)) --trace 0 $(BENCH_ARGS) --out "$$tmp/out-$$arm") > "$$tmp/log"; \
+			tail -n 1 "$$tmp/log" >> "$$out/$$arm.jsonl"; \
+			echo "pair $$i/$(PAIRS) $$arm done"; \
+		done; \
+	done; \
+	$(GO) run ./cmd/fdkbench -pairs "$$out"
 
 # Regenerate every table/figure of the paper's evaluation into artifacts/.
 experiments:

@@ -19,23 +19,7 @@ import (
 // with an X or Y operand must therefore be VEX-encoded — its mnemonic starts
 // with V — and every RET must follow a VZEROUPPER.
 func TestAssemblyUsesVEXInsideYMMBlocks(t *testing.T) {
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("module root not two levels up: %v", err)
-	}
-	var files []string
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".s") {
-			files = append(files, path)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, files := moduleAssembly(t)
 	ymmFiles := 0
 	for _, path := range files {
 		rel, _ := filepath.Rel(root, path)
@@ -47,6 +31,78 @@ func TestAssemblyUsesVEXInsideYMMBlocks(t *testing.T) {
 	if ymmFiles < 2 {
 		t.Fatalf("%d of %d assembly files have a YMM block: the scan is not reading the vector routines", ymmFiles, len(files))
 	}
+}
+
+// moduleAssembly returns the module root and every assembly file under it.
+func moduleAssembly(t *testing.T) (root string, files []string) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not two levels up: %v", err)
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".s") {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root, files
+}
+
+// The coordinate contract (simd.go) forbids fusing a product into the add
+// or subtract it feeds, in both spellings, and so do the row filter's
+// (internal/fft, internal/filter): a fused multiply-add rounds once where
+// the contract rounds twice, so the bytes would depend on the spelling.
+// make fuse-lint reads the compiled Go spellings; this reads the assembly,
+// every file of the module, for any FMA3 mnemonic outside a comment. The
+// one exemption is the benchmark's roofline probe, whose FMA chains measure
+// the machine's peak and compute no byte of a reconstruction. The scan is
+// first shown a planted VFMADD231PS, which it must flag.
+func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
+	planted := "\tVMULPS Y1, Y2, Y3 // VFMADD231PS in a comment is no instruction\n\tVFMADD231PS Y9, Y14, Y13\n"
+	if got := fusedMultiplyAdds(planted); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("the scan flags lines %v of a source with one VFMADD231PS on line 2", got)
+	}
+	const peakProbe = "bench/probe_amd64.s"
+	root, files := moduleAssembly(t)
+	sawProbe := false
+	for _, path := range files {
+		rel, _ := filepath.Rel(root, path)
+		if filepath.ToSlash(rel) == peakProbe {
+			sawProbe = true
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range fusedMultiplyAdds(string(src)) {
+			t.Errorf("%s:%d: a fused multiply-add, which the coordinate contract forbids", rel, n)
+		}
+	}
+	if !sawProbe {
+		t.Errorf("%s is gone: drop its exemption", peakProbe)
+	}
+}
+
+// fusedMultiplyAdds returns the line numbers of src that hold a fused
+// multiply-add mnemonic (VFMADD*, VFMSUB*, VFNMADD*, VFNMSUB*) outside a
+// comment.
+func fusedMultiplyAdds(src string) []int {
+	fma := regexp.MustCompile(`\bVFN?M(ADD|SUB)\w*`)
+	var lines []int
+	for n, raw := range strings.Split(src, "\n") {
+		text, _, _ := strings.Cut(raw, "//")
+		if fma.MatchString(text) {
+			lines = append(lines, n+1)
+		}
+	}
+	return lines
 }
 
 // lintAssembly checks one file and reports whether it has a YMM block.

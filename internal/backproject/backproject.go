@@ -285,8 +285,10 @@ func StreamingKernel(dev *device.Device, ring *device.ProjRing, mats []geometry.
 // two projected coordinates (3), the distance weight and its product with
 // the sample (2), and the contract's bilinear blend — t1 = p00 + eu·(p01−p00),
 // t2 likewise, t1 + ev·(t2−t1), a subtract, a multiply and an add each (9).
-// The fractional parts and the accumulate are not counted, and a k-tile
-// computes the z-invariant part once per column for all its slices, so the
-// kernel retires fewer per update than a tile of one slice; the value is
-// kept because the benchmark's roofline rows read it.
+// The fractional parts and the accumulate are not counted. A k-tile
+// computes the z-invariant part once per column for all its slices, and
+// where the assembly caches a group's rows it also blends each detector row
+// horizontally once for the tile rather than twice per slice, so the kernel
+// retires fewer per update than a tile of one slice. The value is
+// Algorithm 1's, kept because the benchmark's roofline rows read it.
 const FLOPPerUpdate = 20

@@ -8,6 +8,7 @@ import (
 	"distfdk/internal/dataset"
 	"distfdk/internal/device"
 	"distfdk/internal/geometry"
+	"distfdk/internal/volume"
 )
 
 // benchRow is the long all-interior row the kernel benchmarks time: a
@@ -168,6 +169,70 @@ func BenchmarkRowLaunch(b *testing.B) {
 			b.ReportMetric(ns, "ns/launch")
 			b.ReportMetric(ns/float64(sys.NX*h), "ns/update")
 			b.ReportMetric(float64(h), "slices")
+		})
+	}
+}
+
+// BenchmarkStreamingSlab times the kernel as a reconstruction calls it: the
+// eight slabs of tomo_00030 at -div 8, each back-projected by one Streaming
+// call on one worker from a ring holding the slab's detector rows of random
+// samples, at the single-kernel shape (96³, 12-slice slabs) and the
+// single-filter shape (24³, 3-slice slabs). Unlike benchRow's synthetic
+// row, the tiles here read the detector rows the benchmark's geometry makes
+// them read, so a change to how a launch fetches its rows shows as it will
+// end to end. ns/update divides by the volume's voxels times projections.
+func BenchmarkStreamingSlab(b *testing.B) {
+	for _, n := range []int{96, 24} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			ds, err := dataset.ByName("tomo_00030")
+			if err != nil {
+				b.Fatal(err)
+			}
+			scaled, err := ds.Scaled(8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := scaled.System(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stack := randomStack(sys, 5)
+			mats := kernelMats(sys)
+			dev := device.New("bench", 0, 1)
+			const slabs = 8
+			nz := sys.NZ / slabs
+			type slab struct {
+				ring *device.ProjRing
+				rows geometry.RowRange
+				vol  *volume.Volume
+			}
+			ss := make([]slab, slabs)
+			for i := range ss {
+				rows := sys.ComputeAB(i*nz, (i+1)*nz)
+				ring, err := device.NewProjRing(dev, sys.NU, sys.NP, rows.Len())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer ring.Close()
+				if err := ring.LoadRows(stack, rows); err != nil {
+					b.Fatal(err)
+				}
+				vol, err := volume.NewSlab(sys.NX, sys.NY, nz, i*nz)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ss[i] = slab{ring, rows, vol}
+			}
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				for _, s := range ss {
+					if err := Streaming(dev, s.ring, mats, s.vol, s.rows); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			updates := float64(sys.NX*sys.NY*nz*slabs) * float64(sys.NP)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/updates, "ns/update")
 		})
 	}
 }

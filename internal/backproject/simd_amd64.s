@@ -11,28 +11,36 @@
 // group the z-invariant work — the coordinates u, w and ay·i at the group's
 // columns, the divide, x, iu, eu, rz², the contiguous-window test — is done
 // once; the slice loop inside recomputes only what v moves: v, y, iv, ev,
-// the four sample loads (SAMPLE) and the accumulate into the slice's row.
+// the fetch and blend and the accumulate into the slice's row. A group with
+// a window whose tile reads no more detector rows than it has slices (and
+// than the cache's 12) blends each of those rows horizontally once (FILL)
+// into a cache in the frame, and its slice loop does only the vertical
+// blend (CACHED); every other group fetches its four samples per slice
+// (SAMPLE). A cached group's slice that the cache cannot serve hands off to
+// SAMPLE's gather and finishes the group in the plain loop.
 // Groups wholly inside the interior sub-span [f0,f1) run the unguarded fast
 // body, every other covered group the guarded body: floor instead of
 // truncation, the footprint's origin clamped into the store's zero apron
 // (device.Layout: the texture border is data) and a lane mask on the
 // accumulate, all eight lanes live or not. Both bodies read the same
-// coordinates and fetch through the one SAMPLE, so a column computes the
-// same value whichever body its group lands in — the decomposition
-// invariance the kernel promises.
+// coordinates and fetch through the same macros, so a column computes the
+// same value whichever body its group lands in, cached or not — the
+// decomposition invariance the kernel promises.
 //
 // Register plan, held across the whole kernel:
 //   Y0        = the group's columns float32(gb+j), stepped by 8.0 per group
 //               (an exact add while the columns stay below 2²⁴)
 //   Y4        = the group's w, evaluated one group ahead
 //   Y6        = 1.0 broadcast (the dividend of rz = 1/w)
-//   per group: Y2 = ay·column, Y8 = rz, Y9 = eu, Y10 = rz², Y11 = iu+2,
+//   per group: Y2 = ay·i, Y8 = rz, Y9 = eu, Y10 = rz², Y11 = iu+2,
 //              Y3 = window lane
-//   Y1, Y5, Y7, Y12..Y15 = slice-loop scratch
+//   Y1, Y5, Y7, Y12..Y15 = slice-loop scratch (Y5 holds the first slice's
+//              iv while FILL bounds the rows)
 //   AX = args   DI = data − 2 floats (iu+2 indexes it)   SI = rows
 //   DX = out (row in the first slice)   R10 = group base
 //   R8, R11 = fast groups' first base and end   R12 = 4·h, the end of yc
 //   BX = row in the current slice   R9 = 4·slice (offset into yc)
+//   (in FILL, R9 = the cache offset being written and BX its end)
 //   CX = window base or −1   R13, R14 = scratch
 //
 // The coordinates are the contract's direct evaluation op·float32(i) + oc
@@ -56,6 +64,10 @@
 // garbage (even NaN) — the accumulate is mask-suppressed, and lane
 // arithmetic never mixes lanes. Both bodies' 9-float windows may run up to 7
 // floats past a row's right apron: the layout's slack keeps that readable.
+// Cache soundness: FILL reads rows rmin … rmax+1 through the row table, each
+// a row some lane's footprint reads in an end slice, so every load is one
+// the plain fetch could make; a slice reads the cache only after an unsigned
+// compare has put its rows among the n that FILL wrote.
 
 // lane07: the int32 vector {0,1,...,7} for the first columns and lane masks.
 DATA lane07<>+0(SB)/4, $0
@@ -104,6 +116,13 @@ GLOBL minus2v<>(SB), RODATA|NOPTR, $32
 //   xcv-264(SP)  32B
 //   zcv-296(SP)  32B
 //   eightv-328(SP) 32B   broadcast 8.0, the column step
+//   cache-736(SP) 408B  the row cache: up to 12 rows of eight blends,
+//                       32-byte aligned, cpad bytes into the region
+//   rbase-740(SP)  4B   32·rmin − cpad: 32·iv − rbase is row iv's offset
+//   rlim-744(SP)   4B   32·(n−1) + cpad: no t1 is read at or past it
+//   cpad-752(SP)   8B   the cache's alignment pad, once per call
+//   dv-756(SP)     4B   |yc[h−1] − yc[0]|, the tile's sweep of v
+//   hm1-760(SP)    4B   float32(h − 1)
 //
 // The grid of group bases is 8-aligned, so the per-group test
 // "base ≥ f0 && base+8 ≤ f1" is exactly "base ∈ [fs, fe)" with
@@ -145,8 +164,8 @@ GLOBL minus2v<>(SB), RODATA|NOPTR, $32
 out:
 
 // SAMPLE and SAMPLE_COLD fetch a slice's eight 2×2 footprints and blend them
-// — the one spelling of it, expanded in both bodies: SAMPLE in the slice
-// loop, where the first fetch below falls through to the blend, SAMPLE_COLD
+// in a group FILL did not cache — the one spelling of it, expanded in both
+// bodies: SAMPLE in the slice loop, where the first fetch below falls through to the blend, SAMPLE_COLD
 // with the other three out of line behind the body. In: Y13 = iv (a global row in
 // [lo−2, hi]), Y11 = iu+2, Y3 and CX from WINDOW, Y9 = eu, Y12 = ev,
 // Y10 = rz². Out: Y13 = rz²·(t1 + ev·(t2 − t1)). The fetch is the cheapest
@@ -265,8 +284,164 @@ pairs: \
 	VSHUFPS      $0x88, Y7, Y13, Y13;      \ // p00
 	JMP          blend
 
+// FY and SY compute what v moves in one slice of the fast and the guarded
+// body, the one spelling each of the slice loops and the row bound share.
+// In: the slice's yc as a memory operand. Out: Y12 = ev, Y13 = iv (a
+// global row; the guarded body's clamped to [lo−2, hi]). FY clobbers Y14.
+#define FY(yc) \
+	VBROADCASTSS yc, Y12;      \
+	VADDPS       Y12, Y2, Y12; \ // v = ay·i + yc[k]
+	VMULPS       Y12, Y8, Y12; \ // y = v·rz
+	VCVTTPS2DQ   Y12, Y13;     \ // iv
+	VCVTDQ2PS    Y13, Y14;     \
+	VSUBPS       Y14, Y12, Y12   // ev = y − float32(iv)
+
+#define SY(yc) \
+	VBROADCASTSS yc, Y12;               \
+	VADDPS       Y12, Y2, Y12;          \ // v = ay·i + yc[k]
+	VMULPS       Y12, Y8, Y12;          \ // y
+	VROUNDPS     $1, Y12, Y13;          \
+	VSUBPS       Y13, Y12, Y12;         \ // ev = y − floor(y)
+	VCVTTPS2DQ   Y13, Y13;              \ // iv, clamped to [lo−2, hi]: the row
+	VPMAXSD      lo2v-72(SP), Y13, Y13; \ // table's zero-slot entries
+	VPMINSD      hiv-136(SP), Y13, Y13
+
+// FILL blends each detector row the tile reads once, for a group that has a
+// window: u, w, iu and eu do not move between its slices, so a row's
+// horizontal blend p(r,iu) + eu·(p(r,iu+1) − p(r,iu)) is the same in every
+// slice that reads row r. The rows are bounded from the group's iv in the
+// tile's two end slices, every lane (iv is monotone in the slice index, as
+// rowSpans argues; IV is the body's FY or SY): rmin … rmax+1, n of them. The
+// plain slice loop blends two rows per slice, 2h in all; the cache is taken
+// when n ≤ h, at most half of that, and n ≤ 12, the rows the frame holds
+// (a 16-slice tile at -n 128 reads more in hardly any group); the group
+// jumps to plain otherwise, as it does without a window. Before it bounds
+// the rows it tests a lower bound: the first lane alone sweeps |Δv|·rz₀
+// rows over the tile, and n > that + 1, so a sweep of h − 1 or more fails
+// the gate for one multiply and one compare (every tile of one slice does).
+// In: Y3 and CX from WINDOW, Y9 = eu. Out: rbase, rlim and the cache's n
+// rows; BX and R9 at the first slice.
+#define FILL(IV, plain, fill) \
+	TESTQ        CX, CX;                    \
+	JS           plain;                     \
+	VMULSS       dv-756(SP), X8, X1;        \ // lane 0's sweep of y, |Δv|·rz₀
+	VUCOMISS     hm1-760(SP), X1;           \
+	JAE          plain;                     \ // ≥ h − 1 rows: n > h
+	IV(simdRowArgs_yc(AX));                 \
+	VMOVDQU      Y13, Y5;                   \
+	IV(simdRowArgs_yc-4(AX)(R12*1));        \
+	VPMINSD      Y13, Y5, Y14;              \
+	VPMAXSD      Y13, Y5, Y15;              \
+	VEXTRACTI128 $1, Y14, X1;               \
+	VPMINSD      X1, X14, X14;              \
+	VEXTRACTI128 $1, Y15, X1;               \
+	VPMAXSD      X1, X15, X15;              \
+	VPSHUFD      $0x4E, X14, X1;            \
+	VPMINSD      X1, X14, X14;              \
+	VPSHUFD      $0x4E, X15, X1;            \
+	VPMAXSD      X1, X15, X15;              \
+	VPSHUFD      $0xB1, X14, X1;            \
+	VPMINSD      X1, X14, X14;              \
+	VPSHUFD      $0xB1, X15, X1;            \
+	VPMAXSD      X1, X15, X15;              \
+	VMOVD        X14, R13;                  \ // rmin
+	VMOVD        X15, R14;                  \
+	SUBL         R13, R14;                  \ // n − 2
+	CMPL         R14, $10;                  \
+	JA           plain;                     \ // n > 12, the cache's rows
+	LEAQ         8(R14*4), R9;              \
+	CMPQ         R9, R12;                   \
+	JGT          plain;                     \ // n > h
+	MOVL         R13, R9;                   \
+	SHLL         $5, R9;                    \
+	SUBL         cpad-752(SP), R9;          \
+	MOVL         R9, rbase-740(SP);         \
+	LEAL         1(R14), R9;                \
+	SHLL         $5, R9;                    \
+	ADDL         cpad-752(SP), R9;          \
+	MOVL         R9, rlim-744(SP);          \
+	LEAQ         32(R9), BX;                \ // the fill's end
+	MOVL         cpad-752(SP), R9;          \
+	SUBL         simdRowArgs_lo2(AX), R13;  \ // row rmin's table index
+fill: \
+	MOVL         (SI)(R13*4), R14;          \
+	ADDQ         CX, R14;                   \
+	VPERMPS      (DI)(R14*4), Y3, Y13;      \ // p(r,iu)
+	VPERMPS      4(DI)(R14*4), Y3, Y14;     \ // p(r,iu+1)
+	VSUBPS       Y13, Y14, Y14;             \
+	VMULPS       Y9, Y14, Y14;              \
+	VADDPS       Y14, Y13, Y13;             \
+	VMOVUPS      Y13, cache-736(SP)(R9*1);  \
+	INCQ         R13;                       \
+	ADDQ         $32, R9;                   \
+	CMPQ         R9, BX;                    \
+	JL           fill;                      \
+	LEAQ         (DX)(R10*4), BX;           \
+	XORQ         R9, R9
+
+// CACHED is SAMPLE for a group FILL cached: a slice on one row reads t1 and
+// t2 from the cache, and the vertical blend, the weight and the lanes are
+// SAMPLE's. CACHED_COLD holds the two-row slice out of line: t1 and t2
+// picked per lane from rows m, m+1, m+2 under SAMPLE's mask. A slice on
+// three or more rows, or on a row past rmax+1, jumps to SAMPLE_COLD's
+// gather and runs out the group in the plain slice loop. No row is below
+// rmin. A row past rmax+1 cannot happen in the fast body, but in the
+// guarded one a lane whose y passes 2³¹ in the tile's last slice converts
+// to the integer indefinite and clamps to lo−2 there, so the end slices no
+// longer bound the ones between. In: as SAMPLE, with rbase and rlim.
+#define CACHED(tworows, blend, gather) \
+	VPBROADCASTD X13, Y14;                     \
+	VPCMPEQD     Y13, Y14, Y1;                 \
+	VPMOVMSKB    Y1, R13;                      \
+	CMPL         R13, $-1;                     \
+	JNE          tworows;                      \
+	VMOVD        X13, R13;                     \
+	SHLL         $5, R13;                      \
+	SUBL         rbase-740(SP), R13;           \
+	CMPL         R13, rlim-744(SP);            \
+	JAE          gather;                       \ // row iv or iv+1 not cached
+	VMOVUPS      cache-736(SP)(R13*1), Y13;    \ // t1
+	VMOVUPS      cache-704(SP)(R13*1), Y15;    \ // t2
+blend: \
+	VSUBPS       Y13, Y15, Y15;                \ // t2 − t1
+	VMULPS       Y12, Y15, Y15;                \
+	VADDPS       Y15, Y13, Y13;                \ // t1 + ev·(t2−t1)
+	VMULPS       Y10, Y13, Y13                   // ·rz²
+
+#define CACHED_COLD(tworows, blend, gather) \
+tworows: \
+	VPBROADCASTD seven32<>(SB), Y15;           \
+	VPERMD       Y13, Y15, Y15;                \
+	VPMINSD      Y14, Y15, Y14;                \ // m = min(iv₀, iv₇)
+	VPSUBD       Y14, Y13, Y1;                 \
+	VPTEST       minus2v<>(SB), Y1;            \
+	JNZ          gather;                       \ // a lane on neither row m nor m+1
+	VPSLLD       $31, Y1, Y1;                  \ // blend mask: the lanes on row m+1
+	VMOVD        X14, R13;                     \
+	SHLL         $5, R13;                      \
+	SUBL         rbase-740(SP), R13;           \
+	LEAL         32(R13), R14;                 \
+	CMPL         R14, rlim-744(SP);            \
+	JAE          gather;                       \ // row m+2 not cached
+	VMOVUPS      cache-736(SP)(R13*1), Y13;    \
+	VMOVUPS      cache-704(SP)(R13*1), Y15;    \
+	VBLENDVPS    Y1, Y15, Y13, Y13;            \ // t1
+	VMOVUPS      cache-672(SP)(R13*1), Y7;     \
+	VBLENDVPS    Y1, Y7, Y15, Y15;             \ // t2
+	JMP          blend
+
+// NEXT steps to the row in the next slice and loops while slices remain.
+#define NEXT(loop) \
+	ADDQ simdRowArgs_stride(AX), BX; \
+	ADDQ $4, R9;                     \
+	CMPQ R9, R12;                    \
+	JL   loop
+
 // func fusedTileAVX2(a *simdRowArgs)
-TEXT ·fusedTileAVX2(SB), NOSPLIT, $328-8
+// NOSPLIT: the frame, cache included, stays inside the stack its callers
+// guarantee a nosplit callee, so the kernel's goroutine needs no more stack
+// than without the cache.
+TEXT ·fusedTileAVX2(SB), NOSPLIT, $760-8
 	MOVQ a+0(FP), AX
 	MOVQ simdRowArgs_data(AX), DI
 	SUBQ $8, DI                   // iu+2 indexes the samples
@@ -294,6 +469,12 @@ TEXT ·fusedTileAVX2(SB), NOSPLIT, $328-8
 	VMOVUPS      Y9, eightv-328(SP)
 	VBROADCASTSS one32<>(SB), Y6
 
+	// The row cache's alignment pad.
+	LEAQ cache-736(SP), R13
+	NEGQ R13
+	ANDQ $31, R13
+	MOVQ R13, cpad-752(SP)
+
 	// The fast groups on the 8-aligned group grid, and the end of yc.
 	MOVQ simdRowArgs_f0(AX), R8
 	ADDQ $7, R8
@@ -302,6 +483,19 @@ TEXT ·fusedTileAVX2(SB), NOSPLIT, $328-8
 	ANDQ $-8, R11
 	MOVQ simdRowArgs_h(AX), R12
 	SHLQ $2, R12
+
+	// The tile's sweep of v, |yc[h−1] − yc[0]|, and h − 1, which FILL
+	// tests a group's first lane against before it bounds the rows.
+	VMOVSS    simdRowArgs_yc(AX), X1
+	VMOVSS    simdRowArgs_yc-4(AX)(R12*1), X2
+	VSUBSS    X1, X2, X3
+	VSUBSS    X2, X1, X1
+	VMAXSS    X1, X3, X1
+	VMOVSS    X1, dv-756(SP)
+	MOVQ      simdRowArgs_h(AX), R13
+	DECQ      R13
+	VCVTSI2SSQ R13, X1, X1
+	VMOVSS    X1, hm1-760(SP)
 
 	// The first group holds c0; its columns as floats, and its w.
 	MOVQ         simdRowArgs_c0(AX), R10
@@ -332,31 +526,36 @@ fast:
 	VSUBPS     Y13, Y9, Y9             // eu = x − float32(iu)
 	VPSUBD     minus2v<>(SB), Y11, Y11 // iu+2
 	WINDOW(fwin)
-	LEAQ       (DX)(R10*4), BX
-	XORQ       R9, R9
+	FILL(FY, fplain, ffill)
+
+fcslice:
+	FY(simdRowArgs_yc(AX)(R9*1))
+	CACHED(fcrows2, fcblend, fgather)
+	VADDPS  (BX), Y13, Y13
+	VMOVUPS Y13, (BX)
+	NEXT(fcslice)
+	JMP     fnext
+
+fplain:
+	LEAQ (DX)(R10*4), BX
+	XORQ R9, R9
 
 fslice:
-	VBROADCASTSS simdRowArgs_yc(AX)(R9*1), Y12
-	VADDPS       Y12, Y2, Y12 // v = ay·i + yc[k]
-	VMULPS       Y12, Y8, Y12 // y = v·rz
-	VCVTTPS2DQ   Y12, Y13     // iv
-	VCVTDQ2PS    Y13, Y14
-	VSUBPS       Y14, Y12, Y12 // ev = y − float32(iv)
+	FY(simdRowArgs_yc(AX)(R9*1))
 	SAMPLE(frows2, fbcast, fblend)
 
 	// A plain unmasked accumulate: the group is fully active.
 	VADDPS  (BX), Y13, Y13
 	VMOVUPS Y13, (BX)
-	ADDQ    simdRowArgs_stride(AX), BX
-	ADDQ    $4, R9
-	CMPQ    R9, R12
-	JL      fslice
+	NEXT(fslice)
 
+fnext:
 	ADDQ $8, R10
 	CMPQ R10, R11
 	JL   fast
 	JMP  group
 
+	CACHED_COLD(fcrows2, fcblend, fgather)
 	SAMPLE_COLD(frows2, fbcast, fgather, fpairs, fblend)
 
 slow:
@@ -388,18 +587,24 @@ slow:
 	VPMINSD    nuv-104(SP), Y11, Y11
 	VPSUBD     minus2v<>(SB), Y11, Y11  // iu+2
 	WINDOW(swin)
-	LEAQ       (DX)(R10*4), BX
-	XORQ       R9, R9
+	FILL(SY, splain, sfill)
+
+scslice:
+	SY(simdRowArgs_yc(AX)(R9*1))
+	CACHED(scrows2, scblend, sgather)
+	VMOVDQU    maskS-40(SP), Y7
+	VMASKMOVPS (BX), Y7, Y14
+	VADDPS     Y13, Y14, Y14
+	VMASKMOVPS Y14, Y7, (BX)
+	NEXT(scslice)
+	JMP        snext
+
+splain:
+	LEAQ (DX)(R10*4), BX
+	XORQ R9, R9
 
 sslice:
-	VBROADCASTSS simdRowArgs_yc(AX)(R9*1), Y12
-	VADDPS       Y12, Y2, Y12          // v = ay·i + yc[k]
-	VMULPS       Y12, Y8, Y12          // y
-	VROUNDPS     $1, Y12, Y13
-	VSUBPS       Y13, Y12, Y12         // ev = y − floor(y)
-	VCVTTPS2DQ   Y13, Y13              // iv, clamped to [lo−2, hi]: the row
-	VPMAXSD      lo2v-72(SP), Y13, Y13 // table's zero-slot entries
-	VPMINSD      hiv-136(SP), Y13, Y13
+	SY(simdRowArgs_yc(AX)(R9*1))
 	SAMPLE(srows2, sbcast, sblend)
 
 	// row[gb..gb+8) += the sample, masked load/add/store.
@@ -407,13 +612,13 @@ sslice:
 	VMASKMOVPS (BX), Y7, Y14
 	VADDPS     Y13, Y14, Y14
 	VMASKMOVPS Y14, Y7, (BX)
-	ADDQ       simdRowArgs_stride(AX), BX
-	ADDQ       $4, R9
-	CMPQ       R9, R12
-	JL         sslice
-	ADDQ       $8, R10
-	JMP        group
+	NEXT(sslice)
 
+snext:
+	ADDQ $8, R10
+	JMP  group
+
+	CACHED_COLD(scrows2, scblend, sgather)
 	SAMPLE_COLD(srows2, sbcast, sgather, spairs, sblend)
 
 done:

@@ -4,7 +4,7 @@
 //	fdkbench -exp table5        # out-of-core single-device evaluation
 //	fdkbench -exp fig13         # strong scaling to 1024 simulated GPUs
 //	fdkbench -exp all -out out/ # everything, with images under out/
-//	fdkbench -pairs dir/        # the table of a make bench-pairs run
+//	fdkbench -pairs dir/        # the verdicts of a make bench-pairs run
 //
 // Laptop-scale experiments execute the full reconstruction code path on
 // synthetic twins of the paper's datasets; paper-scale experiments run the
@@ -35,11 +35,11 @@ func main() {
 	checkMetrics := flag.String("check-metrics", "", "validate a metrics JSON artifact (exit non-zero on violation) and exit")
 	checkProm := flag.String("check-prom", "", "validate a Prometheus text exposition file (exit non-zero on violation) and exit")
 	pprofAddr := flag.String("pprof", "", "serve pprof + live /metrics + /statusz on this address during the benchmarks")
-	pairs := flag.String("pairs", "", "summarise a make bench-pairs directory (base.jsonl, head.jsonl) and exit")
+	pairs := flag.String("pairs", "", "summarise a make bench-pairs directory (base.jsonl, head.jsonl) with a verdict per metric, reading BENCHMARK.json in the working directory, and exit")
 	flag.Parse()
 
 	if *pairs != "" {
-		if err := pairsTable(os.Stdout, *pairs); err != nil {
+		if err := pairsTable(os.Stdout, *pairs, "BENCHMARK.json"); err != nil {
 			fmt.Fprintln(os.Stderr, "fdkbench:", err)
 			os.Exit(1)
 		}

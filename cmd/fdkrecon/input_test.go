@@ -27,15 +27,22 @@ import (
 // work from `go test` without building the command first.
 const runMainEnv = "FDKRECON_TEST_RUN_MAIN"
 
-// noAVX2Env additionally masks AVX2 off in that process and, inherited, in
-// its -world workers: the run of a host without it. Only this test binary
-// reads it; the command has no switch for the Go spellings.
-const noAVX2Env = "FDKRECON_TEST_NO_AVX2"
+// noAVX2Env additionally masks AVX2 (and with it AVX-512) off in that
+// process and, inherited, in its -world workers: the run of a host without
+// it. noAVX512Env masks AVX-512 alone: the run of an AVX2-only host. Only
+// this test binary reads them; the command has no switch for the spellings.
+const (
+	noAVX2Env   = "FDKRECON_TEST_NO_AVX2"
+	noAVX512Env = "FDKRECON_TEST_NO_AVX512"
+)
 
 func TestMain(m *testing.M) {
 	if os.Getenv(runMainEnv) != "" {
 		if os.Getenv(noAVX2Env) != "" {
 			cpufeat.SetAVX2ForTest(false)
+		}
+		if os.Getenv(noAVX512Env) != "" {
+			cpufeat.SetAVX512ForTest(false)
 		}
 		main()
 		return
@@ -186,7 +193,7 @@ func TestWorldForwardsInput(t *testing.T) {
 		"-groups", "1", "-ranks", "2"}
 
 	out := fdkrecon(t, dir, append(common, "-o", filepath.Join(dir, "inproc.fbk"))...)
-	if !strings.Contains(out, "kernel avx2") && !strings.Contains(out, "kernel scalar") {
+	if !strings.Contains(out, "kernel avx512") && !strings.Contains(out, "kernel avx2") && !strings.Contains(out, "kernel scalar") {
 		t.Errorf("summary does not name the arithmetic:\n%s", out)
 	}
 	fdkrecon(t, dir, append(common, "-world", "2", "-o", filepath.Join(dir, "world.fbk"))...)
@@ -233,11 +240,12 @@ func TestWorldSeverMustBeObserved(t *testing.T) {
 }
 
 // The four command lines of the repository benchmark, at its -smoke sizing,
-// do not depend on the host: with AVX2 masked off — in the coordinator and,
-// under -world, in its workers — each writes the volume of the default run
-// byte for byte and counts what it counted, kernel.dispatch.* aside: the
-// fast kernel and the row filter each have one arithmetic and spellings of
-// it, and the kernel's counters are read off its span decisions.
+// do not depend on the host: with AVX-512 masked off, and with AVX2 masked
+// off — in the coordinator and, under -world, in its workers — each writes
+// the volume of the default run byte for byte and counts what it counted,
+// kernel.dispatch.* aside: the fast kernel and the row filter each have one
+// arithmetic and spellings of it, and the kernel's counters (kernel.simd_*
+// included) are read off its span decisions, whatever width ran.
 func TestBenchmarkRunsDoNotDependOnAVX2(t *testing.T) {
 	dir := t.TempDir()
 	noisyInput(t, filepath.Join(dir, "in.fbp"))
@@ -262,8 +270,18 @@ func TestBenchmarkRunsDoNotDependOnAVX2(t *testing.T) {
 				args = append(args, "-journal", filepath.Join(dir, w.name+tag+".journal"))
 			}
 			out := fdkreconEnv(t, dir, env, args...)
-			if env != nil && (strings.Contains(out, "kernel avx2") || strings.Contains(out, "kernel [avx2") || !strings.Contains(out, "scalar")) {
-				t.Errorf("%s without AVX2: the summary does not name the Go spelling alone:\n%s", w.name, out)
+			names := func(spelling string) bool {
+				return strings.Contains(out, "kernel "+spelling) || strings.Contains(out, "kernel ["+spelling)
+			}
+			switch tag {
+			case "-noavx2":
+				if names("avx") || !names("scalar") {
+					t.Errorf("%s without AVX2: the summary does not name the Go spelling alone:\n%s", w.name, out)
+				}
+			case "-noavx512":
+				if names("avx512") {
+					t.Errorf("%s without AVX-512: the summary names it:\n%s", w.name, out)
+				}
 			}
 			b, err := os.ReadFile(vol)
 			if err != nil {
@@ -294,15 +312,17 @@ func TestBenchmarkRunsDoNotDependOnAVX2(t *testing.T) {
 			return b, kernel
 		}
 		vol, counters := run("", nil)
-		maskedVol, maskedCounters := run("-noavx2", []string{noAVX2Env + "=1"})
-		if !bytes.Equal(vol, maskedVol) {
-			t.Errorf("%s: the volume depends on AVX2", w.name)
-		}
 		if len(counters) == 0 || len(counters[0]) < 6 || counters[0]["kernel.simd_full_groups"] == 0 {
 			t.Errorf("%s: the artifact's kernel counters are missing or idle: %v", w.name, counters)
 		}
-		if !reflect.DeepEqual(counters, maskedCounters) {
-			t.Errorf("%s: kernel counters depend on AVX2:\ndefault %v\nmasked  %v", w.name, counters, maskedCounters)
+		for _, mask := range []struct{ tag, env string }{{"-noavx512", noAVX512Env}, {"-noavx2", noAVX2Env}} {
+			maskedVol, maskedCounters := run(mask.tag, []string{mask.env + "=1"})
+			if !bytes.Equal(vol, maskedVol) {
+				t.Errorf("%s: the volume of the %s run differs from the default run's", w.name, mask.tag)
+			}
+			if !reflect.DeepEqual(counters, maskedCounters) {
+				t.Errorf("%s: kernel counters depend on the dispatch:\ndefault %v\n%s %v", w.name, counters, mask.tag, maskedCounters)
+			}
 		}
 	}
 }

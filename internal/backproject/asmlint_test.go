@@ -1,6 +1,7 @@
 package backproject
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -9,27 +10,49 @@ import (
 	"testing"
 )
 
-// A legacy-SSE instruction between the first YMM write and VZEROUPPER costs
-// a state transition on every execution; one XMM write of that kind made
-// this kernel's whole reconstruction five times slower, and a routine that
-// returns with dirty upper halves does the same to the SSE code the Go
-// compiler emits after it. In every assembly file of the module, inside any
-// TEXT block that touches a Y register — and in any macro that does, since a
-// macro's instructions land in the block that expands it — every instruction
-// with an X or Y operand must therefore be VEX-encoded — its mnemonic starts
-// with V — and every RET must follow a VZEROUPPER.
+// A legacy-SSE instruction between the first YMM or ZMM write and
+// VZEROUPPER costs a state transition on every execution; one XMM write of
+// that kind made this kernel's whole reconstruction five times slower, and
+// a routine that returns with dirty upper halves does the same to the SSE
+// code the Go compiler emits after it. In every assembly file of the
+// module, inside any TEXT block that touches a Y or a Z register (or one of
+// X16–X31, which only AVX-512 encodes) — and in any macro that does, since
+// a macro's instructions land in the block that expands it — every
+// instruction with an X, Y or Z operand must therefore be VEX- or
+// EVEX-encoded — its mnemonic starts with V — and every RET must follow a
+// VZEROUPPER. The scan is first shown a ZMM function that returns without
+// it, which it must flag.
 func TestAssemblyUsesVEXInsideYMMBlocks(t *testing.T) {
+	planted := "TEXT ·f(SB), NOSPLIT, $0-8\n\tVADDPS Z1, Z2, Z3\n\tRET\n"
+	if got := wideBlockFaults(planted); len(got) != 1 || !strings.Contains(got[0], "RET without VZEROUPPER") {
+		t.Fatalf("the scan reports %q for a ZMM function whose RET follows no VZEROUPPER", got)
+	}
 	root, files := moduleAssembly(t)
-	ymmFiles := 0
+	ymmFiles, zmmFiles := 0, 0
 	for _, path := range files {
 		rel, _ := filepath.Rel(root, path)
-		if lintAssembly(t, rel, path) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(src), "TEXT") {
+			t.Errorf("%s: no TEXT block found", rel)
+		}
+		ymm, zmm := wideRegisters(string(src))
+		if ymm {
 			ymmFiles++
 		}
+		if zmm {
+			zmmFiles++
+		}
+		for _, fault := range wideBlockFaults(string(src)) {
+			t.Errorf("%s:%s", rel, fault)
+		}
 	}
-	// The kernel and the filter's butterflies at the least.
-	if ymmFiles < 2 {
-		t.Fatalf("%d of %d assembly files have a YMM block: the scan is not reading the vector routines", ymmFiles, len(files))
+	// The two kernels and the filter's butterflies at the least, one of
+	// them in ZMM registers.
+	if ymmFiles < 3 || zmmFiles < 1 {
+		t.Fatalf("%d of %d assembly files have a YMM block and %d a ZMM one: the scan is not reading the vector routines", ymmFiles, len(files), zmmFiles)
 	}
 }
 
@@ -105,21 +128,36 @@ func fusedMultiplyAdds(src string) []int {
 	return lines
 }
 
-// lintAssembly checks one file and reports whether it has a YMM block.
-func lintAssembly(t *testing.T, name, path string) bool {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+var (
+	vecReg  = regexp.MustCompile(`\b[XYZ]([0-9]|[12][0-9]|3[01])\b`)
+	ymmReg  = regexp.MustCompile(`\bY([0-9]|[12][0-9]|3[01])\b`)
+	zmmReg  = regexp.MustCompile(`\b(Z([0-9]|[12][0-9]|3[01])|X(1[6-9]|2[0-9]|3[01]))\b`)
+	wideReg = regexp.MustCompile(ymmReg.String() + "|" + zmmReg.String())
+)
+
+// wideRegisters reports whether src names a YMM register, and whether it
+// names a ZMM one (or an XMM register only AVX-512 encodes), outside a
+// comment.
+func wideRegisters(src string) (ymm, zmm bool) {
+	for _, raw := range strings.Split(src, "\n") {
+		text, _, _ := strings.Cut(raw, "//")
+		ymm = ymm || ymmReg.MatchString(text)
+		zmm = zmm || zmmReg.MatchString(text)
 	}
-	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
-	ymmReg := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	return ymm, zmm
+}
+
+// wideBlockFaults returns, as "line: block: fault", every legacy-SSE
+// instruction and every RET without a VZEROUPPER before it inside a TEXT
+// block or macro of src that touches a YMM or ZMM register.
+func wideBlockFaults(src string) []string {
 	type line struct {
 		n    int
 		text string
 	}
 	blocks := map[string][]line{}
 	var block string
-	for n, raw := range strings.Split(string(src), "\n") {
+	for n, raw := range strings.Split(src, "\n") {
 		text, _, _ := strings.Cut(raw, "//")
 		text = strings.TrimRight(text, "\\; \t") // a macro body's separator and continuation
 		fields := strings.Fields(text)
@@ -131,30 +169,24 @@ func lintAssembly(t *testing.T, name, path string) bool {
 			blocks[block] = append(blocks[block], line{n + 1, strings.TrimSpace(text)})
 		}
 	}
-	if len(blocks) == 0 {
-		t.Errorf("%s: no TEXT block found", name)
-	}
-	checked := 0
+	var faults []string
 	for block, lines := range blocks {
-		usesYMM := false
+		wide := false
 		for _, l := range lines {
-			usesYMM = usesYMM || ymmReg.MatchString(l.text)
+			wide = wide || wideReg.MatchString(l.text)
 		}
-		if !usesYMM {
+		if !wide {
 			continue
 		}
 		for i, l := range lines {
 			mnemonic, operands, _ := strings.Cut(l.text, " ")
-			if vecReg.MatchString(operands) {
-				checked++
-				if !strings.HasPrefix(mnemonic, "V") {
-					t.Errorf("%s:%d: %s: legacy-SSE encoding %q in a block that uses YMM registers", name, l.n, block, l.text)
-				}
+			if vecReg.MatchString(operands) && !strings.HasPrefix(mnemonic, "V") {
+				faults = append(faults, fmt.Sprintf("%d: %s: legacy-SSE encoding %q in a block that uses YMM or ZMM registers", l.n, block, l.text))
 			}
 			if mnemonic == "RET" && (i == 0 || lines[i-1].text != "VZEROUPPER") {
-				t.Errorf("%s:%d: %s: RET without VZEROUPPER in a block that uses YMM registers", name, l.n, block)
+				faults = append(faults, fmt.Sprintf("%d: %s: RET without VZEROUPPER in a block that uses YMM or ZMM registers", l.n, block))
 			}
 		}
 	}
-	return checked > 0
+	return faults
 }

@@ -6,17 +6,17 @@
 // baseline) is one launch over a ring as tall as the detector.
 //
 // There is one kernel. It evaluates the homogeneous coordinates (u, v, w)
-// of Algorithm 1 directly at every column of an output row, eight columns
-// at a time. The row is clipped to its detector support (columns whose 2×2
-// footprint lies entirely outside the readable window contribute exactly +0
-// and are skipped), the (k, j, s) loops are blocked so a small window of
-// detector rows stays cache-resident across a voxel sweep, and a
+// of Algorithm 1 directly at every column of an output row, a vector of
+// columns at a time. The row is clipped to its detector support (columns
+// whose 2×2 footprint lies entirely outside the readable window contribute
+// exactly +0 and are skipped), the (k, j, s) loops are blocked so a small
+// window of detector rows stays cache-resident across a voxel sweep, and a
 // (row, projection) pair visits the slices of a k-tile innermost, where
 // u, w, one exact reciprocal and everything else that does not depend on z
 // is computed once per column for all of them. It has one arithmetic (the
-// coordinate contract in simd.go) and two spellings of it, AVX2 assembly
-// and Go, chosen per launch from what the host can run; the bytes do not
-// depend on the choice.
+// coordinate contract in simd.go) and three spellings of it, AVX-512 and
+// AVX2 assembly and Go, chosen per launch from what the host can run; the
+// bytes do not depend on the choice.
 //
 // It has one oracle, a test function: Algorithm 1 evaluated voxel by voxel
 // under the same contract, each of the four bilinear neighbours tested
@@ -65,12 +65,12 @@ type projAccess struct {
 	sStride int   // storage distance between projections of one row
 	lo, hi  int   // global rows readable [lo, hi)
 	rowOff  []int // rowOff[v-lo+2] = storage offset of global row v
-	// rowIdx32 is rowOff narrowed to int32 for the AVX2 gather
+	// rowIdx32 is rowOff narrowed to int32 for the assembly's gather
 	// instructions; built by prepareSIMD when a launch dispatches to them.
 	rowIdx32 []int32
-	// asm says the launch runs the assembly spelling of the kernel, not
-	// the Go one; accumulateSlab decides it once per launch.
-	asm bool
+	// arith is the spelling of the kernel the launch runs; accumulateSlab
+	// decides it once per launch.
+	arith device.Arithmetic
 	// win is the readable window as the kernel's span decisions use it;
 	// accumulateSlab derives it once per launch.
 	win spanWindow
@@ -78,7 +78,7 @@ type projAccess struct {
 
 // layoutAccess addresses the rows [lo,hi) of a store laid out by l.
 func layoutAccess(l device.Layout, data []float32, lo, hi int) projAccess {
-	a := projAccess{data: data, nu: l.NU, np: l.NP, sStride: l.ProjStride(), lo: lo, hi: hi}
+	a := projAccess{data: data, nu: l.NU, np: l.NP, sStride: l.ProjStride(), lo: lo, hi: hi, arith: device.ArithmeticScalar}
 	a.rowOff = make([]int, hi-lo+4)
 	for i := range a.rowOff {
 		a.rowOff[i] = l.ZeroBase()
@@ -224,25 +224,27 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		dev.RecordKernel(0)
 		return nil
 	}
-	// Dispatch once per launch. The assembly spelling needs AVX2 and
-	// storage offsets that fit its 32-bit gather indices.
-	arith := device.ArithmeticScalar
-	if simdAvailable() && a.prepareSIMD() {
-		arith = device.ArithmeticAVX2
+	// Dispatch once per launch. The assembly spellings need storage offsets
+	// that fit their 32-bit gather indices.
+	a.arith = launchArithmetic(slab.NX)
+	if a.arith != device.ArithmeticScalar && !a.prepareSIMD() {
+		a.arith = device.ArithmeticScalar
 	}
-	a.asm = arith == device.ArithmeticAVX2
 	a.win = a.newSpanWindow()
 	workers := dev.WorkerCount()
 	if workers > slab.NZ {
 		workers = slab.NZ
 	}
 	counters := make([]kernelCounters, workers)
+	// Each worker's row cache lives here, on the heap, and not in its
+	// goroutine's frame, which it would push onto a larger stack.
+	caches := make([]rowCache, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			a.accumulateSlices(w, workers, mats, slab, &counters[w])
+			a.accumulateSlices(w, workers, mats, slab, &caches[w], &counters[w])
 		}(w)
 	}
 	wg.Wait()
@@ -251,10 +253,31 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		total.add(counters[w])
 	}
 	dev.RecordKernel(updates)
-	dev.RecordDispatch(arith)
+	dev.RecordDispatch(a.arith)
 	dev.RecordKernelSamples(total.interior, total.border, total.skipped)
 	dev.RecordKernelVector(total.simdGroups, total.simdTail)
 	return nil
+}
+
+// minColumns512 is the narrowest volume row the 16-lane spelling runs. A
+// narrower row is cut into at most two 16-column groups, which launch up to
+// a third more lanes than its 8-column groups would, and on such rows more
+// groups are guarded and more slices fall to the gathers, which cost per
+// lane. In BenchmarkStreamingSlab on one CPU of an AVX-512 guest, the
+// 16-lane body read slower than the 8-lane one on the single-filter shape's
+// 24-column rows (paired ratio 1.04, slower in 6 of 8 rounds) and faster on
+// 32-column rows (0.86, 8 of 8); EXPERIMENTS.md has the sweep.
+const minColumns512 = 32
+
+// launchArithmetic is the spelling a launch over rows of nx columns runs:
+// the widest one the host has, except that rows narrower than
+// minColumns512 take the 8-lane assembly in place of the 16-lane one.
+func launchArithmetic(nx int) device.Arithmetic {
+	arith := hostArithmetic()
+	if arith == device.ArithmeticAVX512 && nx < minColumns512 {
+		return device.ArithmeticAVX2
+	}
+	return arith
 }
 
 // Streaming is the paper's kernel: it back-projects the ring-resident

@@ -19,7 +19,7 @@ func testSystem() *geometry.System {
 		DSO: 250, DSD: 350,
 		NU: 48, NV: 40, DU: 0.5, DV: 0.5,
 		NP: 16,
-		NX: 24, NY: 24, NZ: 24, DX: 0.5, DY: 0.5, DZ: 0.5,
+		NX: 32, NY: 24, NZ: 24, DX: 0.5, DY: 0.5, DZ: 0.5,
 	}
 }
 
@@ -41,16 +41,24 @@ func randomStack(sys *geometry.System, seed int64) *projection.Stack {
 	return st
 }
 
-// forRecurrenceKernels runs f once under the default dispatch (the AVX2
-// assembly where the host has it), as subtest "recurrence", and once with
-// AVX2 masked off, as subtest "scalar", so the Go spelling of the kernel
-// stays covered on AVX2 runners.
+// forRecurrenceKernels runs f once under the default dispatch (the widest
+// assembly the host has: testSystem's rows are wide enough for the 16-lane
+// one), as subtest "recurrence"; once with AVX-512 masked
+// off, as subtest "avx2", so the 8-lane assembly stays covered on AVX-512
+// hosts (on any other host the default dispatch is that run, and the
+// subtest says it is skipped); and once with AVX2 masked off, as subtest
+// "scalar", so the Go spelling does.
 func forRecurrenceKernels(t *testing.T, f func(t *testing.T)) {
 	t.Run("recurrence", f)
-	t.Run(device.ArithmeticScalar.String(), func(t *testing.T) {
-		defer cpufeat.SetAVX2ForTest(false)()
-		f(t)
-	})
+	for _, arith := range []device.Arithmetic{device.ArithmeticAVX2, device.ArithmeticScalar} {
+		t.Run(arith.String(), func(t *testing.T) {
+			if arith == device.ArithmeticAVX2 && !cpufeat.AVX512() {
+				t.Skip("no AVX-512 on this host: the default dispatch ran its widest spelling")
+			}
+			defer dispatchOnly(arith)()
+			f(t)
+		})
+	}
 }
 
 // The frozen bench/replay.go launches through StreamingKernel with

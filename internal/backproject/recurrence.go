@@ -16,12 +16,13 @@ import (
 //	u(i) = ax·i + xc,  v(i) = ay·i + yc,  w(i) = az·i + zc
 //
 // and the kernel evaluates them directly at every column (simd.go states
-// the contract and holds its Go spelling, fusedTileGo; simd_amd64.s holds
-// the other, fusedTileAVX2), so the value at column i is a function of
-// (i, row constants) alone: whatever decomposition, worker count or blocking
-// produced the row, every path (unguarded body, guarded body, span
-// predicate) sees identical float32 coordinates, which is what keeps
-// streaming ≡ batch ≡ resume bit-identical.
+// the contract and holds its Go spelling, fusedTileGo; simd_amd64.s and
+// simd512_amd64.s hold fusedTileAVX2 and fusedTile512), so the value at
+// column i is a function of (i, row constants) alone: whatever
+// decomposition, worker count or blocking produced the row, every path
+// (unguarded body, guarded body, span predicate) sees identical float32
+// coordinates, which is what keeps streaming ≡ batch ≡ resume
+// bit-identical.
 
 // projBlock is the s-blocking factor: the (k, j) voxel sweep is repeated
 // per block of projBlock projections so the detector-row window those
@@ -137,14 +138,14 @@ type projConsts struct {
 	args              simdRowArgs
 }
 
-func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int) projConsts {
+func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int, cache *rowCache) projConsts {
 	pc := projConsts{m: *m, zInvariant: m.R0[2] == 0 && m.R2[2] == 0}
 	pc.axd, pc.ayd, pc.azd = float64(m.R0[0]), float64(m.R1[0]), float64(m.R2[0])
 	last := float64(nx - 1)
 	pc.axn, pc.ayn, pc.azn = pc.axd*last, pc.ayd*last, pc.azd*last
 	pc.support = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.support)
 	pc.interior = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.interior)
-	a.initSpanArgs(&pc.args, s, m.R0[0], m.R1[0], m.R2[0])
+	a.initSpanArgs(&pc.args, s, m.R0[0], m.R1[0], m.R2[0], cache)
 	return pc
 }
 
@@ -160,12 +161,14 @@ func tileHeight(nz, workers int) int {
 	return (nz + tiles - 1) / tiles
 }
 
-// accumulateSlices back-projects the k slices owned by worker w. Loop order is s-block → k-tile → j → s → k, i.e. the
-// voxel sweep is repeated per small group of projections (cache blocking)
-// and a (row, projection) pair visits the slices of its tile innermost,
-// where only v is new; per tile the column loop is clipped to its detector
-// support and split into guarded groups around the unguarded interior.
-func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, ctr *kernelCounters) {
+// accumulateSlices back-projects the k slices owned by worker w, with cache
+// as the worker's row cache. Loop order is s-block → k-tile → j → s → k,
+// i.e. the voxel sweep is repeated per small group of projections (cache
+// blocking) and a (row, projection) pair visits the slices of its tile
+// innermost, where only v is new; per tile the column loop is clipped to
+// its detector support and split into guarded groups around the unguarded
+// interior.
+func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, cache *rowCache, ctr *kernelCounters) {
 	nx := slab.NX
 	stride := slab.NY * nx
 	th := tileHeight(slab.NZ, workers)
@@ -178,7 +181,7 @@ func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, s
 		}
 		block := pcs[:sEnd-sb]
 		for i := range block {
-			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx)
+			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx, cache)
 		}
 		for kt := w * th; kt < slab.NZ; kt += workers * th {
 			kf := kfs[:0]
@@ -309,11 +312,12 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int) (c
 // slice, the row in each further slice lies stride floats on, and yc holds
 // the slices' v constants. rowSpans decides the supported and interior
 // columns once for the tile, then one launch covers the whole supported
-// span in every slice: 8-lane groups wholly inside [i0,i1) run the
-// unguarded body, every other covered group runs the guarded texture-border
-// body under a lane mask. The counters are read off the spans, so they do
-// not depend on which spelling the launch dispatched to; interior columns
-// in partial groups are counted as tail samples.
+// span in every slice: the spelling's column groups wholly inside [i0,i1)
+// run the unguarded body, every other covered group runs the guarded
+// texture-border body under a lane mask. The counters are read off the
+// spans, in 8-column groups whatever the spelling's width, so they do not
+// depend on which spelling the launch dispatched to; interior columns in
+// partial groups are counted as tail samples.
 func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc float32, yc []float32, nx int, ctr *kernelCounters) {
 	c0, i0, i1, c1 := a.rowSpans(pc, xc, yc[0], yc[len(yc)-1], zc, nx)
 	h := int64(len(yc))

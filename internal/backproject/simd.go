@@ -3,9 +3,11 @@ package backproject
 import (
 	"math"
 	"unsafe"
+
+	"distfdk/internal/device"
 )
 
-// The kernel walks a volume row eight columns at a time: the three
+// The kernel walks a volume row a group of columns at a time: the three
 // homogeneous coordinates are evaluated directly at every column, one exact
 // reciprocal per column serves every slice of a k-tile, and the 2×2
 // bilinear footprints are fetched per lane. The coordinate at column i is a
@@ -22,27 +24,45 @@ import (
 //
 // Every operation is a correctly rounded IEEE-754 float32 operation and no
 // product is fused into the add or subtract it feeds, so the contract has
-// one value on every host. It is spelled twice: fusedTileAVX2
-// (simd_amd64.s) evaluates eight columns together in vectors, fusedTileGo
-// below one column at a time, and writes a product that feeds an add or a
-// subtract as float32(a*b) — the conversion the Go specification defines as
+// one value on every host. It is spelled three times: fusedTile512
+// (simd512_amd64.s) evaluates sixteen columns together in ZMM vectors,
+// fusedTileAVX2 (simd_amd64.s) eight in YMM vectors, and fusedTileGo below
+// one column at a time, writing a product that feeds an add or a subtract
+// as float32(a*b) — the conversion the Go specification defines as
 // preventing fusion on targets that have a fused multiply-add (make
-// fuse-lint checks the compiled code). accumulateSlab picks the assembly
-// where the host has AVX2 and the storage offsets fit its 32-bit gather
-// indices, the Go spelling otherwise; the bytes and the counters do not
-// depend on the choice. laneAt is the contract's value at one column, which
-// the span checks (tileFootprint) and the guarded columns evaluate.
-// float32(i) is exact, and the assembly's column vector stepped by 8.0
-// equals it, while i < 2²⁴ — far past any volume's width.
+// fuse-lint checks the compiled code). No lane ever mixes with another, so
+// the width of a group decides nothing about a column's value.
+// accumulateSlab picks a spelling per launch (launchArithmetic: the widest
+// the host runs, but the 8-lane one for rows narrower than minColumns512)
+// when the storage offsets fit the assembly's 32-bit gather indices, the
+// Go spelling otherwise; the bytes and the counters do not depend on the
+// choice. laneAt is the contract's value at one column,
+// which the span checks (tileFootprint) and the guarded columns evaluate.
+// float32(i) is exact, and the assembly's column vectors stepped by 8.0 or
+// 16.0 equal it, while i < 2²⁴ — far past any volume's width.
 
-// simdLanes is the width of the kernel's column groups: 8 float32 lanes.
+// simdLanes is the width of the column groups the kernel's counters
+// classify (simdLaneCounts) and the Go spelling walks its fast columns in:
+// 8 lanes, whatever width the launch ran, so that kernel.simd_* does not
+// depend on the host.
 const simdLanes = 8
+
+// cacheRows is the most detector rows the assembly spellings' row cache
+// holds: FILL blends each row a group's tile reads once when they number
+// no more than the tile's slices and this.
+const cacheRows = 12
+
+// rowCache is the 16-lane spelling's row cache, one per worker: cacheRows
+// rows of sixteen horizontal blends, 64 bytes each, and the pad that lets
+// fusedTile512 align it to 64 bytes wherever it lies. (The 8-lane spelling
+// keeps its 32-byte rows in its frame.)
+type rowCache [cacheRows*64 + 63]byte
 
 // laneAt returns the contract's value at column i of the coordinate
 // op·i + oc.
 func laneAt(i int, op, oc float32) float32 { return float32(op*float32(i)) + oc }
 
-// simdRowArgs carries one (row, projection, k-tile) launch into either
+// simdRowArgs carries one (row, projection, k-tile) launch into any
 // spelling of the kernel; the assembly addresses the fields by name
 // (go_asm.h).
 type simdRowArgs struct {
@@ -64,15 +84,19 @@ type simdRowArgs struct {
 	xc     float32
 	zc     float32
 	yc     [zBlock]float32 // v's row constant, one per slice
+	// cache is the worker's rowCache, fusedTile512's. Last, so that the
+	// fields before it keep the offsets the 8-lane kernel reads them at.
+	cache unsafe.Pointer
 }
 
 // initSpanArgs fills the fields of the argument block that every row of
 // projection s shares: the projAccess addressing (projection-s base, the
 // int32 row table prepareSIMD built if the launch runs the assembly, window
-// extents) and the column coefficients.
-func (a *projAccess) initSpanArgs(args *simdRowArgs, s int, ax, ay, az float32) {
+// extents), the worker's row cache and the column coefficients.
+func (a *projAccess) initSpanArgs(args *simdRowArgs, s int, ax, ay, az float32, cache *rowCache) {
 	args.data = unsafe.Pointer(unsafe.SliceData(a.data[s*a.sStride:]))
 	args.rows = unsafe.Pointer(unsafe.SliceData(a.rowIdx32))
+	args.cache = unsafe.Pointer(cache)
 	args.lo2, args.hi, args.nu = int32(a.lo-2), int32(a.hi), int32(a.nu)
 	args.ax, args.ay, args.az = ax, ay, az
 }
@@ -83,8 +107,9 @@ func (a *projAccess) initSpanArgs(args *simdRowArgs, s int, ax, ay, az float32) 
 // accumulateSlab chose for the launch. rows starts at the row in the first
 // slice and the row in each further slice lies stride floats on. [f0,f1)
 // must be interior in every one of the slices and a sub-span of [c0,c1)
-// (possibly empty: f0 == f1): its 8-column groups take the unguarded body,
-// every other covered column the guarded texture-border one.
+// (possibly empty: f0 == f1): the spelling's column groups wholly inside it
+// take the unguarded body, every other covered column the guarded
+// texture-border one.
 func (a *projAccess) launchSpan(args *simdRowArgs, rows []float32, stride int, c0, c1, f0, f1 int, xc, zc float32, yc []float32) {
 	args.out = unsafe.Pointer(unsafe.SliceData(rows))
 	args.stride = int64(stride) * 4
@@ -94,16 +119,19 @@ func (a *projAccess) launchSpan(args *simdRowArgs, rows []float32, stride int, c
 	args.f0 = int64(f0)
 	args.f1 = int64(f1)
 	args.xc, args.zc = xc, zc
-	if a.asm {
+	switch a.arith {
+	case device.ArithmeticAVX512:
+		fusedTile512(args)
+	case device.ArithmeticAVX2:
 		fusedTileAVX2(args)
-	} else {
+	default:
 		a.fusedTileGo(args)
 	}
 }
 
-// fusedTileGo is fusedTileAVX2 in Go: where the assembly evaluates eight
+// fusedTileGo is the assembly in Go: where fusedTileAVX2 evaluates eight
 // columns in a vector, this walks them one at a time (the columns never mix,
-// so the order is free). The groups the assembly runs through its unguarded
+// so the order is free). The groups fusedTileAVX2 runs through its unguarded
 // body are the columns fastCols takes. It reads the samples through the int
 // row table, so no buffer is too large for it.
 func (a *projAccess) fusedTileGo(args *simdRowArgs) {
@@ -202,7 +230,7 @@ func (a *projAccess) guardedCols(args *simdRowArgs, g0, g1 int) {
 // executes them: groups aligned to absolute 8-column boundaries that are
 // fully covered run the unguarded body; columns in partially covered groups
 // run guarded under a lane mask (the "tail"). Pure arithmetic over the
-// span, the same for both spellings.
+// span, the same for every spelling.
 func simdLaneCounts(f0, f1 int) (full, tail int64) {
 	if f0 >= f1 {
 		return 0, 0

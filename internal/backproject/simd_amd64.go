@@ -2,11 +2,24 @@
 
 package backproject
 
-import "distfdk/internal/cpufeat"
+import (
+	"distfdk/internal/cpufeat"
+	"distfdk/internal/device"
+)
 
-// simdAvailable gates the dispatch to the assembly: it needs AVX2 (and an
-// OS that saves YMM state), probed once at startup.
-func simdAvailable() bool { return cpufeat.AVX2() }
+// hostArithmetic is the widest spelling of the kernel this host runs: the
+// 16-lane assembly where it has usable AVX-512 F, VL, DQ and BW, the 8-lane
+// one where it has AVX2, the Go one otherwise (each needs an OS that saves
+// the state it uses), probed once at startup.
+func hostArithmetic() device.Arithmetic {
+	switch {
+	case cpufeat.AVX512():
+		return device.ArithmeticAVX512
+	case cpufeat.AVX2():
+		return device.ArithmeticAVX2
+	}
+	return device.ArithmeticScalar
+}
 
 // fusedTileAVX2 back-projects the covered columns [c0,c1) of one volume row
 // in the h slices of a k-tile, for one projection whose u and w are the
@@ -18,3 +31,10 @@ func simdAvailable() bool { return cpufeat.AVX2() }
 //
 //go:noescape
 func fusedTileAVX2(a *simdRowArgs)
+
+// fusedTile512 is fusedTileAVX2 with 16-wide AVX-512 vectors and opmask
+// registers, its row cache in a.cache. Implemented in simd512_amd64.s;
+// requires AVX-512 F, VL, DQ and BW.
+//
+//go:noescape
+func fusedTile512(a *simdRowArgs)

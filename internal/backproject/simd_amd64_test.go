@@ -6,27 +6,49 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"distfdk/internal/cpufeat"
 )
+
+// assemblyLanes returns the group widths of the assembly spellings this
+// host runs: 8 (AVX2) and 16 (AVX-512). It logs a width it cannot run.
+func assemblyLanes(t *testing.T) []int {
+	t.Helper()
+	logSkippedSpellings(t)
+	var widths []int
+	if cpufeat.AVX2() {
+		widths = append(widths, 8)
+	}
+	if cpufeat.AVX512() {
+		widths = append(widths, 16)
+	}
+	if len(widths) == 0 {
+		t.Skip("no assembly spelling runs on this host")
+	}
+	return widths
+}
 
 // The assembly's window loads — two loads and two permutes per footprint
 // edge, for one detector row or, blended per lane, for two adjacent ones —
 // must give what its gathers give, which is what the oracle
 // and the Go spelling give, on tiles of every height and in both bodies,
 // and each way a group's samples can be fetched must be taken somewhere
-// among the trials: the counts below decide a group's fetch from the
-// per-column footprints exactly as SAMPLE does from its lanes. The guarded
-// body's windows must be seen to start inside a row's left apron, to end in
-// its right one, and to read the zero slot as their second or third row.
-// alloc (nil: make) provides the store's buffer, of exactly the floats the
-// layout declares readable, so that a variant of this test can put an
-// unreadable page right behind it. (In this file because its subject is the assembly.)
+// among the trials, at each width the host runs: the counts below decide a
+// group's fetch from the per-column footprints exactly as SAMPLE does from
+// its lanes. The guarded body's windows must be seen to start inside a
+// row's left apron, to end in its right one, and to read the zero slot as
+// their second or third row. alloc (nil: make) provides the store's
+// buffer, of exactly the floats the layout declares readable, so that a
+// variant of this test can put an unreadable page right behind it. (In
+// this file because its subject is the assembly.)
 func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
-	if !simdAvailable() {
-		t.Skip("no usable AVX2")
-	}
+	widths := assemblyLanes(t)
 	rng := rand.New(rand.NewSource(67))
 	const nx = 160
-	counts := map[string]int{}
+	counts := map[int]map[string]int{}
+	for _, lanes := range widths {
+		counts[lanes] = map[string]int{}
+	}
 	for trial := 0; trial < 84; trial++ {
 		a := projAccess{nu: 240, np: 1, lo: 4, hi: 64}
 		a.data = make([]float32, a.nu*(a.hi-a.lo))
@@ -76,59 +98,71 @@ func testSIMDWindowLoads(t *testing.T, alloc func(n int) []float32) {
 		if trial%7 < 4 && (f0 != 0 || f1 != nx) {
 			t.Fatalf("trial %d: interior [%d,%d) under an all-interior test geometry", trial, f0, f1)
 		}
-		for _, y := range yc {
-			for g := 0; g < nx; g += simdLanes {
-				body := "fast"
-				var iu, iv [simdLanes]int
-				for l := range iu {
-					iu[l], iv[l], _ = footprint(g+l, ax, ay, az, xc, y, zc)
-				}
-				if g < (f0+simdLanes-1)&^(simdLanes-1) || g+simdLanes > f1&^(simdLanes-1) {
-					body = "guarded"
-					for l := range iu {
-						iu[l], iv[l] = min(max(iu[l], -2), a.nu), min(max(iv[l], a.lo-2), a.hi)
-					}
-				}
-				base, row := min(iu[0], iu[simdLanes-1]), min(iv[0], iv[simdLanes-1])
-				rows, oneWindow := 1, true
-				for l := range iu {
-					oneWindow = oneWindow && iu[l] >= base && iu[l] < base+simdLanes
-					switch {
-					case iv[l] != iv[0] && (iv[l] < row || iv[l] > row+1):
-						rows = 3
-					case iv[l] != iv[0] && rows < 3:
-						rows = 2
-					}
-				}
-				switch {
-				case rows == 3 || rows == 2 && !oneWindow:
-					counts["row-gathering"]++
-					continue
-				case !oneWindow:
-					counts["wider-than-a-window"]++
-					continue
-				case rows == 2:
-					counts[body+" two-row blend"]++
-				default:
-					counts["one-row window"]++
-				}
-				if base < 0 {
-					counts["left-apron window"]++
-				}
-				if base+simdLanes >= a.nu {
-					counts["right-apron window"]++
-				}
-				if row < a.lo || row+rows >= a.hi {
-					counts["zero-slot row"]++
-				}
-			}
+		for _, lanes := range widths {
+			countWindowFetches(counts[lanes], &a, lanes, nx, f0, f1, ax, ay, az, xc, zc, yc)
 		}
 		checkTile(t, fmt.Sprintf("trial %d", trial), &a, nx, f0, f1, ax, ay, az, xc, zc, yc)
 	}
-	for _, name := range []string{"one-row window", "fast two-row blend", "guarded two-row blend", "row-gathering", "wider-than-a-window",
-		"left-apron window", "right-apron window", "zero-slot row"} {
-		if counts[name] < 20 {
-			t.Errorf("only %d %s groups among the trials", counts[name], name)
+	for _, lanes := range widths {
+		t.Logf("%d lanes: %v", lanes, counts[lanes])
+		for _, name := range []string{"one-row window", "fast two-row blend", "guarded two-row blend", "row-gathering", "wider-than-a-window",
+			"left-apron window", "right-apron window", "zero-slot row"} {
+			if counts[lanes][name] < 20 {
+				t.Errorf("%d lanes: only %d %s groups among the trials", lanes, counts[lanes][name], name)
+			}
+		}
+	}
+}
+
+// countWindowFetches counts, into counts, how the assembly of the given
+// width fetches each slice of each group of one tile, from the per-column
+// footprints, as SAMPLE decides from its lanes.
+func countWindowFetches(counts map[string]int, a *projAccess, lanes, nx, f0, f1 int, ax, ay, az, xc, zc float32, yc []float32) {
+	iu, iv := make([]int, lanes), make([]int, lanes)
+	for _, y := range yc {
+		for g := 0; g < nx; g += lanes {
+			body := "fast"
+			for l := range iu {
+				iu[l], iv[l], _ = footprint(g+l, ax, ay, az, xc, y, zc)
+			}
+			if g < (f0+lanes-1)&^(lanes-1) || g+lanes > f1&^(lanes-1) {
+				body = "guarded"
+				for l := range iu {
+					iu[l], iv[l] = min(max(iu[l], -2), a.nu), min(max(iv[l], a.lo-2), a.hi)
+				}
+			}
+			base, row := min(iu[0], iu[lanes-1]), min(iv[0], iv[lanes-1])
+			rows, oneWindow := 1, true
+			for l := range iu {
+				oneWindow = oneWindow && iu[l] >= base && iu[l] < base+lanes
+				switch {
+				case iv[l] != iv[0] && (iv[l] < row || iv[l] > row+1):
+					rows = 3
+				case iv[l] != iv[0] && rows < 3:
+					rows = 2
+				}
+			}
+			switch {
+			case rows == 3 || rows == 2 && !oneWindow:
+				counts["row-gathering"]++
+				continue
+			case !oneWindow:
+				counts["wider-than-a-window"]++
+				continue
+			case rows == 2:
+				counts[body+" two-row blend"]++
+			default:
+				counts["one-row window"]++
+			}
+			if base < 0 {
+				counts["left-apron window"]++
+			}
+			if base+lanes >= a.nu {
+				counts["right-apron window"]++
+			}
+			if row < a.lo || row+rows >= a.hi {
+				counts["zero-slot row"]++
+			}
 		}
 	}
 }
@@ -173,7 +207,7 @@ func tileInterior(t *testing.T, a *projAccess, nx int, ax, ay, az, xc, zc float3
 func checkTile(t *testing.T, name string, a *projAccess, nx, f0, f1 int, ax, ay, az, xc, zc float32, yc []float32) {
 	t.Helper()
 	var args simdRowArgs
-	a.initSpanArgs(&args, 0, ax, ay, az)
+	a.initSpanArgs(&args, 0, ax, ay, az, new(rowCache))
 	want := make([]float32, len(yc)*nx)
 	for k, y := range yc {
 		a.perColumn(want[k*nx:(k+1)*nx], 0, 0, nx, ax, ay, az, xc, y, zc)
@@ -189,11 +223,8 @@ func checkTile(t *testing.T, name string, a *projAccess, nx, f0, f1 int, ax, ay,
 	}
 }
 
-// cacheRows is the most detector rows the assembly's row cache holds.
-const cacheRows = 12
-
-// cacheExits replays, from the per-column footprints, how the assembly
-// fetches each 8-column group of one tile, and counts the ways: a group
+// cacheExits replays, from the per-column footprints, how the assembly of
+// the given width fetches each group of one tile, and counts the ways: a group
 // without a window, a tile of one slice and a group whose rows outnumber
 // the tile's slices or the cache's take the per-slice fetch (the assembly
 // rejects most of them before it bounds the rows, on the first lane's sweep
@@ -204,13 +235,16 @@ const cacheRows = 12
 // the window are counted apart. A slice whose rows the cache does not hold
 // — the end slices bound the middle ones unless a guarded lane's row
 // overflows the conversion — hands off too.
-func cacheExits(a *projAccess, nx, f0, f1 int, ax, ay, az, xc, zc float32, yc []float32) map[string]int {
+func cacheExits(a *projAccess, lanes, nx, f0, f1 int, ax, ay, az, xc, zc float32, yc []float32) map[string]int {
 	exits := map[string]int{}
 	h := len(yc)
-	for g := 0; g < nx; g += simdLanes {
-		guarded := g < (f0+simdLanes-1)&^(simdLanes-1) || g+simdLanes > f1&^(simdLanes-1)
-		var iu [simdLanes]int
-		iv := make([][simdLanes]int, h)
+	for g := 0; g < nx; g += lanes {
+		guarded := g < (f0+lanes-1)&^(lanes-1) || g+lanes > f1&^(lanes-1)
+		iu := make([]int, lanes)
+		iv := make([][]int, h)
+		for k := range iv {
+			iv[k] = make([]int, lanes)
+		}
 		clampedLow, clampedHigh := false, false
 		for k, y := range yc {
 			for l := range iu {
@@ -224,10 +258,10 @@ func cacheExits(a *projAccess, nx, f0, f1 int, ax, ay, az, xc, zc float32, yc []
 				}
 			}
 		}
-		base := min(iu[0], iu[simdLanes-1])
+		base := min(iu[0], iu[lanes-1])
 		window := true
 		for l := range iu {
-			window = window && iu[l] >= base && iu[l] < base+simdLanes
+			window = window && iu[l] >= base && iu[l] < base+lanes
 		}
 		rmin, rmax := iv[0][0], iv[0][0]
 		for _, k := range []int{0, h - 1} {
@@ -259,7 +293,7 @@ func cacheExits(a *projAccess, nx, f0, f1 int, ax, ay, az, xc, zc float32, yc []
 		cached := func(r, rows int) bool { return r >= rmin && r+rows <= rmax+2 }
 	slices:
 		for k := range iv {
-			m := min(iv[k][0], iv[k][simdLanes-1])
+			m := min(iv[k][0], iv[k][lanes-1])
 			rows := 1
 			for l := range iu {
 				switch {
@@ -303,12 +337,10 @@ func cvt32(f float32) int {
 
 // Every exit of the assembly's row cache must compute what the Go spelling
 // and the oracle compute, bit for bit: each tile below is built to take the
-// exit it names at least once (cacheExits checks that it does), in tiles of
-// 1, 2, 4, 8, 12 and 16 slices.
+// exit it names at least once at each width the host runs (cacheExits
+// checks that it does), in tiles of 1, 2, 4, 8, 12 and 16 slices.
 func TestSIMDRowCacheExits(t *testing.T) {
-	if !simdAvailable() {
-		t.Skip("no usable AVX2")
-	}
+	widths := assemblyLanes(t)
 	a := projAccess{nu: 160, np: 1, lo: 0, hi: 48}
 	a.data = make([]float32, a.nu*(a.hi-a.lo))
 	rng := rand.New(rand.NewSource(41))
@@ -364,10 +396,12 @@ func TestSIMDRowCacheExits(t *testing.T) {
 			yc[k] = float32(y * zd)
 		}
 		f0, f1 := tileInterior(t, &a, nx, ax, ay, az, xc, zc, yc)
-		exits := cacheExits(&a, nx, f0, f1, ax, ay, az, xc, zc, yc)
-		t.Logf("%s: interior [%d,%d), %v", name, f0, f1, exits)
-		if exits[tile.want] == 0 {
-			t.Errorf("%s: the tile never takes its exit: %v", name, exits)
+		for _, lanes := range widths {
+			exits := cacheExits(&a, lanes, nx, f0, f1, ax, ay, az, xc, zc, yc)
+			t.Logf("%s, %d lanes: interior [%d,%d), %v", name, lanes, f0, f1, exits)
+			if exits[tile.want] == 0 {
+				t.Errorf("%s, %d lanes: the tile never takes its exit: %v", name, lanes, exits)
+			}
 		}
 		checkTile(t, name, &a, nx, f0, f1, ax, ay, az, xc, zc, yc)
 	}

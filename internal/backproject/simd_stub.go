@@ -2,10 +2,16 @@
 
 package backproject
 
-// The vector spelling is amd64-only: elsewhere accumulateSlab dispatches
+import "distfdk/internal/device"
+
+// The vector spellings are amd64-only: elsewhere accumulateSlab dispatches
 // every launch to fusedTileGo.
-func simdAvailable() bool { return false }
+func hostArithmetic() device.Arithmetic { return device.ArithmeticScalar }
 
 func fusedTileAVX2(*simdRowArgs) {
-	panic("backproject: assembly kernel dispatched without simdAvailable")
+	panic("backproject: AVX2 kernel dispatched on a host without it")
+}
+
+func fusedTile512(*simdRowArgs) {
+	panic("backproject: AVX-512 kernel dispatched on a host without it")
 }

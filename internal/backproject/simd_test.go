@@ -53,7 +53,7 @@ func TestSIMDLaneCounts(t *testing.T) {
 	}
 }
 
-// Both spellings of a span launch — the assembly where the host runs it, and
+// Every spelling of a span launch — each assembly one the host runs, and
 // the Go one — must produce the oracle's accumulations bit for bit on
 // resident columns: the guards only decide whether a load happens, never
 // its value. This is the bit-identity the decomposition invariance rests
@@ -63,6 +63,7 @@ func TestSIMDLaneCounts(t *testing.T) {
 // sub-span widths, including 1..31), paired and guarded loads, and the
 // divide.
 func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
+	logSkippedSpellings(t)
 	rng := rand.New(rand.NewSource(41))
 	const nx = 160
 	for trial := 0; trial < 60; trial++ {
@@ -115,12 +116,13 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 
 // A guarded group that the covered span [c0,c1) only partly holds must
 // write its covered columns and no other, so an unmasked store may serve
-// only a group whose eight lanes are all covered. The columns outside the
+// only a group whose lanes are all covered. The columns outside the
 // span hold −0, which adding even +0 turns into +0, and the span starts and
 // ends mid-group inside the detector's shadow, in a tile of three slices,
 // with an interior run of fast groups between the guarded ends and without
-// one. Both spellings must leave the −0 columns bit for bit.
+// one. Every spelling must leave the −0 columns bit for bit.
 func TestGuardedPartialGroupWritesOnlySpan(t *testing.T) {
+	logSkippedSpellings(t)
 	rng := rand.New(rand.NewSource(71))
 	const nx, h = 64, 3
 	a := projAccess{nu: 96, np: 1, lo: 0, hi: 96}
@@ -145,7 +147,7 @@ func TestGuardedPartialGroupWritesOnlySpan(t *testing.T) {
 			for i := range out {
 				out[i] = negZero
 			}
-			pc := sub.newProjConsts(0, &m, nx)
+			pc := sub.newProjConsts(0, &m, nx, new(rowCache))
 			sub.launchSpan(&pc.args, out, nx, c0, c1, f0, f1, xc, zc, yc)
 			for k := 0; k < h; k++ {
 				for i := 0; i < nx; i++ {
@@ -175,6 +177,7 @@ func TestGuardedPartialGroupWritesOnlySpan(t *testing.T) {
 // must clamp into the store like any other. Compared bit for bit: NaN for
 // NaN.
 func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
+	logSkippedSpellings(t)
 	rng := rand.New(rand.NewSource(53))
 	const nx = 192
 	for trial := 0; trial < 90; trial++ {
@@ -273,7 +276,7 @@ func TestSIMDGuardedBodyMatchesReference(t *testing.T) {
 	}
 }
 
-// Both spellings of the kernel must reproduce the oracle — the exact
+// Every spelling of the kernel must reproduce the oracle — the exact
 // per-voxel evaluation — byte for byte.
 func TestRecurrenceParityVsExact(t *testing.T) {
 	sys := testSystem()
@@ -291,12 +294,15 @@ func TestRecurrenceParityVsExact(t *testing.T) {
 	})
 }
 
-// What the kernel computes does not depend on the host: on an AVX2 host it
-// is the assembly spelling and the ledger says avx2, with AVX2 masked off
-// (as on any other host) the Go spelling and the ledger says scalar — and
-// the two runs agree byte for byte, with the oracle, and counter for counter
+// What the kernel computes does not depend on the host: the default
+// dispatch runs the widest spelling the host has (testSystem's rows are
+// wide enough for the 16-lane one) and the ledger names it;
+// with AVX-512 masked off the ledger says avx2 (on a host with AVX2), with
+// AVX2 masked off (as on any other host) scalar — and every run agrees with
+// the default byte for byte, with the oracle, and counter for counter
 // except in which spelling was dispatched.
 func TestDefaultKernelDispatch(t *testing.T) {
+	logSkippedSpellings(t)
 	sys := testSystem()
 	sys.SigmaU, sys.SigmaV = 9, -7 // clip both detector edges into the rows
 	stack := randomStack(sys, 31)
@@ -310,19 +316,16 @@ func TestDefaultKernelDispatch(t *testing.T) {
 		}
 		l := dev.Snapshot()
 		if got := l.Arithmetic(); got != want.String() {
-			t.Errorf("ledger says %q ran, want %q", got, want)
+			t.Errorf("%s: ledger says %q ran, want %q", name, got, want)
 		}
 		if l.Dispatched[want] != l.KernelLaunches {
-			t.Errorf("%d of %d launches recorded as %s", l.Dispatched[want], l.KernelLaunches, want)
+			t.Errorf("%s: %d of %d launches recorded as %s", name, l.Dispatched[want], l.KernelLaunches, want)
 		}
+		l.Dispatched = [len(l.Dispatched)]int64{}
 		return vol, l
 	}
 
-	host := device.ArithmeticScalar
-	if simdAvailable() {
-		host = device.ArithmeticAVX2
-	}
-	got, l := run("default", host)
+	got, l := run("default", launchArithmetic(sys.NX))
 	if l.SIMDFullGroups == 0 {
 		t.Error("the kernel ran no full 8-lane group")
 	}
@@ -330,12 +333,52 @@ func TestDefaultKernelDispatch(t *testing.T) {
 	denseAccess(stack).reference(mats, want)
 	assertSameVolume(t, "the oracle", want, got)
 
-	defer cpufeat.SetAVX2ForTest(false)()
-	masked, ml := run("default-no-avx2", device.ArithmeticScalar)
-	assertSameVolume(t, "the default run", got, masked)
-	l.Dispatched, ml.Dispatched = [len(l.Dispatched)]int64{}, [len(l.Dispatched)]int64{}
-	if l != ml {
-		t.Errorf("counters depend on the dispatch:\ndefault %+v\nmasked  %+v", l, ml)
+	noAVX512 := device.ArithmeticScalar
+	if cpufeat.AVX2() {
+		noAVX512 = device.ArithmeticAVX2
+	}
+	for _, masked := range []struct {
+		name string
+		mask func(bool) func()
+		want device.Arithmetic
+	}{
+		{"default-no-avx512", cpufeat.SetAVX512ForTest, noAVX512},
+		{"default-no-avx2", cpufeat.SetAVX2ForTest, device.ArithmeticScalar},
+	} {
+		restore := masked.mask(false)
+		vol, ml := run(masked.name, masked.want)
+		restore()
+		assertSameVolume(t, masked.name, got, vol)
+		if l != ml {
+			t.Errorf("counters depend on the dispatch:\ndefault %+v\n%s %+v", l, masked.name, ml)
+		}
+	}
+}
+
+// Rows narrower than minColumns512 run the 8-lane assembly on an AVX-512
+// host and rows at the bound the 16-lane one, and each holds to the oracle.
+func TestNarrowRowsRunEightLanes(t *testing.T) {
+	logSkippedSpellings(t)
+	for _, nx := range []int{minColumns512 - 8, minColumns512} {
+		want := hostArithmetic()
+		if want == device.ArithmeticAVX512 && nx < minColumns512 {
+			want = device.ArithmeticAVX2
+		}
+		sys := testSystem()
+		sys.NX = nx
+		stack := randomStack(sys, 43)
+		mats := kernelMats(sys)
+		dev := device.New("narrow", 0, 2)
+		got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		if err := Batch(dev, stack, mats, got); err != nil {
+			t.Fatal(err)
+		}
+		if ran := dev.Snapshot().Arithmetic(); ran != want.String() {
+			t.Errorf("%d-column rows ran %q, want %q", nx, ran, want)
+		}
+		oracle, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		denseAccess(stack).reference(mats, oracle)
+		assertSameVolume(t, "the oracle", oracle, got)
 	}
 }
 

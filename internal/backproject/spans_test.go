@@ -5,21 +5,59 @@ import (
 	"math/rand"
 	"testing"
 
+	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
 	"distfdk/internal/geometry"
 )
+
+// hostSpellings returns the spellings of the kernel this host runs: the Go
+// one, and each assembly one the host has the instructions for.
+func hostSpellings() []device.Arithmetic {
+	out := []device.Arithmetic{device.ArithmeticScalar}
+	if cpufeat.AVX2() {
+		out = append(out, device.ArithmeticAVX2)
+	}
+	if cpufeat.AVX512() {
+		out = append(out, device.ArithmeticAVX512)
+	}
+	return out
+}
+
+// dispatchOnly masks the host's features down to the given spelling of the
+// kernel, so that a launch over rows wide enough for every spelling
+// dispatches it, and returns the restore func.
+func dispatchOnly(arith device.Arithmetic) (restore func()) {
+	switch arith {
+	case device.ArithmeticAVX2:
+		return cpufeat.SetAVX512ForTest(false)
+	case device.ArithmeticScalar:
+		return cpufeat.SetAVX2ForTest(false)
+	}
+	return func() {}
+}
+
+// logSkippedSpellings logs each assembly spelling this host cannot run,
+// for a test that holds every spelling it can to something: on such a
+// host the test passes without it, and says so.
+func logSkippedSpellings(t testing.TB) {
+	t.Helper()
+	if !cpufeat.AVX2() {
+		t.Log("the AVX2 spelling was skipped: this host cannot run it")
+	}
+	if !cpufeat.AVX512() {
+		t.Log("the AVX-512 spelling was skipped: this host cannot run it")
+	}
+}
 
 // spellings returns the access once per spelling of the kernel this
 // host can run, keyed by name, for tests that launch spans directly:
 // prepareSIMD must have accepted the buffer.
 func (a projAccess) spellings() map[string]*projAccess {
-	goSpelling := a
-	goSpelling.asm = false
-	out := map[string]*projAccess{"the Go spelling": &goSpelling}
-	if simdAvailable() {
-		asm := a
-		asm.asm = true
-		out["the assembly"] = &asm
+	out := map[string]*projAccess{}
+	for _, arith := range hostSpellings() {
+		sub := a
+		sub.arith = arith
+		out[arith.String()] = &sub
 	}
 	return out
 }
@@ -51,7 +89,7 @@ func (a *projAccess) layRows(h int, alloc func(n int) []float32) {
 // the per-projection half of the argument block, then the per-row half.
 func (a *projAccess) launchRow(out []float32, s, c0, c1, f0, f1 int, ax, ay, az, xc, yc, zc float32) {
 	var args simdRowArgs
-	a.initSpanArgs(&args, s, ax, ay, az)
+	a.initSpanArgs(&args, s, ax, ay, az, new(rowCache))
 	a.launchSpan(&args, out, 0, c0, c1, f0, f1, xc, zc, []float32{yc})
 }
 
@@ -237,7 +275,7 @@ func TestRowSpansMatchUnhoisted(t *testing.T) {
 			ax, ay, az = ax*0.05, ay*0.05, az*0.05 // short sweeps: whole-row accepts
 		}
 		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
-		pc := a.newProjConsts(0, &m, nx)
+		pc := a.newProjConsts(0, &m, nx, new(rowCache))
 		c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, yc, zc, nx)
 		wc0, wi0, wi1, wc1 := a.rowSpansUnhoisted(ax, ay, az, xc, yc, zc, nx)
 		if c0 != wc0 || i0 != wi0 || i1 != wi1 || c1 != wc1 {

@@ -9,34 +9,22 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 func init() {
-	avx2.Store(detectAVX2())
+	hasAVX2, hasAVX512 := features(probe())
+	avx2.Store(hasAVX2)
+	avx512.Store(hasAVX512)
 }
 
-// detectAVX2 performs the standard usability check: CPUID.1 must report
-// OSXSAVE (the OS exposes XGETBV) and AVX, XCR0 must show the OS saving
-// both XMM and YMM state on context switch, and CPUID.7.0 must report the
-// AVX2 instruction set. Any missing piece means the 256-bit kernels would
-// fault (SIGILL or corrupted vector state), so all must hold.
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
+// probe reads the words features decides on from this CPU.
+func probe() cpuidWords {
+	var w cpuidWords
+	w.maxLeaf, _, _, _ = cpuid(0, 0)
+	if w.maxLeaf < 7 {
+		return w
 	}
-	const (
-		cpuid1ECXOSXSAVE = 1 << 27
-		cpuid1ECXAVX     = 1 << 28
-		xcr0XMM          = 1 << 1
-		xcr0YMM          = 1 << 2
-		cpuid7EBXAVX2    = 1 << 5
-	)
-	_, _, c1, _ := cpuid(1, 0)
-	if c1&cpuid1ECXOSXSAVE == 0 || c1&cpuid1ECXAVX == 0 {
-		return false
+	_, _, w.leaf1ECX, _ = cpuid(1, 0)
+	_, w.leaf7EBX, _, _ = cpuid(7, 0)
+	if w.leaf1ECX&cpuid1ECXOSXSAVE != 0 {
+		w.xcr0, _ = xgetbv()
 	}
-	xlo, _ := xgetbv()
-	if xlo&(xcr0XMM|xcr0YMM) != xcr0XMM|xcr0YMM {
-		return false
-	}
-	_, b7, _, _ := cpuid(7, 0)
-	return b7&cpuid7EBXAVX2 != 0
+	return w
 }

@@ -2,5 +2,5 @@
 
 package cpufeat
 
-// Non-amd64 builds have no AVX2 path; the atomic's zero value (false) is
-// already correct, so there is nothing to probe.
+// Non-amd64 builds have no vector path; the atomics' zero values (false)
+// are already correct, so there is nothing to probe.

@@ -64,7 +64,7 @@ type Ledger struct {
 }
 
 // Arithmetic names the code path a back-projection launch dispatched to:
-// two spellings of one arithmetic, which produce the same bytes.
+// three spellings of one arithmetic, which produce the same bytes.
 type Arithmetic int
 
 const (
@@ -72,6 +72,8 @@ const (
 	ArithmeticAVX2 Arithmetic = iota
 	// ArithmeticScalar is the kernel spelled in Go, lane by lane.
 	ArithmeticScalar
+	// ArithmeticAVX512 is the kernel spelled in 16-lane AVX-512 assembly.
+	ArithmeticAVX512
 	numArithmetics
 )
 
@@ -81,13 +83,15 @@ func (a Arithmetic) String() string {
 		return "avx2"
 	case ArithmeticScalar:
 		return "scalar"
+	case ArithmeticAVX512:
+		return "avx512"
 	}
 	return fmt.Sprintf("arithmetic(%d)", int(a))
 }
 
 // Arithmetic names what the ledger's launches dispatched to: one name, or
 // several joined by "+" when they differed (a projection buffer past the
-// 32-bit gather range runs the Go spelling beside AVX2 launches); empty when
+// 32-bit gather range runs the Go spelling beside vector launches); empty when
 // no launch did work.
 func (l Ledger) Arithmetic() string {
 	var names []string

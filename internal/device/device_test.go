@@ -155,7 +155,7 @@ func TestLedgerArithmetic(t *testing.T) {
 	if got := l.Sub(first).Arithmetic(); got != "scalar" {
 		t.Fatalf("Sub keeps %q", got)
 	}
-	if got := numArithmetics.String(); got != "arithmetic(2)" {
+	if got := numArithmetics.String(); got != "arithmetic(3)" {
 		t.Fatalf("an unknown Arithmetic is spelled %q", got)
 	}
 }
@@ -285,13 +285,13 @@ func TestRingRejectsScheduleBugs(t *testing.T) {
 
 // The ring's budget is its allocation: h+1 slots (the last is the zero slot)
 // of np runs of nu+2 floats (two apron floats per run), two more to close
-// the last apron and eight of slack.
+// the last apron and the slack a WindowFloats-float window needs past it.
 func TestRingChargesDeviceMemory(t *testing.T) {
 	d := New("small", 1000, 1)
 	if _, err := NewProjRing(d, 10, 10, 10); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("expected OOM for a 5320-byte ring on 1000-byte device, got %v", err)
+		t.Fatalf("expected OOM for a 5348-byte ring on 1000-byte device, got %v", err)
 	}
-	const want = ((2+1)*5*(5+2) + 2 + 8) * 4 // 460 bytes for 200 of samples
+	const want = ((2+1)*5*(5+2) + 2 + WindowFloats - 2) * 4 // 488 bytes for 200 of samples
 	r, err := NewProjRing(d, 5, 5, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -38,13 +38,22 @@ type ProjRing struct {
 // adjacent — that holds the CUDA texture border as data: every run of NU
 // samples lies at stride NU+2, so that two zero floats precede and follow it
 // (neighbours share them), one further slot is never written (the zero slot:
-// what a row outside the resident range reads as), and 8 floats of slack
-// follow the last apron. A kernel may therefore read columns [−2, NU+2) of
-// any slot and the 9-float window starting at any of them without a guard.
+// what a row outside the resident range reads as), and WindowFloats − 2
+// floats of slack follow the last apron. A kernel may therefore read
+// columns [−2, NU+2) of any slot, and the WindowFloats floats starting at
+// any column in [−2, NU], without a guard.
 type Layout struct {
 	NU, NP int
 	H      int // slots: the ring depth in rows
 }
+
+// WindowFloats is the widest contiguous read any kernel spelling makes
+// from one column of a row: the 16-lane back-projection's window, sixteen
+// footprint origins and the right neighbour of the last (the 8-lane one
+// reads 9). Started at column NU, the greatest origin a guarded lane
+// clamps to, it ends WindowFloats − 2 floats past the row's right apron,
+// which the slack after the last row keeps readable.
+const WindowFloats = 17
 
 // ProjStride returns the storage distance between consecutive projections
 // of one detector row.
@@ -60,7 +69,7 @@ func (l Layout) ZeroBase() int { return l.H*l.NP*(l.NU+2) + 2 }
 
 // Len returns the floats a store of this layout occupies: apron, zero slot
 // and slack included. Bytes is its device-memory footprint.
-func (l Layout) Len() int     { return (l.H+1)*l.NP*(l.NU+2) + 2 + 8 }
+func (l Layout) Len() int     { return (l.H+1)*l.NP*(l.NU+2) + 2 + WindowFloats - 2 }
 func (l Layout) Bytes() int64 { return int64(l.Len()) * 4 }
 
 // Store copies the NP·NU samples of global row v, projection-major, to

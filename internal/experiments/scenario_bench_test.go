@@ -12,9 +12,11 @@ import (
 
 // BenchmarkScenarioBatch back-projects the tomo_00030 div 8 → 96³ scenario
 // (the benchmark's single-kernel problem) in one batch launch through each
-// spelling of the fast kernel — the host's dispatch, and the Go spelling a
-// launch falls back to, which no command line selects — the kernel alone
-// on a real geometry, runnable under pprof. The launch reads a ring as tall
+// spelling of the fast kernel the host runs — the host's dispatch, the
+// 8-lane assembly an AVX2-only host runs, and the Go spelling a launch falls
+// back to, none of which a command line selects — the kernel alone on a
+// real geometry, runnable under pprof. Each is reached by masking the
+// host's features down to it, and the ledger must name it. The launch reads a ring as tall
 // as the detector, loaded before the clock starts.
 func BenchmarkScenarioBatch(b *testing.B) {
 	sc, err := BuildScenario("tomo_00030", 8, 96, 1)
@@ -23,17 +25,22 @@ func BenchmarkScenarioBatch(b *testing.B) {
 	}
 	sys := sc.Sys
 	mats := core.KernelMatrices(sys, 0, sys.NP)
-	spellings := []bool{false}
-	if cpufeat.AVX2() {
-		spellings = []bool{true, false}
-	}
-	for _, avx2 := range spellings {
-		name := device.ArithmeticScalar.String()
-		if avx2 {
-			name = device.ArithmeticAVX2.String()
+	for _, spelling := range []struct {
+		arith device.Arithmetic
+		runs  bool
+		mask  func(bool) func()
+	}{
+		{device.ArithmeticAVX512, cpufeat.AVX512(), nil},
+		{device.ArithmeticAVX2, cpufeat.AVX2(), cpufeat.SetAVX512ForTest},
+		{device.ArithmeticScalar, true, cpufeat.SetAVX2ForTest},
+	} {
+		if !spelling.runs {
+			continue
 		}
-		b.Run(name, func(b *testing.B) {
-			defer cpufeat.SetAVX2ForTest(avx2)()
+		b.Run(spelling.arith.String(), func(b *testing.B) {
+			if spelling.mask != nil {
+				defer spelling.mask(false)()
+			}
 			dev := device.New("bench", 0, 1)
 			ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
 			if err != nil {
@@ -55,6 +62,10 @@ func BenchmarkScenarioBatch(b *testing.B) {
 				if err := backproject.Streaming(dev, ring, mats, vol, sc.Stack.Rows()); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if got := dev.Snapshot().Arithmetic(); got != spelling.arith.String() {
+				b.Fatalf("the launches ran %q", got)
 			}
 			gups := float64(updates) * float64(b.N) / b.Elapsed().Seconds() / 1e9
 			b.ReportMetric(gups, "GUPS")

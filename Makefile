@@ -15,12 +15,14 @@ test:
 	$(GO) test ./...
 
 # Full static + race-detector gate: the kernel's and the filter's worker
-# goroutines and the pipelined executor's stage goroutines must stay
-# race-clean everywhere. The trace smoke-run keeps the telemetry artifacts
-# loadable end to end.
+# goroutines and the executor's stage goroutines must stay race-clean
+# everywhere. The peak-RSS tests run again without -race, whose shadow
+# memory moves a process's peak: a race build compares their bytes only.
+# The trace smoke-run keeps the telemetry artifacts loadable end to end.
 check: doc-check fuse-lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run '^TestPeakRSS' ./cmd/fdkrecon/
 	$(MAKE) trace-smoke
 	$(MAKE) status-smoke
 	$(MAKE) chaos-recover
@@ -163,10 +165,11 @@ status-smoke:
 # kill-and-resume, the deadline/teardown suite, the send window in both
 # worlds (a full window blocks to the deadline, a pop's credit frees a slot
 # and releases the frames, forged credits free nothing), the pipeline's
-# drain on a stage failure (a failed batch hands its slab back, so a
-# pipelined rank returns instead of waiting for it) and the
-# journal/atomic-write storage tests, all under the race detector. -count=1 defeats the test cache so
-# the schedules actually re-run.
+# drain on a stage failure (a failed batch hands its slab back, so a rank
+# returns instead of waiting for it, and no batch behind it reaches reduce
+# or store without a slab), the interceptor's world ranks and the
+# journal/atomic-write storage tests, all under the race detector. -count=1
+# defeats the test cache so the schedules actually re-run.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestPipelinedFailure|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers|TestSendWindowReleasesPromptly|TestForgedCreditsCannotWidenWindow' \

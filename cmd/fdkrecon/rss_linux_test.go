@@ -10,6 +10,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"distfdk/internal/alloctest"
 )
 
 // peakEnv makes the test binary a launcher: it runs its command line as
@@ -80,7 +82,9 @@ func TestPeakRSSDoesNotTrackVolume(t *testing.T) {
 // frames go back to the arena when its credit returns. So the distributed
 // reconstruction over two processes peaks within 1 MiB of the same run in
 // one — a worker that ran ahead held most of the 3.4 MiB it reduces into
-// rank 0 — and writes the same bytes.
+// rank 0 — and writes the same bytes. The race runtime's shadow memory
+// alone spreads the two peaks by about that much, so a race build compares
+// only the bytes; `make check` also runs this test without -race.
 func TestPeakRSSWorldMatchesInProcess(t *testing.T) {
 	dir := t.TempDir()
 	noisyInput(t, filepath.Join(dir, "in.fbp"))
@@ -91,7 +95,7 @@ func TestPeakRSSWorldMatchesInProcess(t *testing.T) {
 	}
 	inproc, world := peak("inproc"), peak("world", "-world", "2")
 	t.Logf("peak RSS %.2f MiB in process, %.2f MiB over two processes", float64(inproc)/(1<<20), float64(world)/(1<<20))
-	if world-inproc > 1<<20 {
+	if !alloctest.Race && world-inproc > 1<<20 {
 		t.Error("the socket world peaks more than 1 MiB above the in-process world: a sender runs ahead of its receiver")
 	}
 	a, err := os.ReadFile(filepath.Join(dir, "inproc.fbk"))

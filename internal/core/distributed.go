@@ -210,9 +210,10 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 
 		// Phase markers: when the injector carries a scenario phase
 		// schedule, each rank's trace shows one warmup/inject/recovery
-		// span per contiguous phase window — the inject window is then
-		// visible in the Chrome trace right next to the faults it scoped,
-		// and the SLO gate can align latencies to it.
+		// span per contiguous phase window of its batch boundaries, each
+		// opened before any span of the window's first batch — the inject
+		// window is then visible in the Chrome trace right next to the
+		// faults it scoped, and the SLO gate can align latencies to it.
 		endPhase := func() {}
 		defer func() { endPhase() }()
 		phase := ""
@@ -229,16 +230,25 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 			},
 			sys: p.Sys, sched: p.schedule(g), pLo: pLo, pHi: pHi,
 			group: group, hierarchical: opts.Hierarchical, ranksPerNode: opts.RanksPerNode,
-			enter: func(c int) error {
+			enter: func(stage string, c int) error {
+				// Every stage records the batch it serves: an operation's
+				// fault phase is its stage's batch's. The load stage's
+				// invocation comes first in every batch, so it also carries
+				// the batch boundary.
+				if stage != "load" {
+					inj.Serve(rank, stage, c)
+					return nil
+				}
 				curBatch.Set(int64(c))
 				// The batch boundary is the rank-kill injection point of the
 				// chaos matrix: a scheduled kill surfaces here as a permanent
-				// fault.Error, aborting this rank so its peers observe the
-				// loss through world teardown.
+				// fault.Error, failing the load stage; the batches before it
+				// still leave the rank, then its peers observe the loss
+				// through world teardown.
 				if err := inj.BatchStart(rank, c); err != nil {
 					return fmt.Errorf("batch %d: %w", c, err)
 				}
-				if ph := inj.PhaseOf(rank); ph != "" && ph != phase {
+				if ph := inj.PhaseOf(rank, stage); ph != "" && ph != phase {
 					endPhase()
 					endPhase = reg.Span("phase."+ph, c)
 					phase = ph

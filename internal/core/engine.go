@@ -53,13 +53,15 @@ func ringDepth(sched []batch) int {
 
 // program is the per-rank reconstruction program of Figure 6, written once:
 // load → filter → back-project → reduce → store over a schedule of slab
-// batches. ReconstructSingle, every rank of RunDistributed and every chunk
+// batches, run by pipeline.Run with its stages on separate goroutines, so
+// the reduce and store of batch c overlap the load and filter of the batches
+// after it. ReconstructSingle, every rank of RunDistributed and every chunk
 // of a RunBatchBaseline rank fill in the exported-option half and call run,
 // and every one of them builds the same stage list: reduce where there is a
 // group, store where there is a sink.
 //
 // Each piece of cross-batch state has exactly one owning stage, which is
-// what lets the pipelined executor run the stages on separate goroutines:
+// what lets the stages run on separate goroutines:
 //
 //	load         the differential-load cursor (loaded)
 //	filter       nothing — it filters the batch's own host stack
@@ -70,19 +72,11 @@ func ringDepth(sched []batch) int {
 //	reduce       the group collective
 //	store        the sink and the checkpoint journal
 //
-// The rank has one slab buffer, whichever executor runs it. A batch holds it
-// from back-projection until it leaves the rank — through the last stage, or
-// at the stage where it failed — so under pipeline.Run the kernel of batch
-// c+1 starts once batch c is stored.
-//
-// The executor follows from the shell: a program without a group runs
-// pipeline.Run, a distributed rank pipeline.RunSerial with enter at every
-// batch boundary. A rank's fault phase is a pure function of the highest
-// batch boundary it has reached (fault/phase.go); under pipeline.Run its
-// load stage would reach the next boundary while its reduce stage still
-// receives for the batch before, those receives would see the later phase,
-// and a scenario that gates on faults injected in its inject phase could
-// count none. So ranks keep to lockstep until the phase follows the batch.
+// The rank has one slab buffer. A batch holds it from back-projection until
+// it leaves the rank — through the last stage, or at the stage where it
+// failed — so the kernel of batch c+1 starts once batch c is stored: the
+// one slab is the credit that bounds the batches a rank has in flight past
+// its kernel to one.
 //
 // Both cursors advance on executed batches only, so a resumed run reloads
 // whatever a checkpointed batch would have left resident.
@@ -94,14 +88,14 @@ type program struct {
 	sys      *geometry.System
 	sched    []batch
 	pLo, pHi int // this rank's global projection window
-	// group, when set, is reduced over after back-projection, and the
-	// program runs serially.
+	// group, when set, is reduced over after back-projection.
 	group        *mpi.Comm
 	hierarchical bool
 	ranksPerNode int
-	// enter is RunSerial's batch-boundary hook (the distributed shell's kill
-	// point and phase markers).
-	enter func(c int) error
+	// enter is pipeline.Run's hook, called before every (stage, batch)
+	// invocation: the distributed shell's kill point, phase markers and
+	// fault phase record. Nil in the other shells.
+	enter func(stage string, c int) error
 
 	retry  *fault.RetryPolicy // Retry, reporting into Telemetry
 	fdk    *filter.FDK
@@ -114,8 +108,10 @@ type program struct {
 	// with it when WriteSlab returns), so a batch hands it back as it leaves.
 	slab chan []float32
 	// failed is set by a batch that fails while holding the slab, before it
-	// hands the slab back: a back-projection that takes it afterwards gives
-	// it back unused rather than run a batch nothing downstream will take.
+	// hands the slab back, and makes every later stage invocation idle. The
+	// executor records a failure only once the stage returns: in between, a
+	// back-projection could take the slab for a batch nothing will store,
+	// or pass a batch on to reduce and store with no slab.
 	failed           atomic.Bool
 	loaded, resident geometry.RowRange
 	last             string        // name of the rank's last stage
@@ -179,11 +175,7 @@ func (e *program) run() error {
 	}
 	pl.Telemetry = e.Telemetry
 	start := time.Now()
-	if e.group != nil {
-		err = pl.RunSerial(len(e.sched), e.enter)
-	} else {
-		err = pl.Run(len(e.sched))
-	}
+	err = pl.Run(len(e.sched), e.enter)
 	e.elapsed = time.Since(start)
 	return err
 }
@@ -200,13 +192,14 @@ func (e *program) report() (*ReconReport, error) {
 // stage adapts a stage body to the pipeline. The batch is looked up in the
 // schedule rather than asserted out of the `any` payload; a checkpointed
 // batch is idle in every stage, so it neither loads rows, mutates the ring
-// nor stores — and never advances a cursor. A batch is executed once it has
-// left the rank's last stage; it hands the slab back there, or at the stage
-// that failed it.
+// nor stores — and never advances a cursor — and so is every batch once one
+// has failed holding the slab. A batch is executed once it has left the
+// rank's last stage; it hands the slab back there, or at the stage that
+// failed it.
 func (e *program) stage(name string, body func(*batch) error) pipeline.Stage {
 	return pipeline.Stage{Name: name, Fn: func(c int, _ any) (any, error) {
 		b := &e.sched[c]
-		if b.skip {
+		if b.skip || e.failed.Load() {
 			return nil, pipeline.Idle
 		}
 		err := body(b)

@@ -10,13 +10,15 @@ import (
 
 	"distfdk/internal/device"
 	"distfdk/internal/fault"
+	"distfdk/internal/mpi"
+	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
 	"distfdk/internal/telemetry"
 )
 
 // memLog is an in-memory CheckpointLog keyed by z0. Like storage.Journal it
-// is safe for the pipelined executor, whose load stage asks Done while its
-// store stage Records.
+// is safe for the executor, whose load stage asks Done while its store stage
+// Records.
 type memLog struct {
 	mu   sync.Mutex
 	done map[int]bool
@@ -152,20 +154,19 @@ func spanNames(spans []telemetry.Span) string {
 	return fmt.Sprint(out)
 }
 
-// The serial and pipelined executors call the same stages through one
-// invoke. The serial one runs a world's ranks, so its arm is a one-rank
-// world: it records the pipelined run's stage names plus reduce, and a
+// The two shells of the one executor, a one-rank world and
+// ReconstructSingle, record the same stages (the world's plus reduce), and a
 // failing stage's error names stage and batch in both.
-func TestSerialRunHasSpansAndStageErrors(t *testing.T) {
+func TestShellsRecordSpansAndStageErrors(t *testing.T) {
 	sys := testSystem()
 	src := &projection.MemorySource{Full: sheppStack(t, sys)}
 	p, err := NewPlan(sys, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(serial bool, src projection.Source, inj *fault.Injector) (string, error) {
+	run := func(world bool, src projection.Source, inj *fault.Injector) (string, error) {
 		sink, _ := NewVolumeSink(sys)
-		if serial {
+		if world {
 			rep, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink, FaultInjector: inj, Telemetry: telemetry.NewRun(1)})
 			return spanNames(rep.Telemetry[0].Spans), err
 		}
@@ -176,27 +177,27 @@ func TestSerialRunHasSpansAndStageErrors(t *testing.T) {
 		_, err := ReconstructSingle(ReconOptions{Plan: p, Source: src, Device: device.New("spans", 0, 1), Sink: sink, Telemetry: reg})
 		return spanNames(reg.Spans()), err
 	}
-	serial, err := run(true, src, nil)
+	world, err := run(true, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipelined, err := run(false, src, nil)
+	single, err := run(false, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != "[backproject filter load reduce store]" || pipelined != "[backproject filter load store]" {
-		t.Errorf("serial run recorded stages %s, want [backproject filter load reduce store]; pipelined %s, want [backproject filter load store]", serial, pipelined)
+	if world != "[backproject filter load reduce store]" || single != "[backproject filter load store]" {
+		t.Errorf("one-rank world recorded stages %s, want [backproject filter load reduce store]; single %s, want [backproject filter load store]", world, single)
 	}
 
-	for _, serial := range []bool{true, false} {
+	for _, world := range []bool{true, false} {
 		in := fault.NewInjector(7,
 			fault.Rule{Op: fault.OpLoad, Rank: 0, Nth: 2, Count: fault.Every, Class: fault.Permanent})
-		_, err := run(serial, src, in)
+		_, err := run(world, src, in)
 		if !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("serial=%v: run did not abort on the injected load fault: %v", serial, err)
+			t.Fatalf("world=%v: run did not abort on the injected load fault: %v", world, err)
 		}
 		if want := `stage "load" batch 1`; !strings.Contains(err.Error(), want) {
-			t.Errorf("serial=%v: error %q does not name %s", serial, err, want)
+			t.Errorf("world=%v: error %q does not name %s", world, err, want)
 		}
 	}
 }
@@ -230,11 +231,11 @@ func TestRankStageList(t *testing.T) {
 	}
 }
 
-// The two executors of the rank program — pipelined (ReconstructSingle) and
-// serial (a one-rank RunDistributed) — produce the same volume to the last
-// bit at every device width: the width only cuts the filter's rows and the
-// kernel's tiles among goroutines, the executor only when a stage runs.
-func TestExecutorsBitIdentical(t *testing.T) {
+// The rank program's two shells — ReconstructSingle and a one-rank
+// RunDistributed — produce the same volume to the last bit at every device
+// width: the width only cuts the filter's rows and the kernel's tiles among
+// goroutines, and the shell only adds a reduce over a group of one.
+func TestShellsBitIdentical(t *testing.T) {
 	sys := testSystem()
 	src := &projection.MemorySource{Full: sheppStack(t, sys)}
 	p, err := NewPlan(sys, 1, 1, 4)
@@ -243,15 +244,15 @@ func TestExecutorsBitIdentical(t *testing.T) {
 	}
 	var ref []float32
 	for _, workers := range []int{1, 3} {
-		for _, serial := range []bool{false, true} {
+		for _, world := range []bool{false, true} {
 			sink, _ := NewVolumeSink(sys)
-			if serial {
+			if world {
 				_, err = RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink, WorkersPerRank: workers})
 			} else {
 				_, err = ReconstructSingle(ReconOptions{Plan: p, Source: src, Device: device.New("exec", 0, workers), Sink: sink})
 			}
 			if err != nil {
-				t.Fatalf("workers=%d serial=%v: %v", workers, serial, err)
+				t.Fatalf("workers=%d world=%v: %v", workers, world, err)
 			}
 			if ref == nil {
 				ref = sink.V.Data
@@ -259,11 +260,49 @@ func TestExecutorsBitIdentical(t *testing.T) {
 			}
 			for i := range ref {
 				if sink.V.Data[i] != ref[i] {
-					t.Fatalf("workers=%d serial=%v: voxel %d: %g != pipelined width 1 %g",
-						workers, serial, i, sink.V.Data[i], ref[i])
+					t.Fatalf("workers=%d world=%v: voxel %d: %g != single width 1 %g",
+						workers, world, i, sink.V.Data[i], ref[i])
 				}
 			}
 		}
+	}
+}
+
+// A downstream failure never runs reduce or store without a slab. A group
+// leader's store fails at batch 0 and hands the slab back while batch 1
+// waits for it in backproject; the executor records the failure only once
+// the store stage returns, so batch 1 can take the slab and reach reduce and
+// store before that. The stages are driven here by hand in exactly that
+// order: every invocation of batch 1 is idle, and the slab is back in its
+// channel.
+func TestFailedStoreIdlesTheQueuedBatch(t *testing.T) {
+	sys := testSystem()
+	err := mpi.RunWith(1, mpi.Options{}, func(world *mpi.Comm) error {
+		e := &program{
+			ReconOptions: ReconOptions{Device: device.New("race", 0, 1), Sink: failingSink{at: 0}},
+			// Rows no detector row sees: backproject needs no ring.
+			sys: sys, sched: []batch{{c: 0, z0: 0, nz: 1}, {c: 1, z0: 1, nz: 1}}, group: world,
+			slab: make(chan []float32, 1), last: "store",
+		}
+		e.slab <- make([]float32, sys.NX*sys.NY)
+		stages := []pipeline.Stage{e.stage("backproject", e.backproject), e.stage("reduce", e.reduce), e.stage("store", e.store)}
+		for _, s := range stages {
+			if _, err := s.Fn(0, nil); (err != nil) != (s.Name == "store") {
+				t.Fatalf("%s of batch 0: %v", s.Name, err)
+			}
+		}
+		for _, s := range stages {
+			if _, err := s.Fn(1, nil); err != pipeline.Idle {
+				t.Errorf("%s of batch 1 after the failed store: %v, want idle", s.Name, err)
+			}
+		}
+		if len(e.slab) != 1 || e.done.Value() != 0 {
+			t.Errorf("slab channel holds %d, %d batches done; want the slab back and none done", len(e.slab), e.done.Value())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

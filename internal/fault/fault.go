@@ -143,10 +143,11 @@ type Rule struct {
 	Delay time.Duration // > 0: stall instead of failing
 	// Phase, when non-empty, additionally scopes the rule to the named
 	// scenario phase (PhaseWarmup, PhaseInject, PhaseRecovery): the rule
-	// fires only while the performing rank is inside that phase of the
-	// armed PhaseSchedule. Occurrence counting is unaffected — Nth/Count
-	// still index the full (Op, Rank) sequence — so adding a phase window
-	// never renumbers the occurrences other rules match on.
+	// fires only on an operation whose stage serves a batch of that phase
+	// under the armed PhaseSchedule (see phase.go). Occurrence counting is
+	// unaffected — Nth/Count still index the full (Op, Rank) sequence — so
+	// adding a phase window never renumbers the occurrences other rules
+	// match on.
 	Phase string
 }
 
@@ -184,14 +185,13 @@ type Injector struct {
 
 	mu     sync.Mutex
 	counts map[opRank]int
-	kills  map[opRank]bool // (rank, batch) boundaries scheduled to kill
+	kills  map[rankBatch]bool // scheduled kills not yet fired
 	fired  int
 
-	// Phase state (see phase.go): the armed schedule, each rank's batch
-	// high-water mark, and the transition log scenarios assert on.
-	phases      *PhaseSchedule
-	batchHigh   map[int]int
-	transitions []PhaseTransition
+	// Phase state (see phase.go): the armed schedule and the batch each
+	// (rank, stage) has served up to.
+	phases  *PhaseSchedule
+	serving map[rankStage]int
 }
 
 type opRank struct {
@@ -199,13 +199,17 @@ type opRank struct {
 	rank int
 }
 
-// killKey encodes a scheduled kill's (rank, batch) coordinates in the
-// opRank map key: op carries the batch ordinal.
-func killKey(rank, batch int) opRank { return opRank{op: fmt.Sprintf("b%d", batch), rank: rank} }
+type rankBatch struct{ rank, batch int }
+
+type rankStage struct {
+	rank  int
+	stage string
+}
 
 // NewInjector builds an injector for one seeded schedule.
 func NewInjector(seed int64, rules ...Rule) *Injector {
-	return &Injector{seed: seed, rules: append([]Rule(nil), rules...), counts: map[opRank]int{}}
+	return &Injector{seed: seed, rules: append([]Rule(nil), rules...),
+		counts: map[opRank]int{}, kills: map[rankBatch]bool{}, serving: map[rankStage]int{}}
 }
 
 // Seed returns the schedule's seed (a label for reports and reproduction).
@@ -227,10 +231,7 @@ func (in *Injector) Fired() int {
 func (in *Injector) ScheduleKill(rank, batch int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.kills == nil {
-		in.kills = map[opRank]bool{}
-	}
-	in.kills[killKey(rank, batch)] = true
+	in.kills[rankBatch{rank, batch}] = true
 }
 
 // PendingKills returns how many scheduled kills have not fired yet.
@@ -243,19 +244,20 @@ func (in *Injector) PendingKills() int {
 	return len(in.kills)
 }
 
-// BatchStart records that rank reached the boundary of batch and returns
-// the scheduled kill armed for exactly those coordinates, if any,
-// consuming it. The drivers call this at the top of every batch, which is
-// what makes "kill rank r at batch b" a first-class chaos schedule rather
-// than an approximation via per-operation counts. A nil injector is
+// BatchStart is the load stage's Serve — rank reaching the boundary of
+// batch — and returns the scheduled kill armed for exactly those
+// coordinates, if any, consuming it. The drivers call it before the load
+// stage's invocation of every batch, ahead of any span of the batch, which
+// is what makes "kill rank r at batch b" a first-class chaos schedule
+// rather than an approximation via per-operation counts. A nil injector is
 // inert.
 func (in *Injector) BatchStart(rank, batch int) error {
 	if in == nil {
 		return nil
 	}
 	in.mu.Lock()
-	in.advancePhase(rank, batch)
-	key := killKey(rank, batch)
+	in.serveLocked(rank, OpLoad, batch)
+	key := rankBatch{rank, batch}
 	armed := in.kills[key]
 	if armed {
 		delete(in.kills, key)
@@ -279,7 +281,7 @@ func (in *Injector) Hit(op string, rank int) error {
 	key := opRank{op, rank}
 	in.counts[key]++
 	n := in.counts[key]
-	phase := in.phaseOfLocked(rank)
+	phase := in.phaseOfLocked(rank, stageOf(op))
 	var hit *Rule
 	for i := range in.rules {
 		r := &in.rules[i]
@@ -306,8 +308,10 @@ func (in *Injector) Hit(op string, rank int) error {
 	return &Error{Class: hit.Class, Op: op, Rank: rank, N: n}
 }
 
-// BeforeSend implements the mpi.Interceptor send hook.
+// BeforeSend implements the mpi.Interceptor send hook; rank is the world
+// rank.
 func (in *Injector) BeforeSend(rank, dst, tag int) error { return in.Hit(OpSend, rank) }
 
-// BeforeRecv implements the mpi.Interceptor receive hook.
+// BeforeRecv implements the mpi.Interceptor receive hook; rank is the
+// world rank.
 func (in *Injector) BeforeRecv(rank, src, tag int) error { return in.Hit(OpRecv, rank) }

@@ -1,14 +1,17 @@
 package fault
 
-import "fmt"
-
 // Phase names the three windows of a declarative chaos scenario. A
 // schedule splits a run's batch axis into warmup (let the pipeline reach
 // steady state), inject (the fault rules fire) and recovery (observe the
 // system settle) — the structure every scenario in scenarios/ declares and
-// cmd/slogate gates on. Phases are per-rank: a rank's phase is a pure
-// function of the highest batch boundary it has reached, so phase-scoped
-// rules stay exactly as deterministic as the batch loop itself.
+// cmd/slogate gates on. An operation's phase is the phase of the batch its
+// stage of the rank program is serving: a load's the load stage's, a
+// store's the store stage's, and every message operation's (send, recv and
+// the wire frames below them) the reduce stage's. The stages run
+// concurrently and the load stage runs batches ahead, so a receive is
+// judged by the batch it reduces, not by how far ahead the loader has run;
+// each stage sees its batches in order, so phase-scoped rules stay exactly
+// as deterministic as the stage itself.
 const (
 	PhaseWarmup   = "warmup"
 	PhaseInject   = "inject"
@@ -35,23 +38,11 @@ func (ps PhaseSchedule) Phase(batch int) string {
 	return PhaseRecovery
 }
 
-// PhaseTransition records one rank crossing a phase boundary: at the
-// boundary of Batch, the rank left From and entered To.
-type PhaseTransition struct {
-	Rank  int
-	Batch int
-	From  string
-	To    string
-}
-
-func (t PhaseTransition) String() string {
-	return fmt.Sprintf("rank %d: %s→%s at batch %d", t.Rank, t.From, t.To, t.Batch)
-}
-
 // SetPhaseSchedule arms the injector with a phase schedule. Rules carrying
-// a Phase then fire only while their rank is inside that phase; rules with
-// an empty Phase are unaffected. Must be called before the run starts —
-// the schedule is read concurrently by every rank's hot path.
+// a Phase then fire only while the stage performing the operation serves a
+// batch of that phase; rules with an empty Phase are unaffected. Must be
+// called before the run starts — the schedule is read concurrently by
+// every rank's hot path.
 func (in *Injector) SetPhaseSchedule(ps PhaseSchedule) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -68,69 +59,48 @@ func (in *Injector) PhaseSchedule() *PhaseSchedule {
 	return in.phases
 }
 
-// phaseOfLocked returns rank's current phase under the armed schedule
-// (PhaseWarmup before the rank's first batch). Callers hold in.mu.
-func (in *Injector) phaseOfLocked(rank int) string {
-	if in.phases == nil {
-		return ""
+// stageOf names the stage of the rank program that performs op: a load or
+// a store its own stage, every message operation the reduce.
+func stageOf(op string) string {
+	if op == OpLoad || op == OpStore {
+		return op
 	}
-	batch, ok := in.batchHigh[rank]
-	if !ok {
-		// No boundary reached yet: the rank is still in its first batch's
-		// phase, which is the phase of batch 0.
-		return in.phases.Phase(0)
-	}
-	return in.phases.Phase(batch)
+	return "reduce"
 }
 
-// PhaseOf returns rank's current phase, or "" when no schedule is armed.
-// Deterministic: each rank's batch loop is sequential, so the phase its
-// own operations observe depends only on the schedule and the batch the
-// rank last started.
-func (in *Injector) PhaseOf(rank int) string {
+// Serve records that rank's stage starts serving batch. The drivers call it
+// before every stage invocation; BatchStart is the load stage's call. The
+// record is a high-water mark per (rank, stage), so batches a supervised
+// restart replays (indices restarting at zero on the shrunk world) never
+// move a stage back through its phases. A nil injector is inert.
+func (in *Injector) Serve(rank int, stage string, batch int) {
+	if in == nil {
+		return
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.serveLocked(rank, stage, batch)
+}
+
+func (in *Injector) serveLocked(rank int, stage string, batch int) {
+	k := rankStage{rank, stage}
+	in.serving[k] = max(in.serving[k], batch)
+}
+
+// PhaseOf returns the phase of the batch rank's stage is serving — batch
+// 0's before the stage's first — or "" when no schedule is armed.
+func (in *Injector) PhaseOf(rank int, stage string) string {
 	if in == nil {
 		return ""
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.phaseOfLocked(rank)
+	return in.phaseOfLocked(rank, stage)
 }
 
-// advancePhase records that rank reached the boundary of batch and
-// appends the phase transition it implies, if any. The per-rank batch
-// high-water mark makes every transition fire exactly once per schedule:
-// batches replayed by a supervised restart (indices restarting at zero on
-// the shrunk world) never move a rank backwards through its phases.
-// Callers hold in.mu.
-func (in *Injector) advancePhase(rank, batch int) {
+func (in *Injector) phaseOfLocked(rank int, stage string) string {
 	if in.phases == nil {
-		return
+		return ""
 	}
-	if in.batchHigh == nil {
-		in.batchHigh = map[int]int{}
-	}
-	prev, seen := in.batchHigh[rank]
-	if seen && batch <= prev {
-		return
-	}
-	in.batchHigh[rank] = batch
-	from := in.phases.Phase(0)
-	if seen {
-		from = in.phases.Phase(prev)
-	}
-	if to := in.phases.Phase(batch); to != from {
-		in.transitions = append(in.transitions, PhaseTransition{Rank: rank, Batch: batch, From: from, To: to})
-	}
-}
-
-// Transitions returns the phase transitions recorded so far, in the order
-// they fired. With a well-formed schedule each rank contributes each
-// boundary at most once.
-func (in *Injector) Transitions() []PhaseTransition {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]PhaseTransition(nil), in.transitions...)
+	return in.phases.Phase(in.serving[rankStage{rank, stage}])
 }

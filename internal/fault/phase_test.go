@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -29,34 +30,29 @@ func TestPhaseScheduleWindows(t *testing.T) {
 func TestPhaseTransitionsFireExactlyOnce(t *testing.T) {
 	in := NewInjector(7)
 	in.SetPhaseSchedule(PhaseSchedule{WarmupBatches: 1, InjectBatches: 2})
-	// Rank 0 walks every boundary in order; replaying a boundary (a
-	// supervised restart re-entering batch 0) must not re-fire anything.
+	// Rank 0's load stage walks every boundary in order; replaying a
+	// boundary (a supervised restart re-entering batch 0) must not move it
+	// back into an earlier phase.
+	var got []string
 	for _, b := range []int{0, 1, 2, 3, 0, 1, 3} {
 		if err := in.BatchStart(0, b); err != nil {
 			t.Fatalf("BatchStart: %v", err)
 		}
+		got = append(got, in.PhaseOf(0, OpLoad))
 	}
-	got := in.Transitions()
-	want := []PhaseTransition{
-		{Rank: 0, Batch: 1, From: PhaseWarmup, To: PhaseInject},
-		{Rank: 0, Batch: 3, From: PhaseInject, To: PhaseRecovery},
+	want := []string{PhaseWarmup, PhaseInject, PhaseInject, PhaseRecovery, PhaseRecovery, PhaseRecovery, PhaseRecovery}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("load phases %v, want %v", got, want)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("transitions = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("transition %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if ph := in.PhaseOf(0); ph != PhaseRecovery {
-		t.Errorf("PhaseOf(0) = %q, want recovery", ph)
+	// The other stages have served nothing yet: they are in batch 0's phase.
+	if ph := in.PhaseOf(0, "reduce"); ph != PhaseWarmup {
+		t.Errorf("PhaseOf(0, reduce) = %q, want warmup", ph)
 	}
 }
 
 func TestPhaseTransitionsSkipIntermediateBoundary(t *testing.T) {
 	// A rank that skips checkpointed batches can jump straight from its
-	// first boundary into recovery: exactly one transition, warmup→recovery.
+	// first boundary into recovery.
 	in := NewInjector(1)
 	in.SetPhaseSchedule(PhaseSchedule{WarmupBatches: 1, InjectBatches: 1})
 	if err := in.BatchStart(2, 0); err != nil {
@@ -65,9 +61,46 @@ func TestPhaseTransitionsSkipIntermediateBoundary(t *testing.T) {
 	if err := in.BatchStart(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	got := in.Transitions()
-	if len(got) != 1 || got[0] != (PhaseTransition{Rank: 2, Batch: 3, From: PhaseWarmup, To: PhaseRecovery}) {
-		t.Fatalf("transitions = %v, want one warmup→recovery at batch 3", got)
+	if ph := in.PhaseOf(2, OpLoad); ph != PhaseRecovery {
+		t.Fatalf("PhaseOf(2, load) = %q, want recovery", ph)
+	}
+}
+
+// An operation is judged in the phase of the batch its own stage serves:
+// with the load stage already in recovery, a receive of the reduce stage
+// serving an inject batch is still an inject receive, and a store of the
+// store stage serving a warmup batch a warmup store.
+func TestPhaseFollowsTheStageBatch(t *testing.T) {
+	in := NewInjector(3,
+		Rule{Op: OpRecv, Rank: AnyRank, Count: Every, Class: Transient, Phase: PhaseInject},
+		Rule{Op: OpStore, Rank: 1, Count: Every, Class: Transient, Phase: PhaseInject},
+		Rule{Op: OpLoad, Rank: 1, Count: Every, Class: Transient, Phase: PhaseInject})
+	in.SetPhaseSchedule(PhaseSchedule{WarmupBatches: 1, InjectBatches: 1})
+	if err := in.BatchStart(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	in.Serve(1, "reduce", 1)
+	in.Serve(1, OpStore, 0)
+	if err := in.Hit(OpLoad, 1); err != nil {
+		t.Errorf("a recovery-batch load faulted: %v", err)
+	}
+	if err := in.BeforeRecv(1, 0, 0); err == nil {
+		t.Error("an inject-batch receive did not fault")
+	}
+	if err := in.Hit(OpStore, 1); err != nil {
+		t.Errorf("a warmup-batch store faulted: %v", err)
+	}
+	// Rank 0's reduce stage is still in warmup, whatever rank 1 serves.
+	if err := in.BeforeRecv(0, 1, 0); err != nil {
+		t.Errorf("rank 0's warmup receive faulted: %v", err)
+	}
+	in.Serve(1, "reduce", 2)
+	in.Serve(1, "reduce", 1) // a replayed batch never moves the stage back
+	if err := in.BeforeRecv(1, 0, 0); err != nil {
+		t.Errorf("a recovery-batch receive faulted: %v", err)
+	}
+	if f := in.Fired(); f != 1 {
+		t.Errorf("Fired = %d, want 1", f)
 	}
 }
 
@@ -129,16 +162,14 @@ func TestPhaseScopedRuleKeepsOccurrenceNumbering(t *testing.T) {
 
 func TestPhaseOfWithoutSchedule(t *testing.T) {
 	in := NewInjector(1)
-	if ph := in.PhaseOf(0); ph != "" {
+	if ph := in.PhaseOf(0, OpLoad); ph != "" {
 		t.Errorf("PhaseOf without schedule = %q, want empty", ph)
 	}
 	var nilInj *Injector
-	if ph := nilInj.PhaseOf(0); ph != "" {
+	if ph := nilInj.PhaseOf(0, OpLoad); ph != "" {
 		t.Errorf("nil injector PhaseOf = %q, want empty", ph)
 	}
-	if tr := nilInj.Transitions(); tr != nil {
-		t.Errorf("nil injector Transitions = %v, want nil", tr)
-	}
+	nilInj.Serve(0, "reduce", 1) // inert
 }
 
 func TestRetryBackoffCapSaturation(t *testing.T) {

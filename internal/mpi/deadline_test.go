@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,6 +165,44 @@ func TestInterceptorObservesAndInjects(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, ErrRankLost) {
 		t.Fatalf("blackholed send must strand the receiver into ErrRankLost, got %v", err)
+	}
+}
+
+// rankRecorder is an Interceptor that counts the operations it is shown
+// per (op, rank, peer).
+type rankRecorder struct {
+	mu  sync.Mutex
+	ops map[string]int
+}
+
+func (r *rankRecorder) note(format string, args ...any) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ops[fmt.Sprintf(format, args...)]++
+	return nil
+}
+
+func (r *rankRecorder) BeforeSend(rank, dst, tag int) error { return r.note("send %d→%d", rank, dst) }
+func (r *rankRecorder) BeforeRecv(rank, src, tag int) error { return r.note("recv %d←%d", rank, src) }
+
+// The interceptor is shown world ranks on a group communicator too: in a
+// 2×2 world each group's leader receives from its own member, under its
+// own world rank, so a fault rule naming world rank 2 reaches the second
+// group's leader and no other rank.
+func TestInterceptorSeesWorldRanks(t *testing.T) {
+	rec := &rankRecorder{ops: map[string]int{}}
+	err := RunWith(4, Options{Interceptor: rec}, func(c *Comm) error {
+		group, err := c.Split(c.Rank()/2, c.Rank())
+		if err != nil {
+			return err
+		}
+		return group.ReduceChunked(0, make([]float32, 6), 3)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rec.ops), "map[recv 0←1:2 recv 2←3:2 send 1→0:2 send 3→2:2]"; got != want {
+		t.Fatalf("interceptor saw %s, want %s", got, want)
 	}
 }
 

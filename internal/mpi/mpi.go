@@ -182,7 +182,9 @@ func (t *teardown) lostRanks() []int {
 // Interceptor observes the point-to-point path before the transport
 // operation runs. internal/fault implements it to inject message-layer
 // faults and stalls; a nil interceptor costs one pointer check per
-// operation. Returning a non-nil error aborts the operation before any
+// operation. It is shown world ranks on every communicator, so a rule
+// naming rank r means world rank r wherever the operation's communicator
+// came from. Returning a non-nil error aborts the operation before any
 // data moves, so communicator state stays consistent.
 type Interceptor interface {
 	BeforeSend(rank, dst, tag int) error
@@ -352,7 +354,7 @@ func (c *Comm) Send(dst, tag int, data []float32) error {
 		return fmt.Errorf("mpi: rank %d sending to itself", c.rank)
 	}
 	if c.icept != nil {
-		if err := c.icept.BeforeSend(c.rank, dst, tag); err != nil {
+		if err := c.icept.BeforeSend(c.group.regRanks[c.rank], c.group.regRanks[dst], tag); err != nil {
 			return err
 		}
 	}
@@ -401,7 +403,7 @@ func (c *Comm) Recv(src, tag int) ([]float32, error) {
 		return nil, fmt.Errorf("mpi: rank %d receiving from itself", c.rank)
 	}
 	if c.icept != nil {
-		if err := c.icept.BeforeRecv(c.rank, src, tag); err != nil {
+		if err := c.icept.BeforeRecv(c.group.regRanks[c.rank], c.group.regRanks[src], tag); err != nil {
 			return nil, err
 		}
 	}

@@ -144,19 +144,12 @@ func (o *opRecorder) BeforeRecv(rank, src, tag int) error {
 // formation exchange included in neither.
 func TestInterceptorSequenceSameInBothWorlds(t *testing.T) {
 	const size = 4
-	// The interceptor is shown communicator-local ranks, so the two groups
-	// (and the world ranks 0 and 1) write under the same labels: the world
-	// phase comes first and the groups take turns, which keeps one writer
-	// per label at a time and the sequences deterministic.
+	// The interceptor is shown world ranks on every communicator, so each
+	// label has one writer, the rank itself, and its sequence is the
+	// rank's program order.
 	program := func() func(c *mpi.Comm) error {
-		var groupDone [size / 2]sync.WaitGroup
-		for g := range groupDone {
-			groupDone[g].Add(2)
-		}
 		return func(c *mpi.Comm) error {
-			g := c.Rank() / 2
-			defer groupDone[g].Done()
-			group, err := c.Split(g, c.Rank())
+			group, err := c.Split(c.Rank()/2, c.Rank())
 			if err != nil {
 				return err
 			}
@@ -171,9 +164,6 @@ func TestInterceptorSequenceSameInBothWorlds(t *testing.T) {
 			}
 			if err != nil {
 				return err
-			}
-			if g > 0 {
-				groupDone[g-1].Wait()
 			}
 			if err := group.ReduceChunked(0, rankBuf(c.Rank(), 24), 8); err != nil {
 				return err

@@ -28,7 +28,7 @@ type StageFunc func(batch int, in any) (any, error)
 // checkpointed slab, detector rows that are already resident): the input
 // payload passes on unchanged and no span is recorded, so a trace shows the
 // work that ran rather than the stage list. Like filepath.SkipDir it is a
-// signal to the executor and is never returned by Run or RunSerial.
+// signal to the executor and is never returned by Run.
 var Idle = errors.New("pipeline: stage idle")
 
 // Stage is one named step of the pipeline.
@@ -69,13 +69,18 @@ type item struct {
 }
 
 // Run pushes batches 0..nBatches−1 through every stage, each stage on its
-// own goroutine, and returns the first error of each failing stage. A
-// failure stops the work that can no longer reach the end of the chain: the
-// failed stage and every stage before it drain their input without invoking
-// Fn, so upstream never blocks and never loads, filters or back-projects a
-// batch nothing will store. Stages after the failure still finish the
-// in-order prefix the failed stage forwarded before it failed.
-func (p *Pipeline) Run(nBatches int) error {
+// own goroutine — the last on the caller's, which would otherwise only wait
+// — and returns the first error of each failing stage. enter, when non-nil,
+// is called before each (stage, batch) invocation opens its span — before
+// an idle one too — so what it records of a batch comes before any span the
+// batch leaves in that stage; its error fails the stage like the stage's
+// own, unwrapped. A failure stops the work that can no longer reach the end
+// of the chain: the failed stage and every stage before it drain their
+// input without calling enter or Fn, so upstream never blocks and never
+// loads, filters or back-projects a batch nothing will store. Stages after
+// the failure still finish the in-order prefix the failed stage forwarded
+// before it failed.
+func (p *Pipeline) Run(nBatches int, enter func(stage string, batch int) error) error {
 	if nBatches < 0 {
 		return fmt.Errorf("pipeline: negative batch count %d", nBatches)
 	}
@@ -90,63 +95,29 @@ func (p *Pipeline) Run(nBatches int) error {
 	halted.Store(-1)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for si := range p.stages {
+	for si := 0; si < n-1; si++ {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			var in <-chan item
-			if si > 0 {
-				in = queues[si-1]
-			}
-			var out chan<- item
-			if si < n-1 {
-				out = queues[si]
-				defer close(queues[si])
-			}
-			errs[si] = p.runStage(si, nBatches, in, out, &halted)
+			errs[si] = p.runStage(si, nBatches, enter, queues, &halted)
 		}(si)
 	}
+	errs[n-1] = p.runStage(n-1, nBatches, enter, queues, &halted)
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// RunSerial pushes the same batches through the same stages one batch at a
-// time on the calling goroutine: batch b leaves the last stage before batch
-// b+1 enters the first, so no two stages ever run concurrently. It is Run
-// without the overlap — the paper's §4.2 ablation, and the order a
-// distributed rank runs its batches in. enter, when non-nil, is called at
-// each batch boundary before any stage (or span) of that batch; its error
-// ends the run unwrapped. A stage error ends the run at once.
-func (p *Pipeline) RunSerial(nBatches int, enter func(batch int) error) error {
-	for b := 0; b < nBatches; b++ {
-		if enter != nil {
-			if err := enter(b); err != nil {
-				return err
-			}
-		}
-		it := item{batch: b}
-		for _, stage := range p.stages {
-			payload, err := p.invoke(stage, it)
-			if err != nil {
-				return err
-			}
-			it.payload = payload
-		}
-	}
-	return nil
-}
-
-// runStage executes stage si of Run until its input is exhausted. in is nil
-// for the first stage, which generates batches 0..nBatches−1 itself; out is
-// nil for the last stage.
-func (p *Pipeline) runStage(si, nBatches int, in <-chan item, out chan<- item, halted *atomic.Int64) error {
+// runStage executes stage si until its input is exhausted: the first stage
+// generates batches 0..nBatches−1 itself, every other reads queues[si−1],
+// and every stage but the last writes queues[si] and closes it when done.
+func (p *Pipeline) runStage(si, nBatches int, enter func(string, int) error, queues []chan item, halted *atomic.Int64) error {
 	stage := p.stages[si]
 	var stageErr error
 	process := func(it item) {
 		if halted.Load() >= int64(si) {
 			return // draining: a failure at or after this stage
 		}
-		payload, err := p.invoke(stage, it)
+		payload, err := p.invoke(stage, it, enter)
 		if err != nil {
 			stageErr = err
 			for h := halted.Load(); h < int64(si); h = halted.Load() {
@@ -156,27 +127,35 @@ func (p *Pipeline) runStage(si, nBatches int, in <-chan item, out chan<- item, h
 			}
 			return
 		}
-		if out != nil {
-			out <- item{batch: it.batch, payload: payload}
+		if si < len(queues) {
+			queues[si] <- item{batch: it.batch, payload: payload}
 		}
 	}
-	if in == nil {
+	if si < len(queues) {
+		defer close(queues[si])
+	}
+	if si == 0 {
 		for b := 0; b < nBatches; b++ {
 			process(item{batch: b})
 		}
 	} else {
-		for it := range in {
+		for it := range queues[si-1] {
 			process(it)
 		}
 	}
 	return stageErr
 }
 
-// invoke runs the stage function on one item inside a span. Every executor
-// calls stages through here, so the span is closed before the error is
-// looked at — a failing stage still leaves its span in the trace — and
-// every stage error names its stage and batch.
-func (p *Pipeline) invoke(stage Stage, it item) (any, error) {
+// invoke calls enter, then runs the stage function on one item inside a
+// span. The span is closed before the error is looked at — a failing stage
+// still leaves its span in the trace — and every stage error names its stage
+// and batch.
+func (p *Pipeline) invoke(stage Stage, it item, enter func(string, int) error) (any, error) {
+	if enter != nil {
+		if err := enter(stage.Name, it.batch); err != nil {
+			return nil, err
+		}
+	}
 	end := p.Telemetry.Span(stage.Name, it.batch)
 	payload, err := stage.Fn(it.batch, it.payload)
 	if err == Idle {

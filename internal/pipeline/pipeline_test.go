@@ -40,7 +40,7 @@ func TestDataFlowsThroughStagesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(4); err != nil {
+	if err := p.Run(4, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"b0+", "b1+", "b2+", "b3+"}
@@ -56,10 +56,10 @@ func TestDataFlowsThroughStagesInOrder(t *testing.T) {
 
 func TestZeroBatchesAndNegative(t *testing.T) {
 	p, _ := New(Stage{Name: "a", Fn: func(int, any) (any, error) { return nil, nil }})
-	if err := p.Run(0); err != nil {
+	if err := p.Run(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(-1); err == nil {
+	if err := p.Run(-1, nil); err == nil {
 		t.Error("expected negative-batches error")
 	}
 }
@@ -83,7 +83,7 @@ func TestErrorPropagationKeepsLiveness(t *testing.T) {
 		}},
 	)
 	// Many batches after the failure: upstream must not deadlock.
-	err := p.Run(50)
+	err := p.Run(50, nil)
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("expected kaboom, got %v", err)
 	}
@@ -112,7 +112,7 @@ func TestStagesOverlap(t *testing.T) {
 	p, _ := New(mk("load"), mk("filter"), mk("bp"), mk("mpi"), mk("store"))
 	p.Telemetry = reg
 	start := time.Now()
-	if err := p.Run(6); err != nil {
+	if err := p.Run(6, nil); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -156,7 +156,7 @@ func TestQueueDepthBoundsBuffering(t *testing.T) {
 			return nil, nil
 		}},
 	)
-	if err := p.Run(20); err != nil {
+	if err := p.Run(20, nil); err != nil {
 		t.Fatal(err)
 	}
 	if bound := queueDepth + 2; maxLead > bound {
@@ -183,7 +183,7 @@ func TestFailedStageStopsUpstream(t *testing.T) {
 			return nil, nil
 		}},
 	)
-	err := p.Run(nBatches)
+	err := p.Run(nBatches, nil)
 	if err == nil || !strings.Contains(err.Error(), `stage "store" batch 1: disk full`) {
 		t.Fatalf("want the store error, got %v", err)
 	}
@@ -192,87 +192,99 @@ func TestFailedStageStopsUpstream(t *testing.T) {
 	}
 }
 
-// RunSerial is Run without the overlap: same stages, same payload flow,
-// same spans and error wrapping, but batch b leaves the last stage before
-// batch b+1 enters the first, with the enter hook at each boundary.
-func TestRunSerialOrderHookAndErrors(t *testing.T) {
-	var trail []string
-	note := func(s string) StageFunc {
+// enter is called once per (stage, batch), idle invocations included, in
+// batch order within each stage and before the invocation's span opens. Its
+// error fails that stage unwrapped: the stage and everything upstream of it
+// stop, and downstream finishes the prefix the stage forwarded.
+func TestRunEnterHook(t *testing.T) {
+	var mu sync.Mutex
+	entered := map[string][]int{}
+	ran := map[string][]int{}
+	at := map[string]time.Duration{} // when enter saw "stage/batch"
+	reg := telemetry.NewRegistry()
+	note := func(name string) StageFunc {
 		return func(b int, in any) (any, error) {
-			trail = append(trail, fmt.Sprintf("%s%d", s, b))
-			if s == "y" && b == 2 {
-				return nil, errors.New("boom")
+			mu.Lock()
+			ran[name] = append(ran[name], b)
+			mu.Unlock()
+			if name == "x" && b%2 == 1 {
+				return nil, Idle
 			}
 			return b, nil
 		}
 	}
-	p, err := New(Stage{Name: "x", Fn: note("x")}, Stage{Name: "y", Fn: note("y")})
+	p, err := New(Stage{Name: "x", Fn: note("x")}, Stage{Name: "y", Fn: note("y")}, Stage{Name: "z", Fn: note("z")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Telemetry = reg
+	stop := errors.New("stop")
+	err = p.Run(6, func(stage string, b int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		entered[stage] = append(entered[stage], b)
+		at[fmt.Sprintf("%s/%d", stage, b)] = reg.SinceEpoch(time.Now())
+		if stage == "y" && b == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "stop" || !errors.Is(err, stop) {
+		t.Fatalf("enter's error must fail the run unwrapped, got %v", err)
+	}
+	if got := fmt.Sprint(entered["y"], ran["y"], entered["z"], ran["z"]); got != "[0 1 2] [0 1] [0 1] [0 1]" {
+		t.Errorf("y entered, y ran, z entered, z ran = %s, want [0 1 2] [0 1] [0 1] [0 1]", got)
+	}
+	for i, b := range entered["x"] {
+		if b != i || ran["x"][i] != i {
+			t.Fatalf("x entered %v and ran %v, want both in batch order", entered["x"], ran["x"])
+		}
+	}
+	spans := reg.Spans()
+	for _, sp := range spans {
+		if t0, ok := at[fmt.Sprintf("%s/%d", sp.Name, sp.Batch)]; !ok || t0 > sp.Start {
+			t.Errorf("span %s/%d opened at %v, enter called at %v (called: %v)", sp.Name, sp.Batch, sp.Start, t0, ok)
+		}
+		if sp.Name == "x" && sp.Batch%2 == 1 || sp.Name == "y" && sp.Batch == 2 {
+			t.Errorf("span %s/%d recorded for an idle or refused invocation", sp.Name, sp.Batch)
+		}
+	}
+}
+
+// An idle stage call records no span and hands its input on unchanged.
+func TestIdleStageRecordsNoSpan(t *testing.T) {
+	var got []any
+	p, err := New(
+		Stage{Name: "a", Fn: func(b int, _ any) (any, error) { return b * 10, nil }},
+		Stage{Name: "b", Fn: func(b int, in any) (any, error) {
+			if b%2 == 1 {
+				return nil, Idle
+			}
+			return in.(int) + 1, nil
+		}},
+		Stage{Name: "c", Fn: func(_ int, in any) (any, error) { got = append(got, in); return nil, nil }},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	p.Telemetry = reg
-	enter := func(b int) error { trail = append(trail, fmt.Sprintf("enter%d", b)); return nil }
-	err = p.RunSerial(4, enter)
-	if err == nil || !strings.Contains(err.Error(), `stage "y" batch 2`) {
-		t.Fatalf("stage error not wrapped with stage and batch: %v", err)
+	if err := p.Run(4, nil); err != nil {
+		t.Fatalf("Idle surfaced as an error: %v", err)
 	}
-	if got, want := strings.Join(trail, " "), "enter0 x0 y0 enter1 x1 y1 enter2 x2 y2"; got != want {
-		t.Fatalf("serial order %q, want %q", got, want)
+	if fmt.Sprint(got) != "[1 10 21 30]" {
+		t.Errorf("payloads %v, want [1 10 21 30]", got)
 	}
-	// The failing call's span is closed and recorded like any other.
-	if spans := reg.Spans(); len(spans) != 6 || spans[5].Name != "y" || spans[5].Batch != 2 {
-		t.Fatalf("spans %+v, want 6 ending in the failing y/2", spans)
-	}
-
-	stop := errors.New("stop")
-	if err := p.RunSerial(4, func(b int) error { return stop }); err != stop {
-		t.Fatalf("enter's error must end the run unwrapped, got %v", err)
-	}
-}
-
-// An idle stage call records no span and hands its input on unchanged, in
-// both executors.
-func TestIdleStageRecordsNoSpan(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		var got []any
-		p, err := New(
-			Stage{Name: "a", Fn: func(b int, _ any) (any, error) { return b * 10, nil }},
-			Stage{Name: "b", Fn: func(b int, in any) (any, error) {
-				if b%2 == 1 {
-					return nil, Idle
-				}
-				return in.(int) + 1, nil
-			}},
-			Stage{Name: "c", Fn: func(_ int, in any) (any, error) { got = append(got, in); return nil, nil }},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		p.Telemetry = reg
-		if serial {
-			err = p.RunSerial(4, nil)
-		} else {
-			err = p.Run(4)
-		}
-		if err != nil {
-			t.Fatalf("serial=%v: Idle surfaced as an error: %v", serial, err)
-		}
-		if fmt.Sprint(got) != "[1 10 21 30]" {
-			t.Errorf("serial=%v: payloads %v, want [1 10 21 30]", serial, got)
-		}
-		n := 0
-		for _, sp := range reg.Spans() {
-			if sp.Name == "b" {
-				n++
-				if sp.Batch%2 == 1 {
-					t.Errorf("serial=%v: idle call on batch %d recorded a span", serial, sp.Batch)
-				}
+	n := 0
+	for _, sp := range reg.Spans() {
+		if sp.Name == "b" {
+			n++
+			if sp.Batch%2 == 1 {
+				t.Errorf("idle call on batch %d recorded a span", sp.Batch)
 			}
 		}
-		if n != 2 {
-			t.Errorf("serial=%v: stage b recorded %d spans, want 2", serial, n)
-		}
+	}
+	if n != 2 {
+		t.Errorf("stage b recorded %d spans, want 2", n)
 	}
 }

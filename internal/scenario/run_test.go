@@ -142,6 +142,31 @@ gates:
 	wantAtRest(t, res.Reference)
 }
 
+// The straggler scenario's receives are judged in the phase of the batch
+// their reduce stage serves, while each rank's load stage runs batches
+// ahead of it: each of the two group leaders receives its member's 4 slab
+// planes in each of the 2 inject batches, so every run injects exactly 16
+// delays, and the other ranks, which only send, none.
+func TestStragglerRulesUnderRun(t *testing.T) {
+	cfg, err := Load("../../scenarios/straggler-latency.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Pass {
+		t.Fatalf("straggler scenario failed: %+v", res.Gates)
+	}
+	for _, r := range res.Injected {
+		if n := r.Counts["faults_injected"]; n != 16 {
+			t.Errorf("run %d injected %d delays, want 16", r.Run, n)
+		}
+	}
+	wantOneVolume(t, res)
+}
+
 // A killed rank is survived within the budget: one restart, one lost rank,
 // the fault-free volume. A budget of 0 is literal: no restart, no shrink,
 // and the loss is the run's outcome.

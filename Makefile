@@ -86,7 +86,7 @@ doc-check:
 # .s file of the module for an FMA3 mnemonic.
 FUSE_LINT_FUNCS = \
 	backproject.laneAt backproject.simdCoords backproject.footprint backproject.tileFootprint \
-	backproject.(*projAccess).tileRec backproject.(*projAccess).fusedTileGo \
+	backproject.(*projAccess).rowRec backproject.(*projAccess).fusedTileGo \
 	backproject.(*projAccess).fastCols backproject.(*projAccess).guardedCols \
 	backproject.(*projAccess).subPixel backproject.(*projAccess).perColumn \
 	backproject.projAccess.reference \
@@ -304,42 +304,55 @@ bench-compare:
 # bench-compare does) against the working tree (its tracked and unignored
 # files copied into another, so that both arms build alike outside a git
 # checkout), back to back, the arm that goes first swapped from pair to
-# pair. Each invocation's last line (the driver's JSON) is appended to
-# $(OUT)/base.jsonl or $(OUT)/head.jsonl — both emptied first — and its
-# results.json kept as $(OUT)/<arm>-<pair>.results.json; provenance.json
-# records both commits, the CPU model and its avx2/avx512f flags, the Go
-# version, GOMAXPROCS and the time. `fdkbench -pairs` then prints per metric
-# each arm's median and quartiles, in how many pairs the head read better
-# and a verdict (improved, unchanged, unresolved or regressed), and each
-# arm's median calibration loop. SEED is the benchmark's --seed (its
-# default when unset); BENCH_ARGS goes to every invocation, e.g.
-# BENCH_ARGS="--seconds 8".
+# pair. WORKLOAD is one workload, a space-separated list of them, or `all`
+# (every workload BENCHMARK.json declares), run one after the other over
+# the same two trees, each into its own directory $(OUT)/<workload>
+# (OUT defaults to artifacts/bench-pairs). There each invocation's last line
+# (the driver's JSON) is appended to base.jsonl or head.jsonl — both
+# emptied first — and its results.json kept as <arm>-<pair>.results.json;
+# provenance.json records both commits, the CPU model and its avx2/avx512f
+# flags, the Go version, GOMAXPROCS and the time. `fdkbench -pairs` then
+# prints per metric each arm's median and quartiles, in how many pairs the
+# head read better and a verdict (improved, unchanged, unresolved or
+# regressed), and each arm's median calibration loop: after each
+# workload's pairs, and once more for every workload at the end, so that
+# "no end-to-end metric reads regressed on any workload" is read off one
+# command's tail. SEED is the benchmark's --seed (its default when unset);
+# BENCH_ARGS goes to every invocation, e.g. BENCH_ARGS="--seconds 8".
 PAIRS ?= 10
 bench-pairs:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<git ref> WORKLOAD=<workload> [PAIRS=10] [SEED=<s>] [OUT=<dir>] [BENCH_ARGS=...]"; exit 2; }
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<git ref> WORKLOAD=<workload ...|all> [PAIRS=10] [SEED=<s>] [OUT=<dir>] [BENCH_ARGS=...]"; exit 2; }
 	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	out="$(or $(OUT),artifacts/bench-pairs/$(WORKLOAD))"; mkdir -p "$$out"; out=$$(cd "$$out" && pwd); \
-	: > "$$out/base.jsonl"; : > "$$out/head.jsonl"; rm -f "$$out"/*.results.json; \
+	workloads="$(WORKLOAD)"; \
+	if [ "$$workloads" = all ]; then \
+		workloads=$$(awk '/"workloads"/ { in_w = 1 } in_w && /"name"/ { gsub(/.*"name": *"|".*/, ""); print } in_w && /^ *\]/ { exit }' BENCHMARK.json); \
+	fi; \
+	root="$(or $(OUT),artifacts/bench-pairs)"; mkdir -p "$$root"; root=$$(cd "$$root" && pwd); \
 	head=$$(git rev-parse HEAD); if [ -n "$$(git status --porcelain --untracked-files=no)" ]; then head="$$head+uncommitted"; fi; \
 	flags=" $$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "; \
 	has() { case "$$flags" in *" $$1 "*) echo true;; *) echo false;; esac; }; \
-	printf '{"workload": "%s", "pairs": %s, "seed": "%s", "bench_args": "%s", "base": "%s", "head": "%s", "cpu_model": "%s", "avx2": %s, "avx512f": %s, "go_version": "%s", "gomaxprocs": "%s", "time": "%s"}\n' \
-		"$(WORKLOAD)" "$(PAIRS)" "$(SEED)" "$(BENCH_ARGS)" "$$(git rev-parse $(BASE))" "$$head" \
-		"$$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | sed 's/^ *//')" "$$(has avx2)" "$$(has avx512f)" \
-		"$$($(GO) env GOVERSION)" "$${GOMAXPROCS:-unset}" "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" > "$$out/provenance.json"; \
 	mkdir "$$tmp/base" "$$tmp/head"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
 	git ls-files -co --exclude-standard | tar -cf - -T - | tar -x -C "$$tmp/head"; \
-	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
-		for arm in $$order; do \
-			(cd "$$tmp/$$arm" && $(GO) run ./bench --workload $(WORKLOAD) $(if $(SEED),--seed $(SEED)) --trace 0 $(BENCH_ARGS) --out "$$tmp/out-$$arm") > "$$tmp/log"; \
-			tail -n 1 "$$tmp/log" >> "$$out/$$arm.jsonl"; \
-			cp "$$tmp/out-$$arm/results.json" "$$out/$$arm-$$i.results.json"; \
-			echo "pair $$i/$(PAIRS) $$arm done"; \
+	for w in $$workloads; do \
+		out="$$root/$$w"; mkdir -p "$$out"; \
+		: > "$$out/base.jsonl"; : > "$$out/head.jsonl"; rm -f "$$out"/*.results.json; \
+		printf '{"workload": "%s", "pairs": %s, "seed": "%s", "bench_args": "%s", "base": "%s", "head": "%s", "cpu_model": "%s", "avx2": %s, "avx512f": %s, "go_version": "%s", "gomaxprocs": "%s", "time": "%s"}\n' \
+			"$$w" "$(PAIRS)" "$(SEED)" "$(BENCH_ARGS)" "$$(git rev-parse $(BASE))" "$$head" \
+			"$$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | sed 's/^ *//')" "$$(has avx2)" "$$(has avx512f)" \
+			"$$($(GO) env GOVERSION)" "$${GOMAXPROCS:-unset}" "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" > "$$out/provenance.json"; \
+		for i in $$(seq 1 $(PAIRS)); do \
+			if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+			for arm in $$order; do \
+				(cd "$$tmp/$$arm" && $(GO) run ./bench --workload $$w $(if $(SEED),--seed $(SEED)) --trace 0 $(BENCH_ARGS) --out "$$tmp/out-$$arm") > "$$tmp/log"; \
+				tail -n 1 "$$tmp/log" >> "$$out/$$arm.jsonl"; \
+				cp "$$tmp/out-$$arm/results.json" "$$out/$$arm-$$i.results.json"; \
+				echo "$$w: pair $$i/$(PAIRS) $$arm done"; \
+			done; \
 		done; \
+		cat "$$out/provenance.json"; \
+		$(GO) run ./cmd/fdkbench -pairs "$$out"; \
 	done; \
-	cat "$$out/provenance.json"; \
-	$(GO) run ./cmd/fdkbench -pairs "$$out"
+	for w in $$workloads; do echo; echo "== $$w"; $(GO) run ./cmd/fdkbench -pairs "$$root/$$w"; done
 
 # Regenerate every table/figure of the paper's evaluation into artifacts/.
 experiments:

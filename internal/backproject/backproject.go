@@ -312,6 +312,9 @@ func StreamingKernel(dev *device.Device, ring *device.ProjRing, mats []geometry.
 // computes the z-invariant part once per column for all its slices, and
 // where the assembly caches a group's rows it also blends each detector row
 // horizontally once for the tile rather than twice per slice, so the kernel
-// retires fewer per update than a tile of one slice. The value is
-// Algorithm 1's, kept because the benchmark's roofline rows read it.
+// retires fewer per update than a tile of one slice. The accumulate's add
+// is still one per update; what the 16-lane spelling saves by keeping a
+// block's running sums in registers is the volume's load and store per
+// projection, which no count here includes. The value is Algorithm 1's,
+// kept because the benchmark's roofline rows read it.
 const FLOPPerUpdate = 20

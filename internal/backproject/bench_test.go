@@ -37,13 +37,22 @@ func benchRow(b *testing.B, h int) (a *projAccess, f0, f1 int, launch func(c0, c
 	for k := range ycs {
 		ycs[k] = yc + 0.1*float32(k)
 	}
-	pc := a.newProjConsts(0, &m, nx, new(rowCache))
+	pc := a.newProjConsts(0, &m, nx)
 	_, f0, f1, _ = a.rowSpans(&pc, xc, ycs[0], ycs[h-1], zc, nx)
 	if f1-f0 < nx/2 {
 		b.Fatalf("span too small: [%d,%d)", f0, f1)
 	}
 	out := make([]float32, h*nx)
-	return a, f0, f1, func(c0, c1 int) { a.launchSpan(&pc.args, out, nx, c0, c1, c0, c1, xc, zc, ycs) }
+	var args tileArgs
+	a.initTileArgs(&args, nx, new(rowCache))
+	args.h = int64(h)
+	a.addEntry(&args, 0, f0, f1, f0, f1, m.R0[0], m.R1[0], m.R2[0], xc, zc, ycs)
+	return a, f0, f1, func(c0, c1 int) {
+		e := &args.ent[0]
+		e.c0, e.c1, e.f0, e.f1 = int64(c0), int64(c1), int64(c0), int64(c1)
+		args.c0, args.c1 = e.c0, e.c1
+		a.launchTile(&args, out)
+	}
 }
 
 // BenchmarkFusedInterior isolates the Go spelling's unguarded body — what a
@@ -106,15 +115,17 @@ func BenchmarkFusedInteriorSIMDSpans(b *testing.B) {
 	}
 }
 
-// BenchmarkRowLaunch times what one (row, projection) pair costs a k-tile:
-// the row constants, rowSpans and one launch of each assembly spelling the
-// host runs, as accumulateSlices makes them for one worker. The row is the
-// middle row of the middle slab of the benchmark's single-kernel shape
-// (tomo_00030 at -div 8, 96³, 12-slice slabs) and of its single-filter
-// shape (24³, 3-slice slabs), over a ring holding the slab's detector rows
-// of random samples; the projection steps through all of them from one
-// launch to the next. ns/update divides by the tile's voxels, nx·h.
-func BenchmarkRowLaunch(b *testing.B) {
+// BenchmarkBlockLaunch times what one block of projBlock projections costs
+// one row of a k-tile: each projection's row constants and rowSpans, and
+// one launch of each assembly spelling the host runs, as accumulateSlices
+// makes them for one worker. The row is the middle row of the middle slab
+// of the benchmark's single-kernel shape (tomo_00030 at -div 8, 96³,
+// 12-slice slabs) and of its single-filter shape (24³, 3-slice slabs), over
+// a ring holding the slab's detector rows of random samples; the block
+// steps through the shape's whole blocks from one launch to the next.
+// ns/launch is per block, ns/update divides by the tile's voxels times the
+// block's projections, nx·h·projBlock.
+func BenchmarkBlockLaunch(b *testing.B) {
 	for _, shape := range []struct {
 		name string
 		n    int
@@ -151,25 +162,32 @@ func BenchmarkRowLaunch(b *testing.B) {
 				}
 				a.arith, a.win = arith, a.newSpanWindow()
 				mats := kernelMats(sys)
-				pcs := make([]projConsts, len(mats))
-				for s := range mats {
-					pcs[s] = a.newProjConsts(s, &mats[s], sys.NX, new(rowCache))
+				blocks := make([][]projConsts, sys.NP/projBlock)
+				for i := range blocks {
+					blocks[i] = make([]projConsts, projBlock)
+					for k := range blocks[i] {
+						s := i*projBlock + k
+						blocks[i][k] = a.newProjConsts(s, &mats[s], sys.NX)
+					}
 				}
 				h := tileHeight(nz, 1)
 				kf := make([]float32, h)
 				for k := range kf {
 					kf[k] = float32(z0 + k)
 				}
-				out := make([]float32, h*sys.NX*sys.NY)
+				stride := sys.NX * sys.NY
+				out := make([]float32, h*stride)
+				var args tileArgs
+				a.initTileArgs(&args, stride, new(rowCache))
 				var ctr kernelCounters
 				j := sys.NY / 2
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					a.tileRec(out[j*sys.NX:], sys.NX*sys.NY, &pcs[i%len(pcs)], float32(j), kf, sys.NX, &ctr)
+					a.tileRec(&args, out[j*sys.NX:], stride, blocks[i%len(blocks)], float32(j), kf, sys.NX, &ctr)
 				}
 				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				b.ReportMetric(ns, "ns/launch")
-				b.ReportMetric(ns/float64(sys.NX*h), "ns/update")
+				b.ReportMetric(ns/float64(sys.NX*h*projBlock), "ns/update")
 				b.ReportMetric(float64(h), "slices")
 			})
 		}

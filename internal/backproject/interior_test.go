@@ -35,7 +35,7 @@ func TestInteriorSpanSound(t *testing.T) {
 			zc = -zc
 		}
 		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
-		pc := a.newProjConsts(0, &m, nx, new(rowCache))
+		pc := a.newProjConsts(0, &m, nx)
 		c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, yc, zc, nx)
 		if zc < 0 && (c0 != 0 || c1 != nx || i0 != i1) {
 			t.Fatalf("trial %d: a row behind the source got support [%d,%d), interior [%d,%d)", trial, c0, c1, i0, i1)
@@ -64,7 +64,7 @@ func TestZeroWidthInteriorSpan(t *testing.T) {
 	}{{projAccess{nu: 16, lo: 3, hi: 4}, 3.2}, {projAccess{nu: 16, lo: 5, hi: 5}, 5}} {
 		a := c.a
 		a.win = a.newSpanWindow()
-		pc := a.newProjConsts(0, &row, 64, new(rowCache))
+		pc := a.newProjConsts(0, &row, 64)
 		if _, i0, i1, _ := a.rowSpans(&pc, 0, c.yc, c.yc, 1, 64); i0 != i1 {
 			t.Fatalf("window rows [%d,%d) produced interior [%d,%d)", a.lo, a.hi, i0, i1)
 		}

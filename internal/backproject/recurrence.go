@@ -2,16 +2,17 @@ package backproject
 
 import (
 	"math"
+	"unsafe"
 
 	"distfdk/internal/geometry"
 	"distfdk/internal/volume"
 )
 
-// The kernel's walk: the slices of a slab cut into k-tiles, a
-// (row, projection) pair back-projected into every slice of its tile in one
-// launch, and the spans that decide which columns a launch covers and which
-// of them run unguarded. The homogeneous detector coordinates of one output
-// row are affine in the column index i,
+// The kernel's walk: the slices of a slab cut into k-tiles, a row
+// back-projected from a block of projections into every slice of its tile
+// in one launch, and the spans that decide which columns each projection of
+// a launch covers and which of them run unguarded. The homogeneous detector
+// coordinates of one output row are affine in the column index i,
 //
 //	u(i) = ax·i + xc,  v(i) = ay·i + yc,  w(i) = az·i + zc
 //
@@ -24,11 +25,14 @@ import (
 // coordinates, which is what keeps streaming ≡ batch ≡ resume
 // bit-identical.
 
-// projBlock is the s-blocking factor: the (k, j) voxel sweep is repeated
-// per block of projBlock projections so the detector-row window those
-// projections touch stays cache-resident across the sweep instead of
-// streaming the whole ring per output row. Because per-voxel accumulation
-// still visits s in ascending order across blocks, the result is
+// projBlock is the s-blocking factor, in two roles. The (k, j) voxel sweep
+// is repeated per block of projBlock projections so the detector-row window
+// those projections touch stays cache-resident across the sweep instead of
+// streaming the whole ring per output row; and a launch covers one row of
+// one k-tile for the whole block, so the 16-lane spelling sums a group's
+// contributions from up to projBlock projections in registers before it
+// stores the group once. Because per-voxel accumulation still visits s in
+// ascending order, within a launch and across blocks, the result is
 // bit-identical for every block size.
 const projBlock = 16
 
@@ -115,11 +119,11 @@ func (a *projAccess) newSpanWindow() spanWindow {
 	}
 }
 
-// projConsts is what the (row, projection, k-tile) launches of one
-// projection share across the rows of a slab: the matrix, the float64 forms
-// of its column coefficients that the span solves work in, and the launch
-// argument block with its per-projection fields filled. One is
-// built per worker and projection of a block, outside the (k, j) sweep.
+// projConsts is what the (row, k-tile) entries of one projection share
+// across the rows of a slab: the matrix, the float64 forms of its column
+// coefficients that the span solves work in, and the base of its samples.
+// One is built per worker and projection of a block, outside the (k, j)
+// sweep.
 type projConsts struct {
 	m geometry.Mat34x4
 	// zInvariant is the launch-time proof that u and w do not depend on
@@ -135,17 +139,17 @@ type projConsts struct {
 	// support and interior are the clipCoefs of the window's two boundary
 	// sets.
 	support, interior [4]float64
-	args              simdRowArgs
+	data              unsafe.Pointer // base of projection s's samples
 }
 
-func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int, cache *rowCache) projConsts {
+func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int) projConsts {
 	pc := projConsts{m: *m, zInvariant: m.R0[2] == 0 && m.R2[2] == 0}
 	pc.axd, pc.ayd, pc.azd = float64(m.R0[0]), float64(m.R1[0]), float64(m.R2[0])
 	last := float64(nx - 1)
 	pc.axn, pc.ayn, pc.azn = pc.axd*last, pc.ayd*last, pc.azd*last
 	pc.support = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.support)
 	pc.interior = clipCoefs(pc.axd, pc.ayd, pc.azd, &a.win.interior)
-	a.initSpanArgs(&pc.args, s, m.R0[0], m.R1[0], m.R2[0], cache)
+	pc.data = unsafe.Pointer(unsafe.SliceData(a.data[s*a.sStride:]))
 	return pc
 }
 
@@ -162,26 +166,28 @@ func tileHeight(nz, workers int) int {
 }
 
 // accumulateSlices back-projects the k slices owned by worker w, with cache
-// as the worker's row cache. Loop order is s-block → k-tile → j → s → k,
-// i.e. the voxel sweep is repeated per small group of projections (cache
-// blocking) and a (row, projection) pair visits the slices of its tile
-// innermost, where only v is new; per tile the column loop is clipped to
-// its detector support and split into guarded groups around the unguarded
-// interior.
+// as the worker's row cache. Loop order is s-block → k-tile → j → group →
+// s → k: the voxel sweep is repeated per block of projBlock projections
+// (cache blocking), and one launch per (row, k-tile, block) walks the row's
+// column groups, each group the block's projections in ascending s and each
+// projection the slices of the tile innermost, where only v is new. Per
+// projection the row's column loop is clipped to its detector support and
+// split into guarded groups around the unguarded interior. A voxel still
+// receives the same float32 additions in the same ascending s: within a
+// launch the 16-lane spelling carries the running sums of a group's slices
+// in registers, between launches the volume carries them.
 func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, cache *rowCache, ctr *kernelCounters) {
 	nx := slab.NX
 	stride := slab.NY * nx
 	th := tileHeight(slab.NZ, workers)
 	var pcs [projBlock]projConsts
 	var kfs [zBlock]float32
+	var args tileArgs
+	a.initTileArgs(&args, stride, cache)
 	for sb := 0; sb < a.np; sb += projBlock {
-		sEnd := sb + projBlock
-		if sEnd > a.np {
-			sEnd = a.np
-		}
-		block := pcs[:sEnd-sb]
+		block := pcs[:min(projBlock, a.np-sb)]
 		for i := range block {
-			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx, cache)
+			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx)
 		}
 		for kt := w * th; kt < slab.NZ; kt += workers * th {
 			kf := kfs[:0]
@@ -189,34 +195,34 @@ func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, s
 				kf = append(kf, float32(slab.Z0+k))
 			}
 			for j := 0; j < slab.NY; j++ {
-				rows := slab.Data[(kt*slab.NY+j)*nx:]
-				for i := range block {
-					a.tileRec(rows, stride, &block[i], float32(j), kf, nx, ctr)
-				}
+				a.tileRec(&args, slab.Data[(kt*slab.NY+j)*nx:], stride, block, float32(j), kf, nx, ctr)
 			}
 		}
 	}
 }
 
-// tileRec back-projects one projection into volume row jf of the slices kf
-// of a k-tile. The slices are cut into launches that share xc and zc: all
-// of them when the projection is zInvariant, one slice each otherwise —
-// the same code with tile height 1. The row constants are part of the
-// coordinate contract: each product is rounded before it is added.
-func (a *projAccess) tileRec(rows []float32, stride int, pc *projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters) {
-	m := &pc.m
-	var ycs [zBlock]float32
-	for t, k := range kf {
-		ycs[t] = float32(m.R1[1]*jf) + float32(m.R1[2]*k) + m.R1[3]
+// tileRec back-projects the projections of block, in ascending s, into
+// volume row jf of the slices kf of a k-tile, rows starting at the row in
+// the first slice: one launch for the block. A launch's slices share xc and
+// zc, which holds in all of them when every projection of the block is
+// zInvariant; otherwise the tile is launched a slice at a time — the same
+// code with tile height 1.
+func (a *projAccess) tileRec(args *tileArgs, rows []float32, stride int, block []projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters) {
+	h := len(kf)
+	for i := range block {
+		if !block[i].zInvariant {
+			h = 1
+		}
 	}
-	h := 1
-	if pc.zInvariant {
-		h = len(kf)
-	}
+	args.h = int64(h)
 	for t := 0; t < len(kf); t += h {
-		xc := float32(m.R0[1]*jf) + float32(m.R0[2]*kf[t]) + m.R0[3]
-		zc := float32(m.R2[1]*jf) + float32(m.R2[2]*kf[t]) + m.R2[3]
-		a.rowRec(rows[t*stride:], stride, pc, xc, zc, ycs[t:t+h], nx, ctr)
+		args.n = 0
+		for i := range block {
+			a.rowRec(args, &block[i], jf, kf[t:t+h], nx, ctr)
+		}
+		if args.n > 0 {
+			a.launchTile(args, rows[t*stride:])
+		}
 	}
 }
 
@@ -307,20 +313,26 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int) (c
 	return c0, i0, i1, c1
 }
 
-// rowRec processes one (output row, projection) pair in the len(yc) slices
-// of a k-tile that share xc and zc: rows starts at the row in the first
-// slice, the row in each further slice lies stride floats on, and yc holds
-// the slices' v constants. rowSpans decides the supported and interior
-// columns once for the tile, then one launch covers the whole supported
-// span in every slice: the spelling's column groups wholly inside [i0,i1)
-// run the unguarded body, every other covered group runs the guarded
-// texture-border body under a lane mask. The counters are read off the
-// spans, in 8-column groups whatever the spelling's width, so they do not
-// depend on which spelling the launch dispatched to; interior columns in
-// partial groups are counted as tail samples.
-func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc float32, yc []float32, nx int, ctr *kernelCounters) {
-	c0, i0, i1, c1 := a.rowSpans(pc, xc, yc[0], yc[len(yc)-1], zc, nx)
-	h := int64(len(yc))
+// rowRec adds one projection's entry for one output row to the launch in
+// args, in the slices kf of a k-tile that share xc and zc: the row
+// constants, which are part of the coordinate contract (each product is
+// rounded before it is added), then rowSpans' supported and interior
+// columns, solved once for the tile. A projection whose support misses the
+// row gets no entry. The counters are read off the spans, in 8-column
+// groups whatever the spelling's width, so they do not depend on which
+// spelling the launch dispatches to; interior columns in partial groups
+// are counted as tail samples.
+func (a *projAccess) rowRec(args *tileArgs, pc *projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters) {
+	m := &pc.m
+	e := &args.ent[args.n]
+	yj := float32(m.R1[1] * jf)
+	for t, k := range kf {
+		e.yc[t] = yj + float32(m.R1[2]*k) + m.R1[3]
+	}
+	xc := float32(m.R0[1]*jf) + float32(m.R0[2]*kf[0]) + m.R0[3]
+	zc := float32(m.R2[1]*jf) + float32(m.R2[2]*kf[0]) + m.R2[3]
+	c0, i0, i1, c1 := a.rowSpans(pc, xc, e.yc[0], e.yc[len(kf)-1], zc, nx)
+	h := int64(len(kf))
 	ctr.interior += h * int64(i1-i0)
 	ctr.border += h * int64((c1-c0)-(i1-i0))
 	ctr.skipped += h * int64(nx-(c1-c0))
@@ -333,5 +345,13 @@ func (a *projAccess) rowRec(rows []float32, stride int, pc *projConsts, xc, zc f
 	if i0 >= i1 {
 		i0, i1 = c0, c0
 	}
-	a.launchSpan(&pc.args, rows, stride, c0, c1, i0, i1, xc, zc, yc)
+	e.data = pc.data
+	e.c0, e.c1, e.f0, e.f1 = int64(c0), int64(c1), int64(i0), int64(i1)
+	e.ax, e.ay, e.az, e.xc, e.zc = m.R0[0], m.R1[0], m.R2[0], xc, zc
+	if args.n == 0 {
+		args.c0, args.c1 = e.c0, e.c1
+	} else {
+		args.c0, args.c1 = min(args.c0, e.c0), max(args.c1, e.c1)
+	}
+	args.n++
 }

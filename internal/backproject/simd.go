@@ -52,73 +52,75 @@ const simdLanes = 8
 // no more than the tile's slices and this.
 const cacheRows = 12
 
-// rowCache is the 16-lane spelling's row cache, one per worker: cacheRows
-// rows of sixteen horizontal blends, 64 bytes each, and the pad that lets
-// fusedTile512 align it to 64 bytes wherever it lies. (The 8-lane spelling
-// keeps its 32-byte rows in its frame.)
-type rowCache [cacheRows*64 + 63]byte
+// rowCache is the 16-lane spelling's scratch, one per worker: the row
+// cache, cacheRows rows of sixteen horizontal blends, 64 bytes each, then a
+// column group's rz for each of a launch's projBlock entries, and the pad
+// that lets fusedTile512 align it to 64 bytes wherever it lies. (The 8-lane
+// spelling keeps its 32-byte rows in its frame.)
+type rowCache [cacheRows*64 + projBlock*64 + 63]byte
 
 // laneAt returns the contract's value at column i of the coordinate
 // op·i + oc.
 func laneAt(i int, op, oc float32) float32 { return float32(op*float32(i)) + oc }
 
-// simdRowArgs carries one (row, projection, k-tile) launch into any
-// spelling of the kernel; the assembly addresses the fields by name
-// (go_asm.h).
-type simdRowArgs struct {
-	data   unsafe.Pointer // base of projection s's samples
-	rows   unsafe.Pointer // int32 row table (rowIdx32: entry iv−lo2 is row iv), the assembly's
+// tileArgs carries one launch into any spelling of the kernel: one output
+// row in the h slices of a k-tile, back-projected from the n projections of
+// its entries in ascending s. The assembly addresses the fields by name
+// (go_asm.h). The worker's fields are set once (initTileArgs), the row's
+// and the entries' per launch (tileRec).
+type tileArgs struct {
 	out    unsafe.Pointer // the output row in the tile's first slice
+	rows   unsafe.Pointer // int32 row table (rowIdx32: entry iv−lo2 is row iv), the assembly's
+	cache  unsafe.Pointer // the worker's rowCache, fusedTile512's
 	stride int64          // bytes from the row in one slice of the tile to the next
 	h      int64          // slices in the tile, 1..zBlock
-	c0     int64          // first covered column (inclusive)
-	c1     int64          // last covered column (exclusive)
-	f0     int64          // first interior column (inclusive)
-	f1     int64          // last interior column (exclusive)
+	n      int64          // entries, 1..projBlock
+	c0     int64          // the hull of the entries' covered columns:
+	c1     int64          // the least c0 and the greatest c1
 	lo2    int32          // lo − 2: the global row of the row table's first entry
 	hi     int32          // first global detector row past the readable ones
 	nu     int32          // detector columns per row
-	ax     float32
-	ay     float32
-	az     float32
-	xc     float32
-	zc     float32
-	yc     [zBlock]float32 // v's row constant, one per slice
-	// cache is the worker's rowCache, fusedTile512's. Last, so that the
-	// fields before it keep the offsets the 8-lane kernel reads them at.
-	cache unsafe.Pointer
+	ent    [projBlock]projArgs
 }
 
-// initSpanArgs fills the fields of the argument block that every row of
-// projection s shares: the projAccess addressing (projection-s base, the
-// int32 row table prepareSIMD built if the launch runs the assembly, window
-// extents), the worker's row cache and the column coefficients.
-func (a *projAccess) initSpanArgs(args *simdRowArgs, s int, ax, ay, az float32, cache *rowCache) {
-	args.data = unsafe.Pointer(unsafe.SliceData(a.data[s*a.sStride:]))
+// projArgs is one projection's entry of a launch: its samples, its covered
+// span [c0,c1) (never empty) with the interior [f0,f1) inside it, and the
+// row constants of its coordinates.
+type projArgs struct {
+	data unsafe.Pointer // base of projection s's samples
+	c0   int64          // first covered column (inclusive)
+	c1   int64          // last covered column (exclusive)
+	f0   int64          // first interior column (inclusive)
+	f1   int64          // last interior column (exclusive)
+	ax   float32
+	ay   float32
+	az   float32
+	xc   float32
+	zc   float32
+	yc   [zBlock]float32 // v's row constant, one per slice
+}
+
+// initTileArgs fills the fields of a worker's argument block that all its
+// launches share: the int32 row table prepareSIMD built if the launch runs
+// the assembly, the window extents, the worker's row cache and the distance
+// between a tile's slices, stride floats.
+func (a *projAccess) initTileArgs(args *tileArgs, stride int, cache *rowCache) {
 	args.rows = unsafe.Pointer(unsafe.SliceData(a.rowIdx32))
 	args.cache = unsafe.Pointer(cache)
+	args.stride = int64(stride) * 4
 	args.lo2, args.hi, args.nu = int32(a.lo-2), int32(a.hi), int32(a.nu)
-	args.ax, args.ay, args.az = ax, ay, az
 }
 
-// launchSpan back-projects the non-empty covered columns [c0,c1) of one
-// output row in len(yc) ≤ zBlock slices that share xc and zc, through an
-// argument block initSpanArgs prepared for the projection and the spelling
-// accumulateSlab chose for the launch. rows starts at the row in the first
-// slice and the row in each further slice lies stride floats on. [f0,f1)
-// must be interior in every one of the slices and a sub-span of [c0,c1)
-// (possibly empty: f0 == f1): the spelling's column groups wholly inside it
-// take the unguarded body, every other covered column the guarded
-// texture-border one.
-func (a *projAccess) launchSpan(args *simdRowArgs, rows []float32, stride int, c0, c1, f0, f1 int, xc, zc float32, yc []float32) {
+// launchTile back-projects the entries of args into the output row at rows
+// in args.h slices, through the spelling accumulateSlab chose for the
+// launch. rows starts at the row in the first slice and the row in each
+// further slice lies args.stride bytes on. In each entry, [f0,f1) must be
+// interior in every one of the slices and a sub-span of [c0,c1) (possibly
+// empty: f0 == f1): the spelling's column groups wholly inside it take the
+// unguarded body, every other covered column the guarded texture-border
+// one, and a column outside [c0,c1) is not touched for that projection.
+func (a *projAccess) launchTile(args *tileArgs, rows []float32) {
 	args.out = unsafe.Pointer(unsafe.SliceData(rows))
-	args.stride = int64(stride) * 4
-	args.h = int64(copy(args.yc[:], yc))
-	args.c0 = int64(c0)
-	args.c1 = int64(c1)
-	args.f0 = int64(f0)
-	args.f1 = int64(f1)
-	args.xc, args.zc = xc, zc
 	switch a.arith {
 	case device.ArithmeticAVX512:
 		fusedTile512(args)
@@ -131,37 +133,42 @@ func (a *projAccess) launchSpan(args *simdRowArgs, rows []float32, stride int, c
 
 // fusedTileGo is the assembly in Go: where fusedTileAVX2 evaluates eight
 // columns in a vector, this walks them one at a time (the columns never mix,
-// so the order is free). The groups fusedTileAVX2 runs through its unguarded
-// body are the columns fastCols takes. It reads the samples through the int
-// row table, so no buffer is too large for it.
-func (a *projAccess) fusedTileGo(args *simdRowArgs) {
-	c0, c1 := int(args.c0), int(args.c1)
-	g0, g1 := (int(args.f0)+simdLanes-1)&^(simdLanes-1), int(args.f1)&^(simdLanes-1)
-	if g0 >= g1 {
-		g0, g1 = c0, c0
+// so the order is free), an entry at a time in ascending s. The groups
+// fusedTileAVX2 runs through its unguarded body are the columns fastCols
+// takes. It reads the samples through the int row table, so no buffer is
+// too large for it.
+func (a *projAccess) fusedTileGo(args *tileArgs) {
+	for i := range args.ent[:args.n] {
+		e := &args.ent[i]
+		c0, c1 := int(e.c0), int(e.c1)
+		g0, g1 := (int(e.f0)+simdLanes-1)&^(simdLanes-1), int(e.f1)&^(simdLanes-1)
+		if g0 >= g1 {
+			g0, g1 = c0, c0
+		}
+		a.guardedCols(args, e, c0, g0)
+		a.fastCols(args, e, g0, g1)
+		a.guardedCols(args, e, g1, c1)
 	}
-	a.guardedCols(args, c0, g0)
-	a.fastCols(args, g0, g1)
-	a.guardedCols(args, g1, c1)
 }
 
-// fastCols runs the unguarded body on columns [g0,g1). Per column the
-// z-invariant u, w, rz, x, iu, eu, rz² and ay·i are computed once and the
-// slice loop runs inside. A function of its own, with the row constants in
-// locals, so that this loop nest and nothing else gets the registers.
+// fastCols runs the unguarded body of entry e on columns [g0,g1). Per
+// column the z-invariant u, w, rz, x, iu, eu, rz² and ay·i are computed once
+// and the slice loop runs inside. A function of its own, with the row
+// constants in locals, so that this loop nest and nothing else gets the
+// registers.
 //
 // The loads run on raw pointers: rowSpans proved iu ∈ [0, nu−2] and
 // iv ∈ [lo, hi−2] in every slice for every column handed to this function
 // (TestTileSpansSound fuzzes that proof), so the bounds checks the compiler
 // cannot see past are discharged analytically instead of per element.
 // x, y ≥ 0 there, so truncation is floor.
-func (a *projAccess) fastCols(args *simdRowArgs, g0, g1 int) {
-	dp := args.data
+func (a *projAccess) fastCols(args *tileArgs, e *projArgs, g0, g1 int) {
+	dp := e.data
 	rp := unsafe.Pointer(unsafe.SliceData(a.rowOff[2:]))
 	lo := a.lo
 	stride := args.stride
-	yc := args.yc[:args.h]
-	ax, ay, az, xc, zc := args.ax, args.ay, args.az, args.xc, args.zc
+	yc := e.yc[:args.h]
+	ax, ay, az, xc, zc := e.ax, e.ay, e.az, e.xc, e.zc
 	for col := g0; col < g1; col++ {
 		fi := float32(col)
 		rz := 1 / (float32(az*fi) + zc)
@@ -188,9 +195,9 @@ func (a *projAccess) fastCols(args *simdRowArgs, g0, g1 int) {
 	}
 }
 
-// guardedCols runs the guarded body on columns [g0,g1): the contract's
-// coordinates — u and w, and what follows from them, once per column, v per
-// slice — with floor32, not truncation, because
+// guardedCols runs the guarded body of entry e on columns [g0,g1): the
+// contract's coordinates — u and w, and what follows from them, once per
+// column, v per slice — with floor32, not truncation, because
 // border coordinates may be negative, and eu and ev taken from that floor.
 // Then the footprint's origin is clamped to columns [−2, nu] and rows
 // [lo−2, hi], where the store holds the texture border as data (the apron
@@ -199,23 +206,23 @@ func (a *projAccess) fastCols(args *simdRowArgs, g0, g1 int) {
 // four of them and still does, and a conversion of a NaN or a huge floor,
 // whatever integer the host makes of it, lands inside the store. A resident
 // column is untouched by the clamp and computes what fastCols computes.
-func (a *projAccess) guardedCols(args *simdRowArgs, g0, g1 int) {
+func (a *projAccess) guardedCols(args *tileArgs, e *projArgs, g0, g1 int) {
 	rowOff, lo, hi, nu := a.rowOff, a.lo, a.hi, a.nu
 	for i := g0; i < g1; i++ {
-		rz := 1 / laneAt(i, args.az, args.zc)
-		x := float32(laneAt(i, args.ax, args.xc) * rz)
+		rz := 1 / laneAt(i, e.az, e.zc)
+		x := float32(laneAt(i, e.ax, e.xc) * rz)
 		fx := floor32(x)
 		eu := x - fx
 		iu := min(max(int(fx), -2), nu)
 		rz2 := rz * rz
 		op := unsafe.Add(args.out, i*4)
-		for _, yc := range args.yc[:args.h] {
-			y := float32(laneAt(i, args.ay, yc) * rz)
+		for _, yc := range e.yc[:args.h] {
+			y := float32(laneAt(i, e.ay, yc) * rz)
 			fy := floor32(y)
 			ev := y - fy
 			ivr := min(max(int(fy), lo-2), hi) - lo
-			r0 := unsafe.Add(args.data, (rowOff[ivr+2]+iu)*4)
-			r1 := unsafe.Add(args.data, (rowOff[ivr+3]+iu)*4)
+			r0 := unsafe.Add(e.data, (rowOff[ivr+2]+iu)*4)
+			r1 := unsafe.Add(e.data, (rowOff[ivr+3]+iu)*4)
 			p00, p01 := *(*float32)(r0), *(*float32)(unsafe.Add(r0, 4))
 			p10, p11 := *(*float32)(r1), *(*float32)(unsafe.Add(r1, 4))
 			t1 := p00 + float32(eu*(p01-p00))

@@ -21,20 +21,21 @@ func hostArithmetic() device.Arithmetic {
 	return device.ArithmeticScalar
 }
 
-// fusedTileAVX2 back-projects the covered columns [c0,c1) of one volume row
-// in the h slices of a k-tile, for one projection whose u and w are the
-// same in all of them, with 8-wide AVX2 vectors per the coordinate contract
-// in simd.go: groups wholly inside the interior sub-span [f0,f1) run the
-// unguarded body, the rest run the guarded texture-border body — what
-// fusedTileGo does lane by lane. Implemented in simd_amd64.s; requires
-// AVX2.
+// fusedTileAVX2 back-projects each entry of a launch, in ascending s, into
+// its covered columns [c0,c1) of one volume row in the h slices of a
+// k-tile, for projections whose u and w are the same in all of them, with
+// 8-wide AVX2 vectors per the coordinate contract in simd.go: groups wholly
+// inside an entry's interior sub-span [f0,f1) run the unguarded body, the
+// rest run the guarded texture-border body — what fusedTileGo does lane by
+// lane. Implemented in simd_amd64.s; requires AVX2.
 //
 //go:noescape
-func fusedTileAVX2(a *simdRowArgs)
+func fusedTileAVX2(a *tileArgs)
 
 // fusedTile512 is fusedTileAVX2 with 16-wide AVX-512 vectors and opmask
-// registers, its row cache in a.cache. Implemented in simd512_amd64.s;
-// requires AVX-512 F, VL, DQ and BW.
+// registers, its row cache in a.cache, the entries walked inside each
+// column group so that the group's slice sums stay in registers across
+// them. Implemented in simd512_amd64.s; requires AVX-512 F, VL, DQ and BW.
 //
 //go:noescape
-func fusedTile512(a *simdRowArgs)
+func fusedTile512(a *tileArgs)

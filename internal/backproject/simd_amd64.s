@@ -5,9 +5,11 @@
 
 // AVX2 implementation of the SIMD coordinate contract (see simd.go).
 //
-// One call covers the supported span [c0,c1) of one volume row in the h
-// slices of a k-tile, 1 ≤ h ≤ zBlock (16), for one projection whose u and w
-// do not depend on z (the caller proves that, or passes h = 1). Per 8-column
+// One call covers one volume row in the h slices of a k-tile,
+// 1 ≤ h ≤ zBlock (16), for the n entries of a block of projections whose u
+// and w do not depend on z (the caller proves that, or passes h = 1), one
+// entry after the other in ascending s: each entry's supported span
+// [c0,c1) is walked as a call of its own would walk it. Per 8-column
 // group the z-invariant work — the coordinates u, w and ay·i at the group's
 // columns, the divide, x, iu, eu, rz², the contiguous-window test — is done
 // once; the slice loop inside recomputes only what v moves: v, y, iv, ev,
@@ -36,7 +38,7 @@
 //              Y3 = window lane
 //   Y1, Y5, Y7, Y12..Y15 = slice-loop scratch (Y5 holds the first slice's
 //              iv while FILL bounds the rows)
-//   AX = args   DI = data − 2 floats (iu+2 indexes it)   SI = rows
+//   AX = the entry   DI = data − 2 floats (iu+2 indexes it)   SI = rows
 //   DX = out (row in the first slice)   R10 = group base
 //   R8, R11 = fast groups' first base and end   R12 = 4·h, the end of yc
 //   BX = row in the current slice   R9 = 4·slice (offset into yc)
@@ -123,6 +125,8 @@ GLOBL minus2v<>(SB), RODATA|NOPTR, $32
 //   cpad-752(SP)   8B   the cache's alignment pad, once per call
 //   dv-756(SP)     4B   |yc[h−1] − yc[0]|, the tile's sweep of v
 //   hm1-760(SP)    4B   float32(h − 1)
+//   stride-768(SP) 8B   bytes from the row in one slice to the next
+// lo2v's first lane is also the scalar lo−2 the row-table indices subtract.
 //
 // The grid of group bases is 8-aligned, so the per-group test
 // "base ≥ f0 && base+8 ≤ f1" is exactly "base ∈ [fs, fe)" with
@@ -194,7 +198,7 @@ out:
 	CMPL         R13, $-1;                 \
 	JNE          tworows;                  \
 	VMOVD        X13, R13;                 \
-	SUBL         simdRowArgs_lo2(AX), R13; \ // table index, identical in every lane
+	SUBL         lo2v-72(SP), R13;         \ // table index, identical in every lane
 	TESTQ        CX, CX;                   \
 	JS           bcast;                    \
 	MOVL         (SI)(R13*4), R14;         \
@@ -229,7 +233,7 @@ tworows: \
 	JNZ          gather;                   \ // a lane on neither row m nor m+1
 	VPSLLD       $31, Y1, Y1;              \ // blend mask: the lanes on row m+1
 	VMOVD        X14, R13;                 \
-	SUBL         simdRowArgs_lo2(AX), R13; \
+	SUBL         lo2v-72(SP), R13;         \
 	MOVL         (SI)(R13*4), R14;         \
 	ADDQ         CX, R14;                  \
 	VPERMPS      (DI)(R14*4), Y3, Y13;     \
@@ -327,9 +331,9 @@ pairs: \
 	VMULSS       dv-756(SP), X8, X1;        \ // lane 0's sweep of y, |Δv|·rz₀
 	VUCOMISS     hm1-760(SP), X1;           \
 	JAE          plain;                     \ // ≥ h − 1 rows: n > h
-	IV(simdRowArgs_yc(AX));                 \
+	IV(projArgs_yc(AX));                    \
 	VMOVDQU      Y13, Y5;                   \
-	IV(simdRowArgs_yc-4(AX)(R12*1));        \
+	IV(projArgs_yc-4(AX)(R12*1));           \
 	VPMINSD      Y13, Y5, Y14;              \
 	VPMAXSD      Y13, Y5, Y15;              \
 	VEXTRACTI128 $1, Y14, X1;               \
@@ -362,7 +366,7 @@ pairs: \
 	MOVL         R9, rlim-744(SP);          \
 	LEAQ         32(R9), BX;                \ // the fill's end
 	MOVL         cpad-752(SP), R9;          \
-	SUBL         simdRowArgs_lo2(AX), R13;  \ // row rmin's table index
+	SUBL         lo2v-72(SP), R13;          \ // row rmin's table index
 fill: \
 	MOVL         (SI)(R13*4), R14;          \
 	ADDQ         CX, R14;                   \
@@ -432,38 +436,28 @@ tworows: \
 
 // NEXT steps to the row in the next slice and loops while slices remain.
 #define NEXT(loop) \
-	ADDQ simdRowArgs_stride(AX), BX; \
-	ADDQ $4, R9;                     \
-	CMPQ R9, R12;                    \
+	ADDQ stride-768(SP), BX; \
+	ADDQ $4, R9;             \
+	CMPQ R9, R12;            \
 	JL   loop
 
-// func fusedTileAVX2(a *simdRowArgs)
+// func fusedTileAVX2(a *tileArgs)
 // NOSPLIT: the frame, cache included, stays inside the stack its callers
 // guarantee a nosplit callee, so the kernel's goroutine needs no more stack
 // than without the cache.
-TEXT ·fusedTileAVX2(SB), NOSPLIT, $760-8
+TEXT ·fusedTileAVX2(SB), NOSPLIT, $768-8
 	MOVQ a+0(FP), AX
-	MOVQ simdRowArgs_data(AX), DI
-	SUBQ $8, DI                   // iu+2 indexes the samples
-	MOVQ simdRowArgs_rows(AX), SI // int32 table: entry iv−(lo−2) is row iv
-	MOVQ simdRowArgs_out(AX), DX
+	MOVQ tileArgs_rows(AX), SI // int32 table: entry iv−(lo−2) is row iv
+	MOVQ tileArgs_out(AX), DX
+	MOVQ tileArgs_stride(AX), R13
+	MOVQ R13, stride-768(SP)
 
-	// Broadcast the column coefficients and row constants once.
-	VBROADCASTSS simdRowArgs_ax(AX), Y9
-	VMOVUPS      Y9, axv-168(SP)
-	VBROADCASTSS simdRowArgs_ay(AX), Y9
-	VMOVUPS      Y9, ayv-200(SP)
-	VBROADCASTSS simdRowArgs_az(AX), Y9
-	VMOVUPS      Y9, azv-232(SP)
-	VBROADCASTSS simdRowArgs_xc(AX), Y9
-	VMOVUPS      Y9, xcv-264(SP)
-	VBROADCASTSS simdRowArgs_zc(AX), Y9
-	VMOVUPS      Y9, zcv-296(SP)
-	VPBROADCASTD simdRowArgs_lo2(AX), Y9
+	// Broadcast the launch's clamp bounds and constants once.
+	VPBROADCASTD tileArgs_lo2(AX), Y9
 	VMOVDQU      Y9, lo2v-72(SP)
-	VPBROADCASTD simdRowArgs_nu(AX), Y9
+	VPBROADCASTD tileArgs_nu(AX), Y9
 	VMOVDQU      Y9, nuv-104(SP)
-	VPBROADCASTD simdRowArgs_hi(AX), Y9
+	VPBROADCASTD tileArgs_hi(AX), Y9
 	VMOVDQU      Y9, hiv-136(SP)
 	VBROADCASTSS eight32<>(SB), Y9
 	VMOVUPS      Y9, eightv-328(SP)
@@ -475,30 +469,47 @@ TEXT ·fusedTileAVX2(SB), NOSPLIT, $760-8
 	ANDQ $31, R13
 	MOVQ R13, cpad-752(SP)
 
-	// The fast groups on the 8-aligned group grid, and the end of yc.
-	MOVQ simdRowArgs_f0(AX), R8
+	// The end of yc, and h − 1, which FILL tests a group's first lane
+	// against before it bounds the rows.
+	MOVQ       tileArgs_h(AX), R12
+	LEAQ       -1(R12), R13
+	VCVTSI2SSQ R13, X1, X1
+	VMOVSS     X1, hm1-760(SP)
+	SHLQ       $2, R12
+	LEAQ       tileArgs_ent(AX), AX
+
+entry:
+	// One entry: a projection's samples, coefficients and row constants.
+	MOVQ projArgs_data(AX), DI
+	SUBQ $8, DI // iu+2 indexes the samples
+	VBROADCASTSS projArgs_ax(AX), Y9
+	VMOVUPS      Y9, axv-168(SP)
+	VBROADCASTSS projArgs_ay(AX), Y9
+	VMOVUPS      Y9, ayv-200(SP)
+	VBROADCASTSS projArgs_az(AX), Y9
+	VMOVUPS      Y9, azv-232(SP)
+	VBROADCASTSS projArgs_xc(AX), Y9
+	VMOVUPS      Y9, xcv-264(SP)
+	VBROADCASTSS projArgs_zc(AX), Y9
+	VMOVUPS      Y9, zcv-296(SP)
+
+	// The fast groups on the 8-aligned group grid.
+	MOVQ projArgs_f0(AX), R8
 	ADDQ $7, R8
 	ANDQ $-8, R8
-	MOVQ simdRowArgs_f1(AX), R11
+	MOVQ projArgs_f1(AX), R11
 	ANDQ $-8, R11
-	MOVQ simdRowArgs_h(AX), R12
-	SHLQ $2, R12
 
-	// The tile's sweep of v, |yc[h−1] − yc[0]|, and h − 1, which FILL
-	// tests a group's first lane against before it bounds the rows.
-	VMOVSS    simdRowArgs_yc(AX), X1
-	VMOVSS    simdRowArgs_yc-4(AX)(R12*1), X2
-	VSUBSS    X1, X2, X3
-	VSUBSS    X2, X1, X1
-	VMAXSS    X1, X3, X1
-	VMOVSS    X1, dv-756(SP)
-	MOVQ      simdRowArgs_h(AX), R13
-	DECQ      R13
-	VCVTSI2SSQ R13, X1, X1
-	VMOVSS    X1, hm1-760(SP)
+	// The tile's sweep of v, |yc[h−1] − yc[0]|.
+	VMOVSS projArgs_yc(AX), X1
+	VMOVSS projArgs_yc-4(AX)(R12*1), X2
+	VSUBSS X1, X2, X3
+	VSUBSS X2, X1, X1
+	VMAXSS X1, X3, X1
+	VMOVSS X1, dv-756(SP)
 
 	// The first group holds c0; its columns as floats, and its w.
-	MOVQ         simdRowArgs_c0(AX), R10
+	MOVQ         projArgs_c0(AX), R10
 	ANDQ         $-8, R10
 	MOVL         R10, tmp-8(SP)
 	VPBROADCASTD tmp-8(SP), Y0
@@ -508,7 +519,7 @@ TEXT ·fusedTileAVX2(SB), NOSPLIT, $760-8
 	VADDPS       zcv-296(SP), Y4, Y4
 
 group:
-	CMPQ R10, simdRowArgs_c1(AX)
+	CMPQ R10, projArgs_c1(AX)
 	JGE  done
 	CMPQ R10, R8
 	JL   slow
@@ -529,7 +540,7 @@ fast:
 	FILL(FY, fplain, ffill)
 
 fcslice:
-	FY(simdRowArgs_yc(AX)(R9*1))
+	FY(projArgs_yc(AX)(R9*1))
 	CACHED(fcrows2, fcblend, fgather)
 	VADDPS  (BX), Y13, Y13
 	VMOVUPS Y13, (BX)
@@ -541,7 +552,7 @@ fplain:
 	XORQ R9, R9
 
 fslice:
-	FY(simdRowArgs_yc(AX)(R9*1))
+	FY(projArgs_yc(AX)(R9*1))
 	SAMPLE(frows2, fbcast, fblend)
 
 	// A plain unmasked accumulate: the group is fully active.
@@ -563,14 +574,14 @@ slow:
 	COORDS
 	// Active-lane mask: lane j live iff c0 ≤ gb+j < c1:
 	// (lane07 > c0−gb−1) AND (c1−gb > lane07).
-	MOVQ         simdRowArgs_c0(AX), R13
+	MOVQ         projArgs_c0(AX), R13
 	SUBQ         R10, R13
 	DECQ         R13
 	MOVL         R13, tmp-8(SP)
 	VPBROADCASTD tmp-8(SP), Y1
 	VMOVDQU      lane07<>(SB), Y3
 	VPCMPGTD     Y1, Y3, Y7
-	MOVQ         simdRowArgs_c1(AX), R13
+	MOVQ         projArgs_c1(AX), R13
 	SUBQ         R10, R13
 	MOVL         R13, tmp-8(SP)
 	VPBROADCASTD tmp-8(SP), Y1
@@ -590,7 +601,7 @@ slow:
 	FILL(SY, splain, sfill)
 
 scslice:
-	SY(simdRowArgs_yc(AX)(R9*1))
+	SY(projArgs_yc(AX)(R9*1))
 	CACHED(scrows2, scblend, sgather)
 	VMOVDQU    maskS-40(SP), Y7
 	VMASKMOVPS (BX), Y7, Y14
@@ -604,7 +615,7 @@ splain:
 	XORQ R9, R9
 
 sslice:
-	SY(simdRowArgs_yc(AX)(R9*1))
+	SY(projArgs_yc(AX)(R9*1))
 	SAMPLE(srows2, sbcast, sblend)
 
 	// row[gb..gb+8) += the sample, masked load/add/store.
@@ -622,5 +633,13 @@ snext:
 	SAMPLE_COLD(srows2, sbcast, sgather, spairs, sblend)
 
 done:
+	// The next entry, while entries remain.
+	ADDQ  $projArgs__size, AX
+	MOVQ  a+0(FP), R13
+	MOVQ  tileArgs_n(R13), R14
+	IMULQ $projArgs__size, R14
+	LEAQ  tileArgs_ent(R13)(R14*1), R14
+	CMPQ  AX, R14
+	JL    entry
 	VZEROUPPER
 	RET

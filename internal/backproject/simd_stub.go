@@ -8,10 +8,10 @@ import "distfdk/internal/device"
 // every launch to fusedTileGo.
 func hostArithmetic() device.Arithmetic { return device.ArithmeticScalar }
 
-func fusedTileAVX2(*simdRowArgs) {
+func fusedTileAVX2(*tileArgs) {
 	panic("backproject: AVX2 kernel dispatched on a host without it")
 }
 
-func fusedTile512(*simdRowArgs) {
+func fusedTile512(*tileArgs) {
 	panic("backproject: AVX-512 kernel dispatched on a host without it")
 }

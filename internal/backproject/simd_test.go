@@ -3,11 +3,11 @@ package backproject
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
-	"distfdk/internal/geometry"
 	"distfdk/internal/volume"
 )
 
@@ -120,13 +120,17 @@ func TestSIMDSpanMatchesGuardedEmulation(t *testing.T) {
 // span hold −0, which adding even +0 turns into +0, and the span starts and
 // ends mid-group inside the detector's shadow, in a tile of three slices,
 // with an interior run of fast groups between the guarded ends and without
-// one. Every spelling must leave the −0 columns bit for bit.
+// one. The same holds for a block: its launch covers the union of its
+// projections' spans and nothing else, whether the spans nest, overlap or
+// leave a gap inside their hull. Every spelling must leave the −0 columns
+// bit for bit.
 func TestGuardedPartialGroupWritesOnlySpan(t *testing.T) {
 	logSkippedSpellings(t)
 	rng := rand.New(rand.NewSource(71))
 	const nx, h = 64, 3
-	a := projAccess{nu: 96, np: 1, lo: 0, hi: 96}
-	a.data = make([]float32, a.nu*(a.hi-a.lo))
+	spans := [][4]int{{3, 61, 3, 3}, {11, 29, 11, 11}, {5, 59, 5, 59}, {13, 14, 13, 13}, {40, 47, 40, 40}}
+	a := projAccess{nu: 96, np: len(spans), lo: 0, hi: 96}
+	a.data = make([]float32, a.nu*a.np*(a.hi-a.lo))
 	for i := range a.data {
 		a.data[i] = 1 + rng.Float32()
 	}
@@ -138,25 +142,184 @@ func TestGuardedPartialGroupWritesOnlySpan(t *testing.T) {
 	// row is resident in every slice.
 	ax, ay, az, xc, zc := float32(1.2), float32(0.3), float32(0), float32(4), float32(1)
 	yc := []float32{20, 22, 24}
-	m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
 	negZero := math.Float32frombits(1 << 31)
-	for _, sp := range [][4]int{{3, 61, 3, 3}, {11, 29, 11, 11}, {5, 59, 5, 59}, {13, 14, 13, 13}} {
-		c0, c1, f0, f1 := sp[0], sp[1], sp[2], sp[3]
+	for _, block := range [][]int{{0}, {1}, {2}, {3}, {4}, {0, 1}, {3, 4}, {1, 3, 4}, {0, 1, 2, 3, 4}} {
 		for name, sub := range a.spellings() {
 			out := make([]float32, h*nx)
 			for i := range out {
 				out[i] = negZero
 			}
-			pc := sub.newProjConsts(0, &m, nx, new(rowCache))
-			sub.launchSpan(&pc.args, out, nx, c0, c1, f0, f1, xc, zc, yc)
+			var args tileArgs
+			sub.initTileArgs(&args, nx, new(rowCache))
+			args.h = h
+			for _, s := range block {
+				sp := spans[s]
+				sub.addEntry(&args, s, sp[0], sp[1], sp[2], sp[3], ax, ay, az, xc, zc, yc)
+			}
+			sub.launchTile(&args, out)
 			for k := 0; k < h; k++ {
 				for i := 0; i < nx; i++ {
-					v := out[k*nx+i]
-					if covered := i >= c0 && i < c1; covered == (math.Float32bits(v) == 1<<31) {
-						t.Fatalf("%s, span [%d,%d) interior [%d,%d): slice %d column %d holds %g (covered %v)",
-							name, c0, c1, f0, f1, k, i, v, covered)
+					covered := false
+					for _, s := range block {
+						covered = covered || i >= spans[s][0] && i < spans[s][1]
+					}
+					if v := out[k*nx+i]; covered == (math.Float32bits(v) == 1<<31) {
+						t.Fatalf("%s, block %v: slice %d column %d holds %g (covered %v)", name, block, k, i, v, covered)
 					}
 				}
+			}
+		}
+	}
+}
+
+// blockFixture is a store of projBlock projections and, for each, row
+// constants under which every column of a row up to 100 wide is resident
+// in every slice of a 16-slice tile — so any sub-span of a row may be
+// declared interior — with its own pitch, climb, slope of w and sweep of v.
+type blockFixture struct {
+	a                  projAccess
+	ax, ay, az, xc, zc [projBlock]float32
+	yc                 [projBlock][zBlock]float32
+}
+
+func newBlockFixture(t *testing.T, rng *rand.Rand) *blockFixture {
+	t.Helper()
+	f := &blockFixture{a: projAccess{nu: 160, np: projBlock, lo: 0, hi: 96}}
+	f.a.data = make([]float32, f.a.nu*f.a.np*(f.a.hi-f.a.lo))
+	for i := range f.a.data {
+		f.a.data[i] = float32(rng.NormFloat64())
+	}
+	f.a.buildRowTable()
+	if !f.a.prepareSIMD() {
+		t.Fatal("prepareSIMD refused a small buffer")
+	}
+	for s := 0; s < projBlock; s++ {
+		zc := float32(1 + rng.Float64()*0.2)
+		f.az[s], f.zc[s] = float32((rng.Float64()-0.5)*0.001), zc
+		f.ax[s] = float32(0.9+rng.Float64()*0.3) * zc
+		f.xc[s] = float32(2+rng.Float64()*3) * zc
+		f.ay[s] = float32(rng.Float64()*0.3) * zc
+		y0, dy := 2+rng.Float64()*3, 0.3+rng.Float64()
+		for k := range f.yc[s] {
+			f.yc[s][k] = float32(y0+dy*float64(k)) * zc
+		}
+		for i := 0; i < 100; i++ {
+			for _, y := range f.yc[s] {
+				if !f.a.interiorResidentSIMD(i, f.ax[s], f.ay[s], f.az[s], f.xc[s], y, f.zc[s]) {
+					t.Fatalf("projection %d: column %d not resident under the fixture's geometry", s, i)
+				}
+			}
+		}
+	}
+	return f
+}
+
+// add appends projection s's entry with the span [c0,c1), interior
+// [f0,f1), in the tile's first h slices.
+func (f *blockFixture) add(a *projAccess, args *tileArgs, s, c0, c1, f0, f1, h int) {
+	a.addEntry(args, s, c0, c1, f0, f1, f.ax[s], f.ay[s], f.az[s], f.xc[s], f.zc[s], f.yc[s][:h])
+}
+
+// launch back-projects the projections whose spans are sp, in ascending s
+// (sp[s] is projection s's [c0,c1) and interior [f0,f1)), into a row of nx
+// columns in h slices stride floats apart: as one block launch, or one
+// launch per projection.
+func (f *blockFixture) launch(a *projAccess, out []float32, stride, nx, h int, sp [][4]int, block bool) {
+	var args tileArgs
+	a.initTileArgs(&args, stride, new(rowCache))
+	args.h = int64(h)
+	for s, c := range sp {
+		f.add(a, &args, s, c[0], c[1], c[2], c[3], h)
+		if !block {
+			a.launchTile(&args, out)
+			args.n = 0
+		}
+	}
+	if block {
+		a.launchTile(&args, out)
+	}
+}
+
+// sentinelRows returns h rows of nx columns, stride floats apart, holding
+// random values in the columns some span of sp covers and, everywhere else
+// (the columns no projection covers and the floats between the rows),
+// alternately −0 and a NaN: sentinels that any store of a sum, even of +0,
+// would change.
+func sentinelRows(rng *rand.Rand, stride, nx, h int, sp [][4]int) []float32 {
+	out := make([]float32, (h-1)*stride+nx)
+	for i := range out {
+		col, covered := i%stride, false
+		for _, c := range sp {
+			covered = covered || col >= c[0] && col < c[1]
+		}
+		switch {
+		case covered:
+			out[i] = float32(rng.NormFloat64())
+		case i%2 == 0:
+			out[i] = math.Float32frombits(1 << 31)
+		default:
+			out[i] = math.Float32frombits(0x7fc0_1234)
+		}
+	}
+	return out
+}
+
+// A block launch must write what launching its projections one at a time in
+// ascending s writes, bit for bit, in every spelling: the register-held
+// running sums of the 16-lane spelling add the same float32 values in the
+// same order as the volume carrying them from launch to launch. Blocks of
+// 1–16 projections into tiles of 1–16 slices, on rows whose width is and
+// is not a multiple of a group's, with random spans and interiors (any
+// sub-span is interior under the fixture's geometry) — and one block whose
+// 16-column group [16,32) is fast for one projection, guarded for the next,
+// outside the support of a third and partly covered by a fourth. The
+// columns no projection covers, and the floats between the rows, hold −0
+// and NaN sentinels that must come out bit for bit.
+func TestBlockLaunchMatchesPerProjection(t *testing.T) {
+	logSkippedSpellings(t)
+	rng := rand.New(rand.NewSource(83))
+	f := newBlockFixture(t, rng)
+	type launch struct {
+		nx, h int
+		sp    [][4]int
+	}
+	launches := []launch{{96, 12, [][4]int{{0, 96, 0, 96}, {0, 96, 0, 0}, {40, 96, 40, 96}, {20, 28, 20, 20}}}}
+	widths := []int{24, 32, 33, 96, 100}
+	for n := 1; n <= projBlock; n++ {
+		for h := 1; h <= zBlock; h++ {
+			l := launch{nx: widths[(n+h)%len(widths)], h: h}
+			for range n {
+				c0 := rng.Intn(l.nx)
+				c1 := c0 + 1 + rng.Intn(l.nx-c0)
+				f0, f1 := c0, c0
+				if rng.Intn(3) > 0 {
+					f0 = c0 + rng.Intn(c1-c0)
+					f1 = f0 + rng.Intn(c1-f0+1)
+				}
+				l.sp = append(l.sp, [4]int{c0, c1, f0, f1})
+			}
+			launches = append(launches, l)
+		}
+	}
+	for _, l := range launches {
+		stride := l.nx + 1 + rng.Intn(20)
+		init := sentinelRows(rng, stride, l.nx, l.h, l.sp)
+		var first []float32
+		for name, sub := range f.a.spellings() {
+			want := slices.Clone(init)
+			f.launch(sub, want, stride, l.nx, l.h, l.sp, false)
+			got := slices.Clone(init)
+			f.launch(sub, got, stride, l.nx, l.h, l.sp, true)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s, %d projections, %d slices of %d columns, spans %v: slice %d column %d: block %g (%#x) != one at a time %g (%#x)",
+						name, len(l.sp), l.h, l.nx, l.sp, i/stride, i%stride, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+			if first == nil {
+				first = got
+			} else if !slices.EqualFunc(first, got, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
+				t.Fatalf("%s, spans %v: the spellings' block launches differ", name, l.sp)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
@@ -85,12 +86,41 @@ func (a *projAccess) layRows(h int, alloc func(n int) []float32) {
 	*a = layoutAccess(l, data, a.lo, a.hi)
 }
 
-// launchRow launches one span of one row in one slice the way rowRec does:
-// the per-projection half of the argument block, then the per-row half.
+// launchRow launches one span of one row in one slice the way a block of
+// one projection is launched.
 func (a *projAccess) launchRow(out []float32, s, c0, c1, f0, f1 int, ax, ay, az, xc, yc, zc float32) {
-	var args simdRowArgs
-	a.initSpanArgs(&args, s, ax, ay, az, new(rowCache))
-	a.launchSpan(&args, out, 0, c0, c1, f0, f1, xc, zc, []float32{yc})
+	a.launchOne(out, 0, s, c0, c1, f0, f1, ax, ay, az, xc, zc, []float32{yc})
+}
+
+// launchOne launches projection s alone into the covered columns [c0,c1),
+// interior [f0,f1), of one output row in len(yc) slices stride floats
+// apart, out starting at the row in the first slice. An empty span
+// launches nothing, as rowRec adds no entry for it.
+func (a *projAccess) launchOne(out []float32, stride, s, c0, c1, f0, f1 int, ax, ay, az, xc, zc float32, yc []float32) {
+	if c0 >= c1 {
+		return
+	}
+	var args tileArgs
+	a.initTileArgs(&args, stride, new(rowCache))
+	args.h = int64(len(yc))
+	a.addEntry(&args, s, c0, c1, f0, f1, ax, ay, az, xc, zc, yc)
+	a.launchTile(&args, out)
+}
+
+// addEntry appends projection s's entry to a launch as rowRec does, with
+// its span, interior, coefficients and row constants given.
+func (a *projAccess) addEntry(args *tileArgs, s, c0, c1, f0, f1 int, ax, ay, az, xc, zc float32, yc []float32) {
+	e := &args.ent[args.n]
+	e.data = unsafe.Pointer(unsafe.SliceData(a.data[s*a.sStride:]))
+	e.c0, e.c1, e.f0, e.f1 = int64(c0), int64(c1), int64(f0), int64(f1)
+	e.ax, e.ay, e.az, e.xc, e.zc = ax, ay, az, xc, zc
+	copy(e.yc[:], yc)
+	if args.n == 0 {
+		args.c0, args.c1 = e.c0, e.c1
+	} else {
+		args.c0, args.c1 = min(args.c0, e.c0), max(args.c1, e.c1)
+	}
+	args.n++
 }
 
 // simdCoords returns the contract's homogeneous coordinates at column i.
@@ -275,7 +305,7 @@ func TestRowSpansMatchUnhoisted(t *testing.T) {
 			ax, ay, az = ax*0.05, ay*0.05, az*0.05 // short sweeps: whole-row accepts
 		}
 		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
-		pc := a.newProjConsts(0, &m, nx, new(rowCache))
+		pc := a.newProjConsts(0, &m, nx)
 		c0, i0, i1, c1 := a.rowSpans(&pc, xc, yc, yc, zc, nx)
 		wc0, wi0, wi1, wc1 := a.rowSpansUnhoisted(ax, ay, az, xc, yc, zc, nx)
 		if c0 != wc0 || i0 != wi0 || i1 != wi1 || c1 != wc1 {

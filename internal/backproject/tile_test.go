@@ -25,11 +25,11 @@ func TestShippedGeometriesAreZInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, m := range kernelMats(sys) {
-			if pc := a.newProjConsts(s, &m, sys.NX, new(rowCache)); !pc.zInvariant {
+			if pc := a.newProjConsts(s, &m, sys.NX); !pc.zInvariant {
 				t.Fatalf("%s projection %d: u or w depends on z (R0[2]=%g, R2[2]=%g)", ds.Name, s, m.R0[2], m.R2[2])
 			}
 			m.R2[2] = 1e-4
-			if pc := a.newProjConsts(s, &m, sys.NX, new(rowCache)); pc.zInvariant {
+			if pc := a.newProjConsts(s, &m, sys.NX); pc.zInvariant {
 				t.Fatalf("%s projection %d: tilted matrix passed as z-invariant", ds.Name, s)
 			}
 		}
@@ -180,7 +180,7 @@ func TestTileSpansSound(t *testing.T) {
 		}
 		yc[slices-1] = yb
 		m := geometry.Mat34x4{R0: [4]float32{ax}, R1: [4]float32{ay}, R2: [4]float32{az}}
-		pc := a.newProjConsts(0, &m, nx, new(rowCache))
+		pc := a.newProjConsts(0, &m, nx)
 		c0, i0, i1, c1 := a.rowSpans(&pc, xc, ya, yb, zc, nx)
 		if c0 == 0 && c1 == nx && i0 == i1 {
 			continue // z may cross: everything covered, nothing interior

@@ -186,7 +186,8 @@ chaos:
 # uninterrupted run. Last, give-up-then-resume: with a budget of 0 the kill
 # fails the run, which must exit non-zero and keep volume.partial and the
 # journal; the same command without -kill must resume them, remove the
-# journal and promote the bytes of an uninterrupted run.
+# journal and promote the bytes of an uninterrupted run — on 2×2 ranks, then
+# on one rank, a world of one.
 chaos-recover:
 	$(GO) test -race -count=1 \
 		-run 'TestSupervise|TestShrinkPlan|TestClusterReportSkippedBatches|TestTeardownAttributes|TestDeadlineExpiryCarriesNoAttribution|TestLostRanks|TestScheduleKill|TestBatchStartNilInjector|TestJournal' \
@@ -226,6 +227,19 @@ chaos-recover:
 	test ! -e artifacts/recover_giveup.journal
 	cmp artifacts/recover_giveup_ref.fbk artifacts/recover_giveup.fbk
 	rm -f artifacts/recover_giveup.fbk artifacts/recover_giveup_ref.fbk
+	rm -f artifacts/recover_one.fbk artifacts/recover_one.fbk.partial artifacts/recover_one.journal artifacts/recover_one_ref.fbk
+	$(GO) run ./cmd/fdkrecon -div 16 -n 32 -batches 4 -o artifacts/recover_one_ref.fbk
+	! $(GO) run ./cmd/fdkrecon -div 16 -n 32 -batches 4 \
+		-o artifacts/recover_one.fbk \
+		-journal artifacts/recover_one.journal -max-restarts 0 -kill 0@2
+	test -f artifacts/recover_one.fbk.partial
+	test -f artifacts/recover_one.journal
+	$(GO) run ./cmd/fdkrecon -div 16 -n 32 -batches 4 \
+		-o artifacts/recover_one.fbk \
+		-journal artifacts/recover_one.journal -max-restarts 0
+	test ! -e artifacts/recover_one.journal
+	cmp artifacts/recover_one_ref.fbk artifacts/recover_one.fbk
+	rm -f artifacts/recover_one.fbk artifacts/recover_one_ref.fbk
 
 # Real-transport gate: the same reconstruction twice — once in-process,
 # once as a 4-process loopback TCP world (coordinator + 3 re-exec'd
@@ -314,7 +328,7 @@ bench-compare:
 # flags, the Go version, GOMAXPROCS and the time. `fdkbench -pairs` then
 # prints per metric each arm's median and quartiles, in how many pairs the
 # head read better and a verdict (improved, unchanged, unresolved or
-# regressed), and each arm's median calibration loop: after each
+# regressed; fewer than 10 pairs read unresolved), and each arm's median calibration loop: after each
 # workload's pairs, and once more for every workload at the end, so that
 # "no end-to-end metric reads regressed on any workload" is read off one
 # command's tail. SEED is the benchmark's --seed (its default when unset);

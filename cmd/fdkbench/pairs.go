@@ -109,16 +109,24 @@ func improvement(better string, change float64) float64 {
 	return 0
 }
 
+// minPairs is the fewest pairs a verdict is given on: nine tenths of fewer
+// is a handful of runs, and of one pair it is that pair alone.
+const minPairs = 10
+
 // pairVerdict judges one metric over pairs pairs: improved when the head
 // is better in at least nine tenths of them (ties count for neither) and
 // the medians differ, for the better, by more than the base arm's
 // interquartile range (beyond); regressed when the same holds for the
 // worse; unchanged when neither arm wins nine tenths and the medians lie
 // within that range; unresolved otherwise — the runs disagree with
-// themselves. gain is the median's change signed by improvement.
+// themselves, or are fewer than minPairs. gain is the median's change
+// signed by improvement.
 func pairVerdict(better string, gain float64, beyond bool, wins, losses, pairs int) string {
 	if better == "" {
 		return "—"
+	}
+	if pairs < minPairs {
+		return "unresolved"
 	}
 	most := func(k int) bool { return 10*k >= 9*pairs }
 	switch {

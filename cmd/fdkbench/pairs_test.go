@@ -45,8 +45,9 @@ func TestPairsTable(t *testing.T) {
 	for _, want := range []string{
 		"5 pairs from",
 		// base sorted 0.040 0.044 0.045 0.046 0.047: q1 = 0.042, q3 = 0.0465.
-		"| `wall_s` | s | lower | 0.042 / 0.045 / 0.0465 | 0.0415 / 0.043 / 0.0435 | -4.44 % | no | 4 of 5 | unchanged |",
-		"| `peak_rss_mib` | MiB | lower | 10 / 10 / 10 | 10 / 10 / 10 | +0.00 % | no | 0 of 5 | unchanged |",
+		// Five pairs are too few for a verdict.
+		"| `wall_s` | s | lower | 0.042 / 0.045 / 0.0465 | 0.0415 / 0.043 / 0.0435 | -4.44 % | no | 4 of 5 | unresolved |",
+		"| `peak_rss_mib` | MiB | lower | 10 / 10 / 10 | 10 / 10 / 10 | +0.00 % | no | 0 of 5 | unresolved |",
 		"base: calibration loop 4 ms, raw wall 0.6 s (medians over 3 reps of 2 invocations)",
 		"head: calibration loop 4 ms, raw wall 0.4 s (medians over 1 reps of 1 invocations)",
 	} {
@@ -61,7 +62,7 @@ func TestPairsTable(t *testing.T) {
 
 // A verdict needs nine tenths of the pairs and a median shift beyond the
 // base arm's interquartile range, both on the same side; a metric the
-// declaration does not direct gets none.
+// declaration does not direct gets none, and fewer than ten pairs give none.
 func TestPairVerdict(t *testing.T) {
 	for _, c := range []struct {
 		better       string
@@ -80,6 +81,11 @@ func TestPairVerdict(t *testing.T) {
 		{"lower", 0.01, false, 6, 4, 10, "unchanged"},
 		{"lower", 0, false, 0, 0, 10, "unchanged"},
 		{"", 0.2, true, 10, 0, 10, "—"},
+		{"lower", 0.2, true, 1, 0, 1, "unresolved"},
+		{"lower", -0.2, true, 0, 1, 1, "unresolved"},
+		{"lower", 0.2, true, 9, 0, 9, "unresolved"},
+		{"lower", 0.01, false, 5, 4, 9, "unresolved"},
+		{"lower", 0.2, true, 10, 0, 11, "improved"},
 	} {
 		if got := pairVerdict(c.better, c.gain, c.beyond, c.wins, c.losses, c.pairs); got != c.want {
 			t.Errorf("%+v: %s", c, got)

@@ -6,9 +6,11 @@
 //	fdkrecon -dataset tomo_00030 -div 8 -n 64 -o vol.fbk -slice slice.pgm
 //	fdkrecon -in projections.fbp -dataset tomo_00030 -div 8 -n 64 -o vol.fbk
 //
-// Multi-rank mode (-groups/-ranks) runs the grouped decomposition with the
-// segmented reduction in-process. Adding -world N spreads the same world
-// over N OS processes wired through loopback sockets (see world.go):
+// Every FDK run is one supervised world of -groups × -ranks ranks (one by
+// default): the grouped decomposition with the segmented reduction,
+// in-process. Adding -world N spreads the same world over N OS processes
+// wired through loopback sockets (see world.go), and -journal makes any
+// world resumable:
 //
 //	fdkrecon -div 16 -n 32 -groups 2 -ranks 2 -world 4 -journal vol.journal -o vol.fbk
 //
@@ -35,7 +37,6 @@ import (
 
 	"distfdk/internal/core"
 	"distfdk/internal/dataset"
-	"distfdk/internal/device"
 	"distfdk/internal/experiments"
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
@@ -62,8 +63,8 @@ func main() {
 		ranks      = flag.Int("ranks", 1, "Nr ranks per group")
 		batches    = flag.Int("batches", core.DefaultBatchCount, "Nc slab batches")
 		memMB      = flag.Int64("devmem", 0, "device memory budget in MiB (0 = unlimited)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "CPU parallelism")
-		timeline   = flag.Bool("timeline", false, "print the pipeline timeline (single-rank mode)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "CPU parallelism, shared out between the ranks (at least 1 each)")
+		timeline   = flag.Bool("timeline", false, "print rank 0's pipeline timeline")
 		zlo        = flag.Int("zlo", -1, "first slice of the plan's Z window (ROI), in every FDK mode; -1 = full volume")
 		znz        = flag.Int("znz", 0, "slice count of the Z window (with -zlo)")
 		stats      = flag.Bool("stats", false, "print volume statistics")
@@ -73,12 +74,12 @@ func main() {
 		metrics    = flag.String("metrics-json", "", "write the run's metrics JSON artifact")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof, Prometheus /metrics and /statusz on this address (e.g. localhost:6060)")
 		statusPoll = flag.Duration("status-poll", 0, "with -pprof: poll the live /metrics and /statusz endpoints at this interval during the run and fail unless they validate (smoke test)")
-		journal    = flag.String("journal", "", "checkpoint journal path (multi-rank mode): durable slab output with crash resume and supervised shrink-and-resume through rank loss; without it the first lost rank fails the run")
+		journal    = flag.String("journal", "", "checkpoint journal path: durable slab output with crash resume and supervised shrink-and-resume through rank loss; without it the first lost rank fails the run")
 		restarts   = flag.Int("max-restarts", core.DefaultMaxRestarts, "restart budget of the supervised run, 0 = one attempt (needs -journal)")
 		backoff    = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (needs -journal)")
 		deadline   = flag.Duration("deadline", 0, "collective deadline: a lost peer surfaces as a typed error within this bound (0 waits for world teardown)")
 		kills      = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
-		worldN     = flag.Int("world", 0, "spread the multi-rank run over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
+		worldN     = flag.Int("world", 0, "spread the run's ranks over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
 		transport  = flag.String("transport", "tcp", "socket transport of -world mode: tcp or unix")
 		severSpec  = flag.String("sever", "", "chaos: comma-separated rank@nth wire severs, e.g. 1@2 cuts the connection carrying rank 1's 2nd outgoing frame (-world mode; the link must reconnect and replay)")
 		workerFl   = flag.Bool("worker", false, "internal: run as a spawned worker process of a -world coordinator")
@@ -92,7 +93,7 @@ func main() {
 		procs: *procsFl, transport: *transport, connect: *connectFl}
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := errors.Join(nf.validate(), refuseUnread(*algo, *zlo, *groups**ranks, set),
+	if err := errors.Join(nf.validate(), refuseUnread(*algo, *zlo, set),
 		validateRunFlags(*batches, *memMB, *workers, *restarts, *backoff, *deadline)); err != nil {
 		log.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func main() {
 	// Telemetry is collected whenever any consumer of it was requested;
 	// otherwise every instrumented path stays at a single pointer check.
 	var run *telemetry.Run
-	if *traceOut != "" || *metrics != "" || *pprof != "" {
+	if *traceOut != "" || *metrics != "" || *pprof != "" || *timeline {
 		run = telemetry.NewRun(plan.Ranks())
 	}
 	// finishPoll stops the -status-poll loop (if any) and fails the run
@@ -155,124 +156,103 @@ func main() {
 		finishPoll = startStatusPoll(srv.Addr(), *statusPoll)
 	}
 
-	if plan.Ranks() == 1 {
-		reg := run.Rank(0)
-		if reg == nil && *timeline {
-			reg = telemetry.NewRegistry() // the timeline is drawn from its spans
-		}
-		var rep *core.ReconReport
-		streamVolume(*outPath, plan.Output(), run, "", func(w core.SlabSink) (err error) {
-			rep, err = core.ReconstructSingle(core.ReconOptions{
-				Plan: plan, Source: source,
-				Device: device.New("local", *memMB<<20, *workers),
-				Window: win, Sink: w, Telemetry: reg,
-			})
-			return err
-		})
-		finishPoll()
-		fmt.Printf("reconstructed %d slabs in %v (H2D %.1f MiB, D2H %.1f MiB, kernel %s)\n",
-			rep.Slabs, rep.Elapsed.Round(1e6),
-			float64(rep.Ledger.H2DBytes)/(1<<20), float64(rep.Ledger.D2HBytes)/(1<<20),
-			rep.Ledger.Arithmetic())
-		if *timeline {
-			fmt.Print(telemetry.RenderGantt(reg.Spans(), []string{"load", "filter", "backproject", "store"}, 100))
-		}
-		writeTelemetry(*traceOut, *metrics, run.Snapshots())
-	} else {
-		copts := core.ClusterOptions{
-			Plan: plan, Source: source, Window: win,
-			DeviceMemBytes: *memMB << 20,
-			Telemetry:      run, CollectiveDeadline: *deadline,
-		}
-		inj, err := buildChaosInjector(*kills, *severSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		copts.FaultInjector = inj
+	inj, err := buildChaosInjector(*kills, *severSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Every FDK run is one world, of one rank or of many; -workers is
+	// shared out between its ranks (the bytes do not depend on the width).
+	copts := core.ClusterOptions{
+		Plan: plan, Source: source, Window: win,
+		DeviceMemBytes: *memMB << 20, WorkersPerRank: max(1, *workers/plan.Ranks()),
+		FaultInjector: inj, Telemetry: run, CollectiveDeadline: *deadline,
+	}
 
-		var sw *socketWorld
-		if nf.active() {
-			if copts.CollectiveDeadline == 0 {
-				copts.CollectiveDeadline = defaultNetDeadline
-			}
-			// The reconstruction flags a worker must agree on, forwarded
-			// verbatim; the resolved deadline keeps both sides' bounds equal.
-			forward := []string{
-				"-dataset", *dsName, "-div", strconv.Itoa(*div), "-n", strconv.Itoa(*outN),
-				"-groups", strconv.Itoa(*groups), "-ranks", strconv.Itoa(*ranks),
-				"-batches", strconv.Itoa(*batches),
-				"-window", *window,
-				"-devmem", strconv.FormatInt(*memMB, 10),
-				"-workers", strconv.Itoa(*workers),
-				"-deadline", copts.CollectiveDeadline.String(),
-			}
-			if *zlo >= 0 {
-				// Formation checks the rank assignment only: a worker must
-				// be told the window, or it runs another one.
-				forward = append(forward, "-zlo", strconv.Itoa(*zlo), "-znz", strconv.Itoa(*znz))
-			}
-			if *inPath != "" {
-				// Workers read the same projections, whatever directory
-				// they are started in.
-				abs, err := filepath.Abs(*inPath)
-				if err != nil {
-					log.Fatal(err)
-				}
-				forward = append(forward, "-in", abs)
-			}
-			if *journal != "" {
-				forward = append(forward, "-journal", *journal,
-					"-max-restarts", strconv.Itoa(*restarts),
-					"-restart-backoff", backoff.String())
-			}
-			if *kills != "" {
-				forward = append(forward, "-kill", *kills)
-			}
-			if *severSpec != "" {
-				forward = append(forward, "-sever", *severSpec)
-			}
-			sw, err = startSocketWorld(nf, inj, run, forward)
+	var sw *socketWorld
+	if nf.active() {
+		if copts.CollectiveDeadline == 0 {
+			copts.CollectiveDeadline = defaultNetDeadline
+		}
+		// The reconstruction flags a worker must agree on, forwarded
+		// verbatim; the resolved deadline keeps both sides' bounds equal.
+		forward := []string{
+			"-dataset", *dsName, "-div", strconv.Itoa(*div), "-n", strconv.Itoa(*outN),
+			"-groups", strconv.Itoa(*groups), "-ranks", strconv.Itoa(*ranks),
+			"-batches", strconv.Itoa(*batches),
+			"-window", *window,
+			"-devmem", strconv.FormatInt(*memMB, 10),
+			"-workers", strconv.Itoa(*workers),
+			"-deadline", copts.CollectiveDeadline.String(),
+		}
+		if *zlo >= 0 {
+			// Formation checks the rank assignment only: a worker must
+			// be told the window, or it runs another one.
+			forward = append(forward, "-zlo", strconv.Itoa(*zlo), "-znz", strconv.Itoa(*znz))
+		}
+		if *inPath != "" {
+			// Workers read the same projections, whatever directory
+			// they are started in.
+			abs, err := filepath.Abs(*inPath)
 			if err != nil {
 				log.Fatal(err)
 			}
-			copts.Launch = sw.node.Launcher(plan.NRanksPerGroup)
+			forward = append(forward, "-in", abs)
 		}
-		// -journal makes the run durable and restartable: the journal is
-		// reopened every attempt, and the budget is -max-restarts. Without
-		// it the budget is 0, and the first lost rank fails the run.
-		sup := core.SuperviseOptions{Cluster: copts, RestartBackoff: *backoff, Follower: nf.worker}
 		if *journal != "" {
-			sup.MaxRestarts = *restarts
-			sup.OpenCheckpoint = func(fp string) (core.CheckpointLog, error) {
-				j, err := storage.OpenJournal(*journal, fp)
-				if err != nil {
-					return nil, err
-				}
-				j.SetTelemetry(run.Shared())
-				return j, nil
-			}
+			forward = append(forward, "-journal", *journal,
+				"-max-restarts", strconv.Itoa(*restarts),
+				"-restart-backoff", backoff.String())
 		}
-		if nf.worker {
-			// Group leaders live on the coordinator, so no slab reaches a
-			// worker's sink.
-			if err := superviseWorld(sup, core.DiscardSink{}, sw, *traceOut, *metrics); err != nil {
-				log.Fatalf("worker: %v", err)
-			}
-			sw.reportSevers()
-			sw.close()
-			return
+		if *kills != "" {
+			forward = append(forward, "-kill", *kills)
 		}
-		streamVolume(*outPath, plan.Output(), run, *journal, func(w core.SlabSink) error {
-			return superviseWorld(sup, w, sw, *traceOut, *metrics)
-		})
-		if sw != nil {
-			// Workers follow the same decisions, supervision included; all
-			// of them must exit cleanly.
-			sw.finish(len(splitSpec(*severSpec)))
+		if *severSpec != "" {
+			forward = append(forward, "-sever", *severSpec)
 		}
-		finishPoll()
+		sw, err = startSocketWorld(nf, inj, run, forward)
+		if err != nil {
+			log.Fatal(err)
+		}
+		copts.Launch = sw.node.Launcher(plan.NRanksPerGroup)
 	}
-
+	// -journal makes the run durable and restartable: the journal is
+	// reopened every attempt, and the budget is -max-restarts. Without
+	// it the budget is 0, and the first lost rank fails the run.
+	sup := core.SuperviseOptions{Cluster: copts, RestartBackoff: *backoff, Follower: nf.worker}
+	if *journal != "" {
+		sup.MaxRestarts = *restarts
+		sup.OpenCheckpoint = func(fp string) (core.CheckpointLog, error) {
+			j, err := storage.OpenJournal(*journal, fp)
+			if err != nil {
+				return nil, err
+			}
+			j.SetTelemetry(run.Shared())
+			return j, nil
+		}
+	}
+	if nf.worker {
+		// Group leaders live on the coordinator, so no slab reaches a
+		// worker's sink.
+		if err := superviseWorld(sup, core.DiscardSink{}, sw, *traceOut, *metrics); err != nil {
+			log.Fatalf("worker: %v", err)
+		}
+		sw.reportSevers()
+		sw.close()
+		return
+	}
+	streamVolume(*outPath, plan.Output(), run, *journal, func(w core.SlabSink) error {
+		return superviseWorld(sup, w, sw, *traceOut, *metrics)
+	})
+	if sw != nil {
+		// Workers follow the same decisions, supervision included; all
+		// of them must exit cleanly.
+		sw.finish(len(splitSpec(*severSpec)))
+	}
+	finishPoll()
+	if *timeline {
+		// Rank 0 leads group 0, so it runs every stage, reduce included.
+		fmt.Print(telemetry.RenderGantt(run.Rank(0).Spans(), []string{"load", "filter", "backproject", "reduce", "store"}, 100))
+	}
 	finish(plan.Output(), *outPath, *slice, *stats)
 	if ds, err := dataset.ByName(*dsName); err == nil {
 		fmt.Printf("geometry: %s (magnification %.2f)\n", ds.Description, ds.Magnification())
@@ -347,8 +327,8 @@ func openSlabWriter(path string, out volume.Header, journal string) (*storage.Sl
 	return storage.CreateSlabWriter(path, out)
 }
 
-// superviseWorld is the multi-rank driver, the coordinator's and a
-// worker's alike: one core.Supervise of the world into out. Telemetry
+// superviseWorld is the FDK driver, the coordinator's and a worker's
+// alike: one core.Supervise of the world into out. Telemetry
 // artifacts are written even when the run fails — a partial trace of the
 // attempts is exactly what diagnoses the failure — and a failing
 // coordinator kills its workers. Only the coordinator prints the run.

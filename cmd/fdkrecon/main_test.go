@@ -61,50 +61,51 @@ func TestValidateRunFlags(t *testing.T) {
 
 // A flag the chosen mode never reads is refused, naming the flag and the
 // mode; the command lines the benchmark, the make targets and a -world
-// coordinator's workers run are accepted. Set flags arrive in flag.Visit's
-// order, lexicographic.
+// coordinator's workers run are accepted. A one-rank run is a world of one,
+// so it reads every world flag. Set flags arrive in flag.Visit's order,
+// lexicographic.
 func TestRefuseUnread(t *testing.T) {
 	for _, tc := range []struct {
 		algo       string
-		zlo, ranks int
+		zlo        int
 		set        string
 		flag, mode string // the refused flag and its mode; "" accepts
 	}{
-		{"fdk", -1, 1, "", "", ""},
-		{"fdk", -1, 1, "dataset div in metrics-json n o trace-out", "", ""},
-		{"fdk", -1, 2, "dataset div groups in journal n o ranks world", "", ""},
-		{"fdk", -1, 4, "batches connect dataset deadline devmem div groups in journal kill max-restarts n proc procs ranks restart-backoff sever transport window worker workers", "", ""},
-		{"fdk", 20, 1, "div n o slice stats zlo znz", "", ""},
-		{"fdk", 20, 1, "batches devmem div n o timeline zlo znz", "", ""},
-		{"sirt", -1, 1, "algo div iters n o stats", "", ""},
-		{"fdk", 10, 4, "div groups in journal n o world zlo znz", "", ""},
-		{"fdk", 10, 4, "batches connect deadline div groups journal n proc procs ranks worker zlo znz", "", ""},
-		{"fdk", 10, 1, "div in journal n o zlo znz", "journal", "single-rank"},
-		{"fdk", -1, 1, "div n o znz", "znz", "without -zlo"},
-		{"fdk", -1, 4, "div groups n o ranks znz", "znz", "without -zlo"},
-		{"sirt", 10, 1, "algo div n zlo znz", "zlo", "-algo"},
-		{"sirt", -1, 2, "algo div n ranks", "ranks", "-algo"},
-		{"sirt", -1, 1, "algo window", "window", "-algo"},
-		{"fdk", -1, 2, "groups ranks timeline", "timeline", "multi-rank"},
-		{"fdk", -1, 1, "journal", "journal", "single-rank"},
-		{"fdk", -1, 1, "kill", "kill", "single-rank"},
-		{"fdk", -1, 1, "world", "world", "single-rank"},
-		{"fdk", -1, 2, "iters ranks", "iters", "multi-rank"},
-		{"fdk", -1, 4, "div groups kill max-restarts n ranks", "max-restarts", "without -journal"},
-		{"fdk", -1, 4, "groups ranks restart-backoff world", "restart-backoff", "without -journal"},
-		{"fdk", 10, 4, "batches connect deadline div groups max-restarts n proc procs ranks worker zlo znz", "max-restarts", "without -journal"},
-		{"fdk", -1, 1, "max-restarts", "max-restarts", "single-rank"},
+		{"fdk", -1, "", "", ""},
+		{"fdk", -1, "dataset div in metrics-json n o trace-out", "", ""},
+		{"fdk", -1, "dataset div groups in journal n o ranks world", "", ""},
+		{"fdk", -1, "batches connect dataset deadline devmem div groups in journal kill max-restarts n proc procs ranks restart-backoff sever transport window worker workers", "", ""},
+		{"fdk", 20, "div n o slice stats zlo znz", "", ""},
+		{"fdk", 20, "batches devmem div n o timeline zlo znz", "", ""},
+		{"sirt", -1, "algo div iters n o stats", "", ""},
+		{"fdk", 10, "div groups in journal n o world zlo znz", "", ""},
+		{"fdk", 10, "batches connect deadline div groups journal n proc procs ranks worker zlo znz", "", ""},
+		{"fdk", 10, "div in journal n o zlo znz", "", ""},
+		{"fdk", -1, "div journal kill max-restarts n o", "", ""},
+		{"fdk", -1, "div n o world", "", ""},
+		{"fdk", -1, "groups ranks timeline", "", ""},
+		{"fdk", -1, "div n o znz", "znz", "without -zlo"},
+		{"fdk", -1, "div groups n o ranks znz", "znz", "without -zlo"},
+		{"sirt", 10, "algo div n zlo znz", "zlo", "-algo"},
+		{"sirt", -1, "algo div n ranks", "ranks", "-algo"},
+		{"sirt", -1, "algo window", "window", "-algo"},
+		{"sirt", -1, "algo journal", "journal", "-algo"},
+		{"fdk", -1, "iters ranks", "iters", "fdk"},
+		{"fdk", -1, "div groups kill max-restarts n ranks", "max-restarts", "without -journal"},
+		{"fdk", -1, "groups ranks restart-backoff world", "restart-backoff", "without -journal"},
+		{"fdk", 10, "batches connect deadline div groups max-restarts n proc procs ranks worker zlo znz", "max-restarts", "without -journal"},
+		{"fdk", -1, "max-restarts", "max-restarts", "without -journal"},
 	} {
-		err := refuseUnread(tc.algo, tc.zlo, tc.ranks, strings.Fields(tc.set))
+		err := refuseUnread(tc.algo, tc.zlo, strings.Fields(tc.set))
 		if tc.flag == "" {
 			if err != nil {
-				t.Errorf("-algo %s -zlo %d, %d ranks, flags %q: refused: %v", tc.algo, tc.zlo, tc.ranks, tc.set, err)
+				t.Errorf("-algo %s -zlo %d, flags %q: refused: %v", tc.algo, tc.zlo, tc.set, err)
 			}
 			continue
 		}
 		var fe *FlagError
 		if !errors.As(err, &fe) || fe.Flag != tc.flag || !strings.Contains(fe.Reason, tc.mode) {
-			t.Errorf("-algo %s -zlo %d, %d ranks, flags %q: %v, want -%s refused in %s mode", tc.algo, tc.zlo, tc.ranks, tc.set, err, tc.flag, tc.mode)
+			t.Errorf("-algo %s -zlo %d, flags %q: %v, want -%s refused in %s mode", tc.algo, tc.zlo, tc.set, err, tc.flag, tc.mode)
 		}
 	}
 }

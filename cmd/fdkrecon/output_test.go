@@ -110,6 +110,54 @@ func TestOutputIsPromotedOrUntouched(t *testing.T) {
 	}
 }
 
+// A one-rank run is a world of one, so it takes the world's flags: with
+// -journal and a budget of 0, losing its rank fails the run, which keeps the
+// partial file and the journal, and the same command without the kill
+// resumes them into the uninterrupted run's bytes; -world 2 writes the
+// in-process run's bytes too.
+func TestOneRankRunResumes(t *testing.T) {
+	dir := t.TempDir()
+	noisyInput(t, filepath.Join(dir, "in.fbp"))
+	input := []string{"-in", "in.fbp", "-dataset", "tomo_00030", "-div", "16", "-n", "32", "-batches", "4"}
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fdkrecon(t, dir, slices.Concat(input, []string{"-o", "ref.fbk"})...)
+	want := read("ref.fbk")
+
+	out, journal := filepath.Join(dir, "one.fbk"), filepath.Join(dir, "one.journal")
+	resume := slices.Concat(input, []string{"-o", out, "-journal", journal, "-max-restarts", "0"})
+	if output, err := fdkreconCmd(t, dir, nil, slices.Concat(resume, []string{"-kill", "0@2"})...).CombinedOutput(); err == nil || !strings.Contains(string(output), "rank-kill") {
+		t.Fatalf("the run losing rank 0: err %v, want a failed run:\n%s", err, output)
+	}
+	for _, kept := range []string{out + storage.PartialSuffix, journal} {
+		if _, err := os.Stat(kept); err != nil {
+			t.Fatalf("the failed run did not keep %s: %v", kept, err)
+		}
+	}
+	if output := fdkrecon(t, dir, resume...); !strings.Contains(output, "resuming") {
+		t.Errorf("the rerun did not resume the partial file:\n%s", output)
+	}
+	if !bytes.Equal(read("one.fbk"), want) {
+		t.Error("the resumed run did not promote the uninterrupted bytes")
+	}
+	for _, gone := range []string{out + storage.PartialSuffix, journal} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Errorf("the resumed run left %s: %v", gone, err)
+		}
+	}
+
+	fdkrecon(t, dir, slices.Concat(input, []string{"-world", "2", "-o", "world.fbk"})...)
+	if !bytes.Equal(read("world.fbk"), want) {
+		t.Error("the one-rank -world 2 run differs from the in-process run")
+	}
+}
+
 // failWithCutInput runs a second, larger reconstruction with args into out
 // and cuts its input back to the header once it has stored a slab, so a
 // later batch's load reads past the end of the file.

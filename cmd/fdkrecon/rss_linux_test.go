@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"os/exec"
@@ -57,23 +58,38 @@ func peakRSS(t *testing.T, dir string, args ...string) int64 {
 	return kib << 10
 }
 
-// A single-rank run streams its volume to -o, so its peak resident set
+// A one-rank run streams its volume to -o, so its peak resident set
 // follows the ring and the one slab, not n³: two problems over one input
-// whose volumes differ 8× (64³ is 1 MiB, 128³ is 8 MiB) peak within half
-// the larger volume of each other. Thin slabs (-batches 32) keep the one
-// slab's share of the difference small, the race detector's shadow of it
-// included.
+// whose volumes differ 8× (64³ is 1 MiB, 128³ is 8 MiB), both under one
+// device budget (-devmem 1) that holds the ring and the slab but neither
+// volume, peak within half the larger volume of each other, and each writes
+// the bytes of its run without the budget. Thin slabs (-batches 32) keep the
+// one slab's share of the difference small, the race detector's shadow of
+// it included.
 func TestPeakRSSDoesNotTrackVolume(t *testing.T) {
 	dir := t.TempDir()
 	noisyInput(t, filepath.Join(dir, "in.fbp"))
+	run := []string{"-in", "in.fbp", "-dataset", "tomo_00030", "-div", "16", "-batches", "32"}
 	peak := func(n string) int64 {
-		return peakRSS(t, dir, "-in", "in.fbp", "-dataset", "tomo_00030",
-			"-div", "16", "-n", n, "-batches", "32", "-o", "v"+n+".fbk")
+		return peakRSS(t, dir, append(run, "-n", n, "-devmem", "1", "-o", "v"+n+".fbk")...)
 	}
 	small, large := peak("64"), peak("128")
 	t.Logf("peak RSS %.1f MiB at 64³, %.1f MiB at 128³", float64(small)/(1<<20), float64(large)/(1<<20))
 	if d := large - small; d >= 128*128*128*4/2 || -d >= 128*128*128*4/2 {
 		t.Error("the peaks differ by half the 128³ volume or more: the run holds its volume")
+	}
+	sum := func(name string) [sha256.Size]byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(b)
+	}
+	for _, n := range []string{"64", "128"} {
+		fdkrecon(t, dir, append(run, "-n", n, "-o", "in-core"+n+".fbk")...)
+		if got, want := sum("v"+n+".fbk"), sum("in-core"+n+".fbk"); got != want {
+			t.Errorf("%s³ under -devmem 1: sha256 %x, without the budget %x", n, got, want)
+		}
 	}
 }
 

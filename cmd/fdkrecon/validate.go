@@ -22,25 +22,21 @@ func (e *FlagError) Error() string {
 // modeReads names the flags each mode reads on top of the input, the
 // output and its views, the width and -algo, which every mode reads.
 var modeReads = map[string]string{
-	"-algo":       "iters",
-	"single-rank": "window zlo znz groups ranks batches devmem timeline trace-out metrics-json pprof status-poll",
-	"multi-rank": "window zlo znz groups ranks batches devmem trace-out metrics-json pprof status-poll " +
+	"-algo": "iters",
+	"fdk": "window zlo znz groups ranks batches devmem timeline trace-out metrics-json pprof status-poll " +
 		"journal max-restarts restart-backoff deadline kill world transport sever worker proc procs connect",
 }
 
-// refuseUnread picks the run's mode — -algo other than fdk, else single- or
-// multi-rank by the world's size — and refuses the first explicitly set flag
-// that mode would ignore: a flag that changes nothing is a mistake at the CLI
-// surface, not a no-op. -znz is read only with a window, so it needs -zlo;
-// only a journaled run restarts, so -max-restarts and -restart-backoff need
+// refuseUnread picks the run's mode — -algo other than fdk, else fdk, one
+// world of any size — and refuses the first explicitly set flag that mode
+// would ignore: a flag that changes nothing is a mistake at the CLI surface,
+// not a no-op. -znz is read only with a window, so it needs -zlo; only a
+// journaled run restarts, so -max-restarts and -restart-backoff need
 // -journal.
-func refuseUnread(algo string, zlo, ranks int, set []string) error {
-	mode := "multi-rank"
-	switch {
-	case algo != "fdk":
+func refuseUnread(algo string, zlo int, set []string) error {
+	mode := "fdk"
+	if algo != "fdk" {
 		mode = "-algo"
-	case ranks == 1:
-		mode = "single-rank"
 	}
 	reads := strings.Fields("dataset div n in o slice stats workers algo " + modeReads[mode])
 	for _, name := range set {

@@ -75,18 +75,21 @@ doc-check:
 # downloaded) — the back-projection, the projector and the voxeliser as their
 # test builds, whose listings hold the package and its oracle — and fails,
 # naming the function, if an FMADD/FMSUB/FNMADD/FNMSUB appears inside one of
-# FUSE_LINT_FUNCS or if one of them is missing from the listing. The float64
-# span solves (the kernel's rowSpans and clipRow, the voxeliser's sub-row
-# solve phantom.(*slabTerm).span and phantom.indexRange), the tests' input
-# generators, the numeric volume projector (forward.march, forward.trilinear)
-# and phantom.Foam's placement are not in the list: none of them decides a
-# byte of the benchmark's inputs or its reference. A span solve only decides
-# where the exact arithmetic need not run, with a margin that its doc comment
-# states. Last, the same rule for the assembly spellings: a test scans every
-# .s file of the module for an FMA3 mnemonic.
+# FUSE_LINT_FUNCS or if one of them is missing from the listing. The
+# kernel's float64 span solve (rowSpans and clipRow) is listed because the
+# AVX-512 span solve (spans512_amd64.s) must equal it bit for bit. The
+# voxeliser's sub-row solve (phantom.(*slabTerm).span and
+# phantom.indexRange), the tests' input generators, the numeric volume
+# projector (forward.march, forward.trilinear) and phantom.Foam's placement
+# are not in the list: none of them decides a byte of the benchmark's inputs
+# or its reference, and the voxeliser's span only decides where the exact
+# arithmetic need not run, with a margin that its doc comment states. Last,
+# the same rule for the assembly spellings: a test scans every .s file of
+# the module for an FMA3 mnemonic.
 FUSE_LINT_FUNCS = \
 	backproject.laneAt backproject.simdCoords backproject.footprint backproject.tileFootprint \
-	backproject.(*projAccess).rowRec backproject.(*projAccess).fusedTileGo \
+	backproject.(*projAccess).rowRec backproject.(*projAccess).rowSpans backproject.clipRow \
+	backproject.(*projAccess).fusedTileGo \
 	backproject.(*projAccess).fastCols backproject.(*projAccess).guardedCols \
 	backproject.(*projAccess).subPixel backproject.(*projAccess).perColumn \
 	backproject.projAccess.reference \
@@ -242,8 +245,8 @@ chaos-recover:
 	rm -f artifacts/recover_one.fbk artifacts/recover_one_ref.fbk
 
 # Real-transport gate: the same reconstruction twice — once in-process,
-# once as a 4-process loopback TCP world (coordinator + 3 re-exec'd
-# workers over internal/mpi/nettrans) with a wire sever at rank 1's 2nd
+# once as a 3-process loopback TCP world (coordinator + 2 re-exec'd
+# workers over internal/mpi/nettrans, one per rank that leads no group) with a wire sever at rank 1's 2nd
 # frame and a rank-1 kill at batch 1. The sever must be absorbed by the
 # link's reconnect + replay (fdkrecon itself asserts that every -sever
 # rule cut a connection: transport.severs, counted where the cut is made
@@ -264,7 +267,7 @@ transport-smoke:
 		-journal artifacts/transport_ref.journal \
 		-o artifacts/transport_ref.fbk
 	artifacts/fdkrecon.bin -div 16 -n 32 -batches 4 -groups 2 -ranks 2 \
-		-world 4 -sever 1@2 -kill 1@1 \
+		-world 3 -sever 1@2 -kill 1@1 \
 		-journal artifacts/transport_world.journal \
 		-max-restarts 2 -restart-backoff 50ms \
 		-metrics-json artifacts/transport_metrics.json \

@@ -12,7 +12,7 @@
 // wired through loopback sockets (see world.go), and -journal makes any
 // world resumable:
 //
-//	fdkrecon -div 16 -n 32 -groups 2 -ranks 2 -world 4 -journal vol.journal -o vol.fbk
+//	fdkrecon -div 16 -n 32 -groups 2 -ranks 2 -world 3 -journal vol.journal -o vol.fbk
 //
 // -zlo/-znz restrict any of these runs to a window of slices, the plan's
 // output; -o then holds only the window, its first slice in the header:
@@ -133,6 +133,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if fill := filledProcs(plan.NGroups, plan.NRanksPerGroup); nf.world > fill {
+		fmt.Printf("-world %d is clamped to %d: the %d×%d ranks fill no more processes (group leaders share the coordinator)\n",
+			nf.world, fill, plan.NGroups, plan.NRanksPerGroup)
+		nf.world = fill
+	}
 	if *severSpec != "" && !nf.active() {
 		log.Fatal("-sever injects wire faults; it needs -world/-worker (the in-process world has no wire)")
 	}
@@ -233,21 +238,27 @@ func main() {
 	if nf.worker {
 		// Group leaders live on the coordinator, so no slab reaches a
 		// worker's sink.
-		if err := superviseWorld(sup, core.DiscardSink{}, sw, *traceOut, *metrics); err != nil {
+		rep, err := superviseWorld(sup, core.DiscardSink{}, sw, *traceOut, *metrics)
+		if err != nil {
 			log.Fatalf("worker: %v", err)
 		}
-		sw.reportSevers()
+		sw.report(rep.Final.TotalReduceBytes())
 		sw.close()
 		return
 	}
-	streamVolume(*outPath, plan.Output(), run, *journal, func(w core.SlabSink) error {
-		return superviseWorld(sup, w, sw, *traceOut, *metrics)
+	var rep *core.SuperviseReport
+	streamVolume(*outPath, plan.Output(), run, *journal, func(w core.SlabSink) (err error) {
+		rep, err = superviseWorld(sup, w, sw, *traceOut, *metrics)
+		return err
 	})
+	// The reduce traffic is every rank's, the workers' ranks included.
+	reduced := rep.Final.TotalReduceBytes()
 	if sw != nil {
 		// Workers follow the same decisions, supervision included; all
 		// of them must exit cleanly.
-		sw.finish(len(splitSpec(*severSpec)))
+		reduced += sw.finish(len(splitSpec(*severSpec)))
 	}
+	printRun(rep, reduced)
 	finishPoll()
 	if *timeline {
 		// Rank 0 leads group 0, so it runs every stage, reduce included.
@@ -331,27 +342,27 @@ func openSlabWriter(path string, out volume.Header, journal string) (*storage.Sl
 // alike: one core.Supervise of the world into out. Telemetry
 // artifacts are written even when the run fails — a partial trace of the
 // attempts is exactly what diagnoses the failure — and a failing
-// coordinator kills its workers. Only the coordinator prints the run.
-func superviseWorld(sup core.SuperviseOptions, out core.SlabSink, sw *socketWorld, traceOut, metrics string) error {
+// coordinator kills its workers.
+func superviseWorld(sup core.SuperviseOptions, out core.SlabSink, sw *socketWorld, traceOut, metrics string) (*core.SuperviseReport, error) {
 	sup.Cluster.Output = out
 	rep, err := core.Supervise(sup)
 	if rep != nil && rep.Final != nil {
 		writeTelemetry(traceOut, metrics, rep.Final.Telemetry)
 	}
-	if err != nil {
-		if sw != nil {
-			sw.kill()
-		}
-		return err
+	if err != nil && sw != nil {
+		sw.kill()
 	}
-	if !sup.Follower {
-		p := rep.Plan
-		fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",
-			p.Ranks(), p.NGroups, p.NRanksPerGroup, rep.Final.Elapsed.Round(1e6),
-			float64(rep.Final.TotalReduceBytes())/(1<<20), rep.Final.Arithmetic())
-		fmt.Print(rep.String(), rep.Final.String())
-	}
-	return nil
+	return rep, err
+}
+
+// printRun is the coordinator's account of a finished run; reduced is the
+// reduce traffic of every rank, the ones its workers host included.
+func printRun(rep *core.SuperviseReport, reduced int64) {
+	p := rep.Plan
+	fmt.Printf("reconstructed on %d ranks (%d groups × %d) in %v; reduce traffic %.1f MiB, kernel %s\n",
+		p.Ranks(), p.NGroups, p.NRanksPerGroup, rep.Final.Elapsed.Round(1e6),
+		float64(reduced)/(1<<20), rep.Final.Arithmetic())
+	fmt.Print(rep.String(), rep.Final.String())
 }
 
 // resolveInput returns the run's geometry and projection source. With an

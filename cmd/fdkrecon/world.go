@@ -65,12 +65,19 @@ type socketWorld struct {
 	reg     *telemetry.Registry
 	workers []*exec.Cmd
 	sockDir string
-	// severs is the read end of the pipe every worker inherits as fd 3 and
-	// reports its transport.severs count on (reportSevers): a cut is
-	// counted in the process that makes it, and a worker's registry dies
-	// with the worker.
-	severs *os.File
+	// reports is the read end of the pipe every worker inherits as fd 3
+	// and reports its transport.severs count and its ranks' reduce traffic
+	// on (report): a cut is counted in the process that makes it, a send
+	// in the process that sends it, and a worker's registry dies with the
+	// worker.
+	reports *os.File
 }
+
+// filledProcs is how many processes a world of groups groups of perGroup
+// ranks gives a rank: nettrans.AssignRanks puts every group leader on the
+// coordinator and deals the other ranks to the workers, so a process past
+// one per non-leader would host none.
+func filledProcs(groups, perGroup int) int { return 1 + groups*(perGroup-1) }
 
 // startSocketWorld builds this process's endpoint. The coordinator
 // listens first, then re-execs the binary once per worker with the
@@ -130,7 +137,7 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 		return nil, err
 	}
 	defer w.Close() // the workers hold the write end from here on
-	sw.severs = r
+	sw.reports = r
 	for p := 1; p < nf.world; p++ {
 		args := []string{
 			"-worker", "-proc", strconv.Itoa(p), "-procs", strconv.Itoa(nf.world),
@@ -151,15 +158,16 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 	return sw, nil
 }
 
-// reportSevers is a worker's last act: its count of cuts made, one line on
-// the inherited pipe. A -worker started by hand has no such pipe, and its
-// fd 3 is whatever the runtime opened first: leave that alone.
-func (sw *socketWorld) reportSevers() {
-	f := os.NewFile(3, "severs")
+// report is a worker's last act: its count of cuts made and its ranks'
+// reduce traffic in bytes, one line on the inherited pipe. A -worker
+// started by hand has no such pipe, and its fd 3 is whatever the runtime
+// opened first: leave that alone.
+func (sw *socketWorld) report(reduced int64) {
+	f := os.NewFile(3, "reports")
 	if st, err := f.Stat(); err != nil || st.Mode()&os.ModeNamedPipe == 0 {
 		return
 	}
-	fmt.Fprintln(f, sw.reg.Snapshot().Counters["transport.severs"])
+	fmt.Fprintln(f, sw.reg.Snapshot().Counters["transport.severs"], reduced)
 	f.Close()
 }
 
@@ -168,8 +176,9 @@ func (sw *socketWorld) reportSevers() {
 // of the wantSevers -sever rules cut a connection, counted where the cut
 // was made (here or in a worker), and each cut was repaired by a
 // reconnect this hub took part in. A reconnect alone proves nothing; a
-// spurious one would satisfy it with the fault layer inert.
-func (sw *socketWorld) finish(wantSevers int) {
+// spurious one would satisfy it with the fault layer inert. It returns
+// the reduce traffic the workers' ranks sent.
+func (sw *socketWorld) finish(wantSevers int) (reduced int64) {
 	for i, cmd := range sw.workers {
 		if err := cmd.Wait(); err != nil {
 			log.Fatalf("worker proc %d: %v", i+1, err)
@@ -178,11 +187,11 @@ func (sw *socketWorld) finish(wantSevers int) {
 	counters := sw.reg.Snapshot().Counters
 	severs := counters["transport.severs"]
 	for {
-		var n int64
-		if _, err := fmt.Fscan(sw.severs, &n); err != nil {
+		var n, b int64
+		if _, err := fmt.Fscan(sw.reports, &n, &b); err != nil {
 			break // EOF: every worker has exited
 		}
-		severs += n
+		severs, reduced = severs+n, reduced+b
 	}
 	if severs != int64(wantSevers) {
 		log.Fatalf("%d of %d -sever rules cut a connection (wire fault layer inert, or a rule names a rank or frame this world never has)", severs, wantSevers)
@@ -194,6 +203,7 @@ func (sw *socketWorld) finish(wantSevers int) {
 		fmt.Printf("socket world: %d worker processes exited cleanly\n", n)
 	}
 	sw.close()
+	return reduced
 }
 
 // kill terminates any still-running workers (coordinator failure path).
@@ -213,8 +223,8 @@ func (sw *socketWorld) close() {
 }
 
 func (sw *socketWorld) cleanup() {
-	if sw.severs != nil {
-		sw.severs.Close()
+	if sw.reports != nil {
+		sw.reports.Close()
 	}
 	if sw.sockDir != "" {
 		os.RemoveAll(sw.sockDir)

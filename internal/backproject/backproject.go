@@ -165,13 +165,14 @@ func clipCoefs(ax, ay, az float64, bound *[4]float64) [4]float64 {
 // (0, 0) when none does. Requires z > 0 across the row. The two y
 // boundaries take their own row constant — ycLow is held to the lower one,
 // ycHigh to the upper — so that a k-tile's span solve can hold a different
-// end slice to each; a single row passes the same value twice.
+// end slice to each; a single row passes the same value twice. Each
+// product is rounded before its subtract, as blockSpans512 rounds it.
 func clipRow(coef, bound *[4]float64, xc, ycLow, ycHigh, zc float64, nx int) (int, int) {
 	lower, upper := 0.0, float64(nx-1)
-	clipSpan(&lower, &upper, coef[0], bound[0]*zc-xc, false)
-	clipSpan(&lower, &upper, coef[1], bound[1]*zc-xc, true)
-	clipSpan(&lower, &upper, coef[2], bound[2]*zc-ycLow, false)
-	clipSpan(&lower, &upper, coef[3], bound[3]*zc-ycHigh, true)
+	clipSpan(&lower, &upper, coef[0], float64(bound[0]*zc)-xc, false)
+	clipSpan(&lower, &upper, coef[1], float64(bound[1]*zc)-xc, true)
+	clipSpan(&lower, &upper, coef[2], float64(bound[2]*zc)-ycLow, false)
+	clipSpan(&lower, &upper, coef[3], float64(bound[3]*zc)-ycHigh, true)
 	i0 := int(math.Ceil(lower))
 	i1 := int(math.Floor(upper)) + 1
 	if i0 < 0 {
@@ -236,15 +237,25 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 		workers = slab.NZ
 	}
 	counters := make([]kernelCounters, workers)
-	// Each worker's row cache lives here, on the heap, and not in its
-	// goroutine's frame, which it would push onto a larger stack.
+	// Each worker's row cache, and its block lanes where the host solves a
+	// block's spans sixteen projections at a time, live here, on the heap,
+	// and not in its goroutine's frame, which they would push onto a larger
+	// stack.
 	caches := make([]rowCache, workers)
+	var lanes []blockLanes
+	if hostArithmetic() == device.ArithmeticAVX512 {
+		lanes = make([]blockLanes, workers)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			a.accumulateSlices(w, workers, mats, slab, &caches[w], &counters[w])
+			var l *blockLanes
+			if lanes != nil {
+				l = &lanes[w]
+			}
+			a.accumulateSlices(w, workers, mats, slab, &caches[w], l, &counters[w])
 		}(w)
 	}
 	wg.Wait()

@@ -116,9 +116,10 @@ func BenchmarkFusedInteriorSIMDSpans(b *testing.B) {
 }
 
 // BenchmarkBlockLaunch times what one block of projBlock projections costs
-// one row of a k-tile: each projection's row constants and rowSpans, and
-// one launch of each assembly spelling the host runs, as accumulateSlices
-// makes them for one worker. The row is the middle row of the middle slab
+// one row of a k-tile: the block's entries (row constants, spans and
+// counters, through the span solve the host runs) and one launch of each
+// assembly spelling the host runs, as accumulateSlices makes them for one
+// worker. The row is the middle row of the middle slab
 // of the benchmark's single-kernel shape (tomo_00030 at -div 8, 96³,
 // 12-slice slabs) and of its single-filter shape (24³, 3-slice slabs), over
 // a ring holding the slab's detector rows of random samples; the block
@@ -163,11 +164,17 @@ func BenchmarkBlockLaunch(b *testing.B) {
 				a.arith, a.win = arith, a.newSpanWindow()
 				mats := kernelMats(sys)
 				blocks := make([][]projConsts, sys.NP/projBlock)
+				lanes := make([]*blockLanes, len(blocks))
 				for i := range blocks {
 					blocks[i] = make([]projConsts, projBlock)
 					for k := range blocks[i] {
 						s := i*projBlock + k
 						blocks[i][k] = a.newProjConsts(s, &mats[s], sys.NX)
+					}
+					if hostArithmetic() == device.ArithmeticAVX512 {
+						lanes[i] = new(blockLanes)
+						a.initLanes(lanes[i], sys.NX)
+						lanes[i].load(blocks[i])
 					}
 				}
 				h := tileHeight(nz, 1)
@@ -183,7 +190,7 @@ func BenchmarkBlockLaunch(b *testing.B) {
 				j := sys.NY / 2
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					a.tileRec(&args, out[j*sys.NX:], stride, blocks[i%len(blocks)], float32(j), kf, sys.NX, &ctr)
+					a.tileRec(&args, out[j*sys.NX:], stride, blocks[i%len(blocks)], lanes[i%len(blocks)], float32(j), kf, sys.NX, &ctr)
 				}
 				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				b.ReportMetric(ns, "ns/launch")
@@ -264,6 +271,84 @@ func BenchmarkStreamingSlab(b *testing.B) {
 				}
 				updates := float64(sys.NX*sys.NY*nz*slabs) * float64(sys.NP)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/updates, "ns/update")
+			})
+		}
+	}
+}
+
+// BenchmarkBlockSpans times the making of a launch's entries — each
+// projection's row constants, spans and counters — both ways: rowRec a
+// projection at a time ("rowrec") and blockSpans512 with the block's
+// projections in the lanes ("avx512", on a host that runs it). The launches
+// are those of the middle slab of the benchmark's single-kernel shape
+// (tomo_00030 at -div 8, 96³, 12-slice slabs) and of its single-filter shape
+// (24³, 3-slice slabs), one worker, over the window the slab needs: one
+// iteration per (row, block), stepping through the slab's rows and blocks.
+// ns/entry divides by the block's projections: the cost of one (row,
+// projection) pair of a k-tile, whatever its height.
+func BenchmarkBlockSpans(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		n    int
+	}{{"single-kernel", 96}, {"single-filter", 24}} {
+		ds, err := dataset.ByName("tomo_00030")
+		if err != nil {
+			b.Fatal(err)
+		}
+		scaled, err := ds.Scaled(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := scaled.System(shape.n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nz := shape.n / 8
+		z0 := nz * 4
+		rows := sys.ComputeAB(z0, z0+nz)
+		a := projAccess{data: make([]float32, sys.NU*sys.NP), nu: sys.NU, np: sys.NP, sStride: sys.NU, lo: rows.Lo, hi: rows.Hi}
+		a.win = a.newSpanWindow()
+		mats := kernelMats(sys)
+		var blocks [][]projConsts
+		var lanes []*blockLanes
+		for sb := 0; sb < sys.NP; sb += projBlock {
+			block := make([]projConsts, min(projBlock, sys.NP-sb))
+			for i := range block {
+				block[i] = a.newProjConsts(sb+i, &mats[sb+i], sys.NX)
+			}
+			l := new(blockLanes)
+			a.initLanes(l, sys.NX)
+			l.load(block)
+			blocks, lanes = append(blocks, block), append(lanes, l)
+		}
+		kf := make([]float32, tileHeight(nz, 1))
+		for k := range kf {
+			kf[k] = float32(z0 + k)
+		}
+		for _, path := range []string{"rowrec", "avx512"} {
+			b.Run(shape.name+"/"+path, func(b *testing.B) {
+				if path == "avx512" {
+					requireBlockSpans(b)
+				}
+				var args tileArgs
+				args.h = int64(len(kf))
+				var ctr kernelCounters
+				entries := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bi := i % len(blocks)
+					jf := float32((i / len(blocks)) % sys.NY)
+					if path == "avx512" {
+						blockSpans512(&args, lanes[bi], &kf[0], jf, &ctr)
+					} else {
+						args.n = 0
+						for k := range blocks[bi] {
+							a.rowRec(&args, &blocks[bi][k], jf, kf, sys.NX, &ctr)
+						}
+					}
+					entries += len(blocks[bi])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
 			})
 		}
 	}

@@ -153,6 +153,50 @@ func (a *projAccess) newProjConsts(s int, m *geometry.Mat34x4, nx int) projConst
 	return pc
 }
 
+// blockLanes is a block's projConsts in structure-of-arrays form, lane i
+// holding projection i of the block, beside the launch's window: what
+// blockSpans512 reads to make a block's entries for one (row, k-tile) with
+// the block's projections in the lanes of its vectors. A worker builds one
+// per block, from the block's projConsts, outside the (k, j) sweep; lanes
+// at and past n hold whatever an earlier block left there and are masked.
+type blockLanes struct {
+	r0, r1, r2        [4][projBlock]float32 // r0[c][i] is m.R0[c] of lane i's matrix
+	axn, ayn, azn     [projBlock]float64
+	support, interior [4][projBlock]float64
+	data              [projBlock]unsafe.Pointer
+	n                 int64   // lanes in use: the block's projections
+	nx                int64   // columns per volume row
+	last              float64 // nx − 1, where clipRow's upper bound starts
+	win               spanWindow
+	// The integer edges the probes compare x and y against: with them
+	// interiorResident and zeroContrib need no floor (spans512_amd64.s).
+	// Like the columns' float32(i), they are exact below 2²⁴, far past any
+	// detector's width or height.
+	nu1, lo, hi1, nu, lo1, hi float32 // nu−1, lo, hi−1, nu, lo−1, hi
+}
+
+// initLanes sets the fields of a worker's blockLanes that all the blocks of
+// a launch over rows of nx columns share.
+func (a *projAccess) initLanes(l *blockLanes, nx int) {
+	l.nx, l.last, l.win = int64(nx), float64(nx-1), a.win
+	l.nu1, l.lo, l.hi1 = float32(a.nu-1), float32(a.lo), float32(a.hi-1)
+	l.nu, l.lo1, l.hi = float32(a.nu), float32(a.lo-1), float32(a.hi)
+}
+
+// load copies block, at most projBlock projections, into the lanes.
+func (l *blockLanes) load(block []projConsts) {
+	l.n = int64(len(block))
+	for i := range block {
+		pc := &block[i]
+		for c := range 4 {
+			l.r0[c][i], l.r1[c][i], l.r2[c][i] = pc.m.R0[c], pc.m.R1[c], pc.m.R2[c]
+			l.support[c][i], l.interior[c][i] = pc.support[c], pc.interior[c]
+		}
+		l.axn[i], l.ayn[i], l.azn[i] = pc.axn, pc.ayn, pc.azn
+		l.data[i] = pc.data
+	}
+}
+
 // tileHeight is the height of the k-tiles a slab of nz slices is cut into
 // for workers workers. The tiles are adjacent slices — adjacent, so that a
 // tile's sweep of v, which its spans must cover, is as short as its height
@@ -166,17 +210,18 @@ func tileHeight(nz, workers int) int {
 }
 
 // accumulateSlices back-projects the k slices owned by worker w, with cache
-// as the worker's row cache. Loop order is s-block → k-tile → j → group →
-// s → k: the voxel sweep is repeated per block of projBlock projections
-// (cache blocking), and one launch per (row, k-tile, block) walks the row's
-// column groups, each group the block's projections in ascending s and each
+// as the worker's row cache and lanes (nil: rowRec solves the spans) as the
+// block's projections in the form blockSpans512 reads. Loop order is
+// s-block → k-tile → j → group → s → k: the voxel sweep is repeated per
+// block of projBlock projections (cache blocking), and one launch per
+// (row, k-tile, block) walks the row's column groups, each group the block's projections in ascending s and each
 // projection the slices of the tile innermost, where only v is new. Per
 // projection the row's column loop is clipped to its detector support and
 // split into guarded groups around the unguarded interior. A voxel still
 // receives the same float32 additions in the same ascending s: within a
 // launch the 16-lane spelling carries the running sums of a group's slices
 // in registers, between launches the volume carries them.
-func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, cache *rowCache, ctr *kernelCounters) {
+func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, slab *volume.Volume, cache *rowCache, lanes *blockLanes, ctr *kernelCounters) {
 	nx := slab.NX
 	stride := slab.NY * nx
 	th := tileHeight(slab.NZ, workers)
@@ -184,10 +229,16 @@ func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, s
 	var kfs [zBlock]float32
 	var args tileArgs
 	a.initTileArgs(&args, stride, cache)
+	if lanes != nil {
+		a.initLanes(lanes, nx)
+	}
 	for sb := 0; sb < a.np; sb += projBlock {
 		block := pcs[:min(projBlock, a.np-sb)]
 		for i := range block {
 			block[i] = a.newProjConsts(sb+i, &mats[sb+i], nx)
+		}
+		if lanes != nil {
+			lanes.load(block)
 		}
 		for kt := w * th; kt < slab.NZ; kt += workers * th {
 			kf := kfs[:0]
@@ -195,7 +246,7 @@ func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, s
 				kf = append(kf, float32(slab.Z0+k))
 			}
 			for j := 0; j < slab.NY; j++ {
-				a.tileRec(&args, slab.Data[(kt*slab.NY+j)*nx:], stride, block, float32(j), kf, nx, ctr)
+				a.tileRec(&args, slab.Data[(kt*slab.NY+j)*nx:], stride, block, lanes, float32(j), kf, nx, ctr)
 			}
 		}
 	}
@@ -206,8 +257,11 @@ func (a *projAccess) accumulateSlices(w, workers int, mats []geometry.Mat34x4, s
 // the first slice: one launch for the block. A launch's slices share xc and
 // zc, which holds in all of them when every projection of the block is
 // zInvariant; otherwise the tile is launched a slice at a time — the same
-// code with tile height 1.
-func (a *projAccess) tileRec(args *tileArgs, rows []float32, stride int, block []projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters) {
+// code with tile height 1. The entries are made by blockSpans512 from lanes,
+// the block in structure-of-arrays form, when the launch has it, and by
+// rowRec a projection at a time otherwise: the same entries and counters
+// either way.
+func (a *projAccess) tileRec(args *tileArgs, rows []float32, stride int, block []projConsts, lanes *blockLanes, jf float32, kf []float32, nx int, ctr *kernelCounters) {
 	h := len(kf)
 	for i := range block {
 		if !block[i].zInvariant {
@@ -216,9 +270,13 @@ func (a *projAccess) tileRec(args *tileArgs, rows []float32, stride int, block [
 	}
 	args.h = int64(h)
 	for t := 0; t < len(kf); t += h {
-		args.n = 0
-		for i := range block {
-			a.rowRec(args, &block[i], jf, kf[t:t+h], nx, ctr)
+		if lanes != nil {
+			blockSpans512(args, lanes, &kf[t], jf, ctr)
+		} else {
+			args.n = 0
+			for i := range block {
+				a.rowRec(args, &block[i], jf, kf[t:t+h], nx, ctr)
+			}
 		}
 		if args.n > 0 {
 			a.launchTile(args, rows[t*stride:])

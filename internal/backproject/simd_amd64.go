@@ -39,3 +39,15 @@ func fusedTileAVX2(a *tileArgs)
 //
 //go:noescape
 func fusedTile512(a *tileArgs)
+
+// blockSpans512 makes the entries of one launch, what rowRec makes for each
+// projection of the block in l in turn, with the block's projections in the
+// lanes of AVX-512 vectors (accumulateSlab runs it where hostArithmetic is
+// the 16-lane kernel's): for volume row jf in the args.h slices whose
+// indices kf points to, it sets args.n, the entries in ascending s, the
+// hull args.c0, args.c1 when n > 0, and adds the launch's samples to ctr.
+// Every entry field and every counter equals the scalar path's.
+// Implemented in spans512_amd64.s; requires AVX-512 F, VL, DQ and BW.
+//
+//go:noescape
+func blockSpans512(args *tileArgs, l *blockLanes, kf *float32, jf float32, ctr *kernelCounters)

@@ -87,7 +87,9 @@ func (r *ClusterReport) String() string {
 	if cp := telemetry.ComputeCriticalPath(r.Telemetry); cp != nil {
 		b.WriteString(cp.RenderTable(6))
 	}
-	if skew := telemetry.AggregateCounters(r.Telemetry); len(skew) > 0 {
+	// A skew table compares ranks: one rank's min, mean and max are its
+	// own count, and a one-rank world prints none.
+	if skew := telemetry.AggregateCounters(r.Telemetry); len(skew) > 0 && skewRanks(skew) > 1 {
 		b.WriteString("counter skew across ranks (min / mean / max):\n")
 		for _, name := range telemetry.SortedCounterNames(r.Telemetry) {
 			sk, ok := skew[name]
@@ -98,4 +100,12 @@ func (r *ClusterReport) String() string {
 		}
 	}
 	return b.String()
+}
+
+// skewRanks is the number of ranks skew was aggregated over.
+func skewRanks(skew map[string]telemetry.Skew) int {
+	for _, sk := range skew {
+		return sk.Ranks
+	}
+	return 0
 }

@@ -137,6 +137,27 @@ func TestChaosTelemetryReconcile(t *testing.T) {
 	}
 }
 
+// The skew table compares ranks: a one-rank world, whose min, mean and
+// max are one count, prints none, and a two-rank one keeps it.
+func TestSkewTableNeedsTwoRanks(t *testing.T) {
+	sys := testSystem()
+	src := &projection.MemorySource{Full: sheppStack(t, sys)}
+	for _, ranks := range []int{1, 2} {
+		p, err := NewPlan(sys, 1, ranks, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink, _ := NewVolumeSink(sys)
+		rep, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink, Telemetry: telemetry.NewRun(ranks)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(rep.String(), "counter skew"); got != (ranks > 1) {
+			t.Errorf("%d-rank report prints a skew table: %v, want %v:\n%s", ranks, got, ranks > 1, rep.String())
+		}
+	}
+}
+
 // Single-device runs share the wiring: stage spans and ring counters report
 // into one registry.
 func TestSingleTelemetry(t *testing.T) {

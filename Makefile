@@ -18,11 +18,13 @@ test:
 # goroutines and the executor's stage goroutines must stay race-clean
 # everywhere. The peak-RSS tests run again without -race, whose shadow
 # memory moves a process's peak: a race build compares their bytes only.
-# The trace smoke-run keeps the telemetry artifacts loadable end to end.
+# The trace smoke-run keeps the telemetry artifacts loadable end to end, and
+# the examples, which no test runs, must still run.
 check: doc-check fuse-lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -count=1 -run '^TestPeakRSS' ./cmd/fdkrecon/
+	$(MAKE) examples
 	$(MAKE) trace-smoke
 	$(MAKE) status-smoke
 	$(MAKE) chaos-recover
@@ -39,7 +41,10 @@ check: doc-check fuse-lint
 # `-exp <id>` those three or the verify skill cite must be `all` or a key of
 # internal/experiments/registry.go — so neither the docs nor a make target
 # can go on citing a test, a scenario or an experiment a PR deleted or
-# renamed (go test -run matches a stale name to nothing, silently).
+# renamed (go test -run matches a stale name to nothing, silently). Last,
+# no non-test Go file outside internal/core and bench/ may name
+# ReconstructSingle, RunDistributed or ReconstructXYTile: every other caller
+# runs the one entry point, core.Supervise.
 doc-check:
 	@stale=0; \
 	for n in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | sort -u); do \
@@ -60,7 +65,10 @@ doc-check:
 	ids=" all $$(sed -nE 's/^[[:space:]]+"([a-z0-9]+)":[[:space:]]+func.*/\1/p' internal/experiments/registry.go | tr '\n' ' ')"; \
 	for id in $$(grep -ohE -- '-exp [a-z0-9]+' DESIGN.md EXPERIMENTS.md README.md .claude/skills/verify/SKILL.md | cut -d' ' -f2 | sort -u); do \
 		case "$$ids" in *" $$id "*) ;; *) echo "doc-check: the docs cite -exp $$id, which internal/experiments/registry.go does not register"; stale=1;; esac; \
-	done; exit $$stale
+	done; \
+	if git grep -nE 'ReconstructSingle|RunDistributed|ReconstructXYTile' -- '*.go' ':!internal/core' ':!bench' ':!*_test.go'; then \
+		echo "doc-check: the lines above run a reconstruction outside core.Supervise"; stale=1; \
+	fi; exit $$stale
 
 # Arithmetic-contract gate: the Go functions that compute what the assembly
 # computes (the back-projection coordinate contract of

@@ -45,13 +45,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oursRep, err := core.RunDistributed(core.ClusterOptions{
+	sup, err := core.Supervise(core.SuperviseOptions{Cluster: core.ClusterOptions{
 		Plan: plan, Source: source, Output: ours,
 		Hierarchical: true, RanksPerNode: 2,
-	})
+	}, MaxRestarts: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
+	oursRep := sup.Final
 	fmt.Printf("\nthis work   (Ng=2 × Nr=4, segmented hierarchical reduce):\n")
 	fmt.Printf("  elapsed %v, H2D %s, reduce %s\n",
 		oursRep.Elapsed.Round(1e6), mib(oursRep.TotalH2DBytes()), mib(oursRep.TotalReduceBytes()))

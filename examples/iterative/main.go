@@ -9,9 +9,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 
 	"distfdk/internal/core"
-	"distfdk/internal/device"
 	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
 	"distfdk/internal/iterative"
@@ -52,15 +52,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := core.ReconstructSingle(core.ReconOptions{
+	rep, err := core.Supervise(core.SuperviseOptions{Cluster: core.ClusterOptions{
 		Plan: plan, Source: &projection.MemorySource{Full: stack},
-		Device: device.New("fdk", 0, 0), Sink: fdkSink,
-	})
+		Output: fdkSink, WorkersPerRank: runtime.GOMAXPROCS(0),
+	}, MaxRestarts: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fdkStats, _ := volume.Compare(truth, fdkSink.V)
-	fmt.Printf("FDK:        RMSE %.4f in %v\n", fdkStats.RMSE, rep.Elapsed.Round(1e6))
+	fmt.Printf("FDK:        RMSE %.4f in %v\n", fdkStats.RMSE, rep.Final.Elapsed.Round(1e6))
 
 	// 2. OS-SART: iterative with 4 ordered subsets.
 	os, err := iterative.Reconstruct(sys, stack, iterative.Options{

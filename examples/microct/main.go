@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"runtime"
 
 	"distfdk/internal/core"
 	"distfdk/internal/dataset"
-	"distfdk/internal/device"
 	"distfdk/internal/forward"
 	"distfdk/internal/projection"
 	"distfdk/internal/volume"
@@ -99,12 +99,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := core.ReconstructSingle(core.ReconOptions{
-		Plan:   plan,
-		Source: &projection.MemorySource{Full: stitched},
-		Device: device.New("microct", 0, 0),
-		Sink:   sink,
-	})
+	rep, err := core.Supervise(core.SuperviseOptions{Cluster: core.ClusterOptions{
+		Plan:           plan,
+		Source:         &projection.MemorySource{Full: stitched},
+		WorkersPerRank: runtime.GOMAXPROCS(0),
+		Output:         sink,
+	}, MaxRestarts: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("reconstructed %d³ in %v; RMSE vs phantom %.4f\n",
-		sys.NX, rep.Elapsed.Round(1e6), stats.RMSE)
+		sys.NX, rep.Final.Elapsed.Round(1e6), stats.RMSE)
 	if err := sink.V.SavePGM("microct_bean_slice.pgm", sys.NZ/2, 0, 0); err != nil {
 		log.Fatal(err)
 	}

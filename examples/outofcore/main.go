@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"runtime"
 
 	"distfdk/internal/core"
 	"distfdk/internal/dataset"
@@ -66,18 +67,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dev := device.New("streaming", budget, 0)
-		rep, err := core.ReconstructSingle(core.ReconOptions{
-			Plan: plan, Source: source, Device: dev, Sink: sink,
-		})
+		rep, err := core.Supervise(core.SuperviseOptions{Cluster: core.ClusterOptions{
+			Plan: plan, Source: source, Output: sink,
+			DeviceMemBytes: budget, WorkersPerRank: runtime.GOMAXPROCS(0),
+		}, MaxRestarts: 0})
 		if err != nil {
 			log.Fatal(err)
 		}
 		ringRows := plan.RingDepth(0)
 		fmt.Printf("streaming, Nc=%2d: ok in %v — ring %d rows (%s) + slab %s; H2D %s (each row exactly once)\n",
-			nc, rep.Elapsed.Round(1e6), ringRows,
+			nc, rep.Final.Elapsed.Round(1e6), ringRows,
 			mib(device.Layout{NU: sys.NU, NP: sys.NP, H: ringRows}.Bytes()),
-			mib(plan.SlabBytes()), mib(rep.Ledger.H2DBytes))
+			mib(plan.SlabBytes()), mib(rep.Final.Ledgers[0].H2DBytes))
 	}
 	fmt.Println("the same mechanism generates the paper's 4096³ (256 GB) volume on a 16 GB V100")
 }

@@ -8,9 +8,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 
 	"distfdk/internal/core"
-	"distfdk/internal/device"
 	"distfdk/internal/filter"
 	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
@@ -44,7 +44,8 @@ func main() {
 	fmt.Printf("acquired %d projections of %dx%d (%.1f MiB)\n",
 		stack.NP, stack.NU, stack.NV, float64(stack.Bytes())/(1<<20))
 
-	// 3. Reconstruct with the streaming pipeline: 1 rank, 8 slab batches.
+	// 3. Reconstruct with the streaming pipeline: a world of one rank, 8
+	//    slab batches, one attempt.
 	plan, err := core.NewPlan(sys, 1, 1, core.DefaultBatchCount)
 	if err != nil {
 		log.Fatal(err)
@@ -53,17 +54,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := core.ReconstructSingle(core.ReconOptions{
-		Plan:   plan,
-		Source: &projection.MemorySource{Full: stack},
-		Device: device.New("quickstart", 0, 0),
-		Window: filter.Hann,
-		Sink:   sink,
-	})
+	rep, err := core.Supervise(core.SuperviseOptions{Cluster: core.ClusterOptions{
+		Plan:           plan,
+		Source:         &projection.MemorySource{Full: stack},
+		WorkersPerRank: runtime.GOMAXPROCS(0),
+		Window:         filter.Hann,
+		Output:         sink,
+	}, MaxRestarts: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reconstructed %d³ volume in %v (%d slabs)\n", sys.NX, rep.Elapsed.Round(1e6), rep.Slabs)
+	fmt.Printf("reconstructed %d³ volume in %v (%d slabs)\n", sys.NX, rep.Final.Elapsed.Round(1e6), rep.Final.BatchesDone[0])
 
 	// 4. Check quality against the ground truth and export a slice.
 	truth, err := phantom.SheppLogan().Voxelize(sys, fov, 2)

@@ -207,6 +207,31 @@ func (c *kernelCounters) add(o kernelCounters) {
 	c.simdTail += o.simdTail
 }
 
+// launchScratch is a launch's worker scratch: each worker's counters, its
+// row cache and, where the host solves a block's spans sixteen projections
+// at a time, its block lanes. They live on the heap, and not in a worker
+// goroutine's frame, which they would push onto a larger stack. A launch
+// takes a set from scratchPool and zeroes what it uses, so a rank that
+// launches once per batch allocates them once.
+type launchScratch struct {
+	counters []kernelCounters
+	caches   []rowCache
+	lanes    []blockLanes
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(launchScratch) }}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // accumulateSlab runs the shared inner loop: for every voxel of slab
 // (global Z offset slab.Z0, Listing 1's offset_volume_z) it accumulates the
 // distance-weighted bilinear samples of all np projections. Slices are
@@ -236,15 +261,15 @@ func accumulateSlab(dev *device.Device, a projAccess, mats []geometry.Mat34x4, s
 	if workers > slab.NZ {
 		workers = slab.NZ
 	}
-	counters := make([]kernelCounters, workers)
-	// Each worker's row cache, and its block lanes where the host solves a
-	// block's spans sixteen projections at a time, live here, on the heap,
-	// and not in its goroutine's frame, which they would push onto a larger
-	// stack.
-	caches := make([]rowCache, workers)
+	sc := scratchPool.Get().(*launchScratch)
+	defer scratchPool.Put(sc)
+	sc.counters = zeroed(sc.counters, workers)
+	sc.caches = zeroed(sc.caches, workers)
+	counters, caches := sc.counters, sc.caches
 	var lanes []blockLanes
 	if hostArithmetic() == device.ArithmeticAVX512 {
-		lanes = make([]blockLanes, workers)
+		sc.lanes = zeroed(sc.lanes, workers)
+		lanes = sc.lanes
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

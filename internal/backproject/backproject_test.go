@@ -3,8 +3,11 @@ package backproject
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"sync"
 	"testing"
 
+	"distfdk/internal/alloctest"
 	"distfdk/internal/cpufeat"
 	"distfdk/internal/device"
 	"distfdk/internal/forward"
@@ -88,6 +91,47 @@ func TestZeroKernelIsRecurrence(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameVolume(t, "Streaming", want, got)
+}
+
+// A launch takes its worker scratch from scratchPool: a second launch on
+// the same ring allocates at least the scratch's slices fewer objects than
+// a launch that finds the pool empty.
+func TestLaunchReusesScratch(t *testing.T) {
+	if alloctest.Race {
+		t.Skip("the race runtime drops a share of what sync.Pool is given")
+	}
+	sys := testSystem()
+	stack := randomStack(sys, 9)
+	mats := kernelMats(sys)
+	dev := device.New("scratch", 0, 4)
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Close()
+	if err := ring.LoadRows(stack, stack.Rows()); err != nil {
+		t.Fatal(err)
+	}
+	vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+	launch := func() {
+		if err := Streaming(dev, ring, mats, vol, stack.Rows()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+	launch()
+	warm := testing.AllocsPerRun(10, launch)
+	cold := testing.AllocsPerRun(10, func() {
+		scratchPool = sync.Pool{New: scratchPool.New}
+		launch()
+	})
+	slices := 2.0 // counters, row caches
+	if hostArithmetic() == device.ArithmeticAVX512 {
+		slices++ // block lanes
+	}
+	if cold-warm < slices {
+		t.Fatalf("a launch allocates %v objects with the pool warm and %v with it empty: the %v scratch slices are made again", warm, cold, slices)
+	}
 }
 
 func TestFloor32(t *testing.T) {

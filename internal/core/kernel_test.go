@@ -11,7 +11,7 @@ import (
 
 // The fast kernel has one arithmetic and the row filter has one, so what a
 // driver computes does not depend on the host: every driver — single,
-// distributed, a Z window, tile, baseline — run with AVX2 masked off (as on
+// distributed, a Z window, baseline — run with AVX2 masked off (as on
 // any other host) reproduces its default run byte for byte and counter for
 // counter, except for the count of which spelling was dispatched: the
 // assembly where the host has AVX2, else the Go one. Masking AVX2 also moves
@@ -67,14 +67,6 @@ func TestDefaultKernelEveryDriver(t *testing.T) {
 				t.Fatal(err)
 			}
 			return run{sink.V.Data, []device.Ledger{rep.Ledger}}
-		}},
-		{"tile", func() run {
-			dev := device.New("tile", 0, 2)
-			vol, _, err := ReconstructXYTile(XYTileOptions{Sys: sys, Source: src, Device: dev, I0: 4, NI: 8, J0: 4, NJ: 8, K0: 4, NK: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return run{vol.Data, []device.Ledger{dev.Snapshot()}}
 		}},
 		{"baseline", func() run {
 			sink, _ := NewVolumeSink(sys)

@@ -134,7 +134,9 @@ type ReconReport struct {
 // load → filter → back-project → store pipeline of Figure 9 while the
 // projection ring keeps every detector row's host-to-device transfer to
 // exactly one, no matter how large the output volume is relative to device
-// memory.
+// memory. It is the one-rank world of Supervise, byte for byte; outside
+// this package only the frozen bench/replay.go calls it, and every other
+// caller runs Supervise.
 func ReconstructSingle(opts ReconOptions) (*ReconReport, error) {
 	p := opts.Plan
 	if p == nil || opts.Source == nil || opts.Device == nil || opts.Sink == nil {

@@ -40,7 +40,7 @@ func AblationReduce(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.RunDistributed(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
+		rep, err := reconstruct(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,7 @@ func AblationHierarchicalReduce(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.RunDistributed(core.ClusterOptions{
+		rep, err := reconstruct(core.ClusterOptions{
 			Plan: plan, Source: sc.Source, Output: sink,
 			Hierarchical: hier, RanksPerNode: 4,
 		})
@@ -226,7 +226,7 @@ func estimateInterNode(rep *core.ClusterReport, ranksPerNode int, hier bool) int
 // AblationFilterPlacement quantifies design choice 5: the paper's
 // CPU-filtering-in-pipeline against a serialised flow where each stage
 // waits for the previous one (the effect of filtering on the device). The
-// serialised arm is the same ReconstructSingle on the same plan with each
+// serialised arm is the same one-rank run on the same plan with each
 // batch's load held until the batch before it has been stored (serialGate),
 // so no two batches are ever in flight.
 func AblationFilterPlacement(workers int) (*Table, error) {
@@ -242,10 +242,8 @@ func AblationFilterPlacement(workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(src projection.Source, sink core.SlabSink) (*core.ReconReport, error) {
-		return core.ReconstructSingle(core.ReconOptions{
-			Plan: plan, Source: src, Device: device.New("abl", 0, workers), Sink: sink,
-		})
+	run := func(src projection.Source, sink core.SlabSink) (*core.ClusterReport, error) {
+		return reconstruct(core.ClusterOptions{Plan: plan, Source: src, Output: sink, WorkersPerRank: workers})
 	}
 	gate := &serialGate{Source: sc.Source, SlabSink: sink, plan: plan}
 	gate.cond = sync.NewCond(&gate.mu)

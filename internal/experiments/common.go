@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"distfdk/internal/core"
 	"distfdk/internal/dataset"
 	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
@@ -124,6 +125,16 @@ func ScaledSystem(name string, div, outN int) (*dataset.Dataset, *geometry.Syste
 // synthesising projections (for registry-style experiments).
 func BuildScenarioGeometryOnly(name string) (*dataset.Dataset, error) {
 	return dataset.ByName(name)
+}
+
+// reconstruct runs c as one attempt of the program's one entry point,
+// core.Supervise, and returns the attempt's report.
+func reconstruct(c core.ClusterOptions) (*core.ClusterReport, error) {
+	rep, err := core.Supervise(core.SuperviseOptions{Cluster: c, MaxRestarts: 0})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Final, nil
 }
 
 // fmtBytes renders a byte count with a binary unit.

@@ -183,6 +183,31 @@ func TestTable2Measured(t *testing.T) {
 	}
 }
 
+// Table 5's shape: the streaming arm reconstructs every output size under
+// the device budget, and Table5Real refuses a row whose streaming arm
+// shipped more bytes to the device than the input holds, so every row goes
+// at most once; the RTK-style arm runs out of device memory at 96³ only.
+func TestTable5RealShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution experiment")
+	}
+	tb, err := Table5Real(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 4 {
+		t.Fatalf("Table 5 has %d rows, want 4 output sizes", len(tb.Rows))
+	}
+	for _, r := range tb.Rows {
+		if gups, err := strconv.ParseFloat(r[5], 64); err != nil || gups <= 0 {
+			t.Errorf("%s: streaming arm reads %q GUPS", r[0], r[5])
+		}
+		if oom, want := r[7] == "✗ (OOM)", strings.HasPrefix(r[0], "96³"); oom != want {
+			t.Errorf("%s: RTK arm reads %q", r[0], r[7])
+		}
+	}
+}
+
 func TestFig8ProducesSlice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution experiment")

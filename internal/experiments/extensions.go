@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"distfdk/internal/core"
-	"distfdk/internal/device"
 	"distfdk/internal/filter"
 	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
@@ -50,9 +49,9 @@ func Windows(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, err = core.ReconstructSingle(core.ReconOptions{
+		_, err = reconstruct(core.ClusterOptions{
 			Plan: plan, Source: &projection.MemorySource{Full: st},
-			Device: device.New("win", 0, workers), Window: w, Sink: sink,
+			Window: w, Output: sink, WorkersPerRank: workers,
 		})
 		return sink.V, err
 	}
@@ -107,9 +106,9 @@ func SparseViews(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := core.ReconstructSingle(core.ReconOptions{
+		if _, err := reconstruct(core.ClusterOptions{
 			Plan: plan, Source: &projection.MemorySource{Full: sc.stack},
-			Device: device.New("fdk", 0, workers), Sink: sink,
+			Output: sink, WorkersPerRank: workers,
 		}); err != nil {
 			return nil, err
 		}

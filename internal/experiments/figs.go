@@ -9,7 +9,6 @@ import (
 	"distfdk/internal/core"
 	"distfdk/internal/dataset"
 	"distfdk/internal/dessim"
-	"distfdk/internal/device"
 	"distfdk/internal/perfmodel"
 	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
@@ -32,7 +31,7 @@ func Fig8(outDir string, workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := core.RunDistributed(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
+	rep, err := reconstruct(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
 	if err != nil {
 		return nil, err
 	}
@@ -76,14 +75,14 @@ func Fig10(outDir string, workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := telemetry.NewRegistry()
-	if _, err := core.ReconstructSingle(core.ReconOptions{
-		Plan: plan, Source: sc.Source, Device: device.New("fig10a", 0, workers),
-		Sink: sink, Telemetry: reg,
+	run := telemetry.NewRun(1)
+	if _, err := reconstruct(core.ClusterOptions{
+		Plan: plan, Source: sc.Source, Output: sink, WorkersPerRank: workers, Telemetry: run,
 	}); err != nil {
 		return nil, err
 	}
-	realChart := telemetry.RenderGantt(reg.Spans(), []string{"load", "filter", "backproject", "store"}, 100)
+	spans := run.Rank(0).Spans()
+	realChart := telemetry.RenderGantt(spans, []string{"load", "filter", "backproject", "store"}, 100)
 
 	// (b) Paper-scale simulation: bumblebee → 4096³ on 128 devices.
 	ds, err := dataset.ByName("bumblebee")
@@ -119,7 +118,7 @@ func Fig10(outDir string, workers int) (*Table, error) {
 
 	t := &Table{Title: "Figure 10 — end-to-end pipeline timelines", Header: []string{"artifact", "value"}}
 	t.AddRow("timeline file", path)
-	st := telemetry.ComputeSpanStats(reg.Spans())
+	st := telemetry.ComputeSpanStats(spans)
 	t.AddRow("real run total", fmtSeconds(st.Total.Seconds()))
 	serial := st.Busy["load"] + st.Busy["filter"] + st.Busy["backproject"] + st.Busy["store"]
 	t.AddRow("real overlap factor", fmt.Sprintf("%.2fx (serial %s / wall %s)",
@@ -177,8 +176,8 @@ func Fig11(outDir string, workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := core.ReconstructSingle(core.ReconOptions{
-			Plan: plan, Source: sc.Source, Device: device.New(name, 0, workers), Sink: sink,
+		if _, err := reconstruct(core.ClusterOptions{
+			Plan: plan, Source: sc.Source, Output: sink, WorkersPerRank: workers,
 		}); err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"distfdk/internal/core"
-	"distfdk/internal/device"
 	"distfdk/internal/volume"
 )
 
@@ -33,7 +32,7 @@ func Quality(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := core.RunDistributed(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: decomposed}); err != nil {
+		if _, err := reconstruct(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: decomposed}); err != nil {
 			return nil, err
 		}
 		// Monolithic reference: one rank, one batch.
@@ -45,8 +44,8 @@ func Quality(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := core.ReconstructSingle(core.ReconOptions{
-			Plan: refPlan, Source: sc.Source, Device: device.New("ref", 0, workers), Sink: ref,
+		if _, err := reconstruct(core.ClusterOptions{
+			Plan: refPlan, Source: sc.Source, Output: ref, WorkersPerRank: workers,
 		}); err != nil {
 			return nil, err
 		}

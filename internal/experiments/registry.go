@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 )
 
@@ -52,7 +53,6 @@ var registry = map[string]Runner{
 	"quality":   func(o RunOptions) ([]*Table, error) { return one(Quality(o.Workers)) },
 	"windows":   func(o RunOptions) ([]*Table, error) { return one(Windows(o.Workers)) },
 	"scalecomp": func(o RunOptions) ([]*Table, error) { return one(ScaleComparison()) },
-	"tiles":     func(o RunOptions) ([]*Table, error) { return one(Tiles(o.Workers)) },
 	"sparse":    func(o RunOptions) ([]*Table, error) { return one(SparseViews(o.Workers)) },
 	"ablations": func(o RunOptions) ([]*Table, error) {
 		var out []*Table
@@ -89,6 +89,9 @@ func Names() []string {
 
 // Run executes the named experiment ("all" runs every one in order).
 func Run(name string, opts RunOptions) ([]*Table, error) {
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	if name == "all" {
 		var out []*Table
 		for _, n := range Names() {

@@ -108,7 +108,7 @@ func Fig13Real(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.RunDistributed(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
+		rep, err := reconstruct(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
 		if err != nil {
 			return nil, err
 		}

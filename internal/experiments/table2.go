@@ -40,7 +40,7 @@ func Table2(workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ours, err := core.RunDistributed(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
+	ours, err := reconstruct(core.ClusterOptions{Plan: plan, Source: sc.Source, Output: sink})
 	if err != nil {
 		return nil, err
 	}

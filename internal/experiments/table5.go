@@ -47,20 +47,25 @@ func Table5Real(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dev := device.New("v100-like", budget, workers)
 		sink, err := core.NewVolumeSink(scN.Sys)
 		if err != nil {
 			return nil, err
 		}
-		reg := telemetry.NewRegistry()
-		rep, err := core.ReconstructSingle(core.ReconOptions{
-			Plan: plan, Source: scN.Source, Device: dev, Sink: sink, Telemetry: reg,
+		run := telemetry.NewRun(1)
+		rep, err := reconstruct(core.ClusterOptions{
+			Plan: plan, Source: scN.Source, Output: sink,
+			DeviceMemBytes: budget, WorkersPerRank: workers, Telemetry: run,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table5: ours at %d³: %w", n, err)
 		}
-		busy := telemetry.ComputeSpanStats(reg.Spans()).Busy
-		oursGUPS := rep.Ledger.GUPS(busy["backproject"])
+		// Each detector row goes to the device at most once, whatever the
+		// output size.
+		if h2d, in := rep.Ledgers[0].H2DBytes, scN.Stack.Bytes(); h2d > in {
+			return nil, fmt.Errorf("table5: ours at %d³ shipped %d B of a %d B input", n, h2d, in)
+		}
+		busy := telemetry.ComputeSpanStats(run.Rank(0).Spans()).Busy
+		oursGUPS := rep.Ledgers[0].GUPS(busy["backproject"])
 
 		rtkGUPS, rtkStatus := runRTKBaseline(scN, budget, workers)
 		t.AddRow(fmt.Sprintf("%d³ (%s)", n, fmtBytes(4*int64(n)*int64(n)*int64(n))),

@@ -101,27 +101,6 @@ func (s *Stack) ExtractProjections(pLo, pHi int) (*Stack, error) {
 	return out, nil
 }
 
-// ExtractColumns copies the detector-column window [u0, u1) into a new
-// stack covering the same rows and projections. Columns are the innermost
-// storage axis, so this is a strided copy; it is the third axis of the
-// full 3-D input decomposition (geometry.TileColumns) — callers shift
-// their projection matrices by u0 (Mat34.ShiftDetector) to match.
-func (s *Stack) ExtractColumns(u0, u1 int) (*Stack, error) {
-	if u0 < 0 || u1 > s.NU || u0 >= u1 {
-		return nil, fmt.Errorf("projection: column window [%d,%d) outside [0,%d)", u0, u1, s.NU)
-	}
-	nu := u1 - u0
-	out := &Stack{NU: nu, NP: s.NP, NV: s.NV, V0: s.V0, P0: s.P0}
-	out.Data = make([]float32, nu*s.NP*s.NV)
-	for v := 0; v < s.NV; v++ {
-		for p := 0; p < s.NP; p++ {
-			src := s.Data[(v*s.NP+p)*s.NU+u0 : (v*s.NP+p)*s.NU+u1]
-			copy(out.Data[(v*s.NP+p)*nu:(v*s.NP+p+1)*nu], src)
-		}
-	}
-	return out, nil
-}
-
 // Source supplies partial projection data on demand. The load stage of the
 // pipeline asks for exactly the (row range × projection window) a slab
 // needs, which is how the decomposition achieves its O(Nu) input lower

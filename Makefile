@@ -72,16 +72,18 @@ doc-check:
 
 # Arithmetic-contract gate: the Go functions that compute what the assembly
 # computes (the back-projection coordinate contract of
-# internal/backproject/simd.go, the row FFT's Go passes), and the test oracle
-# the back-projection is held to byte for byte, must not be compiled to fused
+# internal/backproject/simd.go, the row FFT's lane-form Go passes), and the
+# test oracles the back-projection and the row FFT (the per-row transform of
+# internal/fft/roworacle_test.go) are held to byte for byte, must not be compiled to fused
 # multiply-adds on a target that has them, or their bytes would depend on the
 # architecture. The same holds for the synthetic inputs: the analytic
 # projector and the Poisson noise (internal/forward), the voxeliser that
 # scores a reconstruction (internal/phantom) and their test oracles. The Go specification makes
 # float32(a*b) / float64(a*b) round, which is how the sources prevent it;
 # this cross-compiles them for arm64 (the toolchain alone, nothing
-# downloaded) — the back-projection, the projector and the voxeliser as their
-# test builds, whose listings hold the package and its oracle — and fails,
+# downloaded) — the back-projection, the row FFT, the projector and the
+# voxeliser as their test builds, whose listings hold the package and its
+# oracle — and fails,
 # naming the function, if an FMADD/FMSUB/FNMADD/FNMSUB appears inside one of
 # FUSE_LINT_FUNCS or if one of them is missing from the listing. The
 # kernel's float64 span solve (rowSpans and clipRow) is listed because the
@@ -101,8 +103,10 @@ FUSE_LINT_FUNCS = \
 	backproject.(*projAccess).fastCols backproject.(*projAccess).guardedCols \
 	backproject.(*projAccess).subPixel backproject.(*projAccess).perColumn \
 	backproject.projAccess.reference \
+	fft.twiddleLanes fft.untwiddleLanes fft.difStagesLanes fft.ditStagesLanes \
+	fft.difRadix4Lanes fft.ditRadix4Lanes fft.pairBlocksLanes fft.(*RealPlan).pairs \
 	fft.twiddleGo fft.untwiddleGo fft.difStagesGo fft.ditStagesGo \
-	fft.difRadix4Go fft.ditRadix4Go fft.pairBlock fft.(*RealPlan).pairs \
+	fft.difRadix4Go fft.ditRadix4Go fft.pairBlock fft.(*RealPlan).pairsRow \
 	forward.vec3.dot forward.newRayFrame forward.(*rayFrame).pixel \
 	forward.(*rayFrame).shadow forward.newChordFrame forward.(*chordFrame).chord \
 	forward.projectAngle forward.AddPoissonNoise forward.poisson \
@@ -115,7 +119,7 @@ fuse-lint:
 	@{ GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/backproject && \
 		GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/forward && \
 		GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/phantom && \
-		GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/fft; } 2>&1 | \
+		GOOS=linux GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/fft; } 2>&1 | \
 	awk -v want='$(FUSE_LINT_FUNCS)' ' \
 		BEGIN { n = split(want, w, " "); for (i = 1; i <= n; i++) contract["distfdk/internal/" w[i]] = 1 } \
 		/ STEXT / { fn = $$1; if (fn in contract) seen[fn] = 1 } \

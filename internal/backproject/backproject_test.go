@@ -93,9 +93,12 @@ func TestZeroKernelIsRecurrence(t *testing.T) {
 	assertSameVolume(t, "Streaming", want, got)
 }
 
-// A launch takes its worker scratch from scratchPool: a second launch on
-// the same ring allocates at least the scratch's slices fewer objects than
-// a launch that finds the pool empty.
+// A launch takes its scratch from scratchPool: a warm launch on the same
+// ring makes no object on one worker — the row tables, the worker scratch
+// and the launch's own state all come from the pool, and the one worker
+// runs on the caller — and at most two per worker, its goroutine's, on
+// more. A launch that finds the pool empty allocates at least the
+// scratch's slices more.
 func TestLaunchReusesScratch(t *testing.T) {
 	if alloctest.Race {
 		t.Skip("the race runtime drops a share of what sync.Pool is given")
@@ -103,34 +106,39 @@ func TestLaunchReusesScratch(t *testing.T) {
 	sys := testSystem()
 	stack := randomStack(sys, 9)
 	mats := kernelMats(sys)
-	dev := device.New("scratch", 0, 4)
-	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ring.Close()
-	if err := ring.LoadRows(stack, stack.Rows()); err != nil {
-		t.Fatal(err)
-	}
-	vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-	launch := func() {
-		if err := Streaming(dev, ring, mats, vol, stack.Rows()); err != nil {
+	for _, workers := range []int{1, 4} {
+		dev := device.New("scratch", 0, workers)
+		ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
-	launch()
-	warm := testing.AllocsPerRun(10, launch)
-	cold := testing.AllocsPerRun(10, func() {
-		scratchPool = sync.Pool{New: scratchPool.New}
+		defer ring.Close()
+		if err := ring.LoadRows(stack, stack.Rows()); err != nil {
+			t.Fatal(err)
+		}
+		vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+		launch := func() {
+			if err := Streaming(dev, ring, mats, vol, stack.Rows()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
 		launch()
-	})
-	slices := 2.0 // counters, row caches
-	if hostArithmetic() == device.ArithmeticAVX512 {
-		slices++ // block lanes
-	}
-	if cold-warm < slices {
-		t.Fatalf("a launch allocates %v objects with the pool warm and %v with it empty: the %v scratch slices are made again", warm, cold, slices)
+		warm := testing.AllocsPerRun(10, launch)
+		cold := testing.AllocsPerRun(10, func() {
+			scratchPool = sync.Pool{New: scratchPool.New}
+			launch()
+		})
+		if bound := 2 * float64(workers); workers == 1 && warm > 0 || warm > bound {
+			t.Fatalf("%d workers: a warm launch allocates %v objects, more than its goroutines' %v", workers, warm, bound)
+		}
+		slices := 4.0 // row tables, counters, row caches
+		if hostArithmetic() == device.ArithmeticAVX512 {
+			slices++ // block lanes
+		}
+		if cold-warm < slices {
+			t.Fatalf("%d workers: a launch allocates %v objects with the pool warm and %v with it empty: the %v scratch slices are made again", workers, warm, cold, slices)
+		}
 	}
 }
 

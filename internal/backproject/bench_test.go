@@ -157,7 +157,7 @@ func BenchmarkBlockLaunch(b *testing.B) {
 				if err := ring.LoadRows(randomStack(sys, 5), rows); err != nil {
 					b.Fatal(err)
 				}
-				a := ringAccess(ring)
+				a := ringAccess(ring, nil)
 				if !a.prepareSIMD() {
 					b.Fatal("prepareSIMD refused the ring")
 				}

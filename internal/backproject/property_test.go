@@ -36,7 +36,7 @@ func TestRingSamplingMatchesDenseStack(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ra := ringAccess(ring)
+		ra := ringAccess(ring, nil)
 		sa := denseAccess(sub)
 		// Every sample lies within two pixels of the resident window.
 		x := float32(sys.NU)/2 + float32(xRaw)/32768*float32(sys.NU/2+2)

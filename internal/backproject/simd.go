@@ -261,11 +261,9 @@ func (a *projAccess) prepareSIMD() bool {
 	if int64(len(a.data)) > math.MaxInt32 {
 		return false
 	}
-	if a.rowIdx32 == nil {
-		a.rowIdx32 = make([]int32, len(a.rowOff))
-		for i, r := range a.rowOff {
-			a.rowIdx32[i] = int32(r)
-		}
+	a.rowIdx32 = resized(a.rowIdx32, len(a.rowOff))
+	for i, r := range a.rowOff {
+		a.rowIdx32[i] = int32(r)
 	}
 	return true
 }

@@ -83,7 +83,7 @@ func (a *projAccess) layRows(h int, alloc func(n int) []float32) {
 	for i := 0; i < l.H; i++ {
 		l.Store(data, first+i, a.data[i*a.np*a.nu:])
 	}
-	*a = layoutAccess(l, data, a.lo, a.hi)
+	*a = layoutAccess(l, data, a.lo, a.hi, nil)
 }
 
 // launchRow launches one span of one row in one slice the way a block of

@@ -128,7 +128,7 @@ func testTileLaunchMatchesPerRow(t *testing.T) {
 			}
 		}
 		oracle, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
-		ringAccess(ring).reference(mats, oracle)
+		ringAccess(ring, nil).reference(mats, oracle)
 		refs := map[string]*volume.Volume{"one launch per row": perRow, "the oracle": oracle}
 		ring.Close()
 		for name, want := range refs {

@@ -3,7 +3,7 @@
 // performs row filtering with Intel IPP's vectorised real transforms on the
 // host CPU; this package is the stdlib-only substitute: RealPlan, the pruned,
 // permutation-free real-input transform every detector row goes through
-// (AVX2 butterflies where the host has them), and Plan, the plain radix-2
+// (eight rows per transform, one per vector lane), and Plan, the plain radix-2
 // complex transform that builds the filter's frequency response at set-up.
 package fft
 

@@ -9,22 +9,32 @@ import (
 	"testing/quick"
 )
 
-// packRow packs the real row x the way RealPlan.Convolve takes it: even
-// samples real, odd samples imaginary, in work slices of m points poisoned
-// beyond the live ones — Convolve must not read what it was not given.
-func packRow(x []float64, m int) (zr, zi []float64, live int) {
-	zr, zi = make([]float64, m), make([]float64, m)
+// packRow packs the real row x into lane l of a lane workspace of m points
+// the way RealPlan.ConvolveLanes takes it: even samples real, odd samples
+// imaginary. Everything else, the other lanes and the points beyond the
+// live ones, is NaN — ConvolveLanes must neither read what it was not given
+// nor let one lane reach another.
+func packRow(x []float64, m, l int) (zr, zi []float64, live int) {
+	zr, zi = make([]float64, Lanes*m), make([]float64, Lanes*m)
 	for j := range zr {
 		zr[j], zi[j] = math.NaN(), math.NaN()
 	}
 	live = (len(x) + 1) / 2
 	for j := 0; j < live; j++ {
-		zr[j], zi[j] = x[2*j], 0
+		zr[Lanes*j+l], zi[Lanes*j+l] = x[2*j], 0
 		if 2*j+1 < len(x) {
-			zi[j] = x[2*j+1]
+			zi[Lanes*j+l] = x[2*j+1]
 		}
 	}
 	return zr, zi, live
+}
+
+// sample returns sample i of the row in lane l.
+func sample(zr, zi []float64, l, i int) float64 {
+	if i%2 == 1 {
+		return zi[Lanes*(i/2)+l]
+	}
+	return zr[Lanes*(i/2)+l]
 }
 
 func unitResponse(n int) []float64 {
@@ -56,18 +66,18 @@ func TestRealForwardMatchesNaiveDFT(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := n / 2
-		if p.Size() != n || p.WorkLen() != m {
+		if p.Size() != n || p.WorkLen() != Lanes*m {
 			t.Fatalf("n=%d: Size=%d WorkLen=%d", n, p.Size(), p.WorkLen())
 		}
-		for _, rowLen := range []int{m, m - 1, m/2 + 1, 1} {
+		for l, rowLen := range []int{m, m - 1, m/2 + 1, 1} {
 			x := make([]float64, n)
 			copy(x, randomRow(rng, rowLen))
-			zr, zi, live := packRow(x[:rowLen], m)
+			zr, zi, live := packRow(x[:rowLen], m, 2*l+1)
 			p.forward(hostPasses(), zr, zi, live)
 			shift := 64 - uint(bits.Len(uint(m-1)))
 			z := func(k int) complex128 {
 				pos := int(bits.Reverse64(uint64(k%m)) >> shift)
-				return complex(zr[pos], zi[pos])
+				return complex(zr[Lanes*pos+2*l+1], zi[Lanes*pos+2*l+1])
 			}
 			wr, wi := naiveDFT(x, make([]float64, n))
 			for k := 0; k <= m; k++ {
@@ -84,7 +94,7 @@ func TestRealForwardMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-// Convolve with the unit response must reproduce the row (up to rounding),
+// ConvolveLanes with the unit response must reproduce the row (up to rounding),
 // and with a symmetric real response it must match the full complex
 // transform doing the same scaling — the ramp-filter use case.
 func TestRealRoundTrip(t *testing.T) {
@@ -97,16 +107,12 @@ func TestRealRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			zr, zi, live := packRow(x, m)
-			if err := p.Convolve(zr, zi, live); err != nil {
+			zr, zi, live := packRow(x, m, Lanes-1)
+			if err := p.ConvolveLanes(zr, zi, live); err != nil {
 				t.Fatal(err)
 			}
 			for i := range x {
-				got := zr[i/2]
-				if i%2 == 1 {
-					got = zi[i/2]
-				}
-				if math.Abs(got-x[i]) > 1e-9 {
+				if got := sample(zr, zi, Lanes-1, i); math.Abs(got-x[i]) > 1e-9 {
 					t.Fatalf("n=%d row %d sample %d: round trip %g, want %g", n, rowLen, i, got, x[i])
 				}
 			}
@@ -138,16 +144,12 @@ func TestRealRoundTrip(t *testing.T) {
 			if err := cp.Inverse(cr, ci); err != nil {
 				t.Fatal(err)
 			}
-			zr, zi, live = packRow(x, m)
-			if err := p.Convolve(zr, zi, live); err != nil {
+			zr, zi, live = packRow(x, m, 0)
+			if err := p.ConvolveLanes(zr, zi, live); err != nil {
 				t.Fatal(err)
 			}
 			for i := range x {
-				got := zr[i/2]
-				if i%2 == 1 {
-					got = zi[i/2]
-				}
-				if math.Abs(got-cr[i]) > 1e-9 {
+				if got := sample(zr, zi, 0, i); math.Abs(got-cr[i]) > 1e-9 {
 					t.Fatalf("n=%d row %d sample %d: filtered real path %g, complex path %g", n, rowLen, i, got, cr[i])
 				}
 			}
@@ -155,11 +157,11 @@ func TestRealRoundTrip(t *testing.T) {
 	}
 }
 
-// Convolve against the definition: the circular convolution with a random
+// ConvolveLanes against the definition: the circular convolution with a random
 // real, even kernel, on the samples the caller reads back.
 func TestRealConvolveMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct{ n, row int }{{16, 8}, {16, 5}, {64, 19}, {256, 83}, {256, 128}} {
+	for l, tc := range []struct{ n, row int }{{16, 8}, {16, 5}, {64, 19}, {256, 83}, {256, 128}} {
 		n, m := tc.n, tc.n/2
 		kernel := make([]float64, n)
 		for j := 0; j <= m; j++ {
@@ -177,8 +179,8 @@ func TestRealConvolveMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := randomRow(rng, tc.row)
-		zr, zi, live := packRow(x, m)
-		if err := p.Convolve(zr, zi, live); err != nil {
+		zr, zi, live := packRow(x, m, l)
+		if err := p.ConvolveLanes(zr, zi, live); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
@@ -186,11 +188,7 @@ func TestRealConvolveMatchesNaive(t *testing.T) {
 			for j := range x {
 				want += x[j] * kernel[(i-j+n)%n]
 			}
-			got := zr[i/2]
-			if i%2 == 1 {
-				got = zi[i/2]
-			}
-			if math.Abs(got-want) > 1e-9 {
+			if got := sample(zr, zi, l, i); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("n=%d row %d sample %d = %g, want %g", n, tc.row, i, got, want)
 			}
 		}
@@ -210,16 +208,13 @@ func TestConvolveIdentityProperty(t *testing.T) {
 		for i := range signal {
 			signal[i] = float64(float32(rng.NormFloat64()))
 		}
-		zr, zi, live := packRow(signal, 32)
-		if p.Convolve(zr, zi, live) != nil {
+		l := rng.Intn(Lanes)
+		zr, zi, live := packRow(signal, 32, l)
+		if p.ConvolveLanes(zr, zi, live) != nil {
 			return false
 		}
 		for i := range signal {
-			got := zr[i/2]
-			if i%2 == 1 {
-				got = zi[i/2]
-			}
-			if math.Abs(got-signal[i]) > 1e-12 {
+			if got := sample(zr, zi, l, i); math.Abs(got-signal[i]) > 1e-12 {
 				return false
 			}
 		}
@@ -247,22 +242,24 @@ func TestRealPlanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := make([]float64, 8)
-	if err := p.Convolve(make([]float64, 7), good, 4); err == nil {
-		t.Error("Convolve accepted a short real work slice")
+	good := make([]float64, p.WorkLen())
+	if err := p.ConvolveLanes(make([]float64, 8), good, 4); err == nil {
+		t.Error("ConvolveLanes accepted a one-lane real work slice")
 	}
-	if err := p.Convolve(good, make([]float64, 9), 4); err == nil {
-		t.Error("Convolve accepted a long imaginary work slice")
+	if err := p.ConvolveLanes(good, make([]float64, p.WorkLen()+1), 4); err == nil {
+		t.Error("ConvolveLanes accepted a long imaginary work slice")
 	}
-	if err := p.Convolve(good, good, 5); err == nil {
-		t.Error("Convolve accepted more live points than half the work slice")
+	if err := p.ConvolveLanes(good, good, 5); err == nil {
+		t.Error("ConvolveLanes accepted more live points than a quarter of the plan")
 	}
-	if err := p.Convolve(good, good, -1); err == nil {
-		t.Error("Convolve accepted a negative live count")
+	if err := p.ConvolveLanes(good, good, -1); err == nil {
+		t.Error("ConvolveLanes accepted a negative live count")
 	}
 }
 
-func BenchmarkRealConvolve(b *testing.B) {
+// Eight rows per call at the repository benchmark's width and the paper's,
+// under each spelling this host has; ns/op is per call.
+func BenchmarkConvolveLanes(b *testing.B) {
 	for _, row := range []int{83, 2048} {
 		n := NextPow2(2 * row)
 		p, err := NewRealPlan(n, unitResponse(n))
@@ -273,14 +270,16 @@ func BenchmarkRealConvolve(b *testing.B) {
 		for i := range x {
 			x[i] = float64(i%17) - 8
 		}
-		zr, zi, live := packRow(x, n/2)
-		b.Run(strconv.Itoa(row), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := p.Convolve(zr, zi, live); err != nil {
-					b.Fatal(err)
+		zr, zi, live := packRow(x, n/2, 0)
+		for _, sp := range spellings() {
+			b.Run(strconv.Itoa(row)+"/"+sp.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := p.convolve(sp.k, zr, zi, live); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

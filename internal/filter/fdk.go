@@ -107,49 +107,59 @@ func (f *FDK) Window() Window { return f.window }
 // FFTSize returns the transform length used for row filtering.
 func (f *FDK) FFTSize() int { return f.plan.Size() }
 
-// Scratch is the per-goroutine workspace for row filtering: the row's
-// even and odd samples as the real and imaginary parts of one complex
-// sequence of FFTSize/2 points.
+// Scratch is the per-goroutine workspace for row filtering: fft.Lanes rows,
+// each row's even and odd samples as the real and imaginary parts of one
+// complex sequence of FFTSize/2 points, lane-interleaved as
+// fft.RealPlan.ConvolveLanes takes them.
 type Scratch struct {
 	zr, zi []float64
 }
 
 // NewScratch allocates a workspace sized for this filter.
 func (f *FDK) NewScratch() *Scratch {
-	m := f.plan.WorkLen()
-	return &Scratch{zr: make([]float64, m), zi: make([]float64, m)}
+	n := f.plan.WorkLen()
+	return &Scratch{zr: make([]float64, n), zi: make([]float64, n)}
 }
 
-// FilterRow filters one detector row in place. v is the physical detector
-// row index of the data (used to look up the cosine weight); it must lie in
-// [0, NV). A short scan's redundancy weights are applied to the row
-// beforehand (Parker.ApplyRow). A nil s borrows a workspace from the
-// filter's pool for the call.
+// FilterRow filters one detector row in place, as a batch of one. v is the
+// physical detector row index of the data (used to look up the cosine
+// weight); it must lie in [0, NV). A short scan's redundancy weights are
+// applied to the row beforehand (Parker.ApplyRow). A nil s borrows a
+// workspace from the filter's pool for the call.
 func (f *FDK) FilterRow(row []float32, v int, s *Scratch) error {
 	if len(row) != f.nu {
 		return fmt.Errorf("filter: row length %d, want %d", len(row), f.nu)
 	}
-	if v < 0 || v >= f.nv {
-		return fmt.Errorf("filter: row index %d outside detector [0,%d)", v, f.nv)
+	vs := [1]int{v}
+	return f.filterBatch(row, vs[:], s)
+}
+
+// filterBatch filters the len(vs) ≤ fft.Lanes rows stored back to back in
+// rows, row l at detector row vs[l], in one transform: row l in lane l, the
+// lanes past the last row zero. Every row is packed before any is written.
+func (f *FDK) filterBatch(rows []float32, vs []int, s *Scratch) error {
+	for _, v := range vs {
+		if v < 0 || v >= f.nv {
+			return fmt.Errorf("filter: row index %d outside detector [0,%d)", v, f.nv)
+		}
 	}
 	if s == nil {
 		s = f.scratch.Get().(*Scratch)
 		defer f.scratch.Put(s)
 	}
-	// Every sample is packed before the row is written.
-	live := pack(s.zr, s.zi, row, f.weights[v*f.nu:(v+1)*f.nu])
-	if err := f.plan.Convolve(s.zr, s.zi, live); err != nil {
+	pack(s.zr, s.zi, rows, f.nu, f.weights, vs)
+	if err := f.plan.ConvolveLanes(s.zr, s.zi, (f.nu+1)/2); err != nil {
 		return err
 	}
-	unpack(row, s.zr, s.zi)
+	unpack(rows, f.nu, s.zr, s.zi, len(vs))
 	return nil
 }
 
 // FilterRows filters count contiguous rows stored back to back in data,
 // where row i of the buffer corresponds to physical detector row
-// vOf(i). Each of workers goroutines (0 means GOMAXPROCS) takes one
-// contiguous block of rows, mirroring the paper's OpenMP-parallel filtering
-// thread.
+// vOf(i), fft.Lanes consecutive rows per transform. Each of workers
+// goroutines (0 means GOMAXPROCS) takes one contiguous block of whole
+// batches, mirroring the paper's OpenMP-parallel filtering thread.
 func (f *FDK) FilterRows(data []float32, count int, vOf func(i int) int, workers int) error {
 	if len(data) != count*f.nu {
 		return fmt.Errorf("filter: buffer holds %d values, want %d rows × %d", len(data), count, f.nu)
@@ -157,34 +167,39 @@ func (f *FDK) FilterRows(data []float32, count int, vOf func(i int) int, workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > count {
-		workers = count
-	}
-	block := func(lo, hi int) error {
-		s := f.scratch.Get().(*Scratch)
-		defer f.scratch.Put(s)
-		for i := lo; i < hi; i++ {
-			if err := f.FilterRow(data[i*f.nu:(i+1)*f.nu], vOf(i), s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers <= 1 {
-		return block(0, count)
+	batches := (count + fft.Lanes - 1) / fft.Lanes
+	if workers = min(workers, batches); workers <= 1 {
+		return f.filterBlock(data, count, vOf, 0, batches)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
-	for wk := 0; wk < workers; wk++ {
+	for wk := range errs {
 		wg.Add(1)
-		go func(wk int) {
+		go func(wk, lo, hi int) {
 			defer wg.Done()
-			errs[wk] = block(wk*count/workers, (wk+1)*count/workers)
-		}(wk)
+			errs[wk] = f.filterBlock(data, count, vOf, lo, hi)
+		}(wk, wk*batches/len(errs), (wk+1)*batches/len(errs))
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// filterBlock filters FilterRows' batches [lo, hi) on one workspace.
+func (f *FDK) filterBlock(data []float32, count int, vOf func(i int) int, lo, hi int) error {
+	s := f.scratch.Get().(*Scratch)
+	defer f.scratch.Put(s)
+	var vs [fft.Lanes]int
+	for b := lo; b < hi; b++ {
+		first, last := b*fft.Lanes, min((b+1)*fft.Lanes, count)
+		for i := first; i < last; i++ {
+			vs[i-first] = vOf(i)
+		}
+		if err := f.filterBatch(data[first*f.nu:last*f.nu], vs[:last-first], s); err != nil {
 			return err
 		}
 	}

@@ -3,9 +3,10 @@ package filter
 import (
 	"math"
 	"math/rand"
-	"strconv"
 	"testing"
 	"testing/quick"
+
+	"distfdk/internal/cpufeat"
 )
 
 func testConfig() Config {
@@ -345,28 +346,40 @@ func TestBeerValidation(t *testing.T) {
 	}
 }
 
-// One row through FilterRow at the paper's detector width and at the
-// repository benchmark's (83 samples): the per-core rate behind
-// filter.rows_per_s.p1, and it must not allocate.
-func BenchmarkFilterRow2048(b *testing.B) {
-	for _, nu := range []int{2048, 83} {
-		b.Run(strconv.Itoa(nu), func(b *testing.B) {
-			f, err := NewFDK(Config{NU: nu, NV: 64, DU: 0.2, DV: 0.2, DSD: 672.5, Window: RamLak, Scale: 1})
-			if err != nil {
+// The repository benchmark's single-filter stack, 4 840 rows of 83 samples
+// (55 detector rows of 88 projections), through FilterRows on one worker
+// under each spelling this host has: the ZMM lanes, the YMM pairs with
+// AVX-512 masked, the Go loops with AVX2 masked. rows/s is the rate behind
+// filter.rows_per_s.p1; a pass on one worker must not allocate.
+func BenchmarkFilterRows(b *testing.B) {
+	const nu, nv, np = 83, 55, 88
+	f, err := NewFDK(Config{NU: nu, NV: nv, DU: 0.6, DV: 0.6, DSD: 672.5, Window: RamLak, Scale: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := make([]float32, nu*nv*np)
+	for i := range src {
+		src[i] = float32(i % 13)
+	}
+	data := make([]float32, len(src))
+	vOf := func(i int) int { return i / np }
+	filter := func() error {
+		copy(data, src)
+		return f.FilterRows(data, nv*np, vOf, 1)
+	}
+	for _, sp := range []struct {
+		name      string
+		avx2, avx bool
+	}{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}} {
+		b.Run(sp.name, func(b *testing.B) {
+			if sp.avx && !cpufeat.AVX512() || sp.avx2 && !cpufeat.AVX2() {
+				b.Skip("host lacks the spelling")
+			}
+			defer cpufeat.SetAVX512ForTest(sp.avx)()
+			defer cpufeat.SetAVX2ForTest(sp.avx2)()
+			if err := filter(); err != nil { // warms the scratch pool
 				b.Fatal(err)
 			}
-			s := f.NewScratch()
-			row := make([]float32, nu)
-			for i := range row {
-				row[i] = float32(i % 13)
-			}
-			// Each pass filters a fresh copy, so the input stays the same.
-			out := make([]float32, nu)
-			filter := func() error {
-				copy(out, row)
-				return f.FilterRow(out, 32, s)
-			}
-			b.SetBytes(int64(nu) * 4)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -374,8 +387,10 @@ func BenchmarkFilterRow2048(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if allocs := testing.AllocsPerRun(100, func() { _ = filter() }); allocs != 0 {
-				b.Fatalf("FilterRow allocates %.0f times per row", allocs)
+			b.StopTimer()
+			b.ReportMetric(float64(nv*np)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			if allocs := testing.AllocsPerRun(3, func() { _ = filter() }); allocs != 0 {
+				b.Fatalf("FilterRows allocates %.0f times per pass", allocs)
 			}
 		})
 	}

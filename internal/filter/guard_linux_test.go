@@ -40,7 +40,7 @@ func TestFilterRowStaysInsideItsBuffers(t *testing.T) {
 		cosine := unsafe.Slice((*float32)(guarded(t, len(f.weights)*4)), len(f.weights))
 		copy(cosine, f.weights)
 		f.weights = cosine
-		m := f.FFTSize() / 2
+		m := f.plan.WorkLen()
 		work := func() []float64 { return unsafe.Slice((*float64)(guarded(t, m*8)), m) }
 		s := &Scratch{zr: work(), zi: work()}
 		row := unsafe.Slice((*float32)(guarded(t, nu*4)), nu)

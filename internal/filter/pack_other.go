@@ -2,9 +2,11 @@
 
 package filter
 
-// The vector pack and unpack are amd64-only: elsewhere the Go loops take the
-// whole row.
+// The vector pack and unpack are amd64-only: elsewhere the Go loops take
+// every sample.
 
-func packGroups(zr, zi []float64, src, w []float32) int { return 0 }
+func packPairs(zr, zi []float64, rows []float32, nu int, weights []float32, vs []int) int {
+	return 0
+}
 
-func unpackGroups(dst []float32, zr, zi []float64) int { return 0 }
+func unpackPairs(rows []float32, nu int, zr, zi []float64, count int) int { return 0 }

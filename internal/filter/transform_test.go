@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"distfdk/internal/cpufeat"
+	"distfdk/internal/fft"
 )
 
 // The row lengths the transform is pinned at: the plans too short for a
@@ -48,13 +49,31 @@ func sameBits(t *testing.T, what string, want, got []float32) {
 	}
 }
 
-// The AVX2 butterflies and the Go stages are one arithmetic: with the vector
-// path masked off every filtered row keeps its bits — every width, every
-// window.
-func TestAVX2RowsMatchPortableRows(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("host has no usable AVX2")
+// spellings runs body once per spelling of the transform and the pack this
+// host has, masking the wider ones off as a narrower host would not have
+// them: the ZMM lanes, the YMM pairs (AVX-512 masked), the Go loops (AVX2
+// masked).
+func spellings(t *testing.T, body func(name string)) {
+	t.Helper()
+	for _, sp := range []struct {
+		name      string
+		avx2, avx bool
+	}{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}} {
+		if sp.avx && !cpufeat.AVX512() || sp.avx2 && !cpufeat.AVX2() {
+			continue
+		}
+		restore512 := cpufeat.SetAVX512ForTest(sp.avx)
+		restore2 := cpufeat.SetAVX2ForTest(sp.avx2)
+		body(sp.name)
+		restore2()
+		restore512()
 	}
+}
+
+// The spellings are one arithmetic: every filtered row keeps its bits
+// whichever runs — every width, every window, a row alone and the rows of
+// a batch and its tail.
+func TestSpellingsFilterTheSameRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, nu := range transformWidths {
 		for _, win := range allWindows {
@@ -62,21 +81,32 @@ func TestAVX2RowsMatchPortableRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := f.NewScratch()
-			src := randomRow(rng, nu)
-			vector := filtered(t, f, src, 3, s)
-			restore := cpufeat.SetAVX2ForTest(false)
-			portable := filtered(t, f, src, 3, s)
-			restore()
-			sameBits(t, fmt.Sprintf("nu=%d %v: AVX2 vs portable", nu, win), portable, vector)
+			const count = fft.Lanes + 5
+			src := randomRow(rng, count*nu)
+			vOf := func(i int) int { return i % f.nv }
+			var wantRow, wantRows []float32
+			spellings(t, func(name string) {
+				row := filtered(t, f, src[:nu], 3, f.NewScratch())
+				rows := append([]float32(nil), src...)
+				if err := f.FilterRows(rows, count, vOf, 1); err != nil {
+					t.Fatal(err)
+				}
+				if wantRow == nil {
+					wantRow, wantRows = row, rows
+					return
+				}
+				sameBits(t, fmt.Sprintf("nu=%d %v: one row, %s", nu, win, name), wantRow, row)
+				sameBits(t, fmt.Sprintf("nu=%d %v: %d rows, %s", nu, win, count, name), wantRows, rows)
+			})
 		}
 	}
 }
 
 // A filtered row's bytes depend on the row and its v only: alone on a fresh
-// workspace, on a workspace another row left dirty, on a pooled one, and
-// inside FilterRows at one to three workers among different neighbours at a
-// different position, it comes out the same.
+// workspace, on a workspace another batch left dirty, on a pooled one, and
+// inside FilterRows at one to three workers, among different neighbours at
+// every lane position of a full batch and as a batch's tail, under every
+// spelling, it comes out the same.
 func TestFilteredRowIsIndependentOfNeighbours(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, nu := range []int{9, 64, 83} {
@@ -87,37 +117,35 @@ func TestFilteredRowIsIndependentOfNeighbours(t *testing.T) {
 		const v = 2
 		row := randomRow(rng, nu)
 		want := filtered(t, f, row, v, f.NewScratch())
-
-		dirty := f.NewScratch()
-		if err := f.FilterRow(randomRow(rng, nu), 0, dirty); err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, fmt.Sprintf("nu=%d: dirty workspace", nu), want, filtered(t, f, row, v, dirty))
-		sameBits(t, fmt.Sprintf("nu=%d: pooled workspace", nu), want, filtered(t, f, row, v, nil))
-
-		for workers := 1; workers <= 3; workers++ {
-			for _, at := range []int{0, 3, 6} {
-				const count = 7
-				data := make([]float32, 0, count*nu)
-				for i := 0; i < count; i++ {
-					if i == at {
-						data = append(data, row...)
-					} else {
-						data = append(data, randomRow(rng, nu)...)
-					}
-				}
-				vOf := func(i int) int {
-					if i == at {
-						return v
-					}
-					return i % 5
-				}
-				if err := f.FilterRows(data, count, vOf, workers); err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, fmt.Sprintf("nu=%d: row %d of %d at %d workers", nu, at, count, workers), want, data[at*nu:(at+1)*nu])
+		spellings(t, func(name string) {
+			dirty := f.NewScratch()
+			if err := f.FilterRows(randomRow(rng, fft.Lanes*nu), fft.Lanes, func(i int) int { return i % 5 }, 1); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := f.FilterRow(randomRow(rng, nu), 0, dirty); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("nu=%d %s: dirty workspace", nu, name), want, filtered(t, f, row, v, dirty))
+			sameBits(t, fmt.Sprintf("nu=%d %s: pooled workspace", nu, name), want, filtered(t, f, row, v, nil))
+
+			const count = 2*fft.Lanes + 1
+			for workers := 1; workers <= 3; workers++ {
+				for at := 0; at < count; at++ {
+					data := randomRow(rng, count*nu)
+					copy(data[at*nu:], row)
+					vOf := func(i int) int {
+						if i == at {
+							return v
+						}
+						return i % 5
+					}
+					if err := f.FilterRows(data, count, vOf, workers); err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, fmt.Sprintf("nu=%d %s: row %d of %d at %d workers", nu, name, at, count, workers), want, data[at*nu:(at+1)*nu])
+				}
+			}
+		})
 	}
 }
 

@@ -227,12 +227,18 @@ type SlabWriter struct {
 // slabChunkBytes is the size of the buffer writeFloats encodes through.
 const slabChunkBytes = 64 << 10
 
-// writeFloats writes data little-endian into f from offset off. It encodes
-// through one bounded buffer rather than a data-sized one: the leader stores
-// a slab per batch, and slab-sized garbage per batch is what its peak heap
-// would otherwise be made of; a projection stack would be one more copy of
-// the input.
+// writeFloats writes data little-endian into f from offset off. On a
+// little-endian host the float32s already are the container's bytes and go
+// out where they lie, as LoadRows reads them in; elsewhere they are encoded
+// through one bounded buffer rather than a data-sized one: the leader
+// stores a slab per batch, and slab-sized garbage per batch is what its peak
+// heap would otherwise be made of; a projection stack would be one more
+// copy of the input.
 func writeFloats(f *os.File, data []float32, off int64) error {
+	if hostLittleEndian {
+		_, err := f.WriteAt(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), len(data)*4), off)
+		return err
+	}
 	buf := make([]byte, 0, slabChunkBytes)
 	for len(data) > 0 {
 		n := min(len(data), slabChunkBytes/4)

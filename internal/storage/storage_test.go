@@ -55,22 +55,28 @@ func TestStackFileRoundTrip(t *testing.T) {
 // its size, and of odd sample counts, must be the bytes of a header
 // and the samples written by binary.Write.
 func TestWriteStackMatchesBinaryWrite(t *testing.T) {
-	for i, dims := range [][3]int{{7, 5, 3}, {64, 16, 16}, {61, 9, 31}, {128, 33, 9}} {
-		nu, np, nv := dims[0], dims[1], dims[2]
-		st := makeStack(nu, np, nv, int64(i))
-		path := filepath.Join(t.TempDir(), "proj.fbp")
-		if err := WriteStack(path, st); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		binary.Write(&want, binary.LittleEndian, []int32{projMagic, int32(nu), int32(np), int32(nv)})
-		binary.Write(&want, binary.LittleEndian, st.Data)
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("%dx%dx%d (%d bytes of samples): the file differs from binary.Write's", nu, np, nv, 4*len(st.Data))
+	// The second round runs the encoder a big-endian host needs, where
+	// this host writes the samples' own bytes: the file must not change.
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range []bool{hostLittleEndian, false} {
+		hostLittleEndian = le
+		for i, dims := range [][3]int{{7, 5, 3}, {64, 16, 16}, {61, 9, 31}, {128, 33, 9}} {
+			nu, np, nv := dims[0], dims[1], dims[2]
+			st := makeStack(nu, np, nv, int64(i))
+			path := filepath.Join(t.TempDir(), "proj.fbp")
+			if err := WriteStack(path, st); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			binary.Write(&want, binary.LittleEndian, []int32{projMagic, int32(nu), int32(np), int32(nv)})
+			binary.Write(&want, binary.LittleEndian, st.Data)
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("little-endian %v, %dx%dx%d (%d bytes of samples): the file differs from binary.Write's", le, nu, np, nv, 4*len(st.Data))
+			}
 		}
 	}
 }
@@ -288,31 +294,38 @@ func TestSlabWriterMatchesWriteRaw(t *testing.T) {
 	for i := range whole.Data {
 		whole.Data[i] = float32(rng.NormFloat64())
 	}
-	path := filepath.Join(t.TempDir(), "vol.fbk")
-	w, err := NewSlabWriter(path, nx, ny, nz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, z0 := range []int{nb, 0} {
-		slab, _ := volume.NewSlab(nx, ny, nb, z0)
-		copy(slab.Data, whole.Data[z0*nx*ny:])
-		if err := w.WriteSlab(slab); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want bytes.Buffer
 	if err := whole.WriteRaw(&want); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatal("slab-assembled file differs from volume.WriteRaw of the same voxels")
+	// The second round runs the chunked encoder a big-endian host needs,
+	// where this host writes each slab's own bytes: the file must not
+	// change.
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range []bool{hostLittleEndian, false} {
+		hostLittleEndian = le
+		path := filepath.Join(t.TempDir(), "vol.fbk")
+		w, err := NewSlabWriter(path, nx, ny, nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, z0 := range []int{nb, 0} {
+			slab, _ := volume.NewSlab(nx, ny, nb, z0)
+			copy(slab.Data, whole.Data[z0*nx*ny:])
+			if err := w.WriteSlab(slab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("little-endian %v: slab-assembled file differs from volume.WriteRaw of the same voxels", le)
+		}
 	}
 }
 

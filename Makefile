@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check doc-check fuse-lint fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-compare bench-pairs experiments examples clean
+.PHONY: all build test check doc-check fuse-lint fuzz-smoke chaos chaos-recover trace-smoke transport-smoke slo-gate bench bench-compare bench-pairs experiments examples clean
 
 all: build test
 
@@ -14,19 +14,21 @@ build:
 test:
 	$(GO) test ./...
 
-# Full static + race-detector gate: the kernel's and the filter's worker
-# goroutines and the executor's stage goroutines must stay race-clean
-# everywhere. The peak-RSS tests run again without -race, whose shadow
-# memory moves a process's peak: a race build compares their bytes only.
+# Full static + race-detector gate: every Go file must be as gofmt writes
+# it, and the kernel's and the filter's worker goroutines and the executor's
+# stage goroutines must stay race-clean everywhere. The peak-RSS tests run
+# again without -race, whose shadow memory moves a process's peak: a race
+# build compares their bytes only.
 # The trace smoke-run keeps the telemetry artifacts loadable end to end, and
 # the examples, which no test runs, must still run.
 check: doc-check fuse-lint
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: not formatted (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -count=1 -run '^TestPeakRSS' ./cmd/fdkrecon/
 	$(MAKE) examples
 	$(MAKE) trace-smoke
-	$(MAKE) status-smoke
 	$(MAKE) chaos-recover
 	$(MAKE) transport-smoke
 
@@ -162,17 +164,6 @@ trace-smoke:
 		-check-metrics artifacts/metrics_smoke.json \
 		-require-matched-flows
 	rm -f artifacts/trace_smoke_vol.bin
-
-# Live introspection gate: the same tiny world with -pprof on and the
-# -status-poll loop hitting the live /metrics and /statusz endpoints
-# while back-projection is in flight. fdkrecon exits non-zero unless at
-# least one poll validated both endpoints AND observed in-flight work.
-status-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/fdkrecon -div 16 -n 32 -batches 8 -groups 2 -ranks 2 \
-		-o artifacts/status_smoke_vol.bin \
-		-pprof 127.0.0.1:6161 -status-poll 5ms
-	rm -f artifacts/status_smoke_vol.bin
 
 # Fault-tolerance gate: the seeded chaos matrix (transient recovery must be
 # bit-identical, permanent faults must surface typed and bounded with zero

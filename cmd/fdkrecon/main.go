@@ -22,7 +22,6 @@ package main
 
 import (
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -32,8 +31,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"sync"
-	"time"
 
 	"distfdk/internal/core"
 	"distfdk/internal/dataset"
@@ -52,45 +49,43 @@ func main() {
 	log.SetPrefix("fdkrecon: ")
 
 	var (
-		dsName     = flag.String("dataset", "tomo_00030", "dataset geometry (see DESIGN.md registry)")
-		div        = flag.Int("div", 8, "detector/angle scale divisor for the synthetic twin")
-		outN       = flag.Int("n", 64, "output volume size n³")
-		inPath     = flag.String("in", "", "projection container (.fbp); empty synthesises the dataset's phantom")
-		outPath    = flag.String("o", "volume.fbk", "output volume file")
-		slice      = flag.String("slice", "", "optional central-slice PGM path")
-		window     = flag.String("window", "ram-lak", "ramp window: ram-lak, shepp-logan, cosine, hamming, hann")
-		groups     = flag.Int("groups", 1, "Ng rank groups")
-		ranks      = flag.Int("ranks", 1, "Nr ranks per group")
-		batches    = flag.Int("batches", core.DefaultBatchCount, "Nc slab batches")
-		memMB      = flag.Int64("devmem", 0, "device memory budget in MiB (0 = unlimited)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "CPU parallelism, shared out between the ranks (at least 1 each)")
-		timeline   = flag.Bool("timeline", false, "print rank 0's pipeline timeline")
-		zlo        = flag.Int("zlo", -1, "first slice of the plan's Z window (ROI), in every FDK mode; -1 = full volume")
-		znz        = flag.Int("znz", 0, "slice count of the Z window (with -zlo)")
-		stats      = flag.Bool("stats", false, "print volume statistics")
-		algo       = flag.String("algo", "fdk", "reconstruction algorithm: fdk, sirt, ossart, mlem, osem")
-		iters      = flag.Int("iters", 10, "iterations for the iterative algorithms")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) of the run")
-		metrics    = flag.String("metrics-json", "", "write the run's metrics JSON artifact")
-		pprof      = flag.String("pprof", "", "serve net/http/pprof, Prometheus /metrics and /statusz on this address (e.g. localhost:6060)")
-		statusPoll = flag.Duration("status-poll", 0, "with -pprof: poll the live /metrics and /statusz endpoints at this interval during the run and fail unless they validate (smoke test)")
-		journal    = flag.String("journal", "", "checkpoint journal path: durable slab output with crash resume and supervised shrink-and-resume through rank loss; without it the first lost rank fails the run")
-		restarts   = flag.Int("max-restarts", core.DefaultMaxRestarts, "restart budget of the supervised run, 0 = one attempt (needs -journal)")
-		backoff    = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (needs -journal)")
-		deadline   = flag.Duration("deadline", 0, "collective deadline: a lost peer surfaces as a typed error within this bound (0 waits for world teardown)")
-		kills      = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
-		worldN     = flag.Int("world", 0, "spread the run's ranks over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
-		transport  = flag.String("transport", "tcp", "socket transport of -world mode: tcp or unix")
-		severSpec  = flag.String("sever", "", "chaos: comma-separated rank@nth wire severs, e.g. 1@2 cuts the connection carrying rank 1's 2nd outgoing frame (-world mode; the link must reconnect and replay)")
-		workerFl   = flag.Bool("worker", false, "internal: run as a spawned worker process of a -world coordinator")
-		procFl     = flag.Int("proc", 0, "internal: this worker's process id (with -worker)")
-		procsFl    = flag.Int("procs", 0, "internal: total process count (with -worker)")
-		connectFl  = flag.String("connect", "", "internal: the coordinator's socket address (with -worker)")
+		dsName    = flag.String("dataset", "tomo_00030", "dataset geometry (see DESIGN.md registry)")
+		div       = flag.Int("div", 8, "detector/angle scale divisor for the synthetic twin")
+		outN      = flag.Int("n", 64, "output volume size n³")
+		inPath    = flag.String("in", "", "projection container (.fbp); empty synthesises the dataset's phantom")
+		outPath   = flag.String("o", "volume.fbk", "output volume file")
+		slice     = flag.String("slice", "", "optional central-slice PGM path")
+		window    = flag.String("window", "ram-lak", "ramp window: ram-lak, shepp-logan, cosine, hamming, hann")
+		groups    = flag.Int("groups", 1, "Ng rank groups")
+		ranks     = flag.Int("ranks", 1, "Nr ranks per group")
+		batches   = flag.Int("batches", core.DefaultBatchCount, "Nc slab batches")
+		memMB     = flag.Int64("devmem", 0, "device memory budget in MiB (0 = unlimited)")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "CPU parallelism, shared out between the ranks (at least 1 each)")
+		timeline  = flag.Bool("timeline", false, "print rank 0's pipeline timeline")
+		zlo       = flag.Int("zlo", -1, "first slice of the plan's Z window (ROI), in every FDK mode; -1 = full volume")
+		znz       = flag.Int("znz", 0, "slice count of the Z window (with -zlo)")
+		stats     = flag.Bool("stats", false, "print volume statistics")
+		algo      = flag.String("algo", "fdk", "reconstruction algorithm: fdk, sirt, ossart, mlem, osem")
+		iters     = flag.Int("iters", 10, "iterations for the iterative algorithms")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) of the run")
+		metrics   = flag.String("metrics-json", "", "write the run's metrics JSON artifact")
+		pprof     = flag.String("pprof", "", "serve net/http/pprof, Prometheus /metrics and /statusz on this address (e.g. localhost:6060)")
+		journal   = flag.String("journal", "", "checkpoint journal path: durable slab output with crash resume and supervised shrink-and-resume through rank loss; without it the first lost rank fails the run")
+		restarts  = flag.Int("max-restarts", core.DefaultMaxRestarts, "restart budget of the supervised run, 0 = one attempt (needs -journal)")
+		backoff   = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (needs -journal)")
+		deadline  = flag.Duration("deadline", 0, "collective deadline: a lost peer surfaces as a typed error within this bound (0 waits for world teardown)")
+		kills     = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
+		worldN    = flag.Int("world", 0, "spread the run's ranks over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
+		severSpec = flag.String("sever", "", "chaos: comma-separated rank@nth wire severs, e.g. 1@2 cuts the connection carrying rank 1's 2nd outgoing frame (-world mode; the link must reconnect and replay)")
+		workerFl  = flag.Bool("worker", false, "internal: run as a spawned worker process of a -world coordinator")
+		procFl    = flag.Int("proc", 0, "internal: this worker's process id (with -worker)")
+		procsFl   = flag.Int("procs", 0, "internal: total process count (with -worker)")
+		connectFl = flag.String("connect", "", "internal: the coordinator's socket address (with -worker)")
 	)
 	flag.Parse()
 
 	nf := netFlags{world: *worldN, worker: *workerFl, proc: *procFl,
-		procs: *procsFl, transport: *transport, connect: *connectFl}
+		procs: *procsFl, connect: *connectFl}
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	if err := errors.Join(nf.validate(), refuseUnread(*algo, *zlo, set),
@@ -147,9 +142,6 @@ func main() {
 	if *traceOut != "" || *metrics != "" || *pprof != "" || *timeline {
 		run = telemetry.NewRun(plan.Ranks())
 	}
-	// finishPoll stops the -status-poll loop (if any) and fails the run
-	// unless the live endpoints validated while work was in flight.
-	finishPoll := func() {}
 	if *pprof != "" {
 		srv, err := servePprof(*pprof, run)
 		if err != nil {
@@ -158,7 +150,6 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		finishPoll = startStatusPoll(srv.Addr(), *statusPoll)
 	}
 
 	inj, err := buildChaosInjector(*kills, *severSpec)
@@ -259,7 +250,6 @@ func main() {
 		reduced += sw.finish(len(splitSpec(*severSpec)))
 	}
 	printRun(rep, reduced)
-	finishPoll()
 	if *timeline {
 		// Rank 0 leads group 0, so it runs every stage, reduce included.
 		fmt.Print(telemetry.RenderGantt(run.Rank(0).Spans(), []string{"load", "filter", "backproject", "reduce", "store"}, 100))
@@ -428,51 +418,19 @@ func runIterative(algo string, sys *geometry.System, source projection.Source, i
 	return res.Volume, nil
 }
 
-var publishTelemetry sync.Once
-
 // servePprof starts the live introspection endpoint: net/http/pprof on
-// /debug/pprof, an expvar view of the telemetry snapshots on /debug/vars,
-// Prometheus text exposition on /metrics and the distfdk-status/1 JSON on
-// /statusz — all live while back-projection runs. The bind is synchronous,
-// so a busy port surfaces as a typed *telemetry.ServeError to the caller
-// instead of a log line from a background goroutine.
+// /debug/pprof, Prometheus text exposition on /metrics and the
+// distfdk-status/1 JSON on /statusz — all live while back-projection runs.
+// The bind is synchronous, so a busy port surfaces as a typed
+// *telemetry.ServeError to the caller instead of a log line from a
+// background goroutine.
 func servePprof(addr string, run *telemetry.Run) (*telemetry.StatusServer, error) {
-	// expvar panics on duplicate names: publish once even when the caller
-	// retries after a failed bind.
-	publishTelemetry.Do(func() {
-		expvar.Publish("telemetry", expvar.Func(func() any {
-			return run.Snapshots()
-		}))
-	})
 	srv, err := telemetry.ListenStatus(addr, run)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("introspection endpoints on http://%s/{debug/pprof,metrics,statusz}\n", srv.Addr())
 	return srv, nil
-}
-
-// startStatusPoll runs the -status-poll loop against the live endpoint and
-// returns the closer that stops it and enforces the smoke contract: at
-// least one poll validated, at least one observed the run in flight.
-// A non-positive interval disables polling.
-func startStatusPoll(addr string, every time.Duration) func() {
-	if every <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	resCh := make(chan telemetry.PollResult, 1)
-	go func() { resCh <- telemetry.PollStatus("http://"+addr, every, done) }()
-	return func() {
-		close(done)
-		res := <-resCh
-		if res.Valid == 0 || res.Active == 0 {
-			log.Fatalf("-status-poll: %d polls, %d valid, %d active (last error: %v)",
-				res.Polls, res.Valid, res.Active, res.LastErr)
-		}
-		fmt.Printf("status poll: %d/%d polls valid, %d observed in-flight work\n",
-			res.Valid, res.Polls, res.Active)
-	}
 }
 
 // writeTelemetry writes the requested trace/metrics artifacts from the

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,33 @@ func TestValidateRunFlags(t *testing.T) {
 	}
 }
 
+// The flag table is the command's flags: every flag `fdkrecon -h` lists is
+// named in commonReads or in some modeReads entry, and every name there is
+// a flag. A deleted flag left in the table, or a new flag missing from it,
+// fails here.
+func TestFlagTableNamesEveryFlag(t *testing.T) {
+	out, _ := fdkreconCmd(t, t.TempDir(), nil, "-h").CombinedOutput()
+	var defined []string
+	for _, line := range strings.Split(string(out), "\n") {
+		// The test binary also lists the testing package's -test.* flags.
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(line, "  -") && !strings.HasPrefix(f[0], "-test.") {
+			defined = append(defined, strings.TrimPrefix(f[0], "-"))
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatalf("fdkrecon -h listed no flags:\n%s", out)
+	}
+	table := strings.Fields(commonReads)
+	for _, names := range modeReads {
+		table = append(table, strings.Fields(names)...)
+	}
+	slices.Sort(defined)
+	slices.Sort(table)
+	if table = slices.Compact(table); !slices.Equal(defined, table) {
+		t.Errorf("fdkrecon -h defines %v,\nthe flag table names %v", defined, table)
+	}
+}
+
 // A flag the chosen mode never reads is refused, naming the flag and the
 // mode; the command lines the benchmark, the make targets and a -world
 // coordinator's workers run are accepted. A one-rank run is a world of one,
@@ -74,7 +102,7 @@ func TestRefuseUnread(t *testing.T) {
 		{"fdk", -1, "", "", ""},
 		{"fdk", -1, "dataset div in metrics-json n o trace-out", "", ""},
 		{"fdk", -1, "dataset div groups in journal n o ranks world", "", ""},
-		{"fdk", -1, "batches connect dataset deadline devmem div groups in journal kill max-restarts n proc procs ranks restart-backoff sever transport window worker workers", "", ""},
+		{"fdk", -1, "batches connect dataset deadline devmem div groups in journal kill max-restarts n proc procs ranks restart-backoff sever window worker workers", "", ""},
 		{"fdk", 20, "div n o slice stats zlo znz", "", ""},
 		{"fdk", 20, "batches devmem div n o timeline zlo znz", "", ""},
 		{"sirt", -1, "algo div iters n o stats", "", ""},
@@ -168,9 +196,8 @@ func TestBuildChaosInjector(t *testing.T) {
 func TestNetFlagsValidate(t *testing.T) {
 	ok := []netFlags{
 		{},
-		{world: 4, transport: "tcp"},
-		{world: 2, transport: "unix"},
-		{worker: true, proc: 1, procs: 4, transport: "tcp", connect: "127.0.0.1:9"},
+		{world: 4},
+		{worker: true, proc: 1, procs: 4, connect: "127.0.0.1:9"},
 	}
 	for _, nf := range ok {
 		if err := nf.validate(); err != nil {
@@ -178,11 +205,10 @@ func TestNetFlagsValidate(t *testing.T) {
 		}
 	}
 	bad := []netFlags{
-		{world: 4, worker: true, proc: 1, procs: 4, transport: "tcp", connect: "x"},
-		{world: 4, transport: "carrier-pigeon"},
-		{worker: true, transport: "tcp"},                                  // no connect/proc/procs
-		{worker: true, proc: 0, procs: 4, transport: "tcp", connect: "x"}, // proc 0 is the coordinator
-		{worker: true, proc: 4, procs: 4, transport: "tcp", connect: "x"}, // proc out of range
+		{world: 4, worker: true, proc: 1, procs: 4, connect: "x"},
+		{worker: true}, // no connect/proc/procs
+		{worker: true, proc: 0, procs: 4, connect: "x"}, // proc 0 is the coordinator
+		{worker: true, proc: 4, procs: 4, connect: "x"}, // proc out of range
 	}
 	for _, nf := range bad {
 		if err := nf.validate(); err == nil {
@@ -229,11 +255,4 @@ func TestServePprofBindFailure(t *testing.T) {
 	if srv.Addr() == "" {
 		t.Error("bound server reports no address")
 	}
-}
-
-// startStatusPoll with a non-positive interval is inert — the closer it
-// returns must be safe to call with no endpoint at all.
-func TestStartStatusPollDisabled(t *testing.T) {
-	finish := startStatusPoll("127.0.0.1:1", 0)
-	finish() // must not fatal or block
 }

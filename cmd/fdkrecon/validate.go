@@ -19,12 +19,15 @@ func (e *FlagError) Error() string {
 	return fmt.Sprintf("-%s: %s", e.Flag, e.Reason)
 }
 
-// modeReads names the flags each mode reads on top of the input, the
-// output and its views, the width and -algo, which every mode reads.
+// commonReads names the flags every mode reads: the input, the output and
+// its views, the width and -algo. modeReads names the flags each mode reads
+// on top of them.
+const commonReads = "dataset div n in o slice stats workers algo"
+
 var modeReads = map[string]string{
 	"-algo": "iters",
-	"fdk": "window zlo znz groups ranks batches devmem timeline trace-out metrics-json pprof status-poll " +
-		"journal max-restarts restart-backoff deadline kill world transport sever worker proc procs connect",
+	"fdk": "window zlo znz groups ranks batches devmem timeline trace-out metrics-json pprof " +
+		"journal max-restarts restart-backoff deadline kill world sever worker proc procs connect",
 }
 
 // refuseUnread picks the run's mode — -algo other than fdk, else fdk, one
@@ -38,7 +41,7 @@ func refuseUnread(algo string, zlo int, set []string) error {
 	if algo != "fdk" {
 		mode = "-algo"
 	}
-	reads := strings.Fields("dataset div n in o slice stats workers algo " + modeReads[mode])
+	reads := strings.Fields(commonReads + " " + modeReads[mode])
 	for _, name := range set {
 		if !slices.Contains(reads, name) {
 			return &FlagError{Flag: name, Reason: fmt.Sprintf("not read in %s mode", mode)}

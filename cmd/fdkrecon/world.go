@@ -2,14 +2,13 @@
 // coordinator (hub, proc 0) of an N-process socket world. It spawns the
 // N-1 worker processes itself — the same binary re-exec'd with the
 // internal -worker flags — wires everyone through internal/mpi/nettrans
-// over loopback TCP (or a unix socket with -transport unix), and runs
-// exactly the reconstruction the in-process mode runs: group leaders
-// live on the coordinator, so only it touches the output volume and the
-// journal; workers re-run the same batch loop and the same supervision
-// decisions against a discard sink. A worker process dying mid-run
-// surfaces on every survivor as the same typed rank loss the channel
-// world produces, so -journal shrink-and-resume works unchanged across
-// OS processes.
+// over loopback TCP, and runs exactly the reconstruction the in-process
+// mode runs: group leaders live on the coordinator, so only it touches the
+// output volume and the journal; workers re-run the same batch loop and the
+// same supervision decisions against a discard sink. A worker process dying
+// mid-run surfaces on every survivor as the same typed rank loss the
+// channel world produces, so -journal shrink-and-resume works unchanged
+// across OS processes.
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"log"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -34,12 +32,11 @@ const defaultNetDeadline = 30 * time.Second
 
 // netFlags carries the multi-process launch flags.
 type netFlags struct {
-	world     int    // >1: coordinator of a world of this many processes
-	worker    bool   // internal: run as a spawned worker
-	proc      int    // internal: this worker's process id
-	procs     int    // internal: total process count
-	transport string // tcp or unix
-	connect   string // internal: the hub's address
+	world   int    // >1: coordinator of a world of this many processes
+	worker  bool   // internal: run as a spawned worker
+	proc    int    // internal: this worker's process id
+	procs   int    // internal: total process count
+	connect string // internal: the hub's address
 }
 
 func (nf netFlags) active() bool { return nf.world > 1 || nf.worker }
@@ -51,9 +48,6 @@ func (nf netFlags) validate() error {
 	if nf.worker && (nf.connect == "" || nf.proc < 1 || nf.procs < 2 || nf.proc >= nf.procs) {
 		return fmt.Errorf("-worker needs -connect, -procs >= 2 and -proc in [1, procs)")
 	}
-	if nf.active() && nf.transport != "tcp" && nf.transport != "unix" {
-		return fmt.Errorf("unknown -transport %q (tcp, unix)", nf.transport)
-	}
 	return nil
 }
 
@@ -64,7 +58,6 @@ type socketWorld struct {
 	node    *nettrans.Node
 	reg     *telemetry.Registry
 	workers []*exec.Cmd
-	sockDir string
 	// reports is the read end of the pipe every worker inherits as fd 3
 	// and reports its transport.severs count and its ranks' reduce traffic
 	// on (report): a cut is counted in the process that makes it, a send
@@ -91,7 +84,6 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 		sw.reg = run.Shared()
 	}
 	cfg := nettrans.Config{
-		Network:   nf.transport,
 		Injector:  inj,
 		Telemetry: sw.reg,
 	}
@@ -108,21 +100,9 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 		return sw, nil
 	}
 
-	cfg.Proc, cfg.Procs = 0, nf.world
-	switch nf.transport {
-	case "tcp":
-		cfg.Addr = "127.0.0.1:0"
-	case "unix":
-		dir, err := os.MkdirTemp("", "fdkrecon-world-*")
-		if err != nil {
-			return nil, err
-		}
-		sw.sockDir = dir
-		cfg.Addr = filepath.Join(dir, "hub.sock")
-	}
+	cfg.Proc, cfg.Procs, cfg.Addr = 0, nf.world, "127.0.0.1:0"
 	node, err := nettrans.NewNode(cfg)
 	if err != nil {
-		sw.cleanup()
 		return nil, err
 	}
 	sw.node = node
@@ -141,7 +121,7 @@ func startSocketWorld(nf netFlags, inj *fault.Injector, run *telemetry.Run, forw
 	for p := 1; p < nf.world; p++ {
 		args := []string{
 			"-worker", "-proc", strconv.Itoa(p), "-procs", strconv.Itoa(nf.world),
-			"-transport", nf.transport, "-connect", node.Addr(),
+			"-connect", node.Addr(),
 		}
 		args = append(args, forward...)
 		cmd := exec.Command(exe, args...)
@@ -219,15 +199,8 @@ func (sw *socketWorld) close() {
 	if sw.node != nil {
 		sw.node.Close()
 	}
-	sw.cleanup()
-}
-
-func (sw *socketWorld) cleanup() {
 	if sw.reports != nil {
 		sw.reports.Close()
-	}
-	if sw.sockDir != "" {
-		os.RemoveAll(sw.sockDir)
 	}
 }
 

@@ -196,17 +196,12 @@ func clipRow(coef, bound *[4]float64, xc, ycLow, ycHigh, zc float64, nx int) (in
 // never per sample.
 type kernelCounters struct {
 	interior, border, skipped int64
-	// Lane accounting of the interior columns: complete 8-lane groups vs
-	// columns executed under a partial lane mask (the masked tail).
-	simdGroups, simdTail int64
 }
 
 func (c *kernelCounters) add(o kernelCounters) {
 	c.interior += o.interior
 	c.border += o.border
 	c.skipped += o.skipped
-	c.simdGroups += o.simdGroups
-	c.simdTail += o.simdTail
 }
 
 // launchScratch is a launch's scratch: the projection access's row tables,
@@ -310,7 +305,6 @@ func (sc *launchScratch) accumulateSlab(dev *device.Device, a projAccess, mats [
 	dev.RecordKernel(updates)
 	dev.RecordDispatch(a.arith)
 	dev.RecordKernelSamples(total.interior, total.border, total.skipped)
-	dev.RecordKernelVector(total.simdGroups, total.simdTail)
 	return nil
 }
 

@@ -39,7 +39,7 @@ func (a *projAccess) blockSpansMismatch(block []projConsts, lanes *blockLanes, j
 			want.ent[i].yc[t] = float32(-t) // past h, neither path may write
 		}
 	}
-	wc := kernelCounters{interior: 3, border: 5, skipped: 7, simdGroups: 11, simdTail: 13}
+	wc := kernelCounters{interior: 3, border: 5, skipped: 7}
 	gc := wc
 	for i := range block {
 		a.rowRec(&want, &block[i], jf, kf, nx, &wc)

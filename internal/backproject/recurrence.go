@@ -376,10 +376,8 @@ func (a *projAccess) rowSpans(pc *projConsts, xc, ya, yb, zc float32, nx int) (c
 // constants, which are part of the coordinate contract (each product is
 // rounded before it is added), then rowSpans' supported and interior
 // columns, solved once for the tile. A projection whose support misses the
-// row gets no entry. The counters are read off the spans, in 8-column
-// groups whatever the spelling's width, so they do not depend on which
-// spelling the launch dispatches to; interior columns in partial groups
-// are counted as tail samples.
+// row gets no entry. The counters are read off the spans, so they do not
+// depend on which spelling the launch dispatches to.
 func (a *projAccess) rowRec(args *tileArgs, pc *projConsts, jf float32, kf []float32, nx int, ctr *kernelCounters) {
 	m := &pc.m
 	e := &args.ent[args.n]
@@ -397,9 +395,6 @@ func (a *projAccess) rowRec(args *tileArgs, pc *projConsts, jf float32, kf []flo
 	if c0 >= c1 {
 		return
 	}
-	fg, ts := simdLaneCounts(i0, i1)
-	ctr.simdGroups += h * fg
-	ctr.simdTail += h * ts
 	if i0 >= i1 {
 		i0, i1 = c0, c0
 	}

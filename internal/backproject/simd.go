@@ -41,10 +41,8 @@ import (
 // float32(i) is exact, and the assembly's column vectors stepped by 8.0 or
 // 16.0 equal it, while i < 2²⁴ — far past any volume's width.
 
-// simdLanes is the width of the column groups the kernel's counters
-// classify (simdLaneCounts) and the Go spelling walks its fast columns in:
-// 8 lanes, whatever width the launch ran, so that kernel.simd_* does not
-// depend on the host.
+// simdLanes is the width of the column groups the Go spelling walks its
+// fast columns in.
 const simdLanes = 8
 
 // cacheRows is the most detector rows the assembly spellings' row cache
@@ -231,25 +229,6 @@ func (a *projAccess) guardedCols(args *tileArgs, e *projArgs, g0, g1 int) {
 			op = unsafe.Add(op, args.stride)
 		}
 	}
-}
-
-// simdLaneCounts classifies the interior columns [f0,f1) by how the kernel
-// executes them: groups aligned to absolute 8-column boundaries that are
-// fully covered run the unguarded body; columns in partially covered groups
-// run guarded under a lane mask (the "tail"). Pure arithmetic over the
-// span, the same for every spelling.
-func simdLaneCounts(f0, f1 int) (full, tail int64) {
-	if f0 >= f1 {
-		return 0, 0
-	}
-	// Closed form: full groups live between the first aligned boundary at
-	// or above f0 and the last at or below f1; everything else is tail.
-	lo := (f0 + simdLanes - 1) &^ (simdLanes - 1)
-	hi := f1 &^ (simdLanes - 1)
-	if hi <= lo {
-		return 0, int64(f1 - f0)
-	}
-	return int64(hi-lo) / simdLanes, int64((f1 - f0) - (hi - lo))
 }
 
 // prepareSIMD builds the int32 row table the assembly indexes through (its

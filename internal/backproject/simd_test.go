@@ -11,48 +11,6 @@ import (
 	"distfdk/internal/volume"
 )
 
-// simdLaneCounts must classify every interior column exactly once:
-// full·8 + tail == span width, with groups aligned to absolute 8-column
-// boundaries (so a 9-wide span straddling a boundary is all tail unless it
-// covers a full aligned group).
-func TestSIMDLaneCounts(t *testing.T) {
-	cases := []struct {
-		f0, f1     int
-		full, tail int64
-	}{
-		{0, 0, 0, 0},
-		{0, 8, 1, 0},
-		{0, 16, 2, 0},
-		{1, 8, 0, 7},
-		{0, 7, 0, 7},
-		{3, 19, 1, 8},  // tail 3..7 (5) + full 8..15 + tail 16..18 (3)
-		{8, 40, 4, 0},  // aligned either side
-		{5, 11, 0, 6},  // straddles one boundary, no full group
-		{0, 33, 4, 1},  // 4 full groups + 1 tail column
-		{31, 33, 0, 2}, // straddles a group boundary
-	}
-	for _, c := range cases {
-		full, tail := simdLaneCounts(c.f0, c.f1)
-		if full != c.full || tail != c.tail {
-			t.Errorf("simdLaneCounts(%d,%d) = (%d,%d), want (%d,%d)",
-				c.f0, c.f1, full, tail, c.full, c.tail)
-		}
-		if full*simdLanes+tail != int64(c.f1-c.f0) && c.f1 > c.f0 {
-			t.Errorf("simdLaneCounts(%d,%d) does not partition the span", c.f0, c.f1)
-		}
-	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 500; trial++ {
-		f0 := rng.Intn(200)
-		f1 := f0 + rng.Intn(100)
-		full, tail := simdLaneCounts(f0, f1)
-		if full*simdLanes+tail != int64(f1-f0) {
-			t.Fatalf("simdLaneCounts(%d,%d) = (%d,%d): %d columns unaccounted",
-				f0, f1, full, tail, int64(f1-f0)-full*simdLanes-tail)
-		}
-	}
-}
-
 // Every spelling of a span launch — each assembly one the host runs, and
 // the Go one — must produce the oracle's accumulations bit for bit on
 // resident columns: the guards only decide whether a load happens, never
@@ -489,8 +447,8 @@ func TestDefaultKernelDispatch(t *testing.T) {
 	}
 
 	got, l := run("default", launchArithmetic(sys.NX))
-	if l.SIMDFullGroups == 0 {
-		t.Error("the kernel ran no full 8-lane group")
+	if l.InteriorSamples == 0 {
+		t.Error("the kernel ran no interior sample")
 	}
 	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
 	denseAccess(stack).reference(mats, want)
@@ -543,28 +501,4 @@ func TestNarrowRowsRunEightLanes(t *testing.T) {
 		denseAccess(stack).reference(mats, oracle)
 		assertSameVolume(t, "the oracle", oracle, got)
 	}
-}
-
-// Lane accounting must partition the interior samples exactly:
-// full·8 + tail == InteriorSamples after a reconstruction, whichever span
-// solve made the counts (the AVX-512 one under the default dispatch on a
-// host that has it, rowRec with AVX-512 or AVX2 masked off).
-func TestSIMDLedgerVectorAccounting(t *testing.T) {
-	sys := testSystem()
-	stack := randomStack(sys, 37)
-	mats := kernelMats(sys)
-	forRecurrenceKernels(t, func(t *testing.T) {
-		dev := device.New("vec", 0, 2)
-		vol, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := Batch(dev, stack, mats, vol); err != nil {
-			t.Fatal(err)
-		}
-		l := dev.Snapshot()
-		if l.SIMDFullGroups == 0 {
-			t.Error("no full 8-lane groups recorded")
-		}
-		if got := l.SIMDFullGroups*simdLanes + l.SIMDTailSamples; got != l.InteriorSamples {
-			t.Errorf("vector accounting %d does not partition interior samples %d", got, l.InteriorSamples)
-		}
-	})
 }

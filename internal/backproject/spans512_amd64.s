@@ -394,23 +394,12 @@ walked:
 	VPMAXSD Z12, Z10, K4, Z10
 
 	// The counters, per projection of the block and slice of the tile:
-	// interior i1−i0, border (c1−c0)−(i1−i0), skipped nx−(c1−c0), and
-	// simdLaneCounts(i0, i1) from g, the columns of the aligned 8-lane
-	// groups inside [i0,i1): (i0+7)&^7 to i1&^7, or none.
-	VPSUBD       Z11, Z12, Z20 // i1 − i0
-	VPSUBD       Z9, Z10, Z21  // c1 − c0
-	MOVL         $7, AX
-	VPBROADCASTD AX, Z23
-	VPADDD       Z23, Z11, Z22
-	VPANDND      Z22, Z23, Z22
-	VPANDND      Z12, Z23, Z24
-	VPSUBD       Z22, Z24, Z22
-	VPMAXSD      Z19, Z22, Z22 // g
+	// interior i1−i0, border (c1−c0)−(i1−i0) and skipped nx−(c1−c0).
+	VPSUBD Z11, Z12, Z20 // i1 − i0
+	VPSUBD Z9, Z10, Z21  // c1 − c0
 	HSUM(AX)
 	VMOVDQA32 Z21, Z20
 	HSUM(R12)
-	VMOVDQA32 Z22, Z20
-	HSUM(R13)
 	MOVQ tileArgs_h(DX), CX
 	MOVQ ctr+32(FP), R8
 	MOVQ AX, R9
@@ -425,14 +414,6 @@ walked:
 	SUBQ R12, R9
 	IMULQ CX, R9
 	ADDQ R9, kernelCounters_skipped(R8)
-	MOVQ R13, R9
-	SHRQ $3, R9
-	IMULQ CX, R9
-	ADDQ R9, kernelCounters_simdGroups(R8)
-	MOVQ AX, R9
-	SUBQ R13, R9
-	IMULQ CX, R9
-	ADDQ R9, kernelCounters_simdTail(R8)
 
 	// The entries: a lane's covered [c0,c1) when it is not empty, and in it
 	// [f0,f1) = [i0,i1), or [c0,c0) for an empty interior.

@@ -112,9 +112,6 @@ func testTileLaunchMatchesPerRow(t *testing.T) {
 			t.Fatalf("trial %d: interior %d + border %d + skipped %d = %d, want the %d updates",
 				trial, l.InteriorSamples, l.BorderSamples, l.SkippedSamples, sum, updates)
 		}
-		if v := l.SIMDFullGroups*simdLanes + l.SIMDTailSamples; v != l.InteriorSamples {
-			t.Fatalf("trial %d: lane accounting %d does not partition the %d interior samples", trial, v, l.InteriorSamples)
-		}
 
 		perRow, _ := volume.NewSlab(sys.NX, sys.NY, nz, z0)
 		one := device.New("row", 0, 1)

@@ -60,26 +60,16 @@ func (r *ClusterReport) String() string {
 	// kernel never executed — a high skip share means the GUPS number
 	// rides on clipping, not arithmetic.
 	var kTotal, kInterior, kBorder, kSkipped int64
-	var kSIMDFull, kSIMDTail int64
 	for i := range r.Ledgers {
 		kTotal += r.Ledgers[i].VoxelUpdates
 		kInterior += r.Ledgers[i].InteriorSamples
 		kBorder += r.Ledgers[i].BorderSamples
 		kSkipped += r.Ledgers[i].SkippedSamples
-		kSIMDFull += r.Ledgers[i].SIMDFullGroups
-		kSIMDTail += r.Ledgers[i].SIMDTailSamples
 	}
 	if kTotal > 0 && kInterior+kBorder+kSkipped > 0 {
 		pct := func(n int64) float64 { return 100 * float64(n) / float64(kTotal) }
 		fmt.Fprintf(&b, "kernel [%s]: %.1f%% interior / %.1f%% border / %.1f%% skipped of %d updates\n",
 			r.Arithmetic(), pct(kInterior), pct(kBorder), pct(kSkipped), kTotal)
-	}
-	// Lane efficiency of the fast kernel: interior columns executed as
-	// whole 8-lane groups vs under a partial lane mask. Only printed when
-	// it ran.
-	if vec := kSIMDFull*8 + kSIMDTail; vec > 0 {
-		fmt.Fprintf(&b, "kernel lanes: %d full 8-lane groups, %d masked-tail samples (%.1f%% of interior in full groups)\n",
-			kSIMDFull, kSIMDTail, 100*float64(kSIMDFull*8)/float64(vec))
 	}
 	// Critical-path attribution: which rank × stage × class chain actually
 	// bounded the makespan — the "why is it slow" companion to the skew

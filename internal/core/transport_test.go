@@ -8,15 +8,16 @@ import (
 	"time"
 
 	"distfdk/internal/fault"
+	"distfdk/internal/geometry"
 	"distfdk/internal/mpi/nettrans"
 	"distfdk/internal/projection"
 	"distfdk/internal/storage"
 	"distfdk/internal/telemetry"
 )
 
-// transportFleet builds a 3-proc loopback TCP fleet shaped for a 4-rank
-// (Ng=2, Nr=2) reconstruction.
-func transportFleet(t *testing.T, cfg nettrans.Config) *nettrans.Fleet {
+// transportFleet builds a loopback TCP fleet of procs processes; three
+// fit a 4-rank (Ng=2, Nr=2) reconstruction.
+func transportFleet(t *testing.T, procs int, cfg nettrans.Config) *nettrans.Fleet {
 	t.Helper()
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = 25 * time.Millisecond
@@ -24,7 +25,7 @@ func transportFleet(t *testing.T, cfg nettrans.Config) *nettrans.Fleet {
 	if cfg.DeathAfter == 0 {
 		cfg.DeathAfter = 2 * time.Second
 	}
-	fl, err := nettrans.NewFleet(3, cfg)
+	fl, err := nettrans.NewFleet(procs, cfg)
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
@@ -53,8 +54,24 @@ func TestTransportReconstructionBitIdentical(t *testing.T) {
 	want := float32Bytes(ref.V.Data)
 
 	reg := telemetry.NewRegistry()
-	fl := transportFleet(t, nettrans.Config{Telemetry: reg})
-	sink, _ := NewVolumeSink(sys)
+	fl := transportFleet(t, 3, nettrans.Config{Telemetry: reg})
+	sink := fleetReconstruct(t, fl, p, src)
+	if got := float32Bytes(sink.V.Data); !bytes.Equal(got, want) {
+		t.Fatal("TCP-transport volume is not bit-identical to the channel world")
+	}
+	// A clean wire stays up: no cut, and no reconnect to mistake for one.
+	snap := reg.Snapshot().Counters
+	if snap["transport.reconnects"] != 0 || snap["transport.severs"] != 0 {
+		t.Fatalf("fault-free fleet reconstruction: %d reconnects, %d severs, want 0 and 0",
+			snap["transport.reconnects"], snap["transport.severs"])
+	}
+}
+
+// fleetReconstruct runs plan p once on every process of fl and returns the
+// coordinator's volume.
+func fleetReconstruct(t *testing.T, fl *nettrans.Fleet, p *Plan, src projection.Source) *VolumeSink {
+	t.Helper()
+	sink, _ := NewVolumeSink(p.Sys)
 	var wg sync.WaitGroup
 	errs := make([]error, len(fl.Nodes))
 	for i, n := range fl.Nodes {
@@ -81,14 +98,52 @@ func TestTransportReconstructionBitIdentical(t *testing.T) {
 			t.Fatalf("proc %d: %v", i, err)
 		}
 	}
-	if got := float32Bytes(sink.V.Data); !bytes.Equal(got, want) {
-		t.Fatal("TCP-transport volume is not bit-identical to the channel world")
+	return sink
+}
+
+// slowSource stretches every load by a fixed pause, so a run lasts many
+// heartbeats of a fast fleet.
+type slowSource struct {
+	projection.Source
+	pause time.Duration
+}
+
+func (s slowSource) LoadRows(rows geometry.RowRange, pLo, pHi int) (*projection.Stack, error) {
+	time.Sleep(s.pause)
+	return s.Source.LoadRows(rows, pLo, pHi)
+}
+
+// TestFrameCountsIgnoreHeartbeats runs one fault-free plan over a 2-process
+// fleet with a heartbeat every 5 ms and every second: the frames of the run
+// are its sequenced frames, so transport.frames_sent and frames_recv must
+// not depend on how many liveness probes (or bare acks) the run lasted.
+func TestFrameCountsIgnoreHeartbeats(t *testing.T) {
+	sys := testSystem()
+	src := slowSource{&projection.MemorySource{Full: sheppStack(t, sys)}, 10 * time.Millisecond}
+	p, err := NewPlan(sys, 1, 2, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A clean wire stays up: no cut, and no reconnect to mistake for one.
-	snap := reg.Snapshot().Counters
-	if snap["transport.reconnects"] != 0 || snap["transport.severs"] != 0 {
-		t.Fatalf("fault-free fleet reconstruction: %d reconnects, %d severs, want 0 and 0",
-			snap["transport.reconnects"], snap["transport.severs"])
+	frames := func(heartbeat time.Duration) [2]int64 {
+		reg := telemetry.NewRegistry()
+		fl := transportFleet(t, 2, nettrans.Config{Telemetry: reg, Heartbeat: heartbeat, DeathAfter: 3 * time.Second})
+		fleetReconstruct(t, fl, p, src)
+		// Every sequenced frame a process sent was read by its peer before
+		// the last verdict; wait for the writers' counts to land.
+		var c [2]int64
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			snap := reg.Snapshot().Counters
+			c = [2]int64{snap["transport.frames_sent"], snap["transport.frames_recv"]}
+			if c[0] == c[1] || time.Now().After(deadline) {
+				break
+			}
+		}
+		fl.Close()
+		return c
+	}
+	fast, slow := frames(5*time.Millisecond), frames(time.Second)
+	if fast != slow || fast[0] == 0 {
+		t.Errorf("frames sent/received: %v with a 5 ms heartbeat, %v with a 1 s one", fast, slow)
 	}
 }
 
@@ -120,7 +175,7 @@ func TestTransportSupervisedRecoveryBitIdentical(t *testing.T) {
 	inj := fault.NewInjector(7, fault.Rule{Op: fault.OpSever, Rank: 1, Nth: 2})
 	inj.ScheduleKill(1, 1)
 	reg := telemetry.NewRegistry()
-	fl := transportFleet(t, nettrans.Config{Injector: inj, Telemetry: reg})
+	fl := transportFleet(t, 3, nettrans.Config{Injector: inj, Telemetry: reg})
 
 	journal := filepath.Join(t.TempDir(), "vol.journal")
 	sink, _ := NewVolumeSink(sys)

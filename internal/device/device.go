@@ -48,14 +48,10 @@ type Ledger struct {
 	// InteriorSamples and BorderSamples split the *evaluated* samples by
 	// kernel path (branch-free interior fast path vs branchy border
 	// path); SkippedSamples counts updates clipped away as provably zero.
-	// Their sum equals VoxelUpdates.
+	// Their sum equals VoxelUpdates. They are read off the kernel's span
+	// decisions, not off the code that ran, so they do not depend on
+	// which spelling a launch dispatched to.
 	InteriorSamples, BorderSamples, SkippedSamples int64
-	// SIMDFullGroups and SIMDTailSamples are the fast kernel's lane
-	// accounting: complete 8-lane groups vs interior columns executed under
-	// a partial lane mask (the masked tail). Like every number above they
-	// are read off the kernel's span decisions, not off the code that ran,
-	// so they do not depend on which spelling a launch dispatched to.
-	SIMDFullGroups, SIMDTailSamples int64
 	// Dispatched counts the kernel launches that ran each code path: the
 	// record of which one produced the volume, and the only kernel number
 	// that depends on the host. Launches over an empty slab dispatch
@@ -125,7 +121,6 @@ type Device struct {
 	kernelLaunches, voxelUpdates telemetry.Counter
 
 	interiorSamples, borderSamples, skippedSamples telemetry.Counter
-	simdFullGroups, simdTailSamples                telemetry.Counter
 	dispatched                                     [numArithmetics]telemetry.Counter
 
 	// The projection ring's own numbers have no Ledger field, so the device
@@ -155,17 +150,15 @@ func New(name string, memBytes int64, workers int) *Device {
 // never per sample.
 func (d *Device) SetTelemetry(reg *telemetry.Registry) {
 	for name, c := range map[string]*telemetry.Counter{
-		"device.h2d_bytes":         &d.h2dBytes,
-		"device.d2h_bytes":         &d.d2hBytes,
-		"device.h2d_ops":           &d.h2dOps,
-		"device.d2h_ops":           &d.d2hOps,
-		"kernel.launches":          &d.kernelLaunches,
-		"kernel.voxel_updates":     &d.voxelUpdates,
-		"kernel.interior_samples":  &d.interiorSamples,
-		"kernel.border_samples":    &d.borderSamples,
-		"kernel.skipped_samples":   &d.skippedSamples,
-		"kernel.simd_full_groups":  &d.simdFullGroups,
-		"kernel.simd_tail_samples": &d.simdTailSamples,
+		"device.h2d_bytes":        &d.h2dBytes,
+		"device.d2h_bytes":        &d.d2hBytes,
+		"device.h2d_ops":          &d.h2dOps,
+		"device.d2h_ops":          &d.d2hOps,
+		"kernel.launches":         &d.kernelLaunches,
+		"kernel.voxel_updates":    &d.voxelUpdates,
+		"kernel.interior_samples": &d.interiorSamples,
+		"kernel.border_samples":   &d.borderSamples,
+		"kernel.skipped_samples":  &d.skippedSamples,
 	} {
 		c.SetParent(reg.Counter(name))
 	}
@@ -241,14 +234,6 @@ func (d *Device) RecordKernelSamples(interior, border, skipped int64) {
 	d.skippedSamples.Add(skipped)
 }
 
-// RecordKernelVector accounts one simd-kernel launch's vector-lane
-// classification: complete 8-lane iterations and masked-tail columns.
-// Called once per launch with worker-aggregated totals.
-func (d *Device) RecordKernelVector(fullGroups, tailSamples int64) {
-	d.simdFullGroups.Add(fullGroups)
-	d.simdTailSamples.Add(tailSamples)
-}
-
 // RecordDispatch accounts which arithmetic one kernel launch ran.
 func (d *Device) RecordDispatch(a Arithmetic) { d.dispatched[a].Inc() }
 
@@ -265,9 +250,6 @@ func (d *Device) Snapshot() Ledger {
 		InteriorSamples: d.interiorSamples.Value(),
 		BorderSamples:   d.borderSamples.Value(),
 		SkippedSamples:  d.skippedSamples.Value(),
-
-		SIMDFullGroups:  d.simdFullGroups.Value(),
-		SIMDTailSamples: d.simdTailSamples.Value(),
 	}
 	for a := range l.Dispatched {
 		l.Dispatched[a] = d.dispatched[a].Value()
@@ -297,9 +279,6 @@ func (l Ledger) Sub(o Ledger) Ledger {
 		InteriorSamples: l.InteriorSamples - o.InteriorSamples,
 		BorderSamples:   l.BorderSamples - o.BorderSamples,
 		SkippedSamples:  l.SkippedSamples - o.SkippedSamples,
-
-		SIMDFullGroups:  l.SIMDFullGroups - o.SIMDFullGroups,
-		SIMDTailSamples: l.SIMDTailSamples - o.SIMDTailSamples,
 	}
 	for a := range d.Dispatched {
 		d.Dispatched[a] = l.Dispatched[a] - o.Dispatched[a]

@@ -74,7 +74,6 @@ func TestSetTelemetryLinksEveryCounter(t *testing.T) {
 		d.RecordD2H(30)
 		d.RecordKernel(7)
 		d.RecordKernelSamples(4, 2, 1)
-		d.RecordKernelVector(5, 6)
 		d.RecordDispatch(ArithmeticScalar)
 		ring, err := NewProjRing(d, 4, 2, 3)
 		if err != nil {
@@ -109,8 +108,6 @@ func TestSetTelemetryLinksEveryCounter(t *testing.T) {
 		"kernel.interior_samples":  l.InteriorSamples,
 		"kernel.border_samples":    l.BorderSamples,
 		"kernel.skipped_samples":   l.SkippedSamples,
-		"kernel.simd_full_groups":  l.SIMDFullGroups,
-		"kernel.simd_tail_samples": l.SIMDTailSamples,
 		"kernel.dispatch.scalar":   l.Dispatched[ArithmeticScalar],
 		"device.ring.load_rows":    2,
 		"device.ring.load_ops":     1,

@@ -15,8 +15,8 @@ func ExampleSystem_ComputeAB() {
 		NP: 90,
 		NX: 48, NY: 48, NZ: 40, DX: 0.25, DY: 0.25, DZ: 0.25,
 	}
-	bottom := sys.ComputeAB(0, 10)  // first 10 slices
-	top := sys.ComputeAB(30, 40)    // last 10 slices
+	bottom := sys.ComputeAB(0, 10) // first 10 slices
+	top := sys.ComputeAB(30, 40)   // last 10 slices
 	overlap := bottom.Intersect(top)
 	fmt.Printf("bottom slab rows %v, top slab rows %v, overlap %d rows\n",
 		bottom, top, overlap.Len())

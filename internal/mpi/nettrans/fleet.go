@@ -8,10 +8,10 @@ import (
 )
 
 // Fleet is an in-process multi-node world over real loopback sockets:
-// one Node per simulated process, the hub listening on 127.0.0.1:0 (or a
-// unix socket path), workers dialing it. Every byte crosses the kernel's
-// TCP/Unix stack, so it exercises exactly the wire path the multi-process
-// launcher uses, while staying runnable (and race-detectable) inside one
+// one Node per simulated process, the hub listening on 127.0.0.1:0,
+// workers dialing it. Every byte crosses the kernel's TCP stack, so it
+// exercises exactly the wire path the multi-process launcher uses, while
+// staying runnable (and race-detectable) inside one
 // test binary. All nodes share the fleet Config's Telemetry registry and
 // Injector; MsgIDBase is forced to 0 so the shared run keeps globally
 // paired flow records.
@@ -29,10 +29,7 @@ func NewFleet(procs int, cfg Config) (*Fleet, error) {
 	cfg.Procs = procs
 	cfg.MsgIDBase = 0
 	hubCfg := cfg
-	hubCfg.Proc = 0
-	if hubCfg.Network == "tcp" {
-		hubCfg.Addr = "127.0.0.1:0"
-	}
+	hubCfg.Proc, hubCfg.Addr = 0, "127.0.0.1:0"
 	hub, err := NewNode(hubCfg)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,8 @@
 // Package nettrans is a socket transport for mpi worlds: ranks spread
-// over OS processes connected by TCP or Unix-domain sockets in a star
-// around process 0 (the hub). Frames are length-prefixed and
-// CRC32-checked; every link carries sequence numbers, cumulative acks and
-// a bounded replay buffer, so a dropped, corrupted, duplicated or
-// reordered frame — injected by the wire fault layer or inflicted by a
+// over OS processes connected by TCP sockets in a star around process 0
+// (the hub). Frames are length-prefixed and CRC32-checked; every link
+// carries sequence numbers, cumulative acks and a bounded replay buffer,
+// so a dropped, corrupted, duplicated or reordered frame — injected by the wire fault layer or inflicted by a
 // real network — is healed by reconnect-and-replay instead of corrupting
 // the computation. Heartbeats bound failure detection: a peer silent past
 // the death window surfaces as the same typed rank-loss attribution the

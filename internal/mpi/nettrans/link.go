@@ -224,7 +224,7 @@ func (l *link) connBroken(gen int) {
 // connection is torn down.
 func (l *link) rawWrite(conn net.Conn, gen int, parts ...[]byte) bool {
 	l.wmu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.DeathAfter))
 	l.out = append(l.vec[:0], parts...)
 	_, err := l.out.WriteTo(conn)
 	l.wmu.Unlock()
@@ -330,14 +330,16 @@ func (l *link) put(conn net.Conn, gen int, item *wireItem) bool {
 // silently dropped tail without waiting for more data. The send cursor is
 // what has had its turn on this connection, not what has been assigned:
 // advertising frames still queued behind the writer showed the peer a gap
-// on a clean wire (the fault-free reconnect flicker).
+// on a clean wire (the fault-free reconnect flicker). It is not one of the
+// run's frames: how many a run sends depends on how long it lasted, so
+// transport.frames_sent leaves it out.
 func (l *link) heartbeat() {
 	l.mu.Lock()
 	conn, gen := l.conn, l.gen
 	f := &frame{kind: kindHeartbeat, seq: l.sentSeq, ack: l.recvSeq}
 	l.mu.Unlock()
-	if conn != nil && l.rawWrite(conn, gen, encodeFrame(f)) {
-		l.n.st.framesSent.Inc()
+	if conn != nil {
+		l.rawWrite(conn, gen, encodeFrame(f))
 	}
 }
 
@@ -424,7 +426,6 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			l.connBroken(gen)
 			return
 		}
-		l.n.st.framesRecv.Inc()
 		l.mu.Lock()
 		l.lastRecv = time.Now()
 		l.mu.Unlock()
@@ -447,6 +448,9 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			}
 			continue
 		}
+		// Only sequenced frames are the run's: heartbeats and bare acks
+		// are not counted.
+		l.n.st.framesRecv.Inc()
 		l.mu.Lock()
 		switch {
 		case f.seq <= l.recvSeq:
@@ -479,7 +483,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 // capped exponential backoff whenever the link is down, run the hello
 // handshake, and attach the accepted connection.
 func (l *link) dialLoop() {
-	backoff := l.n.cfg.DialBackoff
+	backoff := redialBackoff
 	for {
 		select {
 		case <-l.redial:
@@ -491,11 +495,11 @@ func (l *link) dialLoop() {
 			need := l.conn == nil && !l.dead
 			l.mu.Unlock()
 			if !need {
-				backoff = l.n.cfg.DialBackoff
+				backoff = redialBackoff
 				break
 			}
 			if l.dialOnce() {
-				backoff = l.n.cfg.DialBackoff
+				backoff = redialBackoff
 				break
 			}
 			select {
@@ -503,8 +507,8 @@ func (l *link) dialLoop() {
 			case <-l.stopped:
 				return
 			}
-			if backoff *= 2; backoff > l.n.cfg.MaxDialBackoff {
-				backoff = l.n.cfg.MaxDialBackoff
+			if backoff *= 2; backoff > maxRedialBackoff {
+				backoff = maxRedialBackoff
 			}
 		}
 	}
@@ -512,7 +516,7 @@ func (l *link) dialLoop() {
 
 // dialOnce attempts one connect + hello handshake.
 func (l *link) dialOnce() bool {
-	conn, err := net.DialTimeout(l.n.cfg.Network, l.n.cfg.Addr, l.n.cfg.WriteTimeout)
+	conn, err := net.DialTimeout("tcp", l.n.cfg.Addr, l.n.cfg.DeathAfter)
 	if err != nil {
 		return false
 	}
@@ -521,12 +525,12 @@ func (l *link) dialOnce() bool {
 	l.mu.Unlock()
 	hello := encodeFrame(&frame{kind: kindHello, ack: myAck,
 		payload: encodeInts(l.n.cfg.Proc)})
-	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.DeathAfter))
 	if _, err := conn.Write(hello); err != nil {
 		conn.Close()
 		return false
 	}
-	conn.SetReadDeadline(time.Now().Add(l.n.cfg.WriteTimeout))
+	conn.SetReadDeadline(time.Now().Add(l.n.cfg.DeathAfter))
 	// Read the reply without buffering past it: readFrame uses exact-size
 	// reads, so the connection hands the next byte to the read loop.
 	reply, err := readFrame(conn)

@@ -15,27 +15,29 @@ import (
 	"distfdk/internal/telemetry"
 )
 
+// Dial retries back off exponentially from redialBackoff to
+// maxRedialBackoff.
+const (
+	redialBackoff    = 20 * time.Millisecond
+	maxRedialBackoff = time.Second
+)
+
 // Config describes one process's place in a socket world.
 type Config struct {
-	// Network is "tcp" or "unix"; Addr is the hub's listen address (hub)
-	// or dial target (workers). A hub Addr of "127.0.0.1:0" picks a free
-	// port — read it back with Addr().
-	Network string
-	Addr    string
+	// Addr is the hub's TCP listen address (hub) or dial target
+	// (workers). A hub Addr of "127.0.0.1:0" picks a free port — read it
+	// back with Addr().
+	Addr string
 	// Proc is this process's id; proc 0 is the hub every worker dials.
 	Proc  int
 	Procs int
 
 	// Heartbeat is the liveness probe interval; DeathAfter the silence
 	// window after which a peer is declared dead (heartbeat misses are
-	// counted from 2×Heartbeat). Dial retries back off exponentially from
-	// DialBackoff to MaxDialBackoff. WriteTimeout bounds each socket
-	// write (and the handshake round-trip).
-	Heartbeat      time.Duration
-	DeathAfter     time.Duration
-	DialBackoff    time.Duration
-	MaxDialBackoff time.Duration
-	WriteTimeout   time.Duration
+	// counted from 2×Heartbeat). DeathAfter also bounds each socket write,
+	// a dial and the handshake round-trip.
+	Heartbeat  time.Duration
+	DeathAfter time.Duration
 
 	// Injector, when non-nil, drives the wire fault layer: frame-drop,
 	// frame-corrupt, frame-dup, frame-delay and sever rules fire once per
@@ -56,23 +58,14 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Network == "" {
-		c.Network = "tcp"
-	}
 	if c.Procs <= 0 {
 		c.Procs = 1
 	}
-	for _, d := range []struct {
-		v   *time.Duration
-		def time.Duration
-	}{{&c.Heartbeat, 100 * time.Millisecond}, {&c.DeathAfter, 3 * time.Second},
-		{&c.DialBackoff, 20 * time.Millisecond}, {&c.MaxDialBackoff, time.Second}} {
-		if *d.v <= 0 {
-			*d.v = d.def
-		}
+	if c.Heartbeat <= 0 {
+		c.Heartbeat = 100 * time.Millisecond
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = c.DeathAfter
+	if c.DeathAfter <= 0 {
+		c.DeathAfter = 3 * time.Second
 	}
 }
 
@@ -159,7 +152,7 @@ func NewNode(cfg Config) (*Node, error) {
 		verdicts:  map[int]*outcome{},
 	}
 	if n.isHub() {
-		ln, err := net.Listen(cfg.Network, cfg.Addr)
+		ln, err := net.Listen("tcp", cfg.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("nettrans: hub listen: %w", err)
 		}
@@ -281,7 +274,7 @@ func (n *Node) acceptLoop() {
 // helloAck (carrying the hub's receive cursor for replay) is written
 // before the link's writer can race new frames onto the wire.
 func (n *Node) handshake(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetReadDeadline(time.Now().Add(n.cfg.DeathAfter))
 	f, err := readFrame(conn)
 	conn.SetReadDeadline(time.Time{})
 	var ints []int
@@ -306,7 +299,7 @@ func (n *Node) handshake(conn net.Conn) {
 		accept, ack = 1, l.recvSeq
 		l.mu.Unlock()
 	}
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(n.cfg.DeathAfter))
 	_, werr := conn.Write(encodeFrame(&frame{kind: kindHelloAck, ack: ack, payload: encodeInts(accept)}))
 	if rejected || werr != nil {
 		conn.Close()

@@ -17,7 +17,6 @@ import (
 
 func testConfig() Config {
 	return Config{
-		Network:    "tcp",
 		Heartbeat:  20 * time.Millisecond,
 		DeathAfter: 1500 * time.Millisecond,
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -185,7 +183,6 @@ func (cfg *Config) superviseOptions(opts core.ClusterOptions) core.SuperviseOpti
 // codec) and as the in-pipeline schedule (load/store rules, kills).
 func runSocketWorld(cfg *Config, w *world, sup core.SuperviseOptions) (*core.SuperviseReport, error) {
 	ncfg := nettrans.Config{
-		Network: cfg.World.Transport,
 		// CI-scale liveness: fast heartbeats so an injected death is
 		// detected well inside the collective deadline.
 		Heartbeat:  25 * time.Millisecond,
@@ -194,14 +191,6 @@ func runSocketWorld(cfg *Config, w *world, sup core.SuperviseOptions) (*core.Sup
 		// Transport counters land in the run's shared registry, so the
 		// harvest reads them from the same snapshots as everything else.
 		Telemetry: sup.Cluster.Telemetry.Shared(),
-	}
-	if cfg.World.Transport == "unix" {
-		dir, err := os.MkdirTemp("", "distfdk-scenario-*")
-		if err != nil {
-			return nil, fmt.Errorf("scenario: unix socket dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		ncfg.Addr = filepath.Join(dir, "hub.sock")
 	}
 	fl, err := nettrans.NewFleet(cfg.World.Procs, ncfg)
 	if err != nil {

@@ -318,37 +318,6 @@ gates:
 	wantAtRest(t, res.Reference)
 }
 
-// TestExecuteUnixSocketWorld runs the fault-free control over unix
-// domain sockets: the fleet path must provision (and clean up) the
-// socket directory itself and reconstruct successfully.
-func TestExecuteUnixSocketWorld(t *testing.T) {
-	cfg := mustParse(t, `name: socket-unix
-runs: 1
-world:
-  groups: 2
-  ranks: 2
-  batches: 4
-  transport: unix
-  procs: 3
-gates:
-  - metric: faults_injected
-    max: 0
-  - metric: restarts
-    max: 0
-`)
-	res, err := Execute(cfg, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Pass {
-		t.Fatalf("unix socket scenario failed: %+v", res.Gates)
-	}
-	wantOneVolume(t, res)
-	for _, r := range append(res.Injected, res.Reference) {
-		wantAtRest(t, r)
-	}
-}
-
 // TestVerdictsBite hand-builds results the old aggregation would have
 // passed: the median of {1, 2, 1} restarts reads 1, and nothing compared
 // volumes at all.

@@ -68,20 +68,20 @@ type WorldConfig struct {
 	Ranks   int    `json:"ranks"`
 	Batches int    `json:"batches"`
 	// Transport selects how ranks talk: "chan" (default) keeps the
-	// in-process world; "tcp" or "unix" replays every run over an
-	// in-process socket fleet (nettrans) — real kernel sockets, framing,
+	// in-process world; "tcp" replays every run over an in-process
+	// loopback socket fleet (nettrans) — real kernel sockets, framing,
 	// heartbeats and reconnects — which is what makes wire-level fault
 	// rules (frame-drop, frame-corrupt, frame-dup, frame-delay, sever)
 	// meaningful.
 	Transport string `json:"transport,omitempty"`
 	// Procs is the socket fleet's process count (hub + workers); required
-	// (≥ 2) when Transport is tcp or unix, forbidden otherwise.
+	// (≥ 2) when Transport is tcp, forbidden otherwise.
 	Procs int `json:"procs,omitempty"`
 }
 
 // SocketTransport reports whether the world runs over the socket fleet.
 func (w WorldConfig) SocketTransport() bool {
-	return w.Transport == "tcp" || w.Transport == "unix"
+	return w.Transport == "tcp"
 }
 
 // PhaseConfig is the declarative form of fault.PhaseSchedule.
@@ -300,7 +300,7 @@ func crossValidate(path string, root *node, cfg *Config) error {
 				path, root.keyLn["faults"], f.Rank, w.Groups*w.Ranks)
 		}
 		if isWireOp(f.Op) && !w.SocketTransport() {
-			return fmt.Errorf("%s:%d: faults: op %q needs world.transport tcp or unix (an in-process world has no wire)",
+			return fmt.Errorf("%s:%d: faults: op %q needs world.transport tcp (an in-process world has no wire)",
 				path, root.keyLn["faults"], f.Op)
 		}
 	}
@@ -311,7 +311,7 @@ func crossValidate(path string, root *node, cfg *Config) error {
 }
 
 // isWireOp reports whether op acts on the socket wire below the frame
-// codec (meaningful only when the world runs over tcp or unix).
+// codec (meaningful only when the world runs over tcp).
 func isWireOp(op string) bool {
 	switch op {
 	case fault.OpFrameDrop, fault.OpFrameCorrupt, fault.OpFrameDup,
@@ -503,10 +503,10 @@ func (d *dec) decodeWorld(root *node, cfg *Config) {
 		return
 	}
 	switch cfg.World.Transport {
-	case "chan", "tcp", "unix":
+	case "chan", "tcp":
 	default:
 		d.fail(w.keyLn["transport"], "world.transport",
-			"unknown transport %q (chan, tcp, unix)", cfg.World.Transport)
+			"unknown transport %q (chan, tcp)", cfg.World.Transport)
 		return
 	}
 	if cfg.World.SocketTransport() {
@@ -519,7 +519,7 @@ func (d *dec) decodeWorld(root *node, cfg *Config) {
 			return
 		}
 	} else if cfg.World.Procs != 0 {
-		d.fail(w.keyLn["procs"], "world.procs", "only meaningful with transport tcp or unix")
+		d.fail(w.keyLn["procs"], "world.procs", "only meaningful with transport tcp")
 		return
 	}
 	for _, f := range []struct {

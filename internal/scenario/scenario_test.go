@@ -170,10 +170,11 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"missing world", []byte("name: x\ngates:\n  - metric: retries\n    max: 0\n"), "world: required section missing"},
 		{"missing name", []byte("world:\n  groups: 1\n  ranks: 1\n  batches: 1\n"), "name: required key missing"},
 		{"bad transport", edit(t, "  batches: 4", "  batches: 4\n  transport: carrier-pigeon"), `unknown transport "carrier-pigeon"`},
+		{"bad transport unix", edit(t, "  batches: 4", "  batches: 4\n  transport: unix\n  procs: 3"), "unknown transport \"unix\" (chan, tcp)"},
 		{"socket without procs", edit(t, "  batches: 4", "  batches: 4\n  transport: tcp"), "at least 2 processes"},
-		{"one-proc socket world", edit(t, "  batches: 4", "  batches: 4\n  transport: unix\n  procs: 1"), "at least 2 processes"},
+		{"one-proc socket world", edit(t, "  batches: 4", "  batches: 4\n  transport: tcp\n  procs: 1"), "at least 2 processes"},
 		{"procs on channel world", edit(t, "  batches: 4", "  batches: 4\n  procs: 3"), "only meaningful with transport"},
-		{"wire op on channel world", edit(t, "op: recv", "op: sever"), "needs world.transport tcp or unix"},
+		{"wire op on channel world", edit(t, "op: recv", "op: sever"), "needs world.transport tcp"},
 	}
 	for _, name := range deletedMetrics(t) {
 		cases = append(cases, struct {

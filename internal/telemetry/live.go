@@ -2,9 +2,7 @@
 // live data source because every read path (Snapshot, Status, Flows) is
 // lock-consistent while writers are still recording. This file serves
 // them two ways while back-projection is in flight — Prometheus text
-// exposition on /metrics and a distfdk-status/1 JSON view on /statusz —
-// plus the polling client the smoke tests drive against a running
-// reconstruction.
+// exposition on /metrics and a distfdk-status/1 JSON view on /statusz.
 package telemetry
 
 import (
@@ -16,7 +14,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // promPrefix namespaces every exported metric.
@@ -243,7 +240,7 @@ func (e *ServeError) Unwrap() error { return e.Err }
 
 // StatusServer is the live introspection endpoint: /metrics (Prometheus
 // text format) and /statusz (JSON) backed by the run's registries, with
-// everything else (pprof, expvar) delegated to http.DefaultServeMux.
+// everything else (pprof) delegated to http.DefaultServeMux.
 type StatusServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -268,7 +265,7 @@ func ListenStatus(addr string, run *Run) (*StatusServer, error) {
 		enc.SetIndent("", "  ")
 		enc.Encode(BuildStatusReport(run))
 	})
-	// pprof and expvar register on the default mux; keep serving them.
+	// pprof registers on the default mux; keep serving it.
 	mux.Handle("/", http.DefaultServeMux)
 	s := &StatusServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go s.srv.Serve(ln)
@@ -289,93 +286,4 @@ func (s *StatusServer) Close() error {
 		return nil
 	}
 	return s.srv.Close()
-}
-
-// PollResult summarises a PollStatus session against a live endpoint.
-type PollResult struct {
-	Polls  int // HTTP round-trips attempted (one per endpoint pair)
-	Valid  int // polls where both /metrics and /statusz validated
-	Active int // valid polls that observed in-flight work (batches or spans > 0)
-	// LastErr is the most recent per-poll failure — diagnostic only; early
-	// polls racing the run's start are expected to miss.
-	LastErr error
-}
-
-// PollStatus polls baseURL's /metrics and /statusz every interval until
-// done closes, validating each response. It is the -status-poll smoke
-// loop: a run passes when at least one poll was valid and at least one
-// observed the reconstruction in flight.
-func PollStatus(baseURL string, interval time.Duration, done <-chan struct{}) PollResult {
-	if interval <= 0 {
-		interval = 5 * time.Millisecond
-	}
-	client := &http.Client{Timeout: 2 * time.Second}
-	var res PollResult
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	closing := false
-	for {
-		select {
-		case <-done:
-			// One drain poll after done: a run faster than one tick still
-			// gets its endpoints validated (the registries retain state).
-			closing = true
-		case <-tick.C:
-		}
-		res.Polls++
-		ok, active, err := pollOnce(client, baseURL)
-		if err != nil {
-			res.LastErr = err
-		} else if ok {
-			res.Valid++
-			if active {
-				res.Active++
-			}
-		}
-		if closing {
-			return res
-		}
-	}
-}
-
-// pollOnce fetches and validates both endpoints; active reports whether
-// the status view shows work in flight.
-func pollOnce(client *http.Client, baseURL string) (ok, active bool, err error) {
-	body, err := fetch(client, baseURL+"/metrics")
-	if err != nil {
-		return false, false, err
-	}
-	if _, err := ValidatePrometheus(body); err != nil {
-		return false, false, err
-	}
-	body, err = fetch(client, baseURL+"/statusz")
-	if err != nil {
-		return false, false, err
-	}
-	var rep StatusReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return false, false, fmt.Errorf("statusz: %w", err)
-	}
-	if rep.Schema != StatusSchema {
-		return false, false, fmt.Errorf("statusz schema %q, want %q", rep.Schema, StatusSchema)
-	}
-	for _, r := range rep.Ranks {
-		if r.BatchesDone > 0 || r.Spans > 0 || r.CurrentBatch > 0 {
-			active = true
-			break
-		}
-	}
-	return true, active, nil
-}
-
-func fetch(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
 }

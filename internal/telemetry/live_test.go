@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 func liveSnapshots() []Snapshot {
@@ -165,34 +164,5 @@ func TestListenStatusLive(t *testing.T) {
 	}
 	if se.Addr != srv.Addr() || se.Unwrap() == nil {
 		t.Errorf("ServeError = %+v, want addr and wrapped cause", se)
-	}
-}
-
-// PollStatus against a live server: the drain poll after done closes
-// guarantees at least one validated poll even for a run faster than a
-// tick, and recorded work marks the poll active.
-func TestPollStatus(t *testing.T) {
-	run := NewRun(1)
-	run.Rank(0).Counter("core.batches").Add(2)
-	srv, err := ListenStatus("127.0.0.1:0", run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	done := make(chan struct{})
-	close(done) // instant run: only the drain poll fires
-	res := PollStatus("http://"+srv.Addr(), time.Hour, done)
-	if res.Polls != 1 || res.Valid != 1 || res.Active != 1 {
-		t.Errorf("poll result = %+v, want exactly one valid active drain poll", res)
-	}
-
-	// A dead endpoint records the failure without panicking the loop.
-	srv.Close()
-	done2 := make(chan struct{})
-	close(done2)
-	res = PollStatus("http://"+srv.Addr(), time.Hour, done2)
-	if res.Valid != 0 || res.LastErr == nil {
-		t.Errorf("dead-endpoint poll = %+v, want invalid with LastErr", res)
 	}
 }

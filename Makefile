@@ -43,10 +43,28 @@ check: doc-check fuse-lint
 # `-exp <id>` those three or the verify skill cite must be `all` or a key of
 # internal/experiments/registry.go — so neither the docs nor a make target
 # can go on citing a test, a scenario or an experiment a PR deleted or
-# renamed (go test -run matches a stale name to nothing, silently). Last,
-# no non-test Go file outside internal/core and bench/ may name
+# renamed (go test -run matches a stale name to nothing, silently). No
+# non-test Go file outside internal/core and bench/ may name
 # ReconstructSingle, RunDistributed or ReconstructXYTile: every other caller
-# runs the one entry point, core.Supervise.
+# runs the one entry point, core.Supervise. Last, the export gate: every
+# exported top-level function of a package under internal/ must be named
+# package-qualified (pkg.Name) by some non-test Go file outside the
+# package's own directory (a subpackage's directory counts as outside), or
+# be on EXPORT_ALLOW. A function no such file names is test-only API in
+# production code: delete it with the path it gates, move it into a _test.go
+# file, or unexport it. An EXPORT_ALLOW entry that some outside file does
+# name, or that no longer exists, fails the gate too, so the list stays
+# exact. Methods and types are out of the gate's scope.
+#
+# EXPORT_ALLOW: one entry a line, the qualified name and then why it stays
+# exported without a production caller.
+define EXPORT_ALLOW
+cpufeat.SetAVX2ForTest    other packages' tests mask AVX2 to run the Go spellings on an AVX2 host
+cpufeat.SetAVX512ForTest  other packages' tests mask AVX-512 to run the 8-lane spellings on an AVX-512 host
+alloctest.AllocatedBy     alloctest is test support: only other packages' tests and fuzz targets import it
+endef
+export EXPORT_ALLOW
+
 doc-check:
 	@stale=0; \
 	for n in $$(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | sort -u); do \
@@ -70,7 +88,21 @@ doc-check:
 	done; \
 	if git grep -nE 'ReconstructSingle|RunDistributed|ReconstructXYTile' -- '*.go' ':!internal/core' ':!bench' ':!*_test.go'; then \
 		echo "doc-check: the lines above run a reconstruction outside core.Supervise"; stale=1; \
-	fi; exit $$stale
+	fi; \
+	unused=" "; \
+	for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		for n in $$(sed -nE 's/^func ([A-Z][A-Za-z0-9_]*)[[(].*/\1/p' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | sort -u); do \
+			git grep --untracked -qE "\b$${d##*/}\.$$n\b" -- '*.go' ':!*_test.go' ":(exclude,glob)$$d/*.go" || \
+				unused="$$unused$${d##*/}.$$n "; \
+		done; \
+	done; \
+	allowed=" $$(printf '%s\n' "$$EXPORT_ALLOW" | awk 'NF { printf "%s ", $$1 }')"; \
+	for n in $$unused; do \
+		case "$$allowed" in *" $$n "*) ;; *) echo "doc-check: $$n is exported, but no non-test file outside its package names it: delete it, move it into a _test.go file, or unexport it"; stale=1;; esac; \
+	done; \
+	for n in $$allowed; do \
+		case "$$unused" in *" $$n "*) ;; *) echo "doc-check: EXPORT_ALLOW lists $$n, which is not an exported function that no outside non-test file names"; stale=1;; esac; \
+	done; exit $$stale
 
 # Arithmetic-contract gate: the Go functions that compute what the assembly
 # computes (the back-projection coordinate contract of

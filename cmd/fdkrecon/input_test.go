@@ -148,7 +148,10 @@ func TestResolveInput(t *testing.T) {
 // synthesised on another worker count than the CLI's.
 func TestSynthesisMatchesPhantomgenContainer(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := dataset.Tomo00030().Scaled(8)
+	ds, err := dataset.ByName("tomo_00030")
+	if err == nil {
+		ds, err = ds.Scaled(8)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

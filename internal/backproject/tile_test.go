@@ -15,7 +15,11 @@ import (
 // depend on z. A tilt breaks it, and newProjConsts must see that.
 func TestShippedGeometriesAreZInvariant(t *testing.T) {
 	a := projAccess{nu: 8, lo: 0, hi: 8}
-	for _, ds := range dataset.All() {
+	for _, name := range []string{"coffee-bean", "bumblebee", "tomo_00027", "tomo_00028", "tomo_00029", "tomo_00030"} {
+		ds, err := dataset.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		scaled, err := ds.Scaled(16)
 		if err != nil {
 			t.Fatal(err)

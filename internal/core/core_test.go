@@ -165,6 +165,26 @@ func TestPlanProjWindows(t *testing.T) {
 	}
 }
 
+// InputElements returns the total projection samples a rank of group g
+// loads across all batches (Equations 5 and 7: the first batch's rows, then
+// each later batch's rows that the previous one did not hold): the oracle
+// of the "each byte moves once" property, which the H2D ledger is held to.
+func (p *Plan) InputElements(g int) int64 {
+	var total int64
+	prev := geometry.RowRange{}
+	share := int64(p.Sys.NP / p.NRanksPerGroup)
+	for c := 0; c < p.BatchCount; c++ {
+		cur := p.SlabRows(g, c)
+		if cur.IsEmpty() {
+			continue
+		}
+		diff := geometry.DifferentialRows(prev, cur)
+		total += int64(p.Sys.NU) * share * int64(diff.Len())
+		prev = cur
+	}
+	return total
+}
+
 func TestPlanInputElements(t *testing.T) {
 	p, _ := NewPlan(testSystem(), 1, 2, 8)
 	// The rank loads each row of the union range exactly once.

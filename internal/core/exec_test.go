@@ -4,43 +4,35 @@ import (
 	"testing"
 
 	"distfdk/internal/device"
-	"distfdk/internal/mpi"
 	"distfdk/internal/projection"
 	"distfdk/internal/volume"
 )
 
 // Both reductions of RunDistributed — chunk-pipelined (the default) and
-// hierarchical — must assemble bit-identical volumes, pooled or not: the
-// executor work is pure plumbing. (Reduce ≡ ReduceChunked at any chunk size
-// is mpi's own TestReductionPathsBitIdentical.)
+// hierarchical — must assemble bit-identical volumes: the executor work is
+// pure plumbing. (Reduce ≡ ReduceChunked at any chunk size is mpi's own
+// TestReductionPathsBitIdentical, and that the arena's contents never reach
+// a sum is its TestReductionsIgnoreArenaContents.)
 func TestDistributedReduceVariantsBitIdentical(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
 
-	run := func(hierarchical, pooled bool) *volume.Volume {
-		prevPool := mpi.SetBufferPooling(pooled)
-		defer mpi.SetBufferPooling(prevPool)
+	run := func(hierarchical bool) *volume.Volume {
 		p, _ := NewPlan(sys, 2, 2, 4)
 		sink, _ := NewVolumeSink(sys)
 		if _, err := RunDistributed(ClusterOptions{
 			Plan: p, Source: src, Output: sink, Hierarchical: hierarchical, RanksPerNode: 2,
 		}); err != nil {
-			t.Fatalf("hierarchical=%v pooled=%v: %v", hierarchical, pooled, err)
+			t.Fatalf("hierarchical=%v: %v", hierarchical, err)
 		}
 		return sink.V
 	}
 
-	want := run(false, false)
-	for _, hierarchical := range []bool{false, true} {
-		for _, pooled := range []bool{true, false} {
-			got := run(hierarchical, pooled)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("hierarchical=%v pooled=%v: voxel %d differs from the chunked unpooled reduce",
-						hierarchical, pooled, i)
-				}
-			}
+	want, got := run(false), run(true)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("voxel %d: the hierarchical reduce differs from the chunked one", i)
 		}
 	}
 }

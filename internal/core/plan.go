@@ -153,25 +153,6 @@ func (p *Plan) MaxRingDepth() int {
 	return h
 }
 
-// InputElements returns the total projection samples a rank of group g
-// loads across all batches (Σ SizeAB/SizeBB, Equations 5 and 7): the
-// measure behind the "each byte moves once" property.
-func (p *Plan) InputElements(g int) int64 {
-	var total int64
-	prev := geometry.RowRange{}
-	share := int64(p.Sys.NP / p.NRanksPerGroup)
-	for c := 0; c < p.BatchCount; c++ {
-		cur := p.SlabRows(g, c)
-		if cur.IsEmpty() {
-			continue
-		}
-		diff := geometry.DifferentialRows(prev, cur)
-		total += int64(p.Sys.NU) * share * int64(diff.Len())
-		prev = cur
-	}
-	return total
-}
-
 // SlabBytes returns Size_vol (Equation 15) for a full-height batch slab.
 func (p *Plan) SlabBytes() int64 {
 	return 4 * int64(p.Sys.NX) * int64(p.Sys.NY) * int64(p.slicesPerBatch)

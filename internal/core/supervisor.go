@@ -77,7 +77,7 @@ func (e *RestartBudgetError) Unwrap() error { return e.Err }
 // Is lets errors.Is(err, ErrRestartBudget) match.
 func (e *RestartBudgetError) Is(target error) bool { return target == ErrRestartBudget }
 
-// ShrinkPlan re-plans p for a world of `survivors` ranks under the two
+// shrinkPlan re-plans p for a world of `survivors` ranks under the two
 // rules that keep recovery bit-identical:
 //
 //  1. Nr is pinned. Each batch's slab is the sum of Nr partial
@@ -93,7 +93,7 @@ func (e *RestartBudgetError) Is(target error) bool { return target == ErrRestart
 // The largest qualifying Ng' ≤ survivors/Nr wins (use the most survivors
 // possible). survivors ≥ p.Ranks() returns p unchanged; no qualifying
 // candidate returns a *ShrinkError (ErrWorldTooSmall).
-func ShrinkPlan(p *Plan, survivors int) (*Plan, error) {
+func shrinkPlan(p *Plan, survivors int) (*Plan, error) {
 	if survivors >= p.Ranks() {
 		return p, nil
 	}
@@ -259,7 +259,7 @@ func restartBackoff(base time.Duration, restart int) time.Duration {
 // Supervise runs a distributed reconstruction to completion across rank
 // loss: each attempt calls RunDistributed, and when the world tears down
 // on a lost rank (or a transiently-classified failure), the supervisor
-// re-plans over the survivors via ShrinkPlan, reopens the checkpoint
+// re-plans over the survivors via shrinkPlan, reopens the checkpoint
 // journal, and relaunches in-process — under MaxRestarts with doubling
 // backoff. A budget of 0 is exactly one RunDistributed attempt. With a
 // journal wired in (OpenCheckpoint), a relaunch skips every slab already
@@ -355,7 +355,7 @@ func Supervise(opts SuperviseOptions) (*SuperviseReport, error) {
 			shrinkBy = 1
 		}
 		if shrinkBy > 0 {
-			next, serr := ShrinkPlan(plan, plan.Ranks()-shrinkBy)
+			next, serr := shrinkPlan(plan, plan.Ranks()-shrinkBy)
 			if serr != nil {
 				return rep, errors.Join(serr, err)
 			}

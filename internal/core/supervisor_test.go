@@ -30,7 +30,7 @@ func float32Bytes(data []float32) []byte {
 	return out
 }
 
-// ShrinkPlan's contract: Nr and the slab layout are pinned, the largest
+// shrinkPlan's contract: Nr and the slab layout are pinned, the largest
 // qualifying group count wins, and an impossible shrink is the typed
 // ErrWorldTooSmall — for the whole volume and for a window, which the shrunk
 // plan keeps. The layout names the window, so two windows have two
@@ -49,7 +49,7 @@ func TestShrinkPlanPreservesLayoutAndNr(t *testing.T) {
 		fingerprints[p.Fingerprint()] = fmt.Sprint(win)
 
 		// Losing one of four ranks: only a whole group can go.
-		q, err := ShrinkPlan(p, 3)
+		q, err := shrinkPlan(p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,14 +67,14 @@ func TestShrinkPlanPreservesLayoutAndNr(t *testing.T) {
 		}
 
 		// Enough survivors: the plan is returned unchanged.
-		if same, err := ShrinkPlan(p, 4); err != nil || same != p {
-			t.Fatalf("window %v: ShrinkPlan(4) = %v, %v; want the original plan", win, same, err)
+		if same, err := shrinkPlan(p, 4); err != nil || same != p {
+			t.Fatalf("window %v: shrinkPlan(4) = %v, %v; want the original plan", win, same, err)
 		}
 
 		// Fewer survivors than one group: typed refusal.
-		_, err = ShrinkPlan(p, 1)
+		_, err = shrinkPlan(p, 1)
 		if err == nil || !errors.Is(err, ErrWorldTooSmall) {
-			t.Fatalf("window %v: ShrinkPlan(1) = %v, want ErrWorldTooSmall", win, err)
+			t.Fatalf("window %v: shrinkPlan(1) = %v, want ErrWorldTooSmall", win, err)
 		}
 		var se *ShrinkError
 		if !errors.As(err, &se) || se.Survivors != 1 || se.NRanksPerGroup != 2 {

@@ -10,7 +10,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
@@ -173,13 +172,13 @@ func tomoBank(id string, dsd, dso float64, nu, nv int, du float64, np int, su, s
 	return d
 }
 
-// Tomo00027 returns TomoBank tomo_00027.
-func Tomo00027() *Dataset {
+// tomo00027 returns TomoBank tomo_00027.
+func tomo00027() *Dataset {
 	return tomoBank("tomo_00027", 250, 100, 2004, 1335, 0.025, 1800, 25, 0.25, phantom.SheppLogan)
 }
 
-// Tomo00028 returns TomoBank tomo_00028.
-func Tomo00028() *Dataset {
+// tomo00028 returns TomoBank tomo_00028.
+func tomo00028() *Dataset {
 	return tomoBank("tomo_00028", 250, 100, 2004, 1335, 0.025, 1800, 26, 0.25, func() *phantom.Phantom { return phantom.Foam(40, 28) })
 }
 
@@ -188,20 +187,20 @@ func Tomo00029() *Dataset {
 	return tomoBank("tomo_00029", 250, 100, 2004, 1335, 0.025, 1800, 27, 0.2, func() *phantom.Phantom { return phantom.Foam(60, 29) })
 }
 
-// Tomo00030 returns TomoBank tomo_00030 (the 816 MB input of Table 5 and
+// tomo00030 returns TomoBank tomo_00030 (the 816 MB input of Table 5 and
 // the Figure 8 slice).
-func Tomo00030() *Dataset {
+func tomo00030() *Dataset {
 	return tomoBank("tomo_00030", 350, 250, 668, 445, 0.075, 720, -10, 0.2, phantom.SheppLogan)
 }
 
-// All returns every registered dataset in the paper's order.
-func All() []*Dataset {
-	return []*Dataset{CoffeeBean(), Bumblebee(), Tomo00027(), Tomo00028(), Tomo00029(), Tomo00030()}
+// registered returns every dataset ByName knows, in the paper's order.
+func registered() []*Dataset {
+	return []*Dataset{CoffeeBean(), Bumblebee(), tomo00027(), tomo00028(), Tomo00029(), tomo00030()}
 }
 
 // ByName looks a dataset up by name.
 func ByName(name string) (*Dataset, error) {
-	for _, d := range All() {
+	for _, d := range registered() {
 		if d.Name == name {
 			return d, nil
 		}
@@ -212,13 +211,4 @@ func ByName(name string) (*Dataset, error) {
 // InputBytes returns the raw projection data size (float32 samples).
 func (d *Dataset) InputBytes() int64 {
 	return int64(d.NU) * int64(d.NV) * int64(d.NP) * 4
-}
-
-// CheckMagnification validates the published magnification factors
-// (coffee bean 9.48, bumblebee 16.9) to one decimal.
-func CheckMagnification(d *Dataset, want float64) error {
-	if math.Abs(d.Magnification()-want) > 0.06 {
-		return fmt.Errorf("dataset %s: magnification %.3f, want %.2f", d.Name, d.Magnification(), want)
-	}
-	return nil
 }

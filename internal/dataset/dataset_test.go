@@ -1,12 +1,13 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	all := All()
+	all := registered()
 	if len(all) != 6 {
 		t.Fatalf("registry has %d datasets, want the paper's 6", len(all))
 	}
@@ -40,18 +41,27 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// checkMagnification validates a published magnification factor to one
+// decimal.
+func checkMagnification(d *Dataset, want float64) error {
+	if math.Abs(d.Magnification()-want) > 0.06 {
+		return fmt.Errorf("dataset %s: magnification %.3f, want %.2f", d.Name, d.Magnification(), want)
+	}
+	return nil
+}
+
 // The published magnification factors must hold (Section 6.1).
 func TestMagnifications(t *testing.T) {
-	if err := CheckMagnification(CoffeeBean(), 9.48); err != nil {
+	if err := checkMagnification(CoffeeBean(), 9.48); err != nil {
 		t.Error(err)
 	}
-	if err := CheckMagnification(Bumblebee(), 16.9); err != nil {
+	if err := checkMagnification(Bumblebee(), 16.9); err != nil {
 		t.Error(err)
 	}
-	if err := CheckMagnification(Tomo00030(), 1.4); err != nil {
+	if err := checkMagnification(tomo00030(), 1.4); err != nil {
 		t.Error(err)
 	}
-	if err := CheckMagnification(Tomo00030(), 5.0); err == nil {
+	if err := checkMagnification(tomo00030(), 5.0); err == nil {
 		t.Error("expected mismatch error")
 	}
 }
@@ -83,7 +93,7 @@ func TestTable4Corrections(t *testing.T) {
 
 // Every dataset must yield a valid geometry at the paper's output sizes.
 func TestSystemsValidate(t *testing.T) {
-	for _, d := range All() {
+	for _, d := range registered() {
 		for _, n := range []int{512, 2048, 4096} {
 			sys, err := d.System(n)
 			if err != nil {
@@ -109,7 +119,7 @@ func TestCoffeeBeanInputSize(t *testing.T) {
 	if gb29 := float64(Tomo00029().InputBytes()) / 1e9; math.Abs(gb29-19.3) > 1.5 {
 		t.Fatalf("tomo_00029 input %.1f GB, want ≈17.9-19.3", gb29)
 	}
-	if mb30 := float64(Tomo00030().InputBytes()) / 1e6; math.Abs(mb30-856) > 60 {
+	if mb30 := float64(tomo00030().InputBytes()) / 1e6; math.Abs(mb30-856) > 60 {
 		t.Fatalf("tomo_00030 input %.0f MB, want ≈816-856", mb30)
 	}
 }
@@ -117,7 +127,7 @@ func TestCoffeeBeanInputSize(t *testing.T) {
 // Scaled twins keep the magnification and detector coverage while being
 // small enough for real execution.
 func TestScaledTwins(t *testing.T) {
-	for _, d := range All() {
+	for _, d := range registered() {
 		s, err := d.Scaled(32)
 		if err != nil {
 			t.Fatal(err)

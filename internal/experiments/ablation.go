@@ -13,9 +13,9 @@ import (
 	"distfdk/internal/volume"
 )
 
-// AblationReduce quantifies design choice 1 of DESIGN.md: grouped
+// ablationReduce quantifies design choice 1 of DESIGN.md: grouped
 // (segmented) reduction versus one global group at equal world size.
-func AblationReduce(workers int) (*Table, error) {
+func ablationReduce(workers int) (*Table, error) {
 	sc, err := BuildScenario("tomo_00029", 24, 48, workers)
 	if err != nil {
 		return nil, err
@@ -54,9 +54,9 @@ func AblationReduce(workers int) (*Table, error) {
 	return t, nil
 }
 
-// AblationDifferential quantifies design choice 2: Equation 6's
+// ablationDifferential quantifies design choice 2: Equation 6's
 // differential row updates versus reloading every slab's full row range.
-func AblationDifferential(workers int) (*Table, error) {
+func ablationDifferential(workers int) (*Table, error) {
 	sc, err := BuildScenario("tomo_00029", 24, 64, workers)
 	if err != nil {
 		return nil, err
@@ -134,9 +134,9 @@ func AblationDifferential(workers int) (*Table, error) {
 	return t, nil
 }
 
-// AblationRingDepth quantifies design choice 3: how the batch count Nc
+// ablationRingDepth quantifies design choice 3: how the batch count Nc
 // trades device-memory footprint (ring depth) against transfer granularity.
-func AblationRingDepth(workers int) (*Table, error) {
+func ablationRingDepth(workers int) (*Table, error) {
 	sc, err := BuildScenario("tomo_00029", 24, 64, workers)
 	if err != nil {
 		return nil, err
@@ -163,9 +163,9 @@ func AblationRingDepth(workers int) (*Table, error) {
 	return t, nil
 }
 
-// AblationHierarchicalReduce quantifies design choice 4: flat binomial
+// ablationHierarchicalReduce quantifies design choice 4: flat binomial
 // reduce vs the node-leader hierarchy of Section 4.4.2.
-func AblationHierarchicalReduce(workers int) (*Table, error) {
+func ablationHierarchicalReduce(workers int) (*Table, error) {
 	sc, err := BuildScenario("tomo_00029", 24, 48, workers)
 	if err != nil {
 		return nil, err
@@ -223,13 +223,13 @@ func estimateInterNode(rep *core.ClusterReport, ranksPerNode int, hier bool) int
 	return total / 7 * 1
 }
 
-// AblationFilterPlacement quantifies design choice 5: the paper's
+// ablationFilterPlacement quantifies design choice 5: the paper's
 // CPU-filtering-in-pipeline against a serialised flow where each stage
 // waits for the previous one (the effect of filtering on the device). The
 // serialised arm is the same one-rank run on the same plan with each
 // batch's load held until the batch before it has been stored (serialGate),
 // so no two batches are ever in flight.
-func AblationFilterPlacement(workers int) (*Table, error) {
+func ablationFilterPlacement(workers int) (*Table, error) {
 	sc, err := BuildScenario("tomo_00029", 24, 64, workers)
 	if err != nil {
 		return nil, err

@@ -121,9 +121,9 @@ func ScaledSystem(name string, div, outN int) (*dataset.Dataset, *geometry.Syste
 	return scaled, sys, nil
 }
 
-// BuildScenarioGeometryOnly returns the full-size dataset entry without
+// buildScenarioGeometryOnly returns the full-size dataset entry without
 // synthesising projections (for registry-style experiments).
-func BuildScenarioGeometryOnly(name string) (*dataset.Dataset, error) {
+func buildScenarioGeometryOnly(name string) (*dataset.Dataset, error) {
 	return dataset.ByName(name)
 }
 

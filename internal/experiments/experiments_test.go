@@ -112,7 +112,7 @@ func TestSimulatedExperiments(t *testing.T) {
 // Figure 13 must show the paper's strong-scaling shape: monotone speedup
 // that flattens at high GPU counts.
 func TestFig13Shape(t *testing.T) {
-	tb, err := Fig13()
+	tb, err := fig13()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTable2Measured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution experiment")
 	}
-	tb, err := Table2(2)
+	tb, err := table2(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +184,14 @@ func TestTable2Measured(t *testing.T) {
 }
 
 // Table 5's shape: the streaming arm reconstructs every output size under
-// the device budget, and Table5Real refuses a row whose streaming arm
+// the device budget, and table5Real refuses a row whose streaming arm
 // shipped more bytes to the device than the input holds, so every row goes
 // at most once; the RTK-style arm runs out of device memory at 96³ only.
 func TestTable5RealShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution experiment")
 	}
-	tb, err := Table5Real(2)
+	tb, err := table5Real(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFig8ProducesSlice(t *testing.T) {
 		t.Skip("real execution experiment")
 	}
 	dir := t.TempDir()
-	tb, err := Fig8(dir, 2)
+	tb, err := fig8(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestQualityExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution experiment")
 	}
-	tb, err := Quality(2)
+	tb, err := quality(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestAblationDifferentialSavesTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution experiment")
 	}
-	tb, err := AblationDifferential(2)
+	tb, err := ablationDifferential(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Windows studies the ramp apodisation trade-off under quantum noise: the
+// windows studies the ramp apodisation trade-off under quantum noise: the
 // pure Ram-Lak ramp (the paper's filter) is sharpest but amplifies
 // high-frequency noise, while Shepp–Logan/Cosine/Hamming/Hann trade
 // resolution for noise suppression. Reconstructions of a noisy and a
 // noise-free acquisition are scored against the ground-truth phantom.
-func Windows(workers int) (*Table, error) {
+func windows(workers int) (*Table, error) {
 	sc, err := BuildScenario("tomo_00030", 8, 48, workers)
 	if err != nil {
 		return nil, err
@@ -80,10 +80,10 @@ func Windows(workers int) (*Table, error) {
 	return t, nil
 }
 
-// SparseViews compares FDK against the iterative substrate (SIRT /
+// sparseViews compares FDK against the iterative substrate (SIRT /
 // OS-SART) as the number of projections shrinks — the regime where the IR
 // frameworks of Table 2 justify their iteration cost.
-func SparseViews(workers int) (*Table, error) {
+func sparseViews(workers int) (*Table, error) {
 	t := &Table{
 		Title:  "Extension — sparse-view FDK vs iterative reconstruction (uniform sphere)",
 		Header: []string{"projections", "FDK RMSE", "SIRT RMSE (12 it)", "OS-SART RMSE (12 it, 4 subsets)", "winner"},

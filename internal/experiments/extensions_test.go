@@ -9,7 +9,7 @@ func TestWindowsStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution experiment")
 	}
-	tb, err := Windows(2)
+	tb, err := windows(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSparseViewsCrossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution experiment")
 	}
-	tb, err := SparseViews(2)
+	tb, err := sparseViews(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,14 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Fig12 reproduces the roofline analysis of Figure 12: for growing output
+// fig12 reproduces the roofline analysis of Figure 12: for growing output
 // sizes it measures the achieved FLOP/s of the streaming and conventional
 // back-projection kernels (updates/s × FLOP-per-update), computes their
 // modelled arithmetic intensity, and reports them against this machine's
 // measured peak. The paper's shape — throughput flat near a constant
 // fraction of peak while arithmetic intensity grows with volume size — is
 // what this experiment checks; absolute TFLOP/s belong to the V100.
-func Fig12(workers int) (*Table, error) {
+func fig12(workers int) (*Table, error) {
 	peak := measurePeakFlops(workers)
 	t := &Table{
 		Title:  "Figure 12 — roofline of the back-projection kernels (this machine)",

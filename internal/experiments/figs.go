@@ -14,10 +14,10 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Fig8 reproduces Figure 8: a reconstructed slice of tomo_00030 produced
+// fig8 reproduces Figure 8: a reconstructed slice of tomo_00030 produced
 // through the segmented MPI_Reduce of a four-rank group, written as a PGM
 // image for visual inspection.
-func Fig8(outDir string, workers int) (*Table, error) {
+func fig8(outDir string, workers int) (*Table, error) {
 	const div, outN = 4, 64
 	sc, err := BuildScenario("tomo_00030", div, outN, workers)
 	if err != nil {
@@ -54,11 +54,11 @@ func Fig8(outDir string, workers int) (*Table, error) {
 	return t, nil
 }
 
-// Fig10 reproduces Figure 10's pipeline timelines. Part (a) is a real
+// fig10 reproduces Figure 10's pipeline timelines. Part (a) is a real
 // pipelined single-device run of a scaled tomo_00029 with the stage spans
 // rendered as an ASCII Gantt; part (b) is the 4096³ bumblebee at 128
 // devices in the discrete-event simulator.
-func Fig10(outDir string, workers int) (*Table, error) {
+func fig10(outDir string, workers int) (*Table, error) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -156,9 +156,9 @@ func renderVSpans(spans []dessim.VSpan, group, width int, total float64) string 
 	return b.String()
 }
 
-// Fig11 reproduces Figure 11: reconstructions of the coffee bean and
+// fig11 reproduces Figure 11: reconstructions of the coffee bean and
 // bumblebee stand-ins with orthogonal slice exports.
-func Fig11(outDir string, workers int) (*Table, error) {
+func fig11(outDir string, workers int) (*Table, error) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return nil, err
 	}

@@ -7,13 +7,13 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Quality reproduces the paper's Section 6.1 measurement methodology: for
+// quality reproduces the paper's Section 6.1 measurement methodology: for
 // each dataset's synthetic twin it forward-projects the phantom,
 // reconstructs, and reports (a) the RMSE between the decomposed
 // reconstruction and the monolithic reference — the paper's 1e-5 criterion
 // against RTK — and (b) the RMSE against the ground-truth phantom, the
 // image-quality figure.
-func Quality(workers int) (*Table, error) {
+func quality(workers int) (*Table, error) {
 	t := &Table{
 		Title:  "Numerical assessment (§6.1) — decomposition equivalence and image quality",
 		Header: []string{"dataset", "output", "RMSE vs monolithic", "criterion (1e-5)", "RMSE vs phantom", "SSIM", "range"},

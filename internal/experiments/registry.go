@@ -24,45 +24,45 @@ type Runner func(opts RunOptions) ([]*Table, error)
 // every experiment.
 func registry() map[string]Runner {
 	return map[string]Runner{
-		"table2": func(o RunOptions) ([]*Table, error) { return one(Table2(o.Workers)) },
-		"table4": func(o RunOptions) ([]*Table, error) { return one(Table4()) },
+		"table2": func(o RunOptions) ([]*Table, error) { return one(table2(o.Workers)) },
+		"table4": func(o RunOptions) ([]*Table, error) { return one(table4()) },
 		"table5": func(o RunOptions) ([]*Table, error) {
-			real, err := Table5Real(o.Workers)
+			real, err := table5Real(o.Workers)
 			if err != nil {
 				return nil, err
 			}
-			modeled, err := Table5Modeled()
+			modeled, err := table5Modeled()
 			if err != nil {
 				return nil, err
 			}
 			return []*Table{real, modeled}, nil
 		},
-		"fig8":  func(o RunOptions) ([]*Table, error) { return one(Fig8(o.OutDir, o.Workers)) },
-		"fig10": func(o RunOptions) ([]*Table, error) { return one(Fig10(o.OutDir, o.Workers)) },
-		"fig11": func(o RunOptions) ([]*Table, error) { return one(Fig11(o.OutDir, o.Workers)) },
-		"fig12": func(o RunOptions) ([]*Table, error) { return one(Fig12(o.Workers)) },
+		"fig8":  func(o RunOptions) ([]*Table, error) { return one(fig8(o.OutDir, o.Workers)) },
+		"fig10": func(o RunOptions) ([]*Table, error) { return one(fig10(o.OutDir, o.Workers)) },
+		"fig11": func(o RunOptions) ([]*Table, error) { return one(fig11(o.OutDir, o.Workers)) },
+		"fig12": func(o RunOptions) ([]*Table, error) { return one(fig12(o.Workers)) },
 		"fig13": func(o RunOptions) ([]*Table, error) {
-			sim, err := Fig13()
+			sim, err := fig13()
 			if err != nil {
 				return nil, err
 			}
-			real, err := Fig13Real(o.Workers)
+			real, err := fig13Real(o.Workers)
 			if err != nil {
 				return nil, err
 			}
 			return []*Table{sim, real}, nil
 		},
-		"fig14":     func(o RunOptions) ([]*Table, error) { return one(Fig14()) },
-		"fig15":     func(o RunOptions) ([]*Table, error) { return one(Fig15()) },
-		"quality":   func(o RunOptions) ([]*Table, error) { return one(Quality(o.Workers)) },
-		"windows":   func(o RunOptions) ([]*Table, error) { return one(Windows(o.Workers)) },
-		"scalecomp": func(o RunOptions) ([]*Table, error) { return one(ScaleComparison()) },
-		"sparse":    func(o RunOptions) ([]*Table, error) { return one(SparseViews(o.Workers)) },
+		"fig14":     func(o RunOptions) ([]*Table, error) { return one(fig14()) },
+		"fig15":     func(o RunOptions) ([]*Table, error) { return one(fig15()) },
+		"quality":   func(o RunOptions) ([]*Table, error) { return one(quality(o.Workers)) },
+		"windows":   func(o RunOptions) ([]*Table, error) { return one(windows(o.Workers)) },
+		"scalecomp": func(o RunOptions) ([]*Table, error) { return one(scaleComparison()) },
+		"sparse":    func(o RunOptions) ([]*Table, error) { return one(sparseViews(o.Workers)) },
 		"ablations": func(o RunOptions) ([]*Table, error) {
 			var out []*Table
 			for _, f := range []func(int) (*Table, error){
-				AblationReduce, AblationDifferential, AblationRingDepth,
-				AblationHierarchicalReduce, AblationFilterPlacement,
+				ablationReduce, ablationDifferential, ablationRingDepth,
+				ablationHierarchicalReduce, ablationFilterPlacement,
 			} {
 				t, err := f(o.Workers)
 				if err != nil {

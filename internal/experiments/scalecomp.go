@@ -9,13 +9,13 @@ import (
 	"distfdk/internal/perfmodel"
 )
 
-// ScaleComparison makes Table 2's scalability column quantitative at paper
+// scaleComparison makes Table 2's scalability column quantitative at paper
 // scale: the simulated runtime of this work's decomposition versus the
 // batch-only baseline, for the coffee bean at 4096³ across 16→1024
 // devices. The baseline re-ships its projection share per volume chunk,
 // reduces globally and funnels all output through one writer; the gap
 // widens with the device count.
-func ScaleComparison() (*Table, error) {
+func scaleComparison() (*Table, error) {
 	ds, err := dataset.ByName("coffee-bean")
 	if err != nil {
 		return nil, err

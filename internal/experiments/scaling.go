@@ -44,10 +44,10 @@ func panelDataset(cfg fig13Config) (*dataset.Dataset, error) {
 	return &full, nil
 }
 
-// Fig13 reproduces the strong-scaling study at paper scale (4096³ outputs,
+// fig13 reproduces the strong-scaling study at paper scale (4096³ outputs,
 // 8→1024 GPUs) through the calibrated simulator, reporting the simulated
 // ("measured") and Equation-17 ("projected") series side by side.
-func Fig13() (*Table, error) {
+func fig13() (*Table, error) {
 	t := &Table{
 		Title:  "Figure 13 — strong scaling to 4096³ outputs (simulated at ABCI parameters)",
 		Header: []string{"dataset", "Nr", "GPUs", "measured", "projected", "speedup vs min GPUs"},
@@ -87,9 +87,9 @@ func Fig13() (*Table, error) {
 	return t, nil
 }
 
-// Fig13Real anchors the simulated series with a real in-process strong
+// fig13Real anchors the simulated series with a real in-process strong
 // scaling at laptop scale: the same code path over 1, 2 and 4 ranks.
-func Fig13Real(workers int) (*Table, error) {
+func fig13Real(workers int) (*Table, error) {
 	sc, err := BuildScenario("tomo_00029", 24, 64, workers)
 	if err != nil {
 		return nil, err
@@ -123,10 +123,10 @@ func Fig13Real(workers int) (*Table, error) {
 	return t, nil
 }
 
-// Fig14 reproduces the weak-scaling study: the projection count grows with
+// fig14 reproduces the weak-scaling study: the projection count grows with
 // the device count while the 4096³ output is fixed, so runtime should sit
 // on the store-bandwidth plateau (~9 s at 28.5 GB/s).
-func Fig14() (*Table, error) {
+func fig14() (*Table, error) {
 	t := &Table{
 		Title:  "Figure 14 — weak scaling to 4096³ outputs (simulated at ABCI parameters)",
 		Header: []string{"dataset", "GPUs", "Np", "Nr", "measured", "projected"},
@@ -179,9 +179,9 @@ func Fig14() (*Table, error) {
 	return t, nil
 }
 
-// Fig15 reproduces the throughput study: GUPS versus device count for the
+// fig15 reproduces the throughput study: GUPS versus device count for the
 // 4096³ reconstructions of three datasets.
-func Fig15() (*Table, error) {
+func fig15() (*Table, error) {
 	t := &Table{
 		Title:  "Figure 15 — GUPS when generating 4096³ volumes (simulated at ABCI parameters)",
 		Header: []string{"dataset", "GPUs", "GUPS", "runtime"},

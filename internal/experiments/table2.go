@@ -10,13 +10,13 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Table2 reproduces the substance of the paper's Table 2 by measurement
+// table2 reproduces the substance of the paper's Table 2 by measurement
 // instead of citation: it runs the same reconstruction under three
 // decomposition schemes at equal world size and reports the traffic each
 // one actually generated — host↔device volume (redundancy), reduction
 // volume and message counts (communication complexity), and the minimum
 // per-device input residency (the "lower-bound input size" column).
-func Table2(workers int) (*Table, error) {
+func table2(workers int) (*Table, error) {
 	const (
 		div   = 24
 		outN  = 48
@@ -103,15 +103,15 @@ func avgMsgs(stats []mpi.Stats) float64 {
 	return float64(total) / float64(len(stats))
 }
 
-// Table4 prints the geometric-correction registry (the paper's Table 4),
+// table4 prints the geometric-correction registry (the paper's Table 4),
 // verifying it against the projection-matrix path.
-func Table4() (*Table, error) {
+func table4() (*Table, error) {
 	t := &Table{
 		Title:  "Table 4 — geometric correction parameters per dataset",
 		Header: []string{"dataset", "σu (px)", "σv (px)", "σcor (mm)", "λdark", "λblank", "magnification"},
 	}
 	for _, name := range []string{"coffee-bean", "bumblebee", "tomo_00027", "tomo_00028", "tomo_00029", "tomo_00030"} {
-		sc, err := BuildScenarioGeometryOnly(name)
+		sc, err := buildScenarioGeometryOnly(name)
 		if err != nil {
 			return nil, err
 		}

@@ -15,12 +15,12 @@ import (
 	"distfdk/internal/volume"
 )
 
-// Table5Real runs the out-of-core single-device evaluation for real on a
+// table5Real runs the out-of-core single-device evaluation for real on a
 // scaled tomo_00030 twin: output sizes grow until the RTK-style baseline
 // (whole volume + whole projections resident) no longer fits the device
 // budget, while the streaming decomposition keeps working — the ✗ pattern
 // of the paper's Table 5.
-func Table5Real(workers int) (*Table, error) {
+func table5Real(workers int) (*Table, error) {
 	const div = 8
 	outSizes := []int{32, 48, 64, 96}
 	sc, err := BuildScenario("tomo_00030", div, outSizes[0], workers)
@@ -126,12 +126,12 @@ func runRTKBaseline(sc *Scenario, budget int64, workers int) (gups, status strin
 	return fmt.Sprintf("%.3f", dev.Snapshot().GUPS(elapsed)), "ok"
 }
 
-// Table5Modeled evaluates the paper-size Table 5 rows (512³ → 4096³ on
+// table5Modeled evaluates the paper-size Table 5 rows (512³ → 4096³ on
 // V100/A100-class devices) with the Section 5 performance model under the
 // published ABCI parameters. It reports the same columns as the paper and
 // flags the configurations where the conventional kernel exceeds device
 // memory.
-func Table5Modeled() (*Table, error) {
+func table5Modeled() (*Table, error) {
 	t := &Table{
 		Title:  "Table 5 (modeled, paper scale) — ABCI parameters, Section 5 model",
 		Header: []string{"dataset", "device", "output", "T_load", "T_flt", "T_H2D", "T_bp", "T_D2H", "T_store", "T_total", "conventional"},

@@ -99,10 +99,10 @@ func (e *Error) Is(target error) bool { return target == ErrInjected }
 func (e *Error) Transient() bool { return e.Class == Transient }
 
 // IsTransient reports whether err is classified as retryable: any error in
-// its chain declaring `Transient() bool` (injected faults, MarkTransient
-// wrappers, net.Error-style implementations) decides the class. Unknown
-// errors default to permanent — retrying an unclassified failure hides
-// bugs, the opposite of what a chaos harness is for.
+// its chain declaring `Transient() bool` (injected faults, net.Error-style
+// implementations) decides the class. Unknown errors default to permanent —
+// retrying an unclassified failure hides bugs, the opposite of what a chaos
+// harness is for.
 func IsTransient(err error) bool {
 	var te interface{ Transient() bool }
 	if errors.As(err, &te) {
@@ -110,21 +110,6 @@ func IsTransient(err error) bool {
 	}
 	return false
 }
-
-// MarkTransient wraps err so IsTransient reports true, preserving the
-// original chain for errors.Is/As. Wrapping nil returns nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientErr{err}
-}
-
-type transientErr struct{ err error }
-
-func (e *transientErr) Error() string   { return e.err.Error() }
-func (e *transientErr) Unwrap() error   { return e.err }
-func (e *transientErr) Transient() bool { return true }
 
 // Rule selects the occurrences of an operation to fault. Occurrences are
 // counted per (Op, Rank) pair from 1; the rule fires on occurrences

@@ -94,6 +94,22 @@ func TestInjectedErrorTyping(t *testing.T) {
 	}
 }
 
+// markTransient wraps err so IsTransient reports true, preserving the
+// original chain for errors.Is/As: a caller's own transient error. Wrapping
+// nil returns nil.
+func markTransient(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &transientErr{err}
+}
+
+type transientErr struct{ err error }
+
+func (e *transientErr) Error() string   { return e.err.Error() }
+func (e *transientErr) Unwrap() error   { return e.err }
+func (e *transientErr) Transient() bool { return true }
+
 func TestIsTransientClassification(t *testing.T) {
 	if IsTransient(nil) {
 		t.Error("nil classified transient")
@@ -102,19 +118,19 @@ func TestIsTransientClassification(t *testing.T) {
 	if IsTransient(plain) {
 		t.Error("unclassified error must default to permanent")
 	}
-	marked := MarkTransient(plain)
+	marked := markTransient(plain)
 	if !IsTransient(marked) {
-		t.Error("MarkTransient not transient")
+		t.Error("markTransient not transient")
 	}
 	if !errors.Is(marked, plain) {
-		t.Error("MarkTransient broke the error chain")
+		t.Error("markTransient broke the error chain")
 	}
 	wrapped := fmt.Errorf("rank 3 batch 2 load: %w", marked)
 	if !IsTransient(wrapped) {
 		t.Error("classification must survive wrapping")
 	}
-	if MarkTransient(nil) != nil {
-		t.Error("MarkTransient(nil) must be nil")
+	if markTransient(nil) != nil {
+		t.Error("markTransient(nil) must be nil")
 	}
 }
 

@@ -196,7 +196,7 @@ func TestRetryPolicyZeroAttemptsUsesDefaults(t *testing.T) {
 		p := &RetryPolicy{MaxAttempts: maxAttempts,
 			BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 		calls := 0
-		err := p.Do(func() error { calls++; return MarkTransient(errTest) })
+		err := p.Do(func() error { calls++; return markTransient(errTest) })
 		if err == nil {
 			t.Fatalf("MaxAttempts=%d: transient error retried into success?", maxAttempts)
 		}
@@ -210,7 +210,7 @@ func TestRetryPolicyZeroAttemptsUsesDefaults(t *testing.T) {
 func TestRetryPolicySingleAttempt(t *testing.T) {
 	p := &RetryPolicy{MaxAttempts: 1}
 	calls := 0
-	err := p.Do(func() error { calls++; return MarkTransient(errTest) })
+	err := p.Do(func() error { calls++; return markTransient(errTest) })
 	if err == nil || calls != 1 {
 		t.Fatalf("MaxAttempts=1: calls=%d err=%v, want one failing attempt", calls, err)
 	}

@@ -251,32 +251,13 @@ func projectAngle(sys *geometry.System, stack *projection.Stack, p int, ph *phan
 	}
 }
 
-// ProjectVolume numerically integrates a voxel volume along each detector
-// ray with trilinear interpolation at the given step (mm; ≤ 0 picks half
-// the smallest voxel pitch). It is the generic substrate for phantoms that
-// are not ellipsoid superpositions, and the A·x operator of the iterative
-// algorithms.
-func ProjectVolume(sys *geometry.System, vol *volume.Volume, step float64, workers int) (*projection.Stack, error) {
-	all := make([]int, sys.NP)
-	for i := range all {
-		all[i] = i
-	}
-	stack, err := projection.NewStack(sys.NU, sys.NP, sys.NV)
-	if err != nil {
-		return nil, err
-	}
-	if err := ProjectVolumeSubset(sys, vol, step, workers, all, stack); err != nil {
-		return nil, err
-	}
-	return stack, nil
-}
-
-// ProjectVolumeSubset integrates the volume along the rays of the listed
-// projection indices only, into stack, which the caller owns and which must
-// hold len(ps) projections of the whole detector: projection idx of stack is
-// ps[idx]. Every sample is overwritten. Ordered-subset iterative methods use
-// it to evaluate A_s·x for one angular subset at a time, into one stack per
-// subset for the whole solve.
+// ProjectVolumeSubset numerically integrates a voxel volume along the rays
+// of the listed projection indices, with trilinear interpolation at the
+// given step (mm; ≤ 0 picks half the smallest voxel pitch), into stack,
+// which the caller owns and which must hold len(ps) projections of the
+// whole detector: projection idx of stack is ps[idx]. Every sample is
+// overwritten. The iterative methods use it to evaluate A_s·x for one
+// angular subset at a time, into one stack per subset for the whole solve.
 func ProjectVolumeSubset(sys *geometry.System, vol *volume.Volume, step float64, workers int, ps []int, stack *projection.Stack) error {
 	if err := sys.Validate(); err != nil {
 		return err

@@ -155,8 +155,15 @@ func TestProjectVolumeMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numeric, err := ProjectVolume(sys, vol, 0, 0)
+	all := make([]int, sys.NP)
+	for i := range all {
+		all[i] = i
+	}
+	numeric, err := projection.NewStack(sys.NU, sys.NP, sys.NV)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ProjectVolumeSubset(sys, vol, 0, 0, all, numeric); err != nil {
 		t.Fatal(err)
 	}
 	// Compare a central row at a few angles. Tangent rays graze the
@@ -193,10 +200,10 @@ func TestProjectValidation(t *testing.T) {
 	vol, _ := phantom.UniformSphere(0.3, 1).Voxelize(sys, scale, 1)
 	mismatch := *sys
 	mismatch.NX = 16
-	if _, err := ProjectVolume(&mismatch, vol, 0, 1); err == nil {
+	short, _ := projection.NewStack(sys.NU, 1, sys.NV)
+	if err := ProjectVolumeSubset(&mismatch, vol, 0, 1, []int{0}, short); err == nil {
 		t.Error("expected grid mismatch error")
 	}
-	short, _ := projection.NewStack(sys.NU, 1, sys.NV)
 	if err := ProjectVolumeSubset(sys, vol, 0, 1, []int{0, 1}, short); err == nil {
 		t.Error("expected a stack too small for the subset to be refused")
 	}
@@ -253,7 +260,10 @@ func TestToCountsRoundTrip(t *testing.T) {
 // single-kernel input (tomo_00030 ÷8, 96³ grid) on one worker, as its
 // set-up does.
 func BenchmarkProjectSheppLogan(b *testing.B) {
-	ds, err := dataset.Tomo00030().Scaled(8)
+	ds, err := dataset.ByName("tomo_00030")
+	if err == nil {
+		ds, err = ds.Scaled(8)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,8 +2,14 @@ package mpi
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"distfdk/internal/alloctest"
 )
 
 // rankData generates a deterministic, awkwardly-rounded float32 vector for
@@ -80,13 +86,30 @@ func TestReductionPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// Pooling must not change a single bit: the arena only changes where the
-// scratch memory comes from, never the arithmetic.
-func TestPooledReductionsMatchUnpooled(t *testing.T) {
+// The arena must not change a single bit: it only changes where the scratch
+// memory comes from, never the arithmetic. Each variant runs first on an
+// emptied arena — two collections clear both generations of every class, so
+// each get that no put of the run precedes allocates fresh zeroed memory —
+// and then on an arena seeded with NaN-filled buffers of every class the run
+// draws, with the collector off so none is dropped. A reduction that reads a
+// scratch element it did not write carries a NaN into the sum.
+func TestReductionsIgnoreArenaContents(t *testing.T) {
 	const n, elems, root = 8, 193, 0
-	run := func(pooled bool, reduce func(c *Comm, buf []float32) error) []float32 {
-		prev := SetBufferPooling(pooled)
-		defer SetBufferPooling(prev)
+	run := func(seed bool, reduce func(c *Comm, buf []float32) error) []float32 {
+		runtime.GC()
+		runtime.GC()
+		if seed {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			for k := 0; k <= bits.Len(elems-1); k++ {
+				for range 4 * n {
+					s := make([]float32, 1<<k+ScratchHeadroom)
+					for i := range s {
+						s[i] = float32(math.NaN())
+					}
+					PutScratch(s)
+				}
+			}
+		}
 		return runReduction(t, n, root, elems, reduce)
 	}
 	variants := map[string]func(c *Comm, buf []float32) error{
@@ -110,10 +133,10 @@ func TestPooledReductionsMatchUnpooled(t *testing.T) {
 		},
 	}
 	for name, fn := range variants {
-		a, b := run(true, fn), run(false, fn)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: elem %d: pooled %x != unpooled %x", name, i, a[i], b[i])
+		empty, seeded := run(false, fn), run(true, fn)
+		for i := range empty {
+			if math.Float32bits(seeded[i]) != math.Float32bits(empty[i]) {
+				t.Fatalf("%s: elem %d: seeded arena %x != empty arena %x", name, i, seeded[i], empty[i])
 			}
 		}
 	}
@@ -190,33 +213,38 @@ func TestReduceChunkedStats(t *testing.T) {
 }
 
 // The arena must actually be hit: after a warm-up reduction, further
-// reductions should be served overwhelmingly from the pool.
+// reductions borrow their scratch from buffers earlier ones returned. Each
+// non-root rank borrows a 4096-float buffer per reduction, so an arena that
+// served nothing would allocate 8 × 7 × 16 KiB over the loop.
 func TestBufferArenaReuse(t *testing.T) {
-	prev := SetBufferPooling(true)
-	defer SetBufferPooling(prev)
-	const n, elems = 8, 4096
+	if alloctest.Race {
+		t.Skip("sync.Pool drops a share of its buffers under the race detector")
+	}
+	const n, elems, reductions = 8, 4096, 8
+	data := make([][]float32, n)
+	for r := range data {
+		data[r] = rankData(r, elems)
+	}
 	reduceOnce := func() {
 		err := Run(n, func(c *Comm) error {
-			return c.ReduceChunked(0, rankData(c.Rank(), elems), elems)
+			return c.ReduceChunked(0, data[c.Rank()], elems)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	reduceOnce() // warm the arena
-	before := BufferPoolStats()
-	for i := 0; i < 8; i++ {
-		reduceOnce()
-	}
-	after := BufferPoolStats()
-	gets := after.Gets - before.Gets
-	misses := after.Misses - before.Misses
-	if gets == 0 {
-		t.Fatal("pooled reduction performed no arena gets")
-	}
-	// sync.Pool may shed buffers under GC pressure, so allow some misses,
-	// but a working arena must serve most gets from returned buffers.
-	if misses*2 > gets {
-		t.Fatalf("arena miss rate too high: %d misses of %d gets", misses, gets)
+	// No collection may empty the arena's pools mid-loop.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := alloctest.AllocatedBy(func() {
+		for range reductions {
+			reduceOnce()
+		}
+	})
+	unpooled := uint64(reductions * (n - 1) * 4 * elems)
+	t.Logf("%d reductions allocated %d bytes; without reuse their scratch alone is %d", reductions, got, unpooled)
+	if got*2 > unpooled {
+		t.Fatalf("%d reductions allocated %d bytes, over half the %d their scratch takes without reuse",
+			reductions, got, unpooled)
 	}
 }

@@ -6,6 +6,31 @@ import (
 	"distfdk/internal/telemetry"
 )
 
+// matchFlows indexes every send-side flow record by message id across the
+// snapshots and counts how many recv-side records found their sender.
+func matchFlows(snaps []telemetry.Snapshot) (sendByID map[int64]telemetry.FlowRecord, stats telemetry.FlowStats) {
+	sendByID = map[int64]telemetry.FlowRecord{}
+	for _, s := range snaps {
+		for _, f := range s.Flows {
+			if f.Kind == telemetry.FlowSend && f.MsgID > 0 {
+				sendByID[f.MsgID] = f
+				stats.Sends++
+			}
+		}
+	}
+	for _, s := range snaps {
+		for _, f := range s.Flows {
+			if f.Kind == telemetry.FlowRecv {
+				stats.Recvs++
+				if _, ok := sendByID[f.MsgID]; ok && f.MsgID > 0 {
+					stats.Matched++
+				}
+			}
+		}
+	}
+	return sendByID, stats
+}
+
 // Every telemetered Send/Recv must leave a pair of flow records that
 // match by a unique positive message id, with Src/Dst expressed as WORLD
 // ranks even when the traffic moved over a Split sub-communicator — the
@@ -34,7 +59,7 @@ func TestFlowRecordsMatchAcrossSplit(t *testing.T) {
 	}
 
 	snaps := run.Snapshots()
-	sendByID, stats := telemetry.MatchFlows(snaps)
+	sendByID, stats := matchFlows(snaps)
 	if stats.Sends == 0 || stats.Recvs == 0 {
 		t.Fatalf("no flows recorded: %+v", stats)
 	}
@@ -119,7 +144,7 @@ func TestFlowMsgIDsMonotoneAcrossWorlds(t *testing.T) {
 	if err := ping(); err != nil {
 		t.Fatal(err)
 	}
-	_, stats := telemetry.MatchFlows(run.Snapshots())
+	_, stats := matchFlows(run.Snapshots())
 	if stats.Matched != stats.Recvs {
 		t.Fatalf("relaunch broke pairing: %+v", stats)
 	}

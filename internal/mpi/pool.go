@@ -3,7 +3,6 @@ package mpi
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // The buffer arena: size-classed sync.Pools of []float32 scratch buffers
@@ -29,43 +28,14 @@ const (
 )
 
 var (
-	poolOff     atomic.Bool
 	poolClasses [maxPoolClass + 1]sync.Pool // of *scratch
 	// poolHolders recycles the empty holders, so that neither a get nor a
 	// put allocates once the arena is warm (a slice stored in a sync.Pool
 	// directly is boxed on every Put).
 	poolHolders sync.Pool
-	poolGets    atomic.Int64
-	poolPuts    atomic.Int64
-	poolMisses  atomic.Int64
 )
 
 type scratch struct{ s []float32 }
-
-// PoolStats reports the arena's activity since process start (or the last
-// bench section): Gets and Puts count borrow/return pairs, Misses counts
-// Gets that had to allocate because the class was empty.
-type PoolStats struct {
-	Gets, Puts, Misses int64
-}
-
-// BufferPoolStats returns a snapshot of the arena counters.
-func BufferPoolStats() PoolStats {
-	return PoolStats{
-		Gets:   poolGets.Load(),
-		Puts:   poolPuts.Load(),
-		Misses: poolMisses.Load(),
-	}
-}
-
-// SetBufferPooling enables or disables the buffer arena and returns the
-// previous setting. Disabling reverts the reductions to allocate-per-step
-// behaviour. No production code calls it: it exists so the bit-identity and
-// stress tests can hold the pooled reductions to the unpooled reference in
-// one process.
-func SetBufferPooling(enabled bool) bool {
-	return !poolOff.Swap(!enabled)
-}
 
 // GetScratch borrows a []float32 of length n from the arena (allocating
 // one of the class capacity plus ScratchHeadroom on miss). Contents are
@@ -75,10 +45,9 @@ func GetScratch(n int) []float32 {
 		return nil
 	}
 	k := bits.Len(uint(n - 1)) // smallest k with 1<<k >= n
-	if poolOff.Load() || k > maxPoolClass {
+	if k > maxPoolClass {
 		return make([]float32, n, n+ScratchHeadroom)
 	}
-	poolGets.Add(1)
 	if v := poolClasses[k].Get(); v != nil {
 		h := v.(*scratch)
 		s := h.s[:n]
@@ -86,7 +55,6 @@ func GetScratch(n int) []float32 {
 		poolHolders.Put(h)
 		return s
 	}
-	poolMisses.Add(1)
 	return make([]float32, n, 1<<k+ScratchHeadroom)
 }
 
@@ -99,10 +67,9 @@ func GetScratch(n int) []float32 {
 func PutScratch(s []float32) {
 	c := cap(s) - ScratchHeadroom
 	k := bits.Len(uint(c)) - 1
-	if c <= 0 || c != 1<<k || k > maxPoolClass || poolOff.Load() {
+	if c <= 0 || c != 1<<k || k > maxPoolClass {
 		return
 	}
-	poolPuts.Add(1)
 	h, _ := poolHolders.Get().(*scratch)
 	if h == nil {
 		h = new(scratch)

@@ -117,7 +117,8 @@ func (m *Model) Batch(g, c int) StageTimes {
 	}
 	diff := geometry.DifferentialRows(prev, cur)
 	share := sys.NP / p.NRanksPerGroup
-	// Equation 13: the first batch loads SizeAB, later ones SizeBB.
+	// Equation 13: the first batch loads Size_AB (Equation 5), later ones
+	// Size_BB (Equation 7).
 	loadBytes := float64(eta) * float64(int64(sys.NU)*int64(share)*int64(diff.Len()))
 	// Equation 15: the slab this batch produces.
 	slabBytes := float64(eta) * float64(int64(sys.NX)*int64(sys.NY)*int64(nz))

@@ -11,7 +11,10 @@ import (
 // against: tomo_00030 ÷8 on a 96³ grid, one sample per voxel (super=1), and
 // at the eight samples per voxel the experiments use (super=2).
 func BenchmarkVoxelize(b *testing.B) {
-	ds, err := dataset.Tomo00030().Scaled(8)
+	ds, err := dataset.ByName("tomo_00030")
+	if err == nil {
+		ds, err = ds.Scaled(8)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}

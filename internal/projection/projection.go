@@ -135,34 +135,3 @@ func (m *MemorySource) LoadRows(rows geometry.RowRange, pLo, pHi int) (*Stack, e
 	}
 	return byRows.ExtractProjections(pLo, pHi)
 }
-
-// PartitionNP splits np projections into nr equal contiguous windows
-// (Figure 3a shows nr = 4); np must be divisible by nr, matching the
-// paper's grouping where every rank of a group handles Np/Nr projections.
-func PartitionNP(np, nr int) ([][2]int, error) {
-	if nr <= 0 || np <= 0 {
-		return nil, fmt.Errorf("projection: cannot split %d projections into %d parts", np, nr)
-	}
-	if np%nr != 0 {
-		return nil, fmt.Errorf("projection: NP=%d not divisible by NR=%d", np, nr)
-	}
-	share := np / nr
-	out := make([][2]int, nr)
-	for r := range out {
-		out[r] = [2]int{r * share, (r + 1) * share}
-	}
-	return out, nil
-}
-
-// SizeAB returns the element count of the partial projections a rank loads
-// for the first slab (Equation 5): Nu·Np·(b−a)/Nr.
-func SizeAB(nu, np, nr int, rows geometry.RowRange) int64 {
-	return int64(nu) * int64(np/nr) * int64(rows.Len())
-}
-
-// SizeBB returns the element count of the differential update for a
-// subsequent slab (Equation 7): Nu·Np·(b_{i+1}−b_i)/Nr.
-func SizeBB(nu, np, nr int, prev, cur geometry.RowRange) int64 {
-	diff := geometry.DifferentialRows(prev, cur)
-	return int64(nu) * int64(np/nr) * int64(diff.Len())
-}

@@ -149,40 +149,6 @@ func TestMemorySource(t *testing.T) {
 	}
 }
 
-func TestPartitionNP(t *testing.T) {
-	parts, err := PartitionNP(12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][2]int{{0, 3}, {3, 6}, {6, 9}, {9, 12}}
-	for i := range want {
-		if parts[i] != want[i] {
-			t.Fatalf("part %d = %v, want %v", i, parts[i], want[i])
-		}
-	}
-	if _, err := PartitionNP(10, 4); err == nil {
-		t.Error("expected divisibility error")
-	}
-	if _, err := PartitionNP(10, 0); err == nil {
-		t.Error("expected zero-parts error")
-	}
-}
-
-func TestSizeABAndBB(t *testing.T) {
-	rows0 := geometry.RowRange{Lo: 10, Hi: 20}
-	rows1 := geometry.RowRange{Lo: 14, Hi: 27}
-	if got := SizeAB(100, 8, 4, rows0); got != 100*2*10 {
-		t.Fatalf("SizeAB = %d", got)
-	}
-	if got := SizeBB(100, 8, 4, rows0, rows1); got != 100*2*7 {
-		t.Fatalf("SizeBB = %d", got)
-	}
-	// First-slab convention: empty prev means the full range is loaded.
-	if got := SizeBB(100, 8, 4, geometry.RowRange{}, rows0); got != SizeAB(100, 8, 4, rows0) {
-		t.Fatalf("SizeBB with empty prev = %d", got)
-	}
-}
-
 // Property: ExtractRows then ExtractProjections commutes with the reverse
 // order and both equal a direct MemorySource load.
 func TestExtractCommutes(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 )
 
 // The scenario files are the one input of this repository that people write
-// by hand, so Parse is the parser most likely to meet a torn, mis-indented
+// by hand, so parse is the parser most likely to meet a torn, mis-indented
 // or half-edited file. The fuzz target's invariant: a *Config that passes
 // its own cross-validation and compiles into an injector and a retry policy,
 // or an error that says where — never a panic, a hang, or an allocation
@@ -62,7 +62,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cfg *Config
 		var err error
-		got := alloctest.AllocatedBy(func() { cfg, err = Parse("fuzz.yaml", data) })
+		got := alloctest.AllocatedBy(func() { cfg, err = parse("fuzz.yaml", data) })
 		// A line of a few bytes costs a node and its key maps: some 20–60 bytes
 		// allocated per input byte on the shipped scenarios and on the densest
 		// degenerate ones ("a:\n" or "- a\n" repeated).
@@ -80,7 +80,7 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		root, err := parseYAML("fuzz.yaml", data)
 		if err != nil {
-			t.Fatalf("Parse accepted what parseYAML refuses: %v", err)
+			t.Fatalf("parse accepted what parseYAML refuses: %v", err)
 		}
 		if err := crossValidate("fuzz.yaml", root, cfg); err != nil {
 			t.Fatalf("an accepted scenario fails its own cross-validation: %v", err)

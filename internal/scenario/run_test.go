@@ -16,7 +16,7 @@ const testWorld = `world:
 
 func mustParse(t *testing.T, doc string) *Config {
 	t.Helper()
-	cfg, err := Parse("test.yaml", []byte(doc))
+	cfg, err := parse("test.yaml", []byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ gates:
 // planes in each of the 2 inject batches, so every run injects exactly 16
 // delays, and the other ranks, which only send, none.
 func TestStragglerRulesUnderRun(t *testing.T) {
-	cfg, err := Load("../../scenarios/straggler-latency.yaml")
+	cfg, err := load("../../scenarios/straggler-latency.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,8 +160,8 @@ var metricCatalog = map[string]string{
 // MetricHelp returns the catalog line for a metric name.
 func MetricHelp(name string) string { return metricCatalog[name] }
 
-// MetricNames returns the gateable metric names, sorted.
-func MetricNames() []string {
+// metricNames returns the gateable metric names, sorted.
+func metricNames() []string {
 	out := make([]string, 0, len(metricCatalog))
 	for n := range metricCatalog {
 		out = append(out, n)
@@ -170,13 +170,13 @@ func MetricNames() []string {
 	return out
 }
 
-// Load reads and validates one scenario file.
-func Load(path string) (*Config, error) {
+// load reads and validates one scenario file.
+func load(path string) (*Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return Parse(path, data)
+	return parse(path, data)
 }
 
 // LoadDir loads every *.yaml / *.yml under dir, sorted by filename.
@@ -195,7 +195,7 @@ func LoadDir(dir string) ([]*Config, error) {
 		if ext != ".yaml" && ext != ".yml" {
 			continue
 		}
-		cfg, err := Load(filepath.Join(dir, e.Name()))
+		cfg, err := load(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
@@ -211,8 +211,8 @@ func LoadDir(dir string) ([]*Config, error) {
 	return cfgs, nil
 }
 
-// Parse validates data as one scenario. Every error carries path:line.
-func Parse(path string, data []byte) (*Config, error) {
+// parse validates data as one scenario. Every error carries path:line.
+func parse(path string, data []byte) (*Config, error) {
 	root, err := parseYAML(path, data)
 	if err != nil {
 		return nil, err
@@ -743,7 +743,7 @@ func (d *dec) decodeGates(root *node, cfg *Config) {
 		}
 		if _, known := metricCatalog[gate.Metric]; !known {
 			d.fail(item.keyLn["metric"], field+".metric",
-				"unknown metric %q (known: %s)", gate.Metric, strings.Join(MetricNames(), ", "))
+				"unknown metric %q (known: %s)", gate.Metric, strings.Join(metricNames(), ", "))
 			return
 		}
 		gate.Min = d.count(item, "min", field+".min")

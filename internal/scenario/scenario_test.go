@@ -66,7 +66,7 @@ func deletedMetrics(t testing.TB) []string {
 }
 
 func TestParseValidScenario(t *testing.T) {
-	cfg, err := Parse("demo.yaml", []byte(validDoc))
+	cfg, err := parse("demo.yaml", []byte(validDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestParseValidScenario(t *testing.T) {
 		t.Errorf("supervise/deadline = %+v %v", cfg.Supervise, cfg.Deadline)
 	}
 	// An absent budget is the default one, not 0 (which is one attempt).
-	if dflt, err := Parse("demo.yaml", edit(t, "  max_restarts: 2\n", "")); err != nil {
+	if dflt, err := parse("demo.yaml", edit(t, "  max_restarts: 2\n", "")); err != nil {
 		t.Error(err)
 	} else if dflt.Supervise.MaxRestarts != core.DefaultMaxRestarts {
 		t.Errorf("absent max_restarts decodes to %d, want %d", dflt.Supervise.MaxRestarts, core.DefaultMaxRestarts)
@@ -185,7 +185,7 @@ func TestParseScenarioErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse("demo.yaml", tc.doc)
+			_, err := parse("demo.yaml", tc.doc)
 			if err == nil {
 				t.Fatal("parse accepted the malformed scenario")
 			}
@@ -200,7 +200,7 @@ func TestParseScenarioErrors(t *testing.T) {
 }
 
 func TestUnknownKeyErrorCarriesLine(t *testing.T) {
-	_, err := Parse("demo.yaml", edit(t, "deadline: 5s", "deadlines: 5s"))
+	_, err := parse("demo.yaml", edit(t, "deadline: 5s", "deadlines: 5s"))
 	if err == nil {
 		t.Fatal("accepted unknown key")
 	}
@@ -252,7 +252,7 @@ gates:
   - metric: crc_errors
     min: 1
 `
-	cfg, err := Parse("net.yaml", []byte(doc))
+	cfg, err := parse("net.yaml", []byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ gates:
 
 func TestGatelessScenarioRejected(t *testing.T) {
 	doc := "name: x\nworld:\n  groups: 1\n  ranks: 1\n  batches: 1\n"
-	_, err := Parse("demo.yaml", []byte(doc))
+	_, err := parse("demo.yaml", []byte(doc))
 	if err == nil || !strings.Contains(err.Error(), "declares no gates") {
 		t.Fatalf("err = %v", err)
 	}

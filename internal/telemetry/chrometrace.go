@@ -111,7 +111,7 @@ type traceEvent struct {
 // name, cross-rank arrows for matched message flows. Counters and
 // histograms are not part of the trace — they go to the metrics artifact.
 func WriteChromeTrace(w io.Writer, snaps []Snapshot) error {
-	sendByID, _ := MatchFlows(snaps)
+	sendByID, _ := matchFlows(snaps)
 	var metas []traceMetaEvent
 	var events []traceEvent
 	add := func(ts float64, pid, tid int, name string, ord int, payload any) {

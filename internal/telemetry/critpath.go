@@ -95,7 +95,7 @@ func containerSpan(name string) bool {
 func ComputeCriticalPath(snaps []Snapshot) *CriticalPath {
 	spansByRank := map[int][]Span{}
 	recvsByRank := map[int][]FlowRecord{}
-	sendByID, _ := MatchFlows(snaps)
+	sendByID, _ := matchFlows(snaps)
 	var start, end time.Duration
 	endRank := -1
 	first := true

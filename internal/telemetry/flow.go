@@ -70,11 +70,11 @@ type FlowStats struct {
 	Matched int // recv records whose MsgID has a send record
 }
 
-// MatchFlows indexes every send-side record by MsgID across snapshots and
+// matchFlows indexes every send-side record by MsgID across snapshots and
 // reports how many recv-side records found their sender. Unmatched sends
 // are normal in fault runs (the receiver died before draining); unmatched
 // recvs indicate a sender whose registry was not captured.
-func MatchFlows(snaps []Snapshot) (sendByID map[int64]FlowRecord, stats FlowStats) {
+func matchFlows(snaps []Snapshot) (sendByID map[int64]FlowRecord, stats FlowStats) {
 	sendByID = map[int64]FlowRecord{}
 	for _, s := range snaps {
 		for _, f := range s.Flows {

@@ -44,13 +44,13 @@ func promRank(rank int) string {
 	return strconv.Itoa(rank)
 }
 
-// WritePrometheus renders the snapshots in Prometheus text exposition
+// writePrometheus renders the snapshots in Prometheus text exposition
 // format (version 0.0.4): counters, gauges and histograms with a `rank`
 // label, grouped under one # TYPE line per metric, names sorted so the
 // output is deterministic. A `distfdk_up 1` gauge is always present, so
 // a scrape that lands before the run records anything still sees a valid
 // non-empty exposition.
-func WritePrometheus(w io.Writer, snaps []Snapshot) error {
+func writePrometheus(w io.Writer, snaps []Snapshot) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %sup gauge\n%sup 1\n", promPrefix, promPrefix); err != nil {
 		return err
 	}
@@ -195,9 +195,9 @@ type StatusReport struct {
 // StatusSchema is the versioned schema tag of the /statusz document.
 const StatusSchema = "distfdk-status/1"
 
-// BuildStatusReport assembles the live status view from the run's
+// buildStatusReport assembles the live status view from the run's
 // current registries. Safe to call while ranks are recording.
-func BuildStatusReport(run *Run) StatusReport {
+func buildStatusReport(run *Run) StatusReport {
 	rep := StatusReport{Schema: StatusSchema, UptimeNs: int64(run.Elapsed())}
 	if run == nil {
 		return rep
@@ -257,13 +257,13 @@ func ListenStatus(addr string, run *Run) (*StatusServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, run.Snapshots())
+		writePrometheus(w, run.Snapshots())
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(BuildStatusReport(run))
+		enc.Encode(buildStatusReport(run))
 	})
 	// pprof registers on the default mux; keep serving it.
 	mux.Handle("/", http.DefaultServeMux)

@@ -22,7 +22,7 @@ func liveSnapshots() []Snapshot {
 
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, liveSnapshots()); err != nil {
+	if err := writePrometheus(&b, liveSnapshots()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -50,7 +50,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	}
 	// An empty run still exposes a valid non-empty page (distfdk_up).
 	b.Reset()
-	if err := WritePrometheus(&b, nil); err != nil {
+	if err := writePrometheus(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidatePrometheus([]byte(b.String())); err != nil {
@@ -77,7 +77,7 @@ func TestValidatePrometheusRejects(t *testing.T) {
 }
 
 func TestBuildStatusReport(t *testing.T) {
-	rep := BuildStatusReport(nil)
+	rep := buildStatusReport(nil)
 	if rep.Schema != StatusSchema || len(rep.Ranks) != 0 {
 		t.Fatalf("nil-run report = %+v, want bare schema document", rep)
 	}
@@ -93,7 +93,7 @@ func TestBuildStatusReport(t *testing.T) {
 	end()
 	run.Shared().Counter("supervise.restarts").Add(2)
 
-	rep = BuildStatusReport(run)
+	rep = buildStatusReport(run)
 	if rep.Schema != StatusSchema {
 		t.Errorf("schema = %q", rep.Schema)
 	}

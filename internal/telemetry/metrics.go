@@ -67,8 +67,8 @@ type RankMetrics struct {
 	SpanCount  int                          `json:"span_count"`
 }
 
-// BuildMetricsReport folds snapshots into the artifact structure.
-func BuildMetricsReport(snaps []Snapshot) *MetricsReport {
+// buildMetricsReport folds snapshots into the artifact structure.
+func buildMetricsReport(snaps []Snapshot) *MetricsReport {
 	rep := &MetricsReport{Schema: MetricsSchema, Cluster: AggregateCounters(snaps),
 		CriticalPath: ComputeCriticalPath(snaps).Summary()}
 	for _, s := range snaps {
@@ -87,7 +87,7 @@ func BuildMetricsReport(snaps []Snapshot) *MetricsReport {
 // artifact. encoding/json sorts map keys, so the output is byte-stable
 // for identical snapshots.
 func WriteMetricsJSON(w io.Writer, snaps []Snapshot) error {
-	out, err := json.MarshalIndent(BuildMetricsReport(snaps), "", "  ")
+	out, err := json.MarshalIndent(buildMetricsReport(snaps), "", "  ")
 	if err != nil {
 		return err
 	}

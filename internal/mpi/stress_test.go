@@ -10,8 +10,13 @@ import (
 // rank-agnostic) schedule of collectives with varying payload sizes. Any
 // ordering or matching bug deadlocks or corrupts; the reductions recycle
 // arena scratch, so a buffer returned while a reader still holds it
-// surfaces under -race.
+// surfaces under -race. The arena is always on; the subtest name records
+// that this is the pooled schedule.
 func TestCollectiveStress(t *testing.T) {
+	t.Run("pooled=true", runCollectiveStress)
+}
+
+func runCollectiveStress(t *testing.T) {
 	const n = 6
 	const rounds = 40
 	// The schedule must be identical across ranks: derive it from a

@@ -248,7 +248,10 @@ func TestWorldSeverMustBeObserved(t *testing.T) {
 // the volume of the default run byte for byte and counts what it counted,
 // kernel.dispatch.* aside: the fast kernel and the row filter each have one
 // arithmetic and spellings of it, and the kernel's counters (kernel.simd_*
-// included) are read off its span decisions, whatever width ran.
+// included) are read off its span decisions, whatever width ran. The default
+// run dispatches the host's widest spelling whatever the width of its rows:
+// on an AVX-512 host its summary names avx512 alone and every rank's
+// launches are all kernel.dispatch.avx512.
 func TestBenchmarkRunsDoNotDependOnAVX2(t *testing.T) {
 	dir := t.TempDir()
 	noisyInput(t, filepath.Join(dir, "in.fbp"))
@@ -277,6 +280,10 @@ func TestBenchmarkRunsDoNotDependOnAVX2(t *testing.T) {
 				return strings.Contains(out, "kernel "+spelling) || strings.Contains(out, "kernel ["+spelling)
 			}
 			switch tag {
+			case "":
+				if cpufeat.AVX512() && !strings.Contains(out, "kernel avx512\n") {
+					t.Errorf("%s on an AVX-512 host: the summary does not name the 16-lane spelling alone:\n%s", w.name, out)
+				}
 			case "-noavx2":
 				if names("avx") || !names("scalar") {
 					t.Errorf("%s without AVX2: the summary does not name the Go spelling alone:\n%s", w.name, out)
@@ -303,7 +310,10 @@ func TestBenchmarkRunsDoNotDependOnAVX2(t *testing.T) {
 				t.Fatal(err)
 			}
 			var kernel []map[string]int64
-			for _, r := range artifact.Ranks {
+			for i, r := range artifact.Ranks {
+				if tag == "" && cpufeat.AVX512() && r.Counters["kernel.dispatch.avx512"] != r.Counters["kernel.launches"] {
+					t.Errorf("%s rank %d: %d of %d launches ran the 16-lane spelling", w.name, i, r.Counters["kernel.dispatch.avx512"], r.Counters["kernel.launches"])
+				}
 				k := map[string]int64{}
 				for name, v := range r.Counters {
 					if strings.HasPrefix(name, "kernel.") && !strings.HasPrefix(name, "kernel.dispatch.") {

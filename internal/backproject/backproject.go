@@ -268,9 +268,11 @@ func (sc *launchScratch) accumulateSlab(dev *device.Device, a projAccess, mats [
 		dev.RecordKernel(0)
 		return nil
 	}
-	// Dispatch once per launch. The assembly spellings need storage offsets
-	// that fit their 32-bit gather indices.
-	a.arith = launchArithmetic(slab.NX)
+	// Dispatch once per launch, to the widest spelling the host runs. The
+	// assembly spellings need storage offsets that fit their 32-bit gather
+	// indices.
+	host := hostArithmetic()
+	a.arith = host
 	a.rowIdx32 = sc.rowIdx32
 	if a.arith != device.ArithmeticScalar && !a.prepareSIMD() {
 		a.arith = device.ArithmeticScalar
@@ -280,7 +282,7 @@ func (sc *launchScratch) accumulateSlab(dev *device.Device, a projAccess, mats [
 	workers := min(dev.WorkerCount(), slab.NZ)
 	sc.counters = zeroed(sc.counters, workers)
 	sc.caches = zeroed(sc.caches, workers)
-	sc.useLanes = hostArithmetic() == device.ArithmeticAVX512
+	sc.useLanes = host == device.ArithmeticAVX512
 	if sc.useLanes {
 		sc.lanes = zeroed(sc.lanes, workers)
 	}
@@ -315,27 +317,6 @@ func (sc *launchScratch) work(w int) {
 		l = &sc.lanes[w]
 	}
 	sc.a.accumulateSlices(w, sc.workers, sc.mats, sc.slab, &sc.caches[w], l, &sc.counters[w])
-}
-
-// minColumns512 is the narrowest volume row the 16-lane spelling runs. A
-// narrower row is cut into at most two 16-column groups, which launch up to
-// a third more lanes than its 8-column groups would, and on such rows more
-// groups are guarded and more slices fall to the gathers, which cost per
-// lane. In BenchmarkStreamingSlab on one CPU of an AVX-512 guest, the
-// 16-lane body read slower than the 8-lane one on the single-filter shape's
-// 24-column rows (paired ratio 1.04, slower in 6 of 8 rounds) and faster on
-// 32-column rows (0.86, 8 of 8); EXPERIMENTS.md has the sweep.
-const minColumns512 = 32
-
-// launchArithmetic is the spelling a launch over rows of nx columns runs:
-// the widest one the host has, except that rows narrower than
-// minColumns512 take the 8-lane assembly in place of the 16-lane one.
-func launchArithmetic(nx int) device.Arithmetic {
-	arith := hostArithmetic()
-	if arith == device.ArithmeticAVX512 && nx < minColumns512 {
-		return device.ArithmeticAVX2
-	}
-	return arith
 }
 
 // Streaming is the paper's kernel: it back-projects the ring-resident

@@ -32,8 +32,7 @@ import (
 // preventing fusion on targets that have a fused multiply-add (make
 // fuse-lint checks the compiled code). No lane ever mixes with another, so
 // the width of a group decides nothing about a column's value.
-// accumulateSlab picks a spelling per launch (launchArithmetic: the widest
-// the host runs, but the 8-lane one for rows narrower than minColumns512)
+// accumulateSlab runs the widest spelling the host has (hostArithmetic)
 // when the storage offsets fit the assembly's 32-bit gather indices, the
 // Go spelling otherwise; the bytes and the counters do not depend on the
 // choice. laneAt is the contract's value at one column,

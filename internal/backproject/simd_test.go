@@ -416,8 +416,7 @@ func TestRecurrenceParityVsExact(t *testing.T) {
 }
 
 // What the kernel computes does not depend on the host: the default
-// dispatch runs the widest spelling the host has (testSystem's rows are
-// wide enough for the 16-lane one) and the ledger names it;
+// dispatch runs the widest spelling the host has and the ledger names it;
 // with AVX-512 masked off the ledger says avx2 (on a host with AVX2), with
 // AVX2 masked off (as on any other host) scalar — and every run agrees with
 // the default byte for byte, with the oracle, and counter for counter
@@ -446,7 +445,7 @@ func TestDefaultKernelDispatch(t *testing.T) {
 		return vol, l
 	}
 
-	got, l := run("default", launchArithmetic(sys.NX))
+	got, l := run("default", hostArithmetic())
 	if l.InteriorSamples == 0 {
 		t.Error("the kernel ran no interior sample")
 	}
@@ -476,15 +475,13 @@ func TestDefaultKernelDispatch(t *testing.T) {
 	}
 }
 
-// Rows narrower than minColumns512 run the 8-lane assembly on an AVX-512
-// host and rows at the bound the 16-lane one, and each holds to the oracle.
-func TestNarrowRowsRunEightLanes(t *testing.T) {
+// Narrow rows run the host's widest spelling like any other (on an AVX-512
+// host an 8-column row holds no whole 16-lane group, so every column takes
+// the guarded body), and each width holds to the oracle.
+func TestNarrowRowsRunWidestSpelling(t *testing.T) {
 	logSkippedSpellings(t)
-	for _, nx := range []int{minColumns512 - 8, minColumns512} {
-		want := hostArithmetic()
-		if want == device.ArithmeticAVX512 && nx < minColumns512 {
-			want = device.ArithmeticAVX2
-		}
+	want := hostArithmetic()
+	for _, nx := range []int{8, 16, 24, 32} {
 		sys := testSystem()
 		sys.NX = nx
 		stack := randomStack(sys, 43)

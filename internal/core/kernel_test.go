@@ -11,13 +11,14 @@ import (
 
 // The fast kernel has one arithmetic and the row filter has one, so what a
 // driver computes does not depend on the host: every driver — single,
-// distributed, a Z window, baseline — run with AVX2 masked off (as on
-// any other host) reproduces its default run byte for byte and counter for
-// counter, except for the count of which spelling was dispatched: the
-// assembly where the host has AVX2, else the Go one. Masking AVX2 also moves
-// the row filter from its vector passes to its Go passes, so the equality
-// is the filter's whole-volume AVX2 ≡ portable check too. The single driver
-// is additionally held to the monolithic batch reference.
+// distributed, a Z window, baseline — run with AVX-512 masked off, and run
+// with AVX2 masked off (as on any other host), reproduces its default run
+// byte for byte and counter for counter, except for the count of which
+// spelling was dispatched: by default the host's widest (the 16-lane
+// assembly where it has AVX-512, else the 8-lane one where it has AVX2,
+// else Go). Masking moves the row filter down its spellings too, so the
+// equality is the filter's whole-volume check as well. The single driver is
+// additionally held to the monolithic batch reference.
 func TestDefaultKernelEveryDriver(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
@@ -92,9 +93,13 @@ func TestDefaultKernelEveryDriver(t *testing.T) {
 		return out
 	}
 
-	host := device.ArithmeticScalar
+	noAVX512 := device.ArithmeticScalar
 	if cpufeat.AVX2() {
-		host = device.ArithmeticAVX2
+		noAVX512 = device.ArithmeticAVX2
+	}
+	host := noAVX512
+	if cpufeat.AVX512() {
+		host = device.ArithmeticAVX512
 	}
 	defaults := make([]run, len(drivers))
 	for i, d := range drivers {
@@ -107,22 +112,32 @@ func TestDefaultKernelEveryDriver(t *testing.T) {
 		}
 	}
 
-	// Any host without AVX2.
-	defer cpufeat.SetAVX2ForTest(false)()
-	for i, d := range drivers {
-		def, masked := defaults[i], d.run()
-		for v := range def.voxels {
-			if def.voxels[v] != masked.voxels[v] {
-				t.Fatalf("%s driver: voxel %d: %g without AVX2, %g by default", d.name, v, masked.voxels[v], def.voxels[v])
+	for _, masked := range []struct {
+		name string
+		mask func(bool) func()
+		want device.Arithmetic
+	}{
+		{"no AVX-512", cpufeat.SetAVX512ForTest, noAVX512},
+		{"no AVX2", cpufeat.SetAVX2ForTest, device.ArithmeticScalar},
+	} {
+		func() {
+			defer masked.mask(false)()
+			for i, d := range drivers {
+				def, got := defaults[i], d.run()
+				for v := range def.voxels {
+					if def.voxels[v] != got.voxels[v] {
+						t.Fatalf("%s driver: voxel %d: %g with %s, %g by default", d.name, v, got.voxels[v], masked.name, def.voxels[v])
+					}
+				}
+				dl, ml := said(d.name, def, host), said(d.name+" ("+masked.name+")", got, masked.want)
+				for r := range dl {
+					// Transfer and launch counts are in the ledger too: they
+					// must not move either.
+					if dl[r] != ml[r] {
+						t.Errorf("%s driver, ledger %d: counters depend on the dispatch:\ndefault %+v\n%s %+v", d.name, r, dl[r], masked.name, ml[r])
+					}
+				}
 			}
-		}
-		dl, ml := said(d.name, def, host), said(d.name+" (no AVX2)", masked, device.ArithmeticScalar)
-		for r := range dl {
-			// Transfer and launch counts are in the ledger too: they must
-			// not move either.
-			if dl[r] != ml[r] {
-				t.Errorf("%s driver, ledger %d: counters depend on the dispatch:\ndefault %+v\nno AVX2 %+v", d.name, r, dl[r], ml[r])
-			}
-		}
+		}()
 	}
 }

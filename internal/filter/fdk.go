@@ -13,16 +13,15 @@ import (
 // detector row is multiplied point-wise by the cosine (distance) weight
 // Dsd/√(D(u,v)²+Dsd²) and then convolved with the one-dimensional ramp
 // filter. One FDK value is built per acquisition geometry and is safe for
-// concurrent use by many goroutines: each supplies its own Scratch or
-// borrows one from the filter's pool. A filtered row's bytes depend on that
-// row and its v only — never on which rows it is filtered next to, or by
-// which worker.
+// concurrent use by many goroutines: each worker borrows a workspace from
+// the filter's pool. A filtered row's bytes depend on that row and its v
+// only — never on which rows it is filtered next to, or by which worker.
 type FDK struct {
 	nu, nv  int
 	plan    *fft.RealPlan // carries the windowed ramp's response
 	weights []float32     // nv×nu cosine weights, row-major
 	window  Window
-	scratch sync.Pool // of *Scratch
+	pool    sync.Pool // of *scratch
 }
 
 // Config carries the geometry slice that filtering needs. Scale folds the
@@ -80,7 +79,7 @@ func NewFDK(cfg Config) (*FDK, error) {
 		return nil, err
 	}
 	f := &FDK{nu: cfg.NU, nv: cfg.NV, plan: plan, window: cfg.Window}
-	f.scratch.New = func() any { return f.NewScratch() }
+	f.pool.New = func() any { return f.newScratch() }
 	f.weights = make([]float32, cfg.NV*cfg.NU)
 	cu := (float64(cfg.NU)-1)/2 + cfg.SigmaU
 	cv := (float64(cfg.NV)-1)/2 + cfg.SigmaV
@@ -104,48 +103,28 @@ func (f *FDK) NV() int { return f.nv }
 // Window returns the apodisation window in use.
 func (f *FDK) Window() Window { return f.window }
 
-// FFTSize returns the transform length used for row filtering.
-func (f *FDK) FFTSize() int { return f.plan.Size() }
-
-// Scratch is the per-goroutine workspace for row filtering: fft.Lanes rows,
+// scratch is the per-goroutine workspace for row filtering: fft.Lanes rows,
 // each row's even and odd samples as the real and imaginary parts of one
-// complex sequence of FFTSize/2 points, lane-interleaved as
+// complex sequence of half the transform's points, lane-interleaved as
 // fft.RealPlan.ConvolveLanes takes them.
-type Scratch struct {
+type scratch struct {
 	zr, zi []float64
 }
 
-// NewScratch allocates a workspace sized for this filter.
-func (f *FDK) NewScratch() *Scratch {
+// newScratch allocates a workspace sized for this filter.
+func (f *FDK) newScratch() *scratch {
 	n := f.plan.WorkLen()
-	return &Scratch{zr: make([]float64, n), zi: make([]float64, n)}
-}
-
-// FilterRow filters one detector row in place, as a batch of one. v is the
-// physical detector row index of the data (used to look up the cosine
-// weight); it must lie in [0, NV). A short scan's redundancy weights are
-// applied to the row beforehand (Parker.ApplyRow). A nil s borrows a
-// workspace from the filter's pool for the call.
-func (f *FDK) FilterRow(row []float32, v int, s *Scratch) error {
-	if len(row) != f.nu {
-		return fmt.Errorf("filter: row length %d, want %d", len(row), f.nu)
-	}
-	vs := [1]int{v}
-	return f.filterBatch(row, vs[:], s)
+	return &scratch{zr: make([]float64, n), zi: make([]float64, n)}
 }
 
 // filterBatch filters the len(vs) ≤ fft.Lanes rows stored back to back in
 // rows, row l at detector row vs[l], in one transform: row l in lane l, the
 // lanes past the last row zero. Every row is packed before any is written.
-func (f *FDK) filterBatch(rows []float32, vs []int, s *Scratch) error {
+func (f *FDK) filterBatch(rows []float32, vs []int, s *scratch) error {
 	for _, v := range vs {
 		if v < 0 || v >= f.nv {
 			return fmt.Errorf("filter: row index %d outside detector [0,%d)", v, f.nv)
 		}
-	}
-	if s == nil {
-		s = f.scratch.Get().(*Scratch)
-		defer f.scratch.Put(s)
 	}
 	pack(s.zr, s.zi, rows, f.nu, f.weights, vs)
 	if err := f.plan.ConvolveLanes(s.zr, s.zi, (f.nu+1)/2); err != nil {
@@ -191,8 +170,8 @@ func (f *FDK) FilterRows(data []float32, count int, vOf func(i int) int, workers
 
 // filterBlock filters FilterRows' batches [lo, hi) on one workspace.
 func (f *FDK) filterBlock(data []float32, count int, vOf func(i int) int, lo, hi int) error {
-	s := f.scratch.Get().(*Scratch)
-	defer f.scratch.Put(s)
+	s := f.pool.Get().(*scratch)
+	defer f.pool.Put(s)
 	var vs [fft.Lanes]int
 	for b := lo; b < hi; b++ {
 		first, last := b*fft.Lanes, min((b+1)*fft.Lanes, count)

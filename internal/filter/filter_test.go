@@ -160,7 +160,7 @@ func sq(x float64) float64 { return x * x }
 
 func TestFilterRowErrors(t *testing.T) {
 	f, _ := NewFDK(testConfig())
-	s := f.NewScratch()
+	s := f.newScratch()
 	if err := f.FilterRow(make([]float32, 10), 0, s); err == nil {
 		t.Error("expected row-length error")
 	}
@@ -176,7 +176,7 @@ func TestFilterRowErrors(t *testing.T) {
 // band-limited ramp is orders of magnitude below mid-band.
 func TestFilterRowKillsDC(t *testing.T) {
 	f, _ := NewFDK(testConfig())
-	s := f.NewScratch()
+	s := f.newScratch()
 	row := make([]float32, 64)
 	for i := range row {
 		row[i] = 1
@@ -199,7 +199,7 @@ func TestFilterRowKillsDC(t *testing.T) {
 func TestFilterRowImpulseShape(t *testing.T) {
 	cfg := testConfig()
 	f, _ := NewFDK(cfg)
-	s := f.NewScratch()
+	s := f.newScratch()
 	row := make([]float32, cfg.NU)
 	const at = 32
 	row[at] = 1
@@ -223,7 +223,7 @@ func TestFilterRowImpulseShape(t *testing.T) {
 // Property: filtering is linear in the row values.
 func TestFilterRowLinearity(t *testing.T) {
 	f, _ := NewFDK(testConfig())
-	s := f.NewScratch()
+	s := f.newScratch()
 	prop := func(seed int64, a8 int8) bool {
 		a := float32(a8) / 8
 		rng := rand.New(rand.NewSource(seed))

@@ -42,7 +42,7 @@ func TestFilterRowStaysInsideItsBuffers(t *testing.T) {
 		f.weights = cosine
 		m := f.plan.WorkLen()
 		work := func() []float64 { return unsafe.Slice((*float64)(guarded(t, m*8)), m) }
-		s := &Scratch{zr: work(), zi: work()}
+		s := &scratch{zr: work(), zi: work()}
 		row := unsafe.Slice((*float32)(guarded(t, nu*4)), nu)
 		copy(row, randomRow(rng, nu))
 		want := filtered(t, f, row, last, nil)

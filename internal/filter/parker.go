@@ -83,9 +83,6 @@ func parkerWeight(b, gamma, gammaM float64) float64 {
 	}
 }
 
-// Weight returns the weight of projection p, column u.
-func (pk *Parker) Weight(p, u int) float32 { return pk.weights[p*pk.nu+u] }
-
 // ApplyRow weights one detector row of projection p in place.
 func (pk *Parker) ApplyRow(row []float32, p int) error {
 	if len(row) != pk.nu {

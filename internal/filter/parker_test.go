@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Weight returns the weight of projection p, column u.
+func (pk *Parker) Weight(p, u int) float32 { return pk.weights[p*pk.nu+u] }
+
 func parkerFixture(t *testing.T) (*Parker, []float64, float64, float64) {
 	t.Helper()
 	const (

@@ -29,8 +29,27 @@ func randomRow(rng *rand.Rand, nu int) []float32 {
 	return row
 }
 
+// FFTSize returns the transform length used for row filtering.
+func (f *FDK) FFTSize() int { return f.plan.Size() }
+
+// FilterRow filters one detector row in place, as a batch of one. v is the
+// physical detector row index of the data (used to look up the cosine
+// weight); it must lie in [0, NV). A nil s borrows a workspace from the
+// filter's pool for the call.
+func (f *FDK) FilterRow(row []float32, v int, s *scratch) error {
+	if len(row) != f.nu {
+		return fmt.Errorf("filter: row length %d, want %d", len(row), f.nu)
+	}
+	if s == nil {
+		s = f.pool.Get().(*scratch)
+		defer f.pool.Put(s)
+	}
+	vs := [1]int{v}
+	return f.filterBatch(row, vs[:], s)
+}
+
 // filtered returns a filtered copy of src, which is left as it was.
-func filtered(t *testing.T, f *FDK, src []float32, v int, s *Scratch) []float32 {
+func filtered(t *testing.T, f *FDK, src []float32, v int, s *scratch) []float32 {
 	t.Helper()
 	row := append([]float32(nil), src...)
 	if err := f.FilterRow(row, v, s); err != nil {
@@ -86,7 +105,7 @@ func TestSpellingsFilterTheSameRows(t *testing.T) {
 			vOf := func(i int) int { return i % f.nv }
 			var wantRow, wantRows []float32
 			spellings(t, func(name string) {
-				row := filtered(t, f, src[:nu], 3, f.NewScratch())
+				row := filtered(t, f, src[:nu], 3, f.newScratch())
 				rows := append([]float32(nil), src...)
 				if err := f.FilterRows(rows, count, vOf, 1); err != nil {
 					t.Fatal(err)
@@ -116,9 +135,9 @@ func TestFilteredRowIsIndependentOfNeighbours(t *testing.T) {
 		}
 		const v = 2
 		row := randomRow(rng, nu)
-		want := filtered(t, f, row, v, f.NewScratch())
+		want := filtered(t, f, row, v, f.newScratch())
 		spellings(t, func(name string) {
-			dirty := f.NewScratch()
+			dirty := f.newScratch()
 			if err := f.FilterRows(randomRow(rng, fft.Lanes*nu), fft.Lanes, func(i int) int { return i % 5 }, 1); err != nil {
 				t.Fatal(err)
 			}

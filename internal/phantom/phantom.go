@@ -91,17 +91,6 @@ type Phantom struct {
 	Ellipsoids []Ellipsoid
 }
 
-// Density returns the summed density at a normalised point.
-func (p *Phantom) Density(x, y, z float64) float64 {
-	var d float64
-	for i := range p.Ellipsoids {
-		if p.Ellipsoids[i].Contains(x, y, z) {
-			d += p.Ellipsoids[i].Rho
-		}
-	}
-	return d
-}
-
 // SheppLogan returns the standard 3-D Shepp–Logan head phantom (the
 // Kak–Slaney variant with high-contrast densities, so reconstructions are
 // visually inspectable like the paper's Figure 8).
@@ -240,8 +229,9 @@ func (p *Phantom) Voxelize(sys *geometry.System, scale float64, super int) (*vol
 	// ellipsoids that contain it in phantom order, from zero: ellipsoid by
 	// ellipsoid, ρ over its span's sure interior and over the candidates
 	// inside accepts. acc sums one slice's sub-samples voxel by voxel in the
-	// order (sk, sj, si), from zero. These are the sums of the per-point
-	// Density loop, term for term. An ellipsoid left out of a sub-slice is
+	// order (sk, sj, si), from zero. These are the sums of a per-point loop
+	// that adds ρ of every ellipsoid that Contains the sub-sample, in phantom
+	// order, term for term. An ellipsoid left out of a sub-slice is
 	// one Contains rejects there (zTerm), a sub-sample left out of its span
 	// one inside rejects (span).
 	acc := make([]float64, sys.NX*sys.NY)

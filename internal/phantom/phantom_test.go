@@ -49,19 +49,19 @@ func TestSheppLoganDensities(t *testing.T) {
 		t.Fatalf("Shepp–Logan has %d ellipsoids, want 10", len(p.Ellipsoids))
 	}
 	// Centre of the head: skull (1.0) + brain (−0.8) = 0.2.
-	if d := p.Density(0, 0, 0); math.Abs(d-0.2) > 1e-12 {
+	if d := densityOracle(p, 0, 0, 0); math.Abs(d-0.2) > 1e-12 {
 		t.Errorf("centre density = %g, want 0.2", d)
 	}
 	// Outside the skull: 0.
-	if d := p.Density(0.95, 0, 0); d != 0 {
+	if d := densityOracle(p, 0.95, 0, 0); d != 0 {
 		t.Errorf("outside density = %g, want 0", d)
 	}
 	// Inside the skull shell only: 1.0.
-	if d := p.Density(0, 0.9, 0); math.Abs(d-1.0) > 1e-12 {
+	if d := densityOracle(p, 0, 0.9, 0); math.Abs(d-1.0) > 1e-12 {
 		t.Errorf("skull shell density = %g, want 1.0", d)
 	}
 	// Inside a ventricle (left ellipsoid at x=−0.22): 0.2 − 0.2 = 0.
-	if d := p.Density(-0.22, 0, 0); math.Abs(d-0.0) > 1e-12 {
+	if d := densityOracle(p, -0.22, 0, 0); math.Abs(d-0.0) > 1e-12 {
 		t.Errorf("ventricle density = %g, want 0", d)
 	}
 }

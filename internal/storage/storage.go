@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -213,11 +212,9 @@ func (s *FileSource) LoadRows(rows geometry.RowRange, pLo, pHi int) (*projection
 // restart redoes only the missing slabs. Slab writes land at fixed
 // offsets, which makes retried and replayed stores idempotent.
 type SlabWriter struct {
-	f       *os.File
-	path    string        // final destination; f writes to path+".partial"
-	hdr     volume.Header // the window the file holds: slices [Z0, Z0+NZ)
-	mu      sync.Mutex
-	written int
+	f    *os.File
+	path string        // final destination; f writes to path+".partial"
+	hdr  volume.Header // the window the file holds: slices [Z0, Z0+NZ)
 
 	// tel holds the I/O telemetry handles (see SetTelemetry); installed
 	// before the writer is shared, read-only afterwards.
@@ -335,17 +332,7 @@ func (w *SlabWriter) WriteSlab(slab *volume.Volume) error {
 		t.writeBytes.Add(slab.Bytes())
 		t.writeNs.Add(int64(time.Since(t0)))
 	}
-	w.mu.Lock()
-	w.written += slab.NZ
-	w.mu.Unlock()
 	return nil
-}
-
-// WrittenSlices returns the number of Z slices stored so far.
-func (w *SlabWriter) WrittenSlices() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.written
 }
 
 // Sync flushes written slabs to stable storage. Group leaders call it

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"runtime"
 	"strings"
@@ -50,7 +49,7 @@ func main() {
 	// experiment is in flight and how many finished.
 	benchRun := telemetry.NewRun(1)
 	if *pprofAddr != "" {
-		srv, err := telemetry.ListenStatus(*pprofAddr, benchRun)
+		srv, err := listenStatus(*pprofAddr, benchRun)
 		if err != nil {
 			log.Fatalf("fdkbench: %v", err)
 		}

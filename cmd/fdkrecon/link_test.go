@@ -4,6 +4,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,5 +41,32 @@ func TestBinaryLinksNoExperiment(t *testing.T) {
 	runner := regexp.MustCompile(`(?m) distfdk/internal/experiments\.(Fig|Table|Ablation)\S*$`)
 	if found := runner.FindAllString(nm, -1); len(found) > 0 {
 		t.Fatalf("fdkrecon links %d experiment functions, e.g.%s", len(found), found[0])
+	}
+}
+
+// fdkrecon serves nothing and resolves no name: it reaches its workers
+// through nettrans's syscall sockets. Package net links the resolver and
+// cgo, which makes the binary dynamically linked and costs each process
+// about 1.5 ms before main; net/http (once pulled in for a profiling
+// endpoint) doubles the package count. One stray import brings the cost
+// back and no benchmark row names the cause, so the dependency list is
+// held here.
+func TestBinaryLinksNoNetworkStack(t *testing.T) {
+	gotool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command on PATH")
+	}
+	out, err := exec.Command(gotool, "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	deps := strings.Fields(string(out))
+	if !slices.Contains(deps, "distfdk/internal/mpi/nettrans") {
+		t.Fatalf("go list -deps does not list nettrans, which fdkrecon imports:\n%s", out)
+	}
+	for _, pkg := range []string{"runtime/cgo", "net", "net/http", "crypto/tls"} {
+		if slices.Contains(deps, pkg) {
+			t.Errorf("fdkrecon links %s", pkg)
+		}
 	}
 }

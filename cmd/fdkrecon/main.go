@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,7 +68,6 @@ func main() {
 		iters     = flag.Int("iters", 10, "iterations for the iterative algorithms")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) of the run")
 		metrics   = flag.String("metrics-json", "", "write the run's metrics JSON artifact")
-		pprof     = flag.String("pprof", "", "serve net/http/pprof, Prometheus /metrics and /statusz on this address (e.g. localhost:6060)")
 		journal   = flag.String("journal", "", "checkpoint journal path: durable slab output with crash resume and supervised shrink-and-resume through rank loss; without it the first lost rank fails the run")
 		restarts  = flag.Int("max-restarts", core.DefaultMaxRestarts, "restart budget of the supervised run, 0 = one attempt (needs -journal)")
 		backoff   = flag.Duration("restart-backoff", core.DefaultRestartBackoff, "initial relaunch backoff, doubled per restart (needs -journal)")
@@ -139,17 +137,8 @@ func main() {
 	// Telemetry is collected whenever any consumer of it was requested;
 	// otherwise every instrumented path stays at a single pointer check.
 	var run *telemetry.Run
-	if *traceOut != "" || *metrics != "" || *pprof != "" || *timeline {
+	if *traceOut != "" || *metrics != "" || *timeline {
 		run = telemetry.NewRun(plan.Ranks())
-	}
-	if *pprof != "" {
-		srv, err := servePprof(*pprof, run)
-		if err != nil {
-			// -pprof was explicitly requested; a busy port must fail fast,
-			// not leave the run silently unobservable.
-			log.Fatal(err)
-		}
-		defer srv.Close()
 	}
 
 	inj, err := buildChaosInjector(*kills, *severSpec)
@@ -416,21 +405,6 @@ func runIterative(algo string, sys *geometry.System, source projection.Source, i
 		return nil, err
 	}
 	return res.Volume, nil
-}
-
-// servePprof starts the live introspection endpoint: net/http/pprof on
-// /debug/pprof, Prometheus text exposition on /metrics and the
-// distfdk-status/1 JSON on /statusz — all live while back-projection runs.
-// The bind is synchronous, so a busy port surfaces as a typed
-// *telemetry.ServeError to the caller instead of a log line from a
-// background goroutine.
-func servePprof(addr string, run *telemetry.Run) (*telemetry.StatusServer, error) {
-	srv, err := telemetry.ListenStatus(addr, run)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("introspection endpoints on http://%s/{debug/pprof,metrics,statusz}\n", srv.Addr())
-	return srv, nil
 }
 
 // writeTelemetry writes the requested trace/metrics artifacts from the

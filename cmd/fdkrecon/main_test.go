@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,7 +11,6 @@ import (
 
 	"distfdk/internal/core"
 	"distfdk/internal/fault"
-	"distfdk/internal/telemetry"
 )
 
 func TestValidateRunFlags(t *testing.T) {
@@ -217,42 +215,5 @@ func TestNetFlagsValidate(t *testing.T) {
 	}
 	if (netFlags{}).active() || !(netFlags{world: 2}).active() || !(netFlags{worker: true}).active() {
 		t.Error("active() disagrees with the flag semantics")
-	}
-}
-
-// An explicit -pprof on a busy port must surface as a typed error from
-// servePprof before any reconstruction work starts — the CLI fails fast
-// instead of running unobservable.
-func TestServePprofBindFailure(t *testing.T) {
-	run := telemetry.NewRun(1)
-	busy, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer busy.Close()
-
-	_, err = servePprof(busy.Addr().String(), run)
-	if err == nil {
-		t.Fatal("servePprof bound a busy port")
-	}
-	var se *telemetry.ServeError
-	if !errors.As(err, &se) {
-		t.Fatalf("error is %T, want *telemetry.ServeError", err)
-	}
-	if se.Addr != busy.Addr().String() {
-		t.Errorf("ServeError.Addr = %q, want %q", se.Addr, busy.Addr().String())
-	}
-	if se.Unwrap() == nil {
-		t.Error("ServeError carries no cause")
-	}
-
-	// A free port succeeds and serves immediately.
-	srv, err := servePprof("127.0.0.1:0", run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.Addr() == "" {
-		t.Error("bound server reports no address")
 	}
 }

@@ -26,7 +26,7 @@ const commonReads = "dataset div n in o slice stats workers algo"
 
 var modeReads = map[string]string{
 	"-algo": "iters",
-	"fdk": "window zlo znz groups ranks batches devmem timeline trace-out metrics-json pprof " +
+	"fdk": "window zlo znz groups ranks batches devmem timeline trace-out metrics-json " +
 		"journal max-restarts restart-backoff deadline kill world sever worker proc procs connect",
 }
 

@@ -2,9 +2,10 @@ package nettrans
 
 import (
 	"bufio"
-	"net"
+	"io"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"distfdk/internal/fault"
@@ -24,6 +25,16 @@ type wireItem struct {
 	writing, acked bool
 }
 
+// conn is the stream a link runs on: a socket of sock_unix.go, an *os.File,
+// in a running world; a test may pass a *net.TCPConn, which has the same
+// methods.
+type conn interface {
+	io.ReadWriteCloser
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
+	SyscallConn() (syscall.RawConn, error)
+}
+
 // link is one reliable, reconnectable stream between this process and a
 // peer process (workers hold exactly one, to the hub; the hub holds one
 // per worker). Reliable frames get link-scoped sequence numbers and are
@@ -36,7 +47,7 @@ type link struct {
 	proc int // peer proc id
 
 	mu        sync.Mutex
-	conn      net.Conn
+	conn      conn
 	gen       int  // connection generation, guards stale reader callbacks
 	engaged   bool // true once the link has ever been wanted (death windows apply)
 	down      bool
@@ -58,8 +69,9 @@ type link struct {
 	sinceAck int // reliable frames delivered since the last ack we sent
 
 	wmu sync.Mutex // serialises raw conn writes (writer, heartbeats, acks)
-	vec [3][]byte  // backs out, under wmu
-	out net.Buffers
+	vw  vecWriter  // under wmu
+
+	out [][]byte // the writer's buffers for its next writev
 
 	turn *sync.Cond // on mu: sentSeq moved, or the connection went away
 
@@ -180,7 +192,7 @@ func (l *link) handleAck(ack uint64) {
 // attach installs a fresh connection after a successful handshake:
 // everything the peer has not acked is scheduled for replay, in order,
 // before new traffic.
-func (l *link) attach(conn net.Conn, peerAck uint64) {
+func (l *link) attach(conn conn, peerAck uint64) {
 	l.handleAck(peerAck)
 	l.mu.Lock()
 	if l.conn != nil {
@@ -219,14 +231,13 @@ func (l *link) connBroken(gen int) {
 	l.bump(l.redial)
 }
 
-// rawWrite writes a frame's parts on conn as one writev, under the write
-// mutex with the configured write deadline; on failure the generation's
-// connection is torn down.
-func (l *link) rawWrite(conn net.Conn, gen int, parts ...[]byte) bool {
+// rawWrite writes parts on conn as one writev, under the write mutex with
+// the configured write deadline; on failure the generation's connection is
+// torn down.
+func (l *link) rawWrite(conn conn, gen int, parts ...[]byte) bool {
 	l.wmu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.DeathAfter))
-	l.out = append(l.vec[:0], parts...)
-	_, err := l.out.WriteTo(conn)
+	err := l.vw.write(conn, parts)
 	l.wmu.Unlock()
 	if err != nil {
 		l.connBroken(gen)
@@ -235,9 +246,11 @@ func (l *link) rawWrite(conn net.Conn, gen int, parts ...[]byte) bool {
 	return true
 }
 
-// writeLoop drains pending frames onto whatever connection is live,
-// applying the wire fault layer to frames this process originated.
+// writeLoop drains pending frames onto whatever connection is live: each
+// turn takes every frame queued behind the writer and sends the run in one
+// writev, so a burst of small frames (credits, control) costs one syscall.
 func (l *link) writeLoop() {
+	var run []*wireItem
 	for {
 		l.mu.Lock()
 		if l.dead {
@@ -246,14 +259,16 @@ func (l *link) writeLoop() {
 		}
 		conn := l.conn
 		gen := l.gen
-		var item *wireItem
-		if conn != nil && l.nextWrite < len(l.pending) {
-			item = l.pending[l.nextWrite]
-			item.writing = true
-			l.nextWrite++
+		run = run[:0]
+		if conn != nil {
+			run = append(run, l.pending[l.nextWrite:]...)
+			l.nextWrite = len(l.pending)
+			for _, item := range run {
+				item.writing = true
+			}
 		}
 		l.mu.Unlock()
-		if item == nil {
+		if len(run) == 0 {
 			select {
 			case <-l.notify:
 				continue
@@ -261,67 +276,88 @@ func (l *link) writeLoop() {
 				return
 			}
 		}
-		turned := l.put(conn, gen, item)
+		turned := l.put(conn, gen, run)
 		l.mu.Lock()
-		if turned && gen == l.gen {
-			l.sentSeq = item.f.seq
+		if turned > 0 && gen == l.gen {
+			l.sentSeq = run[turned-1].f.seq
 		}
-		if item.writing = false; item.acked {
-			item.f.release()
+		for _, item := range run {
+			if item.writing = false; item.acked {
+				item.f.release()
+			}
 		}
 		l.turn.Broadcast()
 		l.mu.Unlock()
+		clear(run)
 	}
 }
 
-// put gives one pending frame its turn on conn, through the wire fault
-// layer when this process originated it. It reports whether that turn is
-// over; false means a sever rule cut the connection before the write.
-func (l *link) put(conn net.Conn, gen int, item *wireItem) bool {
-	parts := item.f.seal()
-	retransmit := item.writes > 0
-	item.writes++
-	if retransmit {
-		l.n.st.retransmits.Inc()
+// put gives a run of pending frames their turn on conn, through the wire
+// fault layer for the frames this process originated, and reports how many
+// of them had it; the rest (after a sever rule cut the connection) ride the
+// post-reconnect replay. The fault layer judges each frame on its own: a
+// frame it may act on goes out after everything before it is written, so
+// a delay stalls that frame and what follows it, and a sever cuts the
+// connection after its predecessors, exactly as if each frame were written
+// alone.
+func (l *link) put(conn conn, gen int, run []*wireItem) int {
+	queued := int64(0) // frames in l.out
+	queue := func(frames int64, parts ...[]byte) {
+		l.out = append(l.out, parts...)
+		queued += frames
 	}
-
-	if inj := l.n.cfg.Injector; inj != nil && item.chaos {
+	flush := func() bool {
+		ok := len(l.out) == 0 || l.rawWrite(conn, gen, l.out...)
+		if ok {
+			l.n.st.framesSent.Add(queued)
+		}
+		clear(l.out)
+		l.out, queued = l.out[:0], 0
+		return ok
+	}
+	inj := l.n.cfg.Injector
+	for i, item := range run {
+		if inj != nil && item.chaos && !flush() {
+			return i
+		}
+		parts := item.f.seal()
+		if item.writes > 0 {
+			l.n.st.retransmits.Inc()
+		}
+		item.writes++
+		if inj == nil || !item.chaos {
+			queue(1, parts...)
+			continue
+		}
 		rank := int(item.f.src)
 		inj.Hit(fault.OpFrameDelay, rank) // stalls when a delay rule matches
-		if inj.Hit(fault.OpSever, rank) != nil {
+		switch {
+		case inj.Hit(fault.OpSever, rank) != nil:
 			// Close before writing: the frame stays pending and rides
 			// the post-reconnect replay. Counted here, where the cut is
 			// made: a reconnect elsewhere is not evidence of this one.
 			l.n.st.severs.Inc()
 			l.connBroken(gen)
-			return false
-		}
-		if inj.Hit(fault.OpFrameDrop, rank) != nil {
+			return i
+		case inj.Hit(fault.OpFrameDrop, rank) != nil:
 			// Never hits the socket; the peer detects the sequence gap
 			// (next frame or heartbeat cursor) and forces a
 			// reconnect-replay.
 			l.n.st.framesSent.Inc()
-			return true
-		}
-		if inj.Hit(fault.OpFrameCorrupt, rank) != nil {
+		case inj.Hit(fault.OpFrameCorrupt, rank) != nil:
+			// The peer CRC-fails, reconnects, and the replay delivers it.
 			mut := slices.Concat(parts...)
 			mut[len(mut)-1] ^= 0x40 // inside the CRC trailer
-			l.rawWrite(conn, gen, mut)
-			l.n.st.framesSent.Inc()
-			return true // peer CRC-fails, reconnects, replay delivers it
-		}
-		if inj.Hit(fault.OpFrameDup, rank) != nil {
-			if l.rawWrite(conn, gen, parts...) {
-				l.rawWrite(conn, gen, parts...)
-				l.n.st.framesSent.Add(2)
-			}
-			return true
+			queue(1, mut)
+		case inj.Hit(fault.OpFrameDup, rank) != nil:
+			queue(1, parts...)
+			queue(1, parts...)
+		default:
+			queue(1, parts...)
 		}
 	}
-	if l.rawWrite(conn, gen, parts...) {
-		l.n.st.framesSent.Inc()
-	}
-	return true
+	flush()
+	return len(run)
 }
 
 // heartbeat writes the liveness probe directly, outside the replay
@@ -415,7 +451,7 @@ func (l *link) isDead() bool {
 // readLoop decodes frames off one connection generation. Any decode
 // error — torn tail, CRC mismatch, sequence gap — tears the connection
 // down; the reconnect handshake's replay restores the stream.
-func (l *link) readLoop(conn net.Conn, gen int) {
+func (l *link) readLoop(conn conn, gen int) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		f, err := readFrame(br)
@@ -516,7 +552,7 @@ func (l *link) dialLoop() {
 
 // dialOnce attempts one connect + hello handshake.
 func (l *link) dialOnce() bool {
-	conn, err := net.DialTimeout("tcp", l.n.cfg.Addr, l.n.cfg.DeathAfter)
+	conn, err := dialTCP(l.n.cfg.Addr, l.n.cfg.DeathAfter)
 	if err != nil {
 		return false
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -25,8 +24,8 @@ const (
 // Config describes one process's place in a socket world.
 type Config struct {
 	// Addr is the hub's TCP listen address (hub) or dial target
-	// (workers). A hub Addr of "127.0.0.1:0" picks a free port — read it
-	// back with Addr().
+	// (workers), an IPv4 literal with a port. A hub Addr of "127.0.0.1:0"
+	// picks a free port — read it back with Addr().
 	Addr string
 	// Proc is this process's id; proc 0 is the hub every worker dials.
 	Proc  int
@@ -115,7 +114,7 @@ type epochState struct {
 // identical.
 type Node struct {
 	cfg Config
-	ln  net.Listener
+	ln  *listener
 	st  *stats
 
 	mu        sync.Mutex
@@ -152,7 +151,7 @@ func NewNode(cfg Config) (*Node, error) {
 		verdicts:  map[int]*outcome{},
 	}
 	if n.isHub() {
-		ln, err := net.Listen("tcp", cfg.Addr)
+		ln, err := listenTCP(cfg.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("nettrans: hub listen: %w", err)
 		}
@@ -174,7 +173,7 @@ func (n *Node) Addr() string {
 	if n.ln == nil {
 		return n.cfg.Addr
 	}
-	return n.ln.Addr().String()
+	return n.ln.addr
 }
 
 // Close tears the node down: listener, connections, goroutines.
@@ -273,7 +272,7 @@ func (n *Node) acceptLoop() {
 // handshake validates a worker's hello and attaches the connection. The
 // helloAck (carrying the hub's receive cursor for replay) is written
 // before the link's writer can race new frames onto the wire.
-func (n *Node) handshake(conn net.Conn) {
+func (n *Node) handshake(conn conn) {
 	conn.SetReadDeadline(time.Now().Add(n.cfg.DeathAfter))
 	f, err := readFrame(conn)
 	conn.SetReadDeadline(time.Time{})

@@ -1,16 +1,15 @@
 // Live run introspection: the post-mortem registry snapshots double as a
 // live data source because every read path (Snapshot, Status, Flows) is
-// lock-consistent while writers are still recording. This file serves
+// lock-consistent while writers are still recording. This file renders
 // them two ways while back-projection is in flight — Prometheus text
-// exposition on /metrics and a distfdk-status/1 JSON view on /statusz.
+// exposition and a distfdk-status/1 JSON view — for an endpoint to serve
+// (fdkbench -pprof serves them on /metrics and /statusz). No HTTP here:
+// every binary links this package, and a reconstruction serves nothing.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,13 +43,13 @@ func promRank(rank int) string {
 	return strconv.Itoa(rank)
 }
 
-// writePrometheus renders the snapshots in Prometheus text exposition
+// WritePrometheus renders the snapshots in Prometheus text exposition
 // format (version 0.0.4): counters, gauges and histograms with a `rank`
 // label, grouped under one # TYPE line per metric, names sorted so the
 // output is deterministic. A `distfdk_up 1` gauge is always present, so
 // a scrape that lands before the run records anything still sees a valid
 // non-empty exposition.
-func writePrometheus(w io.Writer, snaps []Snapshot) error {
+func WritePrometheus(w io.Writer, snaps []Snapshot) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %sup gauge\n%sup 1\n", promPrefix, promPrefix); err != nil {
 		return err
 	}
@@ -195,9 +194,9 @@ type StatusReport struct {
 // StatusSchema is the versioned schema tag of the /statusz document.
 const StatusSchema = "distfdk-status/1"
 
-// buildStatusReport assembles the live status view from the run's
+// BuildStatusReport assembles the live status view from the run's
 // current registries. Safe to call while ranks are recording.
-func buildStatusReport(run *Run) StatusReport {
+func BuildStatusReport(run *Run) StatusReport {
 	rep := StatusReport{Schema: StatusSchema, UptimeNs: int64(run.Elapsed())}
 	if run == nil {
 		return rep
@@ -222,68 +221,4 @@ func buildStatusReport(run *Run) StatusReport {
 		})
 	}
 	return rep
-}
-
-// ServeError is the typed failure ListenStatus returns when the
-// introspection endpoint cannot bind — so a CLI that was explicitly
-// asked for -pprof fails fast instead of logging and running blind.
-type ServeError struct {
-	Addr string
-	Err  error
-}
-
-func (e *ServeError) Error() string {
-	return fmt.Sprintf("status endpoint %s: %v", e.Addr, e.Err)
-}
-
-func (e *ServeError) Unwrap() error { return e.Err }
-
-// StatusServer is the live introspection endpoint: /metrics (Prometheus
-// text format) and /statusz (JSON) backed by the run's registries, with
-// everything else (pprof) delegated to http.DefaultServeMux.
-type StatusServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// ListenStatus binds addr and serves the run's live status. The bind is
-// synchronous — a busy port surfaces as a *ServeError before any work
-// starts — and request serving runs in a background goroutine.
-func ListenStatus(addr string, run *Run) (*StatusServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, &ServeError{Addr: addr, Err: err}
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writePrometheus(w, run.Snapshots())
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(buildStatusReport(run))
-	})
-	// pprof registers on the default mux; keep serving it.
-	mux.Handle("/", http.DefaultServeMux)
-	s := &StatusServer{ln: ln, srv: &http.Server{Handler: mux}}
-	go s.srv.Serve(ln)
-	return s, nil
-}
-
-// Addr returns the bound address (useful with ":0" in tests).
-func (s *StatusServer) Addr() string {
-	if s == nil || s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Close stops the server.
-func (s *StatusServer) Close() error {
-	if s == nil || s.srv == nil {
-		return nil
-	}
-	return s.srv.Close()
 }

@@ -1,10 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"errors"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 )
@@ -22,7 +18,7 @@ func liveSnapshots() []Snapshot {
 
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	var b strings.Builder
-	if err := writePrometheus(&b, liveSnapshots()); err != nil {
+	if err := WritePrometheus(&b, liveSnapshots()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -50,7 +46,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	}
 	// An empty run still exposes a valid non-empty page (distfdk_up).
 	b.Reset()
-	if err := writePrometheus(&b, nil); err != nil {
+	if err := WritePrometheus(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidatePrometheus([]byte(b.String())); err != nil {
@@ -77,7 +73,7 @@ func TestValidatePrometheusRejects(t *testing.T) {
 }
 
 func TestBuildStatusReport(t *testing.T) {
-	rep := buildStatusReport(nil)
+	rep := BuildStatusReport(nil)
 	if rep.Schema != StatusSchema || len(rep.Ranks) != 0 {
 		t.Fatalf("nil-run report = %+v, want bare schema document", rep)
 	}
@@ -93,7 +89,7 @@ func TestBuildStatusReport(t *testing.T) {
 	end()
 	run.Shared().Counter("supervise.restarts").Add(2)
 
-	rep = buildStatusReport(run)
+	rep = BuildStatusReport(run)
 	if rep.Schema != StatusSchema {
 		t.Errorf("schema = %q", rep.Schema)
 	}
@@ -113,56 +109,5 @@ func TestBuildStatusReport(t *testing.T) {
 	}
 	if rep.Ranks[1].BatchesDone != 0 {
 		t.Errorf("idle rank 1 reports work: %+v", rep.Ranks[1])
-	}
-}
-
-// ListenStatus serves live /metrics and /statusz over a real socket, and
-// a second bind on the same port fails synchronously with the typed
-// *ServeError the CLIs fail fast on.
-func TestListenStatusLive(t *testing.T) {
-	run := NewRun(1)
-	run.Rank(0).Counter("core.batches").Add(1)
-	srv, err := ListenStatus("127.0.0.1:0", run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) []byte {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: HTTP %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	if _, err := ValidatePrometheus(get("/metrics")); err != nil {
-		t.Errorf("/metrics invalid: %v", err)
-	}
-	var rep StatusReport
-	if err := json.Unmarshal(get("/statusz"), &rep); err != nil {
-		t.Fatalf("/statusz not JSON: %v", err)
-	}
-	if rep.Schema != StatusSchema || len(rep.Ranks) != 1 || rep.Ranks[0].BatchesDone != 1 {
-		t.Errorf("/statusz = %+v", rep)
-	}
-
-	_, err = ListenStatus(srv.Addr(), run)
-	if err == nil {
-		t.Fatal("second bind on a busy port succeeded")
-	}
-	var se *ServeError
-	if !errors.As(err, &se) {
-		t.Fatalf("bind failure is %T, want *ServeError", err)
-	}
-	if se.Addr != srv.Addr() || se.Unwrap() == nil {
-		t.Errorf("ServeError = %+v, want addr and wrapped cause", se)
 	}
 }

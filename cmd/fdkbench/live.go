@@ -1,65 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 
 	"distfdk/internal/telemetry"
+	"distfdk/internal/telemetry/statushttp"
 )
 
-// serveError is the typed failure listenStatus returns when the
-// introspection endpoint cannot bind — so -pprof, explicitly asked for,
-// fails fast instead of logging and running blind.
-type serveError struct {
-	Addr string
-	Err  error
-}
-
-func (e *serveError) Error() string {
-	return fmt.Sprintf("status endpoint %s: %v", e.Addr, e.Err)
-}
-
-func (e *serveError) Unwrap() error { return e.Err }
-
-// statusServer is the live introspection endpoint: /metrics (Prometheus
-// text format) and /statusz (JSON) backed by a run's registries, with
-// everything else (pprof) delegated to http.DefaultServeMux.
-type statusServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// listenStatus binds addr and serves the run's live status. The bind is
-// synchronous — a busy port surfaces as a *serveError before any work
-// starts — and request serving runs in a background goroutine.
-func listenStatus(addr string, run *telemetry.Run) (*statusServer, error) {
-	ln, err := net.Listen("tcp", addr)
+// servePprof starts the live introspection endpoint: net/http/pprof on
+// /debug/pprof, Prometheus text exposition on /metrics and the
+// distfdk-status/1 JSON on /statusz. The bind is synchronous, so a busy
+// port surfaces as a typed *statushttp.ServeError to the caller instead
+// of a log line from a background goroutine.
+func servePprof(addr string, run *telemetry.Run) (*statushttp.StatusServer, error) {
+	srv, err := statushttp.ListenStatus(addr, run)
 	if err != nil {
-		return nil, &serveError{Addr: addr, Err: err}
+		return nil, err
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		telemetry.WritePrometheus(w, run.Snapshots())
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(telemetry.BuildStatusReport(run))
-	})
-	// pprof registers on the default mux; keep serving it.
-	mux.Handle("/", http.DefaultServeMux)
-	s := &statusServer{ln: ln, srv: &http.Server{Handler: mux}}
-	go s.srv.Serve(ln)
-	return s, nil
+	fmt.Printf("introspection endpoints on http://%s/{debug/pprof,metrics,statusz}\n", srv.Addr())
+	return srv, nil
 }
-
-// Addr returns the bound address (useful with ":0" in tests).
-func (s *statusServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server.
-func (s *statusServer) Close() error { return s.srv.Close() }

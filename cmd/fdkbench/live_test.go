@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"distfdk/internal/phantom"
 	"distfdk/internal/projection"
 	"distfdk/internal/telemetry"
+	"distfdk/internal/telemetry/statushttp"
 )
 
 func get(t *testing.T, url string) []byte {
@@ -34,39 +36,40 @@ func get(t *testing.T, url string) []byte {
 	return body
 }
 
-// listenStatus serves live /metrics and /statusz over a real socket, and
-// a second bind on the same port fails synchronously with the typed
-// *serveError -pprof fails fast on.
-func TestListenStatusLive(t *testing.T) {
+// An explicit -pprof on a busy port must surface as a typed error from
+// servePprof before any benchmark work starts — the CLI fails fast
+// instead of running unobservable.
+func TestServePprofBindFailure(t *testing.T) {
 	run := telemetry.NewRun(1)
-	run.Rank(0).Counter("core.batches").Add(1)
-	srv, err := listenStatus("127.0.0.1:0", run)
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+
+	_, err = servePprof(busy.Addr().String(), run)
+	if err == nil {
+		t.Fatal("servePprof bound a busy port")
+	}
+	var se *statushttp.ServeError
+	if !errors.As(err, &se) {
+		t.Fatalf("error is %T, want *statushttp.ServeError", err)
+	}
+	if se.Addr != busy.Addr().String() {
+		t.Errorf("ServeError.Addr = %q, want %q", se.Addr, busy.Addr().String())
+	}
+	if se.Unwrap() == nil {
+		t.Error("ServeError carries no cause")
+	}
+
+	// A free port succeeds and serves immediately.
+	srv, err := servePprof("127.0.0.1:0", run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	if _, err := telemetry.ValidatePrometheus(get(t, "http://"+srv.Addr()+"/metrics")); err != nil {
-		t.Errorf("/metrics invalid: %v", err)
-	}
-	var rep telemetry.StatusReport
-	if err := json.Unmarshal(get(t, "http://"+srv.Addr()+"/statusz"), &rep); err != nil {
-		t.Fatalf("/statusz not JSON: %v", err)
-	}
-	if rep.Schema != telemetry.StatusSchema || len(rep.Ranks) != 1 || rep.Ranks[0].BatchesDone != 1 {
-		t.Errorf("/statusz = %+v", rep)
-	}
-
-	_, err = listenStatus(srv.Addr(), run)
-	if err == nil {
-		t.Fatal("second bind on a busy port succeeded")
-	}
-	var se *serveError
-	if !errors.As(err, &se) {
-		t.Fatalf("bind failure is %T, want *serveError", err)
-	}
-	if se.Addr != srv.Addr() || se.Unwrap() == nil {
-		t.Errorf("serveError = %+v, want addr and wrapped cause", se)
+	if srv.Addr() == "" {
+		t.Error("bound server reports no address")
 	}
 }
 
@@ -115,7 +118,7 @@ func TestLiveEndpointShowsWorkInFlight(t *testing.T) {
 	}
 	src := &heldSource{Source: &projection.MemorySource{Full: st}, release: make(chan struct{})}
 	run := telemetry.NewRun(plan.Ranks())
-	srv, err := listenStatus("127.0.0.1:0", run)
+	srv, err := statushttp.ListenStatus("127.0.0.1:0", run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,12 +49,11 @@ func main() {
 	// experiment is in flight and how many finished.
 	benchRun := telemetry.NewRun(1)
 	if *pprofAddr != "" {
-		srv, err := listenStatus(*pprofAddr, benchRun)
+		srv, err := servePprof(*pprofAddr, benchRun)
 		if err != nil {
 			log.Fatalf("fdkbench: %v", err)
 		}
 		defer srv.Close()
-		fmt.Printf("introspection endpoints on http://%s/{debug/pprof,metrics,statusz}\n", srv.Addr())
 	}
 	if *checkTrace != "" || *checkMetrics != "" || *checkProm != "" {
 		checkArtifacts(*checkTrace, *checkMetrics, *checkProm, *requireFlows)

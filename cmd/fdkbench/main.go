@@ -32,8 +32,7 @@ func main() {
 	checkTrace := flag.String("check-trace", "", "validate a Chrome trace artifact (exit non-zero on violation) and exit")
 	requireFlows := flag.Bool("require-matched-flows", false, "with -check-trace, additionally require flow events to be present and fully matched (every recv arrow has its send)")
 	checkMetrics := flag.String("check-metrics", "", "validate a metrics JSON artifact (exit non-zero on violation) and exit")
-	checkProm := flag.String("check-prom", "", "validate a Prometheus text exposition file (exit non-zero on violation) and exit")
-	pprofAddr := flag.String("pprof", "", "serve pprof + live /metrics + /statusz on this address during the benchmarks")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address during the benchmarks")
 	pairs := flag.String("pairs", "", "summarise a make bench-pairs directory (base.jsonl, head.jsonl) with a verdict per metric, reading BENCHMARK.json in the working directory, and exit")
 	flag.Parse()
 
@@ -45,18 +44,15 @@ func main() {
 		return
 	}
 
-	// The bench run's own progress registry: the live endpoints show which
-	// experiment is in flight and how many finished.
-	benchRun := telemetry.NewRun(1)
 	if *pprofAddr != "" {
-		srv, err := servePprof(*pprofAddr, benchRun)
+		ln, err := servePprof(*pprofAddr)
 		if err != nil {
 			log.Fatalf("fdkbench: %v", err)
 		}
-		defer srv.Close()
+		defer ln.Close()
 	}
-	if *checkTrace != "" || *checkMetrics != "" || *checkProm != "" {
-		checkArtifacts(*checkTrace, *checkMetrics, *checkProm, *requireFlows)
+	if *checkTrace != "" || *checkMetrics != "" {
+		checkArtifacts(*checkTrace, *checkMetrics, *requireFlows)
 		return
 	}
 
@@ -66,17 +62,12 @@ func main() {
 		}
 		return
 	}
-	reg := benchRun.Rank(0)
-	reg.SetStatus("stage", "experiments")
-	reg.SetStatus("experiment", *exp)
 	tables, err := experiments.Run(*exp, experiments.RunOptions{OutDir: *out, Workers: *workers})
-	reg.SetStatus("stage", "done")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fdkbench:", err)
 		os.Exit(1)
 	}
 	for _, t := range tables {
-		reg.Counter("bench.tables").Inc()
 		fmt.Println(t.Render())
 	}
 }
@@ -84,7 +75,7 @@ func main() {
 // checkArtifacts validates telemetry artifacts a run produced — the
 // `make trace-smoke` gate. Exits non-zero with the violation on stderr so
 // CI fails loudly on a malformed trace.
-func checkArtifacts(tracePath, metricsPath, promPath string, requireFlows bool) {
+func checkArtifacts(tracePath, metricsPath string, requireFlows bool) {
 	if tracePath != "" {
 		data, err := os.ReadFile(tracePath)
 		if err != nil {
@@ -127,18 +118,5 @@ func checkArtifacts(tracePath, metricsPath, promPath string, requireFlows bool) 
 				metricsPath, time.Duration(cp.MakespanNs).Round(time.Microsecond),
 				100*cp.CommFraction, 100*cp.WaitFraction)
 		}
-	}
-	if promPath != "" {
-		data, err := os.ReadFile(promPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdkbench:", err)
-			os.Exit(1)
-		}
-		n, err := telemetry.ValidatePrometheus(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdkbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("prom %s: %d samples\n", promPath, n)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"distfdk/internal/storage"
 	"distfdk/internal/volume"
@@ -25,6 +24,9 @@ func TestOutputIsPromotedOrUntouched(t *testing.T) {
 	dir := t.TempDir()
 	noisyInput(t, filepath.Join(dir, "in.fbp"))
 	input := []string{"-in", "in.fbp", "-dataset", "tomo_00030", "-div", "16"}
+	run := func(name string, args ...string) []string {
+		return slices.Concat(input, []string{"-n", "32"}, args, []string{"-o", filepath.Join(dir, name+".fbk")})
+	}
 	for _, mode := range []struct {
 		name string
 		args []string
@@ -36,7 +38,7 @@ func TestOutputIsPromotedOrUntouched(t *testing.T) {
 		{"sirt", []string{"-algo", "sirt", "-iters", "2"}, volume.Header{NX: 32, NY: 32, NZ: 32}},
 	} {
 		out := filepath.Join(dir, mode.name+".fbk")
-		fdkrecon(t, dir, slices.Concat(input, []string{"-n", "32"}, mode.args, []string{"-o", out, "-slice", "slice.pgm"})...)
+		fdkrecon(t, dir, append(run(mode.name, mode.args...), "-slice", "slice.pgm")...)
 		vol, err := volume.LoadRaw(out)
 		if err != nil {
 			t.Fatal(err)
@@ -57,18 +59,18 @@ func TestOutputIsPromotedOrUntouched(t *testing.T) {
 		}
 	}
 
-	ranks := slices.Concat(input, []string{"-n", "32", "-groups", "2", "-ranks", "2", "-o", filepath.Join(dir, "ranks.fbk")})
+	ranks := run("ranks", "-groups", "2", "-ranks", "2")
 	journal := filepath.Join(dir, "ranks.journal")
 	for _, mode := range []struct {
 		name, out string
-		args      []string // the failing run's flags, but for its input when cut
-		cut       bool     // fail by cutting the input; else by killing rank 1 at batch 1
+		args      []string // the failing run's flags but for -kill
+		kill      string   // the rank@batch the failing run loses
 		journal   string
 	}{
-		{"full", "full.fbk", nil, true, ""},
-		{"window", "window.fbk", []string{"-zlo", "16", "-znz", "96"}, true, ""},
-		{"ranks", "ranks.fbk", ranks, false, ""},
-		{"journaled", "ranks.fbk", slices.Concat(ranks, []string{"-journal", journal, "-max-restarts", "0"}), false, journal},
+		{"full", "full.fbk", run("full"), "0@2", ""},
+		{"window", "window.fbk", run("window", "-zlo", "20", "-znz", "8"), "0@2", ""},
+		{"ranks", "ranks.fbk", ranks, "1@1", ""},
+		{"journaled", "ranks.fbk", slices.Concat(ranks, []string{"-journal", journal, "-max-restarts", "0"}), "1@1", journal},
 	} {
 		out := filepath.Join(dir, mode.out)
 		before, err := os.ReadFile(out)
@@ -76,10 +78,8 @@ func TestOutputIsPromotedOrUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		partial := out + storage.PartialSuffix
-		if mode.cut {
-			failWithCutInput(t, dir, out, mode.name, mode.args)
-		} else if output, err := fdkreconCmd(t, dir, nil, slices.Concat(mode.args, []string{"-kill", "1@1"})...).CombinedOutput(); err == nil || !strings.Contains(string(output), "rank-kill") {
-			t.Fatalf("%s: the run losing rank 1: err %v, want a failed run:\n%s", mode.name, err, output)
+		if output, err := fdkreconCmd(t, dir, nil, slices.Concat(mode.args, []string{"-kill", mode.kill})...).CombinedOutput(); err == nil || !strings.Contains(string(output), "rank-kill") {
+			t.Fatalf("%s: the run losing rank %s: err %v, want a failed run:\n%s", mode.name, mode.kill, err, output)
 		}
 		after, err := os.ReadFile(out)
 		if err != nil || !bytes.Equal(after, before) {
@@ -155,52 +155,5 @@ func TestOneRankRunResumes(t *testing.T) {
 	fdkrecon(t, dir, slices.Concat(input, []string{"-world", "2", "-o", "world.fbk"})...)
 	if !bytes.Equal(read("world.fbk"), want) {
 		t.Error("the one-rank -world 2 run differs from the in-process run")
-	}
-}
-
-// failWithCutInput runs a second, larger reconstruction with args into out
-// and cuts its input back to the header once it has stored a slab, so a
-// later batch's load reads past the end of the file.
-func failWithCutInput(t *testing.T, dir, out, mode string, args []string) {
-	t.Helper()
-	in := filepath.Join(dir, "cut.fbp")
-	noisyInput(t, in)
-	cmd := fdkreconCmd(t, dir, []string{"GOMAXPROCS=1"}, slices.Concat([]string{"-in", in, "-dataset", "tomo_00030", "-div", "16",
-		"-n", "128", "-batches", "32", "-o", out}, args)...)
-	var output bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &output, &output
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	partial := out + storage.PartialSuffix
-	buf := make([]byte, 20+24*128*128*4) // the header and the first 6 (full) or 8 (window) of 32 slabs
-	zero := make([]byte, len(buf))
-	var runErr error
-	for {
-		select {
-		case runErr = <-exited:
-			t.Fatalf("%s: the run ended (%v) before it stored a slab to cut the input under:\n%s", mode, runErr, output.Bytes())
-		default:
-		}
-		// A stored slab is the first non-zero byte of the sparse file. The
-		// comparison is the runtime's, not a Go loop, so the poll stays
-		// quicker than a batch under the race detector too.
-		f, err := os.Open(partial)
-		if err == nil {
-			n, _ := f.ReadAt(buf, 0)
-			f.Close()
-			if n > 20 && !bytes.Equal(buf[20:n], zero[20:n]) {
-				if err := os.Truncate(in, 16); err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	if runErr = <-exited; runErr == nil || !strings.Contains(output.String(), "read row") {
-		t.Fatalf("%s: the run with its input cut: err %v, want a failed load:\n%s", mode, runErr, output.Bytes())
 	}
 }

@@ -217,11 +217,6 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 		endPhase := func() {}
 		defer func() { endPhase() }()
 		phase := ""
-		// Live-introspection feeds: the current batch gauge and stage/phase
-		// status keys are what /statusz reports while the program runs.
-		curBatch := reg.Gauge("core.current_batch")
-		reg.SetStatus("stage", "run")
-		defer reg.SetStatus("stage", "done")
 
 		prog := &program{
 			ReconOptions: ReconOptions{
@@ -239,7 +234,6 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 					inj.Serve(rank, stage, c)
 					return nil
 				}
-				curBatch.Set(int64(c))
 				// The batch boundary is the rank-kill injection point of the
 				// chaos matrix: a scheduled kill surfaces here as a permanent
 				// fault.Error, failing the load stage; the batches before it
@@ -252,7 +246,6 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 					endPhase()
 					endPhase = reg.Span("phase."+ph, c)
 					phase = ph
-					reg.SetStatus("phase", ph)
 				}
 				return nil
 			},

@@ -189,18 +189,18 @@ func (e *program) report() (*ReconReport, error) {
 	return &ReconReport{Elapsed: e.elapsed, Ledger: e.Device.Snapshot().Sub(before), Slabs: int(e.done.Value())}, nil
 }
 
-// stage adapts a stage body to the pipeline. The batch is looked up in the
-// schedule rather than asserted out of the `any` payload; a checkpointed
-// batch is idle in every stage, so it neither loads rows, mutates the ring
-// nor stores — and never advances a cursor — and so is every batch once one
-// has failed holding the slab. A batch is executed once it has left the
+// stage adapts a stage body to the pipeline, which hands it only the batch
+// index to look up in the schedule. A checkpointed batch is idle in every
+// stage, so it neither loads rows, mutates the ring nor stores — and never
+// advances a cursor — and so is every batch once one has failed holding the
+// slab. A batch is executed once it has left the
 // rank's last stage; it hands the slab back there, or at the stage that
 // failed it.
 func (e *program) stage(name string, body func(*batch) error) pipeline.Stage {
-	return pipeline.Stage{Name: name, Fn: func(c int, _ any) (any, error) {
+	return pipeline.Stage{Name: name, Fn: func(c int) error {
 		b := &e.sched[c]
 		if b.skip || e.failed.Load() {
-			return nil, pipeline.Idle
+			return pipeline.Idle
 		}
 		err := body(b)
 		if b.slab != nil && (err != nil || name == e.last) {
@@ -213,7 +213,7 @@ func (e *program) stage(name string, body func(*batch) error) pipeline.Stage {
 		if err == nil && name == e.last {
 			e.done.Inc()
 		}
-		return b, err
+		return err
 	}}
 }
 

@@ -287,12 +287,12 @@ func TestFailedStoreIdlesTheQueuedBatch(t *testing.T) {
 		e.slab <- make([]float32, sys.NX*sys.NY)
 		stages := []pipeline.Stage{e.stage("backproject", e.backproject), e.stage("reduce", e.reduce), e.stage("store", e.store)}
 		for _, s := range stages {
-			if _, err := s.Fn(0, nil); (err != nil) != (s.Name == "store") {
+			if err := s.Fn(0); (err != nil) != (s.Name == "store") {
 				t.Fatalf("%s of batch 0: %v", s.Name, err)
 			}
 		}
 		for _, s := range stages {
-			if _, err := s.Fn(1, nil); err != pipeline.Idle {
+			if err := s.Fn(1); err != pipeline.Idle {
 				t.Errorf("%s of batch 1 after the failed store: %v, want idle", s.Name, err)
 			}
 		}

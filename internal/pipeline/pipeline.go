@@ -19,16 +19,16 @@ import (
 	"distfdk/internal/telemetry"
 )
 
-// StageFunc processes one batch. It receives the batch index and the
-// payload produced by the previous stage (nil for the first stage) and
-// returns the payload for the next stage.
-type StageFunc func(batch int, in any) (any, error)
+// StageFunc processes one batch, named by its index. Stages hand no data
+// to each other through the pipeline: each reads what it needs for the
+// batch from state it shares with its neighbours.
+type StageFunc func(batch int) error
 
 // Idle is what a StageFunc returns when it had no work for the batch (a
-// checkpointed slab, detector rows that are already resident): the input
-// payload passes on unchanged and no span is recorded, so a trace shows the
-// work that ran rather than the stage list. Like filepath.SkipDir it is a
-// signal to the executor and is never returned by Run.
+// checkpointed slab, detector rows that are already resident): no span is
+// recorded, so a trace shows the work that ran rather than the stage list.
+// Like filepath.SkipDir it is a signal to the executor and is never returned
+// by Run.
 var Idle = errors.New("pipeline: stage idle")
 
 // Stage is one named step of the pipeline.
@@ -46,8 +46,8 @@ type Pipeline struct {
 }
 
 // queueDepth bounds each inter-stage FIFO of Run (Figure 9's queues):
-// enough to decouple neighbours without buffering more than a few
-// multi-gigabyte payloads.
+// enough to decouple neighbours, and a bound on how far a stage runs ahead
+// of the next.
 const queueDepth = 2
 
 // New builds a pipeline from the given stages; every stage needs a function.
@@ -61,11 +61,6 @@ func New(stages ...Stage) (*Pipeline, error) {
 		}
 	}
 	return &Pipeline{stages: stages}, nil
-}
-
-type item struct {
-	batch   int
-	payload any
 }
 
 // Run pushes batches 0..nBatches−1 through every stage, each stage on its
@@ -85,9 +80,9 @@ func (p *Pipeline) Run(nBatches int, enter func(stage string, batch int) error) 
 		return fmt.Errorf("pipeline: negative batch count %d", nBatches)
 	}
 	n := len(p.stages)
-	queues := make([]chan item, n-1)
+	queues := make([]chan int, n-1)
 	for i := range queues {
-		queues[i] = make(chan item, queueDepth)
+		queues[i] = make(chan int, queueDepth)
 	}
 	// halted is the index of the furthest-downstream stage that has failed,
 	// −1 while none has; stage si invokes nothing once halted ≥ si.
@@ -110,15 +105,14 @@ func (p *Pipeline) Run(nBatches int, enter func(stage string, batch int) error) 
 // runStage executes stage si until its input is exhausted: the first stage
 // generates batches 0..nBatches−1 itself, every other reads queues[si−1],
 // and every stage but the last writes queues[si] and closes it when done.
-func (p *Pipeline) runStage(si, nBatches int, enter func(string, int) error, queues []chan item, halted *atomic.Int64) error {
+func (p *Pipeline) runStage(si, nBatches int, enter func(string, int) error, queues []chan int, halted *atomic.Int64) error {
 	stage := p.stages[si]
 	var stageErr error
-	process := func(it item) {
+	process := func(batch int) {
 		if halted.Load() >= int64(si) {
 			return // draining: a failure at or after this stage
 		}
-		payload, err := p.invoke(stage, it, enter)
-		if err != nil {
+		if err := p.invoke(stage, batch, enter); err != nil {
 			stageErr = err
 			for h := halted.Load(); h < int64(si); h = halted.Load() {
 				if halted.CompareAndSwap(h, int64(si)) {
@@ -128,7 +122,7 @@ func (p *Pipeline) runStage(si, nBatches int, enter func(string, int) error, que
 			return
 		}
 		if si < len(queues) {
-			queues[si] <- item{batch: it.batch, payload: payload}
+			queues[si] <- batch
 		}
 	}
 	if si < len(queues) {
@@ -136,34 +130,34 @@ func (p *Pipeline) runStage(si, nBatches int, enter func(string, int) error, que
 	}
 	if si == 0 {
 		for b := 0; b < nBatches; b++ {
-			process(item{batch: b})
+			process(b)
 		}
 	} else {
-		for it := range queues[si-1] {
-			process(it)
+		for b := range queues[si-1] {
+			process(b)
 		}
 	}
 	return stageErr
 }
 
-// invoke calls enter, then runs the stage function on one item inside a
+// invoke calls enter, then runs the stage function on one batch inside a
 // span. The span is closed before the error is looked at — a failing stage
 // still leaves its span in the trace — and every stage error names its stage
 // and batch.
-func (p *Pipeline) invoke(stage Stage, it item, enter func(string, int) error) (any, error) {
+func (p *Pipeline) invoke(stage Stage, batch int, enter func(string, int) error) error {
 	if enter != nil {
-		if err := enter(stage.Name, it.batch); err != nil {
-			return nil, err
+		if err := enter(stage.Name, batch); err != nil {
+			return err
 		}
 	}
-	end := p.Telemetry.Span(stage.Name, it.batch)
-	payload, err := stage.Fn(it.batch, it.payload)
+	end := p.Telemetry.Span(stage.Name, batch)
+	err := stage.Fn(batch)
 	if err == Idle {
-		return it.payload, nil // an unclosed span is never recorded
+		return nil // an unclosed span is never recorded
 	}
 	end()
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: stage %q batch %d: %w", stage.Name, it.batch, err)
+		return fmt.Errorf("pipeline: stage %q batch %d: %w", stage.Name, batch, err)
 	}
-	return payload, nil
+	return nil
 }

@@ -20,42 +20,33 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// Every batch reaches every stage, and each stage sees the batches in order.
 func TestDataFlowsThroughStagesInOrder(t *testing.T) {
-	var mu sync.Mutex
-	got := []string{}
-	p, err := New(
-		Stage{Name: "a", Fn: func(b int, in any) (any, error) {
-			return fmt.Sprintf("b%d", b), nil
-		}},
-		Stage{Name: "b", Fn: func(b int, in any) (any, error) {
-			return in.(string) + "+", nil
-		}},
-		Stage{Name: "c", Fn: func(b int, in any) (any, error) {
-			mu.Lock()
-			got = append(got, in.(string))
-			mu.Unlock()
-			return nil, nil
-		}},
-	)
+	names := []string{"a", "b", "c"}
+	seen := make([][]int, len(names)) // each stage appends only to its own
+	stages := make([]Stage, len(names))
+	for i, name := range names {
+		stages[i] = Stage{Name: name, Fn: func(b int) error {
+			seen[i] = append(seen[i], b)
+			return nil
+		}}
+	}
+	p, err := New(stages...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Run(4, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"b0+", "b1+", "b2+", "b3+"}
-	if len(got) != 4 {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch order: got %v, want %v", got, want)
+	for i, name := range names {
+		if got := fmt.Sprint(seen[i]); got != "[0 1 2 3]" {
+			t.Errorf("stage %s saw batches %s, want [0 1 2 3]", name, got)
 		}
 	}
 }
 
 func TestZeroBatchesAndNegative(t *testing.T) {
-	p, _ := New(Stage{Name: "a", Fn: func(int, any) (any, error) { return nil, nil }})
+	p, _ := New(Stage{Name: "a", Fn: func(int) error { return nil }})
 	if err := p.Run(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +59,18 @@ func TestErrorPropagationKeepsLiveness(t *testing.T) {
 	var downstream int
 	var mu sync.Mutex
 	p, _ := New(
-		Stage{Name: "src", Fn: func(b int, in any) (any, error) { return b, nil }},
-		Stage{Name: "mid", Fn: func(b int, in any) (any, error) {
+		Stage{Name: "src", Fn: func(int) error { return nil }},
+		Stage{Name: "mid", Fn: func(b int) error {
 			if b == 1 {
-				return nil, errors.New("kaboom")
+				return errors.New("kaboom")
 			}
-			return in, nil
+			return nil
 		}},
-		Stage{Name: "sink", Fn: func(b int, in any) (any, error) {
+		Stage{Name: "sink", Fn: func(int) error {
 			mu.Lock()
 			downstream++
 			mu.Unlock()
-			return nil, nil
+			return nil
 		}},
 	)
 	// Many batches after the failure: upstream must not deadlock.
@@ -103,9 +94,9 @@ func TestErrorPropagationKeepsLiveness(t *testing.T) {
 func TestStagesOverlap(t *testing.T) {
 	const d = 10 * time.Millisecond
 	mk := func(name string) Stage {
-		return Stage{Name: name, Fn: func(int, any) (any, error) {
+		return Stage{Name: name, Fn: func(int) error {
 			time.Sleep(d)
-			return nil, nil
+			return nil
 		}}
 	}
 	reg := telemetry.NewRegistry()
@@ -138,7 +129,7 @@ func TestQueueDepthBoundsBuffering(t *testing.T) {
 	produced, consumed := 0, 0
 	maxLead := 0
 	p, _ := New(
-		Stage{Name: "fast", Fn: func(int, any) (any, error) {
+		Stage{Name: "fast", Fn: func(int) error {
 			mu.Lock()
 			produced++
 			lead := produced - consumed
@@ -146,14 +137,14 @@ func TestQueueDepthBoundsBuffering(t *testing.T) {
 				maxLead = lead
 			}
 			mu.Unlock()
-			return nil, nil
+			return nil
 		}},
-		Stage{Name: "slow", Fn: func(int, any) (any, error) {
+		Stage{Name: "slow", Fn: func(int) error {
 			time.Sleep(2 * time.Millisecond)
 			mu.Lock()
 			consumed++
 			mu.Unlock()
-			return nil, nil
+			return nil
 		}},
 	)
 	if err := p.Run(20, nil); err != nil {
@@ -174,13 +165,13 @@ func TestFailedStageStopsUpstream(t *testing.T) {
 	const nBatches = 1000
 	first := 0 // written by the first stage's goroutine, read after Run
 	p, _ := New(
-		Stage{Name: "load", Fn: func(b int, _ any) (any, error) { first++; return b, nil }},
-		Stage{Name: "filter", Fn: func(_ int, in any) (any, error) { return in, nil }},
-		Stage{Name: "store", Fn: func(b int, _ any) (any, error) {
+		Stage{Name: "load", Fn: func(int) error { first++; return nil }},
+		Stage{Name: "filter", Fn: func(int) error { return nil }},
+		Stage{Name: "store", Fn: func(b int) error {
 			if b == 1 {
-				return nil, errors.New("disk full")
+				return errors.New("disk full")
 			}
-			return nil, nil
+			return nil
 		}},
 	)
 	err := p.Run(nBatches, nil)
@@ -203,14 +194,14 @@ func TestRunEnterHook(t *testing.T) {
 	at := map[string]time.Duration{} // when enter saw "stage/batch"
 	reg := telemetry.NewRegistry()
 	note := func(name string) StageFunc {
-		return func(b int, in any) (any, error) {
+		return func(b int) error {
 			mu.Lock()
 			ran[name] = append(ran[name], b)
 			mu.Unlock()
 			if name == "x" && b%2 == 1 {
-				return nil, Idle
+				return Idle
 			}
-			return b, nil
+			return nil
 		}
 	}
 	p, err := New(Stage{Name: "x", Fn: note("x")}, Stage{Name: "y", Fn: note("y")}, Stage{Name: "z", Fn: note("z")})
@@ -251,18 +242,20 @@ func TestRunEnterHook(t *testing.T) {
 	}
 }
 
-// An idle stage call records no span and hands its input on unchanged.
+// An idle stage call records no span, and its batch still goes on to the
+// next stage in order.
 func TestIdleStageRecordsNoSpan(t *testing.T) {
-	var got []any
+	var sawB, sawC []int
 	p, err := New(
-		Stage{Name: "a", Fn: func(b int, _ any) (any, error) { return b * 10, nil }},
-		Stage{Name: "b", Fn: func(b int, in any) (any, error) {
+		Stage{Name: "a", Fn: func(int) error { return nil }},
+		Stage{Name: "b", Fn: func(b int) error {
+			sawB = append(sawB, b)
 			if b%2 == 1 {
-				return nil, Idle
+				return Idle
 			}
-			return in.(int) + 1, nil
+			return nil
 		}},
-		Stage{Name: "c", Fn: func(_ int, in any) (any, error) { got = append(got, in); return nil, nil }},
+		Stage{Name: "c", Fn: func(b int) error { sawC = append(sawC, b); return nil }},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +265,8 @@ func TestIdleStageRecordsNoSpan(t *testing.T) {
 	if err := p.Run(4, nil); err != nil {
 		t.Fatalf("Idle surfaced as an error: %v", err)
 	}
-	if fmt.Sprint(got) != "[1 10 21 30]" {
-		t.Errorf("payloads %v, want [1 10 21 30]", got)
+	if got := fmt.Sprint(sawB, sawC); got != "[0 1 2 3] [0 1 2 3]" {
+		t.Errorf("b and c saw batches %s, want [0 1 2 3] [0 1 2 3]", got)
 	}
 	n := 0
 	for _, sp := range reg.Spans() {

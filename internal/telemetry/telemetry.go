@@ -163,9 +163,6 @@ type Registry struct {
 
 	flowMu sync.Mutex
 	flows  []FlowRecord
-
-	statusMu sync.Mutex
-	status   map[string]string
 }
 
 // SharedRank labels the Run's shared registry (storage sinks, journals —
@@ -262,39 +259,6 @@ func (r *Registry) Span(name string, batch int) func() {
 	}
 }
 
-// SetStatus records a live string fact about the registry's owner (the
-// current fault phase, the stage in flight) for the /statusz view.
-// Last-value-wins per key; nil-safe no-op.
-func (r *Registry) SetStatus(key, value string) {
-	if r == nil {
-		return
-	}
-	r.statusMu.Lock()
-	if r.status == nil {
-		r.status = map[string]string{}
-	}
-	r.status[key] = value
-	r.statusMu.Unlock()
-}
-
-// Status returns a copy of the live status map (nil when empty or for a
-// nil registry).
-func (r *Registry) Status() map[string]string {
-	if r == nil {
-		return nil
-	}
-	r.statusMu.Lock()
-	defer r.statusMu.Unlock()
-	if len(r.status) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(r.status))
-	for k, v := range r.status {
-		out[k] = v
-	}
-	return out
-}
-
 // Spans returns a copy of the recorded spans (nil for a nil registry).
 func (r *Registry) Spans() []Span {
 	if r == nil {
@@ -310,7 +274,6 @@ func (r *Registry) Spans() []Span {
 // rank, all sharing one epoch so spans align on a common timeline. A nil
 // Run hands out nil registries, so drivers thread it unconditionally.
 type Run struct {
-	epoch  time.Time
 	ranks  []*Registry
 	shared *Registry
 	// msgID is the run-global monotone message-id source the mpi layer
@@ -327,7 +290,7 @@ func NewRun(nRanks int) *Run {
 		nRanks = 0
 	}
 	epoch := time.Now()
-	run := &Run{epoch: epoch}
+	run := &Run{}
 	mk := func(rank int) *Registry {
 		return &Registry{rank: rank, epoch: epoch, counters: map[string]*Counter{},
 			gauges: map[string]*Gauge{}, hists: map[string]*Histogram{}}
@@ -346,15 +309,6 @@ func (run *Run) MsgIDCounter() *atomic.Int64 {
 		return new(atomic.Int64)
 	}
 	return &run.msgID
-}
-
-// Elapsed is the time since the run epoch (0 for nil) — the uptime the
-// live status endpoint reports.
-func (run *Run) Elapsed() time.Duration {
-	if run == nil {
-		return 0
-	}
-	return time.Since(run.epoch)
 }
 
 // Ranks returns the number of per-rank registries (0 for nil).
@@ -417,14 +371,13 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Spans      []Span                       `json:"spans,omitempty"`
 	Flows      []FlowRecord                 `json:"flows,omitempty"`
-	Status     map[string]string            `json:"status,omitempty"`
 }
 
 // Empty reports whether the snapshot recorded nothing at all.
 func (s Snapshot) Empty() bool {
 	return len(s.Counters) == 0 && len(s.Gauges) == 0 &&
 		len(s.Histograms) == 0 && len(s.Spans) == 0 &&
-		len(s.Flows) == 0 && len(s.Status) == 0
+		len(s.Flows) == 0
 }
 
 // Snapshot captures the registry's current state. Nil registries snapshot
@@ -463,7 +416,6 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Unlock()
 	s.Spans = r.Spans()
 	s.Flows = r.Flows()
-	s.Status = r.Status()
 	return s
 }
 

@@ -48,13 +48,14 @@ check: doc-check fuse-lint
 # ReconstructSingle, RunDistributed or ReconstructXYTile: every other caller
 # runs the one entry point, core.Supervise. Last, the export gate: every
 # exported top-level function of a package under internal/ must be named
-# package-qualified (pkg.Name) by some non-test Go file outside the
-# package's own directory (a subpackage's directory counts as outside), or
-# be on EXPORT_ALLOW. A function no such file names is test-only API in
-# production code: delete it with the path it gates, move it into a _test.go
-# file, or unexport it. An EXPORT_ALLOW entry that some outside file does
-# name, or that no longer exists, fails the gate too, so the list stays
-# exact. Methods and types are out of the gate's scope.
+# package-qualified (pkg.Name) on a line of code, not a whole-line //
+# comment, of some non-test Go file outside the package's own directory (a
+# subpackage's directory counts as outside), or be on EXPORT_ALLOW. A
+# function no such file names is test-only API in production code: delete
+# it with the path it gates, move it into a _test.go file, or unexport it.
+# An EXPORT_ALLOW entry that some outside file does name, or that no longer
+# exists, fails the gate too, so the list stays exact. Methods and types are
+# out of the gate's scope.
 #
 # EXPORT_ALLOW: one entry a line, the qualified name and then why it stays
 # exported without a production caller.
@@ -92,7 +93,7 @@ doc-check:
 	unused=" "; \
 	for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
 		for n in $$(sed -nE 's/^func ([A-Z][A-Za-z0-9_]*)[[(].*/\1/p' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | sort -u); do \
-			git grep --untracked -qE "\b$${d##*/}\.$$n\b" -- '*.go' ':!*_test.go' ":(exclude,glob)$$d/*.go" || \
+			git grep --untracked -qE "^[[:space:]]*([^/[:space:]].*)?\b$${d##*/}\.$$n\b" -- '*.go' ':!*_test.go' ":(exclude,glob)$$d/*.go" || \
 				unused="$$unused$${d##*/}.$$n "; \
 		done; \
 	done; \
@@ -202,7 +203,9 @@ trace-smoke:
 # leaked goroutines — the goroutine-settle check is part of the matrix),
 # kill-and-resume, the deadline/teardown suite, the send window in both
 # worlds (a full window blocks to the deadline, a pop's credit frees a slot
-# and releases the frames, forged credits free nothing), the pipeline's
+# and releases the frames, forged credits free nothing), the socket world's
+# two rendezvous (formation refused or failed by a no-show, and the
+# end-of-attempt verdict on the wire before the hub returns), the pipeline's
 # drain on a stage failure (a failed batch hands its slab back, so a rank
 # returns instead of waiting for it, and no batch behind it reaches reduce
 # or store without a slab), the interceptor's world ranks and the
@@ -210,7 +213,7 @@ trace-smoke:
 # defeats the test cache so the schedules actually re-run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestPipelinedFailure|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers|TestSendWindowReleasesPromptly|TestForgedCreditsCannotWidenWindow' \
+		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestPipelinedFailure|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestFailedStageStopsUpstream|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter|TestReplayResendsOwnedBuffers|TestSendWindowReleasesPromptly|TestForgedCreditsCannotWidenWindow|TestFleetFormation|TestVerdictOnWireBeforeHubReturns' \
 		./internal/core/ ./internal/mpi/ ./internal/mpi/nettrans/ ./internal/fault/ ./internal/storage/ ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/fault/
 

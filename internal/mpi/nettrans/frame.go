@@ -26,25 +26,24 @@ type frameKind uint8
 const (
 	// kindData carries one mpi point-to-point message.
 	kindData frameKind = 1 + iota
-	// kindHello opens (or reopens) a worker→hub link: payload carries the
-	// worker's proc id, epoch, world size and plan fingerprint hash; the
-	// ack field carries the worker's receive cursor for replay.
+	// kindHello opens (or reopens) a worker→hub link: the payload carries
+	// the worker's proc id, the ack field its receive cursor for replay.
 	kindHello
 	// kindHelloAck accepts or rejects a hello; the ack field carries the
 	// hub's receive cursor for that worker.
 	kindHelloAck
-	// kindStart announces that every live process joined the epoch: ranks
-	// may run.
-	kindStart
 	// kindHeartbeat is the periodic liveness probe; its ack field
 	// piggybacks the cumulative receive cursor.
 	kindHeartbeat
 	// kindLost broadcasts world ranks whose functions failed (culprits),
 	// so every process tears down with the same attribution.
 	kindLost
-	// kindDone carries one process's end-of-attempt outcome to the hub.
-	kindDone
-	// kindVerdict broadcasts the hub's world-agreed outcome for the epoch.
+	// kindReport carries a worker's report on one of the epoch's two
+	// rendezvous to the hub: epoch, phase, then the phase's control ints
+	// (formation: the assignment hash; end of attempt: ok and lost ranks).
+	kindReport
+	// kindVerdict broadcasts the hub's decision on one rendezvous: epoch,
+	// phase, ok, the lost ranks (counted) and the procs it holds dead.
 	kindVerdict
 	// kindCredit returns one send credit: rank src received a message of
 	// rank dst on comm, so dst may send one more to src. It is routed by
@@ -54,8 +53,8 @@ const (
 
 // frame is one wire unit. Data frames fill comm/src/dst/tag/msgID, credit
 // frames comm/src/dst/tag; control frames use the payload. seq is non-zero
-// only on reliable kinds (data, credit, lost, done, verdict, start) —
-// those are buffered for replay until acked; handshake and heartbeat
+// only on reliable kinds (data, credit, lost, report, verdict) — those
+// are buffered for replay until acked; handshake and heartbeat
 // frames ride outside the sequence space. ack is the sender's cumulative
 // receive cursor on heartbeats, handshakes and credits (a credit's is
 // stamped when it is queued); the other reliable kinds carry 0.
@@ -89,10 +88,11 @@ type frame struct {
 // Body: u8 version | u8 kind | i32 comm | i32 src | i32 dst | i32 tag |
 // i64 msgID | u64 seq | u64 ack | payload. All little-endian.
 const (
-	// frameVersion 2: the payload is one of the three kinds of payload.go.
-	// Version 1 (thirteen kinds, no length check on the payload) is refused
-	// with errVersion.
-	frameVersion = 2
+	// frameVersion 3: eight kinds, formation and the end-of-attempt
+	// verdict being one report/verdict exchange. Version 2 (nine kinds,
+	// numbered otherwise) and version 1 (thirteen kinds, no length check on
+	// the payload) are refused with errVersion.
+	frameVersion = 3
 	headerBytes  = 1 + 1 + 4 + 4 + 4 + 4 + 8 + 8 + 8
 	payloadOff   = 4 + headerBytes
 	// maxFrameBytes bounds a body so a corrupted length prefix cannot

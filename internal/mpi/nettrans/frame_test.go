@@ -135,15 +135,18 @@ func TestFrameRejectsOversizeAndBadVersion(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(small)); !errors.Is(err, errBadHeader) {
 		t.Fatalf("want errBadHeader, got %v", err)
 	}
-	// Valid CRC but unknown version.
-	enc := encodeFrame(sampleFrame())
-	enc[4] = 99 // version byte
-	// Recompute CRC so only the version check can object.
-	body := enc[4 : len(enc)-4]
-	crc := crc32ChecksumIEEE(body)
-	putU32(enc[len(enc)-4:], crc)
-	if _, err := readFrame(bytes.NewReader(enc)); !errors.Is(err, errVersion) {
-		t.Fatalf("want errVersion, got %v", err)
+	// Valid CRC but an earlier or unknown version: version 2 numbered
+	// nine kinds otherwise, version 1 thirteen.
+	for _, v := range []byte{1, 2, 99} {
+		enc := encodeFrame(sampleFrame())
+		enc[4] = v // version byte
+		// Recompute CRC so only the version check can object.
+		body := enc[4 : len(enc)-4]
+		crc := crc32ChecksumIEEE(body)
+		putU32(enc[len(enc)-4:], crc)
+		if _, err := readFrame(bytes.NewReader(enc)); !errors.Is(err, errVersion) {
+			t.Fatalf("version %d: want errVersion, got %v", v, err)
+		}
 	}
 }
 

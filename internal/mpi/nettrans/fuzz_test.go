@@ -80,10 +80,13 @@ func frameSeeds() [][]byte {
 		mut[pos] ^= 0x40
 		seeds = append(seeds, mut)
 	}
-	v1 := append([]byte(nil), data...) // a version-1 frame, CRC valid
-	v1[4] = 1
-	putU32(v1[len(v1)-4:], crc32ChecksumIEEE(v1[4:len(v1)-4]))
-	seeds = append(seeds, v1,
+	for _, v := range []byte{1, 2} { // frames of the refused versions, CRC valid
+		old := append([]byte(nil), data...)
+		old[4] = v
+		putU32(old[len(old)-4:], crc32ChecksumIEEE(old[4:len(old)-4]))
+		seeds = append(seeds, old)
+	}
+	seeds = append(seeds,
 		[]byte{0xff, 0xff, 0xff, 0xff, 2, 1},             // prefix over the bound
 		[]byte{0xff, 0xff, 0xff, 0x3f, 2, 1, 0, 0},       // prefix at the bound, then EOF
 		[]byte{1, 0, 0, 0x40, 2, 1},                      // one past the bound

@@ -73,7 +73,7 @@ func TestWriterCoalescesQueuedFrames(t *testing.T) {
 	const frames = 64
 	l.wmu.Lock() // the writer's first write waits here while the rest queue
 	for i := 0; i < frames; i++ {
-		if !l.enqueue(&frame{kind: kindDone, payload: encodeInts(1, i)}, false) {
+		if !l.enqueue(&frame{kind: kindReport, payload: encodeInts(1, i)}, false) {
 			t.Fatal("enqueue refused on a live link")
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -92,19 +93,28 @@ func newStats(reg *telemetry.Registry) *stats {
 	}
 }
 
-// outcome is one process's end-of-attempt report (done) or the hub's
-// world verdict, which also names the procs it found dead.
+// phase names one of an epoch's two rendezvous: formation, before any rank
+// runs, and the end of the attempt.
+type phase int
+
+const (
+	phaseForm phase = iota
+	phaseEnd
+)
+
+// rvKey names one rendezvous.
+type rvKey struct {
+	epoch int
+	phase phase
+}
+
+// outcome is the hub's verdict on one rendezvous: whether the epoch goes
+// on (formation) or finished clean (end), the world ranks lost, and the
+// procs the hub holds dead.
 type outcome struct {
 	ok   bool
 	lost []int
 	dead []int
-}
-
-type epochState struct {
-	epoch  int
-	size   int
-	assign [][]int
-	world  *World
 }
 
 // Node is one process's long-lived endpoint of a socket world: it owns
@@ -120,18 +130,16 @@ type Node struct {
 	mu        sync.Mutex
 	changed   chan struct{}
 	epoch     int
-	cur       *epochState
+	cur       *World // the active epoch's world, nil between attempts
 	deadProcs map[int]bool
 	links     map[int]*link
 	closed    bool
 
-	// Cross-epoch control buffers: joins/starts/dones/verdicts can arrive
-	// while this process is still between attempts; they are folded into
-	// the epoch when Run reaches it.
-	joins    map[int]map[int]uint64 // epoch -> proc -> assignment hash
-	starts   map[int]bool           // epoch -> hub's start received (worker)
-	dones    map[int]map[int]*outcome
-	verdicts map[int]*outcome
+	// The rendezvous' control buffers: reports (at the hub) and verdicts
+	// (at a worker) can arrive while this process is still between
+	// attempts; Run finds them when it reaches their epoch.
+	reports  map[rvKey]map[int][]int // proc -> its report's control ints
+	verdicts map[rvKey]*outcome
 }
 
 // NewNode builds this process's endpoint. The hub starts listening
@@ -145,10 +153,8 @@ func NewNode(cfg Config) (*Node, error) {
 		changed:   make(chan struct{}),
 		deadProcs: map[int]bool{},
 		links:     map[int]*link{},
-		joins:     map[int]map[int]uint64{},
-		starts:    map[int]bool{},
-		dones:     map[int]map[int]*outcome{},
-		verdicts:  map[int]*outcome{},
+		reports:   map[rvKey]map[int][]int{},
+		verdicts:  map[rvKey]*outcome{},
 	}
 	if n.isHub() {
 		ln, err := listenTCP(cfg.Addr)
@@ -252,10 +258,7 @@ func (n *Node) LiveProcs() []int {
 func (n *Node) curWorld() *World {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cur == nil {
-		return nil
-	}
-	return n.cur.world
+	return n.cur
 }
 
 // acceptLoop (hub) turns incoming connections into link attachments.
@@ -360,19 +363,18 @@ func (n *Node) peerDead(proc int) {
 		return
 	}
 	n.deadProcs[proc] = true
-	es := n.cur
+	w := n.cur
 	n.bumpLocked()
 	n.mu.Unlock()
-	if es == nil || es.world == nil {
+	if w == nil {
 		return
 	}
-	lost := es.assign[proc]
+	lost := w.procRanks(proc)
 	if !n.isHub() && proc == 0 {
-		lost = es.world.procRanks(-1) // the hub died: the rest is unreachable
+		lost = w.procRanks(-1) // the hub died: the rest is unreachable
 	}
-	fresh := es.world.noteLost(lost, true)
-	if n.isHub() && len(fresh) > 0 {
-		n.broadcastLost(es.world, fresh, proc)
+	if fresh := w.noteLost(lost, true); n.isHub() && len(fresh) > 0 {
+		n.broadcastLost(w, fresh, proc)
 	}
 }
 
@@ -433,25 +435,15 @@ func (n *Node) handleFrame(from int, f *frame) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	switch {
-	case f.kind == kindStart && n.isHub():
-		var hash uint64
-		if len(ints) >= 3 {
-			hash = uint64(ints[1])<<32 | uint64(uint32(ints[2]))
+	case f.kind == kindReport && len(ints) >= 3:
+		k := rvKey{epoch, phase(ints[1])}
+		if n.reports[k] == nil {
+			n.reports[k] = map[int][]int{}
 		}
-		if n.joins[epoch] == nil {
-			n.joins[epoch] = map[int]uint64{}
-		}
-		n.joins[epoch][from] = hash
-	case f.kind == kindStart:
-		n.starts[epoch] = true
-	case f.kind == kindDone && len(ints) >= 2:
-		if n.dones[epoch] == nil {
-			n.dones[epoch] = map[int]*outcome{}
-		}
-		n.dones[epoch][from] = &outcome{ok: ints[1] == 1, lost: ints[2:]}
-	case f.kind == kindVerdict && len(ints) >= 3 && ints[2] >= 0 && len(ints) >= 3+ints[2]:
-		v := &outcome{ok: ints[1] == 1, lost: ints[3 : 3+ints[2]], dead: ints[3+ints[2]:]}
-		n.verdicts[epoch] = v
+		n.reports[k][from] = ints[2:]
+	case f.kind == kindVerdict && len(ints) >= 4 && ints[3] >= 0 && len(ints) >= 4+ints[3]:
+		v := &outcome{ok: ints[2] == 1, lost: ints[4 : 4+ints[3]], dead: ints[4+ints[3]:]}
+		n.verdicts[rvKey{epoch, phase(ints[1])}] = v
 		for _, p := range v.dead {
 			n.deadProcs[p] = true
 		}
@@ -480,11 +472,11 @@ func assignHash(size int, assign [][]int) uint64 {
 	return h.Sum64()
 }
 
-// Run executes one world attempt (epoch): formation rendezvous, then
-// mpi.RunTransport over this node's ranks, with the verdict exchange
-// folded in by World.Finish. assign maps proc id -> world ranks and must
-// be identical in every process (the assignment hash is checked at
-// formation).
+// Run executes one world attempt (epoch): the formation rendezvous, then
+// mpi.RunTransport over this node's ranks, with the end-of-attempt
+// rendezvous folded in by World.Finish. assign maps proc id -> world ranks
+// and must be identical in every process (the assignment hash is checked
+// at formation).
 func (n *Node) Run(size int, assign [][]int, opt mpi.Options, fn func(c *mpi.Comm) error) error {
 	if len(assign) != n.cfg.Procs {
 		return fmt.Errorf("nettrans: assignment covers %d procs, world has %d", len(assign), n.cfg.Procs)
@@ -496,20 +488,13 @@ func (n *Node) Run(size int, assign [][]int, opt mpi.Options, fn func(c *mpi.Com
 	}
 	n.epoch++
 	e := n.epoch
-	es := &epochState{epoch: e, size: size, assign: assign}
-	n.cur = es
-	n.bumpLocked()
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
 		n.cur = nil
 		// Prune control buffers from settled epochs.
-		for k := e - 4; k <= e-2; k++ {
-			delete(n.joins, k)
-			delete(n.starts, k)
-			delete(n.dones, k)
-			delete(n.verdicts, k)
-		}
+		maps.DeleteFunc(n.reports, func(k rvKey, _ map[int][]int) bool { return k.epoch <= e-2 })
+		maps.DeleteFunc(n.verdicts, func(k rvKey, _ *outcome) bool { return k.epoch <= e-2 })
 		n.bumpLocked()
 		n.mu.Unlock()
 	}()
@@ -519,22 +504,48 @@ func (n *Node) Run(size int, assign [][]int, opt mpi.Options, fn func(c *mpi.Com
 		return err
 	}
 	n.mu.Lock()
-	es.world = world
+	n.cur = world
+	n.bumpLocked()
 	n.mu.Unlock()
 
 	hash := assignHash(size, assign)
-	formTimeout := 2*n.cfg.DeathAfter + time.Second
-	if n.isHub() {
-		if err := n.formAsHub(es, hash, formTimeout); err != nil {
-			return err
-		}
-	} else {
+	mine := []int{int(hash >> 32), int(uint32(hash))}
+	timeout := 2*n.cfg.DeathAfter + time.Second
+	if !n.isHub() {
 		// Workers outwait the hub's own formation window: when formation
 		// fails over there, the verdict (not a local timeout) is what tells
 		// this process which ranks to shrink away.
-		if err := n.formAsWorker(es, hash, 2*formTimeout); err != nil {
-			return err
+		timeout *= 2
+		l := n.links[0]
+		l.engage()
+		l.bump(l.redial)
+	}
+	var refused []int
+	v := n.rendezvous(world, phaseForm, mine, timeout, func(reports map[int][]int, absent []int) *outcome {
+		for p, r := range reports {
+			if !slices.Equal(r, mine) {
+				refused = append(refused, p)
+			}
 		}
+		if len(refused) > 0 {
+			// A refusal loses no rank: no supervisor shrinks a healthy
+			// world over it.
+			return &outcome{}
+		}
+		return &outcome{ok: len(absent) == 0, lost: absent}
+	})
+	switch {
+	case v == nil:
+		return n.noVerdict(world, phaseForm)
+	case len(refused) > 0:
+		sort.Ints(refused)
+		return fmt.Errorf("nettrans: epoch %d: procs %v joined with a different world assignment", e, refused)
+	case !v.ok && len(v.lost) == 0:
+		return fmt.Errorf("nettrans: proc %d: the hub refused epoch %d: the procs hold different world assignments", n.cfg.Proc, e)
+	case !v.ok:
+		// Some proc never joined: shrink along the verdict like everyone
+		// else.
+		return &mpi.RankLostError{Rank: -1, Peer: -1, Op: "formation", Lost: v.lost}
 	}
 
 	return mpi.RunTransport(mpi.TransportWorld{
@@ -545,210 +556,133 @@ func (n *Node) Run(size int, assign [][]int, opt mpi.Options, fn func(c *mpi.Com
 	}, opt, fn)
 }
 
-// formAsWorker joins the epoch and waits for the hub's go signal.
-func (n *Node) formAsWorker(es *epochState, hash uint64, timeout time.Duration) error {
-	l := n.links[0]
-	l.engage()
-	l.bump(l.redial)
-	join := encodeInts(es.epoch, int(hash>>32), int(uint32(hash)))
-	if !l.enqueue(&frame{kind: kindStart, payload: join}, false) {
-		return n.hubLostErr(es)
-	}
-	n.waitCond(timeout, func() bool {
-		return n.starts[es.epoch] || n.verdicts[es.epoch] != nil || n.deadProcs[0] || n.closed
-	})
-	n.mu.Lock()
-	started := n.starts[es.epoch]
-	v := n.verdicts[es.epoch]
-	hubDead := n.deadProcs[0]
-	closed := n.closed
-	n.mu.Unlock()
-	switch {
-	case started:
-		return nil
-	case v != nil:
-		// Formation failed world-wide (some proc never joined); shrink
-		// along the verdict like everyone else.
-		return &mpi.RankLostError{Rank: -1, Peer: -1, Op: "formation", Lost: v.lost}
-	case closed:
-		return errors.New("nettrans: node closed during formation")
-	case hubDead:
-		return n.hubLostErr(es)
-	default:
-		return fmt.Errorf("nettrans: proc %d: formation of epoch %d timed out", n.cfg.Proc, es.epoch)
-	}
-}
-
-// hubLostErr attributes every non-local rank as lost (the hub is the
-// routing spine; without it the rest of the world is unreachable).
-func (n *Node) hubLostErr(es *epochState) error {
-	return fmt.Errorf("nettrans: hub unreachable: %w",
-		&mpi.RankLostError{Rank: -1, Peer: 0, Op: "formation", Lost: es.world.procRanks(-1)})
-}
-
-// formAsHub waits for every live process to join the epoch with a
-// matching assignment, then broadcasts the start signal. Processes that
-// fail to appear are declared dead and the epoch is failed with their
-// ranks lost, so supervisors everywhere shrink identically.
-func (n *Node) formAsHub(es *epochState, hash uint64, timeout time.Duration) error {
-	e := es.epoch
-	need := func() []int {
-		// Live procs (excluding self) that have not joined yet. Callers
-		// hold n.mu.
-		var missing []int
-		for p := 1; p < n.cfg.Procs; p++ {
-			if n.deadProcs[p] {
-				continue
-			}
-			if _, ok := n.joins[e][p]; !ok {
-				missing = append(missing, p)
-			}
-		}
-		return missing
-	}
-	n.waitCond(timeout, func() bool { return len(need()) == 0 || n.closed })
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return errors.New("nettrans: node closed during formation")
-	}
-	missing := need()
-	var mismatched []int
-	for p, h := range n.joins[e] {
-		if !n.deadProcs[p] && h != hash {
-			mismatched = append(mismatched, p)
-		}
-	}
-	n.mu.Unlock()
-	if len(mismatched) > 0 {
-		return fmt.Errorf("nettrans: epoch %d: procs %v joined with a different world assignment", e, mismatched)
-	}
-	if len(missing) > 0 {
-		// Declare the no-shows dead and fail the epoch before any rank
-		// runs: the verdict tells every joined worker to shrink.
-		var lost []int
-		for _, p := range missing {
-			n.links[p].declareDead()
-			lost = append(lost, es.assign[p]...)
-		}
-		sort.Ints(lost)
-		n.mu.Lock()
-		dead := append([]int(nil), missing...)
-		n.verdicts[e] = &outcome{ok: false, lost: lost, dead: dead}
-		n.mu.Unlock()
-		n.broadcastVerdict(e, &outcome{ok: false, lost: lost, dead: dead})
-		return &mpi.RankLostError{Rank: -1, Peer: -1, Op: "formation", Lost: lost}
-	}
-	n.broadcast(kindStart, encodeInts(e), -1)
-	return nil
-}
-
-// broadcastVerdict ships the epoch outcome to every live worker and
-// returns once each link's writer has had its turn on it: the hub's caller
-// may block next (a coordinator reaping its workers does), and a verdict
-// still queued behind a blocked process holds every worker up.
-func (n *Node) broadcastVerdict(epoch int, v *outcome) {
-	okFlag := 0
-	if v.ok {
-		okFlag = 1
-	}
-	ints := append([]int{epoch, okFlag, len(v.lost)}, v.lost...)
-	ints = append(ints, v.dead...)
-	for l, f := range n.broadcast(kindVerdict, encodeInts(ints...), -1) {
-		l.awaitTurn(f.seq)
-	}
-}
-
-// finishEpoch is the end-of-attempt verdict exchange World.Finish
-// delegates to. Every process reports its outcome; the hub unions the
-// loss attributions (plus the ranks of processes that died silently) and
-// broadcasts one world verdict, which is what keeps LostRanks — and so
-// every supervisor's shrink decision — identical across processes.
-func (n *Node) finishEpoch(w *World, localErr error) ([]int, error) {
-	e := w.epoch
-	lost := append(mpi.LostRanks(localErr), w.knownLost()...)
-	sort.Ints(lost)
-	ok := localErr == nil
-	rec := &outcome{ok: ok, lost: lost}
-	verdictTimeout := 4*n.cfg.DeathAfter + time.Second
-
+// rendezvous runs one phase of w's epoch and returns the hub's verdict, or
+// nil if none came: the node closed, the hub died or the timeout passed. A
+// worker reports ints and waits for the verdict. The hub takes ints as its
+// own report, waits for one from every live worker, declares the silent
+// ones dead, and decides with decide, which is given every report by proc
+// and absent: the ranks of the dead procs that sent none. The verdict also
+// names every proc the hub holds dead. A hub closed during formation
+// returns nil; at the end of the attempt it still decides, so its lost
+// ranks stay those of the silent procs.
+func (n *Node) rendezvous(w *World, ph phase, ints []int, timeout time.Duration,
+	decide func(reports map[int][]int, absent []int) *outcome) *outcome {
+	k := rvKey{w.epoch, ph}
 	if !n.isHub() {
-		okFlag := 0
-		if ok {
-			okFlag = 1
-		}
-		payload := encodeInts(append([]int{e, okFlag}, lost...)...)
-		n.links[0].enqueue(&frame{kind: kindDone, payload: payload}, false)
-		n.waitCond(verdictTimeout, func() bool {
-			return n.verdicts[e] != nil || n.deadProcs[0] || n.closed
-		})
+		report := encodeInts(append([]int{w.epoch, int(ph)}, ints...)...)
+		n.links[0].enqueue(&frame{kind: kindReport, payload: report}, false)
+		n.waitCond(timeout, func() bool { return n.verdicts[k] != nil || n.deadProcs[0] || n.closed })
 		n.mu.Lock()
-		v := n.verdicts[e]
-		n.mu.Unlock()
-		if v == nil {
-			// No verdict means the hub is gone (or unreachable past the
-			// timeout): everything not hosted here is unaccounted for.
-			return nil, fmt.Errorf("nettrans: proc %d: no verdict for epoch %d: %w",
-				n.cfg.Proc, e, &mpi.RankLostError{Rank: -1, Peer: 0, Op: "verdict", Lost: w.procRanks(-1)})
-		}
-		if v.ok {
-			return nil, nil
-		}
-		return v.lost, nil
+		defer n.mu.Unlock()
+		return n.verdicts[k]
 	}
-
-	// Hub: collect everyone's outcome, fold in silent deaths, decide.
-	n.mu.Lock()
-	if n.dones[e] == nil {
-		n.dones[e] = map[int]*outcome{}
-	}
-	n.dones[e][0] = rec
-	n.mu.Unlock()
-	waiting := func() []int {
-		var miss []int
+	silent := func() []int { // callers hold n.mu
+		var out []int
 		for p := 1; p < n.cfg.Procs; p++ {
-			if n.deadProcs[p] {
-				continue
-			}
-			if _, got := n.dones[e][p]; !got {
-				miss = append(miss, p)
+			if _, ok := n.reports[k][p]; !ok && !n.deadProcs[p] {
+				out = append(out, p)
 			}
 		}
-		return miss
+		return out
 	}
-	n.waitCond(verdictTimeout, func() bool { return len(waiting()) == 0 || n.closed })
 	n.mu.Lock()
-	missing := waiting()
+	if n.reports[k] == nil {
+		n.reports[k] = map[int][]int{}
+	}
+	n.reports[k][0] = ints
 	n.mu.Unlock()
+	n.waitCond(timeout, func() bool { return len(silent()) == 0 || n.closed })
+	n.mu.Lock()
+	missing, closed := silent(), n.closed
+	n.mu.Unlock()
+	if closed && ph == phaseForm {
+		return nil
+	}
 	for _, p := range missing {
 		n.links[p].declareDead() // marks deadProcs via peerDead
 	}
 	n.mu.Lock()
-	allOK := rec.ok
-	var union, deadNow []int
-	for _, d := range n.dones[e] {
-		allOK = allOK && d.ok
-		union = append(union, d.lost...)
-	}
+	var absent, dead []int
 	for p := 1; p < n.cfg.Procs; p++ {
 		if n.deadProcs[p] {
-			if _, reported := n.dones[e][p]; !reported {
-				// Died without a word this epoch: its ranks are lost.
-				union = append(union, w.procRanks(p)...)
+			if _, ok := n.reports[k][p]; !ok {
+				absent = append(absent, w.procRanks(p)...)
 			}
-			deadNow = append(deadNow, p)
+			dead = append(dead, p)
 		}
 	}
-	slices.Sort(union)
-	union = slices.Compact(union)
-	v := &outcome{ok: allOK && len(union) == 0, lost: union, dead: deadNow}
-	n.verdicts[e] = v
+	sort.Ints(absent)
+	v := decide(n.reports[k], absent)
+	v.dead = dead
 	n.mu.Unlock()
-	n.broadcastVerdict(e, v)
-	if v.ok {
+	verdict := append([]int{w.epoch, int(ph), flag(v.ok), len(v.lost)}, v.lost...)
+	sent := n.broadcast(kindVerdict, encodeInts(append(verdict, v.dead...)...), -1)
+	if ph == phaseEnd || !v.ok {
+		// The hub's Run returns on this verdict, and its caller may block
+		// next (a coordinator reaping its workers does): a verdict still
+		// queued behind a blocked process holds every worker up.
+		for l, f := range sent {
+			l.awaitTurn(f.seq)
+		}
+	}
+	return v
+}
+
+// noVerdict is the error of a rendezvous that came to no verdict. With no
+// verdict at the end of the attempt, or with the hub dead (the routing
+// spine), everything not hosted here is unaccounted for.
+func (n *Node) noVerdict(w *World, ph phase) error {
+	n.mu.Lock()
+	closed, hubDead := n.closed, n.deadProcs[0]
+	n.mu.Unlock()
+	lost := &mpi.RankLostError{Rank: -1, Peer: 0, Op: "verdict", Lost: w.procRanks(-1)}
+	switch {
+	case ph == phaseEnd:
+		return fmt.Errorf("nettrans: proc %d: no verdict for epoch %d: %w", n.cfg.Proc, w.epoch, lost)
+	case closed:
+		return errors.New("nettrans: node closed during formation")
+	case hubDead:
+		lost.Op = "formation"
+		return fmt.Errorf("nettrans: hub unreachable: %w", lost)
+	}
+	return fmt.Errorf("nettrans: proc %d: formation of epoch %d timed out", n.cfg.Proc, w.epoch)
+}
+
+// finishEpoch is the end-of-attempt rendezvous World.Finish delegates to.
+// Every process reports its outcome; the verdict is the union of the loss
+// attributions reported and the ranks of the procs that died without a
+// report, which is what keeps LostRanks — and so every supervisor's
+// shrink decision — identical across processes.
+func (n *Node) finishEpoch(w *World, localErr error) ([]int, error) {
+	lost := append(mpi.LostRanks(localErr), w.knownLost()...)
+	sort.Ints(lost)
+	report := append([]int{flag(localErr == nil)}, lost...)
+	v := n.rendezvous(w, phaseEnd, report, 4*n.cfg.DeathAfter+time.Second, func(reports map[int][]int, absent []int) *outcome {
+		v := &outcome{ok: true, lost: absent}
+		for _, r := range reports {
+			v.ok = v.ok && r[0] == 1
+			v.lost = append(v.lost, r[1:]...)
+		}
+		slices.Sort(v.lost)
+		v.lost = slices.Compact(v.lost)
+		v.ok = v.ok && len(v.lost) == 0
+		return v
+	})
+	switch {
+	case v == nil:
+		return nil, n.noVerdict(w, phaseEnd)
+	case v.ok:
 		return nil, nil
 	}
 	return v.lost, nil
+}
+
+// flag is a bool as a control int.
+func flag(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AssignRanks computes the standard proc assignment for a world of n

@@ -395,6 +395,56 @@ func TestFleetFormationTimeoutFailsEpoch(t *testing.T) {
 	}
 }
 
+// TestFleetFormationRefusesMismatchedAssignment starts an epoch in which
+// proc 2 holds another world assignment than the hub's: the hub refuses the
+// epoch naming proc 2, and the refusal reaches every worker within one
+// formation window as an error that attributes no lost rank, so no
+// supervisor shrinks a healthy world over it.
+func TestFleetFormationRefusesMismatchedAssignment(t *testing.T) {
+	const size = 4
+	cfg := testConfig()
+	cfg.DeathAfter = 200 * time.Millisecond
+	window := 2*cfg.DeathAfter + time.Second
+	fl := newTestFleet(t, 3, cfg)
+	assign, _ := AssignRanks(size, 2, []int{0, 1, 2}, 3)
+	other, _ := AssignRanks(size, 2, []int{0, 2}, 3) // as if proc 1 were dead
+
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	took := make([]time.Duration, 3)
+	for p, n := range fl.Nodes {
+		a := assign
+		if p == 2 {
+			a = other
+		}
+		wg.Add(1)
+		go func(p int, n *Node, a [][]int) {
+			defer wg.Done()
+			start := time.Now()
+			errs[p] = n.Run(size, a, mpi.Options{}, func(c *mpi.Comm) error {
+				t.Errorf("rank %d ran in a refused epoch", c.Rank())
+				return nil
+			})
+			took[p] = time.Since(start)
+		}(p, n, a)
+	}
+	wg.Wait()
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "procs [2]") {
+		t.Fatalf("hub: %v, want a refusal naming procs [2]", errs[0])
+	}
+	for p, err := range errs {
+		if err == nil {
+			t.Fatalf("proc %d: formation succeeded with mismatched assignments", p)
+		}
+		if errors.Is(err, mpi.ErrRankLost) {
+			t.Errorf("proc %d: the refusal attributes lost ranks %v: %v", p, mpi.LostRanks(err), err)
+		}
+		if p > 0 && took[p] > window {
+			t.Errorf("proc %d: Run returned after %v, past one formation window (%v): %v", p, took[p], window, err)
+		}
+	}
+}
+
 func TestAssignRanks(t *testing.T) {
 	got, err := AssignRanks(8, 2, []int{0, 1, 2, 3}, 4)
 	if err != nil {

@@ -200,7 +200,7 @@ func (s *FileSource) LoadRows(rows geometry.RowRange, pLo, pHi int) (*projection
 }
 
 // SlabWriter assembles reduced sub-volumes into one raw volume file
-// (volume.ReadRaw-compatible). Slabs may arrive in any order and from
+// (volume.LoadRaw reads it). Slabs may arrive in any order and from
 // concurrent writers, mirroring how independent MPI groups store their
 // slices to the PFS.
 //

@@ -20,7 +20,7 @@ const HeaderBytes = 20
 // origin, then float32 voxels in Z-major order.
 const rawMagic = 0x46424b31 // "FBK1"
 
-// rawChunkBytes is the size of the scratch buffer WriteRaw and ReadRaw move
+// rawChunkBytes is the size of the scratch buffer WriteRaw and readRaw move
 // voxels through: large enough that a file sees few system calls, small
 // enough to stay in cache, and independent of the volume's size.
 const rawChunkBytes = 64 << 10
@@ -115,15 +115,13 @@ func ReadHeader(r io.Reader, size int64) (Header, error) {
 	return h, nil
 }
 
-// ReadRaw deserialises a volume written by WriteRaw. The header is twenty
-// untrusted bytes: the voxel storage starts at no more than one chunk and
-// doubles only as voxel bytes arrive, so what an input can make this
-// process allocate is bounded by what it sends.
-func ReadRaw(r io.Reader) (*Volume, error) { return readRaw(r, -1) }
-
-// readRaw is ReadRaw for a source of unknown length (size < 0) or of a known
-// one, which the header must then account for to the byte and whose voxels
-// are allocated once.
+// readRaw deserialises a volume written by WriteRaw from a source of a
+// known length, which the header must account for to the byte and whose
+// voxels are allocated once, or of an unknown one (size < 0). The header is
+// twenty untrusted bytes: for a source of unknown length the voxel storage
+// starts at no more than one chunk and doubles only as voxel bytes arrive,
+// so what an input can make this process allocate is bounded by what it
+// sends.
 func readRaw(r io.Reader, size int64) (*Volume, error) {
 	h, err := ReadHeader(r, size)
 	if err != nil {

@@ -169,6 +169,10 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// ReadRaw reads a volume written by WriteRaw from a stream of unknown
+// length, as the fuzz target and the round-trip tests do.
+func ReadRaw(r io.Reader) (*Volume, error) { return readRaw(r, -1) }
+
 // The volume spans more than one of WriteRaw's chunks and does not end on a
 // chunk boundary.
 func TestRawRoundTrip(t *testing.T) {
